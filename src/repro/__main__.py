@@ -230,7 +230,10 @@ def _aggregate_spec(args):
 def _plan_workload(args):
     """Build the workload, pick an order, and compile — shared by the
     ``bench``/``explain``/``run`` subcommands.  Returns
-    ``(query, plan, strategy)``."""
+    ``(query, plan, strategy, plan_s)``; ``plan_s`` is the time spent
+    choosing the order and compiling (not building or mutating data)."""
+    from time import perf_counter
+
     from .engine import SpatialQuery, compile_query, plan_order
 
     query = _build_workload(args)
@@ -238,6 +241,7 @@ def _plan_workload(args):
         # The non-smugglers builders pack by default; honour the flags.
         for table in query.tables.values():
             table.reindex(pack=not args.no_pack, split_method=args.split)
+    start = perf_counter()
     strategy = args.order_strategy
     if strategy == "paper" and not query.order:
         # Only the smugglers workload carries a paper-given order; be
@@ -273,9 +277,11 @@ def _plan_workload(args):
         # A ref-anchored kNN variable must follow its anchor; repair
         # the planner-chosen order with the compiler's own helper.
         order = repair_knn_order(order, knn, query.tables)
+    plan_s = perf_counter() - start
     _stage_mutations(args, query)
+    start = perf_counter()
     plan = compile_query(query, order=order)
-    return query, plan, strategy
+    return query, plan, strategy, plan_s + perf_counter() - start
 
 
 def _stage_mutations(args, query) -> None:
@@ -341,7 +347,7 @@ def _physical_options(args) -> dict:
 def cmd_bench(args) -> int:
     from time import perf_counter
 
-    query, plan, strategy = _plan_workload(args)
+    query, plan, strategy, plan_s = _plan_workload(args)
     cache = _probe_cache(args)
     for table in query.tables.values():
         table.reset_stats()  # report query-time reads, not build-time
@@ -356,6 +362,7 @@ def cmd_bench(args) -> int:
                 first = perf_counter() - start
             answers.append(answer)
         timing = {
+            "plan_s": plan_s,
             "time_to_first_s": first,
             "total_s": perf_counter() - start,
             "limit": args.limit,
@@ -422,7 +429,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    _query, plan, strategy = _plan_workload(args)
+    _query, plan, strategy, _plan_s = _plan_workload(args)
     pplan = plan.physical(args.mode, **_physical_options(args))
     if args.analyze:
         pplan.run(cache=_probe_cache(args))
@@ -438,8 +445,10 @@ def cmd_explain(args) -> int:
 def cmd_run(args) -> int:
     from time import perf_counter
 
-    _query, plan, _strategy = _plan_workload(args)
+    _query, plan, _strategy, plan_s = _plan_workload(args)
+    start = perf_counter()
     pplan = plan.physical(args.mode, estimate=False, **_physical_options(args))
+    plan_s += perf_counter() - start
     cache = _probe_cache(args)
     variables = list(plan.order)
     if plan.aggregate is not None:
@@ -462,8 +471,8 @@ def cmd_run(args) -> int:
     total = perf_counter() - start
     if args.stream and first is not None:
         print(
-            f"# {count} answers; first after {first * 1e3:.2f}ms, "
-            f"all after {total * 1e3:.2f}ms"
+            f"# {count} answers; planned in {plan_s * 1e3:.2f}ms, "
+            f"first after {first * 1e3:.2f}ms, all after {total * 1e3:.2f}ms"
         )
     else:
         print(f"# {count} answers")

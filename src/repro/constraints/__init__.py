@@ -34,7 +34,7 @@ from .projection import (
     project_all,
     project_disequation,
 )
-from .solved import Disequation, SolvedConstraint, solve_for, solved_to_system
+from .solved import BoundConstraint, Disequation, SolvedConstraint, solve_for, solved_to_system
 from .system import (
     ConstraintSystem,
     EquationalSystem,
@@ -49,7 +49,12 @@ from .system import (
     strict_subset,
     subset,
 )
-from .triangular import TriangularForm, triangular_form, verify_necessity
+from .triangular import (
+    TriangularForm,
+    shared_triangular_forms,
+    triangular_form,
+    verify_necessity,
+)
 from .witness import (
     WitnessError,
     build_witness,
@@ -58,6 +63,7 @@ from .witness import (
 )
 
 __all__ = [
+    "BoundConstraint",
     "ConstraintSystem",
     "Disequation",
     "EquationalSystem",
@@ -91,6 +97,7 @@ __all__ = [
     "project_disequation",
     "redundant_constraints",
     "satisfiable_atomless",
+    "shared_triangular_forms",
     "smugglers_system",
     "solve_for",
     "solved_to_system",

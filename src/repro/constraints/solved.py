@@ -47,16 +47,6 @@ class Disequation:
         v = Var(x)
         return disj(conj(v, self.p), conj(neg(v), self.q))
 
-    def holds(self, algebra, value, env: Mapping[str, object]) -> bool:
-        """Evaluate with ``value`` bound to the solved variable."""
-        pv = evaluate(self.p, algebra, env)
-        if not algebra.is_zero(algebra.meet(value, pv)):
-            return True
-        qv = evaluate(self.q, algebra, env)
-        return not algebra.is_zero(
-            algebra.meet(algebra.complement(value), qv)
-        )
-
     def render(self, x: str) -> str:
         """Human-readable rendering."""
         parts = []
@@ -102,18 +92,17 @@ class SolvedConstraint:
         """``True`` when the range part is ``0 ⊆ x ⊆ 1``."""
         return self.lower == FALSE and self.upper == TRUE
 
-    def holds(self, algebra, value, env: Mapping[str, object]) -> bool:
-        """Check ``C_i`` exactly with ``value`` for the solved variable.
+    def bind(self, algebra, env: Mapping[str, object]) -> "BoundConstraint":
+        """``C_i`` with the earlier variables fixed to ``env``.
 
-        ``env`` must bind every earlier variable (and any constants).
+        ``env`` must bind every earlier variable (and any constants) and
+        must not change while the bound constraint is in use.
         """
-        lo = evaluate(self.lower, algebra, env)
-        if not algebra.le(lo, value):
-            return False
-        hi = evaluate(self.upper, algebra, env)
-        if not algebra.le(value, hi):
-            return False
-        return all(r.holds(algebra, value, env) for r in self.disequations)
+        return BoundConstraint(self, algebra, env)
+
+    def holds(self, algebra, value, env: Mapping[str, object]) -> bool:
+        """Check ``C_i`` exactly with ``value`` for the solved variable."""
+        return self.bind(algebra, env).holds(value)
 
     def render(self) -> str:
         """Multi-line human-readable rendering, paper style."""
@@ -124,6 +113,58 @@ class SolvedConstraint:
 
     def __str__(self) -> str:
         return self.render()
+
+
+_PENDING = object()
+
+
+class BoundConstraint:
+    """A :class:`SolvedConstraint` bound to one environment.
+
+    ``s``, ``t`` and every ``p_j``/``q_j`` are functions of the earlier
+    variables only, so each is evaluated at most once per environment —
+    on first need, in the order a single check needs them — and shared
+    by every candidate value passed to :meth:`holds`.  A variable
+    missing from the environment raises ``KeyError`` from every
+    :meth:`holds` call that gets as far as needing it.
+    """
+
+    __slots__ = ("_solved", "_algebra", "_env", "_values")
+
+    def __init__(self, solved: SolvedConstraint, algebra, env: Mapping[str, object]):
+        self._solved = solved
+        self._algebra = algebra
+        self._env = env
+        # s, t, then p_j, q_j per disequation.
+        self._values = [_PENDING] * (2 + 2 * len(solved.disequations))
+
+    def _value(self, slot: int, formula: Formula):
+        value = self._values[slot]
+        if value is _PENDING:
+            value = self._values[slot] = evaluate(
+                formula, self._algebra, self._env
+            )
+        return value
+
+    def holds(self, value) -> bool:
+        """Check the constraint with ``value`` for the solved variable."""
+        algebra, solved = self._algebra, self._solved
+        if not algebra.le(self._value(0, solved.lower), value):
+            return False
+        if not algebra.le(value, self._value(1, solved.upper)):
+            return False
+        outside = None  # ¬value, taken once and only when some q_j ≠ 0
+        for j, r in enumerate(solved.disequations, 1):
+            if not algebra.is_zero(algebra.meet(value, self._value(2 * j, r.p))):
+                continue
+            qv = self._value(2 * j + 1, r.q)
+            if algebra.is_zero(qv):
+                return False
+            if outside is None:
+                outside = algebra.complement(value)
+            if algebra.is_zero(algebra.meet(outside, qv)):
+                return False
+        return True
 
 
 def solve_for(

@@ -25,7 +25,7 @@ prints as ``C ∨ T`` given ``A ⊆ C``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..boolean.syntax import Formula, neg
 from .projection import project
@@ -122,46 +122,76 @@ def triangular_form(
     -------
     TriangularForm
     """
+    return shared_triangular_forms(
+        system, simplify_formulas, simplify_modulo_ground, subsume
+    )(order)
+
+
+def shared_triangular_forms(
+    system: ConstraintSystem | EquationalSystem,
+    simplify_formulas: bool = True,
+    simplify_modulo_ground: bool = True,
+    subsume: bool = True,
+) -> Callable[[Sequence[str]], TriangularForm]:
+    """:func:`triangular_form` of one system for many retrieval orders.
+
+    The returned function maps an order to its triangular form and
+    shares work between calls: ``S_i`` depends only on the *set* of
+    variables eliminated so far (``proj`` commutes and the simplifier is
+    canonical), and ``C_i`` only on that set, ``x_i`` and the ground
+    residue, so orders that agree on them reuse them.
+    """
     if isinstance(system, ConstraintSystem):
         normalized = system.normalize(simplify_formulas)
     else:
         normalized = system
-    names = list(order)
-    if len(set(names)) != len(names):
-        raise ValueError(f"retrieval order has duplicates: {names}")
+    # Eliminated-variable set -> S_i; (all unknowns, that set, x_i) -> C_i.
+    systems: Dict[FrozenSet[str], EquationalSystem] = {frozenset(): normalized}
+    solved_by_level: Dict[tuple, SolvedConstraint] = {}
 
-    # Eliminate from x_n down to x_1, keeping each S_i.
-    systems: Dict[int, EquationalSystem] = {len(names): normalized}
-    current = normalized
-    for i in range(len(names), 0, -1):
-        current = project(current, names[i - 1], simplify_formulas)
-        systems[i - 1] = current
-    ground = systems[0]
-    if subsume:
-        ground = ground.subsume_disequations()
+    def form(order: Sequence[str]) -> TriangularForm:
+        names = list(order)
+        if len(set(names)) != len(names):
+            raise ValueError(f"retrieval order has duplicates: {names}")
 
-    care: Optional[Formula] = None
-    if simplify_modulo_ground:
-        care = neg(ground.equation)  # care set: residue equation holds
-
-    constraints: List[SolvedConstraint] = []
-    for i in range(1, len(names) + 1):
-        level_system = systems[i]
+        # Eliminate from x_n down to x_1, keeping each S_i.
+        levels = [frozenset(names[i:]) for i in range(len(names) + 1)]
+        for i in range(len(names), 0, -1):
+            if levels[i - 1] not in systems:
+                systems[levels[i - 1]] = project(
+                    systems[levels[i]], names[i - 1], simplify_formulas
+                )
+        ground = systems[levels[0]]
         if subsume:
-            level_system = level_system.subsume_disequations()
-        solved, _passed = solve_for(
-            level_system,
-            names[i - 1],
-            simplify_formulas=simplify_formulas,
-            care=care,
+            ground = ground.subsume_disequations()
+
+        care: Optional[Formula] = None
+        if simplify_modulo_ground:
+            care = neg(ground.equation)  # care set: residue equation holds
+
+        constraints: List[SolvedConstraint] = []
+        for i in range(1, len(names) + 1):
+            key = (levels[0], levels[i], names[i - 1])
+            if key not in solved_by_level:
+                level_system = systems[levels[i]]
+                if subsume:
+                    level_system = level_system.subsume_disequations()
+                solved, _passed = solve_for(
+                    level_system,
+                    names[i - 1],
+                    simplify_formulas=simplify_formulas,
+                    care=care,
+                )
+                if subsume:
+                    solved = _subsume_solved(solved, care)
+                solved_by_level[key] = solved
+            constraints.append(solved_by_level[key])
+
+        return TriangularForm(
+            order=tuple(names), constraints=tuple(constraints), ground=ground
         )
-        if subsume:
-            solved = _subsume_solved(solved, care)
-        constraints.append(solved)
 
-    return TriangularForm(
-        order=tuple(names), constraints=tuple(constraints), ground=ground
-    )
+    return form
 
 
 def _subsume_solved(

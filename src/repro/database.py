@@ -81,7 +81,9 @@ class QueryResult:
     """One execution's answers plus its counters and timings.
 
     Unpacks like the classic pair — ``answers, stats = session.run(q)``
-    — while also carrying the retrieval order and streaming timings.
+    — while also carrying the retrieval order and timings: ``plan_s``
+    covers parse → order choice → compile → physical build, and
+    ``time_to_first_s``/``total_s`` start where it ends, at execution.
     """
 
     answers: List[Answer]
@@ -89,6 +91,7 @@ class QueryResult:
     order: Tuple[str, ...] = ()
     time_to_first_s: Optional[float] = None
     total_s: Optional[float] = None
+    plan_s: Optional[float] = None
 
     def __iter__(self) -> Iterator:
         return iter((self.answers, self.stats))
@@ -362,6 +365,7 @@ class Session:
         self,
         query: Union[str, ConstraintSystem, SpatialQuery, QueryPlan],
         order: Optional[Sequence[str]] = None,
+        partitions=_UNSET,
     ) -> QueryPlan:
         if isinstance(query, QueryPlan):
             return query
@@ -382,7 +386,7 @@ class Session:
             order = plan_order(
                 query,
                 strategy="histogram",
-                partitions=self.defaults["partitions"],
+                partitions=self._option("partitions", partitions),
             )
             if query.knn is not None:
                 order = repair_knn_order(order, query.knn, query.tables)
@@ -410,7 +414,8 @@ class Session:
         without exhausting the search space, and the result carries
         time-to-first-answer alongside the total.
         """
-        plan = self._compile(query, order=order)
+        called = perf_counter()
+        plan = self._compile(query, order=order, partitions=partitions)
         pplan = plan.physical(
             self._option("mode", mode),
             estimate=False,
@@ -425,6 +430,7 @@ class Session:
             ),
         )
         start = perf_counter()
+        plan_s = start - called
         first = None
         answers: List[Answer] = []
         for answer in pplan.execute_iter(
@@ -440,6 +446,7 @@ class Session:
             order=tuple(plan.order),
             time_to_first_s=first,
             total_s=total,
+            plan_s=plan_s,
         )
 
     def explain(
@@ -462,7 +469,7 @@ class Session:
         ``analyze=True`` also executes the plan and annotates actual
         per-operator rows/probes/node reads (the CLI's ``--analyze``).
         """
-        plan = self._compile(query, order=order)
+        plan = self._compile(query, order=order, partitions=partitions)
         pplan = plan.physical(
             self._option("mode", mode),
             **self._physical_options(
@@ -499,9 +506,12 @@ class Session:
         The returned dictionary nests the full
         :meth:`~repro.engine.stats.ExecutionStats.to_dict` payload under
         ``"counters"`` (JSON-round-trippable), plus per-table index
-        counters and wall-clock timings.
+        counters and wall-clock timings (``plan_s`` included: the run
+        itself receives the compiled plan, so planning is timed here).
         """
-        plan = self._compile(query, order=order)
+        called = perf_counter()
+        plan = self._compile(query, order=order, partitions=partitions)
+        plan_s = perf_counter() - called
         for table in plan.query.tables.values():
             table.reset_stats()  # report query-time reads, not build-time
         result = self.run(
@@ -525,6 +535,7 @@ class Session:
                 name: table.index_stats()
                 for name, table in plan.query.tables.items()
             },
+            "plan_s": plan_s + result.plan_s,
             "time_to_first_s": result.time_to_first_s,
             "total_s": result.total_s,
         }

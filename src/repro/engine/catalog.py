@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import (
@@ -283,30 +283,33 @@ class TableStatistics:
             p *= self.sel_overlap(c)
         return _clamp(p)
 
-    def sampled_fraction(self, query: BoxQuery) -> Optional[float]:
-        """Exact fraction of the stored *sample* matching ``query``.
-
-        ``None`` when no sample is available (empty table).
-        """
-        if not self.sample:
-            return None
+    def matching_sample(self, query: BoxQuery) -> List["SpatialObject"]:
+        """The stored *sample* rows whose box matches ``query``."""
         if query.is_unsatisfiable():
-            return 0.0
-        hits = sum(
-            1
+            return []
+        return [
+            obj
             for obj in self.sample
             if not obj.box.is_empty() and query.matches(obj.box)
-        )
-        return hits / len(self.sample)
+        ]
 
-    def selectivity(self, query: BoxQuery) -> float:
+    def selectivity(
+        self,
+        query: BoxQuery,
+        matching: Optional[Sequence["SpatialObject"]] = None,
+    ) -> float:
         """Blended selectivity: histogram estimate averaged with the
-        sampled predicate selectivity when a sample exists."""
+        sampled predicate selectivity when a sample exists.
+
+        ``matching`` is :meth:`matching_sample` of ``query`` when the
+        caller already has it (the sample is scanned once, not twice).
+        """
         hist = self.sel_query(query)
-        sampled = self.sampled_fraction(query)
-        if sampled is None:
+        if not self.sample:
             return hist
-        return _clamp((hist + sampled) / 2.0)
+        if matching is None:
+            matching = self.matching_sample(query)
+        return _clamp((hist + len(matching) / len(self.sample)) / 2.0)
 
     def estimate_cardinality(self, query: BoxQuery) -> float:
         """Expected number of rows matching ``query``."""
@@ -460,10 +463,11 @@ class TableStatistics:
         rows = tuple(pool) if pool is not None else self.sample
         if not rows:
             return 0.0, ()
+        bound = solved.bind(algebra, env)
         holding = []
         for obj in rows:
             try:
-                ok = solved.holds(algebra, obj.region, env)
+                ok = bound.holds(obj.region)
             except KeyError:
                 ok = True
             if ok:

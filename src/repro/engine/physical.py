@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..boxes.box import Box, enclose_all
-from ..constraints.solved import SolvedConstraint
+from ..constraints.solved import BoundConstraint, SolvedConstraint
 from ..constraints.system import ConstraintSystem
 from ..errors import UnknownModeError
 from ..spatial import columnar
@@ -1137,16 +1137,31 @@ class ExactFilter(PhysicalOperator):
     def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
         self.stats.executed = True
         algebra = ctx.algebra
+        solved = self.solved
+        if solved is not None:
+            # One bound C_i per distinct tuple of the earlier rows it
+            # reads, for the whole execution: the formulas over them are
+            # evaluated (and billed) once however the candidates of one
+            # partial tuple arrive — per tuple, batched or bulk-joined.
+            # Keyed on the regions' identities; each bound constraint's
+            # environment keeps its regions alive.
+            reads = sorted(
+                solved.earlier_variables() - set(ctx.plan.query.bindings)
+            )
+            bound_by_rows: Dict[Tuple[int, ...], BoundConstraint] = {}
         for binding in self.child.iterate(ctx):
             self.stats.rows_in += 1
-            env = ctx.region_env(binding)
             before = algebra.ops.total
-            if self.solved is not None:
-                ok = self.solved.holds(
-                    algebra, binding[self.variable].region, env
-                )
+            if solved is not None:
+                key = tuple(id(binding[name].region) for name in reads)
+                bound = bound_by_rows.get(key)
+                if bound is None:
+                    bound = bound_by_rows[key] = solved.bind(
+                        algebra, ctx.region_env(binding)
+                    )
+                ok = bound.holds(binding[self.variable].region)
             else:
-                ok = self.system.holds(algebra, env)
+                ok = self.system.holds(algebra, ctx.region_env(binding))
             self.stats.region_ops += algebra.ops.total - before
             if ok:
                 self.stats.rows_out += 1
@@ -1750,10 +1765,10 @@ def _annotate_estimates(
 ) -> None:
     """Attach catalog cardinality estimates to every operator.
 
-    Estimation failures (empty statistics, unsupported systems) leave
-    the annotations unset rather than failing plan construction.
+    Unusable statistics (the planner's ``ESTIMATION_ERRORS``) leave the
+    annotations unset rather than failing plan construction.
     """
-    from .planner import rollout_step_estimates
+    from .planner import ESTIMATION_ERRORS, rollout_step_estimates
 
     plan = pplan.logical
     try:
@@ -1763,7 +1778,7 @@ def _annotate_estimates(
                 plan.query, plan.order, catalog=catalog
             )
         }
-    except Exception:
+    except ESTIMATION_ERRORS:
         return
 
     for op in pplan.operators():

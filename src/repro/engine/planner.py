@@ -13,7 +13,8 @@ results, exactly like join ordering in relational optimizers.  We provide
   out over the statistics catalog (:mod:`repro.engine.catalog`) — step
   candidate counts from histogram selectivities, survivor fractions from
   sampled exact-predicate selectivities.  Shared by the cost model below
-  and by the physical plan's EXPLAIN annotations;
+  and by the physical plan's EXPLAIN annotations; within one planning
+  call the rollouts of all orders share their work (:class:`_Rollouts`);
 * :func:`estimate_order_cost_histogram` — the cost-based estimate (the
   rollouts' expected partial-tuple total);
 * :func:`plan_order` / :func:`best_order_by_estimate` — strategy
@@ -43,15 +44,17 @@ from typing import (
 )
 
 from ..boxes.bconstraints import compile_solved_constraint
+from ..boxes.box import Box
+from ..constraints.solved import SolvedConstraint
 from ..constraints.system import ConstraintSystem
-from ..constraints.triangular import triangular_form
-from ..errors import CompilationError
+from ..constraints.triangular import shared_triangular_forms
+from ..errors import CompilationError, ReproError
 from ..spatial.partition import DEFAULT_TILES
-from .catalog import Catalog
+from .catalog import Catalog, TableStatistics
 from .query import SpatialQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..spatial.table import SpatialTable
+    from ..spatial.table import SpatialObject, SpatialTable
     from .compiler import QueryPlan
 
 #: Strategies accepted by :func:`plan_order`.
@@ -103,6 +106,12 @@ AGGREGATE_STRATEGIES = ("stream", "pushdown")
 #: greedy heuristic there keeps the cost-based planner from ever doing
 #: measurably worse while preserving its large wins.
 HISTOGRAM_CONFIDENCE_MARGIN = 0.8
+
+#: What costing over unusable statistics raises — the library's own
+#: errors (no inferable universe, mixed dimensions, an unbound variable)
+#: and the zero division of a zero-bin histogram.  Only these take the
+#: documented safe defaults; anything else is a bug and propagates.
+ESTIMATION_ERRORS = (ReproError, ZeroDivisionError)
 
 
 def _constraint_edges(system: ConstraintSystem) -> List[Tuple[frozenset, bool]]:
@@ -237,6 +246,159 @@ class StepEstimate:
     pruned_candidates: float = 0.0
 
 
+#: A rollout step's outcome: box selectivity, pruned count, exact
+#: fraction, and the rows the next representative is drawn from.
+_StepResult = Tuple[float, float, float, Sequence["SpatialObject"]]
+
+
+class _StepMemo:
+    """One solved constraint's rollout results, by the representatives
+    it reads."""
+
+    def __init__(self, solved: SolvedConstraint, stats: TableStatistics) -> None:
+        self.solved = solved
+        self.stats = stats  # of the table the solved variable ranges over
+        self.template = compile_solved_constraint(solved)
+        self.reads = tuple(sorted(solved.earlier_variables()))
+        #: ids of the representatives of ``reads`` -> the step's outcome.
+        self.results: Dict[Tuple[int, ...], _StepResult] = {}
+
+
+class _Rollouts:
+    """Everything the cost rollouts of one planning call share.
+
+    A step's outcome depends only on its solved constraint and on the
+    representative rows that constraint reads, so it is computed once
+    and reused by every rollout of every order that reaches the same
+    step with the same representatives (all rollouts of all orders with
+    a common first variable, for a start); the orders' triangular forms
+    share their projections the same way.  The object lives for one
+    call of a public function below — nothing to invalidate.
+    """
+
+    def __init__(
+        self, query: SpatialQuery, catalog: Optional[Catalog], partitions: int
+    ) -> None:
+        catalog = catalog or Catalog()
+        if partitions and catalog.partitions != partitions:
+            catalog = Catalog(
+                bins=catalog.bins,
+                sample_size=catalog.sample_size,
+                seed=catalog.seed,
+                partitions=partitions,
+            )
+        self.partitions = partitions
+        self.stats = catalog.for_query(query)
+        self.triangular = shared_triangular_forms(query.system)
+        self.algebra = query.algebra()
+        self.universe = self.algebra.universe_box
+        self.box_env = {
+            name: region.bounding_box()
+            for name, region in query.bindings.items()
+        }
+        self.region_env = dict(query.bindings)
+        self.steps: Dict[SolvedConstraint, _StepMemo] = {}
+
+    def _step(
+        self,
+        memo: _StepMemo,
+        picks: Dict[str, "SpatialObject"],
+        box_env: Dict[str, Box],
+        region_env: Dict[str, object],
+    ) -> _StepResult:
+        key = tuple(id(picks.get(name)) for name in memo.reads)
+        result = memo.results.get(key)
+        if result is None:
+            st = memo.stats
+            box_query = memo.template.instantiate(box_env, self.universe)
+            matching: Sequence["SpatialObject"] = st.matching_sample(box_query)
+            box_sel = st.selectivity(box_query, matching)
+            # Sampled exact-predicate selectivity among the rows the
+            # box filter admits (whole sample when none match).
+            exact_frac, holding = st.exact_selectivity(
+                memo.solved,
+                self.algebra,
+                region_env,
+                pool=matching if matching else None,
+            )
+            result = memo.results[key] = (
+                box_sel,
+                st.pruned_count(box_query),
+                exact_frac,
+                holding or matching,
+            )
+        return result
+
+    def step_estimates(
+        self, order: Sequence[str], rollouts: int = 6, seed: int = 0
+    ) -> List[StepEstimate]:
+        """See :func:`rollout_step_estimates`."""
+        memos = []
+        for solved in self.triangular(order).constraints:
+            if solved not in self.steps:
+                self.steps[solved] = _StepMemo(
+                    solved, self.stats[solved.variable]
+                )
+            memos.append(self.steps[solved])
+        rng = random.Random(seed)
+        n_rollouts = max(1, rollouts)
+        # partials_in, candidates, scan, survivors, pruned
+        sums = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in memos]
+        for _ in range(n_rollouts):
+            box_env = dict(self.box_env)
+            region_env = dict(self.region_env)
+            picks: Dict[str, "SpatialObject"] = {}
+            partials = 1.0
+            for memo, acc in zip(memos, sums):
+                name, st = memo.solved.variable, memo.stats
+                box_sel, pruned, exact_frac, matching = self._step(
+                    memo, picks, box_env, region_env
+                )
+                candidates = st.count * box_sel
+                survivors = candidates * exact_frac
+                acc[0] += partials
+                acc[1] += partials * candidates
+                acc[2] += partials * st.count
+                acc[4] += partials * pruned
+                partials *= survivors
+                acc[3] += partials
+                # Choose a representative retrieved object for later steps;
+                # with no representative row, later exact sampling against
+                # this variable falls back to box-only costing.
+                if matching:
+                    pick = picks[name] = rng.choice(matching)
+                    box_env[name] = pick.box
+                    region_env[name] = pick.region
+                else:
+                    box_env[name] = (
+                        self.universe if st.mbr.is_empty() else st.mbr
+                    )
+        return [
+            StepEstimate(
+                variable=memo.solved.variable,
+                partials_in=acc[0] / n_rollouts,
+                candidates=acc[1] / n_rollouts,
+                scan_candidates=acc[2] / n_rollouts,
+                survivors=acc[3] / n_rollouts,
+                pruned_candidates=acc[4] / n_rollouts,
+            )
+            for memo, acc in zip(memos, sums)
+        ]
+
+    def cost(
+        self, order: Sequence[str], rollouts: int = 6, seed: int = 0
+    ) -> float:
+        """See :func:`estimate_order_cost_histogram`."""
+        estimates = self.step_estimates(order, rollouts, seed)
+        if self.partitions:
+            index_work = sum(
+                min(e.candidates, e.pruned_candidates) for e in estimates
+            )
+        else:
+            index_work = sum(e.candidates for e in estimates)
+        return sum(e.survivors for e in estimates) + 1e-3 * index_work
+
+
 def rollout_step_estimates(
     query: SpatialQuery,
     order: Sequence[str],
@@ -268,91 +430,9 @@ def rollout_step_estimates(
     model), :func:`choose_join_strategies`, and the physical plan's
     EXPLAIN annotations.
     """
-    catalog = catalog or Catalog()
-    if partitions and catalog.partitions != partitions:
-        catalog = Catalog(
-            bins=catalog.bins,
-            sample_size=catalog.sample_size,
-            seed=catalog.seed,
-            partitions=partitions,
-        )
-    stats = {name: catalog.statistics(t) for name, t in query.tables.items()}
-    tri = triangular_form(query.system, list(order))
-    steps = {c.variable: (c, compile_solved_constraint(c)) for c in tri.constraints}
-    algebra = query.algebra()
-    universe = algebra.universe_box
-
-    base_box_env = {
-        name: region.bounding_box() for name, region in query.bindings.items()
-    }
-    base_region_env = dict(query.bindings)
-
-    rng = random.Random(seed)
-    n_rollouts = max(1, rollouts)
-    sums = {
-        # partials_in, candidates, scan, survivors, pruned
-        name: [0.0, 0.0, 0.0, 0.0, 0.0]
-        for name in order
-    }
-    for _ in range(n_rollouts):
-        box_env = dict(base_box_env)
-        region_env = dict(base_region_env)
-        partials = 1.0
-        for name in order:
-            st = stats[name]
-            step = steps.get(name)
-            if step is None:  # unconstrained variable: full scan fanout
-                box_sel, exact_frac, matching = 1.0, 1.0, list(st.sample)
-                pruned = float(st.count)
-            else:
-                solved, template = step
-                box_query = template.instantiate(box_env, universe)
-                box_sel = st.selectivity(box_query)
-                pruned = st.pruned_count(box_query)
-                matching = [
-                    obj
-                    for obj in st.sample
-                    if not obj.box.is_empty() and box_query.matches(obj.box)
-                ]
-                # Sampled exact-predicate selectivity among the rows the
-                # box filter admits (whole sample when none match).
-                exact_frac, holding = st.exact_selectivity(
-                    solved,
-                    algebra,
-                    region_env,
-                    pool=matching if matching else None,
-                )
-                if holding:
-                    matching = list(holding)
-            candidates = st.count * box_sel
-            survivors = candidates * exact_frac
-            acc = sums[name]
-            acc[0] += partials
-            acc[1] += partials * candidates
-            acc[2] += partials * st.count
-            acc[4] += partials * pruned
-            partials *= survivors
-            acc[3] += partials
-            # Choose a representative retrieved object for later steps;
-            # with no representative row, later exact sampling against
-            # this variable falls back to box-only costing.
-            if matching:
-                pick = rng.choice(matching)
-                box_env[name] = pick.box
-                region_env[name] = pick.region
-            else:
-                box_env[name] = universe if st.mbr.is_empty() else st.mbr
-    return [
-        StepEstimate(
-            variable=name,
-            partials_in=sums[name][0] / n_rollouts,
-            candidates=sums[name][1] / n_rollouts,
-            scan_candidates=sums[name][2] / n_rollouts,
-            survivors=sums[name][3] / n_rollouts,
-            pruned_candidates=sums[name][4] / n_rollouts,
-        )
-        for name in order
-    ]
+    return _Rollouts(query, catalog, partitions).step_estimates(
+        order, rollouts, seed
+    )
 
 
 def estimate_order_cost_histogram(
@@ -373,21 +453,7 @@ def estimate_order_cost_histogram(
     when it beats the index estimate, so orders whose steps prune well
     are preferred.
     """
-    estimates = rollout_step_estimates(
-        query,
-        order,
-        catalog=catalog,
-        rollouts=rollouts,
-        seed=seed,
-        partitions=partitions,
-    )
-    if partitions:
-        index_work = sum(
-            min(e.candidates, e.pruned_candidates) for e in estimates
-        )
-    else:
-        index_work = sum(e.candidates for e in estimates)
-    return sum(e.survivors for e in estimates) + 1e-3 * index_work
+    return _Rollouts(query, catalog, partitions).cost(order, rollouts, seed)
 
 
 def _exhaustive_costs(
@@ -410,8 +476,10 @@ def best_order_by_estimate(
 
     ``estimator`` selects the cost model: ``"histogram"`` (the
     statistics catalog, default) or ``"raw"`` (the legacy raw-size
-    estimate).  Any failure of the histogram path — empty catalog,
-    unsupported system — falls back to the greedy heuristic.
+    estimate).  Unusable statistics (:data:`ESTIMATION_ERRORS`) fall
+    back to the greedy heuristic; a query with at most one unknown has
+    only one order, returned without touching statistics.  All orders
+    are costed through one shared :class:`_Rollouts` memo.
     """
     if estimator == "raw":
         return _argmin_order(
@@ -424,14 +492,11 @@ def best_order_by_estimate(
             f"unknown estimator {estimator!r}; expected 'histogram' or 'raw'"
         )
     greedy = choose_order(query)
-    if len(query.unknowns) > MAX_ENUMERATED_UNKNOWNS:
-        return greedy
+    if not 1 < len(query.unknowns) <= MAX_ENUMERATED_UNKNOWNS:
+        return greedy  # the only order, or too many to enumerate
     try:
         costs = _exhaustive_costs(
-            query,
-            lambda order: estimate_order_cost_histogram(
-                query, order, catalog=catalog, partitions=partitions
-            ),
+            query, _Rollouts(query, catalog, partitions).cost
         )
         best = _argmin_order(costs)
         if best == greedy:
@@ -439,7 +504,7 @@ def best_order_by_estimate(
         if costs[best] < HISTOGRAM_CONFIDENCE_MARGIN * costs[greedy]:
             return best
         return greedy
-    except Exception:
+    except ESTIMATION_ERRORS:
         # The greedy heuristic needs no statistics and always succeeds.
         return greedy
 
@@ -486,9 +551,9 @@ def choose_knn_access(
     chooser compares the two on the statistics catalog's node-read
     estimates (:meth:`~repro.engine.catalog.TableStatistics.
     estimate_knn_node_reads`); non-r-tree backends and ``k >= n``
-    always scan (the browse cannot beat reading everything), and any
-    estimation failure falls back to best-first, the safe default for
-    indexed tables.
+    always scan (the browse cannot beat reading everything), and
+    unusable statistics (:data:`ESTIMATION_ERRORS`) fall back to
+    best-first, the safe default for indexed tables.
     """
     if table.index_kind != "rtree":
         return "scan"
@@ -500,7 +565,7 @@ def choose_knn_access(
         bestfirst = stats.estimate_knn_node_reads(k, table.node_capacity)
         scan = stats.estimate_scan_node_reads(table.node_capacity)
         return "bestfirst" if bestfirst <= scan else "scan"
-    except Exception:
+    except ESTIMATION_ERRORS:
         return "bestfirst"
 
 
@@ -568,8 +633,9 @@ def choose_join_strategies(
 
     Bulk joins (pbsm/z-order) pay a per-row build cost, so they only
     win when many partial tuples probe a large table; the thresholds
-    keep small steps on the classic probe path.  Any estimation failure
-    returns all-``"probe"`` — the safe default.
+    keep small steps on the classic probe path.  Unusable statistics
+    (:data:`ESTIMATION_ERRORS`) return all-``"probe"`` — the safe
+    default.
     """
     order = tuple(order)
     try:
@@ -581,7 +647,7 @@ def choose_join_strategies(
             seed=seed,
             partitions=partitions,
         )
-    except Exception:
+    except ESTIMATION_ERRORS:
         return tuple("probe" for _ in order)
     tiles = partitions if partitions > 0 else DEFAULT_TILES
     speedup = max(1.0, float(workers)) ** 0.5  # pools amortise sweeps
@@ -647,8 +713,9 @@ def choose_shard_strategies(
       sweep's pair tests amortised by the worker pool
       (``sqrt(workers)``, like PBSM).
 
-    Bulk thresholds keep small steps on the per-tuple path; estimation
-    failures return all-``"shardscan"`` — the safe default.
+    Bulk thresholds keep small steps on the per-tuple path; unusable
+    statistics (:data:`ESTIMATION_ERRORS`) return all-``"shardscan"`` —
+    the safe default.
     """
     order = tuple(order)
     n_shards = max(1, shards)
@@ -661,7 +728,7 @@ def choose_shard_strategies(
             seed=seed,
             partitions=n_shards,
         )
-    except Exception:
+    except ESTIMATION_ERRORS:
         return tuple("shardscan" for _ in order)
     speedup = max(1.0, float(workers)) ** 0.5
     out: List[str] = []

@@ -257,6 +257,7 @@ class QueryService:
             "count": len(answers),
             "answers": answers,
             "stats": result.stats.to_dict(),
+            "plan_s": result.plan_s,
             "time_to_first_s": result.time_to_first_s,
             "total_s": result.total_s,
         }

@@ -108,7 +108,8 @@ class TestCollect:
 
         q = BoxQuery(overlap=(EMPTY_BOX,))
         assert stats.sel_query(q) == 0.0
-        assert stats.sampled_fraction(q) == 0.0
+        assert stats.matching_sample(q) == []
+        assert stats.selectivity(q) == 0.0
 
 
 class TestCaching:

@@ -148,6 +148,45 @@ def test_session_partitioned_matches_serial(workload):
         assert result.oid_tuples() == expected, kwargs
 
 
+def test_per_call_partitions_reach_the_planner(db, workload):
+    """Regression: ``_compile`` planned with the session default, so a
+    per-call ``partitions=N`` never reached ``plan_order``."""
+    from unittest import mock
+
+    from repro.engine import planner
+
+    query, _map = workload
+    text = str(query.system)
+    per_call, per_session = db.session(), db.session(partitions=8)
+    for call in ("run", "explain", "bench"):
+        with mock.patch.object(
+            planner, "plan_order", wraps=planner.plan_order
+        ) as spy:
+            getattr(per_call, call)(text, partitions=8)
+            getattr(per_session, call)(text)
+            getattr(per_session, call)(text, partitions=0)
+        assert [c.kwargs["partitions"] for c in spy.call_args_list] == [
+            8,
+            8,
+            0,
+        ], call
+    assert per_call.explain(text, partitions=8) == per_session.explain(text)
+    assert (
+        per_call.run(text, partitions=8).order == per_session.run(text).order
+    )
+
+
+def test_session_reports_planning_time(db, workload):
+    query, _map = workload
+    result = db.session().run(str(query.system))
+    assert result.plan_s is not None and result.plan_s > 0
+    assert result.total_s is not None and result.total_s >= 0
+    # A compiled plan has nothing left to plan but the physical build.
+    plan = compile_query(query)
+    assert db.session().run(plan).plan_s < result.plan_s
+    assert db.session().bench(str(query.system))["plan_s"] > 0
+
+
 def test_session_text_needs_db():
     with pytest.raises(ValueError, match="needs a Database"):
         Session().run("u sect v ~= 0;")
