@@ -115,10 +115,15 @@ class BooleanAlgebra(abc.ABC, Generic[E]):
         """Strict containment."""
         return self.le(a, b) and not self.le(b, a)
 
+    def meets(self, a: E, b: E) -> bool:
+        """``a & b != 0``, billed as the one ``meet`` it stands for;
+        carriers that can decide it without building the meet override."""
+        return not self.is_zero(self.meet(a, b))
+
     def disjoint(self, a: E, b: E) -> bool:
         """``True`` iff ``a & b == 0``."""
         self.ops.comparisons += 1
-        return self.is_zero(self.meet(a, b))
+        return not self.meets(a, b)
 
     def overlaps(self, a: E, b: E) -> bool:
         """``True`` iff ``a & b != 0`` — the spatial overlay predicate."""

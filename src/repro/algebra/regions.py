@@ -43,21 +43,21 @@ def box_subtract(a: Box, b: Box) -> List[Box]:
     inter = a.meet(b)
     if inter.is_empty():
         return [a]
+    # Every piece keeps a nonempty core in the other dimensions and a
+    # nonempty side in the split one, so none needs re-validation.
     out: List[Box] = []
     lo = list(a.lo)
     hi = list(a.hi)
     for d in range(a.dim):
         if lo[d] < inter.lo[d]:
-            piece_lo = list(lo)
             piece_hi = list(hi)
             piece_hi[d] = inter.lo[d]
-            out.append(Box(piece_lo, piece_hi))
+            out.append(Box._trusted(tuple(lo), tuple(piece_hi), False))
             lo[d] = inter.lo[d]
         if inter.hi[d] < hi[d]:
             piece_lo = list(lo)
-            piece_hi = list(hi)
             piece_lo[d] = inter.hi[d]
-            out.append(Box(piece_lo, piece_hi))
+            out.append(Box._trusted(tuple(piece_lo), tuple(hi), False))
             hi[d] = inter.hi[d]
     return out
 
@@ -176,7 +176,7 @@ def _difference(a: Region, b: Region) -> Region:
         pieces = nxt
         if not pieces:
             break
-    return Region(pieces)
+    return Region._trusted(tuple(pieces))
 
 
 class RegionAlgebra(BooleanAlgebra[Region]):
@@ -221,7 +221,7 @@ class RegionAlgebra(BooleanAlgebra[Region]):
                 inter = ba.meet(bb)
                 if not inter.is_empty():
                     out.append(inter)
-        return Region(out)
+        return Region._trusted(tuple(out))
 
     def join(self, a: Region, b: Region) -> Region:
         self.ops.join += 1
@@ -250,6 +250,32 @@ class RegionAlgebra(BooleanAlgebra[Region]):
 
     def is_zero(self, a: Region) -> bool:
         return a.is_empty()
+
+    def le(self, a: Region, b: Region) -> bool:
+        """``a ⊆ b`` decided on the box tuples, billed like the generic
+        ``is_zero(diff(a, b))``: nothing is cut unless ``b`` has several
+        boxes (one box covers a union iff it covers every member)."""
+        self.ops.comparisons += 1
+        self.ops.meet += 1
+        if not a.boxes:
+            return True
+        if len(b.boxes) == 1:
+            cover = b.boxes[0]
+            for box in a.boxes:
+                if not box.le(cover):
+                    return False
+            return True
+        return not _difference(a, b).boxes
+
+    def meets(self, a: Region, b: Region) -> bool:
+        """``a ∧ b ≠ 0`` by pairwise box overlap, stopping at the first
+        common point; billed as the one ``meet`` it stands for."""
+        self.ops.meet += 1
+        for ba in a.boxes:
+            for bb in b.boxes:
+                if ba.overlaps(bb):
+                    return True
+        return False
 
     def eq(self, a: Region, b: Region) -> bool:
         self.ops.comparisons += 1

@@ -167,7 +167,7 @@ class Box:
             return EMPTY_BOX
         lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
         hi = tuple(min(b, d) for b, d in zip(self.hi, other.hi))
-        return Box(lo, hi)
+        return Box._trusted(lo, hi)  # floats already: only emptiness is open
 
     def enclose(self, other: "Box") -> "Box":
         """``⊔`` — minimal enclosing box of the union (not set union)."""
@@ -178,26 +178,43 @@ class Box:
             return self
         lo = tuple(min(a, c) for a, c in zip(self.lo, other.lo))
         hi = tuple(max(b, d) for b, d in zip(self.hi, other.hi))
-        return Box(lo, hi)
+        return Box._trusted(lo, hi, False)
 
     def le(self, other: "Box") -> bool:
         """``⊑`` — containment order of the bounding-box lattice."""
-        self._require_compatible(other)
-        if self.is_empty():
+        if self._empty:
             return True
-        if other.is_empty():
+        if other._empty:
             return False
-        return all(c <= a for a, c in zip(self.lo, other.lo)) and all(
-            b <= d for b, d in zip(self.hi, other.hi)
-        )
+        if len(self.lo) != len(other.lo):
+            self._require_compatible(other)
+        for a, c in zip(self.lo, other.lo):
+            if a < c:
+                return False
+        for b, d in zip(self.hi, other.hi):
+            if b > d:
+                return False
+        return True
 
     def contains(self, other: "Box") -> bool:
         """``other ⊑ self``."""
         return other.le(self)
 
     def overlaps(self, other: "Box") -> bool:
-        """``self ⊓ other != empty`` — the overlay predicate."""
-        return not self.meet(other).is_empty()
+        """``self ⊓ other != empty`` — the overlay predicate, decided on
+        the coordinates: half-open sides share a point iff each starts
+        before the other ends (no meet box is built)."""
+        if self._empty or other._empty:
+            return False
+        if len(self.lo) != len(other.lo):
+            self._require_compatible(other)
+        for a, d in zip(self.lo, other.hi):
+            if a >= d:
+                return False
+        for b, c in zip(self.hi, other.lo):
+            if c >= b:
+                return False
+        return True
 
     # -- distance metrics (nearest-neighbor search) -----------------------------------------
     def mindist_point(self, point: Sequence[float]) -> float:

@@ -155,14 +155,14 @@ class BoundConstraint:
             return False
         outside = None  # ¬value, taken once and only when some q_j ≠ 0
         for j, r in enumerate(solved.disequations, 1):
-            if not algebra.is_zero(algebra.meet(value, self._value(2 * j, r.p))):
+            if algebra.meets(value, self._value(2 * j, r.p)):
                 continue
             qv = self._value(2 * j + 1, r.q)
             if algebra.is_zero(qv):
                 return False
             if outside is None:
                 outside = algebra.complement(value)
-            if algebra.is_zero(algebra.meet(outside, qv)):
+            if not algebra.meets(outside, qv):
                 return False
         return True
 

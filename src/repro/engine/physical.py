@@ -74,6 +74,7 @@ set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..boxes.box import Box, enclose_all
@@ -104,6 +105,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Binding = Dict[str, SpatialObject]
 
 MODES = ("naive", "exact", "boxplan", "boxonly")
+
+#: Ceiling of :class:`IndexProbe`'s group ramp: a 700-probe drain is
+#: flat from 64 up (within run-to-run noise), past it only the
+#: read-ahead grows (benchmarks/results/pr14_batched_probe.md).
+_MAX_GROUP = 128
 
 
 @dataclass
@@ -257,15 +263,37 @@ class ExtendStep(PhysicalOperator):
         )
         self.stats.delta_probes += self.table.delta_probes - delta_probes
 
+    def _group_cap(self, ctx: ExecutionContext) -> int:
+        """Most input bindings :meth:`_group_rows` takes at once."""
+        return 1
+
+    def _group_rows(
+        self, ctx: ExecutionContext, group: List[Binding]
+    ) -> List[List[SpatialObject]]:
+        """The extension rows of each binding of ``group``."""
+        return [self._rows(ctx, binding) for binding in group]
+
     def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
+        """Pull the input in groups of 1, 2, 4, ... up to
+        :meth:`_group_cap` and extend each binding with its rows, in
+        input order.  Doubling keeps the read-ahead under ``limit=``
+        below twice what the answers so far needed."""
         self.stats.executed = True
-        for binding in self.child.iterate(ctx):
-            self.stats.rows_in += 1
-            for obj in self._rows(ctx, binding):
-                extended = dict(binding)
-                extended[self.variable] = obj
-                self.stats.rows_out += 1
-                yield extended
+        upstream = self.child.iterate(ctx)
+        cap = self._group_cap(ctx)
+        size = 1
+        while True:
+            group = list(islice(upstream, size))
+            if not group:
+                return
+            self.stats.rows_in += len(group)
+            for binding, rows in zip(group, self._group_rows(ctx, group)):
+                for obj in rows:
+                    extended = dict(binding)
+                    extended[self.variable] = obj
+                    self.stats.rows_out += 1
+                    yield extended
+            size = min(2 * size, cap)
 
 
 class TableScan(ExtendStep):
@@ -324,6 +352,13 @@ class IndexProbe(ExtendStep):
     boxes and sent to the table's index — optionally through the shared
     :class:`~repro.spatial.table.ProbeCache`, in which case a repeated
     ``(table, box query)`` pair costs no index work at all.
+
+    Where the table probes set-at-a-time (:meth:`SpatialTable.
+    batches_probes <repro.spatial.table.SpatialTable.batches_probes>`)
+    the input bindings come in growing groups (:meth:`ExtendStep.
+    iterate`) and each group's range queries share one index traversal.
+    Output order and every counter are those of probing binding by
+    binding.
     """
 
     kind = "IndexProbe"
@@ -338,24 +373,32 @@ class IndexProbe(ExtendStep):
         super().__init__(child, variable, table)
         self.template = template
 
-    def _rows(
-        self, ctx: ExecutionContext, binding: Binding
-    ) -> List[SpatialObject]:
-        query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
-        self.stats.box_evals += 1
-        self.stats.probes += 1
+    def _group_cap(self, ctx: ExecutionContext) -> int:
+        return _MAX_GROUP if self.table.batches_probes(ctx.vectorize) else 1
+
+    def _group_rows(
+        self, ctx: ExecutionContext, group: List[Binding]
+    ) -> List[List[SpatialObject]]:
+        """The candidate rows of each binding of ``group``, billed as
+        that many single probes."""
+        queries = [
+            self.template.instantiate(ctx.box_env(binding), ctx.universe)
+            for binding in group
+        ]
+        self.stats.box_evals += len(group)
+        self.stats.probes += len(group)
         before = self.table.index_read_count()
         mark = self._vectorized_mark()
-        rows, hit = self.table.range_query_cached(
-            query, ctx.cache, vectorize=ctx.vectorize
+        results = self.table.range_query_batch(
+            queries, ctx.cache, vectorize=ctx.vectorize
         )
         self.stats.node_reads += self.table.index_read_count() - before
         self._vectorized_absorb(mark)
-        if hit:
-            self.stats.cache_hits += 1
-        elif ctx.cache is not None:
-            self.stats.cache_misses += 1
-        return rows
+        if ctx.cache is not None:
+            hits = sum(hit for _rows, hit in results)
+            self.stats.cache_hits += hits
+            self.stats.cache_misses += len(results) - hits
+        return [rows for rows, _hit in results]
 
 
 class VectorizedScanProbe(IndexProbe):

@@ -568,7 +568,13 @@ class ServiceServer:
                         break
                     name, _sep, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
+                declared = headers.get("content-length") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    # The body's extent is unknown: answer and hang up.
+                    error = {"error": f"invalid Content-Length: {declared!r}"}
+                    await self._respond(writer, 400, error)
+                    break
+                length = int(declared)
                 body = await reader.readexactly(length) if length else b""
                 status, response = await self._dispatch(method, path, body)
                 await self._respond(writer, status, response)

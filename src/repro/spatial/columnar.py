@@ -79,14 +79,14 @@ __all__ = [
     "ColumnStore",
     "active_backend",
     "argsort_by_center",
+    "batch_mask",
     "enabled",
     "forced_backend",
-    "match_mask",
     "mindist_box_arrays",
     "mindist_point_arrays",
     "minmaxdist_point_arrays",
-    "node_may_match_mask",
     "pack_floats",
+    "pack_query",
     "resolve",
     "unpack_floats",
 ]
@@ -204,77 +204,80 @@ def argsort_by_center(
 
 
 # -- array-level predicate kernels (numpy backend only) ------------------------
-# Shared by the ColumnStore and the R-tree's node-entry mirror: given
-# per-dimension lo/hi coordinate arrays and a nonempty mask, evaluate a
-# BoxQuery over every slot at once.
+# Shared by the ColumnStore and the R-tree's node-entry mirror: evaluate
+# box queries over coordinate arrays.  A query is *packed* into a tuple
+# of coordinates, so the same comparisons serve one query against many
+# slots and, in the R-tree's batched traversal, many (query, entry)
+# pairs at once: queries of one *shape* pack equally long, and a whole
+# level of the tree costs a fixed number of NumPy calls however many
+# queries are in flight.
 
-def match_mask(lo: Any, hi: Any, nonempty: Any, query: BoxQuery) -> Any:
-    """Boolean mask of slots whose *nonempty* box matches ``query``.
+#: Which constraint boxes a query carries: ``(has inside, has nonempty
+#: covers, number of overlap boxes)``.
+QueryShape = Tuple[bool, bool, int]
 
-    Exactly ``not box.is_empty() and query.matches(box)`` per slot: the
-    per-dimension comparisons are Box.le / Box.overlaps for nonempty
-    operands (the overlap test simplifies to two strict comparisons
-    because both boxes are nonempty under the mask).
+
+def pack_query(query: BoxQuery, dim: int) -> Tuple[QueryShape, Tuple[float, ...]]:
+    """The query's shape and the ``lo`` then ``hi`` coordinates of its
+    inside, covers and overlap boxes, in that order.  An empty inside or
+    overlap box packs as ``[+inf, -inf)``, which no box fits inside or
+    overlaps."""
+    boxes = [] if query.inside is None else [query.inside]
+    covers = query.covers is not None and not query.covers.is_empty()
+    if covers:
+        boxes.append(query.covers)
+    boxes.extend(query.overlap)
+    row: Tuple[float, ...] = ()
+    for box in boxes:
+        if box.is_empty():
+            row += (math.inf,) * dim + (-math.inf,) * dim
+        else:
+            row += box.lo[:dim] + box.hi[:dim]
+    return (query.inside is not None, covers, len(query.overlap)), row
+
+
+def batch_mask(
+    lo: Any, hi: Any, nonempty: Any, shape: QueryShape, coords: Any, leaf: bool
+) -> Any:
+    """Boolean mask over slots: does the slot's box satisfy its query?
+
+    Slot ``t`` is the box ``[lo[d][t], hi[d][t])`` (``nonempty[t]``)
+    against the query whose :func:`pack_query` coordinates are
+    ``coords[:, t]`` — or, one query against every slot, the plain tuple
+    ``coords``.  With ``leaf`` the test
+    is ``not box.is_empty() and query.matches(box)``: the comparisons
+    are Box.le / Box.overlaps for nonempty operands (overlap simplifies
+    to two strict comparisons under the mask).  Without, it is
+    :meth:`RTree._node_may_match
+    <repro.spatial.rtree.RTree._node_may_match>` for an inner node's
+    MBR: ``inside`` need only be overlapped, and a query with no
+    constraint box at all descends everything — empty MBRs included.
     """
+    has_inside, has_covers, n_overlap = shape
+    if not (leaf or has_inside or has_covers or n_overlap):
+        return np.ones(len(nonempty), dtype=bool)
     mask = nonempty.copy()
     dim = len(lo)
-    inside = query.inside
-    if inside is not None:
-        if inside.is_empty():
-            mask[:] = False
-        else:
-            for d in range(dim):
-                mask &= lo[d] >= inside.lo[d]
-                mask &= hi[d] <= inside.hi[d]
-    covers = query.covers
-    if covers is not None and not covers.is_empty():
+    row = 0  # of the packed box under test: lo at row + d, hi dim further
+    if has_inside:
         for d in range(dim):
-            mask &= lo[d] <= covers.lo[d]
-            mask &= hi[d] >= covers.hi[d]
-    for c in query.overlap:
-        if c.is_empty():
-            mask[:] = False
-            break
+            if leaf:
+                mask &= lo[d] >= coords[row + d]
+                mask &= hi[d] <= coords[row + dim + d]
+            else:
+                mask &= lo[d] < coords[row + dim + d]
+                mask &= hi[d] > coords[row + d]
+        row += 2 * dim
+    if has_covers:
         for d in range(dim):
-            mask &= lo[d] < c.hi[d]
-            mask &= hi[d] > c.lo[d]
-    return mask
-
-
-def node_may_match_mask(lo: Any, hi: Any, nonempty: Any, query: BoxQuery) -> Any:
-    """Boolean mask of inner-node MBR slots that may hold a match.
-
-    The vectorized :meth:`RTree._node_may_match
-    <repro.spatial.rtree.RTree._node_may_match>`: each constraint kind
-    contributes a factor that is False for empty MBRs, but a query with
-    no constraint boxes at all descends everything — including empty
-    MBRs — exactly like the scalar test.
-    """
-    dim = len(lo)
-    mask = np.ones(len(nonempty), dtype=bool)
-    inside = query.inside
-    if inside is not None:
-        if inside.is_empty():
-            mask[:] = False
-        else:
-            mask &= nonempty
-            for d in range(dim):
-                mask &= lo[d] < inside.hi[d]
-                mask &= hi[d] > inside.lo[d]
-    covers = query.covers
-    if covers is not None and not covers.is_empty():
-        mask &= nonempty
+            mask &= lo[d] <= coords[row + d]
+            mask &= hi[d] >= coords[row + dim + d]
+        row += 2 * dim
+    for _ in range(n_overlap):
         for d in range(dim):
-            mask &= lo[d] <= covers.lo[d]
-            mask &= hi[d] >= covers.hi[d]
-    for c in query.overlap:
-        if c.is_empty():
-            mask[:] = False
-            break
-        mask &= nonempty
-        for d in range(dim):
-            mask &= lo[d] < c.hi[d]
-            mask &= hi[d] > c.lo[d]
+            mask &= lo[d] < coords[row + dim + d]
+            mask &= hi[d] > coords[row + d]
+        row += 2 * dim
     return mask
 
 
@@ -454,7 +457,7 @@ class ColumnStore:
             lo = tuple(c[idx] for c in lo)
             hi = tuple(c[idx] for c in hi)
             flags = flags[idx]
-        mask = match_mask(lo, hi, flags != 0, query)
+        mask = batch_mask(lo, hi, flags != 0, *pack_query(query, self.dim), True)
         return np.nonzero(mask)[0].tolist()
 
     def _match_positions_scalar(

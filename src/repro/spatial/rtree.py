@@ -21,7 +21,8 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Sequence, Tuple, Union
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, EMPTY_BOX, enclose_all
@@ -30,6 +31,27 @@ from . import columnar
 #: Anchor of a distance traversal: a point (coordinate sequence) or a
 #: box (box-to-box MINDIST — what the distance join uses).
 DistanceAnchor = Union[Sequence[float], Box]
+
+#: Most node entries :meth:`RTree.search_batch` tests in one kernel call
+#: (a few MB of transient arrays); a wider frontier is walked in halves.
+_FRONTIER_SLOTS = 1 << 16
+
+_IOTA: List[Any] = []
+
+
+def _iota(n: int) -> Any:
+    """``np.arange(n)``, cut from one shared array.  ``arange`` and 2-D
+    fancy indexing release the GIL however little they have to do, and
+    in the threaded query service a probe that lets go of it waits for
+    whichever thread picked it up: measured beside one writing client,
+    a 2.5 ms ``/run`` took 0.1 ms longer with ``arange`` in the walk
+    and 0.25 ms longer with the 2-D gathers
+    (benchmarks/results/pr14_batched_probe.md)."""
+    if n > _FRONTIER_SLOTS:
+        return columnar.np.arange(n)
+    if not _IOTA:
+        _IOTA.append(columnar.np.arange(_FRONTIER_SLOTS))
+    return _IOTA[0][:n]
 
 
 @dataclass
@@ -84,6 +106,29 @@ class _Node:
 
     def mbr(self) -> Box:
         return enclose_all(box for box, _ in self.entries)
+
+
+class _EntryMirror(NamedTuple):
+    """Every node entry of a tree, flattened for the NumPy kernels:
+    entries in node preorder (entry order within a node), nodes numbered
+    by the same walk (the root is node 0)."""
+
+    bounds: Any  # (2 * dim, entries) float64: the lo rows, then the hi rows
+    nonempty: Any  # bool per entry
+    entries: List[Tuple[Box, object]]  # per entry: the node's own tuple
+    child: Any  # per entry: its child's node number (0 in leaves)
+    slices: Dict[int, Tuple[int, int]]  # id(node) -> (first entry, count)
+    offsets: Any  # per node number: its first entry ...
+    counts: Any  # ... and how many it has
+    leaf: Any  # bool per node number
+
+    def of(self, node: _Node) -> Tuple[Any, Any, Any]:
+        """``(lo, hi, nonempty)`` of one node's entries (``lo``/``hi``:
+        a row per dimension) — a whole node per kernel call."""
+        off, cnt = self.slices[id(node)]
+        part = self.bounds[:, off : off + cnt]
+        dim = len(part) // 2
+        return part[:dim], part[dim:], self.nonempty[off : off + cnt]
 
 
 class RTree:
@@ -144,7 +189,7 @@ class RTree:
         self._subtree_counts_version = -1
         # Flat preorder mirror of the node-entry MBRs for the numpy
         # kernels; rebuilt lazily after any structural mutation.
-        self._entry_mirror = None
+        self._entry_mirror: Optional[_EntryMirror] = None
         self._entry_mirror_version = -1
 
     # -- bulk loading (STR) ---------------------------------------------------
@@ -534,38 +579,87 @@ class RTree:
     def search_batch(
         self, queries: Sequence[BoxQuery]
     ) -> List[List[Tuple[Box, object]]]:
-        """Evaluate several box queries; duplicates share one traversal.
+        """:meth:`search` of every query, in one traversal on the NumPy
+        kernels — of one query too: this is the vectorized search.
 
-        Batching entry point for bulk callers (the per-probe engine path
-        is :meth:`search` via ``SpatialTable.range_query_cached``):
-        results are aligned with ``queries``, and repeated identical
-        queries (common when a step's box template ignores part of the
-        retrieved prefix) cost a single descent.
+        ``result[i]`` equals ``list(self.search(queries[i]))`` — same
+        rows, same sequence — and the counters advance by the same
+        totals: one node read and ``len(node.entries)`` entry tests per
+        (query, node) visit; nothing is deduplicated.  The walk is
+        level-synchronous: a *frontier* holds ``(query, node)`` pairs
+        still alive at one depth, one
+        :func:`~repro.spatial.columnar.batch_mask` tests all their
+        entries, and the surviving ``(query, child)`` pairs are the next
+        frontier — a fixed number of NumPy calls per level, not per
+        query and node.  A pair expands its children in *reverse* entry
+        order, the order a single query's stack pops them in, and leaves
+        all lie at one depth, so each query meets its leaves in its own
+        depth-first sequence.  A frontier with more than
+        ``_FRONTIER_SLOTS`` entries to test is halved and the front half
+        walked to the leaves first, which keeps that sequence and bounds
+        the transient arrays whatever the batch matches.  Without NumPy
+        this is a loop over :meth:`search`.
         """
-        memo: Dict[BoxQuery, List[Tuple[Box, object]]] = {}
-        out: List[List[Tuple[Box, object]]] = []
-        for query in queries:
-            rows = memo.get(query)
-            if rows is None:
-                rows = list(self.search(query))
-                memo[query] = rows
-            out.append(rows)
+        mirror = self._entry_columns()
+        if mirror is None:
+            return [list(self.search(query)) for query in queries]
+        np = columnar.np
+        dim = len(mirror.bounds) // 2
+        out: List[List[Tuple[Box, object]]] = [[] for _ in queries]
+        by_shape: Dict[columnar.QueryShape, Tuple[List[int], List[tuple]]] = {}
+        for i, query in enumerate(queries):
+            if not query.is_unsatisfiable():
+                shape, row = columnar.pack_query(query, dim)
+                members, rows = by_shape.setdefault(shape, ([], []))
+                members.append(i)
+                rows.append(row)
+        for shape, (members, rows) in by_shape.items():
+            # One column of packed coordinates per query of this shape.
+            coords = np.array(rows, dtype=np.float64).reshape(len(rows), -1).T
+            # Frontiers still to walk, the next one last.  Each is sorted
+            # by query and, within a query, in the order its own walk
+            # reaches the nodes; expanding and halving keep both.
+            work = [(_iota(len(members)), np.zeros(len(members), dtype=np.intp))]
+            while work:
+                pair_query, pair_node = work.pop()
+                counts = mirror.counts[pair_node]
+                total = int(counts.sum())
+                if total > _FRONTIER_SLOTS and len(pair_node) > 1:
+                    half = len(pair_node) // 2
+                    work.append((pair_query[half:], pair_node[half:]))
+                    work.append((pair_query[:half], pair_node[:half]))
+                    continue
+                self.stats.node_reads += len(pair_node)
+                self.stats.entry_tests += total
+                leaf = bool(mirror.leaf[pair_node[0]])
+                # One slot per (pair, entry); ``rank`` numbers a pair's
+                # entries forwards in leaves (the order rows are yielded
+                # in), backwards above (the order children are popped).
+                rank = _iota(total) - (counts.cumsum() - counts).repeat(counts)
+                if not leaf:
+                    rank = (counts - 1).repeat(counts) - rank
+                entry = mirror.offsets[pair_node].repeat(counts) + rank
+                query = pair_query.repeat(counts)
+                # Row by row: one 2-D gather would drop the GIL (see _iota).
+                bounds = [row[entry] for row in mirror.bounds]
+                mask = columnar.batch_mask(
+                    bounds[:dim], bounds[dim:], mirror.nonempty[entry],
+                    shape, [row[query] for row in coords], leaf,
+                )
+                pair_query, entry = query[mask], entry[mask]
+                if leaf:
+                    for q, e in zip(pair_query.tolist(), entry.tolist()):
+                        out[members[q]].append(mirror.entries[e])
+                elif len(entry):
+                    work.append((pair_query, mirror.child[entry]))
         return out
 
     # -- columnar mirror (vectorized search) -----------------------------------
-    def _entry_columns(self):
-        """Node-entry MBRs mirrored into flat preorder arrays, cached.
-
-        Returns ``(lo, hi, nonempty, slices)`` where ``lo``/``hi`` are
-        per-dimension float64 arrays over every entry of every node (in
-        node preorder, entry order within a node), ``nonempty`` a bool
-        array, and ``slices`` maps ``id(node)`` to its ``(offset,
-        count)`` range — so a traversal tests a whole node's entries
-        with one kernel call.  ``None`` when NumPy is unavailable.
-        Rebuilt lazily after any structural mutation (like the subtree
-        counts, the maintenance walk is amortised, not billed to
-        ``stats``).
-        """
+    def _entry_columns(self) -> Optional[_EntryMirror]:
+        """The tree's :class:`_EntryMirror`, cached; ``None`` when NumPy
+        is unavailable.  Rebuilt lazily after any structural mutation
+        (like the subtree counts, the maintenance walk is amortised, not
+        billed to ``stats``)."""
         if not columnar.HAVE_NUMPY:
             return None
         if (
@@ -573,75 +667,44 @@ class RTree:
             or self._entry_mirror_version != self._mutations
         ):
             np = columnar.np
+            nodes: List[_Node] = []
+            number: Dict[int, int] = {}
             slices: Dict[int, Tuple[int, int]] = {}
-            boxes: List[Box] = []
-            dim = 0
+            entries: List[Tuple[Box, object]] = []
             stack = [self._root]
             while stack:
                 node = stack.pop()
-                slices[id(node)] = (len(boxes), len(node.entries))
-                for box, _child in node.entries:
-                    boxes.append(box)
-                    if dim == 0 and not box.is_empty():
-                        dim = box.dim
+                number[id(node)] = len(nodes)
+                nodes.append(node)
+                slices[id(node)] = (len(entries), len(node.entries))
+                entries.extend(node.entries)
                 if not node.leaf:
                     stack.extend(child for _b, child in node.entries)
-            n = len(boxes)
-            lo = tuple(np.zeros(n, dtype=np.float64) for _ in range(dim))
-            hi = tuple(np.zeros(n, dtype=np.float64) for _ in range(dim))
-            nonempty = np.zeros(n, dtype=bool)
-            for i, box in enumerate(boxes):
-                if box.is_empty():
-                    continue
-                nonempty[i] = True
-                for d in range(dim):
-                    lo[d][i] = box.lo[d]
-                    hi[d][i] = box.hi[d]
-            self._entry_mirror = (lo, hi, nonempty, slices)
+            dim = next((box.dim for box, _ in entries if not box.is_empty()), 0)
+            blank = (0.0,) * (2 * dim)
+            bounds = np.array(
+                [blank if box.is_empty() else box.lo + box.hi for box, _ in entries],
+                dtype=np.float64,
+            ).reshape(len(entries), 2 * dim)
+            self._entry_mirror = _EntryMirror(
+                bounds=np.ascontiguousarray(bounds.T),
+                nonempty=np.array([not box.is_empty() for box, _ in entries], dtype=bool),
+                entries=entries,
+                child=np.array(
+                    [
+                        0 if node.leaf else number[id(child)]
+                        for node in nodes
+                        for _b, child in node.entries
+                    ],
+                    dtype=np.intp,
+                ),
+                slices=slices,
+                offsets=np.array([slices[id(node)][0] for node in nodes], dtype=np.intp),
+                counts=np.array([len(node.entries) for node in nodes], dtype=np.intp),
+                leaf=np.array([node.leaf for node in nodes], dtype=bool),
+            )
             self._entry_mirror_version = self._mutations
         return self._entry_mirror
-
-    def search_columnar(self, query: BoxQuery) -> Iterator[Tuple[Box, object]]:
-        """:meth:`search` with batched node-entry tests (numpy backend).
-
-        The traversal, the visit order, the yielded entries and the
-        ``node_reads``/``entry_tests`` counters are identical to the
-        scalar :meth:`search` — only the per-entry predicate loop is
-        replaced by one :func:`~repro.spatial.columnar.match_mask` /
-        :func:`~repro.spatial.columnar.node_may_match_mask` kernel call
-        per node.  Falls back to :meth:`search` without NumPy.
-        """
-        mirror = self._entry_columns()
-        if mirror is None:
-            yield from self.search(query)
-            return
-        if query.is_unsatisfiable():
-            return
-        np = columnar.np
-        lo, hi, nonempty, slices = mirror
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.stats.node_reads += 1
-            off, cnt = slices[id(node)]
-            self.stats.entry_tests += cnt
-            if not cnt:
-                continue
-            sl = slice(off, off + cnt)
-            slo = tuple(c[sl] for c in lo)
-            shi = tuple(c[sl] for c in hi)
-            if node.leaf:
-                mask = columnar.match_mask(slo, shi, nonempty[sl], query)
-                for local in np.nonzero(mask)[0].tolist():
-                    yield node.entries[local]
-            else:
-                mask = columnar.node_may_match_mask(
-                    slo, shi, nonempty[sl], query
-                )
-                # Children push in entry order, exactly like the scalar
-                # loop, so the DFS pops them in the same order.
-                for local in np.nonzero(mask)[0].tolist():
-                    stack.append(node.entries[local][1])
 
     # -- distance browsing / nearest neighbors --------------------------------
     @staticmethod
@@ -751,12 +814,7 @@ class RTree:
             self.stats.node_reads += 1
             d_arr = mm_arr = None
             if mirror is not None and node.entries:
-                lo, hi, nonempty, slices = mirror
-                off, cnt = slices[id(node)]
-                sl = slice(off, off + cnt)
-                slo = tuple(c[sl] for c in lo)
-                shi = tuple(c[sl] for c in hi)
-                snon = nonempty[sl]
+                slo, shi, snon = mirror.of(node)
                 if isinstance(anchor, Box):
                     d_arr = columnar.mindist_box_arrays(
                         slo, shi, snon, anchor

@@ -164,6 +164,12 @@ class ProbeCache:
             handle.version = table._version
         return (handle.token, table._version, query)
 
+    def holds(self, table: "SpatialTable", query: BoxQuery) -> bool:
+        """Whether :meth:`lookup` would hit right now — a peek: no
+        counter moves, no entry is refreshed."""
+        with self._lock:
+            return self._key_locked(table, query) in self._entries
+
     def lookup(
         self, table: "SpatialTable", query: BoxQuery
     ) -> Optional[List["SpatialObject"]]:
@@ -731,6 +737,15 @@ class SpatialTable:
             return None
         return self._columns if columnar.resolve(vectorize) else None
 
+    def batches_probes(self, vectorize: Optional[bool] = None) -> bool:
+        """Whether the R-tree's NumPy kernels serve this table's probes,
+        so :meth:`range_query_batch` reads the index once per batch."""
+        return (
+            self._rtree is not None
+            and columnar.resolve(vectorize)
+            and columnar.active_backend() == "numpy"
+        )
+
     def range_query(
         self, query: BoxQuery, vectorize: Optional[bool] = None
     ) -> List[SpatialObject]:
@@ -744,15 +759,18 @@ class SpatialTable:
         filtered, matching staged rows appended), billed as one
         ``delta_probe``.
         """
-        self.probes += 1
-        if query.is_unsatisfiable():
-            return []
-        out = self._base_range_rows(query, columnar.resolve(vectorize))
-        d = self._delta
-        if d is not None and d.pending_ops:
-            out = self._overlay_rows(out, query, d)
-        self.candidates_returned += len(out)
-        return out
+        return self._probe(query, None, columnar.resolve(vectorize))[0]
+
+    def _rtree_rows(
+        self, queries: Sequence[BoxQuery]
+    ) -> List[List[SpatialObject]]:
+        """The packed R-tree's rows for each query, one traversal on the
+        NumPy kernels for them all, billed as that many kernel batches."""
+        before = self._rtree.stats.entry_tests
+        found = self._rtree.search_batch(queries)
+        self.vectorized_batches += len(queries)
+        self.vectorized_candidates += self._rtree.stats.entry_tests - before
+        return [[obj for _box, obj in rows] for rows in found]
 
     def _base_range_rows(
         self, query: BoxQuery, vec: bool
@@ -764,13 +782,8 @@ class SpatialTable:
         because they are a property of the kernel dispatch."""
         out: List[SpatialObject]
         if self.index_kind == "rtree":
-            if vec and columnar.active_backend() == "numpy":
-                before = self._rtree.stats.entry_tests
-                out = [obj for _box, obj in self._rtree.search_columnar(query)]
-                self.vectorized_batches += 1
-                self.vectorized_candidates += (
-                    self._rtree.stats.entry_tests - before
-                )
+            if self.batches_probes(vec):
+                out = self._rtree_rows([query])[0]
             else:
                 out = [obj for _box, obj in self._rtree.search(query)]
         elif self.index_kind == "grid":
@@ -835,54 +848,82 @@ class SpatialTable:
         (only the in-memory delta is consulted, billed as a
         ``delta_probe``), and base entries survive delta-only writes.
         """
-        if cache is None:
-            return self.range_query(query, vectorize=vectorize), False
+        return self._probe(query, cache, columnar.resolve(vectorize))
+
+    def _probe(
+        self,
+        query: BoxQuery,
+        cache: Optional[ProbeCache],
+        vec: bool,
+        base: Optional[List[SpatialObject]] = None,
+    ) -> Tuple[List[SpatialObject], bool]:
+        """:meth:`range_query` (``cache=None``) / :meth:`range_query_cached`
+        proper.  ``base`` is the packed-base result when a batched
+        traversal already produced it (unused on a hit)."""
+        rows = None if cache is None else cache.lookup(self, query)
+        hit = rows is not None
+        if not hit:
+            self.probes += 1
+            if query.is_unsatisfiable():
+                if cache is None:
+                    return [], False  # range_query never overlaid these
+                rows = []
+            else:
+                rows = self._base_range_rows(query, vec) if base is None else base
+            if cache is not None:
+                cache.store(self, query, rows)
         d = self._delta
-        if d is None or not d.pending_ops:
-            rows = cache.lookup(self, query)
-            if rows is not None:
-                return rows, True
-            rows = self.range_query(query, vectorize=vectorize)
-            cache.store(self, query, rows)
-            return rows, False
-        base = cache.lookup(self, query)
-        if base is not None:
-            return self._overlay_rows(base, query, d), True
-        self.probes += 1
-        if query.is_unsatisfiable():
-            base = []
-        else:
-            base = self._base_range_rows(query, columnar.resolve(vectorize))
-        cache.store(self, query, base)
-        out = self._overlay_rows(base, query, d)
-        self.candidates_returned += len(out)
-        return out, False
+        if d is not None and d.pending_ops:
+            rows = self._overlay_rows(rows, query, d)
+        if not hit:
+            self.candidates_returned += len(rows)
+        return rows, hit
 
     def range_query_batch(
         self,
         queries: Sequence[BoxQuery],
         cache: Optional[ProbeCache] = None,
         vectorize: Optional[bool] = None,
-    ) -> List[List[SpatialObject]]:
-        """Answer many box queries, probing once per *distinct* query.
+    ) -> List[Tuple[List[SpatialObject], bool]]:
+        """:meth:`range_query_cached` of each query, the index read
+        set-at-a-time.
 
-        Batching entry point for bulk callers (the operator engine's
-        per-probe path is :meth:`range_query_cached`).  Duplicate
-        queries inside the batch share a single probe even without a
-        cache; with a ``cache`` the deduplicated probes also go through
-        it.  Result lists are aligned with ``queries``.
+        One ``(rows, hit)`` per query: rows, row order, hit flags and
+        every counter (table, R-tree, cache) are those of calling
+        :meth:`range_query_cached` query after query.  But the queries
+        that reach the index — all satisfiable ones without a cache,
+        else the distinct ones it does not hold — share ONE traversal
+        (:meth:`RTree.search_batch`) where :meth:`batches_probes` holds.
+        The cache is then consulted per query, in order: a duplicate
+        hits the entry its first occurrence stored, and a query whose
+        entry is gone when its turn comes is probed on its own.
+
+        The counter equality is a single-threaded one.  When another
+        thread sharing ``cache`` stores a query between the peek that
+        chose the traversal's queries and that query's turn, it comes
+        back a hit while the traversal made for it stays billed (the
+        reads happened); rows are the same either way.
         """
-        memo: Dict[BoxQuery, List[SpatialObject]] = {}
-        out: List[List[SpatialObject]] = []
-        for query in queries:
-            rows = memo.get(query)
-            if rows is None:
-                rows, _hit = self.range_query_cached(
-                    query, cache, vectorize=vectorize
-                )
-                memo[query] = rows
-            out.append(rows)
-        return out
+        vec = columnar.resolve(vectorize)
+        # Without a cache every probe reads the index (key: position);
+        # with one, each distinct missing query does, once (key: query).
+        keys: Sequence[object] = range(len(queries)) if cache is None else queries
+        bases: Dict[object, List[SpatialObject]] = {}
+        if self.batches_probes(vec):
+            wanted: Dict[object, BoxQuery] = {}
+            for key, query in zip(keys, queries):
+                if (
+                    key not in wanted
+                    and not query.is_unsatisfiable()
+                    and (cache is None or not cache.holds(self, query))
+                ):
+                    wanted[key] = query
+            if wanted:
+                bases = dict(zip(wanted, self._rtree_rows(list(wanted.values()))))
+        return [
+            self._probe(query, cache, vec, bases.pop(key, None))
+            for key, query in zip(keys, queries)
+        ]
 
     # -- nearest neighbors --------------------------------------------------------
     @staticmethod

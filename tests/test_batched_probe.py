@@ -1,0 +1,386 @@
+"""Differential oracle for set-at-a-time index probes.
+
+``SpatialTable.range_query_batch`` promises the rows, the row order, the
+hit flags and every counter of ``range_query_cached`` called once per
+query; the grouped ``IndexProbe`` promises the answers, the answer
+order and the ``ExecutionStats`` of probing binding by binding
+(``tests/reference_probe.py``), reading at most twice as far ahead
+under ``limit=``.  Nothing here is NumPy-only: without it (and under
+the ``array`` / ``off`` backends) the batch is a per-query loop that
+must satisfy the same equalities.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.algebra import Region
+from repro.boxes import Box
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import EMPTY_BOX
+from repro.datagen import overlay_query
+from repro.engine import SpatialQuery, build_physical_plan, compile_query
+from repro.engine.physical import IndexProbe
+from repro.errors import UnsatisfiableError
+from repro.spatial import ProbeCache, RTree, SpatialTable, columnar
+from repro.spatial import rtree as rtree_module
+from tests.conftest import (
+    COLUMNAR_BACKENDS,
+    UNIVERSE,
+    constraint_systems,
+    edge_box_queries,
+    edge_boxes,
+    make_workload,
+    shifted_seed,
+)
+from tests.reference_probe import PerBindingIndexProbe, probe_per_binding
+from tests.test_planner_reference import (
+    FIGURE1_VARIANTS,
+    _figure1_query,
+    figure1_db,  # noqa: F401  (module-scoped fixture)
+)
+
+BATCH_SIZES = (1, 2, 7, 64, 300)
+SPLITS = RTree.SPLIT_METHODS
+BACKENDS = COLUMNAR_BACKENDS + ("off",)
+SHAPES = (
+    "overlap1",
+    "overlap2",
+    "inside",
+    "covers",
+    "mixed",
+    "unsatisfiable",
+    "empty_box",
+    "unconstrained",
+)
+CACHES = ("none", "cold", "warm", "duplicates", "evicting")
+
+
+def _box(rng, side):
+    x, y = rng.uniform(0, 30), rng.uniform(0, 30)
+    return Box((x, y), (x + rng.uniform(0.5, side), y + rng.uniform(0.5, side))).meet(
+        UNIVERSE
+    )
+
+
+def _table(split, delta, seed=0):
+    """220 rows inserted one by one (so the split method shapes the
+    tree), optionally with a pending delta of inserts and tombstones."""
+    rng = random.Random(shifted_seed(seed))
+    table = SpatialTable(
+        "t", 2, universe=UNIVERSE, split_method=split, node_capacity=4,
+        delta_threshold=10**9,
+    )
+    for i in range(220):
+        table.insert(i, Region.from_box(_box(rng, 6)))
+    if delta:
+        for i in range(220, 232):
+            table.stage_insert(i, Region.from_box(_box(rng, 6)))
+        for oid in rng.sample(range(220), 9):
+            assert table.stage_delete(oid)
+        assert table.delta_pending
+    return table
+
+
+def _query(shape, rng, i):
+    if shape == "mixed":
+        plain = [s for s in SHAPES if s != "mixed"]
+        shape = plain[i % len(plain)]
+    if shape == "overlap1":
+        return BoxQuery(inside=UNIVERSE, overlap=(_box(rng, 8),))
+    if shape == "overlap2":
+        return BoxQuery(overlap=(_box(rng, 12), _box(rng, 12)))
+    if shape == "inside":
+        return BoxQuery(inside=_box(rng, 16))
+    if shape == "covers":
+        centre = _box(rng, 1)
+        return BoxQuery(inside=UNIVERSE, covers=Box(centre.lo, tuple(c + 0.25 for c in centre.lo)))
+    if shape == "unsatisfiable":
+        return BoxQuery(inside=UNIVERSE, overlap=(EMPTY_BOX,))
+    if shape == "empty_box":
+        # Satisfiable on paper (nothing else is required), matches nothing.
+        return BoxQuery(inside=EMPTY_BOX, covers=EMPTY_BOX if i % 2 else None)
+    return BoxQuery()
+
+
+def _counters(table, cache):
+    stats = table._rtree.stats
+    return {
+        "node_reads": stats.node_reads,
+        "entry_tests": stats.entry_tests,
+        "probes": table.probes,
+        "candidates_returned": table.candidates_returned,
+        "vectorized_batches": table.vectorized_batches,
+        "vectorized_candidates": table.vectorized_candidates,
+        "delta_probes": table.delta_probes,
+        "hits": cache.hits if cache is not None else None,
+        "misses": cache.misses if cache is not None else None,
+        "cached": len(cache) if cache is not None else None,
+    }
+
+
+def _caches(mode, table, queries):
+    """Two equal caches (one per side) in the state ``mode`` names."""
+    if mode == "none":
+        return None, None
+    out = []
+    for _ in range(2):
+        cache = ProbeCache(maxsize=3 if mode == "evicting" else 1024)
+        if mode == "warm":
+            for query in queries[::2]:
+                table.range_query_cached(query, cache)
+            table.reset_stats()
+            cache.hits = cache.misses = 0
+        out.append(cache)
+    return out
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("delta", [False, True], ids=["clean", "delta"])
+@pytest.mark.parametrize("split", SPLITS)
+def test_range_query_batch_equals_cached_calls(split, delta, backend):
+    table = _table(split, delta)
+    rng = random.Random(shifted_seed(1))
+    with columnar.forced_backend(backend):
+        for shape in SHAPES:
+            for size in BATCH_SIZES:
+                for mode in CACHES:
+                    queries = [_query(shape, rng, i) for i in range(size)]
+                    if mode in ("duplicates", "evicting"):
+                        queries = [queries[i // 3 % len(queries)] for i in range(size)]
+                        rng.shuffle(queries)
+                    one_by_one, batched = _caches(mode, table, queries)
+                    table.reset_stats()
+                    expected = [
+                        table.range_query_cached(query, one_by_one)
+                        for query in queries
+                    ]
+                    expected_counters = _counters(table, one_by_one)
+                    table.reset_stats()
+                    got = table.range_query_batch(queries, batched)
+                    where = (shape, size, mode)
+                    assert [hit for _rows, hit in got] == [
+                        hit for _rows, hit in expected
+                    ], where
+                    assert [[o.oid for o in rows] for rows, _hit in got] == [
+                        [o.oid for o in rows] for rows, _hit in expected
+                    ], where
+                    assert _counters(table, batched) == expected_counters, where
+
+
+@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the batched kernel is NumPy's")
+@pytest.mark.parametrize("split", SPLITS)
+def test_batch_really_shares_one_traversal(split):
+    """The equalities above are not vacuous: with NumPy the misses of a
+    batch reach ``RTree.search_batch`` together, in one call."""
+    table = _table(split, delta=False)
+    rng = random.Random(2)
+    queries = [_query("overlap1", rng, i) for i in range(40)]
+    calls = []
+    tree = table._rtree
+    real_batch = tree.search_batch
+    tree.search_batch = lambda qs: calls.append(len(qs)) or real_batch(qs)
+    table.range_query_batch(queries)
+    cache = ProbeCache()
+    table.range_query_batch(queries[:10] + queries[:10], cache)
+    table.range_query_batch(queries[:12], cache)
+    table.range_query(queries[39])
+    table.range_query_batch(queries[:12], cache)  # all held: no traversal
+    assert calls == [40, 10, 2, 1]
+
+
+def _assert_batch_equals_scalar_searches(tree, queries):
+    tree.stats.reset()
+    expected = [list(tree.search(query)) for query in queries]
+    reads = (tree.stats.node_reads, tree.stats.entry_tests)
+    tree.stats.reset()
+    assert tree.search_batch(queries) == expected
+    assert (tree.stats.node_reads, tree.stats.entry_tests) == reads
+
+
+@given(
+    st.lists(st.tuples(edge_boxes(), st.booleans()), max_size=40),
+    st.lists(edge_box_queries(), min_size=1, max_size=12),
+    st.sampled_from(SPLITS),
+    st.sampled_from([1 << 16, 5]),
+)
+@settings(max_examples=120, deadline=None)
+def test_search_batch_equals_scalar_search_on_edge_cases(entries, queries, split, slots):
+    """Empty entry boxes, degenerate and unbounded query boxes, empty
+    trees, a frontier halved again and again: same rows in the same
+    order, same reads and tests as the scalar walk."""
+    tree = RTree(max_entries=4, split_method=split)
+    for i, (box, _keep) in enumerate(entries):
+        tree.insert(box, i)
+    for i, (box, keep) in enumerate(entries):
+        if not keep:
+            tree.delete(box, i)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rtree_module, "_FRONTIER_SLOTS", slots)
+        _assert_batch_equals_scalar_searches(tree, queries)
+
+
+def test_wide_windows_on_a_large_table_split_the_frontier():
+    """64 windows over a quarter of an 8 000-row table each: the leaf
+    level alone is wider than ``_FRONTIER_SLOTS``, so the walk goes in
+    pieces — and still answers and bills like 64 scalar searches."""
+    rng = random.Random(shifted_seed(3))
+    table = SpatialTable("wide", 2, universe=UNIVERSE)
+    table.bulk_insert(
+        [(i, Region.from_box(_box(rng, 2))) for i in range(8000)], pack=True
+    )
+    queries = [
+        BoxQuery(inside=UNIVERSE, overlap=(Box((x, y), (x + 16.0, y + 16.0)),))
+        for x, y in ((rng.uniform(0, 16), rng.uniform(0, 16)) for _ in range(64))
+    ]
+    tree = table._rtree
+    _assert_batch_equals_scalar_searches(tree, queries)
+    if columnar.HAVE_NUMPY:
+        assert tree.stats.entry_tests > 2 * rtree_module._FRONTIER_SLOTS
+
+
+@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="only the batched kernel peeks")
+def test_entry_stored_between_peek_and_lookup_is_a_billed_hit():
+    """Two threads sharing a cache, replayed deterministically: another
+    reader stores each of the batch's queries right after the peek that
+    chose it for the traversal.  Same rows, reported as hits, and the
+    reads the traversal made stay billed."""
+    table = _table("quadratic", delta=True)
+    rng = random.Random(4)
+    queries = [_query("overlap1", rng, i) for i in range(9)]
+    expected = [table.range_query(query) for query in queries]
+    bases = {query: table._base_range_rows(query, True) for query in queries}
+
+    class Raced(ProbeCache):
+        def holds(self, racing_table, query):
+            held = super().holds(racing_table, query)
+            self.store(racing_table, query, bases[query])
+            return held
+
+    table.reset_stats()
+    got = table.range_query_batch(queries, Raced())
+    assert [[o.oid for o in rows] for rows, _hit in got] == [
+        [o.oid for o in rows] for rows in expected
+    ]
+    assert all(hit for _rows, hit in got)
+    assert table.probes == 0 and table.delta_probes == len(queries)
+    assert table._rtree.stats.node_reads >= len(queries)
+    assert table.vectorized_batches == len(queries)
+
+
+# -- operator level -------------------------------------------------------------
+def _plans(query, order=None):
+    """The same physical plan twice: as built, and probing per binding."""
+    logical = compile_query(query, order=order)
+    grouped = build_physical_plan(logical, estimate=False)
+    oracle = probe_per_binding(build_physical_plan(logical, estimate=False))
+    return grouped, oracle
+
+
+def _oids(answers):
+    return [sorted((name, obj.oid) for name, obj in a.items()) for a in answers]
+
+
+def _prefix_lengths(n):
+    """Every ``k`` up to 40 (the ramp's first six groups end inside),
+    then each group boundary's neighbours, then ``n`` itself: a drain
+    per ``k`` is quadratic in the answer count."""
+    edges = {2**i + d for i in range(5, 20) for d in (-2, -1, 0)}
+    return sorted(k for k in set(range(1, 41)) | edges | {n} if 1 <= k <= n)
+
+
+def _cache_blind(stats):
+    """The counters that do not depend on which cache entries survive."""
+    out = {k: v for k, v in stats.items() if k != "steps"}
+    out["steps"] = [
+        {
+            "variable": step["variable"],
+            "candidates": step["candidates"],
+            "survivors": step["survivors"],
+            "index_probes": step["index_probes"],
+            "lookups": step["cache_hits"] + step["cache_misses"],
+            "delta_probes": step["delta_probes"],
+        }
+        for step in stats["steps"]
+    ]
+    return out
+
+
+def _assert_grouped_probe_matches_oracle(query, order=None, cache_size=None):
+    grouped, oracle = _plans(query, order)
+    caches = [None if cache_size is None else ProbeCache(cache_size) for _ in range(2)]
+    expected = _oids(oracle.execute_iter(cache=caches[1]))
+    expected_stats = oracle.stats().to_dict()
+    assert _oids(grouped.execute_iter(cache=caches[0])) == expected
+    if cache_size is None or len(caches[1]) < cache_size:
+        assert grouped.stats().to_dict() == expected_stats
+        assert caches[0] is None or (
+            (caches[0].hits, caches[0].misses) == (caches[1].hits, caches[1].misses)
+        )
+    else:
+        # One cache serves every step: once it evicts, reading ahead
+        # changes which entries survive *between* operators, so hits
+        # (and the reads they save) are no longer comparable.  A single
+        # operator's batch stays exact even then (the table-level test).
+        assert _cache_blind(grouped.stats().to_dict()) == _cache_blind(expected_stats)
+    for k in _prefix_lengths(len(expected)):
+        assert _oids(grouped.execute_iter(limit=k)) == expected[:k], k
+    # The ramp's guard: at the first answer every probe has read at most
+    # twice as far ahead as probing per binding needed.
+    list(grouped.execute_iter(limit=1))
+    list(oracle.execute_iter(limit=1))
+    for ours, theirs in zip(grouped.operators(), oracle.operators()):
+        if isinstance(ours, IndexProbe):
+            assert isinstance(theirs, PerBindingIndexProbe)
+            assert ours.stats.rows_in <= 2 * theirs.stats.rows_in + 1
+    return len(expected)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(
+    constraint_systems(),
+    st.integers(0, 10_000),
+    st.sampled_from([(2, 5), (2, 40)]),
+    st.sampled_from([None, 2, 4096]),
+)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_conftest_workloads_match_per_binding_probing(
+    backend, system, seed, sizes, cache_size
+):
+    tables, bindings = make_workload(seed, system=system, sizes=sizes)
+    if not tables:
+        return
+    query = SpatialQuery(system=system, tables=tables, bindings=bindings)
+    with columnar.forced_backend(backend):
+        try:
+            _assert_grouped_probe_matches_oracle(query, cache_size=cache_size)
+        except UnsatisfiableError:
+            return  # decided at compile time: no plan to compare
+
+
+@pytest.mark.parametrize("form,area", FIGURE1_VARIANTS)
+def test_figure1_variants_match_per_binding_probing(figure1_db, form, area):  # noqa: F811
+    query = _figure1_query(figure1_db, form, area)
+    assert _assert_grouped_probe_matches_oracle(query, order=("T", "R", "B"))
+
+
+def test_overlay_join_matches_per_binding_probing():
+    """The claimed workload's shape, at a size that fills the ramp."""
+    query = overlay_query(300, 300, seed=0)
+    grouped, oracle = _plans(query, order=("x", "y"))
+    expected = _oids(oracle.execute_iter())
+    assert _oids(grouped.execute_iter()) == expected
+    assert grouped.stats().to_dict() == oracle.stats().to_dict()
+    if columnar.HAVE_NUMPY:
+        # The oracle is not the code under test in disguise.
+        assert IndexProbe.iterate is not PerBindingIndexProbe.iterate
+        probe = grouped.step_ops[-1].extend
+        list(grouped.execute_iter(limit=1))
+        assert probe.stats.rows_in == 1
+        list(grouped.execute_iter(limit=40))
+        assert 1 < probe.stats.rows_in <= 2 * 40 + 1

@@ -188,7 +188,7 @@ class TestMatchKernels:
 
 class TestRTreeColumnarMirror:
     @needs_numpy
-    def test_search_columnar_matches_scalar_search(self):
+    def test_vectorized_search_matches_scalar_search(self):
         table = random_table("t", random.Random(21), 120)
         tree = table._rtree
         queries = [
@@ -203,7 +203,7 @@ class TestRTreeColumnarMirror:
             scalar = (tree.stats.node_reads, tree.stats.entry_tests)
             tree.stats.reset()
             with forced_backend("numpy"):
-                got = [obj for _b, obj in tree.search_columnar(query)]
+                got = [obj for _b, obj in tree.search_batch([query])[0]]
             vectorized = (tree.stats.node_reads, tree.stats.entry_tests)
             # Same rows, same order, same billed index work.
             assert got == want

@@ -258,31 +258,40 @@ class TestBatchProbes:
             t.insert(i, Region.from_box(Box((i, i), (i + 1.5, i + 1.5))))
         return t
 
-    def test_range_query_batch_dedups(self):
+    def test_range_query_batch_bills_like_single_probes(self):
         t = self._table()
         q1 = BoxQuery(overlap=(Box((0, 0), (3, 3)),))
         q2 = BoxQuery(overlap=(Box((4, 4), (9, 9)),))
+        batch = [q1, q2, q1, q1]
         t.reset_stats()
-        results = t.range_query_batch([q1, q2, q1, q1])
-        assert t.probes == 2  # duplicates answered once
-        assert [sorted(o.oid for o in rows) for rows in results] == [
-            sorted(o.oid for o in results[0]),
-            sorted(o.oid for o in results[1]),
-            sorted(o.oid for o in results[0]),
-            sorted(o.oid for o in results[0]),
-        ]
-        assert results[0] and results[1]
+        expected = [t.range_query_cached(q) for q in batch]
+        single = (t.probes, t.candidates_returned, t.index_read_count())
+        t.reset_stats()
+        # Without a cache nothing is shared: four probes, billed as four.
+        assert t.range_query_batch(batch) == expected
+        assert (t.probes, t.candidates_returned, t.index_read_count()) == single
+        assert t.probes == 4 and expected[0][0] and expected[1][0]
+        # With one, the duplicates hit what their first occurrence stored.
+        t.reset_stats()
+        cache = ProbeCache()
+        results = t.range_query_batch(batch, cache)
+        assert [hit for _rows, hit in results] == [False, False, True, True]
+        assert [rows for rows, _hit in results] == [r for r, _h in expected]
+        assert (t.probes, cache.hits, cache.misses) == (2, 2, 2)
 
     def test_rtree_search_batch(self):
         t = self._table()
         q1 = BoxQuery(overlap=(Box((0, 0), (3, 3)),))
-        q2 = BoxQuery(overlap=(Box((4, 4), (9, 9)),))
-        batched = t._rtree.search_batch([q1, q2, q1])
-        assert [sorted(v.oid for _b, v in rows) for rows in batched] == [
-            sorted(v.oid for _b, v in t._rtree.search(q1)),
-            sorted(v.oid for _b, v in t._rtree.search(q2)),
-            sorted(v.oid for _b, v in t._rtree.search(q1)),
-        ]
+        q2 = BoxQuery(inside=Box((3, 3), (9, 9)))
+        stats = t._rtree.stats
+        stats.reset()
+        expected = [list(t._rtree.search(q)) for q in (q1, q2, q1)]
+        reads = (stats.node_reads, stats.entry_tests)
+        stats.reset()
+        # Same rows in the same order, same reads: one walk, three queries.
+        assert t._rtree.search_batch([q1, q2, q1]) == expected
+        assert (stats.node_reads, stats.entry_tests) == reads
+        assert expected[0] and expected[1]
 
     def test_join_probe_cache(self):
         from repro.spatial import index_nested_loop_join

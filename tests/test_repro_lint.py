@@ -241,6 +241,50 @@ class BilledProbe(ExtendStep):
     assert findings == []
 
 
+def test_billing_flags_unbilled_batched_probe():
+    findings = run_pass(
+        BillingPass(),
+        (
+            "src/repro/engine/physical.py",
+            OPERATOR_PRELUDE
+            + """
+class SilentBatchProbe(ExtendStep):
+    def _group_rows(self, ctx, group):
+        queries = [self.template.instantiate(b) for b in group]
+        return self.table.range_query_batch(queries, ctx.cache)
+""",
+        ),
+    )
+    assert rules_of(findings) == ["REPRO201"]
+    assert "range_query_batch" in findings[0].message
+
+
+def test_billing_allows_billed_batched_probe():
+    findings = run_pass(
+        BillingPass(),
+        (
+            "src/repro/engine/physical.py",
+            OPERATOR_PRELUDE
+            + """
+class BilledBatchProbe(ExtendStep):
+    def _group_rows(self, ctx, group):
+        queries = [self.template.instantiate(b) for b in group]
+        self.stats.probes += len(group)
+        return self.table.range_query_batch(queries, ctx.cache)
+
+class BilledTreeWalk(ExtendStep):
+    def _rows(self, ctx, binding):
+        self.stats.probes += 1
+        self.stats.node_reads += 1
+        return self.tree.search_batch([binding])[0] + self.table.range_query_cached(
+            binding
+        )[0]
+""",
+        ),
+    )
+    assert findings == []
+
+
 def test_billing_flags_scalar_vectorized_asymmetry():
     findings = run_pass(
         BillingPass(),
@@ -519,6 +563,10 @@ class Scan(ExtendStep):
 
     def _rows(self, ctx, binding):
         return iter(self.table)
+
+class GroupedScan(ExtendStep):
+    def _group_rows(self, ctx, group):
+        return [list(self.table) for _binding in group]
 
 class Custom(PhysicalOperator):
     def iterate(self, ctx):

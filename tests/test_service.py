@@ -9,6 +9,7 @@ with the superseded table's entries gone from the cache.
 """
 
 import json
+import socket
 import threading
 
 import pytest
@@ -278,6 +279,28 @@ def test_error_mapping(served):
         client.run(system, bindings=["Z"])
     except ServiceError as exc:
         assert exc.status == 400
+
+
+@pytest.mark.parametrize("declared", ["abc", "-5", "1e3", "\xb2"])
+def test_invalid_content_length_is_a_400_not_a_dropped_connection(
+    served, declared
+):
+    """``int()`` of the raw header used to raise inside the connection
+    callback: a traceback on the server, an empty reply to the client."""
+    _service, client, _system = served
+    request = (
+        f"POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}\r\n\r\n"
+    ).encode("latin-1")
+    with socket.create_connection((client.host, client.port), timeout=10) as sock:
+        sock.sendall(request + b"{}")
+        reply = b""
+        while chunk := sock.recv(65536):  # until the server hangs up
+            reply += chunk
+    head, _sep, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 Bad Request")
+    assert "Content-Length" in json.loads(body)["error"]
+    # The server is unharmed: a well-formed request on a new connection.
+    assert client.health()["ok"] is True
 
 
 def test_insert_over_the_wire_bumps_snapshot(served):

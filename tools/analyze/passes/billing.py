@@ -5,8 +5,8 @@ every mode, join strategy, and vectorization setting must bill the same
 work to the same counters, or the benchmark gates compare apples to
 oranges.  Two structural properties are checkable without running:
 
-* REPRO201 — an operator body (``_rows``/``_candidate_pairs``/
-  ``iterate``) that calls index/probe APIs but never touches
+* REPRO201 — an operator body (``_rows``/``_group_rows``/
+  ``_candidate_pairs``/``iterate``) that calls index/probe APIs but never touches
   ``self.stats`` cannot be billing the work it does;
 * REPRO202 — a vectorized/scalar branch pair in which one side bills a
   counter the other side does not (``vectorized_batches``/
@@ -53,19 +53,22 @@ PROBE_APIS = {
     "match_positions",
     "matches",
     "range_query",
+    "range_query_cached",
+    "range_query_batch",
     "knn",
     "knn_browse",
     "candidates",
     "insert_batch",
     "query",
     "search",
+    "search_batch",
     "scan",
 }
 
 #: Counters that legitimately differ between scalar and vectorized twins.
 SYMMETRY_EXEMPT = {"vectorized_batches", "vectorized_candidates"}
 
-_OPERATOR_METHODS = ("_rows", "_candidate_pairs", "iterate")
+_OPERATOR_METHODS = ("_rows", "_group_rows", "_candidate_pairs", "iterate")
 
 
 class BillingPass:

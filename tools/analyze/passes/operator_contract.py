@@ -5,8 +5,9 @@ that ``PhysicalPlan``/``explain`` assume structurally:
 
 * REPRO501 — the iterator protocol: the class (or an ancestor) must
   provide ``iterate``, and when the provider is a template base
-  (``ExtendStep`` -> ``_rows``, ``_BulkJoinStep`` ->
-  ``_candidate_pairs``) the class must implement or inherit the hook;
+  (``ExtendStep`` -> ``_rows`` or, for a whole group of bindings,
+  ``_group_rows``; ``_BulkJoinStep`` -> ``_candidate_pairs``) the
+  class must implement or inherit the hook;
 * REPRO502 — estimate plumbing: an operator defining ``__init__`` must
   call ``super().__init__(...)`` (or set ``self.stats`` and
   ``self.est_rows`` itself) so EXPLAIN's estimate/actual columns and
@@ -60,11 +61,12 @@ RULES = {
     ),
 }
 
-#: Template bases and the hook a subclass may implement instead of
-#: ``iterate`` itself.
+#: Template bases and the hooks a subclass may implement instead of
+#: ``iterate`` itself: the abstract one first, then those with a default
+#: built on it that a subclass may override in its place.
 TEMPLATE_HOOKS = {
-    "ExtendStep": "_rows",
-    "_BulkJoinStep": "_candidate_pairs",
+    "ExtendStep": ("_rows", "_group_rows"),
+    "_BulkJoinStep": ("_candidate_pairs",),
 }
 
 ROOT = "PhysicalOperator"
@@ -115,8 +117,15 @@ class OperatorContractPass:
                 )
             )
             return
-        hook = TEMPLATE_HOOKS.get(provider.name)
-        if hook is None or provider.name == cls.name:
+        hooks = TEMPLATE_HOOKS.get(provider.name)
+        if hooks is None or provider.name == cls.name:
+            return
+        hook = hooks[0]
+        if any(
+            _find_method(info.node, stand_in) is not None
+            for info in chain[: chain.index(provider)]
+            for stand_in in hooks[1:]
+        ):
             return
         hook_impl = self._hook_provider(chain, hook)
         if hook_impl is None:
