@@ -7,9 +7,17 @@ construction (region disjointing), the STR bulk load, the statistics
 scan, and the partitioning sort.  This bench times both paths on the
 smugglers workload across a scale ladder and enforces the CI gate:
 
-    at the largest scale, ``Database.open`` must cost **≤ 25%** of the
+    at the largest scale, ``Database.open`` must cost **≤ 35%** of the
     full build's wall-clock (best-of-N on both sides, so scheduler
     noise cannot fail the gate spuriously).
+
+The gate was ≤ 25% while the cold build was per-object.  PR 15 made the
+denominator cheaper (STR load and statistics from the coordinate
+columns: build 72.2 → 54.6 ms at n = 1024, best of four 7-rep runs per
+side) without touching what a load does (17.1 → 15.8 ms), so the same
+absolute load budget — 25% of the old build — is ``0.25 × 72.159 ÷
+54.615 = 33.0%`` of the new one, rounded up to the next 5%
+(``benchmarks/results/pr15_columnar_build.md`` has both sides' runs).
 
 Each scale also checks that the loaded database answers the smugglers
 query bit-identically to the one just built (a timing bench that loads
@@ -49,8 +57,10 @@ SIZES = [
 ]
 REPS = int(os.environ.get("REPRO_BENCH_SNAPSHOT_REPS", "3"))
 
-#: The CI gate: snapshot load ≤ 25% of the full build at the largest scale.
-LOAD_GATE = 0.25
+#: The CI gate: snapshot load ≤ 35% of the full build at the largest
+#: scale (25% of the per-object build it was first set against; see the
+#: module docstring).
+LOAD_GATE = 0.35
 
 #: Partitioning granularity both paths warm (the service's default-ish).
 PARTITIONS = 8

@@ -139,7 +139,8 @@ class Region:
 
     def bounding_box(self) -> Box:
         """``⌈self⌉`` — the minimal surrounding bounding box (Section 4)."""
-        return enclose_all(self.boxes)
+        boxes = self.boxes
+        return boxes[0] if len(boxes) == 1 else enclose_all(boxes)
 
     def contains_point(self, point: Sequence[float]) -> bool:
         """Half-open point membership."""

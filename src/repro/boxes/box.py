@@ -381,11 +381,31 @@ EMPTY_BOX = Box((), ())
 
 
 def enclose_all(boxes: Iterable[Box]) -> Box:
-    """``⊔`` over an iterable (empty box for an empty iterable)."""
-    out = EMPTY_BOX
-    for b in boxes:
-        out = out.enclose(b)
-    return out
+    """``⊔`` over an iterable (empty box for an empty iterable).
+
+    One pass: per dimension, the ``min`` of the nonempty boxes' ``lo``
+    and the ``max`` of their ``hi``, and one box built at the end — the
+    coordinates a fold of :meth:`Box.enclose` arrives at (``min``/``max``
+    keep the first of equals, as the fold does, so ``-0.0``/``0.0``
+    come out the same) without a box per step.  Up to two nonempty
+    boxes are the fold itself: one is returned as it is (and, of nothing
+    but empty boxes, the last).
+    """
+    if not isinstance(boxes, (list, tuple)):
+        boxes = list(boxes)
+    live = [b for b in boxes if not b._empty]
+    if len(live) < 3:
+        if len(live) == 2:
+            return live[0].enclose(live[1])
+        return live[0] if live else boxes[-1] if boxes else EMPTY_BOX
+    los = [b.lo for b in live]
+    if len(set(map(len, los))) > 1:
+        odd = next(b for b in live if len(b.lo) != len(los[0]))
+        live[0]._require_compatible(odd)  # raises, naming both dimensions
+    his = [b.hi for b in live]
+    return Box._trusted(
+        tuple(map(min, zip(*los))), tuple(map(max, zip(*his))), False
+    )
 
 
 def box_to_jsonable(box: Box) -> List[List[float]]:

@@ -9,7 +9,7 @@ workloads.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..algebra.regions import Region
 from ..boxes.box import Box
@@ -23,7 +23,18 @@ from ..constraints.system import (
 from ..engine.query import SpatialQuery
 from ..spatial.table import SpatialTable
 from .maps import SmugglersMap, make_map
-from .shapes import random_box
+from .shapes import random_box_cloud
+
+
+def _random_rows(
+    rng: random.Random, count: int, universe: Box, *sides: float
+) -> List[Tuple[int, Region]]:
+    """``count`` random one-box rows numbered from 0, for
+    ``bulk_insert``: the index is built once, STR-packed, over all of
+    them (growing an insertion tree row by row only to repack it took
+    ten times as long for the same tree)."""
+    boxes = random_box_cloud(rng, universe, count, *sides)
+    return list(enumerate(map(Region.from_box, boxes)))
 
 
 def smugglers_query(
@@ -69,12 +80,8 @@ def overlay_query(
     universe = Box((0.0, 0.0), (universe_side, universe_side))
     left = SpatialTable("left", 2, index=index, universe=universe)
     right = SpatialTable("right", 2, index=index, universe=universe)
-    for i in range(n_left):
-        left.insert(i, Region.from_box(random_box(rng, universe)))
-    for j in range(n_right):
-        right.insert(j, Region.from_box(random_box(rng, universe)))
-    left.pack()
-    right.pack()
+    for table, count in ((left, n_left), (right, n_right)):
+        table.bulk_insert(_random_rows(rng, count, universe))
     return SpatialQuery(
         system=ConstraintSystem.build(overlaps("x", "y")),
         tables={"x": left, "y": right},
@@ -104,11 +111,9 @@ def containment_chain_query(
         # Bigger boxes at higher levels so containments exist.
         min_side = 2.0 * level
         max_side = 6.0 * level
-        for i in range(n_per_table):
-            t.insert(i, Region.from_box(
-                random_box(rng, universe, min_side, max_side)
-            ))
-        t.pack()
+        t.bulk_insert(
+            _random_rows(rng, n_per_table, universe, min_side, max_side)
+        )
         tables[name] = t
         if level > 1:
             constraints.append(subset(f"x{level - 1}", f"x{level}"))
@@ -129,9 +134,7 @@ def sandwich_query(
     rng = random.Random(seed)
     universe = Box((0.0, 0.0), (universe_side, universe_side))
     t = SpatialTable("items", 2, index=index, universe=universe)
-    for i in range(n_items):
-        t.insert(i, Region.from_box(random_box(rng, universe, 2.0, 20.0)))
-    t.pack()
+    t.bulk_insert(_random_rows(rng, n_items, universe, 2.0, 20.0))
     hi_box = Box((20.0, 20.0), (80.0, 80.0))
     lo_box = Box((45.0, 45.0), (50.0, 50.0))
     return SpatialQuery(

@@ -35,6 +35,7 @@ from ..boxes.box import (
     box_to_jsonable,
     enclose_all,
 )
+from ..spatial import columnar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algebra.regions import RegionAlgebra
@@ -95,16 +96,14 @@ class Histogram:
     def from_values(
         values: Iterable[float], bins: int = DEFAULT_BINS
     ) -> "Histogram":
-        vals = list(values)
+        """``lo``/``hi`` are the ``min``/``max`` of ``values`` (a
+        coordinate column is read in place) and ``v`` counts in bucket
+        ``min(bins - 1, int((v - lo) / width))`` — one
+        :func:`~repro.spatial.columnar.equiwidth_counts` call."""
+        vals = values if isinstance(values, Sequence) else list(values)
         if not vals:
             return Histogram(0.0, 0.0, (), 0)
-        lo, hi = min(vals), max(vals)
-        if hi <= lo:
-            return Histogram(lo, lo, (len(vals),), len(vals))
-        counts = [0] * bins
-        width = (hi - lo) / bins
-        for v in vals:
-            counts[min(bins - 1, int((v - lo) / width))] += 1
+        lo, hi, counts = columnar.equiwidth_counts(vals, bins)
         return Histogram(lo, hi, tuple(counts), len(vals))
 
     def fraction_below(self, x: float) -> float:
@@ -542,29 +541,30 @@ def collect_statistics(
     passes the *base* rows of a table whose live iterator would leak
     staged delta rows into what must remain base-only statistics.
     """
-    if rows is None:
-        rows = [obj for obj in table if not obj.box.is_empty()]
+    dim = table.dim
+    if rows is None and not table.delta_pending:
+        # The population is the base rows: the table holds their columns.
+        rows, lo, hi = table.packed_columns()
+    else:
+        if rows is None:
+            rows = [obj for obj in table if not obj.box.is_empty()]
+        lo = [[obj.box.lo[d] for obj in rows] for d in range(dim)]
+        hi = [[obj.box.hi[d] for obj in rows] for d in range(dim)]
     if total is None:
         total = len(table)
-    boxes = [obj.box for obj in rows]
-    mbr = enclose_all(boxes) if boxes else EMPTY_BOX
-    dim = table.dim
-    lo_hists = []
-    hi_hists = []
-    avg_sides = []
-    for d in range(dim):
-        lo_hists.append(
-            Histogram.from_values((b.lo[d] for b in boxes), bins=bins)
+    lo_hists = [Histogram.from_values(col, bins=bins) for col in lo]
+    hi_hists = [Histogram.from_values(col, bins=bins) for col in hi]
+    mbr = EMPTY_BOX
+    avg_sides = [0.0] * dim
+    if rows:
+        # A histogram's range is its column's min and max, which is
+        # what the enclosing box of the rows is made of.
+        mbr = Box._trusted(
+            tuple(h.lo for h in lo_hists), tuple(h.hi for h in hi_hists), False
         )
-        hi_hists.append(
-            Histogram.from_values((b.hi[d] for b in boxes), bins=bins)
-        )
-        if boxes:
-            avg_sides.append(
-                sum(b.hi[d] - b.lo[d] for b in boxes) / len(boxes)
-            )
-        else:
-            avg_sides.append(0.0)
+        avg_sides = [
+            columnar.side_sum(lo[d], hi[d]) / len(rows) for d in range(dim)
+        ]
     rng = random.Random(seed)
     if len(rows) <= sample_size:
         sample = tuple(rows)

@@ -56,10 +56,12 @@ not approximately:
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from array import array
 from contextlib import contextmanager
+from itertools import chain, compress
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..boxes.bconstraints import BoxQuery
@@ -78,16 +80,19 @@ __all__ = [
     "HAVE_NUMPY",
     "ColumnStore",
     "active_backend",
-    "argsort_by_center",
     "batch_mask",
     "enabled",
+    "equiwidth_counts",
     "forced_backend",
+    "grouped_bounds",
     "mindist_box_arrays",
     "mindist_point_arrays",
     "minmaxdist_point_arrays",
     "pack_floats",
     "pack_query",
     "resolve",
+    "side_sum",
+    "str_level_order",
     "unpack_floats",
 ]
 
@@ -177,30 +182,132 @@ def unpack_floats(blob: bytes) -> Tuple[float, ...]:
     return struct.unpack(f"<{len(blob) // 8}d", blob)
 
 
-# -- STR sort keys -------------------------------------------------------------
-# The Sort-Tile-Recursive build (R-tree bulk load, table partitioning,
-# shard splitting) repeatedly sorts boxes by per-dimension centers.  The
-# center key is the same IEEE double whether computed per-object or in
-# bulk, and a *stable* argsort of identical keys is the same permutation
-# as a stable sort — so the vectorized build packs bit-identical trees.
+# -- build kernels -------------------------------------------------------------
+# What a packed build asks of a level's boxes, answered from their
+# per-dimension lo/hi columns (NumPy reads ``array('d')`` in place): the
+# STR order, each node's MBR, the statistics' histograms and side sums.
+# Each has a NumPy and a stdlib body that agree to the bit: the sorts
+# are stable over the same center doubles, and ``min``/``max`` leave
+# NumPy whenever the data could tell the two apart (below).
 
-def argsort_by_center(
-    los: Sequence[float], his: Sequence[float]
-) -> List[int]:
-    """Stable permutation sorting slots by center ``(lo + hi) / 2``.
+#: Per-dimension coordinate columns.
+Columns = Sequence[Sequence[float]]
 
-    Equivalent to ``sorted(range(n), key=lambda i: (los[i] + his[i]) / 2)``
-    — Timsort is stable and so is the numpy path (``kind="stable"``), so
-    both backends return the identical permutation.  Non-finite centers
-    (``(-inf + inf) / 2`` is NaN, which numpy orders differently from
-    Python's comparison-based sort) fall back to the Python path.
+
+def _reduces_exactly(col: Any) -> bool:
+    """Whether NumPy's ``min``/``max`` of ``col`` is Python's: no NaN
+    (Python's answer depends on where it sits) and no ``-0.0`` (Python
+    keeps the first of ``-0.0 == 0.0``, ``np.minimum`` either)."""
+    return not (np.isnan(col).any() or np.signbit(col[col == 0.0]).any())
+
+
+def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple[List[int], List[int]]:
+    """One Sort-Tile-Recursive level as ``(perm, offsets)``: the slots
+    in packed order, and the bounds in it of each node of up to ``cap``
+    (node ``g`` is ``perm[offsets[g] : offsets[g + 1]]``).
+
+    Slots are sorted by center ``(lo + hi) / 2`` along dimension 0 and
+    cut into ``ceil(sqrt(nodes))`` slices; from two dimensions up each
+    slice is sorted again along dimension 1; no node spans two slices.
+    Both sorts are stable.  NaN centers (``(-inf + inf) / 2``), which
+    NumPy and Python's comparison sort order differently, take the
+    Python path.
     """
-    keys = [(lo + hi) / 2 for lo, hi in zip(los, his)]
-    if active_backend() == "numpy" and keys:
-        arr = np.asarray(keys, dtype=np.float64)
-        if not np.isnan(arr).any():
-            return np.argsort(arr, kind="stable").tolist()
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    n = len(lo[0])
+    if not n:
+        return [], [0]
+    tiled = len(lo) >= 2
+    per_slice = n
+    if tiled:
+        per_slice = math.ceil(n / math.ceil(math.sqrt(math.ceil(n / cap))))
+    offsets = [
+        start
+        for cut in range(0, n, per_slice)
+        for start in range(cut, min(cut + per_slice, n), cap)
+    ] + [n]
+    if active_backend() == "numpy":
+        axes = range(2 if tiled else 1)
+        cols = [
+            (np.asarray(lo[d], np.float64) + np.asarray(hi[d], np.float64)) / 2
+            for d in axes
+        ]
+        if not any(np.isnan(col).any() for col in cols):
+            order = np.argsort(cols[0], kind="stable")
+            if tiled:
+                second = cols[1][order]
+                for cut in range(0, n, per_slice):
+                    part = slice(cut, cut + per_slice)
+                    order[part] = order[part][np.argsort(second[part], kind="stable")]
+            return order.tolist(), offsets
+    keys = [(a + b) / 2 for a, b in zip(lo[0], hi[0])]
+    perm = sorted(range(n), key=keys.__getitem__)
+    if tiled:
+        keys = [(a + b) / 2 for a, b in zip(lo[1], hi[1])]
+        for cut in range(0, n, per_slice):
+            perm[cut : cut + per_slice] = sorted(
+                perm[cut : cut + per_slice], key=keys.__getitem__
+            )
+    return perm, offsets
+
+
+def grouped_bounds(
+    lo: Columns, hi: Columns, perm: Sequence[int], offsets: Sequence[int]
+) -> Tuple[List[List[float]], List[List[float]]]:
+    """Each group's MBR, a column per dimension: the ``min`` of its
+    ``lo`` and the ``max`` of its ``hi`` coordinates, where group ``g``
+    is slots ``perm[offsets[g] : offsets[g + 1]]`` (all nonempty)."""
+    if active_backend() == "numpy":
+        cols = [np.asarray(col, np.float64) for col in (*lo, *hi)]
+        if all(_reduces_exactly(col) for col in cols):
+            idx = np.asarray(perm, np.intp)
+            cut = np.asarray(offsets[:-1], np.intp)
+            dim = len(lo)
+            return (
+                [np.minimum.reduceat(col[idx], cut).tolist() for col in cols[:dim]],
+                [np.maximum.reduceat(col[idx], cut).tolist() for col in cols[dim:]],
+            )
+    spans = list(zip(offsets, offsets[1:]))
+
+    def fold(pick: Any, col: Sequence[float]) -> List[float]:
+        ordered = [col[i] for i in perm]
+        return [pick(ordered[a:b]) for a, b in spans]
+
+    return [fold(min, col) for col in lo], [fold(max, col) for col in hi]
+
+
+def equiwidth_counts(
+    values: Sequence[float], bins: int
+) -> Tuple[float, float, List[int]]:
+    """``(lo, hi, counts)`` of a nonempty population: its ``min`` and
+    ``max``, and how many values fall in each of ``bins`` equal-width
+    buckets of ``[lo, hi]`` — bucket ``min(bins - 1, int((v - lo) /
+    width))``, i.e. a truncating cast and a ``bincount``; one bucket
+    when all values are equal.  A width that is not positive and finite
+    (an infinite edge) takes the Python loop, which raises on it."""
+    arr = np.asarray(values, np.float64) if active_backend() == "numpy" else None
+    if arr is not None and _reduces_exactly(arr):
+        lo, hi = float(arr.min()), float(arr.max())
+    else:
+        arr, lo, hi = None, min(values), max(values)
+    if hi <= lo:
+        return lo, lo, [len(values)]
+    width = (hi - lo) / bins
+    if arr is not None and 0.0 < width < math.inf:
+        buckets = np.minimum(((arr - lo) / width).astype(np.intp), bins - 1)
+        return lo, hi, np.bincount(buckets, minlength=bins).tolist()
+    counts = [0] * bins
+    for v in values:
+        counts[min(bins - 1, int((v - lo) / width))] += 1
+    return lo, hi, counts
+
+
+def side_sum(lo: Sequence[float], hi: Sequence[float]) -> float:
+    """``sum(hi - lo)`` over the slots.  Only the subtraction is
+    vectorized: the sum stays builtin ``sum``'s sequential fold on both
+    backends (``np.sum`` adds pairwise: another last bit)."""
+    if active_backend() == "numpy":
+        return sum((np.asarray(hi, np.float64) - np.asarray(lo, np.float64)).tolist())
+    return sum(map(operator.sub, hi, lo))
 
 
 # -- array-level predicate kernels (numpy backend only) ------------------------
@@ -363,16 +470,18 @@ class ColumnStore:
     One contiguous ``array('d')`` of lo and of hi edge coordinates per
     dimension, plus a nonempty flag per row and the aligned row payloads
     — the in-memory twin of the snapshot format's packed coordinate
-    blobs.  Rows are append-only and index-aligned with the owning
-    table's insertion order, so "store position" and "scan position" are
-    the same number everywhere.
+    blobs, and what the build path (STR load, repack, statistics) reads
+    instead of the row objects.  Slots are append-only and aligned with
+    the owning table's row order, so "store position" and "scan
+    position" are the same number; a repack builds the next store from
+    this one's columns (:meth:`bulk`), never in place.
 
     Empty boxes occupy a placeholder slot (zeros, flag 0): they match no
     box query and are at infinite distance, exactly like the per-object
     code treats them.
     """
 
-    __slots__ = ("dim", "rows", "_lo", "_hi", "_nonempty")
+    __slots__ = ("dim", "rows", "_lo", "_hi", "_nonempty", "_entries")
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
@@ -381,6 +490,10 @@ class ColumnStore:
         self._lo = tuple(array("d") for _ in range(dim))
         self._hi = tuple(array("d") for _ in range(dim))
         self._nonempty = array("B")
+        # Per slot, the ``(box, row)`` tuple an R-tree leaf holds: made
+        # on first request, then kept in step, so successive packed
+        # trees share leaf entries instead of allocating one per row.
+        self._entries: Optional[List[Tuple[Box, object]]] = None
 
     def __len__(self) -> int:
         return len(self._nonempty)
@@ -399,20 +512,73 @@ class ColumnStore:
                 self._hi[d].append(box.hi[d])
             self._nonempty.append(1)
         self.rows.append(row)
+        if self._entries is not None:
+            self._entries.append((box, row))
 
-    def append_coords(
-        self, lo: Sequence[float], hi: Sequence[float], row: object
-    ) -> None:
-        """Append a nonempty box straight from coordinate sequences.
+    @classmethod
+    def bulk(
+        cls,
+        dim: int,
+        boxes: Sequence[Box],
+        rows: Sequence[object],
+        base: Optional["ColumnStore"] = None,
+        drop: Sequence[int] = (),
+    ) -> "ColumnStore":
+        """A store filled a column at a time: ``base``'s slots minus
+        those at the ascending positions ``drop`` (copied and closed
+        up, not re-derived from the rows), then one slot per ``(box,
+        row)`` — the constructor of repacks, shards and snapshot loads."""
+        store = cls(dim)
+        if base is not None:
+            columns: List[Any] = [store.rows, store._nonempty, *store._lo, *store._hi]
+            sources: List[Any] = [base.rows, base._nonempty, *base._lo, *base._hi]
+            if base._entries is not None:
+                store._entries = []
+                columns.append(store._entries)
+                sources.append(base._entries)
+            for column, source in zip(columns, sources):
+                column.extend(source)
+                for slot in reversed(drop):
+                    del column[slot]
+        blank = (0.0,) * dim
+        live = [not box.is_empty() for box in boxes]
+        for cols, edges in (
+            (store._lo, [box.lo for box in boxes]),
+            (store._hi, [box.hi for box in boxes]),
+        ):
+            # Row-major coordinates, cut into columns by stride.
+            flat = array("d", chain.from_iterable(
+                [edge if ok else blank for edge, ok in zip(edges, live)]
+            ))
+            for d in range(dim):
+                cols[d].extend(flat[d::dim])
+        store._nonempty.extend(array("B", live))
+        store.rows.extend(rows)
+        if store._entries is not None:
+            store._entries.extend(zip(boxes, rows))
+        return store
 
-        The snapshot loader's path: columns fill directly from the
-        packed payload, no intermediate ``Box`` required.
-        """
-        for d in range(self.dim):
-            self._lo[d].append(lo[d])
-            self._hi[d].append(hi[d])
-        self._nonempty.append(1)
-        self.rows.append(row)
+    def nonempty_columns(
+        self, leaf_entries: bool = False
+    ) -> Tuple[List[Any], Columns, Columns]:
+        """``(rows, lo, hi)`` of the nonempty slots in slot order — the
+        build kernels' input; with ``leaf_entries``, each row as the
+        ``(row.box, row)`` tuple an R-tree leaf holds (the same tuple
+        every call).  The store's own lists and arrays, not copies,
+        when no slot is empty: read-only."""
+        payload: List[Any] = self.rows
+        if leaf_entries:
+            if self._entries is None:
+                self._entries = [(row.box, row) for row in self.rows]  # type: ignore[attr-defined]
+            payload = self._entries
+        if not self._nonempty.count(0):
+            return payload, self._lo, self._hi
+        live = self._nonempty
+        return (
+            list(compress(payload, live)),
+            tuple(array("d", compress(col, live)) for col in self._lo),
+            tuple(array("d", compress(col, live)) for col in self._hi),
+        )
 
     # -- numpy views -------------------------------------------------------------
     def _views(self) -> Tuple[Any, Any, Any]:
@@ -504,24 +670,6 @@ class ColumnStore:
     def match_rows(self, query: BoxQuery) -> List[object]:
         """The matching rows themselves, in store (= insertion) order."""
         return [self.rows[i] for i in self.match_positions(query)]
-
-    def argsort_by_center(
-        self, d: int, candidates: Optional[Sequence[int]] = None
-    ) -> List[int]:
-        """Stable center-sort of store slots along dimension ``d``.
-
-        Returns ``candidates`` (or all slots) permuted by
-        :func:`argsort_by_center`; empty rows sort by their placeholder
-        zeros, exactly like the per-object code sees when it never asks
-        (callers only pass nonempty slots).
-        """
-        lo, hi = self._lo[d], self._hi[d]
-        if candidates is None:
-            perm = argsort_by_center(lo, hi)
-            return perm
-        los = [lo[i] for i in candidates]
-        his = [hi[i] for i in candidates]
-        return [candidates[p] for p in argsort_by_center(los, his)]
 
     # -- batched kNN distance kernels ----------------------------------------------
     # All three return one distance per row (``inf`` at empty rows),

@@ -169,18 +169,18 @@ def _str_tiles(
 ) -> List[List["SpatialObject"]]:
     """Recursive Sort-Tile-Recursive slicing over the centre coordinates.
 
-    The sort key is the boxes' centre along dimension ``d``, computed by
-    the columnar :func:`~repro.spatial.columnar.argsort_by_center`
-    kernel — the same ``(lo + hi) / 2`` doubles under a stable sort on
-    every backend, so the resulting tiling is bit-identical whether or
-    not numpy is installed.
+    The sort key is the boxes' centre along dimension ``d``: the
+    columnar :func:`~repro.spatial.columnar.str_level_order` kernel
+    over that one column — the same ``(lo + hi) / 2`` doubles under a
+    stable sort on every backend, so the resulting tiling is
+    bit-identical whether or not numpy is installed.
     """
     if target <= 1 or len(rows) <= 1 or d >= dim:
         return [rows]
     dims_left = dim - d
     slices = max(1, math.ceil(target ** (1.0 / dims_left)))
-    perm = columnar.argsort_by_center(
-        [o.box.lo[d] for o in rows], [o.box.hi[d] for o in rows]
+    perm, _one_node = columnar.str_level_order(
+        [[o.box.lo[d] for o in rows]], [[o.box.hi[d] for o in rows]], len(rows)
     )
     rows = [rows[i] for i in perm]
     per_slice = math.ceil(len(rows) / slices)

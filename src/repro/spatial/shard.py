@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, enclose_all
-from .columnar import pack_floats, unpack_floats
+from .columnar import ColumnStore, pack_floats, unpack_floats
 from .partition import (
     Exchange,
     TileGrid,
@@ -305,9 +305,8 @@ def _build_subtable(
         split_method=parent.split_method,
         node_capacity=parent.node_capacity,
     )
-    for obj in rows:
-        sub._objects[obj.oid] = obj
-        sub._columns.append(obj.box, obj)
+    sub._objects = {obj.oid: obj for obj in rows}
+    sub._columns = ColumnStore.bulk(parent.dim, [obj.box for obj in rows], rows)
     sub.reindex(pack=True)
     return sub
 

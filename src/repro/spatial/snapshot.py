@@ -44,9 +44,9 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.regions import Region
-from ..boxes.box import EMPTY_BOX, Box, box_from_jsonable, box_to_jsonable
+from ..boxes.box import Box, box_from_jsonable, box_to_jsonable, enclose_all
 from ..errors import SnapshotError
-from .columnar import pack_floats, unpack_floats
+from .columnar import ColumnStore, pack_floats, unpack_floats
 from .partition import Partition, TablePartitioning
 from .shard import ShardedTable
 from .rtree import RTree
@@ -234,31 +234,16 @@ def table_from_jsonable(data: dict) -> SpatialTable:
             )
             pos += 2 * dim
         region = Region._trusted(tuple(boxes))
-        if nboxes == 1:
-            bbox = boxes[0]
-        elif boxes:
-            blo, bhi = list(boxes[0].lo), list(boxes[0].hi)
-            for b in boxes[1:]:
-                for d in range(dim):
-                    if b.lo[d] < blo[d]:
-                        blo[d] = b.lo[d]
-                    if b.hi[d] > bhi[d]:
-                        bhi[d] = b.hi[d]
-            bbox = Box._trusted(tuple(blo), tuple(bhi), empty=False)
-        else:
-            bbox = EMPTY_BOX
+        bbox = boxes[0] if nboxes == 1 else enclose_all(boxes)
         obj = SpatialObject(
             oid=_decode_oid(oid_data), region=region, box=bbox
         )
         rows.append(obj)
         objects[obj.oid] = obj
-        # Rows bypass insert() here, so the columnar mirror fills
-        # directly from the packed payload (same coords, same order).
-        if bbox.is_empty():
-            table._columns.append(bbox, obj)
-        else:
-            table._columns.append_coords(bbox.lo, bbox.hi, obj)
     table._objects = objects
+    # Rows bypass insert() here: the columnar mirror is filled in one
+    # go, a column at a time (same coords, same order).
+    table._columns = ColumnStore.bulk(dim, [obj.box for obj in rows], rows)
     table._version = int(data["table_version"])
     if table.index_kind == "rtree":
         arrays = dict(data["rtree"])

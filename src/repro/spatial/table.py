@@ -490,41 +490,53 @@ class SpatialTable:
     def repack(self) -> bool:
         """Fold the write delta into freshly packed base structures.
 
-        Builds a new row map, column store and index (STR bulk load on
-        the r-tree backend) beside the old ones and publishes them by
-        plain attribute assignment — a reader holding references to the
-        old structures finishes against a consistent snapshot.  The base
-        version bump invalidates every version-keyed cache.  As a
-        special case, a small pure-delete delta on an unshared r-tree
-        applies targeted :meth:`~repro.spatial.rtree.RTree.delete` calls
-        instead of rebuilding, preserving the packed structure.
+        Builds a new row map, column store and index beside the old
+        ones and publishes them by plain attribute assignment — a
+        reader holding references to the old structures finishes
+        against a consistent snapshot.  Nothing is re-derived row by
+        row: the new store is the old one's columns, tombstoned slots
+        closed up and staged rows appended (:meth:`ColumnStore.bulk`),
+        and the r-tree STR-loads from those columns
+        (:meth:`RTree.bulk_load_columns`) — the structures a fresh
+        :meth:`bulk_insert` of the live rows builds.  The base version
+        bump invalidates every version-keyed cache.  As a special case,
+        a small pure-delete delta on an unshared r-tree applies targeted
+        :meth:`~repro.spatial.rtree.RTree.delete` calls instead of
+        rebuilding, preserving the packed structure.
 
         Returns True when anything was folded (no-op on a clean table).
         """
+        return self._fold(build_index=True)
+
+    def _fold(self, build_index: bool) -> bool:
+        """:meth:`repack`; without ``build_index`` the r-tree is left
+        for the caller to rebuild (:meth:`reindex` builds its own)."""
         d = self._delta
         if d is None:
             return False
         if not d.pending_ops:
             self._delta = None
             return False
+        tomb = d.tombstones
         # repr-sort: oids may mix types; a deterministic order keeps the
         # incremental statistics' float folds reproducible across runs.
         removed = [
             self._objects[oid]
-            for oid in sorted(d.tombstones, key=repr)
+            for oid in sorted(tomb, key=repr)
             if oid in self._objects
         ]
-        new_objects = {
-            oid: obj
-            for oid, obj in self._objects.items()
-            if oid not in d.tombstones
-        }
+        slots = enumerate(self._objects) if removed else ()
+        dead = [slot for slot, oid in slots if oid in tomb]
+        new_objects = dict(self._objects)
+        for obj in removed:
+            del new_objects[obj.oid]
         new_objects.update(d.inserts)
-        columns = ColumnStore(self.dim)
-        for obj in new_objects.values():
-            columns.append(obj.box, obj)
+        staged = list(d.inserts.values())
+        columns = ColumnStore.bulk(
+            self.dim, [obj.box for obj in staged], staged, self._columns, dead
+        )
         rtree = self._rtree
-        if self.index_kind == "rtree":
+        if self.index_kind == "rtree" and build_index:
             small_purge = (
                 not d.inserts
                 and not self._shares_base
@@ -535,15 +547,7 @@ class SpatialTable:
                     if not obj.box.is_empty():
                         rtree.delete(obj.box, obj)
             else:
-                rtree = RTree.bulk_load(
-                    [
-                        (obj.box, obj)
-                        for obj in new_objects.values()
-                        if not obj.box.is_empty()
-                    ],
-                    max_entries=self.node_capacity,
-                    split_method=self.split_method,
-                )
+                rtree = self._packed_rtree(columns)
         grid = self._grid
         if self.index_kind == "grid":
             grid = GridFile(2 * self.dim)
@@ -560,6 +564,15 @@ class SpatialTable:
         self._version += 1
         self.repacks += 1
         return True
+
+    def _packed_rtree(self, columns: ColumnStore) -> RTree:
+        """The STR-packed r-tree over a store's nonempty rows, loaded
+        from the store's own coordinate columns."""
+        return RTree.bulk_load_columns(
+            *columns.nonempty_columns(leaf_entries=True),
+            max_entries=self.node_capacity,
+            split_method=self.split_method,
+        )
 
     def with_staged(
         self,
@@ -675,36 +688,28 @@ class SpatialTable:
         """
         if self.index_kind != "rtree":
             return
-        # Fold any staged delta first: the rebuild below enumerates the
-        # base rows, and silently dropping staged writes would be wrong.
-        self.repack()
+        if split_method is not None and split_method not in RTree.SPLIT_METHODS:
+            raise ValueError(
+                f"unknown split method {split_method!r}; expected one "
+                f"of {RTree.SPLIT_METHODS}"
+            )
+        # Fold any staged delta first, rows and columns only (the one
+        # index build is below): dropping staged writes would be wrong.
+        self._fold(build_index=False)
         if split_method is not None:
-            if split_method not in RTree.SPLIT_METHODS:
-                raise ValueError(
-                    f"unknown split method {split_method!r}; expected one "
-                    f"of {RTree.SPLIT_METHODS}"
-                )
             self.split_method = split_method
         if node_capacity is not None:
             self.node_capacity = node_capacity
-        entries = [
-            (obj.box, obj)
-            for obj in self._objects.values()
-            if not obj.box.is_empty()
-        ]
         if pack:
-            self._rtree = RTree.bulk_load(
-                entries,
-                max_entries=self.node_capacity,
-                split_method=self.split_method,
-            )
+            self._rtree = self._packed_rtree(self._columns)
         else:
             self._rtree = RTree(
                 max_entries=self.node_capacity,
                 split_method=self.split_method,
             )
-            for box, obj in entries:
-                self._rtree.insert(box, obj)
+            for obj in self._objects.values():
+                if not obj.box.is_empty():
+                    self._rtree.insert(obj.box, obj)
         self._version += 1
 
     def get(self, oid) -> SpatialObject:
@@ -736,6 +741,14 @@ class SpatialTable:
         if self.delta_pending:
             return None
         return self._columns if columnar.resolve(vectorize) else None
+
+    def packed_columns(
+        self,
+    ) -> Tuple[List[SpatialObject], columnar.Columns, columnar.Columns]:
+        """``(rows, lo, hi)``: the nonempty *base* rows and their
+        coordinate columns on any backend setting, read-only — what the
+        statistics scan reads (:meth:`ColumnStore.nonempty_columns`)."""
+        return self._columns.nonempty_columns()
 
     def batches_probes(self, vectorize: Optional[bool] = None) -> bool:
         """Whether the R-tree's NumPy kernels serve this table's probes,
@@ -1312,18 +1325,13 @@ class SpatialTable:
         # partition summaries — the tiling is rebuilt per watermark.
         base_key = (bins, sample_size, seed, 0)
         if base_key not in self._stats_cache:
-            base_rows = [
-                obj
-                for obj in self._objects.values()
-                if not obj.box.is_empty()
-            ]
             self._stats_cache[base_key] = collect_statistics(
                 self,
                 bins=bins,
                 sample_size=sample_size,
                 seed=seed,
                 partitions=0,
-                rows=base_rows,
+                rows=self.packed_columns()[0],
                 total=len(self._objects),
             )
         base = self._stats_cache[base_key]

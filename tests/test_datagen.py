@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.algebra import RegionAlgebra
+from repro.algebra import Region, RegionAlgebra
 from repro.boxes import Box
 from repro.datagen import (
     grid_partition,
@@ -141,3 +141,55 @@ class TestWorkloads:
 
         q = containment_chain_query(n_per_table=10, depth=4, seed=0)
         assert len(q.unknowns) == 4
+
+    @pytest.mark.parametrize("index", ["rtree", "grid"])
+    def test_tables_are_what_row_by_row_insertion_then_pack_built(self, index):
+        """The builders hand their rows to ``bulk_insert`` (one packed
+        build) instead of growing an insertion tree and repacking it:
+        same rows drawn in the same RNG order, same tree, same reads."""
+        from repro.boxes.bconstraints import BoxQuery
+        from repro.datagen import containment_chain_query
+        from repro.spatial import SpatialTable
+
+        def row_by_row(name, rng, count, universe, *sides):
+            table = SpatialTable(name, 2, index=index, universe=universe)
+            for i in range(count):
+                table.insert(i, Region.from_box(random_box(rng, universe, *sides)))
+            table.pack()
+            return table
+
+        universe = Box((0.0, 0.0), (100.0, 100.0))
+        rng = random.Random(3)
+        expect = {
+            "overlay": [
+                row_by_row("left", rng, 90, universe),
+                row_by_row("right", rng, 70, universe),
+            ],
+        }
+        rng = random.Random(3)
+        expect["chain"] = [
+            row_by_row(f"x{level}", rng, 40, universe, 2.0 * level, 6.0 * level)
+            for level in (1, 2, 3)
+        ]
+        rng = random.Random(3)
+        expect["sandwich"] = [row_by_row("items", rng, 80, universe, 2.0, 20.0)]
+        got = {
+            "overlay": overlay_query(90, 70, seed=3, index=index),
+            "chain": containment_chain_query(40, 3, seed=3, index=index),
+            "sandwich": sandwich_query(80, seed=3, index=index),
+        }
+        probe = BoxQuery(overlap=(Box((20.0, 20.0), (45.0, 60.0)),))
+
+        def shape(table):
+            table.reset_stats()
+            hits = [obj.oid for obj in table.range_query(probe)]
+            tree = table._rtree and [
+                (repr(box.lo), repr(box.hi), obj.oid)
+                for box, obj in table._rtree.all_entries()
+            ]
+            rows = [(obj.oid, repr(obj.box.lo), repr(obj.box.hi)) for obj in table]
+            return table.name, table._version, rows, tree, hits, table.index_read_count()
+
+        for key, tables in expect.items():
+            built = list(got[key].tables.values())
+            assert [shape(t) for t in built] == [shape(t) for t in tables]

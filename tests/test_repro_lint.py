@@ -170,6 +170,50 @@ def test_determinism_flags_id_ordering():
     assert len(findings) == 2
 
 
+def test_determinism_flags_pairwise_float_reduction():
+    findings = run_pass(
+        DeterminismPass(),
+        (
+            "src/repro/engine/stats_bad.py",
+            """
+            import numpy as np
+
+            def avg_side(lo, hi):
+                return np.sum(hi - lo) / len(lo)
+
+            def mean_side(sides):
+                return sides.mean()
+
+            def total(sides):
+                return (sides * 2.0).sum() + np.add.reduce(sides)
+            """,
+        ),
+    )
+    assert rules_of(findings) == ["REPRO105"]
+    assert len(findings) == 4
+
+
+def test_determinism_allows_sequential_folds_and_integer_counts():
+    findings = run_pass(
+        DeterminismPass(),
+        (
+            "src/repro/spatial/stats_good.py",
+            """
+            import numpy as np
+
+            def avg_side(lo, hi):
+                # Vectorize the subtraction, fold sequentially.
+                return sum((hi - lo).tolist()) / len(lo)
+
+            def matches(mask, lo, bound, counts, pair_node):
+                hits = int(counts[pair_node].sum()) + int(np.sum(lo))
+                return hits + mask.sum() + (lo < bound).sum() + np.sum(~mask)
+            """,
+        ),
+    )
+    assert findings == []
+
+
 def test_determinism_ignores_files_outside_engine_and_spatial():
     findings = run_pass(
         DeterminismPass(),

@@ -1,4 +1,4 @@
-"""Pass 1 — determinism (REPRO101-104).
+"""Pass 1 — determinism (REPRO101-105).
 
 The repo's headline gates are bit-identity equalities: parallel ≡
 serial, vectorized ≡ scalar, spilled ≡ in-memory, sharded ≡ unsharded.
@@ -15,7 +15,13 @@ source.  This pass flags, in ``engine/`` and ``spatial/``:
   because of hash randomization, which breaks parallel merges);
 * REPRO104 — ``id()``-based ordering (``key=id`` or ``id()`` inside a
   comparison); CPython ids are allocation addresses and differ between
-  the serial and the forked-worker run.
+  the serial and the forked-worker run;
+* REPRO105 — pairwise float reduction: ``np.sum`` / ``.sum()`` /
+  ``np.mean`` / ``.mean()`` / ``np.add.reduce`` over float data.  NumPy
+  adds pairwise, the stdlib backend folds left to right, so the two
+  disagree in the last bit.  Counting is exempt — a reduction inside
+  ``int(...)``, over a comparison or boolean expression, or over a name
+  that says mask/count/index — because integer sums have one answer.
 """
 
 from __future__ import annotations
@@ -55,6 +61,14 @@ RULES = {
         summary="id() used as a sort key or in an ordering comparison",
         fix="order by a stable attribute (oid, sequence tag) instead "
         "of the allocation address",
+    ),
+    "REPRO105": Rule(
+        id="REPRO105",
+        name="pairwise-float-reduction",
+        summary="NumPy sum/mean over float data (pairwise; the stdlib "
+        "backend folds sequentially)",
+        fix="vectorize the element-wise part and fold with builtin "
+        "sum(arr.tolist()), as columnar.side_sum does",
     ),
 }
 
@@ -96,6 +110,12 @@ _TIMING_FUNC_RE = re.compile(
     r"(bench|timing|timer|profile|elapsed|wall|clock)", re.IGNORECASE
 )
 _SET_BUILTINS = {"set", "frozenset"}
+_NUMPY_REDUCTIONS = ("np.sum", "np.mean", "np.add.reduce", "numpy.sum",
+                     "numpy.mean", "numpy.add.reduce")
+_INTEGER_NAME_RE = re.compile(
+    r"(mask|count|flag|hits|idx|index|indices|nonempty|sizes|lengths)",
+    re.IGNORECASE,
+)
 
 
 def _in_scope(relpath: str) -> bool:
@@ -125,6 +145,8 @@ class _Visitor(ast.NodeVisitor):
         self.scope: List[str] = []
         # Per-function map of local names known to be bound to sets.
         self.set_names: List[Set[str]] = []
+        # ids of expressions that are the argument of an int(...) call.
+        self.counted: Set[int] = set()
 
     # -- scope tracking -------------------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -228,6 +250,27 @@ class _Visitor(ast.NodeVisitor):
                         "sort key is id(); allocation addresses differ "
                         "between serial and worker processes",
                     )
+        # REPRO105: pairwise float reduction.
+        if isinstance(node.func, ast.Name) and node.func.id == "int" and node.args:
+            self.counted.add(id(node.args[0]))
+        operand: Optional[ast.expr] = None
+        label = chain
+        if chain.endswith(_NUMPY_REDUCTIONS):
+            operand = node.args[0] if node.args else None
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in ("sum", "mean"):
+            operand = node.func.value
+            label = chain or f"<array>.{node.func.attr}"
+        if (
+            operand is not None
+            and id(node) not in self.counted
+            and not _is_integer_expr(operand)
+        ):
+            self._add(
+                "REPRO105",
+                node,
+                f"{label}() reduces pairwise in NumPy; the sequential "
+                "fold of the stdlib backend ends on a different last bit",
+            )
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -312,6 +355,20 @@ def _is_set_expr(expr: ast.expr, known_sets: Set[str]) -> bool:
             expr.right, known_sets
         )
     return False
+
+
+def _is_integer_expr(expr: ast.expr) -> bool:
+    """True when a reduction's operand is plainly a mask or a count: a
+    comparison, a boolean combination, or a name that says so."""
+    if isinstance(expr, (ast.Compare, ast.BoolOp)):
+        return True
+    if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, (ast.Not, ast.Invert)):
+        return True
+    if isinstance(expr, ast.BinOp) and isinstance(expr.op, (ast.BitAnd, ast.BitOr)):
+        return True
+    if isinstance(expr, ast.Subscript):
+        return _is_integer_expr(expr.value)
+    return bool(_INTEGER_NAME_RE.search(attr_chain(expr)))
 
 
 def _is_id_key(expr: ast.expr) -> bool:
