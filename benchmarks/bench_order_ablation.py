@@ -3,8 +3,10 @@
 The paper picks its order "arbitrarily" (Section 2).  This ablation
 quantifies what the choice costs: all 6 orders of the smugglers query
 are executed and their intermediate-result sizes compared; the planner's
-greedy, raw-estimate and histogram-catalog choices are evaluated against
-the best observed order.
+greedy and histogram-catalog choices are evaluated against the best
+observed order.  (The planner no-regression gate is a tier-1 exact-count
+test, ``tests/test_planner_cost.py``; this file is the paper-figure
+artefact.)
 
 ``REPRO_BENCH_ORDER_N`` scales the per-table row count (default 18; the
 CI smoke job runs a reduced scale).
@@ -81,20 +83,13 @@ def test_order_summary_and_planner_quality(benchmark):
     worst = rows[-1]["order"]
     by_name = {r["order"]: r for r in rows}
     assert by_name[greedy]["region_ops"] <= by_name[worst]["region_ops"]
-    est = "-".join(plan_order(q_no_order, "estimate"))
     hist = "-".join(plan_order(q_no_order, "histogram"))
-    # The cost-based planner must never do measurably worse than the
-    # greedy heuristic it falls back to (PR acceptance criterion).
-    assert by_name[hist]["partials"] <= by_name[greedy]["partials"]
     report(
         "E9: planner choices",
         [
             {"strategy": "greedy", "order": greedy,
              "partials": by_name[greedy]["partials"],
              "region_ops": by_name[greedy]["region_ops"]},
-            {"strategy": "estimate", "order": est,
-             "partials": by_name[est]["partials"],
-             "region_ops": by_name[est]["region_ops"]},
             {"strategy": "histogram", "order": hist,
              "partials": by_name[hist]["partials"],
              "region_ops": by_name[hist]["region_ops"]},

@@ -1,30 +1,28 @@
 #!/usr/bin/env python
 """CI benchmark smoke: machine-independent counters → ``BENCH_ci.json``.
 
-Runs reduced-scale versions of the two headline benchmarks
-(``bench_join_scaling`` and ``bench_order_ablation``) plus the
-full-scale STR-vs-insertion comparison, and writes the paper's cost
-counters (partial tuples, region ops, index node reads) to a JSON
+Runs a reduced-scale version of the headline join-scaling benchmark
+plus the full-scale STR-vs-insertion comparison, and writes the paper's
+cost counters (partial tuples, region ops, index node reads) to a JSON
 artifact that CI uploads on every run — the perf trajectory the ROADMAP
 asks for.
 
-Six acceptance gates are enforced (non-zero exit on failure):
+Five acceptance gates are enforced (non-zero exit on failure; the
+planner no-regression gate that used to sit here is a tier-1 exact-count
+test, ``tests/test_planner_cost.py``):
 
 1. STR-packed r-trees cut aggregate node reads by ≥ 20% versus the
    insertion-built baseline at the join-scaling bench's largest
    configured scale;
-2. the histogram (statistics-catalog) planner never picks an order with
-   more measured partial tuples than the greedy heuristic on the
-   benchmark query set;
-3. streaming: ``execute_iter(..., limit=1)`` yields the first answer in
+2. streaming: ``execute_iter(..., limit=1)`` yields the first answer in
    under 25% of the full-materialization time at the smoke scale (the
    operator tree pipelines instead of materializing levels);
-4. probe cache: re-running a query through a shared ``ProbeCache`` hits
+3. probe cache: re-running a query through a shared ``ProbeCache`` hits
    on ≥ 90% of its index probes and costs zero index node reads;
-5. partitioned join: the PBSM spatial join performs ≥ 25% fewer exact
+4. partitioned join: the PBSM spatial join performs ≥ 25% fewer exact
    (candidate box) tests than the index-nested-loop baseline at the
    partitioned-join bench's largest scale, with identical pair sets;
-6. parallelism: the PBSM tile fan-out over a worker pool returns a
+5. parallelism: the PBSM tile fan-out over a worker pool returns a
    result list bit-identical to the serial run.
 
 The partitioned-join rows are additionally written to their own
@@ -65,15 +63,12 @@ from benchmarks.bench_partitioned_join import (  # noqa: E402
     run_inl,
     run_pbsm,
 )
-from repro.datagen import containment_chain_query, smugglers_query  # noqa: E402
+from repro.datagen import smugglers_query  # noqa: E402
 from repro.engine import (  # noqa: E402
     ProbeCache,
-    SpatialQuery,
     build_physical_plan,
     compile_query,
-    enumerate_orders,
     execute,
-    plan_order,
 )
 
 
@@ -112,58 +107,6 @@ def str_packing_section() -> dict:
         "node_reads_str": packed,
         "reduction": round(reduction, 4),
     }
-
-
-def _measured_partials(query: SpatialQuery, order) -> int:
-    plan = compile_query(query, order=order)
-    _answers, stats = execute(plan, "boxplan")
-    return stats.partial_tuples
-
-
-def order_planning_section(full: bool) -> list:
-    queries = []
-    n = 18 if full else 12
-    for seed in (21, 3, 7):
-        q, _world = smugglers_query(
-            seed=seed, n_towns=n, n_roads=n, states_grid=(3, 3)
-        )
-        queries.append(
-            (
-                f"smugglers/seed={seed}",
-                SpatialQuery(
-                    system=q.system, tables=q.tables, bindings=q.bindings
-                ),
-            )
-        )
-    for seed in (0, 4):
-        queries.append(
-            (
-                f"chain/seed={seed}",
-                containment_chain_query(
-                    n_per_table=40 if full else 25, depth=3, seed=seed
-                ),
-            )
-        )
-    rows = []
-    for label, query in queries:
-        greedy = plan_order(query, "greedy")
-        hist = plan_order(query, "histogram")
-        measured = {
-            order: _measured_partials(query, order)
-            for order in enumerate_orders(query)
-        }
-        rows.append(
-            {
-                "query": label,
-                "greedy_order": list(greedy),
-                "greedy_partials": measured[greedy],
-                "histogram_order": list(hist),
-                "histogram_partials": measured[hist],
-                "best_partials": min(measured.values()),
-                "worst_partials": max(measured.values()),
-            }
-        )
-    return rows
 
 
 def streaming_section(full: bool) -> dict:
@@ -286,7 +229,6 @@ def main(argv=None) -> int:
         "scale": "full" if args.full else "reduced",
         "join_scaling": join_scaling_section(args.full),
         "str_packing": str_packing_section(),
-        "order_planning": order_planning_section(args.full),
         "streaming": streaming_section(args.full),
         "probe_cache": probe_cache_section(args.full),
         "partitioned_join": partitioned,
@@ -319,16 +261,6 @@ def main(argv=None) -> int:
         failures.append(
             f"STR node-read reduction {str_red:.1%} is below the 20% bar"
         )
-    for row in result["order_planning"]:
-        print(
-            f"planner {row['query']}: greedy={row['greedy_partials']} "
-            f"histogram={row['histogram_partials']} "
-            f"(best={row['best_partials']}, worst={row['worst_partials']})"
-        )
-        if row["histogram_partials"] > row["greedy_partials"]:
-            failures.append(
-                f"histogram planner worse than greedy on {row['query']}"
-            )
     stream = result["streaming"]
     print(
         f"streaming: first answer {stream['first_answer_ms']}ms vs "

@@ -250,16 +250,10 @@ def _plan_workload(args):
     if strategy == "paper":
         order = tuple(query.order)
     else:
-        unordered = SpatialQuery(
-            system=query.system,
-            tables=query.tables,
-            bindings=query.bindings,
-        )
-        # With partitioning enabled, the histogram strategy also costs
+        # The planner ignores the workload's own order.  With
+        # partitioning enabled, the histogram strategy also costs
         # partition pruning when ranking retrieval orders.
-        order = plan_order(
-            unordered, strategy=strategy, partitions=args.partitions
-        )
+        order = plan_order(query, strategy=strategy, partitions=args.partitions)
     knn = _knn_step(args, query, order)
     aggregate = _aggregate_spec(args)
     if knn is not None or aggregate is not None:
@@ -598,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--order-strategy",
-            choices=("paper", "greedy", "estimate", "histogram"),
+            choices=("paper", "greedy", "histogram"),
             default="histogram",
             help="retrieval-order planner ('paper' keeps the workload's order)",
         )

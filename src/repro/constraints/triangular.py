@@ -25,7 +25,7 @@ prints as ``C ∨ T`` given ``A ⊆ C``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from ..boolean.syntax import Formula, neg
 from .projection import project
@@ -127,71 +127,79 @@ def triangular_form(
     )(order)
 
 
-def shared_triangular_forms(
-    system: ConstraintSystem | EquationalSystem,
-    simplify_formulas: bool = True,
-    simplify_modulo_ground: bool = True,
-    subsume: bool = True,
-) -> Callable[[Sequence[str]], TriangularForm]:
-    """:func:`triangular_form` of one system for many retrieval orders.
+class SharedTriangularForms:
+    """Algorithm 1 of one system, memoised across retrieval orders.
 
-    The returned function maps an order to its triangular form and
-    shares work between calls: ``S_i`` depends only on the *set* of
-    variables eliminated so far (``proj`` commutes and the simplifier is
+    Call it with an order for the :class:`TriangularForm`, or ask
+    :meth:`constraint` for one ``C_i`` — only what that step needs is
+    computed, so an order abandoned half way never solves the rest.
+    Orders share work: ``S_i`` depends only on the *set* of variables
+    eliminated so far (``proj`` commutes and the simplifier is
     canonical), and ``C_i`` only on that set, ``x_i`` and the ground
-    residue, so orders that agree on them reuse them.
+    residue.
     """
-    if isinstance(system, ConstraintSystem):
-        normalized = system.normalize(simplify_formulas)
-    else:
-        normalized = system
-    # Eliminated-variable set -> S_i; (all unknowns, that set, x_i) -> C_i.
-    systems: Dict[FrozenSet[str], EquationalSystem] = {frozenset(): normalized}
-    solved_by_level: Dict[tuple, SolvedConstraint] = {}
 
-    def form(order: Sequence[str]) -> TriangularForm:
-        names = list(order)
+    def __init__(
+        self,
+        system: ConstraintSystem | EquationalSystem,
+        simplify_formulas: bool = True,
+        simplify_modulo_ground: bool = True,
+        subsume: bool = True,
+    ) -> None:
+        if isinstance(system, ConstraintSystem):
+            system = system.normalize(simplify_formulas)
+        self._simplify = simplify_formulas
+        self._modulo_ground = simplify_modulo_ground
+        self._subsume = subsume
+        # Eliminated-variable set -> S_i, as projected and as the solver
+        # reads it; (all unknowns, that set, x_i) -> C_i.
+        self._systems: Dict[FrozenSet[str], EquationalSystem] = {frozenset(): system}
+        self._levels: Dict[FrozenSet[str], EquationalSystem] = {}
+        self._solved: Dict[tuple, SolvedConstraint] = {}
+
+    def _system(self, names: Sequence[str], i: int) -> EquationalSystem:
+        """``S_i`` of the order ``names``: ``x_n .. x_{i+1}`` projected out."""
+        key = frozenset(names[i:])
+        if key not in self._systems:
+            self._systems[key] = project(
+                self._system(names, i + 1), names[i], self._simplify
+            )
+        return self._systems[key]
+
+    def _level(self, names: Sequence[str], i: int) -> EquationalSystem:
+        """``S_i`` less its subsumed disequations (``S_0``: the ground)."""
+        key = frozenset(names[i:])
+        if key not in self._levels:
+            level = self._system(names, i)
+            self._levels[key] = (
+                level.subsume_disequations() if self._subsume else level
+            )
+        return self._levels[key]
+
+    def constraint(self, order: Sequence[str], i: int) -> SolvedConstraint:
+        """``C_{i+1}``: the solved form of ``order[i]`` given ``order[:i]``."""
+        key = (frozenset(order), frozenset(order[i + 1 :]), order[i])
+        if key not in self._solved:
+            care: Optional[Formula] = None
+            if self._modulo_ground:  # care set: the residue's equation holds
+                care = neg(self._level(order, 0).equation)
+            solved, _passed = solve_for(
+                self._level(order, i + 1), order[i], self._simplify, care
+            )
+            if self._subsume:
+                solved = _subsume_solved(solved, care)
+            self._solved[key] = solved
+        return self._solved[key]
+
+    def __call__(self, order: Sequence[str]) -> TriangularForm:
+        names = tuple(order)
         if len(set(names)) != len(names):
-            raise ValueError(f"retrieval order has duplicates: {names}")
+            raise ValueError(f"retrieval order has duplicates: {list(names)}")
+        constraints = tuple(self.constraint(names, i) for i in range(len(names)))
+        return TriangularForm(names, constraints, ground=self._level(names, 0))
 
-        # Eliminate from x_n down to x_1, keeping each S_i.
-        levels = [frozenset(names[i:]) for i in range(len(names) + 1)]
-        for i in range(len(names), 0, -1):
-            if levels[i - 1] not in systems:
-                systems[levels[i - 1]] = project(
-                    systems[levels[i]], names[i - 1], simplify_formulas
-                )
-        ground = systems[levels[0]]
-        if subsume:
-            ground = ground.subsume_disequations()
 
-        care: Optional[Formula] = None
-        if simplify_modulo_ground:
-            care = neg(ground.equation)  # care set: residue equation holds
-
-        constraints: List[SolvedConstraint] = []
-        for i in range(1, len(names) + 1):
-            key = (levels[0], levels[i], names[i - 1])
-            if key not in solved_by_level:
-                level_system = systems[levels[i]]
-                if subsume:
-                    level_system = level_system.subsume_disequations()
-                solved, _passed = solve_for(
-                    level_system,
-                    names[i - 1],
-                    simplify_formulas=simplify_formulas,
-                    care=care,
-                )
-                if subsume:
-                    solved = _subsume_solved(solved, care)
-                solved_by_level[key] = solved
-            constraints.append(solved_by_level[key])
-
-        return TriangularForm(
-            order=tuple(names), constraints=tuple(constraints), ground=ground
-        )
-
-    return form
+shared_triangular_forms = SharedTriangularForms  # the name callers know
 
 
 def _subsume_solved(

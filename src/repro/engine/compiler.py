@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from ..algebra.regions import RegionAlgebra
 from ..boxes.bconstraints import StepTemplate, compile_solved_constraint
 from ..constraints.solved import SolvedConstraint
-from ..constraints.triangular import TriangularForm, triangular_form
+from ..constraints.triangular import TriangularForm
 from ..errors import CompilationError, UnsatisfiableError
 from ..spatial.table import SpatialTable
 from .query import AggregateSpec, KNNStep, SpatialQuery
@@ -164,7 +164,9 @@ def compile_query(
     ``order`` overrides the query's retrieval order (else the query's,
     else the planner's choice).  Raises
     :class:`~repro.errors.UnsatisfiableError` when the ground residue
-    fails for the given bindings.
+    fails for the given bindings.  Algorithm 1 runs through
+    :meth:`SpatialQuery.triangular_forms`: an order the planner already
+    costed for this query object is not solved again.
 
     A kNN step anchored on another *unknown* (``knn.ref``) needs that
     unknown retrieved first: an explicitly supplied order violating
@@ -191,7 +193,7 @@ def compile_query(
             )
         order = repair_knn_order(order, knn, query.tables)
 
-    tri = triangular_form(query.system, order)
+    tri = query.triangular_forms()(order)
     algebra = query.algebra()
 
     if check_ground:

@@ -7,7 +7,6 @@ results, exactly like join ordering in relational optimizers.  We provide
 * :func:`choose_order` — the default heuristic: greedy most-constrained-
   first using connectivity to already-placed variables and table sizes;
 * :func:`enumerate_orders` — all permutations (for the E9 ablation);
-* :func:`estimate_order_cost` — the legacy raw-size cardinality estimate;
 * :func:`rollout_step_estimates` — per-step expected cardinalities for a
   candidate order: the order is compiled to its box templates and rolled
   out over the statistics catalog (:mod:`repro.engine.catalog`) — step
@@ -18,8 +17,8 @@ results, exactly like join ordering in relational optimizers.  We provide
 * :func:`estimate_order_cost_histogram` — the cost-based estimate (the
   rollouts' expected partial-tuple total);
 * :func:`plan_order` / :func:`best_order_by_estimate` — strategy
-  dispatch with the greedy heuristic as the safe fallback (the ablation
-  hook ``bench_order_ablation.py`` compares all strategies);
+  dispatch; the greedy heuristic is the incumbent of a bounded search
+  and the safe fallback (``bench_order_ablation.py`` compares them);
 * :func:`choose_join_strategies` — per-step join-algorithm choice
   (index-nested-loop probe vs partition-pruned scan vs PBSM vs z-order
   merge), priced on the same rollout estimates — partition pruning
@@ -33,7 +32,6 @@ import random
 from dataclasses import dataclass
 from itertools import permutations
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -47,7 +45,6 @@ from ..boxes.bconstraints import compile_solved_constraint
 from ..boxes.box import Box
 from ..constraints.solved import SolvedConstraint
 from ..constraints.system import ConstraintSystem
-from ..constraints.triangular import shared_triangular_forms
 from ..errors import CompilationError, ReproError
 from ..spatial.partition import DEFAULT_TILES
 from .catalog import Catalog, TableStatistics
@@ -58,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .compiler import QueryPlan
 
 #: Strategies accepted by :func:`plan_order`.
-ORDER_STRATEGIES = ("greedy", "estimate", "histogram")
+ORDER_STRATEGIES = ("greedy", "histogram")
 
 #: Per-step join algorithms :func:`choose_join_strategies` picks among
 #: (and :func:`repro.engine.physical.build_physical_plan` accepts):
@@ -186,35 +183,6 @@ def enumerate_orders(query: SpatialQuery) -> Iterator[Tuple[str, ...]]:
     return permutations(query.unknowns)
 
 
-def estimate_order_cost(
-    query: SpatialQuery,
-    order: Sequence[str],
-    selectivity: float = 0.25,
-) -> float:
-    """A coarse cardinality estimate for an order.
-
-    Each step multiplies the running partial count by the table size,
-    discounted by ``selectivity`` for every constraint fully grounded at
-    that step (all other variables already placed).  Not calibrated —
-    meant only to rank orders relative to each other.
-    """
-    edges = _constraint_edges(query.system)
-    placed = set(query.constants)
-    partials = 1.0
-    cost = 0.0
-    for name in order:
-        grounded = sum(
-            1
-            for e, _negative in edges
-            if name in e and (e - {name}) <= placed
-        )
-        fanout = max(1.0, len(query.tables[name]) * (selectivity ** grounded))
-        cost += partials * max(1, len(query.tables[name]))
-        partials *= fanout
-        placed.add(name)
-    return cost + partials
-
-
 @dataclass(frozen=True)
 class StepEstimate:
     """Expected per-step cardinalities for one retrieval order.
@@ -264,6 +232,14 @@ class _StepMemo:
         self.results: Dict[Tuple[int, ...], _StepResult] = {}
 
 
+class _Pruned(Exception):
+    """A rollout stopped: every order starting with ``prefix`` costs over the bound."""
+
+    def __init__(self, prefix: Tuple[str, ...]) -> None:
+        super().__init__(prefix)
+        self.prefix = prefix
+
+
 class _Rollouts:
     """Everything the cost rollouts of one planning call share.
 
@@ -271,9 +247,10 @@ class _Rollouts:
     representative rows that constraint reads, so it is computed once
     and reused by every rollout of every order that reaches the same
     step with the same representatives (all rollouts of all orders with
-    a common first variable, for a start); the orders' triangular forms
-    share their projections the same way.  The object lives for one
-    call of a public function below — nothing to invalidate.
+    a common first variable, for a start).  Solved constraints come one
+    step at a time from :meth:`SpatialQuery.triangular_forms`: a rollout
+    that stops early never solves the steps it did not reach.  The object
+    lives for one call of a public function below — nothing to invalidate.
     """
 
     def __init__(
@@ -289,7 +266,7 @@ class _Rollouts:
             )
         self.partitions = partitions
         self.stats = catalog.for_query(query)
-        self.triangular = shared_triangular_forms(query.system)
+        self.forms = query.triangular_forms()
         self.algebra = query.algebra()
         self.universe = self.algebra.universe_box
         self.box_env = {
@@ -298,6 +275,13 @@ class _Rollouts:
         }
         self.region_env = dict(query.bindings)
         self.steps: Dict[SolvedConstraint, _StepMemo] = {}
+
+    def _memo(self, order: Sequence[str], i: int) -> _StepMemo:
+        solved = self.forms.constraint(order, i)
+        memo = self.steps.get(solved)
+        if memo is None:
+            memo = self.steps[solved] = _StepMemo(solved, self.stats[solved.variable])
+        return memo
 
     def _step(
         self,
@@ -329,27 +313,36 @@ class _Rollouts:
             )
         return result
 
-    def step_estimates(
-        self, order: Sequence[str], rollouts: int = 6, seed: int = 0
-    ) -> List[StepEstimate]:
-        """See :func:`rollout_step_estimates`."""
-        memos = []
-        for solved in self.triangular(order).constraints:
-            if solved not in self.steps:
-                self.steps[solved] = _StepMemo(
-                    solved, self.stats[solved.variable]
-                )
-            memos.append(self.steps[solved])
+    def _cost(self, sums: Sequence[Sequence[float]], n: int) -> float:
+        """The cost of :meth:`_sums` totals, finished or not: summands
+        are non-negative and ``+ / * min`` monotone in floats too, so
+        unfinished totals never cost more than they finish with."""
+        if self.partitions:
+            index_work = sum(min(acc[1] / n, acc[4] / n) for acc in sums)
+        else:
+            index_work = sum(acc[1] / n for acc in sums)
+        return sum(acc[3] / n for acc in sums) + 1e-3 * index_work
+
+    def _sums(
+        self, order: Sequence[str], bound: float, rollouts: int, seed: int
+    ) -> Tuple[List[List[float]], int]:
+        """Per-step totals over the rollouts of ``order`` (partials_in,
+        candidates, scan, survivors, pruned) and the rollout count;
+        :class:`_Pruned` once the totals so far cost more than ``bound``."""
+        order = tuple(order)
         rng = random.Random(seed)
         n_rollouts = max(1, rollouts)
-        # partials_in, candidates, scan, survivors, pruned
-        sums = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in memos]
-        for _ in range(n_rollouts):
+        memos: List[_StepMemo] = []
+        sums = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in order]
+        for rollout in range(n_rollouts):
             box_env = dict(self.box_env)
             region_env = dict(self.region_env)
             picks: Dict[str, "SpatialObject"] = {}
             partials = 1.0
-            for memo, acc in zip(memos, sums):
+            for i, acc in enumerate(sums):
+                if i == len(memos):
+                    memos.append(self._memo(order, i))
+                memo = memos[i]
                 name, st = memo.solved.variable, memo.stats
                 box_sel, pruned, exact_frac, matching = self._step(
                     memo, picks, box_env, region_env
@@ -362,6 +355,10 @@ class _Rollouts:
                 acc[4] += partials * pruned
                 partials *= survivors
                 acc[3] += partials
+                if self._cost(sums, n_rollouts) > bound:
+                    # The rng is seeded per order, so every order that
+                    # shares this prefix draws this same first rollout.
+                    raise _Pruned(order[: i + 1] if rollout == 0 else order)
                 # Choose a representative retrieved object for later steps;
                 # with no representative row, later exact sampling against
                 # this variable falls back to box-only costing.
@@ -373,30 +370,25 @@ class _Rollouts:
                     box_env[name] = (
                         self.universe if st.mbr.is_empty() else st.mbr
                     )
+        return sums, n_rollouts
+
+    def step_estimates(
+        self, order: Sequence[str], rollouts: int = 6, seed: int = 0
+    ) -> List[StepEstimate]:
+        """See :func:`rollout_step_estimates`."""
+        sums, n = self._sums(order, math.inf, rollouts, seed)
+        # The totals are kept in StepEstimate's field order.
         return [
-            StepEstimate(
-                variable=memo.solved.variable,
-                partials_in=acc[0] / n_rollouts,
-                candidates=acc[1] / n_rollouts,
-                scan_candidates=acc[2] / n_rollouts,
-                survivors=acc[3] / n_rollouts,
-                pruned_candidates=acc[4] / n_rollouts,
-            )
-            for memo, acc in zip(memos, sums)
+            StepEstimate(name, *(total / n for total in acc))
+            for name, acc in zip(order, sums)
         ]
 
     def cost(
-        self, order: Sequence[str], rollouts: int = 6, seed: int = 0
+        self, order: Sequence[str], bound: float, rollouts: int = 6, seed: int = 0
     ) -> float:
-        """See :func:`estimate_order_cost_histogram`."""
-        estimates = self.step_estimates(order, rollouts, seed)
-        if self.partitions:
-            index_work = sum(
-                min(e.candidates, e.pruned_candidates) for e in estimates
-            )
-        else:
-            index_work = sum(e.candidates for e in estimates)
-        return sum(e.survivors for e in estimates) + 1e-3 * index_work
+        """See :func:`estimate_order_cost_histogram`; :class:`_Pruned`
+        instead of a cost above ``bound``."""
+        return self._cost(*self._sums(order, bound, rollouts, seed))
 
 
 def rollout_step_estimates(
@@ -453,57 +445,49 @@ def estimate_order_cost_histogram(
     when it beats the index estimate, so orders whose steps prune well
     are preferred.
     """
-    return _Rollouts(query, catalog, partitions).cost(order, rollouts, seed)
-
-
-def _exhaustive_costs(
-    query: SpatialQuery, cost: Callable[[Tuple[str, ...]], float]
-) -> Dict[Tuple[str, ...], float]:
-    return {order: cost(order) for order in enumerate_orders(query)}
-
-
-def _argmin_order(costs: Dict[Tuple[str, ...], float]) -> Tuple[str, ...]:
-    return min(costs, key=lambda order: (costs[order], order))
+    return _Rollouts(query, catalog, partitions).cost(order, math.inf, rollouts, seed)
 
 
 def best_order_by_estimate(
     query: SpatialQuery,
-    estimator: str = "histogram",
     catalog: Optional[Catalog] = None,
     partitions: int = 0,
 ) -> Tuple[str, ...]:
-    """Exhaustively pick the order minimising the estimate (small n).
+    """The order minimising the statistics-catalog estimate (small n).
 
-    ``estimator`` selects the cost model: ``"histogram"`` (the
-    statistics catalog, default) or ``"raw"`` (the legacy raw-size
-    estimate).  Unusable statistics (:data:`ESTIMATION_ERRORS`) fall
-    back to the greedy heuristic; a query with at most one unknown has
-    only one order, returned without touching statistics.  All orders
-    are costed through one shared :class:`_Rollouts` memo.
+    Returns what costing every permutation would — the cheapest order
+    by ``(cost, order)`` if it costs less than
+    :data:`HISTOGRAM_CONFIDENCE_MARGIN` times the greedy order, else the
+    greedy order — without finishing orders that cannot win.  Greedy is
+    costed first; the bound is the margin times its cost, then the best
+    complete cost seen.  A rollout stops once its running cost exceeds
+    the bound, and when its *first* rollout alone did, every order with
+    that prefix is skipped.  Orders that finish get the estimate they
+    always got (same per-order rng, same accumulation order) and a tie
+    with the incumbent is still compared, so the choice is unchanged.
+    Unusable statistics (:data:`ESTIMATION_ERRORS`) and more than
+    :data:`MAX_ENUMERATED_UNKNOWNS` unknowns fall back to greedy; at
+    most one unknown has one order, returned without touching statistics.
     """
-    if estimator == "raw":
-        return _argmin_order(
-            _exhaustive_costs(
-                query, lambda order: estimate_order_cost(query, order)
-            )
-        )
-    if estimator != "histogram":
-        raise ValueError(
-            f"unknown estimator {estimator!r}; expected 'histogram' or 'raw'"
-        )
     greedy = choose_order(query)
     if not 1 < len(query.unknowns) <= MAX_ENUMERATED_UNKNOWNS:
         return greedy  # the only order, or too many to enumerate
     try:
-        costs = _exhaustive_costs(
-            query, _Rollouts(query, catalog, partitions).cost
-        )
-        best = _argmin_order(costs)
-        if best == greedy:
-            return best
-        if costs[best] < HISTOGRAM_CONFIDENCE_MARGIN * costs[greedy]:
-            return best
-        return greedy
+        rollouts = _Rollouts(query, catalog, partitions)
+        limit = HISTOGRAM_CONFIDENCE_MARGIN * rollouts.cost(greedy, math.inf)
+        best, bound = greedy, limit
+        dead = greedy  # the latest prefix found to cost more than the bound
+        for order in enumerate_orders(query):
+            if order == greedy or order[: len(dead)] == dead:
+                continue
+            try:
+                cost = rollouts.cost(order, bound)
+            except _Pruned as pruned:
+                dead = pruned.prefix
+                continue
+            if cost < limit and (cost, order) < (bound, best):
+                best, bound = order, cost
+        return best
     except ESTIMATION_ERRORS:
         # The greedy heuristic needs no statistics and always succeeds.
         return greedy
@@ -518,23 +502,17 @@ def plan_order(
     """Pick a retrieval order with the named strategy.
 
     ``"greedy"`` — the connectivity heuristic (default, no statistics
-    needed); ``"estimate"`` — exhaustive over the raw-size estimate;
-    ``"histogram"`` — exhaustive over the statistics-catalog estimate,
-    falling back to greedy when statistics are unusable.  This is the
-    ablation hook used by ``bench_order_ablation.py``.  ``partitions``
-    makes the histogram strategy cost partition pruning too.
+    needed); ``"histogram"`` — :func:`best_order_by_estimate`'s bounded
+    search over the statistics-catalog estimate (``partitions`` makes
+    it cost partition pruning too), falling back to greedy when
+    statistics are unusable.  Planning triangularises through
+    ``query``'s own memo, so compiling the same query object afterwards
+    does not run Algorithm 1 again.
     """
     if strategy == "greedy":
         return choose_order(query)
-    if strategy == "estimate":
-        return best_order_by_estimate(query, estimator="raw")
     if strategy == "histogram":
-        return best_order_by_estimate(
-            query,
-            estimator="histogram",
-            catalog=catalog,
-            partitions=partitions,
-        )
+        return best_order_by_estimate(query, catalog=catalog, partitions=partitions)
     raise ValueError(
         f"unknown strategy {strategy!r}; expected one of {ORDER_STRATEGIES}"
     )

@@ -22,6 +22,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from ..algebra.regions import Region, RegionAlgebra
 from ..boxes.box import Box
 from ..constraints.system import ConstraintSystem
+from ..constraints.triangular import SharedTriangularForms
 from ..errors import CompilationError, UnboundVariableError
 from ..spatial.table import SpatialTable
 
@@ -154,6 +155,9 @@ class SpatialQuery:
     aggregate:
         Optional :class:`AggregateSpec`; execution then returns
         aggregate rows instead of bindings.
+
+    The query owns its Algorithm-1 memo (:meth:`triangular_forms`): planner,
+    compiler and strategy choosers handed one object triangularise it once.
     """
 
     system: ConstraintSystem
@@ -162,6 +166,9 @@ class SpatialQuery:
     order: Optional[Sequence[str]] = None
     knn: Optional[KNNStep] = None
     aggregate: Optional[AggregateSpec] = None
+    _forms: Optional[Tuple[ConstraintSystem, SharedTriangularForms]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.tables = dict(self.tables)
@@ -240,6 +247,14 @@ class SpatialQuery:
     def constants(self) -> Tuple[str, ...]:
         """Bound variables, sorted."""
         return tuple(sorted(self.bindings))
+
+    def triangular_forms(self) -> SharedTriangularForms:
+        """The triangular forms of ``system`` by retrieval order: one
+        :class:`SharedTriangularForms`, built on first use, for every
+        order costed or compiled; rebinding ``system`` drops it."""
+        if self._forms is None or self._forms[0] is not self.system:
+            self._forms = (self.system, SharedTriangularForms(self.system))
+        return self._forms[1]
 
     def universe_box(self) -> Optional[Box]:
         """A universe box covering all tables' universes, if declared."""

@@ -5,9 +5,17 @@ exact solved-constraint check as they were before
 ``SolvedConstraint.bind`` and the planning-scoped memo.  The engine must
 agree with that reference *bit for bit* — same retrieval order, same
 ``StepEstimate`` floats, same truth values, same ``KeyError``s — while
-billing fewer region operations.
+billing fewer region operations, and while the order search stops
+costing the orders that cannot win.
+
+Tier-1 runs a thin diagonal of the 4-/5-unknown product; CI's
+seed-matrix job (``REPRO_TEST_SEED`` set) runs all of it.
 """
 
+import math
+import os
+import random
+from contextlib import ExitStack, contextmanager
 from itertools import permutations
 from unittest import mock
 
@@ -18,13 +26,18 @@ from repro.algebra import Region
 from repro.boolean import FALSE, TRUE, Var
 from repro.boxes import Box
 from repro.constraints import (
+    ConstraintSystem,
     Disequation,
     SolvedConstraint,
+    overlaps,
     parse_system,
     shared_triangular_forms,
+    triangular,
+    triangular_form,
 )
+from repro.constraints.system import EquationalSystem
 from repro.database import Database
-from repro.datagen import make_map, overlay_query
+from repro.datagen import containment_chain_query, make_map, overlay_query
 from repro.engine import (
     KNNStep,
     SpatialQuery,
@@ -36,10 +49,16 @@ from repro.engine import (
 )
 from repro.engine import planner
 from repro.engine.catalog import TableStatistics
+from repro.engine.planner import StepEstimate, _Pruned, _Rollouts
 from repro.engine.compiler import repair_knn_order
-from repro.errors import CompilationError
+from repro.errors import CompilationError, ReproError
 from repro.spatial import SpatialTable
-from tests.conftest import constraint_systems, make_workload
+from tests.conftest import (
+    UNIVERSE,
+    constraint_systems,
+    make_workload,
+    random_table,
+)
 from tests.reference_planner import (
     ReferenceBound,
     reference_estimates_by_order,
@@ -191,6 +210,230 @@ def test_single_unknown_plans_without_statistics():
         assert plan_order(query, strategy="histogram") == ("x",)
 
 
+# -- the bounded search ------------------------------------------------------
+#: The whole 4-/5-unknown product runs in CI's seed-matrix job only.
+FULL = "REPRO_TEST_SEED" in os.environ
+
+
+def _overlap_chain_query(n):
+    """``x_i & x_{i+1} !<= 0`` over tables of ``100 * (i + 1)`` boxes."""
+    rng = random.Random(n)
+    names = [f"x{i}" for i in range(n)]
+    return SpatialQuery(
+        system=ConstraintSystem.build(
+            *(overlaps(a, b) for a, b in zip(names, names[1:]))
+        ),
+        tables={
+            name: random_table(name, rng, 100 * (i + 1))
+            for i, name in enumerate(names)
+        },
+    )
+
+
+CHAIN_QUERIES = {
+    "overlap": _overlap_chain_query,
+    "containment": lambda n: containment_chain_query(
+        n_per_table=30, depth=n, seed=n
+    ),
+}
+
+
+#: Share of exhaustive costing's step results the bounded search may
+#: evaluate (measured: overlap 0.52 / 0.29 at 4 / 5 unknowns; the
+#: containment chain's orders all cost within the margin of the greedy
+#: one, so each must run five of six rollouts to be ruled out: 0.63 / 0.75).
+STEP_RESULT_CEILING = {"overlap": 0.55, "containment": 0.8}
+
+
+@contextmanager
+def _counted():
+    """Mocks counting the calls (the originals still run) of Algorithm
+    1's building blocks and of the rollouts' step results."""
+    methods = {
+        "subsume": (EquationalSystem, "subsume_disequations"),
+        "exact_selectivity": (TableStatistics, "exact_selectivity"),
+    }
+    with ExitStack() as stack:
+        mocks = {
+            name: stack.enter_context(
+                mock.patch.object(triangular, name, wraps=getattr(triangular, name))
+            )
+            for name in ("project", "solve_for")
+        }
+        for name, (cls, attr) in methods.items():
+            mocks[name] = stack.enter_context(
+                mock.patch.object(
+                    cls, attr, autospec=True, side_effect=getattr(cls, attr)
+                )
+            )
+        yield mocks
+
+
+@pytest.mark.parametrize(
+    "kind,n,partitions",
+    [
+        (kind, n, partitions)
+        for kind in sorted(CHAIN_QUERIES)
+        for n in (4, 5)
+        for partitions in (0, 4)
+        # Tier-1's diagonal: each kind and each partitions value once,
+        # at four unknowns.
+        if FULL or (n == 4 and (kind == "overlap") == (partitions == 0))
+    ],
+)
+def test_chain_queries_plan_like_the_reference_for_less(kind, n, partitions):
+    query = CHAIN_QUERIES[kind](n)
+    reference = reference_estimates_by_order(query, partitions=partitions)
+    with _no_fallback(), _counted() as bounded:
+        chosen = plan_order(query, strategy="histogram", partitions=partitions)
+    assert chosen == reference_plan_order(query, reference, partitions)
+    # What costing every permutation (through one shared memo, as the
+    # search did before it was bounded) evaluates.
+    fresh = SpatialQuery(
+        system=query.system, tables=query.tables, bindings=query.bindings
+    )
+    with _counted() as exhaustive:
+        rollouts = _Rollouts(fresh, None, partitions)
+        costs = {
+            order: rollouts.cost(order, math.inf)
+            for order in permutations(fresh.unknowns)
+        }
+    assert chosen in (min(costs, key=costs.get), planner.choose_order(query))
+    assert (
+        bounded["exact_selectivity"].call_count
+        <= STEP_RESULT_CEILING[kind] * exhaustive["exact_selectivity"].call_count
+    )
+    assert bounded["solve_for"].call_count <= exhaustive["solve_for"].call_count
+    # Orders that complete still get the reference's floats, through
+    # the memo the search left on the query.
+    for order in (chosen, planner.choose_order(query), tuple(reversed(chosen))):
+        assert (
+            rollout_step_estimates(query, order, partitions=partitions)
+            == reference[order]
+        )
+
+
+def _stub_costs(table):
+    """``_Rollouts.cost`` reading ``table`` — pruning like the real one."""
+
+    def cost(self, order, bound, rollouts=6, seed=0):
+        if table[order] > bound:
+            raise _Pruned(order)
+        return table[order]
+
+    return mock.patch.object(_Rollouts, "cost", cost)
+
+
+def _reference_choice(query, table):
+    """The oracle's pick, given single-step estimates costing ``table``."""
+    estimates = {
+        order: [StepEstimate(order[0], 1.0, 0.0, 0.0, survivors=cost)]
+        for order, cost in table.items()
+    }
+    return reference_plan_order(query, estimates)
+
+
+@pytest.mark.parametrize(
+    "costs,expected",
+    [
+        # Equal costs resolve lexicographically, wherever greedy sits.
+        ({"uvw": 1.0, "vwu": 1.0, "wvu": 1.0}, "uvw"),
+        ({"wuv": 2.0, "vwu": 2.0}, "vwu"),
+        ({"greedy": 5.0, "uvw": 5.0}, None),
+        # cost == margin x greedy keeps greedy; one ulp less does not.
+        ({"uvw": 8.0}, None),
+        ({"uvw": math.nextafter(8.0, 0.0)}, "uvw"),
+        # A later order tying the incumbent is compared, and loses the
+        # tie-break; a later cheaper one wins.
+        ({"uvw": 3.0, "wvu": 3.0}, "uvw"),
+        ({"uvw": 3.0, "wvu": 2.5}, "wvu"),
+        # Nothing can undercut a free greedy order.
+        ({"greedy": 0.0, "uvw": 0.0}, None),
+    ],
+)
+def test_search_ties_and_margin_edges(costs, expected):
+    assert planner.HISTOGRAM_CONFIDENCE_MARGIN == 0.8
+    rng = random.Random(0)
+    query = SpatialQuery(
+        system=parse_system("v & P !<= 0\nu & v !<= 0\nv & w !<= 0"),
+        tables={name: random_table(name, rng, 3) for name in "uvw"},
+        bindings={"P": Region.from_box(UNIVERSE)},
+    )
+    greedy = planner.choose_order(query)
+    assert greedy == ("v", "u", "w")  # neither first nor last of the six
+    table = {order: 100.0 for order in permutations(query.unknowns)}
+    table[greedy] = costs.pop("greedy", 10.0)
+    for name, cost in costs.items():
+        assert tuple(name) != greedy
+        table[tuple(name)] = cost
+    with _no_fallback(), _stub_costs(table):
+        chosen = plan_order(query, strategy="histogram")
+    assert chosen == _reference_choice(query, table)
+    assert chosen == (greedy if expected is None else tuple(expected))
+
+
+def test_rollout_bound_is_strict_and_names_the_dead_prefix(figure1_db):
+    query = _figure1_query(figure1_db, 0, 2)
+    rollouts = _Rollouts(query, None, 0)
+    order = ("B", "R", "T")
+    cost = rollouts.cost(order, math.inf)
+    # An order that ties the bound exactly finishes; one ulp over stops.
+    assert rollouts.cost(order, cost) == cost
+    with pytest.raises(_Pruned) as late:
+        rollouts.cost(order, math.nextafter(cost, 0.0))
+    assert late.value.prefix == order  # the last rollout: only this order
+    # A bound the first rollout's first steps already exceed condemns
+    # every order with that prefix — and those steps are all it solved.
+    fresh = _figure1_query(figure1_db, 0, 2)
+    with _counted() as calls, pytest.raises(_Pruned) as early:
+        _Rollouts(fresh, None, 0).cost(order, 0.0)
+    assert early.value.prefix == ("B",)
+    assert calls["solve_for"].call_count == 1 and calls["exact_selectivity"].call_count == 1
+
+
+# -- work counts -------------------------------------------------------------
+@pytest.mark.parametrize("form,area", FIGURE1_VARIANTS)
+def test_figure1_run_work_counts(figure1_db, form, area):
+    """Per ``Session.run``: 10 / 15 / 46-50 before the search was bounded
+    and the triangular memo moved onto the query."""
+    text = TEXT_FORMS[form].format(A=f"A{area}")
+    with _counted() as calls:
+        figure1_db.session().run(text)
+    assert calls["project"].call_count <= 7
+    assert calls["solve_for"].call_count <= 10
+    assert calls["exact_selectivity"].call_count <= 19
+    # Once per distinct eliminated set (the 2^3 subsets of {T, R, B}).
+    levels = [c.args[0] for c in calls["subsume"].call_args_list]
+    assert len(levels) == len({id(level) for level in levels}) <= 8
+
+
+def test_run_and_explain_triangularise_once(figure1_db):
+    """Planner, compiler, join chooser and EXPLAIN annotations share the
+    query's Algorithm-1 memo: nothing after planning solves again."""
+    text = TEXT_FORMS[0].format(A="A2")
+    options = {"partitions": 8, "join_strategy": "auto"}
+    with _counted() as planning:
+        order = plan_order(figure1_db.query(text), "histogram", partitions=8)
+    session = figure1_db.session()
+    with _counted() as run:
+        result = session.run(text, **options)
+    with _counted() as explain:
+        explained = session.explain(text, **options)
+    for calls in (run, explain):
+        assert calls["project"].call_count == planning["project"].call_count == 7
+        assert calls["solve_for"].call_count == planning["solve_for"].call_count
+    assert result.order == order
+    # Sharing changes no outcome: stage by stage on query objects of
+    # their own, the strategies and the EXPLAIN text are the same.
+    plan = compile_query(figure1_db.query(text), order=order)
+    assert plan.triangular == triangular_form(plan.query.system, order)
+    pplan = plan.physical("boxplan", **options)
+    assert pplan.join_strategies == choose_join_strategies(
+        figure1_db.query(text), order, partitions=8
+    )
+    assert explained == pplan.explain()
+
+
 # -- failures are not swallowed ----------------------------------------------
 def test_injected_type_error_propagates(figure1_db):
     query = _figure1_query(figure1_db, 0, 2)
@@ -207,6 +450,45 @@ def test_injected_type_error_propagates(figure1_db):
             choose_shard_strategies(query, order, shards=2)
         with pytest.raises(TypeError):
             plan.physical("boxplan")  # EXPLAIN's estimate annotations
+
+
+def _failing_at(call, error):
+    """``exact_selectivity`` patched to raise ``error`` on its ``call``-th call."""
+    original = TableStatistics.exact_selectivity
+    calls = []
+
+    def exact_selectivity(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise error
+        return original(self, *args, **kwargs)
+
+    return mock.patch.object(TableStatistics, "exact_selectivity", exact_selectivity)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize(
+    "error", [ReproError("unusable"), ZeroDivisionError(), TypeError("bug")], ids=repr
+)
+def test_failures_inside_the_search(figure1_db, where, error):
+    """An estimation error in a *non-greedy* order — the first step
+    result after the greedy order's, or the last one the search computes,
+    inside a rollout it is about to abandon — falls back to greedy; a
+    bug's ``TypeError`` from the same spot propagates."""
+    greedy = planner.choose_order(_figure1_query(figure1_db, 0, 2))
+    with _counted() as counted:
+        _Rollouts(_figure1_query(figure1_db, 0, 2), None, 0).cost(greedy, math.inf)
+        after_greedy = counted["exact_selectivity"].call_count
+        assert plan_order(_figure1_query(figure1_db, 0, 2), "histogram") != greedy
+        total = counted["exact_selectivity"].call_count - after_greedy
+    assert after_greedy < total
+    fresh = _figure1_query(figure1_db, 0, 2)
+    with _failing_at(after_greedy + 1 if where == "first" else total, error):
+        if isinstance(error, TypeError):
+            with pytest.raises(TypeError):
+                plan_order(fresh, strategy="histogram")
+        else:
+            assert plan_order(fresh, strategy="histogram") == greedy
 
 
 def test_unusable_statistics_still_fall_back():
