@@ -34,6 +34,12 @@ class DimensionMismatchError(ReproError):
     """Raised when boxes or regions of different dimensions are combined."""
 
 
+class AnchorError(ReproError, ValueError):
+    """Raised when a nearest-neighbor anchor is not a point or box the
+    distance metric is defined on: a coordinate that is not a number,
+    or is NaN or (in a point) infinite."""
+
+
 class UniverseMismatchError(ReproError):
     """Raised when algebra elements from different universes are combined."""
 

@@ -285,7 +285,7 @@ class QueryService:
         except KeyError as exc:
             raise ServiceError(str(exc)) from exc
         if "point" in payload:
-            anchor = tuple(float(c) for c in payload["point"])
+            anchor = payload["point"]  # checked by SpatialTable.nearest
         elif "box" in payload:
             anchor = box_from_jsonable(payload["box"])
         else:

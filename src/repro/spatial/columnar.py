@@ -87,12 +87,12 @@ __all__ = [
     "grouped_bounds",
     "mindist_box_arrays",
     "mindist_point_arrays",
-    "minmaxdist_point_arrays",
     "pack_floats",
     "pack_query",
     "resolve",
     "side_sum",
     "str_level_order",
+    "take",
     "unpack_floats",
 ]
 
@@ -250,27 +250,39 @@ def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple[List[int], List
     return perm, offsets
 
 
+def take(cols: Columns, perm: Sequence[int]) -> List["array[float]"]:
+    """Each column in ``perm`` order: one level's coordinates as the
+    packed tree stores them (``array('d')``, which NumPy reads in
+    place)."""
+    if active_backend() == "numpy":
+        idx = np.asarray(perm, np.intp)
+        out = [array("d") for _ in cols]
+        for packed, col in zip(out, cols):
+            packed.frombytes(np.asarray(col, np.float64)[idx].tobytes())
+        return out
+    return [array("d", map(col.__getitem__, perm)) for col in cols]
+
+
 def grouped_bounds(
-    lo: Columns, hi: Columns, perm: Sequence[int], offsets: Sequence[int]
+    lo: Columns, hi: Columns, offsets: Sequence[int]
 ) -> Tuple[List[List[float]], List[List[float]]]:
     """Each group's MBR, a column per dimension: the ``min`` of its
     ``lo`` and the ``max`` of its ``hi`` coordinates, where group ``g``
-    is slots ``perm[offsets[g] : offsets[g + 1]]`` (all nonempty)."""
+    is slots ``offsets[g] : offsets[g + 1]`` of the packed columns (all
+    nonempty)."""
     if active_backend() == "numpy":
         cols = [np.asarray(col, np.float64) for col in (*lo, *hi)]
         if all(_reduces_exactly(col) for col in cols):
-            idx = np.asarray(perm, np.intp)
             cut = np.asarray(offsets[:-1], np.intp)
             dim = len(lo)
             return (
-                [np.minimum.reduceat(col[idx], cut).tolist() for col in cols[:dim]],
-                [np.maximum.reduceat(col[idx], cut).tolist() for col in cols[dim:]],
+                [np.minimum.reduceat(col, cut).tolist() for col in cols[:dim]],
+                [np.maximum.reduceat(col, cut).tolist() for col in cols[dim:]],
             )
     spans = list(zip(offsets, offsets[1:]))
 
     def fold(pick: Any, col: Sequence[float]) -> List[float]:
-        ordered = [col[i] for i in perm]
-        return [pick(ordered[a:b]) for a, b in spans]
+        return [pick(col[a:b]) for a, b in spans]
 
     return [fold(min, col) for col in lo], [fold(max, col) for col in hi]
 
@@ -389,11 +401,13 @@ def batch_mask(
 
 
 # -- array-level distance kernels (numpy backend only) -------------------------
-# Shared by the ColumnStore and the R-tree's best-first traversal.  All
-# three return one distance per slot (``inf`` at empty slots),
-# accumulating squared per-dimension contributions in dimension order
-# and rooting once — the exact float recipe of the Box methods, so
-# ranking (ties included) matches the per-object oracle.
+# The ColumnStore's whole-store scans (the R-tree's best-first browse
+# computes the same recipe in a scalar loop: its nodes are too small
+# for a kernel call to pay).  Both return one distance per slot
+# (``inf`` at empty slots), accumulating squared per-dimension
+# contributions in dimension order and rooting once — the exact float
+# recipe of the Box methods, so ranking (ties included) matches the
+# per-object oracle.
 
 def mindist_point_arrays(
     lo: Any, hi: Any, nonempty: Any, point: Sequence[float]
@@ -432,34 +446,6 @@ def mindist_box_arrays(lo: Any, hi: Any, nonempty: Any, anchor: Box) -> Any:
             np.where(lo[d] > e, above * above, 0.0),
         )
     dist = np.sqrt(acc)
-    dist[~nonempty] = np.inf
-    return dist
-
-
-def minmaxdist_point_arrays(
-    lo: Any, hi: Any, nonempty: Any, point: Sequence[float]
-) -> Any:
-    """Per-slot :meth:`Box.minmaxdist_point
-    <repro.boxes.box.Box.minmaxdist_point>` distances to ``point``."""
-    dim = len(lo)
-    n = len(nonempty)
-    total_far = np.zeros(n, dtype=np.float64)
-    near_sq = []
-    far_sq = []
-    for d in range(dim):
-        p = float(point[d])
-        mid = (lo[d] + hi[d]) / 2
-        near = np.where(p <= mid, lo[d], hi[d])
-        far = np.where(p >= mid, lo[d], hi[d])
-        n_sq = (p - near) ** 2
-        f_sq = (p - far) ** 2
-        near_sq.append(n_sq)
-        far_sq.append(f_sq)
-        total_far += f_sq
-    best = total_far - far_sq[0] + near_sq[0]
-    for d in range(1, dim):
-        np.minimum(best, total_far - far_sq[d] + near_sq[d], out=best)
-    dist = np.sqrt(best)
     dist[~nonempty] = np.inf
     return dist
 
@@ -672,7 +658,7 @@ class ColumnStore:
         return [self.rows[i] for i in self.match_positions(query)]
 
     # -- batched kNN distance kernels ----------------------------------------------
-    # All three return one distance per row (``inf`` at empty rows),
+    # Both return one distance per row (``inf`` at empty rows),
     # accumulating squared per-dimension contributions in dimension
     # order and rooting once — the exact float recipe of the Box
     # methods, so ranking (ties included) matches the oracle.
@@ -735,32 +721,3 @@ class ColumnStore:
         if isinstance(anchor, Box):
             return self.mindist_box(anchor)
         return self.mindist_point(anchor)
-
-    def minmaxdist_point(self, point: Sequence[float]) -> Sequence[float]:
-        """Per-row :meth:`Box.minmaxdist_point
-        <repro.boxes.box.Box.minmaxdist_point>` distances to ``point``."""
-        if active_backend() == "numpy":
-            lo, hi, flags = self._views()
-            return minmaxdist_point_arrays(lo, hi, flags != 0, point)
-        inf = float("inf")
-        lo, hi, flags = self._lo, self._hi, self._nonempty
-        out = []
-        for i in range(len(flags)):
-            if not flags[i]:
-                out.append(inf)
-                continue
-            near_sq = []
-            far_sq = []
-            for d in range(self.dim):
-                p, a, b = point[d], lo[d][i], hi[d][i]
-                mid = (a + b) / 2
-                near = a if p <= mid else b
-                far = a if p >= mid else b
-                near_sq.append((p - near) * (p - near))
-                far_sq.append((p - far) * (p - far))
-            total_far = sum(far_sq)
-            best = min(
-                total_far - f + n for n, f in zip(near_sq, far_sq)
-            )
-            out.append(math.sqrt(best))
-        return out

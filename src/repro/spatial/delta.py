@@ -32,6 +32,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
 
 from ..boxes.bconstraints import BoxQuery
+from ..boxes.box import Box
 from .rtree import RTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -120,6 +121,11 @@ class TableDelta:
         self.watermark += 1
         return True
 
+    def buries(self, obj: "SpatialObject") -> bool:
+        """Whether ``obj`` is a base row this delta has deleted (its
+        oid may be live again on a staged row, which is not)."""
+        return obj.oid in self.tombstones and self.inserts.get(obj.oid) is not obj
+
     def clone(self) -> "TableDelta":
         """An independent copy sharing the (immutable) staged rows."""
         twin = TableDelta(
@@ -178,6 +184,16 @@ class TableDelta:
             for obj in self.inserts.values()
             if not obj.box.is_empty() and query.matches(obj.box)
         )
+
+    def distances(self, anchor: object) -> List[Tuple[float, Box, "SpatialObject"]]:
+        """``(MINDIST, box, row)`` of each nonempty staged row from
+        ``anchor`` (a box or a point): the delta's share of a kNN."""
+        metric = Box.mindist if isinstance(anchor, Box) else Box.mindist_point
+        return [
+            (metric(obj.box, anchor), obj.box, obj)
+            for obj in self.inserts.values()
+            if not obj.box.is_empty()
+        ]
 
     def staged_rows(self) -> Iterator["SpatialObject"]:
         """The staged rows in insertion order."""

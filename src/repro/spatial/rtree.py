@@ -19,9 +19,13 @@ costs.  Deletion uses the classic condense-and-reinsert strategy.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import heapq
+import math
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
+from itertools import accumulate, chain
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
 from ..boxes.bconstraints import BoxQuery
@@ -109,27 +113,100 @@ class _Node:
         return enclose_all(box for box, _ in self.entries)
 
 
-class _EntryMirror(NamedTuple):
-    """Every node entry of a tree, flattened for the NumPy kernels:
-    entries in node preorder (entry order within a node), nodes numbered
-    by the same walk (the root is node 0)."""
+class _FlatTree:
+    """A tree as parallel columns — what the kNN browse and
+    :meth:`RTree.search_batch` read instead of ``_Node``/``Box`` objects.
 
-    bounds: Any  # (2 * dim, entries) float64: the lo rows, then the hi rows
-    nonempty: Any  # bool per entry
-    entries: List[Tuple[Box, object]]  # per entry: the node's own tuple
-    child: Any  # per entry: its child's node number (0 in leaves)
-    slices: Dict[int, Tuple[int, int]]  # id(node) -> (first entry, count)
-    offsets: Any  # per node number: its first entry ...
-    counts: Any  # ... and how many it has
-    leaf: Any  # bool per node number
+    Nodes are numbered from the root, which is node 0; node ``n`` owns
+    entries ``offsets[n] : offsets[n] + counts[n]``, in its entry order.
+    Per entry: its box's edges (``lo[d][e]``/``hi[d][e]``; zeros under
+    an empty box, flagged in ``nonempty``), the ``(box, value-or-child)``
+    tuple the node holds, and in an inner node its child's number
+    (0 in leaves).  The columns are stdlib arrays, so the form exists
+    without NumPy, which reads them in place (``frombuffer``).
+    """
 
-    def of(self, node: _Node) -> Tuple[Any, Any, Any]:
-        """``(lo, hi, nonempty)`` of one node's entries (``lo``/``hi``:
-        a row per dimension) — a whole node per kernel call."""
-        off, cnt = self.slices[id(node)]
-        part = self.bounds[:, off : off + cnt]
-        dim = len(part) // 2
-        return part[:dim], part[dim:], self.nonempty[off : off + cnt]
+    __slots__ = ("lo", "hi", "nonempty", "entries", "child", "offsets", "counts", "leaf")
+
+    def __init__(self, dim: int) -> None:
+        self.lo = [array("d") for _ in range(dim)]
+        self.hi = [array("d") for _ in range(dim)]
+        self.nonempty = array("B")
+        self.entries: List[Tuple[Box, object]] = []
+        self.child = array("q")
+        self.offsets = array("q")
+        self.counts = array("q")
+        self.leaf = array("B")
+
+    def add_nodes(self, leaf: Iterable[bool], counts: Sequence[int]) -> None:
+        """Append nodes, given each one's leaf flag and entry count;
+        their entries are appended next, in the same order."""
+        self.offsets.extend(accumulate(counts[:-1], initial=len(self.entries)))
+        self.counts.extend(counts)
+        self.leaf.extend(leaf)
+
+    def set_bounds(self, rows: Iterable[float], nonempty: Iterable[bool]) -> None:
+        """Fill the coordinate columns from the entries' ``lo + hi``
+        coordinates end to end (zeros for an empty box)."""
+        coords = array("d", rows)
+        dim = len(self.lo)
+        self.lo = [coords[d :: 2 * dim] for d in range(dim)]
+        self.hi = [coords[dim + d :: 2 * dim] for d in range(dim)]
+        self.nonempty = array("B", nonempty)
+
+    @classmethod
+    def from_levels(cls, levels: Sequence[Tuple[Any, ...]]) -> "_FlatTree":
+        """The form of a tree packed level by level.  Each level, root
+        level first, is ``(entries, perm, offsets, lo, hi)``: its node
+        entries and their (nonempty) boxes' columns in packed order,
+        the node boundaries in it, and where each entry sat in the
+        level's input — an inner entry's child is that node below."""
+        flat = cls(len(levels[0][3]))
+        for depth, (ordered, perm, offsets, lo, hi) in enumerate(levels):
+            leaf = depth == len(levels) - 1
+            counts = list(map(int.__sub__, offsets[1:], offsets))
+            flat.add_nodes([leaf] * len(counts), counts)
+            below = len(flat.offsets)  # number of the level below's first node
+            if leaf:
+                flat.child.frombytes(bytes(flat.child.itemsize * len(perm)))
+            else:
+                flat.child.extend(map(below.__add__, perm))
+            flat.entries.extend(ordered)
+            for column, part in zip((*flat.lo, *flat.hi), (*lo, *hi)):
+                column.extend(part)
+        flat.nonempty.frombytes(b"\x01" * len(flat.entries))
+        return flat
+
+    @classmethod
+    def from_nodes(cls, root: _Node) -> "_FlatTree":
+        """The form of a tree of ``_Node`` objects, by walking it: nodes
+        numbered in preorder."""
+        nodes: List[_Node] = []
+        number: Dict[int, int] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            number[id(node)] = len(nodes)
+            nodes.append(node)
+            if not node.leaf:
+                stack.extend(child for _b, child in node.entries)
+        boxes = [box for node in nodes for box, _ in node.entries]
+        dim = next((box.dim for box in boxes if not box.is_empty()), 0)
+        flat = cls(dim)
+        flat.add_nodes([n.leaf for n in nodes], [len(n.entries) for n in nodes])
+        for node in nodes:
+            flat.entries.extend(node.entries)
+            flat.child.extend(
+                0 if node.leaf else number[id(child)] for _b, child in node.entries
+            )
+        blank = (0.0,) * (2 * dim)
+        flat.set_bounds(
+            chain.from_iterable(
+                blank if box.is_empty() else box.lo + box.hi for box in boxes
+            ),
+            [not box.is_empty() for box in boxes],
+        )
+        return flat
 
 
 class RTree:
@@ -188,10 +265,10 @@ class RTree:
         self._mutations = 0
         self._subtree_counts: Optional[Dict[int, int]] = None
         self._subtree_counts_version = -1
-        # Flat preorder mirror of the node-entry MBRs for the numpy
-        # kernels; rebuilt lazily after any structural mutation.
-        self._entry_mirror: Optional[_EntryMirror] = None
-        self._entry_mirror_version = -1
+        # The tree's array form: set by the packed builds, re-derived
+        # lazily once a structural mutation has outdated it.
+        self._flat: Optional[_FlatTree] = None
+        self._flat_version = -1
 
     # -- bulk loading (STR) ---------------------------------------------------
     @classmethod
@@ -248,34 +325,55 @@ class RTree:
 
         Level by level on the columns alone:
         :func:`~repro.spatial.columnar.str_level_order` gives the packed
-        order and node boundaries,
+        order and node boundaries, :func:`~repro.spatial.columnar.take`
+        the level's columns in that order,
         :func:`~repro.spatial.columnar.grouped_bounds` the nodes' MBRs —
         the next level's columns.  No per-entry box arithmetic, one
         ``Box`` per inner entry; leaves hold the ``entries`` tuples.
+        The levels' packed columns, root level first, *are* the tree's
+        array form (:class:`_FlatTree`), which the build hands over: no
+        reader after a packed build flattens the tree again.
         """
         tree = cls(max_entries=max_entries, split_method=split_method)
         level: Sequence[Tuple[Box, object]] = entries
+        levels: List[Tuple[Any, ...]] = []  # leaves first
         leaf = True
-        while level:
-            perm, offsets = columnar.str_level_order(lo, hi, max_entries)
-            ordered = [level[i] for i in perm]
-            nodes = []
-            for start, stop in zip(offsets, offsets[1:]):
-                node = _Node(leaf=leaf)
-                node.entries = ordered[start:stop]
-                if not leaf:
-                    for _mbr, child in node.entries:
-                        child.parent = node
-                nodes.append(node)
-            if len(nodes) == 1:
-                tree._root = nodes[0]
-                break
-            lo, hi = columnar.grouped_bounds(lo, hi, perm, offsets)
-            level = [
-                (Box._trusted(node_lo, node_hi, False), node)
-                for node_lo, node_hi, node in zip(zip(*lo), zip(*hi), nodes)
-            ]
-            leaf = False
+        # No cyclic-GC pass inside the build: it frees nothing, so the
+        # young passes it sets off are wasted, and a full pass that has
+        # come due lands in it — 100–170 ms inside a 60 ms repack of 50k
+        # rows, up to one repack in two (results/pr18_flat_knn.md).
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while level:
+                perm, offsets = columnar.str_level_order(lo, hi, max_entries)
+                ordered = [level[i] for i in perm]
+                packed = columnar.take((*lo, *hi), perm)
+                lo, hi = packed[: len(lo)], packed[len(lo) :]
+                levels.append((ordered, perm, offsets, lo, hi))
+                nodes = []
+                for start, stop in zip(offsets, offsets[1:]):
+                    node = _Node(leaf=leaf)
+                    node.entries = ordered[start:stop]
+                    if not leaf:
+                        for _mbr, child in node.entries:
+                            child.parent = node
+                    nodes.append(node)
+                if len(nodes) == 1:
+                    tree._root = nodes[0]
+                    break
+                lo, hi = columnar.grouped_bounds(lo, hi, offsets)
+                level = [
+                    (Box._trusted(node_lo, node_hi, False), node)
+                    for node_lo, node_hi, node in zip(zip(*lo), zip(*hi), nodes)
+                ]
+                leaf = False
+        finally:
+            if collecting:
+                gc.enable()
+        if levels:
+            tree._flat = _FlatTree.from_levels(levels[::-1])
+            tree._flat_version = tree._mutations
         tree._size = len(entries)
         return tree
 
@@ -610,11 +708,16 @@ class RTree:
         the transient arrays whatever the batch matches.  Without NumPy
         this is a loop over :meth:`search`.
         """
-        mirror = self._entry_columns()
-        if mirror is None:
+        if not columnar.HAVE_NUMPY:
             return [list(self.search(query)) for query in queries]
         np = columnar.np
-        dim = len(mirror.bounds) // 2
+        flat = self._entry_columns()
+        dim = len(flat.lo)
+        # Zero-copy views, made per call like ColumnStore._views.
+        all_bounds = [np.frombuffer(col, np.float64) for col in (*flat.lo, *flat.hi)]
+        nonempty = np.frombuffer(flat.nonempty, np.uint8).view(bool)
+        ints = (flat.child, flat.offsets, flat.counts)
+        child, node_offsets, node_counts = (np.frombuffer(col, np.int64) for col in ints)
         out: List[List[Tuple[Box, object]]] = [[] for _ in queries]
         by_shape: Dict[columnar.QueryShape, Tuple[List[int], List[tuple]]] = {}
         for i, query in enumerate(queries):
@@ -632,7 +735,7 @@ class RTree:
             work = [(_iota(len(members)), np.zeros(len(members), dtype=np.intp))]
             while work:
                 pair_query, pair_node = work.pop()
-                counts = mirror.counts[pair_node]
+                counts = node_counts[pair_node]
                 total = int(counts.sum())
                 if total > _FRONTIER_SLOTS and len(pair_node) > 1:
                     half = len(pair_node) // 2
@@ -641,244 +744,186 @@ class RTree:
                     continue
                 self.stats.node_reads += len(pair_node)
                 self.stats.entry_tests += total
-                leaf = bool(mirror.leaf[pair_node[0]])
+                leaf = bool(flat.leaf[pair_node[0]])
                 # One slot per (pair, entry); ``rank`` numbers a pair's
                 # entries forwards in leaves (the order rows are yielded
                 # in), backwards above (the order children are popped).
                 rank = _iota(total) - (counts.cumsum() - counts).repeat(counts)
                 if not leaf:
                     rank = (counts - 1).repeat(counts) - rank
-                entry = mirror.offsets[pair_node].repeat(counts) + rank
+                entry = node_offsets[pair_node].repeat(counts) + rank
                 query = pair_query.repeat(counts)
                 # Row by row: one 2-D gather would drop the GIL (see _iota).
-                bounds = [row[entry] for row in mirror.bounds]
+                bounds = [row[entry] for row in all_bounds]
                 mask = columnar.batch_mask(
-                    bounds[:dim], bounds[dim:], mirror.nonempty[entry],
+                    bounds[:dim], bounds[dim:], nonempty[entry],
                     shape, [row[query] for row in coords], leaf,
                 )
                 pair_query, entry = query[mask], entry[mask]
                 if leaf:
                     for q, e in zip(pair_query.tolist(), entry.tolist()):
-                        out[members[q]].append(mirror.entries[e])
+                        out[members[q]].append(flat.entries[e])
                 elif len(entry):
-                    work.append((pair_query, mirror.child[entry]))
+                    work.append((pair_query, child[entry]))
         return out
 
-    # -- columnar mirror (vectorized search) -----------------------------------
-    def _entry_columns(self) -> Optional[_EntryMirror]:
-        """The tree's :class:`_EntryMirror`, cached; ``None`` when NumPy
-        is unavailable.  Rebuilt lazily after any structural mutation
-        (like the subtree counts, the maintenance walk is amortised, not
-        billed to ``stats``)."""
-        if not columnar.HAVE_NUMPY:
-            return None
-        if (
-            self._entry_mirror is None
-            or self._entry_mirror_version != self._mutations
-        ):
-            np = columnar.np
-            nodes: List[_Node] = []
-            number: Dict[int, int] = {}
-            slices: Dict[int, Tuple[int, int]] = {}
-            entries: List[Tuple[Box, object]] = []
-            stack = [self._root]
-            while stack:
-                node = stack.pop()
-                number[id(node)] = len(nodes)
-                nodes.append(node)
-                slices[id(node)] = (len(entries), len(node.entries))
-                entries.extend(node.entries)
-                if not node.leaf:
-                    stack.extend(child for _b, child in node.entries)
-            dim = next((box.dim for box, _ in entries if not box.is_empty()), 0)
-            blank = (0.0,) * (2 * dim)
-            bounds = np.array(
-                [blank if box.is_empty() else box.lo + box.hi for box, _ in entries],
-                dtype=np.float64,
-            ).reshape(len(entries), 2 * dim)
-            self._entry_mirror = _EntryMirror(
-                bounds=np.ascontiguousarray(bounds.T),
-                nonempty=np.array([not box.is_empty() for box, _ in entries], dtype=bool),
-                entries=entries,
-                child=np.array(
-                    [
-                        0 if node.leaf else number[id(child)]
-                        for node in nodes
-                        for _b, child in node.entries
-                    ],
-                    dtype=np.intp,
-                ),
-                slices=slices,
-                offsets=np.array([slices[id(node)][0] for node in nodes], dtype=np.intp),
-                counts=np.array([len(node.entries) for node in nodes], dtype=np.intp),
-                leaf=np.array([node.leaf for node in nodes], dtype=bool),
-            )
-            self._entry_mirror_version = self._mutations
-        return self._entry_mirror
+    # -- array form ---------------------------------------------------------------
+    def _entry_columns(self) -> _FlatTree:
+        """The tree's :class:`_FlatTree`.  A packed build supplied it
+        (:meth:`bulk_load_columns`, :meth:`from_node_arrays`); a tree
+        built or since changed by :meth:`insert`/:meth:`delete` is
+        walked for it at the first read after the mutation (amortised
+        like the subtree counts, not billed to ``stats``)."""
+        if self._flat is None or self._flat_version != self._mutations:
+            self._flat = _FlatTree.from_nodes(self._root)
+            self._flat_version = self._mutations
+        return self._flat
 
     # -- distance browsing / nearest neighbors --------------------------------
-    @staticmethod
-    def _entry_dist(box: Box, anchor: "DistanceAnchor") -> float:
-        """Distance from ``anchor`` (a point or a box) to ``box``."""
-        if isinstance(anchor, Box):
-            return box.mindist(anchor)
-        return box.mindist_point(anchor)
-
     def distance_browse(
-        self, anchor: "DistanceAnchor"
+        self,
+        anchor: "DistanceAnchor",
+        k: Optional[int] = None,
+        seeds: Sequence[Tuple[float, Box, object]] = (),
+        dead: Optional[Callable[[object], bool]] = None,
     ) -> Iterator[Tuple[float, Box, object]]:
         """Incremental best-first distance browsing (Hjaltason–Samet).
 
         Yields ``(distance, box, value)`` in nondecreasing distance from
         ``anchor`` — a point (coordinate sequence) or a :class:`Box`
-        (box-to-box MINDIST).  A single priority queue holds nodes and
-        entries keyed by MINDIST; a node is read only when its MINDIST
-        reaches the front, so consuming the first ``k`` results touches
-        a small neighborhood of the tree instead of all of it.  Stopping
-        early prunes every subtree still queued
-        (``stats.pruned_subtrees`` is updated by :meth:`nearest`; the
-        raw generator leaves them implicit).  Empty-box entries are at
-        infinite distance and are never yielded.
+        (box-to-box MINDIST).  One heap of ``(distance, sequence, is
+        entry, payload)`` holds node numbers and entries keyed by
+        MINDIST; a node is read only when it reaches the front, so the
+        first few results touch a small neighborhood of the tree.
+        Empty-box entries are at infinite distance and never yielded.
+
+        The walk reads the array form (:class:`_FlatTree`).  Reading a
+        node is a scalar loop over its slice of the coordinate columns:
+        squared gaps added in dimension order, one root — the recipe of
+        :meth:`Box.mindist` and, a point being the box ``[p, p]``, of
+        :meth:`Box.mindist_point`, so distances and ties are the
+        per-object doubles.  (A node's few entries cannot repay a NumPy
+        call per node: there is no kernel branch.)
+
+        For :meth:`nearest`: ``seeds`` are outside entries queued at
+        their known finite distances; ``dead`` values are passed over;
+        with ``k`` the loop ends once ``k`` entries are out and the next
+        distance exceeds the ``k``-th's, billing the subtrees still
+        queued to ``stats.pruned_subtrees``; ``k == 1`` for a point (and
+        no ``dead``) also skips inner entries beyond the smallest
+        MINMAXDIST seen.
         """
-        # Heap items: (dist, tiebreak counter, is_entry, payload).
-        counter = 0
-        heap: List[Tuple[float, int, bool, object]] = [
-            (0.0, 0, False, self._root)
+        flat = self._entry_columns()
+        stats = self.stats
+        if isinstance(anchor, Box):
+            if anchor.is_empty():
+                # At no finite distance from anything: the root's
+                # entries are tested, none queues.
+                stats.node_reads += 1
+                stats.entry_tests += flat.counts[0]
+                return
+            alo, ahi = anchor.lo, anchor.hi
+        else:
+            alo = ahi = anchor
+        if flat.lo and len(alo) != len(flat.lo):
+            raise DimensionMismatchError(
+                f"{len(alo)}-dim anchor on a {len(flat.lo)}-dim tree"
+            )
+        # MINMAXDIST of a visited MBR bounds the nearest distance from
+        # above: a minimal MBR has an object within it (a live one, if
+        # none is dead).
+        minmax = k == 1 and alo is ahi and dead is None
+        bound = kth = math.inf
+        accepted = 0
+        heap: List[Tuple[float, int, bool, Any]] = [
+            (dist, seq, True, (box, value))
+            for seq, (dist, box, value) in enumerate(seeds, 1)
         ]
+        counter = len(heap)
+        heap.append((0.0, 0, False, 0))
+        heapq.heapify(heap)
+        columns = list(zip(alo, ahi, flat.lo, flat.hi))
+        offsets, counts, nonempty = flat.offsets, flat.counts, flat.nonempty
+        push, sqrt = heapq.heappush, math.sqrt
         while heap:
-            dist, _seq, is_entry, payload = heapq.heappop(heap)
+            dist, _seq, is_entry, payload = heap[0]
+            if dist > kth:
+                break  # nothing queued can affect the result set
+            heapq.heappop(heap)
             if is_entry:
-                box, value = payload  # type: ignore[misc]
-                yield dist, box, value
+                if dead is None or not dead(payload[1]):
+                    accepted += 1
+                    if accepted == k:
+                        kth = dist
+                    yield dist, payload[0], payload[1]
                 continue
-            node: _Node = payload  # type: ignore[assignment]
-            self.stats.node_reads += 1
-            for box, child in node.entries:
-                self.stats.entry_tests += 1
-                d = self._entry_dist(box, anchor)
-                if d == float("inf"):
+            off = offsets[payload]
+            end = off + counts[payload]
+            stats.node_reads += 1
+            stats.entry_tests += end - off
+            squares = [0.0] * (end - off)
+            for c, e, lo, hi in columns:
+                i = 0
+                for a, b in zip(lo[off:end], hi[off:end]):
+                    if c > b:
+                        gap = c - b
+                        squares[i] += gap * gap
+                    elif a > e:
+                        gap = a - e
+                        squares[i] += gap * gap
+                    i += 1
+            leaf = flat.leaf[payload]
+            for square, live, entry, child in zip(
+                squares, nonempty[off:end], flat.entries[off:end], flat.child[off:end]
+            ):
+                if not live:
                     continue  # empty boxes match no distance query
-                counter += 1
-                if node.leaf:
-                    heapq.heappush(
-                        heap, (d, counter, True, (box, child))
-                    )
+                d = sqrt(square)
+                if leaf:
+                    counter += 1
+                    push(heap, (d, counter, True, entry))
+                elif d > bound:
+                    stats.pruned_subtrees += 1
                 else:
-                    heapq.heappush(heap, (max(d, dist), counter, False, child))
+                    if minmax:
+                        bound = min(bound, entry[0].minmaxdist_point(alo))
+                    counter += 1
+                    push(heap, (d if d > dist else dist, counter, False, child))
+        stats.pruned_subtrees += [item[2] for item in heap].count(False)
 
     def nearest(
         self,
         anchor: "DistanceAnchor",
         k: int = 1,
         tie_key: Optional[Callable[[object], object]] = None,
-        vectorize: bool = False,
+        seeds: Sequence[Tuple[float, Box, object]] = (),
+        dead: Optional[Callable[[object], bool]] = None,
     ) -> List[Tuple[float, Box, object]]:
-        """The ``k`` entries nearest to ``anchor``, best-first.
-
-        ``vectorize=True`` precomputes each visited node's per-entry
-        MINDIST (and, when applicable, MINMAXDIST) with the batched
-        :mod:`~repro.spatial.columnar` kernels instead of one
-        :meth:`Box.mindist <repro.boxes.box.Box.mindist>` call per
-        entry; the traversal itself — including the sequential bound
-        evolution the pruning depends on — is unchanged, so results and
-        counters are bit-identical.  Ignored without NumPy.
+        """The ``k`` entries nearest to ``anchor``: the first ``k`` of
+        :meth:`distance_browse`, which stops reading at the ``k``-th.
 
         Equivalent to (and property-tested against) sorting all entries
         by ``(distance, tie_key(value))`` and taking the first ``k`` —
         ties at the ``k``-th distance are broken by ``tie_key``
-        (default: ``repr`` of the stored value), so the result set is
-        deterministic and matches a brute-force reference exactly.
-
-        Pruning: the browse stops as soon as the next queued distance
-        strictly exceeds the current ``k``-th best, and every subtree
-        still queued at that point is counted in
-        ``stats.pruned_subtrees``.  For point anchors with ``k == 1``
-        the MINMAXDIST bound additionally discards hopeless subtrees
-        before they are ever queued.
+        (default: ``repr`` of the stored value), so the result matches
+        a brute-force reference exactly.  The browse yields every entry
+        tied with the ``k``-th, nearest first, so the tie-break is one
+        sort at the end.  With ``seeds`` (a table's staged rows, as
+        ``(distance, box, value)``) and ``dead`` (the test for its
+        tombstoned rows) the result is the ``k`` nearest of the live
+        union, for no more node reads than that takes.
         """
         if k <= 0:
             return []
         key = tie_key if tie_key is not None else repr
-        # For k == 1 with a point anchor, MINMAXDIST of any visited node
-        # is a sound upper bound on the nearest distance (a minimal MBR
-        # guarantees an object within it); track it to skip pushes.
-        use_minmax = k == 1 and not isinstance(anchor, Box)
-        mirror = self._entry_columns() if vectorize else None
-        bound = float("inf")
-        counter = 0
-        heap: List[Tuple[float, int, bool, object]] = [
-            (0.0, 0, False, self._root)
-        ]
-        found: List[Tuple[float, Box, object]] = []
-        while heap:
-            dist, _seq, is_entry, payload = heap[0]
-            if len(found) >= k and dist > found[k - 1][0]:
-                break  # nothing queued can affect the result set
-            heapq.heappop(heap)
-            if is_entry:
-                box, value = payload  # type: ignore[misc]
-                found.append((dist, box, value))
-                found.sort(key=lambda e: (e[0], key(e[2])))
-                continue
-            node: _Node = payload  # type: ignore[assignment]
-            self.stats.node_reads += 1
-            d_arr = mm_arr = None
-            if mirror is not None and node.entries:
-                slo, shi, snon = mirror.of(node)
-                if isinstance(anchor, Box):
-                    d_arr = columnar.mindist_box_arrays(
-                        slo, shi, snon, anchor
-                    )
-                else:
-                    d_arr = columnar.mindist_point_arrays(
-                        slo, shi, snon, anchor
-                    )
-                if use_minmax and not node.leaf:
-                    mm_arr = columnar.minmaxdist_point_arrays(
-                        slo, shi, snon, anchor
-                    )
-            for e, (box, child) in enumerate(node.entries):
-                self.stats.entry_tests += 1
-                d = (
-                    float(d_arr[e])
-                    if d_arr is not None
-                    else self._entry_dist(box, anchor)
-                )
-                if d == float("inf"):
-                    continue
-                if not node.leaf and d > bound:
-                    self.stats.pruned_subtrees += 1
-                    continue
-                if use_minmax and not node.leaf:
-                    bound = min(
-                        bound,
-                        float(mm_arr[e])
-                        if mm_arr is not None
-                        else box.minmaxdist_point(anchor),
-                    )
-                counter += 1
-                if node.leaf:
-                    heapq.heappush(heap, (d, counter, True, (box, child)))
-                else:
-                    heapq.heappush(
-                        heap, (max(d, dist), counter, False, child)
-                    )
-        self.stats.pruned_subtrees += sum(
-            1 for _d, _s, is_entry, _p in heap if not is_entry
-        )
+        found = list(self.distance_browse(anchor, k, seeds, dead))
+        found.sort(key=lambda e: (e[0], key(e[2])))
         return found[:k]
 
     # -- counting (aggregation pushdown) --------------------------------------
     def node_count(self) -> int:
         """Total number of nodes — the reads a full traversal costs."""
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += 1
-            if not node.leaf:
-                stack.extend(child for _b, child in node.entries)
-        return total
+        return len(self._entry_columns().offsets)
 
     def _subtree_count_map(self) -> Dict[int, int]:
         """Per-node counts of non-empty-box entries below, cached.
@@ -1105,7 +1150,10 @@ class RTree:
 
         ``values`` resolves leaf-entry indices back to stored objects
         (typically the table's rows in saved order).  No STR sort or
-        insertion happens — nodes are reattached exactly as dumped.
+        insertion happens — nodes are reattached exactly as dumped, and
+        the dump, already nodes in preorder with their entries end to
+        end, is read off as the tree's array form (:class:`_FlatTree`)
+        on the way.
         """
         tree = cls(
             max_entries=int(data["max_entries"]),
@@ -1119,9 +1167,12 @@ class RTree:
         bounds = data["bounds"]
         refs = data["values"]
         nodes = [_Node(leaf=bool(flag)) for flag in leaf_flags]
+        counts = [int(count) for count in data["counts"]]
+        flat = _FlatTree(dim)
+        flat.add_nodes(map(bool, leaf_flags), counts)
         pos = vi = size = 0
-        for node, count in zip(nodes, data["counts"]):
-            for _ in range(int(count)):
+        for node, count in zip(nodes, counts):
+            for _ in range(count):
                 lo = tuple(bounds[pos : pos + dim])
                 hi = tuple(bounds[pos + dim : pos + 2 * dim])
                 pos += 2 * dim
@@ -1135,13 +1186,19 @@ class RTree:
                     if not isinstance(box, Box) or box.lo != lo or box.hi != hi:
                         box = Box._trusted(lo, hi)
                     node.entries.append((box, value))
+                    flat.child.append(0)
                     size += 1
                 else:
                     child = nodes[ref]
                     child.parent = node
                     node.entries.append((Box._trusted(lo, hi), child))
+                    flat.child.append(ref)
+            flat.entries.extend(node.entries)
+        flat.set_bounds(bounds, [not box.is_empty() for box, _ in flat.entries])
         tree._root = nodes[0]
         tree._size = size
+        tree._flat = flat
+        tree._flat_version = tree._mutations
         return tree
 
     def check_invariants(self) -> None:

@@ -29,6 +29,7 @@ the delta into freshly built base structures (bumping the base version).
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -38,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..algebra.regions import Region
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box
-from ..errors import DimensionMismatchError
+from ..errors import AnchorError, DimensionMismatchError
 from . import columnar
 from .columnar import ColumnStore
 from .delta import TableDelta
@@ -939,11 +940,29 @@ class SpatialTable:
         ]
 
     # -- nearest neighbors --------------------------------------------------------
-    @staticmethod
-    def _distance_to(obj: SpatialObject, anchor) -> float:
+    def _checked_anchor(self, anchor):
+        """``anchor`` as every kNN path may take it: a box, or a point
+        as a tuple of finite floats, of this table's dimension.  (The
+        empty box fits any dimension; a box may be unbounded.)"""
         if isinstance(anchor, Box):
-            return obj.box.mindist(anchor)
-        return obj.box.mindist_point(anchor)
+            if anchor.is_empty():
+                return anchor
+            dim = anchor.dim
+            finite = not any(c != c for c in anchor.lo + anchor.hi)
+        else:
+            try:
+                anchor = tuple(map(float, anchor))
+            except (TypeError, ValueError) as exc:
+                raise AnchorError(f"kNN anchor {anchor!r}: {exc}") from None
+            dim = len(anchor)
+            finite = all(map(math.isfinite, anchor))
+        if dim != self.dim:
+            raise DimensionMismatchError(
+                f"kNN anchor is {dim}-dim, table {self.name!r} is {self.dim}-dim"
+            )
+        if not finite:
+            raise AnchorError(f"kNN anchor {anchor!r} has a non-finite coordinate")
+        return anchor
 
     def nearest(
         self,
@@ -960,12 +979,20 @@ class SpatialTable:
         (property-tested against :meth:`nearest_bruteforce`):
 
         * ``"bestfirst"`` — the R-tree's incremental best-first browse
-          (r-tree backend only);
-        * ``"scan"`` — the brute-force reference;
+          (r-tree backend only), a scalar walk of the tree's array form
+          on every columnar backend.  A pending write delta rides it:
+          staged rows are queued at their distances beside the root,
+          tombstoned rows are passed over, and the browse ends at the
+          ``k``-th *live* row;
+        * ``"scan"`` — rank every live row (one columnar kernel call
+          where ``vectorize`` and the NumPy backend allow);
         * ``"auto"`` — best-first when an r-tree is available, scan
           otherwise (grid files index the 2k-dim point representation,
           where box distances do not reduce to point distances).
 
+        The anchor is checked once, here, for every path: this table's
+        dimension (:class:`~repro.errors.DimensionMismatchError`) and,
+        a point, finite numbers (:class:`~repro.errors.AnchorError`).
         Counts one probe, like a range query.
         """
         if k <= 0:
@@ -980,115 +1007,26 @@ class SpatialTable:
                 f"best-first kNN needs the rtree backend; table "
                 f"{self.name!r} uses {self.index_kind!r}"
             )
+        anchor = self._checked_anchor(anchor)
         self.probes += 1
-        vec = (
-            columnar.resolve(vectorize)
-            and columnar.active_backend() == "numpy"
-        )
-        d = self._delta
-        pending = d is not None and d.pending_ops > 0
+        d = self._delta if self.delta_pending else None
+        if d is not None:
+            self.delta_probes += 1
         if self._rtree is not None and access != "scan":
-            if pending:
-                out = self._nearest_delta_merge(anchor, k, d, vec)
-            else:
-                before = self._rtree.stats.entry_tests
-                out = [
-                    (dist, obj)
-                    for dist, _box, obj in self._rtree.nearest(
-                        anchor,
-                        k,
-                        tie_key=lambda obj: repr(obj.oid),
-                        vectorize=vec,
-                    )
-                ]
-                if vec:
-                    self.vectorized_batches += 1
-                    self.vectorized_candidates += (
-                        self._rtree.stats.entry_tests - before
-                    )
-        elif vec:
-            if pending:
-                out = self._nearest_columnar_delta(anchor, k, d)
-            else:
-                out = self._nearest_columnar(anchor, k)
+            seeds = () if d is None else d.distances(anchor)
+            dead = d.buries if d is not None and d.tombstones else None
+            ranked = self._rtree.nearest(
+                anchor, k, lambda obj: repr(obj.oid), seeds, dead
+            )
+            out = [(dist, obj) for dist, _box, obj in ranked]
+        elif columnar.resolve(vectorize) and columnar.active_backend() == "numpy":
+            out = self._nearest_columnar(anchor, k, d)
             self.vectorized_batches += 1
             self.vectorized_candidates += len(self._columns)
         else:
-            if pending:
-                self.delta_probes += 1
             out = self._nearest_scan(anchor, k)
         self.candidates_returned += len(out)
         return out
-
-    def _nearest_delta_merge(
-        self, anchor, k: int, d: TableDelta, vec: bool
-    ) -> List[Tuple[float, SpatialObject]]:
-        """Two-source kNN merge for a table with a pending delta.
-
-        Source one is the packed base's best-first distance browse,
-        widened to ``k + len(tombstones)`` — at most ``len(tombstones)``
-        of its results can be dead, so the live survivors provably
-        contain the base's true top ``k``.  Source two is a ranked
-        sweep of the staged rows.  Both sources and the final merge
-        sort by ``(distance, repr(oid))``, the brute-force reference's
-        total order, so the result is bit-identical to a live scan.
-        """
-        self.delta_probes += 1
-        k_base = k + len(d.tombstones)
-        before = self._rtree.stats.entry_tests
-        base = [
-            (dist, obj)
-            for dist, _box, obj in self._rtree.nearest(
-                anchor,
-                k_base,
-                tie_key=lambda obj: repr(obj.oid),
-                vectorize=vec,
-            )
-        ]
-        if vec:
-            self.vectorized_batches += 1
-            self.vectorized_candidates += (
-                self._rtree.stats.entry_tests - before
-            )
-        tomb = d.tombstones
-        live = [pair for pair in base if pair[1].oid not in tomb][:k]
-        staged = sorted(
-            (
-                (self._distance_to(obj, anchor), obj)
-                for obj in d.inserts.values()
-                if not obj.box.is_empty()
-            ),
-            key=lambda pair: (pair[0], repr(pair[1].oid)),
-        )[:k]
-        merged = sorted(
-            live + staged, key=lambda pair: (pair[0], repr(pair[1].oid))
-        )
-        return merged[:k]
-
-    def _nearest_columnar_delta(
-        self, anchor, k: int, d: TableDelta
-    ) -> List[Tuple[float, SpatialObject]]:
-        """:meth:`_nearest_columnar` over the live view: the batched
-        kernel ranks the base columns, tombstoned rows drop out, staged
-        rows join via the scalar metric (the same doubles, by the
-        kernels' bit-identity contract), and one sort settles it."""
-        self.delta_probes += 1
-        store = self._columns
-        dists = store.distances_to(anchor)
-        tomb = d.tombstones
-        pairs = [
-            (float(dists[i]), store.rows[i])
-            for i in range(len(store))
-            if not store.rows[i].box.is_empty()
-            and store.rows[i].oid not in tomb
-        ]
-        pairs.extend(
-            (self._distance_to(obj, anchor), obj)
-            for obj in d.inserts.values()
-            if not obj.box.is_empty()
-        )
-        ranked = sorted(pairs, key=lambda pair: (pair[0], repr(pair[1].oid)))
-        return ranked[:k]
 
     def nearest_bruteforce(
         self, anchor, k: int
@@ -1096,11 +1034,12 @@ class SpatialTable:
         """Brute-force kNN reference: scan every row, sort, cut.
 
         The differential-testing oracle for :meth:`nearest` — same
-        distance metric, same deterministic tie-break, no index.  Counts
-        one probe (a full scan).
+        anchor check, same distance metric, same deterministic
+        tie-break, no index.  Counts one probe (a full scan).
         """
         if k <= 0:
             return []
+        anchor = self._checked_anchor(anchor)
         self.probes += 1
         if self.delta_pending:
             self.delta_probes += 1
@@ -1113,9 +1052,10 @@ class SpatialTable:
     ) -> List[Tuple[float, SpatialObject]]:
         # Iterates the live view (`self`), so staged rows rank and
         # tombstoned rows do not — the delta oracle for free.
+        metric = Box.mindist if isinstance(anchor, Box) else Box.mindist_point
         ranked = sorted(
             (
-                (self._distance_to(obj, anchor), obj)
+                (metric(obj.box, anchor), obj)
                 for obj in self
                 if not obj.box.is_empty()
             ),
@@ -1124,26 +1064,27 @@ class SpatialTable:
         return ranked[:k]
 
     def _nearest_columnar(
-        self, anchor, k: int
+        self, anchor, k: int, d: Optional[TableDelta]
     ) -> List[Tuple[float, SpatialObject]]:
         """:meth:`_nearest_scan` over the columnar distance kernel.
 
         One batched MINDIST evaluation replaces the per-object distance
-        calls; the kernels produce the exact same doubles (empty rows at
-        ``inf`` are filtered like the oracle's empty-box guard), so the
-        sort — ties included — is unchanged.
-        """
+        calls on the base rows; the kernels produce the exact same
+        doubles (empty rows at ``inf`` are filtered like the oracle's
+        empty-box guard), so the sort — ties included — is unchanged.
+        Under a pending delta ``d`` tombstoned rows drop out and staged
+        rows join by the per-object metric."""
         store = self._columns
-        dists = store.distances_to(anchor)
-        ranked = sorted(
-            (
-                (float(dists[i]), store.rows[i])
-                for i in range(len(store))
-                if not store.rows[i].box.is_empty()
-            ),
-            key=lambda pair: (pair[0], repr(pair[1].oid)),
-        )
-        return ranked[:k]
+        tomb = d.tombstones if d is not None else ()
+        pairs = [
+            (float(dist), row)
+            for dist, row in zip(store.distances_to(anchor), store.rows)
+            if not row.box.is_empty() and row.oid not in tomb
+        ]
+        if d is not None:
+            pairs.extend((dist, obj) for dist, _box, obj in d.distances(anchor))
+        pairs.sort(key=lambda pair: (pair[0], repr(pair[1].oid)))
+        return pairs[:k]
 
     # -- counting aggregation ------------------------------------------------------
     def count_range(self, query: BoxQuery) -> int:

@@ -42,6 +42,10 @@ CONSTS = ("P", "Q")
 #: CI seed-matrix shift: each matrix entry explores disjoint workloads.
 SEED_OFFSET = int(os.environ.get("REPRO_TEST_SEED", "0")) * 10_007
 
+#: True in CI's property-test job (it exports ``REPRO_TEST_SEED``): the
+#: exhaustive products run their full budget there, tier-1 a thin one.
+SEED_MATRIX = "REPRO_TEST_SEED" in os.environ
+
 #: Columnar backends the differential tests force in turn: the pure-
 #: stdlib fallback always, NumPy only where the accelerator is
 #: installed (the no-numpy CI job then still covers the fallback).

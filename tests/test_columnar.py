@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import reference_knn
 from repro.boxes import Box
 from repro.boxes.bconstraints import BoxQuery
 from repro.spatial import (
@@ -163,17 +164,14 @@ class TestMatchKernels:
                 store.append(b, i)
             mind_p = store.mindist_point(point)
             mind_b = store.mindist_box(anchor)
-            minmax = store.minmaxdist_point(point)
             for i, b in enumerate(boxes):
                 if b.is_empty():
                     assert mind_p[i] == inf
                     assert mind_b[i] == inf
-                    assert minmax[i] == inf
                     continue
                 # Exact float equality: same recipe, same doubles.
                 assert mind_p[i] == b.mindist_point(point)
                 assert mind_b[i] == b.mindist(anchor)
-                assert minmax[i] == b.minmaxdist_point(point)
 
     @pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
     def test_distance_to_empty_anchor_is_inf(self, backend):
@@ -209,21 +207,23 @@ class TestRTreeColumnarMirror:
             assert got == want
             assert vectorized == scalar
 
-    @needs_numpy
-    def test_vectorized_nearest_preserves_node_reads(self):
+    @pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
+    def test_flat_nearest_preserves_node_reads(self, backend):
+        """The browse over the array form against the frozen ``_Node``
+        walk: same entries, same reads, whatever the backend."""
         table = random_table("t", random.Random(22), 150)
         tree = table._rtree
         point = (11.0, 23.0)
         tree.stats.reset()
-        want = tree.nearest(point, k=7)
-        scalar_reads = tree.stats.node_reads
+        want = reference_knn.nearest(tree, point, k=7)
+        walk = (tree.stats.node_reads, tree.stats.entry_tests)
         tree.stats.reset()
-        with forced_backend("numpy"):
-            got = tree.nearest(point, k=7, vectorize=True)
+        with forced_backend(backend):
+            got = tree.nearest(point, k=7)
         assert [(d, o) for d, _b, o in got] == [
             (d, o) for d, _b, o in want
         ]
-        assert tree.stats.node_reads == scalar_reads
+        assert (tree.stats.node_reads, tree.stats.entry_tests) == walk
 
 
 class TestTableMirror:

@@ -1,0 +1,507 @@
+"""kNN differential: the one best-first browse over the tree's array
+form against the frozen ``_Node`` walk and delta merge
+(``reference_knn.py``), and the rule that a packed build hands the tree
+that form.
+
+Answers are compared *to the bit* — distances as doubles, rows by
+identity, in sequence, so a tie broken differently fails — and on clean
+tables the three traversal counters per probe must be equal; over a
+pending delta the base tree may only be read less.  The parametrised
+cases are tier-1's thin diagonal; the Hypothesis product at the end
+runs a handful of examples there and the full budget in CI's
+seed-matrix job.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_knn as ref
+from conftest import SEED_MATRIX, shifted_seed
+from repro import Database, Session
+from repro.algebra import Region
+from repro.boxes import Box, BoxQuery
+from repro.errors import AnchorError, DimensionMismatchError, ReproError, ServiceError
+from repro.service import QueryService, ServiceClient, serve_in_thread
+from repro.spatial import HAVE_NUMPY, RTree, SpatialTable, forced_backend
+from repro.spatial.rtree import _FlatTree
+
+BACKENDS = (("numpy",) if HAVE_NUMPY else ()) + ("array", "off")
+KS = (1, 2, 10, 10_000)
+INF = math.inf
+
+
+# -- helpers ---------------------------------------------------------------------
+def grid_box(rng: random.Random, dim: int) -> Box:
+    """A box on a half-unit grid: duplicate boxes and equidistant rows
+    are common, so the ``repr`` tie-break is on trial."""
+    lo = tuple(rng.randrange(0, 40) / 2 for _ in range(dim))
+    return Box(lo, tuple(a + rng.choice((0.5, 0.5, 1.0, 2.5)) for a in lo))
+
+
+def mixed_oid(i: int):
+    """Ints, strings and tuples: only ``repr`` orders them."""
+    return (i, str(i), (i, "t"))[i % 3]
+
+
+def rows_for(rng: random.Random, n: int, dim: int):
+    rows = [(mixed_oid(i), Region.from_box(grid_box(rng, dim))) for i in range(n)]
+    rows += [(f"void{i}", Region.empty()) for i in range(min(n, 3))]
+    rng.shuffle(rows)
+    return rows
+
+
+def anchors_for(rng: random.Random, dim: int, n: int = 6):
+    out = []
+    for i in range(n):
+        if i % 3 == 0:  # on the grid: exact ties
+            out.append(tuple(rng.randrange(-4, 44) / 2 for _ in range(dim)))
+        elif i % 3 == 1:
+            out.append(tuple(rng.uniform(-3.0, 23.0) for _ in range(dim)))
+        else:
+            out.append(grid_box(rng, dim))
+    return out
+
+
+def counters(tree: RTree):
+    stats = tree.stats
+    return stats.node_reads, stats.entry_tests, stats.pruned_subtrees
+
+
+def billed(tree: RTree, call):
+    tree.stats.reset()
+    out = call()
+    return out, counters(tree)
+
+
+def exact(ranked):
+    return [(dist, id(obj)) for dist, obj in ranked]
+
+
+def hold_table_to_oracle(table: SpatialTable, anchors, ks=KS):
+    tree = table._rtree
+    for anchor in anchors:
+        for k in ks:
+            got, mine = billed(tree, lambda: table.nearest(anchor, k))
+            want, theirs = billed(tree, lambda: ref.table_nearest(table, anchor, k))
+            assert exact(got) == exact(want), (anchor, k)
+            assert exact(got) == exact(table.nearest_bruteforce(anchor, k)), (anchor, k)
+            if table.delta_pending:
+                assert mine[0] <= theirs[0] and mine[1] <= theirs[1], (anchor, k)
+            else:
+                assert mine == theirs, (anchor, k)
+
+
+def hold_tree_to_oracle(tree: RTree, anchors, ks=KS):
+    """The raw tree API: default ``repr(value)`` tie-break, the
+    incremental browse prefix by prefix."""
+    for anchor in anchors:
+        for k in ks:
+            got, mine = billed(tree, lambda: tree.nearest(anchor, k))
+            want, theirs = billed(tree, lambda: ref.nearest(tree, anchor, k))
+            assert [(d, id(b), id(v)) for d, b, v in got] == [
+                (d, id(b), id(v)) for d, b, v in want
+            ]
+            assert mine == theirs, (anchor, k)
+        mine_it, theirs_it = tree.distance_browse(anchor), ref.distance_browse(tree, anchor)
+        for _ in range(len(tree) + 1):
+            got, mine = billed(tree, lambda: next(mine_it, None))
+            want, theirs = billed(tree, lambda: next(theirs_it, None))
+            assert (got is None) == (want is None) and mine == theirs
+            if got is not None:
+                assert (got[0], id(got[1]), id(got[2])) == (want[0], id(want[1]), id(want[2]))
+
+
+def built_table(build: str, dim: int, n: int, seed: int, tmp_path=None) -> SpatialTable:
+    rng = random.Random(shifted_seed(seed))
+    rows = rows_for(rng, n, dim)
+    split = build.partition("-")[2] or "quadratic"
+    table = SpatialTable("t", dim, split_method=split)
+    table.bulk_insert(rows, pack=not build.startswith("insert"))
+    if build == "deleted":  # the small-purge path: RTree.delete on the packed tree
+        for oid, _region in rows[:: max(9, n // 4)]:
+            table.stage_delete(oid)
+        table.repack()
+    elif build == "snapshot":
+        path = str(tmp_path / "db.json")
+        Database(tables={"t": table}).save(path)
+        table = Database.open(path).table("t")
+    return table
+
+
+BUILDS = ("bulk", "insert-quadratic", "insert-linear", "insert-rstar", "deleted", "snapshot")
+
+
+# -- clean tables: answers, ties and counters -------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("build,dim,n", [
+    ("bulk", 1, 60), ("bulk", 2, 300), ("bulk", 3, 90), ("bulk", 2, 0), ("bulk", 2, 1),
+    ("insert-quadratic", 2, 120), ("insert-linear", 3, 70), ("insert-rstar", 1, 80),
+    ("deleted", 2, 150), ("snapshot", 2, 200), ("snapshot", 3, 40),
+])
+def test_clean_table_equals_frozen_walk(build, dim, n, backend, tmp_path):
+    with forced_backend(backend):
+        table = built_table(build, dim, n, seed=n + dim, tmp_path=tmp_path)
+        rng = random.Random(shifted_seed(7 * n + dim))
+        hold_table_to_oracle(table, anchors_for(rng, dim))
+        hold_tree_to_oracle(table._rtree, anchors_for(rng, dim, 3), ks=(1, 3))
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_tree_with_empty_entries_and_empty_anchor(dim):
+    """Raw ``RTree``: empty-box entries sit in the tree (at infinite
+    distance, never yielded) and the empty box is a legal anchor."""
+    rng = random.Random(shifted_seed(dim))
+    entries = [(grid_box(rng, dim), mixed_oid(i)) for i in range(80)]
+    entries += [(Box((0.0,) * dim, (0.0,) * dim), f"void{i}") for i in range(5)]
+    rng.shuffle(entries)
+    tree = RTree.bulk_load(entries, max_entries=4)
+    anchors = [*anchors_for(rng, dim), Box((1.0,) * dim, (1.0,) * dim)]
+    hold_tree_to_oracle(tree, anchors)
+    for box, value in entries[::3]:
+        tree.delete(box, value)
+    hold_tree_to_oracle(tree, anchors, ks=(1, 5))
+    with pytest.raises(DimensionMismatchError):
+        tree.nearest((1.0,) * (dim + 1), 2)
+
+
+# -- a pending delta rides the same browse ------------------------------------------------
+def delta_table(case: str, dim: int, seed: int) -> SpatialTable:
+    rng = random.Random(shifted_seed(seed))
+    rows = rows_for(rng, 200, dim)
+    table = SpatialTable("t", dim, delta_threshold=10_000)
+    table.bulk_insert(rows)
+    center = (10.0,) * dim
+    near = [obj.oid for _d, obj in table.nearest(center, 12)]
+    if case == "staged-nearest":  # staged rows nearer than every base row
+        for i in range(5):
+            lo = tuple(c - 0.25 + i / 64 for c in center)
+            table.stage_insert(f"s{i}", Region.from_box(Box(lo, tuple(a + 0.25 for a in lo))))
+    elif case == "nearest-tombstoned":
+        for oid in near:
+            table.stage_delete(oid)
+    elif case == "unstaged":
+        for i in range(20):
+            table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, dim)))
+        for i in range(0, 20, 2):
+            table.stage_delete(f"s{i}")
+        table.stage_insert("void-staged", Region.empty())
+    elif case == "oid-reused":  # tombstoned base oids live again on staged rows
+        for oid in near[:6]:
+            table.stage_delete(oid)
+            table.stage_insert(oid, Region.from_box(grid_box(rng, dim)))
+    elif case == "few-live":  # k > live rows
+        for oid, _region in rows[5:]:
+            table.stage_delete(oid)
+    elif case == "indexed-delta":  # past the delta's own index threshold
+        for i in range(40):
+            table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, dim)))
+        for oid, _region in rows[::7]:
+            table.stage_delete(oid)
+    assert table.delta_pending
+    return table
+
+
+DELTA_CASES = (
+    "staged-nearest", "nearest-tombstoned", "unstaged", "oid-reused", "few-live", "indexed-delta",
+)
+
+
+@pytest.mark.parametrize("case,dim", list(zip(DELTA_CASES, (2, 2, 1, 3, 2, 2))))
+def test_delta_rides_the_browse(case, dim):
+    table = delta_table(case, dim, seed=len(case))
+    rng = random.Random(shifted_seed(len(case)))
+    anchors = [(10.0,) * dim, *anchors_for(rng, dim)]
+    hold_table_to_oracle(table, anchors)
+    before = table.delta_probes
+    table.nearest(anchors[0], 3)
+    assert table.delta_probes == before + 1
+
+
+def test_tombstoned_neighbourhood_reads_less_than_the_widened_merge():
+    """The frozen merge browsed ``k + len(tombstones)`` deep; the live
+    browse stops at the ``k``-th live row."""
+    table = delta_table("indexed-delta", 2, seed=3)
+    tree = table._rtree
+    point = (3.0, 17.0)
+    _got, mine = billed(tree, lambda: table.nearest(point, 2))
+    _want, theirs = billed(tree, lambda: ref.table_nearest(table, point, 2))
+    assert mine[0] < theirs[0] and mine[1] < theirs[1]
+
+
+def test_with_staged_clones_share_a_base():
+    rng = random.Random(shifted_seed(11))
+    parent = SpatialTable("t", 2)
+    parent.bulk_insert(rows_for(rng, 150, 2))
+    flat = parent._rtree._entry_columns()
+    one = parent.with_staged(
+        inserts=[("a", Region.from_box(Box((10.0, 10.0), (10.5, 10.5))))]
+    )
+    victim = parent.nearest((10.0, 10.0), 1)[0][1].oid
+    two = one.with_staged(deletes=[victim])
+    anchors = [(10.0, 10.0), *anchors_for(rng, 2)]
+    for table in (parent, one, two):
+        hold_table_to_oracle(table, anchors, ks=(1, 4, 10_000))
+        assert table._rtree._entry_columns() is flat  # one base, one form
+    assert not parent.delta_pending
+    assert "a" in {obj.oid for _d, obj in one.nearest((10.0, 10.0), 200)}
+    assert victim not in {obj.oid for _d, obj in two.nearest((10.0, 10.0), 200)}
+
+
+def test_rtree_knn_bills_no_kernel():
+    rng = random.Random(shifted_seed(2))
+    table = SpatialTable("t", 2)
+    table.bulk_insert(rows_for(rng, 50, 2))
+    table.nearest((3.0, 3.0), 4)
+    table.stage_insert("s", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
+    table.nearest((3.0, 3.0), 4)
+    assert (table.vectorized_batches, table.vectorized_candidates) == (0, 0)
+
+
+# -- born flat: no read after a packed build walks the tree ----------------------------
+@pytest.fixture
+def walks(monkeypatch):
+    """Calls of the tree-walking flattener, as a list."""
+    calls = []
+    original = _FlatTree.from_nodes.__func__
+
+    def spy(cls, root):
+        calls.append(root)
+        return original(cls, root)
+
+    monkeypatch.setattr(_FlatTree, "from_nodes", classmethod(spy))
+    return calls
+
+
+def first_reads(table: SpatialTable) -> None:
+    window = BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),))
+    assert table.nearest((5.0, 5.0), 3)
+    assert table.range_query_batch([window, window])[0][0]
+
+
+def test_no_read_after_a_packed_build_enters_the_flattener(walks, tmp_path):
+    rng = random.Random(shifted_seed(4))
+    table = SpatialTable("t", 2, delta_threshold=6)
+    table.bulk_insert(rows_for(rng, 400, 2))
+    first_reads(table)
+    for i in range(3):  # inserts: a rebuild, not the small-purge path
+        table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, 2)))
+        table.stage_delete(mixed_oid(3 * i))
+    assert table.repacks == 1 and not table.delta_pending  # inline, at the threshold
+    first_reads(table)
+    table.stage_insert("late", Region.from_box(grid_box(rng, 2)))
+    assert table.repack()
+    first_reads(table)
+    table.pack()
+    first_reads(table)
+    table.reindex(node_capacity=5)
+    first_reads(table)
+    path = str(tmp_path / "db.json")
+    Database(tables={"t": table}).save(path)
+    first_reads(Database.open(path).table("t"))
+    assert walks == []
+
+
+def test_background_repack_publishes_a_flat_tree(walks):
+    rng = random.Random(shifted_seed(6))
+    table = SpatialTable("t", 2)
+    table.bulk_insert(rows_for(rng, 300, 2))
+    service = QueryService(Database(tables={"t": table}))
+    service.repack_threshold = 4
+    for i in range(4):
+        service.apply_insert("t", [(f"s{i}", Region.from_box(grid_box(rng, 2)))])
+    service.drain_repacks()
+    assert service.repacks == 1
+    served = service.store.current()[0].table("t")
+    assert not served.delta_pending and served is not table
+    first_reads(served)
+    assert walks == []
+
+
+def test_object_built_trees_still_take_the_flattener(walks):
+    rng = random.Random(shifted_seed(8))
+    unpacked = SpatialTable("t", 2)
+    unpacked.bulk_insert(rows_for(rng, 60, 2), pack=False)
+    first_reads(unpacked)
+    assert len(walks) == 1
+    first_reads(unpacked)
+    assert len(walks) == 1  # cached until the next structural mutation
+    packed = SpatialTable("t", 2)
+    packed.bulk_insert(rows_for(rng, 60, 2))
+    packed.insert("direct", Region.from_box(grid_box(rng, 2)))  # clean table: into the base
+    first_reads(packed)
+    assert len(walks) == 2
+
+
+NASTY = (-INF, -2.0, -0.0, 0.0, 0.0, 1.0, 2.5, 7.0, INF)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # -inf + inf, on purpose
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("nasty", [False, True], ids=["plain", "nan-and-minus-zero"])
+def test_emitted_form_equals_walked_form(backend, nasty):
+    """Same tree, both converters: same columns entry for entry (node
+    numbering aside), so ``search_batch`` and ``nearest`` cannot tell.
+    Infinite and ``-0.0`` edges push ``str_level_order`` (NaN centers)
+    and ``grouped_bounds`` onto their Python branches."""
+    rng = random.Random(shifted_seed(12))
+    if nasty:
+        boxes = []
+        while len(boxes) < 150:
+            lo, hi = rng.sample(NASTY, 2), rng.sample(NASTY, 2)
+            box = Box(lo, hi)
+            if not box.is_empty():
+                boxes.append(box)
+    else:
+        boxes = [grid_box(rng, 2) for _ in range(150)]
+    with forced_backend(backend):
+        tree = RTree.bulk_load([(box, i) for i, box in enumerate(boxes)], max_entries=4)
+    emitted, walked = tree._flat, _FlatTree.from_nodes(tree._root)
+    assert emitted is not None and tree._entry_columns() is emitted
+
+    def per_node(flat):
+        """Each node's columns and children, keyed by the identity of
+        its entries: what the form says, node numbering aside."""
+
+        def span(node):
+            return slice(flat.offsets[node], flat.offsets[node] + flat.counts[node])
+
+        def key(node):
+            return tuple(id(entry) for entry in flat.entries[span(node)])
+
+        return {
+            key(node): (
+                bool(flat.leaf[node]),
+                [repr(list(col[span(node)])) for col in (*flat.lo, *flat.hi)],
+                list(flat.nonempty[span(node)]),
+                None if flat.leaf[node] else [key(c) for c in flat.child[span(node)]],
+            )
+            for node in range(len(flat.offsets))
+        }
+
+    assert per_node(emitted) == per_node(walked)
+    queries = [
+        BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),)),
+        BoxQuery(inside=Box((-3.0, -3.0), (8.0, 30.0))),
+        BoxQuery(),
+    ]
+    anchors = [(1.0, 1.0), (2.25, 6.5), Box((0.0, 0.0), (2.0, 2.0))]
+    results = []
+    for flat in (emitted, walked):
+        tree._flat = flat
+        run = []
+        if HAVE_NUMPY:
+            rows, cost = billed(tree, lambda: tree.search_batch(queries))
+            run.append(([[id(e) for e in found] for found in rows], cost))
+        for anchor in anchors:
+            for k in (1, 7):
+                got, cost = billed(tree, lambda: tree.nearest(anchor, k))
+                run.append(([(d, id(v)) for d, _b, v in got], cost))
+        results.append(run)
+    assert results[0] == results[1]
+
+
+# -- anchors are checked once, for every path ----------------------------------------------
+BAD_ANCHORS = [
+    ((1.0, 2.0, 3.0), DimensionMismatchError),
+    ((1.0,), DimensionMismatchError),
+    (Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), DimensionMismatchError),
+    ((math.nan, 5.0), AnchorError),
+    ((1.0, INF), AnchorError),
+    (("a", "b"), AnchorError),
+    ((None, 1.0), AnchorError),
+    (7, AnchorError),
+    (Box._trusted((math.nan, 0.0), (1.0, 1.0), False), AnchorError),
+]
+
+
+@pytest.mark.parametrize("index", SpatialTable.VALID_INDEXES)
+@pytest.mark.parametrize("anchor,error", BAD_ANCHORS)
+def test_bad_anchor_fails_alike_on_every_path(index, anchor, error):
+    rng = random.Random(shifted_seed(1))
+    table = SpatialTable("t", 2, index=index, universe=Box((0.0, 0.0), (32.0, 32.0)))
+    table.bulk_insert(rows_for(rng, 30, 2))
+    session = Session(db=Database(tables={"t": table}))
+    for staged in (False, True):
+        if staged:
+            table.stage_insert("s", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
+        probes = table.probes
+        for backend in BACKENDS:
+            with forced_backend(backend):
+                for vectorize in (None, False):
+                    with pytest.raises(error):
+                        table.nearest(anchor, 3, vectorize=vectorize)
+                    with pytest.raises(error):
+                        table.nearest(anchor, 3, access="scan", vectorize=vectorize)
+                with pytest.raises(error):
+                    table.nearest_bruteforce(anchor, 3)
+                with pytest.raises(ReproError):
+                    session.nearest("t", anchor, 3)
+        assert table.probes == probes  # rejected before anything is read
+
+
+def test_good_anchors_are_normalised_not_rejected():
+    table = SpatialTable("t", 2)
+    table.bulk_insert(rows_for(random.Random(3), 30, 2))
+    want = exact(table.nearest((4.0, 5.0), 5))
+    assert exact(table.nearest([4, 5], 5)) == want  # a list of ints
+    assert exact(table.nearest(("4", "5.0"), 5)) == want  # what float() takes
+    unbounded = Box((-INF, 2.0), (INF, 3.0))
+    assert exact(table.nearest(unbounded, 5)) == exact(table.nearest_bruteforce(unbounded, 5))
+    assert table.nearest(Box((1.0, 1.0), (1.0, 1.0)), 5) == []  # empty: nothing is near
+
+
+def test_bad_anchor_over_the_wire_is_a_400():
+    table = SpatialTable("t", 2)
+    table.bulk_insert(rows_for(random.Random(5), 30, 2))
+    handle = serve_in_thread(QueryService(Database(tables={"t": table})))
+    try:
+        client = ServiceClient(*handle.address, timeout=30.0)
+        for payload in (
+            {"point": [1.0, 2.0, 3.0]},
+            {"point": [1.0]},
+            {"point": [math.nan, 5.0]},  # JSON NaN reaches the server
+            {"point": ["a", "b"]},
+            {"box": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]},
+        ):
+            with pytest.raises(ServiceError) as caught:
+                client.nearest("t", k=3, **payload)
+            assert caught.value.status == 400, payload
+        reply = client.nearest("t", k=3, point=[4, 5])
+        assert [r["distance"] for r in reply["results"]] == [
+            d for d, _obj in table.nearest((4.0, 5.0), 3)
+        ]
+    finally:
+        handle.stop()
+
+
+# -- the Hypothesis product ------------------------------------------------------------------
+@given(
+    seed=st.integers(0, 10_000),
+    dim=st.integers(1, 3),
+    n=st.sampled_from((0, 1, 7, 8, 9, 65, 240)),
+    build=st.sampled_from(BUILDS[:-1]),
+    delta=st.sampled_from((None, *DELTA_CASES[:2], "indexed-delta")),
+    backend=st.sampled_from(BACKENDS),
+)
+@settings(
+    max_examples=400 if SEED_MATRIX else 6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_knn_product(seed, dim, n, build, delta, backend):
+    with forced_backend(backend):
+        rng = random.Random(shifted_seed(seed))
+        table = built_table(build, dim, n, seed)
+        if delta is not None and n:
+            live = [obj.oid for obj in table]
+            for i in range(rng.randrange(1, 24)):
+                table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, dim)))
+            for oid in rng.sample(live, min(len(live), rng.randrange(0, 12))):
+                table.stage_delete(oid)
+                if rng.random() < 0.3:
+                    table.stage_insert(oid, Region.from_box(grid_box(rng, dim)))
+        hold_table_to_oracle(table, anchors_for(rng, dim, 4))

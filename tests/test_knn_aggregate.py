@@ -184,6 +184,61 @@ class TestTableNearest:
         assert t.candidates_returned == 6
 
 
+class TestReadGate:
+    """The kNN / COUNT-pushdown read gate as exact counts (it lived in
+    ``benchmarks/bench_knn.py``): on an STR-packed table of 2 000 random
+    boxes, 20 probes read this many nodes — machine-independent, so a
+    change to the browse, the pushdown or the packing shows as a diff
+    here, and best-first must stay under half a full traversal."""
+
+    SIZE, PROBES, SIDE = 2000, 20, 100.0
+    #: Best-first reads may be at most this share of a full traversal.
+    READ_GATE = 0.5
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = random.Random(self.SIZE)
+        rows = []
+        for i in range(self.SIZE):
+            lo = (rng.uniform(0, self.SIDE - 6), rng.uniform(0, self.SIDE - 6))
+            hi = (lo[0] + rng.uniform(0.5, 6), lo[1] + rng.uniform(0.5, 6))
+            rows.append((i, Region.from_box(Box(lo, hi))))
+        table = SpatialTable("knn", 2, universe=Box((0.0, 0.0), (self.SIDE, self.SIDE)))
+        table.bulk_insert(rows)
+        assert table._rtree.node_count() == 299
+        return table
+
+    @pytest.mark.parametrize("k,reads,pruned", [(1, 130, 499), (10, 186, 562)])
+    def test_bestfirst_reads(self, table, k, reads, pruned):
+        rng = random.Random(self.SIZE + 1)
+        points = [
+            (rng.uniform(0, self.SIDE), rng.uniform(0, self.SIDE))
+            for _ in range(self.PROBES)
+        ]
+        table.reset_stats()
+        best = [table.nearest(p, k, access="bestfirst") for p in points]
+        stats = table._rtree.stats
+        assert (stats.node_reads, stats.pruned_subtrees) == (reads, pruned)
+        assert reads <= self.READ_GATE * 299 * self.PROBES
+        assert best == [table.nearest_bruteforce(p, k) for p in points]
+
+    def test_count_pushdown_reads(self, table):
+        rng = random.Random(self.SIZE + 2)
+        reads = pruned = 0
+        for _ in range(self.PROBES):
+            lo = (rng.uniform(0, 60), rng.uniform(0, 60))
+            query = BoxQuery(
+                inside=Box(lo, (lo[0] + rng.uniform(10, 40), lo[1] + rng.uniform(10, 40)))
+            )
+            table.reset_stats()
+            assert table.count_range(query) == sum(
+                1 for obj in table if query.matches(obj.box)
+            )
+            reads += table._rtree.stats.node_reads
+            pruned += table._rtree.stats.pruned_subtrees
+        assert (reads, pruned) == (672, 152)
+
+
 class TestLogicalValidation:
     def _query(self, **kwargs):
         rng = random.Random(0)
