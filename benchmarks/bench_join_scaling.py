@@ -14,8 +14,8 @@ A second section measures the **index build path** at the bench's
 largest configured scale (``STR_SIZE``): STR bulk-loaded r-trees versus
 the one-at-a-time insertion baseline, node reads aggregated over the
 benchmark query set (several map seeds).  STR packing must cut node
-reads by ≥ 20% — the bulk-loading subsystem's headline number, exported
-to ``BENCH_ci.json`` by the CI smoke job.
+reads by ≥ 20% — the bulk-loading subsystem's headline number, pinned
+as exact counts by ``tests/test_rtree_variants.py::TestSTRReadGate``.
 """
 
 import os

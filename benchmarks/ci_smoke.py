@@ -2,27 +2,25 @@
 """CI benchmark smoke: machine-independent counters → ``BENCH_ci.json``.
 
 Runs a reduced-scale version of the headline join-scaling benchmark
-plus the full-scale STR-vs-insertion comparison, and writes the paper's
-cost counters (partial tuples, region ops, index node reads) to a JSON
+and writes the paper's cost counters (partial tuples, region ops, index node reads) to a JSON
 artifact that CI uploads on every run — the perf trajectory the ROADMAP
 asks for.
 
-Five acceptance gates are enforced (non-zero exit on failure; the
-planner no-regression gate that used to sit here is a tier-1 exact-count
-test, ``tests/test_planner_cost.py``):
+Four acceptance gates are enforced (non-zero exit on failure; the
+planner no-regression gate and the STR-vs-insertion node-read gate that
+used to sit here are tier-1 exact-count tests,
+``tests/test_planner_cost.py`` and
+``tests/test_rtree_variants.py::TestSTRReadGate``):
 
-1. STR-packed r-trees cut aggregate node reads by ≥ 20% versus the
-   insertion-built baseline at the join-scaling bench's largest
-   configured scale;
-2. streaming: ``execute_iter(..., limit=1)`` yields the first answer in
+1. streaming: ``execute_iter(..., limit=1)`` yields the first answer in
    under 25% of the full-materialization time at the smoke scale (the
    operator tree pipelines instead of materializing levels);
-3. probe cache: re-running a query through a shared ``ProbeCache`` hits
+2. probe cache: re-running a query through a shared ``ProbeCache`` hits
    on ≥ 90% of its index probes and costs zero index node reads;
-4. partitioned join: the PBSM spatial join performs ≥ 25% fewer exact
+3. partitioned join: the PBSM spatial join performs ≥ 25% fewer exact
    (candidate box) tests than the index-nested-loop baseline at the
    partitioned-join bench's largest scale, with identical pair sets;
-5. parallelism: the PBSM tile fan-out over a worker pool returns a
+4. parallelism: the PBSM tile fan-out over a worker pool returns a
    result list bit-identical to the serial run.
 
 The partitioned-join rows are additionally written to their own
@@ -49,13 +47,6 @@ for path in (_REPO, os.path.join(_REPO, "src")):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from benchmarks.bench_join_scaling import (  # noqa: E402
-    STR_CAPACITY,
-    STR_GRID,
-    STR_SEEDS,
-    STR_SIZE,
-    _str_node_reads,
-)
 from benchmarks.bench_partitioned_join import (  # noqa: E402
     PBSM_TEST_GATE,
     TILES,
@@ -92,21 +83,6 @@ def join_scaling_section(full: bool) -> list:
                 continue  # minutes of cross-product work; shape visible at 8
             rows.append(_run_join(size, mode))
     return rows
-
-
-def str_packing_section() -> dict:
-    insertion = sum(_str_node_reads(s, pack=False) for s in STR_SEEDS)
-    packed = sum(_str_node_reads(s, pack=True) for s in STR_SEEDS)
-    reduction = 1.0 - packed / insertion if insertion else 0.0
-    return {
-        "size": STR_SIZE,
-        "states_grid": list(STR_GRID),
-        "node_capacity": STR_CAPACITY,
-        "seeds": len(STR_SEEDS),
-        "node_reads_insertion": insertion,
-        "node_reads_str": packed,
-        "reduction": round(reduction, 4),
-    }
 
 
 def streaming_section(full: bool) -> dict:
@@ -228,7 +204,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "scale": "full" if args.full else "reduced",
         "join_scaling": join_scaling_section(args.full),
-        "str_packing": str_packing_section(),
         "streaming": streaming_section(args.full),
         "probe_cache": probe_cache_section(args.full),
         "partitioned_join": partitioned,
@@ -251,16 +226,6 @@ def main(argv=None) -> int:
     print(f"wrote {args.partitioned_out}")
 
     failures = []
-    str_red = result["str_packing"]["reduction"]
-    print(
-        f"STR packing: {result['str_packing']['node_reads_str']} vs "
-        f"{result['str_packing']['node_reads_insertion']} node reads "
-        f"({str_red:.1%} reduction)"
-    )
-    if str_red < 0.20:
-        failures.append(
-            f"STR node-read reduction {str_red:.1%} is below the 20% bar"
-        )
     stream = result["streaming"]
     print(
         f"streaming: first answer {stream['first_answer_ms']}ms vs "

@@ -22,7 +22,7 @@ from typing import Iterator, List, MutableMapping, Optional, Tuple
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box
-from .rtree import RTree, _Node
+from .rtree import RTree
 
 
 def index_nested_loop_join(
@@ -60,36 +60,35 @@ def synchronized_rtree_join(
     Recursively pairs nodes whose MBRs intersect; a leaf/inner mismatch
     descends the inner side only.  Every reported pair's boxes overlap.
     """
+    flat_a, flat_b = left._form(), right._form()
 
-    def node_mbr(node: _Node) -> Box:
-        return node.mbr()
-
-    def recurse(a: _Node, b: _Node) -> Iterator[Tuple[object, object]]:
+    def recurse(a: int, b: int) -> Iterator[Tuple[object, object]]:
         left.stats.node_reads += 1
         right.stats.node_reads += 1
-        if a.leaf and b.leaf:
-            for abox, avalue in a.entries:
+        a_leaf, b_leaf = flat_a.leaf[a], flat_b.leaf[b]
+        a_entries, b_entries = flat_a.node(a), flat_b.node(b)
+        if a_leaf and b_leaf:
+            for abox, avalue in a_entries:
                 if abox.is_empty():
                     continue
-                for bbox, bvalue in b.entries:
+                for bbox, bvalue in b_entries:
                     if abox.overlaps(bbox):
                         yield avalue, bvalue
-        elif a.leaf:
-            for bbox, bchild in b.entries:
-                if node_mbr(a).overlaps(bbox):
+        elif a_leaf:
+            a_mbr = flat_a.mbr(a)
+            for bbox, bchild in b_entries:
+                if a_mbr.overlaps(bbox):
                     yield from recurse(a, bchild)
-        elif b.leaf:
-            for abox, achild in a.entries:
-                if abox.overlaps(node_mbr(b)):
+        elif b_leaf:
+            b_mbr = flat_b.mbr(b)
+            for abox, achild in a_entries:
+                if abox.overlaps(b_mbr):
                     yield from recurse(achild, b)
         else:
-            for abox, achild in a.entries:
-                for bbox, bchild in b.entries:
+            for abox, achild in a_entries:
+                for bbox, bchild in b_entries:
                     if abox.overlaps(bbox):
                         yield from recurse(achild, bchild)
 
-    root_a = left._root
-    root_b = right._root
-    if not root_a.entries or not root_b.entries:
-        return
-    yield from recurse(root_a, root_b)
+    if flat_a.counts[0] and flat_b.counts[0]:
+        yield from recurse(0, 0)

@@ -1,7 +1,8 @@
 """Guttman R-tree over bounding boxes (paper reference [6]).
 
-A from-scratch implementation of the dynamic R-tree with quadratic split,
-supporting the combined predicate search the paper's Section 4 needs:
+A from-scratch R-tree — STR-packed, or grown by insertion with a
+quadratic, linear or R* split — held as flat arrays (:class:`_FlatTree`)
+and supporting the combined predicate search the paper's Section 4 needs:
 given a :class:`repro.boxes.bconstraints.BoxQuery` (a conjunction of
 ``⊑ a``, ``b ⊑`` and ``⊓ c ≠ ∅`` constraints), find all stored entries
 whose box satisfies it — descending only into subtrees whose MBR could
@@ -30,7 +31,7 @@ from typing import Sequence, Tuple, Union
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, EMPTY_BOX, enclose_all
-from ..errors import DimensionMismatchError
+from ..errors import DimensionMismatchError, SnapshotError
 from . import columnar
 
 #: Anchor of a distance traversal: a point (coordinate sequence) or a
@@ -114,29 +115,33 @@ class _Node:
 
 
 class _FlatTree:
-    """A tree as parallel columns — what the kNN browse and
-    :meth:`RTree.search_batch` read instead of ``_Node``/``Box`` objects.
+    """The tree: parallel columns, read by every search, count, browse,
+    join and dump.
 
-    Nodes are numbered from the root, which is node 0; node ``n`` owns
-    entries ``offsets[n] : offsets[n] + counts[n]``, in its entry order.
+    Nodes are numbered from the root, which is node 0, and a child's
+    number is greater than its parent's; node ``n`` owns entries
+    ``offsets[n] : offsets[n] + counts[n]``, in its entry order.
     Per entry: its box's edges (``lo[d][e]``/``hi[d][e]``; zeros under
-    an empty box, flagged in ``nonempty``), the ``(box, value-or-child)``
-    tuple the node holds, and in an inner node its child's number
-    (0 in leaves).  The columns are stdlib arrays, so the form exists
-    without NumPy, which reads them in place (``frombuffer``).
+    an empty box, flagged in ``nonempty``), the ``(box, value)`` tuple a
+    leaf holds or the ``(mbr, child number)`` of an inner node, and the
+    child's number again in ``child`` (0 in leaves).  The columns are
+    stdlib arrays, so the form exists without NumPy, which reads them in
+    place (``frombuffer``).  Nothing points upwards and nothing is
+    cyclic: a dropped tree is freed by reference counting alone.
     """
 
-    __slots__ = ("lo", "hi", "nonempty", "entries", "child", "offsets", "counts", "leaf")
+    __slots__ = ("lo", "hi", "nonempty", "entries", "child", "offsets", "counts", "leaf", "_below")
 
     def __init__(self, dim: int) -> None:
         self.lo = [array("d") for _ in range(dim)]
         self.hi = [array("d") for _ in range(dim)]
         self.nonempty = array("B")
-        self.entries: List[Tuple[Box, object]] = []
+        self.entries: List[Tuple[Box, Any]] = []
         self.child = array("q")
         self.offsets = array("q")
         self.counts = array("q")
         self.leaf = array("B")
+        self._below: Optional[array] = None
 
     def add_nodes(self, leaf: Iterable[bool], counts: Sequence[int]) -> None:
         """Append nodes, given each one's leaf flag and entry count;
@@ -145,22 +150,48 @@ class _FlatTree:
         self.counts.extend(counts)
         self.leaf.extend(leaf)
 
-    def set_bounds(self, rows: Iterable[float], nonempty: Iterable[bool]) -> None:
+    def set_bounds(self, rows: Iterable[float]) -> None:
         """Fill the coordinate columns from the entries' ``lo + hi``
         coordinates end to end (zeros for an empty box)."""
         coords = array("d", rows)
         dim = len(self.lo)
         self.lo = [coords[d :: 2 * dim] for d in range(dim)]
         self.hi = [coords[dim + d :: 2 * dim] for d in range(dim)]
-        self.nonempty = array("B", nonempty)
+
+    def node(self, n: int) -> List[Tuple[Box, Any]]:
+        """Node ``n``'s entries, in entry order."""
+        off = self.offsets[n]
+        return self.entries[off : off + self.counts[n]]
+
+    def mbr(self, n: int) -> Box:
+        """The box enclosing node ``n``'s entries."""
+        return enclose_all([box for box, _ in self.node(n)])
+
+    def live_below(self) -> Sequence[int]:
+        """Per node, the nonempty-box entries in its subtree — what a
+        COUNT adds for a subtree it need not read.  Filled on first use
+        by one sweep from the last node to the root (children are
+        numbered after their parent), not billed to any ``stats``."""
+        if self._below is None:
+            below = array("q", [0]) * len(self.offsets)
+            for n in range(len(below) - 1, -1, -1):
+                off = self.offsets[n]
+                end = off + self.counts[n]
+                if self.leaf[n]:
+                    below[n] = sum(self.nonempty[off:end])
+                else:
+                    below[n] = sum(map(below.__getitem__, self.child[off:end]))
+            self._below = below
+        return self._below
 
     @classmethod
     def from_levels(cls, levels: Sequence[Tuple[Any, ...]]) -> "_FlatTree":
         """The form of a tree packed level by level.  Each level, root
-        level first, is ``(entries, perm, offsets, lo, hi)``: its node
-        entries and their (nonempty) boxes' columns in packed order,
-        the node boundaries in it, and where each entry sat in the
-        level's input — an inner entry's child is that node below."""
+        level first, is ``(ordered, perm, offsets, lo, hi)``: in packed
+        order the leaf level's ``(box, value)`` entries or an upper
+        level's MBRs, and their (nonempty) boxes' columns; the node
+        boundaries in them; and where each sat in the level's input —
+        an MBR's child is that node of the level below."""
         flat = cls(len(levels[0][3]))
         for depth, (ordered, perm, offsets, lo, hi) in enumerate(levels):
             leaf = depth == len(levels) - 1
@@ -169,9 +200,11 @@ class _FlatTree:
             below = len(flat.offsets)  # number of the level below's first node
             if leaf:
                 flat.child.frombytes(bytes(flat.child.itemsize * len(perm)))
+                flat.entries.extend(ordered)
             else:
-                flat.child.extend(map(below.__add__, perm))
-            flat.entries.extend(ordered)
+                children = list(map(below.__add__, perm))
+                flat.child.extend(children)
+                flat.entries.extend(zip(ordered, children))
             for column, part in zip((*flat.lo, *flat.hi), (*lo, *hi)):
                 column.extend(part)
         flat.nonempty.frombytes(b"\x01" * len(flat.entries))
@@ -179,38 +212,59 @@ class _FlatTree:
 
     @classmethod
     def from_nodes(cls, root: _Node) -> "_FlatTree":
-        """The form of a tree of ``_Node`` objects, by walking it: nodes
-        numbered in preorder."""
-        nodes: List[_Node] = []
-        number: Dict[int, int] = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            number[id(node)] = len(nodes)
-            nodes.append(node)
+        """The form of the ``_Node`` objects the insertion editor holds,
+        by walking them: nodes numbered breadth first."""
+        nodes = [root]
+        first: List[int] = []  # per node, the number of its first child
+        for node in nodes:  # grows as it goes
+            first.append(len(nodes))
             if not node.leaf:
-                stack.extend(child for _b, child in node.entries)
+                nodes.extend(child for _mbr, child in node.entries)
         boxes = [box for node in nodes for box, _ in node.entries]
         dim = next((box.dim for box in boxes if not box.is_empty()), 0)
         flat = cls(dim)
         flat.add_nodes([n.leaf for n in nodes], [len(n.entries) for n in nodes])
-        for node in nodes:
-            flat.entries.extend(node.entries)
-            flat.child.extend(
-                0 if node.leaf else number[id(child)] for _b, child in node.entries
-            )
+        for node, start in zip(nodes, first):
+            if node.leaf:
+                flat.entries.extend(node.entries)
+                flat.child.frombytes(bytes(flat.child.itemsize * len(node.entries)))
+            else:
+                children = range(start, start + len(node.entries))
+                flat.entries.extend(zip((mbr for mbr, _ in node.entries), children))
+                flat.child.extend(children)
         blank = (0.0,) * (2 * dim)
         flat.set_bounds(
             chain.from_iterable(
                 blank if box.is_empty() else box.lo + box.hi for box in boxes
-            ),
-            [not box.is_empty() for box in boxes],
+            )
         )
+        flat.nonempty.extend(not box.is_empty() for box in boxes)
         return flat
+
+    def to_nodes(self) -> _Node:
+        """The tree thawed into ``_Node`` objects, for :meth:`RTree.insert`
+        and :meth:`RTree.delete` to edit; returns the root."""
+        nodes = [_Node(leaf=bool(flag)) for flag in self.leaf]
+        for n, node in enumerate(nodes):
+            if node.leaf:
+                node.entries = self.node(n)
+            else:
+                node.entries = [(mbr, nodes[child]) for mbr, child in self.node(n)]
+                for _mbr, child in node.entries:
+                    child.parent = node
+        return nodes[0]
 
 
 class RTree:
-    """A dynamic R-tree (Guttman 1984, quadratic split).
+    """An R-tree held as flat arrays (:class:`_FlatTree`).
+
+    Every reader — :meth:`search`, :meth:`search_batch`, :meth:`count`,
+    :meth:`nearest`, the snapshot dump, the synchronized join — reads
+    that one form.  A packed build (:meth:`bulk_load`, a snapshot load)
+    produces it directly and the tree stays immutable until someone
+    calls :meth:`insert` or :meth:`delete` (Guttman 1984), which thaw it
+    into ``_Node`` objects, edit those, and leave the form to be
+    re-derived at the next read.
 
     Parameters
     ----------
@@ -256,19 +310,15 @@ class RTree:
         if not 1 <= self.min_entries <= max_entries // 2:
             raise ValueError("min_entries must be in [1, max_entries/2]")
         self.split_method = split_method
-        self._root = _Node(leaf=True)
         self._size = 0
         self._reinserting = False
         self.stats = RTreeStats()
-        # Structural mutation counter; invalidates the cached subtree
-        # entry counts the COUNT pushdown uses.
-        self._mutations = 0
-        self._subtree_counts: Optional[Dict[int, int]] = None
-        self._subtree_counts_version = -1
-        # The tree's array form: set by the packed builds, re-derived
-        # lazily once a structural mutation has outdated it.
-        self._flat: Optional[_FlatTree] = None
-        self._flat_version = -1
+        # The tree (an empty leaf to begin with); None while an
+        # insert/delete has outdated it, until the next read (_form).
+        self._flat: Optional[_FlatTree] = _FlatTree(0)
+        self._flat.add_nodes([True], [0])
+        # Root of the node copy insert and delete edit; a packed tree has none.
+        self._root = None
 
     # -- bulk loading (STR) ---------------------------------------------------
     @classmethod
@@ -292,19 +342,16 @@ class RTree:
         no query) are inserted afterwards.
         """
         items = [e for e in entries if not e[0].is_empty()]
-        if items:
-            los = [box.lo for box, _value in items]
-            if len(set(map(len, los))) > 1:
-                raise DimensionMismatchError("bulk load of mixed-dimension boxes")
-            tree = cls.bulk_load_columns(
-                items,
-                list(zip(*los)),
-                list(zip(*[box.hi for box, _value in items])),
-                max_entries=max_entries,
-                split_method=split_method,
-            )
-        else:
-            tree = cls(max_entries=max_entries, split_method=split_method)
+        los = [box.lo for box, _value in items]
+        if len(set(map(len, los))) > 1:
+            raise DimensionMismatchError("bulk load of mixed-dimension boxes")
+        tree = cls.bulk_load_columns(
+            items,
+            list(zip(*los)),
+            list(zip(*[box.hi for box, _value in items])),
+            max_entries=max_entries,
+            split_method=split_method,
+        )
         for box, value in entries:
             if box.is_empty():
                 tree.insert(box, value)
@@ -330,14 +377,15 @@ class RTree:
         :func:`~repro.spatial.columnar.grouped_bounds` the nodes' MBRs —
         the next level's columns.  No per-entry box arithmetic, one
         ``Box`` per inner entry; leaves hold the ``entries`` tuples.
-        The levels' packed columns, root level first, *are* the tree's
-        array form (:class:`_FlatTree`), which the build hands over: no
-        reader after a packed build flattens the tree again.
+        The levels' packed columns, root level first, *are* the tree
+        (:class:`_FlatTree`): no ``_Node`` is built.
         """
         tree = cls(max_entries=max_entries, split_method=split_method)
-        level: Sequence[Tuple[Box, object]] = entries
-        levels: List[Tuple[Any, ...]] = []  # leaves first
-        leaf = True
+        if not entries:
+            return tree
+        # Leaf entries first, then each upper level's MBRs.
+        level: Sequence[Any] = entries
+        levels: List[Tuple[Any, ...]] = []
         # No cyclic-GC pass inside the build: it frees nothing, so the
         # young passes it sets off are wasted, and a full pass that has
         # come due lands in it — 100–170 ms inside a 60 ms repack of 50k
@@ -345,35 +393,22 @@ class RTree:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while level:
+            while True:
                 perm, offsets = columnar.str_level_order(lo, hi, max_entries)
-                ordered = [level[i] for i in perm]
                 packed = columnar.take((*lo, *hi), perm)
                 lo, hi = packed[: len(lo)], packed[len(lo) :]
-                levels.append((ordered, perm, offsets, lo, hi))
-                nodes = []
-                for start, stop in zip(offsets, offsets[1:]):
-                    node = _Node(leaf=leaf)
-                    node.entries = ordered[start:stop]
-                    if not leaf:
-                        for _mbr, child in node.entries:
-                            child.parent = node
-                    nodes.append(node)
-                if len(nodes) == 1:
-                    tree._root = nodes[0]
-                    break
+                levels.append(([level[i] for i in perm], perm, offsets, lo, hi))
+                if len(offsets) == 2:
+                    break  # one node: the root
                 lo, hi = columnar.grouped_bounds(lo, hi, offsets)
                 level = [
-                    (Box._trusted(node_lo, node_hi, False), node)
-                    for node_lo, node_hi, node in zip(zip(*lo), zip(*hi), nodes)
+                    Box._trusted(node_lo, node_hi, False)
+                    for node_lo, node_hi in zip(zip(*lo), zip(*hi))
                 ]
-                leaf = False
+            tree._flat = _FlatTree.from_levels(levels[::-1])
         finally:
             if collecting:
                 gc.enable()
-        if levels:
-            tree._flat = _FlatTree.from_levels(levels[::-1])
-            tree._flat_version = tree._mutations
         tree._size = len(entries)
         return tree
 
@@ -381,14 +416,20 @@ class RTree:
         return self._size
 
     # -- insertion ------------------------------------------------------------
+    def _nodes(self) -> _Node:
+        """The root of the nodes to edit, thawed from the form at need."""
+        if self._root is None:
+            self._root = self._form().to_nodes()
+        return self._root
+
     def insert(self, box: Box, value) -> None:
         """Insert an entry (empty boxes are legal but match no query)."""
         self.stats.inserts += 1
         self._insert_entry(box, value)
 
     def _insert_entry(self, box: Box, value) -> None:
-        self._mutations += 1
-        leaf = self._choose_leaf(self._root, box)
+        leaf = self._choose_leaf(self._nodes(), box)
+        self._flat = None
         leaf.entries.append((box, value))
         self._size += 1
         self._refresh_upwards(leaf)  # AdjustTree: enlarge ancestor MBRs
@@ -667,19 +708,29 @@ class RTree:
         This is the paper's single range query: the conjunction of all
         three constraint forms is evaluated in one descent.
         """
+        return self._descend(query, None)
+
+    def _descend(
+        self, query: BoxQuery, covered: Optional[Callable[[_FlatTree, int], bool]]
+    ) -> Iterator[Tuple[Box, object]]:
+        """The scalar descent behind :meth:`search` and :meth:`count`: a
+        node that ``covered`` answers for is passed over unread."""
         if query.is_unsatisfiable():
             return
-        stack = [self._root]
+        flat = self._form()
+        stack = [0]
         while stack:
             node = stack.pop()
+            if covered is not None and covered(flat, node):
+                continue
             self.stats.node_reads += 1
-            if node.leaf:
-                for box, value in node.entries:
+            if flat.leaf[node]:
+                for box, value in flat.node(node):
                     self.stats.entry_tests += 1
                     if not box.is_empty() and query.matches(box):
                         yield box, value
             else:
-                for mbr, child in node.entries:
+                for mbr, child in flat.node(node):
                     self.stats.entry_tests += 1
                     if self._node_may_match(mbr, query):
                         stack.append(child)
@@ -711,7 +762,7 @@ class RTree:
         if not columnar.HAVE_NUMPY:
             return [list(self.search(query)) for query in queries]
         np = columnar.np
-        flat = self._entry_columns()
+        flat = self._form()
         dim = len(flat.lo)
         # Zero-copy views, made per call like ColumnStore._views.
         all_bounds = [np.frombuffer(col, np.float64) for col in (*flat.lo, *flat.hi)]
@@ -768,15 +819,13 @@ class RTree:
         return out
 
     # -- array form ---------------------------------------------------------------
-    def _entry_columns(self) -> _FlatTree:
-        """The tree's :class:`_FlatTree`.  A packed build supplied it
-        (:meth:`bulk_load_columns`, :meth:`from_node_arrays`); a tree
-        built or since changed by :meth:`insert`/:meth:`delete` is
-        walked for it at the first read after the mutation (amortised
-        like the subtree counts, not billed to ``stats``)."""
-        if self._flat is None or self._flat_version != self._mutations:
+    def _form(self) -> _FlatTree:
+        """The tree.  A packed build supplied it
+        (:meth:`bulk_load_columns`, :meth:`from_node_arrays`); after an
+        :meth:`insert`/:meth:`delete` the edited nodes are walked for it
+        at the next read (not billed to ``stats``)."""
+        if self._flat is None:
             self._flat = _FlatTree.from_nodes(self._root)
-            self._flat_version = self._mutations
         return self._flat
 
     # -- distance browsing / nearest neighbors --------------------------------
@@ -813,7 +862,7 @@ class RTree:
         no ``dead``) also skips inner entries beyond the smallest
         MINMAXDIST seen.
         """
-        flat = self._entry_columns()
+        flat = self._form()
         stats = self.stats
         if isinstance(anchor, Box):
             if anchor.is_empty():
@@ -873,9 +922,7 @@ class RTree:
                         squares[i] += gap * gap
                     i += 1
             leaf = flat.leaf[payload]
-            for square, live, entry, child in zip(
-                squares, nonempty[off:end], flat.entries[off:end], flat.child[off:end]
-            ):
+            for square, live, entry in zip(squares, nonempty[off:end], flat.entries[off:end]):
                 if not live:
                     continue  # empty boxes match no distance query
                 d = sqrt(square)
@@ -888,7 +935,7 @@ class RTree:
                     if minmax:
                         bound = min(bound, entry[0].minmaxdist_point(alo))
                     counter += 1
-                    push(heap, (d if d > dist else dist, counter, False, child))
+                    push(heap, (d if d > dist else dist, counter, False, entry[1]))
         stats.pruned_subtrees += [item[2] for item in heap].count(False)
 
     def nearest(
@@ -923,77 +970,37 @@ class RTree:
     # -- counting (aggregation pushdown) --------------------------------------
     def node_count(self) -> int:
         """Total number of nodes — the reads a full traversal costs."""
-        return len(self._entry_columns().offsets)
-
-    def _subtree_count_map(self) -> Dict[int, int]:
-        """Per-node counts of non-empty-box entries below, cached.
-
-        Rebuilt lazily after any insert/delete (like the statistics
-        caches elsewhere, the maintenance traversal is not billed to
-        ``stats.node_reads`` — it is amortised over every subsequent
-        :meth:`count`).
-        """
-        if (
-            self._subtree_counts is None
-            or self._subtree_counts_version != self._mutations
-        ):
-            counts: Dict[int, int] = {}
-
-            def walk(node: _Node) -> int:
-                if node.leaf:
-                    n = sum(
-                        1 for box, _v in node.entries if not box.is_empty()
-                    )
-                else:
-                    n = sum(walk(child) for _b, child in node.entries)
-                counts[id(node)] = n
-                return n
-
-            walk(self._root)
-            self._subtree_counts = counts
-            self._subtree_counts_version = self._mutations
-        return self._subtree_counts
+        return len(self._form().offsets)
 
     def count(self, query: BoxQuery) -> int:
         """``len(list(self.search(query)))`` without materialising rows.
 
         The aggregation pushdown: when the query is a pure containment
         template (only an ``inside`` constraint), a node whose MBR lies
-        inside the query box contributes its cached subtree entry count
-        without being descended into (``stats.pruned_subtrees``) — every
-        entry below is contained in the node's MBR and hence in the
-        query box.  Other constraint forms cannot shortcut this way (an
-        MBR overlapping ``c`` says nothing about its entries), so they
-        descend normally.
+        inside the query box contributes its subtree's entry count
+        (:meth:`_FlatTree.live_below`) without being descended into
+        (``stats.pruned_subtrees``) — every entry below is contained in
+        the node's MBR and hence in the query box.  Other constraint
+        forms cannot shortcut this way (an MBR overlapping ``c`` says
+        nothing about its entries), so they descend normally.
         """
-        if query.is_unsatisfiable():
-            return 0
         inside_only = (
             query.inside is not None
             and not query.overlap
             and (query.covers is None or query.covers.is_empty())
         )
-        counts = self._subtree_count_map() if inside_only else None
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if counts is not None and node.mbr().le(query.inside):
-                total += counts[id(node)]
-                self.stats.pruned_subtrees += 1
-                continue
-            self.stats.node_reads += 1
-            if node.leaf:
-                for box, _value in node.entries:
-                    self.stats.entry_tests += 1
-                    if not box.is_empty() and query.matches(box):
-                        total += 1
-            else:
-                for mbr, child in node.entries:
-                    self.stats.entry_tests += 1
-                    if self._node_may_match(mbr, query):
-                        stack.append(child)
-        return total
+        shortcut = 0
+
+        def covered(flat: _FlatTree, node: int) -> bool:
+            nonlocal shortcut
+            if not flat.mbr(node).le(query.inside):
+                return False
+            shortcut += flat.live_below()[node]
+            self.stats.pruned_subtrees += 1
+            return True
+
+        read = sum(1 for _ in self._descend(query, covered if inside_only else None))
+        return read + shortcut
 
     @staticmethod
     def _node_may_match(mbr: Box, query: BoxQuery) -> bool:
@@ -1017,13 +1024,13 @@ class RTree:
         Instrumentation mirrors the insert/search paths: the FindLeaf
         descent records ``node_reads``/``entry_tests``, and a successful
         removal bumps ``stats.deletes`` (the counterpart of
-        ``stats.inserts``) and invalidates the cached subtree counts.
+        ``stats.inserts``).
         """
-        leaf = self._find_leaf(self._root, box, value)
+        leaf = self._find_leaf(self._nodes(), box, value)
         if leaf is None:
             return False
         self.stats.deletes += 1
-        self._mutations += 1
+        self._flat = None
         for k, (b, v) in enumerate(leaf.entries):
             if b == box and v == value:
                 del leaf.entries[k]
@@ -1062,22 +1069,24 @@ class RTree:
     # -- inspection ------------------------------------------------------------------
     def height(self) -> int:
         """Tree height (1 for a single leaf)."""
+        flat = self._form()
         h = 1
-        node = self._root
-        while not node.leaf:
+        node = 0
+        while not flat.leaf[node]:
             h += 1
-            node = node.entries[0][1]
+            node = flat.child[flat.offsets[node]]
         return h
 
     def all_entries(self) -> Iterator[Tuple[Box, object]]:
         """Every stored entry (no filtering)."""
-        stack = [self._root]
+        flat = self._form()
+        stack = [0]
         while stack:
             node = stack.pop()
-            if node.leaf:
-                yield from node.entries
+            if flat.leaf[node]:
+                yield from flat.node(node)
             else:
-                stack.extend(child for _b, child in node.entries)
+                stack.extend(child for _mbr, child in flat.node(node))
 
     # -- snapshot serialization -----------------------------------------------
     def to_node_arrays(
@@ -1095,49 +1104,33 @@ class RTree:
         deletions), so :meth:`from_node_arrays` reproduces the structure
         bit-identically instead of approximately.
         """
-        order: List[_Node] = []
-        index: Dict[int, int] = {}
-        stack = [self._root]
+        flat = self._form()
+        order: List[int] = []  # the form's node numbers, in preorder
+        stack = [0]
         while stack:
             node = stack.pop()
-            index[id(node)] = len(order)
             order.append(node)
-            if not node.leaf:
-                stack.extend(
-                    child for _b, child in reversed(node.entries)
-                )
-        dim = 0
-        for node in order:
-            for box, _value in node.entries:
-                if not box.is_empty():
-                    dim = box.dim
-                    break
-            if dim:
-                break
-        leaf_flags: List[int] = []
-        counts: List[int] = []
+            if not flat.leaf[node]:
+                stack.extend(child for _mbr, child in reversed(flat.node(node)))
+        index = [0] * len(order)
+        for position, node in enumerate(order):
+            index[node] = position
         bounds: List[float] = []
         values: List[int] = []
         for node in order:
-            leaf_flags.append(1 if node.leaf else 0)
-            counts.append(len(node.entries))
-            for box, value in node.entries:
-                if box.is_empty():
-                    bounds.extend([0.0] * (2 * dim))
-                else:
-                    bounds.extend(box.lo)
-                    bounds.extend(box.hi)
-                if node.leaf:
-                    values.append(value_key(value))
-                else:
-                    values.append(index[id(value)])
+            span = slice(flat.offsets[node], flat.offsets[node] + flat.counts[node])
+            bounds.extend(chain.from_iterable(zip(*(col[span] for col in (*flat.lo, *flat.hi)))))
+            if flat.leaf[node]:
+                values.extend(value_key(value) for _box, value in flat.entries[span])
+            else:
+                values.extend(index[child] for _mbr, child in flat.entries[span])
         return {
-            "dim": dim,
+            "dim": len(flat.lo),
             "max_entries": self.max_entries,
             "min_entries": self.min_entries,
             "split_method": self.split_method,
-            "leaf": leaf_flags,
-            "counts": counts,
+            "leaf": [flat.leaf[node] for node in order],
+            "counts": [flat.counts[node] for node in order],
             "bounds": bounds,
             "values": values,
         }
@@ -1150,71 +1143,87 @@ class RTree:
 
         ``values`` resolves leaf-entry indices back to stored objects
         (typically the table's rows in saved order).  No STR sort or
-        insertion happens — nodes are reattached exactly as dumped, and
-        the dump, already nodes in preorder with their entries end to
-        end, is read off as the tree's array form (:class:`_FlatTree`)
-        on the way.
+        insertion happens: the dump, already nodes numbered from the
+        root with their entries end to end, is adopted as the tree's
+        array form (:class:`_FlatTree`).  It comes from a file, so it is
+        checked on the way — array lengths, row and child references
+        (each child numbered after its parent and named once, so every
+        walk ends), leaves at one depth — and a dump that fails raises
+        :class:`~repro.errors.SnapshotError`.
         """
-        tree = cls(
-            max_entries=int(data["max_entries"]),
-            min_entries=int(data["min_entries"]),
-            split_method=str(data["split_method"]),
-        )
-        leaf_flags = data["leaf"]
-        if not leaf_flags:
-            return tree
-        dim = int(data["dim"])
-        bounds = data["bounds"]
-        refs = data["values"]
-        nodes = [_Node(leaf=bool(flag)) for flag in leaf_flags]
-        counts = [int(count) for count in data["counts"]]
+
+        def damaged(why: object) -> SnapshotError:
+            return SnapshotError(f"damaged r-tree node arrays: {why}")
+
+        try:
+            tree = cls(
+                max_entries=int(data["max_entries"]),
+                min_entries=int(data["min_entries"]),
+                split_method=str(data["split_method"]),
+            )
+            dim = int(data["dim"])
+            leaf = array("B", map(bool, data["leaf"]))
+            counts = array("q", data["counts"])
+            refs = array("q", data["values"])
+            coords = array("d", data["bounds"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise damaged(repr(exc)) from exc
+        n_nodes, n_entries = len(leaf), len(refs)
+        if not leaf or len(counts) != n_nodes or min(counts) < 0 or sum(counts) != n_entries:
+            raise damaged(f"{n_nodes} nodes, {len(counts)} counts, {n_entries} entries")
+        if dim < 0 or len(coords) != n_entries * 2 * dim:
+            raise damaged(f"{len(coords)} bounds for {n_entries} {dim}-dim entries")
         flat = _FlatTree(dim)
-        flat.add_nodes(map(bool, leaf_flags), counts)
-        pos = vi = size = 0
-        for node, count in zip(nodes, counts):
-            for _ in range(count):
-                lo = tuple(bounds[pos : pos + dim])
-                hi = tuple(bounds[pos + dim : pos + 2 * dim])
-                pos += 2 * dim
-                ref = int(refs[vi])
-                vi += 1
-                if node.leaf:
+        flat.add_nodes(leaf, counts)
+        flat.set_bounds(coords)
+        los = list(zip(*flat.lo)) or [()] * n_entries
+        his = list(zip(*flat.hi)) or [()] * n_entries
+        depth = [0] * n_nodes
+        leaf_depths = set()
+        for n, (off, count) in enumerate(zip(flat.offsets, counts)):
+            span = refs[off : off + count]
+            boxes = zip(los[off : off + count], his[off : off + count], span)
+            if leaf[n]:
+                leaf_depths.add(depth[n])
+                if count and not 0 <= min(span) <= max(span) < len(values):
+                    raise damaged(f"leaf {n} names a row outside the {len(values)} saved")
+                for lo, hi, ref in boxes:
                     # In a built tree a leaf entry's box *is* its row's
                     # box: share it again when the coordinates agree.
                     value = values[ref]
                     box = getattr(value, "box", None)
                     if not isinstance(box, Box) or box.lo != lo or box.hi != hi:
                         box = Box._trusted(lo, hi)
-                    node.entries.append((box, value))
-                    flat.child.append(0)
-                    size += 1
-                else:
-                    child = nodes[ref]
-                    child.parent = node
-                    node.entries.append((Box._trusted(lo, hi), child))
-                    flat.child.append(ref)
-            flat.entries.extend(node.entries)
-        flat.set_bounds(bounds, [not box.is_empty() for box, _ in flat.entries])
-        tree._root = nodes[0]
-        tree._size = size
+                    flat.entries.append((box, value))
+                flat.child.frombytes(bytes(flat.child.itemsize * count))
+                tree._size += count
+            else:
+                for child in span:
+                    if not n < child < n_nodes or depth[child]:
+                        raise damaged(f"node {n} names child {child}")
+                    depth[child] = depth[n] + 1
+                flat.entries.extend((Box._trusted(lo, hi), child) for lo, hi, child in boxes)
+                flat.child.extend(span)
+        if 0 in depth[1:] or len(leaf_depths) > 1:
+            raise damaged("unreachable nodes or leaves at different depths")
+        flat.nonempty.extend(not box.is_empty() for box, _ in flat.entries)
         tree._flat = flat
-        tree._flat_version = tree._mutations
         return tree
 
     def check_invariants(self) -> None:
         """Validate structural invariants (tests call this after inserts)."""
-        def walk(node: _Node, depth: int, leaf_depths: List[int]) -> None:
-            if node is not self._root:
-                assert 1 <= len(node.entries) <= self.max_entries
-            if node.leaf:
-                leaf_depths.append(depth)
-                return
-            for mbr, child in node.entries:
-                assert child.parent is node
-                actual = child.mbr()
-                assert actual.le(mbr), "child MBR exceeds stored MBR"
-                walk(child, depth + 1, leaf_depths)
-
-        leaf_depths: List[int] = []
-        walk(self._root, 0, leaf_depths)
-        assert len(set(leaf_depths)) <= 1, "leaves at different depths"
+        flat = self._form()
+        leaf_depths = set()
+        stack = [(0, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if node:
+                assert 1 <= flat.counts[node] <= self.max_entries
+            if flat.leaf[node]:
+                leaf_depths.add(depth)
+                continue
+            for mbr, child in flat.node(node):
+                assert child > node, "child numbered before its parent"
+                assert flat.mbr(child).le(mbr), "child MBR exceeds stored MBR"
+                stack.append((child, depth + 1))
+        assert len(leaf_depths) <= 1, "leaves at different depths"

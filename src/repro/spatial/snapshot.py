@@ -41,6 +41,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.regions import Region
@@ -96,7 +97,10 @@ def _pack_floats(values: Sequence[float]) -> str:
 
 
 def _unpack_floats(blob: str) -> Tuple[float, ...]:
-    return unpack_floats(base64.b64decode(blob))
+    try:
+        return unpack_floats(base64.b64decode(blob))
+    except (TypeError, ValueError, struct.error) as exc:  # binascii.Error is a ValueError
+        raise SnapshotError(f"damaged packed floats: {exc!r}") from exc
 
 
 def region_to_jsonable(region: Region) -> List[List[List[float]]]:
@@ -247,7 +251,7 @@ def table_from_jsonable(data: dict) -> SpatialTable:
     table._version = int(data["table_version"])
     if table.index_kind == "rtree":
         arrays = dict(data["rtree"])
-        arrays["bounds"] = _unpack_floats(arrays["bounds"])
+        arrays["bounds"] = _unpack_floats(arrays.get("bounds"))
         table._rtree = RTree.from_node_arrays(arrays, rows)
     elif table.index_kind == "grid":
         for obj in rows:

@@ -329,9 +329,8 @@ class SpatialTable:
         self._delta: Optional[TableDelta] = None
         self.delta_threshold = delta_threshold
         # True on with_staged() clones: the packed base structures are
-        # shared with the parent, so a repack must never mutate them in
-        # place (and the clone never self-repacks — the service layer
-        # orchestrates its repacks off-thread).
+        # shared with the parent, and the clone never self-repacks — the
+        # service layer orchestrates its repacks off-thread.
         self._shares_base = False
         # Merged (base + delta) statistics, keyed by watermark + params.
         self._delta_stats_cache: Dict[Tuple, object] = {}
@@ -500,10 +499,7 @@ class SpatialTable:
         and the r-tree STR-loads from those columns
         (:meth:`RTree.bulk_load_columns`) — the structures a fresh
         :meth:`bulk_insert` of the live rows builds.  The base version
-        bump invalidates every version-keyed cache.  As a special case,
-        a small pure-delete delta on an unshared r-tree applies targeted
-        :meth:`~repro.spatial.rtree.RTree.delete` calls instead of
-        rebuilding, preserving the packed structure.
+        bump invalidates every version-keyed cache.
 
         Returns True when anything was folded (no-op on a clean table).
         """
@@ -538,17 +534,7 @@ class SpatialTable:
         )
         rtree = self._rtree
         if self.index_kind == "rtree" and build_index:
-            small_purge = (
-                not d.inserts
-                and not self._shares_base
-                and len(removed) * 8 <= max(1, len(new_objects))
-            )
-            if small_purge and rtree is not None:
-                for obj in removed:
-                    if not obj.box.is_empty():
-                        rtree.delete(obj.box, obj)
-            else:
-                rtree = self._packed_rtree(columns)
+            rtree = self._packed_rtree(columns)
         grid = self._grid
         if self.index_kind == "grid":
             grid = GridFile(2 * self.dim)

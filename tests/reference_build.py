@@ -90,7 +90,10 @@ def bulk_load(
             for _b, child in p.entries:
                 child.parent = p
         nodes = parents
+    # The oracle's tree is in the insertion editor's hands: its nodes are
+    # the truth, the array form is derived from them at the first read.
     tree._root = nodes[0]
+    tree._flat = None
     tree._size = len(items)
     for b, v in skipped:
         tree.insert(b, v)

@@ -9,8 +9,9 @@ and merging afterwards.  Both promise *identical* answers — content,
 distances as the same doubles, sequence, ties — and, on a clean table,
 identical ``node_reads`` / ``entry_tests`` / ``pruned_subtrees`` per
 probe; with a delta the base tree may only be read less.  These are
-copies of the code they replaced, walking ``tree._root`` and billing
-``tree.stats``: one ``Box.mindist*`` call per entry, one ``repr`` sort
+copies of the code they replaced, walking ``_Node`` objects
+(``reference_rtree.root_of``: thawed from a packed tree's form) and
+billing ``tree.stats``: one ``Box.mindist*`` call per entry, one ``repr`` sort
 per accepted entry.  The per-node NumPy kernel branch of the old
 ``nearest`` (``vectorize=True``, bit-identical by its own tests) is
 left out, so the oracle is the same on every backend.
@@ -20,6 +21,7 @@ left out, so the oracle is the same on every backend.
 import heapq
 from typing import Callable, Iterator, List, Optional, Tuple
 
+from reference_rtree import root_of
 from repro.boxes.box import Box
 from repro.spatial.rtree import RTree, _Node
 from repro.spatial.table import SpatialObject, SpatialTable
@@ -37,7 +39,7 @@ def distance_browse(tree: RTree, anchor) -> Iterator[Tuple[float, Box, object]]:
     """``RTree.distance_browse`` over the ``_Node`` objects."""
     # Heap items: (dist, tiebreak counter, is_entry, payload).
     counter = 0
-    heap: List[Tuple[float, int, bool, object]] = [(0.0, 0, False, tree._root)]
+    heap: List[Tuple[float, int, bool, object]] = [(0.0, 0, False, root_of(tree))]
     while heap:
         dist, _seq, is_entry, payload = heapq.heappop(heap)
         if is_entry:
@@ -74,7 +76,7 @@ def nearest(
     use_minmax = k == 1 and not isinstance(anchor, Box)
     bound = float("inf")
     counter = 0
-    heap: List[Tuple[float, int, bool, object]] = [(0.0, 0, False, tree._root)]
+    heap: List[Tuple[float, int, bool, object]] = [(0.0, 0, False, root_of(tree))]
     found: List[Tuple[float, Box, object]] = []
     while heap:
         dist, _seq, is_entry, payload = heap[0]

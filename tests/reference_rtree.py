@@ -1,0 +1,243 @@
+"""The ``_Node`` walkers as they were before every reader moved onto the
+tree's array form — frozen.
+
+``RTree.search``, ``count``, ``to_node_arrays``, ``check_invariants``,
+``height``, ``all_entries`` and
+``spatial.join.synchronized_rtree_join`` now read ``_FlatTree`` columns
+and node numbers; a packed tree no longer holds ``_Node`` objects at
+all.  They promise *identical* rows in the same sequence, identical
+snapshot arrays and identical ``node_reads`` / ``entry_tests`` /
+``pruned_subtrees``.  These are copies of the code they replaced,
+walking ``_Node`` objects and billing ``tree.stats``: the nodes the
+insertion editor holds when the tree has been edited
+(``tree._root``), else a copy thawed from the form
+(``_FlatTree.to_nodes``).  The subtree-count map is rebuilt on every
+call — it was never billed.  ``test_rtree_reference.py`` holds the
+engine to them.
+"""
+
+from typing import Callable, Dict, Iterator, List, Tuple
+
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import Box
+from repro.spatial.rtree import RTree, _Node
+
+
+def root_of(tree: RTree) -> _Node:
+    """The tree as ``_Node`` objects: the editor's own after an
+    ``insert``/``delete``, a thawed copy of a packed tree."""
+    if tree._root is not None:
+        return tree._root
+    return tree._form().to_nodes()
+
+
+# -- spatial/rtree.py ----------------------------------------------------------
+def _node_may_match(mbr: Box, query: BoxQuery) -> bool:
+    if query.inside is not None and not mbr.overlaps(query.inside):
+        return False
+    if (
+        query.covers is not None
+        and not query.covers.is_empty()
+        and not query.covers.le(mbr)
+    ):
+        return False
+    return all(mbr.overlaps(c) for c in query.overlap)
+
+
+def search(tree: RTree, query: BoxQuery) -> Iterator[Tuple[Box, object]]:
+    """``RTree.search`` over the ``_Node`` objects."""
+    if query.is_unsatisfiable():
+        return
+    stack = [root_of(tree)]
+    while stack:
+        node = stack.pop()
+        tree.stats.node_reads += 1
+        if node.leaf:
+            for box, value in node.entries:
+                tree.stats.entry_tests += 1
+                if not box.is_empty() and query.matches(box):
+                    yield box, value
+        else:
+            for mbr, child in node.entries:
+                tree.stats.entry_tests += 1
+                if _node_may_match(mbr, query):
+                    stack.append(child)
+
+
+def subtree_count_map(root: _Node) -> Dict[int, int]:
+    """``RTree._subtree_count_map``: per-node counts of non-empty-box
+    entries below, keyed by ``id(node)``."""
+    counts: Dict[int, int] = {}
+
+    def walk(node: _Node) -> int:
+        if node.leaf:
+            n = sum(1 for box, _v in node.entries if not box.is_empty())
+        else:
+            n = sum(walk(child) for _b, child in node.entries)
+        counts[id(node)] = n
+        return n
+
+    walk(root)
+    return counts
+
+
+def count(tree: RTree, query: BoxQuery) -> int:
+    """``RTree.count`` over the ``_Node`` objects."""
+    if query.is_unsatisfiable():
+        return 0
+    inside_only = (
+        query.inside is not None
+        and not query.overlap
+        and (query.covers is None or query.covers.is_empty())
+    )
+    root = root_of(tree)
+    counts = subtree_count_map(root) if inside_only else None
+    total = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if counts is not None and node.mbr().le(query.inside):
+            total += counts[id(node)]
+            tree.stats.pruned_subtrees += 1
+            continue
+        tree.stats.node_reads += 1
+        if node.leaf:
+            for box, _value in node.entries:
+                tree.stats.entry_tests += 1
+                if not box.is_empty() and query.matches(box):
+                    total += 1
+        else:
+            for mbr, child in node.entries:
+                tree.stats.entry_tests += 1
+                if _node_may_match(mbr, query):
+                    stack.append(child)
+    return total
+
+
+def height(tree: RTree) -> int:
+    """``RTree.height`` over the ``_Node`` objects."""
+    h = 1
+    node = root_of(tree)
+    while not node.leaf:
+        h += 1
+        node = node.entries[0][1]
+    return h
+
+
+def all_entries(tree: RTree) -> Iterator[Tuple[Box, object]]:
+    """``RTree.all_entries`` over the ``_Node`` objects."""
+    stack = [root_of(tree)]
+    while stack:
+        node = stack.pop()
+        if node.leaf:
+            yield from node.entries
+        else:
+            stack.extend(child for _b, child in node.entries)
+
+
+def to_node_arrays(
+    tree: RTree, value_key: Callable[[object], int]
+) -> Dict[str, object]:
+    """``RTree.to_node_arrays`` over the ``_Node`` objects."""
+    order: List[_Node] = []
+    index: Dict[int, int] = {}
+    stack = [root_of(tree)]
+    while stack:
+        node = stack.pop()
+        index[id(node)] = len(order)
+        order.append(node)
+        if not node.leaf:
+            stack.extend(child for _b, child in reversed(node.entries))
+    dim = 0
+    for node in order:
+        for box, _value in node.entries:
+            if not box.is_empty():
+                dim = box.dim
+                break
+        if dim:
+            break
+    leaf_flags: List[int] = []
+    counts: List[int] = []
+    bounds: List[float] = []
+    values: List[int] = []
+    for node in order:
+        leaf_flags.append(1 if node.leaf else 0)
+        counts.append(len(node.entries))
+        for box, value in node.entries:
+            if box.is_empty():
+                bounds.extend([0.0] * (2 * dim))
+            else:
+                bounds.extend(box.lo)
+                bounds.extend(box.hi)
+            if node.leaf:
+                values.append(value_key(value))
+            else:
+                values.append(index[id(value)])
+    return {
+        "dim": dim,
+        "max_entries": tree.max_entries,
+        "min_entries": tree.min_entries,
+        "split_method": tree.split_method,
+        "leaf": leaf_flags,
+        "counts": counts,
+        "bounds": bounds,
+        "values": values,
+    }
+
+
+def check_invariants(tree: RTree) -> None:
+    """``RTree.check_invariants`` over the ``_Node`` objects."""
+    root = root_of(tree)
+
+    def walk(node: _Node, depth: int, leaf_depths: List[int]) -> None:
+        if node is not root:
+            assert 1 <= len(node.entries) <= tree.max_entries
+        if node.leaf:
+            leaf_depths.append(depth)
+            return
+        for mbr, child in node.entries:
+            assert child.parent is node
+            actual = child.mbr()
+            assert actual.le(mbr), "child MBR exceeds stored MBR"
+            walk(child, depth + 1, leaf_depths)
+
+    leaf_depths: List[int] = []
+    walk(root, 0, leaf_depths)
+    assert len(set(leaf_depths)) <= 1, "leaves at different depths"
+
+
+# -- spatial/join.py -----------------------------------------------------------
+def synchronized_rtree_join(
+    left: RTree, right: RTree
+) -> Iterator[Tuple[object, object]]:
+    """``synchronized_rtree_join`` over the ``_Node`` objects."""
+
+    def recurse(a: _Node, b: _Node) -> Iterator[Tuple[object, object]]:
+        left.stats.node_reads += 1
+        right.stats.node_reads += 1
+        if a.leaf and b.leaf:
+            for abox, avalue in a.entries:
+                if abox.is_empty():
+                    continue
+                for bbox, bvalue in b.entries:
+                    if abox.overlaps(bbox):
+                        yield avalue, bvalue
+        elif a.leaf:
+            for bbox, bchild in b.entries:
+                if a.mbr().overlaps(bbox):
+                    yield from recurse(a, bchild)
+        elif b.leaf:
+            for abox, achild in a.entries:
+                if abox.overlaps(b.mbr()):
+                    yield from recurse(achild, b)
+        else:
+            for abox, achild in a.entries:
+                for bbox, bchild in b.entries:
+                    if abox.overlaps(bbox):
+                        yield from recurse(achild, bchild)
+
+    root_a = root_of(left)
+    root_b = root_of(right)
+    if not root_a.entries or not root_b.entries:
+        return
+    yield from recurse(root_a, root_b)

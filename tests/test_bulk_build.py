@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_build as ref
+from reference_rtree import root_of
 from conftest import shifted_seed
 from repro import Database
 from repro.algebra import Region
@@ -39,7 +40,7 @@ def tree_dump(tree: RTree):
     """Preorder ``(leaf, entries)`` per node; an entry is its box's exact
     coordinates plus, in a leaf, the identity of box and value."""
     out = []
-    stack = [tree._root]
+    stack = [root_of(tree)]
     while stack:
         node = stack.pop()
         out.append(

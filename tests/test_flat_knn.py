@@ -1,7 +1,7 @@
 """kNN differential: the one best-first browse over the tree's array
 form against the frozen ``_Node`` walk and delta merge
-(``reference_knn.py``), and the rule that a packed build hands the tree
-that form.
+(``reference_knn.py``), and the rule that a packed build *is* that
+form: it builds no ``_Node``, and neither does any read after it.
 
 Answers are compared *to the bit* — distances as doubles, rows by
 identity, in sequence, so a tie broken differently fails — and on clean
@@ -12,6 +12,7 @@ runs a handful of examples there and the full budget in CI's
 seed-matrix job.
 """
 
+import gc
 import math
 import random
 
@@ -27,7 +28,7 @@ from repro.boxes import Box, BoxQuery
 from repro.errors import AnchorError, DimensionMismatchError, ReproError, ServiceError
 from repro.service import QueryService, ServiceClient, serve_in_thread
 from repro.spatial import HAVE_NUMPY, RTree, SpatialTable, forced_backend
-from repro.spatial.rtree import _FlatTree
+from repro.spatial.rtree import _FlatTree, _Node
 
 BACKENDS = (("numpy",) if HAVE_NUMPY else ()) + ("array", "off")
 KS = (1, 2, 10, 10_000)
@@ -236,7 +237,7 @@ def test_with_staged_clones_share_a_base():
     rng = random.Random(shifted_seed(11))
     parent = SpatialTable("t", 2)
     parent.bulk_insert(rows_for(rng, 150, 2))
-    flat = parent._rtree._entry_columns()
+    flat = parent._rtree._form()
     one = parent.with_staged(
         inserts=[("a", Region.from_box(Box((10.0, 10.0), (10.5, 10.5))))]
     )
@@ -245,7 +246,7 @@ def test_with_staged_clones_share_a_base():
     anchors = [(10.0, 10.0), *anchors_for(rng, 2)]
     for table in (parent, one, two):
         hold_table_to_oracle(table, anchors, ks=(1, 4, 10_000))
-        assert table._rtree._entry_columns() is flat  # one base, one form
+        assert table._rtree._form() is flat  # one base, one form
     assert not parent.delta_pending
     assert "a" in {obj.oid for _d, obj in one.nearest((10.0, 10.0), 200)}
     assert victim not in {obj.oid for _d, obj in two.nearest((10.0, 10.0), 200)}
@@ -261,38 +262,58 @@ def test_rtree_knn_bills_no_kernel():
     assert (table.vectorized_batches, table.vectorized_candidates) == (0, 0)
 
 
-# -- born flat: no read after a packed build walks the tree ----------------------------
+# -- born flat: a packed build is the form; only insert/delete make nodes ---------------
 @pytest.fixture
 def walks(monkeypatch):
-    """Calls of the tree-walking flattener, as a list."""
+    """The insertion editor's footprint, as a list: ``"node"`` per
+    ``_Node`` constructed, the root per call of the tree-walking
+    flattener."""
     calls = []
-    original = _FlatTree.from_nodes.__func__
+    flatten = _FlatTree.from_nodes.__func__
+    construct = _Node.__init__
 
-    def spy(cls, root):
+    def from_nodes(cls, root):
         calls.append(root)
-        return original(cls, root)
+        return flatten(cls, root)
 
-    monkeypatch.setattr(_FlatTree, "from_nodes", classmethod(spy))
+    def init(self, leaf):
+        calls.append("node")
+        construct(self, leaf)
+
+    monkeypatch.setattr(_FlatTree, "from_nodes", classmethod(from_nodes))
+    monkeypatch.setattr(_Node, "__init__", init)
     return calls
 
 
 def first_reads(table: SpatialTable) -> None:
+    """Every reader once: browse, batched and scalar search, COUNT,
+    the dump's walk, the inspection helpers."""
     window = BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),))
     assert table.nearest((5.0, 5.0), 3)
     assert table.range_query_batch([window, window])[0][0]
+    assert table.range_query(window, vectorize=False)
+    assert table.count_range(BoxQuery(inside=Box((0.0, 0.0), (30.0, 30.0))))
+    tree = table._rtree
+    tree.check_invariants()
+    assert tree.height() > 1 and tree.node_count() > 1 and list(tree.all_entries())
+    assert tree.to_node_arrays(id)["values"]
+    assert tree._root is None
 
 
-def test_no_read_after_a_packed_build_enters_the_flattener(walks, tmp_path):
+def test_no_packed_build_nor_read_after_it_makes_a_node(walks, tmp_path):
     rng = random.Random(shifted_seed(4))
     table = SpatialTable("t", 2, delta_threshold=6)
     table.bulk_insert(rows_for(rng, 400, 2))
     first_reads(table)
-    for i in range(3):  # inserts: a rebuild, not the small-purge path
+    for i in range(3):
         table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, 2)))
         table.stage_delete(mixed_oid(3 * i))
     assert table.repacks == 1 and not table.delta_pending  # inline, at the threshold
     first_reads(table)
     table.stage_insert("late", Region.from_box(grid_box(rng, 2)))
+    assert table.repack()
+    first_reads(table)
+    table.stage_delete(mixed_oid(30))  # a pure-delete delta folds the same way
     assert table.repack()
     first_reads(table)
     table.pack()
@@ -303,6 +324,28 @@ def test_no_read_after_a_packed_build_enters_the_flattener(walks, tmp_path):
     Database(tables={"t": table}).save(path)
     first_reads(Database.open(path).table("t"))
     assert walks == []
+
+
+def test_a_dropped_packed_tree_needs_no_collector():
+    """Nothing in a packed tree is cyclic: with the collector off,
+    dropping one — read through every path — gives back every
+    container it allocated."""
+    rng = random.Random(shifted_seed(14))
+    entries = [(grid_box(rng, 2), i) for i in range(20_000)]
+    window = BoxQuery(inside=Box((2.0, 2.0), (9.0, 9.0)))
+    RTree.bulk_load(entries[:64]).search_batch([window])  # module-level scratch, once
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        tree = RTree.bulk_load(entries)
+        assert len(gc.get_objects()) > before + 20_000 // 8
+        assert tree.count(window) == len(list(tree.search(window)))
+        assert tree.search_batch([window]) and tree.nearest((5.0, 5.0), 3)
+        del tree
+        assert len(gc.get_objects()) == before
+    finally:
+        gc.enable()
 
 
 def test_background_repack_publishes_a_flat_tree(walks):
@@ -321,19 +364,24 @@ def test_background_repack_publishes_a_flat_tree(walks):
     assert walks == []
 
 
-def test_object_built_trees_still_take_the_flattener(walks):
+def test_insert_thaws_the_form_and_the_next_read_flattens_again(walks):
+    window = BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),))
     rng = random.Random(shifted_seed(8))
     unpacked = SpatialTable("t", 2)
     unpacked.bulk_insert(rows_for(rng, 60, 2), pack=False)
-    first_reads(unpacked)
-    assert len(walks) == 1
-    first_reads(unpacked)
-    assert len(walks) == 1  # cached until the next structural mutation
+    assert "node" in walks and unpacked._rtree._root not in walks  # edited, not yet read
+    assert unpacked.nearest((5.0, 5.0), 3) and unpacked.range_query(window)
+    assert walks.count(unpacked._rtree._root) == 1  # one form until the next mutation
+    del walks[:]
     packed = SpatialTable("t", 2)
     packed.bulk_insert(rows_for(rng, 60, 2))
+    nodes = packed._rtree.node_count()
+    assert walks == []
     packed.insert("direct", Region.from_box(grid_box(rng, 2)))  # clean table: into the base
-    first_reads(packed)
-    assert len(walks) == 2
+    assert walks.count("node") >= nodes and packed._rtree._flat is None
+    hold_table_to_oracle(packed, anchors_for(rng, 2), ks=(1, 4))
+    assert walks.count(packed._rtree._root) == 1
+    assert "direct" in {obj.oid for obj in packed.range_query(BoxQuery())}
 
 
 NASTY = (-INF, -2.0, -0.0, 0.0, 0.0, 1.0, 2.5, 7.0, INF)
@@ -359,18 +407,19 @@ def test_emitted_form_equals_walked_form(backend, nasty):
         boxes = [grid_box(rng, 2) for _ in range(150)]
     with forced_backend(backend):
         tree = RTree.bulk_load([(box, i) for i, box in enumerate(boxes)], max_entries=4)
-    emitted, walked = tree._flat, _FlatTree.from_nodes(tree._root)
-    assert emitted is not None and tree._entry_columns() is emitted
+    assert tree._root is None
+    emitted = tree._form()
+    walked = _FlatTree.from_nodes(emitted.to_nodes())  # thawed, then flattened again
 
     def per_node(flat):
         """Each node's columns and children, keyed by the identity of
-        its entries: what the form says, node numbering aside."""
+        its entries' boxes: what the form says, node numbering aside."""
 
         def span(node):
             return slice(flat.offsets[node], flat.offsets[node] + flat.counts[node])
 
         def key(node):
-            return tuple(id(entry) for entry in flat.entries[span(node)])
+            return tuple(id(box) for box, _ in flat.entries[span(node)])
 
         return {
             key(node): (

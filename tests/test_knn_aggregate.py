@@ -13,6 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
+import reference_rtree as ref
 from repro.algebra import Region
 from repro.boxes import Box, BoxQuery, EMPTY_BOX
 from repro.engine import (
@@ -26,6 +27,7 @@ from repro.engine import (
 )
 from repro.errors import CompilationError, DimensionMismatchError
 from repro.constraints import ConstraintSystem, nonempty, overlaps
+from repro.database import Database
 from repro.spatial import RTree, SpatialTable
 from tests.conftest import UNIVERSE, random_table
 from tests.strategies import nonempty_boxes
@@ -237,6 +239,45 @@ class TestReadGate:
             reads += table._rtree.stats.node_reads
             pruned += table._rtree.stats.pruned_subtrees
         assert (reads, pruned) == (672, 152)
+
+    def test_first_count_bills_like_every_other(self, table, tmp_path):
+        """The subtree counts live on the tree's array form, filled by
+        one unbilled sweep: the first COUNT on a freshly packed tree, on
+        a repacked one and on a snapshot-loaded one bills what the
+        frozen ``_Node`` walk bills, and a tree keeps no cache beside
+        its form — a repack's new tree starts from nothing, an edit
+        drops the form whole."""
+        query = BoxQuery(inside=Box((20.0, 20.0), (70.0, 70.0)))
+
+        def billed(tree, call):
+            tree.stats.reset()
+            return call(), tree.stats.node_reads, tree.stats.pruned_subtrees
+
+        fresh = SpatialTable("knn", 2, universe=table.universe)
+        fresh.bulk_insert([(obj.oid, obj.region) for obj in table])
+        path = str(tmp_path / "db.json")
+        Database(tables={"knn": fresh}).save(path)
+        loaded = Database.open(path).table("knn")
+        first = {}
+        for name, tree in (("fresh", fresh._rtree), ("loaded", loaded._rtree)):
+            assert tree._form()._below is None  # nothing counted yet
+            first[name] = billed(tree, lambda: tree.count(query))
+            assert first[name] == billed(tree, lambda: ref.count(tree, query))
+            assert first[name] == billed(tree, lambda: tree.count(query))
+        assert first["fresh"] == first["loaded"] == (486, 70, 35)  # equal at the parent commit
+        old = fresh._rtree
+        fresh.stage_delete(next(iter(fresh)).oid)
+        assert fresh.repack() and fresh._rtree is not old
+        assert set(vars(fresh._rtree)) == set(vars(old)) == {
+            "max_entries", "min_entries", "split_method", "_size", "_reinserting",
+            "stats", "_flat", "_root",
+        }
+        assert fresh._rtree._flat._below is None and old._flat._below is not None
+        total = fresh._rtree.count(BoxQuery(inside=table.universe))
+        assert total == len(fresh) == self.SIZE - 1
+        fresh.insert("late", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
+        assert fresh._rtree._flat is None  # stale is simply absent
+        assert fresh._rtree.count(BoxQuery(inside=table.universe)) == total + 1
 
 
 class TestLogicalValidation:

@@ -1,0 +1,240 @@
+"""Reader differential: every reader of the tree's array form against
+the frozen ``_Node`` walkers (``reference_rtree.py``).
+
+``search``, ``count``, ``to_node_arrays``, ``check_invariants`` and
+``synchronized_rtree_join`` must return the same rows in the same
+sequence (by identity) and bill the same ``node_reads`` /
+``entry_tests`` / ``pruned_subtrees``, however the tree came to be:
+packed, loaded from its own dump, grown by insertion under each split,
+or packed and then edited.  The parametrised cases are tier-1's thin
+diagonal; the Hypothesis product at the end runs a handful of examples
+there and the full budget in CI's seed-matrix job.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_rtree as ref
+from conftest import SEED_MATRIX, edge_box_queries, edge_boxes, shifted_seed
+from repro.boxes import Box, BoxQuery, EMPTY_BOX
+from repro.spatial import HAVE_NUMPY, RTree, forced_backend, synchronized_rtree_join
+
+BACKENDS = (("numpy",) if HAVE_NUMPY else ()) + ("array", "off")
+SPLITS = RTree.SPLIT_METHODS
+BUILDS = (
+    "packed",
+    "loaded",
+    *(f"grown-{split}" for split in SPLITS),
+    "packed+insert",
+    "packed+delete",
+    "empty-boxes",
+    "empty",
+)
+SHAPES = ("inside", "covers", "overlap1", "overlap2", "overlap3", "mixed", "all", "unsat")
+
+
+# -- helpers ---------------------------------------------------------------------
+def grid_box(rng: random.Random, dim: int, reach: float = 2.5) -> Box:
+    """A box on a half-unit grid: shared edges and duplicates are common."""
+    lo = tuple(rng.randrange(0, 40) / 2 for _ in range(dim))
+    return Box(lo, tuple(a + rng.choice((0.5, 1.0, reach)) for a in lo))
+
+
+def build(kind: str, entries, capacity: int = 4) -> RTree:
+    """A tree over ``entries`` that came to be the ``kind`` way; the
+    edits of ``packed+...`` keep the entry set (one goes, one comes)."""
+    if kind == "empty":
+        return RTree(max_entries=capacity)
+    if kind.startswith("grown-"):
+        tree = RTree(max_entries=capacity, split_method=kind[len("grown-") :])
+        for box, value in entries:
+            tree.insert(box, value)
+        return tree
+    if kind == "empty-boxes":
+        entries = entries + [(EMPTY_BOX, f"void{i}") for i in range(5)]
+    if kind == "packed+delete":
+        extra = [(Box(b.lo, tuple(h + 1.0 for h in b.hi)), ("x", v)) for b, v in entries[::3]]
+        tree = RTree.bulk_load(entries + extra, max_entries=capacity)
+        for box, value in extra:
+            assert tree.delete(box, value)
+        assert not tree.delete(*extra[0])  # a miss leaves the tree as it is
+        return tree
+    if kind == "packed+insert":
+        tree = RTree.bulk_load(entries[::2], max_entries=capacity)
+        for box, value in entries[1::2]:
+            tree.insert(box, value)
+        return tree
+    tree = RTree.bulk_load(entries, max_entries=capacity)
+    if kind == "loaded":
+        values = [value for _box, value in tree.all_entries()]
+        index = {id(value): i for i, value in enumerate(values)}
+        dump = json.loads(json.dumps(tree.to_node_arrays(lambda v: index[id(v)])))
+        tree = RTree.from_node_arrays(dump, values)
+    return tree
+
+
+def queries(rng: random.Random, dim: int):
+    """A few queries of every shape, by shape name."""
+    def box(reach):
+        return grid_box(rng, dim, reach)
+
+    everything = Box((-1.0,) * dim, (50.0,) * dim)
+    return {
+        "inside": [BoxQuery(inside=box(12.0)), BoxQuery(inside=everything)],
+        "covers": [BoxQuery(covers=box(0.5)), BoxQuery(covers=EMPTY_BOX)],
+        "overlap1": [BoxQuery(overlap=(box(6.0),))],
+        "overlap2": [BoxQuery(overlap=(box(9.0), box(9.0)))],
+        "overlap3": [BoxQuery(overlap=(box(12.0), box(12.0), everything))],
+        "mixed": [
+            BoxQuery(inside=everything, covers=box(0.5), overlap=(box(6.0),)),
+            BoxQuery(inside=box(15.0), covers=EMPTY_BOX),  # still the COUNT shortcut
+        ],
+        "all": [BoxQuery()],
+        "unsat": [BoxQuery(overlap=(EMPTY_BOX,)), BoxQuery(inside=EMPTY_BOX, covers=box(1.0))],
+    }
+
+
+def billed(tree: RTree, call):
+    tree.stats.reset()
+    result = call()
+    stats = tree.stats
+    return result, (stats.node_reads, stats.entry_tests, stats.pruned_subtrees)
+
+
+def ids(rows):
+    return [(id(box), id(value)) for box, value in rows]
+
+
+def hold_readers_to_oracle(tree: RTree, probes) -> None:
+    for query in probes:
+        got, mine = billed(tree, lambda: list(tree.search(query)))
+        want, theirs = billed(tree, lambda: list(ref.search(tree, query)))
+        assert ids(got) == ids(want) and mine == theirs, query
+        # A consumer that stops early is billed for what it pulled.
+        got, mine = billed(tree, lambda: ids(tree.search(query))[:1])
+        want, theirs = billed(tree, lambda: ids(ref.search(tree, query))[:1])
+        assert got == want and mine == theirs, query
+        got, mine = billed(tree, lambda: tree.count(query))
+        want, theirs = billed(tree, lambda: ref.count(tree, query))
+        assert got == want and mine == theirs, query
+        if HAVE_NUMPY:
+            assert ids(tree.search_batch([query])[0]) == ids(ref.search(tree, query))
+    assert ids(tree.all_entries()) == ids(ref.all_entries(tree))
+    index = {id(value): i for i, (_box, value) in enumerate(tree.all_entries())}
+    dump = tree.to_node_arrays(lambda value: index[id(value)])
+    assert dump == ref.to_node_arrays(tree, lambda value: index[id(value)])
+    assert repr(dump["bounds"]) == repr(  # -0.0 is not 0.0
+        ref.to_node_arrays(tree, lambda value: index[id(value)])["bounds"]
+    )
+    assert tree.height() == ref.height(tree)
+    assert tree.node_count() == len(dump["leaf"]) and len(tree) == len(index)
+    tree.check_invariants()
+    ref.check_invariants(tree)
+
+
+def hold_join_to_oracle(left: RTree, right: RTree) -> None:
+    def reads():
+        return left.stats.node_reads, right.stats.node_reads
+
+    for tree in (left, right):
+        tree.stats.reset()
+    got = list(synchronized_rtree_join(left, right))
+    mine = reads()
+    for tree in (left, right):
+        tree.stats.reset()
+    want = list(ref.synchronized_rtree_join(left, right))
+    assert [(id(a), id(b)) for a, b in got] == [(id(a), id(b)) for a, b in want]
+    assert mine == reads()
+
+
+def entries_for(rng: random.Random, n: int, dim: int):
+    return [(grid_box(rng, dim), (i, str(i))[i % 2]) for i in range(n)]
+
+
+# -- the thin diagonal -------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", BUILDS)
+def test_readers_equal_the_node_walkers(kind, dim, backend):
+    rng = random.Random(shifted_seed(100 * dim + BUILDS.index(kind)))
+    entries = entries_for(rng, 150, dim)
+    with forced_backend(backend):
+        tree = build(kind, entries)
+        assert (tree._root is None) == (kind in ("packed", "loaded", "empty"))
+        by_shape = queries(rng, dim)
+        assert set(by_shape) == set(SHAPES)
+        hold_readers_to_oracle(tree, [q for shape in SHAPES for q in by_shape[shape]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kinds", [
+    ("packed", "packed"), ("packed", "grown-rstar"), ("grown-linear", "loaded"),
+    ("packed+delete", "packed+insert"), ("empty-boxes", "packed"),
+    ("empty", "packed"), ("packed", "empty"),
+], ids="/".join)
+def test_synchronized_join_equals_the_node_walk(kinds, dim):
+    rng = random.Random(shifted_seed(7 * dim))
+    # Different heights on the two sides: the leaf/inner mismatch branches.
+    left = build(kinds[0], entries_for(rng, 200, dim), capacity=3)
+    right = build(kinds[1], entries_for(rng, 40, dim), capacity=6)
+    hold_join_to_oracle(left, right)
+    hold_join_to_oracle(right, left)
+
+
+def test_readers_pin_the_form_they_started_on():
+    """A search in flight keeps the form it began with; an insert in
+    between shows only to the next reader."""
+    rng = random.Random(shifted_seed(3))
+    entries = entries_for(rng, 60, 2)
+    tree = RTree.bulk_load(entries, max_entries=4)
+    everything = BoxQuery()
+    walk = tree.search(everything)
+    first = next(walk)
+    tree.insert(Box((1.0, 1.0), (2.0, 2.0)), "late")
+    assert len([first, *walk]) == 60
+    assert len(list(tree.search(everything))) == 61
+    hold_readers_to_oracle(tree, [everything])
+
+
+# -- the product -------------------------------------------------------------------
+@st.composite
+def edited_trees(draw):
+    """Edge-case boxes (empty ones too) packed or grown, then a few
+    inserts and deletes: ``(tree, live entries)``."""
+    boxes = draw(st.lists(edge_boxes(), max_size=40))
+    entries = [(box, i) for i, box in enumerate(boxes)]
+    capacity = draw(st.integers(2, 6))
+    split = draw(st.sampled_from(SPLITS))
+    if draw(st.booleans()):
+        tree = RTree.bulk_load(entries, max_entries=capacity, split_method=split)
+    else:
+        tree = RTree(max_entries=capacity, split_method=split)
+        for box, value in entries:
+            tree.insert(box, value)
+    live = list(entries)
+    for step in range(draw(st.integers(0, 6))):
+        if live and draw(st.booleans()):
+            box, value = live.pop(draw(st.integers(0, len(live) - 1)))
+            assert tree.delete(box, value)
+        else:
+            entry = (draw(edge_boxes()), f"new{step}")
+            tree.insert(*entry)
+            live.append(entry)
+    return tree, live
+
+
+@settings(
+    max_examples=300 if SEED_MATRIX else 12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(edited_trees(), st.lists(edge_box_queries(), min_size=1, max_size=4), edited_trees())
+def test_readers_equal_the_node_walkers_on_edge_cases(built, probes, other):
+    tree, live = built
+    assert sorted(ids(tree.all_entries())) == sorted(ids(live))
+    hold_readers_to_oracle(tree, probes)
+    hold_join_to_oracle(tree, other[0])

@@ -203,3 +203,35 @@ class TestBulkLoad:
         q = BoxQuery(overlap=(Box((20.0,), (30.0,)),))
         expected = {i for i, b in enumerate(items) if q.matches(b)}
         assert {v for _b, v in tree.search(q)} == expected
+
+
+class TestSTRReadGate:
+    """The STR-vs-insertion gate as exact counts (it lived in
+    ``benchmarks/ci_smoke.py``): the smugglers join at the join-scaling
+    bench's largest scale — 96 towns and roads, a 4x4 state grid, node
+    capacity 4 — planned and run on eight maps, once over STR-packed
+    trees and once over insertion-built ones.  Both kinds are read by
+    the one search over the array form, so the difference is the
+    packing alone; it must stay at a fifth of the reads or more."""
+
+    SEEDS = range(8)
+    INSERTION = (366, 423, 358, 475, 638, 535, 514, 449)
+    PACKED = (272, 361, 283, 382, 434, 405, 430, 366)
+
+    @staticmethod
+    def _node_reads(seed: int, pack: bool) -> int:
+        from repro.datagen import smugglers_query
+        from repro.engine import compile_query, execute
+
+        query, _world = smugglers_query(
+            seed=seed, n_towns=96, n_roads=96, states_grid=(4, 4),
+            node_capacity=4, pack=pack,
+        )
+        _answers, stats = execute(compile_query(query), "boxplan")
+        return stats.node_reads
+
+    def test_str_packing_cuts_node_reads_by_a_fifth(self):
+        insertion = tuple(self._node_reads(seed, pack=False) for seed in self.SEEDS)
+        packed = tuple(self._node_reads(seed, pack=True) for seed in self.SEEDS)
+        assert (insertion, packed) == (self.INSERTION, self.PACKED)
+        assert sum(packed) <= 0.8 * sum(insertion)  # 2933 of 3758: 22.0% fewer

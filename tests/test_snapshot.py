@@ -6,8 +6,10 @@ for the r-tree, the reloaded node structure itself is compared
 node-for-node (so node-read counts match too, not just answers).
 """
 
+import base64
 import json
 import os
+import threading
 
 import pytest
 
@@ -207,3 +209,134 @@ def test_database_open_matches_save(tmp_path):
         assert table._stats_version == table._version
         assert table._partitioning_key == (table._version, 0, 4)
         assert table.statistics() == db.tables[key].statistics()
+
+
+# -- damaged r-tree node arrays ------------------------------------------------------
+def _packed_rows(n=60):
+    table = SpatialTable("t", 2, node_capacity=4)
+    table.bulk_insert(
+        [(i, Region.from_box(Box((i % 8, i // 8), (i % 8 + 1.5, i // 8 + 1.5)))) for i in range(n)]
+    )
+    assert table._rtree.height() == 3
+    return table
+
+
+def _first(flags, wanted, start=0):
+    return next(i for i in range(start, len(flags)) if flags[i] == wanted)
+
+
+def _entry_of(rtree, node):
+    """Index (into ``values``) of ``node``'s first entry."""
+    return sum(rtree["counts"][:node])
+
+
+def _set(key, index, value):
+    def damage(rtree):
+        rtree[key][index] = value
+    return damage
+
+
+def _set_first_ref(wanted_leaf, value, nth_node=0):
+    """Overwrite the first ref of an inner (0) or leaf (1) node."""
+    def damage(rtree):
+        node = _first(rtree["leaf"], wanted_leaf, nth_node)
+        rtree["values"][_entry_of(rtree, node)] = value(rtree, node)
+    return damage
+
+
+def _reblob(rtree, change):
+    """Apply ``change`` to the raw bytes under the bounds' base64."""
+    raw = base64.b64decode(rtree["bounds"])
+    rtree["bounds"] = base64.b64encode(change(raw)).decode("ascii")
+
+
+DAMAGE = {
+    "leaf: one flag short": lambda r: r["leaf"].pop(),
+    "leaf: one flag extra": lambda r: r["leaf"].append(1),
+    "leaf: root says leaf": _set("leaf", 0, 1),
+    "leaf: a leaf says inner": lambda r: _set("leaf", _first(r["leaf"], 1), 0)(r),
+    "leaf: not a list": lambda r: r.update(leaf=7),
+    "leaf: no node at all": lambda r: r.update(leaf=[], counts=[], values=[], bounds=""),
+    "counts: one short": lambda r: r["counts"].pop(),
+    "counts: one entry more": _set("counts", 1, 5),
+    "counts: negative": _set("counts", 1, -1),
+    "counts: a string": _set("counts", 1, "4"),
+    "counts: beyond 64 bits": _set("counts", 1, 2**70),
+    "bounds: one float short": lambda r: _reblob(r, lambda raw: raw[:-8]),
+    "bounds: half a float short": lambda r: _reblob(r, lambda raw: raw[:-4]),
+    "bounds: one entry extra": lambda r: _reblob(r, lambda raw: raw + raw[:32]),
+    "bounds: bad padding": lambda r: r.update(bounds=r["bounds"][:-3]),
+    "bounds: not a string": lambda r: r.update(bounds=None),
+    "bounds: missing": lambda r: r.pop("bounds"),
+    "values: one short": lambda r: r["values"].pop(),
+    "values: a float": _set("values", 0, 1.5),
+    "values: null": _set("values", 3, None),
+    "values: row past the end": _set_first_ref(1, lambda r, n: 60),
+    "values: negative row": _set_first_ref(1, lambda r, n: -1),
+    "values: child is the root": _set_first_ref(0, lambda r, n: 0, nth_node=1),
+    "values: child is itself": _set_first_ref(0, lambda r, n: n, nth_node=1),
+    "values: child past the end": _set_first_ref(0, lambda r, n: len(r["leaf"])),
+    "values: child named twice": lambda r: _set("values", 0, r["values"][1])(r),
+    "dim: three": lambda r: r.update(dim=3),
+    "dim: zero": lambda r: r.update(dim=0),
+    "dim: negative": lambda r: r.update(dim=-2),
+    "dim: null": lambda r: r.update(dim=None),
+    "max_entries: one": lambda r: r.update(max_entries=1),
+    "split_method: unknown": lambda r: r.update(split_method="cubic"),
+}
+
+
+def _finishes(call, seconds=30):
+    """What ``call`` raised (or None), from a thread that may not hang."""
+    outcome = []
+
+    def run():
+        try:
+            call()
+            outcome.append(None)
+        except BaseException as exc:  # reported to the asserting thread
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "the load did not end"
+    return outcome[0]
+
+
+@pytest.mark.parametrize("name", DAMAGE)
+def test_damaged_rtree_arrays_raise_snapshot_error(tmp_path, name):
+    """A snapshot's node arrays are outside input: each array damaged
+    in turn ends in ``SnapshotError`` — no ``IndexError``, no endless
+    walk along a child reference that points backwards."""
+    path = str(tmp_path / "db.json")
+    write_snapshot(path, {"t": _packed_rows()})
+    with open(path) as fh:
+        payload = json.load(fh)
+    rtree = payload["tables"]["t"]["rtree"]
+    before = json.dumps(rtree, sort_keys=True)
+    DAMAGE[name](rtree)
+    assert json.dumps(rtree, sort_keys=True) != before
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    raised = _finishes(lambda: read_snapshot(path))
+    assert type(raised) is SnapshotError, (name, raised)
+
+
+def test_leaves_at_different_depths_raise_snapshot_error():
+    from repro.spatial import RTree
+
+    arrays = {
+        "dim": 1, "max_entries": 4, "min_entries": 2, "split_method": "quadratic",
+        "leaf": [0, 1, 0, 1],  # root -> (leaf 1, inner 2 -> leaf 3)
+        "counts": [2, 1, 1, 1],
+        "bounds": [0.0, 2.0, 0.0, 3.0, 0.0, 2.0, 0.0, 3.0, 0.0, 3.0],
+        "values": [1, 2, 0, 3, 1],
+    }
+    with pytest.raises(SnapshotError, match="depth"):
+        RTree.from_node_arrays(arrays, ["a", "b"])
+    arrays["leaf"][2], arrays["values"][3] = 1, 0  # now two leaves under the root: fine
+    arrays["counts"][3] = 0
+    del arrays["bounds"][8:], arrays["values"][4:]
+    with pytest.raises(SnapshotError, match="unreachable"):
+        RTree.from_node_arrays(arrays, ["a", "b"])

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_rtree import check_invariants as check_node_invariants, root_of
 from repro.algebra import Region
 from repro.boxes import Box, BoxQuery, EMPTY_BOX
 from repro.errors import DimensionMismatchError
@@ -385,6 +386,7 @@ class TestRTreeDeleteStats:
             if step % 50 == 0:
                 assert len(tree) == len(live)
                 tree.check_invariants()
+                check_node_invariants(tree)  # the editor's parent links too
                 # height() must reflect the real single-path depth.
                 depths = set()
 
@@ -395,7 +397,7 @@ class TestRTreeDeleteStats:
                     for _b, child in node.entries:
                         walk(child, d + 1)
 
-                walk(tree._root, 1)
+                walk(root_of(tree), 1)
                 assert depths == {tree.height()}, "leaves off-depth"
                 # Subtree counts follow deletions (the pushdown cache).
                 universe = Box((-1000.0, -1000.0), (1000.0, 1000.0))
@@ -484,29 +486,22 @@ class TestDeltaTombstoneIndexInvariants:
         )
         t._rtree.check_invariants()
 
-    def test_pure_delete_repack_purges_in_place(self):
-        """A small all-tombstone delta folds via targeted RTree.delete
-        calls (the purge shortcut): the tree object survives, its
-        delete counter moves, and the count cache stays exact."""
-        t, _boxes = self._table(n=80)
+    @pytest.mark.parametrize("n, deleted", [(80, 5), (24, 12)])
+    def test_pure_delete_repack_rebuilds(self, n, deleted):
+        """An all-tombstone delta, however small, folds like any other:
+        one STR build beside the old tree, which nobody edits (readers
+        pinned to it finish against what they started on)."""
+        t, _boxes = self._table(n=n)
         tree_before = t._rtree
-        deletes_before = tree_before.stats.deletes
-        for i in range(5):
+        reads_before = tree_before.count(BoxQuery(inside=self.UNIVERSE))
+        for i in range(deleted):
             t.delete(i)
         assert t.repack()
-        assert t._rtree is tree_before, "purge path should not rebuild"
-        assert tree_before.stats.deletes == deletes_before + 5
-        assert t._rtree.count(BoxQuery(inside=self.UNIVERSE)) == len(t)
-        t._rtree.check_invariants()
-
-    def test_large_delete_fraction_repacks_by_rebuild(self):
-        t, _boxes = self._table(n=24)
-        tree_before = t._rtree
-        for i in range(12):  # 12 * 8 > 12 remaining: purge bound exceeded
-            t.delete(i)
-        assert t.repack()
-        assert t._rtree is not tree_before, "should STR-rebuild, not purge"
-        assert t._rtree.count(BoxQuery(inside=self.UNIVERSE)) == 12
+        assert t._rtree is not tree_before
+        assert tree_before.stats.deletes == t._rtree.stats.deletes == 0
+        assert tree_before.count(BoxQuery(inside=self.UNIVERSE)) == reads_before
+        assert t._rtree.count(BoxQuery(inside=self.UNIVERSE)) == len(t) == n - deleted
+        assert t._rtree._root is None  # packed: no node was built
         t._rtree.check_invariants()
 
     def test_staged_insert_repack_always_rebuilds(self):
