@@ -109,7 +109,11 @@ def cmd_compile(args) -> int:
         order = args.order.split(",")
     else:
         order = sorted(system.variables() - constants)
-    tri = triangular_form(system, order)
+    try:
+        tri = triangular_form(system, order)
+    except ValueError as exc:  # a duplicate, or not a variable of the system
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("# retrieval order:", ", ".join(order))
     print(tri.render())
     print("# bounding-box plan")

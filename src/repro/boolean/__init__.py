@@ -48,10 +48,7 @@ from .semantics import (
     truth_table,
 )
 from .simplify import (
-    complement_simplified,
     simplify,
-    simplify_conjunction,
-    simplify_disjunction,
     simplify_under,
 )
 from .syntax import (
@@ -84,7 +81,7 @@ from .terms import (
 __all__ = [
     "And", "Bdd", "Const", "FALSE", "Formula", "Not", "Or", "TRUE", "Term",
     "Var", "absorb", "bcf_formula", "bdd_equivalent", "bdd_implies",
-    "blake_canonical_form", "blake_le", "Clause", "complement_simplified", "conj",
+    "blake_canonical_form", "blake_le", "Clause", "conj",
     "consensus", "count_satisfying", "cover_to_formula", "disj",
     "equivalent", "equivalent_under", "eval_bool", "evaluate", "formula",
     "formula_to_cover", "from_minterms", "implies", "is_contradiction",
@@ -93,7 +90,7 @@ __all__ = [
     "is_tautology", "lower_atoms_via_implicates", "minterms", "neg",
     "parse", "prime_implicants_bruteforce", "prime_implicates",
     "prime_implicants_qmc", "rename", "satisfying_assignments", "simplify",
-    "simplify_conjunction", "simplify_disjunction", "simplify_under",
+    "simplify_under",
     "sop_terms", "syllogistic_le", "term", "to_cnf", "to_compact", "to_dnf",
     "to_nnf", "to_str", "to_unicode", "truth_table", "var", "variables",
 ]

@@ -20,14 +20,18 @@ The implementation is a standard hash-consed ``ite``-based manager.  Node
 0 and node 1 are the terminals; every other node is a triple
 ``(level, low, high)`` interned in a unique table.  Functions are plain
 integer node ids tied to their manager.
+
+A manager memoises what it derives (``ite``, ``restrict``, ``constrain``,
+:meth:`Bdd.to_formula`, :meth:`Bdd.lift`) for its lifetime: Algorithm 1
+keeps one per query, so a function met again at another level is a lookup.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .syntax import And, Const, Formula, Not, Or, Var
-from .terms import Term
+from .syntax import FALSE, And, Const, Formula, Not, Or, Var
+from .terms import Term, cover_to_formula
 
 
 class Bdd:
@@ -47,6 +51,10 @@ class Bdd:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
+        self._restrict_cache: Dict[Tuple[int, int, bool], int] = {}
+        self._constrain_cache: Dict[Tuple[int, int], int] = {}
+        self._formula_cache: Dict[Tuple[int, int], Formula] = {}
+        self._lifted: Dict[Formula, int] = {}
         if order:
             for name in order:
                 self.declare(name)
@@ -187,16 +195,25 @@ class Bdd:
             return out
         raise TypeError(f"not a formula: {f!r}")
 
+    def lift(self, f: Formula) -> int:
+        """:meth:`from_formula`, or a lookup for a formula this manager
+        has lifted or printed (:meth:`to_formula`) before."""
+        node = self._lifted.get(f)
+        if node is None:
+            node = self._lifted[f] = self.from_formula(f)
+        return node
+
     # -- cofactors and quantifiers -------------------------------------------------
     def restrict(self, u: int, name: str, value: bool) -> int:
         """Shannon cofactor ``u[name <- value]``."""
         level = self.declare(name)
-        memo: Dict[int, int] = {}
+        memo = self._restrict_cache
 
         def walk(w: int) -> int:
             if w <= 1 or self._level(w) > level:
                 return w
-            out = memo.get(w)
+            key = (w, level, value)
+            out = memo.get(key)
             if out is not None:
                 return out
             wl, wlow, whigh = self._nodes[w]
@@ -204,7 +221,7 @@ class Bdd:
                 out = whigh if value else wlow
             else:
                 out = self._mk(wl, walk(wlow), walk(whigh))
-            memo[w] = out
+            memo[key] = out
             return out
 
         return walk(u)
@@ -245,7 +262,7 @@ class Bdd:
         """
         if c == 0:
             raise ValueError("constrain by the empty care set")
-        memo: Dict[Tuple[int, int], int] = {}
+        memo = self._constrain_cache
 
         def walk(u: int, care: int) -> int:
             if care == 1 or u <= 1:
@@ -397,11 +414,25 @@ class Bdd:
         return cover, covered
 
     # -- conversions -----------------------------------------------------------------
-    def to_formula(self, u: int) -> Formula:
-        """A small formula for ``u`` (via :meth:`isop`)."""
-        from .terms import cover_to_formula
-
-        return cover_to_formula(self.isop(u))
+    def to_formula(self, u: int, care: int = 1) -> Formula:
+        """A small formula agreeing with ``u`` wherever ``care`` holds: an
+        irredundant cover (:meth:`isop`) of the interval ``[u∧care,
+        constrain(u, care)∨¬care]`` — of ``u`` itself by default, ``0``
+        for an empty care set — computed once per interval.  It depends
+        on the manager only through the *relative* order of the variables
+        ``u`` and ``care`` depend on."""
+        if care == 0:
+            return FALSE
+        lower = upper = u
+        if care != 1:
+            lower = self.apply_and(u, care)
+            upper = self.apply_or(self.constrain(u, care), self.apply_not(care))
+        out = self._formula_cache.get((lower, upper))
+        if out is None:
+            cover, covered = self._isop(lower, upper)
+            out = self._formula_cache[lower, upper] = cover_to_formula(cover)
+            self._lifted.setdefault(out, covered)
+        return out
 
 
 def bdd_equivalent(f: Formula, g: Formula) -> bool:

@@ -13,6 +13,13 @@ preserves the function **on a care set** (generalized cofactor): it is
 used to display triangular systems modulo the ground residue ``S_0`` —
 e.g. the paper simplifies ``C + A'T`` to ``C + T`` using the given fact
 ``A ⊆ C``.
+
+Both are one lift into a private manager and one :meth:`Bdd.to_formula`,
+the only copy of the cover construction.  Algorithm 1 calls neither — it
+keeps nodes of one manager per system and prints only what leaves it —
+yet prints the *same* formulas: a node's cover depends on the variable
+order only through the relative order of the variables the function
+depends on, and every manager here orders by name.
 """
 
 from __future__ import annotations
@@ -20,8 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .bdd import Bdd
-from .syntax import FALSE, Formula, TRUE, conj, disj, neg
-from .terms import cover_to_formula
+from .syntax import Formula
 
 
 def simplify(f: Formula, order: Optional[Iterable[str]] = None) -> Formula:
@@ -31,14 +37,8 @@ def simplify(f: Formula, order: Optional[Iterable[str]] = None) -> Formula:
     ``order`` (default: sorted) fixes the BDD order and hence the exact
     cover chosen — the output is deterministic for a given order.
     """
-    names = sorted(f.variables()) if order is None else list(order)
-    mgr = Bdd(names)
-    node = mgr.from_formula(f)
-    if node == mgr.true:
-        return TRUE
-    if node == mgr.false:
-        return FALSE
-    return cover_to_formula(mgr.isop(node))
+    mgr = Bdd(sorted(f.variables()) if order is None else list(order))
+    return mgr.to_formula(mgr.from_formula(f))
 
 
 def simplify_under(f: Formula, care: Formula, order: Optional[Iterable[str]] = None) -> Formula:
@@ -49,37 +49,6 @@ def simplify_under(f: Formula, care: Formula, order: Optional[Iterable[str]] = N
     (chosen to minimise the result).  If ``care`` is unsatisfiable the
     care set is empty and ``0`` is returned.
     """
-    names = sorted(f.variables() | care.variables())
-    if order is not None:
-        names = list(order)
+    names = sorted(f.variables() | care.variables()) if order is None else list(order)
     mgr = Bdd(names)
-    node = mgr.from_formula(f)
-    care_node = mgr.from_formula(care)
-    if care_node == mgr.false:
-        return FALSE
-    constrained = mgr.constrain(node, care_node)
-    # ISOP between onset&care (must cover) and onset|~care (may cover)
-    # gives a cover at least as small as constrain alone.
-    lower = mgr.apply_and(node, care_node)
-    upper = mgr.apply_or(constrained, mgr.apply_not(care_node))
-    cover, _ = mgr._isop(lower, upper)
-    if not cover:
-        return FALSE
-    if len(cover) == 1 and cover[0].is_true():
-        return TRUE
-    return cover_to_formula(cover)
-
-
-def complement_simplified(f: Formula) -> Formula:
-    """A small formula for ``~f`` (avoids a bare ``Not`` over a big AST)."""
-    return simplify(neg(f))
-
-
-def simplify_conjunction(*parts: Formula) -> Formula:
-    """Simplify the conjunction of several formulas at once."""
-    return simplify(conj(*parts))
-
-
-def simplify_disjunction(*parts: Formula) -> Formula:
-    """Simplify the disjunction of several formulas at once."""
-    return simplify(disj(*parts))
+    return mgr.to_formula(mgr.from_formula(f), mgr.from_formula(care))

@@ -27,13 +27,17 @@ Facts implemented/verified here:
 The non-closure witness (paper Example 1) lives in the tests: for
 ``S: x∧y ≠ 0 ∧ ¬x∧y ≠ 0``, ``proj(S, x) = (y ≠ 0)``, but over an atomic
 algebra ``∃x S`` additionally requires ``|y| ≥ 2``.
+
+:func:`exists_equation` and :func:`project_disequation` are the paper's
+definitions, on formulas.  :func:`project` builds the same functions from
+nodes of the system's BDD manager; a part of the projected system, printed
+when read, is ``simplify`` of what they build (why: see ``triangular``).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..boolean.simplify import simplify
 from ..boolean.syntax import Formula, conj, disj, neg
 from .system import EquationalSystem
 
@@ -63,47 +67,40 @@ def project_disequation(f: Formula, g: Formula, x: str) -> Formula:
     return disj(conj(neg(b), d), conj(neg(a), c))
 
 
-def project(
-    system: EquationalSystem, x: str, simplify_formulas: bool = True
-) -> EquationalSystem:
+def project(system: EquationalSystem, x: str) -> EquationalSystem:
     """``proj(S, x)`` — the best unquantified approximation of ``∃x S``.
 
     Exact over atomless algebras (Theorem 8), an upper approximation in
-    general (Theorem 9).  With ``simplify_formulas`` the resulting
-    formulas are canonicalised through BDD ISOP, which keeps repeated
-    projection (Algorithm 1) from blowing up syntactically.
+    general (Theorem 9).  The projected system shares ``system``'s
+    manager, so repeated projection (Algorithm 1) never rewrites syntax.
+    A disequation whose *function* does not depend on ``x`` passes through.
     """
-    equation = exists_equation(system.equation, x)
-    disequations = [
-        project_disequation(system.equation, g, x)
-        for g in system.disequations
-    ]
-    if simplify_formulas:
-        equation = simplify(equation)
-        disequations = [simplify(g) for g in disequations]
-    return EquationalSystem(equation, disequations)
+    mgr, equation, disequations = system.lifted()
+    a, b = mgr.restrict(equation, x, False), mgr.restrict(equation, x, True)
+    not_a, not_b = mgr.apply_not(a), mgr.apply_not(b)
+    projected = []
+    for g in disequations:
+        c, d = mgr.restrict(g, x, False), mgr.restrict(g, x, True)
+        if c != d:
+            g = mgr.apply_or(mgr.apply_and(not_b, d), mgr.apply_and(not_a, c))
+        projected.append(g)
+    return EquationalSystem.from_nodes(mgr, mgr.apply_and(a, b), projected)
 
 
 def project_all(
-    system: EquationalSystem,
-    variables: Sequence[str],
-    simplify_formulas: bool = True,
+    system: EquationalSystem, variables: Sequence[str]
 ) -> EquationalSystem:
     """Project out several variables in the given order."""
     out = system
     for x in variables:
-        out = project(out, x, simplify_formulas)
+        out = project(out, x)
     return out
 
 
-def eliminate_to_ground(
-    system: EquationalSystem, simplify_formulas: bool = True
-) -> EquationalSystem:
+def eliminate_to_ground(system: EquationalSystem) -> EquationalSystem:
     """Project out *all* variables, leaving a system over constants.
 
     Over atomless algebras this decides satisfiability (see
     :mod:`repro.constraints.decision`).
     """
-    return project_all(
-        system, sorted(system.variables()), simplify_formulas
-    )
+    return project_all(system, sorted(system.variables()))

@@ -14,6 +14,11 @@ variables only:
 
 In the paper's containment notation, ``x∧p ≠ 0`` is ``x ⊄ ¬p`` and
 ``¬x∧q ≠ 0`` is ``q ⊄ x``; we carry the pair ``(p, q)`` directly.
+
+A :class:`SolvedConstraint` is made of formulas — the compiler reads
+them, EXPLAIN prints them — and :func:`solve_for` is where they are made:
+cofactors and complement are node operations on the system's BDD manager,
+which prints ``s``, ``t`` and each ``p_j``, ``q_j`` under the care set.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from typing import FrozenSet, List, Mapping, Optional, Tuple
 
 from ..boolean.printer import to_str
 from ..boolean.semantics import evaluate
-from ..boolean.simplify import simplify, simplify_under
 from ..boolean.syntax import FALSE, Formula, TRUE, conj, neg
 from .system import EquationalSystem
 
@@ -168,47 +172,35 @@ class BoundConstraint:
 
 
 def solve_for(
-    system: EquationalSystem,
-    x: str,
-    simplify_formulas: bool = True,
-    care: Optional[Formula] = None,
+    system: EquationalSystem, x: str, care: Optional[Formula] = None
 ) -> Tuple[SolvedConstraint, List[Formula]]:
     """Rewrite a system into solved form for variable ``x``.
 
     Applies Schröder to the equation and Boole's expansion to every
-    disequation mentioning ``x``.  Returns the :class:`SolvedConstraint`
-    together with the disequations *not* mentioning ``x`` (they belong to
+    disequation depending on ``x``.  Returns the :class:`SolvedConstraint`
+    together with the disequations *not* depending on ``x`` (they belong to
     lower levels of the triangle and are handled by the caller).
 
     ``care`` optionally supplies a ground hypothesis (the residue ``S_0``
     of Algorithm 1, as the formula ``residue = 0`` i.e. care set
-    ``¬residue``); formulas are then displayed/simplified modulo it,
-    reproducing the paper's hand-simplified Section 2 presentation.
+    ``¬residue``, over the system's variables); formulas are then
+    displayed/simplified modulo it, reproducing the paper's
+    hand-simplified Section 2 presentation.
     """
-
-    def clean(f: Formula) -> Formula:
-        if not simplify_formulas:
-            return f
-        if care is not None:
-            return simplify_under(f, care)
-        return simplify(f)
-
-    lower_raw, upper_neg = system.equation.cofactors(x)
-    lower = clean(lower_raw)
-    upper = clean(neg(upper_neg))
+    mgr, equation, disequations = system.lifted()
+    hyp = mgr.true if care is None else mgr.lift(care)
+    lower = mgr.to_formula(mgr.restrict(equation, x, False), hyp)
+    upper = mgr.to_formula(mgr.apply_not(mgr.restrict(equation, x, True)), hyp)
 
     solved: List[Disequation] = []
     passed: List[Formula] = []
-    for g in system.disequations:
-        if g.mentions(x):
-            q_raw, p_raw = g.cofactors(x)
-            solved.append(Disequation(p=clean(p_raw), q=clean(q_raw)))
+    for g in disequations:
+        q, p = mgr.restrict(g, x, False), mgr.restrict(g, x, True)
+        if p == q:
+            passed.append(mgr.to_formula(g))
         else:
-            passed.append(g)
-    constraint = SolvedConstraint(
-        variable=x, lower=lower, upper=upper, disequations=tuple(solved)
-    )
-    return constraint, passed
+            solved.append(Disequation(p=mgr.to_formula(p, hyp), q=mgr.to_formula(q, hyp)))
+    return SolvedConstraint(x, lower, upper, tuple(solved)), passed
 
 
 def solved_to_system(constraint: SolvedConstraint) -> EquationalSystem:

@@ -20,17 +20,19 @@ Theorem 1: every system can be rewritten into the *normal form*
 since ``f ⊆ g`` iff ``f ∧ ¬g = 0`` (Boole) and ``f ⊄ g`` iff
 ``f ∧ ¬g ≠ 0``, and positive constraints conjoin by disjunction of their
 left-hand sides.  :class:`EquationalSystem` is that normal form and is
-what the projection/triangularisation algorithms consume.
+what the projection/triangularisation algorithms consume — as nodes of
+one BDD manager shared by a system and everything projected from it, with
+a formula made only for the parts somebody reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Mapping, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..boolean.bdd import Bdd
 from ..boolean.semantics import evaluate
-from ..boolean.simplify import simplify
-from ..boolean.syntax import FALSE, Formula, FormulaLike, conj, disj, formula, neg
+from ..boolean.syntax import FALSE, Formula, FormulaLike, conj, formula, neg
 from ..boolean.printer import to_str
 
 
@@ -147,18 +149,19 @@ class ConstraintSystem:
         )
 
     # -- Theorem 1 ----------------------------------------------------------------------
-    def normalize(self, simplify_formulas: bool = True) -> "EquationalSystem":
+    def normalize(self) -> "EquationalSystem":
         """Rewrite into the normal form ``f = 0 ∧ g_1 ≠ 0 ∧ …`` (Theorem 1).
 
         All positive constraints merge into one equation by disjunction;
-        each negative constraint yields one disequation.
+        each negative constraint yields one disequation.  Each is lifted
+        once, into the manager the normal form's projections inherit.
         """
-        f = disj(*[c.as_zero_equation() for c in self.positives])
-        gs = [c.as_nonzero_formula() for c in self.negatives]
-        if simplify_formulas:
-            f = simplify(f)
-            gs = [simplify(g) for g in gs]
-        return EquationalSystem(f, gs)
+        mgr = Bdd(sorted(self.variables()))
+        equation = mgr.false
+        for c in self.positives:
+            equation = mgr.apply_or(equation, mgr.from_formula(c.as_zero_equation()))
+        negatives = [mgr.from_formula(c.as_nonzero_formula()) for c in self.negatives]
+        return EquationalSystem.from_nodes(mgr, equation, negatives)
 
 
 class EquationalSystem:
@@ -169,13 +172,48 @@ class EquationalSystem:
     implicit.  Disequations syntactically equal to ``0`` make the system
     trivially unsatisfiable (``0 ≠ 0``); callers detect this with
     :meth:`has_false_disequation`.
+
+    Each part (slot 0: the equation) is a formula, a node of a BDD manager,
+    or both.  A system built from formulas lifts them on first use
+    (:meth:`lifted`) into a manager of its own, ordered by name; one built
+    :meth:`from_nodes` shares its parent's and prints a part when it is read.
     """
 
     def __init__(self, equation: Formula, disequations: Iterable[Formula] = ()):
-        self.equation = formula(equation)
-        self.disequations: Tuple[Formula, ...] = tuple(
-            formula(g) for g in disequations
-        )
+        self._formulas: List[Optional[Formula]] = [formula(f) for f in (equation, *disequations)]
+        self._mgr: Optional[Bdd] = None
+        self._nodes: Tuple[int, ...] = ()
+
+    @classmethod
+    def from_nodes(cls, mgr: Bdd, equation: int, disequations: Sequence[int]) -> "EquationalSystem":
+        """The system of these nodes of ``mgr``."""
+        self = cls.__new__(cls)
+        self._mgr, self._nodes = mgr, (equation, *disequations)
+        self._formulas = [None] * len(self._nodes)
+        return self
+
+    def lifted(self) -> Tuple[Bdd, int, Tuple[int, ...]]:
+        """``(manager, equation node, disequation nodes)``."""
+        if self._mgr is None:
+            self._mgr = mgr = Bdd(sorted(self.variables()))
+            self._nodes = tuple(mgr.lift(f) for f in (self.equation, *self.disequations))
+        return self._mgr, self._nodes[0], self._nodes[1:]
+
+    def _part(self, i: int) -> Formula:
+        f = self._formulas[i]
+        if f is None:  # a part made from a node, not printed yet
+            f = self._formulas[i] = self.lifted()[0].to_formula(self._nodes[i])
+        return f
+
+    @property
+    def equation(self) -> Formula:
+        """``f`` of ``f = 0``."""
+        return self._part(0)
+
+    @property
+    def disequations(self) -> Tuple[Formula, ...]:
+        """The ``g_i`` of ``g_i ≠ 0``."""
+        return tuple(self._part(i) for i in range(1, len(self._formulas)))
 
     def variables(self) -> FrozenSet[str]:
         """All variables in the system."""
@@ -204,30 +242,16 @@ class EquationalSystem:
         whenever some other disequation ``h`` satisfies ``h <= g``.  This
         is the cleanup that makes the compiled Section 2 example display
         exactly as in the paper (``T ≠ 0`` is dropped in favour of
-        ``¬C ∧ T ≠ 0``).
+        ``¬C ∧ T ≠ 0``).  Of equivalent disequations (one node) the first stays.
         """
-        from ..boolean.semantics import implies
-
-        kept: List[Formula] = []
-        # Deterministic order: stronger (smaller) formulas first.
-        pool = list(dict.fromkeys(self.disequations))
-        for i, g in enumerate(pool):
-            redundant = False
-            for j, h in enumerate(pool):
-                if i == j:
-                    continue
-                if implies(h, g) and not (implies(g, h) and j > i):
-                    redundant = True
-                    break
-            if not redundant:
-                kept.append(g)
-        return EquationalSystem(self.equation, kept)
+        mgr, equation, nodes = self.lifted()
+        pool = list(dict.fromkeys(nodes))
+        kept = [g for g in pool if not any(h != g and mgr.apply_imp(h, g) == 1 for h in pool)]
+        return EquationalSystem.from_nodes(mgr, equation, kept)
 
     def simplified(self) -> "EquationalSystem":
         """Semantically simplify every formula in the system."""
-        return EquationalSystem(
-            simplify(self.equation), [simplify(g) for g in self.disequations]
-        )
+        return EquationalSystem.from_nodes(*self.lifted())
 
     def __str__(self) -> str:
         lines = [f"{to_str(self.equation)} = 0"]

@@ -20,16 +20,31 @@ The optional ``simplify_modulo_ground`` mode displays each ``C_i``
 simplified under the ground residue's equation, which is exactly how the
 paper presents its Section 2 example (e.g. the upper bound ``C ∨ (¬A∧T)``
 prints as ``C ∨ T`` given ``A ⊆ C``).
+
+**Functions between levels, formulas at the outputs.**  ``S_i`` is a
+tuple of *nodes* of one BDD manager — made when the system is normalized,
+ordered by ``sorted(system.variables())``, inherited by every projection
+— and ``proj``, Schröder, Boole's expansion, the care-set simplification
+and both subsumption passes are ``restrict`` / ``apply_*`` / ``constrain``
+on it.  A formula is printed (``Bdd.to_formula``) only for what leaves:
+``s``, ``t``, each ``p_j``/``q_j``, the ground residue.  It is the formula
+the syntax-rewriting algorithm (``tests/reference_triangular.py``) printed:
+that one called ``simplify`` after every step, whose private manager is
+ordered by ``sorted(f.variables())``; the shared manager induces the same
+relative order on every subset of the names; ROBDDs are canonical, so node
+operations reach the node ``from_formula`` of the rewritten syntax did; and
+a node's irredundant cover depends on its shape and variable names alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
+from ..boolean.bdd import Bdd
 from ..boolean.syntax import Formula, neg
 from .projection import project
-from .solved import SolvedConstraint, solve_for
+from .solved import Disequation, SolvedConstraint, solve_for
 from .system import ConstraintSystem, EquationalSystem
 
 
@@ -94,9 +109,7 @@ class TriangularForm:
 def triangular_form(
     system: ConstraintSystem | EquationalSystem,
     order: Sequence[str],
-    simplify_formulas: bool = True,
     simplify_modulo_ground: bool = True,
-    subsume: bool = True,
 ) -> TriangularForm:
     """Run Algorithm 1 over ``system`` with retrieval order ``order``.
 
@@ -106,25 +119,24 @@ def triangular_form(
         The constraint system (normalized on the fly if needed).
     order:
         Retrieval order ``x_1 .. x_n``; every name must occur in the
-        system and be pairwise distinct.  Variables of the system not
-        listed are treated as bound constants.
-    simplify_formulas:
-        Canonicalise intermediate formulas (recommended; Algorithm 1's
-        raw rewriting is exponential syntactically).
+        system and be pairwise distinct (``ValueError`` otherwise).
+        Variables of the system not listed are treated as bound
+        constants.
     simplify_modulo_ground:
         Additionally simplify each ``C_i`` under the ground residue's
         equation, as the paper's Section 2 does.  Sound because the
         compiler verifies the residue before the plan runs.
-    subsume:
-        Drop per-level disequations subsumed by stronger ones.
 
     Returns
     -------
     TriangularForm
     """
-    return shared_triangular_forms(
-        system, simplify_formulas, simplify_modulo_ground, subsume
-    )(order)
+    names = sorted(system.variables())
+    if not set(order) <= set(names):
+        raise ValueError(
+            f"retrieval order names {sorted(set(order) - set(names))}; the system's variables are {names}"
+        )
+    return shared_triangular_forms(system, simplify_modulo_ground)(order)
 
 
 class SharedTriangularForms:
@@ -134,23 +146,19 @@ class SharedTriangularForms:
     :meth:`constraint` for one ``C_i`` — only what that step needs is
     computed, so an order abandoned half way never solves the rest.
     Orders share work: ``S_i`` depends only on the *set* of variables
-    eliminated so far (``proj`` commutes and the simplifier is
-    canonical), and ``C_i`` only on that set, ``x_i`` and the ground
-    residue.
+    eliminated so far (``proj`` commutes and nodes are canonical), and
+    ``C_i`` only on that set, ``x_i`` and the ground residue.  Every level
+    lives on the normalized system's BDD manager, which dies with this object.
     """
 
     def __init__(
         self,
         system: ConstraintSystem | EquationalSystem,
-        simplify_formulas: bool = True,
         simplify_modulo_ground: bool = True,
-        subsume: bool = True,
     ) -> None:
         if isinstance(system, ConstraintSystem):
-            system = system.normalize(simplify_formulas)
-        self._simplify = simplify_formulas
+            system = system.normalize()
         self._modulo_ground = simplify_modulo_ground
-        self._subsume = subsume
         # Eliminated-variable set -> S_i, as projected and as the solver
         # reads it; (all unknowns, that set, x_i) -> C_i.
         self._systems: Dict[FrozenSet[str], EquationalSystem] = {frozenset(): system}
@@ -161,19 +169,14 @@ class SharedTriangularForms:
         """``S_i`` of the order ``names``: ``x_n .. x_{i+1}`` projected out."""
         key = frozenset(names[i:])
         if key not in self._systems:
-            self._systems[key] = project(
-                self._system(names, i + 1), names[i], self._simplify
-            )
+            self._systems[key] = project(self._system(names, i + 1), names[i])
         return self._systems[key]
 
     def _level(self, names: Sequence[str], i: int) -> EquationalSystem:
         """``S_i`` less its subsumed disequations (``S_0``: the ground)."""
         key = frozenset(names[i:])
         if key not in self._levels:
-            level = self._system(names, i)
-            self._levels[key] = (
-                level.subsume_disequations() if self._subsume else level
-            )
+            self._levels[key] = self._system(names, i).subsume_disequations()
         return self._levels[key]
 
     def constraint(self, order: Sequence[str], i: int) -> SolvedConstraint:
@@ -183,12 +186,9 @@ class SharedTriangularForms:
             care: Optional[Formula] = None
             if self._modulo_ground:  # care set: the residue's equation holds
                 care = neg(self._level(order, 0).equation)
-            solved, _passed = solve_for(
-                self._level(order, i + 1), order[i], self._simplify, care
-            )
-            if self._subsume:
-                solved = _subsume_solved(solved, care)
-            self._solved[key] = solved
+            level = self._level(order, i + 1)
+            solved, _passed = solve_for(level, order[i], care)
+            self._solved[key] = _subsume_solved(solved, care, level.lifted()[0])
         return self._solved[key]
 
     def __call__(self, order: Sequence[str]) -> TriangularForm:
@@ -203,45 +203,30 @@ shared_triangular_forms = SharedTriangularForms  # the name callers know
 
 
 def _subsume_solved(
-    c: SolvedConstraint, care: Optional[Formula]
+    c: SolvedConstraint, care: Optional[Formula], mgr: Bdd
 ) -> SolvedConstraint:
     """Remove redundant disequations within one level.
 
     ``r_k`` implies ``r_j`` iff ``p_k <= p_j`` and ``q_k <= q_j`` (the
     disequation bodies are monotone in both coefficients); implication is
     checked modulo the ground residue ``care`` when provided, matching
-    the paper's display of the Section 2 example.
+    the paper's display of the Section 2 example.  ``mgr`` is the manager
+    that printed ``c``, so lifting its formulas back is a lookup.
     """
-    from ..boolean.semantics import implies_under
-    from ..boolean.syntax import TRUE
-
-    hyp = TRUE if care is None else care
-
-    def le(a: Formula, b: Formula) -> bool:
-        return implies_under(hyp, a, b)
-
-    rs = list(dict.fromkeys(c.disequations))
-    kept = []
-    for j, rj in enumerate(rs):
-        redundant = False
-        for k, rk in enumerate(rs):
-            if k == j:
-                continue
-            if le(rk.p, rj.p) and le(rk.q, rj.q):
-                mutual = le(rj.p, rk.p) and le(rj.q, rk.q)
-                if not (mutual and k > j):
-                    redundant = True
-                    break
-        if not redundant:
-            kept.append(rj)
-    if len(kept) == len(c.disequations):
-        return c
-    return SolvedConstraint(
-        variable=c.variable,
-        lower=c.lower,
-        upper=c.upper,
-        disequations=tuple(kept),
+    hyp = mgr.true if care is None else mgr.lift(care)
+    first: Dict[Tuple[int, int], Disequation] = {}  # of equivalent r_j, the first
+    for r in c.disequations:
+        pq = mgr.apply_and(hyp, mgr.lift(r.p)), mgr.apply_and(hyp, mgr.lift(r.q))
+        first.setdefault(pq, r)
+    kept = tuple(
+        r
+        for (p, q), r in first.items()
+        if not any(
+            (pk, qk) != (p, q) and mgr.apply_imp(pk, p) == 1 and mgr.apply_imp(qk, q) == 1
+            for pk, qk in first
+        )
     )
+    return c if len(kept) == len(c.disequations) else replace(c, disequations=kept)
 
 
 def verify_necessity(

@@ -177,6 +177,6 @@ def build_witness(
 
     env: Dict[str, object] = dict(constants)
     for i, x in enumerate(order, start=1):
-        constraint, _passed = solve_for(chain[i], x, simplify_formulas=True)
+        constraint, _passed = solve_for(chain[i], x)
         env[x] = choose_value(algebra, constraint, env)
     return env

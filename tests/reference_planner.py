@@ -10,19 +10,15 @@ row, every order is triangularised and rolled out from scratch, the row
 sample is scanned twice per step, and no failure is swallowed.
 ``test_planner_reference.py`` holds the engine to them bit for bit;
 nothing here may import the code under test beyond the untouched
-building blocks (``project``, ``solve_for``, the statistics' histogram
-estimators).
+building blocks (the statistics' histogram estimators); Algorithm 1 is
+the frozen formula-level one of ``reference_triangular.py``.
 """
 
 import random
 from itertools import permutations
 
 from repro.boolean.semantics import evaluate
-from repro.boolean.syntax import neg
 from repro.boxes.bconstraints import compile_solved_constraint
-from repro.constraints.projection import project
-from repro.constraints.solved import solve_for
-from repro.constraints.triangular import TriangularForm, _subsume_solved
 from repro.engine.catalog import Catalog
 from repro.engine.planner import (
     HISTOGRAM_CONFIDENCE_MARGIN,
@@ -30,6 +26,7 @@ from repro.engine.planner import (
     StepEstimate,
     choose_order,
 )
+from tests.reference_triangular import reference_triangular_form
 
 
 # -- constraints/solved.py ---------------------------------------------------
@@ -66,32 +63,6 @@ class ReferenceBound:
 
     def holds(self, value):
         return reference_holds(self.solved, self.algebra, value, self.env)
-
-
-# -- constraints/triangular.py -----------------------------------------------
-def reference_triangular_form(system, order):
-    """Algorithm 1 for one order, every projection from scratch."""
-    normalized = system.normalize(True)
-    names = list(order)
-    systems = {len(names): normalized}
-    current = normalized
-    for i in range(len(names), 0, -1):
-        current = project(current, names[i - 1], True)
-        systems[i - 1] = current
-    ground = systems[0].subsume_disequations()
-    care = neg(ground.equation)
-    constraints = []
-    for i in range(1, len(names) + 1):
-        solved, _passed = solve_for(
-            systems[i].subsume_disequations(),
-            names[i - 1],
-            simplify_formulas=True,
-            care=care,
-        )
-        constraints.append(_subsume_solved(solved, care))
-    return TriangularForm(
-        order=tuple(names), constraints=tuple(constraints), ground=ground
-    )
 
 
 # -- engine/catalog.py -------------------------------------------------------

@@ -150,6 +150,16 @@ def _cli(*args, stdin=""):
 
 
 class TestCli:
+    def test_compile_rejects_an_order_naming_a_stranger(self):
+        # Used to exit 0 with a junk level "x & ~y <= nope <= y | ~x".
+        text = "x <= y\nx & z != 0\n"
+        proc = _cli("compile", "--order", "x,nope", stdin=text)
+        assert proc.returncode == 2
+        assert "nope" in proc.stderr and "['x', 'y', 'z']" in proc.stderr
+        assert "-- C[" not in proc.stdout
+        fine = _cli("compile", "--order", "x,z", stdin=text)
+        assert fine.returncode == 0 and "-- C[z] --" in fine.stdout
+
     def test_compile(self):
         proc = _cli(
             "compile", "--order", "T,R,B", "--constants", "C,A", "-",

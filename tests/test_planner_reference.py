@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra import Region
-from repro.boolean import FALSE, TRUE, Var
+from repro.boolean import FALSE, TRUE, Bdd, Var, semantics
 from repro.boxes import Box
 from repro.constraints import (
     ConstraintSystem,
@@ -64,8 +64,8 @@ from tests.reference_planner import (
     reference_estimates_by_order,
     reference_holds,
     reference_plan_order,
-    reference_triangular_form,
 )
+from tests.reference_triangular import reference_triangular_form
 from tests.strategies import (
     BITS8,
     LINE,
@@ -245,13 +245,36 @@ CHAIN_QUERIES = {
 STEP_RESULT_CEILING = {"overlap": 0.55, "containment": 0.8}
 
 
+class _TopLevelCalls:
+    """Patch over a recursive method counting its outermost calls (the
+    original still runs)."""
+
+    def __init__(self, cls, attr):
+        self.call_count = 0
+        depth = [0]
+        original = getattr(cls, attr)
+
+        def spy(*args, **kwargs):
+            self.call_count += not depth[0]
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        self.patch = mock.patch.object(cls, attr, spy)
+
+
 @contextmanager
 def _counted():
     """Mocks counting the calls (the originals still run) of Algorithm
-    1's building blocks and of the rollouts' step results."""
+    1's building blocks, of what they cost the BDD layer — managers
+    built, formulas lifted, covers extracted, truth tables — and of the
+    rollouts' step results."""
     methods = {
         "subsume": (EquationalSystem, "subsume_disequations"),
         "exact_selectivity": (TableStatistics, "exact_selectivity"),
+        "managers": (Bdd, "__init__"),
     }
     with ExitStack() as stack:
         mocks = {
@@ -260,12 +283,20 @@ def _counted():
             )
             for name in ("project", "solve_for")
         }
+        mocks["truth_tables"] = stack.enter_context(
+            mock.patch.object(
+                semantics, "truth_table_fast", wraps=semantics.truth_table_fast
+            )
+        )
         for name, (cls, attr) in methods.items():
             mocks[name] = stack.enter_context(
                 mock.patch.object(
                     cls, attr, autospec=True, side_effect=getattr(cls, attr)
                 )
             )
+        for name, attr in (("lifts", "from_formula"), ("isops", "_isop")):
+            mocks[name] = _TopLevelCalls(Bdd, attr)
+            stack.enter_context(mocks[name].patch)
         yield mocks
 
 
@@ -395,13 +426,20 @@ def test_rollout_bound_is_strict_and_names_the_dead_prefix(figure1_db):
 @pytest.mark.parametrize("form,area", FIGURE1_VARIANTS)
 def test_figure1_run_work_counts(figure1_db, form, area):
     """Per ``Session.run``: 10 / 15 / 46-50 before the search was bounded
-    and the triangular memo moved onto the query."""
+    and the triangular memo moved onto the query; 84 managers, 136
+    formulas lifted, 84 covers and 159 truth tables before Algorithm 1
+    moved onto the nodes of one manager."""
     text = TEXT_FORMS[form].format(A=f"A{area}")
     with _counted() as calls:
         figure1_db.session().run(text)
     assert calls["project"].call_count <= 7
     assert calls["solve_for"].call_count <= 10
     assert calls["exact_selectivity"].call_count <= 19
+    assert calls["managers"].call_count == 1
+    # Each parsed constraint once, and the care set once.
+    assert calls["lifts"].call_count <= 8
+    assert calls["isops"].call_count <= 30
+    assert calls["truth_tables"].call_count == 0
     # Once per distinct eliminated set (the 2^3 subsets of {T, R, B}).
     levels = [c.args[0] for c in calls["subsume"].call_args_list]
     assert len(levels) == len({id(level) for level in levels}) <= 8
@@ -422,6 +460,10 @@ def test_run_and_explain_triangularise_once(figure1_db):
     for calls in (run, explain):
         assert calls["project"].call_count == planning["project"].call_count == 7
         assert calls["solve_for"].call_count == planning["solve_for"].call_count
+        # Compile, the join/shard choosers and the EXPLAIN annotations
+        # build no manager and lift no formula of their own.
+        assert calls["managers"].call_count == planning["managers"].call_count == 1
+        assert calls["lifts"].call_count == planning["lifts"].call_count
     assert result.order == order
     # Sharing changes no outcome: stage by stage on query objects of
     # their own, the strategies and the EXPLAIN text are the same.
