@@ -11,16 +11,14 @@ Usage::
                              [--order-strategy histogram]
                              [--stream] [--limit K] [--probe-cache N]
                              [--partitions N] [--parallel W] [--join auto]
-                             [--shards S] [--spill N] [--parallel-kind thread]
+                             [--parallel-kind thread]
                              [--knn K] [--agg count,min:T] [--agg-box]
                              [--mutate N] [--delta-threshold N]
     python -m repro explain  [--workload ...] [--mode boxplan] [--analyze]
                              [--partitions N] [--parallel W] [--join pbsm]
-                             [--shards S] [--spill N]
                              [--knn K] [--agg count] [--group-by B]
     python -m repro run      [--workload ...] [--stream] [--limit K]
                              [--partitions N] [--parallel W]
-                             [--shards S] [--spill N]
                              [--knn K [--knn-ref T]] [--agg count]
     python -m repro save     OUT [--workload ...] [--partitions N]
     python -m repro load     SNAPSHOT [--json]
@@ -44,12 +42,9 @@ PBSM tiles), ``--parallel W`` fans PBSM tile tasks over a W-worker
 pool (answers are identical to serial execution), and ``--join``
 forces a per-step join algorithm — by default the cost-based planner
 picks one per step whenever partitioning or parallelism is enabled.
-``--shards S`` switches to sharded scale-out execution: each table is
-STR-split into S shards (own R-tree each) and joined through the MBR
-semi-join coordinator, ``--parallel-kind process`` runs shard sweeps on
-a process pool with shared-memory shard columns, and ``--spill N``
-bounds the join's resident probe memory by spilling buckets to disk
-tiles.  Answers are bit-identical to serial execution throughout.
+``--parallel-kind process`` runs PBSM tile sweeps on a process pool
+that receives packed coordinate blobs.  Answers are bit-identical to
+serial execution throughout.
 
 ``explain`` prints the physical operator tree for the chosen mode with
 catalog cost estimates; ``--analyze`` also executes the plan and
@@ -328,8 +323,8 @@ def _probe_cache(args):
 def _physical_options(args) -> dict:
     """Partitioned-execution keyword arguments for ``plan.physical``."""
     join = args.join
-    if join is None and (args.partitions or args.parallel or args.shards):
-        # Partitioning/sharding/parallelism without an explicit
+    if join is None and (args.partitions or args.parallel):
+        # Partitioning/parallelism without an explicit
         # algorithm choice delegates the per-step pick to the planner.
         join = "auto"
     return {
@@ -337,8 +332,6 @@ def _physical_options(args) -> dict:
         "parallel": args.parallel,
         "parallel_kind": args.parallel_kind,
         "join_strategy": join,
-        "shards": args.shards,
-        "spill": args.spill,
     }
 
 
@@ -381,8 +374,6 @@ def cmd_bench(args) -> int:
         "order_strategy": strategy,
         "order": list(plan.order),
         "partitions": pplan.partitions,
-        "shards": pplan.shards,
-        "spill": pplan.spill,
         "parallel": args.parallel,
         "parallel_kind": args.parallel_kind,
         "joins": list(pplan.join_strategies),
@@ -399,15 +390,10 @@ def cmd_bench(args) -> int:
     else:
         print(f"workload={args.workload} size={args.size} mode={args.mode}")
         print(f"order ({strategy}): {', '.join(plan.order)}")
-        if args.partitions or args.parallel or args.shards:
-            layout = f"partitions={args.partitions or 'off'} "
-            if args.shards:
-                layout += f"shards={args.shards} "
-                if args.spill:
-                    layout += f"spill={args.spill} "
+        if args.partitions or args.parallel:
             print(
-                layout
-                + f"parallel={args.parallel or 'serial'} "
+                f"partitions={args.partitions or 'off'} "
+                f"parallel={args.parallel or 'serial'} "
                 f"joins={','.join(pplan.join_strategies)}"
             )
         print(stats.summary())
@@ -482,12 +468,7 @@ def cmd_save(args) -> int:
 
     query = _build_workload(args)
     db = Database(tables=query.tables, bindings=query.bindings)
-    db.save(
-        args.out,
-        statistics=True,
-        partitions=args.partitions,
-        shards=args.shards,
-    )
+    db.save(args.out, statistics=True, partitions=args.partitions)
     rows = sum(len(t) for t in db.tables.values())
     print(
         f"saved {len(db.tables)} tables ({rows} rows), "
@@ -631,36 +612,16 @@ def build_parser() -> argparse.ArgumentParser:
                 "partition",
                 "pbsm",
                 "zorder",
-                "shardscan",
-                "shardjoin",
             ),
             default=None,
             help="per-step join algorithm (default: backend-dependent; "
-            "'auto' picks cost-based per step; shardscan/shardjoin "
-            "need --shards)",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=0,
-            metavar="S",
-            help="sharded scale-out execution with ~S STR shards per "
-            "table (0 = unsharded)",
-        )
-        p.add_argument(
-            "--spill",
-            type=int,
-            default=None,
-            metavar="N",
-            help="spill sharded-join probe buckets to disk tiles above "
-            "N resident entries (bounded-memory out-of-core join)",
+            "'auto' picks cost-based per step)",
         )
         p.add_argument(
             "--parallel-kind",
             choices=("thread", "process"),
             default="thread",
-            help="worker pool kind for --parallel (process pools "
-            "publish shard columns via shared memory)",
+            help="worker pool kind for --parallel",
         )
         p.add_argument(
             "--knn",

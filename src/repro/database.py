@@ -14,9 +14,8 @@ module is the one front door over all of it:
   instead of a full STR build);
 * a :class:`Session` executes queries with one uniform keyword
   vocabulary — ``mode=``, ``join_strategy=``, ``partitions=``,
-  ``parallel=``, ``parallel_kind=``, ``shards=``, ``spill=``,
-  ``limit=`` — matching the CLI flags one-for-one, with per-session
-  defaults and an optional shared
+  ``parallel=``, ``parallel_kind=``, ``limit=`` — matching the CLI
+  flags one-for-one, with per-session defaults and an optional shared
   :class:`~repro.spatial.table.ProbeCache`.  Parallel plans borrow the
   database's persistent :class:`~repro.spatial.partition.WorkerPool`
   (one per pool shape, alive until :meth:`Database.close`) instead of
@@ -57,8 +56,6 @@ SESSION_OPTIONS = (
     "partitions",
     "parallel",
     "parallel_kind",
-    "shards",
-    "spill",
     "limit",
     "vectorize",
 )
@@ -69,8 +66,6 @@ _OPTION_DEFAULTS = {
     "partitions": 0,
     "parallel": 0,
     "parallel_kind": "thread",
-    "shards": 0,
-    "spill": None,
     "limit": None,
     "vectorize": None,
 }
@@ -142,16 +137,11 @@ class Database:
             return pool
 
     def close(self) -> None:
-        """Release the worker pools and shared-memory shard columns."""
+        """Release the worker pools."""
         with self._pool_lock:
             pools, self._pools = list(self._pools.values()), {}
         for pool in pools:
             pool.close()
-        for table in self.tables.values():
-            if table._sharding_cache is not None:
-                table._sharding_cache.close()
-                table._sharding_cache = None
-                table._sharding_key = None
 
     def __enter__(self) -> "Database":
         return self
@@ -176,16 +166,13 @@ class Database:
         path: str,
         statistics: bool = True,
         partitions: int = 0,
-        shards: int = 0,
     ) -> None:
         """Atomically snapshot every table and binding to ``path``.
 
         ``statistics=True`` (default) computes each table's default
         planner statistics first so the snapshot ships a warm catalog;
         ``partitions > 0`` additionally computes and ships the STR
-        partitioning at that granularity, and ``shards > 0`` the
-        sharding (per-shard row membership — :meth:`open` rebuilds the
-        same shards without re-running the STR sort).
+        partitioning at that granularity.
         """
         for table in self.tables.values():
             # Fold any pending write delta first: snapshots serialize
@@ -194,8 +181,6 @@ class Database:
             table.repack()
             if partitions > 0:
                 table.partitioning(partitions)
-            if shards > 0:
-                table.sharding(shards)
             if statistics:
                 table.statistics()
         write_snapshot(path, self.tables, self.bindings)
@@ -295,11 +280,11 @@ class Session:
     :class:`~repro.engine.compiler.QueryPlan`, or — when constructed
     with a :class:`Database` — raw constraint text.  Keyword options
     (``mode=``, ``join_strategy=``, ``partitions=``, ``parallel=``,
-    ``parallel_kind=``, ``shards=``, ``spill=``,
-    ``limit=``) match the CLI flags; constructor keywords set session
-    defaults, call keywords override per query.  ``probe_cache=N``
-    shares an N-entry :class:`ProbeCache` across the session's probes
-    (pass ``cache=`` to share an existing one, e.g. the service's).
+    ``parallel_kind=``, ``limit=``) match the CLI flags; constructor
+    keywords set session defaults, call keywords override per query.
+    ``probe_cache=N`` shares an N-entry :class:`ProbeCache` across the
+    session's probes (pass ``cache=`` to share an existing one, e.g.
+    the service's).
     """
 
     def __init__(
@@ -332,16 +317,13 @@ class Session:
         parallel,
         join_strategy,
         vectorize=_UNSET,
-        shards=_UNSET,
-        spill=_UNSET,
         parallel_kind=_UNSET,
     ) -> dict:
         partitions = self._option("partitions", partitions)
         parallel = self._option("parallel", parallel)
-        shards = self._option("shards", shards)
         kind = self._option("parallel_kind", parallel_kind)
         join = self._option("join_strategy", join_strategy)
-        if join is None and (partitions or parallel or shards):
+        if join is None and (partitions or parallel):
             # Same default the CLI applies: partitioned execution with
             # no explicit algorithm delegates the pick to the planner.
             join = "auto"
@@ -356,8 +338,6 @@ class Session:
             "parallel_kind": kind,
             "join_strategy": join,
             "vectorize": self._option("vectorize", vectorize),
-            "shards": shards,
-            "spill": self._option("spill", spill),
             "pool": pool,
         }
 
@@ -403,8 +383,6 @@ class Session:
         partitions=_UNSET,
         parallel=_UNSET,
         parallel_kind=_UNSET,
-        shards=_UNSET,
-        spill=_UNSET,
         join_strategy=_UNSET,
         vectorize=_UNSET,
     ) -> QueryResult:
@@ -424,8 +402,6 @@ class Session:
                 parallel,
                 join_strategy,
                 vectorize,
-                shards=shards,
-                spill=spill,
                 parallel_kind=parallel_kind,
             ),
         )
@@ -459,8 +435,6 @@ class Session:
         partitions=_UNSET,
         parallel=_UNSET,
         parallel_kind=_UNSET,
-        shards=_UNSET,
-        spill=_UNSET,
         join_strategy=_UNSET,
         vectorize=_UNSET,
     ) -> str:
@@ -477,8 +451,6 @@ class Session:
                 parallel,
                 join_strategy,
                 vectorize,
-                shards=shards,
-                spill=spill,
                 parallel_kind=parallel_kind,
             ),
         )
@@ -496,8 +468,6 @@ class Session:
         partitions=_UNSET,
         parallel=_UNSET,
         parallel_kind=_UNSET,
-        shards=_UNSET,
-        spill=_UNSET,
         join_strategy=_UNSET,
         vectorize=_UNSET,
     ) -> dict:
@@ -521,8 +491,6 @@ class Session:
             partitions=partitions,
             parallel=parallel,
             parallel_kind=parallel_kind,
-            shards=shards,
-            spill=spill,
             join_strategy=join_strategy,
             vectorize=vectorize,
         )

@@ -40,8 +40,6 @@ from .physical import (
     PartitionedSpatialJoin,
     PhysicalOperator,
     PhysicalPlan,
-    ShardScan,
-    ShardedJoin,
     TableScan,
     VectorizedScanProbe,
     ZOrderJoin,
@@ -52,13 +50,11 @@ from .planner import (
     JOIN_STRATEGIES,
     KNN_ACCESS_STRATEGIES,
     ORDER_STRATEGIES,
-    SHARD_STRATEGIES,
     StepEstimate,
     best_order_by_estimate,
     choose_aggregate_strategy,
     choose_join_strategies,
     choose_knn_access,
-    choose_shard_strategies,
     choose_order,
     enumerate_orders,
     estimate_order_cost_histogram,
@@ -99,9 +95,6 @@ __all__ = [
     "PhysicalPlan",
     "ProbeCache",
     "QueryPlan",
-    "SHARD_STRATEGIES",
-    "ShardScan",
-    "ShardedJoin",
     "SpatialQuery",
     "StepEstimate",
     "StepPlan",
@@ -117,7 +110,6 @@ __all__ = [
     "choose_join_strategies",
     "choose_knn_access",
     "choose_order",
-    "choose_shard_strategies",
     "collect_statistics",
     "compile_query",
     "enumerate_orders",

@@ -86,17 +86,14 @@ class QueryPlan:
         parallel_kind: str = "thread",
         join_strategy: Optional[str] = None,
         vectorize: Optional[bool] = None,
-        shards: int = 0,
-        spill: Optional[int] = None,
         pool: Optional["WorkerPool"] = None,
     ) -> "PhysicalPlan":
         """Lower to a physical operator tree (the third pipeline stage).
 
         ``estimate=False`` skips the EXPLAIN-only catalog cost rollouts
         (they cost far more than executing a small query).
-        ``partitions``/``parallel``/``join_strategy``/``vectorize``
-        configure partitioned and columnar execution, ``shards``/
-        ``spill``/``pool`` sharded scale-out — see
+        ``partitions``/``parallel``/``join_strategy``/``vectorize``/
+        ``pool`` configure partitioned and columnar execution — see
         :func:`repro.engine.physical.build_physical_plan`.
         """
         from .physical import build_physical_plan
@@ -111,8 +108,6 @@ class QueryPlan:
             parallel_kind=parallel_kind,
             join_strategy=join_strategy,
             vectorize=vectorize,
-            shards=shards,
-            spill=spill,
             pool=pool,
         )
 

@@ -91,7 +91,6 @@ from ..spatial.partition import (
     pbsm_join,
     probe_box,
 )
-from ..spatial.shard import ShardJoinStats
 from ..spatial.table import ProbeCache, SpatialObject, SpatialTable
 from .compiler import QueryPlan
 from .stats import ExecutionStats
@@ -684,9 +683,7 @@ class PartitionScan(ExtendStep):
     instantiates the step's box template, skips every partition whose
     MBR cannot contain a match (the same soundness argument R-tree node
     descent uses) and tests only the surviving partitions' rows.  The
-    partition-aware access path for unindexed tables — and the
-    observable stepping stone to sharding: each partition could live on
-    a different worker.
+    partition-aware access path for unindexed tables.
     """
 
     kind = "PartitionScan"
@@ -970,142 +967,6 @@ class ZOrderJoin(_BulkJoinStep):
         return list(zorder_join(left, right, exact=True))
 
 
-class ShardScan(ExtendStep):
-    """Extend via MBR-pruned probes into each shard's own R-tree.
-
-    The per-tuple access path over a :class:`~repro.spatial.shard.
-    ShardedTable`: each input binding instantiates the step's box
-    template, the coordinator prunes shards whose MBR cannot contain a
-    match, and every surviving shard answers one range query from its
-    own packed R-tree (billed as one probe and its node reads).
-    Results are re-emitted in the parent table's insertion order, so
-    the output stream is identical for every shard count.
-    """
-
-    kind = "ShardScan"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-        template: "StepTemplate",
-        shards: int,
-    ) -> None:
-        super().__init__(child, variable, table)
-        self.template = template
-        self.n_shards = max(1, shards)
-        self._sharding = None
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind}({self.variable} from {self.table.name}, "
-            f"shards={self.n_shards})"
-        )
-
-    def reset_stats(self) -> None:
-        self._sharding = None
-        super().reset_stats()
-
-    def _rows(
-        self, ctx: ExecutionContext, binding: Binding
-    ) -> List[SpatialObject]:
-        if self._sharding is None:
-            self._sharding = self.table.sharding(self.n_shards)
-        sharding = self._sharding
-        query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
-        self.stats.box_evals += 1
-        if query.is_unsatisfiable():
-            self.stats.partitions_pruned += len(sharding.shards)
-            return []
-        tagged: List[Tuple[int, SpatialObject]] = []
-        for shard in sharding.shards:
-            if not mbr_may_match(shard.mbr, query):
-                self.stats.partitions_pruned += 1
-                continue
-            self.stats.partitions_visited += 1
-            self.stats.probes += 1
-            sub = shard.table
-            before = sub.index_read_count()
-            batches, cands = (
-                sub.vectorized_batches,
-                sub.vectorized_candidates,
-            )
-            rows = sub.range_query(query, vectorize=ctx.vectorize)
-            self.stats.node_reads += sub.index_read_count() - before
-            self.stats.vectorized_batches += (
-                sub.vectorized_batches - batches
-            )
-            self.stats.vectorized_candidates += (
-                sub.vectorized_candidates - cands
-            )
-            tagged.extend((sharding.seq_of(obj), obj) for obj in rows)
-        tagged.sort(key=lambda e: e[0])
-        return [obj for _seq, obj in tagged]
-
-
-class ShardedJoin(_BulkJoinStep):
-    """The coordinator's bulk join over a sharded table.
-
-    Probe boxes are routed by an MBR semi-join — a probe is shipped
-    only to shards whose MBR it overlaps — and each surviving shard is
-    plane-swept as one task on the plan's
-    :class:`~repro.spatial.partition.Exchange`.  On a process pool the
-    shard coordinates come from the sharding's shared-memory blocks
-    (published once per sharding, attached and cached by the workers)
-    instead of per-task pickled blobs.  Shard row sets are disjoint, so
-    the merged candidate pairs are duplicate-free; the bulk-join base
-    sorts them globally, making answers bit-identical to serial
-    execution for every shard count and exchange kind.
-    """
-
-    kind = "ShardedJoin"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-        template: "StepTemplate",
-        shards: int,
-        exchange: Optional[Exchange] = None,
-        spill: Optional[int] = None,
-    ) -> None:
-        super().__init__(child, variable, table)
-        self.template = template
-        self.n_shards = max(1, shards)
-        self.exchange = exchange or Exchange()
-        self.spill = spill
-
-    def describe(self) -> str:
-        extra = f", spill={self.spill}" if self.spill else ""
-        return (
-            f"{self.kind}({self.variable} from {self.table.name}, "
-            f"shards={self.n_shards}, "
-            f"exchange={self.exchange.describe()}{extra})"
-        )
-
-    def _candidate_pairs(
-        self,
-        ctx: ExecutionContext,
-        probes: List[Tuple[int, Box]],
-        rows: List[SpatialObject],
-    ) -> List[Tuple[int, int]]:
-        sharding = self.table.sharding(self.n_shards)
-        join_stats = ShardJoinStats()
-        pairs = sharding.join_pairs(
-            probes,
-            exchange=self.exchange,
-            stats=join_stats,
-            spill=self.spill,
-        )
-        self.stats.partitions_visited += join_stats.visited
-        self.stats.partitions_pruned += join_stats.pruned
-        self.stats.pair_tests += join_stats.pair_tests
-        self.stats.dedup_skipped += join_stats.dedup_skipped
-        return pairs
-
-
 class BoxFilter(PhysicalOperator):
     """Filter bindings by a step's instantiated box query.
 
@@ -1235,8 +1096,6 @@ class PhysicalPlan:
     step_ops: List[_StepOps] = field(default_factory=list)
     final_filter: Optional[ExactFilter] = None
     partitions: int = 0
-    shards: int = 0
-    spill: Optional[int] = None
     join_strategies: Tuple[str, ...] = ()
     exchange: Optional[Exchange] = None
     knn_access: Optional[str] = None
@@ -1362,10 +1221,8 @@ class PhysicalPlan:
             f"PhysicalPlan[{self.mode}]"
             f"  order: {', '.join(self.logical.order)}"
         ]
-        if (
-            self.partitions
-            or self.shards
-            or any(s != "probe" for s in self.join_strategies)
+        if self.partitions or any(
+            s != "probe" for s in self.join_strategies
         ):
             joins = ", ".join(
                 f"{v}={s}"
@@ -1374,13 +1231,9 @@ class PhysicalPlan:
             exchange = (
                 self.exchange.describe() if self.exchange else "serial"
             )
-            layout = f"  partitions={self.partitions or 'off'}"
-            if self.shards:
-                layout += f"  shards={self.shards}"
-                if self.spill:
-                    layout += f"  spill={self.spill}"
             lines.append(
-                f"{layout}  exchange={exchange}  joins: {joins}"
+                f"  partitions={self.partitions or 'off'}"
+                f"  exchange={exchange}  joins: {joins}"
             )
         if self.logical.knn is not None:
             lines.append(
@@ -1443,7 +1296,6 @@ def _resolve_join_strategies(
     partitions: int,
     parallel: int,
     join_strategy: Any,
-    shards: int = 0,
 ) -> Dict[str, str]:
     """Normalise the ``join_strategy`` option to a per-variable mapping.
 
@@ -1457,21 +1309,8 @@ def _resolve_join_strategies(
     layer to join on, so an *explicit* concrete strategy there raises
     rather than being silently dropped (``"auto"`` degrades quietly: it
     delegates the choice, and in these modes there is none to make).
-
-    Sharded execution (``shards > 0``) swaps the strategy vocabulary:
-    every step runs against the sharded table, so the valid names are
-    :data:`~repro.engine.planner.SHARD_STRATEGIES` and ``None`` /
-    ``"auto"`` choose per step via
-    :func:`~repro.engine.planner.choose_shard_strategies`.  Naming a
-    shard strategy with ``shards=0`` raises — there is no sharding to
-    run it on.
     """
-    from .planner import (
-        JOIN_STRATEGIES,
-        SHARD_STRATEGIES,
-        choose_join_strategies,
-        choose_shard_strategies,
-    )
+    from .planner import JOIN_STRATEGIES, choose_join_strategies
 
     if mode not in ("boxplan", "boxonly"):
         if join_strategy not in (None, "auto"):
@@ -1481,35 +1320,6 @@ def _resolve_join_strategies(
                 f"no box layer to join on"
             )
         return {}
-    if shards > 0:
-        if join_strategy in (None, "auto"):
-            chosen = choose_shard_strategies(
-                plan.query,
-                plan.order,
-                catalog=catalog,
-                shards=shards,
-                workers=parallel,
-            )
-            return dict(zip(plan.order, chosen))
-        if isinstance(join_strategy, str):
-            resolved = {v: join_strategy for v in plan.order}
-        elif isinstance(join_strategy, dict):
-            resolved = dict(join_strategy)
-        else:
-            resolved = dict(zip(plan.order, join_strategy))
-        for variable, name in resolved.items():
-            if name not in SHARD_STRATEGIES:
-                raise ValueError(
-                    f"unknown shard strategy {name!r} for {variable!r}; "
-                    f"with shards>0 expected one of {SHARD_STRATEGIES} "
-                    f"(or 'auto')"
-                )
-        return resolved
-    if isinstance(join_strategy, str) and join_strategy in SHARD_STRATEGIES:
-        raise ValueError(
-            f"join strategy {join_strategy!r} requires sharded "
-            f"execution; pass shards>0 to enable it"
-        )
     if join_strategy is None:
         out = {}
         if partitions > 0:
@@ -1547,11 +1357,6 @@ def _resolve_join_strategies(
             )
         resolved = dict(zip(plan.order, names))
     for variable, name in resolved.items():
-        if name in SHARD_STRATEGIES:
-            raise ValueError(
-                f"join strategy {name!r} for {variable!r} requires "
-                f"sharded execution; pass shards>0 to enable it"
-            )
         if name not in JOIN_STRATEGIES:
             raise ValueError(
                 f"unknown join strategy {name!r} for {variable!r}; "
@@ -1570,8 +1375,6 @@ def build_physical_plan(
     parallel_kind: str = "thread",
     join_strategy: Optional[str] = None,
     vectorize: Optional[bool] = None,
-    shards: int = 0,
-    spill: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
 ) -> PhysicalPlan:
     """Lower a logical :class:`QueryPlan` to a physical operator tree.
@@ -1600,17 +1403,6 @@ def build_physical_plan(
         (cost-based), one of
         :data:`~repro.engine.planner.JOIN_STRATEGIES`, or a
         sequence/mapping per variable;
-    ``shards``
-        STR-shard every step's table into this many shards and execute
-        via the shard coordinator (:class:`ShardScan` /
-        :class:`ShardedJoin`, chosen per step by
-        :func:`~repro.engine.planner.choose_shard_strategies` unless an
-        explicit strategy is given) — answers stay bit-identical to
-        unsharded execution;
-    ``spill``
-        bound the sharded join's in-memory buffering: probe buckets
-        above this many entries spill to disk tiles and are streamed
-        back per shard (``None`` = fully in-memory);
     ``pool``
         a persistent :class:`~repro.spatial.partition.WorkerPool` for
         the exchange to borrow (e.g. the one owned by
@@ -1651,12 +1443,8 @@ def build_physical_plan(
         return pplan
 
     strategies = _resolve_join_strategies(
-        plan, mode, catalog, partitions, parallel, join_strategy,
-        shards=shards,
+        plan, mode, catalog, partitions, parallel, join_strategy
     )
-    if mode not in ("boxplan", "boxonly"):
-        # Sharding, like partitioning, only shapes box-mode plans.
-        shards = 0
     exchange = Exchange(workers=parallel, kind=parallel_kind, pool=pool)
     tiles = partitions if partitions > 0 else DEFAULT_TILES
 
@@ -1698,24 +1486,6 @@ def build_physical_plan(
                 if use_boxes:
                     box_filter = BoxFilter(node, sp.variable, sp.template)
                     node = box_filter
-            elif use_boxes and shards > 0 and strategy == "shardjoin":
-                extend = ShardedJoin(
-                    node,
-                    sp.variable,
-                    sp.table,
-                    sp.template,
-                    shards=shards,
-                    exchange=exchange,
-                    spill=spill,
-                )
-                node = extend
-            elif use_boxes and shards > 0:
-                # "shardscan" — and the safety net for any step the
-                # shard chooser left unnamed.
-                extend = ShardScan(
-                    node, sp.variable, sp.table, sp.template, shards
-                )
-                node = extend
             elif use_boxes and strategy == "pbsm":
                 extend: ExtendStep = PartitionedSpatialJoin(
                     node,
@@ -1788,8 +1558,6 @@ def build_physical_plan(
         step_ops=step_ops,
         final_filter=final_filter,
         partitions=partitions,
-        shards=shards,
-        spill=spill,
         join_strategies=tuple(
             strategies.get(v, "probe") for v in plan.order
         ),

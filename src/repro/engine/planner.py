@@ -66,13 +66,6 @@ ORDER_STRATEGIES = ("greedy", "histogram")
 #: PROBE-style z-order merge join.
 JOIN_STRATEGIES = ("probe", "partition", "pbsm", "zorder")
 
-#: Per-step access paths over a *sharded* table
-#: (:func:`choose_shard_strategies`, ``shards > 0`` plans only):
-#: ``"shardscan"`` — one MBR-pruned probe into each surviving shard's
-#: R-tree per partial tuple; ``"shardjoin"`` — the coordinator's bulk
-#: MBR semi-join + per-shard plane sweeps.
-SHARD_STRATEGIES = ("shardscan", "shardjoin")
-
 #: A PBSM/z-order step must expect at least this many probing partial
 #: tuples before bulk joins can beat per-tuple index probes.
 MIN_BULK_JOIN_OUTER = 4.0
@@ -664,78 +657,3 @@ def choose_join_strategies(
         out.append(best)
     return tuple(out)
 
-
-def choose_shard_strategies(
-    query: SpatialQuery,
-    order: Sequence[str],
-    catalog: Optional[Catalog] = None,
-    shards: int = 0,
-    workers: int = 0,
-    rollouts: int = 6,
-    seed: int = 0,
-) -> Tuple[str, ...]:
-    """Pick a sharded access path per retrieval step (cost-based).
-
-    The coordinator plans with *per-shard statistics*: the rollout
-    estimates are computed at shard granularity (``partitions=shards``
-    summarises exactly the STR tiling the shards use, so
-    ``pruned_candidates`` is the row total of the shards an MBR
-    semi-join would keep).  Costs mirror
-    :func:`choose_join_strategies`'s shapes:
-
-    * ``"shardscan"`` — per partial tuple, one R-tree descent into each
-      surviving shard (smaller trees: ``log2(n/shards)``), reading the
-      surviving shards' candidate rows;
-    * ``"shardjoin"`` — the bulk path: ``outer x shards`` MBR semi-join
-      tests, a linear build over shipped probes + shard rows, and the
-      sweep's pair tests amortised by the worker pool
-      (``sqrt(workers)``, like PBSM).
-
-    Bulk thresholds keep small steps on the per-tuple path; unusable
-    statistics (:data:`ESTIMATION_ERRORS`) return all-``"shardscan"`` —
-    the safe default.
-    """
-    order = tuple(order)
-    n_shards = max(1, shards)
-    try:
-        estimates = rollout_step_estimates(
-            query,
-            order,
-            catalog=catalog,
-            rollouts=rollouts,
-            seed=seed,
-            partitions=n_shards,
-        )
-    except ESTIMATION_ERRORS:
-        return tuple("shardscan" for _ in order)
-    speedup = max(1.0, float(workers)) ** 0.5
-    out: List[str] = []
-    for est in estimates:
-        table = query.tables[est.variable]
-        n = len(table)
-        outer = est.partials_in
-        avg = max(1.0, n / n_shards)
-        pruned = est.pruned_candidates
-        visited = 1.0
-        if outer > 0:
-            visited = min(
-                float(n_shards),
-                max(1.0, pruned / max(1.0, outer * avg)),
-            )
-        cost_scan = (
-            outer
-            * visited
-            * math.log2(avg + 2.0)
-            * INDEX_PROBE_BRANCHING
-            + est.candidates
-        )
-        if outer >= MIN_BULK_JOIN_OUTER and n >= MIN_BULK_JOIN_ROWS:
-            cost_join = (
-                outer * n_shards
-                + 1.5 * (outer * visited + n)
-                + max(est.candidates, pruned) / speedup
-            )
-        else:
-            cost_join = float("inf")
-        out.append("shardjoin" if cost_join < cost_scan else "shardscan")
-    return tuple(out)

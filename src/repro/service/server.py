@@ -99,17 +99,10 @@ class SnapshotStore:
             self._current = new_db
             version = self._version
         kept = {id(t) for t in new_db.tables.values()}
-        for table in old_db.tables.values():
-            if id(table) in kept:
-                continue
-            if self._cache is not None:
-                self._cache.purge_table(table)
-            # A superseded table's shards are never probed again;
-            # release their shared-memory columns now rather than at GC.
-            if table._sharding_cache is not None:
-                table._sharding_cache.close()
-                table._sharding_cache = None
-                table._sharding_key = None
+        if self._cache is not None:
+            for table in old_db.tables.values():
+                if id(table) not in kept:
+                    self._cache.purge_table(table)
         return version
 
 

@@ -23,7 +23,6 @@ from .partition import (
     Partition,
     TablePartitioning,
     TileGrid,
-    TileSpill,
     WorkerPool,
     mbr_may_match,
     pbsm_join,
@@ -38,12 +37,6 @@ from .rangequery import (
     matches_via_point,
 )
 from .rtree import RTree, RTreeStats
-from .shard import (
-    ShardColumnBlock,
-    ShardJoinStats,
-    ShardedTable,
-    TableShard,
-)
 from .snapshot import (
     FORMAT_VERSION,
     read_snapshot,
@@ -80,15 +73,10 @@ __all__ = [
     "ProbeCache",
     "RTree",
     "RTreeStats",
-    "ShardColumnBlock",
-    "ShardJoinStats",
-    "ShardedTable",
     "SpatialObject",
     "SpatialTable",
     "TablePartitioning",
-    "TableShard",
     "TileGrid",
-    "TileSpill",
     "WorkerPool",
     "ZGrid",
     "ZOrderIndex",

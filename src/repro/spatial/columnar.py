@@ -513,7 +513,7 @@ class ColumnStore:
         """A store filled a column at a time: ``base``'s slots minus
         those at the ascending positions ``drop`` (copied and closed
         up, not re-derived from the rows), then one slot per ``(box,
-        row)`` — the constructor of repacks, shards and snapshot loads."""
+        row)`` — the constructor of repacks and snapshot loads."""
         store = cls(dim)
         if base is not None:
             columns: List[Any] = [store.rows, store._nonempty, *store._lo, *store._hi]

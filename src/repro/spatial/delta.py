@@ -16,7 +16,7 @@ snapshot.  The watermark bumps once per staged mutation; the base
 version only bumps at repack.  Cached artifacts keyed by the base
 version alone (probe-cache entries over base rows, base statistics)
 therefore survive delta-only writes, while artifacts that must see the
-live rows (partitionings, shardings, merged statistics) key on the pair.
+live rows (partitionings, merged statistics) key on the pair.
 
 Cost model: with only a handful of staged rows a probe brute-forces the
 memo; past :data:`INDEX_THRESHOLD` staged inserts an insertion-built

@@ -28,20 +28,11 @@ parallelisable one:
   persistent :class:`WorkerPool` (owned by the ``Database`` /
   ``QueryService`` lifetime) so repeated queries never pay process
   spawn again; without one it falls back to a one-shot pool per call.
-
-* :class:`TileSpill` — disk-backed tile buckets (the out-of-core PBSM
-  path): replicated tile entries are flushed to per-tile spill files in
-  the snapshot format's packed-float codec once an in-memory budget is
-  exceeded, and :func:`pbsm_join` then streams tile tasks back in
-  bounded chunks instead of materialising every bucket at once.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
-import tempfile
 import threading
 from dataclasses import dataclass
 from itertools import product
@@ -341,8 +332,6 @@ class JoinStats:
     pair_tests: int = 0  # candidate box-overlap tests in the sweeps
     pairs: int = 0  # result pairs after dedup
     dedup_skipped: int = 0  # boundary duplicates suppressed
-    spilled_entries: int = 0  # tile entries written to spill files
-    spill_flushes: int = 0  # buffer flushes to disk
 
     def merge_tile(self, tests: int, dups: int) -> None:
         self.tiles += 1
@@ -749,117 +738,6 @@ class Exchange:
             return [fn(t) for t in tasks]
 
 
-# -- out-of-core tile queues --------------------------------------------------
-
-
-class TileSpill:
-    """Disk-backed tile buckets for the out-of-core PBSM path.
-
-    Entries (``(box, int tag)``) are buffered in memory per
-    ``(tile, side)`` bucket; :meth:`flush` appends every buffer to its
-    bucket's spill file and drops the buffers, bounding resident memory
-    by the flush budget rather than the full replicated input.  Records
-    are fixed-size — one little-endian int64 tag plus ``2 * dim``
-    little-endian doubles (the snapshot format's packed-float codec) —
-    so coordinates round-trip bit-exactly and :meth:`load` reproduces
-    the exact append order: file records first, then any unflushed
-    buffer residue.
-    """
-
-    def __init__(self, dim: int, directory: Optional[str] = None):
-        self.dim = dim
-        self._record = struct.Struct(f"<q{2 * dim}d")
-        self._buffers: Dict[Tuple[int, int], List[Tuple[Box, int]]] = {}
-        self._paths: Dict[Tuple[int, int], str] = {}
-        self._dir = directory
-        self._own_dir = directory is None
-        self.buffered = 0
-        self.spilled_entries = 0
-        self.flushes = 0
-
-    def _path(self, key: Tuple[int, int]) -> str:
-        if self._dir is None:
-            self._dir = tempfile.mkdtemp(prefix="repro-spill-")
-        path = self._paths.get(key)
-        if path is None:
-            tile, side = key
-            path = os.path.join(self._dir, f"t{tile}.{side}")
-            self._paths[key] = path
-        return path
-
-    def add(self, tile: int, side: int, box: Box, tag: int) -> None:
-        """Buffer one entry for ``(tile, side)``."""
-        self._buffers.setdefault((tile, side), []).append((box, tag))
-        self.buffered += 1
-
-    def flush(self) -> None:
-        """Append every buffered entry to its spill file; drop buffers."""
-        if not self.buffered:
-            return
-        for key, entries in self._buffers.items():
-            if not entries:
-                continue
-            with open(self._path(key), "ab") as fh:
-                for box, tag in entries:
-                    fh.write(self._record.pack(tag, *box.lo, *box.hi))
-            self.spilled_entries += len(entries)
-        self._buffers.clear()
-        self.buffered = 0
-        self.flushes += 1
-
-    def tiles(self) -> List[int]:
-        """Tile ids holding any entry (buffered or spilled), sorted."""
-        seen = {t for t, _s in self._buffers if self._buffers[(t, _s)]}
-        seen.update(t for t, _s in self._paths)
-        return sorted(seen)
-
-    def load(self, tile: int, side: int) -> List[Tuple[Box, int]]:
-        """One bucket's entries, in original append order."""
-        key = (tile, side)
-        out: List[Tuple[Box, int]] = []
-        path = self._paths.get(key)
-        if path is not None and os.path.exists(path):
-            dim = self.dim
-            with open(path, "rb") as fh:
-                blob = fh.read()
-            for rec in self._record.iter_unpack(blob):
-                out.append(
-                    (
-                        Box._trusted(
-                            rec[1 : 1 + dim],
-                            rec[1 + dim : 1 + 2 * dim],
-                            empty=False,
-                        ),
-                        rec[0],
-                    )
-                )
-        out.extend(self._buffers.get(key, ()))
-        return out
-
-    def close(self) -> None:
-        """Delete every spill file (and the owned directory)."""
-        self._buffers.clear()
-        self.buffered = 0
-        for path in self._paths.values():
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-        self._paths.clear()
-        if self._own_dir and self._dir is not None:
-            try:
-                os.rmdir(self._dir)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-            self._dir = None
-
-    def __enter__(self) -> "TileSpill":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 # -- the PBSM join ------------------------------------------------------------
 
 
@@ -869,7 +747,6 @@ def pbsm_join(
     n_tiles: int = DEFAULT_TILES,
     exchange: Optional[Exchange] = None,
     stats: Optional[JoinStats] = None,
-    spill: Optional[int] = None,
 ) -> List[Tuple[object, object]]:
     """Partition-based spatial-merge overlap join of two box sequences.
 
@@ -879,14 +756,6 @@ def pbsm_join(
     Returns ``(left_value, right_value)`` pairs whose boxes overlap,
     sorted by input positions — deterministic, and identical for serial
     and parallel execution.
-
-    ``spill=N`` enables the out-of-core path: tile buckets flush to a
-    :class:`TileSpill` every ``N`` buffered entries and tile tasks are
-    streamed back in bounded chunks, so resident memory is ~``N``
-    replicated entries plus one chunk of tasks instead of the whole
-    replicated input.  Entry order per bucket is preserved exactly, so
-    the pairs, tests and dedup counters match the in-memory path
-    bit-for-bit.
     """
     lefts = [(b, k) for k, (b, _v) in enumerate(left) if not b.is_empty()]
     rights = [(b, k) for k, (b, _v) in enumerate(right) if not b.is_empty()]
@@ -898,72 +767,31 @@ def pbsm_join(
     assert grid is not None  # non-empty inputs imply a non-empty extent
     exchange = exchange or Exchange()
     repl_left = repl_right = 0
-    results: List[Tuple[List[Tuple[int, int]], int, int]] = []
-    if spill is not None and spill > 0:
-        with TileSpill(dim=grid.extent.dim) as store:
-            for side, entries in ((0, lefts), (1, rights)):
-                for b, k in entries:
-                    tiles = grid.tiles_overlapping(b)
-                    if side == 0:
-                        repl_left += len(tiles) - 1
-                    else:
-                        repl_right += len(tiles) - 1
-                    for t in tiles:
-                        store.add(t, side, b, k)
-                        if store.buffered >= spill:
-                            store.flush()
-            # Stream tile tasks in chunks of ~the worker count: at any
-            # moment only those tiles' entries are resident.
-            chunk = max(1, exchange.workers or 1)
-            tile_ids = store.tiles()
-            for start in range(0, len(tile_ids), chunk):
-                tasks = []
-                for t in tile_ids[start : start + chunk]:
-                    ls = store.load(t, 0)
-                    rs = store.load(t, 1)
-                    if ls and rs:
-                        tasks.append((grid, t, ls, rs))
-                if not tasks:
-                    continue
-                if exchange.uses_processes(len(tasks)):
-                    results.extend(
-                        exchange.run(
-                            _sweep_tile_packed,
-                            [_pack_tile_task(t) for t in tasks],
-                        )
-                    )
-                else:
-                    results.extend(exchange.run(_sweep_tile, tasks))
-            if stats is not None:
-                stats.spilled_entries += store.spilled_entries
-                stats.spill_flushes += store.flushes
+    buckets: Dict[int, Tuple[List, List]] = {}
+    for b, k in lefts:
+        tiles = grid.tiles_overlapping(b)
+        repl_left += len(tiles) - 1
+        for t in tiles:
+            buckets.setdefault(t, ([], []))[0].append((b, k))
+    for b, k in rights:
+        tiles = grid.tiles_overlapping(b)
+        repl_right += len(tiles) - 1
+        for t in tiles:
+            buckets.setdefault(t, ([], []))[1].append((b, k))
+    tasks: List[_TileTask] = [
+        (grid, t, ls, rs)
+        for t, (ls, rs) in sorted(buckets.items())
+        if ls and rs
+    ]
+    if exchange.uses_processes(len(tasks)):
+        # Process workers receive packed coordinate blobs, not pickled
+        # Box object graphs; a pool-creation fallback to serial still
+        # runs the same packed tasks, so results never depend on it.
+        results = exchange.run(
+            _sweep_tile_packed, [_pack_tile_task(t) for t in tasks]
+        )
     else:
-        buckets: Dict[int, Tuple[List, List]] = {}
-        for b, k in lefts:
-            tiles = grid.tiles_overlapping(b)
-            repl_left += len(tiles) - 1
-            for t in tiles:
-                buckets.setdefault(t, ([], []))[0].append((b, k))
-        for b, k in rights:
-            tiles = grid.tiles_overlapping(b)
-            repl_right += len(tiles) - 1
-            for t in tiles:
-                buckets.setdefault(t, ([], []))[1].append((b, k))
-        tasks: List[_TileTask] = [
-            (grid, t, ls, rs)
-            for t, (ls, rs) in sorted(buckets.items())
-            if ls and rs
-        ]
-        if exchange.uses_processes(len(tasks)):
-            # Process workers receive packed coordinate blobs, not
-            # pickled Box object graphs; a pool-creation fallback to
-            # serial still runs the same packed tasks, so results never
-            # depend on it.
-            results = exchange.run(
-                _sweep_tile_packed, [_pack_tile_task(t) for t in tasks]
-            )
-        else:
-            results = exchange.run(_sweep_tile, tasks)
+        results = exchange.run(_sweep_tile, tasks)
     pairs: List[Tuple[int, int]] = []
     for tile_pairs, tests, dups in results:
         pairs.extend(tile_pairs)

@@ -21,11 +21,11 @@ builds:
   startup cost worth snapshotting);
 * cached statistics reference their row sample by index, and the
   partitioning stores per-partition row indices, so the loaded table
-  answers :meth:`statistics`/:meth:`partitioning` from the snapshot;
-* a cached :class:`~repro.spatial.shard.ShardedTable` stores each
-  shard's member row slots in shard row order, so the loaded table's
-  :meth:`sharding` rebuilds identical shards (same membership, same
-  tags, same answer streams) without re-running the STR sort.
+  answers :meth:`statistics`/:meth:`partitioning` from the snapshot.
+  Both are checked on load: partition MBRs are recomputed from their
+  rows and must match, and a damaged block raises
+  :class:`~repro.errors.SnapshotError`.  Table keys this build does
+  not read (optional caches of older builds) are ignored.
 
 Writes are atomic: the file is written to a sibling temporary path and
 moved into place with ``os.replace``, so a crashed save never leaves a
@@ -49,7 +49,6 @@ from ..boxes.box import Box, box_from_jsonable, box_to_jsonable, enclose_all
 from ..errors import SnapshotError
 from .columnar import ColumnStore, pack_floats, unpack_floats
 from .partition import Partition, TablePartitioning
-from .shard import ShardedTable
 from .rtree import RTree
 from .table import SpatialObject, SpatialTable
 
@@ -176,22 +175,46 @@ def table_to_jsonable(table: SpatialTable) -> dict:
                 for p in tiling.partitions
             ],
         }
-    if (
-        table._sharding_cache is not None
-        and table._sharding_key is not None
-        and table._sharding_key[0] == table._version
-    ):
-        sharding = table._sharding_cache
-        data["sharding"] = {
-            "target": sharding.target,
-            # Per-shard member row slots in shard row order — enough to
-            # rebuild identical shards without re-running the STR sort.
-            "shards": [
-                [row_index[id(obj)] for obj in shard.table]
-                for shard in sharding.shards
-            ],
-        }
     return data
+
+
+def _partitioning_from_jsonable(
+    table: SpatialTable, data: dict, rows: Sequence[SpatialObject]
+) -> TablePartitioning:
+    """The saved STR partitioning, checked against the loaded rows.
+
+    It decides which rows a ``PartitionScan`` reads, so like the R-tree
+    node arrays it is checked on the way in: each partition names rows
+    in range, with non-empty boxes, that no other partition names, and
+    its stored MBR is the one those rows enclose (a smaller one would
+    prune matching rows).  A block that fails raises
+    :class:`~repro.errors.SnapshotError` naming the table and partition.
+    """
+
+    def damaged(why: object) -> SnapshotError:
+        return SnapshotError(f"damaged partitioning of table {table.name!r}: {why}")
+
+    seen: set = set()
+    partitions: List[Partition] = []
+    try:
+        target = int(data["target"])
+        for p in data["partitions"]:
+            pid, indices = int(p["pid"]), tuple(p["rows"])
+            for i in indices:
+                in_range = type(i) is int and 0 <= i < len(rows)
+                if not in_range or i in seen or rows[i].box.is_empty():
+                    raise damaged(f"partition {pid} names row {i!r}")
+                seen.add(i)
+            mbr = enclose_all([rows[i].box for i in indices])
+            if not indices or box_from_jsonable(p["mbr"]) != mbr:
+                raise damaged(f"partition {pid}'s stored MBR is not its rows' {mbr!r}")
+            members = tuple(rows[i] for i in indices)
+            partitions.append(Partition(pid=pid, mbr=mbr, rows=members, indices=indices))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise damaged(repr(exc)) from exc
+    return TablePartitioning(
+        table_name=table.name, version=table._version, target=target, partitions=tuple(partitions)
+    )
 
 
 def table_from_jsonable(data: dict) -> SpatialTable:
@@ -259,42 +282,22 @@ def table_from_jsonable(data: dict) -> SpatialTable:
                 table._grid.insert(obj.box.to_point(), obj)
         table._grid.stats.reset()
     if "statistics" in data:
-        table._stats_cache = {
-            tuple(entry["key"]): TableStatistics.from_dict(
-                entry["stats"], rows
-            )
-            for entry in data["statistics"]
-        }
-        table._stats_version = table._version
-    part = data.get("partitioning")
-    if part is not None:
-        table._partitioning_cache = TablePartitioning(
-            table_name=table.name,
-            version=table._version,
-            target=int(part["target"]),
-            partitions=tuple(
-                Partition(
-                    pid=int(p["pid"]),
-                    mbr=box_from_jsonable(p["mbr"]),
-                    rows=tuple(rows[int(i)] for i in p["rows"]),
-                    indices=tuple(int(i) for i in p["rows"]),
+        try:
+            table._stats_cache = {
+                tuple(entry["key"]): TableStatistics.from_dict(
+                    entry["stats"], rows
                 )
-                for p in part["partitions"]
-            ),
-        )
-        table._partitioning_key = (table._version, 0, int(part["target"]))
-    shard_data = data.get("sharding")
-    if shard_data is not None:
-        target = int(shard_data["target"])
-        table._sharding_cache = ShardedTable.from_row_groups(
-            table,
-            target,
-            [
-                [rows[int(i)] for i in group]
-                for group in shard_data["shards"]
-            ],
-        )
-        table._sharding_key = (table._version, 0, target)
+                for entry in data["statistics"]
+            }
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise SnapshotError(
+                f"damaged statistics of table {table.name!r}: {exc!r}"
+            ) from exc
+        table._stats_version = table._version
+    if data.get("partitioning") is not None:
+        tiling = _partitioning_from_jsonable(table, data["partitioning"], rows)
+        table._partitioning_cache = tiling
+        table._partitioning_key = (table._version, 0, tiling.target)
     return table
 
 

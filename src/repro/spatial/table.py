@@ -323,8 +323,6 @@ class SpatialTable:
         self._stats_version: Optional[int] = None
         self._partitioning_cache = None
         self._partitioning_key: Optional[Tuple] = None
-        self._sharding_cache = None
-        self._sharding_key: Optional[Tuple] = None
         # LSM-style write delta (None until the first staged mutation).
         self._delta: Optional[TableDelta] = None
         self.delta_threshold = delta_threshold
@@ -603,8 +601,6 @@ class SpatialTable:
         clone._delta_stats_cache = {}
         clone._partitioning_cache = None
         clone._partitioning_key = None
-        clone._sharding_cache = None
-        clone._sharding_key = None
         clone._delta = self._delta.clone() if self._delta is not None else None
         clone._shares_base = True
         for oid, region in inserts:
@@ -1178,29 +1174,6 @@ class SpatialTable:
             self._partitioning_cache = str_partition(self, n_partitions)
             self._partitioning_key = key
         return self._partitioning_cache
-
-    # -- sharding (scale-out execution) --------------------------------------------
-    def sharding(self, n_shards: int):
-        """An STR sharding of this table's rows, cached by version.
-
-        Built lazily by :meth:`repro.spatial.shard.ShardedTable.build`
-        over the live rows; the cache key is the ``(base version,
-        delta watermark)`` snapshot token, so direct mutations,
-        reindexes, staged writes and repacks all invalidate it — and
-        the superseded sharding is closed (its shared-memory
-        publications unlinked) before the rebuild.  Used by the
-        shard-aware physical operators (``ShardScan``, ``ShardedJoin``)
-        and the planner's shard costing.
-        """
-        key = (self._version, self.delta_watermark, n_shards)
-        if self._sharding_key != key:
-            from .shard import ShardedTable
-
-            if self._sharding_cache is not None:
-                self._sharding_cache.close()
-            self._sharding_cache = ShardedTable.build(self, n_shards)
-            self._sharding_key = key
-        return self._sharding_cache
 
     # -- statistics (cost-based planning) -----------------------------------------
     def statistics(

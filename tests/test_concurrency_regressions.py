@@ -1,11 +1,9 @@
 """Regression tests for the lock-discipline fixes flagged by repro-lint.
 
-Three shared-state classes had check-then-act races on their lazy
+Two shared-state classes had check-then-act races on their lazy
 construction paths: ``WorkerPool.executor`` (two threads could each
-build an executor, stranding one unclosed), ``Database.worker_pool``
-(two sessions could each install a pool for the same shape), and
-``ShardedTable.publish`` (two readers could both publish a shard's
-shared-memory block, leaking whichever loses the dict store).  Each
+build an executor, stranding one unclosed) and ``Database.worker_pool``
+(two sessions could each install a pool for the same shape).  Each
 test hammers the lazy path from many threads through a barrier and
 asserts exactly-once construction.
 """
@@ -14,11 +12,8 @@ import threading
 
 import pytest
 
-from conftest import make_workload
-
 from repro.database import Database
 from repro.spatial.partition import WorkerPool
-from repro.spatial.shard import ShardedTable
 
 THREADS = 8
 
@@ -83,27 +78,3 @@ def test_database_distinct_shapes_get_distinct_pools():
     finally:
         db.close()
 
-
-def test_sharded_table_publish_is_exactly_once():
-    tables, _bindings = make_workload(7, sizes=(8, 12))
-    table = next(iter(tables.values()))
-    sharding = ShardedTable.build(table, 2)
-    try:
-        shard = sharding.shards[0]
-        blocks = hammer(lambda: sharding.publish(shard))
-        # Every caller sees the same block (possibly None when shared
-        # memory is unavailable), and it was constructed exactly once.
-        assert all(b is blocks[0] for b in blocks)
-        assert sharding.shm_published + sharding.shm_failed == 1
-    finally:
-        sharding.close()
-
-
-def test_sharded_table_close_is_idempotent_and_publish_after_raises():
-    tables, _bindings = make_workload(9, sizes=(8, 12))
-    table = next(iter(tables.values()))
-    sharding = ShardedTable.build(table, 2)
-    sharding.close()
-    sharding.close()
-    with pytest.raises(RuntimeError):
-        sharding.publish(sharding.shards[0])

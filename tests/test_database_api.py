@@ -136,6 +136,14 @@ def test_session_rejects_unknown_option():
         Session(modee="boxplan")
 
 
+def test_session_rejects_retired_scale_out_options(db, workload):
+    """PR 21 deleted the second STR split and its two options."""
+    with pytest.raises(TypeError, match="unknown session option"):
+        Session(shards=2)
+    with pytest.raises(TypeError):
+        db.session().run(str(workload[0].system), spill=8)
+
+
 def test_session_partitioned_matches_serial(workload):
     query, _map = workload
     expected, _stats = _baseline(query)

@@ -380,61 +380,6 @@ def test_vectorized_execution_differential(
             )
 
 
-SHARD_STRATEGIES = (None, "shardscan", "shardjoin")
-
-
-@given(
-    constraint_systems(),
-    st.integers(0, 10_000),
-    st.sampled_from(SHARD_STRATEGIES),
-    st.integers(1, 6),
-    st.sampled_from((0, 2)),
-)
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_sharded_execution_differential(
-    system, seed, strategy, n_shards, workers
-):
-    """Sharded plans return exactly the unsharded serial plans' answers
-    in every box mode × shard strategy (auto, shard scan, coordinator
-    join) × shard count × worker count, on both the in-memory and the
-    bounded-memory spill paths — the scale-out layer may change the
-    wall clock, never the answer stream."""
-    tables, bindings = make_workload(seed, system=system)
-    if not tables:
-        return
-    order = sorted(tables)
-    query = SpatialQuery(system=system, tables=tables, bindings=bindings)
-    try:
-        plan = compile_query(query, order=order)
-    except UnsatisfiableError:
-        return
-    for mode in ("boxplan", "boxonly"):
-        reference = answers_as_oid_tuples(
-            list(build_physical_plan(plan, mode).execute_iter()), order
-        )
-        for spill in (None, 8):
-            pplan = build_physical_plan(
-                plan,
-                mode,
-                shards=n_shards,
-                join_strategy=strategy,
-                parallel=workers,
-                spill=spill,
-            )
-            got = answers_as_oid_tuples(
-                list(pplan.execute_iter()), order
-            )
-            assert got == reference, (
-                f"{mode}/{strategy}/shards={n_shards}/"
-                f"workers={workers}/spill={spill} diverged "
-                f"for:\n{system}"
-            )
-
-
 @given(
     st.lists(edge_boxes(), min_size=1, max_size=30),
     edge_box_queries(),
@@ -512,20 +457,14 @@ def test_vectorized_nearest_differential(seed, k, box_anchor):
 
 
 #: Physical layouts the delta differential sweeps: serial, partitioned
-#: (threaded PBSM), and sharded — including the bounded-memory spill
-#: and the process-pool shared-memory paths.
+#: (PBSM serial, threaded and on the process pool's packed tasks), and
+#: the z-order merge join.
 DELTA_LAYOUTS = (
     {},
     {"partitions": 3, "join_strategy": "pbsm"},
     {"partitions": 3, "join_strategy": "pbsm", "parallel": 2},
-    {"shards": 3, "join_strategy": "shardscan"},
-    {"shards": 3, "join_strategy": "shardjoin", "spill": 8},
-    {
-        "shards": 3,
-        "join_strategy": "shardjoin",
-        "parallel": 2,
-        "parallel_kind": "process",
-    },
+    {"partitions": 3, "join_strategy": "pbsm", "parallel": 2, "parallel_kind": "process"},
+    {"partitions": 3, "join_strategy": "zorder"},
 )
 
 
@@ -577,7 +516,7 @@ def test_delta_staged_execution_differential(system, seed, layout_index):
     """A delta-staged table (half its rows in the write delta, ghosts
     tombstoned) and its post-repack form return exactly the fresh
     table's answer sets, in every box mode x physical layout (serial,
-    partitioned, sharded, spilled, process-pool) x columnar backend."""
+    PBSM, process-pool PBSM, z-order) x columnar backend."""
     layout = DELTA_LAYOUTS[layout_index]
     tables, bindings = make_workload(seed, system=system)
     if not tables:

@@ -95,9 +95,11 @@ def test_serial_plans_report_no_exchange(plan):
 
 
 def test_parallel_plans_surface_exchange(plan):
-    """A parallel sharded plan reports its exchange geometry in
+    """A parallel PBSM plan reports its exchange geometry in
     stats(), the dict forms, and the summary string."""
-    pplan = build_physical_plan(plan, "boxplan", shards=4, parallel=2)
+    pplan = build_physical_plan(
+        plan, "boxplan", partitions=4, join_strategy="pbsm", parallel=2
+    )
     pplan.run()
     stats = pplan.stats()
     assert stats.exchange_kind == "thread"
@@ -113,7 +115,9 @@ def test_parallel_plans_surface_exchange(plan):
 def test_exchange_fields_roundtrip_serialization(plan):
     """to_dict -> from_dict preserves the exchange fields exactly, and
     legacy payloads without them decode to the serial defaults."""
-    pplan = build_physical_plan(plan, "boxplan", shards=2, parallel=2)
+    pplan = build_physical_plan(
+        plan, "boxplan", partitions=4, join_strategy="pbsm", parallel=2
+    )
     pplan.run()
     stats = pplan.stats()
     decoded = ExecutionStats.from_dict(stats.to_dict())

@@ -24,6 +24,7 @@ from repro.spatial import (
     JoinStats,
     SpatialTable,
     TileGrid,
+    WorkerPool,
     mbr_may_match,
     pbsm_join,
     probe_box,
@@ -390,3 +391,125 @@ class TestPlannerIntegration:
         query = overlay_query(n_left=400, n_right=400, seed=5)
         chosen = choose_join_strategies(query, ["x", "y"], partitions=32)
         assert chosen[1] in ("pbsm", "zorder")
+
+
+class _BrokenOnce:
+    """A fake executor whose first ``map`` raises ``BrokenExecutor``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def map(self, fn, tasks):
+        from concurrent.futures import BrokenExecutor
+
+        self.calls += 1
+        raise BrokenExecutor("worker died")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestWorkerPool:
+    def test_map_preserves_order(self):
+        with WorkerPool(workers=3, kind="thread") as pool:
+            assert pool.map(lambda x: x * x, range(10)) == [
+                x * x for x in range(10)
+            ]
+
+    def test_broken_executor_recreated_once(self):
+        pool = WorkerPool(workers=2, kind="thread")
+        pool._executor = _BrokenOnce()
+        try:
+            got = pool.map(lambda x: x + 1, [1, 2, 3])
+            assert got == [2, 3, 4]
+            assert pool.recreations == 1
+        finally:
+            pool.close()
+
+    def test_second_break_propagates(self):
+        from concurrent.futures import BrokenExecutor
+
+        pool = WorkerPool(workers=2, kind="thread")
+        pool._make_executor = _BrokenOnce  # every replacement is broken
+        pool._executor = _BrokenOnce()
+        try:
+            with pytest.raises(BrokenExecutor):
+                pool.map(lambda x: x, [1, 2])
+            assert pool.recreations == 1
+        finally:
+            pool.close()
+
+    def test_task_exception_propagates(self):
+        def boom(x):
+            if x == 2:
+                raise ValueError("task failure")
+            return x
+
+        with WorkerPool(workers=2, kind="thread") as pool:
+            with pytest.raises(ValueError, match="task failure"):
+                pool.map(boom, [1, 2, 3])
+
+    def test_closed_pool_rejects_use(self):
+        pool = WorkerPool(workers=2, kind="thread")
+        pool.close()
+        assert pool.closed
+        with pytest.raises(RuntimeError):
+            pool.map(lambda x: x, [1])
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            WorkerPool(workers=2, kind="fiber")
+
+
+class TestExchangeFallback:
+    def _sides(self, n, seeds):
+        return (
+            [(b, i) for i, b in enumerate(_random_boxes(n, seed=seeds[0]))],
+            [(b, j) for j, b in enumerate(_random_boxes(n, seed=seeds[1]))],
+        )
+
+    def test_broken_pool_falls_back_bit_identically(self):
+        """A pool whose every executor is broken: the Exchange retries
+        once (recreation), gives up, and re-runs serially — with the
+        exact pairs the healthy serial PBSM join produces."""
+        left, right = self._sides(110, seeds=(14, 25))
+        serial = pbsm_join(left, right, n_tiles=9)
+        pool = WorkerPool(workers=2, kind="thread")
+        pool._make_executor = _BrokenOnce
+        try:
+            exchange = Exchange(workers=2, kind="thread", pool=pool)
+            got = pbsm_join(left, right, n_tiles=9, exchange=exchange)
+        finally:
+            pool.close()
+        assert got == serial
+        assert exchange.fallbacks >= 1
+        assert pool.recreations >= 1
+
+    def test_worker_exception_mid_map_propagates_through_run(self):
+        def boom(x):
+            if x == 1:
+                raise ValueError("mid-map failure")
+            return x
+
+        with WorkerPool(workers=2, kind="thread") as pool:
+            exchange = Exchange(workers=2, kind="thread", pool=pool)
+            with pytest.raises(ValueError, match="mid-map failure"):
+                exchange.run(boom, [0, 1, 2])
+        # A genuine task error is not a fallback.
+        assert exchange.fallbacks == 0
+
+    def test_process_payload_form_identical_serially(self):
+        """The packed tile-task form, executed in-process by the serial
+        fallback, sweeps to the same pairs as the native form."""
+        left, right = self._sides(90, seeds=(15, 26))
+        serial = pbsm_join(left, right, n_tiles=9)
+        pool = WorkerPool(workers=2, kind="process")
+        pool._make_executor = _BrokenOnce
+        try:
+            exchange = Exchange(workers=2, kind="process", pool=pool)
+            assert exchange.uses_processes(9)
+            got = pbsm_join(left, right, n_tiles=9, exchange=exchange)
+        finally:
+            pool.close()
+        assert got == serial
+        assert exchange.fallbacks >= 1

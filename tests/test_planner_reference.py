@@ -42,7 +42,6 @@ from repro.engine import (
     KNNStep,
     SpatialQuery,
     choose_join_strategies,
-    choose_shard_strategies,
     compile_query,
     plan_order,
     rollout_step_estimates,
@@ -460,7 +459,7 @@ def test_run_and_explain_triangularise_once(figure1_db):
     for calls in (run, explain):
         assert calls["project"].call_count == planning["project"].call_count == 7
         assert calls["solve_for"].call_count == planning["solve_for"].call_count
-        # Compile, the join/shard choosers and the EXPLAIN annotations
+        # Compile, the join chooser and the EXPLAIN annotations
         # build no manager and lift no formula of their own.
         assert calls["managers"].call_count == planning["managers"].call_count == 1
         assert calls["lifts"].call_count == planning["lifts"].call_count
@@ -488,8 +487,6 @@ def test_injected_type_error_propagates(figure1_db):
             plan_order(query, strategy="histogram")
         with pytest.raises(TypeError):
             choose_join_strategies(query, order, partitions=4)
-        with pytest.raises(TypeError):
-            choose_shard_strategies(query, order, shards=2)
         with pytest.raises(TypeError):
             plan.physical("boxplan")  # EXPLAIN's estimate annotations
 
@@ -545,10 +542,6 @@ def test_unusable_statistics_still_fall_back():
         rollout_step_estimates(query, ("x", "y"))
     assert plan_order(query, strategy="histogram") == planner.choose_order(query)
     assert choose_join_strategies(query, ("x", "y")) == ("probe", "probe")
-    assert choose_shard_strategies(query, ("x", "y"), shards=2) == (
-        "shardscan",
-        "shardscan",
-    )
 
 
 # -- bound constraints -------------------------------------------------------

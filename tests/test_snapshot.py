@@ -29,7 +29,7 @@ from repro.spatial.snapshot import (
     write_snapshot,
 )
 
-from repro.datagen import smugglers_query
+from repro.datagen import overlay_query, smugglers_query
 
 BACKENDS = ("rtree", "grid", "scan")
 
@@ -340,3 +340,100 @@ def test_leaves_at_different_depths_raise_snapshot_error():
     del arrays["bounds"][8:], arrays["values"][4:]
     with pytest.raises(SnapshotError, match="unreachable"):
         RTree.from_node_arrays(arrays, ["a", "b"])
+
+
+# -- damaged partitioning and statistics blocks ---------------------------------------
+OVERLAY = "x & y !<= 0"
+
+
+def _overlay_db():
+    """``overlay_query(50, 50)`` — 24 answers — with one empty-box row in ``y``."""
+    db = Database.from_query(overlay_query(50, 50))
+    db.tables["y"].insert("void", Region(()))
+    return db
+
+
+def _overlay_answers(db):
+    result = db.session().run(OVERLAY, join_strategy="partition", partitions=4)
+    return result.oid_tuples()
+
+
+def _empty_row(table):
+    return next(i for i, oid in enumerate(table["rows"]["oids"]) if oid == "void")
+
+
+def _parts(table):
+    return table["partitioning"]["partitions"]
+
+
+PARTITION_DAMAGE = {
+    "mbr: every one a tiny box": lambda t: [
+        p.update(mbr=[[0.0, 0.0], [1e-3, 1e-3]]) for p in _parts(t)
+    ],
+    "mbr: one grown": lambda t: _parts(t)[0]["mbr"][1].__setitem__(0, 1e9),
+    "mbr: missing": lambda t: _parts(t)[0].pop("mbr"),
+    "rows: past the end": lambda t: _parts(t)[0]["rows"].__setitem__(0, 10**6),
+    "rows: negative": lambda t: _parts(t)[0]["rows"].__setitem__(0, -1),
+    "rows: a string": lambda t: _parts(t)[0]["rows"].__setitem__(0, "3"),
+    "rows: a float": lambda t: _parts(t)[0]["rows"].__setitem__(0, 3.0),
+    "rows: in two partitions": lambda t: _parts(t)[1]["rows"].append(_parts(t)[0]["rows"][0]),
+    "rows: twice in one": lambda t: _parts(t)[0]["rows"].append(_parts(t)[0]["rows"][0]),
+    "rows: an empty-box row": lambda t: _parts(t)[0]["rows"].append(_empty_row(t)),
+    "rows: none": lambda t: _parts(t)[0].update(rows=[]),
+    "pid: a word": lambda t: _parts(t)[0].update(pid="first"),
+    "statistics: no stats": lambda t: t["statistics"][0].pop("stats"),
+    "statistics: no key": lambda t: t["statistics"][0].pop("key"),
+    "statistics: sample row past the end": lambda t: (
+        t["statistics"][0]["stats"]["sample"].__setitem__(0, 10**6)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [None, *PARTITION_DAMAGE])
+def test_damaged_partitioning_raises_snapshot_error(tmp_path, name):
+    """The partitioning block decides which rows a ``PartitionScan``
+    reads: a tiny stored MBR used to load and answer 0 instead of 24.
+    Each damage ends in ``SnapshotError``; the undamaged file answers
+    as the saved database did."""
+    db = _overlay_db()
+    expected = _overlay_answers(db)
+    assert len(expected) == 24
+    path = str(tmp_path / "db.json")
+    db.save(path, partitions=4)
+    with open(path) as fh:
+        payload = json.load(fh)
+    if name is not None:
+        PARTITION_DAMAGE[name](payload["tables"]["y"])
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(SnapshotError, match="table 'right'"):
+            Database.open(path)
+        return
+    assert _overlay_answers(Database.open(path)) == expected
+
+
+def test_extra_cache_block_of_the_parent_layout_is_ignored():
+    """A file written before PR 21 may carry one more optional cache
+    block; it loads to the same answers, partitioning and statistics."""
+    db = _overlay_db()
+    for table in db.tables.values():
+        table.partitioning(4)
+        table.statistics()
+    loaded = {}
+    for extra in (False, True):
+        tables = {}
+        for key, table in db.tables.items():
+            data = json.loads(json.dumps(table_to_jsonable(table)))
+            if extra:
+                groups = [p["rows"] for p in data["partitioning"]["partitions"]]
+                data["sharding"] = {"target": 4, "shards": groups}
+            tables[key] = table_from_jsonable(data)
+        loaded[extra] = Database(tables=tables, bindings=db.bindings)
+    plain, legacy = loaded[False], loaded[True]
+    assert _overlay_answers(legacy) == _overlay_answers(plain) == _overlay_answers(db)
+    for key in db.tables:
+        a, b = plain.tables[key], legacy.tables[key]
+        assert b.statistics() == a.statistics()
+        assert [(p.pid, p.mbr, p.indices) for p in b.partitioning(4).partitions] == [
+            (p.pid, p.mbr, p.indices) for p in a.partitioning(4).partitions
+        ]

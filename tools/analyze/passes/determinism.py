@@ -1,7 +1,7 @@
 """Pass 1 — determinism (REPRO101-105).
 
 The repo's headline gates are bit-identity equalities: parallel ≡
-serial, vectorized ≡ scalar, spilled ≡ in-memory, sharded ≡ unsharded.
+serial, vectorized ≡ scalar, every join strategy ≡ the index probe.
 All of them die the moment result paths consume a nondeterministic
 source.  This pass flags, in ``engine/`` and ``spatial/``:
 

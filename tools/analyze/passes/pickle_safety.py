@@ -8,7 +8,7 @@ or silently costs a deep-pickle per task.  The project's discipline is
   *packed* task forms (flat tuples of floats/ints/bytes built by a
   ``_pack_*`` helper) on the process branch;
 * worker entry points that accept packed forms carry a ``_packed`` or
-  ``_task`` suffix (``_sweep_tile_packed``, ``_sweep_shard_task``).
+  ``_task`` suffix (``_sweep_tile_packed``).
 
 This pass flags dispatches that break the discipline:
 
@@ -51,7 +51,7 @@ RULES = {
 }
 
 #: Known packed/blob worker entry points, plus the naming convention.
-PACKED_WORKERS = {"_sweep_tile_packed", "_sweep_shard_task"}
+PACKED_WORKERS = {"_sweep_tile_packed"}
 _PACKED_NAME_RE = re.compile(r"(_packed|_task|_blob)$")
 
 _DISPATCH_METHODS = {"run", "map", "submit"}
