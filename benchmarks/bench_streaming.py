@@ -11,6 +11,7 @@ index-probe gap and the probe-cache effect on repeated queries.
 from time import perf_counter
 
 from benchmarks.conftest import report
+from repro import Session
 from repro.datagen import smugglers_query
 from repro.engine import (
     ProbeCache,
@@ -18,7 +19,6 @@ from repro.engine import (
     compile_query,
     execute,
     execute_iter,
-    first_k,
 )
 
 
@@ -85,7 +85,7 @@ def test_probe_comparison(benchmark):
     q, plan = _plan()
     for t in q.tables.values():
         t.reset_stats()
-    first_k(plan, 1)
+    Session().run(plan, limit=1)
     probes_first = sum(t.probes for t in q.tables.values())
     for t in q.tables.values():
         t.reset_stats()

@@ -84,7 +84,6 @@ from .engine import (
     SpatialQuery,
     compile_query,
     execute,
-    run_query,
 )
 from .errors import (
     CompilationError,
@@ -139,7 +138,6 @@ __all__ = [
     "parse",
     "parse_system",
     "project",
-    "run_query",
     "satisfiable_atomless",
     "simplify",
     "smugglers_system",

@@ -2,8 +2,8 @@
 
 The library grew bottom-up — tables, compiler, physical plans, caches,
 partitioning — and each capability shipped with its own entry point
-(``run_query``, ``execute``, ``plan.physical(...)``, CLI flags).  This
-module is the one front door over all of it:
+(``execute``, ``plan.physical(...)``, CLI flags).  This module is the
+one front door over all of it:
 
 * a :class:`Database` owns named tables and named constant-region
   bindings, turns constraint text (or a
@@ -20,9 +20,6 @@ module is the one front door over all of it:
   database's persistent :class:`~repro.spatial.partition.WorkerPool`
   (one per pool shape, alive until :meth:`Database.close`) instead of
   constructing a pool per query.
-
-The old entry points remain as thin deprecated shims (see
-:func:`repro.engine.executor.run_query`).
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ SESSION_OPTIONS = (
     "parallel",
     "parallel_kind",
     "limit",
-    "vectorize",
 )
 
 _OPTION_DEFAULTS = {
@@ -67,7 +63,6 @@ _OPTION_DEFAULTS = {
     "parallel": 0,
     "parallel_kind": "thread",
     "limit": None,
-    "vectorize": None,
 }
 
 
@@ -316,7 +311,6 @@ class Session:
         partitions,
         parallel,
         join_strategy,
-        vectorize=_UNSET,
         parallel_kind=_UNSET,
     ) -> dict:
         partitions = self._option("partitions", partitions)
@@ -337,7 +331,6 @@ class Session:
             "parallel": parallel,
             "parallel_kind": kind,
             "join_strategy": join,
-            "vectorize": self._option("vectorize", vectorize),
             "pool": pool,
         }
 
@@ -384,7 +377,6 @@ class Session:
         parallel=_UNSET,
         parallel_kind=_UNSET,
         join_strategy=_UNSET,
-        vectorize=_UNSET,
     ) -> QueryResult:
         """Execute and return a :class:`QueryResult`.
 
@@ -401,7 +393,6 @@ class Session:
                 partitions,
                 parallel,
                 join_strategy,
-                vectorize,
                 parallel_kind=parallel_kind,
             ),
         )
@@ -436,7 +427,6 @@ class Session:
         parallel=_UNSET,
         parallel_kind=_UNSET,
         join_strategy=_UNSET,
-        vectorize=_UNSET,
     ) -> str:
         """The physical operator tree, with catalog cost estimates.
 
@@ -450,7 +440,6 @@ class Session:
                 partitions,
                 parallel,
                 join_strategy,
-                vectorize,
                 parallel_kind=parallel_kind,
             ),
         )
@@ -469,7 +458,6 @@ class Session:
         parallel=_UNSET,
         parallel_kind=_UNSET,
         join_strategy=_UNSET,
-        vectorize=_UNSET,
     ) -> dict:
         """Execute and report the machine-independent counters.
 
@@ -492,7 +480,6 @@ class Session:
             parallel=parallel,
             parallel_kind=parallel_kind,
             join_strategy=join_strategy,
-            vectorize=vectorize,
         )
         return {
             "mode": self._option("mode", mode),

@@ -21,8 +21,6 @@ from .executor import (
     answers_as_oid_tuples,
     execute,
     execute_iter,
-    first_k,
-    run_query,
 )
 from .physical import (
     Aggregate,
@@ -116,9 +114,7 @@ __all__ = [
     "estimate_order_cost_histogram",
     "execute",
     "execute_iter",
-    "first_k",
     "plan_order",
     "repair_knn_order",
     "rollout_step_estimates",
-    "run_query",
 ]

@@ -85,15 +85,14 @@ class QueryPlan:
         parallel: int = 0,
         parallel_kind: str = "thread",
         join_strategy: Optional[str] = None,
-        vectorize: Optional[bool] = None,
         pool: Optional["WorkerPool"] = None,
     ) -> "PhysicalPlan":
         """Lower to a physical operator tree (the third pipeline stage).
 
         ``estimate=False`` skips the EXPLAIN-only catalog cost rollouts
         (they cost far more than executing a small query).
-        ``partitions``/``parallel``/``join_strategy``/``vectorize``/
-        ``pool`` configure partitioned and columnar execution — see
+        ``partitions``/``parallel``/``join_strategy``/``pool`` configure
+        partitioned execution — see
         :func:`repro.engine.physical.build_physical_plan`.
         """
         from .physical import build_physical_plan
@@ -107,7 +106,6 @@ class QueryPlan:
             parallel=parallel,
             parallel_kind=parallel_kind,
             join_strategy=join_strategy,
-            vectorize=vectorize,
             pool=pool,
         )
 

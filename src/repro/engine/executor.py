@@ -39,13 +39,11 @@ after ``k`` answers without materialising the rest of the search space.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..spatial.table import ProbeCache, SpatialObject
 from .compiler import QueryPlan
 from .physical import MODES, build_physical_plan
-from .query import SpatialQuery
 from .stats import ExecutionStats
 
 Answer = Dict[str, SpatialObject]
@@ -56,8 +54,6 @@ __all__ = [
     "answers_as_oid_tuples",
     "execute",
     "execute_iter",
-    "first_k",
-    "run_query",
 ]
 
 
@@ -68,7 +64,6 @@ def execute(
     partitions: int = 0,
     parallel: int = 0,
     join_strategy: Optional[str] = None,
-    vectorize: Optional[bool] = None,
 ) -> Tuple[List[Answer], ExecutionStats]:
     """Run a compiled plan in the given mode.
 
@@ -78,10 +73,10 @@ def execute(
     which all index probes go — repeated executions over unchanged
     tables then skip the index entirely.
     ``partitions``/``parallel``/``join_strategy`` configure partitioned
-    execution and ``vectorize`` the columnar kernels (see
-    :func:`~repro.engine.physical.build_physical_plan`); the answer set
-    is the same for every setting.  An unknown ``mode`` raises
-    :class:`~repro.errors.UnknownModeError` naming the valid modes.
+    execution (see :func:`~repro.engine.physical.build_physical_plan`);
+    the answer set is the same for every setting.  An unknown ``mode``
+    raises :class:`~repro.errors.UnknownModeError` naming the valid
+    modes.
     """
     # estimate=False: catalog cost annotations are EXPLAIN-only and the
     # rollouts would otherwise dominate small-query execution time.
@@ -92,7 +87,6 @@ def execute(
         partitions=partitions,
         parallel=parallel,
         join_strategy=join_strategy,
-        vectorize=vectorize,
     ).run(cache=cache)
 
 
@@ -104,7 +98,6 @@ def execute_iter(
     partitions: int = 0,
     parallel: int = 0,
     join_strategy: Optional[str] = None,
-    vectorize: Optional[bool] = None,
 ) -> Iterator[Answer]:
     """Streaming execution — answers are yielded as found.
 
@@ -122,53 +115,7 @@ def execute_iter(
         partitions=partitions,
         parallel=parallel,
         join_strategy=join_strategy,
-        vectorize=vectorize,
     ).execute_iter(limit=limit, cache=cache)
-
-
-def first_k(
-    plan: QueryPlan, k: int, mode: str = "boxplan"
-) -> List[Answer]:
-    """The first ``k`` answers of a streaming execution.
-
-    .. deprecated:: 1.1
-        Use ``Session().run(plan, mode=..., limit=k).answers`` — the
-        :class:`~repro.database.Session` facade exposes the same
-        early-exit streaming with the uniform option vocabulary.
-    """
-    warnings.warn(
-        "first_k() is deprecated; use repro.Session().run(plan, "
-        "mode=..., limit=k).answers",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..database import Session
-
-    return Session().run(plan, mode=mode, limit=k).answers
-
-
-def run_query(
-    query: SpatialQuery,
-    mode: str = "boxplan",
-    order: Optional[Sequence[str]] = None,
-) -> Tuple[List[Answer], ExecutionStats]:
-    """Compile and execute in one call.
-
-    .. deprecated:: 1.1
-        Use ``Session().run(query, mode=..., order=...)`` — identical
-        answers and stats, plus timings, caching, and the partitioned-
-        execution options in one place.
-    """
-    warnings.warn(
-        "run_query() is deprecated; use repro.Session().run(query, "
-        "mode=..., order=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..database import Session
-
-    result = Session().run(query, mode=mode, order=order)
-    return result.answers, result.stats
 
 
 def answers_as_oid_tuples(

@@ -23,8 +23,9 @@ strategies* over one operator set rather than separate executors:
 ``boxplan``
     ``Once → (IndexProbe → ExactFilter(C_i))*`` — the full optimization:
     ONE compiled range query per step, exact checks on the survivors.
-    Tables without an index (``"scan"`` backend) get the equivalent
-    ``TableScan → BoxFilter`` pair instead of an :class:`IndexProbe`.
+    Tables without an index (``"scan"`` backend) get a
+    :class:`VectorizedScanProbe`: the same range query, answered by one
+    columnar kernel call over the table's rows.
 ``boxonly``
     ``Once → IndexProbe* → ExactFilter(system)`` — the diagnostic mode:
     box filtering only, exact check deferred to complete tuples.
@@ -81,7 +82,6 @@ from ..boxes.box import Box, enclose_all
 from ..constraints.solved import BoundConstraint, SolvedConstraint
 from ..constraints.system import ConstraintSystem
 from ..errors import UnknownModeError
-from ..spatial import columnar
 from ..spatial.partition import (
     DEFAULT_TILES,
     Exchange,
@@ -137,16 +137,12 @@ class ExecutionContext:
     """Per-execution state shared by all operators of one plan run."""
 
     def __init__(
-        self,
-        plan: QueryPlan,
-        cache: Optional[ProbeCache] = None,
-        vectorize: bool = False,
+        self, plan: QueryPlan, cache: Optional[ProbeCache] = None
     ) -> None:
         self.plan = plan
         self.algebra = plan.algebra
         self.universe: Box = plan.algebra.universe_box
         self.cache = cache
-        self.vectorize = vectorize
         self._base_box_env = {
             name: region.bounding_box()
             for name, region in plan.query.bindings.items()
@@ -298,9 +294,8 @@ class ExtendStep(PhysicalOperator):
 class TableScan(ExtendStep):
     """Extend with every row of the table (one scan, lazily cached).
 
-    The access path of the ``exact`` mode and of box modes over
-    unindexed tables: the scan costs one probe regardless of how many
-    input bindings flow through.
+    The access path of the ``exact`` mode: the scan costs one probe
+    regardless of how many input bindings flow through.
     """
 
     kind = "TableScan"
@@ -373,7 +368,7 @@ class IndexProbe(ExtendStep):
         self.template = template
 
     def _group_cap(self, ctx: ExecutionContext) -> int:
-        return _MAX_GROUP if self.table.batches_probes(ctx.vectorize) else 1
+        return _MAX_GROUP if self.table.batches_probes() else 1
 
     def _group_rows(
         self, ctx: ExecutionContext, group: List[Binding]
@@ -388,9 +383,7 @@ class IndexProbe(ExtendStep):
         self.stats.probes += len(group)
         before = self.table.index_read_count()
         mark = self._vectorized_mark()
-        results = self.table.range_query_batch(
-            queries, ctx.cache, vectorize=ctx.vectorize
-        )
+        results = self.table.range_query_batch(queries, ctx.cache)
         self.stats.node_reads += self.table.index_read_count() - before
         self._vectorized_absorb(mark)
         if ctx.cache is not None:
@@ -403,14 +396,13 @@ class IndexProbe(ExtendStep):
 class VectorizedScanProbe(IndexProbe):
     """A fused scan + box filter over the table's columnar mirror.
 
-    The vectorized replacement for the ``TableScan → BoxFilter`` pair on
-    unindexed tables: the step's instantiated box query is evaluated by
-    one :meth:`~repro.spatial.columnar.ColumnStore.match_rows` batch per
+    The box-mode access path of unindexed tables: the step's
+    instantiated box query is evaluated by one
+    :meth:`~repro.spatial.columnar.ColumnStore.match_rows` batch per
     input binding instead of one ``query.matches`` call per row.  The
     mechanics are :class:`IndexProbe`'s (the table's scan-backend range
-    query takes the columnar fast path), so probe-cache sharing and the
-    stats mapping come for free; results are bit-identical to the
-    scalar pair because the kernels use the exact same comparisons.
+    query is that kernel, with a pending write delta overlaid), so
+    probe-cache sharing and the stats mapping come for free.
     """
 
     kind = "VectorizedScanProbe"
@@ -472,10 +464,7 @@ class KNNProbe(ExtendStep):
             before = self.table.index_read_count()
             mark = self._vectorized_mark()
             ranked = self.table.nearest(
-                self._anchor(ctx),
-                self.knn.k,
-                access=self.access,
-                vectorize=ctx.vectorize,
+                self._anchor(ctx), self.knn.k, access=self.access
             )
             self.stats.node_reads += self.table.index_read_count() - before
             self._vectorized_absorb(mark)
@@ -529,12 +518,7 @@ class DistanceJoin(ExtendStep):
             self.stats.probes += 1
             before = self.table.index_read_count()
             mark = self._vectorized_mark()
-            ranked = self.table.nearest(
-                anchor,
-                self.knn.k,
-                access=self.access,
-                vectorize=ctx.vectorize,
-            )
+            ranked = self.table.nearest(anchor, self.knn.k, access=self.access)
             self.stats.node_reads += self.table.index_read_count() - before
             self._vectorized_absorb(mark)
             rows = self._memo[anchor] = [obj for _dist, obj in ranked]
@@ -722,9 +706,7 @@ class PartitionScan(ExtendStep):
         if query.is_unsatisfiable():
             self.stats.partitions_pruned += len(self._partitioning)
             return []
-        store = (
-            self.table.column_store(True) if ctx.vectorize else None
-        )
+        store = self.table.column_store()
         out: List[SpatialObject] = []
         for part in self._partitioning.partitions:
             if not mbr_may_match(part.mbr, query):
@@ -808,7 +790,7 @@ class _BulkJoinStep(ExtendStep):
             return
         pairs = self._candidate_pairs(ctx, probes, rows)
         pairs.sort()
-        store = self.table.column_store(True) if ctx.vectorize else None
+        store = self.table.column_store()
         if store is None:
             for i, seq in pairs:
                 self.stats.pair_tests += 1
@@ -950,29 +932,21 @@ class ZOrderJoin(_BulkJoinStep):
         grid = ZGrid(extent, levels=self.levels)
         left = ZOrderIndex(grid)
         right = ZOrderIndex(grid)
-        if ctx.vectorize:
-            # Batched z-key computation (bit-identical to the scalar
-            # inserts); count the boxes the batch kernel considered.
-            self.stats.vectorized_batches += 2
-            self.stats.vectorized_candidates += len(probes) + len(rows)
-            left.insert_batch([(box, i) for i, box in probes])
-            right.insert_batch(
-                [(obj.box, seq) for seq, obj in enumerate(rows)]
-            )
-        else:
-            for i, box in probes:
-                left.insert(box, i)
-            for seq, obj in enumerate(rows):
-                right.insert(obj.box, seq)
+        # Batched z-key computation (bit-identical to the scalar
+        # inserts); count the boxes the batch kernel considered.
+        self.stats.vectorized_batches += 2
+        self.stats.vectorized_candidates += len(probes) + len(rows)
+        left.insert_batch([(box, i) for i, box in probes])
+        right.insert_batch([(obj.box, seq) for seq, obj in enumerate(rows)])
         return list(zorder_join(left, right, exact=True))
 
 
 class BoxFilter(PhysicalOperator):
     """Filter bindings by a step's instantiated box query.
 
-    The scan-backend replacement for :class:`IndexProbe`: upstream a
-    :class:`TableScan` supplies candidate extensions, and this operator
-    applies the same box predicate the index would have evaluated.
+    Follows a kNN step in the box modes: the kNN restriction supplies
+    the candidate extensions, and this operator applies the box
+    predicate the step's range query would have evaluated.
     """
 
     kind = "BoxFilter"
@@ -1100,7 +1074,6 @@ class PhysicalPlan:
     exchange: Optional[Exchange] = None
     knn_access: Optional[str] = None
     aggregate_op: Optional[PhysicalOperator] = None
-    vectorized: bool = False
 
     # -- execution ---------------------------------------------------------------
     def execute_iter(
@@ -1117,9 +1090,7 @@ class PhysicalPlan:
         if limit is not None and limit <= 0:
             return
         self.root.reset_stats()
-        ctx = ExecutionContext(
-            self.logical, cache=cache, vectorize=self.vectorized
-        )
+        ctx = ExecutionContext(self.logical, cache=cache)
         emitted = 0
         for binding in self.root.iterate(ctx):
             yield binding
@@ -1374,7 +1345,6 @@ def build_physical_plan(
     parallel: int = 0,
     parallel_kind: str = "thread",
     join_strategy: Optional[str] = None,
-    vectorize: Optional[bool] = None,
     pool: Optional[WorkerPool] = None,
 ) -> PhysicalPlan:
     """Lower a logical :class:`QueryPlan` to a physical operator tree.
@@ -1383,11 +1353,10 @@ def build_physical_plan(
     docstring); an unknown mode raises
     :class:`~repro.errors.UnknownModeError` naming the valid modes.
     ``estimate=False`` skips the catalog cost annotations (they need a
-    pass over table statistics).  ``vectorize`` selects the columnar
-    kernels (``None`` = whatever backend
-    :func:`repro.spatial.columnar.active_backend` resolves to,
-    ``False`` = per-object execution, ``True`` = columnar unless the
-    backend is forced off); answers are identical either way.
+    pass over table statistics).  There is one tree per mode and
+    options: the columnar kernels run on whichever backend the platform
+    has (:func:`repro.spatial.columnar.active_backend`), with identical
+    answers on both.
 
     Partitioned execution options (box modes only):
 
@@ -1411,7 +1380,6 @@ def build_physical_plan(
     """
     if mode not in MODES:
         raise UnknownModeError(mode, MODES)
-    vec = columnar.resolve(vectorize)
 
     from .planner import choose_aggregate_strategy, choose_knn_access
 
@@ -1436,7 +1404,6 @@ def build_physical_plan(
             step_ops=[_StepOps(variable=sp.variable, extend=count_op)],
             join_strategies=("pushdown",),
             aggregate_op=count_op,
-            vectorized=vec,
         )
         if estimate:
             _annotate_estimates(pplan, catalog)
@@ -1511,13 +1478,9 @@ def build_physical_plan(
                     node, sp.variable, sp.table, sp.template
                 )
                 node = extend
-            elif (
-                use_boxes
-                and vec
-                and sp.table.column_store() is not None
-            ):
-                # Unindexed table, columnar mirror available: fuse the
-                # scan and the box filter into one batched probe.
+            elif use_boxes:
+                # Unindexed table: the scan and the box filter fuse into
+                # one columnar kernel call per probe.
                 extend = VectorizedScanProbe(
                     node, sp.variable, sp.table, sp.template
                 )
@@ -1525,9 +1488,6 @@ def build_physical_plan(
             else:
                 extend = TableScan(node, sp.variable, sp.table)
                 node = extend
-                if use_boxes:
-                    box_filter = BoxFilter(node, sp.variable, sp.template)
-                    node = box_filter
             exact_filter: Optional[ExactFilter] = None
             if exact_steps:
                 exact_filter = ExactFilter(
@@ -1564,7 +1524,6 @@ def build_physical_plan(
         exchange=exchange,
         knn_access=knn_access,
         aggregate_op=aggregate_op,
-        vectorized=vec,
     )
     if estimate:
         _annotate_estimates(pplan, catalog)

@@ -53,6 +53,10 @@ from ..spatial.table import ProbeCache, SpatialTable
 
 __all__ = ["QueryService", "ServiceServer", "SnapshotStore", "serve_in_thread"]
 
+#: What ``/run``, ``/explain`` and ``/bench`` read besides the session
+#: options (:data:`~repro.database.SESSION_OPTIONS`).
+_QUERY_KEYS = frozenset({"system", "bindings", "order", "knn", "aggregate"})
+
 
 class SnapshotStore:
     """Lock-free-reader holder of the current database snapshot.
@@ -179,7 +183,19 @@ class QueryService:
             exact=bool(data.get("exact", True)),
         )
 
-    def _session(self, db: Database, payload: Dict[str, Any]) -> Session:
+    def _session(
+        self, db: Database, payload: Dict[str, Any], *extra: str
+    ) -> Session:
+        """The query endpoints' session; any payload key that is not a
+        query part, a session option or one of ``extra`` is a 400 — an
+        option the service cannot honour is refused, not ignored."""
+        unknown = set(payload).difference(_QUERY_KEYS, SESSION_OPTIONS, extra)
+        if unknown:
+            raise ServiceError(
+                f"unknown payload key(s) {sorted(unknown)}; expected "
+                f"{sorted(_QUERY_KEYS)}, session options {list(SESSION_OPTIONS)}"
+                + (f" or {list(extra)}" if extra else "")
+            )
         options = {
             name: payload[name]
             for name in SESSION_OPTIONS
@@ -257,7 +273,7 @@ class QueryService:
 
     def explain(self, payload: dict) -> dict:
         db, version = self.store.current()
-        session = self._session(db, payload)
+        session = self._session(db, payload, "analyze")
         text = session.explain(
             self._query(db, payload),
             analyze=bool(payload.get("analyze", False)),
@@ -594,6 +610,9 @@ class ServiceServer:
                 payload = json.loads(body)
             except json.JSONDecodeError as exc:
                 return 400, {"error": f"body is not valid JSON: {exc}"}
+            if not isinstance(payload, dict):
+                kind = type(payload).__name__
+                return 400, {"error": f"body must be a JSON object, not {kind}"}
         else:
             payload = {}
         handler = getattr(self.service, handler_name)

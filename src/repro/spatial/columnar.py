@@ -11,26 +11,21 @@ distance metrics) against whole index ranges at once.
 
 Backends
 --------
-Three backends, selected by :func:`active_backend`:
+Two backends, one per platform — :func:`active_backend` reports which:
 
 ``"numpy"``
-    NumPy ufuncs over zero-copy views of the coordinate arrays — the
-    fast path, used whenever :mod:`numpy` imports (install the
+    NumPy ufuncs over zero-copy views of the coordinate arrays, used
+    whenever :mod:`numpy` imports (install the
     ``repro-helm-pods[accel]`` extra).
 ``"array"``
-    The stdlib :mod:`array` fallback: the same columnar layout walked by
-    scalar Python loops.  Bit-identical results — the expressions are
-    the exact per-dimension comparisons and accumulations
-    :class:`~repro.boxes.box.Box` uses, in the same order — just
-    without the constant-factor win.
-``"off"``
-    Disable the vectorized paths entirely; every caller falls back to
-    the per-object oracle code.
+    The stdlib :mod:`array` fallback when it does not: the same
+    columnar layout walked by scalar Python loops.  Bit-identical
+    results — the expressions are the exact per-dimension comparisons
+    and accumulations :class:`~repro.boxes.box.Box` uses, in the same
+    order — just without the constant-factor win.
 
-The default is ``"numpy"`` when available, else ``"array"``.  The
-``REPRO_COLUMNAR`` environment variable overrides it (``numpy`` quietly
-degrades to ``array`` when NumPy is missing, so one setting works
-everywhere); tests pin a backend with :func:`forced_backend`.
+Nothing else selects a backend; tests pin one with
+:func:`forced_backend`.
 
 Bit identity
 ------------
@@ -57,7 +52,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import struct
 from array import array
 from contextlib import contextmanager
@@ -81,7 +75,6 @@ __all__ = [
     "ColumnStore",
     "active_backend",
     "batch_mask",
-    "enabled",
     "equiwidth_counts",
     "forced_backend",
     "grouped_bounds",
@@ -89,7 +82,6 @@ __all__ = [
     "mindist_point_arrays",
     "pack_floats",
     "pack_query",
-    "resolve",
     "side_sum",
     "str_level_order",
     "take",
@@ -97,47 +89,20 @@ __all__ = [
 ]
 
 #: Recognised backend names (see module docstring).
-BACKENDS = ("numpy", "array", "off")
+BACKENDS = ("numpy", "array")
 
 #: Test override installed by :func:`forced_backend`; ``None`` defers to
-#: the environment / availability default.
+#: the platform: ``"numpy"`` when it imports.
 _FORCED: Optional[str] = None
 
 
 def active_backend() -> str:
-    """The backend the kernels will use right now.
-
-    Precedence: :func:`forced_backend` override, then the
-    ``REPRO_COLUMNAR`` environment variable, then ``"numpy"`` when
-    available and ``"array"`` otherwise.  A ``numpy`` request without
-    NumPy installed degrades to ``"array"``.
-    """
-    name = _FORCED
-    if name is None:
-        env = os.environ.get("REPRO_COLUMNAR", "").strip().lower()
-        name = env if env in BACKENDS else None
-    if name is None:
-        name = "numpy" if HAVE_NUMPY else "array"
-    if name == "numpy" and not HAVE_NUMPY:
-        return "array"
-    return name
-
-
-def enabled() -> bool:
-    """Whether any vectorized path may run (backend not ``"off"``)."""
-    return active_backend() != "off"
-
-
-def resolve(vectorize: Optional[bool]) -> bool:
-    """Fold a per-plan ``vectorize`` option into the global switch.
-
-    ``None`` means "use the vectorized path when a backend is enabled";
-    an explicit ``False`` always wins, and an explicit ``True`` still
-    respects ``REPRO_COLUMNAR=off`` (the global kill switch).
-    """
-    if vectorize is None:
-        return enabled()
-    return bool(vectorize) and enabled()
+    """The backend the kernels will use right now: the
+    :func:`forced_backend` pin, else ``"numpy"`` when NumPy imports and
+    ``"array"`` otherwise."""
+    if _FORCED is not None:
+        return _FORCED
+    return "numpy" if HAVE_NUMPY else "array"
 
 
 @contextmanager

@@ -708,22 +708,15 @@ class SpatialTable:
         return self._objects[oid]
 
     # -- queries --------------------------------------------------------------------
-    def column_store(
-        self, vectorize: Optional[bool] = None
-    ) -> Optional[ColumnStore]:
-        """The table's :class:`ColumnStore`, or ``None`` when the
-        vectorized paths are disabled (see
-        :func:`repro.spatial.columnar.resolve`).
-
-        Also ``None`` while a write delta is pending: the column slots
-        mirror the *base* rows, so they misalign with the live view
-        (tombstones, staged rows) — external batch consumers must fall
-        back to their scalar paths until the next repack realigns them.
-        The table's own read paths merge the delta internally instead.
+    def column_store(self) -> Optional[ColumnStore]:
+        """The table's :class:`ColumnStore`, or ``None`` while a write
+        delta is pending: the column slots mirror the *base* rows, so
+        they misalign with the live view (tombstones, staged rows) —
+        external batch consumers must fall back to their scalar paths
+        until the next repack realigns them.  The table's own read
+        paths merge the delta internally instead.
         """
-        if self.delta_pending:
-            return None
-        return self._columns if columnar.resolve(vectorize) else None
+        return None if self.delta_pending else self._columns
 
     def packed_columns(
         self,
@@ -733,29 +726,20 @@ class SpatialTable:
         statistics scan reads (:meth:`ColumnStore.nonempty_columns`)."""
         return self._columns.nonempty_columns()
 
-    def batches_probes(self, vectorize: Optional[bool] = None) -> bool:
+    def batches_probes(self) -> bool:
         """Whether the R-tree's NumPy kernels serve this table's probes,
         so :meth:`range_query_batch` reads the index once per batch."""
-        return (
-            self._rtree is not None
-            and columnar.resolve(vectorize)
-            and columnar.active_backend() == "numpy"
-        )
+        return self._rtree is not None and columnar.active_backend() == "numpy"
 
-    def range_query(
-        self, query: BoxQuery, vectorize: Optional[bool] = None
-    ) -> List[SpatialObject]:
+    def range_query(self, query: BoxQuery) -> List[SpatialObject]:
         """All rows whose bounding box satisfies ``query``.
 
         One index probe per call — the paper's "every retrieval step is a
-        single range query".  ``vectorize`` selects the batched columnar
-        kernels (``None`` defers to the global backend switch); results
-        are bit-identical either way.  While a write delta is pending
-        the base probe result is overlaid with it (tombstoned rows
-        filtered, matching staged rows appended), billed as one
-        ``delta_probe``.
+        single range query".  While a write delta is pending the base
+        probe result is overlaid with it (tombstoned rows filtered,
+        matching staged rows appended), billed as one ``delta_probe``.
         """
-        return self._probe(query, None, columnar.resolve(vectorize))[0]
+        return self._probe(query, None)[0]
 
     def _rtree_rows(
         self, queries: Sequence[BoxQuery]
@@ -768,9 +752,7 @@ class SpatialTable:
         self.vectorized_candidates += self._rtree.stats.entry_tests - before
         return [[obj for _box, obj in rows] for rows in found]
 
-    def _base_range_rows(
-        self, query: BoxQuery, vec: bool
-    ) -> List[SpatialObject]:
+    def _base_range_rows(self, query: BoxQuery) -> List[SpatialObject]:
         """The range probe over the packed base only — a pure function
         of ``(base version, query)``, which is what makes it cacheable
         under the base-version key while deltas come and go.  Counts no
@@ -778,7 +760,7 @@ class SpatialTable:
         because they are a property of the kernel dispatch."""
         out: List[SpatialObject]
         if self.index_kind == "rtree":
-            if self.batches_probes(vec):
+            if self.batches_probes():
                 out = self._rtree_rows([query])[0]
             else:
                 out = [obj for _box, obj in self._rtree.search(query)]
@@ -794,16 +776,9 @@ class SpatialTable:
                     for _p, obj in self._grid.range_search(pr.lo, pr.hi)
                 ]
         else:  # scan
-            if vec:
-                out = self._columns.match_rows(query)
-                self.vectorized_batches += 1
-                self.vectorized_candidates += len(self._columns)
-            else:
-                out = [
-                    obj
-                    for obj in self._objects.values()
-                    if not obj.box.is_empty() and query.matches(obj.box)
-                ]
+            out = self._columns.match_rows(query)
+            self.vectorized_batches += 1
+            self.vectorized_candidates += len(self._columns)
         return out
 
     def _overlay_rows(
@@ -827,10 +802,7 @@ class SpatialTable:
         return out
 
     def range_query_cached(
-        self,
-        query: BoxQuery,
-        cache: Optional[ProbeCache] = None,
-        vectorize: Optional[bool] = None,
+        self, query: BoxQuery, cache: Optional[ProbeCache] = None
     ) -> Tuple[List[SpatialObject], bool]:
         """Range query through an optional :class:`ProbeCache`.
 
@@ -844,13 +816,12 @@ class SpatialTable:
         (only the in-memory delta is consulted, billed as a
         ``delta_probe``), and base entries survive delta-only writes.
         """
-        return self._probe(query, cache, columnar.resolve(vectorize))
+        return self._probe(query, cache)
 
     def _probe(
         self,
         query: BoxQuery,
         cache: Optional[ProbeCache],
-        vec: bool,
         base: Optional[List[SpatialObject]] = None,
     ) -> Tuple[List[SpatialObject], bool]:
         """:meth:`range_query` (``cache=None``) / :meth:`range_query_cached`
@@ -865,7 +836,7 @@ class SpatialTable:
                     return [], False  # range_query never overlaid these
                 rows = []
             else:
-                rows = self._base_range_rows(query, vec) if base is None else base
+                rows = self._base_range_rows(query) if base is None else base
             if cache is not None:
                 cache.store(self, query, rows)
         d = self._delta
@@ -876,10 +847,7 @@ class SpatialTable:
         return rows, hit
 
     def range_query_batch(
-        self,
-        queries: Sequence[BoxQuery],
-        cache: Optional[ProbeCache] = None,
-        vectorize: Optional[bool] = None,
+        self, queries: Sequence[BoxQuery], cache: Optional[ProbeCache] = None
     ) -> List[Tuple[List[SpatialObject], bool]]:
         """:meth:`range_query_cached` of each query, the index read
         set-at-a-time.
@@ -900,12 +868,11 @@ class SpatialTable:
         back a hit while the traversal made for it stays billed (the
         reads happened); rows are the same either way.
         """
-        vec = columnar.resolve(vectorize)
         # Without a cache every probe reads the index (key: position);
         # with one, each distinct missing query does, once (key: query).
         keys: Sequence[object] = range(len(queries)) if cache is None else queries
         bases: Dict[object, List[SpatialObject]] = {}
-        if self.batches_probes(vec):
+        if self.batches_probes():
             wanted: Dict[object, BoxQuery] = {}
             for key, query in zip(keys, queries):
                 if (
@@ -917,7 +884,7 @@ class SpatialTable:
             if wanted:
                 bases = dict(zip(wanted, self._rtree_rows(list(wanted.values()))))
         return [
-            self._probe(query, cache, vec, bases.pop(key, None))
+            self._probe(query, cache, bases.pop(key, None))
             for key, query in zip(keys, queries)
         ]
 
@@ -947,11 +914,7 @@ class SpatialTable:
         return anchor
 
     def nearest(
-        self,
-        anchor,
-        k: int,
-        access: str = "auto",
-        vectorize: Optional[bool] = None,
+        self, anchor, k: int, access: str = "auto"
     ) -> List[Tuple[float, SpatialObject]]:
         """The ``k`` rows nearest to ``anchor`` (a point or a box).
 
@@ -966,8 +929,8 @@ class SpatialTable:
           staged rows are queued at their distances beside the root,
           tombstoned rows are passed over, and the browse ends at the
           ``k``-th *live* row;
-        * ``"scan"`` — rank every live row (one columnar kernel call
-          where ``vectorize`` and the NumPy backend allow);
+        * ``"scan"`` — rank every live row (one columnar kernel call on
+          the NumPy backend);
         * ``"auto"`` — best-first when an r-tree is available, scan
           otherwise (grid files index the 2k-dim point representation,
           where box distances do not reduce to point distances).
@@ -1001,7 +964,7 @@ class SpatialTable:
                 anchor, k, lambda obj: repr(obj.oid), seeds, dead
             )
             out = [(dist, obj) for dist, _box, obj in ranked]
-        elif columnar.resolve(vectorize) and columnar.active_backend() == "numpy":
+        elif columnar.active_backend() == "numpy":
             out = self._nearest_columnar(anchor, k, d)
             self.vectorized_batches += 1
             self.vectorized_candidates += len(self._columns)

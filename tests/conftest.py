@@ -28,7 +28,7 @@ from repro.constraints import (
     overlaps,
     subset,
 )
-from repro.spatial import HAVE_NUMPY, SpatialTable
+from repro.spatial import HAVE_NUMPY, SpatialTable, forced_backend
 
 #: The shared universe of every generated workload.
 UNIVERSE = Box((0.0, 0.0), (32.0, 32.0))
@@ -50,6 +50,18 @@ SEED_MATRIX = "REPRO_TEST_SEED" in os.environ
 #: stdlib fallback always, NumPy only where the accelerator is
 #: installed (the no-numpy CI job then still covers the fallback).
 COLUMNAR_BACKENDS = ("numpy", "array") if HAVE_NUMPY else ("array",)
+
+#: The exhaustive products' backend matrix: each backend pinned in
+#: turn, then ``"off"`` — the pin off, so the platform's own pick runs,
+#: as in production.  (The id predates PR 22, which deleted the ``off``
+#: backend; it keeps the test ids stable.)
+BACKEND_MATRIX = COLUMNAR_BACKENDS + ("off",)
+
+
+def pinned(backend: str):
+    """:func:`forced_backend` for a :data:`BACKEND_MATRIX` entry."""
+    return forced_backend(None if backend == "off" else backend)
+
 
 #: A duplicate-rich coordinate pool for edge-case boxes: repeated
 #: values make degenerate sides and shared edges likely.

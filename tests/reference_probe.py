@@ -31,9 +31,7 @@ class PerBindingIndexProbe(IndexProbe):
         self.stats.probes += 1
         before = self.table.index_read_count()
         mark = self._vectorized_mark()
-        rows, hit = self.table.range_query_cached(
-            query, ctx.cache, vectorize=ctx.vectorize
-        )
+        rows, hit = self.table.range_query_cached(query, ctx.cache)
         self.stats.node_reads += self.table.index_read_count() - before
         self._vectorized_absorb(mark)
         if hit:

@@ -6,7 +6,7 @@ query; the grouped ``IndexProbe`` promises the answers, the answer
 order and the ``ExecutionStats`` of probing binding by binding
 (``tests/reference_probe.py``), reading at most twice as far ahead
 under ``limit=``.  Nothing here is NumPy-only: without it (and under
-the ``array`` / ``off`` backends) the batch is a per-query loop that
+the ``array`` backend) the batch is a per-query loop that
 must satisfy the same equalities.
 """
 
@@ -26,12 +26,13 @@ from repro.errors import UnsatisfiableError
 from repro.spatial import ProbeCache, RTree, SpatialTable, columnar
 from repro.spatial import rtree as rtree_module
 from tests.conftest import (
-    COLUMNAR_BACKENDS,
+    BACKEND_MATRIX as BACKENDS,
     UNIVERSE,
     constraint_systems,
     edge_box_queries,
     edge_boxes,
     make_workload,
+    pinned,
     shifted_seed,
 )
 from tests.reference_probe import PerBindingIndexProbe, probe_per_binding
@@ -43,7 +44,6 @@ from tests.test_planner_reference import (
 
 BATCH_SIZES = (1, 2, 7, 64, 300)
 SPLITS = RTree.SPLIT_METHODS
-BACKENDS = COLUMNAR_BACKENDS + ("off",)
 SHAPES = (
     "overlap1",
     "overlap2",
@@ -142,7 +142,7 @@ def _caches(mode, table, queries):
 def test_range_query_batch_equals_cached_calls(split, delta, backend):
     table = _table(split, delta)
     rng = random.Random(shifted_seed(1))
-    with columnar.forced_backend(backend):
+    with pinned(backend):
         for shape in SHAPES:
             for size in BATCH_SIZES:
                 for mode in CACHES:
@@ -250,7 +250,7 @@ def test_entry_stored_between_peek_and_lookup_is_a_billed_hit():
     rng = random.Random(4)
     queries = [_query("overlap1", rng, i) for i in range(9)]
     expected = [table.range_query(query) for query in queries]
-    bases = {query: table._base_range_rows(query, True) for query in queries}
+    bases = {query: table._base_range_rows(query) for query in queries}
 
     class Raced(ProbeCache):
         def holds(self, racing_table, query):
@@ -356,7 +356,7 @@ def test_conftest_workloads_match_per_binding_probing(
     if not tables:
         return
     query = SpatialQuery(system=system, tables=tables, bindings=bindings)
-    with columnar.forced_backend(backend):
+    with pinned(backend):
         try:
             _assert_grouped_probe_matches_oracle(query, cache_size=cache_size)
         except UnsatisfiableError:

@@ -19,17 +19,13 @@ from hypothesis import strategies as st
 
 import reference_build as ref
 from reference_rtree import root_of
-from conftest import shifted_seed
+from conftest import BACKEND_MATRIX as BACKENDS, pinned, shifted_seed
 from repro import Database
 from repro.algebra import Region
 from repro.boxes import Box, EMPTY_BOX, enclose_all
 from repro.engine.catalog import Histogram, collect_statistics
 from repro.errors import DimensionMismatchError
-from repro.spatial import HAVE_NUMPY, RTree, SpatialTable, forced_backend
-
-#: Every backend switch position: the build kernels have a NumPy and a
-#: stdlib body, and ``off`` must still build (on the stdlib one).
-BACKENDS = (("numpy",) if HAVE_NUMPY else ()) + ("array", "off")
+from repro.spatial import RTree, SpatialTable
 
 SIZES = (0, 1, 7, 8, 9, 64, 65, 1_000, 20_000)
 INF = math.inf
@@ -103,7 +99,7 @@ def test_bulk_load_equals_per_object_build(n, dim, cap, split, backend):
     # Each entry's value is its box, so the oracle's and the build's
     # leaf identities (box and value) compare across the two trees.
     boxes = random_boxes(n, dim)
-    with forced_backend(backend):
+    with pinned(backend):
         tree = RTree.bulk_load(
             list(zip(boxes, boxes)), max_entries=cap, split_method=split
         )
@@ -139,7 +135,7 @@ def test_bulk_load_edge_boxes(boxes, cap, backend):
     infinite edges all come out as the per-object build had them."""
     entries = list(zip(boxes, boxes))
     expect = tree_dump(ref.bulk_load(entries, max_entries=cap))
-    with forced_backend(backend):
+    with pinned(backend):
         tree = RTree.bulk_load(entries, max_entries=cap)
     assert tree_dump(tree) == expect
     tree.check_invariants()
@@ -179,7 +175,7 @@ def test_histogram_equals_loop(values, bins, backend):
     """Values equal to ``hi`` land in the last bucket; equal populations
     collapse to one; ``lo``/``hi`` keep the sign of the first zero."""
     expect = ref.histogram(values, bins=bins)
-    with forced_backend(backend):
+    with pinned(backend):
         assert repr(Histogram.from_values(values, bins=bins)) == repr(expect)
         assert repr(Histogram.from_values(iter(values), bins=bins)) == repr(expect)
 
@@ -189,7 +185,7 @@ def test_histogram_of_infinite_values_still_raises(backend):
     values = [0.0, 1.0, INF]
     with pytest.raises(ValueError):
         ref.histogram(values)
-    with forced_backend(backend), pytest.raises(ValueError):
+    with pinned(backend), pytest.raises(ValueError):
         Histogram.from_values(values)
 
 
@@ -212,7 +208,7 @@ def table_rows(rng: random.Random, n: int, first_oid: int = 0):
 @pytest.mark.parametrize("n", (0, 1, 30, 700))
 def test_statistics_equal_per_object_scan(n, backend):
     rows = table_rows(random.Random(shifted_seed(n)), n)
-    with forced_backend(backend):
+    with pinned(backend):
         table = SpatialTable("t", 2)
         table.bulk_insert(rows)
         for kwargs in ({}, {"bins": 5, "sample_size": 7, "seed": 3}):
@@ -247,7 +243,7 @@ def test_repack_equals_fresh_bulk_insert(seed, backend):
     and statistics are those of a fresh ``bulk_insert`` of the live rows
     — and of the per-object build of them."""
     rng = random.Random(shifted_seed(40 + seed))
-    with forced_backend(backend):
+    with pinned(backend):
         table = SpatialTable("t", 2, delta_threshold=10_000)
         table.bulk_insert(table_rows(rng, rng.choice((0, 3, 90))))
         next_oid = len(table)
@@ -292,7 +288,7 @@ def test_repack_equals_fresh_bulk_insert(seed, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_snapshot_bytes_equal_per_object_build(backend, tmp_path):
     rows = table_rows(random.Random(shifted_seed(77)), 400)
-    with forced_backend(backend):
+    with pinned(backend):
         table = SpatialTable("t", 2, universe=Box((0.0, 0.0), (64.0, 64.0)))
         table.bulk_insert(rows)
         new_path, ref_path = tmp_path / "new.json", tmp_path / "ref.json"

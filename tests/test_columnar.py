@@ -30,7 +30,6 @@ from repro.spatial import (
     pbsm_join,
     unpack_floats,
 )
-from repro.spatial.columnar import resolve
 from repro.spatial.partition import (
     _pack_tile_task,
     _sweep_tile,
@@ -41,6 +40,9 @@ from repro.spatial.zorder import ZGrid, ZOrderIndex
 from tests.conftest import COLUMNAR_BACKENDS, UNIVERSE, random_table
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+
+#: What :func:`active_backend` says with no pin.
+PLATFORM = "numpy" if HAVE_NUMPY else "array"
 
 
 def _random_boxes(seed, n, allow_empty=True):
@@ -64,14 +66,16 @@ class TestBackends:
     def test_forced_backend_round_trip(self):
         with forced_backend("array"):
             assert active_backend() == "array"
-            with forced_backend("off"):
-                assert active_backend() == "off"
+            with forced_backend(None):
+                assert active_backend() == PLATFORM
             assert active_backend() == "array"
+        assert active_backend() == PLATFORM
 
     def test_forced_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with forced_backend("simd"):
-                pass  # pragma: no cover
+        for name in ("simd", "off"):
+            with pytest.raises(ValueError):
+                with forced_backend(name):
+                    pass  # pragma: no cover
 
     @pytest.mark.skipif(HAVE_NUMPY, reason="only without numpy")
     def test_forcing_numpy_without_numpy_raises(self):
@@ -79,22 +83,19 @@ class TestBackends:
             with forced_backend("numpy"):
                 pass  # pragma: no cover
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "array")
-        assert active_backend() == "array"
-        monkeypatch.setenv("REPRO_COLUMNAR", "off")
-        assert active_backend() == "off"
+    def test_env_var_is_ignored(self, monkeypatch):
+        """``REPRO_COLUMNAR`` is gone: only the platform picks."""
+        for value in ("array", "numpy", "off"):
+            monkeypatch.setenv("REPRO_COLUMNAR", value)
+            assert active_backend() == PLATFORM
 
     def test_resolve_semantics(self):
-        with forced_backend("array"):
-            assert resolve(None) is True
-            assert resolve(True) is True
-            assert resolve(False) is False
-        with forced_backend("off"):
-            assert resolve(None) is False
-            # An explicit request cannot overrule a disabled backend.
-            assert resolve(True) is False
-            assert resolve(False) is False
+        """One backend per platform, a test pin over it."""
+        assert BACKENDS == ("numpy", "array")
+        assert active_backend() == PLATFORM
+        for name in COLUMNAR_BACKENDS:
+            with forced_backend(name):
+                assert active_backend() == name
 
 
 class TestPackedFloats:
@@ -237,17 +238,22 @@ class TestTableMirror:
             table.insert(
                 i, Region.from_box(b) if not b.is_empty() else Region.empty()
             )
-        store = table.column_store(vectorize=True)
+        store = table.column_store()
         assert store is not None and len(store) == len(boxes)
         for slot, obj in enumerate(table):
             assert store.rows[slot] is obj
 
-    def test_column_store_respects_off(self):
+    def test_column_store_is_none_while_delta_pending(self):
+        """The one state that hides the store: a pending delta, whose
+        staged rows and tombstones the base slots do not mirror."""
+        from repro.algebra import Region
+
         table = random_table("t", random.Random(33), 5)
-        with forced_backend("off"):
-            assert table.column_store() is None
-            assert table.column_store(vectorize=True) is None
-        assert table.column_store(vectorize=False) is None
+        assert table.column_store() is not None
+        table.stage_insert("s", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
+        assert table.column_store() is None
+        table.repack()
+        assert table.column_store() is not None
 
 
 class TestVectorizedSweep:
@@ -269,7 +275,7 @@ class TestVectorizedSweep:
     @pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
     def test_pbsm_join_matches_scalar(self, backend):
         left, right = self._tile_inputs(41)
-        with forced_backend("off"):
+        with forced_backend("array"):
             want_stats = JoinStats()
             want = pbsm_join(left, right, n_tiles=9, stats=want_stats)
         with forced_backend(backend):
@@ -322,10 +328,9 @@ class TestZOrderBatch:
             Box((-5.0, -5.0), (40.0, 40.0)),  # straddles the universe
         ]
         grid = ZGrid(Box((0.0, 0.0), (32.0, 32.0)), levels=5)
-        with forced_backend("off"):
-            seq = ZOrderIndex(grid)
-            for i, b in enumerate(boxes):
-                seq.insert(b, i)
+        seq = ZOrderIndex(grid)
+        for i, b in enumerate(boxes):
+            seq.insert(b, i)
         with forced_backend(backend):
             batch = ZOrderIndex(grid)
             batch.insert_batch([(b, i) for i, b in enumerate(boxes)])

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro import BoxQuery, Database, Session
+from repro.database import SESSION_OPTIONS
 from repro.algebra import Region
 from repro.boxes import Box
 from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
@@ -19,8 +20,6 @@ from repro.engine import compile_query
 from repro.engine.executor import (
     answers_as_oid_tuples,
     execute,
-    first_k,
-    run_query,
 )
 from repro.engine.stats import ExecutionStats
 from repro.spatial import SpatialTable
@@ -239,22 +238,17 @@ def test_session_nearest_matches_table(db, workload):
         Session().nearest("T", (1.0, 1.0), 3)
 
 
-# -- deprecation shims ---------------------------------------------------------
-def test_run_query_shim_warns_and_matches(workload):
-    query, _map = workload
-    expected, expected_stats = _baseline(query)
-    with pytest.warns(DeprecationWarning, match="Session"):
-        answers, stats = run_query(query, mode="boxplan")
-    assert answers_as_oid_tuples(answers, query.order) == expected
-    assert stats.to_dict() == expected_stats.to_dict()
-
-
-def test_first_k_shim_warns_and_matches(workload):
-    query, _map = workload
-    plan = compile_query(query)
-    with pytest.warns(DeprecationWarning, match="Session"):
-        answers = first_k(plan, 2)
-    assert answers == Session().run(plan, limit=2).answers
+# -- retired options -----------------------------------------------------------
+@pytest.mark.parametrize("option", ["vectorize", "shards", "spill"])
+def test_retired_session_options_are_type_errors(option):
+    """One execution path per platform: no option picks another."""
+    assert SESSION_OPTIONS == (
+        "mode", "join_strategy", "partitions", "parallel", "parallel_kind", "limit",
+    )
+    with pytest.raises(TypeError, match=option):
+        Session(**{option: False})
+    with pytest.raises(TypeError):
+        Session().run(smugglers_query(seed=2)[0], **{option: False})
 
 
 # -- stats JSON round trips ----------------------------------------------------

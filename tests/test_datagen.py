@@ -108,12 +108,12 @@ class TestSmugglersMap:
         assert alg.le(m.area, m.country)
 
     def test_good_roads_yield_answers(self):
-        from repro.engine import run_query
+        from repro import Session
 
         q, m = smugglers_query(
             seed=6, n_towns=12, n_roads=12, states_grid=(2, 2)
         )
-        answers, _ = run_query(q, "boxplan")
+        answers = Session().run(q, mode="boxplan").answers
         if m.good_road_ids and m.border_town_ids:
             assert answers
             road_ids = {a["R"].oid for a in answers}

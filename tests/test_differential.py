@@ -315,7 +315,7 @@ def test_box_count_pushdown_differential(seed, use_overlap):
 
 
 # ---------------------------------------------------------------------------
-# Columnar kernels: vectorized execution == per-object oracle, per backend
+# Columnar kernels: box-mode execution == exact mode, per backend
 # ---------------------------------------------------------------------------
 
 
@@ -334,11 +334,12 @@ def test_box_count_pushdown_differential(seed, use_overlap):
 def test_vectorized_execution_differential(
     system, seed, strategy, n_partitions, index
 ):
-    """Vectorized plans return exactly the per-object plans' answers in
-    every mode × join strategy × partition count × index backend, under
-    both columnar backends.  This drives every engine-level kernel:
-    batched scan filters, columnar R-tree descent, the PBSM tile sweep,
-    partition-pruned batch matching, and batched z-order keys."""
+    """Box-mode plans return exactly the ``exact`` mode's answers — which
+    runs no box kernel — in every box mode × join strategy × partition
+    count × index backend, under both columnar backends.  This drives
+    every engine-level kernel: batched scan filters, columnar R-tree
+    descent, the PBSM tile sweep, partition-pruned batch matching, and
+    batched z-order keys."""
     tables, bindings = make_workload(seed, system=system, index=index)
     if not tables:
         return
@@ -348,19 +349,10 @@ def test_vectorized_execution_differential(
         plan = compile_query(query, order=order)
     except UnsatisfiableError:
         return
+    oracle_plan = build_physical_plan(plan, "exact", estimate=False)
+    expected = answers_as_oid_tuples(list(oracle_plan.execute_iter()), order)
+    assert oracle_plan.stats().vectorized_batches == 0
     for mode in ("boxplan", "boxonly"):
-        with forced_backend("off"):
-            oracle_plan = build_physical_plan(
-                plan,
-                mode,
-                estimate=False,
-                partitions=n_partitions,
-                join_strategy=strategy,
-            )
-            expected = answers_as_oid_tuples(
-                list(oracle_plan.execute_iter()), order
-            )
-            assert oracle_plan.stats().vectorized_batches == 0
         for backend in COLUMNAR_BACKENDS:
             with forced_backend(backend):
                 pplan = build_physical_plan(
@@ -369,7 +361,6 @@ def test_vectorized_execution_differential(
                     estimate=False,
                     partitions=n_partitions,
                     join_strategy=strategy,
-                    vectorize=True,
                 )
                 got = answers_as_oid_tuples(
                     list(pplan.execute_iter()), order
@@ -424,9 +415,9 @@ def test_columnar_match_oracle_edge_cases(boxes, query):
 def test_vectorized_nearest_differential(seed, k, box_anchor):
     """`SpatialTable.nearest` returns bit-identical distance/oid
     rankings under every backend, for point and box anchors: on scan
-    tables the columnar kernel against the per-object scan, on indexed
-    tables the browse over the array form against the frozen ``_Node``
-    walk (``reference_knn.py``)."""
+    tables the columnar kernel against the brute-force scan
+    (``nearest_bruteforce``), on indexed tables the browse over the
+    array form against the frozen ``_Node`` walk (``reference_knn.py``)."""
     rng = random.Random(shifted_seed(seed) + 5)
     if box_anchor:
         lo = (rng.uniform(-4, 30), rng.uniform(-4, 30))
@@ -441,11 +432,10 @@ def test_vectorized_nearest_differential(seed, k, box_anchor):
         if index == "rtree":
             want = reference_knn.table_nearest(table, anchor, k)
         else:
-            with forced_backend("off"):
-                want = table.nearest(anchor, k, vectorize=False)
+            want = table.nearest_bruteforce(anchor, k)
         for backend in COLUMNAR_BACKENDS:
             with forced_backend(backend):
-                got = table.nearest(anchor, k, vectorize=True)
+                got = table.nearest(anchor, k)
             assert [(d, o.oid) for d, o in got] == [
                 (d, o.oid) for d, o in want
             ], f"{index}/{backend} diverged"
@@ -541,7 +531,7 @@ def test_delta_staged_execution_differential(system, seed, layout_index):
                 plan = compile_query(query, order=order)
             except UnsatisfiableError:
                 return
-            for backend in COLUMNAR_BACKENDS + ("off",):
+            for backend in COLUMNAR_BACKENDS:
                 with forced_backend(backend):
                     pplan = build_physical_plan(plan, mode, **layout)
                     got = answers_as_oid_tuples(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Session
 from repro.algebra import Region
 from repro.boxes import Box
 from repro.constraints import ConstraintSystem, nonempty, subset
@@ -20,7 +21,6 @@ from repro.engine import (
     compile_query,
     enumerate_orders,
     execute,
-    run_query,
 )
 from repro.errors import (
     CompilationError,
@@ -146,9 +146,9 @@ class TestExecutorAgreement:
         q, _m = smugglers_query(
             seed=5, n_towns=10, n_roads=10, index=index
         )
-        answers, _stats = run_query(q, "boxplan")
+        answers, _stats = Session().run(q, mode="boxplan")
         q2, _m2 = smugglers_query(seed=5, n_towns=10, n_roads=10, index="scan")
-        expected, _ = run_query(q2, "exact")
+        expected, _ = Session().run(q2, mode="exact")
         assert answers_as_oid_tuples(
             answers, ["T", "R", "B"]
         ) == answers_as_oid_tuples(expected, ["T", "R", "B"])

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_knn as ref
-from conftest import SEED_MATRIX, shifted_seed
+from conftest import BACKEND_MATRIX as BACKENDS, SEED_MATRIX, pinned, shifted_seed
 from repro import Database, Session
 from repro.algebra import Region
 from repro.boxes import Box, BoxQuery
@@ -30,7 +30,6 @@ from repro.service import QueryService, ServiceClient, serve_in_thread
 from repro.spatial import HAVE_NUMPY, RTree, SpatialTable, forced_backend
 from repro.spatial.rtree import _FlatTree, _Node
 
-BACKENDS = (("numpy",) if HAVE_NUMPY else ()) + ("array", "off")
 KS = (1, 2, 10, 10_000)
 INF = math.inf
 
@@ -144,7 +143,7 @@ BUILDS = ("bulk", "insert-quadratic", "insert-linear", "insert-rstar", "deleted"
     ("deleted", 2, 150), ("snapshot", 2, 200), ("snapshot", 3, 40),
 ])
 def test_clean_table_equals_frozen_walk(build, dim, n, backend, tmp_path):
-    with forced_backend(backend):
+    with pinned(backend):
         table = built_table(build, dim, n, seed=n + dim, tmp_path=tmp_path)
         rng = random.Random(shifted_seed(7 * n + dim))
         hold_table_to_oracle(table, anchors_for(rng, dim))
@@ -291,7 +290,8 @@ def first_reads(table: SpatialTable) -> None:
     window = BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),))
     assert table.nearest((5.0, 5.0), 3)
     assert table.range_query_batch([window, window])[0][0]
-    assert table.range_query(window, vectorize=False)
+    with forced_backend("array"):  # the scalar search
+        assert table.range_query(window)
     assert table.count_range(BoxQuery(inside=Box((0.0, 0.0), (30.0, 30.0))))
     tree = table._rtree
     tree.check_invariants()
@@ -405,7 +405,7 @@ def test_emitted_form_equals_walked_form(backend, nasty):
                 boxes.append(box)
     else:
         boxes = [grid_box(rng, 2) for _ in range(150)]
-    with forced_backend(backend):
+    with pinned(backend):
         tree = RTree.bulk_load([(box, i) for i, box in enumerate(boxes)], max_entries=4)
     assert tree._root is None
     emitted = tree._form()
@@ -479,12 +479,11 @@ def test_bad_anchor_fails_alike_on_every_path(index, anchor, error):
             table.stage_insert("s", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
         probes = table.probes
         for backend in BACKENDS:
-            with forced_backend(backend):
-                for vectorize in (None, False):
-                    with pytest.raises(error):
-                        table.nearest(anchor, 3, vectorize=vectorize)
-                    with pytest.raises(error):
-                        table.nearest(anchor, 3, access="scan", vectorize=vectorize)
+            with pinned(backend):
+                with pytest.raises(error):
+                    table.nearest(anchor, 3)
+                with pytest.raises(error):
+                    table.nearest(anchor, 3, access="scan")
                 with pytest.raises(error):
                     table.nearest_bruteforce(anchor, 3)
                 with pytest.raises(ReproError):
@@ -542,7 +541,7 @@ def test_bad_anchor_over_the_wire_is_a_400():
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_knn_product(seed, dim, n, build, delta, backend):
-    with forced_backend(backend):
+    with pinned(backend):
         rng = random.Random(shifted_seed(seed))
         table = built_table(build, dim, n, seed)
         if delta is not None and n:

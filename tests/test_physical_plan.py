@@ -22,6 +22,7 @@ from repro.engine import (
 )
 from repro.errors import UnknownModeError
 from repro.spatial import SpatialTable, forced_backend
+from tests.conftest import COLUMNAR_BACKENDS
 
 
 @pytest.fixture()
@@ -62,38 +63,49 @@ class TestPlanShapes:
         assert len(filters) == 1
         assert filters[0].system is not None
 
-    def test_scan_backend_lowers_to_scan_plus_box_filter(self):
-        q, _m = smugglers_query(seed=5, n_towns=8, n_roads=8, index="scan")
-        plan = compile_query(q)
-        with forced_backend("off"):
-            pplan = build_physical_plan(plan, "boxplan")
-            kinds = [op.kind for op in pplan.operators()]
-            assert "IndexProbe" not in kinds
-            assert kinds.count("TableScan") == 3
-            assert kinds.count("BoxFilter") == 3
-            answers, _ = pplan.run()
-        expected, _ = execute(compile_query(q), "exact")
-        assert answers_as_oid_tuples(answers, ["T", "R", "B"]) == (
-            answers_as_oid_tuples(expected, ["T", "R", "B"])
-        )
-
     def test_scan_backend_lowers_to_vectorized_probe(self):
-        """With a columnar backend the scan+filter pair fuses."""
+        """Scan-backend tables fuse scan and box filter on every
+        backend; exact mode, which runs no box kernel, is the oracle."""
         q, _m = smugglers_query(seed=5, n_towns=8, n_roads=8, index="scan")
         plan = compile_query(q)
-        pplan = build_physical_plan(plan, "boxplan")
-        kinds = [op.kind for op in pplan.operators()]
-        assert kinds.count("VectorizedScanProbe") == 3
-        assert "BoxFilter" not in kinds and "TableScan" not in kinds
-        answers, stats = pplan.run()
-        assert stats.vectorized_batches > 0
-        assert stats.vectorized_candidates > 0
-        with forced_backend("off"):
-            expected, off_stats = execute(compile_query(q), "boxplan")
-        assert off_stats.vectorized_batches == 0
-        assert answers_as_oid_tuples(answers, ["T", "R", "B"]) == (
-            answers_as_oid_tuples(expected, ["T", "R", "B"])
-        )
+        expected, exact_stats = execute(compile_query(q), "exact")
+        assert exact_stats.vectorized_batches == 0
+        for backend in COLUMNAR_BACKENDS:
+            with forced_backend(backend):
+                pplan = build_physical_plan(plan, "boxplan")
+                kinds = [op.kind for op in pplan.operators()]
+                assert kinds.count("VectorizedScanProbe") == 3
+                assert "BoxFilter" not in kinds and "TableScan" not in kinds
+                answers, stats = pplan.run()
+            assert stats.vectorized_batches > 0
+            assert stats.vectorized_candidates > 0
+            assert answers_as_oid_tuples(answers, ["T", "R", "B"]) == (
+                answers_as_oid_tuples(expected, ["T", "R", "B"])
+            ), backend
+
+    def test_scan_backend_with_pending_delta_lowers_to_vectorized_probe(self):
+        """A pending delta hides the column store, but the fused probe
+        reaches ``range_query_batch``, which overlays the delta: no
+        scan + box filter fallback, and exact-mode answers."""
+        q, _m = smugglers_query(seed=5, n_towns=8, n_roads=8, index="scan")
+        towns = q.tables["T"]
+        staged = next(iter(towns))
+        towns.stage_delete(staged.oid)
+        towns.stage_insert("staged-town", staged.region)
+        assert towns.delta_pending and towns.column_store() is None
+        plan = compile_query(q)
+        expected, _ = execute(plan, "exact")
+        assert expected
+        for mode in ("boxplan", "boxonly"):
+            pplan = build_physical_plan(plan, mode)
+            kinds = [op.kind for op in pplan.operators()]
+            assert kinds.count("VectorizedScanProbe") == 3, mode
+            assert "BoxFilter" not in kinds and "TableScan" not in kinds, mode
+            answers, stats = pplan.run()
+            assert stats.delta_probes > 0, mode
+            assert answers_as_oid_tuples(answers, ["T", "R", "B"]) == (
+                answers_as_oid_tuples(expected, ["T", "R", "B"])
+            ), mode
 
     def test_unknown_mode(self, plan):
         with pytest.raises(UnknownModeError):

@@ -51,8 +51,9 @@ from repro.engine.catalog import TableStatistics
 from repro.engine.planner import StepEstimate, _Pruned, _Rollouts
 from repro.engine.compiler import repair_knn_order
 from repro.errors import CompilationError, ReproError
-from repro.spatial import SpatialTable
+from repro.spatial import SpatialTable, forced_backend
 from tests.conftest import (
+    COLUMNAR_BACKENDS,
     UNIVERSE,
     constraint_systems,
     make_workload,
@@ -657,9 +658,11 @@ def test_overlay_join_bills_the_same_region_ops_as_the_reference():
     nothing to evaluate and box regions that pass the box filter overlap,
     so binding saves nothing here — the bypass case stays exactly equal."""
     db = Database.from_query(overlay_query(120, 120, seed=0))
-    options = [{}, {"join_strategy": "pbsm", "partitions": 4}, {"vectorize": False}]
-    for opts in options:
-        new = _run(db, "x & y !<= 0", ("x", "y"), **opts)
-        old = _run(db, "x & y !<= 0", ("x", "y"), reference=True, **opts)
-        assert new.oid_tuples() == old.oid_tuples()
-        assert new.stats.region_ops == old.stats.region_ops > 0
+    options = [{}, {"join_strategy": "pbsm", "partitions": 4}]
+    for backend in COLUMNAR_BACKENDS:
+        for opts in options:
+            with forced_backend(backend):
+                new = _run(db, "x & y !<= 0", ("x", "y"), **opts)
+                old = _run(db, "x & y !<= 0", ("x", "y"), reference=True, **opts)
+            assert new.oid_tuples() == old.oid_tuples()
+            assert new.stats.region_ops == old.stats.region_ops > 0

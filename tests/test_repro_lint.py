@@ -330,6 +330,9 @@ class BilledTreeWalk(ExtendStep):
 
 
 def test_billing_flags_scalar_vectorized_asymmetry():
+    """``_BulkJoinStep.iterate``'s shape: ``if store is None: … return``
+    guards the scalar twin, the columnar one follows — and the scalar
+    loop forgot ``pair_tests``."""
     findings = run_pass(
         BillingPass(),
         (
@@ -340,12 +343,45 @@ class Asym(ExtendStep):
     def _rows(self, ctx, binding):
         rows = self.table.probe(binding)
         self.stats.probes += 1
-        if ctx.vectorize:
-            self.stats.pair_tests += len(rows)
-            self.stats.vectorized_batches += 1
-        else:
-            pass
-        return rows
+        store = self.table.column_store()
+        if store is None:
+            return [r for r in rows if self.query.matches(r.box)]
+        self.stats.pair_tests += len(rows)
+        self.stats.vectorized_batches += 1
+        return store.match_rows(self.query)
+""",
+        ),
+    )
+    assert rules_of(findings) == ["REPRO202"]
+    assert "pair_tests" in findings[0].message
+    assert "store is None" in findings[0].message
+
+
+def test_billing_flags_asymmetric_continue_guard():
+    """``PartitionScan._rows``' shape: ``if store is not None and …:
+    … continue`` guards the columnar twin, the scalar loop follows —
+    and the columnar block forgot ``pair_tests``."""
+    findings = run_pass(
+        BillingPass(),
+        (
+            "src/repro/engine/physical.py",
+            OPERATOR_PRELUDE
+            + """
+class Asym(ExtendStep):
+    def _rows(self, ctx, binding):
+        store = self.table.column_store()
+        out = []
+        for part in self.table.partitions():
+            self.stats.probes += 1
+            if store is not None and part.indices:
+                self.stats.vectorized_batches += 1
+                out.extend(store.match_positions(self.query, part.indices))
+                continue
+            for obj in part.rows:
+                self.stats.pair_tests += 1
+                if self.query.matches(obj.box):
+                    out.append(obj)
+        return out
 """,
         ),
     )
@@ -360,11 +396,41 @@ def test_billing_allows_symmetric_branches():
             "src/repro/engine/physical.py",
             OPERATOR_PRELUDE
             + """
-class Sym(ExtendStep):
+class SymGuard(ExtendStep):
     def _rows(self, ctx, binding):
         rows = self.table.probe(binding)
         self.stats.probes += 1
-        if ctx.vectorize:
+        store = self.table.column_store()
+        if store is None:
+            self.stats.pair_tests += len(rows)
+            return [r for r in rows if self.query.matches(r.box)]
+        self.stats.pair_tests += len(rows)
+        self.stats.vectorized_batches += 1
+        return store.match_rows(self.query)
+
+class SymContinue(ExtendStep):
+    def _rows(self, ctx, binding):
+        store = self.table.column_store()
+        out = []
+        for part in self.table.partitions():
+            self.stats.probes += 1
+            if store is not None and part.indices:
+                self.stats.pair_tests += len(part.indices)
+                self.stats.vectorized_candidates += len(part.indices)
+                out.extend(store.match_positions(self.query, part.indices))
+                continue
+            for obj in part.rows:
+                self.stats.pair_tests += 1
+                if self.query.matches(obj.box):
+                    out.append(obj)
+        return out
+
+class SymElse(ExtendStep):
+    def _rows(self, ctx, binding):
+        rows = self.table.probe(binding)
+        self.stats.probes += 1
+        store = self.table.column_store()
+        if store is not None:
             self.stats.pair_tests += len(rows)
             self.stats.vectorized_batches += 1
         else:

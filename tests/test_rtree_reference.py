@@ -19,11 +19,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_rtree as ref
-from conftest import SEED_MATRIX, edge_box_queries, edge_boxes, shifted_seed
+from conftest import (
+    BACKEND_MATRIX as BACKENDS,
+    SEED_MATRIX,
+    edge_box_queries,
+    edge_boxes,
+    pinned,
+    shifted_seed,
+)
 from repro.boxes import Box, BoxQuery, EMPTY_BOX
-from repro.spatial import HAVE_NUMPY, RTree, forced_backend, synchronized_rtree_join
+from repro.spatial import HAVE_NUMPY, RTree, synchronized_rtree_join
 
-BACKENDS = (("numpy",) if HAVE_NUMPY else ()) + ("array", "off")
 SPLITS = RTree.SPLIT_METHODS
 BUILDS = (
     "packed",
@@ -162,7 +168,7 @@ def entries_for(rng: random.Random, n: int, dim: int):
 def test_readers_equal_the_node_walkers(kind, dim, backend):
     rng = random.Random(shifted_seed(100 * dim + BUILDS.index(kind)))
     entries = entries_for(rng, 150, dim)
-    with forced_backend(backend):
+    with pinned(backend):
         tree = build(kind, entries)
         assert (tree._root is None) == (kind in ("packed", "loaded", "empty"))
         by_shape = queries(rng, dim)

@@ -12,11 +12,12 @@ Two invariants the static-analysis PR audited and now pins:
    ~1-in-1200 per operand the results differed by one ulp, flipping
    nearest-neighbor tie-breaks between the scalar and vectorized paths.
 
-2. **Identical billing counters.**  A vectorized run must report the
-   same ``ExecutionStats`` as its scalar twin — candidates, survivors,
-   probes, node reads — except the ``vectorized_*`` pair, which exists
-   precisely to tell the runs apart.  This is repro-lint REPRO202's
-   runtime counterpart.
+2. **Identical billing counters.**  A run on the ``numpy`` backend
+   (batched R-tree descent, array kernels) must report the same
+   ``ExecutionStats`` as one on the ``array`` backend (scalar descent
+   and loops) — candidates, survivors, probes, node reads — except the
+   ``vectorized_*`` pair, which exists precisely to tell the runs
+   apart.  This is repro-lint REPRO202's runtime counterpart.
 """
 
 import math
@@ -132,7 +133,7 @@ def test_vectorized_billing_matches_scalar(seed, strategy):
     )
     plan = compile_query(query, order=sorted(tables))
 
-    def run(vectorize, backend):
+    def run(backend):
         with forced_backend(backend):
             pplan = build_physical_plan(
                 plan,
@@ -140,17 +141,18 @@ def test_vectorized_billing_matches_scalar(seed, strategy):
                 estimate=False,
                 partitions=2,
                 join_strategy=strategy,
-                vectorize=vectorize,
             )
-            answers = list(pplan.execute_iter())
+            answers = [
+                sorted((v, o.oid) for v, o in a.items())
+                for a in pplan.execute_iter()
+            ]
             return answers, pplan.stats()
 
-    scalar_answers, scalar = run(False, "off")
-    assert scalar.vectorized_batches == 0
+    scalar_answers, scalar = run("array")
 
     for backend in COLUMNAR_BACKENDS:
-        vec_answers, vec = run(True, backend)
-        assert len(vec_answers) == len(scalar_answers)
+        vec_answers, vec = run(backend)
+        assert vec_answers == scalar_answers, backend
         for name in TOP_FIELDS:
             assert getattr(vec, name) == getattr(scalar, name), (
                 f"{name} diverged under {backend}/{strategy}"

@@ -303,6 +303,56 @@ def test_invalid_content_length_is_a_400_not_a_dropped_connection(
     assert client.health()["ok"] is True
 
 
+def _raw_post(client, path, body):
+    """One POST over a raw socket: ``(status line, decoded JSON reply)``."""
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n"
+        f"Connection: close\r\n\r\n"
+    ).encode("latin-1")
+    with socket.create_connection((client.host, client.port), timeout=10) as sock:
+        sock.sendall(head + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    status, _sep, payload = reply.partition(b"\r\n\r\n")
+    return status.split(b"\r\n")[0].decode("latin-1"), json.loads(payload)
+
+
+def test_non_object_body_is_a_400_not_a_500(served):
+    """``payload.get`` on a JSON array, string or number used to raise
+    ``AttributeError`` in the handler: a 500."""
+    _service, client, _system = served
+    for path in ("/run", "/explain", "/bench", "/nearest", "/insert", "/delete"):
+        for body in (b"[1, 2]", b'"x"', b"3"):
+            status, reply = _raw_post(client, path, body)
+            assert status == "HTTP/1.1 400 Bad Request", (path, body)
+            assert "JSON object" in reply["error"], (path, body)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("shards", 4), ("spill", 1), ("vectorize", False), ("partitons", 4)],
+)
+def test_unknown_or_retired_option_is_a_400_naming_it(served, key, value):
+    """Retired options (``shards``, ``spill``, ``vectorize``) and typos
+    used to be dropped silently: a 200 with default execution."""
+    _service, client, system = served
+    for path in ("/run", "/explain", "/bench"):
+        body = json.dumps({"system": system, key: value}).encode()
+        status, reply = _raw_post(client, path, body)
+        assert status == "HTTP/1.1 400 Bad Request", path
+        assert key in reply["error"], path
+    with pytest.raises(ServiceError, match=key) as caught:
+        client.run(system, **{key: value})
+    assert caught.value.status == 400
+    # ``analyze`` belongs to /explain alone.
+    status, reply = _raw_post(
+        client, "/run", json.dumps({"system": system, "analyze": True}).encode()
+    )
+    assert status == "HTTP/1.1 400 Bad Request" and "analyze" in reply["error"]
+    assert "actual" in client.explain(system, analyze=True)["plan"]
+
+
 def test_insert_over_the_wire_bumps_snapshot(served):
     service, client, system = served
     before = client.health()["snapshot"]

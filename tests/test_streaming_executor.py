@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Session
 from repro.algebra import Region
 from repro.boxes import Box
 from repro.constraints import ConstraintSystem, nonempty, overlaps, subset
@@ -12,7 +13,6 @@ from repro.engine import (
     compile_query,
     execute,
     execute_iter,
-    first_k,
 )
 from repro.spatial import SpatialTable
 
@@ -87,7 +87,7 @@ class TestStreamingExecutor:
         plan = compile_query(q)
         all_answers, _ = execute(plan, "boxplan")
         assert len(all_answers) >= 2
-        got = first_k(plan, 2)
+        got = Session().run(plan, limit=2).answers
         assert len(got) == 2
         full = {
             t
@@ -103,7 +103,7 @@ class TestStreamingExecutor:
         plan = compile_query(q)
         for t in q.tables.values():
             t.reset_stats()
-        first_k(plan, 1)
+        Session().run(plan, limit=1)
         probes_first = sum(t.probes for t in q.tables.values())
         for t in q.tables.values():
             t.reset_stats()

@@ -1,23 +1,28 @@
 """Pass 2 — counter-billing parity (REPRO201-202).
 
 ``ExecutionStats`` is the paper-reproduction's measurement instrument:
-every mode, join strategy, and vectorization setting must bill the same
+every mode, join strategy, and columnar backend must bill the same
 work to the same counters, or the benchmark gates compare apples to
 oranges.  Two structural properties are checkable without running:
 
 * REPRO201 — an operator body (``_rows``/``_group_rows``/
   ``_candidate_pairs``/``iterate``) that calls index/probe APIs but never touches
   ``self.stats`` cannot be billing the work it does;
-* REPRO202 — a vectorized/scalar branch pair in which one side bills a
+* REPRO202 — a columnar/scalar split in which one side bills a
   counter the other side does not (``vectorized_batches``/
   ``vectorized_candidates`` are exempt: they exist to *count* the
-  vectorized path).
+  columnar path).  The split is a test on ``store is None`` / ``store
+  is not None`` (the table's :meth:`column_store`, ``None`` while a
+  write delta is pending): an ``if``/``else`` compares its two branches;
+  an early-exit guard (``if store is None: … return``, ``if store is
+  not None and …: … continue``) compares the guarded block with the
+  code after it in the same block.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import Iterator, List, Set
 
 from ..core import (
     Finding,
@@ -40,9 +45,9 @@ RULES = {
     "REPRO202": Rule(
         id="REPRO202",
         name="scalar-vectorized-counter-asymmetry",
-        summary="vectorized branch bills a counter its scalar twin "
+        summary="columnar branch bills a counter its scalar twin "
         "does not (or vice versa)",
-        fix="bill the same logical counters in both branches; only "
+        fix="bill the same logical counters on both sides; only "
         "vectorized_batches/vectorized_candidates may differ",
     ),
 }
@@ -67,6 +72,12 @@ PROBE_APIS = {
 
 #: Counters that legitimately differ between scalar and vectorized twins.
 SYMMETRY_EXEMPT = {"vectorized_batches", "vectorized_candidates"}
+
+#: Tests that split a columnar path from its scalar twin.
+SPLIT_TESTS = ("store is None", "store is not None")
+
+#: Statements that end a guarded block: the scalar twin follows it.
+_EXITS = (ast.Return, ast.Continue, ast.Break, ast.Raise)
 
 _OPERATOR_METHODS = ("_rows", "_group_rows", "_candidate_pairs", "iterate")
 
@@ -137,18 +148,24 @@ class BillingPass:
         symbol: str,
         findings: List[Finding],
     ) -> None:
-        for node in ast.walk(method):
-            if not isinstance(node, ast.If) or not node.orelse:
-                continue
-            test_src = ast.unparse(node.test)
-            if "vectorize" not in test_src and "store is not None" not in (
-                test_src
-            ):
-                continue
-            body_counters = _billed_counters(node.body) - SYMMETRY_EXEMPT
-            else_counters = _billed_counters(node.orelse) - SYMMETRY_EXEMPT
-            diff = body_counters.symmetric_difference(else_counters)
-            if diff:
+        for block in _blocks(method):
+            for at, node in enumerate(block):
+                if not isinstance(node, ast.If):
+                    continue
+                test_src = ast.unparse(node.test)
+                if not any(split in test_src for split in SPLIT_TESTS):
+                    continue
+                if node.orelse:
+                    other = node.orelse
+                elif isinstance(node.body[-1], _EXITS):
+                    other = block[at + 1 :]
+                else:
+                    continue
+                diff = (
+                    _billed_counters(node.body) ^ _billed_counters(other)
+                ) - SYMMETRY_EXEMPT
+                if not diff:
+                    continue
                 findings.append(
                     Finding(
                         rule="REPRO202",
@@ -158,13 +175,22 @@ class BillingPass:
                         column=node.col_offset,
                         symbol=symbol,
                         message=(
-                            f"{symbol} bills "
-                            f"{sorted(diff)} in only one branch of the "
-                            f"vectorized/scalar split ({test_src})"
+                            f"{symbol} bills {sorted(diff)} on only one "
+                            f"side of the columnar/scalar split ({test_src})"
                         ),
                         fix_hint=RULES["REPRO202"].fix,
                     )
                 )
+
+
+def _blocks(method: ast.FunctionDef) -> Iterator[List[ast.stmt]]:
+    """Every statement list in ``method``: its body and each nested
+    ``body``/``orelse``/``finalbody`` (handlers included)."""
+    for node in ast.walk(method):
+        for name in ("body", "orelse", "finalbody"):
+            block = getattr(node, name, None)
+            if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
+                yield block
 
 
 def _billed_counters(stmts: List[ast.stmt]) -> Set[str]:

@@ -1,7 +1,7 @@
 """Pass 1 — determinism (REPRO101-105).
 
 The repo's headline gates are bit-identity equalities: parallel ≡
-serial, vectorized ≡ scalar, every join strategy ≡ the index probe.
+serial, numpy ≡ array backend, every join strategy ≡ the index probe.
 All of them die the moment result paths consume a nondeterministic
 source.  This pass flags, in ``engine/`` and ``spatial/``:
 
@@ -67,7 +67,7 @@ RULES = {
         name="pairwise-float-reduction",
         summary="NumPy sum/mean over float data (pairwise; the stdlib "
         "backend folds sequentially)",
-        fix="vectorize the element-wise part and fold with builtin "
+        fix="compute the element-wise part in NumPy and fold with builtin "
         "sum(arr.tolist()), as columnar.side_sum does",
     ),
 }
