@@ -501,8 +501,6 @@ def cmd_load(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import asyncio
-
     from .database import Database
     from .service import QueryService, ServiceServer
 
@@ -513,17 +511,14 @@ def cmd_serve(args) -> int:
         db = Database(tables=query.tables, bindings=query.bindings)
     service = QueryService(db, cache_size=args.cache)
     server = ServiceServer(service, host=args.host, port=args.port)
-
-    async def _serve():
-        await server.start()
-        host, port = server.address
-        print(f"serving {len(db.tables)} tables on http://{host}:{port}")
-        await server.serve_forever()
-
+    host, port = server.address
+    print(f"serving {len(db.tables)} tables on http://{host}:{port}", flush=True)
     try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
+        server.serve_forever()
+    except KeyboardInterrupt:
         pass
+    finally:
+        server.stop()
     return 0
 
 

@@ -5,8 +5,8 @@ are documented on :class:`repro.service.server.QueryService`.  Errors
 reported by the server raise :class:`~repro.errors.ServiceError` with
 the server's message and HTTP status.
 
->>> client = ServiceClient("127.0.0.1", 8080)   # doctest: +SKIP
->>> reply = client.run(str(smugglers_system()), bindings=["C", "A"])
+>>> with ServiceClient("127.0.0.1", 8080) as client:   # doctest: +SKIP
+...     reply = client.run(str(smugglers_system()), bindings=["C", "A"])
 >>> stats = ExecutionStats.from_dict(reply["stats"])
 """
 
@@ -14,15 +14,30 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Any, Dict, Optional, Sequence, Union
 
 from ..errors import ServiceError
 
 __all__ = ["ServiceClient"]
 
+#: How a kept-alive connection the server closed fails before a response.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
 
 class ServiceClient:
-    """One service endpoint per method; connections are per-request."""
+    """One service endpoint per method, over one kept-alive connection.
+
+    A lock serialises calls, so threads may share an instance and each
+    gets its own reply; :meth:`close` or leaving a ``with`` block ends
+    the connection.  A call whose *reused* connection fails before any
+    response arrives (``RemoteDisconnected``, ``ConnectionResetError``,
+    ``BrokenPipeError``: the server closed it while idle) is retried
+    once on a fresh connection — safe for ``/insert`` and ``/delete``
+    too, because the server closes a connection only while waiting for
+    a request line or after answering, so that request never ran.  Any
+    other failure, or one after a response has started, is raised.
+    """
 
     def __init__(
         self, host: str, port: int, timeout: float = 30.0
@@ -30,29 +45,39 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)  # guarded-by: _lock
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _request(self, method: str, path: str, payload: Optional[dict]) -> dict:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            body = (
-                json.dumps(payload).encode("utf-8")
-                if payload is not None
-                else None
-            )
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            data = json.loads(response.read().decode("utf-8"))
-            if response.status != 200:
-                raise ServiceError(
-                    data.get("error", f"HTTP {response.status}"),
-                    status=response.status,
-                )
-            return data
-        finally:
-            conn.close()
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        headers = {"Content-Type": "application/json"} if body else {}
+        with self._lock:
+            conn = self._conn
+            while True:
+                reused, response = conn.sock is not None, None
+                try:
+                    conn.request(method, path, body=body, headers=headers)
+                    response = conn.getresponse()
+                    status, raw = response.status, response.read()
+                    break
+                except BaseException as exc:
+                    conn.close()  # closed, so a retry is not on a reused one
+                    if not (reused and response is None and isinstance(exc, _STALE)):
+                        raise
+        data = json.loads(raw.decode("utf-8"))
+        if status != 200:
+            raise ServiceError(data.get("error", f"HTTP {status}"), status=status)
+        return data
 
     def _post(self, path: str, payload: dict) -> dict:
         return self._request("POST", path, payload)

@@ -1,4 +1,4 @@
-"""The resident query service: snapshot isolation over asyncio HTTP.
+"""The resident query service: snapshot isolation over threaded HTTP/1.1.
 
 The execution engine is synchronous and CPU-bound; what a long-lived
 server adds is *snapshot isolation*:
@@ -21,23 +21,36 @@ server adds is *snapshot isolation*:
   never looked up again, so without the purge their entries would
   squat in the LRU until eviction or garbage collection.
 
-The HTTP layer is a deliberately small stdlib-only HTTP/1.1 loop over
-``asyncio.start_server`` (the engine has no third-party dependencies —
-see ``pyproject.toml``); query execution runs in the default thread
-pool via ``run_in_executor`` so slow queries do not stall the accept
-loop.  Endpoints: ``GET /health``, ``GET /stats``, and ``POST
-/run | /explain | /bench | /nearest | /insert | /delete`` with JSON
-bodies (see
-:class:`QueryService` for payload shapes and
-:mod:`repro.service.client` for a matching client).
+The HTTP layer is a small stdlib-only HTTP/1.1 server: one blocking
+accept loop, and one thread per kept-alive connection that reads a
+request, runs its handler inline, answers, and loops — no hand-off
+between threads per request.  A thread that finishes a connection
+waits for the next one.  Endpoints: ``GET /health``, ``GET /stats``,
+and ``POST /run | /explain | /bench | /nearest | /insert | /delete``
+with JSON bodies (see :class:`QueryService` for payload shapes and
+:mod:`repro.service.client` for a matching client).  Wire bounds:
+
+* a request or header line over 8 KiB, over 100 header lines, a
+  malformed request line or ``Content-Length`` → ``400`` and close;
+* a ``Content-Length`` over 16 MiB → ``413`` and close, body unread;
+* a body cut short by EOF → dropped unanswered, no handler runs;
+* a peer silent for 30 s in one socket read or write is dropped;
+* past 64 connections served at once → ``503`` and close.
+
+Handler errors (``400``/``404``/``500``) keep the connection open; a
+response after which the server closes says ``Connection: close``.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import json
+import queue
+import socket
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+import time
+import traceback
+from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple
 
 from ..algebra.regions import Region
 from ..boxes.box import box_from_jsonable
@@ -113,11 +126,12 @@ class SnapshotStore:
 class QueryService:
     """Request handlers over a :class:`SnapshotStore`.
 
-    All handlers are synchronous (the HTTP layer offloads them to the
-    thread pool) and act on the snapshot captured at entry.  ``run``
-    payloads carry the query as constraint text in the Figure-1 syntax;
-    binding *names* resolve against the snapshot's stored bindings, or
-    inline ``name -> [[lo, hi], ...]`` box lists define ad-hoc ones.
+    All handlers are synchronous (the HTTP layer runs them inline on
+    each connection's thread) and act on the snapshot captured at
+    entry.  ``run`` payloads carry the query as constraint text in the
+    Figure-1 syntax; binding *names* resolve against the snapshot's
+    stored bindings, or inline ``name -> [[lo, hi], ...]`` box lists
+    define ad-hoc ones.
     """
 
     def __init__(
@@ -129,10 +143,10 @@ class QueryService:
         self.cache = ProbeCache(maxsize=cache_size) if cache_size else None
         self.store = SnapshotStore(db, cache=self.cache)
         self._rebuild_lock = threading.Lock()
-        # requests is bumped only on the HTTP server's event loop
-        # thread, so it needs no lock; rebuilds/repacks are written by
-        # the handlers, which serialize on the rebuild mutex.
-        self.requests = 0
+        # Every connection thread bumps the wire counters.
+        self._counter_lock = threading.Lock()
+        self.requests = 0  # guarded-by: _counter_lock
+        self.connections = 0  # guarded-by: _counter_lock
         self.rebuilds = 0  # guarded-by: _rebuild_lock
         self.repacks = 0  # guarded-by: _rebuild_lock
         #: Pending delta ops past which a mutation kicks a background
@@ -218,6 +232,15 @@ class QueryService:
             aggregate=self._decode_aggregate(payload.get("aggregate")),
         )
 
+    # -- wire counters ---------------------------------------------------------
+    def count_request(self) -> None:
+        with self._counter_lock:
+            self.requests += 1
+
+    def count_connection(self) -> None:
+        with self._counter_lock:
+            self.connections += 1
+
     # -- endpoints -------------------------------------------------------------
     def health(self) -> dict:
         _db, version = self.store.current()
@@ -228,6 +251,7 @@ class QueryService:
         out = {
             "snapshot": version,
             "requests": self.requests,
+            "connections": self.connections,
             "rebuilds": self.rebuilds,
             "repacks": self.repacks,
             "tables": {
@@ -510,105 +534,194 @@ _ROUTES = {
     ("POST", "/delete"): "delete",
 }
 
-_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error"}
+_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Payload Too Large",
+                500: "Internal Server Error", 503: "Service Unavailable"}
+
+#: The wire bounds of the module docstring (constants, not options).
+_MAX_LINE_BYTES = 8192
+_MAX_HEADER_LINES = 100
+_MAX_BODY_BYTES = 16 << 20
+_CONNECTION_TIMEOUT_S = 30.0
+_MAX_CONNECTIONS = 64
+
+
+def _response(status: int, payload: Any, close: bool = False) -> bytes:
+    data = json.dumps(payload, default=str).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(data)}\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
+    ).encode("latin-1")
+    return head + data
+
+
+def _read_line(rfile: BinaryIO, what: str) -> bytes:
+    line = rfile.readline(_MAX_LINE_BYTES + 1)
+    if len(line) > _MAX_LINE_BYTES:
+        raise ServiceError(f"{what} longer than {_MAX_LINE_BYTES} bytes")
+    return line
+
+
+def _read_request(rfile: BinaryIO) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+    """The next ``(method, path, headers, body)``; ``None`` to drop the
+    connection unanswered (EOF, or a blank line, where a request should
+    start; EOF inside one).  A :class:`ServiceError` is to be answered
+    with its status, then the connection closed."""
+    line = _read_line(rfile, "request line")
+    if not line.strip():
+        return None
+    try:
+        method, path, _proto = line.decode("latin-1").split(" ", 2)
+    except ValueError:
+        raise ServiceError("malformed request line") from None
+    headers: Dict[str, str] = {}
+    for _ in range(_MAX_HEADER_LINES + 1):
+        line = _read_line(rfile, "header line")
+        if not line.strip():
+            break
+        name, _sep, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise ServiceError(f"more than {_MAX_HEADER_LINES} header lines")
+    if not line:
+        return None
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        # The body's extent is unknown: answer and hang up.
+        raise ServiceError(f"invalid Content-Length: {declared!r}")
+    length = int(declared)
+    if length > _MAX_BODY_BYTES:
+        raise ServiceError(f"body of {length} bytes exceeds the {_MAX_BODY_BYTES}-byte cap", 413)
+    body = rfile.read(length) if length else b""
+    return (method, path, headers, body) if len(body) == length else None
 
 
 class ServiceServer:
-    """The asyncio HTTP/1.1 front end of a :class:`QueryService`."""
+    """The threaded HTTP/1.1 front end of a :class:`QueryService`.
 
-    def __init__(
-        self,
-        service: QueryService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
+    The constructor binds the listening socket (``port=0`` picks an
+    ephemeral port; :attr:`address` has the bound one).
+    :meth:`serve_forever` runs the accept loop in the calling thread,
+    :meth:`start` on a background thread; :meth:`stop` ends either.
+    """
+
+    def __init__(self, service: QueryService, host: str = "127.0.0.1", port: int = 0) -> None:
         self.service = service
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._listener = socket.create_server((host, port))
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._acceptor: Optional[threading.Thread] = None
+        self._handoff: "queue.SimpleQueue[Optional[socket.socket]]" = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._open: Set[socket.socket] = set()  # guarded-by: _lock
+        self._workers: List[threading.Thread] = []  # guarded-by: _lock
+        self._stopping = False  # guarded-by: _lock
 
     @property
     def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (resolves ``port=0`` after start)."""
+        """The bound ``(host, port)``."""
         return self.host, self.port
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    # -- request loop ----------------------------------------------------------
-    async def _serve_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while True:
-                request_line = await reader.readline()
-                if not request_line or not request_line.strip():
-                    break
-                try:
-                    method, path, _proto = (
-                        request_line.decode("latin-1").split(" ", 2)
-                    )
-                except ValueError:
-                    await self._respond(
-                        writer, 400, {"error": "malformed request line"}
-                    )
-                    break
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if not line.strip():
-                        break
-                    name, _sep, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                declared = headers.get("content-length") or "0"
-                if not (declared.isascii() and declared.isdigit()):
-                    # The body's extent is unknown: answer and hang up.
-                    error = {"error": f"invalid Content-Length: {declared!r}"}
-                    await self._respond(writer, 400, error)
-                    break
-                length = int(declared)
-                body = await reader.readexactly(length) if length else b""
-                status, response = await self._dispatch(method, path, body)
-                await self._respond(writer, status, response)
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        finally:
-            writer.close()
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`stop`; blocks the caller."""
+        while True:
             try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - peer reset
-                pass
+                conn, _peer = self._listener.accept()
+            except ConnectionError:
+                continue  # the peer gave up before accept()
+            except OSError:
+                if self._stopping:
+                    return
+                raise
+            self.service.count_connection()
+            if not self._admit(conn):
+                with conn, contextlib.suppress(OSError):  # the peer may be gone
+                    conn.sendall(_response(503, {"error": "server busy"}, close=True))
 
-    async def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
-        self.service.requests += 1
+    def start(self) -> None:
+        """Run :meth:`serve_forever` on a background thread."""
+        name = f"repro-service:{self.port}"
+        self._acceptor = threading.Thread(target=self.serve_forever, name=name, daemon=True)
+        self._acceptor.start()
+
+    def stop(self) -> None:
+        """Stop accepting, end every live connection (kept-alive ones
+        too) and join the server's threads, 10 s at most in all."""
+        with self._lock:
+            self._stopping = True
+            for conn in self._open:
+                with contextlib.suppress(OSError):  # the peer may be gone
+                    conn.shutdown(socket.SHUT_RDWR)
+            for _ in self._workers:
+                self._handoff.put(None)
+            threads = list(self._workers)
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._listener.close()
+        deadline = time.monotonic() + 10.0
+        for thread in threads + ([self._acceptor] if self._acceptor else []):
+            thread.join(max(0.0, deadline - time.monotonic()))
+
+    def _admit(self, conn: socket.socket) -> bool:
+        """Queue ``conn`` for a connection thread; ``False`` past the cap
+        or once stopping."""
+        with self._lock:
+            if self._stopping or len(self._open) >= _MAX_CONNECTIONS:
+                return False
+            self._open.add(conn)
+            # A thread serves one connection at a time, then waits for the
+            # next: with no fewer threads than open connections, every
+            # queued connection has an idle thread.
+            if len(self._workers) < len(self._open):
+                name = f"repro-service:{self.port}/{len(self._workers)}"
+                worker = threading.Thread(target=self._work, name=name, daemon=True)
+                self._workers.append(worker)
+                worker.start()
+            self._handoff.put(conn)
+        return True
+
+    def _work(self) -> None:
+        while (conn := self._handoff.get()) is not None:
+            try:
+                self._serve(conn)
+            except OSError:
+                pass  # the peer left or went silent, or stop() shut it
+            except Exception:  # one bad connection must not cost a thread
+                traceback.print_exc()
+            finally:
+                with self._lock:
+                    self._open.discard(conn)
+                    conn.close()
+
+    def _serve(self, conn: socket.socket) -> None:
+        """One connection's request loop: read, run inline, answer."""
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.settimeout(_CONNECTION_TIMEOUT_S)
+        with conn.makefile("rb") as rfile:
+            while True:
+                try:
+                    request = _read_request(rfile)
+                except ServiceError as exc:
+                    conn.sendall(_response(exc.status, {"error": str(exc)}, close=True))
+                    return
+                if request is None:
+                    return
+                method, path, headers, body = request
+                close = headers.get("connection", "").lower() == "close"
+                conn.sendall(_response(*self._dispatch(method, path, body), close))
+                if close:
+                    return
+
+    def _dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, Dict[str, Any]]:
+        self.service.count_request()
         handler_name = _ROUTES.get((method, path.rstrip("/") or path))
         if handler_name is None:
             return 404, {"error": f"no route {method} {path}"}
         if body:
             try:
                 payload = json.loads(body)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 return 400, {"error": f"body is not valid JSON: {exc}"}
             if not isinstance(payload, dict):
                 kind = type(payload).__name__
@@ -616,12 +729,8 @@ class ServiceServer:
         else:
             payload = {}
         handler = getattr(self.service, handler_name)
-        loop = asyncio.get_running_loop()
         try:
-            if method == "GET":
-                result = await loop.run_in_executor(None, handler)
-            else:
-                result = await loop.run_in_executor(None, handler, payload)
+            result = handler() if method == "GET" else handler(payload)
         except ServiceError as exc:
             return exc.status, {"error": str(exc)}
         except ReproError as exc:
@@ -630,68 +739,12 @@ class ServiceServer:
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
         return 200, result
 
-    @staticmethod
-    async def _respond(
-        writer: asyncio.StreamWriter, status: int, payload: dict
-    ) -> None:
-        data = json.dumps(payload, default=str).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        writer.write(head + data)
-        await writer.drain()
-
-
-class _ThreadedServer:
-    """A :class:`ServiceServer` running in a daemon thread (tests/CLI)."""
-
-    def __init__(
-        self,
-        server: ServiceServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
-        self.server = server
-        self._loop = loop
-        self._thread = thread
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.server.address
-
-    def stop(self) -> None:
-        async def _shutdown() -> None:
-            await self.server.stop()
-
-        if self._loop.is_running():
-            asyncio.run_coroutine_threadsafe(
-                _shutdown(), self._loop
-            ).result(timeout=10)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()
-
 
 def serve_in_thread(
     service: QueryService, host: str = "127.0.0.1", port: int = 0
-) -> _ThreadedServer:
-    """Start a server on a background event loop; returns a stoppable
-    handle whose ``address`` carries the bound ephemeral port."""
+) -> ServiceServer:
+    """Start a server on a background thread; returns it (``address``
+    carries the bound ephemeral port, ``stop()`` ends it)."""
     server = ServiceServer(service, host=host, port=port)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=_run, name="repro-service", daemon=True)
-    thread.start()
-    if not started.wait(timeout=10):  # pragma: no cover - startup hang
-        raise RuntimeError("service failed to start within 10s")
-    return _ThreadedServer(server, loop, thread)
+    server.start()
+    return server

@@ -522,6 +522,33 @@ def test_concurrency_flags_mutation_in_nested_closure():
     assert rules_of(findings) == ["REPRO301"]
 
 
+def test_concurrency_flags_unguarded_request_counter():
+    """The service's request counter: every connection thread bumps it,
+    so once annotated an unlocked ``+= 1`` is a finding."""
+    service = """
+import threading
+
+class QueryService:
+    def __init__(self):
+        self._counter_lock = threading.Lock()
+        self.requests = 0  # guarded-by: _counter_lock
+"""
+    unlocked = service + """
+    def count_request(self):
+        self.requests += 1
+"""
+    locked = service + """
+    def count_request(self):
+        with self._counter_lock:
+            self.requests += 1
+"""
+    path = "src/repro/service/server.py"
+    findings = run_pass(ConcurrencyPass(), (path, unlocked))
+    assert rules_of(findings) == ["REPRO301"]
+    assert findings[0].symbol == "QueryService.count_request"
+    assert run_pass(ConcurrencyPass(), (path, locked)) == []
+
+
 # -- pass 4: pickle safety -----------------------------------------------------
 
 

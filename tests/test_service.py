@@ -5,12 +5,21 @@ The concurrency tests pin readers to the *old* snapshot while a rebuild
 swaps in a new one — their answers must stay bit-identical to a serial
 baseline on that snapshot — and the stale-probe regression warms the
 cache, mutates, and asserts the post-swap answer reflects the mutation
-with the superseded table's entries gone from the cache.
+with the superseded table's entries gone from the cache.  The wire
+tests pin the kept-alive client, the server's bounds and its shutdown.
 """
 
+import http.client
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +30,7 @@ from repro.datagen import smugglers_query
 from repro.engine.stats import ExecutionStats
 from repro.errors import ServiceError
 from repro.service import QueryService, ServiceClient, serve_in_thread
+from repro.service import server as server_module
 
 
 def _make_service(seed=2, cache_size=1024):
@@ -36,6 +46,7 @@ def served():
     host, port = handle.address
     client = ServiceClient(host, port, timeout=30.0)
     yield service, client, system
+    client.close()
     handle.stop()
 
 
@@ -329,6 +340,15 @@ def test_non_object_body_is_a_400_not_a_500(served):
             assert "JSON object" in reply["error"], (path, body)
 
 
+def test_non_utf8_body_is_a_400_not_a_dropped_connection(served):
+    """``json.loads`` raises ``UnicodeDecodeError``, not ``JSONDecodeError``,
+    on bytes that are not UTF-8; it used to escape and drop the connection."""
+    _service, client, _system = served
+    status, reply = _raw_post(client, "/run", b'{"system": "\xff"}')
+    assert status == "HTTP/1.1 400 Bad Request"
+    assert "not valid JSON" in reply["error"]
+
+
 @pytest.mark.parametrize(
     "key,value",
     [("shards", 4), ("spill", 1), ("vectorize", False), ("partitons", 4)],
@@ -395,6 +415,8 @@ def test_concurrent_clients_during_wire_insert(served):
                 counts.append(c.run(system)["count"])
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
+        finally:
+            c.close()
 
     def inserter():
         c = ServiceClient(host, port, timeout=30.0)
@@ -406,6 +428,8 @@ def test_concurrent_clients_during_wire_insert(served):
             )
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
+        finally:
+            c.close()
 
     threads = [threading.Thread(target=requester) for _ in range(3)]
     threads.append(threading.Thread(target=inserter))
@@ -523,3 +547,313 @@ def test_delete_over_the_wire(served):
     assert reply["deleted"] == 1 and reply["missing"] == 1
     stats = client.stats()
     assert stats["tables"]["T"]["delta_pending"] >= 1
+
+
+# -- the wire: kept-alive connections, bounds, shutdown --------------------------
+_HEALTH = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@pytest.fixture
+def fresh():
+    """A new service and server per test, so its wire counters start at 0."""
+    service, system = _make_service()
+    handle = serve_in_thread(service)
+    yield service, handle, system
+    handle.stop()
+
+
+def _exchange_raw(address, data, half_close=False):
+    """Send ``data`` on a new connection; the bytes read until the server
+    hangs up."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass  # the server closed with some of ``data`` unread
+    return reply
+
+
+def _split(reply):
+    head, _sep, body = reply.partition(b"\r\n\r\n")
+    return head, json.loads(body)
+
+
+def _answers_on_a_new_connection(address):
+    with ServiceClient(*address, timeout=10.0) as client:
+        return client.health()["ok"] is True
+
+
+def test_wire_counters_are_exact_under_concurrent_clients(fresh):
+    """``requests`` used to be bumped unlocked, on the premise that one
+    event-loop thread wrote it; every connection thread bumps it now."""
+    service, handle, _system = fresh
+    clients = [ServiceClient(*handle.address, timeout=30.0) for _ in range(4)]
+    errors = []
+    start = threading.Barrier(4)
+
+    def hammer(client):
+        try:
+            start.wait(timeout=10)
+            for _ in range(50):
+                client.health()
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(c,)) for c in clients]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    stats = clients[0].stats()
+    assert (stats["requests"], stats["connections"]) == (201, 4)
+    for client in clients:
+        client.close()
+
+
+@pytest.mark.parametrize(
+    "data,what",
+    [
+        (b"GET /" + b"a" * 9000 + b" HTTP/1.1\r\n\r\n", "request line longer"),
+        (_HEALTH[:-2] + b"X-Long: " + b"v" * 9000 + b"\r\n\r\n", "header line longer"),
+        (
+            _HEALTH[:-2] + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) + b"\r\n",
+            "more than 100 header lines",
+        ),
+    ],
+    ids=["request-line", "header-line", "header-count"],
+)
+def test_oversized_head_is_a_400_and_close(served, data, what):
+    _service, client, _system = served
+    head, reply = _split(_exchange_raw((client.host, client.port), data))
+    assert head.startswith(b"HTTP/1.1 400 Bad Request")
+    assert b"\r\nConnection: close" in head
+    assert what in reply["error"]
+    assert _answers_on_a_new_connection((client.host, client.port))
+
+
+def test_oversized_body_is_a_413_and_close_unread(served):
+    """Only the head is sent: a server that read the declared body would
+    wait for it and the read here would time out."""
+    _service, client, _system = served
+    declared = server_module._MAX_BODY_BYTES + 1
+    data = (
+        f"POST /insert HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}\r\n\r\n"
+    ).encode("latin-1")
+    head, reply = _split(_exchange_raw((client.host, client.port), data))
+    assert head.startswith(b"HTTP/1.1 413 Payload Too Large")
+    assert b"\r\nConnection: close" in head
+    assert "cap" in reply["error"]
+    assert _answers_on_a_new_connection((client.host, client.port))
+
+
+def test_short_body_then_eof_runs_no_handler(served):
+    service, client, _system = served
+    before = (service.requests, service.store.version)
+    body = json.dumps(
+        {"table": "T", "rows": [{"oid": "cut", "boxes": [[[1, 1], [2, 2]]]}]}
+    ).encode()
+    data = (
+        f"POST /insert HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body) + 10}\r\n\r\n"
+    ).encode("latin-1")
+    reply = _exchange_raw((client.host, client.port), data + body, half_close=True)
+    assert reply == b""  # dropped unanswered
+    assert (service.requests, service.store.version) == before
+    assert _answers_on_a_new_connection((client.host, client.port))
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [b"", b"POST /run HTTP/1.1\r\nContent-Length: 50\r\n\r\n{"],
+    ids=["silent", "half-sent"],
+)
+def test_stalled_peer_is_dropped_and_frees_its_slot(fresh, monkeypatch, sent):
+    """The only connection slot is held by a stalled peer: a new
+    connection is answered 503 until the timeout drops the stalled one."""
+    monkeypatch.setattr(server_module, "_CONNECTION_TIMEOUT_S", 1.0)
+    monkeypatch.setattr(server_module, "_MAX_CONNECTIONS", 1)
+    _service, handle, _system = fresh
+    with socket.create_connection(handle.address, timeout=10) as stalled:
+        stalled.sendall(sent)
+        head, reply = _split(_exchange_raw(handle.address, _HEALTH))
+        assert head.startswith(b"HTTP/1.1 503 Service Unavailable")
+        assert "busy" in reply["error"]
+        started = time.monotonic()
+        assert stalled.recv(1) == b""  # dropped, unanswered
+        assert time.monotonic() - started < 5.0
+    assert _answers_on_a_new_connection(handle.address)
+
+
+def test_connection_cap_counts_kept_alive_clients(fresh, monkeypatch):
+    monkeypatch.setattr(server_module, "_MAX_CONNECTIONS", 2)
+    _service, handle, _system = fresh
+    with ServiceClient(*handle.address) as first, ServiceClient(*handle.address) as second:
+        first.health()
+        second.health()
+        head, _reply = _split(_exchange_raw(handle.address, _HEALTH))
+        assert head.startswith(b"HTTP/1.1 503 Service Unavailable")
+        assert b"\r\nConnection: close" in head
+        assert first.health()["ok"] and second.health()["ok"]  # unaffected
+
+
+def test_one_client_keeps_one_connection(fresh):
+    _service, handle, _system = fresh
+    with ServiceClient(*handle.address) as client:
+        for _ in range(100):
+            client.health()
+        stats = client.stats()
+    assert (stats["requests"], stats["connections"]) == (101, 1)
+
+
+def test_client_survives_a_server_idle_close(fresh, monkeypatch):
+    monkeypatch.setattr(server_module, "_CONNECTION_TIMEOUT_S", 0.5)
+    service, handle, _system = fresh
+    with ServiceClient(*handle.address) as client:
+        client.health()
+        time.sleep(1.2)  # the server drops the idle connection meanwhile
+        assert client.health()["ok"] is True  # retried on a new connection
+    assert (service.requests, service.connections) == (2, 2)
+
+
+def test_client_survives_a_connection_close_reply(fresh, monkeypatch):
+    monkeypatch.setattr(server_module, "_MAX_BODY_BYTES", 1024)
+    service, handle, _system = fresh
+    rows = [{"oid": f"big-{i}", "boxes": [[[1.0, 1.0], [2.0, 2.0]]]} for i in range(64)]
+    with ServiceClient(*handle.address) as client:
+        client.health()
+        with pytest.raises(ServiceError, match="cap") as caught:
+            client.insert("T", rows)  # 413 + Connection: close
+        assert caught.value.status == 413
+        assert client.health()["ok"] is True
+    assert (service.requests, service.connections) == (2, 2)
+
+
+def test_handler_errors_keep_the_connection(fresh):
+    service, handle, system = fresh
+    with ServiceClient(*handle.address) as client:
+        with pytest.raises(ServiceError) as caught:
+            client.run(system, bindings=["Z"])
+        assert caught.value.status == 400
+        with pytest.raises(ServiceError) as caught:
+            client._request("GET", "/nope", None)
+        assert caught.value.status == 404
+        assert client.health()["ok"] is True
+    assert (service.requests, service.connections) == (3, 1)
+
+
+def test_shared_client_returns_each_thread_its_own_reply(fresh):
+    service, handle, _system = fresh
+    table = service.store.current()[0].table("T")
+    points = [obj.box.center() for obj in list(table)[:4]]
+    expected = [[o.oid for _d, o in table.nearest(p, 3)] for p in points]
+    assert len({tuple(oids) for oids in expected}) == 4
+    errors, matches = [], []
+    start = threading.Barrier(4)
+    with ServiceClient(*handle.address) as client:
+
+        def ask(i):
+            try:
+                start.wait(timeout=10)
+                for _ in range(25):
+                    reply = client.nearest("T", k=3, point=points[i])
+                    matches.append([r["oid"] for r in reply["results"]] == expected[i])
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(matches) == 100 and all(matches)
+    assert service.connections == 1
+
+
+def test_stop_ends_kept_alive_connections_and_joins_threads():
+    service, _system = _make_service()
+    handle = serve_in_thread(service)
+    name = f"repro-service:{handle.address[1]}"
+
+    def server_threads():
+        return [
+            t for t in threading.enumerate()
+            if t.name == name or t.name.startswith(name + "/")
+        ]
+
+    clients = [ServiceClient(*handle.address, timeout=5.0) for _ in range(2)]
+    for client in clients:
+        client.health()
+    assert len(server_threads()) == 3  # the accept loop + two connections
+    handle.stop()
+    assert server_threads() == []
+    started = time.monotonic()
+    for client in clients:
+        with pytest.raises(OSError):
+            client.health()
+        client.close()
+    assert time.monotonic() - started < 5.0
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "signum,returncode",
+    [(signal.SIGINT, 0), (signal.SIGTERM, -signal.SIGTERM)],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_cli_serve_keeps_alive_and_ends_on_signals(tmp_path, signum, returncode):
+    """``python -u -m repro serve`` prints the line the e2e service
+    workload parses, answers two requests on one connection, and ends on
+    SIGINT (exit 0, a live connection open) and on SIGTERM."""
+    query, _map = smugglers_query(seed=2)
+    path = tmp_path / "snapshot.json"
+    Database.from_query(query).save(str(path))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_SRC), env.get("PYTHONPATH")) if p
+    )
+    # A child inherits an ignored SIGINT, and Python then installs no
+    # KeyboardInterrupt handler: give the child the default disposition.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", str(path), "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    watchdog = threading.Timer(60.0, proc.kill)
+    watchdog.start()
+    try:
+        line = proc.stdout.readline()
+        match = re.fullmatch(r"serving 3 tables on http://([^:\s]+):(\d+)\n", line)
+        assert match, line
+        conn = http.client.HTTPConnection(match.group(1), int(match.group(2)), timeout=10)
+        conn.request("GET", "/health")
+        assert json.loads(conn.getresponse().read())["ok"] is True
+        conn.request("GET", "/stats")
+        stats = json.loads(conn.getresponse().read())
+        assert (stats["requests"], stats["connections"]) == (2, 1)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == returncode
+        conn.close()
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
