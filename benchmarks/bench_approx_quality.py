@@ -39,14 +39,12 @@ FORMULA = D & (C | E)
 def _table():
     rng = random.Random(3)
     t = SpatialTable("objs", 2, universe=UNIVERSE)
+    rows = []
     for i in range(N):
         lo = (rng.uniform(0, 90), rng.uniform(0, 90))
-        t.insert(
-            i,
-            Region.from_box(
-                Box(lo, (lo[0] + rng.uniform(1, 10), lo[1] + rng.uniform(1, 10)))
-            ),
-        )
+        hi = (lo[0] + rng.uniform(1, 10), lo[1] + rng.uniform(1, 10))
+        rows.append((i, Region.from_box(Box(lo, hi))))
+    t.bulk_insert(rows)
     return t
 
 

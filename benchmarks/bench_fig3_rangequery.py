@@ -31,8 +31,7 @@ def make_tables():
     tables = {}
     for kind in ("rtree", "grid", "scan"):
         t = SpatialTable(f"t_{kind}", 2, index=kind, universe=UNIVERSE)
-        for i, b in enumerate(boxes):
-            t.insert(i, Region.from_box(b))
+        t.bulk_insert([(i, Region.from_box(b)) for i, b in enumerate(boxes)])
         tables[kind] = t
     return tables
 

@@ -9,13 +9,6 @@ paper's qualitative prediction (its entire motivation):
 * boxplan ≤ exact in region ops (the box filter absorbs most pruning).
 
 The assertions pin those *shapes* (who wins, and that the gap widens).
-
-A second section measures the **index build path** at the bench's
-largest configured scale (``STR_SIZE``): STR bulk-loaded r-trees versus
-the one-at-a-time insertion baseline, node reads aggregated over the
-benchmark query set (several map seeds).  STR packing must cut node
-reads by ≥ 20% — the bulk-loading subsystem's headline number, pinned
-as exact counts by ``tests/test_rtree_variants.py::TestSTRReadGate``.
 """
 
 import os
@@ -33,28 +26,6 @@ SIZES = [
     for s in os.environ.get("REPRO_BENCH_SIZES", "8,16,24").split(",")
 ]
 _NAIVE_LIMIT = 16
-
-# The STR-vs-insertion comparison: the bench's largest configured scale.
-# Deep trees (small node capacity) and a finer state grid make index
-# quality the dominant cost; the map seeds are the benchmark query set.
-STR_SIZE = int(os.environ.get("REPRO_BENCH_STR_SIZE", "96"))
-STR_GRID = (4, 4)
-STR_CAPACITY = 4
-STR_SEEDS = tuple(range(8))
-
-
-def _str_node_reads(seed: int, pack: bool) -> int:
-    query, _world = smugglers_query(
-        seed=seed,
-        n_towns=STR_SIZE,
-        n_roads=STR_SIZE,
-        states_grid=STR_GRID,
-        node_capacity=STR_CAPACITY,
-        pack=pack,
-    )
-    plan = compile_query(query)
-    _answers, stats = execute(plan, "boxplan")
-    return stats.node_reads
 
 _results = {}
 
@@ -84,48 +55,6 @@ def test_join_scaling(benchmark, size, mode):
         [stats.as_dict()],
         ["mode", "tuples", "partials", "region_ops", "candidates"],
     )
-
-
-def test_str_packing_reduces_node_reads(benchmark):
-    """STR bulk loading vs insertion build at the largest scale."""
-
-    def run():
-        insertion = sum(_str_node_reads(s, pack=False) for s in STR_SEEDS)
-        packed = sum(_str_node_reads(s, pack=True) for s in STR_SEEDS)
-        return insertion, packed
-
-    insertion, packed = benchmark.pedantic(run, rounds=1, iterations=1)
-    reduction = 1.0 - packed / insertion
-    benchmark.extra_info.update(
-        {
-            "size": STR_SIZE,
-            "seeds": len(STR_SEEDS),
-            "node_reads_insertion": insertion,
-            "node_reads_str": packed,
-            "reduction": round(reduction, 4),
-        }
-    )
-    report(
-        f"E5: STR vs insertion @ size {STR_SIZE}",
-        [
-            {
-                "build": "insertion",
-                "node_reads": insertion,
-            },
-            {
-                "build": "str-packed",
-                "node_reads": packed,
-            },
-            {
-                "build": "reduction",
-                "node_reads": f"{reduction:.1%}",
-            },
-        ],
-        ["build", "node_reads"],
-    )
-    assert packed < insertion
-    if STR_SIZE >= 96:  # the acceptance bar holds at full scale
-        assert reduction >= 0.20, f"STR reduction {reduction:.1%} < 20%"
 
 
 def test_shape_assertions(benchmark):

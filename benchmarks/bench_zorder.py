@@ -60,10 +60,8 @@ def _boxplan_run():
 
     lt = SpatialTable("L", 2, universe=UNIVERSE)
     rt = SpatialTable("R", 2, universe=UNIVERSE)
-    for i, b in enumerate(LEFT):
-        lt.insert(i, Region.from_box(b))
-    for j, b in enumerate(RIGHT):
-        rt.insert(j, Region.from_box(b))
+    lt.bulk_insert([(i, Region.from_box(b)) for i, b in enumerate(LEFT)])
+    rt.bulk_insert([(j, Region.from_box(b)) for j, b in enumerate(RIGHT)])
     q = SpatialQuery(
         system=ConstraintSystem.build(overlaps("x", "y")),
         tables={"x": lt, "y": rt},

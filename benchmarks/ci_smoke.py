@@ -7,10 +7,11 @@ artifact that CI uploads on every run — the perf trajectory the ROADMAP
 asks for.
 
 Four acceptance gates are enforced (non-zero exit on failure; the
-planner no-regression gate and the STR-vs-insertion node-read gate that
-used to sit here are tier-1 exact-count tests,
-``tests/test_planner_cost.py`` and
-``tests/test_rtree_variants.py::TestSTRReadGate``):
+planner no-regression gate and the STR node-read gate that used to sit
+here are tier-1 exact-count tests, ``tests/test_planner_cost.py`` and
+``tests/test_rtree_variants.py::TestSTRReadGate`` — the latter now
+holds the packed reads to the insertion-tree reads recorded before that
+tree was deleted):
 
 1. streaming: ``execute_iter(..., limit=1)`` yields the first answer in
    under 25% of the full-materialization time at the smoke scale (the

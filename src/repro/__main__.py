@@ -7,7 +7,6 @@ Usage::
     python -m repro minimize [FILE]            # drop entailed constraints
     python -m repro bcf      'x & y | ~x & z'  # Blake canonical form + L/U
     python -m repro bench    [--workload smugglers] [--size 12] [--json]
-                             [--no-pack] [--split rstar]
                              [--order-strategy histogram]
                              [--stream] [--limit K] [--probe-cache N]
                              [--partitions N] [--parallel W] [--join auto]
@@ -31,9 +30,8 @@ or omitted reads stdin.
 
 ``bench`` builds a synthetic workload, plans it with the chosen
 strategy, executes it and prints the machine-independent counters
-(partial tuples, region ops, index node reads).  R-tree tables are
-STR-packed by default — ``--no-pack`` gives the insertion-built
-baseline the benchmarks compare against.  ``--stream`` executes through
+(partial tuples, region ops, index node reads) over STR-packed
+r-trees.  ``--stream`` executes through
 the streaming iterator and reports time-to-first-answer alongside the
 total.
 
@@ -166,11 +164,6 @@ def _build_workload(args):
             n_towns=size,
             n_roads=size,
             states_grid=(3, 3),
-            split_method=args.split,
-            # Only the r-tree backend has a bulk-loading path; grid/scan
-            # tables must get the insertion default (pack=None), since an
-            # explicit pack=True now raises for them.
-            pack=(not args.no_pack) if args.index == "rtree" else None,
         )
         return query
     if args.workload == "chain":
@@ -236,10 +229,6 @@ def _plan_workload(args):
     from .engine import SpatialQuery, compile_query, plan_order
 
     query = _build_workload(args)
-    if args.workload != "smugglers" and args.index == "rtree":
-        # The non-smugglers builders pack by default; honour the flags.
-        for table in query.tables.values():
-            table.reindex(pack=not args.no_pack, split_method=args.split)
     start = perf_counter()
     strategy = args.order_strategy
     if strategy == "paper" and not query.order:
@@ -369,8 +358,6 @@ def cmd_bench(args) -> int:
         "size": args.size,
         "seed": args.seed,
         "index": args.index,
-        "packed": not args.no_pack,
-        "split": args.split,
         "order_strategy": strategy,
         "order": list(plan.order),
         "partitions": pplan.partitions,
@@ -558,17 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=("naive", "exact", "boxplan", "boxonly"),
             default="boxplan",
-        )
-        p.add_argument(
-            "--split",
-            choices=("quadratic", "linear", "rstar"),
-            default="quadratic",
-            help="r-tree overflow handling for unpacked builds",
-        )
-        p.add_argument(
-            "--no-pack",
-            action="store_true",
-            help="insertion-built r-trees instead of STR bulk loading",
         )
         p.add_argument(
             "--order-strategy",

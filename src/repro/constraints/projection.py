@@ -84,7 +84,7 @@ def project(system: EquationalSystem, x: str) -> EquationalSystem:
         if c != d:
             g = mgr.apply_or(mgr.apply_and(not_b, d), mgr.apply_and(not_a, c))
         projected.append(g)
-    return EquationalSystem.from_nodes(mgr, mgr.apply_and(a, b), projected)
+    return EquationalSystem.of_nodes(mgr, mgr.apply_and(a, b), projected)
 
 
 def project_all(

@@ -161,7 +161,7 @@ class ConstraintSystem:
         for c in self.positives:
             equation = mgr.apply_or(equation, mgr.from_formula(c.as_zero_equation()))
         negatives = [mgr.from_formula(c.as_nonzero_formula()) for c in self.negatives]
-        return EquationalSystem.from_nodes(mgr, equation, negatives)
+        return EquationalSystem.of_nodes(mgr, equation, negatives)
 
 
 class EquationalSystem:
@@ -176,7 +176,7 @@ class EquationalSystem:
     Each part (slot 0: the equation) is a formula, a node of a BDD manager,
     or both.  A system built from formulas lifts them on first use
     (:meth:`lifted`) into a manager of its own, ordered by name; one built
-    :meth:`from_nodes` shares its parent's and prints a part when it is read.
+    :meth:`of_nodes` shares its parent's and prints a part when it is read.
     """
 
     def __init__(self, equation: Formula, disequations: Iterable[Formula] = ()):
@@ -185,7 +185,7 @@ class EquationalSystem:
         self._nodes: Tuple[int, ...] = ()
 
     @classmethod
-    def from_nodes(cls, mgr: Bdd, equation: int, disequations: Sequence[int]) -> "EquationalSystem":
+    def of_nodes(cls, mgr: Bdd, equation: int, disequations: Sequence[int]) -> "EquationalSystem":
         """The system of these nodes of ``mgr``."""
         self = cls.__new__(cls)
         self._mgr, self._nodes = mgr, (equation, *disequations)
@@ -247,11 +247,11 @@ class EquationalSystem:
         mgr, equation, nodes = self.lifted()
         pool = list(dict.fromkeys(nodes))
         kept = [g for g in pool if not any(h != g and mgr.apply_imp(h, g) == 1 for h in pool)]
-        return EquationalSystem.from_nodes(mgr, equation, kept)
+        return EquationalSystem.of_nodes(mgr, equation, kept)
 
     def simplified(self) -> "EquationalSystem":
         """Semantically simplify every formula in the system."""
-        return EquationalSystem.from_nodes(*self.lifted())
+        return EquationalSystem.of_nodes(*self.lifted())
 
     def __str__(self) -> str:
         lines = [f"{to_str(self.equation)} = 0"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..algebra.regions import Region
 from ..boxes.box import Box
@@ -48,18 +48,10 @@ class SmugglersMap:
     good_road_ids: List[int] = field(default_factory=list)
 
     def tables(
-        self,
-        index: str = "rtree",
-        pack: Optional[bool] = None,
-        split_method: str = "quadratic",
-        node_capacity: int = 8,
+        self, index: str = "rtree", node_capacity: int = 8
     ) -> Dict[str, SpatialTable]:
-        """Build ``T``/``R``/``B`` tables with the chosen index backend.
-
-        ``pack=None`` (the default) STR-packs r-tree tables — the map is
-        a static workload; ``pack=False`` keeps the insertion-built
-        baseline for the index benchmarks.
-        """
+        """Build ``T``/``R``/``B`` tables with the chosen index backend
+        (an r-tree is STR-packed with ``node_capacity`` entries a node)."""
         out: Dict[str, SpatialTable] = {}
         for key, name, regions in (
             ("T", "towns", self.towns),
@@ -71,10 +63,9 @@ class SmugglersMap:
                 2,
                 index=index,
                 universe=self.universe,
-                split_method=split_method,
                 node_capacity=node_capacity,
             )
-            t.bulk_insert(list(enumerate(regions)), pack=pack)
+            t.bulk_insert(list(enumerate(regions)))
             out[key] = t
         return out
 

@@ -31,8 +31,7 @@ def _random_rows(
 ) -> List[Tuple[int, Region]]:
     """``count`` random one-box rows numbered from 0, for
     ``bulk_insert``: the index is built once, STR-packed, over all of
-    them (growing an insertion tree row by row only to repack it took
-    ten times as long for the same tree)."""
+    them."""
     boxes = random_box_cloud(rng, universe, count, *sides)
     return list(enumerate(map(Region.from_box, boxes)))
 
@@ -41,27 +40,16 @@ def smugglers_query(
     map_: Optional[SmugglersMap] = None,
     index: str = "rtree",
     seed: int = 0,
-    pack: Optional[bool] = None,
-    split_method: str = "quadratic",
     node_capacity: int = 8,
     **map_kwargs,
 ) -> Tuple[SpatialQuery, SmugglersMap]:
-    """The paper's Section 2 query over a generated map (E1/E5).
-
-    ``pack``/``split_method``/``node_capacity`` configure the r-tree
-    build (STR-packed by default; ``pack=False`` gives the
-    insertion-built baseline).
-    """
+    """The paper's Section 2 query over a generated map (E1/E5);
+    ``node_capacity`` sizes the STR-packed r-tree's nodes."""
     if map_ is None:
         map_ = make_map(seed=seed, **map_kwargs)
     query = SpatialQuery(
         system=smugglers_system(),
-        tables=map_.tables(
-            index=index,
-            pack=pack,
-            split_method=split_method,
-            node_capacity=node_capacity,
-        ),
+        tables=map_.tables(index=index, node_capacity=node_capacity),
         bindings={"C": map_.country, "A": map_.area},
         order=list(SMUGGLERS_ORDER),
     )

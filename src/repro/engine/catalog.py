@@ -341,6 +341,7 @@ class TableStatistics:
         inserted: Tuple["SpatialObject", ...],
         removed: Tuple["SpatialObject", ...],
         sample_size: int = DEFAULT_SAMPLE_SIZE,
+        bins: int = DEFAULT_BINS,
     ) -> "TableStatistics":
         """Statistics adjusted for staged writes — O(delta), no rescan.
 
@@ -350,7 +351,9 @@ class TableStatistics:
         over-approximation: re-tightening it would need a base rescan,
         which the repack does anyway).  ``delta_count`` records how many
         staged mutations were folded in, so the planner's node-read
-        formulas can price the per-probe delta overlay.
+        formulas can price the per-probe delta overlay.  The histograms
+        keep their bucket count; over an empty base (no buckets yet) the
+        staged rows fill ``bins`` of them.
         """
         if not inserted and not removed:
             return self
@@ -361,7 +364,7 @@ class TableStatistics:
             mbr = enclose_all(
                 ([mbr] if not mbr.is_empty() else []) + ins_boxes
             )
-        bins = max((len(h.counts) for h in self.lo_hists), default=DEFAULT_BINS)
+        bins = max((len(h.counts) for h in self.lo_hists), default=0) or bins
         lo_hists = []
         hi_hists = []
         avg_sides = []

@@ -503,13 +503,11 @@ class QueryService:
             current = db.tables.get(key)
             if current is None:
                 return
-            delta = current._delta
-            if delta is not None:
-                for op, arg in delta.ops[ops_seen:]:
-                    if op == "insert":
-                        packed.stage_insert(arg.oid, arg.region)
-                    else:
-                        packed.stage_delete(arg)
+            for op, arg in current._delta.ops[ops_seen:]:
+                if op == "insert":
+                    packed.stage_insert(arg.oid, arg.region)
+                else:
+                    packed.stage_delete(arg)
             self.repacks += 1
             self.store.swap(self._republish(db, key, packed))
 

@@ -422,10 +422,11 @@ class ColumnStore:
     dimension, plus a nonempty flag per row and the aligned row payloads
     — the in-memory twin of the snapshot format's packed coordinate
     blobs, and what the build path (STR load, repack, statistics) reads
-    instead of the row objects.  Slots are append-only and aligned with
-    the owning table's row order, so "store position" and "scan
-    position" are the same number; a repack builds the next store from
-    this one's columns (:meth:`bulk`), never in place.
+    instead of the row objects.  A store is filled once (:meth:`bulk`)
+    and never changed; its slots are aligned with the owning table's
+    base row order, so "store position" and "scan position" are the
+    same number, and a repack builds the next store from this one's
+    columns.
 
     Empty boxes occupy a placeholder slot (zeros, flag 0): they match no
     box query and are at infinite distance, exactly like the per-object
@@ -442,30 +443,15 @@ class ColumnStore:
         self._hi = tuple(array("d") for _ in range(dim))
         self._nonempty = array("B")
         # Per slot, the ``(box, row)`` tuple an R-tree leaf holds: made
-        # on first request, then kept in step, so successive packed
-        # trees share leaf entries instead of allocating one per row.
+        # on first request, then carried into the next store by bulk(),
+        # so successive packed trees share leaf entries instead of
+        # allocating one per row.
         self._entries: Optional[List[Tuple[Box, object]]] = None
 
     def __len__(self) -> int:
         return len(self._nonempty)
 
     # -- building ----------------------------------------------------------------
-    def append(self, box: Box, row: object) -> None:
-        """Append one row's bounding box (empty boxes take a placeholder)."""
-        if box.is_empty():
-            for d in range(self.dim):
-                self._lo[d].append(0.0)
-                self._hi[d].append(0.0)
-            self._nonempty.append(0)
-        else:
-            for d in range(self.dim):
-                self._lo[d].append(box.lo[d])
-                self._hi[d].append(box.hi[d])
-            self._nonempty.append(1)
-        self.rows.append(row)
-        if self._entries is not None:
-            self._entries.append((box, row))
-
     @classmethod
     def bulk(
         cls,
@@ -478,7 +464,8 @@ class ColumnStore:
         """A store filled a column at a time: ``base``'s slots minus
         those at the ascending positions ``drop`` (copied and closed
         up, not re-derived from the rows), then one slot per ``(box,
-        row)`` — the constructor of repacks and snapshot loads."""
+        row)`` — the constructor of bulk inserts, repacks and snapshot
+        loads."""
         store = cls(dim)
         if base is not None:
             columns: List[Any] = [store.rows, store._nonempty, *store._lo, *store._hi]

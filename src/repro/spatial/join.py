@@ -60,7 +60,7 @@ def synchronized_rtree_join(
     Recursively pairs nodes whose MBRs intersect; a leaf/inner mismatch
     descends the inner side only.  Every reported pair's boxes overlap.
     """
-    flat_a, flat_b = left._form(), right._form()
+    flat_a, flat_b = left._flat, right._flat
 
     def recurse(a: int, b: int) -> Iterator[Tuple[object, object]]:
         left.stats.node_reads += 1

@@ -1,8 +1,8 @@
-"""Guttman R-tree over bounding boxes (paper reference [6]).
+"""R-tree over bounding boxes (paper reference [6]), STR-packed.
 
-A from-scratch R-tree — STR-packed, or grown by insertion with a
-quadratic, linear or R* split — held as flat arrays (:class:`_FlatTree`)
-and supporting the combined predicate search the paper's Section 4 needs:
+A from-scratch R-tree, built once by Sort-Tile-Recursive packing and
+immutable after that, held as flat arrays (:class:`_FlatTree`) and
+supporting the combined predicate search the paper's Section 4 needs:
 given a :class:`repro.boxes.bconstraints.BoxQuery` (a conjunction of
 ``⊑ a``, ``b ⊑`` and ``⊓ c ≠ ∅`` constraints), find all stored entries
 whose box satisfies it — descending only into subtrees whose MBR could
@@ -14,7 +14,9 @@ contain a match:
 * an entry with ``e ⊓ c ≠ ∅`` only under a node with ``N ⊓ c ≠ ∅``.
 
 Node accesses are counted (``stats``) so the benchmarks can report probe
-costs.  Deletion uses the classic condense-and-reinsert strategy.
+costs.  A table never edits its tree: writes stage in the table's delta
+and a repack packs a new tree beside the old one
+(:mod:`repro.spatial.table`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
 from ..boxes.bconstraints import BoxQuery
-from ..boxes.box import Box, EMPTY_BOX, enclose_all
+from ..boxes.box import Box, enclose_all
 from ..errors import DimensionMismatchError, SnapshotError
 from . import columnar
 
@@ -77,16 +79,10 @@ class RTreeStats:
 
     node_reads: int = 0
     entry_tests: int = 0
-    splits: int = 0
-    inserts: int = 0
-    deletes: int = 0
-    reinserts: int = 0
     pruned_subtrees: int = 0
 
     def reset(self) -> None:
-        self.node_reads = self.entry_tests = 0
-        self.splits = self.inserts = self.deletes = self.reinserts = 0
-        self.pruned_subtrees = 0
+        self.node_reads = self.entry_tests = self.pruned_subtrees = 0
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-serializable counter snapshot (see :meth:`from_dict`)."""
@@ -97,21 +93,6 @@ class RTreeStats:
         """Inverse of :meth:`to_dict`; ignores unknown keys."""
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: int(v) for k, v in data.items() if k in known})
-
-
-class _Node:
-    """An R-tree node; leaves hold ``(box, value)``, inner nodes hold
-    ``(box, child)``."""
-
-    __slots__ = ("leaf", "entries", "parent")
-
-    def __init__(self, leaf: bool):
-        self.leaf = leaf
-        self.entries: List[Tuple[Box, object]] = []
-        self.parent: Optional["_Node"] = None
-
-    def mbr(self) -> Box:
-        return enclose_all(box for box, _ in self.entries)
 
 
 class _FlatTree:
@@ -210,152 +191,59 @@ class _FlatTree:
         flat.nonempty.frombytes(b"\x01" * len(flat.entries))
         return flat
 
-    @classmethod
-    def from_nodes(cls, root: _Node) -> "_FlatTree":
-        """The form of the ``_Node`` objects the insertion editor holds,
-        by walking them: nodes numbered breadth first."""
-        nodes = [root]
-        first: List[int] = []  # per node, the number of its first child
-        for node in nodes:  # grows as it goes
-            first.append(len(nodes))
-            if not node.leaf:
-                nodes.extend(child for _mbr, child in node.entries)
-        boxes = [box for node in nodes for box, _ in node.entries]
-        dim = next((box.dim for box in boxes if not box.is_empty()), 0)
-        flat = cls(dim)
-        flat.add_nodes([n.leaf for n in nodes], [len(n.entries) for n in nodes])
-        for node, start in zip(nodes, first):
-            if node.leaf:
-                flat.entries.extend(node.entries)
-                flat.child.frombytes(bytes(flat.child.itemsize * len(node.entries)))
-            else:
-                children = range(start, start + len(node.entries))
-                flat.entries.extend(zip((mbr for mbr, _ in node.entries), children))
-                flat.child.extend(children)
-        blank = (0.0,) * (2 * dim)
-        flat.set_bounds(
-            chain.from_iterable(
-                blank if box.is_empty() else box.lo + box.hi for box in boxes
-            )
-        )
-        flat.nonempty.extend(not box.is_empty() for box in boxes)
-        return flat
-
-    def to_nodes(self) -> _Node:
-        """The tree thawed into ``_Node`` objects, for :meth:`RTree.insert`
-        and :meth:`RTree.delete` to edit; returns the root."""
-        nodes = [_Node(leaf=bool(flag)) for flag in self.leaf]
-        for n, node in enumerate(nodes):
-            if node.leaf:
-                node.entries = self.node(n)
-            else:
-                node.entries = [(mbr, nodes[child]) for mbr, child in self.node(n)]
-                for _mbr, child in node.entries:
-                    child.parent = node
-        return nodes[0]
-
 
 class RTree:
-    """An R-tree held as flat arrays (:class:`_FlatTree`).
+    """A packed R-tree held as flat arrays (:class:`_FlatTree`).
 
     Every reader — :meth:`search`, :meth:`search_batch`, :meth:`count`,
     :meth:`nearest`, the snapshot dump, the synchronized join — reads
-    that one form.  A packed build (:meth:`bulk_load`, a snapshot load)
-    produces it directly and the tree stays immutable until someone
-    calls :meth:`insert` or :meth:`delete` (Guttman 1984), which thaw it
-    into ``_Node`` objects, edit those, and leave the form to be
-    re-derived at the next read.
+    that one form.  Only a packed build (:meth:`bulk_load`,
+    :meth:`bulk_load_columns`) or a snapshot load
+    (:meth:`from_node_arrays`) makes a non-empty tree, and nothing edits
+    it afterwards: readers never coordinate with a writer.
 
     Parameters
     ----------
     max_entries:
         Node capacity ``M`` (default 8).
-    min_entries:
-        Minimum fill ``m`` (default ``M // 2``), used by split and
-        condense.
-    split_method:
-        ``"quadratic"`` (Guttman's default), ``"linear"`` (his cheaper
-        variant: seeds are the pair with greatest normalized separation,
-        remaining entries are assigned by least enlargement without the
-        quadratic preference scan) or ``"rstar"`` (R*-tree style: on the
-        first leaf overflow of an insertion the farthest-from-center 30%
-        of entries are *force-reinserted* instead of splitting, and
-        actual splits use the R* topological split — minimum margin axis,
-        minimum overlap distribution).  The ablation bench E11 compares
-        the variants.
     """
 
-    SPLIT_METHODS = ("quadratic", "linear", "rstar")
-
-    #: Fraction of a leaf's entries ejected by an R* forced reinsert.
-    REINSERT_FRACTION = 0.3
-
-    def __init__(
-        self,
-        max_entries: int = 8,
-        min_entries: Optional[int] = None,
-        split_method: str = "quadratic",
-    ):
+    def __init__(self, max_entries: int = 8):
         if max_entries < 2:
             raise ValueError("max_entries must be at least 2")
-        if split_method not in self.SPLIT_METHODS:
-            raise ValueError(
-                f"unknown split method {split_method!r}; expected one of "
-                f"{self.SPLIT_METHODS}"
-            )
         self.max_entries = max_entries
-        self.min_entries = (
-            max_entries // 2 if min_entries is None else min_entries
-        )
-        if not 1 <= self.min_entries <= max_entries // 2:
-            raise ValueError("min_entries must be in [1, max_entries/2]")
-        self.split_method = split_method
         self._size = 0
-        self._reinserting = False
         self.stats = RTreeStats()
-        # The tree (an empty leaf to begin with); None while an
-        # insert/delete has outdated it, until the next read (_form).
-        self._flat: Optional[_FlatTree] = _FlatTree(0)
+        # The tree: an empty leaf until a build replaces it.
+        self._flat = _FlatTree(0)
         self._flat.add_nodes([True], [0])
-        # Root of the node copy insert and delete edit; a packed tree has none.
-        self._root = None
 
     # -- bulk loading (STR) ---------------------------------------------------
     @classmethod
     def bulk_load(
-        cls,
-        entries: Sequence[Tuple[Box, object]],
-        max_entries: int = 8,
-        split_method: str = "quadratic",
+        cls, entries: Sequence[Tuple[Box, object]], max_entries: int = 8
     ) -> "RTree":
         """Build a packed R-tree with Sort-Tile-Recursive loading.
 
         STR (Leutenegger et al.) sorts entries by the first coordinate
         of their centers, slices into vertical tiles, sorts each tile by
         the second coordinate, and packs leaves at full fanout; upper
-        levels are packed recursively.  Produces near-100% node
-        utilisation and markedly better query performance than one-by-
-        one insertion (ablation bench E11).
+        levels are packed recursively, for near-100% node utilisation.
 
         The coordinates are gathered into columns once and
-        :meth:`bulk_load_columns` packs; empty-box entries (they match
-        no query) are inserted afterwards.
+        :meth:`bulk_load_columns` packs.  Only nonempty-box entries are
+        kept: an empty box matches no query and is at no finite distance.
         """
         items = [e for e in entries if not e[0].is_empty()]
         los = [box.lo for box, _value in items]
         if len(set(map(len, los))) > 1:
             raise DimensionMismatchError("bulk load of mixed-dimension boxes")
-        tree = cls.bulk_load_columns(
+        return cls.bulk_load_columns(
             items,
             list(zip(*los)),
             list(zip(*[box.hi for box, _value in items])),
             max_entries=max_entries,
-            split_method=split_method,
         )
-        for box, value in entries:
-            if box.is_empty():
-                tree.insert(box, value)
-        return tree
 
     @classmethod
     def bulk_load_columns(
@@ -364,7 +252,6 @@ class RTree:
         lo: columnar.Columns,
         hi: columnar.Columns,
         max_entries: int = 8,
-        split_method: str = "quadratic",
     ) -> "RTree":
         """:meth:`bulk_load` of nonempty-box ``entries`` whose edges the
         caller holds as per-dimension columns (``lo[d][i]``/``hi[d][i]``
@@ -378,9 +265,9 @@ class RTree:
         the next level's columns.  No per-entry box arithmetic, one
         ``Box`` per inner entry; leaves hold the ``entries`` tuples.
         The levels' packed columns, root level first, *are* the tree
-        (:class:`_FlatTree`): no ``_Node`` is built.
+        (:class:`_FlatTree`).
         """
-        tree = cls(max_entries=max_entries, split_method=split_method)
+        tree = cls(max_entries=max_entries)
         if not entries:
             return tree
         # Leaf entries first, then each upper level's MBRs.
@@ -415,292 +302,6 @@ class RTree:
     def __len__(self) -> int:
         return self._size
 
-    # -- insertion ------------------------------------------------------------
-    def _nodes(self) -> _Node:
-        """The root of the nodes to edit, thawed from the form at need."""
-        if self._root is None:
-            self._root = self._form().to_nodes()
-        return self._root
-
-    def insert(self, box: Box, value) -> None:
-        """Insert an entry (empty boxes are legal but match no query)."""
-        self.stats.inserts += 1
-        self._insert_entry(box, value)
-
-    def _insert_entry(self, box: Box, value) -> None:
-        leaf = self._choose_leaf(self._nodes(), box)
-        self._flat = None
-        leaf.entries.append((box, value))
-        self._size += 1
-        self._refresh_upwards(leaf)  # AdjustTree: enlarge ancestor MBRs
-        node = leaf
-        while node is not None and len(node.entries) > self.max_entries:
-            if (
-                self.split_method == "rstar"
-                and node.leaf
-                and node.parent is not None
-                and not self._reinserting
-                and not node.mbr().is_empty()
-            ):
-                # R* OverflowTreatment: reinsert before resorting to a
-                # split (once per insertion, leaf level only).
-                self._forced_reinsert(node)
-                return
-            node = self._split(node)
-
-    def _forced_reinsert(self, node: _Node) -> None:
-        """Eject the ~30% entries farthest from the node's center and
-        re-insert them from the root (R* forced reinsert).
-
-        The ejected entries usually land in better-fitting siblings,
-        deferring the split and tightening MBRs — the R*-tree's main
-        robustness trick for dynamic workloads.
-        """
-        self.stats.reinserts += 1
-        center = node.mbr().center()
-
-        def dist2(entry: Tuple[Box, object]) -> float:
-            box = entry[0]
-            if box.is_empty():
-                return -1.0  # keep empty boxes in place
-            c = box.center()
-            return sum((a - b) ** 2 for a, b in zip(c, center))
-
-        entries = sorted(node.entries, key=dist2)
-        eject_n = max(1, round(len(entries) * self.REINSERT_FRACTION))
-        keep, eject = entries[:-eject_n], entries[-eject_n:]
-        node.entries = keep
-        self._refresh_upwards(node)
-        self._size -= len(eject)
-        self._reinserting = True
-        try:
-            for box, value in eject:
-                self._insert_entry(box, value)
-        finally:
-            self._reinserting = False
-
-    def _choose_leaf(self, node: _Node, box: Box) -> _Node:
-        while not node.leaf:
-            self.stats.node_reads += 1
-            best = None
-            best_key = None
-            for child_box, child in node.entries:
-                enlarged = child_box.enclose(box)
-                key = (
-                    enlarged.volume() - child_box.volume(),
-                    child_box.volume(),
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = child
-            node = best  # type: ignore[assignment]
-        return node
-
-    def _pick_seeds_quadratic(self, entries) -> Tuple[int, int]:
-        """Guttman PickSeeds: the pair wasting the most area together."""
-        worst = None
-        seed_pair = (0, 1)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                waste = (
-                    entries[i][0].enclose(entries[j][0]).volume()
-                    - entries[i][0].volume()
-                    - entries[j][0].volume()
-                )
-                if worst is None or waste > worst:
-                    worst = waste
-                    seed_pair = (i, j)
-        return seed_pair
-
-    def _pick_seeds_linear(self, entries) -> Tuple[int, int]:
-        """Guttman LinearPickSeeds: greatest normalized separation."""
-        boxes = [b for b, _v in entries]
-        dim = next((b.dim for b in boxes if not b.is_empty()), 0)
-        best_pair = (0, 1)
-        best_sep = -1.0
-        for d in range(dim):
-            items = [
-                (k, b) for k, b in enumerate(boxes) if not b.is_empty()
-            ]
-            if len(items) < 2:
-                continue
-            highest_low = max(items, key=lambda kb: kb[1].lo[d])
-            lowest_high = min(items, key=lambda kb: kb[1].hi[d])
-            if highest_low[0] == lowest_high[0]:
-                continue
-            width = max(b.hi[d] for _k, b in items) - min(
-                b.lo[d] for _k, b in items
-            )
-            if width <= 0:
-                continue
-            sep = (highest_low[1].lo[d] - lowest_high[1].hi[d]) / width
-            if sep > best_sep:
-                best_sep = sep
-                best_pair = tuple(sorted((highest_low[0], lowest_high[0])))
-        return best_pair
-
-    def _pick_split_rstar(
-        self, entries: List[Tuple[Box, object]]
-    ) -> Tuple[List[Tuple[Box, object]], List[Tuple[Box, object]]]:
-        """R* topological split: choose the split axis by minimum total
-        margin over all candidate distributions, then the distribution
-        on that axis with minimum overlap (area breaks ties)."""
-        m = self.min_entries
-        total = len(entries)
-        dim = next(
-            (b.dim for b, _v in entries if not b.is_empty()), 0
-        )
-        if dim == 0 or total < 2 * m:
-            mid = total // 2
-            return entries[:mid], entries[mid:]
-        neg_inf = float("-inf")
-
-        def margin(box: Box) -> float:
-            return sum(box.sides())
-
-        best_margin = None
-        best_candidates: List[Tuple[float, float, int, list]] = []
-        for d in range(dim):
-            for by_upper in (False, True):
-                def sort_key(entry, d=d, by_upper=by_upper):
-                    box = entry[0]
-                    if box.is_empty():
-                        return (neg_inf, neg_inf)
-                    if by_upper:
-                        return (box.hi[d], box.lo[d])
-                    return (box.lo[d], box.hi[d])
-
-                ordered = sorted(entries, key=sort_key)
-                prefix: List[Box] = []
-                acc = EMPTY_BOX
-                for box, _v in ordered:
-                    acc = acc.enclose(box)
-                    prefix.append(acc)
-                suffix: List[Box] = [EMPTY_BOX] * total
-                acc = EMPTY_BOX
-                for k in range(total - 1, -1, -1):
-                    acc = acc.enclose(ordered[k][0])
-                    suffix[k] = acc
-                margin_sum = 0.0
-                candidates: List[Tuple[float, float, int, list]] = []
-                for k in range(m, total - m + 1):
-                    left, right = prefix[k - 1], suffix[k]
-                    margin_sum += margin(left) + margin(right)
-                    candidates.append(
-                        (
-                            left.meet(right).volume(),
-                            left.volume() + right.volume(),
-                            k,
-                            ordered,
-                        )
-                    )
-                if best_margin is None or margin_sum < best_margin:
-                    best_margin = margin_sum
-                    best_candidates = candidates
-        _overlap, _area, k, ordered = min(
-            best_candidates, key=lambda c: (c[0], c[1])
-        )
-        return ordered[:k], ordered[k:]
-
-    def _split(self, node: _Node) -> Optional[_Node]:
-        """Node split (quadratic, linear or R* topological); returns the
-        parent."""
-        self.stats.splits += 1
-        entries = node.entries
-        if self.split_method == "rstar":
-            group1, group2 = self._pick_split_rstar(entries)
-            return self._relink_split(node, group1, group2)
-        if self.split_method == "linear":
-            i, j = self._pick_seeds_linear(entries)
-        else:
-            i, j = self._pick_seeds_quadratic(entries)
-        group1 = [entries[i]]
-        group2 = [entries[j]]
-        rest = [e for k, e in enumerate(entries) if k not in (i, j)]
-        mbr1, mbr2 = entries[i][0], entries[j][0]
-        while rest:
-            # Force assignment when one group must absorb the remainder.
-            if len(group1) + len(rest) == self.min_entries:
-                group1.extend(rest)
-                rest = []
-                break
-            if len(group2) + len(rest) == self.min_entries:
-                group2.extend(rest)
-                rest = []
-                break
-            if self.split_method == "linear":
-                # Linear: take entries in arbitrary (list) order.
-                b, v = rest.pop(0)
-            else:
-                # Quadratic PickNext: maximal preference difference.
-                best_idx = 0
-                best_diff = -1.0
-                for k, (bx, _v) in enumerate(rest):
-                    d1 = mbr1.enclose(bx).volume() - mbr1.volume()
-                    d2 = mbr2.enclose(bx).volume() - mbr2.volume()
-                    diff = abs(d1 - d2)
-                    if diff > best_diff:
-                        best_diff = diff
-                        best_idx = k
-                b, v = rest.pop(best_idx)
-            d1 = mbr1.enclose(b).volume() - mbr1.volume()
-            d2 = mbr2.enclose(b).volume() - mbr2.volume()
-            if (d1, mbr1.volume(), len(group1)) <= (
-                d2,
-                mbr2.volume(),
-                len(group2),
-            ):
-                group1.append((b, v))
-                mbr1 = mbr1.enclose(b)
-            else:
-                group2.append((b, v))
-                mbr2 = mbr2.enclose(b)
-        return self._relink_split(node, group1, group2)
-
-    def _relink_split(
-        self,
-        node: _Node,
-        group1: List[Tuple[Box, object]],
-        group2: List[Tuple[Box, object]],
-    ) -> Optional[_Node]:
-        """Install the two split groups into the tree; returns the parent."""
-        sibling = _Node(leaf=node.leaf)
-        sibling.entries = group2
-        if not node.leaf:
-            for _b, child in group2:
-                child.parent = sibling  # type: ignore[union-attr]
-        node.entries = group1
-
-        parent = node.parent
-        if parent is None:
-            new_root = _Node(leaf=False)
-            new_root.entries = [
-                (node.mbr(), node),
-                (sibling.mbr(), sibling),
-            ]
-            node.parent = new_root
-            sibling.parent = new_root
-            self._root = new_root
-            return None
-        # Replace node's entry and add the sibling.
-        parent.entries = [
-            (node.mbr() if child is node else b, child)
-            for b, child in parent.entries
-        ]
-        parent.entries.append((sibling.mbr(), sibling))
-        sibling.parent = parent
-        self._refresh_upwards(parent)
-        return parent
-
-    def _refresh_upwards(self, node: Optional[_Node]) -> None:
-        while node is not None and node.parent is not None:
-            parent = node.parent
-            parent.entries = [
-                (child.mbr() if child is node else b, child)
-                for b, child in parent.entries
-            ]
-            node = parent
-
     # -- search ------------------------------------------------------------------
     def search(self, query: BoxQuery) -> Iterator[Tuple[Box, object]]:
         """All entries whose box satisfies ``query`` (single traversal).
@@ -717,7 +318,7 @@ class RTree:
         node that ``covered`` answers for is passed over unread."""
         if query.is_unsatisfiable():
             return
-        flat = self._form()
+        flat = self._flat
         stack = [0]
         while stack:
             node = stack.pop()
@@ -762,7 +363,7 @@ class RTree:
         if not columnar.HAVE_NUMPY:
             return [list(self.search(query)) for query in queries]
         np = columnar.np
-        flat = self._form()
+        flat = self._flat
         dim = len(flat.lo)
         # Zero-copy views, made per call like ColumnStore._views.
         all_bounds = [np.frombuffer(col, np.float64) for col in (*flat.lo, *flat.hi)]
@@ -818,16 +419,6 @@ class RTree:
                     work.append((pair_query, child[entry]))
         return out
 
-    # -- array form ---------------------------------------------------------------
-    def _form(self) -> _FlatTree:
-        """The tree.  A packed build supplied it
-        (:meth:`bulk_load_columns`, :meth:`from_node_arrays`); after an
-        :meth:`insert`/:meth:`delete` the edited nodes are walked for it
-        at the next read (not billed to ``stats``)."""
-        if self._flat is None:
-            self._flat = _FlatTree.from_nodes(self._root)
-        return self._flat
-
     # -- distance browsing / nearest neighbors --------------------------------
     def distance_browse(
         self,
@@ -862,7 +453,7 @@ class RTree:
         no ``dead``) also skips inner entries beyond the smallest
         MINMAXDIST seen.
         """
-        flat = self._form()
+        flat = self._flat
         stats = self.stats
         if isinstance(anchor, Box):
             if anchor.is_empty():
@@ -970,7 +561,7 @@ class RTree:
     # -- counting (aggregation pushdown) --------------------------------------
     def node_count(self) -> int:
         """Total number of nodes — the reads a full traversal costs."""
-        return len(self._form().offsets)
+        return len(self._flat.offsets)
 
     def count(self, query: BoxQuery) -> int:
         """``len(list(self.search(query)))`` without materialising rows.
@@ -1014,62 +605,10 @@ class RTree:
             return False
         return all(mbr.overlaps(c) for c in query.overlap)
 
-    # -- deletion -----------------------------------------------------------------
-    def delete(self, box: Box, value) -> bool:
-        """Remove one entry matching ``(box, value)``; True if found.
-
-        Uses a simplified condense step: an emptied leaf is unlinked from
-        its ancestors (no reinsertion is needed since it held nothing).
-
-        Instrumentation mirrors the insert/search paths: the FindLeaf
-        descent records ``node_reads``/``entry_tests``, and a successful
-        removal bumps ``stats.deletes`` (the counterpart of
-        ``stats.inserts``).
-        """
-        leaf = self._find_leaf(self._nodes(), box, value)
-        if leaf is None:
-            return False
-        self.stats.deletes += 1
-        self._flat = None
-        for k, (b, v) in enumerate(leaf.entries):
-            if b == box and v == value:
-                del leaf.entries[k]
-                break
-        self._size -= 1
-        node = leaf
-        while node.parent is not None and not node.entries:
-            parent = node.parent
-            parent.entries = [
-                (b, child) for b, child in parent.entries if child is not node
-            ]
-            node = parent
-        self._refresh_upwards(node)
-        # Collapse a root with a single inner child.
-        while not self._root.leaf and len(self._root.entries) == 1:
-            self._root = self._root.entries[0][1]
-            self._root.parent = None
-        return True
-
-    def _find_leaf(self, node: _Node, box: Box, value) -> Optional[_Node]:
-        self.stats.node_reads += 1
-        if node.leaf:
-            for b, v in node.entries:
-                self.stats.entry_tests += 1
-                if b == box and v == value:
-                    return node
-            return None
-        for mbr, child in node.entries:
-            self.stats.entry_tests += 1
-            if box.le(mbr):
-                found = self._find_leaf(child, box, value)
-                if found is not None:
-                    return found
-        return None
-
     # -- inspection ------------------------------------------------------------------
     def height(self) -> int:
         """Tree height (1 for a single leaf)."""
-        flat = self._form()
+        flat = self._flat
         h = 1
         node = 0
         while not flat.leaf[node]:
@@ -1079,7 +618,7 @@ class RTree:
 
     def all_entries(self) -> Iterator[Tuple[Box, object]]:
         """Every stored entry (no filtering)."""
-        flat = self._form()
+        flat = self._flat
         stack = [0]
         while stack:
             node = stack.pop()
@@ -1100,11 +639,10 @@ class RTree:
         (lo coordinates then hi; empty boxes as all zeros) and one int
         to ``values`` — ``value_key(value)`` for leaf entries, the
         child's node index for inner entries.  Stored MBRs are dumped
-        verbatim (they may be looser than the recomputed child MBR after
-        deletions), so :meth:`from_node_arrays` reproduces the structure
+        verbatim, so :meth:`from_node_arrays` reproduces the structure
         bit-identically instead of approximately.
         """
-        flat = self._form()
+        flat = self._flat
         order: List[int] = []  # the form's node numbers, in preorder
         stack = [0]
         while stack:
@@ -1127,8 +665,6 @@ class RTree:
         return {
             "dim": len(flat.lo),
             "max_entries": self.max_entries,
-            "min_entries": self.min_entries,
-            "split_method": self.split_method,
             "leaf": [flat.leaf[node] for node in order],
             "counts": [flat.counts[node] for node in order],
             "bounds": bounds,
@@ -1142,25 +678,22 @@ class RTree:
         """Rebuild a tree from :meth:`to_node_arrays` output.
 
         ``values`` resolves leaf-entry indices back to stored objects
-        (typically the table's rows in saved order).  No STR sort or
-        insertion happens: the dump, already nodes numbered from the
+        (typically the table's rows in saved order).  No STR sort
+        happens: the dump, already nodes numbered from the
         root with their entries end to end, is adopted as the tree's
         array form (:class:`_FlatTree`).  It comes from a file, so it is
         checked on the way — array lengths, row and child references
         (each child numbered after its parent and named once, so every
         walk ends), leaves at one depth — and a dump that fails raises
-        :class:`~repro.errors.SnapshotError`.
+        :class:`~repro.errors.SnapshotError`.  Keys this build does not
+        read (the insertion settings older dumps carry) are ignored.
         """
 
         def damaged(why: object) -> SnapshotError:
             return SnapshotError(f"damaged r-tree node arrays: {why}")
 
         try:
-            tree = cls(
-                max_entries=int(data["max_entries"]),
-                min_entries=int(data["min_entries"]),
-                split_method=str(data["split_method"]),
-            )
+            tree = cls(max_entries=int(data["max_entries"]))
             dim = int(data["dim"])
             leaf = array("B", map(bool, data["leaf"]))
             counts = array("q", data["counts"])
@@ -1211,8 +744,8 @@ class RTree:
         return tree
 
     def check_invariants(self) -> None:
-        """Validate structural invariants (tests call this after inserts)."""
-        flat = self._form()
+        """Validate structural invariants (tests call this after builds)."""
+        flat = self._flat
         leaf_depths = set()
         stack = [(0, 0)]
         while stack:

@@ -24,8 +24,9 @@ builds:
   answers :meth:`statistics`/:meth:`partitioning` from the snapshot.
   Both are checked on load: partition MBRs are recomputed from their
   rows and must match, and a damaged block raises
-  :class:`~repro.errors.SnapshotError`.  Table keys this build does
-  not read (optional caches of older builds) are ignored.
+  :class:`~repro.errors.SnapshotError`.  Table and node-array keys
+  this build does not read (optional caches and the insertion-tree
+  settings of older builds) are ignored.
 
 Writes are atomic: the file is written to a sibling temporary path and
 moved into place with ``os.replace``, so a crashed save never leaves a
@@ -136,7 +137,6 @@ def table_to_jsonable(table: SpatialTable) -> dict:
             if table.universe is not None
             else None
         ),
-        "split_method": table.split_method,
         "node_capacity": table.node_capacity,
         "table_version": table._version,
         # Columnar rows: oids + per-row box counts + one packed
@@ -220,7 +220,7 @@ def _partitioning_from_jsonable(
 def table_from_jsonable(data: dict) -> SpatialTable:
     """Rebuild a warm table from :func:`table_to_jsonable` output.
 
-    Rows are installed directly (no per-insert version bumps), the
+    Rows are installed directly (no staging, no fold), the
     R-tree is reattached from its node arrays, and the statistics and
     partitioning caches are re-seeded, so the loaded table plans and
     probes exactly like the one that was saved.
@@ -237,7 +237,6 @@ def table_from_jsonable(data: dict) -> SpatialTable:
         int(data["dim"]),
         index=str(data["index"]),
         universe=universe,
-        split_method=str(data["split_method"]),
         node_capacity=int(data["node_capacity"]),
     )
     dim = int(data["dim"])
@@ -268,7 +267,7 @@ def table_from_jsonable(data: dict) -> SpatialTable:
         rows.append(obj)
         objects[obj.oid] = obj
     table._objects = objects
-    # Rows bypass insert() here: the columnar mirror is filled in one
+    # Rows bypass bulk_insert() here: the columnar mirror is filled in one
     # go, a column at a time (same coords, same order).
     table._columns = ColumnStore.bulk(dim, [obj.box for obj in rows], rows)
     table._version = int(data["table_version"])

@@ -17,14 +17,16 @@ caches an STR tiling of the rows (see :mod:`repro.spatial.partition`),
 invalidated — like the statistics cache and every
 :class:`ProbeCache` entry — by the table's mutation counter.
 
-Incremental maintenance (MVCC-lite): once a mutation is *staged* (via
-:meth:`SpatialTable.stage_insert` / :meth:`SpatialTable.stage_delete`,
-or any :meth:`SpatialTable.insert` / :meth:`SpatialTable.delete` while a
-delta is open) the packed base structures stay frozen and the write
-lands in a :class:`~repro.spatial.delta.TableDelta`.  Every read path
-merges the delta transparently; ``(base_version, delta_watermark)``
-identifies the logical snapshot, and :meth:`SpatialTable.repack` folds
-the delta into freshly built base structures (bumping the base version).
+One write path (MVCC-lite): every write *stages*.
+:meth:`SpatialTable.insert` / :meth:`SpatialTable.delete` (the same as
+:meth:`SpatialTable.stage_insert` / :meth:`SpatialTable.stage_delete`)
+land in the table's :class:`~repro.spatial.delta.TableDelta` and the
+packed base structures stay frozen; every read path merges the delta
+transparently.  ``(base_version, delta_watermark)`` identifies the
+logical snapshot, and :meth:`SpatialTable.repack` folds the delta into
+freshly built base structures (bumping the base version) — the one way
+rows reach the base, which :meth:`SpatialTable.bulk_insert` takes for
+many rows at once.  The r-tree is always STR-packed and never edited.
 """
 
 from __future__ import annotations
@@ -253,9 +255,6 @@ class SpatialTable:
         table without one raises :class:`ValueError` — and recommended
         generally (the planner uses it as the region algebra's
         universe).
-    split_method:
-        R-tree overflow handling (``"quadratic"``, ``"linear"`` or
-        ``"rstar"``); ignored by the other backends.
     node_capacity:
         R-tree node capacity ``M``.
     delta_threshold:
@@ -271,7 +270,6 @@ class SpatialTable:
         dim: int,
         index: str = "rtree",
         universe: Optional[Box] = None,
-        split_method: str = "quadratic",
         node_capacity: int = 8,
         delta_threshold: int = DEFAULT_DELTA_THRESHOLD,
     ):
@@ -288,20 +286,17 @@ class SpatialTable:
         self.dim = dim
         self.index_kind = index
         self.universe = universe
-        self.split_method = split_method
         self.node_capacity = node_capacity
         self._objects: Dict[object, SpatialObject] = {}
         self._rtree: Optional[RTree] = (
-            RTree(max_entries=node_capacity, split_method=split_method)
-            if index == "rtree"
-            else None
+            RTree(max_entries=node_capacity) if index == "rtree" else None
         )
         self._grid: Optional[GridFile] = (
             GridFile(2 * dim) if index == "grid" else None
         )
-        # Struct-of-arrays mirror of the rows' bounding boxes, kept
-        # index-aligned with the insertion order (the batched kernels'
-        # input; see repro.spatial.columnar).
+        # Struct-of-arrays mirror of the base rows' bounding boxes, kept
+        # index-aligned with the row order (the batched kernels' input;
+        # see repro.spatial.columnar).
         self._columns = ColumnStore(dim)
         self.probes = 0
         self.candidates_returned = 0
@@ -313,7 +308,7 @@ class SpatialTable:
         # rows, and how many repacks folded a delta into fresh bases.
         self.delta_probes = 0
         self.repacks = 0
-        # Mutation counter; invalidates the cached statistics and
+        # Base version; invalidates the cached statistics and
         # partitioning below (and every ProbeCache entry for this table).
         self._version = 0
         # Per-parameter statistics cache for the current version: one
@@ -323,8 +318,8 @@ class SpatialTable:
         self._stats_version: Optional[int] = None
         self._partitioning_cache = None
         self._partitioning_key: Optional[Tuple] = None
-        # LSM-style write delta (None until the first staged mutation).
-        self._delta: Optional[TableDelta] = None
+        # LSM-style write delta: every write lands here (usually empty).
+        self._delta = TableDelta()
         self.delta_threshold = delta_threshold
         # True on with_staged() clones: the packed base structures are
         # shared with the parent, and the clone never self-repacks — the
@@ -335,15 +330,13 @@ class SpatialTable:
 
     def __len__(self) -> int:
         d = self._delta
-        if d is None or not d.pending_ops:
-            return len(self._objects)
         # Tombstones only ever name base rows, so this is exact.
         return len(self._objects) - len(d.tombstones) + len(d.inserts)
 
     def __iter__(self) -> Iterator[SpatialObject]:
         """Live rows: base order minus tombstones, then staged rows."""
         d = self._delta
-        if d is None or not d.pending_ops:
+        if not d.pending_ops:
             return iter(self._objects.values())
         return self._live_iter(d)
 
@@ -358,29 +351,26 @@ class SpatialTable:
     @property
     def delta_pending(self) -> bool:
         """Whether any staged mutation awaits a repack."""
-        d = self._delta
-        return d is not None and d.pending_ops > 0
+        return self._delta.pending_ops > 0
 
     @property
     def delta_pending_ops(self) -> int:
         """Staged mutations awaiting a repack."""
-        d = self._delta
-        return 0 if d is None else d.pending_ops
+        return self._delta.pending_ops
 
     @property
     def delta_watermark(self) -> int:
         """Staged-mutation counter since the last repack (0 when clean)."""
-        d = self._delta
-        return 0 if d is None else d.watermark
+        return self._delta.watermark
 
     @property
     def mvcc_token(self) -> Tuple[int, int]:
         """The ``(base_version, delta_watermark)`` snapshot identity.
 
-        The base version bumps only at direct (delta-less) mutations and
-        repacks; the watermark bumps once per staged mutation.  Two
-        equal tokens on the same table object denote bit-identical
-        query answers.
+        The base version bumps only when the base is rebuilt — at a
+        repack, a :meth:`bulk_insert` and a :meth:`pack`; the watermark
+        bumps once per staged mutation.  Two equal tokens on the same
+        table object denote bit-identical query answers.
         """
         return (self._version, self.delta_watermark)
 
@@ -388,9 +378,9 @@ class SpatialTable:
         """Delta/MVCC counters for reporting."""
         d = self._delta
         return {
-            "pending_inserts": 0 if d is None else len(d.inserts),
-            "tombstones": 0 if d is None else len(d.tombstones),
-            "watermark": self.delta_watermark,
+            "pending_inserts": len(d.inserts),
+            "tombstones": len(d.tombstones),
+            "watermark": d.watermark,
             "base_version": self._version,
             "threshold": self.delta_threshold,
             "repacks": self.repacks,
@@ -398,56 +388,39 @@ class SpatialTable:
         }
 
     # -- updates -----------------------------------------------------------------
-    def insert(self, oid, region: Region) -> SpatialObject:
-        """Insert a row; the bounding box is derived and indexed.
-
-        While a write delta is open the insert is staged there instead
-        of touching the packed base (see :meth:`stage_insert`); on a
-        clean table it updates the base structures directly and bumps
-        the mutation counter (the bulk-build path).
-        """
-        if self._delta is not None:
-            return self.stage_insert(oid, region)
+    def _new_row(self, oid, region: Region) -> SpatialObject:
+        """The row ``(oid, region)`` becomes, once checked: the region
+        has this table's dimension and ``oid`` names no live row."""
         if region.dim is not None and region.dim != self.dim:
             raise DimensionMismatchError(
                 f"region is {region.dim}-dim, table {self.name!r} is "
                 f"{self.dim}-dim"
             )
-        if oid in self._objects:
+        d = self._delta
+        if oid in d.inserts or (
+            oid in self._objects and oid not in d.tombstones
+        ):
             raise ValueError(f"duplicate oid {oid!r} in table {self.name!r}")
-        obj = SpatialObject(oid=oid, region=region, box=region.bounding_box())
-        self._objects[oid] = obj
-        self._columns.append(obj.box, obj)
-        self._version += 1
-        if self._rtree is not None and not obj.box.is_empty():
-            self._rtree.insert(obj.box, obj)
-        if self._grid is not None and not obj.box.is_empty():
-            self._grid.insert(obj.box.to_point(), obj)
-        return obj
+        return SpatialObject(oid=oid, region=region, box=region.bounding_box())
 
     def stage_insert(self, oid, region: Region) -> SpatialObject:
-        """Stage an insert in the write delta — O(delta), no base touch.
+        """Insert a row; the bounding box is derived and, at the next
+        repack, indexed.
 
-        The row is immediately visible to every read path (the delta is
+        The write stages in the delta — O(delta), no base touch.  The
+        row is immediately visible to every read path (the delta is
         merged transparently); the packed base structures and the base
         version stay untouched, so version-keyed caches survive.  Past
         ``delta_threshold`` staged mutations an unshared table repacks
         itself inline.
         """
-        if region.dim is not None and region.dim != self.dim:
-            raise DimensionMismatchError(
-                f"region is {region.dim}-dim, table {self.name!r} is "
-                f"{self.dim}-dim"
-            )
-        d = self._ensure_delta()
-        if oid in d.inserts or (
-            oid in self._objects and oid not in d.tombstones
-        ):
-            raise ValueError(f"duplicate oid {oid!r} in table {self.name!r}")
-        obj = SpatialObject(oid=oid, region=region, box=region.bounding_box())
-        d.stage_insert(obj)
+        obj = self._new_row(oid, region)
+        self._delta.stage_insert(obj)
         self._maybe_repack()
         return obj
+
+    #: Every write stages: ``insert`` is :meth:`stage_insert`.
+    insert = stage_insert
 
     def stage_delete(self, oid) -> bool:
         """Stage a delete; returns False when ``oid`` is not live.
@@ -456,32 +429,20 @@ class SpatialTable:
         tombstone (the base structures keep the row until the next
         repack, every read path filters it).
         """
-        d = self._ensure_delta()
-        ok = d.stage_delete(oid, base_has=oid in self._objects)
+        ok = self._delta.stage_delete(oid, base_has=oid in self._objects)
         if ok:
             self._maybe_repack()
         return ok
 
     def delete(self, oid) -> None:
-        """Delete a live row through the delta; KeyError when absent."""
+        """:meth:`stage_delete`, raising KeyError when ``oid`` is absent."""
         if not self.stage_delete(oid):
             raise KeyError(oid)
 
-    def _ensure_delta(self) -> TableDelta:
-        if self._delta is None:
-            self._delta = TableDelta(
-                self._version,
-                node_capacity=self.node_capacity,
-                split_method=self.split_method,
-            )
-        return self._delta
-
     def _maybe_repack(self) -> None:
-        d = self._delta
         if (
-            d is not None
-            and not self._shares_base
-            and d.pending_ops >= self.delta_threshold
+            not self._shares_base
+            and self._delta.pending_ops >= self.delta_threshold
         ):
             self.repack()
 
@@ -501,16 +462,17 @@ class SpatialTable:
 
         Returns True when anything was folded (no-op on a clean table).
         """
-        return self._fold(build_index=True)
-
-    def _fold(self, build_index: bool) -> bool:
-        """:meth:`repack`; without ``build_index`` the r-tree is left
-        for the caller to rebuild (:meth:`reindex` builds its own)."""
-        d = self._delta
-        if d is None:
+        if not self._fold():
             return False
+        self.repacks += 1
+        return True
+
+    def _fold(self) -> bool:
+        """:meth:`repack` without the count: False, and a fresh delta,
+        when nothing is staged."""
+        d = self._delta
         if not d.pending_ops:
-            self._delta = None
+            self._delta = TableDelta()
             return False
         tomb = d.tombstones
         # repr-sort: oids may mix types; a deterministic order keeps the
@@ -530,11 +492,9 @@ class SpatialTable:
         columns = ColumnStore.bulk(
             self.dim, [obj.box for obj in staged], staged, self._columns, dead
         )
-        rtree = self._rtree
-        if self.index_kind == "rtree" and build_index:
-            rtree = self._packed_rtree(columns)
+        rtree = None if self._rtree is None else self._packed_rtree(columns)
         grid = self._grid
-        if self.index_kind == "grid":
+        if grid is not None:
             grid = GridFile(2 * self.dim)
             for obj in new_objects.values():
                 if not obj.box.is_empty():
@@ -543,11 +503,10 @@ class SpatialTable:
         self._columns = columns
         self._rtree = rtree
         self._grid = grid
-        self._delta = None
         self._delta_stats_cache = {}
         self._shares_base = False
         self._version += 1
-        self.repacks += 1
+        self._delta = TableDelta()
         return True
 
     def _packed_rtree(self, columns: ColumnStore) -> RTree:
@@ -556,7 +515,6 @@ class SpatialTable:
         return RTree.bulk_load_columns(
             *columns.nonempty_columns(leaf_entries=True),
             max_entries=self.node_capacity,
-            split_method=self.split_method,
         )
 
     def with_staged(
@@ -569,10 +527,12 @@ class SpatialTable:
         The clone shares the immutable packed base structures (row map,
         r-tree, grid, column store) and the base statistics cache with
         this table and stages the writes in its own copied delta —
-        building one costs O(staged mutations), never O(table).  The
-        query service's mutation endpoints publish such clones through
-        the snapshot store's atomic swap: readers pinned to the old
-        snapshot are never blocked or perturbed.
+        building one costs O(staged mutations), never O(table), and
+        reading one builds nothing either: its probes read the shared
+        base and scan the staged rows.  The query service's mutation
+        endpoints publish such clones through the snapshot store's
+        atomic swap: readers pinned to the old snapshot are never
+        blocked or perturbed.
 
         The clone is marked shared-base: it never repacks in place and
         never self-repacks on threshold (its owner orchestrates that).
@@ -582,7 +542,6 @@ class SpatialTable:
         clone.dim = self.dim
         clone.index_kind = self.index_kind
         clone.universe = self.universe
-        clone.split_method = self.split_method
         clone.node_capacity = self.node_capacity
         clone.delta_threshold = self.delta_threshold
         clone._objects = self._objects
@@ -601,7 +560,7 @@ class SpatialTable:
         clone._delta_stats_cache = {}
         clone._partitioning_cache = None
         clone._partitioning_key = None
-        clone._delta = self._delta.clone() if self._delta is not None else None
+        clone._delta = self._delta.clone()
         clone._shares_base = True
         for oid, region in inserts:
             clone.stage_insert(oid, region)
@@ -610,101 +569,56 @@ class SpatialTable:
         return clone
 
     def bulk_insert(
-        self,
-        rows: Sequence[Tuple[object, Region]],
-        pack: Optional[bool] = None,
+        self, rows: Sequence[Tuple[object, Region]], pack: bool = True
     ) -> None:
-        """Insert many rows.
+        """Insert many rows and fold them into the base at once.
 
-        For r-tree tables the index is rebuilt afterwards with STR bulk
-        loading (``pack=True``, the default): static workloads get a
-        packed tree with near-full nodes and markedly fewer node reads
-        per query than one-at-a-time insertion builds.  Pass
-        ``pack=False`` for the insertion-built baseline.
+        Each row is checked as :meth:`stage_insert` checks it, then all
+        of them — with any writes staged before — fold like a
+        :meth:`repack`: one column store, one STR-packed r-tree (or grid
+        file), one base-version bump.  No op-log entry is made per row
+        and no threshold is checked on the way.  A failing row stops the
+        load, but the rows before it are folded all the same, so the
+        index covers whatever made it in.
 
-        The ``grid`` and ``scan`` backends have no bulk-loading path, so
-        an explicit ``pack=True`` raises :class:`ValueError` instead of
-        being silently ignored; the default (``pack=None``) resolves to
-        plain insertion for them.
+        ``pack`` stays for callers that pass ``pack=True``: every
+        r-tree is STR-packed, and ``pack=False`` raises
+        :class:`ValueError`.
         """
-        if pack is None:
-            pack = self.index_kind == "rtree"
-        elif pack and self.index_kind != "rtree":
+        if not pack:
             raise ValueError(
-                f"pack=True is only supported by the rtree backend; the "
-                f"{self.index_kind!r} backend builds by insertion "
-                f"(pass pack=None or pack=False)"
+                "pack=False is gone: every r-tree is STR-packed, so "
+                "bulk_insert takes pack=True or no pack argument"
             )
-        if pack and self.index_kind == "rtree":
-            saved, self._rtree = self._rtree, None
-            try:
-                for oid, region in rows:
-                    self.insert(oid, region)
-            finally:
-                # Rebuild even on error so the index covers whatever
-                # rows made it in before the failure.
-                self._rtree = saved
-                self.pack()
-        else:
+        staged = self._delta.inserts
+        try:
             for oid, region in rows:
-                self.insert(oid, region)
+                obj = self._new_row(oid, region)
+                staged[oid] = obj
+        finally:
+            self._fold()
 
     def pack(self) -> None:
-        """Rebuild the r-tree with STR bulk loading over current rows.
-
-        No-op for non-r-tree backends.  Index counters start fresh (as
-        after :meth:`reset_stats`).
+        """Fold any staged writes, then STR-load the r-tree again over
+        the base rows: the tree :meth:`repack` builds, rebuilt even on a
+        clean table, with fresh index counters (as after
+        :meth:`reset_stats`) and a base-version bump.  On the other
+        backends this is :meth:`repack`.
         """
-        self.reindex(pack=True)
-
-    def reindex(
-        self,
-        pack: bool = True,
-        split_method: Optional[str] = None,
-        node_capacity: Optional[int] = None,
-    ) -> None:
-        """Rebuild the r-tree index, optionally changing its parameters.
-
-        ``pack=True`` uses STR bulk loading; ``pack=False`` rebuilds by
-        repeated insertion (the baseline the benchmarks compare
-        against).  No-op for non-r-tree backends.
-        """
-        if self.index_kind != "rtree":
+        if self.repack() or self._rtree is None:
             return
-        if split_method is not None and split_method not in RTree.SPLIT_METHODS:
-            raise ValueError(
-                f"unknown split method {split_method!r}; expected one "
-                f"of {RTree.SPLIT_METHODS}"
-            )
-        # Fold any staged delta first, rows and columns only (the one
-        # index build is below): dropping staged writes would be wrong.
-        self._fold(build_index=False)
-        if split_method is not None:
-            self.split_method = split_method
-        if node_capacity is not None:
-            self.node_capacity = node_capacity
-        if pack:
-            self._rtree = self._packed_rtree(self._columns)
-        else:
-            self._rtree = RTree(
-                max_entries=self.node_capacity,
-                split_method=self.split_method,
-            )
-            for obj in self._objects.values():
-                if not obj.box.is_empty():
-                    self._rtree.insert(obj.box, obj)
+        self._rtree = self._packed_rtree(self._columns)
         self._version += 1
 
     def get(self, oid) -> SpatialObject:
         """Row lookup by id (the live view: staged rows are found,
         tombstoned rows raise KeyError)."""
         d = self._delta
-        if d is not None and d.pending_ops:
-            obj = d.inserts.get(oid)
-            if obj is not None:
-                return obj
-            if oid in d.tombstones:
-                raise KeyError(oid)
+        obj = d.inserts.get(oid)
+        if obj is not None:
+            return obj
+        if oid in d.tombstones:
+            raise KeyError(oid)
         return self._objects[oid]
 
     # -- queries --------------------------------------------------------------------
@@ -840,7 +754,7 @@ class SpatialTable:
             if cache is not None:
                 cache.store(self, query, rows)
         d = self._delta
-        if d is not None and d.pending_ops:
+        if d.pending_ops:
             rows = self._overlay_rows(rows, query, d)
         if not hit:
             self.candidates_returned += len(rows)
@@ -1045,11 +959,10 @@ class SpatialTable:
             self.probes += 1
             return 0
         d = self._delta
-        pending = d is not None and d.pending_ops > 0
         if self._rtree is not None:
             self.probes += 1
             total = self._rtree.count(query)
-            if pending:
+            if d.pending_ops:
                 # The pushdown counted tombstoned base rows too; back
                 # them out individually (tombstone sets are small) and
                 # add the staged matches.
@@ -1070,7 +983,7 @@ class SpatialTable:
         """All live rows (the naive executor's access path)."""
         self.probes += 1
         d = self._delta
-        if d is not None and d.pending_ops:
+        if d.pending_ops:
             self.delta_probes += 1
             out = list(self._live_iter(d))
         else:
@@ -1106,10 +1019,7 @@ class SpatialTable:
             return {
                 "kind": "rtree",
                 "node_reads": self._rtree.stats.node_reads,
-                "splits": self._rtree.stats.splits,
-                "reinserts": self._rtree.stats.reinserts,
                 "height": self._rtree.height(),
-                "split_method": self.split_method,
             }
         if self._grid is not None:
             return {
@@ -1125,8 +1035,8 @@ class SpatialTable:
 
         Built lazily by :func:`repro.spatial.partition.str_partition`
         over the live rows; the cache key is the ``(base version,
-        delta watermark)`` snapshot token, so direct mutations,
-        reindexes, staged writes and repacks all invalidate it.  Used
+        delta watermark)`` snapshot token, so staged writes, repacks
+        and packs all invalidate it.  Used
         by the partition-aware physical operators (``PartitionScan``)
         and the statistics catalog.
         """
@@ -1148,8 +1058,8 @@ class SpatialTable:
     ):
         """Table statistics for the cost-based planner, cached here.
 
-        Any insert or reindex invalidates the cache (it is keyed on the
-        mutation counter); within one version, each distinct parameter
+        Any base rebuild invalidates the cache (it is keyed on the base
+        version); within one version, each distinct parameter
         set is computed once — planning passes that mix partitioned and
         unpartitioned statistics do not thrash.  ``partitions > 0``
         also collects per-partition counts and bounding boxes (for
@@ -1172,7 +1082,7 @@ class SpatialTable:
         from ..engine.catalog import collect_statistics
 
         d = self._delta
-        if d is None or not d.pending_ops:
+        if not d.pending_ops:
             key = (bins, sample_size, seed, partitions)
             if key not in self._stats_cache:
                 self._stats_cache[key] = collect_statistics(
@@ -1213,6 +1123,7 @@ class SpatialTable:
                 inserted=tuple(d.inserts.values()),
                 removed=tuple(removed),
                 sample_size=sample_size,
+                bins=bins,
             )
             if partitions > 0:
                 stats = replace(

@@ -146,17 +146,16 @@ def random_table(
     n_rows: int,
     index: str = "rtree",
 ) -> SpatialTable:
-    """A little random table of box-shaped regions inside UNIVERSE."""
-    t = SpatialTable(name, 2, index=index, universe=UNIVERSE)
+    """A little random table of box-shaped regions inside UNIVERSE,
+    bulk-inserted: clean, its r-tree STR-packed."""
+    rows = []
     for i in range(n_rows):
         lo = (rng.uniform(0, 28), rng.uniform(0, 28))
         size = (rng.uniform(1, 8), rng.uniform(1, 8))
-        t.insert(
-            i,
-            Region.from_box(
-                Box(lo, (lo[0] + size[0], lo[1] + size[1])).meet(UNIVERSE)
-            ),
-        )
+        box = Box(lo, (lo[0] + size[0], lo[1] + size[1])).meet(UNIVERSE)
+        rows.append((i, Region.from_box(box)))
+    t = SpatialTable(name, 2, index=index, universe=UNIVERSE)
+    t.bulk_insert(rows)
     return t
 
 

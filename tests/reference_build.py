@@ -21,8 +21,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.boxes.box import EMPTY_BOX, Box
 from repro.engine.catalog import Histogram, PartitionStatistics, TableStatistics
+from reference_rtree import _Node, flatten
 from repro.spatial.columnar import ColumnStore
-from repro.spatial.rtree import RTree, _Node
+from repro.spatial.rtree import RTree
 from repro.spatial.table import SpatialObject, SpatialTable
 
 
@@ -40,19 +41,14 @@ def _node_mbr(node: _Node) -> Box:
     return enclose_all(box for box, _ in node.entries)
 
 
-def bulk_load(
-    entries: Sequence[Tuple[Box, object]],
-    max_entries: int = 8,
-    split_method: str = "quadratic",
-) -> RTree:
+def bulk_load(entries: Sequence[Tuple[Box, object]], max_entries: int = 8) -> RTree:
     """``RTree.bulk_load`` with its ``pack_level`` / ``sort_by_center``
-    closures and one ``_Node.mbr()`` per packed node."""
-    tree = RTree(max_entries=max_entries, split_method=split_method)
+    closures and one ``_Node.mbr()`` per packed node.  Empty-box entries
+    are left out, as the engine now leaves them out (it used to insert
+    them after the pack)."""
+    tree = RTree(max_entries=max_entries)
     items = [(b, v) for b, v in entries if not b.is_empty()]
-    skipped = [(b, v) for b, v in entries if b.is_empty()]
     if not items:
-        for b, v in skipped:
-            tree.insert(b, v)
         return tree
     dim = items[0][0].dim
 
@@ -90,13 +86,9 @@ def bulk_load(
             for _b, child in p.entries:
                 child.parent = p
         nodes = parents
-    # The oracle's tree is in the insertion editor's hands: its nodes are
-    # the truth, the array form is derived from them at the first read.
-    tree._root = nodes[0]
-    tree._flat = None
+    # The oracle's nodes are the truth: the array form is walked from them.
+    tree._flat = flatten(nodes[0])
     tree._size = len(items)
-    for b, v in skipped:
-        tree.insert(b, v)
     return tree
 
 
@@ -171,25 +163,30 @@ def collect_statistics(
 def packed_table(
     name: str, dim: int, rows: Sequence[Tuple[object, object]], **table_kwargs
 ) -> SpatialTable:
-    """A packed r-tree table as ``bulk_insert(rows, pack=True)`` followed
-    by a cold ``statistics()`` left it: the store filled by one
-    ``ColumnStore.append`` per row, the tree by :func:`bulk_load` over
+    """A packed r-tree table as ``bulk_insert(rows)`` followed by a cold
+    ``statistics()`` left it: the store filled by one
+    (former) ``ColumnStore.append`` per row, the tree by :func:`bulk_load` over
     ``[(obj.box, obj) ...]``, the default statistics by
-    :func:`collect_statistics`; one version bump per row and one for the
-    pack."""
+    :func:`collect_statistics`; one version bump for the fold (there
+    used to be one per row and one for the pack)."""
     table = SpatialTable(name, dim, **table_kwargs)
     columns = ColumnStore(dim)
     for oid, region in rows:
         obj = SpatialObject(oid=oid, region=region, box=region.bounding_box())
         table._objects[oid] = obj
-        columns.append(obj.box, obj)
+        # ColumnStore.append, as it was: an empty box takes zeros.
+        box, live = obj.box, not obj.box.is_empty()
+        for d in range(dim):
+            columns._lo[d].append(box.lo[d] if live else 0.0)
+            columns._hi[d].append(box.hi[d] if live else 0.0)
+        columns._nonempty.append(int(live))
+        columns.rows.append(obj)
     table._columns = columns
     table._rtree = bulk_load(
         [(obj.box, obj) for obj in table._objects.values() if not obj.box.is_empty()],
         max_entries=table.node_capacity,
-        split_method=table.split_method,
     )
-    table._version = len(rows) + 1
+    table._version = 1 if rows else 0
     table._stats_cache = {(16, 24, 0, 0): collect_statistics(table)}
     table._stats_version = table._version
     return table

@@ -10,7 +10,7 @@ distances as the same doubles, sequence, ties — and, on a clean table,
 identical ``node_reads`` / ``entry_tests`` / ``pruned_subtrees`` per
 probe; with a delta the base tree may only be read less.  These are
 copies of the code they replaced, walking ``_Node`` objects
-(``reference_rtree.root_of``: thawed from a packed tree's form) and
+(``reference_rtree.root_of``: thawed from the tree's form) and
 billing ``tree.stats``: one ``Box.mindist*`` call per entry, one ``repr`` sort
 per accepted entry.  The per-node NumPy kernel branch of the old
 ``nearest`` (``vectorize=True``, bit-identical by its own tests) is
@@ -21,9 +21,9 @@ left out, so the oracle is the same on every backend.
 import heapq
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from reference_rtree import root_of
+from reference_rtree import _Node, root_of
 from repro.boxes.box import Box
-from repro.spatial.rtree import RTree, _Node
+from repro.spatial.rtree import RTree
 from repro.spatial.table import SpatialObject, SpatialTable
 
 

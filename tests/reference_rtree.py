@@ -1,34 +1,91 @@
 """The ``_Node`` walkers as they were before every reader moved onto the
-tree's array form — frozen.
+tree's array form — frozen, with the node class they walk.
 
 ``RTree.search``, ``count``, ``to_node_arrays``, ``check_invariants``,
 ``height``, ``all_entries`` and
 ``spatial.join.synchronized_rtree_join`` now read ``_FlatTree`` columns
-and node numbers; a packed tree no longer holds ``_Node`` objects at
-all.  They promise *identical* rows in the same sequence, identical
-snapshot arrays and identical ``node_reads`` / ``entry_tests`` /
+and node numbers, and the engine no longer has node objects at all.
+They promise *identical* rows in the same sequence, identical snapshot
+arrays and identical ``node_reads`` / ``entry_tests`` /
 ``pruned_subtrees``.  These are copies of the code they replaced,
-walking ``_Node`` objects and billing ``tree.stats``: the nodes the
-insertion editor holds when the tree has been edited
-(``tree._root``), else a copy thawed from the form
-(``_FlatTree.to_nodes``).  The subtree-count map is rebuilt on every
-call — it was never billed.  ``test_rtree_reference.py`` holds the
-engine to them.
+walking ``_Node`` objects and billing ``tree.stats``; the nodes are the
+tree's form thawed into this module's own frozen ``_Node`` class
+(:func:`thaw`, the engine's former ``_FlatTree.to_nodes``), and
+:func:`flatten` (its former ``_FlatTree.from_nodes``) walks them back
+into a form.  The subtree-count map is rebuilt on every call — it was
+never billed.  ``test_rtree_reference.py`` holds the engine to them.
 """
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.boxes.bconstraints import BoxQuery
-from repro.boxes.box import Box
-from repro.spatial.rtree import RTree, _Node
+from repro.boxes.box import Box, enclose_all
+from repro.spatial.rtree import RTree, _FlatTree
+
+
+class _Node:
+    """An R-tree node; leaves hold ``(box, value)``, inner nodes hold
+    ``(box, child)``."""
+
+    __slots__ = ("leaf", "entries", "parent")
+
+    def __init__(self, leaf: bool):
+        self.leaf = leaf
+        self.entries: List[Tuple[Box, object]] = []
+        self.parent: Optional["_Node"] = None
+
+    def mbr(self) -> Box:
+        return enclose_all(box for box, _ in self.entries)
+
+
+def thaw(flat: _FlatTree) -> _Node:
+    """The form as ``_Node`` objects, parents linked; returns the root."""
+    nodes = [_Node(leaf=bool(flag)) for flag in flat.leaf]
+    for n, node in enumerate(nodes):
+        if node.leaf:
+            node.entries = flat.node(n)
+        else:
+            node.entries = [(mbr, nodes[child]) for mbr, child in flat.node(n)]
+            for _mbr, child in node.entries:
+                child.parent = node
+    return nodes[0]
+
+
+def flatten(root: _Node) -> _FlatTree:
+    """The form of ``_Node`` objects, by walking them: nodes numbered
+    breadth first."""
+    nodes = [root]
+    first: List[int] = []  # per node, the number of its first child
+    for node in nodes:  # grows as it goes
+        first.append(len(nodes))
+        if not node.leaf:
+            nodes.extend(child for _mbr, child in node.entries)
+    boxes = [box for node in nodes for box, _ in node.entries]
+    dim = next((box.dim for box in boxes if not box.is_empty()), 0)
+    flat = _FlatTree(dim)
+    flat.add_nodes([n.leaf for n in nodes], [len(n.entries) for n in nodes])
+    for node, start in zip(nodes, first):
+        if node.leaf:
+            flat.entries.extend(node.entries)
+            flat.child.frombytes(bytes(flat.child.itemsize * len(node.entries)))
+        else:
+            children = range(start, start + len(node.entries))
+            flat.entries.extend(zip((mbr for mbr, _ in node.entries), children))
+            flat.child.extend(children)
+    blank = (0.0,) * (2 * dim)
+    flat.set_bounds(
+        chain.from_iterable(
+            blank if box.is_empty() else box.lo + box.hi for box in boxes
+        )
+    )
+    flat.nonempty.extend(not box.is_empty() for box in boxes)
+    return flat
 
 
 def root_of(tree: RTree) -> _Node:
-    """The tree as ``_Node`` objects: the editor's own after an
-    ``insert``/``delete``, a thawed copy of a packed tree."""
-    if tree._root is not None:
-        return tree._root
-    return tree._form().to_nodes()
+    """The tree as ``_Node`` objects: its form, thawed."""
+    return thaw(tree._flat)
 
 
 # -- spatial/rtree.py ----------------------------------------------------------
@@ -176,8 +233,6 @@ def to_node_arrays(
     return {
         "dim": dim,
         "max_entries": tree.max_entries,
-        "min_entries": tree.min_entries,
-        "split_method": tree.split_method,
         "leaf": leaf_flags,
         "counts": counts,
         "bounds": bounds,

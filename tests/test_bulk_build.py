@@ -83,28 +83,42 @@ def random_boxes(n: int, dim: int):
     return tuple(out)
 
 
+#: The order the entries reach the build in: STR's sorts are stable, so
+#: ties break by input order.  The keys are the retired split methods'
+#: names, kept as the matrix's ids so its test ids stay stable (a packed
+#: build never read the split method).
+INPUT_ORDERS = {
+    "quadratic": lambda boxes: boxes,  # as generated
+    "linear": lambda boxes: boxes[::-1],  # reversed
+    "rstar": lambda boxes: boxes[::2] + boxes[1::2],  # evens, then odds
+}
+
+
 @lru_cache(maxsize=None)
-def oracle_dump(n: int, dim: int, cap: int):
-    boxes = random_boxes(n, dim)
+def ordered_boxes(n: int, dim: int, order: str):
+    return INPUT_ORDERS[order](random_boxes(n, dim))
+
+
+@lru_cache(maxsize=None)
+def oracle_dump(n: int, dim: int, cap: int, order: str = "quadratic"):
+    boxes = ordered_boxes(n, dim, order)
     return tree_dump(ref.bulk_load(list(zip(boxes, boxes)), max_entries=cap))
 
 
 # -- the matrix --------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("split", RTree.SPLIT_METHODS)
+@pytest.mark.parametrize("order", INPUT_ORDERS)
 @pytest.mark.parametrize("cap", (4, 8, 16))
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("n", SIZES)
-def test_bulk_load_equals_per_object_build(n, dim, cap, split, backend):
+def test_bulk_load_equals_per_object_build(n, dim, cap, order, backend):
     # Each entry's value is its box, so the oracle's and the build's
     # leaf identities (box and value) compare across the two trees.
-    boxes = random_boxes(n, dim)
+    boxes = ordered_boxes(n, dim, order)
     with pinned(backend):
-        tree = RTree.bulk_load(
-            list(zip(boxes, boxes)), max_entries=cap, split_method=split
-        )
-    assert tree_dump(tree) == oracle_dump(n, dim, cap)
-    assert len(tree) == n and tree.split_method == split
+        tree = RTree.bulk_load(list(zip(boxes, boxes)), max_entries=cap)
+    assert tree_dump(tree) == oracle_dump(n, dim, cap, order)
+    assert len(tree) == n
     tree.check_invariants()
 
 
@@ -130,7 +144,7 @@ def edge_boxes(draw, dim=2):
     st.sampled_from(BACKENDS),
 )
 def test_bulk_load_edge_boxes(boxes, cap, backend):
-    """Ties, empty boxes (inserted after the pack), ``-0.0`` against
+    """Ties, empty boxes (left out), ``-0.0`` against
     ``0.0`` (the first of equals wins the min/max, as in Python) and
     infinite edges all come out as the per-object build had them."""
     entries = list(zip(boxes, boxes))
@@ -248,8 +262,7 @@ def test_repack_equals_fresh_bulk_insert(seed, backend):
         table.bulk_insert(table_rows(rng, rng.choice((0, 3, 90))))
         next_oid = len(table)
         for _round in range(3):
-            # At least one staged insert: a small pure-delete delta is
-            # purged from the tree in place, not rebuilt.
+            # At least one staged insert per round.
             for op in range(1 + rng.randrange(0, 30)):
                 live = [obj.oid for obj in table]
                 if op and live and rng.random() < 0.4:
@@ -306,9 +319,9 @@ def test_snapshot_bytes_equal_per_object_build(backend, tmp_path):
 
 
 # -- one fold, one build ------------------------------------------------------------------
-def test_reindex_with_pending_delta_builds_the_tree_once(monkeypatch):
-    """``pack()``/``reindex()`` over a pending delta used to bulk-load
-    twice (``repack()``'s tree was thrown away)."""
+@pytest.fixture
+def builds(monkeypatch):
+    """Every packed build, by name, as a list."""
     calls = []
     for name in ("bulk_load", "bulk_load_columns"):
         original = getattr(RTree, name).__func__
@@ -318,27 +331,55 @@ def test_reindex_with_pending_delta_builds_the_tree_once(monkeypatch):
             return _original(cls, *args, **kwargs)
 
         monkeypatch.setattr(RTree, name, classmethod(spy))
+    return calls
+
+
+def test_reindex_with_pending_delta_builds_the_tree_once(builds):
+    """``pack()`` — which ``reindex()`` folded into — over a pending
+    delta used to bulk-load twice (``repack()``'s tree was thrown away);
+    it folds once, and on a clean table builds once more."""
     table = SpatialTable("t", 2)
     table.bulk_insert(table_rows(random.Random(5), 50))
     version = table._version
-    calls.clear()
+    builds.clear()
     table.stage_insert("a", Region.from_box(Box((0.0, 0.0), (1.0, 1.0))))
     table.stage_delete(3)
     table.pack()
-    assert calls == ["bulk_load_columns"]
-    # Fold and rebuild each bump the version, as they always have
-    # (snapshots store it).
-    assert table._version == version + 2 and table.repacks == 1
+    assert builds == ["bulk_load_columns"]
+    # One fold, one version bump (snapshots store it).
+    assert table._version == version + 1 and table.repacks == 1
     assert not table.delta_pending and len(table) == 50
     assert {obj.oid for _b, obj in table._rtree.all_entries()} == {
         obj.oid for obj in table if not obj.box.is_empty()
     }
-    calls.clear()
-    table.stage_insert("b", Region.from_box(Box((2.0, 2.0), (3.0, 3.0))))
-    with pytest.raises(ValueError):
-        table.reindex(split_method="nope")
-    assert calls == [] and table.delta_pending
-    table.reindex(pack=False, split_method="linear", node_capacity=4)
-    assert calls == [] and len(table._rtree) == len(
-        [obj for obj in table if not obj.box.is_empty()]
-    )
+    tree = table._rtree
+    table.pack()
+    assert builds == ["bulk_load_columns"] * 2 and table._rtree is not tree
+    assert tree_dump(table._rtree) == tree_dump(tree)
+    assert table._version == version + 2 and table.repacks == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bulk_insert_builds_one_tree_equal_to_the_per_object_build(builds, backend):
+    """``bulk_insert`` checks its rows and folds them once: one STR
+    build, no op-log entry, no inline repack however many rows — and
+    the tree is the per-object build's, row for row."""
+    rows = table_rows(random.Random(shifted_seed(9)), 300)
+    with pinned(backend):
+        table = SpatialTable("t", 2, delta_threshold=8)
+        table.bulk_insert(rows)
+    assert builds == ["bulk_load_columns"]
+    assert (table._version, table.repacks, table.delta_watermark) == (1, 0, 0)
+    assert not table._delta.ops and not table.delta_pending
+    oracle = ref.packed_table("t", 2, rows)
+    oid_of = {id(obj): obj.oid for t in (table, oracle) for obj in t}
+
+    def by_oid(tree):
+        return [
+            (leaf, [e[:3] + tuple(oid_of.get(i, i) for i in e[4:]) for e in entries])
+            for leaf, entries in tree_dump(tree)
+        ]
+
+    assert by_oid(table._rtree) == by_oid(oracle._rtree)
+    for box, obj in table._rtree.all_entries():
+        assert box is obj.box

@@ -141,9 +141,7 @@ class TestMatchKernels:
             BoxQuery(),  # unconstrained: every nonempty row
         ]
         with forced_backend(backend):
-            store = ColumnStore(2)
-            for i, b in enumerate(boxes):
-                store.append(b, i)
+            store = ColumnStore.bulk(2, boxes, range(len(boxes)))
             for query in queries:
                 oracle = [
                     i
@@ -160,9 +158,7 @@ class TestMatchKernels:
         anchor = Box((9.0, 4.0), (13.0, 7.5))
         inf = float("inf")
         with forced_backend(backend):
-            store = ColumnStore(2)
-            for i, b in enumerate(boxes):
-                store.append(b, i)
+            store = ColumnStore.bulk(2, boxes, range(len(boxes)))
             mind_p = store.mindist_point(point)
             mind_b = store.mindist_box(anchor)
             for i, b in enumerate(boxes):
@@ -178,9 +174,7 @@ class TestMatchKernels:
     def test_distance_to_empty_anchor_is_inf(self, backend):
         boxes = _random_boxes(15, 10, allow_empty=False)
         with forced_backend(backend):
-            store = ColumnStore(2)
-            for i, b in enumerate(boxes):
-                store.append(b, i)
+            store = ColumnStore.bulk(2, boxes, range(len(boxes)))
             dists = store.distances_to(Box((1.0, 1.0), (1.0, 5.0)))
             assert all(d == float("inf") for d in dists)
 
@@ -238,6 +232,8 @@ class TestTableMirror:
             table.insert(
                 i, Region.from_box(b) if not b.is_empty() else Region.empty()
             )
+        assert table.column_store() is None  # staged, until the fold
+        table.repack()
         store = table.column_store()
         assert store is not None and len(store) == len(boxes)
         for slot, obj in enumerate(table):

@@ -395,9 +395,7 @@ def test_columnar_match_oracle_edge_cases(boxes, query):
     want_subset = [p for p, i in enumerate(candidates) if i in hits]
     for backend in COLUMNAR_BACKENDS:
         with forced_backend(backend):
-            store = ColumnStore(2)
-            for i, b in enumerate(boxes):
-                store.append(b, i)
+            store = ColumnStore.bulk(2, boxes, range(len(boxes)))
             assert store.match_positions(query) == oracle, backend
             assert (
                 store.match_positions(query, candidates=candidates)
@@ -472,19 +470,16 @@ def _staged_copy(table, rng):
     copy = SpatialTable(
         table.name, table.dim, index=table.index_kind, universe=table.universe
     )
-    for obj in rows[:split]:
-        copy.insert(obj.oid, obj.region)
+    base = [(obj.oid, obj.region) for obj in rows[:split]]
     ghosts = []
     for j in range(2):
         lo = (rng.uniform(0, 24), rng.uniform(0, 24))
         oid = f"ghost-{j}"
-        copy.insert(
-            oid,
-            Region.from_box(
-                Box(lo, (lo[0] + 6.0, lo[1] + 6.0)).meet(UNIVERSE)
-            ),
+        base.append(
+            (oid, Region.from_box(Box(lo, (lo[0] + 6.0, lo[1] + 6.0)).meet(UNIVERSE)))
         )
         ghosts.append(oid)
+    copy.bulk_insert(base)
     for obj in rows[split:]:
         copy.stage_insert(obj.oid, obj.region)
     for oid in ghosts:

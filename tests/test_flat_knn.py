@@ -1,7 +1,7 @@
 """kNN differential: the one best-first browse over the tree's array
 form against the frozen ``_Node`` walk and delta merge
-(``reference_knn.py``), and the rule that a packed build *is* that
-form: it builds no ``_Node``, and neither does any read after it.
+(``reference_knn.py``), and the rule that a build *is* that form: one
+build makes one form, and no read after it makes another.
 
 Answers are compared *to the bit* — distances as doubles, rows by
 identity, in sequence, so a tie broken differently fails — and on clean
@@ -28,7 +28,8 @@ from repro.boxes import Box, BoxQuery
 from repro.errors import AnchorError, DimensionMismatchError, ReproError, ServiceError
 from repro.service import QueryService, ServiceClient, serve_in_thread
 from repro.spatial import HAVE_NUMPY, RTree, SpatialTable, forced_backend
-from repro.spatial.rtree import _FlatTree, _Node
+from repro.spatial.rtree import _FlatTree
+from reference_rtree import flatten, thaw
 
 KS = (1, 2, 10, 10_000)
 INF = math.inf
@@ -115,13 +116,24 @@ def hold_tree_to_oracle(tree: RTree, anchors, ks=KS):
                 assert (got[0], id(got[1]), id(got[2])) == (want[0], id(want[1]), id(want[2]))
 
 
+#: ``insert-*``: a table grown row by row through ``insert`` (staging,
+#: inline repacks every ``INSERTED[build]`` rows), folded clean.  The
+#: suffixes are the retired split methods' names, kept so the test ids
+#: stay stable.
+INSERTED = {"insert-quadratic": 8, "insert-linear": 20, "insert-rstar": 64}
+
+
 def built_table(build: str, dim: int, n: int, seed: int, tmp_path=None) -> SpatialTable:
     rng = random.Random(shifted_seed(seed))
     rows = rows_for(rng, n, dim)
-    split = build.partition("-")[2] or "quadratic"
-    table = SpatialTable("t", dim, split_method=split)
-    table.bulk_insert(rows, pack=not build.startswith("insert"))
-    if build == "deleted":  # the small-purge path: RTree.delete on the packed tree
+    table = SpatialTable("t", dim, delta_threshold=INSERTED.get(build, 64))
+    if build in INSERTED:
+        for oid, region in rows:
+            table.insert(oid, region)
+        table.repack()
+    else:
+        table.bulk_insert(rows)
+    if build == "deleted":  # a pure-delete delta, folded
         for oid, _region in rows[:: max(9, n // 4)]:
             table.stage_delete(oid)
         table.repack()
@@ -132,7 +144,7 @@ def built_table(build: str, dim: int, n: int, seed: int, tmp_path=None) -> Spati
     return table
 
 
-BUILDS = ("bulk", "insert-quadratic", "insert-linear", "insert-rstar", "deleted", "snapshot")
+BUILDS = ("bulk", *INSERTED, "deleted", "snapshot")
 
 
 # -- clean tables: answers, ties and counters -------------------------------------------
@@ -152,18 +164,19 @@ def test_clean_table_equals_frozen_walk(build, dim, n, backend, tmp_path):
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
 def test_tree_with_empty_entries_and_empty_anchor(dim):
-    """Raw ``RTree``: empty-box entries sit in the tree (at infinite
-    distance, never yielded) and the empty box is a legal anchor."""
+    """Raw ``RTree``: empty-box entries are left out of the build (at
+    infinite distance, they are never yielded) and the empty box is a
+    legal anchor."""
     rng = random.Random(shifted_seed(dim))
     entries = [(grid_box(rng, dim), mixed_oid(i)) for i in range(80)]
     entries += [(Box((0.0,) * dim, (0.0,) * dim), f"void{i}") for i in range(5)]
     rng.shuffle(entries)
     tree = RTree.bulk_load(entries, max_entries=4)
+    assert len(tree) == 80
     anchors = [*anchors_for(rng, dim), Box((1.0,) * dim, (1.0,) * dim)]
     hold_tree_to_oracle(tree, anchors)
-    for box, value in entries[::3]:
-        tree.delete(box, value)
-    hold_tree_to_oracle(tree, anchors, ks=(1, 5))
+    fewer = RTree.bulk_load([e for i, e in enumerate(entries) if i % 3], max_entries=4)
+    hold_tree_to_oracle(fewer, anchors, ks=(1, 5))
     with pytest.raises(DimensionMismatchError):
         tree.nearest((1.0,) * (dim + 1), 2)
 
@@ -196,7 +209,7 @@ def delta_table(case: str, dim: int, seed: int) -> SpatialTable:
     elif case == "few-live":  # k > live rows
         for oid, _region in rows[5:]:
             table.stage_delete(oid)
-    elif case == "indexed-delta":  # past the delta's own index threshold
+    elif case == "indexed-delta":  # 40 staged rows (the delta once indexed them)
         for i in range(40):
             table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, dim)))
         for oid, _region in rows[::7]:
@@ -236,7 +249,7 @@ def test_with_staged_clones_share_a_base():
     rng = random.Random(shifted_seed(11))
     parent = SpatialTable("t", 2)
     parent.bulk_insert(rows_for(rng, 150, 2))
-    flat = parent._rtree._form()
+    flat = parent._rtree._flat
     one = parent.with_staged(
         inserts=[("a", Region.from_box(Box((10.0, 10.0), (10.5, 10.5))))]
     )
@@ -245,7 +258,7 @@ def test_with_staged_clones_share_a_base():
     anchors = [(10.0, 10.0), *anchors_for(rng, 2)]
     for table in (parent, one, two):
         hold_table_to_oracle(table, anchors, ks=(1, 4, 10_000))
-        assert table._rtree._form() is flat  # one base, one form
+        assert table._rtree._flat is flat  # one base, one form
     assert not parent.delta_pending
     assert "a" in {obj.oid for _d, obj in one.nearest((10.0, 10.0), 200)}
     assert victim not in {obj.oid for _d, obj in two.nearest((10.0, 10.0), 200)}
@@ -261,32 +274,26 @@ def test_rtree_knn_bills_no_kernel():
     assert (table.vectorized_batches, table.vectorized_candidates) == (0, 0)
 
 
-# -- born flat: a packed build is the form; only insert/delete make nodes ---------------
+# -- born flat: a build is the form; no read makes another --------------------------------
 @pytest.fixture
-def walks(monkeypatch):
-    """The insertion editor's footprint, as a list: ``"node"`` per
-    ``_Node`` constructed, the root per call of the tree-walking
-    flattener."""
-    calls = []
-    flatten = _FlatTree.from_nodes.__func__
-    construct = _Node.__init__
+def forms(monkeypatch):
+    """Every array form made, as a list (of their dimensions): a spy on
+    ``_FlatTree`` construction."""
+    made = []
+    init = _FlatTree.__init__
 
-    def from_nodes(cls, root):
-        calls.append(root)
-        return flatten(cls, root)
+    def spy(self, dim):
+        made.append(dim)
+        init(self, dim)
 
-    def init(self, leaf):
-        calls.append("node")
-        construct(self, leaf)
-
-    monkeypatch.setattr(_FlatTree, "from_nodes", classmethod(from_nodes))
-    monkeypatch.setattr(_Node, "__init__", init)
-    return calls
+    monkeypatch.setattr(_FlatTree, "__init__", spy)
+    return made
 
 
-def first_reads(table: SpatialTable) -> None:
-    """Every reader once: browse, batched and scalar search, COUNT,
-    the dump's walk, the inspection helpers."""
+def first_reads(table: SpatialTable, forms) -> None:
+    """Every reader once — browse, batched and scalar search, COUNT,
+    the dump's walk, the inspection helpers — and none makes a form."""
+    before = len(forms)
     window = BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),))
     assert table.nearest((5.0, 5.0), 3)
     assert table.range_query_batch([window, window])[0][0]
@@ -297,33 +304,30 @@ def first_reads(table: SpatialTable) -> None:
     tree.check_invariants()
     assert tree.height() > 1 and tree.node_count() > 1 and list(tree.all_entries())
     assert tree.to_node_arrays(id)["values"]
-    assert tree._root is None
+    assert len(forms) == before
 
 
-def test_no_packed_build_nor_read_after_it_makes_a_node(walks, tmp_path):
+def test_no_packed_build_nor_read_after_it_makes_a_node(forms, tmp_path):
     rng = random.Random(shifted_seed(4))
     table = SpatialTable("t", 2, delta_threshold=6)
     table.bulk_insert(rows_for(rng, 400, 2))
-    first_reads(table)
+    first_reads(table, forms)
     for i in range(3):
         table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, 2)))
         table.stage_delete(mixed_oid(3 * i))
     assert table.repacks == 1 and not table.delta_pending  # inline, at the threshold
-    first_reads(table)
+    first_reads(table, forms)
     table.stage_insert("late", Region.from_box(grid_box(rng, 2)))
     assert table.repack()
-    first_reads(table)
+    first_reads(table, forms)
     table.stage_delete(mixed_oid(30))  # a pure-delete delta folds the same way
     assert table.repack()
-    first_reads(table)
+    first_reads(table, forms)
     table.pack()
-    first_reads(table)
-    table.reindex(node_capacity=5)
-    first_reads(table)
+    first_reads(table, forms)
     path = str(tmp_path / "db.json")
     Database(tables={"t": table}).save(path)
-    first_reads(Database.open(path).table("t"))
-    assert walks == []
+    first_reads(Database.open(path).table("t"), forms)
 
 
 def test_a_dropped_packed_tree_needs_no_collector():
@@ -348,7 +352,7 @@ def test_a_dropped_packed_tree_needs_no_collector():
         gc.enable()
 
 
-def test_background_repack_publishes_a_flat_tree(walks):
+def test_background_repack_publishes_a_flat_tree(forms):
     rng = random.Random(shifted_seed(6))
     table = SpatialTable("t", 2)
     table.bulk_insert(rows_for(rng, 300, 2))
@@ -360,28 +364,43 @@ def test_background_repack_publishes_a_flat_tree(walks):
     assert service.repacks == 1
     served = service.store.current()[0].table("t")
     assert not served.delta_pending and served is not table
-    first_reads(served)
-    assert walks == []
+    first_reads(served, forms)
 
 
-def test_insert_thaws_the_form_and_the_next_read_flattens_again(walks):
-    window = BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),))
-    rng = random.Random(shifted_seed(8))
-    unpacked = SpatialTable("t", 2)
-    unpacked.bulk_insert(rows_for(rng, 60, 2), pack=False)
-    assert "node" in walks and unpacked._rtree._root not in walks  # edited, not yet read
-    assert unpacked.nearest((5.0, 5.0), 3) and unpacked.range_query(window)
-    assert walks.count(unpacked._rtree._root) == 1  # one form until the next mutation
-    del walks[:]
-    packed = SpatialTable("t", 2)
-    packed.bulk_insert(rows_for(rng, 60, 2))
-    nodes = packed._rtree.node_count()
-    assert walks == []
-    packed.insert("direct", Region.from_box(grid_box(rng, 2)))  # clean table: into the base
-    assert walks.count("node") >= nodes and packed._rtree._flat is None
-    hold_table_to_oracle(packed, anchors_for(rng, 2), ks=(1, 4))
-    assert walks.count(packed._rtree._root) == 1
-    assert "direct" in {obj.oid for obj in packed.range_query(BoxQuery())}
+def test_staged_clone_reads_build_no_tree(monkeypatch):
+    """A ``with_staged`` clone answers range, batch and COUNT probes
+    from the shared packed base and a scan of its staged rows: no
+    ``RTree`` is made (the delta used to build an insertion tree over
+    16 or more staged rows at the first probe).  Its rows are those of
+    the same table repacked, in sequence, and so are the probes' rows."""
+    rng = random.Random(shifted_seed(15))
+    base = SpatialTable("t", 2)
+    base.bulk_insert([(i, Region.from_box(grid_box(rng, 2))) for i in range(5000)])
+    staged = [(f"s{i}", Region.from_box(grid_box(rng, 2))) for i in range(40)]
+    clone = base.with_staged(inserts=staged)
+    queries = [BoxQuery(overlap=(grid_box(rng, 2),)) for _ in range(6)]
+    queries += [BoxQuery(inside=Box((0.0, 0.0), (9.0, 9.0))), BoxQuery()]
+    made = []
+    init = RTree.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RTree, "__init__", spy)
+    rows = [clone.range_query(q) for q in queries]
+    batch = [found for found, _hit in clone.range_query_batch(queries)]
+    counts = [clone.count_range(q) for q in queries]
+    assert made == [] and batch == rows
+    assert counts == [len(found) for found in rows]
+    monkeypatch.undo()
+    packed = base.with_staged(inserts=staged)
+    assert packed.repack()
+    assert [o.oid for o in clone] == [o.oid for o in packed]
+    for found, query in zip(rows, queries):
+        assert sorted(map(repr, (o.oid for o in found))) == sorted(
+            map(repr, (o.oid for o in packed.range_query(query)))
+        )
 
 
 NASTY = (-INF, -2.0, -0.0, 0.0, 0.0, 1.0, 2.5, 7.0, INF)
@@ -391,8 +410,9 @@ NASTY = (-INF, -2.0, -0.0, 0.0, 0.0, 1.0, 2.5, 7.0, INF)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("nasty", [False, True], ids=["plain", "nan-and-minus-zero"])
 def test_emitted_form_equals_walked_form(backend, nasty):
-    """Same tree, both converters: same columns entry for entry (node
-    numbering aside), so ``search_batch`` and ``nearest`` cannot tell.
+    """Same tree, as built and as walked back from frozen nodes
+    (``reference_rtree``): same columns entry for entry (node numbering
+    aside), so ``search_batch`` and ``nearest`` cannot tell.
     Infinite and ``-0.0`` edges push ``str_level_order`` (NaN centers)
     and ``grouped_bounds`` onto their Python branches."""
     rng = random.Random(shifted_seed(12))
@@ -407,9 +427,8 @@ def test_emitted_form_equals_walked_form(backend, nasty):
         boxes = [grid_box(rng, 2) for _ in range(150)]
     with pinned(backend):
         tree = RTree.bulk_load([(box, i) for i, box in enumerate(boxes)], max_entries=4)
-    assert tree._root is None
-    emitted = tree._form()
-    walked = _FlatTree.from_nodes(emitted.to_nodes())  # thawed, then flattened again
+    emitted = tree._flat
+    walked = flatten(thaw(emitted))  # thawed, then flattened again
 
     def per_node(flat):
         """Each node's columns and children, keyed by the identity of

@@ -41,12 +41,8 @@ class TestSpatialJoins:
             for j, b in enumerate(self.right)
             if a.overlaps(b)
         }
-        self.lt = RTree(max_entries=6)
-        self.rt = RTree(max_entries=6)
-        for i, b in enumerate(self.left):
-            self.lt.insert(b, i)
-        for j, b in enumerate(self.right):
-            self.rt.insert(b, j)
+        self.lt = RTree.bulk_load(list(enumerate_boxes(self.left)), max_entries=6)
+        self.rt = RTree.bulk_load(list(enumerate_boxes(self.right)), max_entries=6)
 
     def test_index_nested_loop(self):
         got = set(
@@ -206,22 +202,22 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result["workload"] == "smugglers"
-        assert result["packed"] is True
+        assert "packed" not in result and "split" not in result
         assert sorted(result["order"]) == ["B", "R", "T"]
         assert "node_reads" in result["counters"]
         assert result["tables"]["T"]["kind"] == "rtree"
 
     def test_bench_no_pack_rstar(self):
+        """The insertion-tree flags are gone: argparse rejects them."""
         proc = _cli(
             "bench", "--workload", "chain", "--size", "10",
             "--no-pack", "--split", "rstar",
         )
-        assert proc.returncode == 0, proc.stderr
-        assert "order (histogram):" in proc.stdout
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --no-pack --split rstar" in proc.stderr
 
     def test_bench_grid_backend_default_pack(self):
-        """Regression: grid/scan workload builds must not forward an
-        explicit pack=True to backends that reject it."""
+        """Grid and scan workloads build through the same bulk insert."""
         for index in ("grid", "scan"):
             proc = _cli(
                 "bench", "--workload", "smugglers", "--size", "6",

@@ -95,26 +95,24 @@ class TestDistanceMetrics:
 class TestRTreeNearest:
     def _tree(self, n=200, seed=1):
         rng = random.Random(seed)
-        tree = RTree(max_entries=6)
         entries = []
         for i in range(n):
             lo = (rng.uniform(0, 100), rng.uniform(0, 100))
             b = Box(lo, (lo[0] + rng.uniform(0.5, 5), lo[1] + rng.uniform(0.5, 5)))
-            tree.insert(b, i)
             entries.append((b, i))
-        return tree, entries
+        return RTree.bulk_load(entries, max_entries=6), entries
 
     def test_empty_tree_and_k_edge_cases(self):
         tree = RTree()
         assert tree.nearest((0.0, 0.0), 3) == []
         assert tree.nearest((0.0, 0.0), 0) == []
-        tree.insert(Box((0.0, 0.0), (1.0, 1.0)), "a")
+        tree = RTree.bulk_load([(Box((0.0, 0.0), (1.0, 1.0)), "a")])
         assert [v for _d, _b, v in tree.nearest((5.0, 5.0), 10)] == ["a"]
 
     def test_empty_box_entries_never_surface(self):
-        tree = RTree()
-        tree.insert(EMPTY_BOX, "ghost")
-        tree.insert(Box((1.0, 1.0), (2.0, 2.0)), "real")
+        tree = RTree.bulk_load(
+            [(EMPTY_BOX, "ghost"), (Box((1.0, 1.0), (2.0, 2.0)), "real")]
+        )
         assert [v for _d, _b, v in tree.nearest((0.0, 0.0), 5)] == ["real"]
         assert [v for _d, _b, v in tree.distance_browse((0.0, 0.0))] == [
             "real"
@@ -245,8 +243,8 @@ class TestReadGate:
         one unbilled sweep: the first COUNT on a freshly packed tree, on
         a repacked one and on a snapshot-loaded one bills what the
         frozen ``_Node`` walk bills, and a tree keeps no cache beside
-        its form — a repack's new tree starts from nothing, an edit
-        drops the form whole."""
+        its form — a repack's new tree starts from nothing, and a staged
+        write leaves the tree's counts as they are."""
         query = BoxQuery(inside=Box((20.0, 20.0), (70.0, 70.0)))
 
         def billed(tree, call):
@@ -260,7 +258,7 @@ class TestReadGate:
         loaded = Database.open(path).table("knn")
         first = {}
         for name, tree in (("fresh", fresh._rtree), ("loaded", loaded._rtree)):
-            assert tree._form()._below is None  # nothing counted yet
+            assert tree._flat._below is None  # nothing counted yet
             first[name] = billed(tree, lambda: tree.count(query))
             assert first[name] == billed(tree, lambda: ref.count(tree, query))
             assert first[name] == billed(tree, lambda: tree.count(query))
@@ -269,15 +267,15 @@ class TestReadGate:
         fresh.stage_delete(next(iter(fresh)).oid)
         assert fresh.repack() and fresh._rtree is not old
         assert set(vars(fresh._rtree)) == set(vars(old)) == {
-            "max_entries", "min_entries", "split_method", "_size", "_reinserting",
-            "stats", "_flat", "_root",
+            "max_entries", "_size", "stats", "_flat",
         }
         assert fresh._rtree._flat._below is None and old._flat._below is not None
         total = fresh._rtree.count(BoxQuery(inside=table.universe))
         assert total == len(fresh) == self.SIZE - 1
+        tree = fresh._rtree
         fresh.insert("late", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
-        assert fresh._rtree._flat is None  # stale is simply absent
-        assert fresh._rtree.count(BoxQuery(inside=table.universe)) == total + 1
+        assert fresh._rtree is tree and tree.count(BoxQuery(inside=table.universe)) == total
+        assert fresh.count_range(BoxQuery(inside=table.universe)) == total + 1
 
 
 class TestLogicalValidation:

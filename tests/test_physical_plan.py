@@ -203,6 +203,9 @@ class TestProbeCache:
         assert not hit and len(rows) == 1
         t.insert(1, Region.from_box(Box((3, 3), (4, 4))))
         rows, hit = t.range_query_cached(query, cache)
+        assert hit and len(rows) == 2  # the base entry, the delta overlaid
+        t.repack()
+        rows, hit = t.range_query_cached(query, cache)
         assert not hit  # version changed → stale entry unreachable
         assert len(rows) == 2
 
@@ -231,7 +234,7 @@ class TestProbeCache:
         assert len(cache) == 0, "dead table's entries were not purged"
 
     def test_superseded_version_entries_dropped_proactively(self):
-        """Mutating a table drops its stale entries the next time the
+        """Repacking a table drops its stale entries the next time the
         cache sees it — not merely once LRU churn reaches them."""
         universe = Box((0.0, 0.0), (10.0, 10.0))
         t = SpatialTable("t", 2, universe=universe)
@@ -243,6 +246,7 @@ class TestProbeCache:
         t.range_query_cached(q2, cache)
         assert len(cache) == 2
         t.insert(1, Region.from_box(Box((3, 3), (4, 4))))
+        t.repack()
         t.range_query_cached(q1, cache)
         # Both old-version entries are gone; only the fresh one remains.
         assert len(cache) == 1
@@ -266,8 +270,9 @@ class TestBatchProbes:
     def _table(self):
         universe = Box((0.0, 0.0), (10.0, 10.0))
         t = SpatialTable("t", 2, universe=universe)
-        for i in range(6):
-            t.insert(i, Region.from_box(Box((i, i), (i + 1.5, i + 1.5))))
+        t.bulk_insert(
+            [(i, Region.from_box(Box((i, i), (i + 1.5, i + 1.5)))) for i in range(6)]
+        )
         return t
 
     def test_range_query_batch_bills_like_single_probes(self):

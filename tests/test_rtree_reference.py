@@ -5,10 +5,11 @@ the frozen ``_Node`` walkers (``reference_rtree.py``).
 ``synchronized_rtree_join`` must return the same rows in the same
 sequence (by identity) and bill the same ``node_reads`` /
 ``entry_tests`` / ``pruned_subtrees``, however the tree came to be:
-packed, loaded from its own dump, grown by insertion under each split,
-or packed and then edited.  The parametrised cases are tier-1's thin
-diagonal; the Hypothesis product at the end runs a handful of examples
-there and the full budget in CI's seed-matrix job.
+packed, loaded from its own dump, or the tree a table's one write path
+(staging, inline and explicit repacks) leaves behind.  The parametrised
+cases are tier-1's thin diagonal; the Hypothesis product at the end
+runs a handful of examples there and the full budget in CI's
+seed-matrix job.
 """
 
 import json
@@ -27,14 +28,19 @@ from conftest import (
     pinned,
     shifted_seed,
 )
+from repro.algebra import Region
 from repro.boxes import Box, BoxQuery, EMPTY_BOX
-from repro.spatial import HAVE_NUMPY, RTree, synchronized_rtree_join
+from repro.spatial import HAVE_NUMPY, RTree, SpatialTable, synchronized_rtree_join
 
-SPLITS = RTree.SPLIT_METHODS
+#: ``grown-*``: a table grown row by row through ``insert``, repacking
+#: inline every ``GROWN[kind]`` rows; the names are the retired split
+#: methods' (the insertion trees they built are gone), kept so the test
+#: ids stay stable.
+GROWN = {"grown-quadratic": 4, "grown-linear": 16, "grown-rstar": 64}
 BUILDS = (
     "packed",
     "loaded",
-    *(f"grown-{split}" for split in SPLITS),
+    *GROWN,
     "packed+insert",
     "packed+delete",
     "empty-boxes",
@@ -50,30 +56,39 @@ def grid_box(rng: random.Random, dim: int, reach: float = 2.5) -> Box:
     return Box(lo, tuple(a + rng.choice((0.5, 1.0, reach)) for a in lo))
 
 
+def table_tree(kind: str, entries, capacity: int) -> RTree:
+    """The tree of a table whose rows are ``entries`` (oid = value),
+    written the ``kind`` way and repacked clean."""
+    rows = [(value, Region.from_box(box)) for box, value in entries]
+    table = SpatialTable("t", entries[0][0].dim, node_capacity=capacity,
+                         delta_threshold=GROWN.get(kind, 10**9))
+    if kind in GROWN:
+        for oid, region in rows:
+            table.insert(oid, region)
+    elif kind == "packed+insert":
+        table.bulk_insert(rows[::2])
+        for oid, region in rows[1::2]:
+            table.insert(oid, region)
+    else:  # packed+delete: extra rows, deleted again before the repack
+        extra = [(("x", oid), Region.from_box(box)) for (box, oid) in entries[::3]]
+        table.bulk_insert(rows + extra)
+        for oid, _region in extra:
+            table.delete(oid)
+        assert not table.stage_delete(extra[0][0])  # a miss stages nothing
+    table.repack()
+    assert len(table._rtree) == len(entries)
+    return table._rtree
+
+
 def build(kind: str, entries, capacity: int = 4) -> RTree:
-    """A tree over ``entries`` that came to be the ``kind`` way; the
-    edits of ``packed+...`` keep the entry set (one goes, one comes)."""
+    """A tree over ``entries`` that came to be the ``kind`` way; through
+    a table, its leaf values are the rows standing for them."""
     if kind == "empty":
         return RTree(max_entries=capacity)
-    if kind.startswith("grown-"):
-        tree = RTree(max_entries=capacity, split_method=kind[len("grown-") :])
-        for box, value in entries:
-            tree.insert(box, value)
-        return tree
-    if kind == "empty-boxes":
+    if kind in GROWN or kind.startswith("packed+"):
+        return table_tree(kind, entries, capacity)
+    if kind == "empty-boxes":  # left out of the build
         entries = entries + [(EMPTY_BOX, f"void{i}") for i in range(5)]
-    if kind == "packed+delete":
-        extra = [(Box(b.lo, tuple(h + 1.0 for h in b.hi)), ("x", v)) for b, v in entries[::3]]
-        tree = RTree.bulk_load(entries + extra, max_entries=capacity)
-        for box, value in extra:
-            assert tree.delete(box, value)
-        assert not tree.delete(*extra[0])  # a miss leaves the tree as it is
-        return tree
-    if kind == "packed+insert":
-        tree = RTree.bulk_load(entries[::2], max_entries=capacity)
-        for box, value in entries[1::2]:
-            tree.insert(box, value)
-        return tree
     tree = RTree.bulk_load(entries, max_entries=capacity)
     if kind == "loaded":
         values = [value for _box, value in tree.all_entries()]
@@ -170,7 +185,6 @@ def test_readers_equal_the_node_walkers(kind, dim, backend):
     entries = entries_for(rng, 150, dim)
     with pinned(backend):
         tree = build(kind, entries)
-        assert (tree._root is None) == (kind in ("packed", "loaded", "empty"))
         by_shape = queries(rng, dim)
         assert set(by_shape) == set(SHAPES)
         hold_readers_to_oracle(tree, [q for shape in SHAPES for q in by_shape[shape]])
@@ -192,45 +206,39 @@ def test_synchronized_join_equals_the_node_walk(kinds, dim):
 
 
 def test_readers_pin_the_form_they_started_on():
-    """A search in flight keeps the form it began with; an insert in
-    between shows only to the next reader."""
+    """A search in flight keeps the tree it began with; a write and a
+    repack in between show only to the next reader, on a new tree."""
     rng = random.Random(shifted_seed(3))
     entries = entries_for(rng, 60, 2)
-    tree = RTree.bulk_load(entries, max_entries=4)
+    table = SpatialTable("t", 2, node_capacity=4)
+    table.bulk_insert([(value, Region.from_box(box)) for box, value in entries])
+    tree = table._rtree
     everything = BoxQuery()
     walk = tree.search(everything)
     first = next(walk)
-    tree.insert(Box((1.0, 1.0), (2.0, 2.0)), "late")
+    table.insert("late", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
+    assert table.repack() and table._rtree is not tree
     assert len([first, *walk]) == 60
-    assert len(list(tree.search(everything))) == 61
+    assert len(list(table._rtree.search(everything))) == 61
     hold_readers_to_oracle(tree, [everything])
+    hold_readers_to_oracle(table._rtree, [everything])
 
 
 # -- the product -------------------------------------------------------------------
 @st.composite
 def edited_trees(draw):
-    """Edge-case boxes (empty ones too) packed or grown, then a few
-    inserts and deletes: ``(tree, live entries)``."""
+    """Edge-case boxes (empty ones too) and a few edits to that entry
+    list, packed: ``(tree, live entries)`` — empty boxes are left out."""
     boxes = draw(st.lists(edge_boxes(), max_size=40))
-    entries = [(box, i) for i, box in enumerate(boxes)]
+    live = [(box, i) for i, box in enumerate(boxes)]
     capacity = draw(st.integers(2, 6))
-    split = draw(st.sampled_from(SPLITS))
-    if draw(st.booleans()):
-        tree = RTree.bulk_load(entries, max_entries=capacity, split_method=split)
-    else:
-        tree = RTree(max_entries=capacity, split_method=split)
-        for box, value in entries:
-            tree.insert(box, value)
-    live = list(entries)
     for step in range(draw(st.integers(0, 6))):
         if live and draw(st.booleans()):
-            box, value = live.pop(draw(st.integers(0, len(live) - 1)))
-            assert tree.delete(box, value)
+            live.pop(draw(st.integers(0, len(live) - 1)))
         else:
-            entry = (draw(edge_boxes()), f"new{step}")
-            tree.insert(*entry)
-            live.append(entry)
-    return tree, live
+            live.append((draw(edge_boxes()), f"new{step}"))
+    tree = RTree.bulk_load(live, max_entries=capacity)
+    return tree, [(box, value) for box, value in live if not box.is_empty()]
 
 
 @settings(

@@ -58,9 +58,7 @@ def test_distance_kernels_bit_identical_to_scalar(backend, seed):
     rng = random.Random(seed)
     empty = Box([0.0] * DIM, [0.0] * DIM)  # lo >= hi normalises to empty
     boxes = [random_box(rng) for _ in range(400)] + [empty]
-    store = ColumnStore(DIM)
-    for i, box in enumerate(boxes):
-        store.append(box, i)
+    store = ColumnStore.bulk(DIM, boxes, range(len(boxes)))
 
     with forced_backend(backend):
         for _ in range(25):

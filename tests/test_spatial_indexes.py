@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_rtree import check_invariants as check_node_invariants, root_of
+from repro import Database
 from repro.algebra import Region
 from repro.boxes import Box, BoxQuery, EMPTY_BOX
+from repro.datagen import make_map, smugglers_query
 from repro.errors import DimensionMismatchError
 from repro.spatial import GridFile, RTree, SpatialTable
 
@@ -22,61 +24,63 @@ def _random_boxes(n, seed=0, span=100.0):
     return out
 
 
+def _grown_table(items, capacity=4, threshold=16):
+    """A table grown row by row through ``insert`` — the one write path:
+    staged, repacked inline every ``threshold`` rows — then folded."""
+    t = SpatialTable("t", 2, node_capacity=capacity, delta_threshold=threshold)
+    for i, b in enumerate(items):
+        t.insert(i, Region.from_box(b))
+    t.repack()
+    return t
+
+
 class TestRTreeStructure:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             RTree(max_entries=1)
         with pytest.raises(ValueError):
-            RTree(max_entries=8, min_entries=0)
-        with pytest.raises(ValueError):
-            RTree(max_entries=8, min_entries=5)
+            RTree.bulk_load([(Box((0.0, 0.0), (1.0, 1.0)), 0)], max_entries=1)
 
     def test_insert_grows_and_invariants_hold(self):
-        tree = RTree(max_entries=4)
-        for i, b in enumerate(_random_boxes(200)):
-            tree.insert(b, i)
-        assert len(tree) == 200
-        tree.check_invariants()
-        assert tree.height() >= 3
+        t = _grown_table(_random_boxes(200))
+        assert len(t) == len(t._rtree) == 200 and t.repacks == 13
+        t._rtree.check_invariants()
+        assert t._rtree.height() >= 3
 
     def test_all_entries_roundtrip(self):
-        tree = RTree(max_entries=4)
         items = _random_boxes(50)
-        for i, b in enumerate(items):
-            tree.insert(b, i)
+        tree = RTree.bulk_load([(b, i) for i, b in enumerate(items)], max_entries=4)
         got = sorted(v for _b, v in tree.all_entries())
         assert got == list(range(50))
 
     def test_delete(self):
-        tree = RTree(max_entries=4)
-        items = _random_boxes(60)
-        for i, b in enumerate(items):
-            tree.insert(b, i)
+        t = _grown_table(_random_boxes(60))
         for i in range(0, 60, 2):
-            assert tree.delete(items[i], i)
-        assert len(tree) == 30
-        tree.check_invariants()
-        got = sorted(v for _b, v in tree.all_entries())
+            t.delete(i)
+        t.repack()
+        assert len(t) == len(t._rtree) == 30
+        t._rtree.check_invariants()
+        got = sorted(obj.oid for _b, obj in t._rtree.all_entries())
         assert got == list(range(1, 60, 2))
-        assert not tree.delete(items[0], 0)  # already gone
+        with pytest.raises(KeyError):
+            t.delete(0)  # already gone
+        assert not t.stage_delete(0)
 
     def test_delete_to_empty(self):
-        tree = RTree(max_entries=4)
-        items = _random_boxes(20)
-        for i, b in enumerate(items):
-            tree.insert(b, i)
-        for i, b in enumerate(items):
-            assert tree.delete(b, i)
-        assert len(tree) == 0
-        assert list(tree.all_entries()) == []
+        t = _grown_table(_random_boxes(20))
+        for i in range(20):
+            t.delete(i)
+        t.repack()
+        assert len(t) == len(t._rtree) == 0
+        assert list(t._rtree.all_entries()) == []
 
 
 class TestRTreeSearch:
     def setup_method(self):
         self.items = _random_boxes(300, seed=7)
-        self.tree = RTree(max_entries=6)
-        for i, b in enumerate(self.items):
-            self.tree.insert(b, i)
+        self.tree = RTree.bulk_load(
+            [(b, i) for i, b in enumerate(self.items)], max_entries=6
+        )
 
     def _scan(self, query):
         return {
@@ -263,7 +267,7 @@ class TestGridFile:
 
 
 class TestBulkInsertContract:
-    """`SpatialTable.bulk_insert`: pack validation and failure paths."""
+    """`SpatialTable.bulk_insert`: one fold, and its failure paths."""
 
     UNIVERSE = Box((0.0, 0.0), (50.0, 50.0))
 
@@ -278,17 +282,10 @@ class TestBulkInsertContract:
         return out
 
     @pytest.mark.parametrize("index", ["grid", "scan"])
-    def test_explicit_pack_raises_on_unsupported_backends(self, index):
-        t = SpatialTable("t", 2, index=index, universe=self.UNIVERSE)
-        with pytest.raises(ValueError, match="rtree"):
-            t.bulk_insert(self._rows(), pack=True)
-        assert len(t) == 0  # rejected before any row landed
-
-    @pytest.mark.parametrize("index", ["grid", "scan"])
     def test_default_pack_resolves_to_insertion(self, index):
         t = SpatialTable("t", 2, index=index, universe=self.UNIVERSE)
         t.bulk_insert(self._rows())
-        assert len(t) == 10
+        assert len(t) == 10 and not t.delta_pending
         got = t.range_query(BoxQuery(overlap=(self.UNIVERSE,)))
         assert sorted(o.oid for o in got) == list(range(10))
 
@@ -296,97 +293,72 @@ class TestBulkInsertContract:
         t = SpatialTable("t", 2, universe=self.UNIVERSE)
         t.bulk_insert(self._rows())
         assert len(t) == 10
-        t.bulk_insert([(100, Region.from_box(Box((1, 1), (2, 2))))],
-                      pack=False)
-        assert len(t) == 11
+        t.bulk_insert([(100, Region.from_box(Box((1, 1), (2, 2))))], pack=True)
+        assert len(t) == 11 and len(t._rtree) == 11 and not t.delta_pending
 
     def test_mid_failure_leaves_partial_rows_indexed(self):
         """A failing row aborts the bulk insert, but the `finally`
-        rebuild must index every row that made it in."""
+        fold must index every row that made it in."""
         t = SpatialTable("t", 2, universe=self.UNIVERSE)
         rows = self._rows(6)
         poisoned = rows[:3] + [(0, rows[3][1])] + rows[4:]  # dup oid 0
         with pytest.raises(ValueError, match="duplicate"):
             t.bulk_insert(poisoned, pack=True)
-        assert len(t) == 3
+        assert len(t) == 3 and not t.delta_pending
         got = t.range_query(BoxQuery(overlap=(self.UNIVERSE,)))
         assert sorted(o.oid for o in got) == [0, 1, 2]
         # The rebuilt index is a packed, consistent r-tree.
+        assert len(t._rtree) == 3
         t._rtree.check_invariants()
 
     def test_mid_failure_unpacked_path(self):
-        t = SpatialTable("t", 2, universe=self.UNIVERSE)
+        """The same on a grid table, which has no r-tree to pack: the
+        fold rebuilds its grid file over the rows that made it in."""
+        t = SpatialTable("t", 2, index="grid", universe=self.UNIVERSE)
         rows = self._rows(5)
         poisoned = rows[:2] + [(1, rows[2][1])]
         with pytest.raises(ValueError, match="duplicate"):
-            t.bulk_insert(poisoned, pack=False)
+            t.bulk_insert(poisoned)
+        assert not t.delta_pending and len(t._grid) == 2
         got = t.range_query(BoxQuery(overlap=(self.UNIVERSE,)))
         assert sorted(o.oid for o in got) == [0, 1]
 
 
 class TestRTreeDeleteStats:
-    """Regression: delete must instrument and maintain caches like the
-    insert/search paths do (it used to traverse silently)."""
-
-    def _tree(self, n=60, seed=3):
-        tree = RTree(max_entries=4)
-        items = _random_boxes(n, seed=seed)
-        for i, b in enumerate(items):
-            tree.insert(b, i)
-        return tree, items
-
-    def test_delete_counts_node_reads_and_deletes(self):
-        tree, items = self._tree()
-        tree.stats.reset()
-        assert tree.delete(items[10], 10)
-        assert tree.stats.deletes == 1
-        assert tree.stats.node_reads > 0, "FindLeaf descent went unbilled"
-        assert tree.stats.entry_tests > 0
-        # A failed delete still pays its traversal but counts no delete.
-        reads_before = tree.stats.node_reads
-        assert not tree.delete(items[10], 10)
-        assert tree.stats.deletes == 1
-        assert tree.stats.node_reads > reads_before
-
-    def test_reset_zeroes_delete_counters(self):
-        tree, items = self._tree(n=20)
-        tree.delete(items[0], 0)
-        tree.nearest((0.0, 0.0), 3)
-        assert tree.stats.deletes == 1
-        tree.stats.reset()
-        assert tree.stats.deletes == 0
-        assert tree.stats.pruned_subtrees == 0
+    """Deletes go through the table's one write path: the tree a repack
+    packs holds exactly the live rows, and its cached subtree counts
+    (the COUNT pushdown) are fresh."""
 
     def test_interleaved_insert_delete_search_invariants(self):
-        """Interleave inserts, deletes and searches; counters stay
-        consistent, the height never lies, and the cached subtree
-        counts (the COUNT pushdown) track every mutation."""
+        """Interleave inserts, deletes and searches, repacking inline
+        every 16 writes; the tree stays consistent, the height never
+        lies, and the cached subtree counts track every repack."""
         rng = random.Random(11)
-        tree = RTree(max_entries=4)
+        t = SpatialTable("t", 2, node_capacity=4, delta_threshold=16)
         live = {}
         boxes = _random_boxes(300, seed=5)
+        universe = Box((-1000.0, -1000.0), (1000.0, 1000.0))
         next_id = 0
         for step in range(400):
             action = rng.random()
             if action < 0.55 or not live:
                 b = boxes[next_id % len(boxes)]
-                tree.insert(b, next_id)
+                t.insert(next_id, Region.from_box(b))
                 live[next_id] = b
                 next_id += 1
             elif action < 0.85:
                 victim = rng.choice(sorted(live))
-                assert tree.delete(live.pop(victim), victim)
+                t.delete(victim)
+                del live[victim]
             else:
                 probe = boxes[rng.randrange(len(boxes))]
-                got = {v for _b, v in tree.search(BoxQuery(overlap=(probe,)))}
-                want = {
-                    v for v, b in live.items() if b.overlaps(probe)
-                }
-                assert got == want
+                got = {o.oid for o in t.range_query(BoxQuery(overlap=(probe,)))}
+                assert got == {v for v, b in live.items() if b.overlaps(probe)}
             if step % 50 == 0:
-                assert len(tree) == len(live)
+                assert len(t) == len(live)
+                tree = t._rtree
                 tree.check_invariants()
-                check_node_invariants(tree)  # the editor's parent links too
+                check_node_invariants(tree)  # the frozen node walk agrees
                 # height() must reflect the real single-path depth.
                 depths = set()
 
@@ -399,32 +371,32 @@ class TestRTreeDeleteStats:
 
                 walk(root_of(tree), 1)
                 assert depths == {tree.height()}, "leaves off-depth"
-                # Subtree counts follow deletions (the pushdown cache).
-                universe = Box((-1000.0, -1000.0), (1000.0, 1000.0))
-                assert tree.count(BoxQuery(inside=universe)) == len(live)
-        assert tree.stats.inserts > 0 and tree.stats.deletes > 0
+                # Subtree counts are the base's; the overlay corrects them.
+                assert tree.count(BoxQuery(inside=universe)) == len(tree)
+                assert t.count_range(BoxQuery(inside=universe)) == len(live)
+        assert t.repacks > 0
 
     def test_delete_keeps_count_cache_fresh(self):
-        tree, items = self._tree(n=40, seed=9)
+        t = _grown_table(_random_boxes(40, seed=9))
         universe = Box((-1000.0, -1000.0), (1000.0, 1000.0))
-        assert tree.count(BoxQuery(inside=universe)) == 40
+        assert t._rtree.count(BoxQuery(inside=universe)) == 40
         for i in range(0, 40, 2):
-            assert tree.delete(items[i], i)
-        assert tree.count(BoxQuery(inside=universe)) == 20
-        assert tree.height() >= 1
-        tree.check_invariants()
+            t.delete(i)
+        assert t.count_range(BoxQuery(inside=universe)) == 20
+        t.repack()
+        assert t._rtree.count(BoxQuery(inside=universe)) == 20
+        assert t._rtree.height() >= 1
+        t._rtree.check_invariants()
 
 
 class TestDeltaTombstoneIndexInvariants:
-    """Delta tombstones over a packed r-tree (the LSM write path).
+    """Delta tombstones over a packed r-tree (the one write path).
 
-    Extends the interleaved-mutation invariants above to the table's
-    delta: tombstones must never touch the base tree's cached subtree
+    Tombstones must never touch the base tree's cached subtree
     ``count()``/``node_count()`` (readers of the base stay consistent),
     the overlay-corrected ``count_range`` must track the live view, and
-    a pure-delete repack below the purge bound must go through
-    :meth:`RTree.delete` — keeping the packed structure and its count
-    cache fresh instead of rebuilding.
+    every repack, a pure-delete one too, packs a fresh tree beside the
+    old one.
     """
 
     UNIVERSE = Box((-1000.0, -1000.0), (1000.0, 1000.0))
@@ -498,10 +470,8 @@ class TestDeltaTombstoneIndexInvariants:
             t.delete(i)
         assert t.repack()
         assert t._rtree is not tree_before
-        assert tree_before.stats.deletes == t._rtree.stats.deletes == 0
         assert tree_before.count(BoxQuery(inside=self.UNIVERSE)) == reads_before
         assert t._rtree.count(BoxQuery(inside=self.UNIVERSE)) == len(t) == n - deleted
-        assert t._rtree._root is None  # packed: no node was built
         t._rtree.check_invariants()
 
     def test_staged_insert_repack_always_rebuilds(self):
@@ -539,3 +509,52 @@ class TestGridFileSkippedSplitPaths:
         assert g.stats.skipped_splits > 0
         g.stats.reset()
         assert g.stats.skipped_splits == 0 and g.stats.splits == 0
+
+
+def _cli_exit(*argv):
+    from repro.__main__ import main
+
+    try:
+        main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+#: Every option the insertion tree carried, and how it fails now:
+#: ``(callable, exception type or CLI exit status)``.
+RETIRED_OPTIONS = {
+    "SpatialTable(split_method=)": (
+        lambda: SpatialTable("t", 2, split_method="rstar"), TypeError,
+    ),
+    "RTree(split_method=)": (lambda: RTree(split_method="linear"), TypeError),
+    "RTree(min_entries=)": (lambda: RTree(max_entries=8, min_entries=2), TypeError),
+    "Database.create_table(split_method=)": (
+        lambda: Database().create_table("t", 2, split_method="rstar"), TypeError,
+    ),
+    "make_map().tables(pack=False)": (
+        lambda: make_map(seed=0).tables(pack=False), TypeError,
+    ),
+    "smugglers_query(split_method=)": (
+        lambda: smugglers_query(seed=0, split_method="rstar"), TypeError,
+    ),
+    # The method is gone outright (pack() is the rebuild).
+    "table.reindex()": (lambda: SpatialTable("t", 2).reindex(), AttributeError),
+    "bulk_insert(pack=False)": (
+        lambda: SpatialTable("t", 2).bulk_insert([], pack=False), ValueError,
+    ),
+    "repro bench --no-pack": (lambda: _cli_exit("bench", "--no-pack"), 2),
+    "repro bench --split rstar": (lambda: _cli_exit("bench", "--split", "rstar"), 2),
+}
+
+
+@pytest.mark.parametrize("name", RETIRED_OPTIONS)
+def test_retired_options_fail_loudly(name, capsys):
+    """No retired write-mode or split option is silently accepted."""
+    call, outcome = RETIRED_OPTIONS[name]
+    if isinstance(outcome, int):
+        assert call() == outcome
+        assert "unrecognized arguments" in capsys.readouterr().err
+    else:
+        with pytest.raises(outcome):
+            call()
