@@ -70,7 +70,7 @@ def run_inl(left, right):
     tree.stats.reset()
     pairs = []
     for box, value in left:
-        for _b, other in tree.search(BoxQuery(overlap=(box,))):
+        for other in tree.search(BoxQuery(overlap=(box,))):
             pairs.append((value, other))
     pairs.sort()
     return pairs, tree.stats.entry_tests, tree.stats.node_reads

@@ -271,19 +271,7 @@ class Box:
             return float("inf")
         if len(point) != self.dim:
             raise DimensionMismatchError("point/box dimension mismatch")
-        near_sq = []
-        far_sq = []
-        for p, a, b in zip(point, self.lo, self.hi):
-            mid = (a + b) / 2
-            near = a if p <= mid else b
-            far = a if p >= mid else b
-            near_sq.append((p - near) * (p - near))
-            far_sq.append((p - far) * (p - far))
-        total_far = sum(far_sq)
-        best = min(
-            total_far - f + n for n, f in zip(near_sq, far_sq)
-        )
-        return math.sqrt(best)
+        return minmaxdist_edges(point, self.lo, self.hi)
 
     def mindist(self, other: "Box") -> float:
         """MINDIST between two boxes: the smallest distance between any
@@ -378,6 +366,27 @@ class Box:
 
 #: The polymorphic empty box (bottom of the lattice in every dimension).
 EMPTY_BOX = Box((), ())
+
+
+def minmaxdist_edges(
+    point: Sequence[float], lo: Sequence[float], hi: Sequence[float]
+) -> float:
+    """:meth:`Box.minmaxdist_point` of the nonempty box ``[lo, hi)`` of
+    the point's dimension, given as its edges (an R-tree reads them off
+    its columns)."""
+    near_sq = []
+    far_sq = []
+    for p, a, b in zip(point, lo, hi):
+        mid = (a + b) / 2
+        near = a if p <= mid else b
+        far = a if p >= mid else b
+        near_sq.append((p - near) * (p - near))
+        far_sq.append((p - far) * (p - far))
+    total_far = sum(far_sq)
+    best = min(
+        total_far - f + n for n, f in zip(near_sq, far_sq)
+    )
+    return math.sqrt(best)
 
 
 def enclose_all(boxes: Iterable[Box]) -> Box:

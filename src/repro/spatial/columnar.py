@@ -5,9 +5,10 @@ plane sweep, z-order key computation, kNN distance metrics — evaluates a
 fixed set of per-dimension float comparisons uniformly over many
 candidate boxes.  That shape batches well: this module keeps a
 :class:`ColumnStore` mirror of a table's bounding boxes as one
-contiguous lo/hi coordinate array per dimension and evaluates compiled
+contiguous lo/hi coordinate array per dimension, evaluates compiled
 :class:`~repro.boxes.bconstraints.BoxQuery` predicates (and the kNN
-distance metrics) against whole index ranges at once.
+distance metrics) against whole index ranges at once, and packs the
+R-tree, which is such columns too (STR orders are integer arrays).
 
 Backends
 --------
@@ -55,7 +56,7 @@ import operator
 import struct
 from array import array
 from contextlib import contextmanager
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..boxes.bconstraints import BoxQuery
@@ -75,6 +76,8 @@ __all__ = [
     "ColumnStore",
     "active_backend",
     "batch_mask",
+    "box_le",
+    "box_meets",
     "equiwidth_counts",
     "forced_backend",
     "grouped_bounds",
@@ -82,6 +85,7 @@ __all__ = [
     "mindist_point_arrays",
     "pack_floats",
     "pack_query",
+    "scalar_mask",
     "side_sum",
     "str_level_order",
     "take",
@@ -166,10 +170,11 @@ def _reduces_exactly(col: Any) -> bool:
     return not (np.isnan(col).any() or np.signbit(col[col == 0.0]).any())
 
 
-def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple[List[int], List[int]]:
+def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple["array[int]", List[int]]:
     """One Sort-Tile-Recursive level as ``(perm, offsets)``: the slots
-    in packed order, and the bounds in it of each node of up to ``cap``
-    (node ``g`` is ``perm[offsets[g] : offsets[g + 1]]``).
+    in packed order, as an integer array, and the bounds in it of each
+    node of up to ``cap`` (node ``g`` is ``perm[offsets[g] : offsets[g +
+    1]]``).
 
     Slots are sorted by center ``(lo + hi) / 2`` along dimension 0 and
     cut into ``ceil(sqrt(nodes))`` slices; from two dimensions up each
@@ -180,7 +185,7 @@ def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple[List[int], List
     """
     n = len(lo[0])
     if not n:
-        return [], [0]
+        return array("q"), [0]
     tiled = len(lo) >= 2
     per_slice = n
     if tiled:
@@ -203,7 +208,7 @@ def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple[List[int], List
                 for cut in range(0, n, per_slice):
                     part = slice(cut, cut + per_slice)
                     order[part] = order[part][np.argsort(second[part], kind="stable")]
-            return order.tolist(), offsets
+            return array("q", order.astype(np.int64, copy=False).tobytes()), offsets
     keys = [(a + b) / 2 for a, b in zip(lo[0], hi[0])]
     perm = sorted(range(n), key=keys.__getitem__)
     if tiled:
@@ -212,7 +217,7 @@ def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple[List[int], List
             perm[cut : cut + per_slice] = sorted(
                 perm[cut : cut + per_slice], key=keys.__getitem__
             )
-    return perm, offsets
+    return array("q", perm), offsets
 
 
 def take(cols: Columns, perm: Sequence[int]) -> List["array[float]"]:
@@ -221,10 +226,7 @@ def take(cols: Columns, perm: Sequence[int]) -> List["array[float]"]:
     place)."""
     if active_backend() == "numpy":
         idx = np.asarray(perm, np.intp)
-        out = [array("d") for _ in cols]
-        for packed, col in zip(out, cols):
-            packed.frombytes(np.asarray(col, np.float64)[idx].tobytes())
-        return out
+        return [array("d", np.asarray(col, np.float64)[idx].tobytes()) for col in cols]
     return [array("d", map(col.__getitem__, perm)) for col in cols]
 
 
@@ -287,14 +289,52 @@ def side_sum(lo: Sequence[float], hi: Sequence[float]) -> float:
     return sum(map(operator.sub, hi, lo))
 
 
-# -- array-level predicate kernels (numpy backend only) ------------------------
-# Shared by the ColumnStore and the R-tree's node-entry mirror: evaluate
-# box queries over coordinate arrays.  A query is *packed* into a tuple
-# of coordinates, so the same comparisons serve one query against many
-# slots and, in the R-tree's batched traversal, many (query, entry)
-# pairs at once: queries of one *shape* pack equally long, and a whole
-# level of the tree costs a fixed number of NumPy calls however many
-# queries are in flight.
+# -- predicate kernels -------------------------------------------------------------
+# Shared by the ColumnStore and the R-tree's columns.  For NumPy a query
+# is *packed* into a tuple of coordinates, so the same comparisons serve
+# one query against many slots and, in the R-tree's batched traversal,
+# many (query, entry) pairs at once: a whole level of the tree costs a
+# fixed number of NumPy calls however many queries of one *shape* are in
+# flight.  The stdlib twin makes one pass down a column per comparison.
+
+#: A nonempty box as its ``(lo, hi)`` edge tuples.
+Edges = Tuple[Sequence[float], Sequence[float]]
+
+
+def box_le(a: Edges, b: Edges) -> bool:
+    """``a ⊑ b`` for nonempty boxes: :meth:`Box.le`'s comparisons."""
+    return not (any(map(operator.lt, a[0], b[0])) or any(map(operator.gt, a[1], b[1])))
+
+
+def box_meets(a: Edges, b: Edges) -> bool:
+    """``a ⊓ b ≠ ∅`` for nonempty boxes: :meth:`Box.overlaps`'s."""
+    return not (any(map(operator.ge, a[0], b[1])) or any(map(operator.ge, b[0], a[1])))
+
+
+def scalar_mask(
+    lo: Columns, hi: Columns, nonempty: Sequence[int], query: BoxQuery, leaf: bool
+) -> List[bool]:
+    """:func:`batch_mask` of one query in Python, one pass down a column
+    per comparison that :meth:`Box.le` / :meth:`Box.overlaps` make."""
+    inside, covers, overlap = query.inside, query.covers, query.overlap
+    if any(box.is_empty() for box in (inside, *overlap) if box is not None):
+        return [False] * len(nonempty)
+    # (comparison, slot columns, query coordinates): a slot fails where one holds.
+    fails: List[Tuple[Any, Columns, Any]] = [(operator.ge, lo, c.hi) for c in overlap]
+    fails += [(operator.le, hi, c.lo) for c in overlap]
+    if covers is not None and not covers.is_empty():
+        fails += [(operator.gt, lo, covers.lo), (operator.lt, hi, covers.hi)]
+    if inside is not None:  # a leaf inside it, an inner MBR meeting it
+        fails += [(operator.lt, lo, inside.lo), (operator.gt, hi, inside.hi)] if leaf else [
+            (operator.ge, lo, inside.hi), (operator.le, hi, inside.lo)]
+    if not (leaf or fails):
+        return [True] * len(nonempty)
+    bad = [not live for live in nonempty]
+    for op, cols, coords in fails:
+        for col, q in zip(cols, coords):
+            bad = list(map(operator.or_, bad, map(op, col, repeat(q))))
+    return [not b for b in bad]
+
 
 #: Which constraint boxes a query carries: ``(has inside, has nonempty
 #: covers, number of overlap boxes)``.
@@ -331,11 +371,10 @@ def batch_mask(
     ``coords``.  With ``leaf`` the test
     is ``not box.is_empty() and query.matches(box)``: the comparisons
     are Box.le / Box.overlaps for nonempty operands (overlap simplifies
-    to two strict comparisons under the mask).  Without, it is
-    :meth:`RTree._node_may_match
-    <repro.spatial.rtree.RTree._node_may_match>` for an inner node's
-    MBR: ``inside`` need only be overlapped, and a query with no
-    constraint box at all descends everything — empty MBRs included.
+    to two strict comparisons under the mask).  Without, it is the
+    R-tree's descent test for an inner node's MBR: ``inside`` need only
+    be overlapped, and a query with no constraint box at all descends
+    everything — empty MBRs included.
     """
     has_inside, has_covers, n_overlap = shape
     if not (leaf or has_inside or has_covers or n_overlap):
@@ -433,7 +472,7 @@ class ColumnStore:
     code treats them.
     """
 
-    __slots__ = ("dim", "rows", "_lo", "_hi", "_nonempty", "_entries")
+    __slots__ = ("dim", "rows", "_lo", "_hi", "_nonempty")
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
@@ -442,11 +481,6 @@ class ColumnStore:
         self._lo = tuple(array("d") for _ in range(dim))
         self._hi = tuple(array("d") for _ in range(dim))
         self._nonempty = array("B")
-        # Per slot, the ``(box, row)`` tuple an R-tree leaf holds: made
-        # on first request, then carried into the next store by bulk(),
-        # so successive packed trees share leaf entries instead of
-        # allocating one per row.
-        self._entries: Optional[List[Tuple[Box, object]]] = None
 
     def __len__(self) -> int:
         return len(self._nonempty)
@@ -470,10 +504,6 @@ class ColumnStore:
         if base is not None:
             columns: List[Any] = [store.rows, store._nonempty, *store._lo, *store._hi]
             sources: List[Any] = [base.rows, base._nonempty, *base._lo, *base._hi]
-            if base._entries is not None:
-                store._entries = []
-                columns.append(store._entries)
-                sources.append(base._entries)
             for column, source in zip(columns, sources):
                 column.extend(source)
                 for slot in reversed(drop):
@@ -492,28 +522,18 @@ class ColumnStore:
                 cols[d].extend(flat[d::dim])
         store._nonempty.extend(array("B", live))
         store.rows.extend(rows)
-        if store._entries is not None:
-            store._entries.extend(zip(boxes, rows))
         return store
 
-    def nonempty_columns(
-        self, leaf_entries: bool = False
-    ) -> Tuple[List[Any], Columns, Columns]:
+    def nonempty_columns(self) -> Tuple[List[Any], Columns, Columns]:
         """``(rows, lo, hi)`` of the nonempty slots in slot order — the
-        build kernels' input; with ``leaf_entries``, each row as the
-        ``(row.box, row)`` tuple an R-tree leaf holds (the same tuple
-        every call).  The store's own lists and arrays, not copies,
-        when no slot is empty: read-only."""
-        payload: List[Any] = self.rows
-        if leaf_entries:
-            if self._entries is None:
-                self._entries = [(row.box, row) for row in self.rows]  # type: ignore[attr-defined]
-            payload = self._entries
+        build kernels' input (an R-tree's leaves name these rows by
+        position).  The store's own lists and arrays, not copies, when
+        no slot is empty: read-only."""
         if not self._nonempty.count(0):
-            return payload, self._lo, self._hi
+            return self.rows, self._lo, self._hi
         live = self._nonempty
         return (
-            list(compress(payload, live)),
+            list(compress(self.rows, live)),
             tuple(array("d", compress(col, live)) for col in self._lo),
             tuple(array("d", compress(col, live)) for col in self._hi),
         )
@@ -550,7 +570,12 @@ class ColumnStore:
         """
         if active_backend() == "numpy":
             return self._match_positions_numpy(query, candidates)
-        return self._match_positions_scalar(query, candidates)
+        cols, flags = (*self._lo, *self._hi), self._nonempty
+        if candidates is not None:
+            cols = tuple(array("d", map(c.__getitem__, candidates)) for c in cols)
+            flags = array("B", map(flags.__getitem__, candidates))
+        mask = scalar_mask(cols[: self.dim], cols[self.dim :], flags, query, True)
+        return [i for i, ok in enumerate(mask) if ok]
 
     def _match_positions_numpy(
         self, query: BoxQuery, candidates: Optional[Sequence[int]]
@@ -563,47 +588,6 @@ class ColumnStore:
             flags = flags[idx]
         mask = batch_mask(lo, hi, flags != 0, *pack_query(query, self.dim), True)
         return np.nonzero(mask)[0].tolist()
-
-    def _match_positions_scalar(
-        self, query: BoxQuery, candidates: Optional[Sequence[int]]
-    ) -> List[int]:
-        lo, hi, flags = self._lo, self._hi, self._nonempty
-        inside = query.inside
-        covers = query.covers
-        if covers is not None and covers.is_empty():
-            covers = None
-        dead = (inside is not None and inside.is_empty()) or any(
-            c.is_empty() for c in query.overlap
-        )
-        if dead:
-            return []
-        out: List[int] = []
-        indices = range(len(flags)) if candidates is None else candidates
-        for pos, i in enumerate(indices):
-            if not flags[i]:
-                continue
-            ok = True
-            if inside is not None:
-                for d in range(self.dim):
-                    if lo[d][i] < inside.lo[d] or hi[d][i] > inside.hi[d]:
-                        ok = False
-                        break
-            if ok and covers is not None:
-                for d in range(self.dim):
-                    if lo[d][i] > covers.lo[d] or hi[d][i] < covers.hi[d]:
-                        ok = False
-                        break
-            if ok:
-                for c in query.overlap:
-                    for d in range(self.dim):
-                        if not (lo[d][i] < c.hi[d] and hi[d][i] > c.lo[d]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                out.append(pos if candidates is not None else i)
-        return out
 
     def match_rows(self, query: BoxQuery) -> List[object]:
         """The matching rows themselves, in store (= insertion) order."""

@@ -116,12 +116,12 @@ class TableDelta:
         """Number of staged rows matching ``query``."""
         return len(self.matches(query))
 
-    def distances(self, anchor: object) -> List[Tuple[float, Box, "SpatialObject"]]:
-        """``(MINDIST, box, row)`` of each nonempty staged row from
+    def distances(self, anchor: object) -> List[Tuple[float, "SpatialObject"]]:
+        """``(MINDIST, row)`` of each nonempty staged row from
         ``anchor`` (a box or a point): the delta's share of a kNN."""
         metric = Box.mindist if isinstance(anchor, Box) else Box.mindist_point
         return [
-            (metric(obj.box, anchor), obj.box, obj)
+            (metric(obj.box, anchor), obj)
             for obj in self.inserts.values()
             if not obj.box.is_empty()
         ]

@@ -22,15 +22,14 @@ from typing import Iterator, List, MutableMapping, Optional, Tuple
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box
-from .rtree import RTree
+from .columnar import Edges, box_meets
+from .rtree import RTree, _FlatTree
 
 
 def index_nested_loop_join(
     outer: List[Tuple[Box, object]],
     inner: RTree,
-    cache: Optional[
-        MutableMapping[BoxQuery, List[Tuple[Box, object]]]
-    ] = None,
+    cache: Optional[MutableMapping[BoxQuery, List[object]]] = None,
 ) -> Iterator[Tuple[object, object]]:
     """Overlap join: one index probe per outer entry.
 
@@ -48,7 +47,7 @@ def index_nested_loop_join(
             matches = list(inner.search(query))
             if cache is not None:
                 cache[query] = matches
-        for _b, other in matches:
+        for other in matches:
             yield value, other
 
 
@@ -57,37 +56,43 @@ def synchronized_rtree_join(
 ) -> Iterator[Tuple[object, object]]:
     """Overlap join by synchronized traversal of two R-trees.
 
-    Recursively pairs nodes whose MBRs intersect; a leaf/inner mismatch
-    descends the inner side only.  Every reported pair's boxes overlap.
+    Recursively pairs nodes whose MBRs intersect, read off the edge
+    columns; a leaf/inner mismatch descends the inner side only.  Every
+    reported pair's boxes overlap.
     """
     flat_a, flat_b = left._flat, right._flat
+
+    def meets(a: Optional[Edges], b: Optional[Edges]) -> bool:
+        return a is not None and b is not None and box_meets(a, b)
+
+    def entries(flat: _FlatTree, n: int) -> List[Tuple[Optional[Edges], int]]:
+        span = flat.span(n)
+        return list(zip(map(flat.edges, range(span.start, span.stop)), flat.ref[span]))
 
     def recurse(a: int, b: int) -> Iterator[Tuple[object, object]]:
         left.stats.node_reads += 1
         right.stats.node_reads += 1
         a_leaf, b_leaf = flat_a.leaf[a], flat_b.leaf[b]
-        a_entries, b_entries = flat_a.node(a), flat_b.node(b)
+        a_entries, b_entries = entries(flat_a, a), entries(flat_b, b)
         if a_leaf and b_leaf:
-            for abox, avalue in a_entries:
-                if abox.is_empty():
-                    continue
-                for bbox, bvalue in b_entries:
-                    if abox.overlaps(bbox):
-                        yield avalue, bvalue
+            for abox, aref in a_entries:
+                for bbox, bref in b_entries:
+                    if meets(abox, bbox):
+                        yield flat_a.values[aref], flat_b.values[bref]
         elif a_leaf:
             a_mbr = flat_a.mbr(a)
             for bbox, bchild in b_entries:
-                if a_mbr.overlaps(bbox):
+                if meets(a_mbr, bbox):
                     yield from recurse(a, bchild)
         elif b_leaf:
             b_mbr = flat_b.mbr(b)
             for abox, achild in a_entries:
-                if abox.overlaps(b_mbr):
+                if meets(abox, b_mbr):
                     yield from recurse(achild, b)
         else:
             for abox, achild in a_entries:
                 for bbox, bchild in b_entries:
-                    if abox.overlaps(bbox):
+                    if meets(abox, bbox):
                         yield from recurse(achild, bchild)
 
     if flat_a.counts[0] and flat_b.counts[0]:

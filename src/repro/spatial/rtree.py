@@ -1,18 +1,21 @@
 """R-tree over bounding boxes (paper reference [6]), STR-packed.
 
 A from-scratch R-tree, built once by Sort-Tile-Recursive packing and
-immutable after that, held as flat arrays (:class:`_FlatTree`) and
-supporting the combined predicate search the paper's Section 4 needs:
-given a :class:`repro.boxes.bconstraints.BoxQuery` (a conjunction of
-``⊑ a``, ``b ⊑`` and ``⊓ c ≠ ∅`` constraints), find all stored entries
-whose box satisfies it — descending only into subtrees whose MBR could
-contain a match:
+immutable after that, held as nothing but arrays (:class:`_FlatTree`:
+per entry its box's edges and one integer, no object).  It supports the
+combined predicate search the paper's Section 4 needs: given a
+:class:`repro.boxes.bconstraints.BoxQuery` (a conjunction of ``⊑ a``,
+``b ⊑`` and ``⊓ c ≠ ∅`` constraints), find all stored values whose box
+satisfies it — descending only into subtrees whose MBR could contain a
+match:
 
 * an entry with ``e ⊑ a`` can only live under a node with ``N ⊓ a ≠ ∅``
   (indeed ``e ⊑ N`` and ``e ⊑ a`` force a common point);
 * an entry with ``b ⊑ e`` only under a node with ``b ⊑ N``;
 * an entry with ``e ⊓ c ≠ ∅`` only under a node with ``N ⊓ c ≠ ∅``.
 
+Readers decide on the edge columns and hand out the stored values (a
+table's rows: a caller that needs a leaf's box reads ``row.box``).
 Node accesses are counted (``stats``) so the benchmarks can report probe
 costs.  A table never edits its tree: writes stage in the table's delta
 and a repack packs a new tree beside the old one
@@ -22,19 +25,20 @@ and a repack packs a new tree beside the old one
 from __future__ import annotations
 
 import dataclasses
-import gc
 import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, repeat
+from operator import ge, gt, lt, not_, or_
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
 from ..boxes.bconstraints import BoxQuery
-from ..boxes.box import Box, enclose_all
+from ..boxes.box import Box, minmaxdist_edges
 from ..errors import DimensionMismatchError, SnapshotError
 from . import columnar
+from .columnar import Edges, box_le
 
 #: Anchor of a distance traversal: a point (coordinate sequence) or a
 #: box (box-to-box MINDIST — what the distance join uses).
@@ -101,24 +105,22 @@ class _FlatTree:
 
     Nodes are numbered from the root, which is node 0, and a child's
     number is greater than its parent's; node ``n`` owns entries
-    ``offsets[n] : offsets[n] + counts[n]``, in its entry order.
-    Per entry: its box's edges (``lo[d][e]``/``hi[d][e]``; zeros under
-    an empty box, flagged in ``nonempty``), the ``(box, value)`` tuple a
-    leaf holds or the ``(mbr, child number)`` of an inner node, and the
-    child's number again in ``child`` (0 in leaves).  The columns are
-    stdlib arrays, so the form exists without NumPy, which reads them in
-    place (``frombuffer``).  Nothing points upwards and nothing is
-    cyclic: a dropped tree is freed by reference counting alone.
+    ``offsets[n] : offsets[n] + counts[n]``.  An entry is a position in
+    the columns: its box's edges (``lo[d][e]``/``hi[d][e]``; zeros under
+    an empty box, flagged in ``nonempty``) and ``ref[e]`` — in a leaf its
+    value's slot in ``values``, in an inner node its child's number.
+    The columns are stdlib arrays, which NumPy reads in place.  Nothing
+    is cyclic: a dropped tree is freed by reference counting alone.
     """
 
-    __slots__ = ("lo", "hi", "nonempty", "entries", "child", "offsets", "counts", "leaf", "_below")
+    __slots__ = ("lo", "hi", "nonempty", "ref", "values", "offsets", "counts", "leaf", "_below")
 
     def __init__(self, dim: int) -> None:
         self.lo = [array("d") for _ in range(dim)]
         self.hi = [array("d") for _ in range(dim)]
         self.nonempty = array("B")
-        self.entries: List[Tuple[Box, Any]] = []
-        self.child = array("q")
+        self.ref = array("q")
+        self.values: Sequence[object] = ()
         self.offsets = array("q")
         self.counts = array("q")
         self.leaf = array("B")
@@ -127,26 +129,49 @@ class _FlatTree:
     def add_nodes(self, leaf: Iterable[bool], counts: Sequence[int]) -> None:
         """Append nodes, given each one's leaf flag and entry count;
         their entries are appended next, in the same order."""
-        self.offsets.extend(accumulate(counts[:-1], initial=len(self.entries)))
+        self.offsets.extend(accumulate(counts[:-1], initial=len(self.ref)))
         self.counts.extend(counts)
         self.leaf.extend(leaf)
 
     def set_bounds(self, rows: Iterable[float]) -> None:
         """Fill the coordinate columns from the entries' ``lo + hi``
-        coordinates end to end (zeros for an empty box)."""
+        coordinates end to end (zeros for an empty box), and flag as
+        empty each box with ``lo >= hi`` in some dimension."""
         coords = array("d", rows)
         dim = len(self.lo)
         self.lo = [coords[d :: 2 * dim] for d in range(dim)]
         self.hi = [coords[dim + d :: 2 * dim] for d in range(dim)]
+        empty = [False] * (len(coords) // (2 * dim) if dim else 0)
+        for lo, hi in zip(self.lo, self.hi):
+            empty = list(map(or_, empty, map(ge, lo, hi)))
+        self.nonempty = array("B", map(not_, empty))
 
-    def node(self, n: int) -> List[Tuple[Box, Any]]:
-        """Node ``n``'s entries, in entry order."""
+    def span(self, n: int) -> slice:
+        """Node ``n``'s entries, as a slice of the columns."""
         off = self.offsets[n]
-        return self.entries[off : off + self.counts[n]]
+        return slice(off, off + self.counts[n])
 
-    def mbr(self, n: int) -> Box:
-        """The box enclosing node ``n``'s entries."""
-        return enclose_all([box for box, _ in self.node(n)])
+    def edges(self, e: int) -> Optional[Edges]:
+        """Entry ``e``'s box as ``(lo, hi)``, ``None`` when empty."""
+        live = self.nonempty[e]
+        return (tuple(c[e] for c in self.lo), tuple(c[e] for c in self.hi)) if live else None
+
+    def mbr(self, n: int) -> Optional[Edges]:
+        """The box enclosing node ``n``'s entries (``None`` when all are
+        empty): :func:`~repro.boxes.box.enclose_all`'s ``min``/``max``."""
+        span = self.span(n)
+        live = self.nonempty[span]
+        if not any(live):
+            return None
+        return (
+            tuple(min(compress(c[span], live)) for c in self.lo),
+            tuple(max(compress(c[span], live)) for c in self.hi),
+        )
+
+    def encloses(self, e: int) -> bool:
+        """Whether inner entry ``e``'s box encloses its child's entries."""
+        mbr, stored = self.mbr(self.ref[e]), self.edges(e)
+        return mbr is None or (stored is not None and box_le(mbr, stored))
 
     def live_below(self) -> Sequence[int]:
         """Per node, the nonempty-box entries in its subtree — what a
@@ -156,48 +181,18 @@ class _FlatTree:
         if self._below is None:
             below = array("q", [0]) * len(self.offsets)
             for n in range(len(below) - 1, -1, -1):
-                off = self.offsets[n]
-                end = off + self.counts[n]
+                span = self.span(n)
                 if self.leaf[n]:
-                    below[n] = sum(self.nonempty[off:end])
+                    below[n] = sum(self.nonempty[span])
                 else:
-                    below[n] = sum(map(below.__getitem__, self.child[off:end]))
+                    below[n] = sum(map(below.__getitem__, self.ref[span]))
             self._below = below
         return self._below
 
-    @classmethod
-    def from_levels(cls, levels: Sequence[Tuple[Any, ...]]) -> "_FlatTree":
-        """The form of a tree packed level by level.  Each level, root
-        level first, is ``(ordered, perm, offsets, lo, hi)``: in packed
-        order the leaf level's ``(box, value)`` entries or an upper
-        level's MBRs, and their (nonempty) boxes' columns; the node
-        boundaries in them; and where each sat in the level's input —
-        an MBR's child is that node of the level below."""
-        flat = cls(len(levels[0][3]))
-        for depth, (ordered, perm, offsets, lo, hi) in enumerate(levels):
-            leaf = depth == len(levels) - 1
-            counts = list(map(int.__sub__, offsets[1:], offsets))
-            flat.add_nodes([leaf] * len(counts), counts)
-            below = len(flat.offsets)  # number of the level below's first node
-            if leaf:
-                flat.child.frombytes(bytes(flat.child.itemsize * len(perm)))
-                flat.entries.extend(ordered)
-            else:
-                children = list(map(below.__add__, perm))
-                flat.child.extend(children)
-                flat.entries.extend(zip(ordered, children))
-            for column, part in zip((*flat.lo, *flat.hi), (*lo, *hi)):
-                column.extend(part)
-        flat.nonempty.frombytes(b"\x01" * len(flat.entries))
-        return flat
-
 
 class RTree:
-    """A packed R-tree held as flat arrays (:class:`_FlatTree`).
-
-    Every reader — :meth:`search`, :meth:`search_batch`, :meth:`count`,
-    :meth:`nearest`, the snapshot dump, the synchronized join — reads
-    that one form.  Only a packed build (:meth:`bulk_load`,
+    """A packed R-tree held as flat arrays (:class:`_FlatTree`), which
+    every reader reads.  Only a packed build (:meth:`bulk_load`,
     :meth:`bulk_load_columns`) or a snapshot load
     (:meth:`from_node_arrays`) makes a non-empty tree, and nothing edits
     it afterwards: readers never coordinate with a writer.
@@ -235,12 +230,11 @@ class RTree:
         kept: an empty box matches no query and is at no finite distance.
         """
         items = [e for e in entries if not e[0].is_empty()]
-        los = [box.lo for box, _value in items]
-        if len(set(map(len, los))) > 1:
+        if len({box.dim for box, _value in items}) > 1:
             raise DimensionMismatchError("bulk load of mixed-dimension boxes")
         return cls.bulk_load_columns(
-            items,
-            list(zip(*los)),
+            [value for _box, value in items],
+            list(zip(*[box.lo for box, _value in items])),
             list(zip(*[box.hi for box, _value in items])),
             max_entries=max_entries,
         )
@@ -248,72 +242,60 @@ class RTree:
     @classmethod
     def bulk_load_columns(
         cls,
-        entries: Sequence[Tuple[Box, object]],
+        values: Sequence[object],
         lo: columnar.Columns,
         hi: columnar.Columns,
         max_entries: int = 8,
     ) -> "RTree":
-        """:meth:`bulk_load` of nonempty-box ``entries`` whose edges the
-        caller holds as per-dimension columns (``lo[d][i]``/``hi[d][i]``
-        for entry ``i`` — a table passes its ``ColumnStore``'s).
+        """:meth:`bulk_load` of ``values`` whose nonempty boxes' edges
+        the caller holds as columns (``lo[d][i]``/``hi[d][i]`` for
+        ``values[i]`` — a table passes its ``ColumnStore``'s).
 
         Level by level on the columns alone:
         :func:`~repro.spatial.columnar.str_level_order` gives the packed
-        order and node boundaries, :func:`~repro.spatial.columnar.take`
-        the level's columns in that order,
-        :func:`~repro.spatial.columnar.grouped_bounds` the nodes' MBRs —
-        the next level's columns.  No per-entry box arithmetic, one
-        ``Box`` per inner entry; leaves hold the ``entries`` tuples.
-        The levels' packed columns, root level first, *are* the tree
-        (:class:`_FlatTree`).
+        order (an integer array) and node boundaries, ``take`` the
+        level's columns in that order, ``grouped_bounds`` the nodes'
+        MBRs — the next level's columns.  Root level first, the levels'
+        columns *are* the tree's and their orders its ``ref`` column
+        (value slots in leaves, child numbers above): no object per entry.
         """
         tree = cls(max_entries=max_entries)
-        if not entries:
+        if not len(values):
             return tree
-        # Leaf entries first, then each upper level's MBRs.
-        level: Sequence[Any] = entries
+        flat = _FlatTree(len(lo))
         levels: List[Tuple[Any, ...]] = []
-        # No cyclic-GC pass inside the build: it frees nothing, so the
-        # young passes it sets off are wasted, and a full pass that has
-        # come due lands in it — 100–170 ms inside a 60 ms repack of 50k
-        # rows, up to one repack in two (results/pr18_flat_knn.md).
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            while True:
-                perm, offsets = columnar.str_level_order(lo, hi, max_entries)
-                packed = columnar.take((*lo, *hi), perm)
-                lo, hi = packed[: len(lo)], packed[len(lo) :]
-                levels.append(([level[i] for i in perm], perm, offsets, lo, hi))
-                if len(offsets) == 2:
-                    break  # one node: the root
-                lo, hi = columnar.grouped_bounds(lo, hi, offsets)
-                level = [
-                    Box._trusted(node_lo, node_hi, False)
-                    for node_lo, node_hi in zip(zip(*lo), zip(*hi))
-                ]
-            tree._flat = _FlatTree.from_levels(levels[::-1])
-        finally:
-            if collecting:
-                gc.enable()
-        tree._size = len(entries)
+        while True:
+            perm, offsets = columnar.str_level_order(lo, hi, max_entries)
+            packed = columnar.take((*lo, *hi), perm)
+            lo, hi = packed[: len(lo)], packed[len(lo) :]
+            levels.append((perm, offsets, packed))
+            if len(offsets) == 2:
+                break  # one node: the root
+            lo, hi = columnar.grouped_bounds(lo, hi, offsets)
+        for depth, (perm, offsets, packed) in enumerate(reversed(levels)):
+            counts = list(map(int.__sub__, offsets[1:], offsets))
+            leaf = depth == len(levels) - 1
+            flat.add_nodes(array("B", [leaf]) * len(counts), counts)
+            # The node of the level below, whose first is numbered next.
+            flat.ref.extend(perm if leaf else map(len(flat.offsets).__add__, perm))
+            for column, part in zip((*flat.lo, *flat.hi), packed):
+                column.extend(part)
+        flat.nonempty.frombytes(b"\x01" * len(flat.ref))
+        flat.values, tree._flat, tree._size = values, flat, len(values)
         return tree
 
     def __len__(self) -> int:
         return self._size
 
     # -- search ------------------------------------------------------------------
-    def search(self, query: BoxQuery) -> Iterator[Tuple[Box, object]]:
-        """All entries whose box satisfies ``query`` (single traversal).
-
-        This is the paper's single range query: the conjunction of all
-        three constraint forms is evaluated in one descent.
-        """
+    def search(self, query: BoxQuery) -> Iterator[object]:
+        """Every value whose box satisfies ``query``: the paper's single
+        range query, its three constraint forms evaluated in one descent."""
         return self._descend(query, None)
 
     def _descend(
         self, query: BoxQuery, covered: Optional[Callable[[_FlatTree, int], bool]]
-    ) -> Iterator[Tuple[Box, object]]:
+    ) -> Iterator[object]:
         """The scalar descent behind :meth:`search` and :meth:`count`: a
         node that ``covered`` answers for is passed over unread."""
         if query.is_unsatisfiable():
@@ -325,52 +307,47 @@ class RTree:
             if covered is not None and covered(flat, node):
                 continue
             self.stats.node_reads += 1
-            if flat.leaf[node]:
-                for box, value in flat.node(node):
-                    self.stats.entry_tests += 1
-                    if not box.is_empty() and query.matches(box):
-                        yield box, value
-            else:
-                for mbr, child in flat.node(node):
-                    self.stats.entry_tests += 1
-                    if self._node_may_match(mbr, query):
-                        stack.append(child)
+            leaf, span = flat.leaf[node], flat.span(node)
+            lo, hi = ([c[span] for c in cols] for cols in (flat.lo, flat.hi))
+            mask = columnar.scalar_mask(lo, hi, flat.nonempty[span], query, leaf)
+            for ok, ref in zip(mask, flat.ref[span]):
+                self.stats.entry_tests += 1
+                if ok:
+                    if leaf:
+                        yield flat.values[ref]
+                    else:
+                        stack.append(ref)
 
-    def search_batch(
-        self, queries: Sequence[BoxQuery]
-    ) -> List[List[Tuple[Box, object]]]:
+    def search_batch(self, queries: Sequence[BoxQuery]) -> List[List[object]]:
         """:meth:`search` of every query, in one traversal on the NumPy
         kernels — of one query too: this is the vectorized search.
 
         ``result[i]`` equals ``list(self.search(queries[i]))`` — same
-        rows, same sequence — and the counters advance by the same
-        totals: one node read and ``len(node.entries)`` entry tests per
-        (query, node) visit; nothing is deduplicated.  The walk is
-        level-synchronous: a *frontier* holds ``(query, node)`` pairs
-        still alive at one depth, one
-        :func:`~repro.spatial.columnar.batch_mask` tests all their
+        values, same sequence — and the counters advance by the same
+        totals (nothing is deduplicated).  The walk is level-synchronous:
+        a *frontier* holds the ``(query, node)`` pairs alive at one depth,
+        one :func:`~repro.spatial.columnar.batch_mask` tests all their
         entries, and the surviving ``(query, child)`` pairs are the next
-        frontier — a fixed number of NumPy calls per level, not per
-        query and node.  A pair expands its children in *reverse* entry
-        order, the order a single query's stack pops them in, and leaves
-        all lie at one depth, so each query meets its leaves in its own
-        depth-first sequence.  A frontier with more than
-        ``_FRONTIER_SLOTS`` entries to test is halved and the front half
-        walked to the leaves first, which keeps that sequence and bounds
-        the transient arrays whatever the batch matches.  Without NumPy
-        this is a loop over :meth:`search`.
+        frontier — a fixed number of NumPy calls per level.  Children are
+        expanded in *reverse* entry order, as a single query's stack pops
+        them, so each query meets its leaves in its own depth-first
+        sequence; a frontier of more than ``_FRONTIER_SLOTS`` entries is
+        halved and the front half walked first, which keeps that sequence
+        and bounds the transient arrays.  Without NumPy this is a loop
+        over :meth:`search`.
         """
         if not columnar.HAVE_NUMPY:
             return [list(self.search(query)) for query in queries]
         np = columnar.np
         flat = self._flat
         dim = len(flat.lo)
+        values = flat.values
         # Zero-copy views, made per call like ColumnStore._views.
         all_bounds = [np.frombuffer(col, np.float64) for col in (*flat.lo, *flat.hi)]
         nonempty = np.frombuffer(flat.nonempty, np.uint8).view(bool)
-        ints = (flat.child, flat.offsets, flat.counts)
-        child, node_offsets, node_counts = (np.frombuffer(col, np.int64) for col in ints)
-        out: List[List[Tuple[Box, object]]] = [[] for _ in queries]
+        ints = (flat.ref, flat.offsets, flat.counts)
+        ref, node_offsets, node_counts = (np.frombuffer(col, np.int64) for col in ints)
+        out: List[List[object]] = [[] for _ in queries]
         by_shape: Dict[columnar.QueryShape, Tuple[List[int], List[tuple]]] = {}
         for i, query in enumerate(queries):
             if not query.is_unsatisfiable():
@@ -413,10 +390,10 @@ class RTree:
                 )
                 pair_query, entry = query[mask], entry[mask]
                 if leaf:
-                    for q, e in zip(pair_query.tolist(), entry.tolist()):
-                        out[members[q]].append(flat.entries[e])
+                    for q, r in zip(pair_query.tolist(), ref[entry].tolist()):
+                        out[members[q]].append(values[r])
                 elif len(entry):
-                    work.append((pair_query, child[entry]))
+                    work.append((pair_query, ref[entry]))
         return out
 
     # -- distance browsing / nearest neighbors --------------------------------
@@ -424,34 +401,33 @@ class RTree:
         self,
         anchor: "DistanceAnchor",
         k: Optional[int] = None,
-        seeds: Sequence[Tuple[float, Box, object]] = (),
+        seeds: Sequence[Tuple[float, object]] = (),
         dead: Optional[Callable[[object], bool]] = None,
-    ) -> Iterator[Tuple[float, Box, object]]:
+    ) -> Iterator[Tuple[float, object]]:
         """Incremental best-first distance browsing (Hjaltason–Samet).
 
-        Yields ``(distance, box, value)`` in nondecreasing distance from
+        Yields ``(distance, value)`` in nondecreasing distance from
         ``anchor`` — a point (coordinate sequence) or a :class:`Box`
-        (box-to-box MINDIST).  One heap of ``(distance, sequence, is
-        entry, payload)`` holds node numbers and entries keyed by
-        MINDIST; a node is read only when it reaches the front, so the
-        first few results touch a small neighborhood of the tree.
-        Empty-box entries are at infinite distance and never yielded.
+        (box-to-box MINDIST).  One heap of ``(distance, sequence, kind,
+        payload)`` holds node numbers (kind 0), leaf value slots (1: a
+        row is looked up, its memory touched, only if it surfaces) and
+        outside values (2); a node is read only when it reaches the
+        front, so the first few results touch a small neighborhood of
+        the tree.  Empty-box entries are never yielded.
 
-        The walk reads the array form (:class:`_FlatTree`).  Reading a
-        node is a scalar loop over its slice of the coordinate columns:
-        squared gaps added in dimension order, one root — the recipe of
-        :meth:`Box.mindist` and, a point being the box ``[p, p]``, of
-        :meth:`Box.mindist_point`, so distances and ties are the
-        per-object doubles.  (A node's few entries cannot repay a NumPy
-        call per node: there is no kernel branch.)
+        Reading a node is a scalar loop over its slice of the edge
+        columns: squared gaps added in dimension order, one root — the
+        recipe of :meth:`Box.mindist` and, a point being the box ``[p,
+        p]``, of :meth:`Box.mindist_point`, so distances and ties are the
+        per-object doubles (a node cannot repay a NumPy call).
 
-        For :meth:`nearest`: ``seeds`` are outside entries queued at
-        their known finite distances; ``dead`` values are passed over;
-        with ``k`` the loop ends once ``k`` entries are out and the next
-        distance exceeds the ``k``-th's, billing the subtrees still
-        queued to ``stats.pruned_subtrees``; ``k == 1`` for a point (and
-        no ``dead``) also skips inner entries beyond the smallest
-        MINMAXDIST seen.
+        For :meth:`nearest`: ``seeds`` are outside ``(distance, value)``
+        pairs queued at their known finite distances; ``dead`` values
+        are passed over; with ``k`` the loop ends once ``k`` values are
+        out and the next distance exceeds the ``k``-th's, billing the
+        subtrees still queued to ``stats.pruned_subtrees``; ``k == 1``
+        for a point (and no ``dead``) also skips inner entries beyond
+        the smallest MINMAXDIST seen, read off the edge columns.
         """
         flat = self._flat
         stats = self.stats
@@ -475,27 +451,28 @@ class RTree:
         minmax = k == 1 and alo is ahi and dead is None
         bound = kth = math.inf
         accepted = 0
-        heap: List[Tuple[float, int, bool, Any]] = [
-            (dist, seq, True, (box, value))
-            for seq, (dist, box, value) in enumerate(seeds, 1)
+        heap: List[Tuple[float, int, int, Any]] = [
+            (dist, seq, 2, value) for seq, (dist, value) in enumerate(seeds, 1)
         ]
         counter = len(heap)
-        heap.append((0.0, 0, False, 0))
+        heap.append((0.0, 0, 0, 0))
         heapq.heapify(heap)
         columns = list(zip(alo, ahi, flat.lo, flat.hi))
         offsets, counts, nonempty = flat.offsets, flat.counts, flat.nonempty
+        refs, values = flat.ref, flat.values
         push, sqrt = heapq.heappush, math.sqrt
         while heap:
-            dist, _seq, is_entry, payload = heap[0]
+            dist, _seq, kind, payload = heap[0]
             if dist > kth:
                 break  # nothing queued can affect the result set
             heapq.heappop(heap)
-            if is_entry:
-                if dead is None or not dead(payload[1]):
+            if kind:
+                value = values[payload] if kind == 1 else payload
+                if dead is None or not dead(value):
                     accepted += 1
                     if accepted == k:
                         kth = dist
-                    yield dist, payload[0], payload[1]
+                    yield dist, value
                 continue
             off = offsets[payload]
             end = off + counts[payload]
@@ -512,50 +489,51 @@ class RTree:
                         gap = a - e
                         squares[i] += gap * gap
                     i += 1
-            leaf = flat.leaf[payload]
-            for square, live, entry in zip(squares, nonempty[off:end], flat.entries[off:end]):
+            if flat.leaf[payload]:
+                for square, live, ref in zip(squares, nonempty[off:end], refs[off:end]):
+                    if live:  # empty boxes match no distance query
+                        counter += 1
+                        push(heap, (sqrt(square), counter, 1, ref))
+                continue
+            for entry, square, live in zip(range(off, end), squares, nonempty[off:end]):
                 if not live:
-                    continue  # empty boxes match no distance query
+                    continue
                 d = sqrt(square)
-                if leaf:
-                    counter += 1
-                    push(heap, (d, counter, True, entry))
-                elif d > bound:
+                if d > bound:
                     stats.pruned_subtrees += 1
-                else:
-                    if minmax:
-                        bound = min(bound, entry[0].minmaxdist_point(alo))
-                    counter += 1
-                    push(heap, (d if d > dist else dist, counter, False, entry[1]))
-        stats.pruned_subtrees += [item[2] for item in heap].count(False)
+                    continue
+                if minmax:
+                    bound = min(bound, minmaxdist_edges(alo, *flat.edges(entry)))
+                counter += 1
+                push(heap, (d if d > dist else dist, counter, 0, refs[entry]))
+        stats.pruned_subtrees += [item[2] for item in heap].count(0)
 
     def nearest(
         self,
         anchor: "DistanceAnchor",
         k: int = 1,
         tie_key: Optional[Callable[[object], object]] = None,
-        seeds: Sequence[Tuple[float, Box, object]] = (),
+        seeds: Sequence[Tuple[float, object]] = (),
         dead: Optional[Callable[[object], bool]] = None,
-    ) -> List[Tuple[float, Box, object]]:
-        """The ``k`` entries nearest to ``anchor``: the first ``k`` of
-        :meth:`distance_browse`, which stops reading at the ``k``-th.
+    ) -> List[Tuple[float, object]]:
+        """The ``k`` nearest ``(distance, value)`` pairs: the first ``k``
+        of :meth:`distance_browse`, which stops reading at the ``k``-th.
 
         Equivalent to (and property-tested against) sorting all entries
         by ``(distance, tie_key(value))`` and taking the first ``k`` —
         ties at the ``k``-th distance are broken by ``tie_key``
         (default: ``repr`` of the stored value), so the result matches
-        a brute-force reference exactly.  The browse yields every entry
-        tied with the ``k``-th, nearest first, so the tie-break is one
-        sort at the end.  With ``seeds`` (a table's staged rows, as
-        ``(distance, box, value)``) and ``dead`` (the test for its
-        tombstoned rows) the result is the ``k`` nearest of the live
+        a brute-force reference exactly (the browse yields every entry
+        tied with the ``k``-th, so the tie-break is one sort at the end).
+        With ``seeds`` (a table's staged rows) and ``dead`` (its
+        tombstone test) the result is the ``k`` nearest of the live
         union, for no more node reads than that takes.
         """
         if k <= 0:
             return []
         key = tie_key if tie_key is not None else repr
         found = list(self.distance_browse(anchor, k, seeds, dead))
-        found.sort(key=lambda e: (e[0], key(e[2])))
+        found.sort(key=lambda e: (e[0], key(e[1])))
         return found[:k]
 
     # -- counting (aggregation pushdown) --------------------------------------
@@ -575,8 +553,9 @@ class RTree:
         forms cannot shortcut this way (an MBR overlapping ``c`` says
         nothing about its entries), so they descend normally.
         """
+        inside = query.inside
         inside_only = (
-            query.inside is not None
+            inside is not None
             and not query.overlap
             and (query.covers is None or query.covers.is_empty())
         )
@@ -584,7 +563,8 @@ class RTree:
 
         def covered(flat: _FlatTree, node: int) -> bool:
             nonlocal shortcut
-            if not flat.mbr(node).le(query.inside):
+            mbr = flat.mbr(node)
+            if mbr is not None and (inside.is_empty() or not box_le(mbr, (inside.lo, inside.hi))):
                 return False
             shortcut += flat.live_below()[node]
             self.stats.pruned_subtrees += 1
@@ -592,18 +572,6 @@ class RTree:
 
         read = sum(1 for _ in self._descend(query, covered if inside_only else None))
         return read + shortcut
-
-    @staticmethod
-    def _node_may_match(mbr: Box, query: BoxQuery) -> bool:
-        if query.inside is not None and not mbr.overlaps(query.inside):
-            return False
-        if (
-            query.covers is not None
-            and not query.covers.is_empty()
-            and not query.covers.le(mbr)
-        ):
-            return False
-        return all(mbr.overlaps(c) for c in query.overlap)
 
     # -- inspection ------------------------------------------------------------------
     def height(self) -> int:
@@ -613,19 +581,20 @@ class RTree:
         node = 0
         while not flat.leaf[node]:
             h += 1
-            node = flat.child[flat.offsets[node]]
+            node = flat.ref[flat.offsets[node]]
         return h
 
-    def all_entries(self) -> Iterator[Tuple[Box, object]]:
-        """Every stored entry (no filtering)."""
+    def all_entries(self) -> Iterator[object]:
+        """Every stored value (no filtering), leaf by leaf depth first."""
         flat = self._flat
         stack = [0]
         while stack:
             node = stack.pop()
+            refs = flat.ref[flat.span(node)]
             if flat.leaf[node]:
-                yield from flat.node(node)
+                yield from map(flat.values.__getitem__, refs)
             else:
-                stack.extend(child for _mbr, child in flat.node(node))
+                stack.extend(refs)
 
     # -- snapshot serialization -----------------------------------------------
     def to_node_arrays(
@@ -649,19 +618,19 @@ class RTree:
             node = stack.pop()
             order.append(node)
             if not flat.leaf[node]:
-                stack.extend(child for _mbr, child in reversed(flat.node(node)))
+                stack.extend(reversed(flat.ref[flat.span(node)]))
         index = [0] * len(order)
         for position, node in enumerate(order):
             index[node] = position
         bounds: List[float] = []
         values: List[int] = []
         for node in order:
-            span = slice(flat.offsets[node], flat.offsets[node] + flat.counts[node])
+            span = flat.span(node)
             bounds.extend(chain.from_iterable(zip(*(col[span] for col in (*flat.lo, *flat.hi)))))
             if flat.leaf[node]:
-                values.extend(value_key(value) for _box, value in flat.entries[span])
+                values.extend(value_key(flat.values[r]) for r in flat.ref[span])
             else:
-                values.extend(index[child] for _mbr, child in flat.entries[span])
+                values.extend(map(index.__getitem__, flat.ref[span]))
         return {
             "dim": len(flat.lo),
             "max_entries": self.max_entries,
@@ -673,20 +642,19 @@ class RTree:
 
     @classmethod
     def from_node_arrays(
-        cls, data: Dict[str, object], values: Sequence[object]
+        cls, data: Dict[str, object], store: "columnar.ColumnStore"
     ) -> "RTree":
         """Rebuild a tree from :meth:`to_node_arrays` output.
 
-        ``values`` resolves leaf-entry indices back to stored objects
-        (typically the table's rows in saved order).  No STR sort
-        happens: the dump, already nodes numbered from the
-        root with their entries end to end, is adopted as the tree's
-        array form (:class:`_FlatTree`).  It comes from a file, so it is
-        checked on the way — array lengths, row and child references
-        (each child numbered after its parent and named once, so every
-        walk ends), leaves at one depth — and a dump that fails raises
+        ``store`` (a table's ``ColumnStore``) holds the rows leaf entries
+        name by slot — its ``rows`` become the tree's values — and their
+        boxes.  No STR sort happens: the dump is adopted as the tree's
+        columns.  It comes from a file, so it is checked on the way —
+        lengths, row and child references (each child numbered after its
+        parent and named once, so every walk ends), leaves at one depth,
+        the bounds (:func:`_check_bounds`) — and a dump that fails raises
         :class:`~repro.errors.SnapshotError`.  Keys this build does not
-        read (the insertion settings older dumps carry) are ignored.
+        read (older dumps' insertion settings) are ignored.
         """
 
         def damaged(why: object) -> SnapshotError:
@@ -704,42 +672,30 @@ class RTree:
         n_nodes, n_entries = len(leaf), len(refs)
         if not leaf or len(counts) != n_nodes or min(counts) < 0 or sum(counts) != n_entries:
             raise damaged(f"{n_nodes} nodes, {len(counts)} counts, {n_entries} entries")
-        if dim < 0 or len(coords) != n_entries * 2 * dim:
+        if dim < 0 or len(coords) != n_entries * 2 * dim or (n_entries and dim != store.dim):
             raise damaged(f"{len(coords)} bounds for {n_entries} {dim}-dim entries")
         flat = _FlatTree(dim)
         flat.add_nodes(leaf, counts)
         flat.set_bounds(coords)
-        los = list(zip(*flat.lo)) or [()] * n_entries
-        his = list(zip(*flat.hi)) or [()] * n_entries
+        flat.ref, flat.values = refs, store.rows
         depth = [0] * n_nodes
         leaf_depths = set()
         for n, (off, count) in enumerate(zip(flat.offsets, counts)):
             span = refs[off : off + count]
-            boxes = zip(los[off : off + count], his[off : off + count], span)
             if leaf[n]:
                 leaf_depths.add(depth[n])
-                if count and not 0 <= min(span) <= max(span) < len(values):
-                    raise damaged(f"leaf {n} names a row outside the {len(values)} saved")
-                for lo, hi, ref in boxes:
-                    # In a built tree a leaf entry's box *is* its row's
-                    # box: share it again when the coordinates agree.
-                    value = values[ref]
-                    box = getattr(value, "box", None)
-                    if not isinstance(box, Box) or box.lo != lo or box.hi != hi:
-                        box = Box._trusted(lo, hi)
-                    flat.entries.append((box, value))
-                flat.child.frombytes(bytes(flat.child.itemsize * count))
+                if count and not 0 <= min(span) <= max(span) < len(store.rows):
+                    raise damaged(f"leaf {n} names a row outside the {len(store.rows)} saved")
                 tree._size += count
             else:
                 for child in span:
                     if not n < child < n_nodes or depth[child]:
                         raise damaged(f"node {n} names child {child}")
                     depth[child] = depth[n] + 1
-                flat.entries.extend((Box._trusted(lo, hi), child) for lo, hi, child in boxes)
-                flat.child.extend(span)
         if 0 in depth[1:] or len(leaf_depths) > 1:
             raise damaged("unreachable nodes or leaves at different depths")
-        flat.nonempty.extend(not box.is_empty() for box, _ in flat.entries)
+        if why := _check_bounds(flat, store):
+            raise damaged(why)
         tree._flat = flat
         return tree
 
@@ -755,8 +711,37 @@ class RTree:
             if flat.leaf[node]:
                 leaf_depths.add(depth)
                 continue
-            for mbr, child in flat.node(node):
+            span = flat.span(node)
+            for entry, child in zip(range(span.start, span.stop), flat.ref[span]):
                 assert child > node, "child numbered before its parent"
-                assert flat.mbr(child).le(mbr), "child MBR exceeds stored MBR"
+                assert flat.encloses(entry), "child MBR exceeds stored MBR"
                 stack.append((child, depth + 1))
         assert len(leaf_depths) <= 1, "leaves at different depths"
+
+
+def _check_bounds(flat: _FlatTree, store: "columnar.ColumnStore") -> Optional[str]:
+    """What in a loaded tree's bounds would mislead a search, if
+    anything: a leaf entry's that are not, bit for bit, its row's box in
+    ``store``, or an inner entry's that do not enclose its child's
+    entries (enclose, not equal: an insertion-grown tree's MBRs may be
+    wider).  One pass down a column per comparison."""
+    in_leaf = bytes(chain.from_iterable(map(repeat, flat.leaf, flat.counts)))
+    slots = array("q", compress(flat.ref, in_leaf))
+    for mine, row in zip((*flat.lo, *flat.hi), (*store._lo, *store._hi)):
+        theirs = array("d", map(row.__getitem__, slots))
+        if array("d", compress(mine, in_leaf)).tobytes() != theirs.tobytes():
+            return "a leaf entry's bounds are not its row's box"
+    # Each entry below the root against the inner entry naming its node
+    # (node n's entries follow node n - 1's).
+    parent = [0] * len(flat.offsets)
+    for entry in compress(range(len(in_leaf)), map(not_, in_leaf)):
+        parent[flat.ref[entry]] = entry
+    up = list(chain.from_iterable(map(repeat, parent[1:], flat.counts[1:])))
+    below = slice(flat.counts[0], None)
+    bad = [not flat.nonempty[entry] for entry in up]
+    for fails, cols in ((lt, flat.lo), (gt, flat.hi)):
+        for col in cols:
+            bad = list(map(or_, bad, map(fails, col[below], map(col.__getitem__, up))))
+    if any(compress(bad, flat.nonempty[below])):
+        return "an inner entry's bounds do not enclose its child's entries"
+    return None

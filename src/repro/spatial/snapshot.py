@@ -274,7 +274,7 @@ def table_from_jsonable(data: dict) -> SpatialTable:
     if table.index_kind == "rtree":
         arrays = dict(data["rtree"])
         arrays["bounds"] = _unpack_floats(arrays.get("bounds"))
-        table._rtree = RTree.from_node_arrays(arrays, rows)
+        table._rtree = RTree.from_node_arrays(arrays, table._columns)
     elif table.index_kind == "grid":
         for obj in rows:
             if not obj.box.is_empty():

@@ -513,8 +513,7 @@ class SpatialTable:
         """The STR-packed r-tree over a store's nonempty rows, loaded
         from the store's own coordinate columns."""
         return RTree.bulk_load_columns(
-            *columns.nonempty_columns(leaf_entries=True),
-            max_entries=self.node_capacity,
+            *columns.nonempty_columns(), max_entries=self.node_capacity
         )
 
     def with_staged(
@@ -664,7 +663,7 @@ class SpatialTable:
         found = self._rtree.search_batch(queries)
         self.vectorized_batches += len(queries)
         self.vectorized_candidates += self._rtree.stats.entry_tests - before
-        return [[obj for _box, obj in rows] for rows in found]
+        return found
 
     def _base_range_rows(self, query: BoxQuery) -> List[SpatialObject]:
         """The range probe over the packed base only — a pure function
@@ -677,7 +676,7 @@ class SpatialTable:
             if self.batches_probes():
                 out = self._rtree_rows([query])[0]
             else:
-                out = [obj for _box, obj in self._rtree.search(query)]
+                out = list(self._rtree.search(query))
         elif self.index_kind == "grid":
             pr = compile_range(query, self.dim)
             if self.universe is not None:
@@ -874,10 +873,9 @@ class SpatialTable:
         if self._rtree is not None and access != "scan":
             seeds = () if d is None else d.distances(anchor)
             dead = d.buries if d is not None and d.tombstones else None
-            ranked = self._rtree.nearest(
+            out = self._rtree.nearest(
                 anchor, k, lambda obj: repr(obj.oid), seeds, dead
             )
-            out = [(dist, obj) for dist, _box, obj in ranked]
         elif columnar.active_backend() == "numpy":
             out = self._nearest_columnar(anchor, k, d)
             self.vectorized_batches += 1
@@ -941,7 +939,7 @@ class SpatialTable:
             if not row.box.is_empty() and row.oid not in tomb
         ]
         if d is not None:
-            pairs.extend((dist, obj) for dist, _box, obj in d.distances(anchor))
+            pairs.extend(d.distances(anchor))
         pairs.sort(key=lambda pair: (pair[0], repr(pair[1].oid)))
         return pairs[:k]
 

@@ -57,6 +57,11 @@ COLUMNAR_BACKENDS = ("numpy", "array") if HAVE_NUMPY else ("array",)
 #: backend; it keeps the test ids stable.)
 BACKEND_MATRIX = COLUMNAR_BACKENDS + ("off",)
 
+#: Objects the collector tracks that one packed 2-d tree holds whatever
+#: its size — the tree, its counters, its form, the form's ``array``
+#: columns and its value list (14) — with some slack.
+TRACKED_PER_TREE = 20
+
 
 def pinned(backend: str):
     """:func:`forced_backend` for a :data:`BACKEND_MATRIX` entry."""

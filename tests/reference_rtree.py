@@ -4,15 +4,17 @@ tree's array form — frozen, with the node class they walk.
 ``RTree.search``, ``count``, ``to_node_arrays``, ``check_invariants``,
 ``height``, ``all_entries`` and
 ``spatial.join.synchronized_rtree_join`` now read ``_FlatTree`` columns
-and node numbers, and the engine no longer has node objects at all.
-They promise *identical* rows in the same sequence, identical snapshot
-arrays and identical ``node_reads`` / ``entry_tests`` /
-``pruned_subtrees``.  These are copies of the code they replaced,
-walking ``_Node`` objects and billing ``tree.stats``; the nodes are the
-tree's form thawed into this module's own frozen ``_Node`` class
-(:func:`thaw`, the engine's former ``_FlatTree.to_nodes``), and
-:func:`flatten` (its former ``_FlatTree.from_nodes``) walks them back
-into a form.  The subtree-count map is rebuilt on every call — it was
+— edges, nonempty flags and ``ref`` numbers, no object per entry — and
+the engine no longer has node objects at all.  They promise *identical*
+values in the same sequence, identical snapshot arrays and identical
+``node_reads`` / ``entry_tests`` / ``pruned_subtrees``.  These are
+copies of the code they replaced, walking ``_Node`` objects of
+``(box, value)`` / ``(mbr, child)`` entries and billing ``tree.stats``;
+the nodes are the tree's columns thawed into this module's own frozen
+``_Node`` class (:func:`thaw`, one ``Box`` per entry made from its
+edges), and :func:`flatten` walks them back into columns.  Where the
+engine now hands out values, the walkers still hand out ``(box,
+value)``; the tests compare the values.  The subtree-count map is rebuilt on every call — it was
 never billed.  ``test_rtree_reference.py`` holds the engine to them.
 """
 
@@ -40,13 +42,23 @@ class _Node:
 
 
 def thaw(flat: _FlatTree) -> _Node:
-    """The form as ``_Node`` objects, parents linked; returns the root."""
+    """The form as ``_Node`` objects, parents linked; returns the root.
+    Each entry's box is made from its edge columns and nonempty flag; a
+    leaf entry's value is the one its ``ref`` names."""
     nodes = [_Node(leaf=bool(flag)) for flag in flat.leaf]
     for n, node in enumerate(nodes):
+        span = range(flat.offsets[n], flat.offsets[n] + flat.counts[n])
+        boxes = [
+            Box._trusted(
+                tuple(c[e] for c in flat.lo), tuple(c[e] for c in flat.hi), not flat.nonempty[e]
+            )
+            for e in span
+        ]
+        refs = [flat.ref[e] for e in span]
         if node.leaf:
-            node.entries = flat.node(n)
+            node.entries = [(box, flat.values[r]) for box, r in zip(boxes, refs)]
         else:
-            node.entries = [(mbr, nodes[child]) for mbr, child in flat.node(n)]
+            node.entries = [(box, nodes[r]) for box, r in zip(boxes, refs)]
             for _mbr, child in node.entries:
                 child.parent = node
     return nodes[0]
@@ -54,7 +66,7 @@ def thaw(flat: _FlatTree) -> _Node:
 
 def flatten(root: _Node) -> _FlatTree:
     """The form of ``_Node`` objects, by walking them: nodes numbered
-    breadth first."""
+    breadth first, leaf values listed in that order."""
     nodes = [root]
     first: List[int] = []  # per node, the number of its first child
     for node in nodes:  # grows as it goes
@@ -65,21 +77,20 @@ def flatten(root: _Node) -> _FlatTree:
     dim = next((box.dim for box in boxes if not box.is_empty()), 0)
     flat = _FlatTree(dim)
     flat.add_nodes([n.leaf for n in nodes], [len(n.entries) for n in nodes])
+    values: List[object] = []
     for node, start in zip(nodes, first):
         if node.leaf:
-            flat.entries.extend(node.entries)
-            flat.child.frombytes(bytes(flat.child.itemsize * len(node.entries)))
+            flat.ref.extend(range(len(values), len(values) + len(node.entries)))
+            values.extend(value for _box, value in node.entries)
         else:
-            children = range(start, start + len(node.entries))
-            flat.entries.extend(zip((mbr for mbr, _ in node.entries), children))
-            flat.child.extend(children)
+            flat.ref.extend(range(start, start + len(node.entries)))
+    flat.values = values
     blank = (0.0,) * (2 * dim)
     flat.set_bounds(
         chain.from_iterable(
             blank if box.is_empty() else box.lo + box.hi for box in boxes
         )
     )
-    flat.nonempty.extend(not box.is_empty() for box in boxes)
     return flat
 
 

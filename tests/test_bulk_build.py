@@ -5,10 +5,11 @@ The build path — STR bulk load, repack, statistics, snapshot bytes —
 reads coordinate columns through the ``repro.spatial.columnar`` build
 kernels; the oracle does what the code did before, object by object.
 Everything here is compared *to the bit*: floats through ``repr`` (so
-``-0.0`` is not ``0.0``), trees node by node in preorder, leaf entries
-by identity.
+``-0.0`` is not ``0.0``), trees as their preorder node arrays
+(``to_node_arrays``), leaf values by identity or oid.
 """
 
+import gc
 import math
 import random
 from functools import lru_cache
@@ -18,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_build as ref
-from reference_rtree import root_of
-from conftest import BACKEND_MATRIX as BACKENDS, pinned, shifted_seed
+from conftest import BACKEND_MATRIX as BACKENDS, TRACKED_PER_TREE, pinned, shifted_seed
 from repro import Database
 from repro.algebra import Region
 from repro.boxes import Box, EMPTY_BOX, enclose_all
@@ -32,28 +32,26 @@ INF = math.inf
 
 
 # -- helpers ---------------------------------------------------------------------
-def tree_dump(tree: RTree):
-    """Preorder ``(leaf, entries)`` per node; an entry is its box's exact
-    coordinates plus, in a leaf, the identity of box and value."""
-    out = []
-    stack = [root_of(tree)]
-    while stack:
-        node = stack.pop()
-        out.append(
-            (
-                node.leaf,
-                [
-                    (repr(box.lo), repr(box.hi), box.is_empty())
-                    + ((id(box), id(value)) if node.leaf else ())
-                    for box, value in node.entries
-                ],
-            )
-        )
-        if not node.leaf:
-            for _mbr, child in reversed(node.entries):
-                assert child.parent is node
-                stack.append(child)
-    return out
+def tree_dump(tree: RTree, value_key=id):
+    """The tree's preorder node arrays (``to_node_arrays``): each
+    entry's exact coordinates (``repr``) and, in a leaf, ``value_key``
+    of its value — by default its identity."""
+    dump = tree.to_node_arrays(value_key)
+    dump["bounds"] = [repr(c) for c in dump["bounds"]]
+    return dump
+
+
+def oid_dump(tree: RTree):
+    """:func:`tree_dump` of a table's tree, rows by oid (row identity
+    differs between tables)."""
+    return tree_dump(tree, lambda obj: obj.oid)
+
+
+def values_are_rows(table: SpatialTable) -> bool:
+    """Whether the tree's values are the table's nonempty rows, each
+    once: a leaf holds no copy of its row or its box."""
+    live = [obj for obj in table if not obj.box.is_empty()]
+    return sorted(map(id, table._rtree.all_entries())) == sorted(map(id, live))
 
 
 def store_dump(store):
@@ -284,17 +282,12 @@ def test_repack_equals_fresh_bulk_insert(seed, backend):
                 # Row identity differs between tables: compare by oid.
                 oid_of = {id(obj): obj.oid for obj in t}
                 lo, hi, flags, ids = store_dump(t._columns)
-                dump = [
-                    (leaf, [e[:3] + tuple(oid_of.get(i, i) for i in e[4:]) for e in entries])
-                    for leaf, entries in tree_dump(t._rtree)
-                ]
-                return lo, hi, flags, [oid_of[i] for i in ids], dump, stats_dump(
+                return lo, hi, flags, [oid_of[i] for i in ids], oid_dump(t._rtree), stats_dump(
                     t, t.statistics()
                 )
 
             assert shape(table) == shape(fresh) == shape(oracle)
-            for box, obj in table._rtree.all_entries():
-                assert box is obj.box
+            assert values_are_rows(table)
             table._rtree.check_invariants()
 
 
@@ -314,8 +307,9 @@ def test_snapshot_bytes_equal_per_object_build(backend, tmp_path):
         # The loader fills its store through the same bulk constructor.
         loaded = Database.open(str(new_path)).table("t")
         assert store_dump(loaded._columns)[:3] == store_dump(table._columns)[:3]
-        for box, obj in loaded._rtree.all_entries():
-            assert box is obj.box
+        # Its leaves name the store's rows by slot.
+        assert loaded._rtree._flat.values is loaded._columns.rows
+        assert values_are_rows(loaded) and oid_dump(loaded._rtree) == oid_dump(table._rtree)
 
 
 # -- one fold, one build ------------------------------------------------------------------
@@ -349,7 +343,7 @@ def test_reindex_with_pending_delta_builds_the_tree_once(builds):
     # One fold, one version bump (snapshots store it).
     assert table._version == version + 1 and table.repacks == 1
     assert not table.delta_pending and len(table) == 50
-    assert {obj.oid for _b, obj in table._rtree.all_entries()} == {
+    assert {obj.oid for obj in table._rtree.all_entries()} == {
         obj.oid for obj in table if not obj.box.is_empty()
     }
     tree = table._rtree
@@ -372,14 +366,43 @@ def test_bulk_insert_builds_one_tree_equal_to_the_per_object_build(builds, backe
     assert (table._version, table.repacks, table.delta_watermark) == (1, 0, 0)
     assert not table._delta.ops and not table.delta_pending
     oracle = ref.packed_table("t", 2, rows)
-    oid_of = {id(obj): obj.oid for t in (table, oracle) for obj in t}
+    assert oid_dump(table._rtree) == oid_dump(oracle._rtree)
+    assert values_are_rows(table)
 
-    def by_oid(tree):
-        return [
-            (leaf, [e[:3] + tuple(oid_of.get(i, i) for i in e[4:]) for e in entries])
-            for leaf, entries in tree_dump(tree)
-        ]
 
-    assert by_oid(table._rtree) == by_oid(oracle._rtree)
-    for box, obj in table._rtree.all_entries():
-        assert box is obj.box
+# -- no object per row -------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_build_and_inline_repack_add_no_object_per_row(backend):
+    """The tree is columns: ``bulk_load_columns`` over a 20 000-row
+    store, and the inline repack a 64th staged write sets off on a
+    20 000-row table, each leave a bounded number of new tracked
+    objects — no ``(box, row)`` tuple per row, no ``Box`` per inner
+    entry (about 30 000 of them before), whatever the table's size.
+    The structures the repack replaces stay pinned, as by a reader in
+    flight, so what it frees cannot hide what it makes."""
+    rng = random.Random(shifted_seed(20))
+    with pinned(backend):
+        table = SpatialTable("t", 2)
+        table.bulk_insert(table_rows(rng, 20_000))
+        columns = table._columns.nonempty_columns()
+        RTree.bulk_load_columns(*columns)  # warm whatever the kernels cache
+        staged = table_rows(rng, 40, first_oid=20_000)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            tree = RTree.bulk_load_columns(*columns)
+            built = len(gc.get_objects()) - before
+            for oid, region in staged:
+                table.stage_insert(oid, region)
+            for oid in range(23):
+                table.stage_delete(oid)
+            pinned_base = (table._rtree, table._columns, table._objects)
+            before = len(gc.get_objects())
+            table.stage_delete(100)  # the 64th staged write: inline repack
+            repacked = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+    assert len(tree) == len(columns[0]) and table.repacks == 1
+    assert table._rtree is not pinned_base[0] and len(table) == 20_000 + 40 - 24
+    assert built <= TRACKED_PER_TREE and repacked <= 2 * TRACKED_PER_TREE

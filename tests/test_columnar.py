@@ -192,11 +192,11 @@ class TestRTreeColumnarMirror:
         ]
         for query in queries:
             tree.stats.reset()
-            want = [obj for _b, obj in tree.search(query)]
+            want = list(tree.search(query))
             scalar = (tree.stats.node_reads, tree.stats.entry_tests)
             tree.stats.reset()
             with forced_backend("numpy"):
-                got = [obj for _b, obj in tree.search_batch([query])[0]]
+                got = tree.search_batch([query])[0]
             vectorized = (tree.stats.node_reads, tree.stats.entry_tests)
             # Same rows, same order, same billed index work.
             assert got == want
@@ -215,9 +215,7 @@ class TestRTreeColumnarMirror:
         tree.stats.reset()
         with forced_backend(backend):
             got = tree.nearest(point, k=7)
-        assert [(d, o) for d, _b, o in got] == [
-            (d, o) for d, _b, o in want
-        ]
+        assert got == [(d, o) for d, _b, o in want]
         assert (tree.stats.node_reads, tree.stats.entry_tests) == walk
 
 

@@ -183,10 +183,10 @@ class TestWorkloads:
         def shape(table):
             table.reset_stats()
             hits = [obj.oid for obj in table.range_query(probe)]
-            tree = table._rtree and [
-                (repr(box.lo), repr(box.hi), obj.oid)
-                for box, obj in table._rtree.all_entries()
-            ]
+            tree = None
+            if table._rtree is not None:
+                dump = table._rtree.to_node_arrays(lambda obj: obj.oid)
+                tree = dump["leaf"], dump["values"], list(map(repr, dump["bounds"]))
             rows = [(obj.oid, repr(obj.box.lo), repr(obj.box.hi)) for obj in table]
             return table.name, rows, tree, hits, table.index_read_count()
 

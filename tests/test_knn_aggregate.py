@@ -107,14 +107,14 @@ class TestRTreeNearest:
         assert tree.nearest((0.0, 0.0), 3) == []
         assert tree.nearest((0.0, 0.0), 0) == []
         tree = RTree.bulk_load([(Box((0.0, 0.0), (1.0, 1.0)), "a")])
-        assert [v for _d, _b, v in tree.nearest((5.0, 5.0), 10)] == ["a"]
+        assert [v for _d, v in tree.nearest((5.0, 5.0), 10)] == ["a"]
 
     def test_empty_box_entries_never_surface(self):
         tree = RTree.bulk_load(
             [(EMPTY_BOX, "ghost"), (Box((1.0, 1.0), (2.0, 2.0)), "real")]
         )
-        assert [v for _d, _b, v in tree.nearest((0.0, 0.0), 5)] == ["real"]
-        assert [v for _d, _b, v in tree.distance_browse((0.0, 0.0))] == [
+        assert [v for _d, v in tree.nearest((0.0, 0.0), 5)] == ["real"]
+        assert [v for _d, v in tree.distance_browse((0.0, 0.0))] == [
             "real"
         ]
 
@@ -122,7 +122,7 @@ class TestRTreeNearest:
         tree, entries = self._tree()
         out = list(tree.distance_browse((40.0, 60.0)))
         assert len(out) == len(entries)
-        dists = [d for d, _b, _v in out]
+        dists = [d for d, _v in out]
         assert dists == sorted(dists)
 
     def test_nearest_reads_fewer_nodes_and_counts_pruning(self):

@@ -99,7 +99,9 @@ class MutationMachine(RuleBasedStateMachine):
         self.shadow = {}
         self.counter = 0
         self.watermark_seen = 0
-        self.delta_gen = None  # id() of the delta the watermark belongs to
+        # The delta the watermark belongs to — held, not its id(): a fresh
+        # delta may reuse a dropped one's address.
+        self.delta_gen = None
         self.delta_probes_seen = 0
 
     @initialize()
@@ -244,9 +246,9 @@ class MutationMachine(RuleBasedStateMachine):
             # The watermark is monotonic within one delta generation
             # (a repack — explicit or inline at the threshold — clears
             # the delta and the next write opens a fresh one).
-            if self.delta_gen == id(d):
+            if self.delta_gen is d:
                 assert d.watermark >= self.watermark_seen
-            self.delta_gen = id(d)
+            self.delta_gen = d
             self.watermark_seen = d.watermark
         assert self.table.delta_probes >= self.delta_probes_seen
         self.delta_probes_seen = self.table.delta_probes

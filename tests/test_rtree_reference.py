@@ -14,6 +14,7 @@ seed-matrix job.
 
 import json
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +31,7 @@ from conftest import (
 )
 from repro.algebra import Region
 from repro.boxes import Box, BoxQuery, EMPTY_BOX
-from repro.spatial import HAVE_NUMPY, RTree, SpatialTable, synchronized_rtree_join
+from repro.spatial import HAVE_NUMPY, ColumnStore, RTree, SpatialTable, synchronized_rtree_join
 
 #: ``grown-*``: a table grown row by row through ``insert``, repacking
 #: inline every ``GROWN[kind]`` rows; the names are the retired split
@@ -90,11 +91,13 @@ def build(kind: str, entries, capacity: int = 4) -> RTree:
     if kind == "empty-boxes":  # left out of the build
         entries = entries + [(EMPTY_BOX, f"void{i}") for i in range(5)]
     tree = RTree.bulk_load(entries, max_entries=capacity)
-    if kind == "loaded":
-        values = [value for _box, value in tree.all_entries()]
+    if kind == "loaded":  # the rows a snapshot saves: their boxes and values
+        values = list(tree.all_entries())
         index = {id(value): i for i, value in enumerate(values)}
+        box_of = {id(value): box for box, value in entries}
+        store = ColumnStore.bulk(entries[0][0].dim, [box_of[id(v)] for v in values], values)
         dump = json.loads(json.dumps(tree.to_node_arrays(lambda v: index[id(v)])))
-        tree = RTree.from_node_arrays(dump, values)
+        tree = RTree.from_node_arrays(dump, store)
     return tree
 
 
@@ -126,26 +129,32 @@ def billed(tree: RTree, call):
     return result, (stats.node_reads, stats.entry_tests, stats.pruned_subtrees)
 
 
-def ids(rows):
-    return [(id(box), id(value)) for box, value in rows]
+def ids(values):
+    """The identities of values — as the engine's readers hand them out."""
+    return [id(value) for value in values]
+
+
+def oracle_ids(pairs):
+    """The identities of the values in the walkers' ``(box, value)``."""
+    return [id(value) for _box, value in pairs]
 
 
 def hold_readers_to_oracle(tree: RTree, probes) -> None:
     for query in probes:
-        got, mine = billed(tree, lambda: list(tree.search(query)))
-        want, theirs = billed(tree, lambda: list(ref.search(tree, query)))
-        assert ids(got) == ids(want) and mine == theirs, query
+        got, mine = billed(tree, lambda: ids(tree.search(query)))
+        want, theirs = billed(tree, lambda: oracle_ids(ref.search(tree, query)))
+        assert got == want and mine == theirs, query
         # A consumer that stops early is billed for what it pulled.
-        got, mine = billed(tree, lambda: ids(tree.search(query))[:1])
-        want, theirs = billed(tree, lambda: ids(ref.search(tree, query))[:1])
+        got, mine = billed(tree, lambda: ids(islice(tree.search(query), 1)))
+        want, theirs = billed(tree, lambda: oracle_ids(islice(ref.search(tree, query), 1)))
         assert got == want and mine == theirs, query
         got, mine = billed(tree, lambda: tree.count(query))
         want, theirs = billed(tree, lambda: ref.count(tree, query))
         assert got == want and mine == theirs, query
         if HAVE_NUMPY:
-            assert ids(tree.search_batch([query])[0]) == ids(ref.search(tree, query))
-    assert ids(tree.all_entries()) == ids(ref.all_entries(tree))
-    index = {id(value): i for i, (_box, value) in enumerate(tree.all_entries())}
+            assert ids(tree.search_batch([query])[0]) == oracle_ids(ref.search(tree, query))
+    assert ids(tree.all_entries()) == oracle_ids(ref.all_entries(tree))
+    index = {id(value): i for i, value in enumerate(tree.all_entries())}
     dump = tree.to_node_arrays(lambda value: index[id(value)])
     assert dump == ref.to_node_arrays(tree, lambda value: index[id(value)])
     assert repr(dump["bounds"]) == repr(  # -0.0 is not 0.0
@@ -249,6 +258,6 @@ def edited_trees(draw):
 @given(edited_trees(), st.lists(edge_box_queries(), min_size=1, max_size=4), edited_trees())
 def test_readers_equal_the_node_walkers_on_edge_cases(built, probes, other):
     tree, live = built
-    assert sorted(ids(tree.all_entries())) == sorted(ids(live))
+    assert sorted(ids(tree.all_entries())) == sorted(oracle_ids(live))
     hold_readers_to_oracle(tree, probes)
     hold_join_to_oracle(tree, other[0])

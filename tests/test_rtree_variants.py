@@ -36,7 +36,7 @@ class TestBulkLoad:
         items = _random_boxes(400, seed=3)
         tree = RTree.bulk_load([(b, i) for i, b in enumerate(items)])
         tree.check_invariants()
-        assert sorted(v for _b, v in tree.all_entries()) == list(range(400))
+        assert sorted(v for v in tree.all_entries()) == list(range(400))
 
     def test_search_agrees_with_incremental(self):
         """The packed tree a table grown row by row ends with (staged
@@ -50,7 +50,7 @@ class TestBulkLoad:
             rng = random.Random(100 + seed)
             lo = (rng.uniform(0, 85), rng.uniform(0, 85))
             q = BoxQuery(overlap=(Box(lo, (lo[0] + 10, lo[1] + 10)),))
-            assert {v for _b, v in bulk.search(q)} == {
+            assert {v for v in bulk.search(q)} == {
                 o.oid for o in incr.range_query(q)
             } == {i for i, b in enumerate(items) if q.matches(b)}
 
@@ -92,7 +92,7 @@ class TestBulkLoad:
         q = BoxQuery(overlap=(Box((0.5, 0.5), (1.5, 1.5)),))
         assert "extra" in {o.oid for o in table.range_query(q)}
         assert table.repack() and len(table._rtree) == 51
-        assert "extra" in {o.oid for _b, o in table._rtree.search(q)}
+        assert "extra" in {o.oid for o in table._rtree.search(q)}
 
     def test_1d_bulk_load(self):
         rng = random.Random(4)
@@ -105,7 +105,7 @@ class TestBulkLoad:
         tree.check_invariants()
         q = BoxQuery(overlap=(Box((20.0,), (30.0,)),))
         expected = {i for i, b in enumerate(items) if q.matches(b)}
-        assert {v for _b, v in tree.search(q)} == expected
+        assert {v for v in tree.search(q)} == expected
 
 
 class TestSTRReadGate:

@@ -9,12 +9,15 @@ node-for-node (so node-read counts match too, not just answers).
 import base64
 import json
 import os
+import struct
 import threading
 
 import pytest
 
+from conftest import COLUMNAR_BACKENDS, pinned
 from repro.algebra import Region
 from repro.boxes import Box
+from repro.boxes.bconstraints import BoxQuery
 from repro.database import Database
 from repro.engine import compile_query
 from repro.engine.executor import answers_as_oid_tuples, execute
@@ -98,6 +101,25 @@ class TestRoundTrip:
                 (p.pid, p.mbr, tuple(o.oid for o in p.rows))
                 for p in pl.partitions
             ]
+
+
+def test_open_answers_and_resaves_like_the_built_database(tmp_path):
+    """``Database.open`` of a saved smugglers database answers its query
+    as the built one does — same answers, same ``ExecutionStats`` (node
+    reads included) — and saving it again writes the same bytes, node
+    arrays and all."""
+    query, _world = smugglers_query(seed=7, n_towns=256, n_roads=256, states_grid=(6, 6))
+    built = Database.from_query(query)
+    path, again = str(tmp_path / "db.json"), str(tmp_path / "again.json")
+    built.save(path, partitions=8)
+    opened = Database.open(path)
+    system = str(query.system)
+    want, got = built.session().run(system), opened.session().run(system)
+    assert got.oid_tuples() == want.oid_tuples() and got.oid_tuples()
+    assert got.stats.to_dict() == want.stats.to_dict()
+    opened.save(again, partitions=8)
+    with open(path, "rb") as fh, open(again, "rb") as gh:
+        assert fh.read() == gh.read()
 
 
 def test_rtree_node_arrays_identical(tmp_path):
@@ -250,6 +272,22 @@ def _reblob(rtree, change):
     rtree["bounds"] = base64.b64encode(change(raw)).decode("ascii")
 
 
+def _rebound(entry, change, wanted_leaf=None):
+    """Apply ``change`` to one entry's ``[lo..., hi...]`` floats: entry
+    ``entry`` of the tree, or of its first leaf with ``wanted_leaf``."""
+
+    def damage(rtree):
+        first = 0 if wanted_leaf is None else _entry_of(rtree, _first(rtree["leaf"], wanted_leaf))
+        floats = list(struct.unpack(f"<{len(base64.b64decode(rtree['bounds'])) // 8}d",
+                                    base64.b64decode(rtree["bounds"])))
+        width = 2 * rtree["dim"]
+        at = (first + entry) * width
+        floats[at : at + width] = change(floats[at : at + width])
+        _reblob(rtree, lambda raw: struct.pack(f"<{len(floats)}d", *floats))
+
+    return damage
+
+
 DAMAGE = {
     "leaf: one flag short": lambda r: r["leaf"].pop(),
     "leaf: one flag extra": lambda r: r["leaf"].append(1),
@@ -303,27 +341,74 @@ def _finishes(call, seconds=30):
     return outcome[0]
 
 
+def _damaged_file(tmp_path, table, damage):
+    """A snapshot of ``table`` whose r-tree arrays ``damage`` changed."""
+    path = str(tmp_path / "db.json")
+    write_snapshot(path, {"t": table})
+    with open(path) as fh:
+        payload = json.load(fh)
+    rtree = payload["tables"]["t"]["rtree"]
+    before = json.dumps(rtree, sort_keys=True)
+    damage(rtree)
+    assert json.dumps(rtree, sort_keys=True) != before
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    return path
+
+
 @pytest.mark.parametrize("name", DAMAGE)
 def test_damaged_rtree_arrays_raise_snapshot_error(tmp_path, name):
     """A snapshot's node arrays are outside input: each array damaged
     in turn ends in ``SnapshotError`` — no ``IndexError``, no endless
     walk along a child reference that points backwards."""
-    path = str(tmp_path / "db.json")
-    write_snapshot(path, {"t": _packed_rows()})
-    with open(path) as fh:
-        payload = json.load(fh)
-    rtree = payload["tables"]["t"]["rtree"]
-    before = json.dumps(rtree, sort_keys=True)
-    DAMAGE[name](rtree)
-    assert json.dumps(rtree, sort_keys=True) != before
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    path = _damaged_file(tmp_path, _packed_rows(), DAMAGE[name])
     raised = _finishes(lambda: read_snapshot(path))
     assert type(raised) is SnapshotError, (name, raised)
 
 
+#: Bounds a search decides by, changed, and whether the file still
+#: opens.  A moved leaf hides its row and a shrunk MBR the rows below
+#: it: both used to load and answer wrong.  A grown MBR only costs reads
+#: (an insertion-grown tree's MBRs are wider than minimal): it opens.
+BOUNDS = {
+    "a leaf entry moved": (_rebound(0, lambda c: [c[0] + 0.25, c[1], c[2] + 0.25, c[3]], 1), False),
+    "the root's first MBR shrunk": (_rebound(0, lambda c: [*c[:2], c[0] + 1.0, c[1] + 1.0]), False),
+    "the root's first MBR grown": (
+        _rebound(0, lambda c: [c[0] - 1.0, c[1] - 1.0, c[2] + 1.0, c[3] + 1.0]), True
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
+@pytest.mark.parametrize("name", BOUNDS)
+def test_loaded_bounds_enclose_or_raise(tmp_path, name, backend):
+    """Leaf bounds must be their rows' boxes and inner bounds must
+    enclose their children's entries; wider is allowed.  A file that
+    opens answers windows and kNN as the table it was saved from, on
+    either backend's search."""
+    table = _packed_rows()
+    damage, opens = BOUNDS[name]
+    path = _damaged_file(tmp_path, table, damage)
+    with pinned(backend):
+        if not opens:
+            with pytest.raises(SnapshotError, match="bounds"):
+                read_snapshot(path)
+            return
+        loaded = read_snapshot(path)[0]["t"]
+        loaded._rtree.check_invariants()
+        for x, y in [(0.0, 0.0), (0.5, 2.0), (3.0, 3.0), (6.5, 6.0), (-1.0, -1.0)]:
+            for query in (
+                BoxQuery(inside=Box((x, y), (x + 3.0, y + 3.0))),
+                BoxQuery(overlap=(Box((x, y), (x + 1.0, y + 1.0)),)),
+            ):
+                want = [o.oid for o in table.range_query(query)]
+                assert [o.oid for o in loaded.range_query(query)] == want
+            want = [(d, o.oid) for d, o in table.nearest((x, y), 5)]
+            assert [(d, o.oid) for d, o in loaded.nearest((x, y), 5)] == want
+
+
 def test_leaves_at_different_depths_raise_snapshot_error():
-    from repro.spatial import RTree
+    from repro.spatial import ColumnStore, RTree
 
     arrays = {
         "dim": 1, "max_entries": 4, "min_entries": 2, "split_method": "quadratic",
@@ -332,13 +417,14 @@ def test_leaves_at_different_depths_raise_snapshot_error():
         "bounds": [0.0, 2.0, 0.0, 3.0, 0.0, 2.0, 0.0, 3.0, 0.0, 3.0],
         "values": [1, 2, 0, 3, 1],
     }
+    rows = ColumnStore.bulk(1, [Box((0.0,), (2.0,)), Box((0.0,), (3.0,))], ["a", "b"])
     with pytest.raises(SnapshotError, match="depth"):
-        RTree.from_node_arrays(arrays, ["a", "b"])
+        RTree.from_node_arrays(arrays, rows)
     arrays["leaf"][2], arrays["values"][3] = 1, 0  # now two leaves under the root: fine
     arrays["counts"][3] = 0
     del arrays["bounds"][8:], arrays["values"][4:]
     with pytest.raises(SnapshotError, match="unreachable"):
-        RTree.from_node_arrays(arrays, ["a", "b"])
+        RTree.from_node_arrays(arrays, rows)
 
 
 # -- damaged partitioning and statistics blocks ---------------------------------------

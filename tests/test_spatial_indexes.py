@@ -50,7 +50,7 @@ class TestRTreeStructure:
     def test_all_entries_roundtrip(self):
         items = _random_boxes(50)
         tree = RTree.bulk_load([(b, i) for i, b in enumerate(items)], max_entries=4)
-        got = sorted(v for _b, v in tree.all_entries())
+        got = sorted(v for v in tree.all_entries())
         assert got == list(range(50))
 
     def test_delete(self):
@@ -60,7 +60,7 @@ class TestRTreeStructure:
         t.repack()
         assert len(t) == len(t._rtree) == 30
         t._rtree.check_invariants()
-        got = sorted(obj.oid for _b, obj in t._rtree.all_entries())
+        got = sorted(obj.oid for obj in t._rtree.all_entries())
         assert got == list(range(1, 60, 2))
         with pytest.raises(KeyError):
             t.delete(0)  # already gone
@@ -89,13 +89,13 @@ class TestRTreeSearch:
 
     def test_overlap_query(self):
         q = BoxQuery(overlap=(Box((20, 20), (40, 40)),))
-        got = {v for _b, v in self.tree.search(q)}
+        got = {v for v in self.tree.search(q)}
         assert got == self._scan(q)
         assert got  # non-trivial
 
     def test_containment_query(self):
         q = BoxQuery(inside=Box((0, 0), (50, 50)))
-        got = {v for _b, v in self.tree.search(q)}
+        got = {v for v in self.tree.search(q)}
         assert got == self._scan(q)
 
     def test_covers_query(self):
@@ -105,7 +105,7 @@ class TestRTreeSearch:
             tuple(c - 0.1 for c in target.hi),
         )
         q = BoxQuery(covers=inner)
-        got = {v for _b, v in self.tree.search(q)}
+        got = {v for v in self.tree.search(q)}
         assert 13 in got
         assert got == self._scan(q)
 
@@ -114,7 +114,7 @@ class TestRTreeSearch:
             inside=Box((0, 0), (60, 60)),
             overlap=(Box((10, 10), (30, 30)), Box((5, 5), (50, 50))),
         )
-        got = {v for _b, v in self.tree.search(q)}
+        got = {v for v in self.tree.search(q)}
         assert got == self._scan(q)
 
     def test_unsatisfiable_short_circuits(self):
@@ -144,7 +144,7 @@ class TestRTreeSearch:
             q = BoxQuery(inside=probe)
         else:
             q = BoxQuery(covers=Box(lo, (lo[0] + 0.2, lo[1] + 0.2)))
-        got = {v for _b, v in self.tree.search(q)}
+        got = {v for v in self.tree.search(q)}
         assert got == self._scan(q)
 
 
