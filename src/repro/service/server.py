@@ -28,14 +28,12 @@ between threads per request.  A thread that finishes a connection
 waits for the next one.  Endpoints: ``GET /health``, ``GET /stats``,
 and ``POST /run | /explain | /bench | /nearest | /insert | /delete``
 with JSON bodies (see :class:`QueryService` for payload shapes and
-:mod:`repro.service.client` for a matching client).  Wire bounds:
-
-* a request or header line over 8 KiB, over 100 header lines, a
-  malformed request line or ``Content-Length`` → ``400`` and close;
-* a ``Content-Length`` over 16 MiB → ``413`` and close, body unread;
-* a body cut short by EOF → dropped unanswered, no handler runs;
-* a peer silent for 30 s in one socket read or write is dropped;
-* past 64 connections served at once → ``503`` and close.
+:mod:`repro.service.client` for a matching client).  Wire bounds: the
+framing caps of :mod:`repro.service.wire`, which hold for requests and
+replies alike (a breach → ``400``/``413`` and close; a body cut short
+by EOF → dropped unanswered, no handler runs); a peer silent for 30 s
+in one socket read or write is dropped; past 64 connections served at
+once → ``503`` and close.
 
 Handler errors (``400``/``404``/``500``) keep the connection open; a
 response after which the server closes says ``Connection: close``.
@@ -50,7 +48,7 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..algebra.regions import Region
 from ..boxes.box import box_from_jsonable
@@ -63,6 +61,7 @@ from ..spatial.snapshot import (
     region_from_jsonable,
 )
 from ..spatial.table import ProbeCache, SpatialTable
+from .wire import read_request, write_response
 
 __all__ = ["QueryService", "ServiceServer", "SnapshotStore", "serve_in_thread"]
 
@@ -532,68 +531,9 @@ _ROUTES = {
     ("POST", "/delete"): "delete",
 }
 
-_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Payload Too Large",
-                500: "Internal Server Error", 503: "Service Unavailable"}
-
-#: The wire bounds of the module docstring (constants, not options).
-_MAX_LINE_BYTES = 8192
-_MAX_HEADER_LINES = 100
-_MAX_BODY_BYTES = 16 << 20
+#: The server's own bounds of the module docstring (constants, not options).
 _CONNECTION_TIMEOUT_S = 30.0
 _MAX_CONNECTIONS = 64
-
-
-def _response(status: int, payload: Any, close: bool = False) -> bytes:
-    data = json.dumps(payload, default=str).encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(data)}\r\n"
-        + ("Connection: close\r\n" if close else "")
-        + "\r\n"
-    ).encode("latin-1")
-    return head + data
-
-
-def _read_line(rfile: BinaryIO, what: str) -> bytes:
-    line = rfile.readline(_MAX_LINE_BYTES + 1)
-    if len(line) > _MAX_LINE_BYTES:
-        raise ServiceError(f"{what} longer than {_MAX_LINE_BYTES} bytes")
-    return line
-
-
-def _read_request(rfile: BinaryIO) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """The next ``(method, path, headers, body)``; ``None`` to drop the
-    connection unanswered (EOF, or a blank line, where a request should
-    start; EOF inside one).  A :class:`ServiceError` is to be answered
-    with its status, then the connection closed."""
-    line = _read_line(rfile, "request line")
-    if not line.strip():
-        return None
-    try:
-        method, path, _proto = line.decode("latin-1").split(" ", 2)
-    except ValueError:
-        raise ServiceError("malformed request line") from None
-    headers: Dict[str, str] = {}
-    for _ in range(_MAX_HEADER_LINES + 1):
-        line = _read_line(rfile, "header line")
-        if not line.strip():
-            break
-        name, _sep, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise ServiceError(f"more than {_MAX_HEADER_LINES} header lines")
-    if not line:
-        return None
-    declared = headers.get("content-length") or "0"
-    if not (declared.isascii() and declared.isdigit()):
-        # The body's extent is unknown: answer and hang up.
-        raise ServiceError(f"invalid Content-Length: {declared!r}")
-    length = int(declared)
-    if length > _MAX_BODY_BYTES:
-        raise ServiceError(f"body of {length} bytes exceeds the {_MAX_BODY_BYTES}-byte cap", 413)
-    body = rfile.read(length) if length else b""
-    return (method, path, headers, body) if len(body) == length else None
 
 
 class ServiceServer:
@@ -635,7 +575,7 @@ class ServiceServer:
             self.service.count_connection()
             if not self._admit(conn):
                 with conn, contextlib.suppress(OSError):  # the peer may be gone
-                    conn.sendall(_response(503, {"error": "server busy"}, close=True))
+                    write_response(conn, 503, {"error": "server busy"}, close=True)
 
     def start(self) -> None:
         """Run :meth:`serve_forever` on a background thread."""
@@ -699,15 +639,15 @@ class ServiceServer:
         with conn.makefile("rb") as rfile:
             while True:
                 try:
-                    request = _read_request(rfile)
+                    request = read_request(rfile)
                 except ServiceError as exc:
-                    conn.sendall(_response(exc.status, {"error": str(exc)}, close=True))
+                    write_response(conn, exc.status, {"error": str(exc)}, close=True)
                     return
                 if request is None:
                     return
                 method, path, headers, body = request
                 close = headers.get("connection", "").lower() == "close"
-                conn.sendall(_response(*self._dispatch(method, path, body), close))
+                write_response(conn, *self._dispatch(method, path, body), close)
                 if close:
                     return
 

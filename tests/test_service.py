@@ -6,10 +6,14 @@ swaps in a new one — their answers must stay bit-identical to a serial
 baseline on that snapshot — and the stale-probe regression warms the
 cache, mutates, and asserts the post-swap answer reflects the mutation
 with the superseded table's entries gone from the cache.  The wire
-tests pin the kept-alive client, the server's bounds and its shutdown.
+tests pin the kept-alive client and its retry rule, the framing bounds
+in both directions (the client's against a scripted raw-socket stub),
+plain-HTTP/1.1 interop, and the server's shutdown.
 """
 
+import contextlib
 import http.client
+import http.server
 import json
 import os
 import re
@@ -31,6 +35,7 @@ from repro.engine.stats import ExecutionStats
 from repro.errors import ServiceError
 from repro.service import QueryService, ServiceClient, serve_in_thread
 from repro.service import server as server_module
+from repro.service import wire as wire_module
 
 
 def _make_service(seed=2, cache_size=1024):
@@ -283,7 +288,7 @@ def test_error_mapping(served):
     with pytest.raises(ServiceError, match="unknown binding"):
         client.run(system, bindings=["Z"])
     with pytest.raises(ServiceError, match="needs a 'system'"):
-        client._post("/run", {})
+        client._request("POST", "/run", {})
     with pytest.raises(ServiceError, match="ParseError"):
         client.run("this is not the Figure-1 syntax")
     try:
@@ -646,7 +651,7 @@ def test_oversized_body_is_a_413_and_close_unread(served):
     """Only the head is sent: a server that read the declared body would
     wait for it and the read here would time out."""
     _service, client, _system = served
-    declared = server_module._MAX_BODY_BYTES + 1
+    declared = wire_module._MAX_BODY_BYTES + 1
     data = (
         f"POST /insert HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}\r\n\r\n"
     ).encode("latin-1")
@@ -668,6 +673,43 @@ def test_short_body_then_eof_runs_no_handler(served):
     ).encode("latin-1")
     reply = _exchange_raw((client.host, client.port), data + body, half_close=True)
     assert reply == b""  # dropped unanswered
+    assert (service.requests, service.store.version) == before
+    assert _answers_on_a_new_connection((client.host, client.port))
+
+
+_INSERT_BODY = json.dumps(
+    {"table": "T", "rows": [{"oid": "framed", "boxes": [[[1, 1], [2, 2]]]}]}
+).encode()
+
+
+@pytest.mark.parametrize(
+    "data,what",
+    [
+        (
+            # A chunked body used to run the handler on an empty payload;
+            # the chunk was then read as a second request, and answered.
+            b"POST /insert HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(_INSERT_BODY) + _INSERT_BODY + b"\r\n0\r\n\r\n",
+            "Transfer-Encoding",
+        ),
+        (
+            # The last Content-Length used to win, and the insert ran.
+            b"POST /insert HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n"
+            + b"Content-Length: %d\r\n\r\n" % len(_INSERT_BODY) + _INSERT_BODY,
+            "repeated Content-Length",
+        ),
+    ],
+    ids=["transfer-encoding", "repeated-content-length"],
+)
+def test_ambiguous_body_framing_is_a_400_and_close_running_no_handler(served, data, what):
+    service, client, _system = served
+    before = (service.requests, service.store.version)
+    reply = _exchange_raw((client.host, client.port), data)
+    assert reply.count(b"HTTP/1.1 ") == 1  # exactly one reply
+    head, body = _split(reply)
+    assert head.startswith(b"HTTP/1.1 400 Bad Request")
+    assert b"\r\nConnection: close" in head
+    assert what in body["error"]
     assert (service.requests, service.store.version) == before
     assert _answers_on_a_new_connection((client.host, client.port))
 
@@ -726,7 +768,7 @@ def test_client_survives_a_server_idle_close(fresh, monkeypatch):
 
 
 def test_client_survives_a_connection_close_reply(fresh, monkeypatch):
-    monkeypatch.setattr(server_module, "_MAX_BODY_BYTES", 1024)
+    monkeypatch.setattr(wire_module, "_MAX_BODY_BYTES", 1024)
     service, handle, _system = fresh
     rows = [{"oid": f"big-{i}", "boxes": [[[1.0, 1.0], [2.0, 2.0]]]} for i in range(64)]
     with ServiceClient(*handle.address) as client:
@@ -778,6 +820,167 @@ def test_shared_client_returns_each_thread_its_own_reply(fresh):
     assert not errors and not any(t.is_alive() for t in threads)
     assert len(matches) == 100 and all(matches)
     assert service.connections == 1
+
+
+_HEAD = b"HTTP/1.1 200 OK\r\n"
+
+
+def _reply(body=b'{"ok": true}', extra=b""):
+    return _HEAD + b"Content-Length: %d\r\n" % len(body) + extra + b"\r\n" + body
+
+
+class _StubServer:
+    """A raw-socket server scripted per request: it reads a request, sends
+    the next ``(bytes, close)`` of ``script`` and hangs up if ``close``;
+    past the script it answers ``{"ok": true}`` and keeps the connection."""
+
+    def __init__(self, *script):
+        self.script = iter(script)
+        self.paths, self.connections = [], 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _peer = self._listener.accept()
+            except OSError:
+                return  # closed by __exit__
+            self.connections += 1
+            with conn, conn.makefile("rb") as rfile, contextlib.suppress(OSError):
+                while (request := wire_module.read_request(rfile)) is not None:
+                    self.paths.append(request[1])
+                    data, close = next(self.script, (_reply(), False))
+                    conn.sendall(data)
+                    if close:
+                        break
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self._listener.close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "sent,error,match",
+    [
+        (b"HTTP/1.1 200 " + b"x" * 9000 + b"\r\n\r\n", ServiceError, "status line longer"),
+        (_HEAD + b"X-Long: " + b"v" * 9000 + b"\r\n\r\n", ServiceError, "header line longer"),
+        (
+            _HEAD + b"".join(b"X-%d: 1\r\n" % i for i in range(101)) + b"\r\n",
+            ServiceError,
+            "more than 100 header lines",
+        ),
+        (
+            _HEAD + b"Content-Length: %d\r\n\r\n" % (wire_module._MAX_BODY_BYTES + 1),
+            ServiceError,
+            "cap",
+        ),
+        (_HEAD + b"\r\n{}", ServiceError, "without a Content-Length"),
+        (_HEAD + b"Content-Length: abc\r\n\r\n{}", ServiceError, "invalid Content-Length"),
+        (_reply(extra=b"Content-Length: 12\r\n"), ServiceError, "repeated Content-Length"),
+        (_reply(extra=b"Transfer-Encoding: chunked\r\n"), ServiceError, "Transfer-Encoding"),
+        (_HEAD + b"Content-Length: 50\r\n\r\n{", ConnectionError, "mid-reply"),
+        (b"garbage\r\n\r\n", ServiceError, "malformed status line"),
+    ],
+    ids=[
+        "status-line", "header-line", "header-count", "body-cap", "no-length",
+        "bad-length", "repeated-length", "transfer-encoding", "eof-in-body", "garbage",
+    ],
+)
+def test_client_bounds_a_broken_reply(sent, error, match):
+    """The server's wire bounds hold for replies: a broken one raises at
+    once — the stub keeps its end open, so a client that read on would
+    time out instead — and the next call opens a fresh connection."""
+    with _StubServer((sent, error is ConnectionError)) as stub:  # EOF: hang up
+        with ServiceClient(*stub.address, timeout=5.0) as client:
+            started = time.monotonic()
+            with pytest.raises(error, match=match):
+                client.health()
+            assert time.monotonic() - started < 2.5
+            assert client.health() == {"ok": True}
+        assert (stub.paths, stub.connections) == (["/health", "/health"], 2)
+
+
+def test_client_never_retries_on_a_fresh_connection():
+    """The stub reads the ``/insert`` and hangs up unanswered: on a fresh
+    connection that is raised, so the insert reaches the server once."""
+    with _StubServer((b"", True)) as stub:
+        with ServiceClient(*stub.address, timeout=5.0) as client:
+            with pytest.raises(ConnectionResetError):
+                client.insert("T", [])
+            assert client.health() == {"ok": True}
+        assert (stub.paths, stub.connections) == (["/insert", "/health"], 2)
+
+
+@pytest.mark.parametrize(
+    "cut,error",
+    [(b"HTTP/1.1 20", ServiceError), (_HEAD + b"Content-Type: text/plain\r\n", ConnectionError)],
+    ids=["in-status-line", "in-headers"],
+)
+def test_client_never_retries_once_a_reply_started(cut, error):
+    """EOF inside a reply on a *reused* connection is raised: the request
+    was read, so resending it could run it twice."""
+    with _StubServer((_reply(), False), (cut, True)) as stub:
+        with ServiceClient(*stub.address, timeout=5.0) as client:
+            client.health()
+            with pytest.raises(error):
+                client.insert("T", [])
+        assert (stub.paths, stub.connections) == (["/health", "/insert"], 1)
+
+
+def test_client_speaks_plain_http11_to_a_stdlib_server():
+    """20 calls against ``http.server`` share one kept-alive connection
+    and each gets its own reply (the CLI test drives the reverse
+    direction: ``http.client`` against this server)."""
+    connections = []
+
+    class Echo(http.server.BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            super().setup()
+            connections.append(self.client_address)
+
+        def _answer(self, payload):
+            data = json.dumps({"path": self.path, "payload": payload}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def do_GET(self):
+            self._answer(None)
+
+        def do_POST(self):
+            self._answer(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Echo)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with ServiceClient(*server.server_address[:2], timeout=10.0) as client:
+            for i in range(10):
+                assert client.health() == {"path": "/health", "payload": None}
+                assert client.nearest("T", k=i + 1, point=(i, -i)) == {
+                    "path": "/nearest",
+                    "payload": {"table": "T", "k": i + 1, "access": "auto", "point": [i, -i]},
+                }
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(connections) == 1
 
 
 def test_stop_ends_kept_alive_connections_and_joins_threads():
