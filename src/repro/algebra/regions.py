@@ -23,6 +23,7 @@ bridge into Section 4 of the paper.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..boxes.box import Box, enclose_all
@@ -36,30 +37,43 @@ def box_subtract(a: Box, b: Box) -> List[Box]:
     Classic axis sweep: for each dimension, the parts of ``a`` hanging
     below/above ``b`` in that dimension are split off, and the remaining
     core is narrowed; anything left at the end is ``a ∩ b`` and is
-    discarded.
+    discarded.  On coordinates alone: where the boxes overlap, ``b``'s
+    edges are the intersection's wherever ``a`` reaches past them.
     """
-    if a.is_empty():
+    if a._empty:
         return []
-    inter = a.meet(b)
-    if inter.is_empty():
+    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    if len(alo) != len(blo):
+        a._require_compatible(b)
+    if b._empty or not (all(map(lt, blo, ahi)) and all(map(lt, alo, bhi))):
         return [a]
     # Every piece keeps a nonempty core in the other dimensions and a
     # nonempty side in the split one, so none needs re-validation.
     out: List[Box] = []
-    lo = list(a.lo)
-    hi = list(a.hi)
-    for d in range(a.dim):
-        if lo[d] < inter.lo[d]:
-            piece_hi = list(hi)
-            piece_hi[d] = inter.lo[d]
+    lo = list(alo)
+    hi = list(ahi)
+    for d, (low, high) in enumerate(zip(blo, bhi)):
+        if lo[d] < low:
+            piece_hi = hi.copy()
+            piece_hi[d] = low
             out.append(Box._trusted(tuple(lo), tuple(piece_hi), False))
-            lo[d] = inter.lo[d]
-        if inter.hi[d] < hi[d]:
-            piece_lo = list(lo)
-            piece_lo[d] = inter.hi[d]
+            lo[d] = low
+        if high < hi[d]:
+            piece_lo = lo.copy()
+            piece_lo[d] = high
             out.append(Box._trusted(tuple(piece_lo), tuple(hi), False))
-            hi[d] = inter.hi[d]
+            hi[d] = high
     return out
+
+
+def _cut(box: Box, cuts: Sequence[Box]) -> List[Box]:
+    """The disjoint pieces of ``box`` that no box of ``cuts`` covers."""
+    pieces = [box]
+    for cut in cuts:
+        pieces = [p for piece in pieces for p in box_subtract(piece, cut)]
+        if not pieces:
+            break
+    return pieces
 
 
 class Region:
@@ -98,15 +112,7 @@ class Region:
         """Build a region from arbitrary (overlapping) boxes."""
         disjoint: List[Box] = []
         for b in boxes:
-            pieces = [b]
-            for existing in disjoint:
-                nxt: List[Box] = []
-                for piece in pieces:
-                    nxt.extend(box_subtract(piece, existing))
-                pieces = nxt
-                if not pieces:
-                    break
-            disjoint.extend(pieces)
+            disjoint.extend(_cut(b, disjoint))
         return Region(disjoint)
 
     @staticmethod
@@ -169,15 +175,7 @@ class Region:
 
 
 def _difference(a: Region, b: Region) -> Region:
-    pieces: List[Box] = list(a.boxes)
-    for cut in b.boxes:
-        nxt: List[Box] = []
-        for piece in pieces:
-            nxt.extend(box_subtract(piece, cut))
-        pieces = nxt
-        if not pieces:
-            break
-    return Region._trusted(tuple(pieces))
+    return Region._trusted(tuple(p for box in a.boxes for p in _cut(box, b.boxes)))
 
 
 class RegionAlgebra(BooleanAlgebra[Region]):
@@ -217,27 +215,26 @@ class RegionAlgebra(BooleanAlgebra[Region]):
     def meet(self, a: Region, b: Region) -> Region:
         self.ops.meet += 1
         out: List[Box] = []
+        if a.boxes and b.boxes and len(a.boxes[0].lo) != len(b.boxes[0].lo):
+            a.boxes[0]._require_compatible(b.boxes[0])
+        # Nonempty boxes of one dimension overlap iff each starts before
+        # the other ends; only a pair that does gets a box.
         for ba in a.boxes:
+            alo, ahi = ba.lo, ba.hi
             for bb in b.boxes:
-                inter = ba.meet(bb)
-                if not inter.is_empty():
-                    out.append(inter)
+                blo, bhi = bb.lo, bb.hi
+                if all(map(lt, blo, ahi)) and all(map(lt, alo, bhi)):
+                    lo, hi = tuple(map(max, alo, blo)), tuple(map(min, ahi, bhi))
+                    out.append(Box._trusted(lo, hi, False))
         return Region._trusted(tuple(out))
 
     def join(self, a: Region, b: Region) -> Region:
         self.ops.join += 1
         pieces: List[Box] = list(a.boxes)
         for new in b.boxes:
-            fragments = [new]
-            for existing in a.boxes:
-                nxt: List[Box] = []
-                for frag in fragments:
-                    nxt.extend(box_subtract(frag, existing))
-                fragments = nxt
-                if not fragments:
-                    break
-            pieces.extend(fragments)
-        return Region(pieces)
+            pieces.extend(_cut(new, a.boxes))
+        # Cutting b's boxes by a's raised on a dimension mismatch.
+        return Region._trusted(tuple(pieces))
 
     def complement(self, a: Region) -> Region:
         self.ops.complement += 1
@@ -255,7 +252,9 @@ class RegionAlgebra(BooleanAlgebra[Region]):
     def le(self, a: Region, b: Region) -> bool:
         """``a ⊆ b`` decided on the box tuples, billed like the generic
         ``is_zero(diff(a, b))``: nothing is cut unless ``b`` has several
-        boxes (one box covers a union iff it covers every member)."""
+        boxes (one box covers a union iff it covers every member), and
+        then ``a`` is cut box by box up to the first box with a piece
+        left."""
         self.ops.comparisons += 1
         self.ops.meet += 1
         if not a.boxes:
@@ -266,7 +265,7 @@ class RegionAlgebra(BooleanAlgebra[Region]):
                 if not box.le(cover):
                     return False
             return True
-        return not _difference(a, b).boxes
+        return not any(_cut(box, b.boxes) for box in a.boxes)
 
     def meets(self, a: Region, b: Region) -> bool:
         """``a ∧ b ≠ 0`` by pairwise box overlap, stopping at the first

@@ -11,13 +11,14 @@ Grammar (whitespace insensitive)::
 
 The syntax round-trips with :func:`repro.boolean.printer.to_str`.
 Parsing errors raise :class:`repro.errors.ParseError` with the offending
-position, so callers can show a caret diagnostic.
+position, so callers can show a caret diagnostic.  That includes nesting
+``~`` and ``(`` deeper than :data:`MAX_DEPTH` levels.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import Callable, List, NamedTuple
 
 from ..errors import ParseError
 from .syntax import FALSE, TRUE, Formula, Var, conj, disj, neg
@@ -27,6 +28,12 @@ _TOKEN_RE = re.compile(
     r"|(?P<const>[01])"
     r"|(?P<op>[~&|()]))"
 )
+
+
+#: Deepest nesting of ``~`` and ``(``: a level is up to five frames here
+#: and one or two in each recursive walk of the formula (BDD lift,
+#: evaluation, printing), all far below the interpreter's recursion limit.
+MAX_DEPTH = 100
 
 
 class _Token(NamedTuple):
@@ -63,6 +70,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         if self.index < len(self.tokens):
@@ -84,6 +92,16 @@ class _Parser:
                 self.text,
                 tok.pos,
             )
+
+    def nested(self, tok: _Token, parse: Callable[[], Formula]) -> Formula:
+        """``parse()`` one level down, in the ``~`` or ``(`` that ``tok`` opens."""
+        if self.depth == MAX_DEPTH:
+            msg = f"nesting deeper than {MAX_DEPTH} levels at position {tok.pos}"
+            raise ParseError(msg, self.text, tok.pos)
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
 
     def parse(self) -> Formula:
         f = self.or_expr()
@@ -120,7 +138,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.text == "~":
             self.advance()
-            return neg(self.not_expr())
+            return neg(self.nested(tok, self.not_expr))
         return self.atom()
 
     def atom(self) -> Formula:
@@ -130,7 +148,7 @@ class _Parser:
         if tok.kind == "const":
             return TRUE if tok.text == "1" else FALSE
         if tok.text == "(":
-            inner = self.or_expr()
+            inner = self.nested(tok, self.or_expr)
             self.expect(")")
             return inner
         raise ParseError(

@@ -25,6 +25,7 @@ a single orthogonal range query — is :meth:`Box.to_point` /
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import DimensionMismatchError
@@ -76,7 +77,7 @@ class Box:
         object.__setattr__(box, "lo", lo)
         object.__setattr__(box, "hi", hi)
         if empty is None:
-            empty = not lo or any(a >= b for a, b in zip(lo, hi))
+            empty = not lo or any(map(operator.ge, lo, hi))
         object.__setattr__(box, "_empty", empty)
         return box
 
@@ -162,11 +163,11 @@ class Box:
     # -- the lattice (Section 4) ---------------------------------------------------------
     def meet(self, other: "Box") -> "Box":
         """``⊓`` — box intersection (equal to set intersection)."""
-        self._require_compatible(other)
-        if self.is_empty() or other.is_empty():
+        if self._empty or other._empty:
             return EMPTY_BOX
-        lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
-        hi = tuple(min(b, d) for b, d in zip(self.hi, other.hi))
+        if len(self.lo) != len(other.lo):
+            self._require_compatible(other)
+        lo, hi = tuple(map(max, self.lo, other.lo)), tuple(map(min, self.hi, other.hi))
         return Box._trusted(lo, hi)  # floats already: only emptiness is open
 
     def enclose(self, other: "Box") -> "Box":

@@ -1,17 +1,19 @@
 """The per-binding index probe and the region-materialising predicates
-as they were before set-at-a-time probing — frozen.
+and kernels as they were before set-at-a-time probing — frozen.
 
 ``IndexProbe`` now pulls its input in groups and sends each group's
 range queries through one R-tree traversal; ``RegionAlgebra.le`` /
-``meets`` and ``Box.meet`` / ``box_subtract`` / ``_difference`` no
-longer validate or build what they can decide or trust.  Both promise
-*identical* answers, answer order and counters.  These are copies of
-the code they replaced: one ``range_query_cached`` call per binding, no
-read-ahead; every box through the validating ``Box(lo, hi)``, every
-region through ``Region(boxes)``, containment and overlap decided by
-building the difference / the meet and asking whether it is empty.
-``test_batched_probe.py`` and ``test_region_predicates.py`` hold the
-engine to them bit for bit.
+``meets`` / ``meet`` / ``join`` and ``Box.meet`` / ``box_subtract`` /
+``_difference`` decide overlap on the coordinates, build a box only for
+a piece they return, and no longer validate or build what they can
+decide or trust.  Both promise *identical* answers, answer order,
+counters and boxes.  These are copies of the code they replaced: one
+``range_query_cached`` call per binding, no read-ahead; every box
+through the validating ``Box(lo, hi)`` (the intersection of every pair
+tried included), every region through ``Region(boxes)``, containment
+and overlap decided by building the difference / the meet and asking
+whether it is empty.  ``test_batched_probe.py`` and
+``test_region_predicates.py`` hold the engine to them bit for bit.
 """
 
 from typing import List
@@ -130,6 +132,24 @@ def reference_meet(algebra, a: Region, b: Region) -> Region:
             if not inter.is_empty():
                 out.append(inter)
     return Region(out)
+
+
+def reference_join(algebra, a: Region, b: Region) -> Region:
+    """``RegionAlgebra.join``: ``a``'s boxes, then what ``a`` leaves of
+    each of ``b``'s, through the validating ``Region(pieces)``."""
+    algebra.ops.join += 1
+    pieces: List[Box] = list(a.boxes)
+    for new in b.boxes:
+        fragments = [new]
+        for existing in a.boxes:
+            nxt: List[Box] = []
+            for frag in fragments:
+                nxt.extend(reference_box_subtract(frag, existing))
+            fragments = nxt
+            if not fragments:
+                break
+        pieces.extend(fragments)
+    return Region(pieces)
 
 
 def reference_le(algebra, a: Region, b: Region) -> bool:

@@ -23,7 +23,11 @@ from repro.boolean import (
     truth_table,
     variables,
 )
+from repro.boolean.bdd import Bdd
+from repro.boolean.parser import MAX_DEPTH
+from repro.boolean.semantics import evaluate
 from repro.errors import ParseError
+from tests.strategies import BITS8
 
 # ---------------------------------------------------------------------------
 # Random formula strategy shared across test modules
@@ -187,3 +191,28 @@ class TestParser:
     @settings(max_examples=100)
     def test_round_trip(self, f):
         assert parse(to_str(f)) == f
+
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            lambda n: "(" * n + "x" + ")" * n,
+            lambda n: "~" * n + "x",
+            lambda n: "~(x & " * (n // 2) + "y" + ")" * (n // 2),
+            lambda n: "(x & (y | " * (n // 2) + "z" + "))" * (n // 2),
+        ],
+        ids=["parentheses", "complements", "complemented-conjunctions", "and-or"],
+    )
+    def test_nesting_cap(self, nested):
+        """As deep as the parser goes, a formula lifts to a BDD, evaluates
+        and prints back; deeper is a ParseError at the opener that
+        crossed the cap, not a RecursionError."""
+        f = parse(nested(MAX_DEPTH))
+        Bdd().from_formula(f)
+        evaluate(f, BITS8, {"x": 3, "y": 5, "z": 9})
+        assert parse(to_str(f)) == f
+        text = nested(MAX_DEPTH + 2)
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            parse(text)
+        opened = text[: exc.value.position]
+        assert text[exc.value.position] in "(~"
+        assert opened.count("(") + opened.count("~") == MAX_DEPTH

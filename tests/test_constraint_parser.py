@@ -3,6 +3,7 @@
 import pytest
 
 from repro.boolean import Var, equivalent
+from repro.boolean.parser import MAX_DEPTH
 from repro.constraints import (
     SMUGGLERS_ORDER,
     parse_constraint,
@@ -104,3 +105,14 @@ class TestParseSystem:
     def test_parenthesised_formulas(self):
         s = parse_system("(x | y) & ~z <= w")
         assert len(s.positives) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["T <= " + "(" * 400 + "C" + ")" * 400, "~" * 2000 + "T != 0"],
+        ids=["parentheses", "complements"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        """Both used to raise RecursionError out of the formula parser."""
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            parse_system(text)
+        assert exc.value.position == MAX_DEPTH  # in the side that nests

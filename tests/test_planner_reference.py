@@ -12,6 +12,7 @@ Tier-1 runs a thin diagonal of the 4-/5-unknown product; CI's
 seed-matrix job (``REPRO_TEST_SEED`` set) runs all of it.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -26,6 +27,7 @@ from repro.algebra import Region
 from repro.boolean import FALSE, TRUE, Bdd, Var, semantics
 from repro.boxes import Box
 from repro.constraints import (
+    SMUGGLERS_ORDER,
     ConstraintSystem,
     Disequation,
     SolvedConstraint,
@@ -97,6 +99,10 @@ FIGURE1_VARIANTS = [
 
 @pytest.fixture(scope="module")
 def figure1_db():
+    return _figure1_database()
+
+
+def _figure1_database():
     """The ``text_query`` workload's database: the seed-0 map with the
     destination area scaled about its centre."""
     world = make_map(seed=0, n_towns=100, n_roads=100, states_grid=(4, 4))
@@ -443,6 +449,34 @@ def test_figure1_run_work_counts(figure1_db, form, area):
     # Once per distinct eliminated set (the 2^3 subsets of {T, R, B}).
     levels = [c.args[0] for c in calls["subsume"].call_args_list]
     assert len(levels) == len({id(level) for level in levels}) <= 8
+
+
+#: One warm Figure-1 ``Session.run`` of ``A2`` (the planner picks the
+#: paper's order): the region operations it bills, its answers, and the
+#: boxes it builds, validating or trusted — 2 147 while ``meet``,
+#: ``box_subtract`` and ``⊆`` built a box for every pair they tried,
+#: with the same ``region_ops`` and answers.
+FIGURE1_A2_REGION_OPS = 1664
+FIGURE1_A2_BOXES = 1008
+FIGURE1_A2_ANSWERS_SHA1 = "fbbc746645b4c46342a39ea90ca67d7d56af16a2"
+
+
+def test_figure1_run_builds_only_the_boxes_it_returns():
+    db = _figure1_database()  # its caches hold only what the warm-up leaves
+    text = TEXT_FORMS[0].format(A="A2")
+    db.session().run(text)
+    with mock.patch.object(
+        Box, "__init__", autospec=True, side_effect=Box.__init__
+    ) as validating, mock.patch.object(
+        Box, "_trusted", side_effect=Box._trusted
+    ) as trusted:
+        result = db.session().run(text)
+    assert result.order == SMUGGLERS_ORDER
+    assert result.stats.region_ops == FIGURE1_A2_REGION_OPS
+    answers = result.oid_tuples(SMUGGLERS_ORDER)
+    assert len(answers) == 21
+    assert hashlib.sha1(repr(answers).encode()).hexdigest() == FIGURE1_A2_ANSWERS_SHA1
+    assert validating.call_count + trusted.call_count == FIGURE1_A2_BOXES
 
 
 def test_run_and_explain_triangularise_once(figure1_db):

@@ -22,6 +22,7 @@ from tests.reference_probe import (
     reference_box_meet,
     reference_box_subtract,
     reference_difference,
+    reference_join,
     reference_le,
     reference_meet,
     reference_meets,
@@ -100,6 +101,11 @@ def test_built_regions_equal_the_validating_constructors(pair):
         reference_difference(a, b)
     )
     assert _region_facts(alg.meet(a, b)) == _region_facts(reference_meet(alg, a, b))
+    for x, y in ((a, b), (b, a)):
+        joined, billed = _billed(alg, alg.join, x, y)
+        expected, reference_billed = _billed(alg, reference_join, alg, x, y)
+        assert _region_facts(joined) == _region_facts(expected)
+        assert billed == reference_billed
     assert _region_facts(alg.complement(a)) == _region_facts(
         reference_difference(alg.top, a)
     )
@@ -128,10 +134,19 @@ def test_mixed_dimensions_still_raise():
         with pytest.raises(DimensionMismatchError):
             call(solid)
         assert call(EMPTY_BOX) is not None  # the empty box fits any dimension
+    with pytest.raises(DimensionMismatchError):
+        box_subtract(flat, solid)
+    # ``map`` and ``zip`` stop at the shorter operand: a 3-D operand,
+    # alone or in a multi-box cover, on either side, must still raise.
     a, b = Region.from_box(flat), Region.from_box(solid)
-    for call in (PLANE.le, PLANE.meets):
+    cover = Region.from_boxes([solid, Box((2.0,) * 3, (3.0,) * 3)])
+    for x, y in ((a, b), (b, a), (a, cover), (cover, a)):
+        for call in (PLANE.le, PLANE.meets, PLANE.meet, PLANE.join, _difference):
+            with pytest.raises(DimensionMismatchError):
+                call(x, y)
+    for solid_region in (b, cover):
         with pytest.raises(DimensionMismatchError):
-            call(a, b)
+            PLANE.complement(solid_region)
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ import pytest
 
 from repro import BoxQuery, Database, Session
 from repro.algebra import Region
+from repro.boolean.parser import MAX_DEPTH
 from repro.boxes import Box
 from repro.datagen import smugglers_query
 from repro.engine.stats import ExecutionStats
@@ -295,6 +296,22 @@ def test_error_mapping(served):
         client.run(system, bindings=["Z"])
     except ServiceError as exc:
         assert exc.status == 400
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["T <= " + "(" * 400 + "C" + ")" * 400, "~" * 2000 + "T != 0"],
+    ids=["parentheses", "complements"],
+)
+def test_deep_nesting_is_a_400_not_a_500(served, text):
+    """Both used to exhaust the parser's recursion: a 500 RecursionError.
+    A constraint nested as deep as the parser goes still runs."""
+    _service, client, system = served
+    with pytest.raises(ServiceError, match="ParseError: nesting deeper") as exc_info:
+        client.run(text)
+    assert exc_info.value.status == 400
+    deepest = "(" * MAX_DEPTH + "T" + ")" * MAX_DEPTH + " <= 1"  # always holds
+    assert client.run(f"{system}\n{deepest}")["answers"] == client.run(system)["answers"]
 
 
 @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", "\xb2"])
