@@ -6,33 +6,23 @@ and writes the paper's cost counters (partial tuples, region ops, index node rea
 artifact that CI uploads on every run — the perf trajectory the ROADMAP
 asks for.
 
-Four acceptance gates are enforced (non-zero exit on failure; the
-planner no-regression gate and the STR node-read gate that used to sit
-here are tier-1 exact-count tests, ``tests/test_planner_cost.py`` and
-``tests/test_rtree_variants.py::TestSTRReadGate`` — the latter now
-holds the packed reads to the insertion-tree reads recorded before that
-tree was deleted):
+Two acceptance gates are enforced (non-zero exit on failure; the
+planner no-regression gate, the STR node-read gate and the PBSM
+exact-test gate that used to sit here are tier-1 exact-count tests,
+``tests/test_planner_cost.py``,
+``tests/test_rtree_variants.py::TestSTRReadGate`` — which holds the
+packed reads to the insertion-tree reads recorded before that tree was
+deleted — and ``tests/test_partition.py::TestPBSMExactCounts``):
 
 1. streaming: ``execute_iter(..., limit=1)`` yields the first answer in
    under 25% of the full-materialization time at the smoke scale (the
    operator tree pipelines instead of materializing levels);
 2. probe cache: re-running a query through a shared ``ProbeCache`` hits
-   on ≥ 90% of its index probes and costs zero index node reads;
-3. partitioned join: the PBSM spatial join performs ≥ 25% fewer exact
-   (candidate box) tests than the index-nested-loop baseline at the
-   partitioned-join bench's largest scale, with identical pair sets;
-4. parallelism: the PBSM tile fan-out over a worker pool returns a
-   result list bit-identical to the serial run.
-
-The partitioned-join rows are additionally written to their own
-artifact (``BENCH_partitioned.json``, uploaded by CI alongside
-``BENCH_ci.json``).
+   on ≥ 90% of its index probes and costs zero index node reads.
 
 Usage::
 
-    python benchmarks/ci_smoke.py [--out BENCH_ci.json]
-                                  [--partitioned-out BENCH_partitioned.json]
-                                  [--full]
+    python benchmarks/ci_smoke.py [--out BENCH_ci.json] [--full]
 """
 
 from __future__ import annotations
@@ -48,13 +38,6 @@ for path in (_REPO, os.path.join(_REPO, "src")):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from benchmarks.bench_partitioned_join import (  # noqa: E402
-    PBSM_TEST_GATE,
-    TILES,
-    make_entries,
-    run_inl,
-    run_pbsm,
-)
 from repro.datagen import smugglers_query  # noqa: E402
 from repro.engine import (  # noqa: E402
     ProbeCache,
@@ -151,48 +134,9 @@ def probe_cache_section(full: bool) -> dict:
     }
 
 
-def partitioned_join_section(full: bool) -> dict:
-    """PBSM vs index-nested-loop, plus the parallel-determinism check.
-
-    Mirrors ``bench_partitioned_join.py`` at smoke scale; the exact-test
-    gate applies at the largest size and the parallel run must be
-    bit-identical to the serial one.
-    """
-    sizes = [200, 400, 800] if full else [150, 300]
-    rows = []
-    for size in sizes:
-        left = make_entries(size, size)
-        right = make_entries(size + 1, size)
-        inl_pairs, inl_tests, inl_reads = run_inl(left, right)
-        serial_pairs, stats = run_pbsm(left, right, workers=0)
-        parallel_pairs, _ = run_pbsm(left, right, workers=4)
-        rows.append(
-            {
-                "size": size,
-                "tiles": TILES,
-                "pairs": len(serial_pairs),
-                "pairs_match_inl": serial_pairs == inl_pairs,
-                "parallel_identical": parallel_pairs == serial_pairs,
-                "inl_exact_tests": inl_tests,
-                "inl_node_reads": inl_reads,
-                "pbsm_exact_tests": stats.pair_tests,
-                "pbsm_dedup_skipped": stats.dedup_skipped,
-                "test_ratio": round(stats.pair_tests / inl_tests, 4)
-                if inl_tests
-                else 0.0,
-            }
-        )
-    return {"gate": PBSM_TEST_GATE, "rows": rows}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="benchmarks/out/BENCH_ci.json")
-    parser.add_argument(
-        "--partitioned-out",
-        default="benchmarks/out/BENCH_partitioned.json",
-        help="separate artifact for the partitioned-join rows",
-    )
     parser.add_argument(
         "--full",
         action="store_true",
@@ -200,31 +144,17 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    partitioned = partitioned_join_section(args.full)
     result = {
         "python": platform.python_version(),
         "scale": "full" if args.full else "reduced",
         "join_scaling": join_scaling_section(args.full),
         "streaming": streaming_section(args.full),
         "probe_cache": probe_cache_section(args.full),
-        "partitioned_join": partitioned,
     }
-    for target in (args.out, args.partitioned_out):
-        os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w") as handle:
         json.dump(result, handle, indent=2)
     print(f"wrote {args.out}")
-    with open(args.partitioned_out, "w") as handle:
-        json.dump(
-            {
-                "python": platform.python_version(),
-                "scale": result["scale"],
-                **partitioned,
-            },
-            handle,
-            indent=2,
-        )
-    print(f"wrote {args.partitioned_out}")
 
     failures = []
     stream = result["streaming"]
@@ -252,31 +182,6 @@ def main(argv=None) -> int:
     if pc["warm_node_reads"] >= max(1, pc["cold_node_reads"]):
         failures.append(
             "probe cache did not reduce node reads on the repeated query"
-        )
-    pj_rows = partitioned["rows"]
-    for row in pj_rows:
-        print(
-            f"partitioned join n={row['size']}: PBSM "
-            f"{row['pbsm_exact_tests']} vs INL {row['inl_exact_tests']} "
-            f"exact tests ({row['test_ratio']:.1%}), "
-            f"parallel identical={row['parallel_identical']}"
-        )
-        if not row["pairs_match_inl"]:
-            failures.append(
-                f"PBSM pair set differs from index-nested-loop at "
-                f"n={row['size']}"
-            )
-        if not row["parallel_identical"]:
-            failures.append(
-                f"parallel PBSM result not bit-identical to serial at "
-                f"n={row['size']}"
-            )
-    largest = max(pj_rows, key=lambda r: r["size"])
-    if largest["pbsm_exact_tests"] > PBSM_TEST_GATE * largest["inl_exact_tests"]:
-        failures.append(
-            f"PBSM exact tests {largest['pbsm_exact_tests']} exceed "
-            f"{PBSM_TEST_GATE:.0%} of INL's {largest['inl_exact_tests']} "
-            f"at the largest bench scale (n={largest['size']})"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -9,15 +9,14 @@ Usage::
     python -m repro bench    [--workload smugglers] [--size 12] [--json]
                              [--order-strategy histogram]
                              [--stream] [--limit K] [--probe-cache N]
-                             [--partitions N] [--parallel W] [--join auto]
-                             [--parallel-kind thread]
+                             [--partitions N] [--join auto]
                              [--knn K] [--agg count,min:T] [--agg-box]
                              [--mutate N] [--delta-threshold N]
     python -m repro explain  [--workload ...] [--mode boxplan] [--analyze]
-                             [--partitions N] [--parallel W] [--join pbsm]
+                             [--partitions N] [--join pbsm]
                              [--knn K] [--agg count] [--group-by B]
     python -m repro run      [--workload ...] [--stream] [--limit K]
-                             [--partitions N] [--parallel W]
+                             [--partitions N]
                              [--knn K [--knn-ref T]] [--agg count]
     python -m repro save     OUT [--workload ...] [--partitions N]
     python -m repro load     SNAPSHOT [--json]
@@ -36,13 +35,10 @@ the streaming iterator and reports time-to-first-answer alongside the
 total.
 
 ``--partitions N`` enables spatial partitioning (STR partitions /
-PBSM tiles), ``--parallel W`` fans PBSM tile tasks over a W-worker
-pool (answers are identical to serial execution), and ``--join``
-forces a per-step join algorithm — by default the cost-based planner
-picks one per step whenever partitioning or parallelism is enabled.
-``--parallel-kind process`` runs PBSM tile sweeps on a process pool
-that receives packed coordinate blobs.  Answers are bit-identical to
-serial execution throughout.
+PBSM tiles), and ``--join`` forces a per-step join algorithm — by
+default the cost-based planner picks one per step whenever
+partitioning is enabled.  Every join algorithm returns the same
+answers.
 
 ``explain`` prints the physical operator tree for the chosen mode with
 catalog cost estimates; ``--analyze`` also executes the plan and
@@ -312,16 +308,11 @@ def _probe_cache(args):
 def _physical_options(args) -> dict:
     """Partitioned-execution keyword arguments for ``plan.physical``."""
     join = args.join
-    if join is None and (args.partitions or args.parallel):
-        # Partitioning/parallelism without an explicit
-        # algorithm choice delegates the per-step pick to the planner.
+    if join is None and args.partitions:
+        # Partitioning without an explicit algorithm choice delegates
+        # the per-step pick to the planner.
         join = "auto"
-    return {
-        "partitions": args.partitions,
-        "parallel": args.parallel,
-        "parallel_kind": args.parallel_kind,
-        "join_strategy": join,
-    }
+    return {"partitions": args.partitions, "join_strategy": join}
 
 
 def cmd_bench(args) -> int:
@@ -361,8 +352,6 @@ def cmd_bench(args) -> int:
         "order_strategy": strategy,
         "order": list(plan.order),
         "partitions": pplan.partitions,
-        "parallel": args.parallel,
-        "parallel_kind": args.parallel_kind,
         "joins": list(pplan.join_strategies),
         "knn": args.knn,
         "knn_access": pplan.knn_access,
@@ -377,10 +366,9 @@ def cmd_bench(args) -> int:
     else:
         print(f"workload={args.workload} size={args.size} mode={args.mode}")
         print(f"order ({strategy}): {', '.join(plan.order)}")
-        if args.partitions or args.parallel:
+        if args.partitions:
             print(
-                f"partitions={args.partitions or 'off'} "
-                f"parallel={args.parallel or 'serial'} "
+                f"partitions={args.partitions} "
                 f"joins={','.join(pplan.join_strategies)}"
             )
         print(stats.summary())
@@ -568,14 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(0 = single-partition execution)",
         )
         p.add_argument(
-            "--parallel",
-            type=int,
-            default=0,
-            metavar="W",
-            help="fan PBSM tile tasks out over W pool workers "
-            "(0/1 = deterministic serial execution)",
-        )
-        p.add_argument(
             "--join",
             choices=(
                 "auto",
@@ -587,12 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="per-step join algorithm (default: backend-dependent; "
             "'auto' picks cost-based per step)",
-        )
-        p.add_argument(
-            "--parallel-kind",
-            choices=("thread", "process"),
-            default="thread",
-            help="worker pool kind for --parallel",
         )
         p.add_argument(
             "--knn",

@@ -81,12 +81,6 @@ class Box:
         object.__setattr__(box, "_empty", empty)
         return box
 
-    def __reduce__(self):
-        # Explicit pickle support: the default slots protocol would call
-        # the blocked __setattr__.  Needed to ship boxes to process-pool
-        # workers (the Exchange driver's "process" kind).
-        return (Box, (self.lo, self.hi))
-
     # -- identity ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
         if not isinstance(other, Box):

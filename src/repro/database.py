@@ -14,17 +14,13 @@ one front door over all of it:
   instead of a full STR build);
 * a :class:`Session` executes queries with one uniform keyword
   vocabulary — ``mode=``, ``join_strategy=``, ``partitions=``,
-  ``parallel=``, ``parallel_kind=``, ``limit=`` — matching the CLI
-  flags one-for-one, with per-session defaults and an optional shared
-  :class:`~repro.spatial.table.ProbeCache`.  Parallel plans borrow the
-  database's persistent :class:`~repro.spatial.partition.WorkerPool`
-  (one per pool shape, alive until :meth:`Database.close`) instead of
-  constructing a pool per query.
+  ``limit=`` — matching the CLI flags one-for-one, with per-session
+  defaults and an optional shared
+  :class:`~repro.spatial.table.ProbeCache`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -36,7 +32,6 @@ from .engine.compiler import QueryPlan, compile_query
 from .engine.executor import Answer, answers_as_oid_tuples
 from .engine.query import AggregateSpec, KNNStep, SpatialQuery
 from .engine.stats import ExecutionStats
-from .spatial.partition import WorkerPool
 from .spatial.snapshot import read_snapshot, write_snapshot
 from .spatial.table import ProbeCache, SpatialObject, SpatialTable
 
@@ -46,22 +41,13 @@ __all__ = ["Database", "QueryResult", "Session"]
 _UNSET = object()
 
 #: The uniform execution-option vocabulary (mirrors the CLI flags
-#: ``--mode``/``--join``/``--partitions``/``--parallel``/``--limit``).
-SESSION_OPTIONS = (
-    "mode",
-    "join_strategy",
-    "partitions",
-    "parallel",
-    "parallel_kind",
-    "limit",
-)
+#: ``--mode``/``--join``/``--partitions``/``--limit``).
+SESSION_OPTIONS = ("mode", "join_strategy", "partitions", "limit")
 
 _OPTION_DEFAULTS = {
     "mode": "boxplan",
     "join_strategy": None,
     "partitions": 0,
-    "parallel": 0,
-    "parallel_kind": "thread",
     "limit": None,
 }
 
@@ -106,43 +92,6 @@ class Database:
     ):
         self.tables: Dict[str, SpatialTable] = dict(tables or {})
         self.bindings: Dict[str, Region] = dict(bindings or {})
-        # Sessions of one database may run on concurrent threads (the
-        # query service does exactly this), and they all fetch pools
-        # through worker_pool(); the lock makes the get-or-create
-        # atomic so two sessions cannot each install a pool for the
-        # same shape and strand one of them unclosed.
-        self._pool_lock = threading.Lock()
-        self._pools: Dict[Tuple[str, int], WorkerPool] = {}  # guarded-by: _pool_lock
-
-    # -- parallel substrate ------------------------------------------------------
-    def worker_pool(self, workers: int, kind: str = "thread") -> WorkerPool:
-        """The database's persistent worker pool, created lazily.
-
-        One pool per ``(kind, workers)`` shape lives for the database's
-        lifetime (until :meth:`close`), so parallel queries reuse
-        warm workers instead of paying pool construction — and, for
-        process pools, process spawn — per query.
-        """
-        key = (kind, max(1, int(workers)))
-        with self._pool_lock:
-            pool = self._pools.get(key)
-            if pool is None or pool.closed:
-                pool = WorkerPool(workers=key[1], kind=kind)
-                self._pools[key] = pool
-            return pool
-
-    def close(self) -> None:
-        """Release the worker pools."""
-        with self._pool_lock:
-            pools, self._pools = list(self._pools.values()), {}
-        for pool in pools:
-            pool.close()
-
-    def __enter__(self) -> "Database":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- construction ----------------------------------------------------------
     @classmethod
@@ -274,9 +223,9 @@ class Session:
     Accepts a :class:`SpatialQuery`, a compiled
     :class:`~repro.engine.compiler.QueryPlan`, or — when constructed
     with a :class:`Database` — raw constraint text.  Keyword options
-    (``mode=``, ``join_strategy=``, ``partitions=``, ``parallel=``,
-    ``parallel_kind=``, ``limit=``) match the CLI flags; constructor
-    keywords set session defaults, call keywords override per query.
+    (``mode=``, ``join_strategy=``, ``partitions=``, ``limit=``) match
+    the CLI flags; constructor keywords set session defaults, call
+    keywords override per query.
     ``probe_cache=N`` shares an N-entry :class:`ProbeCache` across the
     session's probes (pass ``cache=`` to share an existing one, e.g.
     the service's).
@@ -306,33 +255,14 @@ class Session:
     def _option(self, name: str, value):
         return self.defaults[name] if value is _UNSET else value
 
-    def _physical_options(
-        self,
-        partitions,
-        parallel,
-        join_strategy,
-        parallel_kind=_UNSET,
-    ) -> dict:
+    def _physical_options(self, partitions, join_strategy) -> dict:
         partitions = self._option("partitions", partitions)
-        parallel = self._option("parallel", parallel)
-        kind = self._option("parallel_kind", parallel_kind)
         join = self._option("join_strategy", join_strategy)
-        if join is None and (partitions or parallel):
+        if join is None and partitions:
             # Same default the CLI applies: partitioned execution with
             # no explicit algorithm delegates the pick to the planner.
             join = "auto"
-        pool = None
-        if self.db is not None and parallel:
-            # Parallel plans borrow the database's persistent pool; a
-            # detached session falls back to per-run executors.
-            pool = self.db.worker_pool(parallel, kind)
-        return {
-            "partitions": partitions,
-            "parallel": parallel,
-            "parallel_kind": kind,
-            "join_strategy": join,
-            "pool": pool,
-        }
+        return {"partitions": partitions, "join_strategy": join}
 
     def _compile(
         self,
@@ -374,8 +304,6 @@ class Session:
         order: Optional[Sequence[str]] = None,
         limit=_UNSET,
         partitions=_UNSET,
-        parallel=_UNSET,
-        parallel_kind=_UNSET,
         join_strategy=_UNSET,
     ) -> QueryResult:
         """Execute and return a :class:`QueryResult`.
@@ -389,12 +317,7 @@ class Session:
         pplan = plan.physical(
             self._option("mode", mode),
             estimate=False,
-            **self._physical_options(
-                partitions,
-                parallel,
-                join_strategy,
-                parallel_kind=parallel_kind,
-            ),
+            **self._physical_options(partitions, join_strategy),
         )
         start = perf_counter()
         plan_s = start - called
@@ -424,8 +347,6 @@ class Session:
         order: Optional[Sequence[str]] = None,
         analyze: bool = False,
         partitions=_UNSET,
-        parallel=_UNSET,
-        parallel_kind=_UNSET,
         join_strategy=_UNSET,
     ) -> str:
         """The physical operator tree, with catalog cost estimates.
@@ -436,12 +357,7 @@ class Session:
         plan = self._compile(query, order=order, partitions=partitions)
         pplan = plan.physical(
             self._option("mode", mode),
-            **self._physical_options(
-                partitions,
-                parallel,
-                join_strategy,
-                parallel_kind=parallel_kind,
-            ),
+            **self._physical_options(partitions, join_strategy),
         )
         if analyze:
             pplan.run(cache=self.cache)
@@ -455,8 +371,6 @@ class Session:
         order: Optional[Sequence[str]] = None,
         limit=_UNSET,
         partitions=_UNSET,
-        parallel=_UNSET,
-        parallel_kind=_UNSET,
         join_strategy=_UNSET,
     ) -> dict:
         """Execute and report the machine-independent counters.
@@ -477,8 +391,6 @@ class Session:
             mode=mode,
             limit=limit,
             partitions=partitions,
-            parallel=parallel,
-            parallel_kind=parallel_kind,
             join_strategy=join_strategy,
         )
         return {

@@ -6,7 +6,6 @@ templates), lowered to a :class:`PhysicalPlan` (a tree of streaming
 operators), and pulled as an iterator of answers.
 """
 
-from ..spatial.partition import Exchange
 from ..spatial.table import ProbeCache
 from .catalog import (
     Catalog,
@@ -73,7 +72,6 @@ __all__ = [
     "CrossProduct",
     "DistanceJoin",
     "ExactFilter",
-    "Exchange",
     "ExecutionStats",
     "ExtendStep",
     "Histogram",

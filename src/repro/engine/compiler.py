@@ -30,7 +30,6 @@ from ..spatial.table import SpatialTable
 from .query import AggregateSpec, KNNStep, SpatialQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..spatial.partition import WorkerPool
     from .catalog import Catalog
     from .physical import PhysicalPlan
 
@@ -82,17 +81,14 @@ class QueryPlan:
         catalog: Optional["Catalog"] = None,
         estimate: bool = True,
         partitions: int = 0,
-        parallel: int = 0,
-        parallel_kind: str = "thread",
         join_strategy: Optional[str] = None,
-        pool: Optional["WorkerPool"] = None,
     ) -> "PhysicalPlan":
         """Lower to a physical operator tree (the third pipeline stage).
 
         ``estimate=False`` skips the EXPLAIN-only catalog cost rollouts
         (they cost far more than executing a small query).
-        ``partitions``/``parallel``/``join_strategy``/``pool`` configure
-        partitioned execution — see
+        ``partitions``/``join_strategy`` configure partitioned
+        execution — see
         :func:`repro.engine.physical.build_physical_plan`.
         """
         from .physical import build_physical_plan
@@ -103,10 +99,7 @@ class QueryPlan:
             catalog=catalog,
             estimate=estimate,
             partitions=partitions,
-            parallel=parallel,
-            parallel_kind=parallel_kind,
             join_strategy=join_strategy,
-            pool=pool,
         )
 
     def explain(self, mode: str = "boxplan", analyze: bool = False) -> str:

@@ -62,7 +62,6 @@ def execute(
     mode: str = "boxplan",
     cache: Optional[ProbeCache] = None,
     partitions: int = 0,
-    parallel: int = 0,
     join_strategy: Optional[str] = None,
 ) -> Tuple[List[Answer], ExecutionStats]:
     """Run a compiled plan in the given mode.
@@ -72,7 +71,7 @@ def execute(
     an optional shared :class:`~repro.spatial.table.ProbeCache` through
     which all index probes go — repeated executions over unchanged
     tables then skip the index entirely.
-    ``partitions``/``parallel``/``join_strategy`` configure partitioned
+    ``partitions``/``join_strategy`` configure partitioned
     execution (see :func:`~repro.engine.physical.build_physical_plan`);
     the answer set is the same for every setting.  An unknown ``mode``
     raises :class:`~repro.errors.UnknownModeError` naming the valid
@@ -85,7 +84,6 @@ def execute(
         mode=mode,
         estimate=False,
         partitions=partitions,
-        parallel=parallel,
         join_strategy=join_strategy,
     ).run(cache=cache)
 
@@ -96,7 +94,6 @@ def execute_iter(
     limit: Optional[int] = None,
     cache: Optional[ProbeCache] = None,
     partitions: int = 0,
-    parallel: int = 0,
     join_strategy: Optional[str] = None,
 ) -> Iterator[Answer]:
     """Streaming execution — answers are yielded as found.
@@ -113,7 +110,6 @@ def execute_iter(
         mode=mode,
         estimate=False,
         partitions=partitions,
-        parallel=parallel,
         join_strategy=join_strategy,
     ).execute_iter(limit=limit, cache=cache)
 

@@ -57,10 +57,8 @@ via :func:`repro.engine.planner.choose_join_strategies` with
     probe box per tuple, co-partitions probe boxes and table rows on a
     shared tile grid, plane-sweeps each tile (boundary duplicates are
     deduplicated by the reference-point rule) and verifies the full box
-    query on the surviving pairs.  Tile tasks fan out over an
-    :class:`~repro.spatial.partition.Exchange` (``parallel=W`` workers,
-    thread or process pool) with a deterministic serial fallback —
-    parallel answer streams are bit-identical to serial ones.
+    query on the surviving pairs.  The tiles are swept one after
+    another.
 ``ZOrderJoin``
     the PROBE-style alternative: probe boxes and rows are decomposed
     into z-order intervals and merge-joined
@@ -84,9 +82,7 @@ from ..constraints.system import ConstraintSystem
 from ..errors import UnknownModeError
 from ..spatial.partition import (
     DEFAULT_TILES,
-    Exchange,
     JoinStats,
-    WorkerPool,
     mbr_may_match,
     pbsm_join,
     probe_box,
@@ -552,8 +548,8 @@ class Aggregate(PhysicalOperator):
     volume of a target variable, grouped by the oids of the ``group_by``
     variables.  Consumes its child fully, then emits one
     :class:`AggregateRow` per group in a deterministic order (groups
-    sorted by the ``repr`` of their key oids) — so parallel and serial
-    upstream plans produce identical aggregate streams.
+    sorted by the ``repr`` of their key oids) — so every join strategy
+    upstream produces the same aggregate stream.
 
     SQL semantics on empty input: the *ungrouped* form emits a single
     row (count 0, min/max ``None``) — matching what the COUNT pushdown
@@ -740,7 +736,7 @@ class _BulkJoinStep(ExtendStep):
     bindings, instantiates one box query each, joins all probe boxes
     against the table in one pass, and re-emits the extended bindings
     grouped by input binding (then by table row order) — deterministic
-    regardless of how the join itself is parallelised.  Subclasses
+    whatever order the join itself finds the pairs in.  Subclasses
     implement :meth:`_candidate_pairs` returning candidate
     ``(binding index, row index)`` pairs whose boxes overlap; the full
     box query is verified here, so each strategy admits exactly the
@@ -835,10 +831,7 @@ class PartitionedSpatialJoin(_BulkJoinStep):
     table's row boxes are replicated onto a shared uniform
     :class:`~repro.spatial.partition.TileGrid`; each tile is
     plane-swept independently, with boundary duplicates suppressed by
-    the reference-point rule.  Tile tasks run on the plan's
-    :class:`~repro.spatial.partition.Exchange` — thread/process pool or
-    the deterministic serial fallback; the output is identical either
-    way.
+    the reference-point rule.
     """
 
     kind = "PartitionedSpatialJoin"
@@ -850,17 +843,15 @@ class PartitionedSpatialJoin(_BulkJoinStep):
         table: SpatialTable,
         template: "StepTemplate",
         partitions: int = DEFAULT_TILES,
-        exchange: Optional[Exchange] = None,
     ) -> None:
         super().__init__(child, variable, table)
         self.template = template
         self.n_tiles = max(1, partitions)
-        self.exchange = exchange or Exchange()
 
     def describe(self) -> str:
         return (
             f"{self.kind}({self.variable} from {self.table.name}, "
-            f"tiles={self.n_tiles}, exchange={self.exchange.describe()})"
+            f"tiles={self.n_tiles})"
         )
 
     def _candidate_pairs(
@@ -874,7 +865,6 @@ class PartitionedSpatialJoin(_BulkJoinStep):
             [(box, i) for i, box in probes],
             [(obj.box, seq) for seq, obj in enumerate(rows)],
             n_tiles=self.n_tiles,
-            exchange=self.exchange,
             stats=join_stats,
         )
         self.stats.partitions_visited += join_stats.tiles
@@ -1071,7 +1061,6 @@ class PhysicalPlan:
     final_filter: Optional[ExactFilter] = None
     partitions: int = 0
     join_strategies: Tuple[str, ...] = ()
-    exchange: Optional[Exchange] = None
     knn_access: Optional[str] = None
     aggregate_op: Optional[PhysicalOperator] = None
 
@@ -1142,10 +1131,6 @@ class PhysicalPlan:
                 stats.region_ops += ops.exact_filter.stats.region_ops
             else:
                 step.survivors = step.candidates
-        if self.exchange is not None and self.exchange.workers > 0:
-            stats.exchange_kind = self.exchange.kind
-            stats.exchange_workers = self.exchange.workers
-            stats.exchange_fallbacks = self.exchange.fallbacks
         if self.final_filter is not None:
             stats.region_ops += self.final_filter.stats.region_ops
         # Repacks are a table-lifetime counter (zeroed by reset_stats,
@@ -1199,12 +1184,8 @@ class PhysicalPlan:
                 f"{v}={s}"
                 for v, s in zip(self.logical.order, self.join_strategies)
             )
-            exchange = (
-                self.exchange.describe() if self.exchange else "serial"
-            )
             lines.append(
-                f"  partitions={self.partitions or 'off'}"
-                f"  exchange={exchange}  joins: {joins}"
+                f"  partitions={self.partitions or 'off'}  joins: {joins}"
             )
         if self.logical.knn is not None:
             lines.append(
@@ -1265,7 +1246,6 @@ def _resolve_join_strategies(
     mode: str,
     catalog: Optional["Catalog"],
     partitions: int,
-    parallel: int,
     join_strategy: Any,
 ) -> Dict[str, str]:
     """Normalise the ``join_strategy`` option to a per-variable mapping.
@@ -1306,7 +1286,6 @@ def _resolve_join_strategies(
             plan.order,
             catalog=catalog,
             partitions=partitions,
-            workers=parallel,
         )
         return dict(zip(plan.order, chosen))
     if isinstance(join_strategy, str):
@@ -1342,10 +1321,7 @@ def build_physical_plan(
     catalog: Optional["Catalog"] = None,
     estimate: bool = True,
     partitions: int = 0,
-    parallel: int = 0,
-    parallel_kind: str = "thread",
     join_strategy: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> PhysicalPlan:
     """Lower a logical :class:`QueryPlan` to a physical operator tree.
 
@@ -1363,20 +1339,11 @@ def build_physical_plan(
     ``partitions``
         spatial partition / PBSM tile target (0 disables partitioning;
         unindexed tables then default to ``PartitionScan``);
-    ``parallel`` / ``parallel_kind``
-        worker count and pool kind (``"thread"``/``"process"``/
-        ``"serial"``) for the PBSM tile :class:`Exchange` — results are
-        identical to serial execution;
     ``join_strategy``
         per-step join algorithm: ``None`` (defaults), ``"auto"``
         (cost-based), one of
         :data:`~repro.engine.planner.JOIN_STRATEGIES`, or a
-        sequence/mapping per variable;
-    ``pool``
-        a persistent :class:`~repro.spatial.partition.WorkerPool` for
-        the exchange to borrow (e.g. the one owned by
-        :class:`~repro.database.Database`) instead of constructing a
-        pool per ``run``.
+        sequence/mapping per variable.
     """
     if mode not in MODES:
         raise UnknownModeError(mode, MODES)
@@ -1410,9 +1377,8 @@ def build_physical_plan(
         return pplan
 
     strategies = _resolve_join_strategies(
-        plan, mode, catalog, partitions, parallel, join_strategy
+        plan, mode, catalog, partitions, join_strategy
     )
-    exchange = Exchange(workers=parallel, kind=parallel_kind, pool=pool)
     tiles = partitions if partitions > 0 else DEFAULT_TILES
 
     def knn_extend(
@@ -1460,7 +1426,6 @@ def build_physical_plan(
                     sp.table,
                     sp.template,
                     partitions=tiles,
-                    exchange=exchange,
                 )
                 node = extend
             elif use_boxes and strategy == "zorder":
@@ -1521,7 +1486,6 @@ def build_physical_plan(
         join_strategies=tuple(
             strategies.get(v, "probe") for v in plan.order
         ),
-        exchange=exchange,
         knn_access=knn_access,
         aggregate_op=aggregate_op,
     )

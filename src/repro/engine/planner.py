@@ -583,7 +583,6 @@ def choose_join_strategies(
     order: Sequence[str],
     catalog: Optional[Catalog] = None,
     partitions: int = 0,
-    workers: int = 0,
     rollouts: int = 6,
     seed: int = 0,
 ) -> Tuple[str, ...]:
@@ -621,7 +620,6 @@ def choose_join_strategies(
     except ESTIMATION_ERRORS:
         return tuple("probe" for _ in order)
     tiles = partitions if partitions > 0 else DEFAULT_TILES
-    speedup = max(1.0, float(workers)) ** 0.5  # pools amortise sweeps
     out: List[str] = []
     for est in estimates:
         table = query.tables[est.variable]
@@ -644,9 +642,7 @@ def choose_join_strategies(
             pair_tests = max(
                 est.candidates, outer * n / max(1.0, float(tiles))
             )
-            costs["pbsm"] = (
-                1.5 * (outer + n) + pair_tests / speedup
-            )
+            costs["pbsm"] = 1.5 * (outer + n) + pair_tests
             costs["zorder"] = (
                 4.0 * (outer + n) * math.log2(outer + n + 2.0)
                 + 2.0 * est.candidates

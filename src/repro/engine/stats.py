@@ -62,9 +62,6 @@ class ExecutionStats:
     partial_tuples: int = 0  # total partial solutions materialised
     region_ops: int = 0  # exact region-algebra operations
     box_ops_estimate: int = 0  # bounding-box function evaluations
-    exchange_kind: str = "serial"  # worker pool kind ("serial" = none)
-    exchange_workers: int = 0  # parallel workers the plan was built with
-    exchange_fallbacks: int = 0  # parallel runs that fell back to serial
     repacks: int = 0  # delta folds (base rebuilds) during this execution
     steps: List[StepStats] = field(default_factory=list)
 
@@ -136,9 +133,6 @@ class ExecutionStats:
             "partial_tuples": self.partial_tuples,
             "region_ops": self.region_ops,
             "box_ops_estimate": self.box_ops_estimate,
-            "exchange_kind": self.exchange_kind,
-            "exchange_workers": self.exchange_workers,
-            "exchange_fallbacks": self.exchange_fallbacks,
             "repacks": self.repacks,
             "steps": [s.to_dict() for s in self.steps],
         }
@@ -152,9 +146,6 @@ class ExecutionStats:
             partial_tuples=int(data.get("partial_tuples", 0)),
             region_ops=int(data.get("region_ops", 0)),
             box_ops_estimate=int(data.get("box_ops_estimate", 0)),
-            exchange_kind=str(data.get("exchange_kind", "serial")),
-            exchange_workers=int(data.get("exchange_workers", 0)),
-            exchange_fallbacks=int(data.get("exchange_fallbacks", 0)),
             repacks=int(data.get("repacks", 0)),
         )
         stats.steps = [StepStats.from_dict(s) for s in data.get("steps", [])]
@@ -177,9 +168,6 @@ class ExecutionStats:
             "vectorized_candidates": self.vectorized_candidates,
             "delta_probes": self.delta_probes,
             "repacks": self.repacks,
-            "exchange_kind": self.exchange_kind,
-            "exchange_workers": self.exchange_workers,
-            "exchange_fallbacks": self.exchange_fallbacks,
             "per_step": [
                 (s.variable, s.candidates, s.survivors) for s in self.steps
             ],
@@ -196,13 +184,6 @@ class ExecutionStats:
                 f" cache={self.cache_hits}/"
                 f"{self.cache_hits + self.cache_misses}"
             )
-        exchange = ""
-        if self.exchange_workers or self.exchange_fallbacks:
-            exchange = (
-                f" exchange={self.exchange_kind}x{self.exchange_workers}"
-            )
-            if self.exchange_fallbacks:
-                exchange += f" fallbacks={self.exchange_fallbacks}"
         delta = ""
         if self.delta_probes or self.repacks:
             delta = (
@@ -211,5 +192,5 @@ class ExecutionStats:
         return (
             f"[{self.mode}] tuples={self.tuples_emitted} "
             f"partials={self.partial_tuples} region_ops={self.region_ops} "
-            f"steps=({steps}){cache}{exchange}{delta}"
+            f"steps=({steps}){cache}{delta}"
         )

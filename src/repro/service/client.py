@@ -117,8 +117,7 @@ class ServiceClient:
     def run(self, system: str, bindings: _Bindings = None, **options: Any) -> dict:
         """Execute constraint text; options are the uniform Session
         keywords (``mode=``, ``join_strategy=``, ``partitions=``,
-        ``parallel=``, ``limit=``) plus ``order``/``knn``/``aggregate``
-        payloads."""
+        ``limit=``) plus ``order``/``knn``/``aggregate`` payloads."""
         return self._query("/run", system, bindings, options)
 
     def explain(

@@ -443,14 +443,7 @@ class QueryService:
         """A new snapshot database with ``key`` replaced by ``table``."""
         tables = dict(db.tables)
         tables[key] = table
-        new_db = Database(tables=tables, bindings=dict(db.bindings))
-        # The worker pools are the service's, not the snapshot's: hand
-        # the same pool registry (and the lock guarding it — one dict
-        # must have one lock) to the new database so warm workers
-        # survive the swap.
-        new_db._pools = db._pools
-        new_db._pool_lock = db._pool_lock
-        return new_db
+        return Database(tables=tables, bindings=dict(db.bindings))
 
     # -- background repack -----------------------------------------------------
     def _repack_due(self, table: SpatialTable) -> bool:

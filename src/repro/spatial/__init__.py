@@ -18,12 +18,10 @@ from .gridfile import GridFile, GridStats
 from .join import index_nested_loop_join, synchronized_rtree_join
 from .partition import (
     DEFAULT_TILES,
-    Exchange,
     JoinStats,
     Partition,
     TablePartitioning,
     TileGrid,
-    WorkerPool,
     mbr_may_match,
     pbsm_join,
     probe_box,
@@ -61,7 +59,6 @@ __all__ = [
     "BACKENDS",
     "ColumnStore",
     "DEFAULT_TILES",
-    "Exchange",
     "FORMAT_VERSION",
     "GridFile",
     "HAVE_NUMPY",
@@ -77,7 +74,6 @@ __all__ = [
     "SpatialTable",
     "TablePartitioning",
     "TileGrid",
-    "WorkerPool",
     "ZGrid",
     "ZOrderIndex",
     "ZRange",

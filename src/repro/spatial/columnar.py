@@ -136,10 +136,9 @@ def forced_backend(name: Optional[str]) -> Iterator[None]:
 
 
 # -- packed coordinate blobs ---------------------------------------------------
-# Snapshots store box coordinates as packed little-endian doubles; the
-# process-pool Exchange ships tile payloads the same way (one bytes blob
-# instead of a pickled object graph per box).  Floats round-trip
-# bit-exactly through struct, so rebuilt boxes are identical.
+# Snapshots store box coordinates as packed little-endian doubles.
+# Floats round-trip bit-exactly through struct, so boxes rebuilt from a
+# snapshot are identical.
 
 def pack_floats(values: Sequence[float]) -> bytes:
     """Pack floats as little-endian doubles (bit-exact round-trip)."""

@@ -1,7 +1,6 @@
-"""Spatial partitioning: STR tiles, the PBSM grid, and the Exchange driver.
+"""Spatial partitioning: STR tiles and the PBSM grid.
 
-Three pieces turn the single-partition engine into a partitioned,
-parallelisable one:
+Two pieces turn the single-partition engine into a partitioned one:
 
 * :func:`str_partition` — Sort-Tile-Recursive tiling of a table's rows
   into disjoint :class:`Partition`\\ s, each carrying its member rows,
@@ -16,24 +15,13 @@ parallelisable one:
   overlap pairs, and **reference-point deduplication** — a pair is
   emitted only in the tile containing the lower corner of the two boxes'
   intersection, so boundary duplicates never leave their tile and no
-  global "seen" set is needed.  That makes the tile tasks independent
-  and order-insensitive: :func:`pbsm_join` returns the same pair list
-  whether tiles run serially or on a pool.
-
-* :class:`Exchange` — the driver that fans tile tasks out over a
-  ``concurrent.futures`` thread or process pool, with a deterministic
-  serial fallback (``workers <= 1``, single task, or pool creation
-  failure).  Task order is preserved, so parallel results are
-  bit-identical to serial ones.  An Exchange normally borrows a
-  persistent :class:`WorkerPool` (owned by the ``Database`` /
-  ``QueryService`` lifetime) so repeated queries never pay process
-  spawn again; without one it falls back to a one-shot pool per call.
+  global "seen" set is needed.  The tiles are swept one after another
+  and the pairs sorted, so :func:`pbsm_join`'s answer is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from itertools import product
 from typing import (
@@ -49,7 +37,6 @@ from typing import (
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, enclose_all
 from . import columnar
-from .columnar import pack_floats, unpack_floats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .table import SpatialObject, SpatialTable
@@ -340,8 +327,7 @@ class JoinStats:
 
 
 #: A tile task: ``(grid, flat tile index, left entries, right entries)``
-#: with entries ``(box, position)``.  Module-level payload/worker so
-#: process pools can pickle them.
+#: with entries ``(box, position)``.
 _TileTask = Tuple[TileGrid, int, List[Tuple[Box, int]], List[Tuple[Box, int]]]
 
 
@@ -466,278 +452,6 @@ def _sweep_tile_vectorized(
     return pairs, tests, dups
 
 
-#: A packed tile task: the grid's raw fields, the flat tile index, and
-#: per side a tag tuple plus one little-endian coordinate blob — what
-#: the process-pool Exchange pickles instead of per-object Box graphs
-#: (``Box.__reduce__`` per entry dominated the old serialization cost).
-_PackedTileTask = Tuple[
-    Tuple[float, ...],  # extent lo
-    Tuple[float, ...],  # extent hi
-    Tuple[int, ...],  # shape
-    Tuple[float, ...],  # steps (shipped, not recomputed, for bit identity)
-    int,  # tile
-    Tuple[int, ...],  # left tags
-    bytes,  # left coords (lo then hi per box)
-    Tuple[int, ...],  # right tags
-    bytes,  # right coords
-]
-
-
-def _pack_tile_task(task: _TileTask) -> _PackedTileTask:
-    """Flatten a tile task into arrays for cheap pickling."""
-    grid, tile, left, right = task
-
-    def blob(entries: List[Tuple[Box, int]]) -> bytes:
-        coords: List[float] = []
-        for b, _t in entries:
-            coords.extend(b.lo)
-            coords.extend(b.hi)
-        return pack_floats(coords)
-
-    return (
-        grid.extent.lo,
-        grid.extent.hi,
-        grid.shape,
-        grid.steps,
-        tile,
-        tuple(t for _b, t in left),
-        blob(left),
-        tuple(t for _b, t in right),
-        blob(right),
-    )
-
-
-def _sweep_tile_packed(
-    payload: _PackedTileTask,
-) -> Tuple[List[Tuple[int, int]], int, int]:
-    """Worker-side inverse of :func:`_pack_tile_task`; then sweep.
-
-    Boxes rebuild bit-exactly (floats round-trip through the packed
-    blob unchanged) and the grid reuses the shipped ``steps``, so the
-    sweep is byte-for-byte the serial one.
-    """
-    elo, ehi, shape, steps, tile, ltags, lblob, rtags, rblob = payload
-    grid = TileGrid(
-        extent=Box._trusted(tuple(elo), tuple(ehi), empty=False),
-        shape=tuple(shape),
-        steps=tuple(steps),
-    )
-    dim = len(elo)
-
-    def entries(
-        tags: Tuple[int, ...], blob: bytes
-    ) -> List[Tuple[Box, int]]:
-        coords = unpack_floats(blob)
-        out: List[Tuple[Box, int]] = []
-        pos = 0
-        for tag in tags:
-            out.append(
-                (
-                    Box._trusted(
-                        coords[pos : pos + dim],
-                        coords[pos + dim : pos + 2 * dim],
-                        empty=False,
-                    ),
-                    tag,
-                )
-            )
-            pos += 2 * dim
-        return out
-
-    return _sweep_tile((grid, tile, entries(ltags, lblob), entries(rtags, rblob)))
-
-
-# -- the Exchange driver ------------------------------------------------------
-
-
-class WorkerPool:
-    """A persistent ``concurrent.futures`` pool reused across queries.
-
-    The historical :class:`Exchange` constructed (and tore down) a
-    ``ProcessPoolExecutor`` on every ``run`` call — process spawn per
-    query.  A ``WorkerPool`` owns one executor for its whole lifetime
-    (the ``Database``/``QueryService`` lifetime in practice), created
-    lazily on the first parallel dispatch and shut down by
-    :meth:`close`.
-
-    ``map`` preserves task order.  A :class:`concurrent.futures.
-    BrokenExecutor` (e.g. a killed process worker) discards the broken
-    executor and retries once on a fresh one (counted in
-    :attr:`recreations`); a second failure propagates, which the owning
-    :class:`Exchange` turns into its deterministic serial fallback.
-    Task-level exceptions are *not* swallowed — a worker raising
-    mid-``map`` propagates to the caller, exactly like the serial
-    ``[fn(t) for t in tasks]`` would raise.
-    """
-
-    KINDS = ("thread", "process")
-
-    def __init__(self, workers: int, kind: str = "thread"):
-        if kind not in self.KINDS:
-            raise ValueError(
-                f"unknown pool kind {kind!r}; expected one of {self.KINDS}"
-            )
-        self.workers = max(1, workers)
-        self.kind = kind
-        # A pool is shared by every session of its owning Database, so
-        # concurrent first dispatches race the lazy construction; the
-        # lock makes create/discard/close transitions single-winner
-        # (two racing executor() calls would otherwise each build an
-        # executor and leak one un-shutdown).
-        self._lock = threading.Lock()
-        self.recreations = 0  # guarded-by: _lock
-        self.closed = False  # guarded-by: _lock
-        self._executor = None  # guarded-by: _lock
-
-    def _make_executor(self):
-        if self.kind == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(max_workers=self.workers)
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def executor(self):
-        """The live executor, created lazily on first use."""
-        with self._lock:
-            if self.closed:
-                raise RuntimeError("WorkerPool is closed")
-            if self._executor is None:
-                self._executor = self._make_executor()
-            return self._executor
-
-    def map(self, fn, tasks: Sequence) -> List:
-        """``[fn(t) for t in tasks]`` on the pool, order preserved."""
-        from concurrent.futures import BrokenExecutor
-
-        try:
-            return list(self.executor().map(fn, tasks))
-        except BrokenExecutor:
-            # The executor is unusable (a worker died); replace it and
-            # retry once — the tasks are pure, so a re-run is safe.
-            with self._lock:
-                self._discard_locked()
-                self.recreations += 1
-            return list(self.executor().map(fn, tasks))
-
-    def _discard_locked(self) -> None:
-        # Caller holds self._lock (the `_locked` suffix convention).
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            try:
-                executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
-
-    def close(self) -> None:
-        """Shut the executor down; the pool cannot be used afterwards."""
-        with self._lock:
-            self._discard_locked()
-            self.closed = True
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def describe(self) -> str:
-        return f"{self.kind}x{self.workers}"
-
-
-class Exchange:
-    """Fan independent tasks out over a worker pool, order-preserved.
-
-    ``workers <= 1`` (or a single task) runs serially; ``kind`` selects
-    ``"thread"`` (default; no pickling requirements) or ``"process"``
-    (true parallelism; tasks and results must be picklable).  Pool
-    creation failures (e.g. sandboxed environments refusing processes)
-    fall back to the serial path, recorded in :attr:`fallbacks` — the
-    results are identical either way, because task order is preserved
-    and the tasks are independent.
-
-    ``pool=`` borrows a persistent :class:`WorkerPool` (the
-    ``Database``/``QueryService``-owned substrate): geometry defaults to
-    the pool's and dispatches reuse its executor, so repeated queries
-    pay no per-call pool construction.  Without one, each parallel
-    ``run`` builds a one-shot pool as before.  The Exchange never closes
-    a borrowed pool.
-    """
-
-    KINDS = ("serial", "thread", "process")
-
-    def __init__(
-        self,
-        workers: int = 0,
-        kind: str = "thread",
-        pool: Optional[WorkerPool] = None,
-    ):
-        if pool is not None:
-            workers = workers or pool.workers
-            kind = pool.kind if kind == "thread" else kind
-        if kind not in self.KINDS:
-            raise ValueError(
-                f"unknown exchange kind {kind!r}; expected one of {self.KINDS}"
-            )
-        self.workers = max(0, workers)
-        self.kind = kind
-        self.pool = pool
-        self.fallbacks = 0
-
-    def describe(self) -> str:
-        if self.workers <= 1 or self.kind == "serial":
-            return "serial"
-        return f"{self.kind}x{self.workers}"
-
-    def uses_processes(self, n_tasks: int) -> bool:
-        """Whether :meth:`run` would attempt a process pool for
-        ``n_tasks`` tasks — i.e. whether payloads will be pickled.
-        Callers use this to swap in compactly-serializable task forms."""
-        return (
-            self.kind == "process" and self.workers > 1 and n_tasks > 1
-        )
-
-    def run(self, fn, tasks: Sequence) -> List:
-        """``[fn(t) for t in tasks]`` — possibly on a pool, same order."""
-        tasks = list(tasks)
-        if self.workers <= 1 or self.kind == "serial" or len(tasks) <= 1:
-            return [fn(t) for t in tasks]
-        from concurrent.futures import BrokenExecutor
-
-        # Worker spawn is lazy (a refused process surfaces inside
-        # map(), not at construction), so the whole pool use is guarded;
-        # re-running serially is safe because tasks are independent and
-        # pure.  Note the guarded exceptions are pool-infrastructure
-        # failures; a genuine task-level error re-raises identically on
-        # the serial re-run, so results never depend on the path taken.
-        try:
-            if (
-                self.pool is not None
-                and not self.pool.closed
-                and self.pool.kind == self.kind
-            ):
-                return self.pool.map(fn, tasks)
-            if self.kind == "process":
-                from concurrent.futures import ProcessPoolExecutor
-
-                pool = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(max_workers=self.workers)
-            with pool:
-                return list(pool.map(fn, tasks))
-        except (
-            OSError,
-            NotImplementedError,
-            PermissionError,
-            BrokenExecutor,
-        ):
-            self.fallbacks += 1
-            return [fn(t) for t in tasks]
-
-
 # -- the PBSM join ------------------------------------------------------------
 
 
@@ -745,7 +459,6 @@ def pbsm_join(
     left: Sequence[Tuple[Box, object]],
     right: Sequence[Tuple[Box, object]],
     n_tiles: int = DEFAULT_TILES,
-    exchange: Optional[Exchange] = None,
     stats: Optional[JoinStats] = None,
 ) -> List[Tuple[object, object]]:
     """Partition-based spatial-merge overlap join of two box sequences.
@@ -754,8 +467,7 @@ def pbsm_join(
     replicated into every tile they overlap), plane-sweeps each tile,
     and dedupes boundary duplicates with the reference-point rule.
     Returns ``(left_value, right_value)`` pairs whose boxes overlap,
-    sorted by input positions — deterministic, and identical for serial
-    and parallel execution.
+    sorted by input positions, so the answer is deterministic.
     """
     lefts = [(b, k) for k, (b, _v) in enumerate(left) if not b.is_empty()]
     rights = [(b, k) for k, (b, _v) in enumerate(right) if not b.is_empty()]
@@ -765,7 +477,6 @@ def pbsm_join(
         [*(b for b, _ in lefts), *(b for b, _ in rights)], n_tiles
     )
     assert grid is not None  # non-empty inputs imply a non-empty extent
-    exchange = exchange or Exchange()
     repl_left = repl_right = 0
     buckets: Dict[int, Tuple[List, List]] = {}
     for b, k in lefts:
@@ -783,15 +494,7 @@ def pbsm_join(
         for t, (ls, rs) in sorted(buckets.items())
         if ls and rs
     ]
-    if exchange.uses_processes(len(tasks)):
-        # Process workers receive packed coordinate blobs, not pickled
-        # Box object graphs; a pool-creation fallback to serial still
-        # runs the same packed tasks, so results never depend on it.
-        results = exchange.run(
-            _sweep_tile_packed, [_pack_tile_task(t) for t in tasks]
-        )
-    else:
-        results = exchange.run(_sweep_tile, tasks)
+    results = [_sweep_tile(t) for t in tasks]
     pairs: List[Tuple[int, int]] = []
     for tile_pairs, tests, dups in results:
         pairs.extend(tile_pairs)

@@ -89,8 +89,7 @@ def _decode_oid(data: object) -> object:
 # base64 string they parse in one ``struct.unpack`` call and round-trip
 # bit-exactly.  Everything else (oids, counts, statistics, partitioning)
 # stays plain JSON.  The raw packing lives in
-# :mod:`repro.spatial.columnar` (the process-pool Exchange ships tile
-# payloads through the same helpers); here it is base64-armored for JSON.
+# :mod:`repro.spatial.columnar`; here it is base64-armored for JSON.
 
 def _pack_floats(values: Sequence[float]) -> str:
     return base64.b64encode(pack_floats(values)).decode("ascii")

@@ -4,8 +4,8 @@ Query- and engine-level bit-identity lives in ``test_differential.py``;
 this module pins down the pieces underneath: backend forcing and
 resolution, the packed-float codec, the batched box-filter and distance
 kernels against their per-object :class:`~repro.boxes.box.Box` oracles,
-the R-tree's columnar entry mirror, the vectorized PBSM tile sweep (and
-its packed process-pool payloads), and batched z-order key computation.
+the R-tree's columnar entry mirror, the vectorized PBSM tile sweep, and
+batched z-order key computation.
 Every comparison is exact — the vectorized kernels promise the same
 floats, not approximately the same.
 """
@@ -21,7 +21,6 @@ from repro.spatial import (
     BACKENDS,
     HAVE_NUMPY,
     ColumnStore,
-    Exchange,
     JoinStats,
     SpatialTable,
     active_backend,
@@ -29,12 +28,6 @@ from repro.spatial import (
     pack_floats,
     pbsm_join,
     unpack_floats,
-)
-from repro.spatial.partition import (
-    _pack_tile_task,
-    _sweep_tile,
-    _sweep_tile_packed,
-    TileGrid,
 )
 from repro.spatial.zorder import ZGrid, ZOrderIndex
 from tests.conftest import COLUMNAR_BACKENDS, UNIVERSE, random_table
@@ -279,39 +272,6 @@ class TestVectorizedSweep:
         assert got_stats.pair_tests == want_stats.pair_tests
         assert got_stats.dedup_skipped == want_stats.dedup_skipped
         assert got_stats.pairs == want_stats.pairs
-
-    def test_packed_tile_task_round_trips(self):
-        left, right = self._tile_inputs(43)
-        grid = TileGrid.build(
-            [b for b, _t in left] + [b for b, _t in right], n_tiles=9
-        )
-        assert grid is not None
-        for tile in grid.tiles_overlapping(grid.extent):
-            task = (
-                grid,
-                tile,
-                [e for e in left if tile in grid.tiles_overlapping(e[0])],
-                [e for e in right if tile in grid.tiles_overlapping(e[0])],
-            )
-            assert _sweep_tile_packed(_pack_tile_task(task)) == _sweep_tile(
-                task
-            )
-
-    def test_process_pool_pbsm_matches_serial(self):
-        left, right = self._tile_inputs(47)
-        serial_stats = JoinStats()
-        serial = pbsm_join(
-            left, right, n_tiles=9, stats=serial_stats,
-            exchange=Exchange(workers=0, kind="serial"),
-        )
-        pool_stats = JoinStats()
-        pool = pbsm_join(
-            left, right, n_tiles=9, stats=pool_stats,
-            exchange=Exchange(workers=4, kind="process"),
-        )
-        assert pool == serial
-        assert pool_stats.pair_tests == serial_stats.pair_tests
-        assert pool_stats.dedup_skipped == serial_stats.dedup_skipped
 
 
 class TestZOrderBatch:

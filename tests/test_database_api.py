@@ -143,12 +143,21 @@ def test_session_rejects_retired_scale_out_options(db, workload):
         db.session().run(str(workload[0].system), spill=8)
 
 
+def test_session_rejects_worker_pool_options(db, workload):
+    """PBSM sweeps its tiles serially: there is no pool to size."""
+    with pytest.raises(TypeError, match="parallel"):
+        Session(parallel=2)
+    with pytest.raises(TypeError, match="parallel_kind"):
+        Session(parallel_kind="process")
+    with pytest.raises(TypeError):
+        db.session().run(str(workload[0].system), parallel=2)
+
+
 def test_session_partitioned_matches_serial(workload):
     query, _map = workload
     expected, _stats = _baseline(query)
     for kwargs in (
         {"partitions": 4},
-        {"partitions": 4, "parallel": 2},
         {"join_strategy": "pbsm", "partitions": 4},
     ):
         result = Session().run(query, **kwargs)
@@ -242,9 +251,7 @@ def test_session_nearest_matches_table(db, workload):
 @pytest.mark.parametrize("option", ["vectorize", "shards", "spill"])
 def test_retired_session_options_are_type_errors(option):
     """One execution path per platform: no option picks another."""
-    assert SESSION_OPTIONS == (
-        "mode", "join_strategy", "partitions", "parallel", "parallel_kind", "limit",
-    )
+    assert SESSION_OPTIONS == ("mode", "join_strategy", "partitions", "limit")
     with pytest.raises(TypeError, match=option):
         Session(**{option: False})
     with pytest.raises(TypeError):

@@ -444,14 +444,11 @@ def test_vectorized_nearest_differential(seed, k, box_anchor):
 # ---------------------------------------------------------------------------
 
 
-#: Physical layouts the delta differential sweeps: serial, partitioned
-#: (PBSM serial, threaded and on the process pool's packed tasks), and
-#: the z-order merge join.
+#: Physical layouts the delta differential sweeps: the index probe,
+#: the PBSM join, and the z-order merge join.
 DELTA_LAYOUTS = (
     {},
     {"partitions": 3, "join_strategy": "pbsm"},
-    {"partitions": 3, "join_strategy": "pbsm", "parallel": 2},
-    {"partitions": 3, "join_strategy": "pbsm", "parallel": 2, "parallel_kind": "process"},
     {"partitions": 3, "join_strategy": "zorder"},
 )
 

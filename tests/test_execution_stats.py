@@ -83,53 +83,30 @@ def test_probe_counts_per_mode(plan):
 
 
 def test_serial_plans_report_no_exchange(plan):
-    """Without workers the exchange fields stay at their zero values
-    and the summary line omits the exchange clause entirely."""
-    pplan = build_physical_plan(plan, "boxplan")
+    """PBSM sweeps its tiles serially: the stats, their dict forms and
+    the summary line carry no exchange (worker-pool) fields at all."""
+    pplan = build_physical_plan(plan, "boxplan", partitions=4, join_strategy="pbsm")
     pplan.run()
     stats = pplan.stats()
-    assert stats.exchange_kind == "serial"
-    assert stats.exchange_workers == 0
-    assert stats.exchange_fallbacks == 0
+    assert not any(name.startswith("exchange") for name in vars(stats))
+    for d in (stats.to_dict(), stats.as_dict()):
+        assert not any(k.startswith("exchange_") for k in d)
     assert "exchange=" not in stats.summary()
 
 
-def test_parallel_plans_surface_exchange(plan):
-    """A parallel PBSM plan reports its exchange geometry in
-    stats(), the dict forms, and the summary string."""
-    pplan = build_physical_plan(
-        plan, "boxplan", partitions=4, join_strategy="pbsm", parallel=2
-    )
-    pplan.run()
-    stats = pplan.stats()
-    assert stats.exchange_kind == "thread"
-    assert stats.exchange_workers == 2
-    assert stats.exchange_fallbacks >= 0
-    assert "exchange=threadx2" in stats.summary()
-    for d in (stats.to_dict(), stats.as_dict()):
-        assert d["exchange_kind"] == "thread"
-        assert d["exchange_workers"] == 2
-        assert d["exchange_fallbacks"] == stats.exchange_fallbacks
-
-
 def test_exchange_fields_roundtrip_serialization(plan):
-    """to_dict -> from_dict preserves the exchange fields exactly, and
-    legacy payloads without them decode to the serial defaults."""
-    pplan = build_physical_plan(
-        plan, "boxplan", partitions=4, join_strategy="pbsm", parallel=2
-    )
+    """to_dict -> from_dict round-trips exactly, and a stats payload from
+    a server that still reports the retired worker-pool fields
+    (``exchange_kind``/``_workers``/``_fallbacks``) decodes to the same
+    stats as one without them."""
+    pplan = build_physical_plan(plan, "boxplan", partitions=4, join_strategy="pbsm")
     pplan.run()
     stats = pplan.stats()
-    decoded = ExecutionStats.from_dict(stats.to_dict())
-    assert decoded.exchange_kind == stats.exchange_kind
-    assert decoded.exchange_workers == stats.exchange_workers
-    assert decoded.exchange_fallbacks == stats.exchange_fallbacks
-    legacy = {
-        k: v
-        for k, v in stats.to_dict().items()
-        if not k.startswith("exchange_")
-    }
-    old = ExecutionStats.from_dict(legacy)
-    assert old.exchange_kind == "serial"
-    assert old.exchange_workers == 0
-    assert old.exchange_fallbacks == 0
+    current = stats.to_dict()
+    assert ExecutionStats.from_dict(current) == stats
+    old_reply = dict(
+        current, exchange_kind="thread", exchange_workers=2, exchange_fallbacks=0
+    )
+    decoded = ExecutionStats.from_dict(old_reply)
+    assert decoded == stats
+    assert decoded.to_dict() == current

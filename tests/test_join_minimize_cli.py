@@ -225,18 +225,14 @@ class TestCli:
             )
             assert proc.returncode == 0, proc.stderr
 
-    def test_bench_partitioned_parallel(self):
-        import json
-
+    def test_bench_parallel_flag_is_gone(self):
+        """PBSM sweeps its tiles serially; --parallel is a usage error."""
         proc = _cli(
             "bench", "--workload", "smugglers", "--size", "8",
             "--partitions", "4", "--parallel", "2", "--json",
         )
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
-        assert result["partitions"] == 4
-        assert result["parallel"] == 2
-        assert len(result["joins"]) == 3
+        assert proc.returncode == 2
+        assert "--parallel" in proc.stderr
 
     def test_explain_partitioned_join(self):
         proc = _cli(

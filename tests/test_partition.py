@@ -1,4 +1,4 @@
-"""The partitioning subsystem: STR tiles, PBSM, Exchange, operators."""
+"""The partitioning subsystem: STR tiles, PBSM, operators."""
 
 import random
 
@@ -20,16 +20,18 @@ from repro.engine import (
     rollout_step_estimates,
 )
 from repro.spatial import (
-    Exchange,
     JoinStats,
+    RTree,
     SpatialTable,
     TileGrid,
-    WorkerPool,
+    forced_backend,
     mbr_may_match,
     pbsm_join,
     probe_box,
     str_partition,
 )
+
+from tests.conftest import COLUMNAR_BACKENDS
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 
@@ -188,38 +190,53 @@ class TestPBSMJoin:
         assert stats.dedup_skipped > 0  # replication really happened
         assert stats.pairs == len(pairs)
 
-    def test_parallel_bit_identical(self):
-        left, right = self._sides(140, seeds=(7, 8))
-        serial = pbsm_join(left, right, n_tiles=16)
-        threaded = pbsm_join(
-            left, right, n_tiles=16, exchange=Exchange(workers=4)
-        )
-        assert threaded == serial
-
-    def test_process_pool_identical(self):
-        left, right = self._sides(60, seeds=(9, 10))
-        serial = pbsm_join(left, right, n_tiles=9)
-        try:
-            procs = pbsm_join(
-                left,
-                right,
-                n_tiles=9,
-                exchange=Exchange(workers=2, kind="process"),
-            )
-        except (OSError, PermissionError):  # sandboxed environments
-            pytest.skip("process pools unavailable")
-        assert procs == serial
-
     def test_empty_sides(self):
         left, _right = self._sides(10)
         assert pbsm_join(left, [], n_tiles=4) == []
         assert pbsm_join([], left, n_tiles=4) == []
 
-    def test_exchange_validation(self):
-        with pytest.raises(ValueError):
-            Exchange(kind="fleet")
-        assert Exchange(workers=0).describe() == "serial"
-        assert Exchange(workers=3, kind="thread").describe() == "threadx3"
+
+class TestPBSMExactCounts:
+    """PBSM against the index-nested-loop join, as exact counts.
+
+    Two 300-box sides (small random rectangles in a 100 × 100
+    universe) over 64 tiles.  Both joins must return the same 815
+    pairs; PBSM's plane sweeps test 2 353 candidate pairs where the
+    R-tree probes test 9 941 entries — the regime where PBSM wins.  The
+    counts are the same on both columnar backends.
+    """
+
+    @staticmethod
+    def _entries(seed, n):
+        rng = random.Random(seed)
+        out = []
+        for i in range(n):
+            lo = (rng.uniform(0, 92.0), rng.uniform(0, 92.0))
+            hi = (lo[0] + rng.uniform(1, 8), lo[1] + rng.uniform(1, 8))
+            out.append((Box(lo, hi), i))
+        return out
+
+    @pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
+    def test_pbsm_counts_against_index_nested_loop(self, backend):
+        left = self._entries(300, 300)
+        right = self._entries(301, 300)
+        with forced_backend(backend):
+            tree = RTree.bulk_load(right, max_entries=8)
+            tree.stats.reset()
+            inl = sorted(
+                (value, other)
+                for box, value in left
+                for other in tree.search(BoxQuery(overlap=(box,)))
+            )
+            stats = JoinStats()
+            pairs = pbsm_join(left, right, n_tiles=64, stats=stats)
+        assert len(inl) == 815
+        assert pairs == inl
+        assert tree.stats.entry_tests == 9941
+        assert stats.pair_tests == 2353
+        assert stats.tiles == 64
+        assert stats.dedup_skipped == 353
+        assert stats.pairs == 815
 
 
 class TestPartitionedOperators:
@@ -240,38 +257,17 @@ class TestPartitionedOperators:
         )
         assert reference  # non-trivial workload
         for strategy in ("partition", "pbsm", "zorder"):
-            for parallel in (0, 3):
-                pplan = build_physical_plan(
-                    plan,
-                    "boxplan",
-                    estimate=False,
-                    partitions=5,
-                    parallel=parallel,
-                    join_strategy=strategy,
-                )
-                answers, _stats = pplan.run()
-                assert answers_as_oid_tuples(answers, order) == reference, (
-                    strategy,
-                    parallel,
-                )
-
-    def test_parallel_stream_bit_identical(self):
-        plan = self._plan()
-        serial = [
-            tuple(a[v].oid for v in plan.order)
-            for a in build_physical_plan(
-                plan, "boxplan", estimate=False,
-                partitions=6, join_strategy="pbsm",
-            ).execute_iter()
-        ]
-        threaded = [
-            tuple(a[v].oid for v in plan.order)
-            for a in build_physical_plan(
-                plan, "boxplan", estimate=False,
-                partitions=6, parallel=4, join_strategy="pbsm",
-            ).execute_iter()
-        ]
-        assert threaded == serial
+            pplan = build_physical_plan(
+                plan,
+                "boxplan",
+                estimate=False,
+                partitions=5,
+                join_strategy=strategy,
+            )
+            answers, _stats = pplan.run()
+            assert answers_as_oid_tuples(answers, order) == reference, (
+                strategy
+            )
 
     def test_partition_scan_replaces_scan_backend_lowering(self):
         plan = self._plan(index="scan", size=12)
@@ -296,13 +292,12 @@ class TestPartitionedOperators:
     def test_explain_renders_partition_operators(self):
         plan = self._plan(size=10)
         pplan = build_physical_plan(
-            plan, "boxplan", partitions=4, parallel=2, join_strategy="pbsm"
+            plan, "boxplan", partitions=4, join_strategy="pbsm"
         )
         pplan.run()
         text = pplan.explain()
         assert "PartitionedSpatialJoin" in text
         assert "tiles=4" in text
-        assert "exchange=threadx2" in text
         assert "partitions=4" in text
 
     def test_boxonly_mode_supports_strategies(self):
@@ -391,125 +386,3 @@ class TestPlannerIntegration:
         query = overlay_query(n_left=400, n_right=400, seed=5)
         chosen = choose_join_strategies(query, ["x", "y"], partitions=32)
         assert chosen[1] in ("pbsm", "zorder")
-
-
-class _BrokenOnce:
-    """A fake executor whose first ``map`` raises ``BrokenExecutor``."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def map(self, fn, tasks):
-        from concurrent.futures import BrokenExecutor
-
-        self.calls += 1
-        raise BrokenExecutor("worker died")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-class TestWorkerPool:
-    def test_map_preserves_order(self):
-        with WorkerPool(workers=3, kind="thread") as pool:
-            assert pool.map(lambda x: x * x, range(10)) == [
-                x * x for x in range(10)
-            ]
-
-    def test_broken_executor_recreated_once(self):
-        pool = WorkerPool(workers=2, kind="thread")
-        pool._executor = _BrokenOnce()
-        try:
-            got = pool.map(lambda x: x + 1, [1, 2, 3])
-            assert got == [2, 3, 4]
-            assert pool.recreations == 1
-        finally:
-            pool.close()
-
-    def test_second_break_propagates(self):
-        from concurrent.futures import BrokenExecutor
-
-        pool = WorkerPool(workers=2, kind="thread")
-        pool._make_executor = _BrokenOnce  # every replacement is broken
-        pool._executor = _BrokenOnce()
-        try:
-            with pytest.raises(BrokenExecutor):
-                pool.map(lambda x: x, [1, 2])
-            assert pool.recreations == 1
-        finally:
-            pool.close()
-
-    def test_task_exception_propagates(self):
-        def boom(x):
-            if x == 2:
-                raise ValueError("task failure")
-            return x
-
-        with WorkerPool(workers=2, kind="thread") as pool:
-            with pytest.raises(ValueError, match="task failure"):
-                pool.map(boom, [1, 2, 3])
-
-    def test_closed_pool_rejects_use(self):
-        pool = WorkerPool(workers=2, kind="thread")
-        pool.close()
-        assert pool.closed
-        with pytest.raises(RuntimeError):
-            pool.map(lambda x: x, [1])
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            WorkerPool(workers=2, kind="fiber")
-
-
-class TestExchangeFallback:
-    def _sides(self, n, seeds):
-        return (
-            [(b, i) for i, b in enumerate(_random_boxes(n, seed=seeds[0]))],
-            [(b, j) for j, b in enumerate(_random_boxes(n, seed=seeds[1]))],
-        )
-
-    def test_broken_pool_falls_back_bit_identically(self):
-        """A pool whose every executor is broken: the Exchange retries
-        once (recreation), gives up, and re-runs serially — with the
-        exact pairs the healthy serial PBSM join produces."""
-        left, right = self._sides(110, seeds=(14, 25))
-        serial = pbsm_join(left, right, n_tiles=9)
-        pool = WorkerPool(workers=2, kind="thread")
-        pool._make_executor = _BrokenOnce
-        try:
-            exchange = Exchange(workers=2, kind="thread", pool=pool)
-            got = pbsm_join(left, right, n_tiles=9, exchange=exchange)
-        finally:
-            pool.close()
-        assert got == serial
-        assert exchange.fallbacks >= 1
-        assert pool.recreations >= 1
-
-    def test_worker_exception_mid_map_propagates_through_run(self):
-        def boom(x):
-            if x == 1:
-                raise ValueError("mid-map failure")
-            return x
-
-        with WorkerPool(workers=2, kind="thread") as pool:
-            exchange = Exchange(workers=2, kind="thread", pool=pool)
-            with pytest.raises(ValueError, match="mid-map failure"):
-                exchange.run(boom, [0, 1, 2])
-        # A genuine task error is not a fallback.
-        assert exchange.fallbacks == 0
-
-    def test_process_payload_form_identical_serially(self):
-        """The packed tile-task form, executed in-process by the serial
-        fallback, sweeps to the same pairs as the native form."""
-        left, right = self._sides(90, seeds=(15, 26))
-        serial = pbsm_join(left, right, n_tiles=9)
-        pool = WorkerPool(workers=2, kind="process")
-        pool._make_executor = _BrokenOnce
-        try:
-            exchange = Exchange(workers=2, kind="process", pool=pool)
-            assert exchange.uses_processes(9)
-            got = pbsm_join(left, right, n_tiles=9, exchange=exchange)
-        finally:
-            pool.close()
-        assert got == serial
-        assert exchange.fallbacks >= 1

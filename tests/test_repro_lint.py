@@ -30,7 +30,6 @@ from tools.analyze.passes import (  # noqa: E402
     ConcurrencyPass,
     DeterminismPass,
     OperatorContractPass,
-    PickleSafetyPass,
 )
 from tools.analyze.reporters import render_json  # noqa: E402
 
@@ -547,85 +546,6 @@ class QueryService:
     assert rules_of(findings) == ["REPRO301"]
     assert findings[0].symbol == "QueryService.count_request"
     assert run_pass(ConcurrencyPass(), (path, locked)) == []
-
-
-# -- pass 4: pickle safety -----------------------------------------------------
-
-
-def test_pickle_safety_flags_box_graph_pool_submission():
-    # The historical Box.__reduce__ regression: raw (grid, tile, Box...)
-    # task graphs submitted to a process pool.
-    findings = run_pass(
-        PickleSafetyPass(),
-        (
-            "src/repro/spatial/join.py",
-            """
-            def sweep_all(exchange, grid, tiles):
-                tasks = [(grid, t, t.boxes) for t in tiles]
-                if exchange.uses_processes(len(tasks)):
-                    return exchange.run(_sweep_tile, tasks)
-                return exchange.run(_sweep_tile, tasks)
-            """,
-        ),
-    )
-    assert rules_of(findings) == ["REPRO401"]
-    assert len(findings) == 1  # the else-branch dispatch is fine
-
-
-def test_pickle_safety_allows_packed_forms_and_guarded_sites():
-    findings = run_pass(
-        PickleSafetyPass(),
-        (
-            "src/repro/spatial/join.py",
-            """
-            def sweep_all(exchange, grid, tiles):
-                tasks = [(grid, t, t.boxes) for t in tiles]
-                if exchange.uses_processes(len(tasks)):
-                    packed = [_pack_tile_task(t) for t in tasks]
-                    return exchange.run(_sweep_tile_packed, packed)
-                return exchange.run(_sweep_tile, tasks)
-
-            def generic(pool, fn, tasks):
-                return pool.map(fn, tasks)
-            """,
-        ),
-    )
-    assert findings == []
-
-
-def test_pickle_safety_flags_lambda_and_nested_workers():
-    findings = run_pass(
-        PickleSafetyPass(),
-        (
-            "src/repro/spatial/join.py",
-            """
-            def sweep(exchange, tasks):
-                out = exchange.run(lambda t: t, tasks)
-
-                def helper(t):
-                    return t
-
-                return out + exchange.run(helper, tasks)
-            """,
-        ),
-    )
-    assert rules_of(findings) == ["REPRO402"]
-    assert len(findings) == 2
-
-
-def test_pickle_safety_allows_thread_only_receivers():
-    findings = run_pass(
-        PickleSafetyPass(),
-        (
-            "src/repro/spatial/join.py",
-            """
-            def sweep(tasks):
-                exchange = Exchange(4, kind="thread")
-                return exchange.run(lambda t: t, tasks)
-            """,
-        ),
-    )
-    assert findings == []
 
 
 # -- pass 5: operator contract -------------------------------------------------

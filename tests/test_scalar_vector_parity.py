@@ -116,7 +116,6 @@ TOP_FIELDS = (
     "partial_tuples",
     "region_ops",
     "box_ops_estimate",
-    "exchange_fallbacks",
 )
 
 

@@ -395,6 +395,26 @@ def test_unknown_or_retired_option_is_a_400_naming_it(served, key, value):
     assert "actual" in client.explain(system, analyze=True)["plan"]
 
 
+@pytest.mark.parametrize("key,value", [("parallel", 2), ("parallel_kind", "process")])
+def test_worker_pool_options_are_a_400_and_start_no_threads(key, value):
+    """``parallel``/``parallel_kind`` were session options, so a remote
+    client could install a thread or process pool in the server that
+    lived until exit.  PBSM now sweeps serially: both keys are unknown."""
+    service, system = _make_service()
+    handle = serve_in_thread(service)
+    client = ServiceClient(*handle.address, timeout=30.0)
+    try:
+        client.health()  # the connection's thread exists before counting
+        before = threading.active_count()
+        with pytest.raises(ServiceError, match=key) as caught:
+            client.run(system, join_strategy="pbsm", partitions=4, **{key: value})
+        assert caught.value.status == 400
+        assert threading.active_count() == before
+    finally:
+        client.close()
+        handle.stop()
+
+
 def test_insert_over_the_wire_bumps_snapshot(served):
     service, client, system = served
     before = client.health()["snapshot"]

@@ -23,7 +23,7 @@ def main(argv=None) -> int:
         prog="python -m tools.analyze",
         description="repro-lint: project-specific static analysis "
         "(determinism, counter billing, lock discipline, "
-        "pickle safety, operator contract).",
+        "operator contract).",
     )
     parser.add_argument(
         "paths",

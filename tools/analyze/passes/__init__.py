@@ -1,16 +1,14 @@
-"""The five project-specific repro-lint passes."""
+"""The four project-specific repro-lint passes."""
 
 from .billing import BillingPass
 from .concurrency import ConcurrencyPass
 from .determinism import DeterminismPass
 from .operator_contract import OperatorContractPass
-from .pickle_safety import PickleSafetyPass
 
 ALL_PASSES = (
     DeterminismPass,
     BillingPass,
     ConcurrencyPass,
-    PickleSafetyPass,
     OperatorContractPass,
 )
 
@@ -20,5 +18,4 @@ __all__ = [
     "ConcurrencyPass",
     "DeterminismPass",
     "OperatorContractPass",
-    "PickleSafetyPass",
 ]

@@ -1,9 +1,9 @@
 """Pass 3 — lock discipline on shared-state classes (REPRO301).
 
 Classes whose instances are shared across threads (``ProbeCache``,
-``SnapshotStore``, ``WorkerPool``, ``Database``,
-...) declare which lock guards which attribute with a structured
-comment on the attribute's ``__init__`` assignment::
+``SnapshotStore``, ``QueryService``, ...) declare which lock guards
+which attribute with a structured comment on the attribute's
+``__init__`` assignment::
 
     def __init__(self):
         self._lock = threading.Lock()

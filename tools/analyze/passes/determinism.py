@@ -1,7 +1,7 @@
 """Pass 1 — determinism (REPRO101-105).
 
-The repo's headline gates are bit-identity equalities: parallel ≡
-serial, numpy ≡ array backend, every join strategy ≡ the index probe.
+The repo's headline gates are bit-identity equalities: numpy ≡ array
+backend, every join strategy ≡ the index probe.
 All of them die the moment result paths consume a nondeterministic
 source.  This pass flags, in ``engine/`` and ``spatial/``:
 
@@ -12,10 +12,10 @@ source.  This pass flags, in ``engine/`` and ``spatial/``:
   content);
 * REPRO103 — iterating a ``set``/``frozenset`` into ordered output
   without ``sorted()`` (set iteration order varies across processes
-  because of hash randomization, which breaks parallel merges);
+  because of hash randomization, so two runs can disagree);
 * REPRO104 — ``id()``-based ordering (``key=id`` or ``id()`` inside a
   comparison); CPython ids are allocation addresses and differ between
-  the serial and the forked-worker run;
+  runs;
 * REPRO105 — pairwise float reduction: ``np.sum`` / ``.sum()`` /
   ``np.mean`` / ``.mean()`` / ``np.add.reduce`` over float data.  NumPy
   adds pairwise, the stdlib backend folds left to right, so the two
@@ -248,7 +248,7 @@ class _Visitor(ast.NodeVisitor):
                         "REPRO104",
                         node,
                         "sort key is id(); allocation addresses differ "
-                        "between serial and worker processes",
+                        "between runs",
                     )
         # REPRO105: pairwise float reduction.
         if isinstance(node.func, ast.Name) and node.func.id == "int" and node.args:
