@@ -4,8 +4,8 @@
 The workflow a resident deployment uses:
 
 1. build the smugglers workload once and ``Database.save`` it — rows,
-   the packed R-tree's node arrays, statistics, and partitioning go
-   into one versioned snapshot file;
+   the packed R-tree's node arrays and statistics go into one
+   versioned snapshot file;
 2. ``Database.open`` that file (no STR rebuild, no statistics scan) and
    serve it from the threaded query service (one thread per kept-alive
    connection, handlers run inline);
@@ -40,7 +40,7 @@ def main() -> None:
     db = Database.from_query(query)
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "smugglers.snapshot.json")
-        db.save(path, partitions=4)
+        db.save(path)
         print(f"saved snapshot: {os.path.getsize(path)} bytes")
 
         # --------------------------------------------------------------

@@ -18,7 +18,7 @@ Usage::
     python -m repro run      [--workload ...] [--stream] [--limit K]
                              [--partitions N]
                              [--knn K [--knn-ref T]] [--agg count]
-    python -m repro save     OUT [--workload ...] [--partitions N]
+    python -m repro save     OUT [--workload ...]
     python -m repro load     SNAPSHOT [--json]
     python -m repro serve    [SNAPSHOT] [--workload ...] [--host H]
                              [--port P] [--cache N]
@@ -34,11 +34,10 @@ r-trees.  ``--stream`` executes through
 the streaming iterator and reports time-to-first-answer alongside the
 total.
 
-``--partitions N`` enables spatial partitioning (STR partitions /
-PBSM tiles), and ``--join`` forces a per-step join algorithm — by
-default the cost-based planner picks one per step whenever
-partitioning is enabled.  Every join algorithm returns the same
-answers.
+``--join`` picks a per-step join algorithm — ``probe`` (the default),
+``pbsm`` or ``zorder``, or ``auto`` for the cost-based pick — and
+``--partitions N`` sets PBSM's tile target.  Every join algorithm
+returns the same answers.
 
 ``explain`` prints the physical operator tree for the chosen mode with
 catalog cost estimates; ``--analyze`` also executes the plan and
@@ -58,7 +57,7 @@ asks for the box-level COUNT, pushed down to the R-tree's subtree
 entry counts.
 
 ``save`` snapshots a built workload database (tables, packed R-trees,
-statistics, partitioning) to one JSON file; ``load`` prints a saved
+statistics) to one JSON file; ``load`` prints a saved
 snapshot's summary; ``serve`` starts the resident query service on a
 snapshot (or on a freshly built workload when no snapshot is given) —
 see :mod:`repro.service`.
@@ -234,10 +233,8 @@ def _plan_workload(args):
     if strategy == "paper":
         order = tuple(query.order)
     else:
-        # The planner ignores the workload's own order.  With
-        # partitioning enabled, the histogram strategy also costs
-        # partition pruning when ranking retrieval orders.
-        order = plan_order(query, strategy=strategy, partitions=args.partitions)
+        # The planner ignores the workload's own order.
+        order = plan_order(query, strategy=strategy)
     knn = _knn_step(args, query, order)
     aggregate = _aggregate_spec(args)
     if knn is not None or aggregate is not None:
@@ -306,13 +303,8 @@ def _probe_cache(args):
 
 
 def _physical_options(args) -> dict:
-    """Partitioned-execution keyword arguments for ``plan.physical``."""
-    join = args.join
-    if join is None and args.partitions:
-        # Partitioning without an explicit algorithm choice delegates
-        # the per-step pick to the planner.
-        join = "auto"
-    return {"partitions": args.partitions, "join_strategy": join}
+    """Join keyword arguments for ``plan.physical``."""
+    return {"partitions": args.partitions, "join_strategy": args.join}
 
 
 def cmd_bench(args) -> int:
@@ -443,7 +435,7 @@ def cmd_save(args) -> int:
 
     query = _build_workload(args)
     db = Database(tables=query.tables, bindings=query.bindings)
-    db.save(args.out, statistics=True, partitions=args.partitions)
+    db.save(args.out, statistics=True)
     rows = sum(len(t) for t in db.tables.values())
     print(
         f"saved {len(db.tables)} tables ({rows} rows), "
@@ -548,27 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="share an N-entry LRU probe cache across index probes",
         )
         p.add_argument(
-            "--partitions",
-            type=int,
-            default=0,
-            metavar="N",
-            help="enable spatial partitioning with ~N partitions/tiles "
-            "(0 = single-partition execution)",
-        )
-        p.add_argument(
-            "--join",
-            choices=(
-                "auto",
-                "probe",
-                "partition",
-                "pbsm",
-                "zorder",
-            ),
-            default=None,
-            help="per-step join algorithm (default: backend-dependent; "
-            "'auto' picks cost-based per step)",
-        )
-        p.add_argument(
             "--knn",
             type=int,
             default=0,
@@ -633,6 +604,22 @@ def build_parser() -> argparse.ArgumentParser:
             "default: the table's own threshold, 64)",
         )
 
+    def add_join_args(p):
+        p.add_argument(
+            "--partitions",
+            type=int,
+            default=0,
+            metavar="N",
+            help="PBSM tile target (0 = the default, 16 tiles)",
+        )
+        p.add_argument(
+            "--join",
+            choices=("auto", "probe", "pbsm", "zorder"),
+            default=None,
+            help="per-step join algorithm (default: probe; 'auto' picks "
+            "cost-based per step)",
+        )
+
     def add_streaming_args(p):
         p.add_argument(
             "--limit",
@@ -652,6 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run a synthetic workload and print cost counters"
     )
     add_workload_args(p)
+    add_join_args(p)
     add_streaming_args(p)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_bench)
@@ -661,6 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the physical operator tree with cost estimates",
     )
     add_workload_args(p)
+    add_join_args(p)
     p.add_argument(
         "--analyze",
         action="store_true",
@@ -672,6 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute a workload and print the answers"
     )
     add_workload_args(p)
+    add_join_args(p)
     add_streaming_args(p)
     p.set_defaults(func=cmd_run)
 

@@ -1,7 +1,7 @@
 """The public ``Database``/``Session`` facade.
 
 The library grew bottom-up — tables, compiler, physical plans, caches,
-partitioning — and each capability shipped with its own entry point
+bulk joins — and each capability shipped with its own entry point
 (``execute``, ``plan.physical(...)``, CLI flags).  This module is the
 one front door over all of it:
 
@@ -30,8 +30,10 @@ from .constraints.parser import parse_system
 from .constraints.system import ConstraintSystem
 from .engine.compiler import QueryPlan, compile_query
 from .engine.executor import Answer, answers_as_oid_tuples
+from .engine.physical import check_join_strategy
 from .engine.query import AggregateSpec, KNNStep, SpatialQuery
 from .engine.stats import ExecutionStats
+from .errors import OptionError
 from .spatial.snapshot import read_snapshot, write_snapshot
 from .spatial.table import ProbeCache, SpatialObject, SpatialTable
 
@@ -41,7 +43,9 @@ __all__ = ["Database", "QueryResult", "Session"]
 _UNSET = object()
 
 #: The uniform execution-option vocabulary (mirrors the CLI flags
-#: ``--mode``/``--join``/``--partitions``/``--limit``).
+#: ``--mode``/``--join``/``--partitions``/``--limit``).  ``partitions``
+#: is PBSM's tile target and nothing else (``"auto"`` prices PBSM with
+#: it).
 SESSION_OPTIONS = ("mode", "join_strategy", "partitions", "limit")
 
 _OPTION_DEFAULTS = {
@@ -105,26 +109,17 @@ class Database:
         tables, bindings = read_snapshot(path)
         return cls(tables=tables, bindings=bindings)
 
-    def save(
-        self,
-        path: str,
-        statistics: bool = True,
-        partitions: int = 0,
-    ) -> None:
+    def save(self, path: str, statistics: bool = True) -> None:
         """Atomically snapshot every table and binding to ``path``.
 
         ``statistics=True`` (default) computes each table's default
-        planner statistics first so the snapshot ships a warm catalog;
-        ``partitions > 0`` additionally computes and ships the STR
-        partitioning at that granularity.
+        planner statistics first so the snapshot ships a warm catalog.
         """
         for table in self.tables.values():
             # Fold any pending write delta first: snapshots serialize
             # only packed base structures, and statistics computed here
             # must land in the base cache the snapshot ships.
             table.repack()
-            if partitions > 0:
-                table.partitioning(partitions)
             if statistics:
                 table.statistics()
         write_snapshot(path, self.tables, self.bindings)
@@ -252,23 +247,29 @@ class Session:
         self.defaults.update(defaults)
 
     # -- option/plan resolution ------------------------------------------------
-    def _option(self, name: str, value):
-        return self.defaults[name] if value is _UNSET else value
-
-    def _physical_options(self, partitions, join_strategy) -> dict:
-        partitions = self._option("partitions", partitions)
-        join = self._option("join_strategy", join_strategy)
-        if join is None and partitions:
-            # Same default the CLI applies: partitioned execution with
-            # no explicit algorithm delegates the pick to the planner.
-            join = "auto"
-        return {"partitions": partitions, "join_strategy": join}
+    def _options(self, **given) -> dict:
+        """All four options for one call, ``given`` over the session
+        defaults, checked before any planning: ``partitions`` and
+        ``limit`` must be integers (``limit`` may be ``None``) and
+        ``join_strategy`` must suit ``mode``
+        (:func:`~repro.engine.physical.check_join_strategy`).  A bad
+        value raises :class:`~repro.errors.OptionError`, which the
+        service answers with 400."""
+        options = dict(self.defaults)
+        options.update((k, v) for k, v in given.items() if v is not _UNSET)
+        for name in ("partitions", "limit"):
+            value = options[name]
+            if name == "limit" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise OptionError(f"{name} must be an integer, not {value!r}")
+        check_join_strategy(options["mode"], options["join_strategy"])
+        return options
 
     def _compile(
         self,
         query: Union[str, ConstraintSystem, SpatialQuery, QueryPlan],
         order: Optional[Sequence[str]] = None,
-        partitions=_UNSET,
     ) -> QueryPlan:
         if isinstance(query, QueryPlan):
             return query
@@ -286,11 +287,7 @@ class Session:
             from .engine.compiler import repair_knn_order
             from .engine.planner import plan_order
 
-            order = plan_order(
-                query,
-                strategy="histogram",
-                partitions=self._option("partitions", partitions),
-            )
+            order = plan_order(query, strategy="histogram")
             if query.knn is not None:
                 order = repair_knn_order(order, query.knn, query.tables)
         return compile_query(query, order=order)
@@ -313,19 +310,21 @@ class Session:
         time-to-first-answer alongside the total.
         """
         called = perf_counter()
-        plan = self._compile(query, order=order, partitions=partitions)
+        options = self._options(
+            mode=mode, limit=limit, partitions=partitions, join_strategy=join_strategy
+        )
+        plan = self._compile(query, order=order)
         pplan = plan.physical(
-            self._option("mode", mode),
+            options["mode"],
             estimate=False,
-            **self._physical_options(partitions, join_strategy),
+            partitions=options["partitions"],
+            join_strategy=options["join_strategy"],
         )
         start = perf_counter()
         plan_s = start - called
         first = None
         answers: List[Answer] = []
-        for answer in pplan.execute_iter(
-            limit=self._option("limit", limit), cache=self.cache
-        ):
+        for answer in pplan.execute_iter(limit=options["limit"], cache=self.cache):
             if first is None:
                 first = perf_counter() - start
             answers.append(answer)
@@ -354,10 +353,14 @@ class Session:
         ``analyze=True`` also executes the plan and annotates actual
         per-operator rows/probes/node reads (the CLI's ``--analyze``).
         """
-        plan = self._compile(query, order=order, partitions=partitions)
+        options = self._options(
+            mode=mode, partitions=partitions, join_strategy=join_strategy
+        )
+        plan = self._compile(query, order=order)
         pplan = plan.physical(
-            self._option("mode", mode),
-            **self._physical_options(partitions, join_strategy),
+            options["mode"],
+            partitions=options["partitions"],
+            join_strategy=options["join_strategy"],
         )
         if analyze:
             pplan.run(cache=self.cache)
@@ -382,19 +385,16 @@ class Session:
         itself receives the compiled plan, so planning is timed here).
         """
         called = perf_counter()
-        plan = self._compile(query, order=order, partitions=partitions)
+        options = self._options(
+            mode=mode, limit=limit, partitions=partitions, join_strategy=join_strategy
+        )
+        plan = self._compile(query, order=order)
         plan_s = perf_counter() - called
         for table in plan.query.tables.values():
             table.reset_stats()  # report query-time reads, not build-time
-        result = self.run(
-            plan,
-            mode=mode,
-            limit=limit,
-            partitions=partitions,
-            join_strategy=join_strategy,
-        )
+        result = self.run(plan, **options)
         return {
-            "mode": self._option("mode", mode),
+            "mode": options["mode"],
             "order": list(result.order),
             "answers": len(result.answers),
             "counters": result.stats.to_dict(),

@@ -10,7 +10,6 @@ from ..spatial.table import ProbeCache
 from .catalog import (
     Catalog,
     Histogram,
-    PartitionStatistics,
     TableStatistics,
     collect_statistics,
 )
@@ -33,7 +32,6 @@ from .physical import (
     IndexProbe,
     KNNProbe,
     Once,
-    PartitionScan,
     PartitionedSpatialJoin,
     PhysicalOperator,
     PhysicalPlan,
@@ -84,8 +82,6 @@ __all__ = [
     "MODES",
     "ORDER_STRATEGIES",
     "Once",
-    "PartitionScan",
-    "PartitionStatistics",
     "PartitionedSpatialJoin",
     "PhysicalOperator",
     "PhysicalPlan",

@@ -48,37 +48,6 @@ DEFAULT_SAMPLE_SIZE = 24
 
 
 @dataclass(frozen=True)
-class PartitionStatistics:
-    """Summary of one spatial partition: its MBR and row count.
-
-    The catalog records only the summaries — the partitions themselves
-    (with their member rows) are cached on the table by
-    :meth:`repro.spatial.table.SpatialTable.partitioning`.
-    """
-
-    pid: int
-    count: int
-    mbr: Box
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (see :meth:`from_dict`)."""
-        return {
-            "pid": self.pid,
-            "count": self.count,
-            "mbr": box_to_jsonable(self.mbr),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PartitionStatistics":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            pid=int(data["pid"]),
-            count=int(data["count"]),
-            mbr=box_from_jsonable(data["mbr"]),
-        )
-
-
-@dataclass(frozen=True)
 class Histogram:
     """An equi-width histogram over a one-dimensional population.
 
@@ -208,9 +177,7 @@ class TableStatistics:
 
     ``lo_hists[d]`` / ``hi_hists[d]`` are histograms of the stored
     boxes' lower/upper edges in dimension ``d``; ``sample`` is a
-    uniform random sample of the rows themselves; ``partitions`` holds
-    per-partition summaries when the statistics were collected with a
-    partition count (empty otherwise).  ``delta_count`` is the number
+    uniform random sample of the rows themselves.  ``delta_count`` is the number
     of staged-but-unpacked mutations folded in by :meth:`apply_delta`
     (0 for statistics over a clean table) — the cost formulas price the
     per-probe delta overlay with it.
@@ -224,7 +191,6 @@ class TableStatistics:
     hi_hists: Tuple[Histogram, ...]
     avg_sides: Tuple[float, ...]
     sample: Tuple["SpatialObject", ...]
-    partitions: Tuple[PartitionStatistics, ...] = ()
     delta_count: int = 0
 
     # -- per-constraint selectivity (histogram-based) -------------------------
@@ -313,27 +279,6 @@ class TableStatistics:
     def estimate_cardinality(self, query: BoxQuery) -> float:
         """Expected number of rows matching ``query``."""
         return self.count * self.selectivity(query)
-
-    def pruned_count(self, query: BoxQuery) -> float:
-        """Rows left to read after partition-MBR pruning for ``query``.
-
-        Sums the counts of partitions whose MBR could still contain a
-        match (``PartitionScan``'s read cost).  Without per-partition
-        statistics this is simply the full row count (no pruning).
-        """
-        if not self.partitions:
-            return float(self.count)
-        from ..spatial.partition import mbr_may_match
-
-        if query.is_unsatisfiable():
-            return 0.0
-        return float(
-            sum(
-                p.count
-                for p in self.partitions
-                if mbr_may_match(p.mbr, query)
-            )
-        )
 
     # -- incremental maintenance ------------------------------------------------
     def apply_delta(
@@ -494,7 +439,6 @@ class TableStatistics:
             "hi_hists": [h.to_dict() for h in self.hi_hists],
             "avg_sides": list(self.avg_sides),
             "sample": [row_index[id(obj)] for obj in self.sample],
-            "partitions": [p.to_dict() for p in self.partitions],
             "delta_count": self.delta_count,
         }
 
@@ -516,10 +460,6 @@ class TableStatistics:
             ),
             avg_sides=tuple(float(s) for s in data["avg_sides"]),
             sample=tuple(rows[int(i)] for i in data["sample"]),
-            partitions=tuple(
-                PartitionStatistics.from_dict(p)
-                for p in data["partitions"]
-            ),
             delta_count=int(data.get("delta_count", 0)),
         )
 
@@ -529,15 +469,10 @@ def collect_statistics(
     bins: int = DEFAULT_BINS,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    partitions: int = 0,
     rows: Optional[Sequence["SpatialObject"]] = None,
     total: Optional[int] = None,
 ) -> TableStatistics:
     """Compute :class:`TableStatistics` for a table (one full scan).
-
-    ``partitions > 0`` additionally summarises the table's STR
-    partitioning at that granularity (per-partition counts and MBRs),
-    reusing the tiling cached on the table.
 
     ``rows`` / ``total`` override the scanned population (non-empty
     rows and the raw row count): the incremental-maintenance path
@@ -573,12 +508,6 @@ def collect_statistics(
         sample = tuple(rows)
     else:
         sample = tuple(rng.sample(list(rows), sample_size))
-    partition_stats: Tuple[PartitionStatistics, ...] = ()
-    if partitions > 0:
-        partition_stats = tuple(
-            PartitionStatistics(pid=p.pid, count=len(p), mbr=p.mbr)
-            for p in table.partitioning(partitions).partitions
-        )
     return TableStatistics(
         name=table.name,
         dim=dim,
@@ -588,7 +517,6 @@ def collect_statistics(
         hi_hists=tuple(hi_hists),
         avg_sides=tuple(avg_sides),
         sample=sample,
-        partitions=partition_stats,
     )
 
 
@@ -606,12 +534,10 @@ class Catalog:
         bins: int = DEFAULT_BINS,
         sample_size: int = DEFAULT_SAMPLE_SIZE,
         seed: int = 0,
-        partitions: int = 0,
     ) -> None:
         self.bins = bins
         self.sample_size = sample_size
         self.seed = seed
-        self.partitions = partitions
 
     def statistics(self, table: "SpatialTable") -> TableStatistics:
         """Statistics for one table (cached on the table)."""
@@ -619,7 +545,6 @@ class Catalog:
             bins=self.bins,
             sample_size=self.sample_size,
             seed=self.seed,
-            partitions=self.partitions,
         )
 
     def for_query(self, query: "SpatialQuery") -> dict:

@@ -87,8 +87,8 @@ class QueryPlan:
 
         ``estimate=False`` skips the EXPLAIN-only catalog cost rollouts
         (they cost far more than executing a small query).
-        ``partitions``/``join_strategy`` configure partitioned
-        execution — see
+        ``partitions``/``join_strategy`` choose the join algorithms —
+        see
         :func:`repro.engine.physical.build_physical_plan`.
         """
         from .physical import build_physical_plan

@@ -71,8 +71,8 @@ def execute(
     an optional shared :class:`~repro.spatial.table.ProbeCache` through
     which all index probes go — repeated executions over unchanged
     tables then skip the index entirely.
-    ``partitions``/``join_strategy`` configure partitioned
-    execution (see :func:`~repro.engine.physical.build_physical_plan`);
+    ``partitions``/``join_strategy`` choose the join algorithms
+    (see :func:`~repro.engine.physical.build_physical_plan`);
     the answer set is the same for every setting.  An unknown ``mode``
     raises :class:`~repro.errors.UnknownModeError` naming the valid
     modes.

@@ -42,16 +42,11 @@ Index probes optionally go through a shared
 weak table handle, the table version and the box query), so repeated
 queries over unchanged tables skip the index entirely.
 
-**Partitioned execution.**  Beyond the per-tuple probe operators, three
-partition-aware extend operators implement alternative join algorithms
-(selected per step by ``join_strategy=`` — explicitly, or cost-based
-via :func:`repro.engine.planner.choose_join_strategies` with
-``"auto"``):
+**Bulk joins.**  Beyond the per-tuple probe operators, two bulk extend
+operators implement alternative join algorithms (selected per step by
+``join_strategy=`` — explicitly, or cost-based via
+:func:`repro.engine.planner.choose_join_strategies` with ``"auto"``):
 
-``PartitionScan``
-    reads only the STR partitions (:meth:`SpatialTable.partitioning`)
-    whose MBR could satisfy the step's compiled box query — the
-    partition-pruned access path for unindexed tables.
 ``PartitionedSpatialJoin``
     the PBSM join: materialises the incoming partial tuples, derives a
     probe box per tuple, co-partitions probe boxes and table rows on a
@@ -65,7 +60,7 @@ via :func:`repro.engine.planner.choose_join_strategies` with
     (:func:`repro.spatial.zorder.zorder_join`), then verified the same
     way.
 
-All three emit exactly the rows the per-tuple probes would (property
+Both emit exactly the rows the per-tuple probes would (property
 tested), so every mode/strategy combination returns the same answer
 set.
 """
@@ -79,11 +74,10 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 from ..boxes.box import Box, enclose_all
 from ..constraints.solved import BoundConstraint, SolvedConstraint
 from ..constraints.system import ConstraintSystem
-from ..errors import UnknownModeError
+from ..errors import OptionError, UnknownModeError
 from ..spatial.partition import (
     DEFAULT_TILES,
     JoinStats,
-    mbr_may_match,
     pbsm_join,
     probe_box,
 )
@@ -119,9 +113,8 @@ class OperatorStats:
     cache_misses: int = 0
     region_ops: int = 0  # exact region-algebra operations
     box_evals: int = 0  # box-template instantiations
-    pair_tests: int = 0  # candidate box tests (sweeps, partition scans)
-    partitions_visited: int = 0
-    partitions_pruned: int = 0
+    pair_tests: int = 0  # candidate box tests (sweeps, bulk-join checks)
+    tiles_swept: int = 0  # PBSM tiles holding boxes of both sides
     dedup_skipped: int = 0  # PBSM boundary duplicates suppressed
     vectorized_batches: int = 0  # columnar kernel dispatches
     vectorized_candidates: int = 0  # rows/entries those kernels saw
@@ -655,80 +648,6 @@ class IndexCountAggregate(PhysicalOperator):
         yield AggregateRow(group=(), values={"count": n})
 
 
-class PartitionScan(ExtendStep):
-    """Extend via a partition-MBR-pruned scan of the table.
-
-    The table's STR partitioning (cached on the table, invalidated by
-    its mutation counter) is fetched on first use; each input binding
-    instantiates the step's box template, skips every partition whose
-    MBR cannot contain a match (the same soundness argument R-tree node
-    descent uses) and tests only the surviving partitions' rows.  The
-    partition-aware access path for unindexed tables.
-    """
-
-    kind = "PartitionScan"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-        template: "StepTemplate",
-        partitions: int,
-    ) -> None:
-        super().__init__(child, variable, table)
-        self.template = template
-        self.n_partitions = max(1, partitions)
-        self._partitioning = None
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind}({self.variable} from {self.table.name}, "
-            f"parts={self.n_partitions})"
-        )
-
-    def reset_stats(self) -> None:
-        self._partitioning = None
-        super().reset_stats()
-
-    def _rows(
-        self, ctx: ExecutionContext, binding: Binding
-    ) -> List[SpatialObject]:
-        if self._partitioning is None:
-            self._partitioning = self.table.partitioning(self.n_partitions)
-        query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
-        self.stats.box_evals += 1
-        self.stats.probes += 1
-        if query.is_unsatisfiable():
-            self.stats.partitions_pruned += len(self._partitioning)
-            return []
-        store = self.table.column_store()
-        out: List[SpatialObject] = []
-        for part in self._partitioning.partitions:
-            if not mbr_may_match(part.mbr, query):
-                self.stats.partitions_pruned += 1
-                continue
-            self.stats.partitions_visited += 1
-            if store is not None and part.indices:
-                # One batched kernel per visited partition: the stored
-                # indices address the rows' columnar slots directly.
-                self.stats.pair_tests += len(part.indices)
-                self.stats.vectorized_batches += 1
-                self.stats.vectorized_candidates += len(part.indices)
-                matched = store.match_positions(
-                    query, candidates=part.indices
-                )
-                out.extend(
-                    store.rows[part.indices[j]] for j in matched
-                )
-                continue
-            for obj in part.rows:
-                self.stats.pair_tests += 1
-                if query.matches(obj.box):
-                    out.append(obj)
-        return out
-
-
 class _BulkJoinStep(ExtendStep):
     """Base of the bulk (set-at-a-time) join operators.
 
@@ -867,7 +786,7 @@ class PartitionedSpatialJoin(_BulkJoinStep):
             n_tiles=self.n_tiles,
             stats=join_stats,
         )
-        self.stats.partitions_visited += join_stats.tiles
+        self.stats.tiles_swept += join_stats.tiles
         self.stats.pair_tests += join_stats.pair_tests
         self.stats.dedup_skipped += join_stats.dedup_skipped
         return pairs
@@ -1122,9 +1041,9 @@ class PhysicalPlan:
             else:
                 step.candidates = extend.rows_out
             stats.box_ops_estimate += extend.box_evals
-            # Candidate pair tests (plane sweeps, partition scans) are
-            # box work too — the partitioned operators' analogue of the
-            # per-probe box evaluations.
+            # Candidate pair tests (plane sweeps, bulk-join checks) are
+            # box work too — the bulk joins' analogue of the per-probe
+            # box evaluations.
             stats.box_ops_estimate += extend.pair_tests
             if ops.exact_filter is not None:
                 step.survivors = ops.exact_filter.stats.rows_out
@@ -1210,11 +1129,9 @@ class PhysicalPlan:
                         f"cache={s.cache_hits}/"
                         f"{s.cache_hits + s.cache_misses}"
                     )
-                if s.partitions_visited or s.partitions_pruned:
-                    actual.append(
-                        f"parts={s.partitions_visited}/"
-                        f"{s.partitions_visited + s.partitions_pruned}"
-                    )
+                if s.tiles_swept:
+                    # Swept / kept: PBSM sweeps every tile it keeps.
+                    actual.append(f"parts={s.tiles_swept}/{s.tiles_swept}")
                 if s.pair_tests:
                     actual.append(f"pair_tests={s.pair_tests}")
                 if s.dedup_skipped:
@@ -1241,6 +1158,50 @@ class PhysicalPlan:
         return "\n".join(lines)
 
 
+def check_join_strategy(mode: str, join_strategy: Any) -> None:
+    """Raise :class:`~repro.errors.OptionError` unless ``join_strategy``
+    is an option :func:`build_physical_plan` can take in ``mode``.
+
+    Accepted forms: ``None`` (every step probes), ``"auto"`` (cost-based,
+    via :func:`~repro.engine.planner.choose_join_strategies`), one of
+    :data:`~repro.engine.planner.JOIN_STRATEGIES` for every step, a
+    sequence of them aligned with the retrieval order, or a
+    ``variable → strategy`` mapping.  Join strategies only shape
+    box-mode plans — the ``naive``/``exact`` modes have no box layer to
+    join on, so an *explicit* strategy there raises rather than being
+    silently dropped (``"auto"`` degrades quietly: it delegates the
+    choice, and in these modes there is none to make).
+    """
+    from .planner import JOIN_STRATEGIES
+
+    if join_strategy is None or join_strategy == "auto":
+        return
+    if mode not in ("boxplan", "boxonly"):
+        raise OptionError(
+            f"join_strategy={join_strategy!r} only applies to the "
+            f"box modes ('boxplan', 'boxonly'); mode {mode!r} has "
+            f"no box layer to join on"
+        )
+    if isinstance(join_strategy, str):
+        names = [join_strategy]
+    elif isinstance(join_strategy, dict):
+        names = list(join_strategy.values())
+    elif isinstance(join_strategy, (list, tuple)):
+        names = list(join_strategy)
+    else:
+        raise OptionError(
+            f"join_strategy must be 'auto', a strategy name, or a list "
+            f"or mapping of them, not {type(join_strategy).__name__}"
+        )
+    for name in names:
+        if not isinstance(name, str) or name not in JOIN_STRATEGIES:
+            raise OptionError(
+                f"unknown join strategy {name!r}; expected one of "
+                + ", ".join(repr(s) for s in JOIN_STRATEGIES)
+                + " (or 'auto')"
+            )
+
+
 def _resolve_join_strategies(
     plan: QueryPlan,
     mode: str,
@@ -1248,38 +1209,14 @@ def _resolve_join_strategies(
     partitions: int,
     join_strategy: Any,
 ) -> Dict[str, str]:
-    """Normalise the ``join_strategy`` option to a per-variable mapping.
+    """Normalise the ``join_strategy`` option (checked by
+    :func:`check_join_strategy`) to a per-variable mapping; steps it
+    leaves out probe."""
+    from .planner import choose_join_strategies
 
-    Accepted forms: ``None`` (per-backend default: ``"probe"``, or
-    ``"partition"`` for unindexed tables when partitioning is enabled),
-    ``"auto"`` (cost-based, via
-    :func:`~repro.engine.planner.choose_join_strategies`), a single
-    strategy name for every step, a sequence aligned with the retrieval
-    order, or a ``variable → strategy`` mapping.  Join strategies only
-    shape box-mode plans — the ``naive``/``exact`` modes have no box
-    layer to join on, so an *explicit* concrete strategy there raises
-    rather than being silently dropped (``"auto"`` degrades quietly: it
-    delegates the choice, and in these modes there is none to make).
-    """
-    from .planner import JOIN_STRATEGIES, choose_join_strategies
-
-    if mode not in ("boxplan", "boxonly"):
-        if join_strategy not in (None, "auto"):
-            raise ValueError(
-                f"join_strategy={join_strategy!r} only applies to the "
-                f"box modes ('boxplan', 'boxonly'); mode {mode!r} has "
-                f"no box layer to join on"
-            )
+    check_join_strategy(mode, join_strategy)
+    if join_strategy is None or mode not in ("boxplan", "boxonly"):
         return {}
-    if join_strategy is None:
-        out = {}
-        if partitions > 0:
-            out = {
-                sp.variable: "partition"
-                for sp in plan.steps
-                if sp.table.index_kind == "scan"
-            }
-        return out
     if join_strategy == "auto":
         chosen = choose_join_strategies(
             plan.query,
@@ -1289,30 +1226,22 @@ def _resolve_join_strategies(
         )
         return dict(zip(plan.order, chosen))
     if isinstance(join_strategy, str):
-        resolved = {v: join_strategy for v in plan.order}
-    elif isinstance(join_strategy, dict):
-        resolved = dict(join_strategy)
-        unknown = set(resolved) - set(plan.order)
+        return {v: join_strategy for v in plan.order}
+    if isinstance(join_strategy, dict):
+        unknown = set(join_strategy) - set(plan.order)
         if unknown:
-            raise ValueError(
+            raise OptionError(
                 f"join_strategy names unknown variables "
-                f"{sorted(unknown)}; retrieval order is {list(plan.order)}"
+                f"{sorted(unknown)}; retrieval order is "
+                f"{list(plan.order)}"
             )
-    else:
-        names = list(join_strategy)
-        if len(names) != len(plan.order):
-            raise ValueError(
-                f"join_strategy sequence has {len(names)} entries for "
-                f"{len(plan.order)} retrieval steps ({list(plan.order)})"
-            )
-        resolved = dict(zip(plan.order, names))
-    for variable, name in resolved.items():
-        if name not in JOIN_STRATEGIES:
-            raise ValueError(
-                f"unknown join strategy {name!r} for {variable!r}; "
-                f"expected one of {JOIN_STRATEGIES} (or 'auto')"
-            )
-    return resolved
+        return dict(join_strategy)
+    if len(join_strategy) != len(plan.order):
+        raise OptionError(
+            f"join_strategy sequence has {len(join_strategy)} entries for "
+            f"{len(plan.order)} retrieval steps ({list(plan.order)})"
+        )
+    return dict(zip(plan.order, join_strategy))
 
 
 def build_physical_plan(
@@ -1334,16 +1263,17 @@ def build_physical_plan(
     has (:func:`repro.spatial.columnar.active_backend`), with identical
     answers on both.
 
-    Partitioned execution options (box modes only):
+    Join options (box modes only):
 
     ``partitions``
-        spatial partition / PBSM tile target (0 disables partitioning;
-        unindexed tables then default to ``PartitionScan``);
+        the PBSM tile target (0 means :data:`~repro.spatial.partition.
+        DEFAULT_TILES`);
     ``join_strategy``
-        per-step join algorithm: ``None`` (defaults), ``"auto"``
-        (cost-based), one of
+        per-step join algorithm: ``None`` (every step probes),
+        ``"auto"`` (cost-based), one of
         :data:`~repro.engine.planner.JOIN_STRATEGIES`, or a
-        sequence/mapping per variable.
+        sequence/mapping per variable (see :func:`check_join_strategy`;
+        a bad one raises :class:`~repro.errors.OptionError`).
     """
     if mode not in MODES:
         raise UnknownModeError(mode, MODES)
@@ -1431,11 +1361,6 @@ def build_physical_plan(
             elif use_boxes and strategy == "zorder":
                 extend = ZOrderJoin(
                     node, sp.variable, sp.table, sp.template
-                )
-                node = extend
-            elif use_boxes and strategy == "partition":
-                extend = PartitionScan(
-                    node, sp.variable, sp.table, sp.template, tiles
                 )
                 node = extend
             elif use_boxes and sp.table.index_kind != "scan":

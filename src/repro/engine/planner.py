@@ -20,9 +20,8 @@ results, exactly like join ordering in relational optimizers.  We provide
   dispatch; the greedy heuristic is the incumbent of a bounded search
   and the safe fallback (``bench_order_ablation.py`` compares them);
 * :func:`choose_join_strategies` — per-step join-algorithm choice
-  (index-nested-loop probe vs partition-pruned scan vs PBSM vs z-order
-  merge), priced on the same rollout estimates — partition pruning
-  included via the catalog's per-partition statistics.
+  (index-nested-loop probe vs PBSM vs z-order merge), priced on the
+  same rollout estimates.
 """
 
 from __future__ import annotations
@@ -60,11 +59,10 @@ ORDER_STRATEGIES = ("greedy", "histogram")
 #: Per-step join algorithms :func:`choose_join_strategies` picks among
 #: (and :func:`repro.engine.physical.build_physical_plan` accepts):
 #: ``"probe"`` — index-nested-loop (one compiled range query per partial
-#: tuple; lowered to TableScan→BoxFilter on unindexed tables);
-#: ``"partition"`` — PartitionScan over the table's STR partitions;
+#: tuple; one columnar scan kernel per tuple on unindexed tables);
 #: ``"pbsm"`` — partition-based spatial-merge join; ``"zorder"`` — the
 #: PROBE-style z-order merge join.
-JOIN_STRATEGIES = ("probe", "partition", "pbsm", "zorder")
+JOIN_STRATEGIES = ("probe", "pbsm", "zorder")
 
 #: A PBSM/z-order step must expect at least this many probing partial
 #: tuples before bulk joins can beat per-tuple index probes.
@@ -193,10 +191,7 @@ class StepEstimate:
     ``survivors``
         partial tuples after the step's exact filter.  The box query is
         a necessary condition for the exact constraint, so this estimate
-        applies to the scan-based modes too;
-    ``pruned_candidates``
-        rows read after partition-MBR pruning (``PartitionScan``'s read
-        cost); equals ``scan_candidates`` when partitioning is disabled.
+        applies to the scan-based modes too.
     """
 
     variable: str
@@ -204,12 +199,11 @@ class StepEstimate:
     candidates: float
     scan_candidates: float
     survivors: float
-    pruned_candidates: float = 0.0
 
 
-#: A rollout step's outcome: box selectivity, pruned count, exact
-#: fraction, and the rows the next representative is drawn from.
-_StepResult = Tuple[float, float, float, Sequence["SpatialObject"]]
+#: A rollout step's outcome: box selectivity, exact fraction, and the
+#: rows the next representative is drawn from.
+_StepResult = Tuple[float, float, Sequence["SpatialObject"]]
 
 
 class _StepMemo:
@@ -246,19 +240,8 @@ class _Rollouts:
     lives for one call of a public function below — nothing to invalidate.
     """
 
-    def __init__(
-        self, query: SpatialQuery, catalog: Optional[Catalog], partitions: int
-    ) -> None:
-        catalog = catalog or Catalog()
-        if partitions and catalog.partitions != partitions:
-            catalog = Catalog(
-                bins=catalog.bins,
-                sample_size=catalog.sample_size,
-                seed=catalog.seed,
-                partitions=partitions,
-            )
-        self.partitions = partitions
-        self.stats = catalog.for_query(query)
+    def __init__(self, query: SpatialQuery, catalog: Optional[Catalog]) -> None:
+        self.stats = (catalog or Catalog()).for_query(query)
         self.forms = query.triangular_forms()
         self.algebra = query.algebra()
         self.universe = self.algebra.universe_box
@@ -298,35 +281,27 @@ class _Rollouts:
                 region_env,
                 pool=matching if matching else None,
             )
-            result = memo.results[key] = (
-                box_sel,
-                st.pruned_count(box_query),
-                exact_frac,
-                holding or matching,
-            )
+            result = memo.results[key] = (box_sel, exact_frac, holding or matching)
         return result
 
     def _cost(self, sums: Sequence[Sequence[float]], n: int) -> float:
         """The cost of :meth:`_sums` totals, finished or not: summands
         are non-negative and ``+ / * min`` monotone in floats too, so
         unfinished totals never cost more than they finish with."""
-        if self.partitions:
-            index_work = sum(min(acc[1] / n, acc[4] / n) for acc in sums)
-        else:
-            index_work = sum(acc[1] / n for acc in sums)
+        index_work = sum(acc[1] / n for acc in sums)
         return sum(acc[3] / n for acc in sums) + 1e-3 * index_work
 
     def _sums(
         self, order: Sequence[str], bound: float, rollouts: int, seed: int
     ) -> Tuple[List[List[float]], int]:
         """Per-step totals over the rollouts of ``order`` (partials_in,
-        candidates, scan, survivors, pruned) and the rollout count;
+        candidates, scan, survivors) and the rollout count;
         :class:`_Pruned` once the totals so far cost more than ``bound``."""
         order = tuple(order)
         rng = random.Random(seed)
         n_rollouts = max(1, rollouts)
         memos: List[_StepMemo] = []
-        sums = [[0.0, 0.0, 0.0, 0.0, 0.0] for _ in order]
+        sums = [[0.0, 0.0, 0.0, 0.0] for _ in order]
         for rollout in range(n_rollouts):
             box_env = dict(self.box_env)
             region_env = dict(self.region_env)
@@ -337,7 +312,7 @@ class _Rollouts:
                     memos.append(self._memo(order, i))
                 memo = memos[i]
                 name, st = memo.solved.variable, memo.stats
-                box_sel, pruned, exact_frac, matching = self._step(
+                box_sel, exact_frac, matching = self._step(
                     memo, picks, box_env, region_env
                 )
                 candidates = st.count * box_sel
@@ -345,7 +320,6 @@ class _Rollouts:
                 acc[0] += partials
                 acc[1] += partials * candidates
                 acc[2] += partials * st.count
-                acc[4] += partials * pruned
                 partials *= survivors
                 acc[3] += partials
                 if self._cost(sums, n_rollouts) > bound:
@@ -390,7 +364,6 @@ def rollout_step_estimates(
     catalog: Optional[Catalog] = None,
     rollouts: int = 6,
     seed: int = 0,
-    partitions: int = 0,
 ) -> List[StepEstimate]:
     """Per-step cardinality estimates for one retrieval order.
 
@@ -407,17 +380,11 @@ def rollout_step_estimates(
       queries can look equally permissive);
     * representative objects for later steps are drawn from the sample.
 
-    ``partitions > 0`` collects per-partition statistics and fills
-    :attr:`StepEstimate.pruned_candidates` from partition-MBR pruning
-    (otherwise it equals the full-scan fanout).
-
     Used by :func:`estimate_order_cost_histogram` (the planner's cost
     model), :func:`choose_join_strategies`, and the physical plan's
     EXPLAIN annotations.
     """
-    return _Rollouts(query, catalog, partitions).step_estimates(
-        order, rollouts, seed
-    )
+    return _Rollouts(query, catalog).step_estimates(order, rollouts, seed)
 
 
 def estimate_order_cost_histogram(
@@ -426,25 +393,19 @@ def estimate_order_cost_histogram(
     catalog: Optional[Catalog] = None,
     rollouts: int = 6,
     seed: int = 0,
-    partitions: int = 0,
 ) -> float:
     """Statistics-driven cost estimate for one retrieval order.
 
     Rolls the order out over the statistics catalog (see
     :func:`rollout_step_estimates`); the cost is the expected total
     number of partial tuples (the executor's ``partial_tuples`` counter)
-    plus a small candidate term so index work breaks ties.  With
-    ``partitions > 0`` the tie term uses the partition-pruned read cost
-    when it beats the index estimate, so orders whose steps prune well
-    are preferred.
+    plus a small candidate term so index work breaks ties.
     """
-    return _Rollouts(query, catalog, partitions).cost(order, math.inf, rollouts, seed)
+    return _Rollouts(query, catalog).cost(order, math.inf, rollouts, seed)
 
 
 def best_order_by_estimate(
-    query: SpatialQuery,
-    catalog: Optional[Catalog] = None,
-    partitions: int = 0,
+    query: SpatialQuery, catalog: Optional[Catalog] = None
 ) -> Tuple[str, ...]:
     """The order minimising the statistics-catalog estimate (small n).
 
@@ -466,7 +427,7 @@ def best_order_by_estimate(
     if not 1 < len(query.unknowns) <= MAX_ENUMERATED_UNKNOWNS:
         return greedy  # the only order, or too many to enumerate
     try:
-        rollouts = _Rollouts(query, catalog, partitions)
+        rollouts = _Rollouts(query, catalog)
         limit = HISTOGRAM_CONFIDENCE_MARGIN * rollouts.cost(greedy, math.inf)
         best, bound = greedy, limit
         dead = greedy  # the latest prefix found to cost more than the bound
@@ -490,22 +451,23 @@ def plan_order(
     query: SpatialQuery,
     strategy: str = "greedy",
     catalog: Optional[Catalog] = None,
+    # Ignored.  Kept only for benchmarks/e2e/workloads.py, whose frozen
+    # workloads pass partitions=0; it goes with that file's traced_run.
     partitions: int = 0,
 ) -> Tuple[str, ...]:
     """Pick a retrieval order with the named strategy.
 
     ``"greedy"`` — the connectivity heuristic (default, no statistics
     needed); ``"histogram"`` — :func:`best_order_by_estimate`'s bounded
-    search over the statistics-catalog estimate (``partitions`` makes
-    it cost partition pruning too), falling back to greedy when
-    statistics are unusable.  Planning triangularises through
+    search over the statistics-catalog estimate, falling back to greedy
+    when statistics are unusable.  Planning triangularises through
     ``query``'s own memo, so compiling the same query object afterwards
     does not run Algorithm 1 again.
     """
     if strategy == "greedy":
         return choose_order(query)
     if strategy == "histogram":
-        return best_order_by_estimate(query, catalog=catalog, partitions=partitions)
+        return best_order_by_estimate(query, catalog=catalog)
     raise ValueError(
         f"unknown strategy {strategy!r}; expected one of {ORDER_STRATEGIES}"
     )
@@ -594,14 +556,14 @@ def choose_join_strategies(
     * ``"probe"`` — index-nested-loop: one compiled range query per
       incoming partial tuple (a full scan per *step* on unindexed
       tables);
-    * ``"partition"`` — PartitionScan: a partition-MBR-pruned scan per
-      partial tuple (only meaningful with ``partitions > 0``);
     * ``"pbsm"`` — the partition-based spatial-merge join: co-partition
       the incoming tuples' probe boxes and the table, plane-sweep each
       tile;
     * ``"zorder"`` — the PROBE-style z-order merge join.
 
-    Bulk joins (pbsm/z-order) pay a per-row build cost, so they only
+    ``partitions`` is the PBSM tile target the pbsm cost assumes (0:
+    :data:`~repro.spatial.partition.DEFAULT_TILES`).  Bulk joins
+    (pbsm/z-order) pay a per-row build cost, so they only
     win when many partial tuples probe a large table; the thresholds
     keep small steps on the classic probe path.  Unusable statistics
     (:data:`ESTIMATION_ERRORS`) return all-``"probe"`` — the safe
@@ -615,7 +577,6 @@ def choose_join_strategies(
             catalog=catalog,
             rollouts=rollouts,
             seed=seed,
-            partitions=partitions,
         )
     except ESTIMATION_ERRORS:
         return tuple("probe" for _ in order)
@@ -634,10 +595,6 @@ def choose_join_strategies(
         else:
             cost_probe = outer * max(1.0, float(n))
         costs = {"probe": cost_probe}
-        if partitions > 0:
-            # pruned_candidates already totals the rows read across all
-            # probing partial tuples (like scan_candidates does).
-            costs["partition"] = outer + est.pruned_candidates
         if outer >= MIN_BULK_JOIN_OUTER and n >= MIN_BULK_JOIN_ROWS:
             pair_tests = max(
                 est.candidates, outer * n / max(1.0, float(tiles))

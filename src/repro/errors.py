@@ -74,6 +74,13 @@ class UnknownModeError(ReproError, ValueError):
         self.valid = tuple(valid)
 
 
+class OptionError(ReproError, ValueError):
+    """Raised when an execution option — ``mode``, ``join_strategy``,
+    ``partitions`` or ``limit`` — has the wrong type or value, or when
+    two of them do not go together (an explicit join strategy in a mode
+    with no box layer).  The message names what was expected."""
+
+
 class UnboundVariableError(CompilationError):
     """Raised when a query references a variable with no table or binding."""
 

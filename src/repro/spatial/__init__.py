@@ -19,13 +19,9 @@ from .join import index_nested_loop_join, synchronized_rtree_join
 from .partition import (
     DEFAULT_TILES,
     JoinStats,
-    Partition,
-    TablePartitioning,
     TileGrid,
-    mbr_may_match,
     pbsm_join,
     probe_box,
-    str_partition,
 )
 from .rangequery import (
     OPEN_EPS,
@@ -65,14 +61,12 @@ __all__ = [
     "GridStats",
     "JoinStats",
     "OPEN_EPS",
-    "Partition",
     "PointRange",
     "ProbeCache",
     "RTree",
     "RTreeStats",
     "SpatialObject",
     "SpatialTable",
-    "TablePartitioning",
     "TileGrid",
     "ZGrid",
     "ZOrderIndex",
@@ -85,14 +79,12 @@ __all__ = [
     "interleave",
     "interleave_batch",
     "matches_via_point",
-    "mbr_may_match",
     "pack_floats",
     "pbsm_join",
     "probe_box",
     "read_snapshot",
     "region_from_jsonable",
     "region_to_jsonable",
-    "str_partition",
     "synchronized_rtree_join",
     "table_from_jsonable",
     "table_to_jsonable",

@@ -1,22 +1,14 @@
-"""Spatial partitioning: STR tiles and the PBSM grid.
+"""The PBSM join: a uniform tile grid and per-tile plane sweeps.
 
-Two pieces turn the single-partition engine into a partitioned one:
-
-* :func:`str_partition` — Sort-Tile-Recursive tiling of a table's rows
-  into disjoint :class:`Partition`\\ s, each carrying its member rows,
-  bounding box (MBR) and counts.  The partition MBRs are what
-  :class:`~repro.engine.physical.PartitionScan` prunes against and what
-  the statistics catalog records per partition.
-
-* the **PBSM** machinery (after Patel & DeWitt's partition-based
-  spatial-merge join): a uniform :class:`TileGrid` over the joint extent
-  of both inputs, *replication* of every box into each tile it overlaps,
-  a per-tile **plane sweep** (:func:`_sweep_tile`) producing candidate
-  overlap pairs, and **reference-point deduplication** — a pair is
-  emitted only in the tile containing the lower corner of the two boxes'
-  intersection, so boundary duplicates never leave their tile and no
-  global "seen" set is needed.  The tiles are swept one after another
-  and the pairs sorted, so :func:`pbsm_join`'s answer is deterministic.
+After Patel & DeWitt's partition-based spatial-merge join: a uniform
+:class:`TileGrid` over the joint extent of both inputs, *replication*
+of every box into each tile it overlaps, a per-tile **plane sweep**
+(:func:`_sweep_tile`) producing candidate overlap pairs, and
+**reference-point deduplication** — a pair is emitted only in the tile
+containing the lower corner of the two boxes' intersection, so boundary
+duplicates never leave their tile and no global "seen" set is needed.
+The tiles are swept one after another and the pairs sorted, so
+:func:`pbsm_join`'s answer is deterministic.
 """
 
 from __future__ import annotations
@@ -24,45 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, enclose_all
 from . import columnar
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .table import SpatialObject, SpatialTable
-
 #: Default PBSM tile target when no partition count is configured.
 DEFAULT_TILES = 16
-
-
-def mbr_may_match(mbr: Box, query: BoxQuery) -> bool:
-    """Could a box inside ``mbr`` satisfy ``query``?  (Sound pruning.)
-
-    The same containment logic R-tree node descent uses: an entry
-    ``e ⊑ a`` forces ``mbr ⊓ a ≠ ∅``; ``b ⊑ e`` forces ``b ⊑ mbr``;
-    ``e ⊓ c ≠ ∅`` forces ``mbr ⊓ c ≠ ∅``.
-    """
-    if mbr.is_empty():
-        return False
-    if query.inside is not None and not mbr.overlaps(query.inside):
-        return False
-    if (
-        query.covers is not None
-        and not query.covers.is_empty()
-        and not query.covers.le(mbr)
-    ):
-        return False
-    return all(mbr.overlaps(c) for c in query.overlap)
 
 
 def probe_box(query: BoxQuery, extent: Box) -> Box:
@@ -87,126 +48,6 @@ def probe_box(query: BoxQuery, extent: Box) -> Box:
     if any(c.is_empty() for c in candidates):
         return Box((), ())  # empty: nothing can match
     return min(candidates, key=lambda b: b.volume())
-
-
-# -- STR table partitioning ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Partition:
-    """One spatial partition: disjoint member rows plus their MBR.
-
-    ``indices`` holds each member's position in the owning table's
-    insertion order — the coordinates' slots in the table's
-    :class:`~repro.spatial.columnar.ColumnStore`, so a partition scan
-    can hand the batched kernels a candidate-index array instead of
-    walking row objects.  Empty for partitions built before the table
-    alignment is known (none of the in-tree constructors).
-    """
-
-    pid: int
-    mbr: Box
-    rows: Tuple["SpatialObject", ...]
-    indices: Tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
-class TablePartitioning:
-    """An STR tiling of one table's rows into spatial partitions.
-
-    Built by :func:`str_partition` (and cached on the table by
-    :meth:`repro.spatial.table.SpatialTable.partitioning`, keyed on the
-    mutation counter so any insert or reindex invalidates it).  Rows
-    with empty bounding boxes are excluded — they match no box query.
-    """
-
-    table_name: str
-    version: int
-    target: int
-    partitions: Tuple[Partition, ...]
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    @property
-    def total_rows(self) -> int:
-        return sum(len(p) for p in self.partitions)
-
-    def prune(self, query: BoxQuery) -> List[Partition]:
-        """Partitions whose MBR could contain a row matching ``query``."""
-        if query.is_unsatisfiable():
-            return []
-        return [p for p in self.partitions if mbr_may_match(p.mbr, query)]
-
-
-def _str_tiles(
-    rows: List["SpatialObject"], target: int, dim: int, d: int = 0
-) -> List[List["SpatialObject"]]:
-    """Recursive Sort-Tile-Recursive slicing over the centre coordinates.
-
-    The sort key is the boxes' centre along dimension ``d``: the
-    columnar :func:`~repro.spatial.columnar.str_level_order` kernel
-    over that one column — the same ``(lo + hi) / 2`` doubles under a
-    stable sort on every backend, so the resulting tiling is
-    bit-identical whether or not numpy is installed.
-    """
-    if target <= 1 or len(rows) <= 1 or d >= dim:
-        return [rows]
-    dims_left = dim - d
-    slices = max(1, math.ceil(target ** (1.0 / dims_left)))
-    perm, _one_node = columnar.str_level_order(
-        [[o.box.lo[d] for o in rows]], [[o.box.hi[d] for o in rows]], len(rows)
-    )
-    rows = [rows[i] for i in perm]
-    per_slice = math.ceil(len(rows) / slices)
-    out: List[List["SpatialObject"]] = []
-    for i in range(0, len(rows), per_slice):
-        chunk = rows[i : i + per_slice]
-        out.extend(
-            _str_tiles(chunk, math.ceil(target / slices), dim, d + 1)
-        )
-    return out
-
-
-def str_partition(
-    table: "SpatialTable", n_partitions: int
-) -> TablePartitioning:
-    """STR-tile a table into ~``n_partitions`` disjoint spatial partitions.
-
-    Rows are sorted by box centre along dimension 0, sliced into
-    roughly ``sqrt(n)`` slabs, each slab sorted and sliced along the
-    next dimension, and so on — the same tiling STR bulk loading uses
-    for R-tree leaves, applied at partition granularity.  Each row lands
-    in exactly one partition; partition MBRs may overlap (boxes stick
-    out of their centre's tile), which is why pruning tests MBRs, not
-    tiles.
-    """
-    if n_partitions < 1:
-        raise ValueError(
-            f"n_partitions must be positive, got {n_partitions}"
-        )
-    positions = {id(obj): i for i, obj in enumerate(table)}
-    rows = [obj for obj in table if not obj.box.is_empty()]
-    tiles = _str_tiles(rows, n_partitions, table.dim) if rows else []
-    partitions = tuple(
-        Partition(
-            pid=pid,
-            mbr=enclose_all(o.box for o in tile),
-            rows=tuple(tile),
-            indices=tuple(positions[id(o)] for o in tile),
-        )
-        for pid, tile in enumerate(tiles)
-        if tile
-    )
-    return TablePartitioning(
-        table_name=table.name,
-        version=table._version,
-        target=n_partitions,
-        partitions=partitions,
-    )
 
 
 # -- the PBSM tile grid -------------------------------------------------------
@@ -468,13 +309,20 @@ def pbsm_join(
     and dedupes boundary duplicates with the reference-point rule.
     Returns ``(left_value, right_value)`` pairs whose boxes overlap,
     sorted by input positions, so the answer is deterministic.
+
+    The grid has at most one tile per input box (or
+    :data:`DEFAULT_TILES`, if more), whatever ``n_tiles`` asks for: past
+    that, finer tiles save few pair tests while replication keeps
+    growing with the tile count, so a caller-supplied target cannot make
+    the join's work unbounded.
     """
     lefts = [(b, k) for k, (b, _v) in enumerate(left) if not b.is_empty()]
     rights = [(b, k) for k, (b, _v) in enumerate(right) if not b.is_empty()]
     if not lefts or not rights:
         return []
     grid = TileGrid.build(
-        [*(b for b, _ in lefts), *(b for b, _ in rights)], n_tiles
+        [*(b for b, _ in lefts), *(b for b, _ in rights)],
+        min(n_tiles, max(DEFAULT_TILES, len(lefts) + len(rights))),
     )
     assert grid is not None  # non-empty inputs imply a non-empty extent
     repl_left = repl_right = 0

@@ -1,13 +1,11 @@
 """Versioned on-disk snapshots of spatial databases.
 
-A process serving the paper's queries should not pay a full STR build,
-statistics scan, and partitioning sort on every start.  This module
-serializes everything a warm :class:`~repro.spatial.table.SpatialTable`
-holds — rows, the packed R-tree (as flat node arrays, *not* a pickled
-object graph), the :class:`~repro.engine.catalog.TableStatistics`
-cache, and the STR :class:`~repro.spatial.partition.TablePartitioning`
-— into one JSON file, and loads it back without re-running any of those
-builds:
+A process serving the paper's queries should not pay a full STR build
+and statistics scan on every start.  This module serializes everything
+a warm :class:`~repro.spatial.table.SpatialTable` holds — rows, the
+packed R-tree (as flat node arrays, *not* a pickled object graph) and
+the :class:`~repro.engine.catalog.TableStatistics` cache — into one
+JSON file, and loads it back without re-running either build:
 
 * rows are stored in insertion order; regions dump their exact disjoint
   box representation, so the loaded rows are bit-identical;
@@ -19,14 +17,12 @@ builds:
 * grid and scan backends rebuild deterministically by inserting rows in
   saved order (their builds are linear — the R-tree's sort is the
   startup cost worth snapshotting);
-* cached statistics reference their row sample by index, and the
-  partitioning stores per-partition row indices, so the loaded table
-  answers :meth:`statistics`/:meth:`partitioning` from the snapshot.
-  Both are checked on load: partition MBRs are recomputed from their
-  rows and must match, and a damaged block raises
-  :class:`~repro.errors.SnapshotError`.  Table and node-array keys
-  this build does not read (optional caches and the insertion-tree
-  settings of older builds) are ignored.
+* cached statistics reference their row sample by index, so the
+  loaded table answers :meth:`statistics` from the snapshot; a damaged
+  statistics block raises :class:`~repro.errors.SnapshotError`.  Table,
+  node-array and statistics keys this build does not read (optional
+  caches, the STR partitioning and the insertion-tree settings of older
+  builds) are ignored.
 
 Writes are atomic: the file is written to a sibling temporary path and
 moved into place with ``os.replace``, so a crashed save never leaves a
@@ -49,7 +45,6 @@ from ..algebra.regions import Region
 from ..boxes.box import Box, box_from_jsonable, box_to_jsonable, enclose_all
 from ..errors import SnapshotError
 from .columnar import ColumnStore, pack_floats, unpack_floats
-from .partition import Partition, TablePartitioning
 from .rtree import RTree
 from .table import SpatialObject, SpatialTable
 
@@ -87,8 +82,8 @@ def _decode_oid(data: object) -> object:
 # plus every r-tree node entry.  Dumped as JSON number lists they
 # dominate the load's parse time; packed as little-endian doubles in a
 # base64 string they parse in one ``struct.unpack`` call and round-trip
-# bit-exactly.  Everything else (oids, counts, statistics, partitioning)
-# stays plain JSON.  The raw packing lives in
+# bit-exactly.  Everything else (oids, counts, statistics) stays plain
+# JSON.  The raw packing lives in
 # :mod:`repro.spatial.columnar`; here it is base64-armored for JSON.
 
 def _pack_floats(values: Sequence[float]) -> str:
@@ -157,72 +152,16 @@ def table_to_jsonable(table: SpatialTable) -> dict:
             {"key": list(key), "stats": stats.to_dict(row_index)}
             for key, stats in table._stats_cache.items()
         ]
-    if (
-        table._partitioning_cache is not None
-        and table._partitioning_key is not None
-        and table._partitioning_key[0] == table._version
-    ):
-        tiling = table._partitioning_cache
-        data["partitioning"] = {
-            "target": tiling.target,
-            "partitions": [
-                {
-                    "pid": p.pid,
-                    "mbr": box_to_jsonable(p.mbr),
-                    "rows": [row_index[id(obj)] for obj in p.rows],
-                }
-                for p in tiling.partitions
-            ],
-        }
     return data
-
-
-def _partitioning_from_jsonable(
-    table: SpatialTable, data: dict, rows: Sequence[SpatialObject]
-) -> TablePartitioning:
-    """The saved STR partitioning, checked against the loaded rows.
-
-    It decides which rows a ``PartitionScan`` reads, so like the R-tree
-    node arrays it is checked on the way in: each partition names rows
-    in range, with non-empty boxes, that no other partition names, and
-    its stored MBR is the one those rows enclose (a smaller one would
-    prune matching rows).  A block that fails raises
-    :class:`~repro.errors.SnapshotError` naming the table and partition.
-    """
-
-    def damaged(why: object) -> SnapshotError:
-        return SnapshotError(f"damaged partitioning of table {table.name!r}: {why}")
-
-    seen: set = set()
-    partitions: List[Partition] = []
-    try:
-        target = int(data["target"])
-        for p in data["partitions"]:
-            pid, indices = int(p["pid"]), tuple(p["rows"])
-            for i in indices:
-                in_range = type(i) is int and 0 <= i < len(rows)
-                if not in_range or i in seen or rows[i].box.is_empty():
-                    raise damaged(f"partition {pid} names row {i!r}")
-                seen.add(i)
-            mbr = enclose_all([rows[i].box for i in indices])
-            if not indices or box_from_jsonable(p["mbr"]) != mbr:
-                raise damaged(f"partition {pid}'s stored MBR is not its rows' {mbr!r}")
-            members = tuple(rows[i] for i in indices)
-            partitions.append(Partition(pid=pid, mbr=mbr, rows=members, indices=indices))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise damaged(repr(exc)) from exc
-    return TablePartitioning(
-        table_name=table.name, version=table._version, target=target, partitions=tuple(partitions)
-    )
 
 
 def table_from_jsonable(data: dict) -> SpatialTable:
     """Rebuild a warm table from :func:`table_to_jsonable` output.
 
     Rows are installed directly (no staging, no fold), the
-    R-tree is reattached from its node arrays, and the statistics and
-    partitioning caches are re-seeded, so the loaded table plans and
-    probes exactly like the one that was saved.
+    R-tree is reattached from its node arrays, and the statistics cache
+    is re-seeded, so the loaded table plans and probes exactly like the
+    one that was saved.
     """
     from ..engine.catalog import TableStatistics
 
@@ -281,8 +220,10 @@ def table_from_jsonable(data: dict) -> SpatialTable:
         table._grid.stats.reset()
     if "statistics" in data:
         try:
+            # Older files key by (bins, sample_size, seed, partitions) and
+            # carry per-partition summaries; both are dropped unread.
             table._stats_cache = {
-                tuple(entry["key"]): TableStatistics.from_dict(
+                tuple(entry["key"][:3]): TableStatistics.from_dict(
                     entry["stats"], rows
                 )
                 for entry in data["statistics"]
@@ -292,10 +233,6 @@ def table_from_jsonable(data: dict) -> SpatialTable:
                 f"damaged statistics of table {table.name!r}: {exc!r}"
             ) from exc
         table._stats_version = table._version
-    if data.get("partitioning") is not None:
-        tiling = _partitioning_from_jsonable(table, data["partitioning"], rows)
-        table._partitioning_cache = tiling
-        table._partitioning_key = (table._version, 0, tiling.target)
     return table
 
 

@@ -12,10 +12,8 @@ contract (and are property-tested to agree):
 * ``"scan"`` — sequential scan (the baseline every bench compares to).
 
 The table records probe statistics uniformly so benchmarks can compare
-backends.  For partitioned execution, :meth:`SpatialTable.partitioning`
-caches an STR tiling of the rows (see :mod:`repro.spatial.partition`),
-invalidated — like the statistics cache and every
-:class:`ProbeCache` entry — by the table's mutation counter.
+backends.  The table's mutation counter invalidates its statistics
+cache and every :class:`ProbeCache` entry.
 
 One write path (MVCC-lite): every write *stages*.
 :meth:`SpatialTable.insert` / :meth:`SpatialTable.delete` (the same as
@@ -308,16 +306,13 @@ class SpatialTable:
         # rows, and how many repacks folded a delta into fresh bases.
         self.delta_probes = 0
         self.repacks = 0
-        # Base version; invalidates the cached statistics and
-        # partitioning below (and every ProbeCache entry for this table).
+        # Base version; invalidates the cached statistics below (and
+        # every ProbeCache entry for this table).
         self._version = 0
-        # Per-parameter statistics cache for the current version: one
-        # planning pass may legitimately ask for several parameter sets
-        # (e.g. with and without partition summaries).
+        # Per-parameter statistics cache for the current version, keyed
+        # on ``(bins, sample_size, seed)``.
         self._stats_cache: Dict[Tuple, object] = {}
         self._stats_version: Optional[int] = None
-        self._partitioning_cache = None
-        self._partitioning_key: Optional[Tuple] = None
         # LSM-style write delta: every write lands here (usually empty).
         self._delta = TableDelta()
         self.delta_threshold = delta_threshold
@@ -557,8 +552,6 @@ class SpatialTable:
         clone._stats_cache = dict(self._stats_cache)
         clone._stats_version = self._stats_version
         clone._delta_stats_cache = {}
-        clone._partitioning_cache = None
-        clone._partitioning_key = None
         clone._delta = self._delta.clone()
         clone._shares_base = True
         for oid, region in inserts:
@@ -1027,42 +1020,19 @@ class SpatialTable:
             }
         return {"kind": "scan"}
 
-    # -- partitioning (partitioned execution) -------------------------------------
-    def partitioning(self, n_partitions: int):
-        """An STR tiling of this table's rows, cached by version.
-
-        Built lazily by :func:`repro.spatial.partition.str_partition`
-        over the live rows; the cache key is the ``(base version,
-        delta watermark)`` snapshot token, so staged writes, repacks
-        and packs all invalidate it.  Used
-        by the partition-aware physical operators (``PartitionScan``)
-        and the statistics catalog.
-        """
-        key = (self._version, self.delta_watermark, n_partitions)
-        if self._partitioning_key != key:
-            from .partition import str_partition
-
-            self._partitioning_cache = str_partition(self, n_partitions)
-            self._partitioning_key = key
-        return self._partitioning_cache
-
     # -- statistics (cost-based planning) -----------------------------------------
     def statistics(
         self,
         bins: int = 16,
         sample_size: int = 24,
         seed: int = 0,
-        partitions: int = 0,
     ):
         """Table statistics for the cost-based planner, cached here.
 
         Any base rebuild invalidates the cache (it is keyed on the base
-        version); within one version, each distinct parameter
-        set is computed once — planning passes that mix partitioned and
-        unpartitioned statistics do not thrash.  ``partitions > 0``
-        also collects per-partition counts and bounding boxes (for
-        costing partition pruning).  See :mod:`repro.engine.catalog`
-        for the statistics' contents.
+        version); within one version, each distinct parameter set is
+        computed once.  See :mod:`repro.engine.catalog` for the
+        statistics' contents.
 
         While a write delta is pending the base statistics are *not*
         resampled: the cached base entry (computed over base rows only,
@@ -1080,38 +1050,27 @@ class SpatialTable:
         from ..engine.catalog import collect_statistics
 
         d = self._delta
+        key = (bins, sample_size, seed)
         if not d.pending_ops:
-            key = (bins, sample_size, seed, partitions)
             if key not in self._stats_cache:
                 self._stats_cache[key] = collect_statistics(
-                    self,
-                    bins=bins,
-                    sample_size=sample_size,
-                    seed=seed,
-                    partitions=partitions,
+                    self, bins=bins, sample_size=sample_size, seed=seed
                 )
             return self._stats_cache[key]
         # Base statistics come from the base rows alone (the live
-        # iterator would leak staged rows into them) and never carry
-        # partition summaries — the tiling is rebuilt per watermark.
-        base_key = (bins, sample_size, seed, 0)
-        if base_key not in self._stats_cache:
-            self._stats_cache[base_key] = collect_statistics(
+        # iterator would leak staged rows into them).
+        if key not in self._stats_cache:
+            self._stats_cache[key] = collect_statistics(
                 self,
                 bins=bins,
                 sample_size=sample_size,
                 seed=seed,
-                partitions=0,
                 rows=self.packed_columns()[0],
                 total=len(self._objects),
             )
-        base = self._stats_cache[base_key]
-        dkey = (d.watermark, bins, sample_size, seed, partitions)
+        base = self._stats_cache[key]
+        dkey = (d.watermark, *key)
         if dkey not in self._delta_stats_cache:
-            from dataclasses import replace
-
-            from ..engine.catalog import PartitionStatistics
-
             removed = [
                 self._objects[oid]
                 for oid in sorted(d.tombstones, key=repr)
@@ -1123,15 +1082,5 @@ class SpatialTable:
                 sample_size=sample_size,
                 bins=bins,
             )
-            if partitions > 0:
-                stats = replace(
-                    stats,
-                    partitions=tuple(
-                        PartitionStatistics(
-                            pid=part.pid, count=len(part), mbr=part.mbr
-                        )
-                        for part in self.partitioning(partitions).partitions
-                    ),
-                )
             self._delta_stats_cache[dkey] = stats
         return self._delta_stats_cache[dkey]

@@ -20,7 +20,7 @@ import random
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.boxes.box import EMPTY_BOX, Box
-from repro.engine.catalog import Histogram, PartitionStatistics, TableStatistics
+from repro.engine.catalog import Histogram, TableStatistics
 from reference_rtree import _Node, flatten
 from repro.spatial.columnar import ColumnStore
 from repro.spatial.rtree import RTree
@@ -113,7 +113,6 @@ def collect_statistics(
     bins: int = 16,
     sample_size: int = 24,
     seed: int = 0,
-    partitions: int = 0,
     rows: Optional[Sequence[SpatialObject]] = None,
     total: Optional[int] = None,
 ) -> TableStatistics:
@@ -140,12 +139,6 @@ def collect_statistics(
         sample = tuple(rows)
     else:
         sample = tuple(rng.sample(list(rows), sample_size))
-    partition_stats: Tuple[PartitionStatistics, ...] = ()
-    if partitions > 0:
-        partition_stats = tuple(
-            PartitionStatistics(pid=p.pid, count=len(p), mbr=p.mbr)
-            for p in table.partitioning(partitions).partitions
-        )
     return TableStatistics(
         name=table.name,
         dim=dim,
@@ -155,7 +148,6 @@ def collect_statistics(
         hi_hists=tuple(hi_hists),
         avg_sides=tuple(avg_sides),
         sample=sample,
-        partitions=partition_stats,
     )
 
 
@@ -187,6 +179,6 @@ def packed_table(
         max_entries=table.node_capacity,
     )
     table._version = 1 if rows else 0
-    table._stats_cache = {(16, 24, 0, 0): collect_statistics(table)}
+    table._stats_cache = {(16, 24, 0): collect_statistics(table)}
     table._stats_version = table._version
     return table

@@ -107,17 +107,8 @@ def reference_exact_selectivity(st, solved, algebra, env, pool=None):
 
 
 # -- engine/planner.py -------------------------------------------------------
-def reference_rollout_step_estimates(
-    query, order, catalog=None, rollouts=6, seed=0, partitions=0
-):
+def reference_rollout_step_estimates(query, order, catalog=None, rollouts=6, seed=0):
     catalog = catalog or Catalog()
-    if partitions and catalog.partitions != partitions:
-        catalog = Catalog(
-            bins=catalog.bins,
-            sample_size=catalog.sample_size,
-            seed=catalog.seed,
-            partitions=partitions,
-        )
     stats = {name: catalog.statistics(t) for name, t in query.tables.items()}
     tri = reference_triangular_form(query.system, list(order))
     steps = {
@@ -133,7 +124,7 @@ def reference_rollout_step_estimates(
 
     rng = random.Random(seed)
     n_rollouts = max(1, rollouts)
-    sums = {name: [0.0, 0.0, 0.0, 0.0, 0.0] for name in order}
+    sums = {name: [0.0, 0.0, 0.0, 0.0] for name in order}
     for _ in range(n_rollouts):
         box_env = dict(base_box_env)
         region_env = dict(base_region_env)
@@ -143,7 +134,6 @@ def reference_rollout_step_estimates(
             solved, template = steps[name]
             box_query = template.instantiate(box_env, universe)
             box_sel = reference_selectivity(st, box_query)
-            pruned = st.pruned_count(box_query)
             matching = [
                 obj
                 for obj in st.sample
@@ -164,7 +154,6 @@ def reference_rollout_step_estimates(
             acc[0] += partials
             acc[1] += partials * candidates
             acc[2] += partials * st.count
-            acc[4] += partials * pruned
             partials *= survivors
             acc[3] += partials
             if matching:
@@ -180,34 +169,26 @@ def reference_rollout_step_estimates(
             candidates=sums[name][1] / n_rollouts,
             scan_candidates=sums[name][2] / n_rollouts,
             survivors=sums[name][3] / n_rollouts,
-            pruned_candidates=sums[name][4] / n_rollouts,
         )
         for name in order
     ]
 
 
-def reference_order_cost(estimates, partitions=0):
+def reference_order_cost(estimates):
     """``estimate_order_cost_histogram`` given the order's estimates."""
-    if partitions:
-        index_work = sum(
-            min(e.candidates, e.pruned_candidates) for e in estimates
-        )
-    else:
-        index_work = sum(e.candidates for e in estimates)
+    index_work = sum(e.candidates for e in estimates)
     return sum(e.survivors for e in estimates) + 1e-3 * index_work
 
 
-def reference_estimates_by_order(query, catalog=None, partitions=0):
+def reference_estimates_by_order(query, catalog=None):
     """Every order's estimates, each rolled out from scratch."""
     return {
-        order: reference_rollout_step_estimates(
-            query, order, catalog=catalog, partitions=partitions
-        )
+        order: reference_rollout_step_estimates(query, order, catalog=catalog)
         for order in permutations(query.unknowns)
     }
 
 
-def reference_plan_order(query, estimates_by_order, partitions=0):
+def reference_plan_order(query, estimates_by_order):
     """``plan_order(strategy="histogram")`` over
     :func:`reference_estimates_by_order`'s result — with no fallback: a
     failing estimate has already raised instead of quietly yielding the
@@ -216,7 +197,7 @@ def reference_plan_order(query, estimates_by_order, partitions=0):
     if len(query.unknowns) > MAX_ENUMERATED_UNKNOWNS:
         return greedy
     costs = {
-        order: reference_order_cost(estimates, partitions)
+        order: reference_order_cost(estimates)
         for order, estimates in estimates_by_order.items()
     }
     best = min(costs, key=lambda order: (costs[order], order))

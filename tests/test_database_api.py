@@ -15,7 +15,7 @@ from repro.database import SESSION_OPTIONS
 from repro.algebra import Region
 from repro.boxes import Box
 from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
-from repro.datagen import smugglers_query
+from repro.datagen import overlay_query, smugglers_query
 from repro.engine import compile_query
 from repro.engine.executor import (
     answers_as_oid_tuples,
@@ -165,18 +165,20 @@ def test_session_partitioned_matches_serial(workload):
 
 
 def test_per_call_partitions_reach_the_planner(db, workload):
-    """Regression: ``_compile`` planned with the session default, so a
-    per-call ``partitions=N`` never reached ``plan_order``."""
+    """Regression: a per-call ``partitions=N`` once lost to the session
+    default.  It is PBSM's tile target, which ``"auto"`` prices in
+    ``choose_join_strategies``."""
     from unittest import mock
 
     from repro.engine import planner
 
     query, _map = workload
     text = str(query.system)
-    per_call, per_session = db.session(), db.session(partitions=8)
+    per_call = db.session(join_strategy="auto")
+    per_session = db.session(join_strategy="auto", partitions=8)
     for call in ("run", "explain", "bench"):
         with mock.patch.object(
-            planner, "plan_order", wraps=planner.plan_order
+            planner, "choose_join_strategies", wraps=planner.choose_join_strategies
         ) as spy:
             getattr(per_call, call)(text, partitions=8)
             getattr(per_session, call)(text)
@@ -190,6 +192,30 @@ def test_per_call_partitions_reach_the_planner(db, workload):
     assert (
         per_call.run(text, partitions=8).order == per_session.run(text).order
     )
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        smugglers_query(seed=2, index="scan")[0],
+        overlay_query(200, 200, seed=0),
+    ],
+    ids=["smugglers-scan", "overlay-200"],
+)
+def test_partitions_alone_keep_every_step_on_probe(query):
+    """``partitions=`` only sizes PBSM's tiles: with no ``join_strategy``
+    every step probes, in the order and with the answers of
+    ``partitions=0``."""
+    db = Database.from_query(query)
+    text = str(query.system)
+    plain, tiled = db.session().run(text), db.session(partitions=8).run(text)
+    assert tiled.order == plain.order
+    assert [
+        {v: row.oid for v, row in answer.items()} for answer in tiled.answers
+    ] == [{v: row.oid for v, row in answer.items()} for answer in plain.answers]
+    assert tiled.stats.to_dict() == plain.stats.to_dict()
+    probes = ", ".join(f"{v}=probe" for v in plain.order)
+    assert f"partitions=8  joins: {probes}" in db.session(partitions=8).explain(text)
 
 
 def test_session_reports_planning_time(db, workload):

@@ -3,7 +3,7 @@
 The new workload families both have trivially correct references —
 sort-all-rows-by-distance for kNN, a Python fold over the naive answer
 set for aggregation — so every optimized path is checked for *equality*
-against them, across execution mode × join strategy × partition count
+against them, across execution mode × join strategy × PBSM tile count
 (the four-mode answer-set equality pattern extended to the new
 subsystem).  Workloads come from the shared seeded factory in
 ``tests/conftest.py``; CI replays this module under a seed matrix.
@@ -37,7 +37,7 @@ from tests.conftest import (
     shifted_seed,
 )
 
-STRATEGIES = (None, "pbsm", "partition", "zorder")
+STRATEGIES = (None, "auto", "pbsm", "zorder")
 
 
 def _knn_reference_oids(table, anchor, k):
@@ -338,8 +338,8 @@ def test_vectorized_execution_differential(
     runs no box kernel — in every box mode × join strategy × partition
     count × index backend, under both columnar backends.  This drives
     every engine-level kernel: batched scan filters, columnar R-tree
-    descent, the PBSM tile sweep, partition-pruned batch matching, and
-    batched z-order keys."""
+    descent, the PBSM tile sweep, bulk-join batch matching, and batched
+    z-order keys."""
     tables, bindings = make_workload(seed, system=system, index=index)
     if not tables:
         return

@@ -1,15 +1,14 @@
-"""The partitioning subsystem: STR tiles, PBSM, operators."""
+"""The PBSM tile grid and join, and the join-strategy operators."""
 
 import random
 
 import pytest
 
-from repro.algebra import Region
 from repro.boxes import Box, BoxQuery
 from repro.datagen import overlay_query, smugglers_query
 from repro.engine import (
+    JOIN_STRATEGIES,
     Catalog,
-    PartitionScan,
     PartitionedSpatialJoin,
     ZOrderJoin,
     answers_as_oid_tuples,
@@ -17,18 +16,15 @@ from repro.engine import (
     choose_join_strategies,
     compile_query,
     execute,
-    rollout_step_estimates,
 )
+from repro.errors import OptionError
 from repro.spatial import (
     JoinStats,
     RTree,
-    SpatialTable,
     TileGrid,
     forced_backend,
-    mbr_may_match,
     pbsm_join,
     probe_box,
-    str_partition,
 )
 
 from tests.conftest import COLUMNAR_BACKENDS
@@ -51,56 +47,6 @@ def _random_boxes(n, seed=0, span=92.0, max_side=8.0):
             )
         )
     return out
-
-
-def _table(n=120, seed=3, index="rtree"):
-    t = SpatialTable("t", 2, index=index, universe=UNIVERSE)
-    for i, b in enumerate(_random_boxes(n, seed=seed)):
-        t.insert(i, Region.from_box(b))
-    return t
-
-
-class TestStrPartition:
-    def test_rows_covered_exactly_once(self):
-        t = _table(150)
-        p = t.partitioning(8)
-        oids = sorted(o.oid for part in p.partitions for o in part.rows)
-        assert oids == list(range(150))
-        assert p.total_rows == 150
-
-    def test_mbrs_contain_their_rows(self):
-        p = _table(100).partitioning(6)
-        for part in p.partitions:
-            for obj in part.rows:
-                assert obj.box.le(part.mbr)
-
-    def test_pruning_is_sound(self):
-        t = _table(200, seed=9)
-        p = t.partitioning(9)
-        rng = random.Random(4)
-        for _ in range(30):
-            lo = (rng.uniform(0, 90), rng.uniform(0, 90))
-            probe = Box(lo, (lo[0] + rng.uniform(1, 15), lo[1] + 5.0))
-            query = BoxQuery(overlap=(probe,))
-            surviving = {part.pid for part in p.prune(query)}
-            for part in p.partitions:
-                if part.pid in surviving:
-                    continue
-                # Pruned partitions must hold no matching row.
-                assert not any(query.matches(o.box) for o in part.rows)
-
-    def test_cache_invalidated_by_mutation(self):
-        t = _table(30)
-        p1 = t.partitioning(4)
-        assert t.partitioning(4) is p1  # cached
-        t.insert(999, Region.from_box(Box((1, 1), (2, 2))))
-        p2 = t.partitioning(4)
-        assert p2 is not p1
-        assert p2.total_rows == 31
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError):
-            str_partition(_table(5), 0)
 
 
 class TestProbeBox:
@@ -138,14 +84,6 @@ class TestProbeBox:
             for b in boxes:
                 if query.matches(b):
                     assert b.overlaps(p)
-
-    def test_mbr_may_match_sound(self):
-        mbr = Box((0, 0), (40, 40))
-        inside_q = BoxQuery(inside=Box((50, 50), (60, 60)))
-        assert not mbr_may_match(mbr, inside_q)
-        assert mbr_may_match(mbr, BoxQuery(overlap=(Box((30, 30), (45, 45)),)))
-        assert not mbr_may_match(mbr, BoxQuery(covers=Box((0, 0), (45, 45))))
-
 
 class TestTileGrid:
     def test_shape_and_count(self):
@@ -256,7 +194,7 @@ class TestPartitionedOperators:
             execute(plan, "boxplan")[0], order
         )
         assert reference  # non-trivial workload
-        for strategy in ("partition", "pbsm", "zorder"):
+        for strategy in ("probe", "pbsm", "zorder"):
             pplan = build_physical_plan(
                 plan,
                 "boxplan",
@@ -268,26 +206,6 @@ class TestPartitionedOperators:
             assert answers_as_oid_tuples(answers, order) == reference, (
                 strategy
             )
-
-    def test_partition_scan_replaces_scan_backend_lowering(self):
-        plan = self._plan(index="scan", size=12)
-        pplan = build_physical_plan(
-            plan, "boxplan", estimate=False, partitions=4
-        )
-        kinds = [op.kind for op in pplan.operators()]
-        assert "PartitionScan" in kinds
-        assert "TableScan" not in kinds
-        order = list(plan.order)
-        reference = answers_as_oid_tuples(execute(plan, "boxplan")[0], order)
-        answers, stats = pplan.run()
-        assert answers_as_oid_tuples(answers, order) == reference
-        # Pruning actually skipped partitions somewhere in the chain.
-        pruned = sum(
-            op.stats.partitions_pruned
-            for op in pplan.operators()
-            if isinstance(op, PartitionScan)
-        )
-        assert pruned > 0
 
     def test_explain_renders_partition_operators(self):
         plan = self._plan(size=10)
@@ -304,7 +222,7 @@ class TestPartitionedOperators:
         plan = self._plan(size=10)
         order = list(plan.order)
         reference = answers_as_oid_tuples(execute(plan, "boxonly")[0], order)
-        for strategy in ("pbsm", "zorder", "partition"):
+        for strategy in ("pbsm", "zorder", "probe"):
             answers, _ = execute(
                 plan, "boxonly", partitions=4, join_strategy=strategy
             )
@@ -314,6 +232,14 @@ class TestPartitionedOperators:
         plan = self._plan(size=8)
         with pytest.raises(ValueError):
             build_physical_plan(plan, "boxplan", join_strategy="hashjoin")
+
+    def test_partition_strategy_is_rejected(self):
+        """``"partition"`` is no join strategy: the typed error names
+        the three there are."""
+        assert JOIN_STRATEGIES == ("probe", "pbsm", "zorder")
+        plan = self._plan(size=8)
+        with pytest.raises(OptionError, match="'probe', 'pbsm', 'zorder'"):
+            build_physical_plan(plan, "boxplan", join_strategy="partition")
 
     def test_explicit_strategy_rejected_in_nonbox_modes(self):
         plan = self._plan(size=8)
@@ -348,38 +274,15 @@ class TestPartitionedOperators:
 
 
 class TestPlannerIntegration:
-    def test_catalog_partition_statistics(self):
-        t = _table(90, seed=12)
-        stats = t.statistics(partitions=6)
-        assert stats.partitions
-        assert sum(p.count for p in stats.partitions) == 90
-        probe = BoxQuery(overlap=(Box((0, 0), (10, 10)),))
-        assert 0.0 <= stats.pruned_count(probe) <= stats.count
-        # A query touching everything prunes nothing.
-        assert stats.pruned_count(BoxQuery()) == stats.count
-
-    def test_rollout_estimates_carry_pruned_candidates(self):
-        query = overlay_query(n_left=60, n_right=60, seed=2)
-        ests = rollout_step_estimates(
-            query, ["x", "y"], partitions=8
-        )
-        assert len(ests) == 2
-        for e in ests:
-            assert e.pruned_candidates >= 0.0
-        # Pruning can only reduce the scan fanout.
-        assert ests[1].pruned_candidates <= ests[1].scan_candidates + 1e-9
-
     def test_choose_join_strategies_shape_and_fallback(self):
         query = overlay_query(n_left=80, n_right=80, seed=3)
         chosen = choose_join_strategies(
             query, ["x", "y"], catalog=Catalog(), partitions=16
         )
         assert len(chosen) == 2
-        assert all(
-            s in ("probe", "partition", "pbsm", "zorder") for s in chosen
-        )
+        assert all(s in JOIN_STRATEGIES for s in chosen)
         # Step 1 has a single probing tuple: bulk joins cannot win.
-        assert chosen[0] in ("probe", "partition")
+        assert chosen[0] == "probe"
 
     def test_bulk_join_picked_for_large_fanout(self):
         """Many outer tuples probing a large table → a bulk join wins."""

@@ -125,15 +125,15 @@ def _no_fallback():
     return mock.patch.object(planner, "ESTIMATION_ERRORS", ())
 
 
-def _assert_planner_matches_reference(query, partitions):
-    reference = reference_estimates_by_order(query, partitions=partitions)
+def _assert_planner_matches_reference(query):
+    reference = reference_estimates_by_order(query)
     with _no_fallback():
-        chosen = plan_order(query, strategy="histogram", partitions=partitions)
-    assert chosen == reference_plan_order(query, reference, partitions)
+        chosen = plan_order(query, strategy="histogram")
+    assert chosen == reference_plan_order(query, reference)
     for order, expected in reference.items():
-        got = rollout_step_estimates(query, order, partitions=partitions)
+        got = rollout_step_estimates(query, order)
         # Dataclass equality compares the floats exactly.
-        assert got == expected, (order, partitions)
+        assert got == expected, order
     return chosen
 
 
@@ -141,14 +141,13 @@ def _assert_planner_matches_reference(query, partitions):
 @pytest.mark.parametrize("form,area", FIGURE1_VARIANTS)
 def test_figure1_variants_plan_like_the_reference(figure1_db, form, area):
     query = _figure1_query(figure1_db, form, area)
-    chosen = _assert_planner_matches_reference(query, partitions=0)
+    chosen = _assert_planner_matches_reference(query)
     assert chosen in (("T", "R", "B"), ("R", "T", "B"))
 
 
 @given(
     constraint_systems(),
     st.integers(0, 10_000),
-    st.sampled_from([0, 4]),
     st.sampled_from([(2, 5), (2, 40)]),
 )
 @settings(
@@ -156,12 +155,12 @@ def test_figure1_variants_plan_like_the_reference(figure1_db, form, area):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_random_workloads_plan_like_the_reference(system, seed, partitions, sizes):
+def test_random_workloads_plan_like_the_reference(system, seed, sizes):
     tables, bindings = make_workload(seed, system=system, sizes=sizes)
     if not tables:
         return
     query = SpatialQuery(system=system, tables=tables, bindings=bindings)
-    chosen = _assert_planner_matches_reference(query, partitions)
+    chosen = _assert_planner_matches_reference(query)
     if len(tables) < 2:
         return
     # A ref-anchored kNN step moves its variable behind the anchor; the
@@ -175,10 +174,10 @@ def test_random_workloads_plan_like_the_reference(system, seed, partitions, size
         system=system, tables=tables, bindings=bindings, knn=knn
     )
     with _no_fallback():
-        assert plan_order(knn_query, "histogram", partitions=partitions) == chosen
-    assert rollout_step_estimates(
-        knn_query, repaired, partitions=partitions
-    ) == rollout_step_estimates(query, repaired, partitions=partitions)
+        assert plan_order(knn_query, "histogram") == chosen
+    assert rollout_step_estimates(knn_query, repaired) == rollout_step_estimates(
+        query, repaired
+    )
 
 
 @given(constraint_systems())
@@ -320,17 +319,18 @@ def _counted():
 )
 def test_chain_queries_plan_like_the_reference_for_less(kind, n, partitions):
     query = CHAIN_QUERIES[kind](n)
-    reference = reference_estimates_by_order(query, partitions=partitions)
+    reference = reference_estimates_by_order(query)
     with _no_fallback(), _counted() as bounded:
+        # ``partitions`` is PBSM's tile target: it must not move the order.
         chosen = plan_order(query, strategy="histogram", partitions=partitions)
-    assert chosen == reference_plan_order(query, reference, partitions)
+    assert chosen == reference_plan_order(query, reference)
     # What costing every permutation (through one shared memo, as the
     # search did before it was bounded) evaluates.
     fresh = SpatialQuery(
         system=query.system, tables=query.tables, bindings=query.bindings
     )
     with _counted() as exhaustive:
-        rollouts = _Rollouts(fresh, None, partitions)
+        rollouts = _Rollouts(fresh, None)
         costs = {
             order: rollouts.cost(order, math.inf)
             for order in permutations(fresh.unknowns)
@@ -344,10 +344,7 @@ def test_chain_queries_plan_like_the_reference_for_less(kind, n, partitions):
     # Orders that complete still get the reference's floats, through
     # the memo the search left on the query.
     for order in (chosen, planner.choose_order(query), tuple(reversed(chosen))):
-        assert (
-            rollout_step_estimates(query, order, partitions=partitions)
-            == reference[order]
-        )
+        assert rollout_step_estimates(query, order) == reference[order]
 
 
 def _stub_costs(table):
@@ -411,7 +408,7 @@ def test_search_ties_and_margin_edges(costs, expected):
 
 def test_rollout_bound_is_strict_and_names_the_dead_prefix(figure1_db):
     query = _figure1_query(figure1_db, 0, 2)
-    rollouts = _Rollouts(query, None, 0)
+    rollouts = _Rollouts(query, None)
     order = ("B", "R", "T")
     cost = rollouts.cost(order, math.inf)
     # An order that ties the bound exactly finishes; one ulp over stops.
@@ -423,7 +420,7 @@ def test_rollout_bound_is_strict_and_names_the_dead_prefix(figure1_db):
     # every order with that prefix — and those steps are all it solved.
     fresh = _figure1_query(figure1_db, 0, 2)
     with _counted() as calls, pytest.raises(_Pruned) as early:
-        _Rollouts(fresh, None, 0).cost(order, 0.0)
+        _Rollouts(fresh, None).cost(order, 0.0)
     assert early.value.prefix == ("B",)
     assert calls["solve_for"].call_count == 1 and calls["exact_selectivity"].call_count == 1
 
@@ -485,7 +482,7 @@ def test_run_and_explain_triangularise_once(figure1_db):
     text = TEXT_FORMS[0].format(A="A2")
     options = {"partitions": 8, "join_strategy": "auto"}
     with _counted() as planning:
-        order = plan_order(figure1_db.query(text), "histogram", partitions=8)
+        order = plan_order(figure1_db.query(text), "histogram")
     session = figure1_db.session()
     with _counted() as run:
         result = session.run(text, **options)
@@ -551,7 +548,7 @@ def test_failures_inside_the_search(figure1_db, where, error):
     bug's ``TypeError`` from the same spot propagates."""
     greedy = planner.choose_order(_figure1_query(figure1_db, 0, 2))
     with _counted() as counted:
-        _Rollouts(_figure1_query(figure1_db, 0, 2), None, 0).cost(greedy, math.inf)
+        _Rollouts(_figure1_query(figure1_db, 0, 2), None).cost(greedy, math.inf)
         after_greedy = counted["exact_selectivity"].call_count
         assert plan_order(_figure1_query(figure1_db, 0, 2), "histogram") != greedy
         total = counted["exact_selectivity"].call_count - after_greedy

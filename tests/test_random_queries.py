@@ -76,7 +76,7 @@ def test_streaming_equals_batch_on_random_queries(system, seed):
     constraint_systems(),
     st.integers(0, 10_000),
     st.integers(1, 7),
-    st.sampled_from(["pbsm", "partition", "zorder"]),
+    st.sampled_from(["pbsm", "zorder"]),
 )
 @settings(
     max_examples=25,

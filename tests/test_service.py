@@ -395,6 +395,50 @@ def test_unknown_or_retired_option_is_a_400_naming_it(served, key, value):
     assert "actual" in client.explain(system, analyze=True)["plan"]
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"partitions": "8"},
+        {"partitions": [1]},
+        {"limit": "3"},
+        {"join_strategy": 7},
+        {"join_strategy": "bogus"},
+        {"join_strategy": "pbsm", "mode": "exact"},
+    ],
+    ids=[
+        "partitions-string",
+        "partitions-list",
+        "limit-string",
+        "join-number",
+        "join-unknown",
+        "join-in-exact-mode",
+    ],
+)
+def test_malformed_session_option_is_a_400(served, options):
+    """Each used to raise a bare ``TypeError`` or ``ValueError`` inside
+    the handler: a 500.  The session's option check raises the typed
+    ``OptionError`` on every query endpoint."""
+    _service, client, system = served
+    for path in ("/run", "/explain", "/bench"):
+        body = json.dumps({"system": system, **options}).encode()
+        status, reply = _raw_post(client, path, body)
+        assert status == "HTTP/1.1 400 Bad Request", path
+        assert reply["error"].startswith("OptionError: "), path
+
+
+def test_a_huge_tile_target_answers_fast(served):
+    """PBSM replicated boxes into every tile of the grid ``partitions``
+    asked for: 100 000 tiles held a connection thread for over 20 s.
+    The grid has at most one tile per input box, and the answers are
+    those of the default tile count."""
+    _service, client, system = served
+    start = time.perf_counter()
+    huge = client.run(system, join_strategy="pbsm", partitions=100_000)
+    assert time.perf_counter() - start < 2.0
+    default = client.run(system, join_strategy="pbsm", partitions=0)
+    assert huge["answers"] == default["answers"] and huge["answers"]
+
+
 @pytest.mark.parametrize("key,value", [("parallel", 2), ("parallel_kind", "process")])
 def test_worker_pool_options_are_a_400_and_start_no_threads(key, value):
     """``parallel``/``parallel_kind`` were session options, so a remote

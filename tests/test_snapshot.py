@@ -1,7 +1,7 @@
 """Snapshot save/load round-trips (ISSUE 6 satellite coverage).
 
-Every backend must round-trip bit-identically: answer sets, catalog
-statistics, and partitioning equal to the freshly built table's — and
+Every backend must round-trip bit-identically: answer sets and catalog
+statistics equal to the freshly built table's — and
 for the r-tree, the reloaded node structure itself is compared
 node-for-node (so node-read counts match too, not just answers).
 """
@@ -41,7 +41,6 @@ def _saved_loaded(tmp_path, index, seed=3):
     query, _map = smugglers_query(index=index, seed=seed)
     for table in query.tables.values():
         table.statistics()
-        table.partitioning(4)
     path = str(tmp_path / "db.json")
     write_snapshot(path, query.tables, query.bindings)
     tables, bindings = read_snapshot(path)
@@ -85,22 +84,9 @@ class TestRoundTrip:
         query, tables, _b, _p = _saved_loaded(tmp_path, index)
         for key, orig in query.tables.items():
             # Served from the snapshot's cache — and equal to the
-            # original's (TableStatistics compares histograms, MBR,
-            # sample rows, and partition summaries).
+            # original's (TableStatistics compares histograms, MBR
+            # and sample rows).
             assert tables[key].statistics() == orig.statistics()
-
-    def test_partitioning_bit_identical(self, tmp_path, index):
-        query, tables, _b, _p = _saved_loaded(tmp_path, index)
-        for key, orig in query.tables.items():
-            po, pl = orig.partitioning(4), tables[key].partitioning(4)
-            assert po.target == pl.target
-            assert [
-                (p.pid, p.mbr, tuple(o.oid for o in p.rows))
-                for p in po.partitions
-            ] == [
-                (p.pid, p.mbr, tuple(o.oid for o in p.rows))
-                for p in pl.partitions
-            ]
 
 
 def test_open_answers_and_resaves_like_the_built_database(tmp_path):
@@ -111,13 +97,13 @@ def test_open_answers_and_resaves_like_the_built_database(tmp_path):
     query, _world = smugglers_query(seed=7, n_towns=256, n_roads=256, states_grid=(6, 6))
     built = Database.from_query(query)
     path, again = str(tmp_path / "db.json"), str(tmp_path / "again.json")
-    built.save(path, partitions=8)
+    built.save(path)
     opened = Database.open(path)
     system = str(query.system)
     want, got = built.session().run(system), opened.session().run(system)
     assert got.oid_tuples() == want.oid_tuples() and got.oid_tuples()
     assert got.stats.to_dict() == want.stats.to_dict()
-    opened.save(again, partitions=8)
+    opened.save(again)
     with open(path, "rb") as fh, open(again, "rb") as gh:
         assert fh.read() == gh.read()
 
@@ -221,15 +207,14 @@ def test_database_open_matches_save(tmp_path):
     query, _map = smugglers_query(seed=5)
     db = Database(tables=query.tables, bindings=query.bindings)
     path = str(tmp_path / "db.json")
-    db.save(path, partitions=4)
+    db.save(path)
     reopened = Database.open(path)
     assert set(reopened.tables) == set(db.tables)
     assert set(reopened.bindings) == set(db.bindings)
-    # save() pre-warmed statistics and partitioning: the reopened
-    # tables answer both without recomputation (cache keys match).
+    # save() pre-warmed the statistics: the reopened tables answer
+    # without recomputation (cache keys match).
     for key, table in reopened.tables.items():
         assert table._stats_version == table._version
-        assert table._partitioning_key == (table._version, 0, 4)
         assert table.statistics() == db.tables[key].statistics()
 
 
@@ -427,7 +412,7 @@ def test_leaves_at_different_depths_raise_snapshot_error():
         RTree.from_node_arrays(arrays, rows)
 
 
-# -- damaged partitioning and statistics blocks ---------------------------------------
+# -- damaged statistics blocks and older layouts -------------------------------------
 OVERLAY = "x & y !<= 0"
 
 
@@ -441,33 +426,10 @@ def _overlay_db():
 
 
 def _overlay_answers(db):
-    result = db.session().run(OVERLAY, join_strategy="partition", partitions=4)
-    return result.oid_tuples()
+    return db.session().run(OVERLAY).oid_tuples()
 
 
-def _empty_row(table):
-    return next(i for i, oid in enumerate(table["rows"]["oids"]) if oid == "void")
-
-
-def _parts(table):
-    return table["partitioning"]["partitions"]
-
-
-PARTITION_DAMAGE = {
-    "mbr: every one a tiny box": lambda t: [
-        p.update(mbr=[[0.0, 0.0], [1e-3, 1e-3]]) for p in _parts(t)
-    ],
-    "mbr: one grown": lambda t: _parts(t)[0]["mbr"][1].__setitem__(0, 1e9),
-    "mbr: missing": lambda t: _parts(t)[0].pop("mbr"),
-    "rows: past the end": lambda t: _parts(t)[0]["rows"].__setitem__(0, 10**6),
-    "rows: negative": lambda t: _parts(t)[0]["rows"].__setitem__(0, -1),
-    "rows: a string": lambda t: _parts(t)[0]["rows"].__setitem__(0, "3"),
-    "rows: a float": lambda t: _parts(t)[0]["rows"].__setitem__(0, 3.0),
-    "rows: in two partitions": lambda t: _parts(t)[1]["rows"].append(_parts(t)[0]["rows"][0]),
-    "rows: twice in one": lambda t: _parts(t)[0]["rows"].append(_parts(t)[0]["rows"][0]),
-    "rows: an empty-box row": lambda t: _parts(t)[0]["rows"].append(_empty_row(t)),
-    "rows: none": lambda t: _parts(t)[0].update(rows=[]),
-    "pid: a word": lambda t: _parts(t)[0].update(pid="first"),
+STATISTICS_DAMAGE = {
     "statistics: no stats": lambda t: t["statistics"][0].pop("stats"),
     "statistics: no key": lambda t: t["statistics"][0].pop("key"),
     "statistics: sample row past the end": lambda t: (
@@ -476,21 +438,19 @@ PARTITION_DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("name", [None, *PARTITION_DAMAGE])
-def test_damaged_partitioning_raises_snapshot_error(tmp_path, name):
-    """The partitioning block decides which rows a ``PartitionScan``
-    reads: a tiny stored MBR used to load and answer 0 instead of 24.
-    Each damage ends in ``SnapshotError``; the undamaged file answers
-    as the saved database did."""
+@pytest.mark.parametrize("name", [None, *STATISTICS_DAMAGE])
+def test_damaged_statistics_raise_snapshot_error(tmp_path, name):
+    """Each damage to a statistics block ends in ``SnapshotError``; the
+    undamaged file answers as the saved database did."""
     db = _overlay_db()
     expected = _overlay_answers(db)
     assert len(expected) == 24
     path = str(tmp_path / "db.json")
-    db.save(path, partitions=4)
+    db.save(path)
     with open(path) as fh:
         payload = json.load(fh)
     if name is not None:
-        PARTITION_DAMAGE[name](payload["tables"]["y"])
+        STATISTICS_DAMAGE[name](payload["tables"]["y"])
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(SnapshotError, match="table 'right'"):
@@ -501,10 +461,9 @@ def test_damaged_partitioning_raises_snapshot_error(tmp_path, name):
 
 def test_extra_cache_block_of_the_parent_layout_is_ignored():
     """A file written before PR 21 may carry one more optional cache
-    block; it loads to the same answers, partitioning and statistics."""
+    block; it loads to the same answers and statistics."""
     db = _overlay_db()
     for table in db.tables.values():
-        table.partitioning(4)
         table.statistics()
     loaded = {}
     for extra in (False, True):
@@ -512,18 +471,58 @@ def test_extra_cache_block_of_the_parent_layout_is_ignored():
         for key, table in db.tables.items():
             data = json.loads(json.dumps(table_to_jsonable(table)))
             if extra:
-                groups = [p["rows"] for p in data["partitioning"]["partitions"]]
-                data["sharding"] = {"target": 4, "shards": groups}
+                data["sharding"] = {"target": 4, "shards": [list(range(len(table)))]}
             tables[key] = table_from_jsonable(data)
         loaded[extra] = Database(tables=tables, bindings=db.bindings)
     plain, legacy = loaded[False], loaded[True]
     assert _overlay_answers(legacy) == _overlay_answers(plain) == _overlay_answers(db)
     for key in db.tables:
-        a, b = plain.tables[key], legacy.tables[key]
-        assert b.statistics() == a.statistics()
-        assert [(p.pid, p.mbr, p.indices) for p in b.partitioning(4).partitions] == [
-            (p.pid, p.mbr, p.indices) for p in a.partitioning(4).partitions
-        ]
+        assert legacy.tables[key].statistics() == plain.tables[key].statistics()
+
+
+#: A smugglers database (``smugglers_query(seed=3, n_towns=24,
+#: n_roads=24)``) saved by a build that still had STR partitions: each
+#: table carries a ``"partitioning"`` block and statistics keyed by
+#: ``(bins, sample_size, seed, partitions)``, one of them with
+#: per-partition summaries.
+PARTITIONED_LAYOUT = os.path.join(
+    os.path.dirname(__file__), "data", "snapshot_with_partitioning.json"
+)
+
+
+def test_snapshot_with_partitioning_opens_like_the_built_database(tmp_path):
+    """The partitioning block and the partition summaries are ignored:
+    the file plans the built database's order, returns its answers and
+    counters, and serves its statistics; saving it again drops them.  A
+    damaged statistics block in such a file is still a
+    ``SnapshotError``."""
+    with open(PARTITIONED_LAYOUT) as fh:
+        payload = json.load(fh)
+    for table in payload["tables"].values():
+        assert "partitioning" in table
+        assert [len(e["key"]) for e in table["statistics"]] == [4, 4]
+        assert any(e["stats"]["partitions"] for e in table["statistics"])
+    query, _map = smugglers_query(seed=3, n_towns=24, n_roads=24)
+    built = Database(tables=query.tables, bindings=query.bindings)
+    opened = Database.open(PARTITIONED_LAYOUT)
+    text = str(query.system)
+    want, got = built.session().run(text), opened.session().run(text)
+    assert got.order == want.order
+    assert got.oid_tuples() and got.oid_tuples() == want.oid_tuples()
+    assert got.stats.to_dict() == want.stats.to_dict()
+    for key, table in opened.tables.items():
+        assert table._stats_version == table._version
+        assert table.statistics() == built.tables[key].statistics()
+    resaved = str(tmp_path / "again.json")
+    opened.save(resaved)
+    with open(resaved) as fh:
+        assert '"partition' not in fh.read()
+    payload["tables"]["T"]["statistics"][0]["stats"]["sample"][0] = 10**6
+    damaged = str(tmp_path / "damaged.json")
+    with open(damaged, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(SnapshotError, match="damaged statistics"):
+        Database.open(damaged)
 
 
 def test_snapshot_of_the_parent_layout_opens_alike(tmp_path):
@@ -535,7 +534,7 @@ def test_snapshot_of_the_parent_layout_opens_alike(tmp_path):
     query, _map = smugglers_query(seed=3, n_towns=40, n_roads=40)
     db = Database(tables=query.tables, bindings=query.bindings)
     path, legacy_path = str(tmp_path / "db.json"), str(tmp_path / "legacy.json")
-    db.save(path, partitions=4)
+    db.save(path)
     with open(path) as fh:
         payload = json.load(fh)
     for table in payload["tables"].values():
