@@ -6,19 +6,19 @@ and writes the paper's cost counters (partial tuples, region ops, index node rea
 artifact that CI uploads on every run — the perf trajectory the ROADMAP
 asks for.
 
-Two acceptance gates are enforced (non-zero exit on failure; the
-planner no-regression gate, the STR node-read gate and the PBSM
-exact-test gate that used to sit here are tier-1 exact-count tests,
-``tests/test_planner_cost.py``,
-``tests/test_rtree_variants.py::TestSTRReadGate`` — which holds the
+One acceptance gate is enforced (non-zero exit on failure): the
+probe cache — re-running a query through a shared ``ProbeCache`` hits
+on ≥ 90% of its index probes and costs zero index node reads.  The
+planner no-regression gate, the STR node-read gate, the PBSM exact-test
+gate and the streaming gate that used to sit here are tier-1
+exact-count tests: ``tests/test_planner_cost.py``,
+``tests/test_rtree_variants.py::TestSTRReadGate`` (which holds the
 packed reads to the insertion-tree reads recorded before that tree was
-deleted — and ``tests/test_partition.py::TestPBSMExactCounts``):
-
-1. streaming: ``execute_iter(..., limit=1)`` yields the first answer in
-   under 25% of the full-materialization time at the smoke scale (the
-   operator tree pipelines instead of materializing levels);
-2. probe cache: re-running a query through a shared ``ProbeCache`` hits
-   on ≥ 90% of its index probes and costs zero index node reads.
+deleted), ``tests/test_partition.py::TestPBSMExactCounts`` and
+``tests/test_streaming_executor.py::TestStreamingExecutor::
+test_first_answer_costs_under_a_quarter_of_the_drain`` (the first
+answer costs under 25% of the full drain's partial tuples, region ops,
+node reads and probes).
 
 Usage::
 
@@ -39,12 +39,7 @@ for path in (_REPO, os.path.join(_REPO, "src")):
         sys.path.insert(0, path)
 
 from repro.datagen import smugglers_query  # noqa: E402
-from repro.engine import (  # noqa: E402
-    ProbeCache,
-    build_physical_plan,
-    compile_query,
-    execute,
-)
+from repro.engine import ProbeCache, compile_query, execute  # noqa: E402
 
 
 def _run_join(size: int, mode: str) -> dict:
@@ -67,48 +62,6 @@ def join_scaling_section(full: bool) -> list:
                 continue  # minutes of cross-product work; shape visible at 8
             rows.append(_run_join(size, mode))
     return rows
-
-
-def streaming_section(full: bool) -> dict:
-    """Time-to-first-answer vs full materialization (best of 5 each).
-
-    The smoke scale is chosen so the full run takes tens of
-    milliseconds — large enough that the <25% gate has headroom over
-    timer noise, small enough for CI.  It was regrown (40 towns and
-    roads on a 3x3 grid drained in 4-5 ms once the front end and the
-    operators got faster, and the ratio read 0.21-0.24): 280 on a 4x4
-    grid drains in ~35 ms, first answer ~0.5 ms.
-    """
-    from time import perf_counter
-
-    n = 400 if full else 280
-    query, _world = smugglers_query(
-        seed=13, n_towns=n, n_roads=n, states_grid=(4, 4)
-    )
-    plan = compile_query(query)
-    pplan = build_physical_plan(plan, "boxplan", estimate=False)
-
-    def time_first() -> float:
-        start = perf_counter()
-        got = next(iter(pplan.execute_iter(limit=1)), None)
-        assert got is not None, "streaming smoke workload has no answers"
-        return perf_counter() - start
-
-    def time_total() -> float:
-        start = perf_counter()
-        list(pplan.execute_iter())
-        return perf_counter() - start
-
-    first = min(time_first() for _ in range(5))
-    total = min(time_total() for _ in range(5))
-    answers = len(list(pplan.execute_iter()))
-    return {
-        "size": n,
-        "answers": answers,
-        "first_answer_ms": round(first * 1e3, 3),
-        "all_answers_ms": round(total * 1e3, 3),
-        "ratio": round(first / total, 4) if total else 0.0,
-    }
 
 
 def probe_cache_section(full: bool) -> dict:
@@ -148,7 +101,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "scale": "full" if args.full else "reduced",
         "join_scaling": join_scaling_section(args.full),
-        "streaming": streaming_section(args.full),
         "probe_cache": probe_cache_section(args.full),
     }
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -157,18 +109,6 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
 
     failures = []
-    stream = result["streaming"]
-    print(
-        f"streaming: first answer {stream['first_answer_ms']}ms vs "
-        f"{stream['all_answers_ms']}ms for all {stream['answers']} "
-        f"({stream['ratio']:.1%} of full materialization)"
-    )
-    if stream["ratio"] >= 0.25:
-        failures.append(
-            f"first answer took {stream['first_answer_ms']}ms, "
-            f"{stream['ratio']:.1%} of the {stream['all_answers_ms']}ms full "
-            "materialization; the streaming gate requires < 25%"
-        )
     pc = result["probe_cache"]
     print(
         f"probe cache: warm run hit rate {pc['warm_hit_rate']:.1%}, "

@@ -6,18 +6,15 @@ Usage::
     python -m repro check    [FILE]            # satisfiable (atomless)?
     python -m repro minimize [FILE]            # drop entailed constraints
     python -m repro bcf      'x & y | ~x & z'  # Blake canonical form + L/U
-    python -m repro bench    [--workload smugglers] [--size 12] [--json]
-                             [--order-strategy histogram]
-                             [--stream] [--limit K] [--probe-cache N]
-                             [--partitions N] [--join auto]
-                             [--knn K] [--agg count,min:T] [--agg-box]
+    python -m repro explain  [--workload smugglers] [--size 12]
+                             [--order-strategy histogram] [--mode boxplan]
+                             [--analyze] [--json] [--limit K]
+                             [--probe-cache N] [--partitions N] [--join auto]
+                             [--knn K [--knn-ref T]] [--agg count,min:T]
+                             [--group-by B] [--agg-box]
                              [--mutate N] [--delta-threshold N]
-    python -m repro explain  [--workload ...] [--mode boxplan] [--analyze]
-                             [--partitions N] [--join pbsm]
-                             [--knn K] [--agg count] [--group-by B]
-    python -m repro run      [--workload ...] [--stream] [--limit K]
-                             [--partitions N]
-                             [--knn K [--knn-ref T]] [--agg count]
+    python -m repro run      [--workload ...]  (the explain flags but
+                             --analyze and --json)
     python -m repro save     OUT [--workload ...]
     python -m repro load     SNAPSHOT [--json]
     python -m repro serve    [SNAPSHOT] [--workload ...] [--host H]
@@ -27,25 +24,23 @@ Usage::
 (``A <= C``, ``R & A != 0``, ``T !<= C``, comments with ``#``); ``-``
 or omitted reads stdin.
 
-``bench`` builds a synthetic workload, plans it with the chosen
-strategy, executes it and prints the machine-independent counters
-(partial tuples, region ops, index node reads) over STR-packed
-r-trees.  ``--stream`` executes through
-the streaming iterator and reports time-to-first-answer alongside the
-total.
+``explain`` and ``run`` build a synthetic workload (STR-packed r-trees
+unless ``--index`` says otherwise), pick its retrieval order with ``--order-strategy`` and hand the
+query to a :class:`~repro.database.Session`.  ``explain`` prints the
+physical operator tree with catalog cost estimates; ``--analyze`` also
+executes it and reports the query: each operator's actual
+rows/probes/node reads, the paper's counters (partial tuples, region
+ops, index node reads) and the planning, first-answer and total times.
+``--json`` prints that report as
+:meth:`Session.explain(analyze=True) <repro.database.Session.explain>`
+returns it.  ``run`` prints the answers themselves (oid tuples) and the
+timings.  With ``--limit K`` both stop after the first ``K`` answers
+without exhausting the search space.
 
 ``--join`` picks a per-step join algorithm — ``probe`` (the default),
 ``pbsm`` or ``zorder``, or ``auto`` for the cost-based pick — and
 ``--partitions N`` sets PBSM's tile target.  Every join algorithm
 returns the same answers.
-
-``explain`` prints the physical operator tree for the chosen mode with
-catalog cost estimates; ``--analyze`` also executes the plan and
-annotates each operator with actual rows/probes/node reads.
-
-``run`` executes a workload and prints the answers themselves (oid
-tuples), streaming them as found with ``--stream``; ``--limit K`` stops
-after the first ``K`` answers without exhausting the search space.
 
 ``--knn K`` restricts a variable (``--knn-var``, default the first of
 the retrieval order) to its table's K nearest rows — anchored on a
@@ -54,7 +49,7 @@ variable's box (``--knn-ref``, a per-tuple distance join).  ``--agg``
 replaces the answer stream with aggregate rows (``count``, ``min:VAR``,
 ``max:VAR`` over box volume, grouped by ``--group-by``); ``--agg-box``
 asks for the box-level COUNT, pushed down to the R-tree's subtree
-entry counts.
+entry counts.  ``--mutate N`` stages N seeded writes per table first.
 
 ``save`` snapshots a built workload database (tables, packed R-trees,
 statistics) to one JSON file; ``load`` prints a saved
@@ -174,7 +169,7 @@ def _build_workload(args):
 
 def _knn_step(args, query, order):
     """The logical kNN restriction the ``--knn`` flags describe."""
-    if not getattr(args, "knn", 0):
+    if not args.knn:
         return None
     from .engine import KNNStep
 
@@ -196,35 +191,27 @@ def _knn_step(args, query, order):
 
 def _aggregate_spec(args):
     """The :class:`AggregateSpec` the ``--agg`` flags describe."""
-    if not getattr(args, "agg", None):
+    if not args.agg:
         return None
     from .engine import AggregateSpec
 
-    aggregates = []
-    for part in args.agg.split(","):
-        op, _, target = part.strip().partition(":")
-        aggregates.append((op, target or None))
-    group_by = tuple(
-        v for v in (args.group_by or "").split(",") if v
-    )
+    parts = (part.strip().partition(":") for part in args.agg.split(","))
     return AggregateSpec(
-        aggregates=tuple(aggregates),
-        group_by=group_by,
+        aggregates=tuple((op, target or None) for op, _, target in parts),
+        group_by=tuple(v for v in (args.group_by or "").split(",") if v),
         exact=not args.agg_box,
     )
 
 
-def _plan_workload(args):
-    """Build the workload, pick an order, and compile — shared by the
-    ``bench``/``explain``/``run`` subcommands.  Returns
-    ``(query, plan, strategy, plan_s)``; ``plan_s`` is the time spent
-    choosing the order and compiling (not building or mutating data)."""
-    from time import perf_counter
+def _workload_query(args):
+    """The ``explain``/``run`` query: build the workload, pick its order
+    with ``--order-strategy``, attach ``--knn``/``--agg`` and stage
+    ``--mutate``.  Returns ``(query, order, strategy)``."""
+    from dataclasses import replace
 
-    from .engine import SpatialQuery, compile_query, plan_order
+    from .engine import plan_order, repair_knn_order
 
     query = _build_workload(args)
-    start = perf_counter()
     strategy = args.order_strategy
     if strategy == "paper" and not query.order:
         # Only the smugglers workload carries a paper-given order; be
@@ -238,25 +225,27 @@ def _plan_workload(args):
     knn = _knn_step(args, query, order)
     aggregate = _aggregate_spec(args)
     if knn is not None or aggregate is not None:
-        from .engine import repair_knn_order
-
         # Construct first: SpatialQuery validates the kNN/aggregate
         # spec (bad --knn-var/--knn-ref combinations fail cleanly here).
-        query = SpatialQuery(
-            system=query.system,
-            tables=query.tables,
-            bindings=query.bindings,
-            knn=knn,
-            aggregate=aggregate,
-        )
+        query = replace(query, order=None, knn=knn, aggregate=aggregate)
         # A ref-anchored kNN variable must follow its anchor; repair
         # the planner-chosen order with the compiler's own helper.
         order = repair_knn_order(order, knn, query.tables)
-    plan_s = perf_counter() - start
     _stage_mutations(args, query)
-    start = perf_counter()
-    plan = compile_query(query, order=order)
-    return query, plan, strategy, plan_s + perf_counter() - start
+    return query, order, strategy
+
+
+def _session(args):
+    """The :class:`~repro.database.Session` the query flags describe."""
+    from .database import Session
+
+    return Session(
+        probe_cache=args.probe_cache,
+        mode=args.mode,
+        join_strategy=args.join,
+        partitions=args.partitions,
+        limit=args.limit,
+    )
 
 
 def _stage_mutations(args, query) -> None:
@@ -267,7 +256,7 @@ def _stage_mutations(args, query) -> None:
     overlay-merged read paths (and, past ``--delta-threshold``, the
     inline repack) without rebuilding the workload tables.
     """
-    n = getattr(args, "mutate", 0)
+    n = args.mutate
     if not n:
         return
     import random
@@ -277,7 +266,7 @@ def _stage_mutations(args, query) -> None:
 
     rng = random.Random(args.seed * 31 + 24251)
     for name, table in query.tables.items():
-        if getattr(args, "delta_threshold", None):
+        if args.delta_threshold:
             table.delta_threshold = args.delta_threshold
         oids = [obj.oid for obj in table]
         lo, hi = table.universe.lo, table.universe.hi
@@ -294,139 +283,51 @@ def _stage_mutations(args, query) -> None:
                 table.stage_insert(f"mut-{name}-{i}", Region.from_box(box))
 
 
-def _probe_cache(args):
-    if getattr(args, "probe_cache", 0):
-        from .spatial import ProbeCache
-
-        return ProbeCache(maxsize=args.probe_cache)
-    return None
-
-
-def _physical_options(args) -> dict:
-    """Join keyword arguments for ``plan.physical``."""
-    return {"partitions": args.partitions, "join_strategy": args.join}
-
-
-def cmd_bench(args) -> int:
-    from time import perf_counter
-
-    query, plan, strategy, plan_s = _plan_workload(args)
-    cache = _probe_cache(args)
-    for table in query.tables.values():
-        table.reset_stats()  # report query-time reads, not build-time
-    pplan = plan.physical(args.mode, estimate=False, **_physical_options(args))
-    timing = {}
-    if args.stream or args.limit is not None:
-        start = perf_counter()
-        first = None
-        answers = []
-        for answer in pplan.execute_iter(limit=args.limit, cache=cache):
-            if first is None:
-                first = perf_counter() - start
-            answers.append(answer)
-        timing = {
-            "plan_s": plan_s,
-            "time_to_first_s": first,
-            "total_s": perf_counter() - start,
-            "limit": args.limit,
-        }
-        stats = pplan.stats()
-    else:
-        answers, stats = pplan.run(cache=cache)
-    index_stats = {
-        name: table.index_stats() for name, table in query.tables.items()
-    }
-    result = {
-        "workload": args.workload,
-        "size": args.size,
-        "seed": args.seed,
-        "index": args.index,
-        "order_strategy": strategy,
-        "order": list(plan.order),
-        "partitions": pplan.partitions,
-        "joins": list(pplan.join_strategies),
-        "knn": args.knn,
-        "knn_access": pplan.knn_access,
-        "agg": args.agg,
-        "answers": len(answers),
-        "counters": stats.as_dict(),
-        "tables": index_stats,
-        **timing,
-    }
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-    else:
-        print(f"workload={args.workload} size={args.size} mode={args.mode}")
-        print(f"order ({strategy}): {', '.join(plan.order)}")
-        if args.partitions:
-            print(
-                f"partitions={args.partitions} "
-                f"joins={','.join(pplan.join_strategies)}"
-            )
-        print(stats.summary())
-        if timing and timing["time_to_first_s"] is not None:
-            print(
-                f"streamed: first answer {timing['time_to_first_s'] * 1e3:.2f}ms,"
-                f" total {timing['total_s'] * 1e3:.2f}ms"
-            )
-        print(
-            "index: "
-            + " ".join(
-                f"{name}={s.get('node_reads', s.get('bucket_reads', 0))}r"
-                for name, s in index_stats.items()
-            )
-        )
-    return 0
+def _timings(count, plan_s, first, total) -> str:
+    after = "" if first is None else f"first after {first * 1e3:.2f}ms, "
+    return (
+        f"# {count} answers; planned in {plan_s * 1e3:.2f}ms, "
+        f"{after}all after {total * 1e3:.2f}ms"
+    )
 
 
 def cmd_explain(args) -> int:
-    _query, plan, strategy, _plan_s = _plan_workload(args)
-    pplan = plan.physical(args.mode, **_physical_options(args))
+    from .engine.stats import ExecutionStats
+
+    query, order, strategy = _workload_query(args)
+    report = _session(args).explain(query, order=order, analyze=args.analyze)
+    if not args.analyze:
+        report = {"plan": report}
+    if args.json:
+        print(json.dumps(report, indent=2))
+        return 0
+    print(report["plan"])
     if args.analyze:
-        pplan.run(cache=_probe_cache(args))
-        print(pplan.explain())
         print()
-        print(pplan.stats().summary())
-    else:
-        print(pplan.explain())
+        print(ExecutionStats.from_dict(report["stats"]).summary())
+        print(_timings(
+            report["count"], report["plan_s"],
+            report["time_to_first_s"], report["total_s"],
+        ))
     print(f"# order strategy: {strategy}")
     return 0
 
 
 def cmd_run(args) -> int:
-    from time import perf_counter
-
-    _query, plan, _strategy, plan_s = _plan_workload(args)
-    start = perf_counter()
-    pplan = plan.physical(args.mode, estimate=False, **_physical_options(args))
-    plan_s += perf_counter() - start
-    cache = _probe_cache(args)
-    variables = list(plan.order)
-    if plan.aggregate is not None:
-        print("# " + ", ".join(
-            list(plan.aggregate.group_by) + list(plan.aggregate.labels())
-        ))
+    query, order, _strategy = _workload_query(args)
+    result = _session(args).run(query, order=order)
+    if query.aggregate is not None:
+        labels = list(query.aggregate.group_by) + list(query.aggregate.labels())
+        print("# " + ", ".join(labels))
+        for row in result.answers:
+            print(row.as_dict())
     else:
-        print("# " + ", ".join(variables))
-    start = perf_counter()
-    first = None
-    count = 0
-    for answer in pplan.execute_iter(limit=args.limit, cache=cache):
-        if first is None:
-            first = perf_counter() - start
-        count += 1
-        if plan.aggregate is not None:
-            print(answer.as_dict())
-        else:
-            print(tuple(answer[v].oid for v in variables))
-    total = perf_counter() - start
-    if args.stream and first is not None:
-        print(
-            f"# {count} answers; planned in {plan_s * 1e3:.2f}ms, "
-            f"first after {first * 1e3:.2f}ms, all after {total * 1e3:.2f}ms"
-        )
-    else:
-        print(f"# {count} answers")
+        print("# " + ", ".join(result.order))
+        for answer in result.answers:
+            print(tuple(answer[v].oid for v in result.order))
+    print(_timings(
+        len(result.answers), result.plan_s, result.time_to_first_s, result.total_s
+    ))
     return 0
 
 
@@ -521,6 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--index", choices=("rtree", "grid", "scan"), default="rtree"
         )
+
+    def add_query_args(p):
+        add_workload_args(p)
         p.add_argument(
             "--mode",
             choices=("naive", "exact", "boxplan", "boxonly"),
@@ -538,6 +442,27 @@ def build_parser() -> argparse.ArgumentParser:
             default=0,
             metavar="N",
             help="share an N-entry LRU probe cache across index probes",
+        )
+        p.add_argument(
+            "--partitions",
+            type=int,
+            default=0,
+            metavar="N",
+            help="PBSM tile target (0 = the default, 16 tiles)",
+        )
+        p.add_argument(
+            "--join",
+            choices=("auto", "probe", "pbsm", "zorder"),
+            default=None,
+            help="per-step join algorithm (default: probe; 'auto' picks "
+            "cost-based per step)",
+        )
+        p.add_argument(
+            "--limit",
+            type=int,
+            default=None,
+            metavar="K",
+            help="stop after the first K answers (early exit)",
         )
         p.add_argument(
             "--knn",
@@ -604,65 +529,24 @@ def build_parser() -> argparse.ArgumentParser:
             "default: the table's own threshold, 64)",
         )
 
-    def add_join_args(p):
-        p.add_argument(
-            "--partitions",
-            type=int,
-            default=0,
-            metavar="N",
-            help="PBSM tile target (0 = the default, 16 tiles)",
-        )
-        p.add_argument(
-            "--join",
-            choices=("auto", "probe", "pbsm", "zorder"),
-            default=None,
-            help="per-step join algorithm (default: probe; 'auto' picks "
-            "cost-based per step)",
-        )
-
-    def add_streaming_args(p):
-        p.add_argument(
-            "--limit",
-            type=int,
-            default=None,
-            metavar="K",
-            help="stop after the first K answers (early exit)",
-        )
-        p.add_argument(
-            "--stream",
-            action="store_true",
-            help="execute through the streaming iterator and report "
-            "time-to-first-answer",
-        )
-
-    p = sub.add_parser(
-        "bench", help="run a synthetic workload and print cost counters"
-    )
-    add_workload_args(p)
-    add_join_args(p)
-    add_streaming_args(p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser(
         "explain",
         help="print the physical operator tree with cost estimates",
     )
-    add_workload_args(p)
-    add_join_args(p)
+    add_query_args(p)
     p.add_argument(
         "--analyze",
         action="store_true",
-        help="execute the plan and annotate actual per-operator stats",
+        help="execute the plan: annotate each operator's actual rows, "
+        "probes and node reads, and report the counters and timings",
     )
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser(
         "run", help="execute a workload and print the answers"
     )
-    add_workload_args(p)
-    add_join_args(p)
-    add_streaming_args(p)
+    add_query_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(

@@ -21,16 +21,16 @@ one front door over all of it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra.regions import Region
 from .constraints.parser import parse_system
 from .constraints.system import ConstraintSystem
 from .engine.compiler import QueryPlan, compile_query
 from .engine.executor import Answer, answers_as_oid_tuples
-from .engine.physical import check_join_strategy
+from .engine.physical import PhysicalPlan, check_join_strategy
 from .engine.query import AggregateSpec, KNNStep, SpatialQuery
 from .engine.stats import ExecutionStats
 from .errors import OptionError
@@ -266,13 +266,9 @@ class Session:
         check_join_strategy(options["mode"], options["join_strategy"])
         return options
 
-    def _compile(
-        self,
-        query: Union[str, ConstraintSystem, SpatialQuery, QueryPlan],
-        order: Optional[Sequence[str]] = None,
-    ) -> QueryPlan:
-        if isinstance(query, QueryPlan):
-            return query
+    def _spatial_query(
+        self, query: Union[str, ConstraintSystem, SpatialQuery]
+    ) -> SpatialQuery:
         if isinstance(query, (str, ConstraintSystem)):
             if self.db is None:
                 raise ValueError(
@@ -281,6 +277,16 @@ class Session:
                     "SpatialQuery"
                 )
             query = self.db.query(query)
+        return query
+
+    def _compile(
+        self,
+        query: Union[str, ConstraintSystem, SpatialQuery, QueryPlan],
+        order: Optional[Sequence[str]] = None,
+    ) -> QueryPlan:
+        if isinstance(query, QueryPlan):
+            return query
+        query = self._spatial_query(query)
         if order is None and not query.order:
             # No caller- or query-given order: plan one (the CLI's
             # default strategy), honoring a kNN step's anchor ordering.
@@ -313,15 +319,22 @@ class Session:
         options = self._options(
             mode=mode, limit=limit, partitions=partitions, join_strategy=join_strategy
         )
-        plan = self._compile(query, order=order)
+        _pplan, result = self._execute(self._compile(query, order=order), options, called)
+        return result
+
+    def _execute(
+        self, plan: QueryPlan, options: dict, called: float, estimate: bool = False
+    ) -> Tuple[PhysicalPlan, QueryResult]:
+        """Build ``plan``'s operator tree and drain it (honouring
+        ``limit`` and the session's probe cache); ``plan_s`` runs from
+        ``called`` to the end of the build."""
         pplan = plan.physical(
             options["mode"],
-            estimate=False,
+            estimate=estimate,
             partitions=options["partitions"],
             join_strategy=options["join_strategy"],
         )
         start = perf_counter()
-        plan_s = start - called
         first = None
         answers: List[Answer] = []
         for answer in pplan.execute_iter(limit=options["limit"], cache=self.cache):
@@ -329,13 +342,13 @@ class Session:
                 first = perf_counter() - start
             answers.append(answer)
         total = perf_counter() - start
-        return QueryResult(
+        return pplan, QueryResult(
             answers=answers,
             stats=pplan.stats(),
             order=tuple(plan.order),
             time_to_first_s=first,
             total_s=total,
-            plan_s=plan_s,
+            plan_s=start - called,
         )
 
     def explain(
@@ -347,62 +360,35 @@ class Session:
         analyze: bool = False,
         partitions=_UNSET,
         join_strategy=_UNSET,
-    ) -> str:
+    ) -> Union[str, Dict[str, Any]]:
         """The physical operator tree, with catalog cost estimates.
 
-        ``analyze=True`` also executes the plan and annotates actual
-        per-operator rows/probes/node reads (the CLI's ``--analyze``).
+        ``analyze=True`` executes the plan as :meth:`run` does (the
+        session's ``limit`` included) and returns the per-query report
+        instead of the bare text: ``plan`` (the tree annotated with each
+        operator's actual rows/probes/node reads), ``order``, ``count``
+        (answers), ``stats``
+        (:meth:`~repro.engine.stats.ExecutionStats.to_dict`) and the
+        timings ``plan_s``/``time_to_first_s``/``total_s``.
         """
+        called = perf_counter()
         options = self._options(
             mode=mode, partitions=partitions, join_strategy=join_strategy
         )
         plan = self._compile(query, order=order)
-        pplan = plan.physical(
-            options["mode"],
-            partitions=options["partitions"],
-            join_strategy=options["join_strategy"],
-        )
-        if analyze:
-            pplan.run(cache=self.cache)
-        return pplan.explain()
-
-    def bench(
-        self,
-        query: Union[str, ConstraintSystem, SpatialQuery, QueryPlan],
-        *,
-        mode=_UNSET,
-        order: Optional[Sequence[str]] = None,
-        limit=_UNSET,
-        partitions=_UNSET,
-        join_strategy=_UNSET,
-    ) -> dict:
-        """Execute and report the machine-independent counters.
-
-        The returned dictionary nests the full
-        :meth:`~repro.engine.stats.ExecutionStats.to_dict` payload under
-        ``"counters"`` (JSON-round-trippable), plus per-table index
-        counters and wall-clock timings (``plan_s`` included: the run
-        itself receives the compiled plan, so planning is timed here).
-        """
-        called = perf_counter()
-        options = self._options(
-            mode=mode, limit=limit, partitions=partitions, join_strategy=join_strategy
-        )
-        plan = self._compile(query, order=order)
-        plan_s = perf_counter() - called
-        for table in plan.query.tables.values():
-            table.reset_stats()  # report query-time reads, not build-time
-        result = self.run(plan, **options)
+        if not analyze:
+            return plan.physical(
+                options["mode"],
+                partitions=options["partitions"],
+                join_strategy=options["join_strategy"],
+            ).explain()
+        pplan, result = self._execute(plan, options, called, estimate=True)
         return {
-            "mode": options["mode"],
+            "plan": pplan.explain(),
             "order": list(result.order),
-            "answers": len(result.answers),
-            "counters": result.stats.to_dict(),
-            "tables": {
-                name: table.index_stats()
-                for name, table in plan.query.tables.items()
-            },
-            "plan_s": plan_s + result.plan_s,
+            "count": len(result.answers),
+            "stats": result.stats.to_dict(),
+            "plan_s": result.plan_s,
             "time_to_first_s": result.time_to_first_s,
             "total_s": result.total_s,
         }
@@ -421,26 +407,12 @@ class Session:
         ``answers`` are aggregate rows (see
         :class:`repro.engine.physical.AggregateRow`).
         """
-        if isinstance(query, (str, ConstraintSystem)):
-            if self.db is None:
-                raise ValueError(
-                    "constraint text needs a Database; construct "
-                    "Session(db=...) or pass a SpatialQuery"
-                )
-            query = self.db.query(query)
         spec = AggregateSpec(
             aggregates=tuple(aggregates),
             group_by=tuple(group_by),
             exact=exact,
         )
-        query = SpatialQuery(
-            system=query.system,
-            tables=query.tables,
-            bindings=query.bindings,
-            order=query.order,
-            knn=query.knn,
-            aggregate=spec,
-        )
+        query = replace(self._spatial_query(query), aggregate=spec)
         return self.run(query, **options)
 
     def nearest(

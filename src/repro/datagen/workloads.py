@@ -2,7 +2,7 @@
 
 Each builder returns ready-to-run :class:`~repro.engine.query.
 SpatialQuery` objects (and any ground-truth bookkeeping the benchmark
-needs).  Centralising them keeps examples/benchmarks/tests on identical
+needs).  Centralising them keeps examples, benchmarks and tests on identical
 workloads.
 """
 

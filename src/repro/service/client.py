@@ -123,10 +123,9 @@ class ServiceClient:
     def explain(
         self, system: str, bindings: _Bindings = None, analyze: bool = False, **options: Any
     ) -> dict:
+        """The plan text; with ``analyze`` the per-query report of
+        :meth:`repro.database.Session.explain` (``snapshot`` added)."""
         return self._query("/explain", system, bindings, dict(options, analyze=analyze or None))
-
-    def bench(self, system: str, bindings: _Bindings = None, **options: Any) -> dict:
-        return self._query("/bench", system, bindings, options)
 
     def nearest(
         self,

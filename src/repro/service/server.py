@@ -26,9 +26,11 @@ accept loop, and one thread per kept-alive connection that reads a
 request, runs its handler inline, answers, and loops — no hand-off
 between threads per request.  A thread that finishes a connection
 waits for the next one.  Endpoints: ``GET /health``, ``GET /stats``,
-and ``POST /run | /explain | /bench | /nearest | /insert | /delete``
-with JSON bodies (see :class:`QueryService` for payload shapes and
-:mod:`repro.service.client` for a matching client).  Wire bounds: the
+and ``POST /run | /explain | /nearest | /insert | /delete`` with JSON
+bodies (see :class:`QueryService` for payload shapes and
+:mod:`repro.service.client` for a matching client); ``/explain`` with
+``"analyze": true`` is the per-query report of
+:meth:`~repro.database.Session.explain`.  Wire bounds: the
 framing caps of :mod:`repro.service.wire`, which hold for requests and
 replies alike (a breach → ``400``/``413`` and close; a body cut short
 by EOF → dropped unanswered, no handler runs); a peer silent for 30 s
@@ -65,8 +67,8 @@ from .wire import read_request, write_response
 
 __all__ = ["QueryService", "ServiceServer", "SnapshotStore", "serve_in_thread"]
 
-#: What ``/run``, ``/explain`` and ``/bench`` read besides the session
-#: options (:data:`~repro.database.SESSION_OPTIONS`).
+#: What ``/run`` and ``/explain`` read besides the session options
+#: (:data:`~repro.database.SESSION_OPTIONS`).
 _QUERY_KEYS = frozenset({"system", "bindings", "order", "knn", "aggregate"})
 
 
@@ -297,18 +299,10 @@ class QueryService:
     def explain(self, payload: dict) -> dict:
         db, version = self.store.current()
         session = self._session(db, payload, "analyze")
-        text = session.explain(
-            self._query(db, payload),
-            analyze=bool(payload.get("analyze", False)),
-        )
-        return {"snapshot": version, "plan": text}
-
-    def bench(self, payload: dict) -> dict:
-        db, version = self.store.current()
-        session = self._session(db, payload)
-        report = session.bench(self._query(db, payload))
-        report["snapshot"] = version
-        return report
+        query = self._query(db, payload)
+        if payload.get("analyze"):
+            return {"snapshot": version, **session.explain(query, analyze=True)}
+        return {"snapshot": version, "plan": session.explain(query)}
 
     def nearest(self, payload: dict) -> dict:
         db, version = self.store.current()
@@ -518,7 +512,6 @@ _ROUTES = {
     ("GET", "/stats"): "stats",
     ("POST", "/run"): "run",
     ("POST", "/explain"): "explain",
-    ("POST", "/bench"): "bench",
     ("POST", "/nearest"): "nearest",
     ("POST", "/insert"): "insert",
     ("POST", "/delete"): "delete",

@@ -18,7 +18,7 @@ open bounds into the closed ranges indexes support).
 Figure 3 itself is the 1-dimensional picture: the set of intervals
 ``{x : a ⊑ ⌈x⌉ ⊑ b, ⌈x⌉ ⊓ c ≠ ∅}`` drawn as a shaded rectangle in the
 (start, end) plane; :func:`figure3_rectangle` reproduces the figure's
-data for the docs/benchmarks.
+data for the docs and benchmarks.
 """
 
 from __future__ import annotations

@@ -176,13 +176,13 @@ def test_per_call_partitions_reach_the_planner(db, workload):
     text = str(query.system)
     per_call = db.session(join_strategy="auto")
     per_session = db.session(join_strategy="auto", partitions=8)
-    for call in ("run", "explain", "bench"):
+    for call, extra in (("run", {}), ("explain", {}), ("explain", {"analyze": True})):
         with mock.patch.object(
             planner, "choose_join_strategies", wraps=planner.choose_join_strategies
         ) as spy:
-            getattr(per_call, call)(text, partitions=8)
-            getattr(per_session, call)(text)
-            getattr(per_session, call)(text, partitions=0)
+            getattr(per_call, call)(text, partitions=8, **extra)
+            getattr(per_session, call)(text, **extra)
+            getattr(per_session, call)(text, partitions=0, **extra)
         assert [c.kwargs["partitions"] for c in spy.call_args_list] == [
             8,
             8,
@@ -226,7 +226,7 @@ def test_session_reports_planning_time(db, workload):
     # A compiled plan has nothing left to plan but the physical build.
     plan = compile_query(query)
     assert db.session().run(plan).plan_s < result.plan_s
-    assert db.session().bench(str(query.system))["plan_s"] > 0
+    assert db.session().explain(str(query.system), analyze=True)["plan_s"] > 0
 
 
 def test_session_text_needs_db():
@@ -239,19 +239,34 @@ def test_session_explain_and_analyze(db, workload):
     text = db.session().explain(str(query.system))
     assert "Probe" in text or "Scan" in text
     analyzed = db.session().explain(str(query.system), analyze=True)
-    assert "actual" in analyzed
+    assert "actual" in analyzed["plan"]
+
+
+def test_analyzed_explain_honours_limit():
+    """The analysed explain drained every answer whatever ``limit``
+    said: the top ExactFilter read ``actual: rows=32`` where
+    ``run(limit=1)`` stops after 1 answer and 4 partial tuples."""
+    session = Database.from_query(overlay_query(60, 60, seed=0)).session(limit=1)
+    report = session.explain("x & y !<= 0", order=("x", "y"), analyze=True)
+    limited = session.run("x & y !<= 0", order=("x", "y"))
+    assert report["stats"] == limited.stats.to_dict()
+    assert report["count"] == len(limited.answers) == 1
+    assert limited.stats.partial_tuples == 4
+    assert "actual: rows=1 " in report["plan"].splitlines()[1]
 
 
 def test_session_bench_payload_round_trips(db, workload):
+    """The analysed explain's report round-trips through JSON."""
     query, _map = workload
-    payload = db.session().bench(str(query.system))
-    assert payload["answers"] == payload["counters"]["tuples_emitted"]
-    # The counters block is the JSON-round-trippable ExecutionStats.
+    payload = db.session().explain(str(query.system), analyze=True)
+    assert payload["count"] == payload["stats"]["tuples_emitted"]
+    # The stats block is the JSON-round-trippable ExecutionStats.
     restored = ExecutionStats.from_dict(
-        json.loads(json.dumps(payload["counters"]))
+        json.loads(json.dumps(payload["stats"]))
     )
-    assert restored.to_dict() == payload["counters"]
-    assert set(payload["tables"]) == set(query.tables)
+    assert restored.to_dict() == payload["stats"]
+    assert {s.variable for s in restored.steps} == set(query.tables)
+    assert json.loads(json.dumps(payload)) == payload
 
 
 def test_session_aggregate_count(db, workload):

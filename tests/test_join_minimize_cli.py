@@ -194,23 +194,36 @@ class TestCli:
         assert "L: [y]" in proc.stdout
 
     def test_bench_json(self):
+        """The counters report is ``explain --analyze --json``: the
+        analysed plan, the order, the answer count, the full
+        ``ExecutionStats`` and the timings — nothing else."""
         import json
 
         proc = _cli(
-            "bench", "--workload", "smugglers", "--size", "6", "--json"
+            "explain", "--workload", "smugglers", "--size", "6",
+            "--analyze", "--json",
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert result["workload"] == "smugglers"
-        assert "packed" not in result and "split" not in result
+        assert set(result) == {
+            "plan", "order", "count", "stats",
+            "plan_s", "time_to_first_s", "total_s",
+        }
         assert sorted(result["order"]) == ["B", "R", "T"]
-        assert "node_reads" in result["counters"]
-        assert result["tables"]["T"]["kind"] == "rtree"
+        assert result["count"] == result["stats"]["tuples_emitted"]
+        assert sum(s["node_reads"] for s in result["stats"]["steps"]) > 0
+        assert "IndexProbe(T from towns)" in result["plan"]  # r-tree probe
+
+    def test_bench_subcommand_is_gone(self):
+        """``repro bench`` folded into ``explain --analyze``."""
+        proc = _cli("bench", "--workload", "smugglers", "--json")
+        assert proc.returncode == 2
+        assert "invalid choice: 'bench'" in proc.stderr
 
     def test_bench_no_pack_rstar(self):
         """The insertion-tree flags are gone: argparse rejects them."""
         proc = _cli(
-            "bench", "--workload", "chain", "--size", "10",
+            "explain", "--workload", "chain", "--size", "10", "--analyze",
             "--no-pack", "--split", "rstar",
         )
         assert proc.returncode == 2
@@ -220,19 +233,29 @@ class TestCli:
         """Grid and scan workloads build through the same bulk insert."""
         for index in ("grid", "scan"):
             proc = _cli(
-                "bench", "--workload", "smugglers", "--size", "6",
-                "--index", index,
+                "explain", "--workload", "smugglers", "--size", "6",
+                "--index", index, "--analyze",
             )
             assert proc.returncode == 0, proc.stderr
 
     def test_bench_parallel_flag_is_gone(self):
         """PBSM sweeps its tiles serially; --parallel is a usage error."""
         proc = _cli(
-            "bench", "--workload", "smugglers", "--size", "8",
-            "--partitions", "4", "--parallel", "2", "--json",
+            "explain", "--workload", "smugglers", "--size", "8",
+            "--partitions", "4", "--parallel", "2", "--analyze", "--json",
         )
         assert proc.returncode == 2
         assert "--parallel" in proc.stderr
+
+    def test_stream_flag_is_gone(self):
+        """Every run streams and reports time-to-first-answer."""
+        proc = _cli("run", "--workload", "smugglers", "--size", "8", "--stream")
+        assert proc.returncode == 2
+        assert "--stream" in proc.stderr
+        proc = _cli("run", "--workload", "smugglers", "--size", "8", "--limit", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "# 1 answers; planned in " in proc.stdout
+        assert "first after " in proc.stdout
 
     def test_explain_partitioned_join(self):
         proc = _cli(

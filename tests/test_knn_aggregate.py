@@ -539,17 +539,18 @@ class TestCliFlags:
         assert "count" in proc.stdout and "min(y)" in proc.stdout
 
     def test_bench_box_count_json(self):
+        """The pushed-down box COUNT through ``explain --analyze --json``."""
         import json
 
         proc = _cli(
-            "bench", "--workload", "sandwich", "--size", "12", "--json",
-            "--agg", "count", "--agg-box",
+            "explain", "--workload", "sandwich", "--size", "12", "--json",
+            "--analyze", "--agg", "count", "--agg-box",
             "--order-strategy", "greedy",
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert result["agg"] == "count"
-        assert result["answers"] == 1  # one aggregate row
+        assert "agg(count, boxes only)" in result["plan"]
+        assert result["count"] == 1  # one aggregate row
 
     def test_explain_knn(self):
         proc = _cli(

@@ -31,7 +31,7 @@ from repro import BoxQuery, Database, Session
 from repro.algebra import Region
 from repro.boolean.parser import MAX_DEPTH
 from repro.boxes import Box
-from repro.datagen import smugglers_query
+from repro.datagen import overlay_query, smugglers_query
 from repro.engine.stats import ExecutionStats
 from repro.errors import ServiceError
 from repro.service import QueryService, ServiceClient, serve_in_thread
@@ -229,11 +229,36 @@ def test_explain_over_the_wire(served):
 
 
 def test_bench_over_the_wire(served):
+    """The per-query report is ``/explain`` with ``analyze``."""
     _service, client, system = served
-    report = client.bench(system)
-    assert report["answers"] == report["counters"]["tuples_emitted"]
-    assert set(report["tables"]) == {"T", "R", "B"}
+    report = client.explain(system, analyze=True)
+    assert report["count"] == report["stats"]["tuples_emitted"]
+    assert {s["variable"] for s in report["stats"]["steps"]} == {"T", "R", "B"}
     assert report["snapshot"] >= 1
+    assert report["plan_s"] > 0 and report["total_s"] >= 0
+
+
+def test_bench_route_is_gone(served):
+    _service, client, system = served
+    status, reply = _raw_post(client, "/bench", json.dumps({"system": system}).encode())
+    assert status == "HTTP/1.1 404 Not Found"
+    assert "/bench" in reply["error"]
+
+
+def test_analyzed_explain_honours_limit_over_the_wire():
+    """``/explain`` accepted ``{"analyze": true, "limit": 1}`` and then
+    drained every answer."""
+    query = overlay_query(60, 60, seed=0)
+    handle = serve_in_thread(QueryService(Database.from_query(query), cache_size=0))
+    try:
+        with ServiceClient(*handle.address) as client:
+            options = {"order": ["x", "y"], "limit": 1}
+            report = client.explain("x & y !<= 0", analyze=True, **options)
+            limited = client.run("x & y !<= 0", **options)
+    finally:
+        handle.stop()
+    assert report["stats"] == limited["stats"]
+    assert report["count"] == limited["count"] == 1
 
 
 def test_nearest_over_the_wire(served):
@@ -355,7 +380,7 @@ def test_non_object_body_is_a_400_not_a_500(served):
     """``payload.get`` on a JSON array, string or number used to raise
     ``AttributeError`` in the handler: a 500."""
     _service, client, _system = served
-    for path in ("/run", "/explain", "/bench", "/nearest", "/insert", "/delete"):
+    for path in ("/run", "/explain", "/nearest", "/insert", "/delete"):
         for body in (b"[1, 2]", b'"x"', b"3"):
             status, reply = _raw_post(client, path, body)
             assert status == "HTTP/1.1 400 Bad Request", (path, body)
@@ -379,7 +404,7 @@ def test_unknown_or_retired_option_is_a_400_naming_it(served, key, value):
     """Retired options (``shards``, ``spill``, ``vectorize``) and typos
     used to be dropped silently: a 200 with default execution."""
     _service, client, system = served
-    for path in ("/run", "/explain", "/bench"):
+    for path in ("/run", "/explain"):
         body = json.dumps({"system": system, key: value}).encode()
         status, reply = _raw_post(client, path, body)
         assert status == "HTTP/1.1 400 Bad Request", path
@@ -419,7 +444,7 @@ def test_malformed_session_option_is_a_400(served, options):
     the handler: a 500.  The session's option check raises the typed
     ``OptionError`` on every query endpoint."""
     _service, client, system = served
-    for path in ("/run", "/explain", "/bench"):
+    for path in ("/run", "/explain"):
         body = json.dumps({"system": system, **options}).encode()
         status, reply = _raw_post(client, path, body)
         assert status == "HTTP/1.1 400 Bad Request", path
@@ -532,7 +557,7 @@ def test_concurrent_clients_during_wire_insert(served):
 
 def test_stats_payload_is_json_serializable(served):
     _service, client, system = served
-    reply = client.bench(system)
+    reply = client.explain(system, analyze=True)
     json.dumps(reply)  # no TypeError — everything is plain JSON
 
 

@@ -543,8 +543,10 @@ RETIRED_OPTIONS = {
     "bulk_insert(pack=False)": (
         lambda: SpatialTable("t", 2).bulk_insert([], pack=False), ValueError,
     ),
-    "repro bench --no-pack": (lambda: _cli_exit("bench", "--no-pack"), 2),
-    "repro bench --split rstar": (lambda: _cli_exit("bench", "--split", "rstar"), 2),
+    "repro explain --no-pack": (lambda: _cli_exit("explain", "--no-pack"), 2),
+    "repro explain --split rstar": (
+        lambda: _cli_exit("explain", "--split", "rstar"), 2,
+    ),
 }
 
 

@@ -111,6 +111,22 @@ class TestStreamingExecutor:
         probes_full = sum(t.probes for t in q.tables.values())
         assert probes_first < probes_full
 
+    def test_first_answer_costs_under_a_quarter_of_the_drain(self):
+        """The streaming gate, in counts: the operator tree pipelines,
+        so the first answer of the 280-town smugglers workload costs
+        under 25% of the full drain's partial tuples, region ops, node
+        reads and probes (3/305, 42/9 994, 49/1 238 and 3/210 when
+        written)."""
+        q, _m = smugglers_query(
+            seed=13, n_towns=280, n_roads=280, states_grid=(4, 4)
+        )
+        first = Session().run(q, limit=1)
+        full = Session().run(q)
+        assert len(first.answers) == 1 and len(full.answers) > 1
+        for counter in ("partial_tuples", "region_ops", "node_reads", "index_probes"):
+            spent = getattr(first.stats, counter)
+            assert spent < 0.25 * getattr(full.stats, counter), counter
+
     def test_answers_are_independent_dicts(self):
         q, _m = smugglers_query(seed=9, n_towns=8, n_roads=8)
         plan = compile_query(q)
