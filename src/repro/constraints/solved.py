@@ -24,11 +24,15 @@ which prints ``s``, ``t`` and each ``p_j``, ``q_j`` under the care set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Mapping, Optional, Tuple
+from operator import le, lt
+from typing import FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from ..algebra.regions import RegionAlgebra
 from ..boolean.printer import to_str
 from ..boolean.semantics import evaluate
 from ..boolean.syntax import FALSE, Formula, TRUE, conj, neg
+from ..boxes.box import Box
+from ..errors import UnboundVariableError, UniverseMismatchError
 from .system import EquationalSystem
 
 
@@ -96,13 +100,16 @@ class SolvedConstraint:
         """``True`` when the range part is ``0 ⊆ x ⊆ 1``."""
         return self.lower == FALSE and self.upper == TRUE
 
-    def bind(self, algebra, env: Mapping[str, object]) -> "BoundConstraint":
+    def bind(
+        self, algebra, env: Mapping[str, object], accept_unbound: bool = False
+    ) -> "BoundConstraint":
         """``C_i`` with the earlier variables fixed to ``env``.
 
         ``env`` must bind every earlier variable (and any constants) and
-        must not change while the bound constraint is in use.
+        must not change while the bound constraint is in use; see
+        :class:`BoundConstraint` for ``accept_unbound``.
         """
-        return BoundConstraint(self, algebra, env)
+        return BoundConstraint(self, algebra, env, accept_unbound)
 
     def holds(self, algebra, value, env: Mapping[str, object]) -> bool:
         """Check ``C_i`` exactly with ``value`` for the solved variable."""
@@ -120,55 +127,186 @@ class SolvedConstraint:
 
 
 _PENDING = object()
+_ACCEPT = object()  # an unbound slot under ``accept_unbound=True``
 
 
 class BoundConstraint:
     """A :class:`SolvedConstraint` bound to one environment.
 
     ``s``, ``t`` and every ``p_j``/``q_j`` are functions of the earlier
-    variables only, so each is evaluated at most once per environment —
-    on first need, in the order a single check needs them — and shared
-    by every candidate value passed to :meth:`holds`.  A variable
-    missing from the environment raises ``KeyError`` from every
-    :meth:`holds` call that gets as far as needing it.
+    variables only, so each is evaluated at most once per environment,
+    at the first value that needs it, and shared by every value
+    :meth:`select` checks.  A formula over a variable missing from the
+    environment raises :class:`~repro.errors.UnboundVariableError` at
+    each value that needs it; with ``accept_unbound=True`` (the
+    planner's sampling, where a variable may have no representative)
+    such slots are found up front and pass each value that needs them.
     """
 
     __slots__ = ("_solved", "_algebra", "_env", "_values")
 
-    def __init__(self, solved: SolvedConstraint, algebra, env: Mapping[str, object]):
+    def __init__(
+        self,
+        solved: SolvedConstraint,
+        algebra,
+        env: Mapping[str, object],
+        accept_unbound: bool = False,
+    ):
         self._solved = solved
         self._algebra = algebra
         self._env = env
         # s, t, then p_j, q_j per disequation.
         self._values = [_PENDING] * (2 + 2 * len(solved.disequations))
+        if accept_unbound:
+            pairs = [(r.p, r.q) for r in solved.disequations]
+            formulas = [solved.lower, solved.upper, *(f for pair in pairs for f in pair)]
+            for slot, formula in enumerate(formulas):
+                if not formula.variables().issubset(env):
+                    self._values[slot] = _ACCEPT
 
     def _value(self, slot: int, formula: Formula):
         value = self._values[slot]
         if value is _PENDING:
-            value = self._values[slot] = evaluate(
-                formula, self._algebra, self._env
-            )
+            try:
+                value = evaluate(formula, self._algebra, self._env)
+            except KeyError as exc:  # only a missing variable is ours
+                name = exc.args[0] if exc.args else None
+                if name in self._env or name not in formula.variables():
+                    raise
+                raise UnboundVariableError(
+                    f"C_{self._solved.variable} reads {name!r}, which has no value"
+                ) from exc
+            self._values[slot] = value
         return value
 
-    def holds(self, value) -> bool:
-        """Check the constraint with ``value`` for the solved variable."""
-        algebra, solved = self._algebra, self._solved
-        if not algebra.le(self._value(0, solved.lower), value):
-            return False
-        if not algebra.le(value, self._value(1, solved.upper)):
-            return False
-        outside = None  # ¬value, taken once and only when some q_j ≠ 0
-        for j, r in enumerate(solved.disequations, 1):
-            if algebra.meets(value, self._value(2 * j, r.p)):
+    def select(self, values: Iterable) -> Iterator[int]:
+        """Yield, lazily and in order, the position of each of
+        ``values`` that satisfies the constraint.
+
+        Each check bills the ``OpCounter`` as the algebra's ``le``/
+        ``meets``/``complement`` would.  Over the region algebra a
+        single-box value ``v`` is decided on coordinates, with no box
+        built: ``s ⊆ v`` box by box, ``v ∧ p ≠ 0`` as box overlap and
+        ``¬v ∧ q ≠ 0`` as "some box of ``q ∩ U`` is not inside ``v``" (a
+        ``v`` past the universe ``U`` raises
+        :class:`~repro.errors.UniverseMismatchError` where ``¬v`` would).
+        Values and the environment must be of the algebra's dimension.
+        """
+        algebra, solved, slots = self._algebra, self._solved, self._values
+        ops = algebra.ops
+        flat = isinstance(algebra, RegionAlgebra)
+        universe = algebra.universe_box if flat else None
+        disequations = [(2 * j, 2 * j + 1, r) for j, r in enumerate(solved.disequations, 1)]
+        s, t = slots[0], slots[1]
+        cover = _only_box(t)
+        for i, value in enumerate(values):
+            box = None
+            if flat and len(value.boxes) == 1:
+                box = value.boxes[0]
+                lo, hi = box.lo, box.hi
+            # s ⊆ value
+            if s is _PENDING:
+                s = self._value(0, solved.lower)
+            if s is _ACCEPT:
+                yield i
                 continue
-            qv = self._value(2 * j + 1, r.q)
-            if algebra.is_zero(qv):
-                return False
-            if outside is None:
-                outside = algebra.complement(value)
-            if not algebra.meets(outside, qv):
-                return False
-        return True
+            if box is None:
+                if not algebra.le(s, value):
+                    continue
+            else:
+                ops.comparisons += 1
+                ops.meet += 1
+                if s.boxes and not all(  # lo ≤ b.lo and b.hi ≤ hi
+                    all(map(le, lo + b.hi, b.lo + hi)) for b in s.boxes
+                ):
+                    continue
+            # value ⊆ t
+            if t is _PENDING:
+                t = self._value(1, solved.upper)
+                cover = _only_box(t)
+            if t is _ACCEPT:
+                yield i
+                continue
+            if box is None or cover is None:
+                if not algebra.le(value, t):
+                    continue
+            else:
+                ops.comparisons += 1
+                ops.meet += 1
+                # cover.lo ≤ lo and hi ≤ cover.hi, as one run of ≤
+                if not all(map(le, cover.lo + hi, lo + cover.hi)):
+                    continue
+            # each r_j: value ∧ p_j ≠ 0, or else ¬value ∧ q_j ≠ 0
+            outside = None  # ¬value, taken once and only when some q_j ≠ 0
+            passes = True
+            for at_p, at_q, r in disequations:
+                p = slots[at_p]
+                if p is _PENDING:
+                    p = self._value(at_p, r.p)
+                if p is _ACCEPT:
+                    break
+                if box is None:
+                    if algebra.meets(value, p):
+                        continue
+                else:
+                    ops.meet += 1
+                    for b in p.boxes:
+                        if all(map(lt, b.lo + lo, hi + b.hi)):  # b overlaps v
+                            break
+                    else:  # no box of p overlaps v
+                        b = None
+                    if b is not None:
+                        continue
+                q = slots[at_q]
+                if q is _PENDING:
+                    q = self._value(at_q, r.q)
+                if q is _ACCEPT:
+                    break
+                if algebra.is_zero(q):
+                    passes = False
+                    break
+                if box is None:
+                    if outside is None:
+                        outside = algebra.complement(value)
+                    if not algebra.meets(outside, q):
+                        passes = False
+                        break
+                    continue
+                if outside is None:
+                    outside = box  # ¬value is U minus this box
+                    ops.complement += 1
+                    if not box.le(universe):
+                        raise UniverseMismatchError(f"box {box!r} exceeds universe {universe!r}")
+                ops.meet += 1
+                if not _escapes(q.boxes, lo, hi, universe):
+                    passes = False
+                    break
+            if passes:
+                yield i
+
+    def holds(self, value) -> bool:
+        """Check the constraint with ``value`` for the solved variable:
+        :meth:`select` on one value."""
+        for _ in self.select((value,)):
+            return True
+        return False
+
+
+def _only_box(region) -> Optional[Box]:
+    """``region``'s box when it is a region of exactly one box."""
+    boxes = getattr(region, "boxes", ())
+    return boxes[0] if len(boxes) == 1 else None
+
+
+def _escapes(boxes, lo, hi, universe: Box) -> bool:
+    """Whether some box of ``boxes`` cut to ``universe`` is not inside
+    the box ``[lo, hi)`` — that is, whether ``(U ∖ [lo, hi)) ∧ boxes ≠ 0``."""
+    for b in boxes:
+        cut_lo = tuple(map(max, b.lo, universe.lo))
+        cut_hi = tuple(map(min, b.hi, universe.hi))
+        if all(map(lt, cut_lo, cut_hi)) and not all(map(le, lo + cut_hi, cut_lo + hi)):
+            return True
+    return False
 
 
 def solve_for(

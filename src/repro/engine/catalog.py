@@ -404,22 +404,16 @@ class TableStatistics:
         sample) with the regions in ``env`` bound; returns the
         satisfying fraction and the satisfying rows themselves (the
         planner's rollouts draw representative objects from them).  A
-        row whose evaluation needs a variable missing from ``env``
-        counts as satisfying — the conservative choice for costing.
+        row whose check needs a variable missing from ``env`` (one with
+        no representative) counts as satisfying — the conservative
+        choice for costing.
         """
         rows = tuple(pool) if pool is not None else self.sample
         if not rows:
             return 0.0, ()
-        bound = solved.bind(algebra, env)
-        holding = []
-        for obj in rows:
-            try:
-                ok = bound.holds(obj.region)
-            except KeyError:
-                ok = True
-            if ok:
-                holding.append(obj)
-        return len(holding) / len(rows), tuple(holding)
+        bound = solved.bind(algebra, env, accept_unbound=True)
+        holding = tuple(rows[i] for i in bound.select([o.region for o in rows]))
+        return len(holding) / len(rows), holding
 
     # -- snapshot serialization ------------------------------------------------
     def to_dict(self, row_index: dict) -> dict:

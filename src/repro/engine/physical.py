@@ -69,10 +69,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..boxes.box import Box, enclose_all
-from ..constraints.solved import BoundConstraint, SolvedConstraint
+from ..constraints.solved import SolvedConstraint
 from ..constraints.system import ConstraintSystem
 from ..errors import OptionError, UnknownModeError
 from ..spatial.partition import (
@@ -92,8 +93,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A partial (or complete) answer: variable name → retrieved object.
 Binding = Dict[str, SpatialObject]
+#: An input binding with the candidate rows for the next variable.
+CandidateList = Tuple[Binding, List[SpatialObject]]
 
 MODES = ("naive", "exact", "boxplan", "boxonly")
+
+_region = attrgetter("region")
 
 #: Ceiling of :class:`IndexProbe`'s group ramp: a 700-probe drain is
 #: flat from 64 up (within run-to-run noise), past it only the
@@ -201,9 +206,10 @@ class Once(PhysicalOperator):
 class ExtendStep(PhysicalOperator):
     """Base of the binding-extending operators.
 
-    An extend step pulls bindings from its child and, for each, yields
-    one extended binding per retrieved candidate row of ``table`` bound
-    to ``variable``.  Subclasses differ only in the access path.
+    An extend step pulls bindings from its child and hands each over
+    with its candidate rows of ``table`` (:meth:`candidate_lists`); as an
+    iterator it yields one extended binding per candidate, with the row
+    bound to ``variable``.  Subclasses differ only in the access path.
     """
 
     kind = "ExtendStep"
@@ -257,11 +263,13 @@ class ExtendStep(PhysicalOperator):
         """The extension rows of each binding of ``group``."""
         return [self._rows(ctx, binding) for binding in group]
 
-    def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
-        """Pull the input in groups of 1, 2, 4, ... up to
-        :meth:`_group_cap` and extend each binding with its rows, in
-        input order.  Doubling keeps the read-ahead under ``limit=``
-        below twice what the answers so far needed."""
+    def candidate_lists(self, ctx: ExecutionContext) -> Iterator[CandidateList]:
+        """Each input binding with its candidate rows, in input order,
+        the input pulled in groups of 1, 2, 4, ... up to
+        :meth:`_group_cap` (doubling keeps the read-ahead under
+        ``limit=`` below twice what the answers so far needed).  Whoever
+        walks a list bills the rows it takes to ``stats.rows_out``, so
+        a walk that stops partway stops the count there too."""
         self.stats.executed = True
         upstream = self.child.iterate(ctx)
         cap = self._group_cap(ctx)
@@ -271,13 +279,18 @@ class ExtendStep(PhysicalOperator):
             if not group:
                 return
             self.stats.rows_in += len(group)
-            for binding, rows in zip(group, self._group_rows(ctx, group)):
-                for obj in rows:
-                    extended = dict(binding)
-                    extended[self.variable] = obj
-                    self.stats.rows_out += 1
-                    yield extended
+            yield from zip(group, self._group_rows(ctx, group))
             size = min(2 * size, cap)
+
+    def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
+        """Every row of every candidate list, as an extended binding."""
+        stats, variable = self.stats, self.variable
+        for binding, rows in self.candidate_lists(ctx):
+            for obj in rows:
+                extended = dict(binding)
+                extended[variable] = obj
+                stats.rows_out += 1
+                yield extended
 
 
 class TableScan(ExtendStep):
@@ -670,7 +683,7 @@ class _BulkJoinStep(ExtendStep):
     ) -> List[Tuple[int, int]]:
         raise NotImplementedError
 
-    def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
+    def candidate_lists(self, ctx: ExecutionContext) -> Iterator[CandidateList]:
         self.stats.executed = True
         bindings: List[Binding] = []
         queries = []
@@ -707,19 +720,17 @@ class _BulkJoinStep(ExtendStep):
         pairs.sort()
         store = self.table.column_store()
         if store is None:
+            # One list per matching pair, so the pair tests are billed
+            # only as far as the consumer walks.
             for i, seq in pairs:
                 self.stats.pair_tests += 1
-                if not queries[i].matches(rows[seq].box):
-                    continue
-                extended = dict(bindings[i])
-                extended[self.variable] = rows[seq]
-                self.stats.rows_out += 1
-                yield extended
+                if queries[i].matches(rows[seq].box):
+                    yield bindings[i], [rows[seq]]
             return
         # Vectorized verification: the sorted pair list is contiguous
         # per input binding, so each group is one batched kernel over
         # its candidate rows' columnar slots.  Candidate order is
-        # ascending within a group, so the emit order (binding, then
+        # ascending within a group, so the row order (binding, then
         # table row order) matches the scalar loop exactly.
         start, n = 0, len(pairs)
         while start < n:
@@ -735,11 +746,8 @@ class _BulkJoinStep(ExtendStep):
             matched = store.match_positions(
                 queries[i], candidates=[row_pos[s] for s in seqs]
             )
-            for j in matched:
-                extended = dict(bindings[i])
-                extended[self.variable] = rows[seqs[j]]
-                self.stats.rows_out += 1
-                yield extended
+            if matched:
+                yield bindings[i], [rows[seqs[j]] for j in matched]
 
 
 class PartitionedSpatialJoin(_BulkJoinStep):
@@ -850,8 +858,8 @@ class ZOrderJoin(_BulkJoinStep):
         return list(zorder_join(left, right, exact=True))
 
 
-class BoxFilter(PhysicalOperator):
-    """Filter bindings by a step's instantiated box query.
+class BoxFilter(ExtendStep):
+    """Filter a kNN step's candidates by the step's box query.
 
     Follows a kNN step in the box modes: the kNN restriction supplies
     the candidate extensions, and this operator applies the box
@@ -862,47 +870,51 @@ class BoxFilter(PhysicalOperator):
 
     def __init__(
         self,
-        child: PhysicalOperator,
+        child: ExtendStep,
         variable: str,
         template: "StepTemplate",
     ) -> None:
-        super().__init__(child)
-        self.variable = variable
+        super().__init__(child, variable, child.table)
         self.template = template
 
     def describe(self) -> str:
         return f"{self.kind}([{self.variable}])"
 
-    def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
+    def candidate_lists(self, ctx: ExecutionContext) -> Iterator[CandidateList]:
+        """Walk the kNN step's lists and hand on each row that passes
+        as a list of its own, so the box test runs only as far as the
+        consumer walks."""
         self.stats.executed = True
-        for binding in self.child.iterate(ctx):
-            self.stats.rows_in += 1
-            box = binding[self.variable].box
-            if box.is_empty():
-                continue
-            env = ctx.box_env(binding)
-            query = self.template.instantiate(env, ctx.universe)
-            self.stats.box_evals += 1
-            if query.is_unsatisfiable() or not query.matches(box):
-                continue
-            self.stats.rows_out += 1
-            yield binding
+        extend = self.child
+        for binding, rows in extend.candidate_lists(ctx):
+            for obj in rows:
+                extend.stats.rows_out += 1
+                self.stats.rows_in += 1
+                box = obj.box
+                if box.is_empty():
+                    continue
+                query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
+                self.stats.box_evals += 1
+                if query.is_unsatisfiable() or not query.matches(box):
+                    continue
+                yield binding, [obj]
 
 
 class ExactFilter(PhysicalOperator):
     """Filter bindings with exact region algebra.
 
     Two flavours, matching the paper: a *step* filter checks one solved
-    constraint ``C_i`` against the binding's value for ``variable``
-    (``boxplan``/``exact``); a *final* filter checks the whole original
-    system on complete tuples (``naive``/``boxonly``).
+    constraint ``C_i`` on the candidates its extend child hands over
+    for ``variable`` (``boxplan``/``exact``); a *final* filter checks
+    the whole original system on complete tuples (``naive``/
+    ``boxonly``).
     """
 
     kind = "ExactFilter"
 
     def __init__(
         self,
-        child: PhysicalOperator,
+        child: PhysicalOperator,  # an ExtendStep under a step filter
         variable: Optional[str] = None,
         solved: Optional[SolvedConstraint] = None,
         system: Optional[ConstraintSystem] = None,
@@ -924,35 +936,40 @@ class ExactFilter(PhysicalOperator):
     def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
         self.stats.executed = True
         algebra = ctx.algebra
-        solved = self.solved
-        if solved is not None:
-            # One bound C_i per distinct tuple of the earlier rows it
-            # reads, for the whole execution: the formulas over them are
-            # evaluated (and billed) once however the candidates of one
-            # partial tuple arrive — per tuple, batched or bulk-joined.
-            # Keyed on the regions' identities; each bound constraint's
-            # environment keeps its regions alive.
-            reads = sorted(
-                solved.earlier_variables() - set(ctx.plan.query.bindings)
-            )
-            bound_by_rows: Dict[Tuple[int, ...], BoundConstraint] = {}
-        for binding in self.child.iterate(ctx):
-            self.stats.rows_in += 1
-            before = algebra.ops.total
-            if solved is not None:
-                key = tuple(id(binding[name].region) for name in reads)
-                bound = bound_by_rows.get(key)
-                if bound is None:
-                    bound = bound_by_rows[key] = solved.bind(
-                        algebra, ctx.region_env(binding)
-                    )
-                ok = bound.holds(binding[self.variable].region)
-            else:
+        if self.solved is None:
+            for binding in self.child.iterate(ctx):
+                self.stats.rows_in += 1
+                before = algebra.ops.total
                 ok = self.system.holds(algebra, ctx.region_env(binding))
-            self.stats.region_ops += algebra.ops.total - before
-            if ok:
-                self.stats.rows_out += 1
-                yield binding
+                self.stats.region_ops += algebra.ops.total - before
+                if ok:
+                    self.stats.rows_out += 1
+                    yield binding
+            return
+        # One bound C_i per input binding, one walk per candidate list:
+        # the candidates, the region operations and the extend step's
+        # output are billed up to each survivor as it is yielded, and
+        # up to the end of the list once the walk finishes it.
+        ops, stats, variable, extend = algebra.ops, self.stats, self.variable, self.child
+        bound_to: Optional[Binding] = None
+        for binding, rows in extend.candidate_lists(ctx):
+            if binding is not bound_to:
+                bound_to = binding
+                bound = self.solved.bind(algebra, ctx.region_env(binding))
+            taken, before = 0, ops.total
+            for i in bound.select(map(_region, rows)):
+                stats.region_ops += ops.total - before
+                stats.rows_in += i + 1 - taken
+                extend.stats.rows_out += i + 1 - taken
+                taken = i + 1
+                extended = dict(binding)
+                extended[variable] = rows[i]
+                stats.rows_out += 1
+                yield extended
+                before = ops.total  # the consumer's own work is not ours
+            stats.region_ops += ops.total - before
+            stats.rows_in += len(rows) - taken
+            extend.stats.rows_out += len(rows) - taken
 
 
 @dataclass

@@ -64,6 +64,12 @@ class ReferenceBound:
     def holds(self, value):
         return reference_holds(self.solved, self.algebra, value, self.env)
 
+    def select(self, values):
+        """``BoundConstraint.select``'s interface: ``holds`` per value."""
+        for i, value in enumerate(values):
+            if self.holds(value):
+                yield i
+
 
 # -- engine/catalog.py -------------------------------------------------------
 def _clamp(p):

@@ -365,3 +365,21 @@ class TestMultiTableScanBackendAgreement:
             got[index] = answers_as_oid_tuples(answers, ["x", "y"])
         assert got["rtree"] == got["scan"] == got["grid"]
         assert got["rtree"]
+
+
+@pytest.mark.parametrize("mode", ["boxplan", "exact"])
+def test_a_step_filter_reading_an_unbound_variable_raises(plan, mode):
+    """The step ``ExactFilter`` names a variable its bindings lack with
+    :class:`UnboundVariableError` at the first candidate that needs it;
+    any other ``KeyError`` is not caught."""
+    from dataclasses import replace
+
+    from repro.boolean import FALSE, Var
+    from repro.constraints import SolvedConstraint
+    from repro.errors import UnboundVariableError
+
+    last = plan.steps[-1]
+    ghost = SolvedConstraint(last.variable, FALSE, Var("ghost"))
+    broken = replace(plan, steps=plan.steps[:-1] + (replace(last, exact=ghost),))
+    with pytest.raises(UnboundVariableError, match="ghost"):
+        list(build_physical_plan(broken, mode, estimate=False).execute_iter())

@@ -3,9 +3,12 @@
 ``tests/data/report_counters.json`` holds, per workload, the CLI flags
 and, per columnar backend, the ``ExecutionStats.as_dict()`` counters
 that ``repro bench --json`` printed for them before ``bench`` folded
-into ``explain --analyze``.  The report must bill every query exactly as
-before: its ``stats`` block, flattened the same way, is byte-equal to
-the recorded counters.
+into ``explain --analyze``.  The two ``*-limit-1`` entries were recorded
+from ``explain --analyze --json`` before the step filter walked whole
+candidate lists: with them a walk that stops partway through a list is
+pinned on a two-step and a three-step query.  The report must bill
+every query exactly as before: its ``stats`` block, flattened the same
+way, is byte-equal to the recorded counters.
 """
 
 import json

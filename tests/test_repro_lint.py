@@ -548,6 +548,72 @@ class QueryService:
     assert run_pass(ConcurrencyPass(), (path, locked)) == []
 
 
+def test_billing_flags_an_unbilled_exact_check():
+    findings = run_pass(
+        BillingPass(),
+        (
+            "src/repro/engine/physical.py",
+            OPERATOR_PRELUDE
+            + """
+class SilentFilter(PhysicalOperator):
+    def iterate(self, ctx):
+        self.stats.executed = True
+        for binding, rows in self.child.candidate_lists(ctx):
+            bound = self.solved.bind(ctx.algebra, binding)
+            for i in bound.select(rows):
+                self.stats.rows_out += 1
+                yield rows[i]
+
+class SilentHolds(PhysicalOperator):
+    def iterate(self, ctx):
+        self.stats.executed = True
+        for binding in self.child.iterate(ctx):
+            if self.system.holds(ctx.algebra, binding):
+                yield binding
+""",
+        ),
+    )
+    assert rules_of(findings) == ["REPRO203"]
+    assert {f.symbol for f in findings} == {
+        "SilentFilter.iterate",
+        "SilentHolds.iterate",
+    }
+
+
+def test_billing_allows_exact_checks_billed_directly_or_through_an_alias():
+    findings = run_pass(
+        BillingPass(),
+        (
+            "src/repro/engine/physical.py",
+            OPERATOR_PRELUDE
+            + """
+class AliasFilter(PhysicalOperator):
+    def iterate(self, ctx):
+        self.stats.executed = True
+        ops, stats = ctx.algebra.ops, self.stats
+        for binding, rows in self.child.candidate_lists(ctx):
+            before = ops.total
+            for i in self.solved.bind(ctx.algebra, binding).select(rows):
+                stats.region_ops += ops.total - before
+                yield rows[i]
+                before = ops.total
+            stats.region_ops += ops.total - before
+
+class DirectFilter(PhysicalOperator):
+    def iterate(self, ctx):
+        self.stats.executed = True
+        for binding in self.child.iterate(ctx):
+            before = ctx.algebra.ops.total
+            ok = self.system.holds(ctx.algebra, binding)
+            self.stats.region_ops += ctx.algebra.ops.total - before
+            if ok:
+                yield binding
+""",
+        ),
+    )
+    assert findings == []
+
+
 # -- pass 5: operator contract -------------------------------------------------
 
 
@@ -633,6 +699,87 @@ class Custom(PhysicalOperator):
         ),
     )
     assert findings == []
+
+
+LISTS_PRELUDE = """
+class PhysicalOperator:
+    def __init__(self, child=None):
+        self.child = child
+        self.stats = object()
+        self.est_rows = None
+
+    def iterate(self, ctx):
+        raise NotImplementedError
+
+class ExtendStep(PhysicalOperator):
+    def candidate_lists(self, ctx):
+        self.stats.executed = True
+        for binding in self.child.iterate(ctx):
+            yield binding, self._rows(ctx, binding)
+
+    def iterate(self, ctx):
+        for binding, rows in self.candidate_lists(ctx):
+            yield from rows
+
+    def _rows(self, ctx, binding):
+        raise NotImplementedError
+
+class _BulkJoinStep(ExtendStep):
+    def candidate_lists(self, ctx):
+        self.stats.executed = True
+        yield from self._candidate_pairs(ctx, [], [])
+
+    def _candidate_pairs(self, ctx, probes, rows):
+        raise NotImplementedError
+"""
+
+
+def test_contract_accepts_the_candidate_lists_hook():
+    findings = run_pass(
+        OperatorContractPass(),
+        (
+            "src/repro/engine/physical.py",
+            LISTS_PRELUDE
+            + """
+class Probe(ExtendStep):
+    def _rows(self, ctx, binding):
+        return []
+
+class Filtered(ExtendStep):
+    def candidate_lists(self, ctx):
+        self.stats.executed = True
+        for binding, rows in self.child.candidate_lists(ctx):
+            yield binding, rows[:1]
+
+class Sweep(_BulkJoinStep):
+    def _candidate_pairs(self, ctx, probes, rows):
+        return []
+""",
+        ),
+    )
+    assert findings == []
+
+
+def test_contract_holds_candidate_lists_providers_to_their_hooks():
+    findings = run_pass(
+        OperatorContractPass(),
+        (
+            "src/repro/engine/physical.py",
+            LISTS_PRELUDE
+            + """
+class NoPairs(_BulkJoinStep):
+    pass
+
+class Unmarked(ExtendStep):
+    def candidate_lists(self, ctx):
+        yield from ()
+""",
+        ),
+    )
+    assert [(f.rule, f.symbol) for f in findings] == [
+        ("REPRO501", "NoPairs"),
+        ("REPRO503", "Unmarked"),
+    ]
 
 
 # -- suppressions, baseline, reporters, CLI ------------------------------------

@@ -1,4 +1,4 @@
-"""Pass 2 — counter-billing parity (REPRO201-202).
+"""Pass 2 — counter-billing parity (REPRO201-203).
 
 ``ExecutionStats`` is the paper-reproduction's measurement instrument:
 every mode, join strategy, and columnar backend must bill the same
@@ -6,8 +6,9 @@ work to the same counters, or the benchmark gates compare apples to
 oranges.  Two structural properties are checkable without running:
 
 * REPRO201 — an operator body (``_rows``/``_group_rows``/
-  ``_candidate_pairs``/``iterate``) that calls index/probe APIs but never touches
-  ``self.stats`` cannot be billing the work it does;
+  ``_candidate_pairs``/``candidate_lists``/``iterate``) that calls
+  index/probe APIs but never touches ``self.stats`` cannot be billing
+  the work it does;
 * REPRO202 — a columnar/scalar split in which one side bills a
   counter the other side does not (``vectorized_batches``/
   ``vectorized_candidates`` are exempt: they exist to *count* the
@@ -16,7 +17,12 @@ oranges.  Two structural properties are checkable without running:
   write delta is pending): an ``if``/``else`` compares its two branches;
   an early-exit guard (``if store is None: … return``, ``if store is
   not None and …: … continue``) compares the guarded block with the
-  code after it in the same block.
+  code after it in the same block;
+* REPRO203 — an operator body that runs the exact check (a bound
+  constraint's ``select``/``holds``, or a system's ``holds``) but never
+  bills ``self.stats.region_ops`` (directly or through a local alias
+  of ``self.stats``) hides the exact region operations from
+  ``ExecutionStats``.
 """
 
 from __future__ import annotations
@@ -50,6 +56,14 @@ RULES = {
         fix="bill the same logical counters on both sides; only "
         "vectorized_batches/vectorized_candidates may differ",
     ),
+    "REPRO203": Rule(
+        id="REPRO203",
+        name="unbilled-exact-check",
+        summary="operator runs the exact check without billing "
+        "stats.region_ops",
+        fix="bill the algebra's OpCounter delta around the check to "
+        "self.stats.region_ops",
+    ),
 }
 
 #: Table/index APIs whose calls represent billable index work.
@@ -70,6 +84,9 @@ PROBE_APIS = {
     "scan",
 }
 
+#: Calls that run the exact region-algebra check.
+EXACT_APIS = {"select", "holds"}
+
 #: Counters that legitimately differ between scalar and vectorized twins.
 SYMMETRY_EXEMPT = {"vectorized_batches", "vectorized_candidates"}
 
@@ -79,7 +96,13 @@ SPLIT_TESTS = ("store is None", "store is not None")
 #: Statements that end a guarded block: the scalar twin follows it.
 _EXITS = (ast.Return, ast.Continue, ast.Break, ast.Raise)
 
-_OPERATOR_METHODS = ("_rows", "_group_rows", "_candidate_pairs", "iterate")
+_OPERATOR_METHODS = (
+    "_rows",
+    "_group_rows",
+    "_candidate_pairs",
+    "candidate_lists",
+    "iterate",
+)
 
 
 class BillingPass:
@@ -101,6 +124,7 @@ class BillingPass:
                 symbol = f"{node.name}.{method.name}"
                 self._check_unbilled(module, method, symbol, findings)
                 self._check_asymmetry(module, method, symbol, findings)
+                self._check_exact(module, method, symbol, findings)
         return findings
 
     def _check_unbilled(
@@ -140,6 +164,39 @@ class BillingPass:
                     fix_hint=RULES["REPRO201"].fix,
                 )
             )
+
+    def _check_exact(
+        self,
+        module: Module,
+        method: ast.FunctionDef,
+        symbol: str,
+        findings: List[Finding],
+    ) -> None:
+        check = None
+        for node in ast.walk(method):
+            if isinstance(node, ast.Call):
+                chain = attr_chain(node.func)
+                if "." in chain and chain.rpartition(".")[2] in EXACT_APIS:
+                    check = check or node
+        if check is None or "region_ops" in _billed_counters(
+            method.body, _stats_aliases(method)
+        ):
+            return
+        findings.append(
+            Finding(
+                rule="REPRO203",
+                severity=RULES["REPRO203"].severity,
+                path=module.relpath,
+                line=check.lineno,
+                column=check.col_offset,
+                symbol=symbol,
+                message=(
+                    f"{symbol} calls {attr_chain(check.func)}() but never "
+                    "bills self.stats.region_ops"
+                ),
+                fix_hint=RULES["REPRO203"].fix,
+            )
+        )
 
     def _check_asymmetry(
         self,
@@ -193,18 +250,41 @@ def _blocks(method: ast.FunctionDef) -> Iterator[List[ast.stmt]]:
                 yield block
 
 
-def _billed_counters(stmts: List[ast.stmt]) -> Set[str]:
-    """Counter names aug-assigned through ``self.stats.X`` in ``stmts``."""
+def _stats_aliases(method: ast.FunctionDef) -> Set[str]:
+    """Local names bound to ``self.stats`` in ``method`` (``stats =
+    self.stats``, also inside a tuple assignment)."""
+    out: Set[str] = set()
+    for node in ast.walk(method):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and attr_chain(value) == "self.stats":
+                    out.add(name.id)
+    return out
+
+
+def _billed_counters(
+    stmts: List[ast.stmt], aliases: Set[str] = frozenset()
+) -> Set[str]:
+    """Counter names aug-assigned through ``self.stats.X`` in ``stmts``
+    (or through ``alias.X`` for a local alias of ``self.stats``)."""
+    prefixes = ("self.stats.",) + tuple(f"{a}." for a in sorted(aliases))
     out: Set[str] = set()
     for stmt in stmts:
         for node in ast.walk(stmt):
             if isinstance(node, ast.AugAssign):
-                chain = attr_chain(node.target)
-                if chain.startswith("self.stats."):
-                    out.add(chain.split(".", 2)[2])
+                targets = [node.target]
             elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    chain = attr_chain(target)
-                    if chain.startswith("self.stats."):
-                        out.add(chain.split(".", 2)[2])
+                targets = node.targets
+            else:
+                continue
+            for target in targets:
+                chain = attr_chain(target)
+                for prefix in prefixes:
+                    if chain.startswith(prefix):
+                        out.add(chain[len(prefix):].split(".", 1)[0])
     return out

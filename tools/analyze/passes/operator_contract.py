@@ -4,16 +4,19 @@ Every ``PhysicalOperator`` subclass participates in three protocols
 that ``PhysicalPlan``/``explain`` assume structurally:
 
 * REPRO501 — the iterator protocol: the class (or an ancestor) must
-  provide ``iterate``, and when the provider is a template base
-  (``ExtendStep`` -> ``_rows`` or, for a whole group of bindings,
-  ``_group_rows``; ``_BulkJoinStep`` -> ``_candidate_pairs``) the
-  class must implement or inherit the hook;
+  provide ``iterate`` or ``candidate_lists`` (the extend steps' hook
+  that hands each input binding over with its candidate rows, which
+  their ``iterate`` and the step ``ExactFilter`` walk), and when the
+  nearest provider is a template base (``ExtendStep`` -> ``_rows`` or,
+  for a whole group of bindings, ``_group_rows``; ``_BulkJoinStep`` ->
+  ``_candidate_pairs``) the class must implement or inherit the hook;
 * REPRO502 — estimate plumbing: an operator defining ``__init__`` must
   call ``super().__init__(...)`` (or set ``self.stats`` and
   ``self.est_rows`` itself) so EXPLAIN's estimate/actual columns and
   stats folding have their fields;
-* REPRO503 — stats propagation: a directly-defined ``iterate`` must
-  set ``self.stats.executed`` so ``ExecutionStats`` and
+* REPRO503 — stats propagation: a directly-defined ``iterate`` or
+  ``candidate_lists`` must set ``self.stats.executed`` (or pull
+  ``self.candidate_lists``, which does) so ``ExecutionStats`` and
   ``explain(analyze=True)`` see the operator as pulled.
 
 Abstract template bases (a hook body that just raises
@@ -41,8 +44,9 @@ RULES = {
         name="missing-iterate",
         summary="operator provides neither iterate() nor its template "
         "base's hook",
-        fix="implement iterate(ctx), or the template hook (_rows/"
-        "_candidate_pairs) of the base you derive from",
+        fix="implement iterate(ctx) or candidate_lists(ctx), or the "
+        "template hook (_rows/_candidate_pairs) of the base you derive "
+        "from",
     ),
     "REPRO502": Rule(
         id="REPRO502",
@@ -55,7 +59,8 @@ RULES = {
     "REPRO503": Rule(
         id="REPRO503",
         name="missing-executed-mark",
-        summary="iterate() never sets self.stats.executed",
+        summary="iterate()/candidate_lists() never sets "
+        "self.stats.executed",
         fix="set self.stats.executed = True on entry so "
         "explain(analyze=True) reports the operator as pulled",
     ),
@@ -70,6 +75,9 @@ TEMPLATE_HOOKS = {
 }
 
 ROOT = "PhysicalOperator"
+
+#: The methods a consumer pulls an operator through.
+ENTRY_POINTS = ("iterate", "candidate_lists")
 
 
 class OperatorContractPass:
@@ -103,7 +111,7 @@ class OperatorContractPass:
         for info in chain:
             if info.name == ROOT:
                 break
-            if _defines(info.node, "iterate"):
+            if any(_defines(info.node, entry) for entry in ENTRY_POINTS):
                 provider = info
                 break
         if provider is None:
@@ -113,7 +121,8 @@ class OperatorContractPass:
                     module,
                     cls,
                     f"{cls.name} inherits PhysicalOperator.iterate "
-                    "(NotImplementedError) and provides no override",
+                    "(NotImplementedError) and provides no override "
+                    "(nor candidate_lists)",
                 )
             )
             return
@@ -134,8 +143,9 @@ class OperatorContractPass:
                     "REPRO501",
                     module,
                     cls,
-                    f"{cls.name} relies on {provider.name}.iterate but "
-                    f"implements no {hook}() hook",
+                    f"{cls.name} relies on {provider.name}'s "
+                    f"iterate/candidate_lists but implements no {hook}() "
+                    "hook",
                 )
             )
         elif _is_abstract(hook_impl) and not self._has_concrete_subclass(
@@ -213,22 +223,18 @@ class OperatorContractPass:
     def _check_executed(
         self, module: Module, cls: ast.ClassDef, findings: List[Finding]
     ) -> None:
-        iterate = _find_method(cls, "iterate")
-        if iterate is None or _is_abstract(iterate):
-            return
-        for node in ast.walk(iterate):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if attr_chain(target) == "self.stats.executed":
-                        return
-        findings.append(
-            self._finding(
-                "REPRO503",
-                module,
-                cls,
-                f"{cls.name}.iterate never sets self.stats.executed",
+        for entry in ENTRY_POINTS:
+            method = _find_method(cls, entry)
+            if method is None or _is_abstract(method) or _marks_executed(method):
+                continue
+            findings.append(
+                self._finding(
+                    "REPRO503",
+                    module,
+                    cls,
+                    f"{cls.name}.{entry} never sets self.stats.executed",
+                )
             )
-        )
 
     @staticmethod
     def _finding(
@@ -244,6 +250,22 @@ class OperatorContractPass:
             message=message,
             fix_hint=RULES[rule].fix,
         )
+
+
+def _marks_executed(method: ast.FunctionDef) -> bool:
+    """Sets ``self.stats.executed``, or pulls ``self.candidate_lists``
+    (whose definitions are held to the same rule)."""
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign) and any(
+            attr_chain(target) == "self.stats.executed" for target in node.targets
+        ):
+            return True
+        if (
+            isinstance(node, ast.Call)
+            and attr_chain(node.func) == "self.candidate_lists"
+        ):
+            return True
+    return False
 
 
 def _defines(cls: ast.ClassDef, method: str) -> bool:
