@@ -23,7 +23,7 @@ bridge into Section 4 of the paper.
 
 from __future__ import annotations
 
-from operator import lt
+from operator import le, lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..boxes.box import Box, enclose_all
@@ -207,10 +207,13 @@ class RegionAlgebra(BooleanAlgebra[Region]):
 
     def _check(self, a: Region) -> None:
         for b in a.boxes:
-            if not b.le(self._universe):
-                raise UniverseMismatchError(
-                    f"box {b!r} exceeds universe {self._universe!r}"
-                )
+            self._check_box(b)
+
+    def _check_box(self, b: Box) -> None:
+        if not b.le(self._universe):
+            raise UniverseMismatchError(
+                f"box {b!r} exceeds universe {self._universe!r}"
+            )
 
     def meet(self, a: Region, b: Region) -> Region:
         self.ops.meet += 1
@@ -275,6 +278,55 @@ class RegionAlgebra(BooleanAlgebra[Region]):
             for bb in b.boxes:
                 if ba.overlaps(bb):
                     return True
+        return False
+
+    # -- one-box operands (BoundConstraint.select) ----------------------------------------
+    # ``le``/``meets``/``complement`` with one operand the region of one nonempty
+    # ``box`` of this dimension: decided on coordinates, nothing built, billed alike.
+
+    def covers_box(self, a: Region, box: Box) -> bool:
+        """``le(a, Region((box,)))``: every box of ``a`` inside ``box``."""
+        self.ops.comparisons += 1
+        self.ops.meet += 1
+        lo, hi = box.lo, box.hi
+        for b in a.boxes:  # lo ≤ b.lo and b.hi ≤ hi
+            if not all(map(le, lo + b.hi, b.lo + hi)):
+                return False
+        return True
+
+    def box_le(self, box: Box, b: Region) -> bool:
+        """``le(Region((box,)), b)``."""
+        self.ops.comparisons += 1
+        self.ops.meet += 1
+        if len(b.boxes) != 1:
+            return not _cut(box, b.boxes)
+        cover = b.boxes[0]  # cover.lo ≤ box.lo and box.hi ≤ cover.hi
+        return all(map(le, cover.lo + box.hi, box.lo + cover.hi))
+
+    def box_meets(self, box: Box, b: Region) -> bool:
+        """``meets(Region((box,)), b)``."""
+        self.ops.meet += 1
+        lo, hi = box.lo, box.hi
+        for c in b.boxes:  # each starts before the other ends
+            if all(map(lt, c.lo + lo, hi + c.hi)):
+                return True
+        return False
+
+    def box_complement(self, box: Box) -> Box:
+        """``complement(Region((box,)))`` unbuilt: ``box``, for :meth:`outside_meets`."""
+        self.ops.complement += 1
+        self._check_box(box)
+        return box
+
+    def outside_meets(self, box: Box, b: Region) -> bool:
+        """``meets(complement(Region((box,))), b)``: some box of ``b ∧ U`` is not in ``box``."""
+        self.ops.meet += 1
+        lo, hi = box.lo, box.hi
+        ulo, uhi = self._universe.lo, self._universe.hi
+        for c in b.boxes:
+            cut_lo, cut_hi = tuple(map(max, c.lo, ulo)), tuple(map(min, c.hi, uhi))
+            if all(map(lt, cut_lo, cut_hi)) and not all(map(le, lo + cut_hi, cut_lo + hi)):
+                return True
         return False
 
     def eq(self, a: Region, b: Region) -> bool:

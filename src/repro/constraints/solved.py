@@ -24,15 +24,13 @@ which prints ``s``, ``t`` and each ``p_j``, ``q_j`` under the care set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le, lt
 from typing import FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..algebra.regions import RegionAlgebra
 from ..boolean.printer import to_str
 from ..boolean.semantics import evaluate
 from ..boolean.syntax import FALSE, Formula, TRUE, conj, neg
-from ..boxes.box import Box
-from ..errors import UnboundVariableError, UniverseMismatchError
+from ..errors import UnboundVariableError
 from .system import EquationalSystem
 
 
@@ -145,13 +143,7 @@ class BoundConstraint:
 
     __slots__ = ("_solved", "_algebra", "_env", "_values")
 
-    def __init__(
-        self,
-        solved: SolvedConstraint,
-        algebra,
-        env: Mapping[str, object],
-        accept_unbound: bool = False,
-    ):
+    def __init__(self, solved: SolvedConstraint, algebra, env, accept_unbound: bool = False):
         self._solved = solved
         self._algebra = algebra
         self._env = env
@@ -180,64 +172,35 @@ class BoundConstraint:
         return value
 
     def select(self, values: Iterable) -> Iterator[int]:
-        """Yield, lazily and in order, the position of each of
-        ``values`` that satisfies the constraint.
-
-        Each check bills the ``OpCounter`` as the algebra's ``le``/
-        ``meets``/``complement`` would.  Over the region algebra a
-        single-box value ``v`` is decided on coordinates, with no box
-        built: ``s ⊆ v`` box by box, ``v ∧ p ≠ 0`` as box overlap and
-        ``¬v ∧ q ≠ 0`` as "some box of ``q ∩ U`` is not inside ``v``" (a
-        ``v`` past the universe ``U`` raises
-        :class:`~repro.errors.UniverseMismatchError` where ``¬v`` would).
-        Values and the environment must be of the algebra's dimension.
+        """Yield, lazily and in order, the position of each of ``values``
+        that satisfies the constraint, checked with the algebra's ``le``/
+        ``meets``/``complement`` — over the region algebra a single-box
+        value with their one-box forms (``RegionAlgebra.covers_box``, ...).
         """
         algebra, solved, slots = self._algebra, self._solved, self._values
-        ops = algebra.ops
         flat = isinstance(algebra, RegionAlgebra)
-        universe = algebra.universe_box if flat else None
         disequations = [(2 * j, 2 * j + 1, r) for j, r in enumerate(solved.disequations, 1)]
         s, t = slots[0], slots[1]
-        cover = _only_box(t)
         for i, value in enumerate(values):
-            box = None
-            if flat and len(value.boxes) == 1:
-                box = value.boxes[0]
-                lo, hi = box.lo, box.hi
+            box = value.boxes[0] if flat and len(value.boxes) == 1 else None
             # s ⊆ value
             if s is _PENDING:
                 s = self._value(0, solved.lower)
             if s is _ACCEPT:
                 yield i
                 continue
-            if box is None:
-                if not algebra.le(s, value):
-                    continue
-            else:
-                ops.comparisons += 1
-                ops.meet += 1
-                if s.boxes and not all(  # lo ≤ b.lo and b.hi ≤ hi
-                    all(map(le, lo + b.hi, b.lo + hi)) for b in s.boxes
-                ):
-                    continue
+            if not (algebra.le(s, value) if box is None else algebra.covers_box(s, box)):
+                continue
             # value ⊆ t
             if t is _PENDING:
                 t = self._value(1, solved.upper)
-                cover = _only_box(t)
             if t is _ACCEPT:
                 yield i
                 continue
-            if box is None or cover is None:
-                if not algebra.le(value, t):
-                    continue
-            else:
-                ops.comparisons += 1
-                ops.meet += 1
-                # cover.lo ≤ lo and hi ≤ cover.hi, as one run of ≤
-                if not all(map(le, cover.lo + hi, lo + cover.hi)):
-                    continue
+            if not (algebra.le(value, t) if box is None else algebra.box_le(box, t)):
+                continue
             # each r_j: value ∧ p_j ≠ 0, or else ¬value ∧ q_j ≠ 0
-            outside = None  # ¬value, taken once and only when some q_j ≠ 0
+            outside = None  # taken only when some q_j ≠ 0
             passes = True
             for at_p, at_q, r in disequations:
                 p = slots[at_p]
@@ -245,18 +208,8 @@ class BoundConstraint:
                     p = self._value(at_p, r.p)
                 if p is _ACCEPT:
                     break
-                if box is None:
-                    if algebra.meets(value, p):
-                        continue
-                else:
-                    ops.meet += 1
-                    for b in p.boxes:
-                        if all(map(lt, b.lo + lo, hi + b.hi)):  # b overlaps v
-                            break
-                    else:  # no box of p overlaps v
-                        b = None
-                    if b is not None:
-                        continue
+                if algebra.meets(value, p) if box is None else algebra.box_meets(box, p):
+                    continue
                 q = slots[at_q]
                 if q is _PENDING:
                     q = self._value(at_q, r.q)
@@ -265,48 +218,21 @@ class BoundConstraint:
                 if algebra.is_zero(q):
                     passes = False
                     break
-                if box is None:
-                    if outside is None:
-                        outside = algebra.complement(value)
-                    if not algebra.meets(outside, q):
-                        passes = False
-                        break
-                    continue
-                if outside is None:
-                    outside = box  # ¬value is U minus this box
-                    ops.complement += 1
-                    if not box.le(universe):
-                        raise UniverseMismatchError(f"box {box!r} exceeds universe {universe!r}")
-                ops.meet += 1
-                if not _escapes(q.boxes, lo, hi, universe):
+                if outside is None:  # ¬value, billed once
+                    outside = (algebra.complement(value) if box is None
+                               else algebra.box_complement(box))
+                if not (algebra.meets(outside, q) if box is None
+                        else algebra.outside_meets(box, q)):
                     passes = False
                     break
             if passes:
                 yield i
 
     def holds(self, value) -> bool:
-        """Check the constraint with ``value`` for the solved variable:
-        :meth:`select` on one value."""
+        """Check the constraint with ``value``: :meth:`select` on one value."""
         for _ in self.select((value,)):
             return True
         return False
-
-
-def _only_box(region) -> Optional[Box]:
-    """``region``'s box when it is a region of exactly one box."""
-    boxes = getattr(region, "boxes", ())
-    return boxes[0] if len(boxes) == 1 else None
-
-
-def _escapes(boxes, lo, hi, universe: Box) -> bool:
-    """Whether some box of ``boxes`` cut to ``universe`` is not inside
-    the box ``[lo, hi)`` — that is, whether ``(U ∖ [lo, hi)) ∧ boxes ≠ 0``."""
-    for b in boxes:
-        cut_lo = tuple(map(max, b.lo, universe.lo))
-        cut_hi = tuple(map(min, b.hi, universe.hi))
-        if all(map(lt, cut_lo, cut_hi)) and not all(map(le, lo + cut_hi, cut_lo + hi)):
-            return True
-    return False
 
 
 def solve_for(

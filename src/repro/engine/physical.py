@@ -73,7 +73,7 @@ from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..boxes.box import Box, enclose_all
-from ..constraints.solved import SolvedConstraint
+from ..constraints.solved import BoundConstraint, SolvedConstraint
 from ..constraints.system import ConstraintSystem
 from ..errors import OptionError, UnknownModeError
 from ..spatial.partition import (
@@ -946,30 +946,50 @@ class ExactFilter(PhysicalOperator):
                     self.stats.rows_out += 1
                     yield binding
             return
-        # One bound C_i per input binding, one walk per candidate list:
-        # the candidates, the region operations and the extend step's
-        # output are billed up to each survivor as it is yielded, and
-        # up to the end of the list once the walk finishes it.
-        ops, stats, variable, extend = algebra.ops, self.stats, self.variable, self.child
+        # One walk per candidate list, billed (candidates, region ops, the
+        # extend step's output) up to each survivor as it is yielded and to
+        # the list's end when the walk finishes it.  One bound C_i per input
+        # binding; when C_i skips an earlier row, one per distinct tuple of
+        # the rows it reads, for the whole execution (worked out at the
+        # second binding, off the path to the first answer).
+        ops, variable, extend, solved = algebra.ops, self.variable, self.child, self.solved
         bound_to: Optional[Binding] = None
+        reads: List[str] = []
+        bound_by_rows: Optional[Dict[Tuple[int, ...], BoundConstraint]] = None  # {}: per binding
         for binding, rows in extend.candidate_lists(ctx):
             if binding is not bound_to:
+                if bound_by_rows is None and bound_to is not None:
+                    reads = sorted(solved.earlier_variables() - set(ctx.plan.query.bindings))
+                    skips = len(binding) > len(reads)
+                    bound_by_rows = {_read_rows(bound_to, reads): bound} if skips else {}
                 bound_to = binding
-                bound = self.solved.bind(algebra, ctx.region_env(binding))
+                if bound_by_rows:
+                    key = _read_rows(binding, reads)
+                    if key not in bound_by_rows:
+                        bound_by_rows[key] = solved.bind(algebra, ctx.region_env(binding))
+                    bound = bound_by_rows[key]
+                else:
+                    bound = solved.bind(algebra, ctx.region_env(binding))
             taken, before = 0, ops.total
             for i in bound.select(map(_region, rows)):
-                stats.region_ops += ops.total - before
-                stats.rows_in += i + 1 - taken
+                self.stats.region_ops += ops.total - before
+                self.stats.rows_in += i + 1 - taken
                 extend.stats.rows_out += i + 1 - taken
                 taken = i + 1
                 extended = dict(binding)
                 extended[variable] = rows[i]
-                stats.rows_out += 1
+                self.stats.rows_out += 1
                 yield extended
                 before = ops.total  # the consumer's own work is not ours
-            stats.region_ops += ops.total - before
-            stats.rows_in += len(rows) - taken
+            self.stats.region_ops += ops.total - before
+            self.stats.rows_in += len(rows) - taken
             extend.stats.rows_out += len(rows) - taken
+
+
+def _read_rows(binding: Binding, reads: List[str]) -> Tuple[int, ...]:
+    """The ids of ``binding``'s regions for ``reads`` (kept alive by the bound
+    constraint's environment); a variable it lacks is left to ``select``."""
+    return tuple([id(binding[name].region) for name in reads if name in binding])
 
 
 @dataclass

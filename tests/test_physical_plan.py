@@ -383,3 +383,39 @@ def test_a_step_filter_reading_an_unbound_variable_raises(plan, mode):
     broken = replace(plan, steps=plan.steps[:-1] + (replace(last, exact=ghost),))
     with pytest.raises(UnboundVariableError, match="ghost"):
         list(build_physical_plan(broken, mode, estimate=False).execute_iter())
+
+
+#: ``x ∧ y ≠ 0``, ``z ∧ y ∧ ¬A ≠ 0`` in the order x, y, z over 12 random
+#: boxes a table: ``C_z`` reads ``y`` but not ``x``, and one ``y`` row
+#: comes back under several ``x`` rows, not one after the other.  The
+#: step filter binds ``C_z`` once per distinct ``y`` row, so ``y ∧ ¬A``
+#: is billed once per row; bound once per input binding it bills 745
+#: and 2 284.
+SUBSET_READS_REGION_OPS = {"boxplan": 703, "exact": 2236}
+
+
+@pytest.mark.parametrize("mode", sorted(SUBSET_READS_REGION_OPS))
+def test_a_step_filter_binds_once_per_distinct_read_rows(mode):
+    import random
+
+    from repro.constraints.parser import parse_system
+    from repro.datagen.workloads import _random_rows
+    from repro.engine import SpatialQuery
+
+    rng = random.Random(3)
+    universe = Box((0.0, 0.0), (100.0, 100.0))
+    tables = {}
+    for name in ("x", "y", "z"):
+        tables[name] = SpatialTable(name, 2, universe=universe)
+        tables[name].bulk_insert(_random_rows(rng, 12, universe, 10.0, 40.0))
+    q = SpatialQuery(
+        system=parse_system("x & y != 0\nz & y & ~A != 0"),
+        tables=tables,
+        bindings={"A": Region.from_box(Box((0.0, 0.0), (50.0, 100.0)))},
+        order=["x", "y", "z"],
+    )
+    plan = compile_query(q)
+    assert plan.steps[-1].exact.earlier_variables() == {"A", "y"}
+    answers, stats = execute(plan, mode)
+    assert (len(answers), stats.partial_tuples) == (67, 102)
+    assert stats.region_ops == SUBSET_READS_REGION_OPS[mode]

@@ -453,7 +453,9 @@ def test_figure1_run_work_counts(figure1_db, form, area):
 #: boxes it builds, validating or trusted — 2 147 while ``meet``,
 #: ``box_subtract`` and ``⊆`` built a box for every pair they tried,
 #: 1 008 while the exact check built ``¬v`` for every single-box
-#: candidate that needed it, with the same ``region_ops`` and answers.
+#: candidate that needed it and the planner's sampling evaluated a
+#: formula over a variable with no representative up to the missing
+#: lookup, with the same ``region_ops`` and answers.
 FIGURE1_A2_REGION_OPS = 1664
 FIGURE1_A2_BOXES = 644
 FIGURE1_A2_ANSWERS_SHA1 = "fbbc746645b4c46342a39ea90ca67d7d56af16a2"

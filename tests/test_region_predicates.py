@@ -8,9 +8,12 @@ coordinates that came out of live boxes.  Truth values, ``OpCounter``
 deltas and every produced box (coordinates, emptiness, ``float`` types)
 must equal the validating, region-building originals.
 
-``BoundConstraint.select`` checks a whole candidate list in one lazy
-loop, single-box candidates on coordinates; ``FrozenBound`` below is the
-per-candidate ``holds`` it replaced.  Survivors, their order, the
+The one-box forms ``covers_box``/``box_le``/``box_meets``/
+``box_complement``/``outside_meets`` must answer and bill as ``le``/
+``meets``/``complement`` on the one-box region.  ``BoundConstraint.select``
+checks a whole candidate list in one lazy loop, single-box candidates
+through those forms; ``FrozenBound`` below is the per-candidate ``holds``
+it replaced.  Survivors, their order, the
 exception and the candidate it is raised at, and the ``OpCounter``
 after every consumed candidate must equal the frozen check's.
 """
@@ -105,6 +108,39 @@ def test_le_and_meets_equal_the_materialising_predicates(pair):
         assert _billed(alg, alg.disjoint, x, y) == (
             not reference_meets(alg, x, y),
             {"meet": 1, "join": 0, "complement": 0, "comparisons": 1, "total": 2},
+        )
+
+
+@given(region_pairs())
+@settings(max_examples=400, deadline=None)
+def test_one_box_forms_equal_the_region_calls(pair):
+    """``covers_box``/``box_le``/``box_meets`` and ``box_complement``
+    then ``outside_meets`` answer and bill as ``le``/``meets``/
+    ``complement`` on the one-box region, for boxes inside the universe
+    and reaching past it."""
+    alg, a, b = pair
+    half = alg.universe_box.hi[0] / 2
+    for box in b.boxes + tuple(x.translate([half] * x.dim) for x in b.boxes):
+        one = Region((box,))
+        assert _billed(alg, alg.covers_box, a, box) == _billed(alg, alg.le, a, one)
+        assert _billed(alg, alg.box_le, box, a) == _billed(alg, alg.le, one, a)
+        assert _billed(alg, alg.box_meets, box, a) == _billed(alg, alg.meets, one, a)
+        before = alg.ops.snapshot()
+        try:
+            outside = alg.complement(one)
+        except UniverseMismatchError:
+            with pytest.raises(UniverseMismatchError):
+                alg.box_complement(box)
+            after = alg.ops.snapshot()
+            assert after["complement"] - before["complement"] == 2
+            continue
+        complemented = alg.ops.snapshot()
+        assert _billed(alg, alg.box_complement, box) == (
+            box,
+            {k: complemented[k] - before[k] for k in before},
+        )
+        assert _billed(alg, alg.outside_meets, box, a) == _billed(
+            alg, alg.meets, outside, a
         )
 
 

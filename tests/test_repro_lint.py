@@ -580,24 +580,24 @@ class SilentHolds(PhysicalOperator):
     }
 
 
-def test_billing_allows_exact_checks_billed_directly_or_through_an_alias():
+def test_billing_allows_billed_exact_checks():
     findings = run_pass(
         BillingPass(),
         (
             "src/repro/engine/physical.py",
             OPERATOR_PRELUDE
             + """
-class AliasFilter(PhysicalOperator):
+class StepFilter(PhysicalOperator):
     def iterate(self, ctx):
         self.stats.executed = True
-        ops, stats = ctx.algebra.ops, self.stats
+        ops = ctx.algebra.ops
         for binding, rows in self.child.candidate_lists(ctx):
             before = ops.total
             for i in self.solved.bind(ctx.algebra, binding).select(rows):
-                stats.region_ops += ops.total - before
+                self.stats.region_ops += ops.total - before
                 yield rows[i]
                 before = ops.total
-            stats.region_ops += ops.total - before
+            self.stats.region_ops += ops.total - before
 
 class DirectFilter(PhysicalOperator):
     def iterate(self, ctx):

@@ -20,9 +20,8 @@ oranges.  Two structural properties are checkable without running:
   code after it in the same block;
 * REPRO203 — an operator body that runs the exact check (a bound
   constraint's ``select``/``holds``, or a system's ``holds``) but never
-  bills ``self.stats.region_ops`` (directly or through a local alias
-  of ``self.stats``) hides the exact region operations from
-  ``ExecutionStats``.
+  bills ``self.stats.region_ops`` hides the exact region operations
+  from ``ExecutionStats``.
 """
 
 from __future__ import annotations
@@ -178,9 +177,7 @@ class BillingPass:
                 chain = attr_chain(node.func)
                 if "." in chain and chain.rpartition(".")[2] in EXACT_APIS:
                     check = check or node
-        if check is None or "region_ops" in _billed_counters(
-            method.body, _stats_aliases(method)
-        ):
+        if check is None or "region_ops" in _billed_counters(method.body):
             return
         findings.append(
             Finding(
@@ -250,41 +247,18 @@ def _blocks(method: ast.FunctionDef) -> Iterator[List[ast.stmt]]:
                 yield block
 
 
-def _stats_aliases(method: ast.FunctionDef) -> Set[str]:
-    """Local names bound to ``self.stats`` in ``method`` (``stats =
-    self.stats``, also inside a tuple assignment)."""
-    out: Set[str] = set()
-    for node in ast.walk(method):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            pairs = [(target, node.value)]
-            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
-                pairs = list(zip(target.elts, node.value.elts))
-            for name, value in pairs:
-                if isinstance(name, ast.Name) and attr_chain(value) == "self.stats":
-                    out.add(name.id)
-    return out
-
-
-def _billed_counters(
-    stmts: List[ast.stmt], aliases: Set[str] = frozenset()
-) -> Set[str]:
-    """Counter names aug-assigned through ``self.stats.X`` in ``stmts``
-    (or through ``alias.X`` for a local alias of ``self.stats``)."""
-    prefixes = ("self.stats.",) + tuple(f"{a}." for a in sorted(aliases))
+def _billed_counters(stmts: List[ast.stmt]) -> Set[str]:
+    """Counter names aug-assigned through ``self.stats.X`` in ``stmts``."""
     out: Set[str] = set()
     for stmt in stmts:
         for node in ast.walk(stmt):
             if isinstance(node, ast.AugAssign):
-                targets = [node.target]
+                chain = attr_chain(node.target)
+                if chain.startswith("self.stats."):
+                    out.add(chain.split(".", 2)[2])
             elif isinstance(node, ast.Assign):
-                targets = node.targets
-            else:
-                continue
-            for target in targets:
-                chain = attr_chain(target)
-                for prefix in prefixes:
-                    if chain.startswith(prefix):
-                        out.add(chain[len(prefix):].split(".", 1)[0])
+                for target in node.targets:
+                    chain = attr_chain(target)
+                    if chain.startswith("self.stats."):
+                        out.add(chain.split(".", 2)[2])
     return out
