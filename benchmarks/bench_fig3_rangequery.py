@@ -2,9 +2,12 @@
 
 The paper's reduction: a conjunction of ``⊑ a``, ``b ⊑``, ``⊓ c ≠ ∅``
 constraints over an unknown box is ONE orthogonal range query in the
-2k-dimensional point space.  We verify the three backends (grid file on
-points, R-tree, scan) return identical rows and compare their probe
-costs and times.
+2k-dimensional point space.  A grid file [9] over the boxes' points
+answers that query directly: the bench builds a ``GridFile(4)`` over
+``box.to_point()`` and probes it with
+``compile_range(QUERY, 2).clip_finite(UNIVERSE)``.  It checks that the
+grid file's rows equal the r-tree and scan tables' rows and compares
+their probe costs and times.
 """
 
 import random
@@ -14,13 +17,13 @@ import pytest
 from benchmarks.conftest import report
 from repro.algebra import Region
 from repro.boxes import Box, BoxQuery
-from repro.spatial import SpatialTable, figure3_rectangle
+from repro.spatial import GridFile, SpatialTable, compile_range, figure3_rectangle
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 N_OBJECTS = 800
 
 
-def make_tables():
+def make_boxes():
     rng = random.Random(42)
     boxes = []
     for i in range(N_OBJECTS):
@@ -28,12 +31,24 @@ def make_tables():
         boxes.append(
             Box(lo, (lo[0] + rng.uniform(1, 8), lo[1] + rng.uniform(1, 8)))
         )
+    return boxes
+
+
+def make_tables(boxes):
     tables = {}
-    for kind in ("rtree", "grid", "scan"):
+    for kind in ("rtree", "scan"):
         t = SpatialTable(f"t_{kind}", 2, index=kind, universe=UNIVERSE)
         t.bulk_insert([(i, Region.from_box(b)) for i, b in enumerate(boxes)])
         tables[kind] = t
     return tables
+
+
+def make_points(boxes):
+    """The grid file over the boxes' 2k-dim points, valued by row id."""
+    points = GridFile(4)
+    for i, b in enumerate(boxes):
+        points.insert(b.to_point(), i)
+    return points
 
 
 #: The combined query of Figure 3's shape: containment + cover + overlap.
@@ -43,10 +58,38 @@ QUERY = BoxQuery(
     overlap=(Box((25.0, 25.0), (40.0, 40.0)),),
 )
 
-_tables = make_tables()
+_boxes = make_boxes()
+_tables = make_tables(_boxes)
+_points = make_points(_boxes)
 
 
-@pytest.mark.parametrize("kind", ["grid", "rtree", "scan"])
+def grid_range_query(query):
+    """Figure 3's one range query, asked of the grid file of points."""
+    rect = compile_range(query, 2).clip_finite(UNIVERSE)
+    if rect.is_empty():
+        return []
+    return [oid for _p, oid in _points.range_search(rect.lo, rect.hi)]
+
+
+def test_grid_file_range_query(benchmark):
+    """The combined query as one rectangle over the grid file: the same
+    rows as the r-tree and scan tables."""
+    _points.stats.reset()
+    oids = grid_range_query(QUERY)
+    bucket_reads = _points.stats.bucket_reads
+    benchmark(grid_range_query, QUERY)
+    for kind in ("rtree", "scan"):
+        assert sorted(oids) == sorted(o.oid for o in _tables[kind].range_query(QUERY))
+    assert oids
+    benchmark.extra_info["bucket_reads"] = bucket_reads
+    report(
+        "E3: combined query on the grid file of points",
+        [{"backend": "gridfile", "rows": len(oids), "bucket_reads": bucket_reads}],
+        ["backend", "rows", "bucket_reads"],
+    )
+
+
+@pytest.mark.parametrize("kind", ["rtree", "scan"])
 def test_single_range_query(benchmark, kind):
     table = _tables[kind]
     # Per-query probe counters (single run), then timing (many runs).

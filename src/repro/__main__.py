@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--size", type=int, default=12, help="per-table rows")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
-            "--index", choices=("rtree", "grid", "scan"), default="rtree"
+            "--index", choices=("rtree", "scan"), default="rtree"
         )
 
     def add_query_args(p):

@@ -483,7 +483,7 @@ def choose_knn_access(
     ``"scan"`` — the brute-force ranking — touches every row.  The
     chooser compares the two on the statistics catalog's node-read
     estimates (:meth:`~repro.engine.catalog.TableStatistics.
-    estimate_knn_node_reads`); non-r-tree backends and ``k >= n``
+    estimate_knn_node_reads`); the scan backend and ``k >= n``
     always scan (the browse cannot beat reading everything), and
     unusable statistics (:data:`ESTIMATION_ERRORS`) fall back to
     best-first, the safe default for indexed tables.

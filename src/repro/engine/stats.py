@@ -20,7 +20,7 @@ class StepStats:
 
     Every executor mode fills every field: ``index_probes`` counts
     range-query/scan calls issued by the step and ``node_reads`` the
-    index reads (r-tree node or grid bucket reads) those probes cost —
+    index reads (r-tree node reads) those probes cost —
     0 for probes that never touch an index (table scans).
     """
 
@@ -83,7 +83,7 @@ class ExecutionStats:
 
     @property
     def node_reads(self) -> int:
-        """Index reads (r-tree nodes / grid buckets) over all steps."""
+        """Index reads (r-tree nodes) over all steps."""
         return sum(s.node_reads for s in self.steps)
 
     @property

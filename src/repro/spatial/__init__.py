@@ -1,8 +1,10 @@
 """The spatial-database substrate (simulated per DESIGN.md §3).
 
-R-tree [6], grid file [9], the Figure 3 box-as-point range-query
-reduction, a z-order join in the style of PROBE [10], and the
-:class:`SpatialTable` facade the query engine uses.
+R-tree [6], the :class:`SpatialTable` facade the query engine uses
+(an R-tree or a scan over its rows), and a z-order join in the style
+of PROBE [10].  The grid file [9] and the box-as-point range-query
+reduction (:func:`compile_range`) reproduce Figure 3;
+``benchmarks/bench_fig3_rangequery.py`` drives them directly.
 """
 
 from .columnar import (
@@ -14,8 +16,7 @@ from .columnar import (
     pack_floats,
     unpack_floats,
 )
-from .gridfile import GridFile, GridStats
-from .join import index_nested_loop_join, synchronized_rtree_join
+from .gridfile import GridFile
 from .partition import (
     DEFAULT_TILES,
     JoinStats,
@@ -58,7 +59,6 @@ __all__ = [
     "FORMAT_VERSION",
     "GridFile",
     "HAVE_NUMPY",
-    "GridStats",
     "JoinStats",
     "OPEN_EPS",
     "PointRange",
@@ -74,7 +74,6 @@ __all__ = [
     "active_backend",
     "compile_range",
     "forced_backend",
-    "index_nested_loop_join",
     "figure3_rectangle",
     "interleave",
     "interleave_batch",
@@ -85,7 +84,6 @@ __all__ = [
     "read_snapshot",
     "region_from_jsonable",
     "region_to_jsonable",
-    "synchronized_rtree_join",
     "table_from_jsonable",
     "table_to_jsonable",
     "unpack_floats",

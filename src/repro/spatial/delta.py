@@ -1,6 +1,6 @@
 """LSM-style in-memory write delta for a :class:`~repro.spatial.table.SpatialTable`.
 
-The packed base structures (STR r-tree, grid file, column store) are
+The packed base structures (STR r-tree, column store) are
 expensive to build and cheap to query; point mutations are the opposite.
 A :class:`TableDelta` stages inserts and deletes without touching the
 base: inserted rows live in a small insertion-ordered memo, deletes of

@@ -21,7 +21,7 @@ representation of bounding boxes (Figure 3) — while staying compact:
 from __future__ import annotations
 
 import bisect
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -48,16 +48,6 @@ class GridStats:
     def reset(self) -> None:
         self.bucket_reads = self.cell_visits = 0
         self.splits = self.skipped_splits = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        """JSON-serializable counter snapshot (see :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "GridStats":
-        """Inverse of :meth:`to_dict`; ignores unknown keys."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in data.items() if k in known})
 
 
 class _Bucket:

@@ -14,9 +14,11 @@ JSON file, and loads it back without re-running either build:
   arrays whose leaf values are row indices) and reattached node-for-
   node on load — no STR sort, identical structure, identical node-read
   counts;
-* grid and scan backends rebuild deterministically by inserting rows in
-  saved order (their builds are linear — the R-tree's sort is the
-  startup cost worth snapshotting);
+* a scan table has no index to restore: its column store is refilled
+  from the rows in saved order, as on every backend;
+* a table entry whose ``index`` is not ``"rtree"`` or ``"scan"`` (the
+  retired ``"grid"`` included), or an r-tree table without its node
+  arrays, raises :class:`~repro.errors.SnapshotError`;
 * cached statistics reference their row sample by index, so the
   loaded table answers :meth:`statistics` from the snapshot; a damaged
   statistics block raises :class:`~repro.errors.SnapshotError`.  Table,
@@ -165,15 +167,24 @@ def table_from_jsonable(data: dict) -> SpatialTable:
     """
     from ..engine.catalog import TableStatistics
 
+    name = str(data["name"])
+    index = data.get("index")
+    if index not in SpatialTable.VALID_INDEXES:
+        raise SnapshotError(
+            f"table {name!r} has index {index!r}; this build reads "
+            f"{SpatialTable.VALID_INDEXES}"
+        )
+    if index == "rtree" and not isinstance(data.get("rtree"), dict):
+        raise SnapshotError(f"r-tree table {name!r} has no node arrays")
     universe = (
         box_from_jsonable(data["universe"])
         if data.get("universe") is not None
         else None
     )
     table = SpatialTable(
-        str(data["name"]),
+        name,
         int(data["dim"]),
-        index=str(data["index"]),
+        index=index,
         universe=universe,
         node_capacity=int(data["node_capacity"]),
     )
@@ -213,11 +224,6 @@ def table_from_jsonable(data: dict) -> SpatialTable:
         arrays = dict(data["rtree"])
         arrays["bounds"] = _unpack_floats(arrays.get("bounds"))
         table._rtree = RTree.from_node_arrays(arrays, table._columns)
-    elif table.index_kind == "grid":
-        for obj in rows:
-            if not obj.box.is_empty():
-                table._grid.insert(obj.box.to_point(), obj)
-        table._grid.stats.reset()
     if "statistics" in data:
         try:
             # Older files key by (bins, sample_size, seed, partitions) and
@@ -275,7 +281,8 @@ def read_snapshot(
     """Load ``(tables, bindings)`` from a snapshot file.
 
     Raises :class:`~repro.errors.SnapshotError` for a missing file,
-    malformed JSON, a foreign file, or a newer format version.
+    malformed JSON, a foreign file, a newer format version, or a table
+    entry :func:`table_from_jsonable` rejects.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

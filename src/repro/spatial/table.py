@@ -2,13 +2,10 @@
 
 A :class:`SpatialTable` stores identified :class:`~repro.algebra.regions.
 Region` rows and maintains a derived index over their bounding boxes.
-Three interchangeable index backends implement the same range-query
+Two interchangeable index backends implement the same range-query
 contract (and are property-tested to agree):
 
 * ``"rtree"`` — :class:`repro.spatial.rtree.RTree` over the boxes;
-* ``"grid"`` — :class:`repro.spatial.gridfile.GridFile` over the 2k-dim
-  *point* representation (the Figure 3 reduction: one orthogonal range
-  query per BoxQuery);
 * ``"scan"`` — sequential scan (the baseline every bench compares to).
 
 The table records probe statistics uniformly so benchmarks can compare
@@ -43,8 +40,6 @@ from ..errors import AnchorError, DimensionMismatchError
 from . import columnar
 from .columnar import ColumnStore
 from .delta import TableDelta
-from .gridfile import GridFile
-from .rangequery import compile_range
 from .rtree import RTree
 
 #: Staged mutations past which an (unshared) table repacks itself inline.
@@ -245,14 +240,10 @@ class SpatialTable:
     dim:
         Dimensionality of the stored regions.
     index:
-        ``"rtree"`` (default), ``"grid"`` or ``"scan"``.
+        ``"rtree"`` (default) or ``"scan"``.
     universe:
-        Universe box.  **Required** for the grid backend — range
-        queries over the 2k-dim point representation clip their
-        (possibly unbounded) rectangles to it, so constructing a grid
-        table without one raises :class:`ValueError` — and recommended
-        generally (the planner uses it as the region algebra's
-        universe).
+        Universe box, recommended (the planner uses it as the region
+        algebra's universe).
     node_capacity:
         R-tree node capacity ``M``.
     delta_threshold:
@@ -260,7 +251,7 @@ class SpatialTable:
         (see :meth:`repack`); shared-base clones never self-repack.
     """
 
-    VALID_INDEXES = ("rtree", "grid", "scan")
+    VALID_INDEXES = ("rtree", "scan")
 
     def __init__(
         self,
@@ -275,11 +266,6 @@ class SpatialTable:
             raise ValueError(
                 f"unknown index {index!r}; expected one of {self.VALID_INDEXES}"
             )
-        if index == "grid" and universe is None:
-            raise ValueError(
-                "the grid backend requires a universe box (range queries "
-                "clip their unbounded rectangles to it); pass universe="
-            )
         self.name = name
         self.dim = dim
         self.index_kind = index
@@ -288,9 +274,6 @@ class SpatialTable:
         self._objects: Dict[object, SpatialObject] = {}
         self._rtree: Optional[RTree] = (
             RTree(max_entries=node_capacity) if index == "rtree" else None
-        )
-        self._grid: Optional[GridFile] = (
-            GridFile(2 * dim) if index == "grid" else None
         )
         # Struct-of-arrays mirror of the base rows' bounding boxes, kept
         # index-aligned with the row order (the batched kernels' input;
@@ -488,16 +471,9 @@ class SpatialTable:
             self.dim, [obj.box for obj in staged], staged, self._columns, dead
         )
         rtree = None if self._rtree is None else self._packed_rtree(columns)
-        grid = self._grid
-        if grid is not None:
-            grid = GridFile(2 * self.dim)
-            for obj in new_objects.values():
-                if not obj.box.is_empty():
-                    grid.insert(obj.box.to_point(), obj)
         self._objects = new_objects
         self._columns = columns
         self._rtree = rtree
-        self._grid = grid
         self._delta_stats_cache = {}
         self._shares_base = False
         self._version += 1
@@ -519,7 +495,7 @@ class SpatialTable:
         """An O(delta) MVCC clone with the given writes staged.
 
         The clone shares the immutable packed base structures (row map,
-        r-tree, grid, column store) and the base statistics cache with
+        r-tree, column store) and the base statistics cache with
         this table and stages the writes in its own copied delta —
         building one costs O(staged mutations), never O(table), and
         reading one builds nothing either: its probes read the shared
@@ -540,7 +516,6 @@ class SpatialTable:
         clone.delta_threshold = self.delta_threshold
         clone._objects = self._objects
         clone._rtree = self._rtree
-        clone._grid = self._grid
         clone._columns = self._columns
         clone.probes = 0
         clone.candidates_returned = 0
@@ -567,9 +542,9 @@ class SpatialTable:
 
         Each row is checked as :meth:`stage_insert` checks it, then all
         of them — with any writes staged before — fold like a
-        :meth:`repack`: one column store, one STR-packed r-tree (or grid
-        file), one base-version bump.  No op-log entry is made per row
-        and no threshold is checked on the way.  A failing row stops the
+        :meth:`repack`: one column store, one STR-packed r-tree (on the
+        r-tree backend), one base-version bump.  No op-log entry is made
+        per row and no threshold is checked on the way.  A failing row stops the
         load, but the rows before it are folded all the same, so the
         index covers whatever made it in.
 
@@ -594,8 +569,8 @@ class SpatialTable:
         """Fold any staged writes, then STR-load the r-tree again over
         the base rows: the tree :meth:`repack` builds, rebuilt even on a
         clean table, with fresh index counters (as after
-        :meth:`reset_stats`) and a base-version bump.  On the other
-        backends this is :meth:`repack`.
+        :meth:`reset_stats`) and a base-version bump.  On the scan
+        backend this is :meth:`repack`.
         """
         if self.repack() or self._rtree is None:
             return
@@ -664,28 +639,13 @@ class SpatialTable:
         under the base-version key while deltas come and go.  Counts no
         probe itself (callers bill); vectorized counters are billed here
         because they are a property of the kernel dispatch."""
-        out: List[SpatialObject]
-        if self.index_kind == "rtree":
-            if self.batches_probes():
-                out = self._rtree_rows([query])[0]
-            else:
-                out = list(self._rtree.search(query))
-        elif self.index_kind == "grid":
-            pr = compile_range(query, self.dim)
-            if self.universe is not None:
-                pr = pr.clip_finite(self.universe)
-            if pr.is_empty():
-                out = []
-            else:
-                out = [
-                    obj
-                    for _p, obj in self._grid.range_search(pr.lo, pr.hi)
-                ]
-        else:  # scan
-            out = self._columns.match_rows(query)
+        if self._rtree is None:  # scan
             self.vectorized_batches += 1
             self.vectorized_candidates += len(self._columns)
-        return out
+            return self._columns.match_rows(query)
+        if self.batches_probes():
+            return self._rtree_rows([query])[0]
+        return list(self._rtree.search(query))
 
     def _overlay_rows(
         self,
@@ -837,9 +797,8 @@ class SpatialTable:
           ``k``-th *live* row;
         * ``"scan"`` — rank every live row (one columnar kernel call on
           the NumPy backend);
-        * ``"auto"`` — best-first when an r-tree is available, scan
-          otherwise (grid files index the 2k-dim point representation,
-          where box distances do not reduce to point distances).
+        * ``"auto"`` — best-first on the r-tree backend, scan on the
+          scan backend.
 
         The anchor is checked once, here, for every path: this table's
         dimension (:class:`~repro.errors.DimensionMismatchError`) and,
@@ -943,8 +902,8 @@ class SpatialTable:
         On the r-tree backend this is the COUNT pushdown: subtrees whose
         MBR is fully inside a pure containment query contribute their
         cached entry counts without being read (see
-        :meth:`repro.spatial.rtree.RTree.count`).  Other backends fall
-        back to counting the range query's result.
+        :meth:`repro.spatial.rtree.RTree.count`).  The scan backend
+        counts the range query's result.
         """
         if query.is_unsatisfiable():
             self.probes += 1
@@ -992,16 +951,12 @@ class SpatialTable:
         self.repacks = 0
         if self._rtree is not None:
             self._rtree.stats.reset()
-        if self._grid is not None:
-            self._grid.stats.reset()
 
     def index_read_count(self) -> int:
-        """Backend-neutral cumulative read counter (r-tree node reads,
-        grid bucket reads; 0 for the scan backend)."""
+        """Backend-neutral cumulative read counter (r-tree node reads;
+        0 for the scan backend)."""
         if self._rtree is not None:
             return self._rtree.stats.node_reads
-        if self._grid is not None:
-            return self._grid.stats.bucket_reads
         return 0
 
     def index_stats(self) -> dict:
@@ -1011,12 +966,6 @@ class SpatialTable:
                 "kind": "rtree",
                 "node_reads": self._rtree.stats.node_reads,
                 "height": self._rtree.height(),
-            }
-        if self._grid is not None:
-            return {
-                "kind": "grid",
-                "bucket_reads": self._grid.stats.bucket_reads,
-                "cells": self._grid.directory_shape(),
             }
         return {"kind": "scan"}
 

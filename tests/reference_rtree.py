@@ -2,8 +2,7 @@
 tree's array form — frozen, with the node class they walk.
 
 ``RTree.search``, ``count``, ``to_node_arrays``, ``check_invariants``,
-``height``, ``all_entries`` and
-``spatial.join.synchronized_rtree_join`` now read ``_FlatTree`` columns
+``height`` and ``all_entries`` now read ``_FlatTree`` columns
 — edges, nonempty flags and ``ref`` numbers, no object per entry — and
 the engine no longer has node objects at all.  They promise *identical*
 values in the same sequence, identical snapshot arrays and identical
@@ -270,40 +269,3 @@ def check_invariants(tree: RTree) -> None:
     leaf_depths: List[int] = []
     walk(root, 0, leaf_depths)
     assert len(set(leaf_depths)) <= 1, "leaves at different depths"
-
-
-# -- spatial/join.py -----------------------------------------------------------
-def synchronized_rtree_join(
-    left: RTree, right: RTree
-) -> Iterator[Tuple[object, object]]:
-    """``synchronized_rtree_join`` over the ``_Node`` objects."""
-
-    def recurse(a: _Node, b: _Node) -> Iterator[Tuple[object, object]]:
-        left.stats.node_reads += 1
-        right.stats.node_reads += 1
-        if a.leaf and b.leaf:
-            for abox, avalue in a.entries:
-                if abox.is_empty():
-                    continue
-                for bbox, bvalue in b.entries:
-                    if abox.overlaps(bbox):
-                        yield avalue, bvalue
-        elif a.leaf:
-            for bbox, bchild in b.entries:
-                if a.mbr().overlaps(bbox):
-                    yield from recurse(a, bchild)
-        elif b.leaf:
-            for abox, achild in a.entries:
-                if abox.overlaps(b.mbr()):
-                    yield from recurse(achild, b)
-        else:
-            for abox, achild in a.entries:
-                for bbox, bchild in b.entries:
-                    if abox.overlaps(bbox):
-                        yield from recurse(achild, bchild)
-
-    root_a = root_of(left)
-    root_b = root_of(right)
-    if not root_a.entries or not root_b.entries:
-        return
-    yield from recurse(root_a, root_b)

@@ -213,7 +213,7 @@ class TestRTreeColumnarMirror:
 
 
 class TestTableMirror:
-    @pytest.mark.parametrize("index", ["rtree", "grid", "scan"])
+    @pytest.mark.parametrize("index", ["rtree", "scan"])
     def test_insert_keeps_mirror_aligned(self, index):
         table = SpatialTable("t", 2, index=index, universe=UNIVERSE)
         boxes = _random_boxes(31, 40)

@@ -23,7 +23,6 @@ from repro.engine.executor import (
 )
 from repro.engine.stats import ExecutionStats
 from repro.spatial import SpatialTable
-from repro.spatial.gridfile import GridStats
 from repro.spatial.rtree import RTreeStats
 from repro.spatial.table import ProbeCache
 
@@ -319,15 +318,6 @@ def test_rtree_stats_round_trip(workload):
     restored = RTreeStats.from_dict(json.loads(json.dumps(stats.to_dict())))
     assert restored == stats
     assert restored.node_reads == stats.node_reads
-
-
-def test_grid_stats_round_trip():
-    query, _map = smugglers_query(index="grid", seed=2)
-    table = query.tables["T"]
-    table.range_query(BoxQuery(overlap=(Box((0, 0), (32, 32)),)))
-    stats = table._grid.stats
-    restored = GridStats.from_dict(json.loads(json.dumps(stats.to_dict())))
-    assert restored == stats
 
 
 # -- ProbeCache.purge_table (the swap hook) ------------------------------------

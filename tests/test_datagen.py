@@ -142,7 +142,7 @@ class TestWorkloads:
         q = containment_chain_query(n_per_table=10, depth=4, seed=0)
         assert len(q.unknowns) == 4
 
-    @pytest.mark.parametrize("index", ["rtree", "grid"])
+    @pytest.mark.parametrize("index", ["rtree", "scan"])
     def test_tables_are_what_row_by_row_insertion_then_pack_built(self, index):
         """The builders hand their rows to ``bulk_insert`` (one fold, one
         packed build) instead of staging them row by row and packing:

@@ -324,7 +324,7 @@ def test_box_count_pushdown_differential(seed, use_overlap):
     st.integers(0, 10_000),
     st.sampled_from(STRATEGIES),
     st.integers(1, 5),
-    st.sampled_from(("rtree", "scan", "grid")),
+    st.sampled_from(("rtree", "scan")),
 )
 @settings(
     max_examples=20,

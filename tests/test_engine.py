@@ -141,7 +141,7 @@ class TestExecutorAgreement:
             env.update({k: v.region for k, v in a.items()})
             assert q.system.holds(alg, env)
 
-    @pytest.mark.parametrize("index", ["rtree", "grid", "scan"])
+    @pytest.mark.parametrize("index", ["rtree", "scan"])
     def test_index_backends_agree(self, index):
         q, _m = smugglers_query(
             seed=5, n_towns=10, n_roads=10, index=index

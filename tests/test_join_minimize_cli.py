@@ -1,11 +1,8 @@
-"""Tests for spatial joins, constraint minimization, and the CLI."""
+"""Tests for constraint minimization and the CLI."""
 
-import random
 import subprocess
 import sys
 
-
-from repro.boxes import Box
 from repro.constraints import (
     ConstraintSystem,
     minimize_system,
@@ -13,73 +10,6 @@ from repro.constraints import (
     redundant_constraints,
     subset,
 )
-from repro.spatial import (
-    RTree,
-    index_nested_loop_join,
-    synchronized_rtree_join,
-)
-
-
-def _boxes(n, seed):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n):
-        lo = (rng.uniform(0, 90), rng.uniform(0, 90))
-        out.append(
-            Box(lo, (lo[0] + rng.uniform(1, 8), lo[1] + rng.uniform(1, 8)))
-        )
-    return out
-
-
-class TestSpatialJoins:
-    def setup_method(self):
-        self.left = _boxes(80, 1)
-        self.right = _boxes(80, 2)
-        self.expected = {
-            (i, j)
-            for i, a in enumerate(self.left)
-            for j, b in enumerate(self.right)
-            if a.overlaps(b)
-        }
-        self.lt = RTree.bulk_load(list(enumerate_boxes(self.left)), max_entries=6)
-        self.rt = RTree.bulk_load(list(enumerate_boxes(self.right)), max_entries=6)
-
-    def test_index_nested_loop(self):
-        got = set(
-            index_nested_loop_join(
-                list(enumerate_boxes(self.left)), self.rt
-            )
-        )
-        assert got == self.expected
-
-    def test_synchronized(self):
-        got = set(synchronized_rtree_join(self.lt, self.rt))
-        assert got == self.expected
-
-    def test_synchronized_empty_tree(self):
-        empty = RTree()
-        assert list(synchronized_rtree_join(self.lt, empty)) == []
-        assert list(synchronized_rtree_join(empty, self.rt)) == []
-
-    def test_synchronized_probes_fewer_than_nested(self):
-        self.lt.stats.reset()
-        self.rt.stats.reset()
-        list(synchronized_rtree_join(self.lt, self.rt))
-        sync_reads = self.lt.stats.node_reads + self.rt.stats.node_reads
-        self.lt.stats.reset()
-        self.rt.stats.reset()
-        list(
-            index_nested_loop_join(
-                list(enumerate_boxes(self.left)), self.rt
-            )
-        )
-        nested_reads = self.rt.stats.node_reads
-        # Not asserted as strictly smaller (constants vary); just sane.
-        assert sync_reads > 0 and nested_reads > 0
-
-
-def enumerate_boxes(boxes):
-    return ((b, i) for i, b in enumerate(boxes))
 
 
 class TestMinimize:
@@ -229,14 +159,15 @@ class TestCli:
         assert proc.returncode == 2
         assert "unrecognized arguments: --no-pack --split rstar" in proc.stderr
 
-    def test_bench_grid_backend_default_pack(self):
-        """Grid and scan workloads build through the same bulk insert."""
-        for index in ("grid", "scan"):
-            proc = _cli(
-                "explain", "--workload", "smugglers", "--size", "6",
-                "--index", index, "--analyze",
-            )
-            assert proc.returncode == 0, proc.stderr
+    def test_index_grid_is_gone(self):
+        """The grid file is no table index: argparse rejects ``--index
+        grid``, and scan workloads build through the same bulk insert."""
+        args = ("explain", "--workload", "smugglers", "--size", "6", "--analyze")
+        proc = _cli(*args, "--index", "grid")
+        assert proc.returncode == 2
+        assert "invalid choice: 'grid'" in proc.stderr
+        proc = _cli(*args, "--index", "scan")
+        assert proc.returncode == 0, proc.stderr
 
     def test_bench_parallel_flag_is_gone(self):
         """PBSM sweeps its tiles serially; --parallel is a usage error."""

@@ -11,7 +11,7 @@ iteration order — and the delta/MVCC counters must satisfy their
 invariants (pending ops match the staged sets, ``delta_probes`` and the
 watermark never go backwards within a delta generation).
 
-One machine per index backend (rtree / grid / scan); range probes are
+One machine per index backend (rtree / scan); range probes are
 additionally checked under every columnar backend.  The delta threshold
 is set low so sequences organically cross it and trigger inline
 repacks, on top of the explicit repack rule.
@@ -261,18 +261,12 @@ class _RTreeMachine(MutationMachine):
     INDEX = "rtree"
 
 
-class _GridMachine(MutationMachine):
-    INDEX = "grid"
-
-
 class _ScanMachine(MutationMachine):
     INDEX = "scan"
 
 
 _RTreeMachine.TestCase.settings = STEP_SETTINGS
-_GridMachine.TestCase.settings = STEP_SETTINGS
 _ScanMachine.TestCase.settings = STEP_SETTINGS
 
 TestMutationStatefulRTree = _RTreeMachine.TestCase
-TestMutationStatefulGrid = _GridMachine.TestCase
 TestMutationStatefulScan = _ScanMachine.TestCase

@@ -310,24 +310,6 @@ class TestBatchProbes:
         assert (stats.node_reads, stats.entry_tests) == reads
         assert expected[0] and expected[1]
 
-    def test_join_probe_cache(self):
-        from repro.spatial import index_nested_loop_join
-
-        t = self._table()
-        box = Box((0, 0), (5, 5))
-        outer = [(box, "a"), (box, "b")]
-        memo = {}
-        t._rtree.stats.reset()
-        pairs = list(index_nested_loop_join(outer, t._rtree, cache=memo))
-        reads_cached = t._rtree.stats.node_reads
-        t._rtree.stats.reset()
-        expected = list(index_nested_loop_join(outer, t._rtree))
-        reads_plain = t._rtree.stats.node_reads
-        assert sorted((a, b.oid) for a, b in pairs) == sorted(
-            (a, b.oid) for a, b in expected
-        )
-        assert reads_cached < reads_plain  # second outer row was free
-
 
 class TestMultiTableScanBackendAgreement:
     """BoxFilter lowering agrees with IndexProbe on a fresh query."""
@@ -359,11 +341,11 @@ class TestMultiTableScanBackendAgreement:
             )
 
         got = {}
-        for index in ("rtree", "scan", "grid"):
+        for index in ("rtree", "scan"):
             q = build(index)
             answers, _ = execute(compile_query(q), "boxplan")
             got[index] = answers_as_oid_tuples(answers, ["x", "y"])
-        assert got["rtree"] == got["scan"] == got["grid"]
+        assert got["rtree"] == got["scan"]
         assert got["rtree"]
 
 

@@ -1,9 +1,8 @@
 """Reader differential: every reader of the tree's array form against
 the frozen ``_Node`` walkers (``reference_rtree.py``).
 
-``search``, ``count``, ``to_node_arrays``, ``check_invariants`` and
-``synchronized_rtree_join`` must return the same rows in the same
-sequence (by identity) and bill the same ``node_reads`` /
+``search``, ``count``, ``to_node_arrays`` and ``check_invariants``
+must return the same rows in the same sequence (by identity) and bill the same ``node_reads`` /
 ``entry_tests`` / ``pruned_subtrees``, however the tree came to be:
 packed, loaded from its own dump, or the tree a table's one write path
 (staging, inline and explicit repacks) leaves behind.  The parametrised
@@ -31,7 +30,7 @@ from conftest import (
 )
 from repro.algebra import Region
 from repro.boxes import Box, BoxQuery, EMPTY_BOX
-from repro.spatial import HAVE_NUMPY, ColumnStore, RTree, SpatialTable, synchronized_rtree_join
+from repro.spatial import HAVE_NUMPY, ColumnStore, RTree, SpatialTable
 
 #: ``grown-*``: a table grown row by row through ``insert``, repacking
 #: inline every ``GROWN[kind]`` rows; the names are the retired split
@@ -166,21 +165,6 @@ def hold_readers_to_oracle(tree: RTree, probes) -> None:
     ref.check_invariants(tree)
 
 
-def hold_join_to_oracle(left: RTree, right: RTree) -> None:
-    def reads():
-        return left.stats.node_reads, right.stats.node_reads
-
-    for tree in (left, right):
-        tree.stats.reset()
-    got = list(synchronized_rtree_join(left, right))
-    mine = reads()
-    for tree in (left, right):
-        tree.stats.reset()
-    want = list(ref.synchronized_rtree_join(left, right))
-    assert [(id(a), id(b)) for a, b in got] == [(id(a), id(b)) for a, b in want]
-    assert mine == reads()
-
-
 def entries_for(rng: random.Random, n: int, dim: int):
     return [(grid_box(rng, dim), (i, str(i))[i % 2]) for i in range(n)]
 
@@ -197,21 +181,6 @@ def test_readers_equal_the_node_walkers(kind, dim, backend):
         by_shape = queries(rng, dim)
         assert set(by_shape) == set(SHAPES)
         hold_readers_to_oracle(tree, [q for shape in SHAPES for q in by_shape[shape]])
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("kinds", [
-    ("packed", "packed"), ("packed", "grown-rstar"), ("grown-linear", "loaded"),
-    ("packed+delete", "packed+insert"), ("empty-boxes", "packed"),
-    ("empty", "packed"), ("packed", "empty"),
-], ids="/".join)
-def test_synchronized_join_equals_the_node_walk(kinds, dim):
-    rng = random.Random(shifted_seed(7 * dim))
-    # Different heights on the two sides: the leaf/inner mismatch branches.
-    left = build(kinds[0], entries_for(rng, 200, dim), capacity=3)
-    right = build(kinds[1], entries_for(rng, 40, dim), capacity=6)
-    hold_join_to_oracle(left, right)
-    hold_join_to_oracle(right, left)
 
 
 def test_readers_pin_the_form_they_started_on():
@@ -255,9 +224,8 @@ def edited_trees(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(edited_trees(), st.lists(edge_box_queries(), min_size=1, max_size=4), edited_trees())
-def test_readers_equal_the_node_walkers_on_edge_cases(built, probes, other):
+@given(edited_trees(), st.lists(edge_box_queries(), min_size=1, max_size=4))
+def test_readers_equal_the_node_walkers_on_edge_cases(built, probes):
     tree, live = built
     assert sorted(ids(tree.all_entries())) == sorted(oracle_ids(live))
     hold_readers_to_oracle(tree, probes)
-    hold_join_to_oracle(tree, other[0])

@@ -34,7 +34,7 @@ from repro.spatial.snapshot import (
 
 from repro.datagen import overlay_query, smugglers_query
 
-BACKENDS = ("rtree", "grid", "scan")
+BACKENDS = ("rtree", "scan")
 
 
 def _saved_loaded(tmp_path, index, seed=3):
@@ -201,6 +201,35 @@ def test_empty_table_round_trip(tmp_path):
         loaded = table_from_jsonable(json.loads(json.dumps(data)))
         assert len(loaded) == 0
         assert loaded.index_kind == index
+
+
+#: Table entries a loader must refuse, each as an edit of a saved one: no
+#: index, an unknown one, the retired grid file (whose entries carry no
+#: node arrays), and an r-tree table without its node arrays.
+MALFORMED_TABLES = {
+    "missing": lambda entry: entry.pop("index"),
+    "bogus": lambda entry: entry.update(index="bogus"),
+    "7": lambda entry: entry.update(index=7),
+    "grid": lambda entry: (entry.pop("rtree"), entry.update(index="grid")),
+    "rtree-without-arrays": lambda entry: entry.pop("rtree"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TABLES)
+def test_malformed_table_entry_raises_snapshot_error(tmp_path, case):
+    query, _map = smugglers_query(seed=3)
+    path = str(tmp_path / "db.json")
+    write_snapshot(path, query.tables, query.bindings)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    entry = payload["tables"]["T"]
+    MALFORMED_TABLES[case](entry)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(SnapshotError, match=repr(entry["name"])) as err:
+        read_snapshot(path)
+    if case == "grid":
+        assert "'grid'" in str(err.value)
 
 
 def test_database_open_matches_save(tmp_path):

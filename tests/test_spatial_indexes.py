@@ -241,17 +241,12 @@ class TestGridFile:
             }
             assert got == expected
 
-    def test_grid_table_requires_universe(self):
-        """The documented contract is now enforced: a grid-backed table
-        without a universe box is a construction error."""
-        with pytest.raises(ValueError, match="universe"):
-            SpatialTable("t", 2, index="grid")
-        t = SpatialTable(
-            "t", 2, index="grid", universe=Box((0, 0), (50, 50))
-        )
-        t.insert(0, Region.from_box(Box((1, 1), (2, 2))))
-        got = t.range_query(BoxQuery(overlap=(Box((0, 0), (5, 5)),)))
-        assert [o.oid for o in got] == [0]
+    def test_grid_table_index_is_rejected(self):
+        """The grid file is no table index: ``index="grid"`` is a
+        construction error naming the two backends."""
+        assert SpatialTable.VALID_INDEXES == ("rtree", "scan")
+        with pytest.raises(ValueError, match=r"'grid'.*\('rtree', 'scan'\)"):
+            SpatialTable("t", 2, index="grid", universe=Box((0, 0), (50, 50)))
 
     def test_range_search_visits_subset_of_cells(self):
         rng = random.Random(5)
@@ -281,7 +276,7 @@ class TestBulkInsertContract:
             )
         return out
 
-    @pytest.mark.parametrize("index", ["grid", "scan"])
+    @pytest.mark.parametrize("index", ["scan"])
     def test_default_pack_resolves_to_insertion(self, index):
         t = SpatialTable("t", 2, index=index, universe=self.UNIVERSE)
         t.bulk_insert(self._rows())
@@ -312,14 +307,14 @@ class TestBulkInsertContract:
         t._rtree.check_invariants()
 
     def test_mid_failure_unpacked_path(self):
-        """The same on a grid table, which has no r-tree to pack: the
-        fold rebuilds its grid file over the rows that made it in."""
-        t = SpatialTable("t", 2, index="grid", universe=self.UNIVERSE)
+        """The same on a scan table, which has no r-tree to pack: the
+        fold rebuilds its column store over the rows that made it in."""
+        t = SpatialTable("t", 2, index="scan", universe=self.UNIVERSE)
         rows = self._rows(5)
         poisoned = rows[:2] + [(1, rows[2][1])]
         with pytest.raises(ValueError, match="duplicate"):
             t.bulk_insert(poisoned)
-        assert not t.delta_pending and len(t._grid) == 2
+        assert not t.delta_pending and len(t._columns) == 2
         got = t.range_query(BoxQuery(overlap=(self.UNIVERSE,)))
         assert sorted(o.oid for o in got) == [0, 1]
 

@@ -164,7 +164,7 @@ class TestOtherDimensions:
         answers, _ = execute(plan, "boxplan")
         return sorted(a["x"].oid for a in answers)
 
-    @pytest.mark.parametrize("index", ["rtree", "grid", "scan"])
+    @pytest.mark.parametrize("index", ["rtree", "scan"])
     def test_1d_interval_query(self, index):
         assert self._run_1d(index) == [1, 2]
 
