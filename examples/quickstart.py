@@ -11,7 +11,7 @@ Walks through the whole pipeline on a synthetic map:
 Run:  python examples/quickstart.py
 """
 
-from repro import parse_system
+from repro import ReproError, parse_system
 from repro.datagen import make_map
 from repro.engine import (
     SpatialQuery,
@@ -86,6 +86,14 @@ def main() -> None:
         "| engineered roads =",
         world.good_road_ids,
     )
+
+    # ------------------------------------------------------------------
+    # 5. Malformed input ends in a typed error, not a bare traceback.
+    # ------------------------------------------------------------------
+    try:
+        parse_system("R <= (A | B")
+    except ReproError as err:
+        print(f"\nrejected: {type(err).__name__}: {err}")
 
 
 if __name__ == "__main__":

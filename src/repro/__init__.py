@@ -24,6 +24,11 @@ Subpackages
 ``repro.datagen``
     Synthetic maps and workloads for examples and benchmarks.
 
+This package exports the embedded API (:class:`Database`,
+:class:`Session`), the root of the error hierarchy (:class:`ReproError`)
+and the names the examples import; everything else is imported from its
+defining module, e.g. ``from repro.spatial.table import SpatialTable``.
+
 Quickstart
 ----------
 >>> from repro import Database, Session
@@ -31,122 +36,20 @@ Quickstart
 >>> # examples/service_quickstart.py for snapshots + the query service
 """
 
-from .algebra import (
-    BitVectorAlgebra,
-    IntervalAlgebra,
-    IntervalSet,
-    PowersetAlgebra,
-    Region,
-    RegionAlgebra,
-    TwoValuedAlgebra,
-)
-from .boolean import (
-    FALSE,
-    TRUE,
-    Formula,
-    Var,
-    blake_canonical_form,
-    conj,
-    disj,
-    neg,
-    parse,
-    simplify,
-    to_str,
-    to_unicode,
-    var,
-    variables,
-)
-from .boxes import (
-    Box,
-    BoxQuery,
-    approximate,
-    compile_solved_constraint,
-    lower_approximation,
-    upper_approximation,
-)
-from .constraints import (
-    ConstraintSystem,
-    build_witness,
-    entails_atomless,
-    equal,
-    nonempty,
-    not_subset,
-    overlaps,
-    parse_system,
-    project,
-    satisfiable_atomless,
-    smugglers_system,
-    subset,
-    triangular_form,
-)
-from .database import Database, QueryResult, Session
-from .engine import (
-    SpatialQuery,
-    compile_query,
-    execute,
-)
-from .errors import (
-    CompilationError,
-    ParseError,
-    ReproError,
-    UnsatisfiableError,
-)
-from .spatial import RTree, SpatialTable
+from .algebra.intervals import IntervalAlgebra
+from .algebra.regions import Region
+from .constraints.parser import parse_system
+from .database import Database, Session
+from .errors import ReproError
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BitVectorAlgebra",
-    "Box",
-    "BoxQuery",
-    "CompilationError",
-    "ConstraintSystem",
     "Database",
-    "FALSE",
-    "Formula",
     "IntervalAlgebra",
-    "IntervalSet",
-    "ParseError",
-    "PowersetAlgebra",
-    "QueryResult",
-    "RTree",
     "Region",
-    "RegionAlgebra",
     "ReproError",
     "Session",
-    "SpatialQuery",
-    "SpatialTable",
-    "TRUE",
-    "TwoValuedAlgebra",
-    "UnsatisfiableError",
-    "Var",
-    "approximate",
-    "blake_canonical_form",
-    "build_witness",
-    "compile_query",
-    "compile_solved_constraint",
-    "conj",
-    "disj",
-    "entails_atomless",
-    "equal",
-    "execute",
-    "lower_approximation",
-    "neg",
-    "nonempty",
-    "not_subset",
-    "overlaps",
-    "parse",
     "parse_system",
-    "project",
-    "satisfiable_atomless",
-    "simplify",
-    "smugglers_system",
-    "subset",
-    "to_str",
-    "to_unicode",
-    "triangular_form",
-    "upper_approximation",
-    "var",
-    "variables",
     "__version__",
 ]

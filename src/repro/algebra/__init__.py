@@ -12,26 +12,13 @@ Boolean algebra; this package supplies the carriers used by the paper:
 * :class:`FreeBooleanAlgebra` — the BDD-backed free algebra (test oracle).
 """
 
-from .base import BooleanAlgebra, OpCounter
 from .bitvec import BitVectorAlgebra
-from .boolean2 import TwoValuedAlgebra
-from .intervals import IntervalAlgebra, IntervalSet
-from .laws import check_all_laws
-from .lindenbaum import FreeBooleanAlgebra
-from .powerset import PowersetAlgebra
-from .regions import Region, RegionAlgebra, box_subtract
+from .intervals import IntervalAlgebra
+from .regions import Region, RegionAlgebra
 
 __all__ = [
     "BitVectorAlgebra",
-    "BooleanAlgebra",
-    "FreeBooleanAlgebra",
     "IntervalAlgebra",
-    "IntervalSet",
-    "OpCounter",
-    "PowersetAlgebra",
     "Region",
     "RegionAlgebra",
-    "TwoValuedAlgebra",
-    "box_subtract",
-    "check_all_laws",
 ]

@@ -167,8 +167,3 @@ class BooleanAlgebra(abc.ABC, Generic[E]):
     def proper_nonempty_subset(self, a: E) -> E:
         """A proper nonzero subset of nonzero ``a`` (first half of split)."""
         return self.split(a)[0]
-
-
-def check_element_equality(algebra: BooleanAlgebra, a, b) -> bool:
-    """Equality modulo the algebra (used by generic tests)."""
-    return algebra.eq(a, b)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .base import BooleanAlgebra
 
 
+# oracle: tests/strategies.py
 class TwoValuedAlgebra(BooleanAlgebra[bool]):
     """B2: elements are Python bools."""
 

@@ -17,6 +17,7 @@ from ..boolean.syntax import Formula
 from .base import BooleanAlgebra
 
 
+# oracle: tests/test_algebra_carriers.py
 class FreeBooleanAlgebra(BooleanAlgebra[int]):
     """Boolean functions over fixed generators; elements are BDD nodes."""
 

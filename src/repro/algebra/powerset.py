@@ -16,6 +16,7 @@ from typing import FrozenSet, Iterable, Iterator, Tuple
 from .base import BooleanAlgebra
 
 
+# oracle: tests/strategies.py
 class PowersetAlgebra(BooleanAlgebra[FrozenSet]):
     """The algebra of all subsets of a finite ``universe``."""
 

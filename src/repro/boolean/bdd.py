@@ -433,15 +433,3 @@ class Bdd:
             out = self._formula_cache[lower, upper] = cover_to_formula(cover)
             self._lifted.setdefault(out, covered)
         return out
-
-
-def bdd_equivalent(f: Formula, g: Formula) -> bool:
-    """Check ``f == g`` as Boolean functions via a shared BDD manager."""
-    mgr = Bdd(sorted(f.variables() | g.variables()))
-    return mgr.from_formula(f) == mgr.from_formula(g)
-
-
-def bdd_implies(f: Formula, g: Formula) -> bool:
-    """Check ``f <= g`` via BDDs."""
-    mgr = Bdd(sorted(f.variables() | g.variables()))
-    return mgr.apply_imp(mgr.from_formula(f), mgr.from_formula(g)) == 1

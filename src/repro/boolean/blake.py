@@ -31,7 +31,6 @@ from .terms import (
     Term,
     absorb,
     consensus,
-    cover_to_formula,
     formula_to_cover,
     syllogistic_le,
 )
@@ -105,6 +104,7 @@ def is_prime_implicant(t: Term, f: Formula) -> bool:
     return True
 
 
+# oracle: tests/test_terms_blake.py
 def prime_implicants_bruteforce(f: Formula) -> List[Term]:
     """Oracle: enumerate all terms over ``vars(f)``, keep the primes.
 
@@ -122,6 +122,7 @@ def prime_implicants_bruteforce(f: Formula) -> List[Term]:
     return absorb(primes)
 
 
+# paper: Theorem 18
 def blake_le(g_cover: Sequence[Term], f: Formula) -> bool:
     """Theorem 18 (Blake): for SOP ``g``, ``g <= f`` iff ``g << BCF(f)``.
 
@@ -129,8 +130,3 @@ def blake_le(g_cover: Sequence[Term], f: Formula) -> bool:
     syntactically — this is what makes BCF useful at compile time.
     """
     return syllogistic_le(list(g_cover), blake_canonical_form(f))
-
-
-def bcf_formula(f: Formula) -> Formula:
-    """The Blake canonical form rebuilt as a formula."""
-    return cover_to_formula(blake_canonical_form(f))

@@ -23,7 +23,7 @@ from typing import List
 
 from .blake import blake_canonical_form
 from .semantics import implies as semantic_implies
-from .syntax import Formula, TRUE, conj, neg
+from .syntax import Formula, neg
 from .terms import Term
 
 
@@ -93,19 +93,12 @@ def prime_implicates(f: Formula) -> List[Clause]:
     return [Clause(t) for t in co_primes]
 
 
-def implicates_formula(f: Formula) -> Formula:
-    """The conjunctive canonical form rebuilt as a formula."""
-    clauses = prime_implicates(f)
-    if not clauses:
-        return TRUE
-    return conj(*[c.to_formula() for c in clauses])
-
-
 def is_implicate(c: Clause, f: Formula) -> bool:
     """``True`` iff ``f <= c`` semantically."""
     return semantic_implies(f, c.to_formula())
 
 
+# oracle: tests/test_implicates.py
 def is_prime_implicate(c: Clause, f: Formula) -> bool:
     """``True`` iff ``c`` is an implicate no sub-clause of which is one."""
     if not is_implicate(c, f):
@@ -117,6 +110,7 @@ def is_prime_implicate(c: Clause, f: Formula) -> bool:
     return True
 
 
+# paper: Section 4, the dual route to Theorem 15's L_f
 def lower_atoms_via_implicates(f: Formula) -> List[str]:
     """Atoms ``x`` with ``x <= f``, via the dual form.
 

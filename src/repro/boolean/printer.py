@@ -1,12 +1,7 @@
-"""Pretty printers for Boolean formulas.
+"""Pretty printer for Boolean formulas.
 
-Two surface syntaxes are provided:
-
-* :func:`to_str` — ASCII, round-trips through :mod:`repro.boolean.parser`
-  (``~x & (y | z)``).
-* :func:`to_unicode` — display form close to the paper's notation
-  (complement as a postfix prime would be ambiguous in plain text, so we
-  use the conventional ``¬``, ``∧``, ``∨``).
+:func:`to_str` renders ASCII that round-trips through
+:mod:`repro.boolean.parser` (``~x & (y | z)``).
 
 Operator precedence (loosest to tightest): ``|``, ``&``, ``~``.
 Parentheses are emitted only where required.
@@ -21,59 +16,22 @@ _PREC_AND = 2
 _PREC_NOT = 3
 
 
-def _render(f: Formula, parent_prec: int, symbols) -> str:
-    neg_sym, and_sym, or_sym, true_sym, false_sym = symbols
+def _render(f: Formula, parent_prec: int) -> str:
     if isinstance(f, Const):
-        return true_sym if f.value else false_sym
+        return "1" if f.value else "0"
     if isinstance(f, Var):
         return f.name
     if isinstance(f, Not):
-        inner = _render(f.arg, _PREC_NOT, symbols)
-        return f"{neg_sym}{inner}"
+        return "~" + _render(f.arg, _PREC_NOT)
     if isinstance(f, And):
-        body = and_sym.join(_render(a, _PREC_AND, symbols) for a in f.args)
+        body = " & ".join(_render(a, _PREC_AND) for a in f.args)
         return f"({body})" if parent_prec > _PREC_AND else body
     if isinstance(f, Or):
-        body = or_sym.join(_render(a, _PREC_OR, symbols) for a in f.args)
+        body = " | ".join(_render(a, _PREC_OR) for a in f.args)
         return f"({body})" if parent_prec > _PREC_OR else body
     raise TypeError(f"not a formula: {f!r}")
 
 
 def to_str(f: Formula) -> str:
     """Render ``f`` in the parser's ASCII syntax."""
-    return _render(f, 0, ("~", " & ", " | ", "1", "0"))
-
-
-def to_unicode(f: Formula) -> str:
-    """Render ``f`` with mathematical symbols for display."""
-    return _render(f, 0, ("¬", " ∧ ", " ∨ ", "1", "0"))
-
-
-def to_compact(f: Formula) -> str:
-    """Dense rendering (juxtaposition for AND, ``+`` for OR, ``'`` prime).
-
-    Matches the algebraic style of Boole/Brown used in the paper's proofs,
-    e.g. ``xy' + z``.  Only well-defined when all variable names are single
-    tokens; multi-character names are separated by ``.``.
-    """
-    if isinstance(f, Const):
-        return "1" if f.value else "0"
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Not):
-        inner = to_compact(f.arg)
-        if isinstance(f.arg, (Var, Const)):
-            return inner + "'"
-        return "(" + inner + ")'"
-    if isinstance(f, And):
-        parts = []
-        for a in f.args:
-            s = to_compact(a)
-            if isinstance(a, Or):
-                s = "(" + s + ")"
-            parts.append(s)
-        sep = "." if any(len(p.rstrip("'")) > 1 for p in parts) else ""
-        return sep.join(parts)
-    if isinstance(f, Or):
-        return " + ".join(to_compact(a) for a in f.args)
-    raise TypeError(f"not a formula: {f!r}")
+    return _render(f, 0)

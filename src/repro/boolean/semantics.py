@@ -8,8 +8,8 @@ Two layers:
    same symbolic machinery is run over bits, finite sets, intervals and
    k-dimensional regions.
 
-2. **Two-valued (truth-table) reasoning** — :func:`is_tautology`,
-   :func:`is_contradiction`, :func:`equivalent`, :func:`implies`.
+2. **Two-valued (truth-table) reasoning** — :func:`is_contradiction`,
+   :func:`equivalent`, :func:`implies`.
    A Boolean-function *identity* holds in **every** Boolean algebra iff it
    holds in the two-valued algebra B2 (a classical consequence of the
    Stone representation / the fact that free Boolean algebras are
@@ -28,7 +28,7 @@ and disjunction single integer operations.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .syntax import And, Const, Formula, Not, Or, Var
 
@@ -55,21 +55,6 @@ def evaluate(f: Formula, algebra, env: Mapping[str, object]):
         for a in f.args:
             acc = algebra.join(acc, evaluate(a, algebra, env))
         return acc
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def eval_bool(f: Formula, env: Mapping[str, bool]) -> bool:
-    """Evaluate ``f`` under a two-valued assignment (plain bools)."""
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Var):
-        return bool(env[f.name])
-    if isinstance(f, Not):
-        return not eval_bool(f.arg, env)
-    if isinstance(f, And):
-        return all(eval_bool(a, env) for a in f.args)
-    if isinstance(f, Or):
-        return any(eval_bool(a, env) for a in f.args)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -135,22 +120,11 @@ def truth_table_fast(f: Formula, order: Sequence[str]) -> int:
     return tt(f)
 
 
-#: Backwards-compatible alias — the bit-parallel version is the only one.
-truth_table = truth_table_fast
-
-
 def _joint_order(*formulas: Formula) -> Tuple[str, ...]:
     names: set = set()
     for f in formulas:
         names |= f.variables()
     return tuple(sorted(names))
-
-
-def is_tautology(f: Formula) -> bool:
-    """``True`` iff ``f`` is identically 1 (in every Boolean algebra)."""
-    order = _joint_order(f)
-    full = (1 << (1 << len(order))) - 1
-    return truth_table_fast(f, order) == full
 
 
 def is_contradiction(f: Formula) -> bool:
@@ -177,6 +151,7 @@ def implies(f: Formula, g: Formula) -> bool:
     return tf & ~tg == 0
 
 
+# oracle: tests/test_paper_example.py
 def equivalent_under(hypothesis: Formula, f: Formula, g: Formula) -> bool:
     """``True`` iff ``f`` and ``g`` agree on all assignments where
     ``hypothesis`` holds.
@@ -191,6 +166,7 @@ def equivalent_under(hypothesis: Formula, f: Formula, g: Formula) -> bool:
     return (tf ^ tg) & th == 0
 
 
+# oracle: tests/reference_triangular.py
 def implies_under(hypothesis: Formula, f: Formula, g: Formula) -> bool:
     """``True`` iff ``f <= g`` holds on every assignment satisfying
     ``hypothesis`` (i.e. ``hypothesis & f & ~g == 0``).
@@ -203,23 +179,3 @@ def implies_under(hypothesis: Formula, f: Formula, g: Formula) -> bool:
     tf = truth_table_fast(f, order)
     tg = truth_table_fast(g, order)
     return th & tf & ~tg == 0
-
-
-def satisfying_assignments(
-    f: Formula, order: Optional[Sequence[str]] = None
-) -> Iterable[Dict[str, bool]]:
-    """Yield all two-valued assignments (over ``order``) satisfying ``f``."""
-    if order is None:
-        order = _joint_order(f)
-    tt = truth_table_fast(f, order)
-    n = len(order)
-    for i in range(1 << n):
-        if (tt >> i) & 1:
-            yield {name: bool((i >> k) & 1) for k, name in enumerate(order)}
-
-
-def count_satisfying(f: Formula, order: Optional[Sequence[str]] = None) -> int:
-    """Number of satisfying two-valued assignments over ``order``."""
-    if order is None:
-        order = _joint_order(f)
-    return bin(truth_table_fast(f, order)).count("1")

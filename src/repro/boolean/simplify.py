@@ -41,6 +41,7 @@ def simplify(f: Formula, order: Optional[Iterable[str]] = None) -> Formula:
     return mgr.to_formula(mgr.from_formula(f))
 
 
+# oracle: tests/reference_triangular.py
 def simplify_under(f: Formula, care: Formula, order: Optional[Iterable[str]] = None) -> Formula:
     """Simplify ``f`` assuming ``care`` holds (don't-care minimisation).
 

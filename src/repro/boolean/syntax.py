@@ -354,11 +354,6 @@ def neg(item: FormulaLike) -> Formula:
     return Not(f)
 
 
-def implies_formula(a: FormulaLike, b: FormulaLike) -> Formula:
-    """The formula ``~a | b`` (not a truth judgement — see semantics)."""
-    return disj(neg(a), formula(b))
-
-
 def _collect_vars(f: Formula, out: set) -> None:
     stack = [f]
     while stack:
@@ -380,8 +375,3 @@ def _substitute(f: Formula, binding: Dict[str, Formula]) -> Formula:
         return neg(_substitute(f.arg, binding))
     parts = [_substitute(a, binding) for a in f.args]
     return conj(*parts) if isinstance(f, And) else disj(*parts)
-
-
-def rename(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Rename variables according to ``mapping`` (missing names kept)."""
-    return f.substitute({old: Var(new) for old, new in mapping.items()})

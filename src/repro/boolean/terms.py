@@ -26,7 +26,7 @@ Reasoning*):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .syntax import And, Const, FALSE, Formula, Not, Or, TRUE, Var, conj, disj, neg
 
@@ -154,25 +154,6 @@ class Term:
         return all(bool(env[v]) == s for v, s in self._lits.items())
 
 
-def term(*literals: str) -> Term:
-    """Build a term from literal strings: ``term('x', "~y")`` is ``x & ~y``.
-
-    A leading ``~`` or trailing ``'`` marks a negative literal.
-    """
-    lits: Dict[str, bool] = {}
-    for raw in literals:
-        name, sign = raw, True
-        if raw.startswith("~"):
-            name, sign = raw[1:], False
-        elif raw.endswith("'"):
-            name, sign = raw[:-1], False
-        if not name:
-            raise ValueError(f"bad literal: {raw!r}")
-        if lits.setdefault(name, sign) != sign:
-            raise ValueError(f"complementary literals for {name!r}")
-    return Term(lits)
-
-
 def consensus(t1: Term, t2: Term) -> Optional[Term]:
     """Consensus of two terms, if defined.
 
@@ -283,11 +264,6 @@ def _nnf_to_cover(f: Formula) -> List[Term]:
                 return []
         return prods
     raise TypeError(f"not a formula: {f!r}")
-
-
-def cover_evaluate(terms: Sequence[Term], env: Mapping[str, bool]) -> bool:
-    """Two-valued evaluation of a cover."""
-    return any(t.evaluate(env) for t in terms)
 
 
 def syllogistic_le(f_terms: Sequence[Term], g_terms: Sequence[Term]) -> bool:

@@ -8,63 +8,31 @@
   forms and the solved-form conversion.
 """
 
-from .approximation import (
-    Approximation,
-    approximate,
-    lower_approximation,
-    term_upper,
-    upper_approximation,
-    upper_approximation_sop,
-)
-from .bconstraints import (
-    BoxQuery,
-    OverlapTemplate,
-    StepTemplate,
-    compile_solved_constraint,
-)
-from .box import Box, EMPTY_BOX, enclose_all, meet_all
+from .approximation import approximate, lower_approximation, upper_approximation
+from .bconstraints import BoxQuery, compile_solved_constraint
+from .box import Box
 from .functions import (
-    BOT,
     TOP,
-    BoxConst,
-    BoxFunc,
-    BoxJoin,
-    BoxMeet,
     BoxVar,
     bjoin,
     bmeet,
     evaluate_boxfunc,
-    is_monotone_instance,
     naive_transform,
     render_boxfunc,
 )
 
 __all__ = [
-    "Approximation",
-    "BOT",
     "Box",
-    "BoxConst",
-    "BoxFunc",
-    "BoxJoin",
-    "BoxMeet",
     "BoxQuery",
     "BoxVar",
-    "EMPTY_BOX",
-    "OverlapTemplate",
-    "StepTemplate",
     "TOP",
     "approximate",
     "bjoin",
     "bmeet",
     "compile_solved_constraint",
-    "enclose_all",
     "evaluate_boxfunc",
-    "is_monotone_instance",
     "lower_approximation",
-    "meet_all",
     "naive_transform",
     "render_boxfunc",
-    "term_upper",
     "upper_approximation",
-    "upper_approximation_sop",
 ]

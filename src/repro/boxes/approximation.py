@@ -87,6 +87,7 @@ def upper_approximation(f: Formula) -> BoxFunc:
     return _absorb_join(parts)
 
 
+# paper: Theorem 17
 def upper_approximation_sop(terms: Sequence[Term]) -> BoxFunc:
     """``U`` computed from an arbitrary SOP cover (Theorem 17's "any
     sum-of-products representation"); exposed so the tests can compare

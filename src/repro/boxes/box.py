@@ -424,18 +424,3 @@ def box_to_jsonable(box: Box) -> List[List[float]]:
 def box_from_jsonable(data: Sequence[Sequence[float]]) -> Box:
     """Inverse of :func:`box_to_jsonable`."""
     return Box(tuple(data[0]), tuple(data[1]))
-
-
-def meet_all(boxes: Iterable[Box], universe: Optional[Box] = None) -> Box:
-    """``⊓`` over an iterable; ``universe`` seeds the fold (else the first
-    element does).  Raises on an empty iterable with no universe."""
-    items: List[Box] = list(boxes)
-    if universe is not None:
-        out = universe
-    elif items:
-        out = items.pop(0)
-    else:
-        raise ValueError("meet of nothing requires a universe box")
-    for b in items:
-        out = out.meet(b)
-    return out

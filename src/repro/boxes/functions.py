@@ -9,8 +9,7 @@ boxes ``⌈x_1⌉..⌈x_{i-1}⌉`` of already-retrieved objects.
 
 All bounding-box functions are **monotone** with respect to ``⊑`` (both
 operators are), a fact the correctness of the approximation relies on
-(Lemma 12 uses it explicitly) and which :func:`is_monotone_instance`
-spot-checks in the tests.
+(Lemma 12 uses it explicitly) and which the tests spot-check.
 
 The AST deliberately mirrors :mod:`repro.boolean.syntax` minus
 complement: the bounding box of a complement is not expressible, which is
@@ -254,21 +253,6 @@ def render_boxfunc(f: BoxFunc) -> str:
     if isinstance(f, BoxJoin):
         return "(" + " v ".join(render_boxfunc(a) for a in f.args) + ")"
     raise TypeError(f"not a bounding-box function: {f!r}")
-
-
-def is_monotone_instance(
-    f: BoxFunc,
-    env_small: Mapping[str, Box],
-    env_big: Mapping[str, Box],
-    universe: Optional[Box] = None,
-) -> bool:
-    """Spot-check monotonicity: pointwise ``⊑`` inputs give ``⊑`` outputs."""
-    for name in f.variables():
-        if not env_small[name].le(env_big[name]):
-            raise ValueError("env_small must be pointwise below env_big")
-    lo = evaluate_boxfunc(f, env_small, universe)
-    hi = evaluate_boxfunc(f, env_big, universe)
-    return lo.le(hi)
 
 
 def naive_transform(formula) -> BoxFunc:

@@ -24,7 +24,7 @@ Both functions are exact for atomless algebras and sound (no false
 from __future__ import annotations
 
 
-from ..boolean.semantics import is_contradiction, is_tautology
+from ..boolean.semantics import is_contradiction
 from ..boolean.simplify import simplify
 from ..boolean.syntax import FALSE, disj
 from .projection import eliminate_to_ground
@@ -35,29 +35,6 @@ def _as_equational(system) -> EquationalSystem:
     if isinstance(system, ConstraintSystem):
         return system.normalize()
     return system
-
-
-def ground_holds(ground: EquationalSystem) -> bool:
-    """Evaluate a variable-free system (constants only).
-
-    The equation must be identically 0 and every disequation identically
-    nonzero.  A variable-free formula over {0,1} constants is constant,
-    but projection can also leave *formulas over no variables at all*
-    mixed from constants; we decide with the tautology/contradiction
-    checks, which handle both.
-    """
-    if not is_contradiction(ground.equation):
-        return False
-    for g in ground.disequations:
-        if is_contradiction(g):
-            return False
-        if not is_tautology(g):
-            # A variable-free formula is 0 or 1; anything else means
-            # variables survived elimination (caller bug).
-            raise ValueError(
-                f"ground system still mentions variables: {g!r}"
-            )
-    return True
 
 
 def satisfiable_atomless(system) -> bool:
@@ -108,6 +85,7 @@ def equivalent_atomless(s1, s2) -> bool:
     return entails_atomless(s1, s2) and entails_atomless(s2, s1)
 
 
+# paper: Theorem 9
 def is_best_approximation(
     projected: EquationalSystem, original: EquationalSystem, x: str
 ) -> bool:

@@ -49,10 +49,10 @@ def smugglers_system() -> ConstraintSystem:
 SMUGGLERS_ORDER: Tuple[str, ...] = ("T", "R", "B")
 """The retrieval order the paper picks "arbitrarily": town, road, state."""
 
-SMUGGLERS_CONSTANTS: Tuple[str, ...] = ("C", "A")
 """The bound (given) variables of the Section 2 example."""
 
 
+# paper: Example 1
 def nonclosure_example() -> ConstraintSystem:
     """Paper Example 1: ``x∧y ≠ 0 ∧ ¬x∧y ≠ 0``.
 

@@ -29,6 +29,7 @@ def _single(constraint) -> ConstraintSystem:
     return ConstraintSystem.build(constraint)
 
 
+# oracle: tests/test_join_minimize_cli.py
 def redundant_constraints(system: ConstraintSystem) -> List:
     """Constraints implied by the remainder of the system.
 

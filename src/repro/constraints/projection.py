@@ -42,6 +42,7 @@ from ..boolean.syntax import Formula, conj, disj, neg
 from .system import EquationalSystem
 
 
+# paper: Theorem 2
 def exists_equation(f: Formula, x: str) -> Formula:
     """Boole's elimination (Theorem 2): ``∃x (f = 0) ⟺ f[x←0]∧f[x←1] = 0``.
 
@@ -51,6 +52,7 @@ def exists_equation(f: Formula, x: str) -> Formula:
     return conj(lo, hi)
 
 
+# paper: Theorem 4
 def project_disequation(f: Formula, g: Formula, x: str) -> Formula:
     """The disequation produced by projecting ``g ≠ 0`` out of ``x``.
 

@@ -267,6 +267,7 @@ def solve_for(
     return SolvedConstraint(x, lower, upper, tuple(solved)), passed
 
 
+# oracle: tests/test_solved_triangular.py
 def solved_to_system(constraint: SolvedConstraint) -> EquationalSystem:
     """Rebuild the equational system denoted by a solved constraint.
 

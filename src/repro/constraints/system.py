@@ -84,9 +84,6 @@ class Negative:
         return f"{to_str(self.lhs)} !<= {to_str(self.rhs)}"
 
 
-Constraint = object  # Positive | Negative (kept simple for Python 3.9)
-
-
 class ConstraintSystem:
     """A conjunction of positive and negative Boolean constraints."""
 

@@ -229,6 +229,7 @@ def _subsume_solved(
     return c if len(kept) == len(c.disequations) else replace(c, disequations=kept)
 
 
+# paper: Theorem 9
 def verify_necessity(
     tri: TriangularForm,
     algebra,

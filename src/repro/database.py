@@ -250,7 +250,8 @@ class Session:
     def _options(self, **given) -> dict:
         """All four options for one call, ``given`` over the session
         defaults, checked before any planning: ``partitions`` and
-        ``limit`` must be integers (``limit`` may be ``None``) and
+        ``limit`` must be integers (``limit`` may be ``None``, not
+        negative) and
         ``join_strategy`` must suit ``mode``
         (:func:`~repro.engine.physical.check_join_strategy`).  A bad
         value raises :class:`~repro.errors.OptionError`, which the
@@ -263,6 +264,8 @@ class Session:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise OptionError(f"{name} must be an integer, not {value!r}")
+        if options["limit"] is not None and options["limit"] < 0:
+            raise OptionError(f"limit must not be negative, not {options['limit']!r}")
         check_join_strategy(options["mode"], options["join_strategy"])
         return options
 

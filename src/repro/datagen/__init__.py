@@ -1,14 +1,7 @@
 """Synthetic spatial data and benchmark workloads."""
 
-from .maps import SmugglersMap, make_map
-from .shapes import (
-    grid_partition,
-    random_axis_path,
-    random_box,
-    random_box_cloud,
-    random_region,
-    thick_polyline,
-)
+from .maps import make_map
+from .shapes import grid_partition, random_box
 from .workloads import (
     containment_chain_query,
     overlay_query,
@@ -17,16 +10,11 @@ from .workloads import (
 )
 
 __all__ = [
-    "SmugglersMap",
     "containment_chain_query",
     "grid_partition",
     "make_map",
     "overlay_query",
-    "random_axis_path",
     "random_box",
-    "random_box_cloud",
-    "random_region",
     "sandwich_query",
     "smugglers_query",
-    "thick_polyline",
 ]

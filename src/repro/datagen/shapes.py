@@ -45,19 +45,6 @@ def random_box_cloud(
     ]
 
 
-def random_region(
-    rng: random.Random,
-    universe: Box,
-    pieces: int = 3,
-    min_side: float = 0.5,
-    max_side: float = 6.0,
-) -> Region:
-    """A random region as the union of a few random boxes."""
-    return Region.from_boxes(
-        random_box_cloud(rng, universe, pieces, min_side, max_side)
-    )
-
-
 def grid_partition(universe: Box, cells_per_dim: Sequence[int]) -> List[Region]:
     """Partition the universe box into an axis-aligned grid of regions.
 
@@ -104,31 +91,3 @@ def thick_polyline(
         hi = (max(x1, x2) + h, max(y1, y2) + h)
         boxes.append(Box(lo, hi))
     return Region.from_boxes(boxes)
-
-
-def random_axis_path(
-    rng: random.Random,
-    start: Tuple[float, float],
-    end: Tuple[float, float],
-    jitter: float = 3.0,
-    segments: int = 4,
-) -> List[Tuple[float, float]]:
-    """An axis-aligned staircase path from ``start`` to ``end``."""
-    points = [start]
-    x, y = start
-    ex, ey = end
-    for i in range(segments - 1):
-        if i % 2 == 0:
-            x = x + (ex - x) * rng.uniform(0.3, 0.9) + rng.uniform(
-                -jitter, jitter
-            )
-            points.append((x, y))
-        else:
-            y = y + (ey - y) * rng.uniform(0.3, 0.9) + rng.uniform(
-                -jitter, jitter
-            )
-            points.append((x, y))
-    # Close with an L to the endpoint.
-    points.append((ex, y))
-    points.append((ex, ey))
-    return points

@@ -80,14 +80,6 @@ INDEX_PROBE_BRANCHING = 4.0
 #: and the greedy heuristic is used directly.
 MAX_ENUMERATED_UNKNOWNS = 7
 
-#: Access paths a kNN step can use (:func:`choose_knn_access`).
-KNN_ACCESS_STRATEGIES = ("bestfirst", "scan")
-
-#: Strategies :func:`choose_aggregate_strategy` picks among:
-#: ``"stream"`` folds the verified answer stream, ``"pushdown"``
-#: answers a box-level COUNT from the R-tree's subtree entry counts.
-AGGREGATE_STRATEGIES = ("stream", "pushdown")
-
 #: The histogram planner only overrides the greedy order when its
 #: estimate is decisively better (below this fraction of the greedy
 #: order's estimate).  Near-ties are estimator noise: deferring to the
@@ -387,6 +379,7 @@ def rollout_step_estimates(
     return _Rollouts(query, catalog).step_estimates(order, rollouts, seed)
 
 
+# oracle: tests/test_planner_cost.py
 def estimate_order_cost_histogram(
     query: SpatialQuery,
     order: Sequence[str],
@@ -609,4 +602,3 @@ def choose_join_strategies(
         )
         out.append(best)
     return tuple(out)
-

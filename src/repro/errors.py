@@ -76,9 +76,10 @@ class UnknownModeError(ReproError, ValueError):
 
 class OptionError(ReproError, ValueError):
     """Raised when an execution option — ``mode``, ``join_strategy``,
-    ``partitions`` or ``limit`` — has the wrong type or value, or when
-    two of them do not go together (an explicit join strategy in a mode
-    with no box layer).  The message names what was expected."""
+    ``partitions`` or ``limit``, or a kNN lookup's ``k`` or ``access`` —
+    has the wrong type or value, or when two of them do not go together
+    (an explicit join strategy in a mode with no box layer).  The message
+    names what was expected."""
 
 
 class UnboundVariableError(CompilationError):

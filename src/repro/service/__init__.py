@@ -8,17 +8,11 @@ for the matching blocking client, which keeps one connection alive.
 """
 
 from .client import ServiceClient
-from .server import (
-    QueryService,
-    ServiceServer,
-    SnapshotStore,
-    serve_in_thread,
-)
+from .server import QueryService, ServiceServer, serve_in_thread
 
 __all__ = [
     "QueryService",
     "ServiceClient",
     "ServiceServer",
-    "SnapshotStore",
     "serve_in_thread",
 ]

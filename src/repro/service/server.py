@@ -316,10 +316,9 @@ class QueryService:
             anchor = box_from_jsonable(payload["box"])
         else:
             raise ServiceError("nearest needs a 'point' or a 'box' anchor")
+        # k and access are checked by SpatialTable.nearest (OptionError)
         results = table.nearest(
-            anchor,
-            int(payload.get("k", 1)),
-            access=str(payload.get("access", "auto")),
+            anchor, payload.get("k", 1), access=payload.get("access", "auto")
         )
         return {
             "snapshot": version,

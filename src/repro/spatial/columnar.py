@@ -93,6 +93,7 @@ __all__ = [
 ]
 
 #: Recognised backend names (see module docstring).
+# oracle: tests/test_columnar.py
 BACKENDS = ("numpy", "array")
 
 #: Test override installed by :func:`forced_backend`; ``None`` defers to
@@ -109,6 +110,7 @@ def active_backend() -> str:
     return "numpy" if HAVE_NUMPY else "array"
 
 
+# oracle: tests/conftest.py
 @contextmanager
 def forced_backend(name: Optional[str]) -> Iterator[None]:
     """Pin the backend for the duration of a ``with`` block (tests).

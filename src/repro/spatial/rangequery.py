@@ -114,6 +114,7 @@ def compile_range(query: BoxQuery, k: int, eps: float = OPEN_EPS) -> PointRange:
     return PointRange(tuple(lo), tuple(hi))
 
 
+# paper: Figure 3
 def matches_via_point(query: BoxQuery, box: Box, eps: float = OPEN_EPS) -> bool:
     """Evaluate a BoxQuery through the point mapping (test oracle)."""
     if box.is_empty():

@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..algebra.regions import Region
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box
-from ..errors import AnchorError, DimensionMismatchError
+from ..errors import AnchorError, DimensionMismatchError, OptionError
 from . import columnar
 from .columnar import ColumnStore
 from .delta import TableDelta
@@ -800,23 +800,27 @@ class SpatialTable:
         * ``"auto"`` — best-first on the r-tree backend, scan on the
           scan backend.
 
-        The anchor is checked once, here, for every path: this table's
+        The options and the anchor are checked once, here, for every
+        path: ``k`` an ``int`` (not a ``bool``) and ``access`` one this
+        table can run (:class:`~repro.errors.OptionError`), this table's
         dimension (:class:`~repro.errors.DimensionMismatchError`) and,
         a point, finite numbers (:class:`~repro.errors.AnchorError`).
         Counts one probe, like a range query.
         """
-        if k <= 0:
-            return []
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise OptionError(f"k must be an integer, not {k!r}")
         if access not in ("auto", "bestfirst", "scan"):
-            raise ValueError(
+            raise OptionError(
                 f"unknown kNN access {access!r}; expected 'auto', "
                 f"'bestfirst' or 'scan'"
             )
         if access == "bestfirst" and self._rtree is None:
-            raise ValueError(
+            raise OptionError(
                 f"best-first kNN needs the rtree backend; table "
                 f"{self.name!r} uses {self.index_kind!r}"
             )
+        if k <= 0:
+            return []
         anchor = self._checked_anchor(anchor)
         self.probes += 1
         d = self._delta if self.delta_pending else None

@@ -29,21 +29,11 @@ from ..errors import DimensionMismatchError
 from . import columnar
 
 
-def interleave(coords: Sequence[int], bits: int) -> int:
-    """Morton-interleave ``k`` coordinates of ``bits`` bits each."""
-    out = 0
-    k = len(coords)
-    for b in range(bits):
-        for d, c in enumerate(coords):
-            out |= ((c >> b) & 1) << (b * k + d)
-    return out
-
-
 def interleave_batch(cells, bits: int):
-    """:func:`interleave` over the rows of an ``(n, k)`` int64 array.
+    """Morton-interleave the rows of an ``(n, k)`` int64 array of
+    ``bits``-bit cell coordinates.
 
-    Callers must ensure ``k * bits <= 62`` (the int64 code width); the
-    scalar :func:`interleave` has no such limit thanks to Python ints.
+    Callers must ensure ``k * bits <= 62`` (the int64 code width).
     """
     np = columnar.np
     n, k = cells.shape
@@ -294,27 +284,3 @@ def zorder_join(
             for r in active_left:
                 yield from emit(r, cur)
             active_right.append(cur)
-
-
-def zorder_overlap_query(
-    index: ZOrderIndex, probe: Box, exact: bool = True
-) -> Iterator[object]:
-    """All indexed objects overlapping ``probe`` (one-sided join)."""
-    probe_ranges = index.grid.decompose(probe)
-    if not probe_ranges:
-        return
-    stream = index.ranges()
-    seen: Set[int] = set()
-    pi = 0
-    for r in stream:
-        while pi < len(probe_ranges) and probe_ranges[pi].hi <= r.lo:
-            pi += 1
-        if pi >= len(probe_ranges):
-            break
-        if any(r.intersects(p) for p in probe_ranges[pi:]):
-            if id(r.value) in seen:
-                continue
-            seen.add(id(r.value))
-            if exact and not index.box_of(r.value).overlaps(probe):
-                continue
-            yield r.value

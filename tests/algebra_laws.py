@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .base import BooleanAlgebra
+from repro.algebra.base import BooleanAlgebra
 
 
 def associativity(alg: BooleanAlgebra, a, b, c) -> bool:

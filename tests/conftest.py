@@ -18,17 +18,12 @@ import random
 
 from hypothesis import strategies as st
 
-from repro.algebra import Region
-from repro.boxes import Box
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
-from repro.constraints import (
-    ConstraintSystem,
-    nonempty,
-    not_subset,
-    overlaps,
-    subset,
-)
-from repro.spatial import HAVE_NUMPY, SpatialTable, forced_backend
+from repro.constraints.system import ConstraintSystem, nonempty, not_subset, overlaps, subset
+from repro.spatial.columnar import HAVE_NUMPY, forced_backend
+from repro.spatial.table import SpatialTable
 
 #: The shared universe of every generated workload.
 UNIVERSE = Box((0.0, 0.0), (32.0, 32.0))

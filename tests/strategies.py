@@ -4,15 +4,12 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from repro.algebra import (
-    BitVectorAlgebra,
-    IntervalAlgebra,
-    PowersetAlgebra,
-    Region,
-    RegionAlgebra,
-    TwoValuedAlgebra,
-)
-from repro.boxes import Box
+from repro.algebra.bitvec import BitVectorAlgebra
+from repro.algebra.boolean2 import TwoValuedAlgebra
+from repro.algebra.intervals import IntervalAlgebra
+from repro.algebra.powerset import PowersetAlgebra
+from repro.algebra.regions import Region, RegionAlgebra
+from repro.boxes.box import Box
 
 # ---------------------------------------------------------------------------
 # Fixed algebra instances (hypothesis needs cheap, deterministic carriers)

@@ -8,15 +8,13 @@ hypothesis on random elements of each carrier.
 import pytest
 from hypothesis import given, settings
 
-from repro.algebra import (
-    BitVectorAlgebra,
-    FreeBooleanAlgebra,
-    PowersetAlgebra,
-    check_all_laws,
-)
-from repro.algebra.laws import (
+from repro.algebra.bitvec import BitVectorAlgebra
+from repro.algebra.lindenbaum import FreeBooleanAlgebra
+from repro.algebra.powerset import PowersetAlgebra
+from tests.algebra_laws import (
     absorption,
     associativity,
+    check_all_laws,
     commutativity,
     complementation,
     de_morgan,
@@ -137,7 +135,7 @@ class TestFreeAlgebra:
         assert not alg.is_atom(x)
 
     def test_from_formula(self):
-        from repro.boolean import variables
+        from repro.boolean.syntax import variables
 
         x, y = variables("x", "y")
         alg = FreeBooleanAlgebra(["x", "y"])

@@ -9,22 +9,26 @@ alternative SOP covers (Theorem 17's representation independence).
 
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean import FALSE, TRUE, evaluate, formula_to_cover, variables
-from repro.boxes import (
-    BOT,
-    Box,
-    BoxVar,
-    TOP,
+from repro.boolean.semantics import evaluate
+from repro.boolean.syntax import FALSE, TRUE, variables
+from repro.boolean.terms import formula_to_cover
+from repro.boxes.approximation import (
     approximate,
-    bjoin,
-    bmeet,
-    evaluate_boxfunc,
     lower_approximation,
-    naive_transform,
-    render_boxfunc,
     term_upper,
     upper_approximation,
     upper_approximation_sop,
+)
+from repro.boxes.box import Box
+from repro.boxes.functions import (
+    BOT,
+    TOP,
+    BoxVar,
+    bjoin,
+    bmeet,
+    evaluate_boxfunc,
+    naive_transform,
+    render_boxfunc,
 )
 from tests.strategies import PLANE, region_elements
 from tests.test_boolean_semantics import formulas
@@ -178,16 +182,16 @@ class TestOptimality:
 
 class TestTermUpper:
     def test_positive_term(self):
-        from repro.boolean import term
+        from tests.test_terms_blake import term
 
         assert term_upper(term("x", "y")) == bmeet(BoxVar("x"), BoxVar("y"))
 
     def test_negative_literals_dropped(self):
-        from repro.boolean import term
+        from tests.test_terms_blake import term
 
         assert term_upper(term("x", "~y")) == BoxVar("x")
 
     def test_all_negative_term_is_top(self):
-        from repro.boolean import term
+        from tests.test_terms_blake import term
 
         assert term_upper(term("~x", "~y")) == TOP

@@ -15,15 +15,19 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algebra import Region
-from repro.boxes import Box
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
 from repro.boxes.box import EMPTY_BOX
-from repro.datagen import overlay_query
-from repro.engine import SpatialQuery, build_physical_plan, compile_query
+from repro.datagen.workloads import overlay_query
+from repro.engine.compiler import compile_query
+from repro.engine.physical import build_physical_plan
+from repro.engine.query import SpatialQuery
 from repro.engine.physical import IndexProbe
 from repro.errors import UnsatisfiableError
-from repro.spatial import ProbeCache, RTree, SpatialTable, columnar
+from repro.spatial import columnar
+from repro.spatial.rtree import RTree
+from repro.spatial.table import ProbeCache, SpatialTable
 from repro.spatial import rtree as rtree_module
 from tests.conftest import (
     BACKEND_MATRIX as BACKENDS,

@@ -3,22 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.boxes import (
-    BOT,
-    Box,
-    BoxQuery,
-    BoxVar,
-    EMPTY_BOX,
-    StepTemplate,
-    TOP,
-    bjoin,
-    compile_solved_constraint,
-)
-from repro.constraints import (
-    SMUGGLERS_ORDER,
-    smugglers_system,
-    triangular_form,
-)
+from repro.boxes.bconstraints import BoxQuery, StepTemplate, compile_solved_constraint
+from repro.boxes.box import EMPTY_BOX, Box
+from repro.boxes.functions import BOT, TOP, BoxVar, bjoin
+from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
+from repro.constraints.triangular import triangular_form
 from tests.strategies import PLANE, boxes, nonempty_boxes
 
 UNIVERSE = PLANE.universe_box
@@ -79,7 +68,7 @@ class TestStepTemplate:
         assert q.inside == Box((1, 1), (5, 5))
 
     def test_overlap_emitted_only_when_q_empty(self):
-        from repro.boxes import OverlapTemplate
+        from repro.boxes.bconstraints import OverlapTemplate
 
         t = StepTemplate(
             variable="x",

@@ -3,20 +3,11 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.boolean import (
-    FALSE,
-    TRUE,
-    Bdd,
-    bdd_equivalent,
-    bdd_implies,
-    cover_to_formula,
-    equivalent,
-    equivalent_under,
-    implies,
-    simplify,
-    simplify_under,
-    variables,
-)
+from repro.boolean.bdd import Bdd
+from repro.boolean.semantics import equivalent, equivalent_under, implies
+from repro.boolean.simplify import simplify, simplify_under
+from repro.boolean.syntax import FALSE, TRUE, variables
+from repro.boolean.terms import cover_to_formula
 from tests.test_boolean_semantics import formulas
 
 
@@ -42,12 +33,15 @@ class TestConstruction:
     @given(formulas(), formulas())
     @settings(max_examples=100, deadline=None)
     def test_equivalence_matches_truth_tables(self, f, g):
-        assert bdd_equivalent(f, g) == equivalent(f, g)
+        mgr = Bdd(sorted(f.variables() | g.variables()))
+        assert (mgr.from_formula(f) == mgr.from_formula(g)) == equivalent(f, g)
 
     @given(formulas(), formulas())
     @settings(max_examples=100, deadline=None)
     def test_implication_matches_truth_tables(self, f, g):
-        assert bdd_implies(f, g) == implies(f, g)
+        mgr = Bdd(sorted(f.variables() | g.variables()))
+        implied = mgr.apply_imp(mgr.from_formula(f), mgr.from_formula(g)) == mgr.true
+        assert implied == implies(f, g)
 
 
 class TestOperations:

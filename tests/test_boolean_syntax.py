@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.boolean import (
+from repro.boolean.printer import to_str
+from repro.boolean.syntax import (
     FALSE,
     TRUE,
     And,
@@ -13,8 +14,6 @@ from repro.boolean import (
     disj,
     formula,
     neg,
-    rename,
-    to_str,
     variables,
 )
 
@@ -178,16 +177,11 @@ class TestSubstitution:
         lo, hi = f.cofactors("x")
         assert lo == self.z and hi == self.y
 
-    def test_rename(self):
-        f = self.x & ~self.y
-        g = rename(f, {"x": "a", "y": "b"})
-        assert g == (Var("a") & ~Var("b"))
-
 
 class TestPrinterRoundTrip:
     def test_simple(self):
         x, y, z = variables("x", "y", "z")
-        from repro.boolean import parse
+        from repro.boolean.parser import parse
 
         for f in [
             x,

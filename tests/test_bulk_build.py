@@ -20,12 +20,13 @@ from hypothesis import strategies as st
 
 import reference_build as ref
 from conftest import BACKEND_MATRIX as BACKENDS, TRACKED_PER_TREE, pinned, shifted_seed
-from repro import Database
-from repro.algebra import Region
-from repro.boxes import Box, EMPTY_BOX, enclose_all
+from repro.database import Database
+from repro.algebra.regions import Region
+from repro.boxes.box import EMPTY_BOX, Box, enclose_all
 from repro.engine.catalog import Histogram, collect_statistics
 from repro.errors import DimensionMismatchError
-from repro.spatial import RTree, SpatialTable
+from repro.spatial.rtree import RTree
+from repro.spatial.table import SpatialTable
 
 SIZES = (0, 1, 7, 8, 9, 64, 65, 1_000, 20_000)
 INF = math.inf

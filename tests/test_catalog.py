@@ -2,10 +2,11 @@
 
 import random
 
-from repro.algebra import Region
-from repro.boxes import Box, BoxQuery
-from repro.engine import Catalog, Histogram, collect_statistics
-from repro.spatial import SpatialTable
+from repro.algebra.regions import Region
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import Box
+from repro.engine.catalog import Catalog, Histogram, collect_statistics
+from repro.spatial.table import SpatialTable
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 

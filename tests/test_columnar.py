@@ -15,20 +15,19 @@ import random
 import pytest
 
 import reference_knn
-from repro.boxes import Box
+from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
-from repro.spatial import (
+from repro.spatial.columnar import (
     BACKENDS,
     HAVE_NUMPY,
     ColumnStore,
-    JoinStats,
-    SpatialTable,
     active_backend,
     forced_backend,
     pack_floats,
-    pbsm_join,
     unpack_floats,
 )
+from repro.spatial.partition import JoinStats, pbsm_join
+from repro.spatial.table import SpatialTable
 from repro.spatial.zorder import ZGrid, ZOrderIndex
 from tests.conftest import COLUMNAR_BACKENDS, UNIVERSE, random_table
 
@@ -217,7 +216,7 @@ class TestTableMirror:
     def test_insert_keeps_mirror_aligned(self, index):
         table = SpatialTable("t", 2, index=index, universe=UNIVERSE)
         boxes = _random_boxes(31, 40)
-        from repro.algebra import Region
+        from repro.algebra.regions import Region
 
         for i, b in enumerate(boxes):
             table.insert(
@@ -233,7 +232,7 @@ class TestTableMirror:
     def test_column_store_is_none_while_delta_pending(self):
         """The one state that hides the store: a pending delta, whose
         staged rows and tombstones the base slots do not mirror."""
-        from repro.algebra import Region
+        from repro.algebra.regions import Region
 
         table = random_table("t", random.Random(33), 5)
         assert table.column_store() is not None

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.boolean import Var, equivalent
+from repro.boolean.semantics import equivalent
+from repro.boolean.syntax import Var
 from repro.boolean.parser import MAX_DEPTH
-from repro.constraints import (
-    SMUGGLERS_ORDER,
-    parse_constraint,
-    parse_system,
-    smugglers_system,
-    triangular_form,
-)
+from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
+from repro.constraints.parser import parse_constraint, parse_system
+from repro.constraints.triangular import triangular_form
 from repro.errors import ParseError
 
 

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.algebra import BitVectorAlgebra
-from repro.boolean import FALSE, Var, conj, equivalent
-from repro.constraints import (
+from repro.algebra.bitvec import BitVectorAlgebra
+from repro.boolean.semantics import equivalent
+from repro.boolean.syntax import FALSE, Var, conj
+from repro.constraints.system import (
     ConstraintSystem,
     EquationalSystem,
     Negative,

@@ -10,19 +10,20 @@ import json
 
 import pytest
 
-from repro import BoxQuery, Database, Session
+from repro.boxes.bconstraints import BoxQuery
+from repro.database import Database, Session
 from repro.database import SESSION_OPTIONS
-from repro.algebra import Region
-from repro.boxes import Box
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
 from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
-from repro.datagen import overlay_query, smugglers_query
-from repro.engine import compile_query
+from repro.datagen.workloads import overlay_query, smugglers_query
+from repro.engine.compiler import compile_query
 from repro.engine.executor import (
     answers_as_oid_tuples,
     execute,
 )
 from repro.engine.stats import ExecutionStats
-from repro.spatial import SpatialTable
+from repro.spatial.table import SpatialTable
 from repro.spatial.rtree import RTreeStats
 from repro.spatial.table import ProbeCache
 

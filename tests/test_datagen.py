@@ -4,19 +4,15 @@ import random
 
 import pytest
 
-from repro.algebra import Region, RegionAlgebra
-from repro.boxes import Box
-from repro.datagen import (
+from repro.algebra.regions import Region, RegionAlgebra
+from repro.boxes.box import Box
+from repro.datagen.maps import make_map
+from repro.datagen.shapes import (
     grid_partition,
-    make_map,
-    overlay_query,
-    random_axis_path,
     random_box,
-    random_region,
-    sandwich_query,
-    smugglers_query,
     thick_polyline,
 )
+from repro.datagen.workloads import overlay_query, sandwich_query, smugglers_query
 
 
 class TestShapes:
@@ -53,18 +49,6 @@ class TestShapes:
     def test_thick_polyline_rejects_diagonals(self):
         with pytest.raises(ValueError):
             thick_polyline([(0, 0), (5, 5)])
-
-    def test_random_axis_path_is_axis_aligned(self):
-        rng = random.Random(1)
-        path = random_axis_path(rng, (0, 0), (20, 20))
-        for (x1, y1), (x2, y2) in zip(path, path[1:]):
-            assert x1 == x2 or y1 == y2
-
-    def test_random_region(self):
-        rng = random.Random(2)
-        universe = Box((0.0, 0.0), (50.0, 50.0))
-        r = random_region(rng, universe, pieces=4)
-        assert r.bounding_box().le(universe)
 
 
 class TestSmugglersMap:
@@ -108,7 +92,7 @@ class TestSmugglersMap:
         assert alg.le(m.area, m.country)
 
     def test_good_roads_yield_answers(self):
-        from repro import Session
+        from repro.database import Session
 
         q, m = smugglers_query(
             seed=6, n_towns=12, n_roads=12, states_grid=(2, 2)
@@ -137,7 +121,7 @@ class TestWorkloads:
         assert set(q.constants) == {"HI", "LO"}
 
     def test_containment_chain(self):
-        from repro.datagen import containment_chain_query
+        from repro.datagen.workloads import containment_chain_query
 
         q = containment_chain_query(n_per_table=10, depth=4, seed=0)
         assert len(q.unknowns) == 4
@@ -148,8 +132,8 @@ class TestWorkloads:
         packed build) instead of staging them row by row and packing:
         same rows drawn in the same RNG order, same tree, same reads."""
         from repro.boxes.bconstraints import BoxQuery
-        from repro.datagen import containment_chain_query
-        from repro.spatial import SpatialTable
+        from repro.datagen.workloads import containment_chain_query
+        from repro.spatial.table import SpatialTable
 
         def row_by_row(name, rng, count, universe, *sides):
             table = SpatialTable(name, 2, index=index, universe=universe)

@@ -10,40 +10,37 @@ The two directions of Theorems 7/8 are machine-checked end to end:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean import FALSE, TRUE, Var, neg
-from repro.boxes import Box
-from repro.constraints import (
-    ConstraintSystem,
-    EquationalSystem,
-    WitnessError,
-    build_witness,
-    disjoint_representatives,
+from repro.boolean.syntax import FALSE, TRUE, Var, neg
+from repro.boxes.box import Box
+from repro.constraints.decision import (
     entails_atomless,
     equivalent_atomless,
-    ground_holds,
+    satisfiable_atomless,
+)
+from repro.constraints.system import (
+    ConstraintSystem,
+    EquationalSystem,
     nonempty,
     not_subset,
     overlaps,
-    satisfiable_atomless,
     subset,
 )
+from repro.constraints.witness import WitnessError, build_witness, disjoint_representatives
 from tests.strategies import LINE, PLANE, interval_elements
 from tests.test_boolean_semantics import formulas
 
 
 class TestGroundHolds:
+    """Variable-free systems: the decision procedure's base case."""
+
     def test_trivial_true(self):
-        assert ground_holds(EquationalSystem(FALSE, [TRUE]))
+        assert satisfiable_atomless(EquationalSystem(FALSE, [TRUE]))
 
     def test_failing_equation(self):
-        assert not ground_holds(EquationalSystem(TRUE, []))
+        assert not satisfiable_atomless(EquationalSystem(TRUE, []))
 
     def test_failing_disequation(self):
-        assert not ground_holds(EquationalSystem(FALSE, [FALSE]))
-
-    def test_variables_rejected(self):
-        with pytest.raises(ValueError):
-            ground_holds(EquationalSystem(FALSE, [Var("x")]))
+        assert not satisfiable_atomless(EquationalSystem(FALSE, [FALSE]))
 
 
 class TestSatisfiability:
@@ -53,7 +50,7 @@ class TestSatisfiability:
 
     def test_simple_unsat(self):
         # x <= y, y <= x, x != y is unsatisfiable.
-        from repro.constraints import equal
+        from repro.constraints.system import equal
 
         s = ConstraintSystem.build(
             subset("x", "y"), subset("y", "x"), not_subset("x", "y")
@@ -61,7 +58,7 @@ class TestSatisfiability:
         assert not satisfiable_atomless(s)
 
     def test_empty_vs_nonempty(self):
-        from repro.constraints import empty
+        from repro.constraints.system import empty
 
         s = ConstraintSystem.build(empty("x"), nonempty("x"))
         assert not satisfiable_atomless(s)
@@ -69,7 +66,7 @@ class TestSatisfiability:
     def test_example1_satisfiable_atomless(self):
         # x&y != 0 and ~x&y != 0: satisfiable over atomless algebras
         # (split y), even though unsatisfiable when y must be an atom.
-        from repro.constraints import nonclosure_example
+        from repro.constraints.examples import nonclosure_example
 
         assert satisfiable_atomless(nonclosure_example())
 
@@ -84,7 +81,7 @@ class TestSatisfiability:
         assert satisfiable_atomless(s)
 
     def test_smugglers_satisfiable(self):
-        from repro.constraints import smugglers_system
+        from repro.constraints.examples import smugglers_system
 
         assert satisfiable_atomless(smugglers_system())
 
@@ -111,13 +108,13 @@ class TestEntailment:
         # x&y != 0 entails y != 0 but not x = y.
         s1 = ConstraintSystem.build(overlaps("x", "y"))
         assert entails_atomless(s1, ConstraintSystem.build(nonempty("y")))
-        from repro.constraints import equal
+        from repro.constraints.system import equal
 
         assert not entails_atomless(s1, equal("x", "y"))
 
     def test_projection_is_entailed(self):
         """Theorem 9: S entails proj(S, x) for random systems."""
-        from repro.constraints import project
+        from repro.constraints.projection import project
 
         x, y, z = Var("x"), Var("y"), Var("z")
         system = EquationalSystem((x & ~y) | (z & ~x), [x & z, y & ~z])
@@ -174,7 +171,7 @@ class TestDisjointRepresentatives:
 
 class TestBuildWitness:
     def test_smugglers_witness(self):
-        from repro.constraints import smugglers_system
+        from repro.constraints.examples import smugglers_system
 
         alg = PLANE
         # Bind the constants: a country with inside area.
@@ -189,7 +186,7 @@ class TestBuildWitness:
         assert smugglers_system().holds(alg, env)
 
     def test_witness_fails_on_unsat(self):
-        from repro.constraints import empty
+        from repro.constraints.system import empty
 
         s = ConstraintSystem.build(empty("x"), nonempty("x"))
         with pytest.raises(WitnessError):

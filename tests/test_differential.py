@@ -14,19 +14,13 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_knn
-from repro.boxes import Box
-from repro.engine import (
-    MODES,
-    AggregateSpec,
-    KNNStep,
-    SpatialQuery,
-    answers_as_oid_tuples,
-    build_physical_plan,
-    compile_query,
-    execute,
-)
+from repro.boxes.box import Box
+from repro.engine.compiler import compile_query
+from repro.engine.executor import MODES, answers_as_oid_tuples, execute
+from repro.engine.physical import build_physical_plan
+from repro.engine.query import AggregateSpec, KNNStep, SpatialQuery
 from repro.errors import UnsatisfiableError
-from repro.spatial import ColumnStore, forced_backend
+from repro.spatial.columnar import ColumnStore, forced_backend
 from tests.conftest import (
     COLUMNAR_BACKENDS,
     constraint_systems,
@@ -278,7 +272,7 @@ def test_box_count_pushdown_differential(seed, use_overlap):
     """The box-level COUNT (exact=False) equals a Python count of the
     rows whose box matches the step's compiled template — on the r-tree
     pushdown path and the scan fallback alike."""
-    from repro.constraints import ConstraintSystem, overlaps, subset
+    from repro.constraints.system import ConstraintSystem, overlaps, subset
     from tests.conftest import random_binding
 
     rng = random.Random(shifted_seed(seed) + 3)
@@ -457,8 +451,8 @@ def _staged_copy(table, rng):
     """The same live rows as ``table``, but half of them staged in a
     write delta, plus a couple of tombstoned ghost rows — answers must
     be indistinguishable from the directly built original."""
-    from repro.algebra import Region
-    from repro.spatial import SpatialTable
+    from repro.algebra.regions import Region
+    from repro.spatial.table import SpatialTable
 
     from tests.conftest import UNIVERSE
 

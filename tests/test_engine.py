@@ -2,32 +2,26 @@
 
 import pytest
 
-from repro import Session
-from repro.algebra import Region
-from repro.boxes import Box
-from repro.constraints import ConstraintSystem, nonempty, subset
-from repro.datagen import (
+from repro.database import Session
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
+from repro.constraints.system import ConstraintSystem, nonempty, subset
+from repro.datagen.workloads import (
     containment_chain_query,
     overlay_query,
     sandwich_query,
     smugglers_query,
 )
-from repro.engine import (
-    MODES,
-    SpatialQuery,
-    answers_as_oid_tuples,
-    best_order_by_estimate,
-    choose_order,
-    compile_query,
-    enumerate_orders,
-    execute,
-)
+from repro.engine.compiler import compile_query
+from repro.engine.executor import MODES, answers_as_oid_tuples, execute
+from repro.engine.planner import best_order_by_estimate, choose_order, enumerate_orders
+from repro.engine.query import SpatialQuery
 from repro.errors import (
     CompilationError,
     UnboundVariableError,
     UnsatisfiableError,
 )
-from repro.spatial import SpatialTable
+from repro.spatial.table import SpatialTable
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 

@@ -7,14 +7,11 @@ r-tree reads uniformly across all four executor modes (``boxonly`` and
 
 import pytest
 
-from repro.datagen import smugglers_query
-from repro.engine import (
-    MODES,
-    ExecutionStats,
-    build_physical_plan,
-    compile_query,
-    execute,
-)
+from repro.datagen.workloads import smugglers_query
+from repro.engine.compiler import compile_query
+from repro.engine.executor import MODES, execute
+from repro.engine.physical import build_physical_plan
+from repro.engine.stats import ExecutionStats
 
 
 @pytest.fixture(scope="module")

@@ -24,12 +24,16 @@ import reference_knn as ref
 from conftest import (
     BACKEND_MATRIX as BACKENDS, SEED_MATRIX, TRACKED_PER_TREE, pinned, shifted_seed,
 )
-from repro import Database, Session
-from repro.algebra import Region
-from repro.boxes import Box, BoxQuery
+from repro.database import Database, Session
+from repro.algebra.regions import Region
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import Box
 from repro.errors import AnchorError, DimensionMismatchError, ReproError, ServiceError
-from repro.service import QueryService, ServiceClient, serve_in_thread
-from repro.spatial import HAVE_NUMPY, RTree, SpatialTable, forced_backend
+from repro.service.client import ServiceClient
+from repro.service.server import QueryService, serve_in_thread
+from repro.spatial.columnar import HAVE_NUMPY, forced_backend
+from repro.spatial.rtree import RTree
+from repro.spatial.table import SpatialTable
 from repro.spatial.rtree import _FlatTree
 from reference_rtree import flatten, thaw
 

@@ -3,19 +3,16 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.boolean import (
-    FALSE,
-    TRUE,
+from repro.boolean.blake import blake_canonical_form
+from repro.boolean.implicates import (
     Clause,
-    blake_canonical_form,
-    equivalent,
-    implicates_formula,
     is_implicate,
     is_prime_implicate,
     lower_atoms_via_implicates,
     prime_implicates,
-    variables,
 )
+from repro.boolean.semantics import equivalent
+from repro.boolean.syntax import FALSE, TRUE, conj, variables
 from tests.test_boolean_semantics import formulas
 
 
@@ -67,7 +64,10 @@ class TestPrimeImplicates:
     @given(formulas(max_leaves=6))
     @settings(max_examples=80, deadline=None)
     def test_ccf_denotes_f(self, f):
-        assert equivalent(implicates_formula(f), f)
+        # The conjunctive canonical form: the conjunction of all prime
+        # implicates denotes f.
+        ccf = conj(*[c.to_formula() for c in prime_implicates(f)])
+        assert equivalent(ccf, f)
 
     @given(formulas(max_leaves=6))
     @settings(max_examples=60, deadline=None)
@@ -99,9 +99,7 @@ class TestDualLowerAtoms:
     @given(formulas(max_leaves=6))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_bcf_route(self, f):
-        from repro.boolean import is_tautology
-
-        if is_tautology(f):
+        if equivalent(f, TRUE):
             return
         via_dual = set(lower_atoms_via_implicates(f))
         via_bcf = {

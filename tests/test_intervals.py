@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from repro.algebra import IntervalAlgebra, IntervalSet
+from repro.algebra.intervals import IntervalAlgebra, IntervalSet
 from repro.errors import UniverseMismatchError
 from tests.strategies import LINE, interval_elements
 

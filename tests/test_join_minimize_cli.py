@@ -3,13 +3,8 @@
 import subprocess
 import sys
 
-from repro.constraints import (
-    ConstraintSystem,
-    minimize_system,
-    nonempty,
-    redundant_constraints,
-    subset,
-)
+from repro.constraints.minimize import minimize_system, redundant_constraints
+from repro.constraints.system import ConstraintSystem, nonempty, subset
 
 
 class TestMinimize:
@@ -40,7 +35,7 @@ class TestMinimize:
 
     def test_negative_redundancy(self):
         # x&y != 0 entails y != 0.
-        from repro.constraints import overlaps
+        from repro.constraints.system import overlaps
 
         s = ConstraintSystem.build(overlaps("x", "y"), nonempty("y"))
         core, removed = minimize_system(s)
@@ -48,7 +43,8 @@ class TestMinimize:
         assert core.negatives[0].lhs.variables() == frozenset({"x", "y"})
 
     def test_core_equivalent(self):
-        from repro.constraints import equivalent_atomless, overlaps
+        from repro.constraints.decision import equivalent_atomless
+        from repro.constraints.system import overlaps
 
         s = ConstraintSystem.build(
             subset("x", "y"),

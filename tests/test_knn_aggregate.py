@@ -14,21 +14,18 @@ import pytest
 from hypothesis import given, settings
 
 import reference_rtree as ref
-from repro.algebra import Region
-from repro.boxes import Box, BoxQuery, EMPTY_BOX
-from repro.engine import (
-    AggregateSpec,
-    KNNStep,
-    SpatialQuery,
-    build_physical_plan,
-    choose_aggregate_strategy,
-    choose_knn_access,
-    compile_query,
-)
+from repro.algebra.regions import Region
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import EMPTY_BOX, Box
+from repro.engine.compiler import compile_query
+from repro.engine.physical import build_physical_plan
+from repro.engine.planner import choose_aggregate_strategy, choose_knn_access
+from repro.engine.query import AggregateSpec, KNNStep, SpatialQuery
 from repro.errors import CompilationError, DimensionMismatchError
-from repro.constraints import ConstraintSystem, nonempty, overlaps
+from repro.constraints.system import ConstraintSystem, nonempty, overlaps
 from repro.database import Database
-from repro.spatial import RTree, SpatialTable
+from repro.spatial.rtree import RTree
+from repro.spatial.table import SpatialTable
 from tests.conftest import UNIVERSE, random_table
 from tests.strategies import nonempty_boxes
 
@@ -419,7 +416,7 @@ class TestStrategyChoice:
         exact stream fold and the COUNT pushdown both emit one row
         (count 0) for the same empty logical query; a grouped
         aggregate emits no rows."""
-        from repro.constraints import subset
+        from repro.constraints.system import subset
 
         rng = random.Random(12)
         table = random_table("u", rng, 6)
@@ -455,7 +452,7 @@ class TestStrategyChoice:
         ValueError when the kNN variable defaulted to its own anchor;
         validation must reject it (and repair_knn_order must not
         touch such an order)."""
-        from repro.engine import repair_knn_order
+        from repro.engine.compiler import repair_knn_order
 
         proc = _cli(
             "run", "--workload", "smugglers", "--size", "6",
@@ -474,7 +471,7 @@ class TestStrategyChoice:
         """With an unrelated variable between the anchor and the kNN
         step, every anchor box repeats across the fan-out; the join
         must probe once per *distinct* anchor, not per tuple."""
-        from repro.engine import DistanceJoin
+        from repro.engine.physical import DistanceJoin
 
         rng = random.Random(13)
         tables = {

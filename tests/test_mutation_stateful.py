@@ -35,11 +35,12 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.algebra import Region
-from repro.boxes import Box
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
 from repro.database import Database
-from repro.spatial import SpatialTable, forced_backend
+from repro.spatial.columnar import forced_backend
+from repro.spatial.table import SpatialTable
 
 from tests.conftest import COLUMNAR_BACKENDS, UNIVERSE, shifted_seed
 

@@ -15,14 +15,12 @@ assumes (``A ⊆ C``).
 
 import pytest
 
-from repro.algebra import RegionAlgebra
-from repro.boolean import FALSE, TRUE, Var, equivalent, equivalent_under, neg
-from repro.boxes import Box
-from repro.constraints import (
-    SMUGGLERS_ORDER,
-    smugglers_system,
-    triangular_form,
-)
+from repro.algebra.regions import RegionAlgebra
+from repro.boolean.semantics import equivalent, equivalent_under
+from repro.boolean.syntax import FALSE, TRUE, Var, neg
+from repro.boxes.box import Box
+from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
+from repro.constraints.triangular import triangular_form
 
 A, B, C, R, T = (Var(v) for v in "ABCRT")
 
@@ -187,7 +185,7 @@ class TestEndToEndSolutions:
         return env
 
     def test_scenario_satisfies_original_system(self):
-        from repro.constraints import smugglers_system
+        from repro.constraints.examples import smugglers_system
 
         env = self._env(T=self.town, R=self.road, B=self.state)
         assert smugglers_system().holds(self.alg, env)

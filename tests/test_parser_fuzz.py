@@ -10,11 +10,11 @@ the parser accepts also lifts to a BDD and evaluates.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean import parse
+from repro.boolean.parser import parse
 from repro.boolean.bdd import Bdd
 from repro.boolean.parser import MAX_DEPTH
 from repro.boolean.semantics import evaluate
-from repro.constraints import parse_system
+from repro.constraints.parser import parse_system
 from repro.errors import ReproError
 from tests.strategies import BITS8
 

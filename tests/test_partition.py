@@ -4,28 +4,18 @@ import random
 
 import pytest
 
-from repro.boxes import Box, BoxQuery
-from repro.datagen import overlay_query, smugglers_query
-from repro.engine import (
-    JOIN_STRATEGIES,
-    Catalog,
-    PartitionedSpatialJoin,
-    ZOrderJoin,
-    answers_as_oid_tuples,
-    build_physical_plan,
-    choose_join_strategies,
-    compile_query,
-    execute,
-)
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import Box
+from repro.datagen.workloads import overlay_query, smugglers_query
+from repro.engine.catalog import Catalog
+from repro.engine.compiler import compile_query
+from repro.engine.executor import answers_as_oid_tuples, execute
+from repro.engine.physical import PartitionedSpatialJoin, ZOrderJoin, build_physical_plan
+from repro.engine.planner import JOIN_STRATEGIES, choose_join_strategies
 from repro.errors import OptionError
-from repro.spatial import (
-    JoinStats,
-    RTree,
-    TileGrid,
-    forced_backend,
-    pbsm_join,
-    probe_box,
-)
+from repro.spatial.columnar import forced_backend
+from repro.spatial.partition import JoinStats, TileGrid, pbsm_join, probe_box
+from repro.spatial.rtree import RTree
 
 from tests.conftest import COLUMNAR_BACKENDS
 

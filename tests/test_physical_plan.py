@@ -2,26 +2,25 @@
 
 import pytest
 
-from repro.algebra import Region
-from repro.boxes import Box
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
-from repro.constraints import ConstraintSystem, overlaps, subset
-from repro.datagen import smugglers_query
-from repro.engine import (
-    MODES,
+from repro.constraints.system import ConstraintSystem, overlaps, subset
+from repro.datagen.workloads import smugglers_query
+from repro.engine.compiler import compile_query
+from repro.engine.executor import MODES, answers_as_oid_tuples, execute
+from repro.engine.physical import (
     CrossProduct,
     ExactFilter,
     IndexProbe,
-    ProbeCache,
-    SpatialQuery,
     TableScan,
-    answers_as_oid_tuples,
     build_physical_plan,
-    compile_query,
-    execute,
 )
+from repro.engine.query import SpatialQuery
+from repro.spatial.table import ProbeCache
 from repro.errors import UnknownModeError
-from repro.spatial import SpatialTable, forced_backend
+from repro.spatial.columnar import forced_backend
+from repro.spatial.table import SpatialTable
 from tests.conftest import COLUMNAR_BACKENDS
 
 
@@ -356,8 +355,8 @@ def test_a_step_filter_reading_an_unbound_variable_raises(plan, mode):
     any other ``KeyError`` is not caught."""
     from dataclasses import replace
 
-    from repro.boolean import FALSE, Var
-    from repro.constraints import SolvedConstraint
+    from repro.boolean.syntax import FALSE, Var
+    from repro.constraints.solved import SolvedConstraint
     from repro.errors import UnboundVariableError
 
     last = plan.steps[-1]
@@ -382,7 +381,7 @@ def test_a_step_filter_binds_once_per_distinct_read_rows(mode):
 
     from repro.constraints.parser import parse_system
     from repro.datagen.workloads import _random_rows
-    from repro.engine import SpatialQuery
+    from repro.engine.query import SpatialQuery
 
     rng = random.Random(3)
     universe = Box((0.0, 0.0), (100.0, 100.0))

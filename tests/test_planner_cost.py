@@ -7,20 +7,20 @@ histogram-estimated and greedy orders on the paper's Section 2 example.
 
 import pytest
 
-from repro.algebra import Region
-from repro.boxes import Box
-from repro.constraints import ConstraintSystem, nonempty, overlaps, subset
-from repro.datagen import containment_chain_query, smugglers_query
-from repro.engine import (
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
+from repro.constraints.system import ConstraintSystem, nonempty, overlaps, subset
+from repro.datagen.workloads import containment_chain_query, smugglers_query
+from repro.engine.compiler import compile_query
+from repro.engine.executor import execute
+from repro.engine.planner import (
     ORDER_STRATEGIES,
-    SpatialQuery,
     choose_order,
-    compile_query,
     estimate_order_cost_histogram,
-    execute,
     plan_order,
 )
-from repro.spatial import SpatialTable
+from repro.engine.query import SpatialQuery
+from repro.spatial.table import SpatialTable
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 
@@ -148,7 +148,7 @@ class TestSection2Agreement:
         q2 = SpatialQuery(
             system=q.system, tables=q.tables, bindings=q.bindings
         )
-        from repro.engine import enumerate_orders
+        from repro.engine.planner import enumerate_orders
 
         costs = {
             o: estimate_order_cost_histogram(q2, o)
@@ -168,7 +168,7 @@ class TestSection2Agreement:
         q2 = SpatialQuery(
             system=q.system, tables=q.tables, bindings=q.bindings
         )
-        from repro.engine import answers_as_oid_tuples
+        from repro.engine.executor import answers_as_oid_tuples
 
         reference = None
         for strategy in ORDER_STRATEGIES:

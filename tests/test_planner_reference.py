@@ -23,37 +23,31 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algebra import Region
-from repro.boolean import FALSE, TRUE, Bdd, Var, semantics
-from repro.boxes import Box
-from repro.constraints import (
-    SMUGGLERS_ORDER,
-    ConstraintSystem,
-    Disequation,
-    SolvedConstraint,
-    overlaps,
-    parse_system,
-    shared_triangular_forms,
-    triangular,
-    triangular_form,
-)
+from repro.algebra.regions import Region
+from repro.boolean import semantics
+from repro.boolean.bdd import Bdd
+from repro.boolean.syntax import FALSE, TRUE, Var
+from repro.boxes.box import Box
+from repro.constraints import triangular
+from repro.constraints.examples import SMUGGLERS_ORDER
+from repro.constraints.parser import parse_system
+from repro.constraints.solved import Disequation, SolvedConstraint
+from repro.constraints.system import ConstraintSystem, overlaps
+from repro.constraints.triangular import shared_triangular_forms, triangular_form
 from repro.constraints.system import EquationalSystem
 from repro.database import Database
-from repro.datagen import containment_chain_query, make_map, overlay_query
-from repro.engine import (
-    KNNStep,
-    SpatialQuery,
-    choose_join_strategies,
-    compile_query,
-    plan_order,
-    rollout_step_estimates,
-)
+from repro.datagen.maps import make_map
+from repro.datagen.workloads import containment_chain_query, overlay_query
+from repro.engine.compiler import compile_query
+from repro.engine.planner import choose_join_strategies, plan_order, rollout_step_estimates
+from repro.engine.query import KNNStep, SpatialQuery
 from repro.engine import planner
 from repro.engine.catalog import TableStatistics
 from repro.engine.planner import StepEstimate, _Pruned, _Rollouts
 from repro.engine.compiler import repair_knn_order
 from repro.errors import CompilationError, ReproError, UnboundVariableError
-from repro.spatial import SpatialTable, forced_backend
+from repro.spatial.columnar import forced_backend
+from repro.spatial.table import SpatialTable
 from tests.conftest import (
     COLUMNAR_BACKENDS,
     UNIVERSE,

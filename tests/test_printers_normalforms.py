@@ -1,26 +1,9 @@
-"""Tests for the printers and classical normal forms."""
+"""Tests for the printer and the error hierarchy."""
 
-import pytest
 from hypothesis import given, settings
 
-from repro.boolean import (
-    FALSE,
-    TRUE,
-    equivalent,
-    from_minterms,
-    is_dnf,
-    is_nnf,
-    minterms,
-    to_cnf,
-    to_compact,
-    to_dnf,
-    to_nnf,
-    to_str,
-    to_unicode,
-    variables,
-)
-from repro.boolean.normal_forms import common_refinement
-from repro.boolean.terms import formula_to_cover
+from repro.boolean.printer import to_str
+from repro.boolean.syntax import variables
 from tests.test_boolean_semantics import formulas
 
 
@@ -34,103 +17,11 @@ class TestPrinters:
         assert to_str((self.x & self.y) | self.z) == "z | x & y"
         assert to_str(~(self.x & self.y)) == "~(x & y)"
 
-    def test_to_unicode(self):
-        assert to_unicode(self.x & ~self.y) == "x ∧ ¬y"
-        assert to_unicode(self.x | self.y) == "x ∨ y"
-        assert to_unicode(TRUE) == "1"
-
-    def test_to_compact(self):
-        assert to_compact(self.x & ~self.y) == "xy'"
-        assert to_compact((self.x & self.y) | self.z) == "z + xy"
-        assert to_compact(~(self.x | self.y)) == "(x + y)'"
-        assert to_compact(FALSE) == "0"
-
-    def test_compact_single_char_names_juxtapose(self):
-        a, b = variables("a", "b")
-        assert to_compact(a & b) == "ab"
-
     @given(formulas())
     @settings(max_examples=60)
     def test_printers_total(self, f):
-        # Every printer renders every formula without crashing.
+        # The printer renders every formula without crashing.
         assert to_str(f)
-        assert to_unicode(f)
-        assert to_compact(f)
-
-
-class TestNNF:
-    @given(formulas())
-    @settings(max_examples=80)
-    def test_nnf_equivalent_and_is_nnf(self, f):
-        g = to_nnf(f)
-        assert equivalent(f, g)
-        assert is_nnf(g)
-
-    def test_is_nnf_rejects(self):
-        x, y = variables("x", "y")
-        assert not is_nnf(~(x & y))
-        assert is_nnf(~x & ~y)
-
-
-class TestDNFCNF:
-    @given(formulas())
-    @settings(max_examples=80)
-    def test_dnf_is_dnf_and_equivalent(self, f):
-        g = to_dnf(f)
-        assert equivalent(f, g)
-        assert is_dnf(g)
-
-    @given(formulas())
-    @settings(max_examples=80)
-    def test_cnf_equivalent(self, f):
-        assert equivalent(to_cnf(f), f)
-
-    def test_is_dnf_rejects(self):
-        x, y, z = variables("x", "y", "z")
-        assert not is_dnf(x & (y | z))
-        assert is_dnf((x & y) | z)
-
-
-class TestMinterms:
-    def test_expansion(self):
-        x, y = variables("x", "y")
-        ms = minterms(x | y, ["x", "y"])
-        assert len(ms) == 3
-        for m in ms:
-            assert m.variables() == frozenset({"x", "y"})
-
-    def test_missing_variable_rejected(self):
-        x, y = variables("x", "y")
-        with pytest.raises(ValueError):
-            minterms(x & y, ["x"])
-
-    def test_from_minterms_roundtrip(self):
-        x, y = variables("x", "y")
-        f = x ^ y
-        ms = minterms(f, ["x", "y"])
-        indices = []
-        for m in ms:
-            idx = 0
-            for k, name in enumerate(["x", "y"]):
-                if m.polarity(name):
-                    idx |= 1 << k
-            indices.append(idx)
-        assert equivalent(from_minterms(["x", "y"], indices), f)
-
-    def test_common_refinement_property(self):
-        x, y, z = variables("x", "y", "z")
-        c1 = formula_to_cover(x & y)
-        c2 = formula_to_cover(x | z)
-        refined = common_refinement([c1, c2], ["x", "y", "z"])
-        # Every refined term is a full minterm and implies one original.
-        for m in refined:
-            assert len(m) == 3
-        # The refinement covers the union of the inputs exactly.
-        from repro.boolean import cover_to_formula
-
-        assert equivalent(
-            cover_to_formula(refined), (x & y) | (x | z)
-        )
 
 
 class TestErrorsModule:

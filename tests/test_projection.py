@@ -11,17 +11,19 @@ The key properties:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra import BitVectorAlgebra, IntervalAlgebra
-from repro.boolean import FALSE, Var, equivalent
-from repro.constraints import (
-    EquationalSystem,
+from repro.algebra.bitvec import BitVectorAlgebra
+from repro.algebra.intervals import IntervalAlgebra
+from repro.boolean.semantics import equivalent
+from repro.boolean.syntax import FALSE, Var
+from repro.constraints.examples import nonclosure_example
+from repro.constraints.projection import (
     eliminate_to_ground,
     exists_equation,
-    nonclosure_example,
     project,
     project_disequation,
-    solve_for,
 )
+from repro.constraints.solved import solve_for
+from repro.constraints.system import EquationalSystem
 from repro.constraints.witness import choose_value
 from tests.strategies import BITS8, LINE, bitvec_elements, interval_elements
 from tests.test_boolean_semantics import formulas
@@ -47,7 +49,7 @@ class TestExistsEquation:
         values = [a & 7, b & 7, c & 7, (a ^ b) & 7, (b ^ c) & 7]
         others = [n for n in names if n != "x"]
         env = dict(zip(others, values[: len(others)]))
-        from repro.boolean import evaluate
+        from repro.boolean.semantics import evaluate
 
         eliminated = exists_equation(f, "x")
         lhs = alg.is_zero(evaluate(eliminated, alg, env))
@@ -166,7 +168,7 @@ class TestNonClosure:
 
     def test_example1_gap_on_two_valued(self):
         # In B2 (y an atom): proj holds with y=1, but no x satisfies S.
-        from repro.algebra import TwoValuedAlgebra
+        from repro.algebra.boolean2 import TwoValuedAlgebra
 
         alg = TwoValuedAlgebra()
         norm = nonclosure_example().normalize()
@@ -207,7 +209,8 @@ class TestEliminateToGround:
 
     def test_projection_chain_order_invariance_semantic(self):
         # Different elimination orders give equivalent ground systems.
-        from repro.constraints import project_all, satisfiable_atomless
+        from repro.constraints.decision import satisfiable_atomless
+        from repro.constraints.projection import project_all
 
         x, y, z = Var("x"), Var("y"), Var("z")
         system = EquationalSystem(x & ~y | y & ~z, [x & z, ~x & y])

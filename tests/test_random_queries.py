@@ -9,12 +9,9 @@ from the shared seeded workload factory (``tests/conftest.py``).
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine import (
-    SpatialQuery,
-    answers_as_oid_tuples,
-    compile_query,
-    execute,
-)
+from repro.engine.compiler import compile_query
+from repro.engine.executor import answers_as_oid_tuples, execute
+from repro.engine.query import SpatialQuery
 from repro.errors import UnsatisfiableError
 from tests.conftest import constraint_systems, make_workload
 
@@ -54,7 +51,7 @@ def test_boxplan_equals_naive_on_random_queries(system, seed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_streaming_equals_batch_on_random_queries(system, seed):
-    from repro.engine import execute_iter
+    from repro.engine.executor import execute_iter
 
     tables, bindings = make_workload(seed, system=system, sizes=(2, 4))
     if not tables:
@@ -90,7 +87,7 @@ def test_partitioned_plans_agree_with_all_modes(
     partition count and join strategy, partitioned plans return exactly
     the answer set of the classic modes, with boundary duplicates
     deduplicated."""
-    from repro.engine import build_physical_plan
+    from repro.engine.physical import build_physical_plan
 
     tables, bindings = make_workload(seed, system=system)
     if not tables:
@@ -136,7 +133,7 @@ def test_all_modes_agree_with_and_without_limit(system, seed, k):
     the same operator set, so answer sets must coincide — and a
     ``limit=k`` stream must be a prefix of the unlimited stream (plans
     are deterministic for fixed tables and order)."""
-    from repro.engine import MODES, execute_iter
+    from repro.engine.executor import MODES, execute_iter
 
     tables, bindings = make_workload(seed, system=system, sizes=(2, 4))
     if not tables:

@@ -5,20 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.boxes import Box, BoxQuery, EMPTY_BOX
-from repro.spatial import (
-    GridFile,
-    SpatialTable,
-    ZGrid,
-    ZOrderIndex,
-    compile_range,
-    figure3_rectangle,
-    interleave,
-    matches_via_point,
-    zorder_join,
-    zorder_overlap_query,
-)
-from repro.algebra import Region
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import EMPTY_BOX, Box
+from repro.spatial.gridfile import GridFile
+from repro.spatial.rangequery import compile_range, figure3_rectangle, matches_via_point
+from repro.spatial.table import SpatialTable
+from repro.spatial.zorder import ZGrid, ZOrderIndex, interleave_batch, zorder_join
+from repro.algebra.regions import Region
 from tests.strategies import nonempty_boxes
 
 UNIVERSE = Box((0.0, 0.0), (64.0, 64.0))
@@ -32,6 +25,14 @@ def _grid_boxes(n, seed=0, span=60.0):
         size = (rng.randrange(1, 8), rng.randrange(1, 8))
         out.append(Box(lo, (lo[0] + size[0], lo[1] + size[1])))
     return out
+
+
+def _overlap_query(index, probe):
+    """Objects of ``index`` overlapping ``probe``: a join against a
+    one-box index."""
+    probe_index = ZOrderIndex(index.grid)
+    probe_index.insert(probe, "probe")
+    return {value for value, _probe in zorder_join(index, probe_index, exact=True)}
 
 
 class TestCompileRange:
@@ -160,8 +161,10 @@ class TestTableBackendsAgree:
 
 class TestZOrder:
     def test_interleave(self):
+        np = pytest.importorskip("numpy")
         # 2-D: x=0b11, y=0b01 -> bits x0,y0,x1,y1 = 1,1,1,0 -> 0b0111.
-        assert interleave((0b11, 0b01), bits=2) == 0b0111
+        cells = np.array([[0b11, 0b01]], dtype=np.int64)
+        assert int(interleave_batch(cells, bits=2)[0]) == 0b0111
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -219,7 +222,7 @@ class TestZOrder:
         for i, b in enumerate(items):
             index.insert(b, i)
         probe = Box((10.0, 10.0), (20.0, 20.0))
-        got = set(zorder_overlap_query(index, probe, exact=True))
+        got = _overlap_query(index, probe)
         expected = {i for i, b in enumerate(items) if b.overlaps(probe)}
         assert got == expected
 
@@ -296,5 +299,5 @@ class TestZOrderEdgeCases:
         for i, b in enumerate(items):
             index.insert(b, i)
         probe = Box((20.0, 20.0), (40.0, 40.0))
-        got = set(zorder_overlap_query(index, probe, exact=True))
+        got = _overlap_query(index, probe)
         assert got == {i for i, b in enumerate(items) if b.overlaps(probe)}

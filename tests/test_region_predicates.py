@@ -21,14 +21,14 @@ after every consumed candidate must equal the frozen check's.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra import Region, RegionAlgebra
+from repro.algebra.regions import Region, RegionAlgebra
 from repro.algebra.regions import _difference, box_subtract
-from repro.boolean import FALSE, TRUE, Var
+from repro.boolean.syntax import FALSE, TRUE, Var
 from repro.boolean.semantics import evaluate
 from repro.boolean.syntax import conj, disj, neg
-from repro.boxes import Box
+from repro.boxes.box import Box
 from repro.boxes.box import EMPTY_BOX
-from repro.constraints import Disequation, SolvedConstraint
+from repro.constraints.solved import Disequation, SolvedConstraint
 from repro.errors import (
     DimensionMismatchError,
     UnboundVariableError,

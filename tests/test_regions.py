@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.algebra import Region, RegionAlgebra, box_subtract
-from repro.boxes import Box, EMPTY_BOX, enclose_all, meet_all
+from repro.algebra.regions import Region, RegionAlgebra, box_subtract
+from repro.boxes.box import EMPTY_BOX, Box, enclose_all
 from repro.errors import DimensionMismatchError, UniverseMismatchError
 from tests.strategies import PLANE, SPACE3, boxes, nonempty_boxes, region_elements
 
@@ -82,9 +82,6 @@ class TestBox:
         a = Box((0, 0), (2, 2))
         b = Box((1, 1), (3, 3))
         assert enclose_all([a, b]) == Box((0, 0), (3, 3))
-        assert meet_all([a, b]) == Box((1, 1), (2, 2))
-        with pytest.raises(ValueError):
-            meet_all([])
 
     @given(nonempty_boxes(), nonempty_boxes(), nonempty_boxes())
     @settings(max_examples=80)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.engine.stats import ExecutionStats
-from repro.spatial import HAVE_NUMPY, forced_backend
+from repro.spatial.columnar import HAVE_NUMPY, forced_backend
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "report_counters.json").read_text()

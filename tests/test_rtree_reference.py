@@ -28,9 +28,12 @@ from conftest import (
     pinned,
     shifted_seed,
 )
-from repro.algebra import Region
-from repro.boxes import Box, BoxQuery, EMPTY_BOX
-from repro.spatial import HAVE_NUMPY, ColumnStore, RTree, SpatialTable
+from repro.algebra.regions import Region
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import EMPTY_BOX, Box
+from repro.spatial.columnar import HAVE_NUMPY, ColumnStore
+from repro.spatial.rtree import RTree
+from repro.spatial.table import SpatialTable
 
 #: ``grown-*``: a table grown row by row through ``insert``, repacking
 #: inline every ``GROWN[kind]`` rows; the names are the retired split

@@ -3,9 +3,11 @@
 import math
 import random
 
-from repro.algebra import Region
-from repro.boxes import Box, BoxQuery
-from repro.spatial import RTree, SpatialTable
+from repro.algebra.regions import Region
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import Box
+from repro.spatial.rtree import RTree
+from repro.spatial.table import SpatialTable
 
 
 def _random_boxes(n, seed=0, span=100.0):
@@ -123,8 +125,9 @@ class TestSTRReadGate:
 
     @staticmethod
     def _node_reads(seed: int) -> int:
-        from repro.datagen import smugglers_query
-        from repro.engine import compile_query, execute
+        from repro.datagen.workloads import smugglers_query
+        from repro.engine.compiler import compile_query
+        from repro.engine.executor import execute
 
         query, _world = smugglers_query(
             seed=seed, n_towns=96, n_roads=96, states_grid=(4, 4),

@@ -27,14 +27,12 @@ import pytest
 
 from conftest import COLUMNAR_BACKENDS, make_workload
 
-from repro.boxes import Box
-from repro.constraints import ConstraintSystem, nonempty, overlaps, subset
-from repro.engine import (
-    SpatialQuery,
-    build_physical_plan,
-    compile_query,
-)
-from repro.spatial import ColumnStore, forced_backend
+from repro.boxes.box import Box
+from repro.constraints.system import ConstraintSystem, nonempty, overlaps, subset
+from repro.engine.compiler import compile_query
+from repro.engine.physical import build_physical_plan
+from repro.engine.query import SpatialQuery
+from repro.spatial.columnar import ColumnStore, forced_backend
 
 DIM = 2
 

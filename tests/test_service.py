@@ -27,14 +27,17 @@ from pathlib import Path
 
 import pytest
 
-from repro import BoxQuery, Database, Session
-from repro.algebra import Region
+from repro.boxes.bconstraints import BoxQuery
+from repro.database import Database, Session
+from repro.algebra.regions import Region
 from repro.boolean.parser import MAX_DEPTH
-from repro.boxes import Box
-from repro.datagen import overlay_query, smugglers_query
+from repro.boxes.box import Box
+from repro.datagen.workloads import overlay_query, smugglers_query
 from repro.engine.stats import ExecutionStats
-from repro.errors import ServiceError
-from repro.service import QueryService, ServiceClient, serve_in_thread
+from repro.errors import OptionError, ServiceError
+from repro.service.client import ServiceClient
+from repro.service.server import QueryService, serve_in_thread
+from repro.spatial.table import SpatialTable
 from repro.service import server as server_module
 from repro.service import wire as wire_module
 
@@ -426,6 +429,7 @@ def test_unknown_or_retired_option_is_a_400_naming_it(served, key, value):
         {"partitions": "8"},
         {"partitions": [1]},
         {"limit": "3"},
+        {"limit": -1},
         {"join_strategy": 7},
         {"join_strategy": "bogus"},
         {"join_strategy": "pbsm", "mode": "exact"},
@@ -434,6 +438,7 @@ def test_unknown_or_retired_option_is_a_400_naming_it(served, key, value):
         "partitions-string",
         "partitions-list",
         "limit-string",
+        "limit-negative",
         "join-number",
         "join-unknown",
         "join-in-exact-mode",
@@ -449,6 +454,42 @@ def test_malformed_session_option_is_a_400(served, options):
         status, reply = _raw_post(client, path, body)
         assert status == "HTTP/1.1 400 Bad Request", path
         assert reply["error"].startswith("OptionError: "), path
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"k": "abc"}, {"k": None}, {"k": [1]}, {"k": 2.5}, {"k": True}, {"access": "bogus"}],
+    ids=["k-string", "k-null", "k-list", "k-float", "k-bool", "access-unknown"],
+)
+def test_malformed_nearest_input_is_a_400(served, fields):
+    """``int()`` on ``k`` raised a 500 for a string, null or list and
+    truncated a float or a bool to a row count; an unknown ``access``
+    was a 500.  ``SpatialTable.nearest`` checks both."""
+    _service, client, _system = served
+    body = json.dumps({"table": "T", "point": [1.0, 1.0], **fields}).encode()
+    status, reply = _raw_post(client, "/nearest", body)
+    assert status == "HTTP/1.1 400 Bad Request"
+    assert reply["error"].startswith("OptionError: ")
+
+
+@pytest.mark.parametrize(
+    "k, access, index",
+    [
+        (2.5, "auto", "rtree"),
+        (True, "auto", "rtree"),
+        ("3", "auto", "rtree"),
+        (3, "bogus", "rtree"),
+        (3, "bestfirst", "scan"),
+    ],
+    ids=["k-float", "k-bool", "k-string", "access-unknown", "bestfirst-on-scan"],
+)
+def test_malformed_nearest_options_are_option_errors(k, access, index):
+    table = SpatialTable("x", 2, index=index)
+    table.bulk_insert(
+        [(i, Region.from_box(Box((i, i), (i + 1.0, i + 1.0)))) for i in range(4)]
+    )
+    with pytest.raises(OptionError):
+        Session().nearest(table, (0.0, 0.0), k, access=access)
 
 
 def test_a_huge_tile_target_answers_fast(served):

@@ -15,15 +15,15 @@ import threading
 import pytest
 
 from conftest import COLUMNAR_BACKENDS, pinned
-from repro.algebra import Region
-from repro.boxes import Box
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
 from repro.database import Database
-from repro.engine import compile_query
+from repro.engine.compiler import compile_query
 from repro.engine.executor import answers_as_oid_tuples, execute
 from repro.engine.query import SpatialQuery
 from repro.errors import SnapshotError
-from repro.spatial import SpatialTable
+from repro.spatial.table import SpatialTable
 from repro.spatial.snapshot import (
     FORMAT_VERSION,
     read_snapshot,
@@ -32,7 +32,7 @@ from repro.spatial.snapshot import (
     write_snapshot,
 )
 
-from repro.datagen import overlay_query, smugglers_query
+from repro.datagen.workloads import overlay_query, smugglers_query
 
 BACKENDS = ("rtree", "scan")
 
@@ -126,7 +126,7 @@ def test_loaded_table_accepts_mutation(tmp_path):
     version = table._version
     obj = table.insert("new-town", Region.from_box(Box((1, 1), (2, 2))))
     assert table.mvcc_token == (version, 1)  # staged, like every write
-    q = __import__("repro").BoxQuery(overlap=(Box((0, 0), (3, 3)),))
+    q = BoxQuery(overlap=(Box((0, 0), (3, 3)),))
     assert obj in table.range_query(q)
 
 
@@ -422,7 +422,8 @@ def test_loaded_bounds_enclose_or_raise(tmp_path, name, backend):
 
 
 def test_leaves_at_different_depths_raise_snapshot_error():
-    from repro.spatial import ColumnStore, RTree
+    from repro.spatial.columnar import ColumnStore
+    from repro.spatial.rtree import RTree
 
     arrays = {
         "dim": 1, "max_entries": 4, "min_entries": 2, "split_method": "quadratic",

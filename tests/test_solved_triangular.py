@@ -3,19 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean import FALSE, TRUE, Var, disj, evaluate
-from repro.constraints import (
-    ConstraintSystem,
-    EquationalSystem,
-    SolvedConstraint,
-    nonempty,
-    overlaps,
-    solve_for,
-    solved_to_system,
-    subset,
-    triangular_form,
-    verify_necessity,
-)
+from repro.boolean.semantics import evaluate
+from repro.boolean.syntax import FALSE, TRUE, Var, disj
+from repro.constraints.solved import SolvedConstraint, solve_for, solved_to_system
+from repro.constraints.system import ConstraintSystem, EquationalSystem, nonempty, overlaps, subset
+from repro.constraints.triangular import triangular_form, verify_necessity
 from tests.strategies import BITS8, bitvec_elements
 from tests.test_boolean_semantics import formulas
 
@@ -59,7 +51,7 @@ class TestSolvedRoundTrip:
     @given(formulas(max_leaves=6), formulas(max_leaves=6))
     @settings(max_examples=80, deadline=None)
     def test_solved_to_system_equivalent(self, f, g):
-        from repro.constraints import entails_atomless
+        from repro.constraints.decision import entails_atomless
 
         system = EquationalSystem(f, [g] if g.mentions("x") else [g & Var("x") | g & ~Var("x")])
         solved, passed = solve_for(system, "x")
@@ -83,7 +75,7 @@ class TestSolvedConstraintApi:
         assert not SolvedConstraint("x", Var("a"), TRUE).is_range_trivial()
 
     def test_render_mentions_parts(self):
-        from repro.constraints import Disequation
+        from repro.constraints.solved import Disequation
 
         c = SolvedConstraint(
             "x",
@@ -171,7 +163,7 @@ class TestTriangularAlgorithm:
     def test_exactness_of_last_level(self):
         """C_n together with the lower levels is equivalent to S itself
         (the final rewriting loses nothing)."""
-        from repro.constraints import entails_atomless
+        from repro.constraints.decision import entails_atomless
 
         x, y = Var("x"), Var("y")
         system = EquationalSystem(x & ~y, [x & y])

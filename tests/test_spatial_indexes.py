@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_rtree import check_invariants as check_node_invariants, root_of
-from repro import Database
-from repro.algebra import Region
-from repro.boxes import Box, BoxQuery, EMPTY_BOX
-from repro.datagen import make_map, smugglers_query
+from repro.database import Database
+from repro.algebra.regions import Region
+from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.box import EMPTY_BOX, Box
+from repro.datagen.maps import make_map
+from repro.datagen.workloads import smugglers_query
 from repro.errors import DimensionMismatchError
-from repro.spatial import GridFile, RTree, SpatialTable
+from repro.spatial.gridfile import GridFile
+from repro.spatial.rtree import RTree
+from repro.spatial.table import SpatialTable
 
 
 def _random_boxes(n, seed=0, span=100.0):

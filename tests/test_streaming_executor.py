@@ -2,19 +2,15 @@
 
 import pytest
 
-from repro import Session
-from repro.algebra import Region
-from repro.boxes import Box
-from repro.constraints import ConstraintSystem, nonempty, overlaps, subset
-from repro.datagen import smugglers_query
-from repro.engine import (
-    SpatialQuery,
-    answers_as_oid_tuples,
-    compile_query,
-    execute,
-    execute_iter,
-)
-from repro.spatial import SpatialTable
+from repro.database import Session
+from repro.algebra.regions import Region
+from repro.boxes.box import Box
+from repro.constraints.system import ConstraintSystem, nonempty, overlaps, subset
+from repro.datagen.workloads import smugglers_query
+from repro.engine.compiler import compile_query
+from repro.engine.executor import answers_as_oid_tuples, execute, execute_iter
+from repro.engine.query import SpatialQuery
+from repro.spatial.table import SpatialTable
 
 
 class TestStreamingExecutor:

@@ -17,18 +17,14 @@ from itertools import permutations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.boolean import FALSE, Var, simplify
-from repro.constraints import (
-    ConstraintSystem,
-    EquationalSystem,
-    WitnessError,
-    build_witness,
-    parse_system,
-    project,
-    satisfiable_atomless,
-    shared_triangular_forms,
-    triangular_form,
-)
+from repro.boolean.simplify import simplify
+from repro.boolean.syntax import FALSE, Var
+from repro.constraints.decision import satisfiable_atomless
+from repro.constraints.parser import parse_system
+from repro.constraints.projection import project
+from repro.constraints.system import ConstraintSystem, EquationalSystem
+from repro.constraints.triangular import shared_triangular_forms, triangular_form
+from repro.constraints.witness import WitnessError, build_witness
 from repro.constraints.projection import exists_equation, project_disequation
 from repro.constraints.system import Negative, Positive
 from tests.conftest import SEED_MATRIX
