@@ -1296,9 +1296,7 @@ def build_physical_plan(
     :class:`~repro.errors.UnknownModeError` naming the valid modes.
     ``estimate=False`` skips the catalog cost annotations (they need a
     pass over table statistics).  There is one tree per mode and
-    options: the columnar kernels run on whichever backend the platform
-    has (:func:`repro.spatial.columnar.active_backend`), with identical
-    answers on both.
+    options.
 
     Join options (box modes only):
 

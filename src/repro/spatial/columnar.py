@@ -10,23 +10,15 @@ contiguous lo/hi coordinate array per dimension, evaluates compiled
 distance metrics) against whole index ranges at once, and packs the
 R-tree, which is such columns too (STR orders are integer arrays).
 
-Backends
---------
-Two backends, one per platform — :func:`active_backend` reports which:
-
-``"numpy"``
-    NumPy ufuncs over zero-copy views of the coordinate arrays, used
-    whenever :mod:`numpy` imports (install the
-    ``repro-helm-pods[accel]`` extra).
-``"array"``
-    The stdlib :mod:`array` fallback when it does not: the same
-    columnar layout walked by scalar Python loops.  Bit-identical
-    results — the expressions are the exact per-dimension comparisons
-    and accumulations :class:`~repro.boxes.box.Box` uses, in the same
-    order — just without the constant-factor win.
-
-Nothing else selects a backend; tests pin one with
-:func:`forced_backend`.
+One backend
+-----------
+The kernels are NumPy ufuncs over zero-copy views of the ``array('d')``
+coordinate columns; NumPy is a required dependency.  A few kernels
+still take a Python path, chosen by the *input*: NaN centres in
+:func:`str_level_order`, NaN or ``-0.0`` coordinates in the ``min`` /
+``max`` reductions, and the one-query :func:`scalar_mask` the R-tree's
+single-query descent uses (its nodes are too small for a kernel call
+to pay).
 
 Bit identity
 ------------
@@ -36,13 +28,13 @@ not approximately:
 * predicate kernels use the same strict/weak comparisons as
   :meth:`Box.le <repro.boxes.box.Box.le>` / :meth:`Box.overlaps
   <repro.boxes.box.Box.overlaps>` — float comparisons have no rounding,
-  so the backends trivially agree;
+  so the kernels and the oracle trivially agree;
 * distance kernels accumulate squared per-dimension contributions in
   dimension order (float addition is order-sensitive) and take one
   square root at the end.  Every path squares with a plain multiply and
   roots with ``sqrt`` (``math.sqrt`` scalar-side, ``numpy.sqrt``
   array-side) — both are single correctly-rounded IEEE operations, so
-  the backends and the oracle produce identical doubles, including the
+  the kernels and the oracle produce identical doubles, including the
   distance ties the kNN tie-break rule depends on.  ``x ** 2`` and
   ``x ** 0.5`` are **not** used: libm ``pow`` is off by one ulp from
   the fused forms on common platforms, which is exactly the kind of
@@ -55,34 +47,21 @@ import math
 import operator
 import struct
 from array import array
-from contextlib import contextmanager
 from itertools import chain, compress, repeat
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box
 
-try:  # pragma: no cover - exercised via both CI jobs
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the no-numpy CI job
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
 __all__ = [
-    "BACKENDS",
-    "HAVE_NUMPY",
     "ColumnStore",
-    "active_backend",
     "batch_mask",
     "box_le",
     "box_meets",
     "equiwidth_counts",
-    "forced_backend",
     "grouped_bounds",
-    "mindist_box_arrays",
-    "mindist_point_arrays",
     "pack_floats",
     "pack_query",
     "scalar_mask",
@@ -92,49 +71,10 @@ __all__ = [
     "unpack_floats",
 ]
 
-#: Recognised backend names (see module docstring).
-# oracle: tests/test_columnar.py
-BACKENDS = ("numpy", "array")
 
-#: Test override installed by :func:`forced_backend`; ``None`` defers to
-#: the platform: ``"numpy"`` when it imports.
-_FORCED: Optional[str] = None
-
-
+# The only backend; the e2e benchmark's run metadata still reports it.
 def active_backend() -> str:
-    """The backend the kernels will use right now: the
-    :func:`forced_backend` pin, else ``"numpy"`` when NumPy imports and
-    ``"array"`` otherwise."""
-    if _FORCED is not None:
-        return _FORCED
-    return "numpy" if HAVE_NUMPY else "array"
-
-
-# oracle: tests/conftest.py
-@contextmanager
-def forced_backend(name: Optional[str]) -> Iterator[None]:
-    """Pin the backend for the duration of a ``with`` block (tests).
-
-    ``name`` must be one of :data:`BACKENDS` or ``None`` (restore the
-    default resolution).  Forcing ``"numpy"`` without NumPy installed
-    raises — a test that asks for the fast path should fail loudly, not
-    silently measure the fallback.
-    """
-    # The module-level switch is the point of this helper: it pins the
-    # backend process-wide so every kernel dispatch in the block agrees.
-    global _FORCED  # noqa: PLW0603
-    if name is not None and name not in BACKENDS:
-        raise ValueError(
-            f"unknown columnar backend {name!r}; expected one of {BACKENDS}"
-        )
-    if name == "numpy" and not HAVE_NUMPY:
-        raise ValueError("cannot force the numpy backend: numpy is not installed")
-    previous = _FORCED
-    _FORCED = name
-    try:
-        yield
-    finally:
-        _FORCED = previous
+    return "numpy"
 
 
 # -- packed coordinate blobs ---------------------------------------------------
@@ -156,9 +96,9 @@ def unpack_floats(blob: bytes) -> Tuple[float, ...]:
 # What a packed build asks of a level's boxes, answered from their
 # per-dimension lo/hi columns (NumPy reads ``array('d')`` in place): the
 # STR order, each node's MBR, the statistics' histograms and side sums.
-# Each has a NumPy and a stdlib body that agree to the bit: the sorts
-# are stable over the same center doubles, and ``min``/``max`` leave
-# NumPy whenever the data could tell the two apart (below).
+# Each agrees to the bit with the per-object build: the sorts are stable
+# over the same center doubles, and ``min``/``max`` leave NumPy whenever
+# the data could tell NumPy's reduction from Python's (below).
 
 #: Per-dimension coordinate columns.
 Columns = Sequence[Sequence[float]]
@@ -182,7 +122,7 @@ def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple["array[int]", L
     slice is sorted again along dimension 1; no node spans two slices.
     Both sorts are stable.  NaN centers (``(-inf + inf) / 2``), which
     NumPy and Python's comparison sort order differently, take the
-    Python path.
+    Python path; the NumPy centre computation makes them silently.
     """
     n = len(lo[0])
     if not n:
@@ -196,20 +136,19 @@ def str_level_order(lo: Columns, hi: Columns, cap: int) -> Tuple["array[int]", L
         for cut in range(0, n, per_slice)
         for start in range(cut, min(cut + per_slice, n), cap)
     ] + [n]
-    if active_backend() == "numpy":
-        axes = range(2 if tiled else 1)
+    with np.errstate(invalid="ignore"):
         cols = [
             (np.asarray(lo[d], np.float64) + np.asarray(hi[d], np.float64)) / 2
-            for d in axes
+            for d in range(2 if tiled else 1)
         ]
-        if not any(np.isnan(col).any() for col in cols):
-            order = np.argsort(cols[0], kind="stable")
-            if tiled:
-                second = cols[1][order]
-                for cut in range(0, n, per_slice):
-                    part = slice(cut, cut + per_slice)
-                    order[part] = order[part][np.argsort(second[part], kind="stable")]
-            return array("q", order.astype(np.int64, copy=False).tobytes()), offsets
+    if not any(np.isnan(col).any() for col in cols):
+        order = np.argsort(cols[0], kind="stable")
+        if tiled:
+            second = cols[1][order]
+            for cut in range(0, n, per_slice):
+                part = slice(cut, cut + per_slice)
+                order[part] = order[part][np.argsort(second[part], kind="stable")]
+        return array("q", order.astype(np.int64, copy=False).tobytes()), offsets
     keys = [(a + b) / 2 for a, b in zip(lo[0], hi[0])]
     perm = sorted(range(n), key=keys.__getitem__)
     if tiled:
@@ -225,10 +164,8 @@ def take(cols: Columns, perm: Sequence[int]) -> List["array[float]"]:
     """Each column in ``perm`` order: one level's coordinates as the
     packed tree stores them (``array('d')``, which NumPy reads in
     place)."""
-    if active_backend() == "numpy":
-        idx = np.asarray(perm, np.intp)
-        return [array("d", np.asarray(col, np.float64)[idx].tobytes()) for col in cols]
-    return [array("d", map(col.__getitem__, perm)) for col in cols]
+    idx = np.asarray(perm, np.intp)
+    return [array("d", np.asarray(col, np.float64)[idx].tobytes()) for col in cols]
 
 
 def grouped_bounds(
@@ -238,15 +175,14 @@ def grouped_bounds(
     ``lo`` and the ``max`` of its ``hi`` coordinates, where group ``g``
     is slots ``offsets[g] : offsets[g + 1]`` of the packed columns (all
     nonempty)."""
-    if active_backend() == "numpy":
-        cols = [np.asarray(col, np.float64) for col in (*lo, *hi)]
-        if all(_reduces_exactly(col) for col in cols):
-            cut = np.asarray(offsets[:-1], np.intp)
-            dim = len(lo)
-            return (
-                [np.minimum.reduceat(col, cut).tolist() for col in cols[:dim]],
-                [np.maximum.reduceat(col, cut).tolist() for col in cols[dim:]],
-            )
+    cols = [np.asarray(col, np.float64) for col in (*lo, *hi)]
+    if all(_reduces_exactly(col) for col in cols):
+        cut = np.asarray(offsets[:-1], np.intp)
+        dim = len(lo)
+        return (
+            [np.minimum.reduceat(col, cut).tolist() for col in cols[:dim]],
+            [np.maximum.reduceat(col, cut).tolist() for col in cols[dim:]],
+        )
     spans = list(zip(offsets, offsets[1:]))
 
     def fold(pick: Any, col: Sequence[float]) -> List[float]:
@@ -264,8 +200,8 @@ def equiwidth_counts(
     width))``, i.e. a truncating cast and a ``bincount``; one bucket
     when all values are equal.  A width that is not positive and finite
     (an infinite edge) takes the Python loop, which raises on it."""
-    arr = np.asarray(values, np.float64) if active_backend() == "numpy" else None
-    if arr is not None and _reduces_exactly(arr):
+    arr: Any = np.asarray(values, np.float64)
+    if _reduces_exactly(arr):
         lo, hi = float(arr.min()), float(arr.max())
     else:
         arr, lo, hi = None, min(values), max(values)
@@ -283,11 +219,9 @@ def equiwidth_counts(
 
 def side_sum(lo: Sequence[float], hi: Sequence[float]) -> float:
     """``sum(hi - lo)`` over the slots.  Only the subtraction is
-    vectorized: the sum stays builtin ``sum``'s sequential fold on both
-    backends (``np.sum`` adds pairwise: another last bit)."""
-    if active_backend() == "numpy":
-        return sum((np.asarray(hi, np.float64) - np.asarray(lo, np.float64)).tolist())
-    return sum(map(operator.sub, hi, lo))
+    vectorized: the sum stays builtin ``sum``'s sequential fold, as over
+    the ``Box`` objects (``np.sum`` adds pairwise: another last bit)."""
+    return sum((np.asarray(hi, np.float64) - np.asarray(lo, np.float64)).tolist())
 
 
 # -- predicate kernels -------------------------------------------------------------
@@ -296,7 +230,8 @@ def side_sum(lo: Sequence[float], hi: Sequence[float]) -> float:
 # one query against many slots and, in the R-tree's batched traversal,
 # many (query, entry) pairs at once: a whole level of the tree costs a
 # fixed number of NumPy calls however many queries of one *shape* are in
-# flight.  The stdlib twin makes one pass down a column per comparison.
+# flight.  :func:`scalar_mask` is the one-query form for the R-tree's
+# small nodes: one pass down a column per comparison.
 
 #: A nonempty box as its ``(lo, hi)`` edge tuples.
 Edges = Tuple[Sequence[float], Sequence[float]]
@@ -405,56 +340,6 @@ def batch_mask(
     return mask
 
 
-# -- array-level distance kernels (numpy backend only) -------------------------
-# The ColumnStore's whole-store scans (the R-tree's best-first browse
-# computes the same recipe in a scalar loop: its nodes are too small
-# for a kernel call to pay).  Both return one distance per slot
-# (``inf`` at empty slots), accumulating squared per-dimension
-# contributions in dimension order and rooting once — the exact float
-# recipe of the Box methods, so ranking (ties included) matches the
-# per-object oracle.
-
-def mindist_point_arrays(
-    lo: Any, hi: Any, nonempty: Any, point: Sequence[float]
-) -> Any:
-    """Per-slot :meth:`Box.mindist_point
-    <repro.boxes.box.Box.mindist_point>` distances to ``point``."""
-    acc = np.zeros(len(nonempty), dtype=np.float64)
-    for d in range(len(lo)):
-        p = float(point[d])
-        below = lo[d] - p
-        above = p - hi[d]
-        acc += np.where(
-            p < lo[d],
-            below * below,
-            np.where(p > hi[d], above * above, 0.0),
-        )
-    dist = np.sqrt(acc)
-    dist[~nonempty] = np.inf
-    return dist
-
-
-def mindist_box_arrays(lo: Any, hi: Any, nonempty: Any, anchor: Box) -> Any:
-    """Per-slot :meth:`Box.mindist <repro.boxes.box.Box.mindist>`
-    distances to ``anchor`` (all ``inf`` for an empty anchor)."""
-    n = len(nonempty)
-    if anchor.is_empty():
-        return np.full(n, np.inf)
-    acc = np.zeros(n, dtype=np.float64)
-    for d in range(len(lo)):
-        c, e = float(anchor.lo[d]), float(anchor.hi[d])
-        below = c - hi[d]
-        above = lo[d] - e
-        acc += np.where(
-            c > hi[d],
-            below * below,
-            np.where(lo[d] > e, above * above, 0.0),
-        )
-    dist = np.sqrt(acc)
-    dist[~nonempty] = np.inf
-    return dist
-
-
 class ColumnStore:
     """Struct-of-arrays mirror of a table's bounding boxes.
 
@@ -539,7 +424,7 @@ class ColumnStore:
             tuple(array("d", compress(col, live)) for col in self._hi),
         )
 
-    # -- numpy views -------------------------------------------------------------
+    # -- views -------------------------------------------------------------------
     def _views(self) -> Tuple[Any, Any, Any]:
         """Zero-copy float64 views of the coordinate columns.
 
@@ -569,18 +454,6 @@ class ColumnStore:
         :meth:`SpatialTable.range_query
         <repro.spatial.table.SpatialTable.range_query>`.
         """
-        if active_backend() == "numpy":
-            return self._match_positions_numpy(query, candidates)
-        cols, flags = (*self._lo, *self._hi), self._nonempty
-        if candidates is not None:
-            cols = tuple(array("d", map(c.__getitem__, candidates)) for c in cols)
-            flags = array("B", map(flags.__getitem__, candidates))
-        mask = scalar_mask(cols[: self.dim], cols[self.dim :], flags, query, True)
-        return [i for i, ok in enumerate(mask) if ok]
-
-    def _match_positions_numpy(
-        self, query: BoxQuery, candidates: Optional[Sequence[int]]
-    ) -> List[int]:
         lo, hi, flags = self._views()
         if candidates is not None:
             idx = np.asarray(candidates, dtype=np.intp)
@@ -595,65 +468,52 @@ class ColumnStore:
         return [self.rows[i] for i in self.match_positions(query)]
 
     # -- batched kNN distance kernels ----------------------------------------------
-    # Both return one distance per row (``inf`` at empty rows),
-    # accumulating squared per-dimension contributions in dimension
-    # order and rooting once — the exact float recipe of the Box
-    # methods, so ranking (ties included) matches the oracle.
+    # The whole-store scans (the R-tree's best-first browse computes the
+    # same recipe in a scalar loop: its nodes are too small for a kernel
+    # call to pay).  Both return one distance per row (``inf`` at empty
+    # rows), accumulating squared per-dimension contributions in
+    # dimension order and rooting once — the exact float recipe of the
+    # Box methods, so ranking (ties included) matches the oracle.
 
-    def mindist_point(self, point: Sequence[float]) -> Sequence[float]:
+    def mindist_point(self, point: Sequence[float]) -> Any:
         """Per-row :meth:`Box.mindist_point
         <repro.boxes.box.Box.mindist_point>` distances to ``point``."""
-        if active_backend() == "numpy":
-            lo, hi, flags = self._views()
-            return mindist_point_arrays(lo, hi, flags != 0, point)
-        inf = float("inf")
-        lo, hi, flags = self._lo, self._hi, self._nonempty
-        out = []
-        for i in range(len(flags)):
-            if not flags[i]:
-                out.append(inf)
-                continue
-            acc = 0.0
-            for d in range(self.dim):
-                p, a, b = point[d], lo[d][i], hi[d][i]
-                if p < a:
-                    gap = a - p
-                    acc += gap * gap
-                elif p > b:
-                    gap = p - b
-                    acc += gap * gap
-            out.append(math.sqrt(acc))
-        return out
+        lo, hi, flags = self._views()
+        acc = np.zeros(len(flags), dtype=np.float64)
+        for d in range(self.dim):
+            p = float(point[d])
+            below = lo[d] - p
+            above = p - hi[d]
+            acc += np.where(
+                p < lo[d],
+                below * below,
+                np.where(p > hi[d], above * above, 0.0),
+            )
+        dist = np.sqrt(acc)
+        dist[flags == 0] = np.inf
+        return dist
 
-    def mindist_box(self, anchor: Box) -> Sequence[float]:
+    def mindist_box(self, anchor: Box) -> Any:
         """Per-row :meth:`Box.mindist <repro.boxes.box.Box.mindist>`
         distances to ``anchor`` (all ``inf`` for an empty anchor)."""
-        inf = float("inf")
-        if active_backend() == "numpy":
-            lo, hi, flags = self._views()
-            return mindist_box_arrays(lo, hi, flags != 0, anchor)
+        lo, hi, flags = self._views()
         if anchor.is_empty():
-            return [inf] * len(self)
-        lo, hi, flags = self._lo, self._hi, self._nonempty
-        out = []
-        for i in range(len(flags)):
-            if not flags[i]:
-                out.append(inf)
-                continue
-            acc = 0.0
-            for d in range(self.dim):
-                a, b = lo[d][i], hi[d][i]
-                c, e = anchor.lo[d], anchor.hi[d]
-                if c > b:
-                    gap = c - b
-                    acc += gap * gap
-                elif a > e:
-                    gap = a - e
-                    acc += gap * gap
-            out.append(math.sqrt(acc))
-        return out
+            return np.full(len(flags), np.inf)
+        acc = np.zeros(len(flags), dtype=np.float64)
+        for d in range(self.dim):
+            c, e = float(anchor.lo[d]), float(anchor.hi[d])
+            below = c - hi[d]
+            above = lo[d] - e
+            acc += np.where(
+                c > hi[d],
+                below * below,
+                np.where(lo[d] > e, above * above, 0.0),
+            )
+        dist = np.sqrt(acc)
+        dist[flags == 0] = np.inf
+        return dist
 
-    def distances_to(self, anchor: Any) -> Sequence[float]:
+    def distances_to(self, anchor: Any) -> Any:
         """Dispatch on the anchor kind (a :class:`Box` or a point)."""
         if isinstance(anchor, Box):
             return self.mindist_box(anchor)

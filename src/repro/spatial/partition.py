@@ -19,8 +19,9 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..boxes.bconstraints import BoxQuery
+import numpy as np
+
 from ..boxes.box import Box, enclose_all
-from . import columnar
 
 #: Default PBSM tile target when no partition count is configured.
 DEFAULT_TILES = 16
@@ -175,78 +176,15 @@ _TileTask = Tuple[TileGrid, int, List[Tuple[Box, int]], List[Tuple[Box, int]]]
 def _sweep_tile(task: _TileTask) -> Tuple[List[Tuple[int, int]], int, int]:
     """Plane-sweep one tile; returns ``(pairs, tests, dedup_skipped)``.
 
-    Both entry lists are sorted by lower edge in dimension 0 and swept
-    in lockstep; an active list holds the opposite side's boxes that may
-    still overlap later ones.  Every candidate test is counted; a pair
+    A sweep along dimension 0 tests a pair exactly when the two boxes'
+    dim-0 intervals strictly overlap (nonempty boxes have ``lo < hi``);
+    this kernel counts that set with one comparison pass per left box,
+    then finishes the overlap test on the remaining dimensions.  A pair
     whose boxes overlap is emitted only if the reference point (the
-    lower corner of the intersection) falls in *this* tile.
+    lower corner of the intersection) falls in *this* tile.  Pair order
+    within a tile is left-major; :func:`pbsm_join` sorts globally.
     """
     grid, tile, left, right = task
-    if columnar.active_backend() == "numpy":
-        return _sweep_tile_vectorized(grid, tile, left, right)
-    left = sorted(left, key=lambda e: e[0].lo[0])
-    right = sorted(right, key=lambda e: e[0].lo[0])
-    pairs: List[Tuple[int, int]] = []
-    tests = 0
-    dups = 0
-    i = j = 0
-    active_left: List[Tuple[Box, int]] = []
-    active_right: List[Tuple[Box, int]] = []
-
-    def emit(lbox: Box, li: int, rbox: Box, ri: int) -> None:
-        nonlocal dups
-        if lbox.overlaps(rbox):
-            ref = tuple(max(a, b) for a, b in zip(lbox.lo, rbox.lo))
-            if grid.tile_of_point(ref) == tile:
-                pairs.append((li, ri))
-            else:
-                dups += 1
-
-    while i < len(left) or j < len(right):
-        take_left = j >= len(right) or (
-            i < len(left) and left[i][0].lo[0] <= right[j][0].lo[0]
-        )
-        if take_left:
-            box, tag = left[i]
-            i += 1
-            active_right = [
-                e for e in active_right if e[0].hi[0] > box.lo[0]
-            ]
-            for rbox, rtag in active_right:
-                tests += 1
-                emit(box, tag, rbox, rtag)
-            active_left.append((box, tag))
-        else:
-            box, tag = right[j]
-            j += 1
-            active_left = [
-                e for e in active_left if e[0].hi[0] > box.lo[0]
-            ]
-            for lbox, ltag in active_left:
-                tests += 1
-                emit(lbox, ltag, box, tag)
-            active_right.append((box, tag))
-    return pairs, tests, dups
-
-
-def _sweep_tile_vectorized(
-    grid: TileGrid,
-    tile: int,
-    left: List[Tuple[Box, int]],
-    right: List[Tuple[Box, int]],
-) -> Tuple[List[Tuple[int, int]], int, int]:
-    """The numpy per-tile sweep: same pairs, tests and dedup counts.
-
-    The lockstep sweep tests a pair exactly when the two boxes' dim-0
-    intervals strictly overlap (nonempty boxes have ``lo < hi``, so the
-    active-list filter and the merge order reduce to that condition);
-    this kernel counts the same set with one comparison pass, then
-    finishes the overlap test on the remaining dimensions and applies
-    the reference-point rule to whole candidate arrays.  Pair order
-    within a tile differs from the sweep's — :func:`pbsm_join` sorts
-    globally, so join results are unchanged.
-    """
-    np = columnar.np
     dim = grid.extent.dim
     n_right = len(right)
     rlo = tuple(

@@ -34,6 +34,8 @@ from operator import ge, gt, lt, not_, or_
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
+import numpy as np
+
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, minmaxdist_edges
 from ..errors import DimensionMismatchError, SnapshotError
@@ -60,9 +62,9 @@ def _iota(n: int) -> Any:
     and 0.25 ms longer with the 2-D gathers
     (benchmarks/results/pr14_batched_probe.md)."""
     if n > _FRONTIER_SLOTS:
-        return columnar.np.arange(n)
+        return np.arange(n)
     if not _IOTA:
-        _IOTA.append(columnar.np.arange(_FRONTIER_SLOTS))
+        _IOTA.append(np.arange(_FRONTIER_SLOTS))
     return _IOTA[0][:n]
 
 
@@ -333,12 +335,8 @@ class RTree:
         them, so each query meets its leaves in its own depth-first
         sequence; a frontier of more than ``_FRONTIER_SLOTS`` entries is
         halved and the front half walked first, which keeps that sequence
-        and bounds the transient arrays.  Without NumPy this is a loop
-        over :meth:`search`.
+        and bounds the transient arrays.
         """
-        if not columnar.HAVE_NUMPY:
-            return [list(self.search(query)) for query in queries]
-        np = columnar.np
         flat = self._flat
         dim = len(flat.lo)
         values = flat.values

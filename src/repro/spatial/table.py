@@ -33,6 +33,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..algebra.regions import Region
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box
@@ -610,7 +612,7 @@ class SpatialTable:
     def batches_probes(self) -> bool:
         """Whether the R-tree's NumPy kernels serve this table's probes,
         so :meth:`range_query_batch` reads the index once per batch."""
-        return self._rtree is not None and columnar.active_backend() == "numpy"
+        return self._rtree is not None
 
     def range_query(self, query: BoxQuery) -> List[SpatialObject]:
         """All rows whose bounding box satisfies ``query``.
@@ -643,9 +645,7 @@ class SpatialTable:
             self.vectorized_batches += 1
             self.vectorized_candidates += len(self._columns)
             return self._columns.match_rows(query)
-        if self.batches_probes():
-            return self._rtree_rows([query])[0]
-        return list(self._rtree.search(query))
+        return self._rtree_rows([query])[0]
 
     def _overlay_rows(
         self,
@@ -790,13 +790,13 @@ class SpatialTable:
         (property-tested against :meth:`nearest_bruteforce`):
 
         * ``"bestfirst"`` — the R-tree's incremental best-first browse
-          (r-tree backend only), a scalar walk of the tree's array form
-          on every columnar backend.  A pending write delta rides it:
+          (r-tree backend only), a scalar walk of the tree's array
+          form.  A pending write delta rides it:
           staged rows are queued at their distances beside the root,
           tombstoned rows are passed over, and the browse ends at the
           ``k``-th *live* row;
-        * ``"scan"`` — rank every live row (one columnar kernel call on
-          the NumPy backend);
+        * ``"scan"`` — one columnar distance kernel call over the base
+          rows, then a sort of the nearest few and the staged rows;
         * ``"auto"`` — best-first on the r-tree backend, scan on the
           scan backend.
 
@@ -832,12 +832,10 @@ class SpatialTable:
             out = self._rtree.nearest(
                 anchor, k, lambda obj: repr(obj.oid), seeds, dead
             )
-        elif columnar.active_backend() == "numpy":
+        else:
             out = self._nearest_columnar(anchor, k, d)
             self.vectorized_batches += 1
             self.vectorized_candidates += len(self._columns)
-        else:
-            out = self._nearest_scan(anchor, k)
         self.candidates_returned += len(out)
         return out
 
@@ -882,17 +880,24 @@ class SpatialTable:
         """:meth:`_nearest_scan` over the columnar distance kernel.
 
         One batched MINDIST evaluation replaces the per-object distance
-        calls on the base rows; the kernels produce the exact same
-        doubles (empty rows at ``inf`` are filtered like the oracle's
-        empty-box guard), so the sort — ties included — is unchanged.
-        Under a pending delta ``d`` tombstoned rows drop out and staged
-        rows join by the per-object metric."""
+        calls on the base rows; the kernel produces the exact same
+        doubles.  Only base rows at or below the ``k + len(tombstones)``-th
+        smallest distance can rank (``k`` of those are live), so only
+        they — every tie at that distance included — are sorted, with
+        the delta ``d``'s staged rows, by the oracle's key."""
         store = self._columns
         tomb = d.tombstones if d is not None else ()
+        dist = store.distances_to(anchor)
+        want = k + len(tomb)
+        if want < len(dist):
+            slots = np.flatnonzero(dist <= np.partition(dist, want - 1)[want - 1])
+        else:
+            slots = np.arange(len(dist))
+        rows = store.rows
         pairs = [
-            (float(dist), row)
-            for dist, row in zip(store.distances_to(anchor), store.rows)
-            if not row.box.is_empty() and row.oid not in tomb
+            (near, rows[slot])
+            for slot, near in zip(slots.tolist(), dist[slots].tolist())
+            if not rows[slot].box.is_empty() and rows[slot].oid not in tomb
         ]
         if d is not None:
             pairs.extend(d.distances(anchor))

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..boxes.box import Box
 from ..errors import DimensionMismatchError
-from . import columnar
 
 
 def interleave_batch(cells, bits: int):
@@ -35,7 +36,6 @@ def interleave_batch(cells, bits: int):
 
     Callers must ensure ``k * bits <= 62`` (the int64 code width).
     """
-    np = columnar.np
     n, k = cells.shape
     out = np.zeros(n, dtype=np.int64)
     one = np.int64(1)
@@ -165,7 +165,7 @@ class ZOrderIndex:
     def insert_batch(self, items: Sequence[Tuple[Box, object]]) -> None:
         """Insert many objects; identical stream to sequential inserts.
 
-        The numpy backend vectorizes the *single-cell* fast path: boxes
+        The *single-cell* fast path is vectorized: boxes
         whose universe clip fits inside one finest-level cell decompose
         to exactly one unit z-interval, so their cell indices and Morton
         codes compute in one batch (:func:`interleave_batch`) instead of
@@ -177,12 +177,7 @@ class ZOrderIndex:
         """
         grid = self.grid
         single_z: Dict[int, int] = {}
-        if (
-            columnar.active_backend() == "numpy"
-            and len(items) > 1
-            and grid.k * grid.levels <= 62
-        ):
-            np = columnar.np
+        if len(items) > 1 and grid.k * grid.levels <= 62:
             cand = [
                 (n, box)
                 for n, (box, _v) in enumerate(items)

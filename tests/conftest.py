@@ -22,7 +22,6 @@ from repro.algebra.regions import Region
 from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
 from repro.constraints.system import ConstraintSystem, nonempty, not_subset, overlaps, subset
-from repro.spatial.columnar import HAVE_NUMPY, forced_backend
 from repro.spatial.table import SpatialTable
 
 #: The shared universe of every generated workload.
@@ -41,27 +40,10 @@ SEED_OFFSET = int(os.environ.get("REPRO_TEST_SEED", "0")) * 10_007
 #: exhaustive products run their full budget there, tier-1 a thin one.
 SEED_MATRIX = "REPRO_TEST_SEED" in os.environ
 
-#: Columnar backends the differential tests force in turn: the pure-
-#: stdlib fallback always, NumPy only where the accelerator is
-#: installed (the no-numpy CI job then still covers the fallback).
-COLUMNAR_BACKENDS = ("numpy", "array") if HAVE_NUMPY else ("array",)
-
-#: The exhaustive products' backend matrix: each backend pinned in
-#: turn, then ``"off"`` — the pin off, so the platform's own pick runs,
-#: as in production.  (The id predates PR 22, which deleted the ``off``
-#: backend; it keeps the test ids stable.)
-BACKEND_MATRIX = COLUMNAR_BACKENDS + ("off",)
-
 #: Objects the collector tracks that one packed 2-d tree holds whatever
 #: its size — the tree, its counters, its form, the form's ``array``
 #: columns and its value list (14) — with some slack.
 TRACKED_PER_TREE = 20
-
-
-def pinned(backend: str):
-    """:func:`forced_backend` for a :data:`BACKEND_MATRIX` entry."""
-    return forced_backend(None if backend == "off" else backend)
-
 
 #: A duplicate-rich coordinate pool for edge-case boxes: repeated
 #: values make degenerate sides and shared edges likely.

@@ -5,9 +5,7 @@ hit flags and every counter of ``range_query_cached`` called once per
 query; the grouped ``IndexProbe`` promises the answers, the answer
 order and the ``ExecutionStats`` of probing binding by binding
 (``tests/reference_probe.py``), reading at most twice as far ahead
-under ``limit=``.  Nothing here is NumPy-only: without it (and under
-the ``array`` backend) the batch is a per-query loop that
-must satisfy the same equalities.
+under ``limit=``.
 """
 
 import random
@@ -25,18 +23,15 @@ from repro.engine.physical import build_physical_plan
 from repro.engine.query import SpatialQuery
 from repro.engine.physical import IndexProbe
 from repro.errors import UnsatisfiableError
-from repro.spatial import columnar
 from repro.spatial.rtree import RTree
 from repro.spatial.table import ProbeCache, SpatialTable
 from repro.spatial import rtree as rtree_module
 from tests.conftest import (
-    BACKEND_MATRIX as BACKENDS,
     UNIVERSE,
     constraint_systems,
     edge_box_queries,
     edge_boxes,
     make_workload,
-    pinned,
     shifted_seed,
 )
 from tests.reference_probe import PerBindingIndexProbe, probe_per_binding
@@ -47,9 +42,8 @@ from tests.test_planner_reference import (
 )
 
 BATCH_SIZES = (1, 2, 7, 64, 300)
-#: Node capacities, by the names of the retired split methods (kept so
-#: the test ids stay stable): the capacity is what shapes a packed tree.
-SPLITS = {"quadratic": 4, "linear": 3, "rstar": 6}
+#: Node capacities: the capacity is what shapes a packed tree.
+CAPACITIES = (4, 3, 6)
 SHAPES = (
     "overlap1",
     "overlap2",
@@ -70,12 +64,12 @@ def _box(rng, side):
     )
 
 
-def _table(split, delta, seed=0):
-    """220 rows packed at the node capacity ``split`` names, optionally
+def _table(capacity, delta, seed=0):
+    """220 rows packed at the node capacity ``capacity``, optionally
     with a pending delta of inserts and tombstones."""
     rng = random.Random(shifted_seed(seed))
     table = SpatialTable(
-        "t", 2, universe=UNIVERSE, node_capacity=SPLITS[split],
+        "t", 2, universe=UNIVERSE, node_capacity=capacity,
         delta_threshold=10**9,
     )
     table.bulk_insert([(i, Region.from_box(_box(rng, 6))) for i in range(220)])
@@ -141,45 +135,42 @@ def _caches(mode, table, queries):
     return out
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("delta", [False, True], ids=["clean", "delta"])
-@pytest.mark.parametrize("split", SPLITS)
-def test_range_query_batch_equals_cached_calls(split, delta, backend):
-    table = _table(split, delta)
+@pytest.mark.parametrize("capacity", CAPACITIES)
+def test_range_query_batch_equals_cached_calls(capacity, delta):
+    table = _table(capacity, delta)
     rng = random.Random(shifted_seed(1))
-    with pinned(backend):
-        for shape in SHAPES:
-            for size in BATCH_SIZES:
-                for mode in CACHES:
-                    queries = [_query(shape, rng, i) for i in range(size)]
-                    if mode in ("duplicates", "evicting"):
-                        queries = [queries[i // 3 % len(queries)] for i in range(size)]
-                        rng.shuffle(queries)
-                    one_by_one, batched = _caches(mode, table, queries)
-                    table.reset_stats()
-                    expected = [
-                        table.range_query_cached(query, one_by_one)
-                        for query in queries
-                    ]
-                    expected_counters = _counters(table, one_by_one)
-                    table.reset_stats()
-                    got = table.range_query_batch(queries, batched)
-                    where = (shape, size, mode)
-                    assert [hit for _rows, hit in got] == [
-                        hit for _rows, hit in expected
-                    ], where
-                    assert [[o.oid for o in rows] for rows, _hit in got] == [
-                        [o.oid for o in rows] for rows, _hit in expected
-                    ], where
-                    assert _counters(table, batched) == expected_counters, where
+    for shape in SHAPES:
+        for size in BATCH_SIZES:
+            for mode in CACHES:
+                queries = [_query(shape, rng, i) for i in range(size)]
+                if mode in ("duplicates", "evicting"):
+                    queries = [queries[i // 3 % len(queries)] for i in range(size)]
+                    rng.shuffle(queries)
+                one_by_one, batched = _caches(mode, table, queries)
+                table.reset_stats()
+                expected = [
+                    table.range_query_cached(query, one_by_one)
+                    for query in queries
+                ]
+                expected_counters = _counters(table, one_by_one)
+                table.reset_stats()
+                got = table.range_query_batch(queries, batched)
+                where = (shape, size, mode)
+                assert [hit for _rows, hit in got] == [
+                    hit for _rows, hit in expected
+                ], where
+                assert [[o.oid for o in rows] for rows, _hit in got] == [
+                    [o.oid for o in rows] for rows, _hit in expected
+                ], where
+                assert _counters(table, batched) == expected_counters, where
 
 
-@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the batched kernel is NumPy's")
-@pytest.mark.parametrize("split", SPLITS)
-def test_batch_really_shares_one_traversal(split):
-    """The equalities above are not vacuous: with NumPy the misses of a
-    batch reach ``RTree.search_batch`` together, in one call."""
-    table = _table(split, delta=False)
+@pytest.mark.parametrize("capacity", CAPACITIES)
+def test_batch_really_shares_one_traversal(capacity):
+    """The equalities above are not vacuous: the misses of a batch
+    reach ``RTree.search_batch`` together, in one call."""
+    table = _table(capacity, delta=False)
     rng = random.Random(2)
     queries = [_query("overlap1", rng, i) for i in range(40)]
     calls = []
@@ -207,7 +198,7 @@ def _assert_batch_equals_scalar_searches(tree, queries):
 @given(
     st.lists(st.tuples(edge_boxes(), st.booleans()), max_size=40),
     st.lists(edge_box_queries(), min_size=1, max_size=12),
-    st.sampled_from(sorted(SPLITS.values())),
+    st.sampled_from(sorted(CAPACITIES)),
     st.sampled_from([1 << 16, 5]),
 )
 @settings(max_examples=120, deadline=None)
@@ -239,17 +230,15 @@ def test_wide_windows_on_a_large_table_split_the_frontier():
     ]
     tree = table._rtree
     _assert_batch_equals_scalar_searches(tree, queries)
-    if columnar.HAVE_NUMPY:
-        assert tree.stats.entry_tests > 2 * rtree_module._FRONTIER_SLOTS
+    assert tree.stats.entry_tests > 2 * rtree_module._FRONTIER_SLOTS
 
 
-@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="only the batched kernel peeks")
 def test_entry_stored_between_peek_and_lookup_is_a_billed_hit():
     """Two threads sharing a cache, replayed deterministically: another
     reader stores each of the batch's queries right after the peek that
     chose it for the traversal.  Same rows, reported as hits, and the
     reads the traversal made stay billed."""
-    table = _table("quadratic", delta=True)
+    table = _table(4, delta=True)
     rng = random.Random(4)
     queries = [_query("overlap1", rng, i) for i in range(9)]
     expected = [table.range_query(query) for query in queries]
@@ -357,7 +346,6 @@ def _one_probe_per_binding(query, order, i):
     return plan, op
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(
     constraint_systems(),
     st.integers(0, 10_000),
@@ -369,18 +357,15 @@ def _one_probe_per_binding(query, order, i):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-def test_conftest_workloads_match_per_binding_probing(
-    backend, system, seed, sizes, cache_size
-):
+def test_conftest_workloads_match_per_binding_probing(system, seed, sizes, cache_size):
     tables, bindings = make_workload(seed, system=system, sizes=sizes)
     if not tables:
         return
     query = SpatialQuery(system=system, tables=tables, bindings=bindings)
-    with pinned(backend):
-        try:
-            _assert_grouped_probe_matches_oracle(query, cache_size=cache_size)
-        except UnsatisfiableError:
-            return  # decided at compile time: no plan to compare
+    try:
+        _assert_grouped_probe_matches_oracle(query, cache_size=cache_size)
+    except UnsatisfiableError:
+        return  # decided at compile time: no plan to compare
 
 
 @pytest.mark.parametrize("form,area", FIGURE1_VARIANTS)
@@ -396,11 +381,10 @@ def test_overlay_join_matches_per_binding_probing():
     expected = _oids(oracle.execute_iter())
     assert _oids(grouped.execute_iter()) == expected
     assert grouped.stats().to_dict() == oracle.stats().to_dict()
-    if columnar.HAVE_NUMPY:
-        # The oracle is not the code under test in disguise.
-        assert IndexProbe.iterate is not PerBindingIndexProbe.iterate
-        probe = grouped.step_ops[-1].extend
-        list(grouped.execute_iter(limit=1))
-        assert probe.stats.rows_in == 1
-        list(grouped.execute_iter(limit=40))
-        assert 1 < probe.stats.rows_in <= 2 * 40 + 1
+    # The oracle is not the code under test in disguise.
+    assert IndexProbe.iterate is not PerBindingIndexProbe.iterate
+    probe = grouped.step_ops[-1].extend
+    list(grouped.execute_iter(limit=1))
+    assert probe.stats.rows_in == 1
+    list(grouped.execute_iter(limit=40))
+    assert 1 < probe.stats.rows_in <= 2 * 40 + 1

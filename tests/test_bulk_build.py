@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_build as ref
-from conftest import BACKEND_MATRIX as BACKENDS, TRACKED_PER_TREE, pinned, shifted_seed
+from conftest import TRACKED_PER_TREE, shifted_seed
 from repro.database import Database
 from repro.algebra.regions import Region
 from repro.boxes.box import EMPTY_BOX, Box, enclose_all
@@ -105,17 +105,15 @@ def oracle_dump(n: int, dim: int, cap: int, order: str = "quadratic"):
 
 
 # -- the matrix --------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("order", INPUT_ORDERS)
 @pytest.mark.parametrize("cap", (4, 8, 16))
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("n", SIZES)
-def test_bulk_load_equals_per_object_build(n, dim, cap, order, backend):
+def test_bulk_load_equals_per_object_build(n, dim, cap, order):
     # Each entry's value is its box, so the oracle's and the build's
     # leaf identities (box and value) compare across the two trees.
     boxes = ordered_boxes(n, dim, order)
-    with pinned(backend):
-        tree = RTree.bulk_load(list(zip(boxes, boxes)), max_entries=cap)
+    tree = RTree.bulk_load(list(zip(boxes, boxes)), max_entries=cap)
     assert tree_dump(tree) == oracle_dump(n, dim, cap, order)
     assert len(tree) == n
     tree.check_invariants()
@@ -136,20 +134,20 @@ def edge_boxes(draw, dim=2):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(
     st.lists(edge_boxes(), max_size=40),
     st.sampled_from((2, 4)),
-    st.sampled_from(BACKENDS),
 )
-def test_bulk_load_edge_boxes(boxes, cap, backend):
+def test_bulk_load_edge_boxes(boxes, cap):
     """Ties, empty boxes (left out), ``-0.0`` against
     ``0.0`` (the first of equals wins the min/max, as in Python) and
-    infinite edges all come out as the per-object build had them."""
+    infinite edges all come out as the per-object build had them —
+    NaN centres included, without a NumPy warning."""
     entries = list(zip(boxes, boxes))
     expect = tree_dump(ref.bulk_load(entries, max_entries=cap))
-    with pinned(backend):
-        tree = RTree.bulk_load(entries, max_entries=cap)
+    tree = RTree.bulk_load(entries, max_entries=cap)
     assert tree_dump(tree) == expect
     tree.check_invariants()
 
@@ -182,23 +180,20 @@ FINITE = tuple(c for c in EDGE if abs(c) != INF) + (3.0, 6.999999999999999)
 @given(
     st.lists(st.sampled_from(FINITE), max_size=30),
     st.sampled_from((1, 4, 16)),
-    st.sampled_from(BACKENDS),
 )
-def test_histogram_equals_loop(values, bins, backend):
+def test_histogram_equals_loop(values, bins):
     """Values equal to ``hi`` land in the last bucket; equal populations
     collapse to one; ``lo``/``hi`` keep the sign of the first zero."""
     expect = ref.histogram(values, bins=bins)
-    with pinned(backend):
-        assert repr(Histogram.from_values(values, bins=bins)) == repr(expect)
-        assert repr(Histogram.from_values(iter(values), bins=bins)) == repr(expect)
+    assert repr(Histogram.from_values(values, bins=bins)) == repr(expect)
+    assert repr(Histogram.from_values(iter(values), bins=bins)) == repr(expect)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_histogram_of_infinite_values_still_raises(backend):
+def test_histogram_of_infinite_values_still_raises():
     values = [0.0, 1.0, INF]
     with pytest.raises(ValueError):
         ref.histogram(values)
-    with pinned(backend), pytest.raises(ValueError):
+    with pytest.raises(ValueError):
         Histogram.from_values(values)
 
 
@@ -217,100 +212,94 @@ def table_rows(rng: random.Random, n: int, first_oid: int = 0):
     return rows
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n", (0, 1, 30, 700))
-def test_statistics_equal_per_object_scan(n, backend):
+def test_statistics_equal_per_object_scan(n):
     rows = table_rows(random.Random(shifted_seed(n)), n)
-    with pinned(backend):
-        table = SpatialTable("t", 2)
-        table.bulk_insert(rows)
-        for kwargs in ({}, {"bins": 5, "sample_size": 7, "seed": 3}):
-            got = collect_statistics(table, **kwargs)
-            expect = ref.collect_statistics(table, **kwargs)
-            assert stats_dump(table, got) == stats_dump(table, expect)
-            assert all(a is b for a, b in zip(got.sample, expect.sample))
-        # A pending delta: live rows (explicit or not) are still scanned.
-        table.stage_insert("new", Region.from_box(Box((1.0, 1.0), (40.0, 2.0))))
-        if n:
-            table.stage_delete(0)
-        assert stats_dump(table, collect_statistics(table)) == stats_dump(
-            table, ref.collect_statistics(table)
-        )
-        assert stats_dump(table, table.statistics()) == stats_dump(
+    table = SpatialTable("t", 2)
+    table.bulk_insert(rows)
+    for kwargs in ({}, {"bins": 5, "sample_size": 7, "seed": 3}):
+        got = collect_statistics(table, **kwargs)
+        expect = ref.collect_statistics(table, **kwargs)
+        assert stats_dump(table, got) == stats_dump(table, expect)
+        assert all(a is b for a, b in zip(got.sample, expect.sample))
+    # A pending delta: live rows (explicit or not) are still scanned.
+    table.stage_insert("new", Region.from_box(Box((1.0, 1.0), (40.0, 2.0))))
+    if n:
+        table.stage_delete(0)
+    assert stats_dump(table, collect_statistics(table)) == stats_dump(
+        table, ref.collect_statistics(table)
+    )
+    assert stats_dump(table, table.statistics()) == stats_dump(
+        table,
+        ref.collect_statistics(
             table,
-            ref.collect_statistics(
-                table,
-                rows=[o for o in table._objects.values() if not o.box.is_empty()],
-                total=len(table._objects),
-            ).apply_delta(
-                tuple(table._delta.inserts.values()),
-                tuple(table._objects[oid] for oid in table._delta.tombstones),
-            ),
-        )
+            rows=[o for o in table._objects.values() if not o.box.is_empty()],
+            total=len(table._objects),
+        ).apply_delta(
+            tuple(table._delta.inserts.values()),
+            tuple(table._objects[oid] for oid in table._delta.tombstones),
+        ),
+    )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", range(6))
-def test_repack_equals_fresh_bulk_insert(seed, backend):
+def test_repack_equals_fresh_bulk_insert(seed):
     """Random insert/delete deltas folded by ``repack()``: columns, tree
     and statistics are those of a fresh ``bulk_insert`` of the live rows
     — and of the per-object build of them."""
     rng = random.Random(shifted_seed(40 + seed))
-    with pinned(backend):
-        table = SpatialTable("t", 2, delta_threshold=10_000)
-        table.bulk_insert(table_rows(rng, rng.choice((0, 3, 90))))
-        next_oid = len(table)
-        for _round in range(3):
-            # At least one staged insert per round.
-            for op in range(1 + rng.randrange(0, 30)):
-                live = [obj.oid for obj in table]
-                if op and live and rng.random() < 0.4:
-                    table.delete(rng.choice(live))
-                else:
-                    ((oid, region),) = table_rows(rng, 1, next_oid)
-                    if rng.random() < 0.1:
-                        region = Region.from_boxes([])
-                    table.stage_insert(oid, region)
-                    next_oid += 1
-            table.repack()
-            assert not table.delta_pending
-            rows = [(obj.oid, obj.region) for obj in table]
-            fresh = SpatialTable("t", 2)
-            fresh.bulk_insert(rows)
-            oracle = ref.packed_table("t", 2, rows)
+    table = SpatialTable("t", 2, delta_threshold=10_000)
+    table.bulk_insert(table_rows(rng, rng.choice((0, 3, 90))))
+    next_oid = len(table)
+    for _round in range(3):
+        # At least one staged insert per round.
+        for op in range(1 + rng.randrange(0, 30)):
+            live = [obj.oid for obj in table]
+            if op and live and rng.random() < 0.4:
+                table.delete(rng.choice(live))
+            else:
+                ((oid, region),) = table_rows(rng, 1, next_oid)
+                if rng.random() < 0.1:
+                    region = Region.from_boxes([])
+                table.stage_insert(oid, region)
+                next_oid += 1
+        table.repack()
+        assert not table.delta_pending
+        rows = [(obj.oid, obj.region) for obj in table]
+        fresh = SpatialTable("t", 2)
+        fresh.bulk_insert(rows)
+        oracle = ref.packed_table("t", 2, rows)
 
-            def shape(t):
-                # Row identity differs between tables: compare by oid.
-                oid_of = {id(obj): obj.oid for obj in t}
-                lo, hi, flags, ids = store_dump(t._columns)
-                return lo, hi, flags, [oid_of[i] for i in ids], oid_dump(t._rtree), stats_dump(
-                    t, t.statistics()
-                )
+        def shape(t):
+            # Row identity differs between tables: compare by oid.
+            oid_of = {id(obj): obj.oid for obj in t}
+            lo, hi, flags, ids = store_dump(t._columns)
+            return lo, hi, flags, [oid_of[i] for i in ids], oid_dump(t._rtree), stats_dump(
+                t, t.statistics()
+            )
 
-            assert shape(table) == shape(fresh) == shape(oracle)
-            assert values_are_rows(table)
-            table._rtree.check_invariants()
+        assert shape(table) == shape(fresh) == shape(oracle)
+        assert values_are_rows(table)
+        table._rtree.check_invariants()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_snapshot_bytes_equal_per_object_build(backend, tmp_path):
+def test_snapshot_bytes_equal_per_object_build(tmp_path):
     rows = table_rows(random.Random(shifted_seed(77)), 400)
-    with pinned(backend):
-        table = SpatialTable("t", 2, universe=Box((0.0, 0.0), (64.0, 64.0)))
-        table.bulk_insert(rows)
-        new_path, ref_path = tmp_path / "new.json", tmp_path / "ref.json"
-        Database(tables={"t": table}).save(str(new_path))
-        oracle = ref.packed_table(
-            "t", 2, rows, universe=Box((0.0, 0.0), (64.0, 64.0))
-        )
-        Database(tables={"t": oracle}).save(str(ref_path))
-        assert new_path.read_bytes() == ref_path.read_bytes()
-        # The loader fills its store through the same bulk constructor.
-        loaded = Database.open(str(new_path)).table("t")
-        assert store_dump(loaded._columns)[:3] == store_dump(table._columns)[:3]
-        # Its leaves name the store's rows by slot.
-        assert loaded._rtree._flat.values is loaded._columns.rows
-        assert values_are_rows(loaded) and oid_dump(loaded._rtree) == oid_dump(table._rtree)
+    table = SpatialTable("t", 2, universe=Box((0.0, 0.0), (64.0, 64.0)))
+    table.bulk_insert(rows)
+    new_path, ref_path = tmp_path / "new.json", tmp_path / "ref.json"
+    Database(tables={"t": table}).save(str(new_path))
+    oracle = ref.packed_table(
+        "t", 2, rows, universe=Box((0.0, 0.0), (64.0, 64.0))
+    )
+    Database(tables={"t": oracle}).save(str(ref_path))
+    assert new_path.read_bytes() == ref_path.read_bytes()
+    # The loader fills its store through the same bulk constructor.
+    loaded = Database.open(str(new_path)).table("t")
+    assert store_dump(loaded._columns)[:3] == store_dump(table._columns)[:3]
+    # Its leaves name the store's rows by slot.
+    assert loaded._rtree._flat.values is loaded._columns.rows
+    assert values_are_rows(loaded) and oid_dump(loaded._rtree) == oid_dump(table._rtree)
 
 
 # -- one fold, one build ------------------------------------------------------------------
@@ -354,15 +343,13 @@ def test_reindex_with_pending_delta_builds_the_tree_once(builds):
     assert table._version == version + 2 and table.repacks == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bulk_insert_builds_one_tree_equal_to_the_per_object_build(builds, backend):
+def test_bulk_insert_builds_one_tree_equal_to_the_per_object_build(builds):
     """``bulk_insert`` checks its rows and folds them once: one STR
     build, no op-log entry, no inline repack however many rows — and
     the tree is the per-object build's, row for row."""
     rows = table_rows(random.Random(shifted_seed(9)), 300)
-    with pinned(backend):
-        table = SpatialTable("t", 2, delta_threshold=8)
-        table.bulk_insert(rows)
+    table = SpatialTable("t", 2, delta_threshold=8)
+    table.bulk_insert(rows)
     assert builds == ["bulk_load_columns"]
     assert (table._version, table.repacks, table.delta_watermark) == (1, 0, 0)
     assert not table._delta.ops and not table.delta_pending
@@ -372,8 +359,7 @@ def test_bulk_insert_builds_one_tree_equal_to_the_per_object_build(builds, backe
 
 
 # -- no object per row -------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_build_and_inline_repack_add_no_object_per_row(backend):
+def test_build_and_inline_repack_add_no_object_per_row():
     """The tree is columns: ``bulk_load_columns`` over a 20 000-row
     store, and the inline repack a 64th staged write sets off on a
     20 000-row table, each leave a bounded number of new tracked
@@ -382,28 +368,27 @@ def test_build_and_inline_repack_add_no_object_per_row(backend):
     The structures the repack replaces stay pinned, as by a reader in
     flight, so what it frees cannot hide what it makes."""
     rng = random.Random(shifted_seed(20))
-    with pinned(backend):
-        table = SpatialTable("t", 2)
-        table.bulk_insert(table_rows(rng, 20_000))
-        columns = table._columns.nonempty_columns()
-        RTree.bulk_load_columns(*columns)  # warm whatever the kernels cache
-        staged = table_rows(rng, 40, first_oid=20_000)
-        gc.collect()
-        gc.disable()
-        try:
-            before = len(gc.get_objects())
-            tree = RTree.bulk_load_columns(*columns)
-            built = len(gc.get_objects()) - before
-            for oid, region in staged:
-                table.stage_insert(oid, region)
-            for oid in range(23):
-                table.stage_delete(oid)
-            pinned_base = (table._rtree, table._columns, table._objects)
-            before = len(gc.get_objects())
-            table.stage_delete(100)  # the 64th staged write: inline repack
-            repacked = len(gc.get_objects()) - before
-        finally:
-            gc.enable()
+    table = SpatialTable("t", 2)
+    table.bulk_insert(table_rows(rng, 20_000))
+    columns = table._columns.nonempty_columns()
+    RTree.bulk_load_columns(*columns)  # warm whatever the kernels cache
+    staged = table_rows(rng, 40, first_oid=20_000)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        tree = RTree.bulk_load_columns(*columns)
+        built = len(gc.get_objects()) - before
+        for oid, region in staged:
+            table.stage_insert(oid, region)
+        for oid in range(23):
+            table.stage_delete(oid)
+        pinned_base = (table._rtree, table._columns, table._objects)
+        before = len(gc.get_objects())
+        table.stage_delete(100)  # the 64th staged write: inline repack
+        repacked = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
     assert len(tree) == len(columns[0]) and table.repacks == 1
     assert table._rtree is not pinned_base[0] and len(table) == 20_000 + 40 - 24
     assert built <= TRACKED_PER_TREE and repacked <= 2 * TRACKED_PER_TREE

@@ -20,9 +20,8 @@ from repro.engine.executor import MODES, answers_as_oid_tuples, execute
 from repro.engine.physical import build_physical_plan
 from repro.engine.query import AggregateSpec, KNNStep, SpatialQuery
 from repro.errors import UnsatisfiableError
-from repro.spatial.columnar import ColumnStore, forced_backend
+from repro.spatial.columnar import ColumnStore
 from tests.conftest import (
-    COLUMNAR_BACKENDS,
     constraint_systems,
     edge_box_queries,
     edge_boxes,
@@ -40,7 +39,7 @@ def _knn_reference_oids(table, anchor, k):
 
 
 # ---------------------------------------------------------------------------
-# Index-level: best-first == brute force for every backend and anchor
+# Index-level: best-first == brute force for every index and anchor
 # ---------------------------------------------------------------------------
 
 
@@ -309,7 +308,7 @@ def test_box_count_pushdown_differential(seed, use_overlap):
 
 
 # ---------------------------------------------------------------------------
-# Columnar kernels: box-mode execution == exact mode, per backend
+# Columnar kernels: box-mode execution == exact mode
 # ---------------------------------------------------------------------------
 
 
@@ -330,7 +329,7 @@ def test_vectorized_execution_differential(
 ):
     """Box-mode plans return exactly the ``exact`` mode's answers — which
     runs no box kernel — in every box mode × join strategy × partition
-    count × index backend, under both columnar backends.  This drives
+    count × index backend.  This drives
     every engine-level kernel: batched scan filters, columnar R-tree
     descent, the PBSM tile sweep, bulk-join batch matching, and batched
     z-order keys."""
@@ -347,22 +346,20 @@ def test_vectorized_execution_differential(
     expected = answers_as_oid_tuples(list(oracle_plan.execute_iter()), order)
     assert oracle_plan.stats().vectorized_batches == 0
     for mode in ("boxplan", "boxonly"):
-        for backend in COLUMNAR_BACKENDS:
-            with forced_backend(backend):
-                pplan = build_physical_plan(
-                    plan,
-                    mode,
-                    estimate=False,
-                    partitions=n_partitions,
-                    join_strategy=strategy,
-                )
-                got = answers_as_oid_tuples(
-                    list(pplan.execute_iter()), order
-                )
-            assert got == expected, (
-                f"{mode}/{strategy}/partitions={n_partitions}/"
-                f"{index}/{backend} diverged for:\n{system}"
-            )
+        pplan = build_physical_plan(
+            plan,
+            mode,
+            estimate=False,
+            partitions=n_partitions,
+            join_strategy=strategy,
+        )
+        got = answers_as_oid_tuples(
+            list(pplan.execute_iter()), order
+        )
+        assert got == expected, (
+            f"{mode}/{strategy}/partitions={n_partitions}/"
+            f"{index} diverged for:\n{system}"
+        )
 
 
 @given(
@@ -378,7 +375,7 @@ def test_columnar_match_oracle_edge_cases(boxes, query):
     """The batched box filter admits exactly the per-object oracle's
     rows on edge-case inputs — degenerate/point boxes, inverted
     (empty) intervals, unbounded query sides, duplicate coordinates —
-    under both backends, on the full-store and candidate-subset paths."""
+    on the full-store and candidate-subset paths."""
     oracle = [
         i
         for i, b in enumerate(boxes)
@@ -387,15 +384,13 @@ def test_columnar_match_oracle_edge_cases(boxes, query):
     hits = set(oracle)
     candidates = list(range(0, len(boxes), 2))
     want_subset = [p for p, i in enumerate(candidates) if i in hits]
-    for backend in COLUMNAR_BACKENDS:
-        with forced_backend(backend):
-            store = ColumnStore.bulk(2, boxes, range(len(boxes)))
-            assert store.match_positions(query) == oracle, backend
-            assert (
-                store.match_positions(query, candidates=candidates)
-                == want_subset
-            ), backend
-            assert store.match_rows(query) == oracle, backend
+    store = ColumnStore.bulk(2, boxes, range(len(boxes)))
+    assert store.match_positions(query) == oracle
+    assert (
+        store.match_positions(query, candidates=candidates)
+        == want_subset
+    )
+    assert store.match_rows(query) == oracle
 
 
 @given(st.integers(0, 10_000), st.integers(1, 12), st.booleans())
@@ -406,7 +401,7 @@ def test_columnar_match_oracle_edge_cases(boxes, query):
 )
 def test_vectorized_nearest_differential(seed, k, box_anchor):
     """`SpatialTable.nearest` returns bit-identical distance/oid
-    rankings under every backend, for point and box anchors: on scan
+    rankings for point and box anchors: on scan
     tables the columnar kernel against the brute-force scan
     (``nearest_bruteforce``), on indexed tables the browse over the
     array form against the frozen ``_Node`` walk (``reference_knn.py``)."""
@@ -425,12 +420,10 @@ def test_vectorized_nearest_differential(seed, k, box_anchor):
             want = reference_knn.table_nearest(table, anchor, k)
         else:
             want = table.nearest_bruteforce(anchor, k)
-        for backend in COLUMNAR_BACKENDS:
-            with forced_backend(backend):
-                got = table.nearest(anchor, k)
-            assert [(d, o.oid) for d, o in got] == [
-                (d, o.oid) for d, o in want
-            ], f"{index}/{backend} diverged"
+        got = table.nearest(anchor, k)
+        assert [(d, o.oid) for d, o in got] == [
+            (d, o.oid) for d, o in want
+        ], f"{index} diverged"
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,7 @@ def test_delta_staged_execution_differential(system, seed, layout_index):
     """A delta-staged table (half its rows in the write delta, ghosts
     tombstoned) and its post-repack form return exactly the fresh
     table's answer sets, in every box mode x physical layout (serial,
-    PBSM, process-pool PBSM, z-order) x columnar backend."""
+    PBSM, process-pool PBSM, z-order)."""
     layout = DELTA_LAYOUTS[layout_index]
     tables, bindings = make_workload(seed, system=system)
     if not tables:
@@ -517,15 +510,13 @@ def test_delta_staged_execution_differential(system, seed, layout_index):
                 plan = compile_query(query, order=order)
             except UnsatisfiableError:
                 return
-            for backend in COLUMNAR_BACKENDS:
-                with forced_backend(backend):
-                    pplan = build_physical_plan(plan, mode, **layout)
-                    got = answers_as_oid_tuples(
-                        list(pplan.execute_iter()), order
-                    )
-                if reference is None:
-                    reference = got
-                assert got == reference, (
-                    f"{mode}/{vname}/{backend}/layout={layout} diverged "
-                    f"for:\n{system}"
-                )
+            pplan = build_physical_plan(plan, mode, **layout)
+            got = answers_as_oid_tuples(
+                list(pplan.execute_iter()), order
+            )
+            if reference is None:
+                reference = got
+            assert got == reference, (
+                f"{mode}/{vname}/layout={layout} diverged "
+                f"for:\n{system}"
+            )

@@ -21,9 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_knn as ref
-from conftest import (
-    BACKEND_MATRIX as BACKENDS, SEED_MATRIX, TRACKED_PER_TREE, pinned, shifted_seed,
-)
+from conftest import SEED_MATRIX, TRACKED_PER_TREE, shifted_seed
 from repro.database import Database, Session
 from repro.algebra.regions import Region
 from repro.boxes.bconstraints import BoxQuery
@@ -31,7 +29,6 @@ from repro.boxes.box import Box
 from repro.errors import AnchorError, DimensionMismatchError, ReproError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import QueryService, serve_in_thread
-from repro.spatial.columnar import HAVE_NUMPY, forced_backend
 from repro.spatial.rtree import RTree
 from repro.spatial.table import SpatialTable
 from repro.spatial.rtree import _FlatTree
@@ -152,18 +149,16 @@ BUILDS = ("bulk", *INSERTED, "deleted", "snapshot")
 
 
 # -- clean tables: answers, ties and counters -------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("build,dim,n", [
     ("bulk", 1, 60), ("bulk", 2, 300), ("bulk", 3, 90), ("bulk", 2, 0), ("bulk", 2, 1),
     ("insert-quadratic", 2, 120), ("insert-linear", 3, 70), ("insert-rstar", 1, 80),
     ("deleted", 2, 150), ("snapshot", 2, 200), ("snapshot", 3, 40),
 ])
-def test_clean_table_equals_frozen_walk(build, dim, n, backend, tmp_path):
-    with pinned(backend):
-        table = built_table(build, dim, n, seed=n + dim, tmp_path=tmp_path)
-        rng = random.Random(shifted_seed(7 * n + dim))
-        hold_table_to_oracle(table, anchors_for(rng, dim))
-        hold_tree_to_oracle(table._rtree, anchors_for(rng, dim, 3), ks=(1, 3))
+def test_clean_table_equals_frozen_walk(build, dim, n, tmp_path):
+    table = built_table(build, dim, n, seed=n + dim, tmp_path=tmp_path)
+    rng = random.Random(shifted_seed(7 * n + dim))
+    hold_table_to_oracle(table, anchors_for(rng, dim))
+    hold_tree_to_oracle(table._rtree, anchors_for(rng, dim, 3), ks=(1, 3))
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
@@ -278,6 +273,37 @@ def test_rtree_knn_bills_no_kernel():
     assert (table.vectorized_batches, table.vectorized_candidates) == (0, 0)
 
 
+@pytest.mark.parametrize("index", ("scan", "rtree"))
+def test_scan_knn_keeps_every_tie_at_the_kth_distance(index):
+    """The scan path sorts only the base rows at or below the
+    ``k + len(tombstones)``-th smallest distance.  Here dozens of rows
+    tie at each distance, a pending delta buries some tied rows (and
+    stages others, some under a buried oid, at the same distances), and
+    every ``k`` still gets the brute-force answer to the bit."""
+    rng = random.Random(shifted_seed(13))
+    # Unit squares on a ring of offsets: each offset's copies tie.
+    offsets = [(0.0, 0.0), (2.0, 0.0), (0.0, -2.0), (3.0, 3.0), (0.5, 0.0)]
+    rows = [
+        (mixed_oid(i), Region.from_box(Box((10.0 + dx, 10.0 + dy), (11.0 + dx, 11.0 + dy))))
+        for i, (dx, dy) in enumerate(offsets[i % len(offsets)] for i in range(300))
+    ]
+    rows += [(f"void{i}", Region.empty()) for i in range(4)]
+    table = SpatialTable("t", 2, index=index, delta_threshold=10**9)
+    table.bulk_insert(rows)
+    buried = rng.sample([oid for oid, region in rows[:300]], 40)
+    for oid in buried:
+        assert table.stage_delete(oid)
+    for i, (dx, dy) in enumerate(offsets * 3):
+        box = Box((10.0 + dx, 10.0 + dy), (11.0 + dx, 11.0 + dy))
+        table.stage_insert(buried[i] if i % 4 == 0 else f"s{i}", Region.from_box(box))
+    assert table.delta_pending
+    anchors = [(10.5, 10.5), (9.0, 12.0), Box((12.0, 10.0), (12.5, 10.5))]
+    for anchor in anchors:
+        for k in (1, 5, 59, 60, 61, 120, 301, 10_000):
+            want = exact(table.nearest_bruteforce(anchor, k))
+            assert exact(table.nearest(anchor, k, access="scan")) == want, (anchor, k)
+
+
 # -- born flat: a build is the form; no read makes another --------------------------------
 @pytest.fixture
 def forms(monkeypatch):
@@ -301,8 +327,7 @@ def first_reads(table: SpatialTable, forms) -> None:
     window = BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),))
     assert table.nearest((5.0, 5.0), 3)
     assert table.range_query_batch([window, window])[0][0]
-    with forced_backend("array"):  # the scalar search
-        assert table.range_query(window)
+    assert list(table._rtree.search(window))
     assert table.count_range(BoxQuery(inside=Box((0.0, 0.0), (30.0, 30.0))))
     tree = table._rtree
     tree.check_invariants()
@@ -412,10 +437,8 @@ def test_staged_clone_reads_build_no_tree(monkeypatch):
 NASTY = (-INF, -2.0, -0.0, 0.0, 0.0, 1.0, 2.5, 7.0, INF)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")  # -inf + inf, on purpose
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("nasty", [False, True], ids=["plain", "nan-and-minus-zero"])
-def test_emitted_form_equals_walked_form(backend, nasty):
+def test_emitted_form_equals_walked_form(nasty):
     """Same tree, as built and as walked back from frozen nodes
     (``reference_rtree``): same columns entry for entry (node numbering
     aside), so ``search_batch`` and ``nearest`` cannot tell.
@@ -431,8 +454,7 @@ def test_emitted_form_equals_walked_form(backend, nasty):
                 boxes.append(box)
     else:
         boxes = [grid_box(rng, 2) for _ in range(150)]
-    with pinned(backend):
-        tree = RTree.bulk_load([(box, i) for i, box in enumerate(boxes)], max_entries=4)
+    tree = RTree.bulk_load([(box, i) for i, box in enumerate(boxes)], max_entries=4)
     emitted = tree._flat
     walked = flatten(thaw(emitted))  # thawed, then flattened again
 
@@ -471,9 +493,8 @@ def test_emitted_form_equals_walked_form(backend, nasty):
     for flat in (emitted, walked):
         tree._flat = flat
         run = []
-        if HAVE_NUMPY:
-            rows, cost = billed(tree, lambda: tree.search_batch(queries))
-            run.append(([[id(v) for v in found] for found in rows], cost))
+        rows, cost = billed(tree, lambda: tree.search_batch(queries))
+        run.append(([[id(v) for v in found] for found in rows], cost))
         for anchor in anchors:
             for k in (1, 7):
                 got, cost = billed(tree, lambda: tree.nearest(anchor, k))
@@ -507,16 +528,14 @@ def test_bad_anchor_fails_alike_on_every_path(index, anchor, error):
         if staged:
             table.stage_insert("s", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
         probes = table.probes
-        for backend in BACKENDS:
-            with pinned(backend):
-                with pytest.raises(error):
-                    table.nearest(anchor, 3)
-                with pytest.raises(error):
-                    table.nearest(anchor, 3, access="scan")
-                with pytest.raises(error):
-                    table.nearest_bruteforce(anchor, 3)
-                with pytest.raises(ReproError):
-                    session.nearest("t", anchor, 3)
+        with pytest.raises(error):
+            table.nearest(anchor, 3)
+        with pytest.raises(error):
+            table.nearest(anchor, 3, access="scan")
+        with pytest.raises(error):
+            table.nearest_bruteforce(anchor, 3)
+        with pytest.raises(ReproError):
+            session.nearest("t", anchor, 3)
         assert table.probes == probes  # rejected before anything is read
 
 
@@ -562,23 +581,21 @@ def test_bad_anchor_over_the_wire_is_a_400():
     n=st.sampled_from((0, 1, 7, 8, 9, 65, 240)),
     build=st.sampled_from(BUILDS[:-1]),
     delta=st.sampled_from((None, *DELTA_CASES[:2], "indexed-delta")),
-    backend=st.sampled_from(BACKENDS),
 )
 @settings(
     max_examples=400 if SEED_MATRIX else 6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_knn_product(seed, dim, n, build, delta, backend):
-    with pinned(backend):
-        rng = random.Random(shifted_seed(seed))
-        table = built_table(build, dim, n, seed)
-        if delta is not None and n:
-            live = [obj.oid for obj in table]
-            for i in range(rng.randrange(1, 24)):
-                table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, dim)))
-            for oid in rng.sample(live, min(len(live), rng.randrange(0, 12))):
-                table.stage_delete(oid)
-                if rng.random() < 0.3:
-                    table.stage_insert(oid, Region.from_box(grid_box(rng, dim)))
-        hold_table_to_oracle(table, anchors_for(rng, dim, 4))
+def test_knn_product(seed, dim, n, build, delta):
+    rng = random.Random(shifted_seed(seed))
+    table = built_table(build, dim, n, seed)
+    if delta is not None and n:
+        live = [obj.oid for obj in table]
+        for i in range(rng.randrange(1, 24)):
+            table.stage_insert(f"s{i}", Region.from_box(grid_box(rng, dim)))
+        for oid in rng.sample(live, min(len(live), rng.randrange(0, 12))):
+            table.stage_delete(oid)
+            if rng.random() < 0.3:
+                table.stage_insert(oid, Region.from_box(grid_box(rng, dim)))
+    hold_table_to_oracle(table, anchors_for(rng, dim, 4))

@@ -11,8 +11,7 @@ iteration order — and the delta/MVCC counters must satisfy their
 invariants (pending ops match the staged sets, ``delta_probes`` and the
 watermark never go backwards within a delta generation).
 
-One machine per index backend (rtree / scan); range probes are
-additionally checked under every columnar backend.  The delta threshold
+One machine per index backend (rtree / scan).  The delta threshold
 is set low so sequences organically cross it and trigger inline
 repacks, on top of the explicit repack rule.
 
@@ -39,13 +38,12 @@ from repro.algebra.regions import Region
 from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
 from repro.database import Database
-from repro.spatial.columnar import forced_backend
 from repro.spatial.table import SpatialTable
 
-from tests.conftest import COLUMNAR_BACKENDS, UNIVERSE, shifted_seed
+from tests.conftest import UNIVERSE, shifted_seed
 
 #: Step budget per example; kept modest — every step cross-checks the
-#: full answer set against the shadow under every columnar backend.
+#: full answer set against the shadow.
 STEP_SETTINGS = settings(
     max_examples=12,
     stateful_step_count=30,
@@ -193,17 +191,13 @@ class MutationMachine(RuleBasedStateMachine):
     @rule(query=box_queries())
     def range_query(self, query):
         expected = sorted(repr(oid) for oid in self._shadow_matches(query))
-        for backend in COLUMNAR_BACKENDS:
-            with forced_backend(backend):
-                got = self.table.range_query(query)
-                assert sorted(repr(o.oid) for o in got) == expected
+        got = self.table.range_query(query)
+        assert sorted(repr(o.oid) for o in got) == expected
 
     @rule(query=box_queries())
     def aggregate_count(self, query):
         expected = len(self._shadow_matches(query))
-        for backend in COLUMNAR_BACKENDS:
-            with forced_backend(backend):
-                assert self.table.count_range(query) == expected
+        assert self.table.count_range(query) == expected
 
     @rule(
         x=COORDS,
@@ -215,12 +209,10 @@ class MutationMachine(RuleBasedStateMachine):
         if self.INDEX != "rtree" and access == "auto":
             access = "scan"  # best-first browse needs the r-tree
         expected = self._shadow_nearest((x, y), k)
-        for backend in COLUMNAR_BACKENDS:
-            with forced_backend(backend):
-                got = self.table.nearest((x, y), k, access=access)
-                assert [(d, repr(o.oid)) for d, o in got] == expected
-                brute = self.table.nearest_bruteforce((x, y), k)
-                assert [(d, repr(o.oid)) for d, o in brute] == expected
+        got = self.table.nearest((x, y), k, access=access)
+        assert [(d, repr(o.oid)) for d, o in got] == expected
+        brute = self.table.nearest_bruteforce((x, y), k)
+        assert [(d, repr(o.oid)) for d, o in brute] == expected
 
     # -- invariants --------------------------------------------------------
 

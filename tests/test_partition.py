@@ -13,11 +13,8 @@ from repro.engine.executor import answers_as_oid_tuples, execute
 from repro.engine.physical import PartitionedSpatialJoin, ZOrderJoin, build_physical_plan
 from repro.engine.planner import JOIN_STRATEGIES, choose_join_strategies
 from repro.errors import OptionError
-from repro.spatial.columnar import forced_backend
 from repro.spatial.partition import JoinStats, TileGrid, pbsm_join, probe_box
 from repro.spatial.rtree import RTree
-
-from tests.conftest import COLUMNAR_BACKENDS
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 
@@ -130,8 +127,7 @@ class TestPBSMExactCounts:
     Two 300-box sides (small random rectangles in a 100 × 100
     universe) over 64 tiles.  Both joins must return the same 815
     pairs; PBSM's plane sweeps test 2 353 candidate pairs where the
-    R-tree probes test 9 941 entries — the regime where PBSM wins.  The
-    counts are the same on both columnar backends.
+    R-tree probes test 9 941 entries — the regime where PBSM wins.
     """
 
     @staticmethod
@@ -144,20 +140,18 @@ class TestPBSMExactCounts:
             out.append((Box(lo, hi), i))
         return out
 
-    @pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
-    def test_pbsm_counts_against_index_nested_loop(self, backend):
+    def test_pbsm_counts_against_index_nested_loop(self):
         left = self._entries(300, 300)
         right = self._entries(301, 300)
-        with forced_backend(backend):
-            tree = RTree.bulk_load(right, max_entries=8)
-            tree.stats.reset()
-            inl = sorted(
-                (value, other)
-                for box, value in left
-                for other in tree.search(BoxQuery(overlap=(box,)))
-            )
-            stats = JoinStats()
-            pairs = pbsm_join(left, right, n_tiles=64, stats=stats)
+        tree = RTree.bulk_load(right, max_entries=8)
+        tree.stats.reset()
+        inl = sorted(
+            (value, other)
+            for box, value in left
+            for other in tree.search(BoxQuery(overlap=(box,)))
+        )
+        stats = JoinStats()
+        pairs = pbsm_join(left, right, n_tiles=64, stats=stats)
         assert len(inl) == 815
         assert pairs == inl
         assert tree.stats.entry_tests == 9941
@@ -165,6 +159,28 @@ class TestPBSMExactCounts:
         assert stats.tiles == 64
         assert stats.dedup_skipped == 353
         assert stats.pairs == 815
+
+    def test_pbsm_tests_and_dups_against_bruteforce(self):
+        """A tile's sweep tests each pair of its boxes whose dim-0
+        intervals strictly overlap, and skips each overlapping pair whose
+        reference point (the intersection's lower corner) lies in
+        another tile: counted here pair by pair over the same grid."""
+        left = self._entries(300, 300)
+        right = self._entries(301, 300)
+        grid = TileGrid.build([b for b, _ in left + right], 64)
+        tests = dups = 0
+        for tile in range(grid.tile_count):
+            ls = [b for b, _ in left if tile in grid.tiles_overlapping(b)]
+            rs = [b for b, _ in right if tile in grid.tiles_overlapping(b)]
+            for lb in ls:
+                for rb in rs:
+                    if lb.lo[0] < rb.hi[0] and rb.lo[0] < lb.hi[0]:
+                        tests += 1
+                        ref = tuple(map(max, lb.lo, rb.lo))
+                        dups += lb.overlaps(rb) and grid.tile_of_point(ref) != tile
+        stats = JoinStats()
+        pbsm_join(left, right, n_tiles=64, stats=stats)
+        assert (stats.pair_tests, stats.dedup_skipped) == (tests, dups) == (2353, 353)
 
 
 class TestPartitionedOperators:

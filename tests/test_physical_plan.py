@@ -19,9 +19,7 @@ from repro.engine.physical import (
 from repro.engine.query import SpatialQuery
 from repro.spatial.table import ProbeCache
 from repro.errors import UnknownModeError
-from repro.spatial.columnar import forced_backend
 from repro.spatial.table import SpatialTable
-from tests.conftest import COLUMNAR_BACKENDS
 
 
 @pytest.fixture()
@@ -63,24 +61,22 @@ class TestPlanShapes:
         assert filters[0].system is not None
 
     def test_scan_backend_lowers_to_vectorized_probe(self):
-        """Scan-backend tables fuse scan and box filter on every
-        backend; exact mode, which runs no box kernel, is the oracle."""
+        """Scan-backend tables fuse scan and box filter; exact mode,
+        which runs no box kernel, is the oracle."""
         q, _m = smugglers_query(seed=5, n_towns=8, n_roads=8, index="scan")
         plan = compile_query(q)
         expected, exact_stats = execute(compile_query(q), "exact")
         assert exact_stats.vectorized_batches == 0
-        for backend in COLUMNAR_BACKENDS:
-            with forced_backend(backend):
-                pplan = build_physical_plan(plan, "boxplan")
-                kinds = [op.kind for op in pplan.operators()]
-                assert kinds.count("VectorizedScanProbe") == 3
-                assert "BoxFilter" not in kinds and "TableScan" not in kinds
-                answers, stats = pplan.run()
-            assert stats.vectorized_batches > 0
-            assert stats.vectorized_candidates > 0
-            assert answers_as_oid_tuples(answers, ["T", "R", "B"]) == (
-                answers_as_oid_tuples(expected, ["T", "R", "B"])
-            ), backend
+        pplan = build_physical_plan(plan, "boxplan")
+        kinds = [op.kind for op in pplan.operators()]
+        assert kinds.count("VectorizedScanProbe") == 3
+        assert "BoxFilter" not in kinds and "TableScan" not in kinds
+        answers, stats = pplan.run()
+        assert stats.vectorized_batches > 0
+        assert stats.vectorized_candidates > 0
+        assert answers_as_oid_tuples(answers, ["T", "R", "B"]) == (
+            answers_as_oid_tuples(expected, ["T", "R", "B"])
+        )
 
     def test_scan_backend_with_pending_delta_lowers_to_vectorized_probe(self):
         """A pending delta hides the column store, but the fused probe

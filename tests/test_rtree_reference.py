@@ -20,18 +20,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_rtree as ref
-from conftest import (
-    BACKEND_MATRIX as BACKENDS,
-    SEED_MATRIX,
-    edge_box_queries,
-    edge_boxes,
-    pinned,
-    shifted_seed,
-)
+from conftest import SEED_MATRIX, edge_box_queries, edge_boxes, shifted_seed
 from repro.algebra.regions import Region
 from repro.boxes.bconstraints import BoxQuery
 from repro.boxes.box import EMPTY_BOX, Box
-from repro.spatial.columnar import HAVE_NUMPY, ColumnStore
+from repro.spatial.columnar import ColumnStore
 from repro.spatial.rtree import RTree
 from repro.spatial.table import SpatialTable
 
@@ -153,8 +146,7 @@ def hold_readers_to_oracle(tree: RTree, probes) -> None:
         got, mine = billed(tree, lambda: tree.count(query))
         want, theirs = billed(tree, lambda: ref.count(tree, query))
         assert got == want and mine == theirs, query
-        if HAVE_NUMPY:
-            assert ids(tree.search_batch([query])[0]) == oracle_ids(ref.search(tree, query))
+        assert ids(tree.search_batch([query])[0]) == oracle_ids(ref.search(tree, query))
     assert ids(tree.all_entries()) == oracle_ids(ref.all_entries(tree))
     index = {id(value): i for i, value in enumerate(tree.all_entries())}
     dump = tree.to_node_arrays(lambda value: index[id(value)])
@@ -173,17 +165,15 @@ def entries_for(rng: random.Random, n: int, dim: int):
 
 
 # -- the thin diagonal -------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("kind", BUILDS)
-def test_readers_equal_the_node_walkers(kind, dim, backend):
+def test_readers_equal_the_node_walkers(kind, dim):
     rng = random.Random(shifted_seed(100 * dim + BUILDS.index(kind)))
     entries = entries_for(rng, 150, dim)
-    with pinned(backend):
-        tree = build(kind, entries)
-        by_shape = queries(rng, dim)
-        assert set(by_shape) == set(SHAPES)
-        hold_readers_to_oracle(tree, [q for shape in SHAPES for q in by_shape[shape]])
+    tree = build(kind, entries)
+    by_shape = queries(rng, dim)
+    assert set(by_shape) == set(SHAPES)
+    hold_readers_to_oracle(tree, [q for shape in SHAPES for q in by_shape[shape]])
 
 
 def test_readers_pin_the_form_they_started_on():

@@ -1,23 +1,18 @@
-"""Scalar-vs-vectorized parity regressions.
+"""Scalar-vs-vectorized distance parity regressions.
 
-Two invariants the static-analysis PR audited and now pins:
+The scalar :class:`Box` distance methods and the columnar kernels must
+agree to the last ulp — the KNN differential relies on exact float
+equality of priority-queue keys.  The historical regression: scalar
+code squared with ``x ** 2`` and rooted with ``x ** 0.5``, which lower
+to libm ``pow`` — *not* correctly rounded on common platforms — while
+the array kernels use multiply and ``sqrt`` (single correctly-rounded
+IEEE ops).  At ~1-in-1200 per operand the results differed by one ulp,
+flipping nearest-neighbor tie-breaks between the scalar and vectorized
+paths.
 
-1. **Bit-identical distances.**  The scalar :class:`Box` distance
-   methods and the columnar kernels must agree to the last ulp — the
-   KNN differential relies on exact float equality of priority-queue
-   keys.  The historical regression: scalar code squared with ``x ** 2``
-   and rooted with ``x ** 0.5``, which lower to libm ``pow`` — *not*
-   correctly rounded on common platforms — while the array kernels use
-   multiply and ``sqrt`` (single correctly-rounded IEEE ops).  At
-   ~1-in-1200 per operand the results differed by one ulp, flipping
-   nearest-neighbor tie-breaks between the scalar and vectorized paths.
-
-2. **Identical billing counters.**  A run on the ``numpy`` backend
-   (batched R-tree descent, array kernels) must report the same
-   ``ExecutionStats`` as one on the ``array`` backend (scalar descent
-   and loops) — candidates, survivors, probes, node reads — except the
-   ``vectorized_*`` pair, which exists precisely to tell the runs
-   apart.  This is repro-lint REPRO202's runtime counterpart.
+(Billing: the columnar paths' counters are held byte-equal to recorded
+ones by ``test_report_counters.py``, and their answers to the exact
+mode by ``test_differential.py``.)
 """
 
 import math
@@ -25,14 +20,8 @@ import random
 
 import pytest
 
-from conftest import COLUMNAR_BACKENDS, make_workload
-
 from repro.boxes.box import Box
-from repro.constraints.system import ConstraintSystem, nonempty, overlaps, subset
-from repro.engine.compiler import compile_query
-from repro.engine.physical import build_physical_plan
-from repro.engine.query import SpatialQuery
-from repro.spatial.columnar import ColumnStore, forced_backend
+from repro.spatial.columnar import ColumnStore
 
 DIM = 2
 
@@ -50,29 +39,27 @@ def random_point(rng):
     return tuple(rng.uniform(-scale, scale) for _ in range(DIM))
 
 
-@pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
 @pytest.mark.parametrize("seed", [0, 746])
-def test_distance_kernels_bit_identical_to_scalar(backend, seed):
+def test_distance_kernels_bit_identical_to_scalar(seed):
     rng = random.Random(seed)
     empty = Box([0.0] * DIM, [0.0] * DIM)  # lo >= hi normalises to empty
     boxes = [random_box(rng) for _ in range(400)] + [empty]
     store = ColumnStore.bulk(DIM, boxes, range(len(boxes)))
 
-    with forced_backend(backend):
-        for _ in range(25):
-            point = random_point(rng)
-            anchor = random_box(rng)
-            by_point = list(store.mindist_point(point))
-            by_box = list(store.mindist_box(anchor))
-            for i, box in enumerate(boxes):
-                if box.is_empty():
-                    assert by_point[i] == math.inf
-                    assert by_box[i] == math.inf
-                    continue
-                # Exact equality on purpose: one ulp of divergence
-                # reorders KNN heaps.
-                assert by_point[i] == box.mindist_point(point)
-                assert by_box[i] == box.mindist(anchor)
+    for _ in range(25):
+        point = random_point(rng)
+        anchor = random_box(rng)
+        by_point = list(store.mindist_point(point))
+        by_box = list(store.mindist_box(anchor))
+        for i, box in enumerate(boxes):
+            if box.is_empty():
+                assert by_point[i] == math.inf
+                assert by_box[i] == math.inf
+                continue
+            # Exact equality on purpose: one ulp of divergence
+            # reorders KNN heaps.
+            assert by_point[i] == box.mindist_point(point)
+            assert by_box[i] == box.mindist(anchor)
 
 
 def test_scalar_distances_use_correctly_rounded_ops():
@@ -92,70 +79,3 @@ def test_scalar_distances_use_correctly_rounded_ops():
         d = lo - p if p < lo else (p - hi if p > hi else 0.0)
         assert box.mindist_point((p,)) == math.sqrt(d * d)
 
-
-PARITY_SYSTEM = ConstraintSystem.build(
-    overlaps("u", "v"),
-    subset("w", "u"),
-    nonempty("v"),
-)
-
-EXEMPT_STEP_FIELDS = {"vectorized_batches", "vectorized_candidates"}
-STEP_FIELDS = (
-    "variable",
-    "candidates",
-    "survivors",
-    "index_probes",
-    "node_reads",
-    "cache_hits",
-    "cache_misses",
-)
-TOP_FIELDS = (
-    "tuples_emitted",
-    "partial_tuples",
-    "region_ops",
-    "box_ops_estimate",
-)
-
-
-@pytest.mark.parametrize("strategy", [None, "pbsm", "zorder"])
-@pytest.mark.parametrize("seed", [3, 11, 99])
-def test_vectorized_billing_matches_scalar(seed, strategy):
-    tables, bindings = make_workload(
-        seed, system=PARITY_SYSTEM, sizes=(6, 14)
-    )
-    query = SpatialQuery(
-        system=PARITY_SYSTEM, tables=tables, bindings=bindings
-    )
-    plan = compile_query(query, order=sorted(tables))
-
-    def run(backend):
-        with forced_backend(backend):
-            pplan = build_physical_plan(
-                plan,
-                "boxplan",
-                estimate=False,
-                partitions=2,
-                join_strategy=strategy,
-            )
-            answers = [
-                sorted((v, o.oid) for v, o in a.items())
-                for a in pplan.execute_iter()
-            ]
-            return answers, pplan.stats()
-
-    scalar_answers, scalar = run("array")
-
-    for backend in COLUMNAR_BACKENDS:
-        vec_answers, vec = run(backend)
-        assert vec_answers == scalar_answers, backend
-        for name in TOP_FIELDS:
-            assert getattr(vec, name) == getattr(scalar, name), (
-                f"{name} diverged under {backend}/{strategy}"
-            )
-        assert len(vec.steps) == len(scalar.steps)
-        for v_step, s_step in zip(vec.steps, scalar.steps):
-            for name in STEP_FIELDS:
-                assert getattr(v_step, name) == getattr(s_step, name), (
-                    f"step {s_step.variable}.{name} diverged under "
-                    f"{backend}/{strategy}"
-                )

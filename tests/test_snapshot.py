@@ -14,7 +14,6 @@ import threading
 
 import pytest
 
-from conftest import COLUMNAR_BACKENDS, pinned
 from repro.algebra.regions import Region
 from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
@@ -34,7 +33,7 @@ from repro.spatial.snapshot import (
 
 from repro.datagen.workloads import overlay_query, smugglers_query
 
-BACKENDS = ("rtree", "scan")
+INDEXES = ("rtree", "scan")
 
 
 def _saved_loaded(tmp_path, index, seed=3):
@@ -47,7 +46,7 @@ def _saved_loaded(tmp_path, index, seed=3):
     return query, tables, bindings, path
 
 
-@pytest.mark.parametrize("index", BACKENDS)
+@pytest.mark.parametrize("index", INDEXES)
 class TestRoundTrip:
     def test_rows_bit_identical(self, tmp_path, index):
         query, tables, _b, _p = _saved_loaded(tmp_path, index)
@@ -193,7 +192,7 @@ def test_write_is_atomic_no_tmp_left(tmp_path):
 
 
 def test_empty_table_round_trip(tmp_path):
-    for index in BACKENDS:
+    for index in INDEXES:
         t = SpatialTable(
             "empty", 2, index=index, universe=Box((0, 0), (10, 10))
         )
@@ -393,32 +392,31 @@ BOUNDS = {
 }
 
 
-@pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
 @pytest.mark.parametrize("name", BOUNDS)
-def test_loaded_bounds_enclose_or_raise(tmp_path, name, backend):
+def test_loaded_bounds_enclose_or_raise(tmp_path, name):
     """Leaf bounds must be their rows' boxes and inner bounds must
     enclose their children's entries; wider is allowed.  A file that
     opens answers windows and kNN as the table it was saved from, on
-    either backend's search."""
+    the batched search and on the tree's one-query descent."""
     table = _packed_rows()
     damage, opens = BOUNDS[name]
     path = _damaged_file(tmp_path, table, damage)
-    with pinned(backend):
-        if not opens:
-            with pytest.raises(SnapshotError, match="bounds"):
-                read_snapshot(path)
-            return
-        loaded = read_snapshot(path)[0]["t"]
-        loaded._rtree.check_invariants()
-        for x, y in [(0.0, 0.0), (0.5, 2.0), (3.0, 3.0), (6.5, 6.0), (-1.0, -1.0)]:
-            for query in (
-                BoxQuery(inside=Box((x, y), (x + 3.0, y + 3.0))),
-                BoxQuery(overlap=(Box((x, y), (x + 1.0, y + 1.0)),)),
-            ):
-                want = [o.oid for o in table.range_query(query)]
-                assert [o.oid for o in loaded.range_query(query)] == want
-            want = [(d, o.oid) for d, o in table.nearest((x, y), 5)]
-            assert [(d, o.oid) for d, o in loaded.nearest((x, y), 5)] == want
+    if not opens:
+        with pytest.raises(SnapshotError, match="bounds"):
+            read_snapshot(path)
+        return
+    loaded = read_snapshot(path)[0]["t"]
+    loaded._rtree.check_invariants()
+    for x, y in [(0.0, 0.0), (0.5, 2.0), (3.0, 3.0), (6.5, 6.0), (-1.0, -1.0)]:
+        for query in (
+            BoxQuery(inside=Box((x, y), (x + 3.0, y + 3.0))),
+            BoxQuery(overlap=(Box((x, y), (x + 1.0, y + 1.0)),)),
+        ):
+            want = [o.oid for o in table.range_query(query)]
+            assert [o.oid for o in loaded.range_query(query)] == want
+            assert [o.oid for o in loaded._rtree.search(query)] == want
+        want = [(d, o.oid) for d, o in table.nearest((x, y), 5)]
+        assert [(d, o.oid) for d, o in loaded.nearest((x, y), 5)] == want
 
 
 def test_leaves_at_different_depths_raise_snapshot_error():

@@ -18,8 +18,9 @@ source.  This pass flags, in ``engine/`` and ``spatial/``:
   runs;
 * REPRO105 — pairwise float reduction: ``np.sum`` / ``.sum()`` /
   ``np.mean`` / ``.mean()`` / ``np.add.reduce`` over float data.  NumPy
-  adds pairwise, the stdlib backend folds left to right, so the two
-  disagree in the last bit.  Counting is exempt — a reduction inside
+  adds pairwise, while builtin ``sum`` and the per-object ``Box`` oracle
+  fold left to right, so the two disagree in the last bit.  Counting is
+  exempt — a reduction inside
   ``int(...)``, over a comparison or boolean expression, or over a name
   that says mask/count/index — because integer sums have one answer.
 """
@@ -65,8 +66,8 @@ RULES = {
     "REPRO105": Rule(
         id="REPRO105",
         name="pairwise-float-reduction",
-        summary="NumPy sum/mean over float data (pairwise; the stdlib "
-        "backend folds sequentially)",
+        summary="NumPy sum/mean over float data (pairwise; builtin sum "
+        "and the Box oracle fold left to right)",
         fix="compute the element-wise part in NumPy and fold with builtin "
         "sum(arr.tolist()), as columnar.side_sum does",
     ),
@@ -268,8 +269,8 @@ class _Visitor(ast.NodeVisitor):
             self._add(
                 "REPRO105",
                 node,
-                f"{label}() reduces pairwise in NumPy; the sequential "
-                "fold of the stdlib backend ends on a different last bit",
+                f"{label}() reduces pairwise in NumPy; builtin sum's left "
+                "fold, which the Box oracle makes, ends on a different last bit",
             )
         self.generic_visit(node)
 
