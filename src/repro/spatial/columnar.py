@@ -200,15 +200,16 @@ def equiwidth_counts(
     width))``, i.e. a truncating cast and a ``bincount``; one bucket
     when all values are equal.  A width that is not positive and finite
     (an infinite edge) takes the Python loop, which raises on it."""
-    arr: Any = np.asarray(values, np.float64)
-    if _reduces_exactly(arr):
+    arr = np.asarray(values, np.float64)
+    exact = _reduces_exactly(arr)
+    if exact:
         lo, hi = float(arr.min()), float(arr.max())
     else:
-        arr, lo, hi = None, min(values), max(values)
+        lo, hi = min(values), max(values)
     if hi <= lo:
         return lo, lo, [len(values)]
     width = (hi - lo) / bins
-    if arr is not None and 0.0 < width < math.inf:
+    if exact and 0.0 < width < math.inf:
         buckets = np.minimum(((arr - lo) / width).astype(np.intp), bins - 1)
         return lo, hi, np.bincount(buckets, minlength=bins).tolist()
     counts = [0] * bins

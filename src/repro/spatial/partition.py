@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..boxes.bconstraints import BoxQuery
 import numpy as np
 
+from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, enclose_all
 
 #: Default PBSM tile target when no partition count is configured.
