@@ -93,6 +93,7 @@ def hold_table_to_oracle(table: SpatialTable, anchors, ks=KS):
             want, theirs = billed(tree, lambda: ref.table_nearest(table, anchor, k))
             assert exact(got) == exact(want), (anchor, k)
             assert exact(got) == exact(table.nearest_bruteforce(anchor, k)), (anchor, k)
+            assert exact(got) == exact(table.nearest(anchor, k, access="scan")), (anchor, k)
             if table.delta_pending:
                 assert mine[0] <= theirs[0] and mine[1] <= theirs[1], (anchor, k)
             else:
@@ -273,8 +274,7 @@ def test_rtree_knn_bills_no_kernel():
     assert (table.vectorized_batches, table.vectorized_candidates) == (0, 0)
 
 
-@pytest.mark.parametrize("index", ("scan", "rtree"))
-def test_scan_knn_keeps_every_tie_at_the_kth_distance(index):
+def test_scan_knn_keeps_every_tie_at_the_kth_distance():
     """The scan path sorts only the base rows at or below the
     ``k + len(tombstones)``-th smallest distance.  Here dozens of rows
     tie at each distance, a pending delta buries some tied rows (and
@@ -288,7 +288,7 @@ def test_scan_knn_keeps_every_tie_at_the_kth_distance(index):
         for i, (dx, dy) in enumerate(offsets[i % len(offsets)] for i in range(300))
     ]
     rows += [(f"void{i}", Region.empty()) for i in range(4)]
-    table = SpatialTable("t", 2, index=index, delta_threshold=10**9)
+    table = SpatialTable("t", 2, index="scan", delta_threshold=10**9)
     table.bulk_insert(rows)
     buried = rng.sample([oid for oid, region in rows[:300]], 40)
     for oid in buried:
@@ -301,7 +301,7 @@ def test_scan_knn_keeps_every_tie_at_the_kth_distance(index):
     for anchor in anchors:
         for k in (1, 5, 59, 60, 61, 120, 301, 10_000):
             want = exact(table.nearest_bruteforce(anchor, k))
-            assert exact(table.nearest(anchor, k, access="scan")) == want, (anchor, k)
+            assert exact(table.nearest(anchor, k)) == want, (anchor, k)
 
 
 # -- born flat: a build is the form; no read makes another --------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..core import Finding, Module, Rule, SymbolTable, attr_chain
 
