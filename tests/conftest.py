@@ -40,6 +40,15 @@ SEED_OFFSET = int(os.environ.get("REPRO_TEST_SEED", "0")) * 10_007
 #: exhaustive products run their full budget there, tier-1 a thin one.
 SEED_MATRIX = "REPRO_TEST_SEED" in os.environ
 
+#: The ids of the retired columnar-backend axis: ``numpy``, the stdlib
+#: ``array`` body and ``off`` (no pin: the platform's pick).  NumPy is
+#: now the only backend, so every id runs the same kernels; the axis
+#: stays so that each case keeps the test id it is known by.
+BACKEND_IDS = ("numpy", "array", "off")
+
+#: :data:`BACKEND_IDS` of the kernel tests, which never had ``off``.
+KERNEL_IDS = BACKEND_IDS[:2]
+
 #: Objects the collector tracks that one packed 2-d tree holds whatever
 #: its size — the tree, its counters, its form, the form's ``array``
 #: columns and its value list (14) — with some slack.

@@ -27,6 +27,7 @@ from repro.spatial.rtree import RTree
 from repro.spatial.table import ProbeCache, SpatialTable
 from repro.spatial import rtree as rtree_module
 from tests.conftest import (
+    BACKEND_IDS,
     UNIVERSE,
     constraint_systems,
     edge_box_queries,
@@ -42,8 +43,11 @@ from tests.test_planner_reference import (
 )
 
 BATCH_SIZES = (1, 2, 7, 64, 300)
-#: Node capacities: the capacity is what shapes a packed tree.
+#: Node capacities: the capacity is what shapes a packed tree.  The
+#: test ids name them by the retired split methods they stand in for,
+#: so each case keeps its id.
 CAPACITIES = (4, 3, 6)
+CAPACITY_IDS = ("quadratic", "linear", "rstar")
 SHAPES = (
     "overlap1",
     "overlap2",
@@ -135,9 +139,10 @@ def _caches(mode, table, queries):
     return out
 
 
+@pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("delta", [False, True], ids=["clean", "delta"])
-@pytest.mark.parametrize("capacity", CAPACITIES)
-def test_range_query_batch_equals_cached_calls(capacity, delta):
+@pytest.mark.parametrize("capacity", CAPACITIES, ids=CAPACITY_IDS)
+def test_range_query_batch_equals_cached_calls(capacity, delta, backend):
     table = _table(capacity, delta)
     rng = random.Random(shifted_seed(1))
     for shape in SHAPES:
@@ -166,7 +171,7 @@ def test_range_query_batch_equals_cached_calls(capacity, delta):
                 assert _counters(table, batched) == expected_counters, where
 
 
-@pytest.mark.parametrize("capacity", CAPACITIES)
+@pytest.mark.parametrize("capacity", CAPACITIES, ids=CAPACITY_IDS)
 def test_batch_really_shares_one_traversal(capacity):
     """The equalities above are not vacuous: the misses of a batch
     reach ``RTree.search_batch`` together, in one call."""
@@ -346,6 +351,7 @@ def _one_probe_per_binding(query, order, i):
     return plan, op
 
 
+@pytest.mark.parametrize("backend", BACKEND_IDS)
 @given(
     constraint_systems(),
     st.integers(0, 10_000),
@@ -357,7 +363,7 @@ def _one_probe_per_binding(query, order, i):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-def test_conftest_workloads_match_per_binding_probing(system, seed, sizes, cache_size):
+def test_conftest_workloads_match_per_binding_probing(backend, system, seed, sizes, cache_size):
     tables, bindings = make_workload(seed, system=system, sizes=sizes)
     if not tables:
         return

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_build as ref
-from conftest import TRACKED_PER_TREE, shifted_seed
+from conftest import BACKEND_IDS, TRACKED_PER_TREE, shifted_seed
 from repro.database import Database
 from repro.algebra.regions import Region
 from repro.boxes.box import EMPTY_BOX, Box, enclose_all
@@ -105,11 +105,12 @@ def oracle_dump(n: int, dim: int, cap: int, order: str = "quadratic"):
 
 
 # -- the matrix --------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("order", INPUT_ORDERS)
 @pytest.mark.parametrize("cap", (4, 8, 16))
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("n", SIZES)
-def test_bulk_load_equals_per_object_build(n, dim, cap, order):
+def test_bulk_load_equals_per_object_build(n, dim, cap, order, backend):
     # Each entry's value is its box, so the oracle's and the build's
     # leaf identities (box and value) compare across the two trees.
     boxes = ordered_boxes(n, dim, order)
@@ -189,7 +190,8 @@ def test_histogram_equals_loop(values, bins):
     assert repr(Histogram.from_values(iter(values), bins=bins)) == repr(expect)
 
 
-def test_histogram_of_infinite_values_still_raises():
+@pytest.mark.parametrize("backend", BACKEND_IDS)
+def test_histogram_of_infinite_values_still_raises(backend):
     values = [0.0, 1.0, INF]
     with pytest.raises(ValueError):
         ref.histogram(values)
@@ -212,8 +214,9 @@ def table_rows(rng: random.Random, n: int, first_oid: int = 0):
     return rows
 
 
+@pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("n", (0, 1, 30, 700))
-def test_statistics_equal_per_object_scan(n):
+def test_statistics_equal_per_object_scan(n, backend):
     rows = table_rows(random.Random(shifted_seed(n)), n)
     table = SpatialTable("t", 2)
     table.bulk_insert(rows)
@@ -242,8 +245,9 @@ def test_statistics_equal_per_object_scan(n):
     )
 
 
+@pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("seed", range(6))
-def test_repack_equals_fresh_bulk_insert(seed):
+def test_repack_equals_fresh_bulk_insert(seed, backend):
     """Random insert/delete deltas folded by ``repack()``: columns, tree
     and statistics are those of a fresh ``bulk_insert`` of the live rows
     — and of the per-object build of them."""
@@ -283,7 +287,8 @@ def test_repack_equals_fresh_bulk_insert(seed):
         table._rtree.check_invariants()
 
 
-def test_snapshot_bytes_equal_per_object_build(tmp_path):
+@pytest.mark.parametrize("backend", BACKEND_IDS)
+def test_snapshot_bytes_equal_per_object_build(backend, tmp_path):
     rows = table_rows(random.Random(shifted_seed(77)), 400)
     table = SpatialTable("t", 2, universe=Box((0.0, 0.0), (64.0, 64.0)))
     table.bulk_insert(rows)
@@ -343,7 +348,8 @@ def test_reindex_with_pending_delta_builds_the_tree_once(builds):
     assert table._version == version + 2 and table.repacks == 1
 
 
-def test_bulk_insert_builds_one_tree_equal_to_the_per_object_build(builds):
+@pytest.mark.parametrize("backend", BACKEND_IDS)
+def test_bulk_insert_builds_one_tree_equal_to_the_per_object_build(builds, backend):
     """``bulk_insert`` checks its rows and folds them once: one STR
     build, no op-log entry, no inline repack however many rows — and
     the tree is the per-object build's, row for row."""
@@ -359,7 +365,8 @@ def test_bulk_insert_builds_one_tree_equal_to_the_per_object_build(builds):
 
 
 # -- no object per row -------------------------------------------------------------------
-def test_build_and_inline_repack_add_no_object_per_row():
+@pytest.mark.parametrize("backend", BACKEND_IDS)
+def test_build_and_inline_repack_add_no_object_per_row(backend):
     """The tree is columns: ``bulk_load_columns`` over a 20 000-row
     store, and the inline repack a 64th staged write sets off on a
     20 000-row table, each leave a bounded number of new tracked

@@ -1,8 +1,9 @@
-"""Columnar storage unit tests: kernels and mirrors.
+"""Columnar storage unit tests: the backend, kernels, and mirrors.
 
 Query- and engine-level bit-identity lives in ``test_differential.py``;
-this module pins down the pieces underneath: the packed-float codec, the batched box-filter and distance
-kernels against their per-object :class:`~repro.boxes.box.Box` oracles,
+this module pins down the pieces underneath: the reported backend, the
+packed-float codec, the batched box-filter and distance kernels
+against their per-object :class:`~repro.boxes.box.Box` oracles,
 the R-tree's columnar entry mirror, the vectorized PBSM tile sweep, and
 batched z-order key computation.
 Every comparison is exact — the vectorized kernels promise the same
@@ -16,11 +17,11 @@ import pytest
 import reference_knn
 from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
-from repro.spatial.columnar import ColumnStore, pack_floats, unpack_floats
+from repro.spatial.columnar import ColumnStore, active_backend, pack_floats, unpack_floats
 from repro.spatial.partition import JoinStats, pbsm_join
 from repro.spatial.table import SpatialTable
 from repro.spatial.zorder import ZGrid, ZOrderIndex
-from tests.conftest import UNIVERSE, random_table
+from tests.conftest import KERNEL_IDS, UNIVERSE, random_table
 
 
 def _random_boxes(seed, n, allow_empty=True):
@@ -35,6 +36,18 @@ def _random_boxes(seed, n, allow_empty=True):
             Box(lo, (lo[0] + rng.uniform(0.5, 6), lo[1] + rng.uniform(0.5, 6)))
         )
     return out
+
+
+class TestBackends:
+    def test_active_backend_is_known(self):
+        """NumPy is the one backend the run metadata can report."""
+        assert active_backend() == "numpy"
+
+    def test_env_var_is_ignored(self, monkeypatch):
+        """``REPRO_COLUMNAR`` is gone: nothing picks a backend."""
+        for value in ("array", "numpy", "off"):
+            monkeypatch.setenv("REPRO_COLUMNAR", value)
+            assert active_backend() == "numpy"
 
 
 class TestPackedFloats:
@@ -62,7 +75,8 @@ class TestPackedFloats:
 
 
 class TestMatchKernels:
-    def test_match_positions_equals_oracle(self):
+    @pytest.mark.parametrize("backend", KERNEL_IDS)
+    def test_match_positions_equals_oracle(self, backend):
         boxes = _random_boxes(11, 60)
         queries = [
             BoxQuery(inside=Box((2.0, 2.0), (26.0, 30.0))),
@@ -87,7 +101,8 @@ class TestMatchKernels:
             ]
             assert store.match_positions(query) == oracle
 
-    def test_distance_kernels_equal_box_methods(self):
+    @pytest.mark.parametrize("backend", KERNEL_IDS)
+    def test_distance_kernels_equal_box_methods(self, backend):
         boxes = _random_boxes(13, 50)
         rng = random.Random(14)
         point = (rng.uniform(-4, 36), rng.uniform(-4, 36))
@@ -105,7 +120,8 @@ class TestMatchKernels:
             assert mind_p[i] == b.mindist_point(point)
             assert mind_b[i] == b.mindist(anchor)
 
-    def test_distance_to_empty_anchor_is_inf(self):
+    @pytest.mark.parametrize("backend", KERNEL_IDS)
+    def test_distance_to_empty_anchor_is_inf(self, backend):
         boxes = _random_boxes(15, 10, allow_empty=False)
         store = ColumnStore.bulk(2, boxes, range(len(boxes)))
         dists = store.distances_to(Box((1.0, 1.0), (1.0, 5.0)))
@@ -133,7 +149,8 @@ class TestRTreeColumnarMirror:
             assert got == want
             assert vectorized == scalar
 
-    def test_flat_nearest_preserves_node_reads(self):
+    @pytest.mark.parametrize("backend", KERNEL_IDS)
+    def test_flat_nearest_preserves_node_reads(self, backend):
         """The browse over the array form against the frozen ``_Node``
         walk: same entries, same reads."""
         table = random_table("t", random.Random(22), 150)
@@ -195,7 +212,10 @@ class TestVectorizedSweep:
         del rng
         return left, right
 
-    def test_pbsm_join_matches_bruteforce(self):
+    @pytest.mark.parametrize("backend", KERNEL_IDS)
+    def test_pbsm_join_matches_scalar(self, backend):
+        """The vectorized tile sweep against the scalar pair-by-pair
+        ``Box.overlaps`` loop."""
         left, right = self._tile_inputs(41)
         stats = JoinStats()
         got = pbsm_join(left, right, n_tiles=9, stats=stats)
@@ -205,7 +225,8 @@ class TestVectorizedSweep:
 
 
 class TestZOrderBatch:
-    def test_insert_batch_equals_sequential(self):
+    @pytest.mark.parametrize("backend", KERNEL_IDS)
+    def test_insert_batch_equals_sequential(self, backend):
         boxes = _random_boxes(51, 80) + [
             Box((0.5, 0.5), (0.5001, 0.5001)),  # single-cell tiny box
             Box((-5.0, -5.0), (40.0, 40.0)),  # straddles the universe

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_knn as ref
-from conftest import SEED_MATRIX, TRACKED_PER_TREE, shifted_seed
+from conftest import BACKEND_IDS, SEED_MATRIX, TRACKED_PER_TREE, shifted_seed
 from repro.database import Database, Session
 from repro.algebra.regions import Region
 from repro.boxes.bconstraints import BoxQuery
@@ -150,12 +150,13 @@ BUILDS = ("bulk", *INSERTED, "deleted", "snapshot")
 
 
 # -- clean tables: answers, ties and counters -------------------------------------------
+@pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("build,dim,n", [
     ("bulk", 1, 60), ("bulk", 2, 300), ("bulk", 3, 90), ("bulk", 2, 0), ("bulk", 2, 1),
     ("insert-quadratic", 2, 120), ("insert-linear", 3, 70), ("insert-rstar", 1, 80),
     ("deleted", 2, 150), ("snapshot", 2, 200), ("snapshot", 3, 40),
 ])
-def test_clean_table_equals_frozen_walk(build, dim, n, tmp_path):
+def test_clean_table_equals_frozen_walk(build, dim, n, tmp_path, backend):
     table = built_table(build, dim, n, seed=n + dim, tmp_path=tmp_path)
     rng = random.Random(shifted_seed(7 * n + dim))
     hold_table_to_oracle(table, anchors_for(rng, dim))
@@ -437,8 +438,9 @@ def test_staged_clone_reads_build_no_tree(monkeypatch):
 NASTY = (-INF, -2.0, -0.0, 0.0, 0.0, 1.0, 2.5, 7.0, INF)
 
 
+@pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("nasty", [False, True], ids=["plain", "nan-and-minus-zero"])
-def test_emitted_form_equals_walked_form(nasty):
+def test_emitted_form_equals_walked_form(backend, nasty):
     """Same tree, as built and as walked back from frozen nodes
     (``reference_rtree``): same columns entry for entry (node numbering
     aside), so ``search_batch`` and ``nearest`` cannot tell.

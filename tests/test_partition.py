@@ -16,6 +16,8 @@ from repro.errors import OptionError
 from repro.spatial.partition import JoinStats, TileGrid, pbsm_join, probe_box
 from repro.spatial.rtree import RTree
 
+from tests.conftest import KERNEL_IDS
+
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
 
 
@@ -140,7 +142,8 @@ class TestPBSMExactCounts:
             out.append((Box(lo, hi), i))
         return out
 
-    def test_pbsm_counts_against_index_nested_loop(self):
+    @pytest.mark.parametrize("backend", KERNEL_IDS)
+    def test_pbsm_counts_against_index_nested_loop(self, backend):
         left = self._entries(300, 300)
         right = self._entries(301, 300)
         tree = RTree.bulk_load(right, max_entries=8)

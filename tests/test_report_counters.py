@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import KERNEL_IDS
 from repro.__main__ import main
 from repro.engine.stats import ExecutionStats
 
@@ -24,8 +25,9 @@ GOLDEN = json.loads(
 )
 
 
+@pytest.mark.parametrize("backend", KERNEL_IDS)
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_report_counters_equal_the_recorded_ones(name, capsys):
+def test_report_counters_equal_the_recorded_ones(name, capsys, backend):
     case = GOLDEN[name]
     assert main(["explain", *case["args"], "--analyze", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

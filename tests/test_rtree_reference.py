@@ -20,7 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_rtree as ref
-from conftest import SEED_MATRIX, edge_box_queries, edge_boxes, shifted_seed
+from conftest import (
+    BACKEND_IDS, SEED_MATRIX, edge_box_queries, edge_boxes, shifted_seed,
+)
 from repro.algebra.regions import Region
 from repro.boxes.bconstraints import BoxQuery
 from repro.boxes.box import EMPTY_BOX, Box
@@ -165,9 +167,10 @@ def entries_for(rng: random.Random, n: int, dim: int):
 
 
 # -- the thin diagonal -------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("kind", BUILDS)
-def test_readers_equal_the_node_walkers(kind, dim):
+def test_readers_equal_the_node_walkers(kind, dim, backend):
     rng = random.Random(shifted_seed(100 * dim + BUILDS.index(kind)))
     entries = entries_for(rng, 150, dim)
     tree = build(kind, entries)

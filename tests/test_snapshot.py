@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from conftest import KERNEL_IDS
 from repro.algebra.regions import Region
 from repro.boxes.box import Box
 from repro.boxes.bconstraints import BoxQuery
@@ -392,8 +393,9 @@ BOUNDS = {
 }
 
 
+@pytest.mark.parametrize("backend", KERNEL_IDS)
 @pytest.mark.parametrize("name", BOUNDS)
-def test_loaded_bounds_enclose_or_raise(tmp_path, name):
+def test_loaded_bounds_enclose_or_raise(tmp_path, name, backend):
     """Leaf bounds must be their rows' boxes and inner bounds must
     enclose their children's entries; wider is allowed.  A file that
     opens answers windows and kNN as the table it was saved from, on
