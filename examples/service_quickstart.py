@@ -3,12 +3,11 @@
 
 The workflow a resident deployment uses:
 
-1. build the smugglers workload once and ``Database.save`` it — rows,
-   the packed R-tree's node arrays and statistics go into one
-   versioned snapshot file;
-2. ``Database.open`` that file (no STR rebuild, no statistics scan) and
-   serve it from the threaded query service (one thread per kept-alive
-   connection, handlers run inline);
+1. build the smugglers workload once and ``Database.save`` it — rows
+   and statistics go into one versioned snapshot file;
+2. ``Database.open`` that file (the R-tree packed from the rows, no
+   statistics scan) and serve it from the threaded query service (one
+   thread per kept-alive connection, handlers run inline);
 3. run queries over HTTP with the blocking client, which keeps one
    connection alive for all its calls — each reply carries the snapshot
    version it was answered from plus the full machine-independent

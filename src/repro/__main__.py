@@ -336,7 +336,7 @@ def cmd_save(args) -> int:
 
     query = _build_workload(args)
     db = Database(tables=query.tables, bindings=query.bindings)
-    db.save(args.out, statistics=True)
+    db.save(args.out)
     rows = sum(len(t) for t in db.tables.values())
     print(
         f"saved {len(db.tables)} tables ({rows} rows), "

@@ -10,8 +10,8 @@ one front door over all of it:
   :class:`~repro.constraints.system.ConstraintSystem`) into a
   :class:`~repro.engine.query.SpatialQuery` against them, and
   round-trips to disk via :mod:`repro.spatial.snapshot`
-  (:meth:`Database.save` / :meth:`Database.open` — ~100ms warm load
-  instead of a full STR build);
+  (:meth:`Database.save` / :meth:`Database.open`: rows and warm
+  statistics are stored, each R-tree is packed again from the rows);
 * a :class:`Session` executes queries with one uniform keyword
   vocabulary — ``mode=``, ``join_strategy=``, ``partitions=``,
   ``limit=`` — matching the CLI flags one-for-one, with per-session
@@ -105,23 +105,23 @@ class Database:
 
     @classmethod
     def open(cls, path: str) -> "Database":
-        """Load a snapshot saved by :meth:`save` (warm indexes/caches)."""
+        """Load a snapshot saved by :meth:`save`: the rows, their
+        STR-packed r-trees and the warm statistics caches."""
         tables, bindings = read_snapshot(path)
         return cls(tables=tables, bindings=bindings)
 
-    def save(self, path: str, statistics: bool = True) -> None:
+    def save(self, path: str) -> None:
         """Atomically snapshot every table and binding to ``path``.
 
-        ``statistics=True`` (default) computes each table's default
-        planner statistics first so the snapshot ships a warm catalog.
+        Each table's default planner statistics are computed first, so
+        the snapshot ships a warm catalog.
         """
         for table in self.tables.values():
             # Fold any pending write delta first: snapshots serialize
             # only packed base structures, and statistics computed here
             # must land in the base cache the snapshot ships.
             table.repack()
-            if statistics:
-                table.statistics()
+            table.statistics()
         write_snapshot(path, self.tables, self.bindings)
 
     # -- registration ----------------------------------------------------------

@@ -120,16 +120,6 @@ class TileGrid:
             out = out * s + i
         return out
 
-    def tile_of_point(self, point: Sequence[float]) -> int:
-        """Flat index of the tile containing ``point`` (edges clamped)."""
-        idx = []
-        for d, (p, lo, s) in enumerate(
-            zip(point, self.extent.lo, self.steps)
-        ):
-            i = int((p - lo) / s) if s > 0 else 0
-            idx.append(min(self.shape[d] - 1, max(0, i)))
-        return self._flat(idx)
-
     def tiles_overlapping(self, box: Box) -> List[int]:
         """Flat indices of every tile the (half-open) box overlaps."""
         if box.is_empty():
@@ -214,8 +204,8 @@ def _sweep_tile(task: _TileTask) -> Tuple[List[Tuple[int, int]], int, int]:
         if not len(cand):
             continue
         # Reference point: the intersection's lower corner, addressed
-        # with the exact float expressions of TileGrid.tile_of_point
-        # (int() truncation == floor here: ref >= extent.lo).
+        # with the exact float expressions of tests/test_partition.py's
+        # tile_of_point (int() truncation == floor here: ref >= extent.lo).
         flat = np.zeros(len(cand), dtype=np.int64)
         for d in range(dim):
             ref = np.maximum(rlo[d][cand], lbox.lo[d])

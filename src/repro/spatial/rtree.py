@@ -29,8 +29,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
-from operator import ge, gt, lt, not_, or_
+from itertools import accumulate, chain, compress
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box, minmaxdist_edges
-from ..errors import DimensionMismatchError, SnapshotError
+from ..errors import DimensionMismatchError
 from . import columnar
 from .columnar import Edges, box_le
 
@@ -135,19 +134,6 @@ class _FlatTree:
         self.counts.extend(counts)
         self.leaf.extend(leaf)
 
-    def set_bounds(self, rows: Iterable[float]) -> None:
-        """Fill the coordinate columns from the entries' ``lo + hi``
-        coordinates end to end (zeros for an empty box), and flag as
-        empty each box with ``lo >= hi`` in some dimension."""
-        coords = array("d", rows)
-        dim = len(self.lo)
-        self.lo = [coords[d :: 2 * dim] for d in range(dim)]
-        self.hi = [coords[dim + d :: 2 * dim] for d in range(dim)]
-        empty = [False] * (len(coords) // (2 * dim) if dim else 0)
-        for lo, hi in zip(self.lo, self.hi):
-            empty = list(map(or_, empty, map(ge, lo, hi)))
-        self.nonempty = array("B", map(not_, empty))
-
     def span(self, n: int) -> slice:
         """Node ``n``'s entries, as a slice of the columns."""
         off = self.offsets[n]
@@ -195,9 +181,9 @@ class _FlatTree:
 class RTree:
     """A packed R-tree held as flat arrays (:class:`_FlatTree`), which
     every reader reads.  Only a packed build (:meth:`bulk_load`,
-    :meth:`bulk_load_columns`) or a snapshot load
-    (:meth:`from_node_arrays`) makes a non-empty tree, and nothing edits
-    it afterwards: readers never coordinate with a writer.
+    :meth:`bulk_load_columns`) makes a non-empty tree — a snapshot
+    stores no tree, its loader packs one from the rows — and nothing
+    edits it afterwards: readers never coordinate with a writer.
 
     Parameters
     ----------
@@ -594,11 +580,12 @@ class RTree:
             else:
                 stack.extend(refs)
 
-    # -- snapshot serialization -----------------------------------------------
+    # -- dump ---------------------------------------------------------------------
     def to_node_arrays(
         self, value_key: Callable[[object], int]
     ) -> Dict[str, object]:
-        """Flatten the tree into parallel node arrays for serialization.
+        """Flatten the tree into parallel node arrays (what version-1
+        snapshots stored, and what tests compare trees by).
 
         Nodes are listed in preorder (root first).  Per node, ``leaf``
         holds a 0/1 flag and ``counts`` its entry count; entries
@@ -606,8 +593,8 @@ class RTree:
         (lo coordinates then hi; empty boxes as all zeros) and one int
         to ``values`` — ``value_key(value)`` for leaf entries, the
         child's node index for inner entries.  Stored MBRs are dumped
-        verbatim, so :meth:`from_node_arrays` reproduces the structure
-        bit-identically instead of approximately.
+        verbatim: two trees are the same tree exactly when their dumps
+        are equal (a version-1 snapshot's node arrays are checked so).
         """
         flat = self._flat
         order: List[int] = []  # the form's node numbers, in preorder
@@ -638,65 +625,6 @@ class RTree:
             "values": values,
         }
 
-    @classmethod
-    def from_node_arrays(
-        cls, data: Dict[str, object], store: "columnar.ColumnStore"
-    ) -> "RTree":
-        """Rebuild a tree from :meth:`to_node_arrays` output.
-
-        ``store`` (a table's ``ColumnStore``) holds the rows leaf entries
-        name by slot — its ``rows`` become the tree's values — and their
-        boxes.  No STR sort happens: the dump is adopted as the tree's
-        columns.  It comes from a file, so it is checked on the way —
-        lengths, row and child references (each child numbered after its
-        parent and named once, so every walk ends), leaves at one depth,
-        the bounds (:func:`_check_bounds`) — and a dump that fails raises
-        :class:`~repro.errors.SnapshotError`.  Keys this build does not
-        read (older dumps' insertion settings) are ignored.
-        """
-
-        def damaged(why: object) -> SnapshotError:
-            return SnapshotError(f"damaged r-tree node arrays: {why}")
-
-        try:
-            tree = cls(max_entries=int(data["max_entries"]))
-            dim = int(data["dim"])
-            leaf = array("B", map(bool, data["leaf"]))
-            counts = array("q", data["counts"])
-            refs = array("q", data["values"])
-            coords = array("d", data["bounds"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise damaged(repr(exc)) from exc
-        n_nodes, n_entries = len(leaf), len(refs)
-        if not leaf or len(counts) != n_nodes or min(counts) < 0 or sum(counts) != n_entries:
-            raise damaged(f"{n_nodes} nodes, {len(counts)} counts, {n_entries} entries")
-        if dim < 0 or len(coords) != n_entries * 2 * dim or (n_entries and dim != store.dim):
-            raise damaged(f"{len(coords)} bounds for {n_entries} {dim}-dim entries")
-        flat = _FlatTree(dim)
-        flat.add_nodes(leaf, counts)
-        flat.set_bounds(coords)
-        flat.ref, flat.values = refs, store.rows
-        depth = [0] * n_nodes
-        leaf_depths = set()
-        for n, (off, count) in enumerate(zip(flat.offsets, counts)):
-            span = refs[off : off + count]
-            if leaf[n]:
-                leaf_depths.add(depth[n])
-                if count and not 0 <= min(span) <= max(span) < len(store.rows):
-                    raise damaged(f"leaf {n} names a row outside the {len(store.rows)} saved")
-                tree._size += count
-            else:
-                for child in span:
-                    if not n < child < n_nodes or depth[child]:
-                        raise damaged(f"node {n} names child {child}")
-                    depth[child] = depth[n] + 1
-        if 0 in depth[1:] or len(leaf_depths) > 1:
-            raise damaged("unreachable nodes or leaves at different depths")
-        if why := _check_bounds(flat, store):
-            raise damaged(why)
-        tree._flat = flat
-        return tree
-
     def check_invariants(self) -> None:
         """Validate structural invariants (tests call this after builds)."""
         flat = self._flat
@@ -716,30 +644,3 @@ class RTree:
                 stack.append((child, depth + 1))
         assert len(leaf_depths) <= 1, "leaves at different depths"
 
-
-def _check_bounds(flat: _FlatTree, store: "columnar.ColumnStore") -> Optional[str]:
-    """What in a loaded tree's bounds would mislead a search, if
-    anything: a leaf entry's that are not, bit for bit, its row's box in
-    ``store``, or an inner entry's that do not enclose its child's
-    entries (enclose, not equal: an insertion-grown tree's MBRs may be
-    wider).  One pass down a column per comparison."""
-    in_leaf = bytes(chain.from_iterable(map(repeat, flat.leaf, flat.counts)))
-    slots = array("q", compress(flat.ref, in_leaf))
-    for mine, row in zip((*flat.lo, *flat.hi), (*store._lo, *store._hi)):
-        theirs = array("d", map(row.__getitem__, slots))
-        if array("d", compress(mine, in_leaf)).tobytes() != theirs.tobytes():
-            return "a leaf entry's bounds are not its row's box"
-    # Each entry below the root against the inner entry naming its node
-    # (node n's entries follow node n - 1's).
-    parent = [0] * len(flat.offsets)
-    for entry in compress(range(len(in_leaf)), map(not_, in_leaf)):
-        parent[flat.ref[entry]] = entry
-    up = list(chain.from_iterable(map(repeat, parent[1:], flat.counts[1:])))
-    below = slice(flat.counts[0], None)
-    bad = [not flat.nonempty[entry] for entry in up]
-    for fails, cols in ((lt, flat.lo), (gt, flat.hi)):
-        for col in cols:
-            bad = list(map(or_, bad, map(fails, col[below], map(col.__getitem__, up))))
-    if any(compress(bad, flat.nonempty[below])):
-        return "an inner entry's bounds do not enclose its child's entries"
-    return None

@@ -1,38 +1,29 @@
 """Versioned on-disk snapshots of spatial databases.
 
-A process serving the paper's queries should not pay a full STR build
-and statistics scan on every start.  This module serializes everything
-a warm :class:`~repro.spatial.table.SpatialTable` holds — rows, the
-packed R-tree (as flat node arrays, *not* a pickled object graph) and
-the :class:`~repro.engine.catalog.TableStatistics` cache — into one
-JSON file, and loads it back without re-running either build:
+A snapshot is one JSON file holding what a warm
+:class:`~repro.spatial.table.SpatialTable` keeps that its rows do not
+determine — the rows themselves, the table's settings and the
+:class:`~repro.engine.catalog.TableStatistics` cache:
 
-* rows are stored in insertion order; regions dump their exact disjoint
-  box representation, so the loaded rows are bit-identical;
-* the R-tree is dumped with
-  :meth:`~repro.spatial.rtree.RTree.to_node_arrays` (preorder node
-  arrays whose leaf values are row indices) and reattached node-for-
-  node on load — no STR sort, identical structure, identical node-read
-  counts;
-* a scan table has no index to restore: its column store is refilled
-  from the rows in saved order, as on every backend;
-* a table entry whose ``index`` is not ``"rtree"`` or ``"scan"`` (the
-  retired ``"grid"`` included), or an r-tree table without its node
-  arrays, raises :class:`~repro.errors.SnapshotError`;
-* cached statistics reference their row sample by index, so the
-  loaded table answers :meth:`statistics` from the snapshot; a damaged
-  statistics block raises :class:`~repro.errors.SnapshotError`.  Table,
-  node-array and statistics keys this build does not read (optional
-  caches, the STR partitioning and the insertion-tree settings of older
-  builds) are ignored.
+* rows are stored in insertion order, their regions as exact disjoint
+  boxes, so the loaded rows are bit-identical; the loader checks the
+  rows block (:func:`_checked_rows`) before it makes a row;
+* the R-tree is not stored: the loader STR-packs it from the loaded
+  rows, as every fold does — the same tree, node for node;
+* a version-1 file stored each r-tree's node arrays
+  (:meth:`~repro.spatial.rtree.RTree.to_node_arrays`); they must equal
+  the packed tree's, so such a file opens as that tree or not at all;
+* an ``index`` other than ``"rtree"`` or ``"scan"`` (the retired
+  ``"grid"`` included) is refused;
+* cached statistics name their row sample by index, so the loaded table
+  answers :meth:`statistics` from the snapshot.  Keys this build does
+  not read (optional caches, the STR partitioning and insertion-tree
+  settings of older builds) are ignored.
 
-Writes are atomic: the file is written to a sibling temporary path and
-moved into place with ``os.replace``, so a crashed save never leaves a
-truncated snapshot where a good one was.
-
-The format is versioned (:data:`FORMAT_VERSION`); loading a snapshot
-with an unknown format name or newer version raises
-:class:`~repro.errors.SnapshotError` instead of misparsing it.
+Every refusal — damaged rows, node arrays or statistics, a foreign
+file, a newer :data:`FORMAT_VERSION`, bytes that are not UTF-8 JSON — is
+a :class:`~repro.errors.SnapshotError`.  Writes are atomic: a sibling
+temporary file moved into place with ``os.replace``.
 """
 
 from __future__ import annotations
@@ -43,18 +34,20 @@ import os
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..algebra.regions import Region
 from ..boxes.box import Box, box_from_jsonable, box_to_jsonable, enclose_all
 from ..errors import SnapshotError
 from .columnar import ColumnStore, pack_floats, unpack_floats
-from .rtree import RTree
 from .table import SpatialObject, SpatialTable
 
 #: Format magic: identifies the file as one of ours.
 FORMAT_NAME = "repro-snapshot"
 
-#: Current format version; bump on incompatible layout changes.
-FORMAT_VERSION = 1
+#: Current format version; bump on incompatible layout changes.  Version
+#: 2 stores no r-tree node arrays (version 1 did).
+FORMAT_VERSION = 2
 
 
 # -- oid encoding --------------------------------------------------------------
@@ -80,23 +73,15 @@ def _decode_oid(data: object) -> object:
 
 
 # -- packed float arrays -------------------------------------------------------
-# The bulk of a snapshot is box coordinates: every row's region boxes
-# plus every r-tree node entry.  Dumped as JSON number lists they
-# dominate the load's parse time; packed as little-endian doubles in a
-# base64 string they parse in one ``struct.unpack`` call and round-trip
-# bit-exactly.  Everything else (oids, counts, statistics) stays plain
-# JSON.  The raw packing lives in
+# The bulk of a snapshot is box coordinates: every row's region boxes.
+# Dumped as JSON number lists they dominate the load's parse time;
+# packed as little-endian doubles in a base64 string they parse in one
+# ``struct.unpack`` call and round-trip bit-exactly.  Everything else
+# (oids, counts, statistics) stays plain JSON.  The raw packing lives in
 # :mod:`repro.spatial.columnar`; here it is base64-armored for JSON.
 
 def _pack_floats(values: Sequence[float]) -> str:
     return base64.b64encode(pack_floats(values)).decode("ascii")
-
-
-def _unpack_floats(blob: str) -> Tuple[float, ...]:
-    try:
-        return unpack_floats(base64.b64decode(blob))
-    except (TypeError, ValueError, struct.error) as exc:  # binascii.Error is a ValueError
-        raise SnapshotError(f"damaged packed floats: {exc!r}") from exc
 
 
 def region_to_jsonable(region: Region) -> List[List[List[float]]]:
@@ -116,7 +101,6 @@ def table_to_jsonable(table: SpatialTable) -> dict:
     # write delta is folded in first; the loaded table starts clean.
     table.repack()
     rows = list(table)
-    row_index = {id(obj): i for i, obj in enumerate(rows)}
     coords: List[float] = []
     box_counts: List[int] = []
     for obj in rows:
@@ -143,13 +127,8 @@ def table_to_jsonable(table: SpatialTable) -> dict:
             "coords": _pack_floats(coords),
         },
     }
-    if table.index_kind == "rtree":
-        arrays = table._rtree.to_node_arrays(
-            lambda obj: row_index[id(obj)]
-        )
-        arrays["bounds"] = _pack_floats(arrays["bounds"])
-        data["rtree"] = arrays
     if table._stats_version == table._version:
+        row_index = {id(obj): i for i, obj in enumerate(rows)}
         data["statistics"] = [
             {"key": list(key), "stats": stats.to_dict(row_index)}
             for key, stats in table._stats_cache.items()
@@ -157,13 +136,66 @@ def table_to_jsonable(table: SpatialTable) -> dict:
     return data
 
 
+def _checked_rows(
+    name: str, block: dict, dim: int
+) -> Tuple[List[object], List[int], Tuple[float, ...]]:
+    """A rows block's decoded oids, box counts and coordinates, once
+    they agree: as many oids as counts, each count an ``int`` ≥ 0,
+    ``2·dim`` coordinates per box, ``lo < hi`` on every axis of every
+    box (so NaN fails) and no oid twice.  Checked before any row is
+    made, so a count no coordinates back costs nothing."""
+
+    def damaged(why: str) -> SnapshotError:
+        return SnapshotError(f"damaged rows of table {name!r}: {why}")
+
+    try:
+        oids, counts = block["oids"], block["box_counts"]
+        raw = base64.b64decode(block["coords"])
+        coords = unpack_floats(raw)
+    except (KeyError, TypeError, ValueError, struct.error) as exc:  # binascii.Error is a ValueError
+        raise damaged(repr(exc)) from exc
+    if not isinstance(oids, list) or not isinstance(counts, list) or len(oids) != len(counts):
+        raise damaged("oids and box_counts are not two lists of one length")
+    if not all(type(count) is int and count >= 0 for count in counts):
+        raise damaged("a box count is not a non-negative int")
+    if dim < 1 or sum(counts) * 2 * dim != len(coords):
+        raise damaged(f"{len(coords)} coordinates for {sum(counts)} {dim}-dim boxes")
+    edges = np.frombuffer(raw, "<f8").reshape(-1, 2, dim)
+    if not (edges[:, 0] < edges[:, 1]).all():
+        raise damaged("a box has lo >= hi (or NaN) on some axis")
+    try:
+        oids = [_decode_oid(oid) for oid in oids]
+        repeated = len(set(oids)) != len(oids)
+    except (KeyError, TypeError) as exc:  # an untagged list, a dict without "tuple"
+        raise damaged(f"an oid is not a JSON scalar or tagged tuple: {exc!r}") from exc
+    if repeated:
+        raise damaged("an oid repeats")
+    return oids, counts, coords
+
+
+def _check_saved_tree(saved: object, table: SpatialTable) -> None:
+    """A version-1 entry's node arrays, held to the tree the table's
+    rows pack into: field by field, the bounds as their packed base64
+    text; keys the old writer did not write are ignored."""
+    slot = {id(obj): i for i, obj in enumerate(table)}
+    built = table._rtree.to_node_arrays(lambda obj: slot[id(obj)])
+    built["bounds"] = _pack_floats(built["bounds"])
+    if not isinstance(saved, dict) or any(saved.get(k) != v for k, v in built.items()):
+        raise SnapshotError(
+            f"r-tree table {table.name!r}: the saved node arrays are not the "
+            f"tree its rows' bounds pack into"
+        )
+
+
 def table_from_jsonable(data: dict) -> SpatialTable:
     """Rebuild a warm table from :func:`table_to_jsonable` output.
 
-    Rows are installed directly (no staging, no fold), the
-    R-tree is reattached from its node arrays, and the statistics cache
-    is re-seeded, so the loaded table plans and probes exactly like the
-    one that was saved.
+    The rows block is checked (:func:`_checked_rows`) and its rows
+    installed directly (no staging, no fold); an r-tree table's tree is
+    STR-packed from the loaded column store, the build every fold and
+    :meth:`~SpatialTable.pack` makes; and the statistics cache is
+    re-seeded, so the loaded table plans and probes exactly like the one
+    that was saved.  A version-1 entry's node arrays must be that tree's.
     """
     from ..engine.catalog import TableStatistics
 
@@ -174,8 +206,8 @@ def table_from_jsonable(data: dict) -> SpatialTable:
             f"table {name!r} has index {index!r}; this build reads "
             f"{SpatialTable.VALID_INDEXES}"
         )
-    if index == "rtree" and not isinstance(data.get("rtree"), dict):
-        raise SnapshotError(f"r-tree table {name!r} has no node arrays")
+    dim = int(data["dim"])
+    oids, counts, coords = _checked_rows(name, data["rows"], dim)
     universe = (
         box_from_jsonable(data["universe"])
         if data.get("universe") is not None
@@ -183,23 +215,18 @@ def table_from_jsonable(data: dict) -> SpatialTable:
     )
     table = SpatialTable(
         name,
-        int(data["dim"]),
+        dim,
         index=index,
         universe=universe,
         node_capacity=int(data["node_capacity"]),
     )
-    dim = int(data["dim"])
-    rows_data = data["rows"]
-    coords = _unpack_floats(rows_data["coords"])
     rows: List[SpatialObject] = []
     objects: Dict[object, SpatialObject] = {}
     pos = 0
-    for oid_data, nboxes in zip(
-        rows_data["oids"], rows_data["box_counts"]
-    ):
+    for oid, nboxes in zip(oids, counts):
         boxes = []
         for _ in range(nboxes):
-            # Region boxes are nonempty by invariant — no per-box check.
+            # Checked nonempty above — no per-box check.
             boxes.append(
                 Box._trusted(
                     coords[pos : pos + dim],
@@ -210,20 +237,18 @@ def table_from_jsonable(data: dict) -> SpatialTable:
             pos += 2 * dim
         region = Region._trusted(tuple(boxes))
         bbox = boxes[0] if nboxes == 1 else enclose_all(boxes)
-        obj = SpatialObject(
-            oid=_decode_oid(oid_data), region=region, box=bbox
-        )
+        obj = SpatialObject(oid=oid, region=region, box=bbox)
         rows.append(obj)
-        objects[obj.oid] = obj
+        objects[oid] = obj
     table._objects = objects
     # Rows bypass bulk_insert() here: the columnar mirror is filled in one
     # go, a column at a time (same coords, same order).
     table._columns = ColumnStore.bulk(dim, [obj.box for obj in rows], rows)
     table._version = int(data["table_version"])
-    if table.index_kind == "rtree":
-        arrays = dict(data["rtree"])
-        arrays["bounds"] = _unpack_floats(arrays.get("bounds"))
-        table._rtree = RTree.from_node_arrays(arrays, table._columns)
+    if table._rtree is not None:
+        table._rtree = table._packed_rtree(table._columns)
+        if "rtree" in data:
+            _check_saved_tree(data["rtree"], table)
     if "statistics" in data:
         try:
             # Older files key by (bins, sample_size, seed, partitions) and
@@ -281,15 +306,16 @@ def read_snapshot(
     """Load ``(tables, bindings)`` from a snapshot file.
 
     Raises :class:`~repro.errors.SnapshotError` for a missing file,
-    malformed JSON, a foreign file, a newer format version, or a table
-    entry :func:`table_from_jsonable` rejects.
+    malformed UTF-8 or JSON, a foreign file, a newer format version, a
+    version-1 r-tree entry without its node arrays, or a table entry
+    :func:`table_from_jsonable` rejects.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(
             f"snapshot {path!r} is not valid JSON: {exc}"
         ) from exc
@@ -303,10 +329,15 @@ def read_snapshot(
             f"snapshot {path!r} has format version {version!r}; this "
             f"build reads up to {FORMAT_VERSION}"
         )
-    tables = {
-        key: table_from_jsonable(data)
-        for key, data in payload["tables"].items()
-    }
+    tables = {}
+    for key, data in payload["tables"].items():
+        if version < 2 and data.get("index") == "rtree" and "rtree" not in data:
+            # Every version-1 writer stored an r-tree's node arrays.
+            raise SnapshotError(
+                f"r-tree table {data.get('name')!r} of a version-1 file "
+                f"has no node arrays"
+            )
+        tables[key] = table_from_jsonable(data)
     bindings = {
         name: region_from_jsonable(data)
         for name, data in payload.get("bindings", {}).items()

@@ -17,7 +17,9 @@ value)``; the tests compare the values.  The subtree-count map is rebuilt on eve
 never billed.  ``test_rtree_reference.py`` holds the engine to them.
 """
 
+from array import array
 from itertools import chain
+from operator import lt
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.boxes.bconstraints import BoxQuery
@@ -84,11 +86,16 @@ def flatten(root: _Node) -> _FlatTree:
         else:
             flat.ref.extend(range(start, start + len(node.entries)))
     flat.values = values
+    # The columns from the entries' lo + hi end to end (zeros for an
+    # empty box), each box with lo >= hi on some axis flagged empty.
     blank = (0.0,) * (2 * dim)
-    flat.set_bounds(
-        chain.from_iterable(
-            blank if box.is_empty() else box.lo + box.hi for box in boxes
-        )
+    coords = array("d", chain.from_iterable(
+        blank if box.is_empty() else box.lo + box.hi for box in boxes
+    ))
+    flat.lo = [coords[d :: 2 * dim] for d in range(dim)]
+    flat.hi = [coords[dim + d :: 2 * dim] for d in range(dim)]
+    flat.nonempty = array(
+        "B", [all(map(lt, lo, hi)) for lo, hi in zip(zip(*flat.lo), zip(*flat.hi))]
     )
     return flat
 

@@ -48,6 +48,13 @@ def oid_dump(tree: RTree):
     return tree_dump(tree, lambda obj: obj.oid)
 
 
+def slot_dump(table: SpatialTable):
+    """:func:`tree_dump` of a table's tree, rows by their slot in the
+    table."""
+    slot = {id(obj): i for i, obj in enumerate(table)}
+    return tree_dump(table._rtree, lambda obj: slot[id(obj)])
+
+
 def values_are_rows(table: SpatialTable) -> bool:
     """Whether the tree's values are the table's nonempty rows, each
     once: a leaf holds no copy of its row or its box."""
@@ -302,8 +309,9 @@ def test_snapshot_bytes_equal_per_object_build(backend, tmp_path):
     # The loader fills its store through the same bulk constructor.
     loaded = Database.open(str(new_path)).table("t")
     assert store_dump(loaded._columns)[:3] == store_dump(table._columns)[:3]
-    # Its leaves name the store's rows by slot.
-    assert loaded._rtree._flat.values is loaded._columns.rows
+    # It packs the built table's tree, node array for node array, its
+    # leaves naming the same rows by slot.
+    assert slot_dump(loaded) == slot_dump(table)
     assert values_are_rows(loaded) and oid_dump(loaded._rtree) == oid_dump(table._rtree)
 
 

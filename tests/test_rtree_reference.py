@@ -4,14 +4,14 @@ the frozen ``_Node`` walkers (``reference_rtree.py``).
 ``search``, ``count``, ``to_node_arrays`` and ``check_invariants``
 must return the same rows in the same sequence (by identity) and bill the same ``node_reads`` /
 ``entry_tests`` / ``pruned_subtrees``, however the tree came to be:
-packed, loaded from its own dump, or the tree a table's one write path
-(staging, inline and explicit repacks) leaves behind.  The parametrised
+packed, packed from a snapshot's rows as ``Database.open`` does, or the
+tree a table's one write path (staging, inline and explicit repacks)
+leaves behind.  The parametrised
 cases are tier-1's thin diagonal; the Hypothesis product at the end
 runs a handful of examples there and the full budget in CI's
 seed-matrix job.
 """
 
-import json
 import random
 from itertools import islice
 
@@ -85,17 +85,14 @@ def build(kind: str, entries, capacity: int = 4) -> RTree:
         return RTree(max_entries=capacity)
     if kind in GROWN or kind.startswith("packed+"):
         return table_tree(kind, entries, capacity)
+    if kind == "loaded":  # the tree Database.open packs from a snapshot's rows
+        store = ColumnStore.bulk(
+            entries[0][0].dim, [box for box, _value in entries], [value for _box, value in entries]
+        )
+        return RTree.bulk_load_columns(*store.nonempty_columns(), max_entries=capacity)
     if kind == "empty-boxes":  # left out of the build
         entries = entries + [(EMPTY_BOX, f"void{i}") for i in range(5)]
-    tree = RTree.bulk_load(entries, max_entries=capacity)
-    if kind == "loaded":  # the rows a snapshot saves: their boxes and values
-        values = list(tree.all_entries())
-        index = {id(value): i for i, value in enumerate(values)}
-        box_of = {id(value): box for box, value in entries}
-        store = ColumnStore.bulk(entries[0][0].dim, [box_of[id(v)] for v in values], values)
-        dump = json.loads(json.dumps(tree.to_node_arrays(lambda v: index[id(v)])))
-        tree = RTree.from_node_arrays(dump, store)
-    return tree
+    return RTree.bulk_load(entries, max_entries=capacity)
 
 
 def queries(rng: random.Random, dim: int):

@@ -1,9 +1,11 @@
-"""Snapshot save/load round-trips (ISSUE 6 satellite coverage).
+"""Snapshot save/load round-trips.
 
 Every backend must round-trip bit-identically: answer sets and catalog
 statistics equal to the freshly built table's — and
-for the r-tree, the reloaded node structure itself is compared
-node-for-node (so node-read counts match too, not just answers).
+for the r-tree, the tree the loader packs from the rows is compared
+node-for-node with the built one (so node-read counts match too, not
+just answers).  Damaged rows blocks, and version-1 files whose stored
+node arrays are not that tree, raise ``SnapshotError``.
 """
 
 import base64
@@ -108,6 +110,16 @@ def test_open_answers_and_resaves_like_the_built_database(tmp_path):
         assert fh.read() == gh.read()
 
 
+def test_saved_file_stores_rows_not_the_tree(tmp_path):
+    """A version-2 file holds no node arrays: the loader packs the tree."""
+    query, _tables, _b, path = _saved_loaded(tmp_path, "rtree")
+    assert FORMAT_VERSION == 2
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload["version"] == FORMAT_VERSION and len(payload["tables"]) == len(query.tables)
+    assert not any("rtree" in entry for entry in payload["tables"].values())
+
+
 def test_rtree_node_arrays_identical(tmp_path):
     """The reloaded tree is the same tree, node for node."""
     query, tables, _b, _p = _saved_loaded(tmp_path, "rtree")
@@ -162,6 +174,13 @@ def test_malformed_json_raises(tmp_path):
         read_snapshot(str(path))
 
 
+def test_non_utf8_byte_raises_snapshot_error(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"format": "repro-snapshot", "version": 2, "tables": {"\xff": {}}}')
+    with pytest.raises(SnapshotError, match="not valid JSON"):
+        read_snapshot(str(path))
+
+
 def test_foreign_file_raises(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"hello": "world"}))
@@ -203,9 +222,35 @@ def test_empty_table_round_trip(tmp_path):
         assert loaded.index_kind == index
 
 
-#: Table entries a loader must refuse, each as an edit of a saved one: no
-#: index, an unknown one, the retired grid file (whose entries carry no
-#: node arrays), and an r-tree table without its node arrays.
+def _version_1_arrays(table):
+    """The node arrays a version-1 writer stored for ``table``:
+    ``to_node_arrays`` with rows by slot, the bounds packed."""
+    slot = {id(obj): i for i, obj in enumerate(table)}
+    arrays = table._rtree.to_node_arrays(lambda obj: slot[id(obj)])
+    bounds = struct.pack(f"<{len(arrays['bounds'])}d", *arrays["bounds"])
+    arrays["bounds"] = base64.b64encode(bounds).decode("ascii")
+    return arrays
+
+
+def _as_version_1(path, tables):
+    """The snapshot at ``path`` of ``tables``, rewritten as a version-1
+    writer wrote it — each r-tree table with its node arrays — and
+    returned as the parsed payload."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["version"] = 1
+    for key, table in tables.items():
+        if table.index_kind == "rtree":
+            payload["tables"][key]["rtree"] = _version_1_arrays(table)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return payload
+
+
+#: Table entries a loader must refuse, each as an edit of a saved
+#: version-1 one: no index, an unknown one, the retired grid file (whose
+#: entries carry no node arrays), and an r-tree table without its node
+#: arrays (every version-1 writer stored them).
 MALFORMED_TABLES = {
     "missing": lambda entry: entry.pop("index"),
     "bogus": lambda entry: entry.update(index="bogus"),
@@ -220,8 +265,7 @@ def test_malformed_table_entry_raises_snapshot_error(tmp_path, case):
     query, _map = smugglers_query(seed=3)
     path = str(tmp_path / "db.json")
     write_snapshot(path, query.tables, query.bindings)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _as_version_1(path, query.tables)
     entry = payload["tables"]["T"]
     MALFORMED_TABLES[case](entry)
     with open(path, "w", encoding="utf-8") as fh:
@@ -356,11 +400,11 @@ def _finishes(call, seconds=30):
 
 
 def _damaged_file(tmp_path, table, damage):
-    """A snapshot of ``table`` whose r-tree arrays ``damage`` changed."""
+    """A version-1 snapshot of ``table`` whose r-tree arrays ``damage``
+    changed."""
     path = str(tmp_path / "db.json")
     write_snapshot(path, {"t": table})
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _as_version_1(path, {"t": table})
     rtree = payload["tables"]["t"]["rtree"]
     before = json.dumps(rtree, sort_keys=True)
     damage(rtree)
@@ -372,23 +416,24 @@ def _damaged_file(tmp_path, table, damage):
 
 @pytest.mark.parametrize("name", DAMAGE)
 def test_damaged_rtree_arrays_raise_snapshot_error(tmp_path, name):
-    """A snapshot's node arrays are outside input: each array damaged
-    in turn ends in ``SnapshotError`` — no ``IndexError``, no endless
-    walk along a child reference that points backwards."""
+    """A version-1 snapshot's node arrays are outside input: each array
+    damaged in turn ends in ``SnapshotError`` — they are not the tree
+    the rows pack into — and the load ends."""
     path = _damaged_file(tmp_path, _packed_rows(), DAMAGE[name])
     raised = _finishes(lambda: read_snapshot(path))
     assert type(raised) is SnapshotError, (name, raised)
 
 
-#: Bounds a search decides by, changed, and whether the file still
-#: opens.  A moved leaf hides its row and a shrunk MBR the rows below
-#: it: both used to load and answer wrong.  A grown MBR only costs reads
-#: (an insertion-grown tree's MBRs are wider than minimal): it opens.
+#: Bounds a search decides by, changed.  A moved leaf hides its row and a
+#: shrunk MBR the rows below it: both used to load and answer wrong.  A
+#: grown MBR (an insertion-grown tree's are wider than minimal) only
+#: cost reads and used to open; it is not the tree the rows pack into
+#: either, so it is refused too.
 BOUNDS = {
-    "a leaf entry moved": (_rebound(0, lambda c: [c[0] + 0.25, c[1], c[2] + 0.25, c[3]], 1), False),
-    "the root's first MBR shrunk": (_rebound(0, lambda c: [*c[:2], c[0] + 1.0, c[1] + 1.0]), False),
-    "the root's first MBR grown": (
-        _rebound(0, lambda c: [c[0] - 1.0, c[1] - 1.0, c[2] + 1.0, c[3] + 1.0]), True
+    "a leaf entry moved": _rebound(0, lambda c: [c[0] + 0.25, c[1], c[2] + 0.25, c[3]], 1),
+    "the root's first MBR shrunk": _rebound(0, lambda c: [*c[:2], c[0] + 1.0, c[1] + 1.0]),
+    "the root's first MBR grown": _rebound(
+        0, lambda c: [c[0] - 1.0, c[1] - 1.0, c[2] + 1.0, c[3] + 1.0]
     ),
 }
 
@@ -396,50 +441,59 @@ BOUNDS = {
 @pytest.mark.parametrize("backend", KERNEL_IDS)
 @pytest.mark.parametrize("name", BOUNDS)
 def test_loaded_bounds_enclose_or_raise(tmp_path, name, backend):
-    """Leaf bounds must be their rows' boxes and inner bounds must
-    enclose their children's entries; wider is allowed.  A file that
-    opens answers windows and kNN as the table it was saved from, on
-    the batched search and on the tree's one-query descent."""
-    table = _packed_rows()
-    damage, opens = BOUNDS[name]
-    path = _damaged_file(tmp_path, table, damage)
-    if not opens:
-        with pytest.raises(SnapshotError, match="bounds"):
-            read_snapshot(path)
-        return
-    loaded = read_snapshot(path)[0]["t"]
-    loaded._rtree.check_invariants()
-    for x, y in [(0.0, 0.0), (0.5, 2.0), (3.0, 3.0), (6.5, 6.0), (-1.0, -1.0)]:
-        for query in (
-            BoxQuery(inside=Box((x, y), (x + 3.0, y + 3.0))),
-            BoxQuery(overlap=(Box((x, y), (x + 1.0, y + 1.0)),)),
-        ):
-            want = [o.oid for o in table.range_query(query)]
-            assert [o.oid for o in loaded.range_query(query)] == want
-            assert [o.oid for o in loaded._rtree.search(query)] == want
-        want = [(d, o.oid) for d, o in table.nearest((x, y), 5)]
-        assert [(d, o.oid) for d, o in loaded.nearest((x, y), 5)] == want
+    """A version-1 file's stored bounds must be, bit for bit, those of
+    the tree its rows pack into: any other raises, naming the table."""
+    path = _damaged_file(tmp_path, _packed_rows(), BOUNDS[name])
+    with pytest.raises(SnapshotError, match="'t'.*bounds"):
+        read_snapshot(path)
 
 
-def test_leaves_at_different_depths_raise_snapshot_error():
-    from repro.spatial.columnar import ColumnStore
-    from repro.spatial.rtree import RTree
+def _recoord(row, change):
+    """Apply ``change`` to row ``row``'s ``[lo..., hi...]`` floats (one
+    2-dim box per row)."""
 
-    arrays = {
-        "dim": 1, "max_entries": 4, "min_entries": 2, "split_method": "quadratic",
-        "leaf": [0, 1, 0, 1],  # root -> (leaf 1, inner 2 -> leaf 3)
-        "counts": [2, 1, 1, 1],
-        "bounds": [0.0, 2.0, 0.0, 3.0, 0.0, 2.0, 0.0, 3.0, 0.0, 3.0],
-        "values": [1, 2, 0, 3, 1],
-    }
-    rows = ColumnStore.bulk(1, [Box((0.0,), (2.0,)), Box((0.0,), (3.0,))], ["a", "b"])
-    with pytest.raises(SnapshotError, match="depth"):
-        RTree.from_node_arrays(arrays, rows)
-    arrays["leaf"][2], arrays["values"][3] = 1, 0  # now two leaves under the root: fine
-    arrays["counts"][3] = 0
-    del arrays["bounds"][8:], arrays["values"][4:]
-    with pytest.raises(SnapshotError, match="unreachable"):
-        RTree.from_node_arrays(arrays, rows)
+    def damage(rows):
+        raw = base64.b64decode(rows["coords"])
+        floats = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+        floats[4 * row : 4 * row + 4] = change(floats[4 * row : 4 * row + 4])
+        rows["coords"] = base64.b64encode(struct.pack(f"<{len(floats)}d", *floats)).decode("ascii")
+
+    return damage
+
+
+def _recount(row, change):
+    def damage(rows):
+        rows["box_counts"][row] = change(rows["box_counts"][row])
+    return damage
+
+
+#: Damage to a saved rows block (60 one-box rows), each of which must
+#: end in ``SnapshotError`` before the load allocates rows.
+ROWS_DAMAGE = {
+    "a count one short": _recount(5, lambda n: n - 1),
+    "a count one too big": _recount(5, lambda n: n + 1),
+    "a negative count": _recount(5, lambda n: -1),
+    "a count of 2**40": _recount(5, lambda n: 2**40),
+    "a repeated oid": lambda rows: rows["oids"].__setitem__(1, rows["oids"][0]),
+    "a box with lo >= hi": _recoord(3, lambda c: [c[2], c[1], *c[2:]]),
+    "a NaN coordinate": _recoord(3, lambda c: [c[0], float("nan"), *c[2:]]),
+}
+
+
+@pytest.mark.parametrize("name", ROWS_DAMAGE)
+def test_damaged_rows_raise_snapshot_error(tmp_path, name):
+    """The rows block is checked before any row is made: counts against
+    oids and coordinates, each box nonempty, each oid once.  Each damage
+    ends in a ``SnapshotError`` naming the table, and the load ends."""
+    path = str(tmp_path / "db.json")
+    write_snapshot(path, {"t": _packed_rows()})
+    with open(path) as fh:
+        payload = json.load(fh)
+    ROWS_DAMAGE[name](payload["tables"]["t"]["rows"])
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    raised = _finishes(lambda: read_snapshot(path))
+    assert type(raised) is SnapshotError and "table 't'" in str(raised), (name, raised)
 
 
 # -- damaged statistics blocks and older layouts -------------------------------------
@@ -556,17 +610,18 @@ def test_snapshot_with_partitioning_opens_like_the_built_database(tmp_path):
 
 
 def test_snapshot_of_the_parent_layout_opens_alike(tmp_path):
-    """A file written while the insertion tree existed carries its
-    settings — ``split_method`` per table, ``min_entries`` and
+    """A version-1 file written while the insertion tree existed carries
+    its settings — ``split_method`` per table, ``min_entries`` and
     ``split_method`` per node-array block.  The loader ignores them: the
-    file opens to the same answers, counters, trees and statistics, and
-    saving it again drops them."""
+    file opens to the same answers, counters, trees and statistics as
+    the version-2 file, and saving it again drops them and the node
+    arrays."""
     query, _map = smugglers_query(seed=3, n_towns=40, n_roads=40)
     db = Database(tables=query.tables, bindings=query.bindings)
     path, legacy_path = str(tmp_path / "db.json"), str(tmp_path / "legacy.json")
     db.save(path)
-    with open(path) as fh:
-        payload = json.load(fh)
+    db.save(legacy_path)
+    payload = _as_version_1(legacy_path, db.tables)
     for table in payload["tables"].values():
         assert "split_method" not in table
         assert not {"min_entries", "split_method"} & set(table["rtree"])
@@ -593,6 +648,7 @@ def test_snapshot_of_the_parent_layout_opens_alike(tmp_path):
         resaved = str(tmp_path / f"{name}.again.json")
         reopened.save(resaved)
         with open(resaved) as fh:
-            assert "split_method" not in fh.read()
+            text = fh.read()
+        assert "split_method" not in text and '"rtree":' not in text
     assert opened["legacy"] == opened["plain"]
     assert opened["plain"][0]
