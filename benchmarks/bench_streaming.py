@@ -5,7 +5,7 @@ operator-tree engine makes that literal: every operator is a pull-based
 iterator, so the first solution tuples are reported long before the
 search space is exhausted.  This bench measures time-to-first-answer
 (``execute_iter(..., limit=1)``) against full materialization, plus the
-index-probe gap and the probe-cache effect on repeated queries.
+index-probe gap.
 """
 
 from time import perf_counter
@@ -14,7 +14,6 @@ from benchmarks.conftest import report
 from repro import Session
 from repro.datagen import smugglers_query
 from repro.engine import (
-    ProbeCache,
     build_physical_plan,
     compile_query,
     execute,
@@ -101,32 +100,3 @@ def test_probe_comparison(benchmark):
     )
     assert probes_first <= probes_batch
 
-
-def test_probe_cache_on_repeated_queries(benchmark):
-    """A shared ProbeCache makes the second identical execution free of
-    index work (every probe repeats against unchanged tables)."""
-    q, plan = _plan()
-    cache = ProbeCache(maxsize=4096)
-    answers_cold, stats_cold = execute(plan, "boxplan", cache=cache)
-    answers_warm, stats_warm = benchmark(
-        execute, plan, "boxplan", cache=cache
-    )
-    assert len(answers_warm) == len(answers_cold)
-    report(
-        "E12: probe cache (repeated query)",
-        [
-            {
-                "run": "cold",
-                "node_reads": stats_cold.node_reads,
-                "cache_hit_rate": round(stats_cold.cache_hit_rate, 3),
-            },
-            {
-                "run": "warm",
-                "node_reads": stats_warm.node_reads,
-                "cache_hit_rate": round(stats_warm.cache_hit_rate, 3),
-            },
-        ],
-        ["run", "node_reads", "cache_hit_rate"],
-    )
-    assert stats_warm.node_reads == 0
-    assert stats_warm.cache_hit_rate == 1.0

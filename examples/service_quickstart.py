@@ -45,7 +45,7 @@ def main() -> None:
         # --------------------------------------------------------------
         # 2. Load the snapshot (warm indexes, no rebuild) and serve it.
         # --------------------------------------------------------------
-        service = QueryService(Database.open(path), cache_size=256)
+        service = QueryService(Database.open(path))
         server = serve_in_thread(service)  # ephemeral 127.0.0.1 port
         try:
             host, port = server.address
@@ -85,8 +85,7 @@ def main() -> None:
                 served = client.stats()
                 print(f"served {served['requests']} requests over "
                       f"{served['connections']} connection(s), "
-                      f"{served['rebuilds']} rebuild(s), "
-                      f"cache hit rate {served['cache']['hit_rate']:.0%}")
+                      f"{served['rebuilds']} rebuild(s)")
         finally:
             server.stop()
     if served["connections"] != 1:

@@ -9,7 +9,7 @@ Usage::
     python -m repro explain  [--workload smugglers] [--size 12]
                              [--order-strategy histogram] [--mode boxplan]
                              [--analyze] [--json] [--limit K]
-                             [--probe-cache N] [--partitions N] [--join auto]
+                             [--partitions N] [--join auto]
                              [--knn K [--knn-ref T]] [--agg count,min:T]
                              [--group-by B] [--agg-box]
                              [--mutate N] [--delta-threshold N]
@@ -18,7 +18,7 @@ Usage::
     python -m repro save     OUT [--workload ...]
     python -m repro load     SNAPSHOT [--json]
     python -m repro serve    [SNAPSHOT] [--workload ...] [--host H]
-                             [--port P] [--cache N]
+                             [--port P]
 
 ``FILE`` contains one constraint per line in the Figure-1 syntax
 (``A <= C``, ``R & A != 0``, ``T !<= C``, comments with ``#``); ``-``
@@ -240,7 +240,6 @@ def _session(args):
     from .database import Session
 
     return Session(
-        probe_cache=args.probe_cache,
         mode=args.mode,
         join_strategy=args.join,
         partitions=args.partitions,
@@ -377,7 +376,7 @@ def cmd_serve(args) -> int:
     else:
         query = _build_workload(args)
         db = Database(tables=query.tables, bindings=query.bindings)
-    service = QueryService(db, cache_size=args.cache)
+    service = QueryService(db)
     server = ServiceServer(service, host=args.host, port=args.port)
     host, port = server.address
     print(f"serving {len(db.tables)} tables on http://{host}:{port}", flush=True)
@@ -435,13 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("paper", "greedy", "histogram"),
             default="histogram",
             help="retrieval-order planner ('paper' keeps the workload's order)",
-        )
-        p.add_argument(
-            "--probe-cache",
-            type=int,
-            default=0,
-            metavar="N",
-            help="share an N-entry LRU probe cache across index probes",
         )
         p.add_argument(
             "--partitions",
@@ -573,13 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
         "--port", type=int, default=8972, help="0 picks an ephemeral port"
-    )
-    p.add_argument(
-        "--cache",
-        type=int,
-        default=1024,
-        metavar="N",
-        help="probe-cache entries shared across requests (0 disables)",
     )
     p.set_defaults(func=cmd_serve)
     return parser

@@ -1,6 +1,6 @@
 """The public ``Database``/``Session`` facade.
 
-The library grew bottom-up — tables, compiler, physical plans, caches,
+The library grew bottom-up — tables, compiler, physical plans,
 bulk joins — and each capability shipped with its own entry point
 (``execute``, ``plan.physical(...)``, CLI flags).  This module is the
 one front door over all of it:
@@ -15,8 +15,7 @@ one front door over all of it:
 * a :class:`Session` executes queries with one uniform keyword
   vocabulary — ``mode=``, ``join_strategy=``, ``partitions=``,
   ``limit=`` — matching the CLI flags one-for-one, with per-session
-  defaults and an optional shared
-  :class:`~repro.spatial.table.ProbeCache`.
+  defaults.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .engine.query import AggregateSpec, KNNStep, SpatialQuery
 from .engine.stats import ExecutionStats
 from .errors import OptionError
 from .spatial.snapshot import read_snapshot, write_snapshot
-from .spatial.table import ProbeCache, SpatialObject, SpatialTable
+from .spatial.table import SpatialObject, SpatialTable
 
 __all__ = ["Database", "QueryResult", "Session"]
 
@@ -221,18 +220,9 @@ class Session:
     (``mode=``, ``join_strategy=``, ``partitions=``, ``limit=``) match
     the CLI flags; constructor keywords set session defaults, call
     keywords override per query.
-    ``probe_cache=N`` shares an N-entry :class:`ProbeCache` across the
-    session's probes (pass ``cache=`` to share an existing one, e.g.
-    the service's).
     """
 
-    def __init__(
-        self,
-        db: Optional[Database] = None,
-        cache: Optional[ProbeCache] = None,
-        probe_cache: int = 0,
-        **defaults,
-    ):
+    def __init__(self, db: Optional[Database] = None, **defaults):
         unknown = set(defaults) - set(SESSION_OPTIONS)
         if unknown:
             raise TypeError(
@@ -240,9 +230,6 @@ class Session:
                 f"options: {SESSION_OPTIONS}"
             )
         self.db = db
-        self.cache = cache
-        if self.cache is None and probe_cache:
-            self.cache = ProbeCache(maxsize=probe_cache)
         self.defaults = dict(_OPTION_DEFAULTS)
         self.defaults.update(defaults)
 
@@ -329,7 +316,7 @@ class Session:
         self, plan: QueryPlan, options: dict, called: float, estimate: bool = False
     ) -> Tuple[PhysicalPlan, QueryResult]:
         """Build ``plan``'s operator tree and drain it (honouring
-        ``limit`` and the session's probe cache); ``plan_s`` runs from
+        ``limit``); ``plan_s`` runs from
         ``called`` to the end of the build."""
         pplan = plan.physical(
             options["mode"],
@@ -340,7 +327,7 @@ class Session:
         start = perf_counter()
         first = None
         answers: List[Answer] = []
-        for answer in pplan.execute_iter(limit=options["limit"], cache=self.cache):
+        for answer in pplan.execute_iter(limit=options["limit"]):
             if first is None:
                 first = perf_counter() - start
             answers.append(answer)

@@ -6,7 +6,6 @@ templates), lowered to a :class:`PhysicalPlan` (a tree of streaming
 operators), and pulled as an iterator of answers.
 """
 
-from ..spatial.table import ProbeCache
 from .compiler import compile_query, repair_knn_order
 from .executor import answers_as_oid_tuples, execute, execute_iter
 from .physical import build_physical_plan
@@ -16,7 +15,6 @@ from .query import AggregateSpec, KNNStep, SpatialQuery
 __all__ = [
     "AggregateSpec",
     "KNNStep",
-    "ProbeCache",
     "SpatialQuery",
     "answers_as_oid_tuples",
     "build_physical_plan",

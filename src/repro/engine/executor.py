@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..spatial.table import ProbeCache, SpatialObject
+from ..spatial.table import SpatialObject
 from .compiler import QueryPlan
 from .physical import MODES, build_physical_plan
 from .stats import ExecutionStats
@@ -60,17 +60,13 @@ __all__ = [
 def execute(
     plan: QueryPlan,
     mode: str = "boxplan",
-    cache: Optional[ProbeCache] = None,
     partitions: int = 0,
     join_strategy: Optional[str] = None,
 ) -> Tuple[List[Answer], ExecutionStats]:
     """Run a compiled plan in the given mode.
 
     Returns ``(answers, stats)``; answers are dictionaries mapping each
-    unknown variable to the chosen :class:`SpatialObject`.  ``cache`` is
-    an optional shared :class:`~repro.spatial.table.ProbeCache` through
-    which all index probes go — repeated executions over unchanged
-    tables then skip the index entirely.
+    unknown variable to the chosen :class:`SpatialObject`.
     ``partitions``/``join_strategy`` choose the join algorithms
     (see :func:`~repro.engine.physical.build_physical_plan`);
     the answer set is the same for every setting.  An unknown ``mode``
@@ -85,14 +81,13 @@ def execute(
         estimate=False,
         partitions=partitions,
         join_strategy=join_strategy,
-    ).run(cache=cache)
+    ).run()
 
 
 def execute_iter(
     plan: QueryPlan,
     mode: str = "boxplan",
     limit: Optional[int] = None,
-    cache: Optional[ProbeCache] = None,
     partitions: int = 0,
     join_strategy: Optional[str] = None,
 ) -> Iterator[Answer]:
@@ -111,7 +106,7 @@ def execute_iter(
         estimate=False,
         partitions=partitions,
         join_strategy=join_strategy,
-    ).execute_iter(limit=limit, cache=cache)
+    ).execute_iter(limit=limit)
 
 
 def answers_as_oid_tuples(

@@ -37,11 +37,6 @@ consumers (benchmarks, CI gates) keep working.  :meth:`PhysicalPlan.
 explain` renders the tree with catalog cost estimates and — once the
 plan has run — per-operator actual rows/probes/node reads.
 
-Index probes optionally go through a shared
-:class:`~repro.spatial.table.ProbeCache` (bounded LRU keyed on a
-weak table handle, the table version and the box query), so repeated
-queries over unchanged tables skip the index entirely.
-
 **Bulk joins.**  Beyond the per-tuple probe operators, two bulk extend
 operators implement alternative join algorithms (selected per step by
 ``join_strategy=`` — explicitly, or cost-based via
@@ -82,7 +77,7 @@ from ..spatial.partition import (
     pbsm_join,
     probe_box,
 )
-from ..spatial.table import ProbeCache, SpatialObject, SpatialTable
+from ..spatial.table import SpatialObject, SpatialTable
 from .compiler import QueryPlan
 from .stats import ExecutionStats
 
@@ -112,10 +107,8 @@ class OperatorStats:
 
     rows_in: int = 0  # bindings pulled from the child
     rows_out: int = 0  # bindings yielded
-    probes: int = 0  # range-query/scan requests (cache hits included)
+    probes: int = 0  # range-query/scan requests
     node_reads: int = 0  # index reads those probes cost
-    cache_hits: int = 0
-    cache_misses: int = 0
     region_ops: int = 0  # exact region-algebra operations
     box_evals: int = 0  # box-template instantiations
     pair_tests: int = 0  # candidate box tests (sweeps, bulk-join checks)
@@ -130,13 +123,10 @@ class OperatorStats:
 class ExecutionContext:
     """Per-execution state shared by all operators of one plan run."""
 
-    def __init__(
-        self, plan: QueryPlan, cache: Optional[ProbeCache] = None
-    ) -> None:
+    def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
         self.algebra = plan.algebra
         self.universe: Box = plan.algebra.universe_box
-        self.cache = cache
         self._base_box_env = {
             name: region.bounding_box()
             for name, region in plan.query.bindings.items()
@@ -345,9 +335,7 @@ class IndexProbe(ExtendStep):
     """Extend via ONE compiled range query per input binding (§4).
 
     The step's box template is instantiated on the binding's prefix
-    boxes and sent to the table's index — optionally through the shared
-    :class:`~repro.spatial.table.ProbeCache`, in which case a repeated
-    ``(table, box query)`` pair costs no index work at all.
+    boxes and sent to the table's index.
 
     Where the table probes set-at-a-time (:meth:`SpatialTable.
     batches_probes <repro.spatial.table.SpatialTable.batches_probes>`)
@@ -385,14 +373,10 @@ class IndexProbe(ExtendStep):
         self.stats.probes += len(group)
         before = self.table.index_read_count()
         mark = self._vectorized_mark()
-        results = self.table.range_query_batch(queries, ctx.cache)
+        results = self.table.range_query_batch(queries)
         self.stats.node_reads += self.table.index_read_count() - before
         self._vectorized_absorb(mark)
-        if ctx.cache is not None:
-            hits = sum(hit for _rows, hit in results)
-            self.stats.cache_hits += hits
-            self.stats.cache_misses += len(results) - hits
-        return [rows for rows, _hit in results]
+        return results
 
 
 class VectorizedScanProbe(IndexProbe):
@@ -404,7 +388,7 @@ class VectorizedScanProbe(IndexProbe):
     input binding instead of one ``query.matches`` call per row.  The
     mechanics are :class:`IndexProbe`'s (the table's scan-backend range
     query is that kernel, with a pending write delta overlaid), so
-    probe-cache sharing and the stats mapping come for free.
+    the stats mapping comes for free.
     """
 
     kind = "VectorizedScanProbe"
@@ -1024,7 +1008,10 @@ class PhysicalPlan:
     def execute_iter(
         self,
         limit: Optional[int] = None,
-        cache: Optional[ProbeCache] = None,
+        # Ignored: there is no probe cache.  Kept only for
+        # benchmarks/e2e/workloads.py, whose traced_run passes
+        # cache=None; it goes with that file's traced_run.
+        cache: None = None,
     ) -> Iterator[Binding]:
         """Stream answers as they are found (pull-based, depth-first).
 
@@ -1035,7 +1022,7 @@ class PhysicalPlan:
         if limit is not None and limit <= 0:
             return
         self.root.reset_stats()
-        ctx = ExecutionContext(self.logical, cache=cache)
+        ctx = ExecutionContext(self.logical)
         emitted = 0
         for binding in self.root.iterate(ctx):
             yield binding
@@ -1043,11 +1030,9 @@ class PhysicalPlan:
             if limit is not None and emitted >= limit:
                 return
 
-    def run(
-        self, cache: Optional[ProbeCache] = None
-    ) -> Tuple[List[Binding], ExecutionStats]:
+    def run(self) -> Tuple[List[Binding], ExecutionStats]:
         """Materialise all answers; returns ``(answers, stats)``."""
-        answers = list(self.execute_iter(cache=cache))
+        answers = list(self.execute_iter())
         return answers, self.stats()
 
     # -- statistics --------------------------------------------------------------
@@ -1067,8 +1052,6 @@ class PhysicalPlan:
             extend = ops.extend.stats
             step.index_probes = extend.probes
             step.node_reads = extend.node_reads
-            step.cache_hits = extend.cache_hits
-            step.cache_misses = extend.cache_misses
             step.vectorized_batches = extend.vectorized_batches
             step.vectorized_candidates = extend.vectorized_candidates
             step.delta_probes = extend.delta_probes
@@ -1126,7 +1109,7 @@ class PhysicalPlan:
 
         Each line shows the operator, the catalog's estimated output
         cardinality, and — after the plan has executed — the actual
-        rows/probes/node-reads/cache counters.
+        rows/probes/node-reads counters.
         """
         executed = any(op.stats.executed for op in self.operators())
         lines = [
@@ -1161,11 +1144,6 @@ class PhysicalPlan:
                     actual.append(f"probes={s.probes}")
                 if s.node_reads:
                     actual.append(f"node_reads={s.node_reads}")
-                if s.cache_hits or s.cache_misses:
-                    actual.append(
-                        f"cache={s.cache_hits}/"
-                        f"{s.cache_hits + s.cache_misses}"
-                    )
                 if s.tiles_swept:
                     # Swept / kept: PBSM sweeps every tile it keeps.
                     actual.append(f"parts={s.tiles_swept}/{s.tiles_swept}")

@@ -29,8 +29,6 @@ class StepStats:
     survivors: int = 0  # rows surviving the step's exact filter
     index_probes: int = 0
     node_reads: int = 0  # index reads consumed by this step's probes
-    cache_hits: int = 0  # probes answered from the probe cache
-    cache_misses: int = 0  # probes that fell through to the index
     vectorized_batches: int = 0  # columnar kernel dispatches
     vectorized_candidates: int = 0  # rows/entries those kernels evaluated
     delta_probes: int = 0  # probes that merged a pending write delta
@@ -87,16 +85,6 @@ class ExecutionStats:
         return sum(s.node_reads for s in self.steps)
 
     @property
-    def cache_hits(self) -> int:
-        """Probe-cache hits over all steps (0 when no cache is used)."""
-        return sum(s.cache_hits for s in self.steps)
-
-    @property
-    def cache_misses(self) -> int:
-        """Probe-cache misses over all steps (0 when no cache is used)."""
-        return sum(s.cache_misses for s in self.steps)
-
-    @property
     def vectorized_batches(self) -> int:
         """Columnar kernel dispatches over all steps (0 = scalar run)."""
         return sum(s.vectorized_batches for s in self.steps)
@@ -110,14 +98,6 @@ class ExecutionStats:
     def delta_probes(self) -> int:
         """Probes that merged a pending write delta, over all steps."""
         return sum(s.delta_probes for s in self.steps)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hits as a fraction of cached probe requests (0.0 uncached)."""
-        requests = self.cache_hits + self.cache_misses
-        if requests == 0:
-            return 0.0
-        return self.cache_hits / requests
 
     def to_dict(self) -> Dict[str, object]:
         """Full-fidelity JSON-serializable form.
@@ -162,8 +142,6 @@ class ExecutionStats:
             "candidates": self.total_candidates,
             "index_probes": self.index_probes,
             "node_reads": self.node_reads,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "vectorized_batches": self.vectorized_batches,
             "vectorized_candidates": self.vectorized_candidates,
             "delta_probes": self.delta_probes,
@@ -178,12 +156,6 @@ class ExecutionStats:
         steps = " ".join(
             f"{s.variable}:{s.survivors}/{s.candidates}" for s in self.steps
         )
-        cache = ""
-        if self.cache_hits or self.cache_misses:
-            cache = (
-                f" cache={self.cache_hits}/"
-                f"{self.cache_hits + self.cache_misses}"
-            )
         delta = ""
         if self.delta_probes or self.repacks:
             delta = (
@@ -192,5 +164,5 @@ class ExecutionStats:
         return (
             f"[{self.mode}] tuples={self.tuples_emitted} "
             f"partials={self.partial_tuples} region_ops={self.region_ops} "
-            f"steps=({steps}){cache}{delta}"
+            f"steps=({steps}){delta}"
         )

@@ -15,11 +15,9 @@ server adds is *snapshot isolation*:
   new requests see the new one.  Past the repack threshold a background
   thread folds the accumulated delta into freshly packed structures
   *off* the rebuild lock and publishes the result with a second swap,
-  replaying any mutations staged while it ran;
-* at swap time the superseded tables are proactively purged from the
-  shared :class:`~repro.spatial.table.ProbeCache` — the old objects are
-  never looked up again, so without the purge their entries would
-  squat in the LRU until eviction or garbage collection.
+  replaying any mutations staged while it ran.  Every probe reads the
+  index of the snapshot it was handed: there is no result cache to
+  invalidate at a swap.
 
 The HTTP layer is a small stdlib-only HTTP/1.1 server: one blocking
 accept loop, and one thread per kept-alive connection that reads a
@@ -62,7 +60,7 @@ from ..spatial.snapshot import (
     _encode_oid,
     region_from_jsonable,
 )
-from ..spatial.table import ProbeCache, SpatialTable
+from ..spatial.table import SpatialTable
 from .wire import read_request, write_response
 
 __all__ = ["QueryService", "ServiceServer", "SnapshotStore", "serve_in_thread"]
@@ -76,19 +74,14 @@ class SnapshotStore:
     """Lock-free-reader holder of the current database snapshot.
 
     Readers call :meth:`current` — one attribute read under the GIL, no
-    lock.  Writers serialize on a mutex, publish with a single
-    reference assignment, and purge the replaced tables from the shared
-    probe cache (the fix for the stale-entry squat described in the
-    module docstring).
+    lock.  Writers serialize on a mutex and publish with a single
+    reference assignment.
     """
 
-    def __init__(
-        self, db: Database, cache: Optional[ProbeCache] = None
-    ) -> None:
+    def __init__(self, db: Database) -> None:
         # Writers only: readers see _current/_version through the
         # lock-free current() (single reference reads under the GIL).
         self._current = db  # guarded-by: _swap_lock
-        self._cache = cache
         self._version = 1  # guarded-by: _swap_lock
         self._swap_lock = threading.Lock()
 
@@ -104,24 +97,15 @@ class SnapshotStore:
         return self._version
 
     def swap(self, new_db: Database) -> int:
-        """Atomically publish ``new_db``; purge superseded cache entries.
+        """Atomically publish ``new_db``.
 
         Returns the new snapshot version.  In-flight readers holding
-        the old database object are unaffected — its tables are intact,
-        only the cache entries keyed on them are dropped (they would
-        never be hit again; dropping them is the proactive fix).
+        the old database object are unaffected — its tables are intact.
         """
         with self._swap_lock:
-            old_db = self._current
             self._version += 1
             self._current = new_db
-            version = self._version
-        kept = {id(t) for t in new_db.tables.values()}
-        if self._cache is not None:
-            for table in old_db.tables.values():
-                if id(table) not in kept:
-                    self._cache.purge_table(table)
-        return version
+            return self._version
 
 
 class QueryService:
@@ -135,14 +119,8 @@ class QueryService:
     define ad-hoc ones.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        cache_size: int = 1024,
-        repack_threshold: Optional[int] = None,
-    ) -> None:
-        self.cache = ProbeCache(maxsize=cache_size) if cache_size else None
-        self.store = SnapshotStore(db, cache=self.cache)
+    def __init__(self, db: Database, repack_threshold: Optional[int] = None) -> None:
+        self.store = SnapshotStore(db)
         self._rebuild_lock = threading.Lock()
         # Every connection thread bumps the wire counters.
         self._counter_lock = threading.Lock()
@@ -160,9 +138,13 @@ class QueryService:
     def _decode_bindings(
         db: Database, data: Any
     ) -> Optional[Dict[str, Region]]:
+        """``None``, a list of stored binding names, or an object of
+        inline ``name -> [[lo, hi], ...]`` box lists."""
         if data is None:
             return None
         if isinstance(data, list):
+            if not all(isinstance(name, str) for name in data):
+                raise ServiceError(f"'bindings' names must be strings, not {data!r}")
             missing = [name for name in data if name not in db.bindings]
             if missing:
                 raise ServiceError(
@@ -170,31 +152,66 @@ class QueryService:
                     f"{sorted(db.bindings)}"
                 )
             return {name: db.bindings[name] for name in data}
-        return {
-            name: region_from_jsonable(region_data)
-            for name, region_data in data.items()
-        }
+        if not isinstance(data, dict):
+            raise ServiceError(
+                f"'bindings' must be a list of names or an object of box "
+                f"lists, not {data!r}"
+            )
+        try:
+            return {
+                name: region_from_jsonable(region_data)
+                for name, region_data in data.items()
+            }
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ServiceError(f"malformed inline binding: {exc!r}") from exc
 
     @staticmethod
     def _decode_knn(data: Any) -> Optional[KNNStep]:
+        """``{"variable": str, "k": int, "point": [x, ...] | "ref": str}``."""
         if data is None:
             return None
-        return KNNStep(
-            variable=str(data["variable"]),
-            k=int(data["k"]),
-            point=tuple(data["point"]) if data.get("point") else None,
-            ref=data.get("ref"),
-        )
+        if not isinstance(data, dict):
+            raise ServiceError(f"'knn' must be an object, not {data!r}")
+        variable, k, ref = data.get("variable"), data.get("k"), data.get("ref")
+        if not isinstance(variable, str):
+            raise ServiceError(f"'knn' needs a 'variable' name, not {variable!r}")
+        if type(k) is not int:
+            raise ServiceError(f"'knn' needs an integer 'k', not {k!r}")
+        if ref is not None and not isinstance(ref, str):
+            raise ServiceError(f"'knn' 'ref' must be a variable name, not {ref!r}")
+        point = data.get("point")
+        try:
+            return KNNStep(
+                variable=variable,
+                k=k,
+                point=tuple(point) if point else None,
+                ref=ref,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ServiceError(f"'knn' 'point' {point!r}: {exc}") from exc
 
     @staticmethod
     def _decode_aggregate(data: Any) -> Optional[AggregateSpec]:
+        """``{"aggregates": [[op, target], ...], "group_by": [var, ...],
+        "exact": bool}``."""
         if data is None:
             return None
+        if not isinstance(data, dict):
+            raise ServiceError(f"'aggregate' must be an object, not {data!r}")
+        pairs, group_by = data.get("aggregates"), data.get("group_by", [])
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+        ):
+            raise ServiceError(
+                f"'aggregate' needs 'aggregates' as [op, target] pairs, not {pairs!r}"
+            )
+        if not isinstance(group_by, list) or not all(
+            isinstance(name, str) for name in group_by
+        ):
+            raise ServiceError(f"'aggregate' 'group_by' must list names, not {group_by!r}")
         return AggregateSpec(
-            aggregates=tuple(
-                (op, target) for op, target in data["aggregates"]
-            ),
-            group_by=tuple(data.get("group_by", ())),
+            aggregates=tuple((op, target) for op, target in pairs),
+            group_by=tuple(group_by),
             exact=bool(data.get("exact", True)),
         )
 
@@ -216,15 +233,14 @@ class QueryService:
             for name in SESSION_OPTIONS
             if name in payload
         }
-        return Session(db=db, cache=self.cache, **options)
+        return Session(db=db, **options)
 
     def _query(self, db: Database, payload: Dict[str, Any]) -> SpatialQuery:
-        try:
-            system = payload["system"]
-        except KeyError:
+        system = payload.get("system")
+        if not isinstance(system, str):
             raise ServiceError(
-                "payload needs a 'system' (constraint text)"
-            ) from None
+                f"payload needs a 'system' (constraint text), not {system!r}"
+            )
         return db.query(
             system,
             bindings=self._decode_bindings(db, payload.get("bindings")),
@@ -249,7 +265,7 @@ class QueryService:
 
     def stats(self) -> dict:
         db, version = self.store.current()
-        out = {
+        return {
             "snapshot": version,
             "requests": self.requests,
             "connections": self.connections,
@@ -265,15 +281,11 @@ class QueryService:
                 for key, t in db.tables.items()
             },
             "bindings": sorted(db.bindings),
+            # There is no probe cache, so no hits.  Kept only for
+            # benchmarks/e2e/service_workload.py, which reports this
+            # hit rate; it goes when that harness stops reading it.
+            "cache": {"hit_rate": 0.0},
         }
-        if self.cache is not None:
-            out["cache"] = {
-                "entries": len(self.cache),
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "hit_rate": self.cache.hit_rate,
-            }
-        return out
 
     def run(self, payload: dict) -> dict:
         db, version = self.store.current()

@@ -13,10 +13,10 @@ structures.
 
 MVCC-lite: the table's ``(base_version, watermark)`` pair identifies a
 logical snapshot.  The watermark bumps once per staged mutation; the
-base version only bumps when the base is rebuilt.  Cached artifacts keyed by the base
-version alone (probe-cache entries over base rows, base statistics)
-therefore survive delta-only writes, while artifacts that must see the
-live rows (merged statistics) key on the pair.
+base version only bumps when the base is rebuilt.  The base statistics,
+keyed by the base version alone, therefore survive delta-only writes,
+while the merged statistics, which must see the live rows, key on the
+pair.
 
 A probe scans the staged rows in insertion order: a repack folds them
 into the base once a threshold's worth have staged (64 by default), and

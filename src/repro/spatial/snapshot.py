@@ -187,6 +187,33 @@ def _check_saved_tree(saved: object, table: SpatialTable) -> None:
         )
 
 
+def _checked_settings(data: dict) -> Tuple[str, str, int, int, Optional[Box]]:
+    """A table entry's name, index, dim, node capacity and universe,
+    once each has its type (and ``table_version`` is an ``int`` ≥ 0),
+    checked before any row is made."""
+    name = data.get("name")
+    if not isinstance(name, str):
+        raise SnapshotError(f"a table entry's name {name!r} is not a string")
+    index = data.get("index")
+    if index not in SpatialTable.VALID_INDEXES:
+        raise SnapshotError(
+            f"table {name!r} has index {index!r}; this build reads "
+            f"{SpatialTable.VALID_INDEXES}"
+        )
+    least = {"dim": 1, "node_capacity": 2 if index == "rtree" else 1, "table_version": 0}
+    for key, low in least.items():
+        value = data.get(key)
+        if type(value) is not int or value < low:
+            raise SnapshotError(f"table {name!r}: {key} {value!r} is not an int >= {low}")
+    universe = data.get("universe")
+    if universe is not None:
+        try:
+            universe = box_from_jsonable(universe)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise SnapshotError(f"table {name!r}: damaged universe: {exc!r}") from exc
+    return name, index, data["dim"], data["node_capacity"], universe
+
+
 def table_from_jsonable(data: dict) -> SpatialTable:
     """Rebuild a warm table from :func:`table_to_jsonable` output.
 
@@ -199,26 +226,14 @@ def table_from_jsonable(data: dict) -> SpatialTable:
     """
     from ..engine.catalog import TableStatistics
 
-    name = str(data["name"])
-    index = data.get("index")
-    if index not in SpatialTable.VALID_INDEXES:
-        raise SnapshotError(
-            f"table {name!r} has index {index!r}; this build reads "
-            f"{SpatialTable.VALID_INDEXES}"
-        )
-    dim = int(data["dim"])
-    oids, counts, coords = _checked_rows(name, data["rows"], dim)
-    universe = (
-        box_from_jsonable(data["universe"])
-        if data.get("universe") is not None
-        else None
-    )
+    name, index, dim, node_capacity, universe = _checked_settings(data)
+    oids, counts, coords = _checked_rows(name, data.get("rows"), dim)
     table = SpatialTable(
         name,
         dim,
         index=index,
         universe=universe,
-        node_capacity=int(data["node_capacity"]),
+        node_capacity=node_capacity,
     )
     rows: List[SpatialObject] = []
     objects: Dict[object, SpatialObject] = {}
@@ -244,7 +259,7 @@ def table_from_jsonable(data: dict) -> SpatialTable:
     # Rows bypass bulk_insert() here: the columnar mirror is filled in one
     # go, a column at a time (same coords, same order).
     table._columns = ColumnStore.bulk(dim, [obj.box for obj in rows], rows)
-    table._version = int(data["table_version"])
+    table._version = data["table_version"]
     if table._rtree is not None:
         table._rtree = table._packed_rtree(table._columns)
         if "rtree" in data:
@@ -329,8 +344,16 @@ def read_snapshot(
             f"snapshot {path!r} has format version {version!r}; this "
             f"build reads up to {FORMAT_VERSION}"
         )
+    entries, saved_bindings = payload.get("tables"), payload.get("bindings", {})
+    if not isinstance(entries, dict) or not isinstance(saved_bindings, dict):
+        raise SnapshotError(
+            f"snapshot {path!r}: 'tables' and 'bindings' must be JSON objects"
+        )
+    for key, data in entries.items():
+        if not isinstance(data, dict):
+            raise SnapshotError(f"table {key!r} of {path!r} is {data!r}, not an object")
     tables = {}
-    for key, data in payload["tables"].items():
+    for key, data in entries.items():
         if version < 2 and data.get("index") == "rtree" and "rtree" not in data:
             # Every version-1 writer stored an r-tree's node arrays.
             raise SnapshotError(
@@ -339,7 +362,6 @@ def read_snapshot(
             )
         tables[key] = table_from_jsonable(data)
     bindings = {
-        name: region_from_jsonable(data)
-        for name, data in payload.get("bindings", {}).items()
+        name: region_from_jsonable(data) for name, data in saved_bindings.items()
     }
     return tables, bindings

@@ -10,7 +10,7 @@ contract (and are property-tested to agree):
 
 The table records probe statistics uniformly so benchmarks can compare
 backends.  The table's mutation counter invalidates its statistics
-cache and every :class:`ProbeCache` entry.
+cache.  Every probe reads the index: there is no result cache.
 
 One write path (MVCC-lite): every write *stages*.
 :meth:`SpatialTable.insert` / :meth:`SpatialTable.delete` (the same as
@@ -27,9 +27,6 @@ many rows at once.  The r-tree is always STR-packed and never edited.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,177 +56,6 @@ class SpatialObject:
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"SpatialObject({self.oid!r})"
-
-
-class _TableHandle:
-    """Per-table bookkeeping inside a :class:`ProbeCache`.
-
-    Holds a unique ``token`` (the cache key stands in for the table so
-    keys never reference it), the last-seen table version, and a weak
-    reference whose callback purges the table's entries on collection.
-    """
-
-    __slots__ = ("token", "version", "ref")
-
-    def __init__(self, token: int, version: int):
-        self.token = token
-        self.version = version
-        self.ref: Optional[weakref.ref] = None
-
-
-class ProbeCache:
-    """A bounded LRU cache of range-query results.
-
-    Keys are ``(table token, table version, box query)`` where the token
-    is a cache-local stand-in for the table — the cache holds **no
-    strong reference** to any table, so a long-lived cache never pins a
-    dropped table (or its rows) in memory.  The table's mutation counter
-    is part of the key, and entries for superseded versions are dropped
-    *proactively* the next time the table is seen (not merely left to
-    LRU churn); entries of a garbage-collected table are purged by a
-    weakref callback.  The cached row lists are shared — callers must
-    not mutate them.
-
-    The version component of the key is the table's *base* version:
-    while a write delta is open, :meth:`SpatialTable.range_query_cached`
-    stores base-only probe results here and overlays the delta per
-    lookup, so cached entries survive delta-only writes (the delta
-    watermark never invalidates them; only a repack's base-version bump
-    does).
-
-    A cache may outlive a single execution (that is the point: repeated
-    queries over unchanged tables skip the index entirely), so it keeps
-    lifetime ``hits``/``misses`` counters of its own; per-execution
-    counters live in :class:`~repro.engine.stats.ExecutionStats`.
-    """
-
-    def __init__(self, maxsize: int = 256):
-        if maxsize <= 0:
-            raise ValueError(f"maxsize must be positive, got {maxsize}")
-        self.maxsize = maxsize
-        # guarded-by: _lock
-        self._entries: "OrderedDict[tuple, List[SpatialObject]]" = (
-            OrderedDict()
-        )
-        # table -> handle; weak keys, so the cache never keeps a table
-        # alive.  The handle's weakref callback purges entries when the
-        # table is collected.
-        # guarded-by: _lock
-        self._handles: "weakref.WeakKeyDictionary[SpatialTable, _TableHandle]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._next_token = 0  # guarded-by: _lock
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        # The query service shares one cache across concurrent reader
-        # threads; reentrant because a GC-triggered weakref purge can
-        # fire inside a locked section of the same thread.
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _purge_token(self, token: int, keep_version: Optional[int] = None):
-        """Drop entries of one table (optionally keeping one version)."""
-        with self._lock:
-            stale = [
-                key
-                for key in self._entries
-                if key[0] == token
-                and (keep_version is None or key[1] != keep_version)
-            ]
-            for key in stale:
-                # pop(): a GC-triggered purge callback may race this loop.
-                self._entries.pop(key, None)
-
-    def _key_locked(self, table: "SpatialTable", query: BoxQuery) -> tuple:
-        handle = self._handles.get(table)
-        if handle is None:
-            handle = _TableHandle(self._next_token, table._version)
-            self._next_token += 1
-            token = handle.token
-            # The callback must not reference the table (it is being
-            # collected) nor keep a strong path back to it; closing over
-            # self is fine — the resulting cycle is ordinary GC fodder.
-            handle.ref = weakref.ref(
-                table, lambda _r, token=token: self._purge_token(token)
-            )
-            self._handles[table] = handle
-        elif handle.version != table._version:
-            # Version superseded: drop the stale entries now instead of
-            # waiting for LRU churn.
-            self._purge_token(handle.token, keep_version=table._version)
-            handle.version = table._version
-        return (handle.token, table._version, query)
-
-    def holds(self, table: "SpatialTable", query: BoxQuery) -> bool:
-        """Whether :meth:`lookup` would hit right now — a peek: no
-        counter moves, no entry is refreshed."""
-        with self._lock:
-            return self._key_locked(table, query) in self._entries
-
-    def lookup(
-        self, table: "SpatialTable", query: BoxQuery
-    ) -> Optional[List["SpatialObject"]]:
-        """Cached rows for ``query`` on ``table``, or ``None`` on miss."""
-        with self._lock:
-            key = self._key_locked(table, query)
-            rows = self._entries.get(key)
-            if rows is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return rows
-
-    def store(
-        self,
-        table: "SpatialTable",
-        query: BoxQuery,
-        rows: List["SpatialObject"],
-    ) -> None:
-        """Remember a probe result, evicting least-recently-used entries."""
-        with self._lock:
-            key = self._key_locked(table, query)
-            self._entries[key] = rows
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    @property
-    def hit_rate(self) -> float:
-        """Lifetime hits as a fraction of lookups (0.0 before any)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def purge_table(
-        self, table: "SpatialTable", keep_version: Optional[int] = None
-    ) -> None:
-        """Proactively drop a table's entries (e.g. at snapshot swap).
-
-        Version bumps purge lazily — the next :meth:`lookup` on the
-        *same* table object drops superseded entries — but a snapshot
-        swap replaces the table object outright, so the old table is
-        never seen again and its entries would linger until LRU churn
-        or garbage collection.  The query service calls this for each
-        superseded table at swap time.  ``keep_version`` preserves that
-        version's entries (default: drop them all).
-        """
-        with self._lock:
-            handle = self._handles.get(table)
-            if handle is None:
-                return
-            self._purge_token(handle.token, keep_version=keep_version)
-            if keep_version is None:
-                del self._handles[table]
-
-    def clear(self) -> None:
-        """Drop all entries and zero the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._handles.clear()
-            self.hits = 0
-            self.misses = 0
 
 
 class SpatialTable:
@@ -291,8 +117,7 @@ class SpatialTable:
         # rows, and how many repacks folded a delta into fresh bases.
         self.delta_probes = 0
         self.repacks = 0
-        # Base version; invalidates the cached statistics below (and
-        # every ProbeCache entry for this table).
+        # Base version; invalidates the cached statistics below.
         self._version = 0
         # Per-parameter statistics cache for the current version, keyed
         # on ``(bins, sample_size, seed)``.
@@ -390,7 +215,7 @@ class SpatialTable:
         The write stages in the delta — O(delta), no base touch.  The
         row is immediately visible to every read path (the delta is
         merged transparently); the packed base structures and the base
-        version stay untouched, so version-keyed caches survive.  Past
+        version stay untouched, so the base statistics survive.  Past
         ``delta_threshold`` staged mutations an unshared table repacks
         itself inline.
         """
@@ -438,7 +263,7 @@ class SpatialTable:
         and the r-tree STR-loads from those columns
         (:meth:`RTree.bulk_load_columns`) — the structures a fresh
         :meth:`bulk_insert` of the live rows builds.  The base version
-        bump invalidates every version-keyed cache.
+        bump invalidates the base statistics.
 
         Returns True when anything was folded (no-op on a clean table).
         """
@@ -622,30 +447,38 @@ class SpatialTable:
         probe result is overlaid with it (tombstoned rows filtered,
         matching staged rows appended), billed as one ``delta_probe``.
         """
-        return self._probe(query, None)[0]
+        return self.range_query_batch([query])[0]
 
-    def _rtree_rows(
+    def range_query_batch(
         self, queries: Sequence[BoxQuery]
     ) -> List[List[SpatialObject]]:
-        """The packed R-tree's rows for each query, one traversal on the
-        NumPy kernels for them all, billed as that many kernel batches."""
-        before = self._rtree.stats.entry_tests
-        found = self._rtree.search_batch(queries)
-        self.vectorized_batches += len(queries)
-        self.vectorized_candidates += self._rtree.stats.entry_tests - before
+        """:meth:`range_query` of each query, the index read
+        set-at-a-time: on an r-tree table every satisfiable query shares
+        ONE traversal (:meth:`RTree.search_batch`), a scan table runs
+        one column kernel per query.  Rows, row order and every counter
+        (table, R-tree) are those of calling :meth:`range_query` query
+        after query; an unsatisfiable query is billed as a probe and
+        reads nothing."""
+        live = [not query.is_unsatisfiable() for query in queries]
+        self.probes += len(queries)
+        self.vectorized_batches += sum(live)
+        if self._rtree is None:
+            self.vectorized_candidates += sum(live) * len(self._columns)
+            found = [
+                self._columns.match_rows(query) if ok else []
+                for query, ok in zip(queries, live)
+            ]
+        else:
+            before = self._rtree.stats.entry_tests
+            found = self._rtree.search_batch(queries)
+            self.vectorized_candidates += self._rtree.stats.entry_tests - before
+        d = self._delta
+        for i, ok in enumerate(live):
+            if ok:
+                if d.pending_ops:
+                    found[i] = self._overlay_rows(found[i], queries[i], d)
+                self.candidates_returned += len(found[i])
         return found
-
-    def _base_range_rows(self, query: BoxQuery) -> List[SpatialObject]:
-        """The range probe over the packed base only — a pure function
-        of ``(base version, query)``, which is what makes it cacheable
-        under the base-version key while deltas come and go.  Counts no
-        probe itself (callers bill); vectorized counters are billed here
-        because they are a property of the kernel dispatch."""
-        if self._rtree is None:  # scan
-            self.vectorized_batches += 1
-            self.vectorized_candidates += len(self._columns)
-            return self._columns.match_rows(query)
-        return self._rtree_rows([query])[0]
 
     def _overlay_rows(
         self,
@@ -653,106 +486,15 @@ class SpatialTable:
         query: BoxQuery,
         d: TableDelta,
     ) -> List[SpatialObject]:
-        """Merge the write delta into a base probe result: drop
-        tombstoned rows, append matching staged rows in insertion order
-        (deterministic, and exactly the live-scan order relative to the
-        base stream).  Returns a fresh list; ``base_rows`` may be a
-        shared cache entry and is never mutated."""
+        """Merge the write delta into a base probe result, a list of
+        the probe's own: drop tombstoned rows, append matching staged
+        rows in insertion order (deterministic, and exactly the
+        live-scan order relative to the base stream)."""
         self.delta_probes += 1
         tomb = d.tombstones
-        if tomb:
-            out = [obj for obj in base_rows if obj.oid not in tomb]
-        else:
-            out = list(base_rows)
-        out.extend(d.matches(query))
-        return out
-
-    def range_query_cached(
-        self, query: BoxQuery, cache: Optional[ProbeCache] = None
-    ) -> Tuple[List[SpatialObject], bool]:
-        """Range query through an optional :class:`ProbeCache`.
-
-        Returns ``(rows, hit)``.  On a hit the index (and the table's
-        probe counter) is not touched at all; the returned list is the
-        cached one and must not be mutated.
-
-        While a write delta is pending the cache carries *base-only*
-        results under the base-version key and the delta is overlaid on
-        every return — so a hit still skips the index probe entirely
-        (only the in-memory delta is consulted, billed as a
-        ``delta_probe``), and base entries survive delta-only writes.
-        """
-        return self._probe(query, cache)
-
-    def _probe(
-        self,
-        query: BoxQuery,
-        cache: Optional[ProbeCache],
-        base: Optional[List[SpatialObject]] = None,
-    ) -> Tuple[List[SpatialObject], bool]:
-        """:meth:`range_query` (``cache=None``) / :meth:`range_query_cached`
-        proper.  ``base`` is the packed-base result when a batched
-        traversal already produced it (unused on a hit)."""
-        rows = None if cache is None else cache.lookup(self, query)
-        hit = rows is not None
-        if not hit:
-            self.probes += 1
-            if query.is_unsatisfiable():
-                if cache is None:
-                    return [], False  # range_query never overlaid these
-                rows = []
-            else:
-                rows = self._base_range_rows(query) if base is None else base
-            if cache is not None:
-                cache.store(self, query, rows)
-        d = self._delta
-        if d.pending_ops:
-            rows = self._overlay_rows(rows, query, d)
-        if not hit:
-            self.candidates_returned += len(rows)
-        return rows, hit
-
-    def range_query_batch(
-        self, queries: Sequence[BoxQuery], cache: Optional[ProbeCache] = None
-    ) -> List[Tuple[List[SpatialObject], bool]]:
-        """:meth:`range_query_cached` of each query, the index read
-        set-at-a-time.
-
-        One ``(rows, hit)`` per query: rows, row order, hit flags and
-        every counter (table, R-tree, cache) are those of calling
-        :meth:`range_query_cached` query after query.  But the queries
-        that reach the index — all satisfiable ones without a cache,
-        else the distinct ones it does not hold — share ONE traversal
-        (:meth:`RTree.search_batch`) where :meth:`batches_probes` holds.
-        The cache is then consulted per query, in order: a duplicate
-        hits the entry its first occurrence stored, and a query whose
-        entry is gone when its turn comes is probed on its own.
-
-        The counter equality is a single-threaded one.  When another
-        thread sharing ``cache`` stores a query between the peek that
-        chose the traversal's queries and that query's turn, it comes
-        back a hit while the traversal made for it stays billed (the
-        reads happened); rows are the same either way.
-        """
-        # Without a cache every probe reads the index (key: position);
-        # with one, each distinct missing query does, once (key: query).
-        keys: Sequence[object] = range(len(queries)) if cache is None else queries
-        bases: Dict[object, List[SpatialObject]] = {}
-        if self.batches_probes():
-            wanted: Dict[object, BoxQuery] = {}
-            for key, query in zip(keys, queries):
-                if (
-                    key not in wanted
-                    and not query.is_unsatisfiable()
-                    and (cache is None or not cache.holds(self, query))
-                ):
-                    wanted[key] = query
-            if wanted:
-                bases = dict(zip(wanted, self._rtree_rows(list(wanted.values()))))
-        return [
-            self._probe(query, cache, bases.pop(key, None))
-            for key, query in zip(keys, queries)
-        ]
+        rows = [obj for obj in base_rows if obj.oid not in tomb] if tomb else base_rows
+        rows.extend(d.matches(query))
+        return rows
 
     # -- nearest neighbors --------------------------------------------------------
     def _checked_anchor(self, anchor):

@@ -8,7 +8,7 @@ range queries through one R-tree traversal; ``RegionAlgebra.le`` /
 a piece they return, and no longer validate or build what they can
 decide or trust.  Both promise *identical* answers, answer order,
 counters and boxes.  These are copies of the code they replaced: one
-``range_query_cached`` call per binding, no read-ahead; every box
+``range_query`` call per binding, no read-ahead; every box
 through the validating ``Box(lo, hi)`` (the intersection of every pair
 tried included), every region through ``Region(boxes)``, containment
 and overlap decided by building the difference / the meet and asking
@@ -33,13 +33,9 @@ class PerBindingIndexProbe(IndexProbe):
         self.stats.probes += 1
         before = self.table.index_read_count()
         mark = self._vectorized_mark()
-        rows, hit = self.table.range_query_cached(query, ctx.cache)
+        rows = self.table.range_query(query)
         self.stats.node_reads += self.table.index_read_count() - before
         self._vectorized_absorb(mark)
-        if hit:
-            self.stats.cache_hits += 1
-        elif ctx.cache is not None:
-            self.stats.cache_misses += 1
         return rows
 
     def iterate(self, ctx):

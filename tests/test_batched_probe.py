@@ -1,9 +1,9 @@
 """Differential oracle for set-at-a-time index probes.
 
-``SpatialTable.range_query_batch`` promises the rows, the row order, the
-hit flags and every counter of ``range_query_cached`` called once per
-query; the grouped ``IndexProbe`` promises the answers, the answer
-order and the ``ExecutionStats`` of probing binding by binding
+``SpatialTable.range_query_batch`` promises the rows, the row order and
+every counter of ``range_query`` called once per query; the grouped
+``IndexProbe`` promises the answers, the answer order and the
+``ExecutionStats`` of probing binding by binding
 (``tests/reference_probe.py``), reading at most twice as far ahead
 under ``limit=``.
 """
@@ -24,7 +24,7 @@ from repro.engine.query import SpatialQuery
 from repro.engine.physical import IndexProbe
 from repro.errors import UnsatisfiableError
 from repro.spatial.rtree import RTree
-from repro.spatial.table import ProbeCache, SpatialTable
+from repro.spatial.table import SpatialTable
 from repro.spatial import rtree as rtree_module
 from tests.conftest import (
     BACKEND_IDS,
@@ -58,7 +58,9 @@ SHAPES = (
     "empty_box",
     "unconstrained",
 )
-CACHES = ("none", "cold", "warm", "duplicates", "evicting")
+#: A batch of distinct queries, and one that repeats each query three
+#: times in a shuffled order (every repeat reads the index again).
+REPEATS = ("distinct", "duplicates")
 
 
 def _box(rng, side):
@@ -107,7 +109,7 @@ def _query(shape, rng, i):
     return BoxQuery()
 
 
-def _counters(table, cache):
+def _counters(table):
     stats = table._rtree.stats
     return {
         "node_reads": stats.node_reads,
@@ -117,78 +119,64 @@ def _counters(table, cache):
         "vectorized_batches": table.vectorized_batches,
         "vectorized_candidates": table.vectorized_candidates,
         "delta_probes": table.delta_probes,
-        "hits": cache.hits if cache is not None else None,
-        "misses": cache.misses if cache is not None else None,
-        "cached": len(cache) if cache is not None else None,
     }
-
-
-def _caches(mode, table, queries):
-    """Two equal caches (one per side) in the state ``mode`` names."""
-    if mode == "none":
-        return None, None
-    out = []
-    for _ in range(2):
-        cache = ProbeCache(maxsize=3 if mode == "evicting" else 1024)
-        if mode == "warm":
-            for query in queries[::2]:
-                table.range_query_cached(query, cache)
-            table.reset_stats()
-            cache.hits = cache.misses = 0
-        out.append(cache)
-    return out
 
 
 @pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("delta", [False, True], ids=["clean", "delta"])
 @pytest.mark.parametrize("capacity", CAPACITIES, ids=CAPACITY_IDS)
 def test_range_query_batch_equals_cached_calls(capacity, delta, backend):
+    """A batch answers and bills like ``range_query`` called query
+    after query (the test keeps its id from when that call went through
+    a probe cache)."""
     table = _table(capacity, delta)
     rng = random.Random(shifted_seed(1))
     for shape in SHAPES:
         for size in BATCH_SIZES:
-            for mode in CACHES:
+            for repeats in REPEATS:
                 queries = [_query(shape, rng, i) for i in range(size)]
-                if mode in ("duplicates", "evicting"):
+                if repeats == "duplicates":
                     queries = [queries[i // 3 % len(queries)] for i in range(size)]
                     rng.shuffle(queries)
-                one_by_one, batched = _caches(mode, table, queries)
                 table.reset_stats()
-                expected = [
-                    table.range_query_cached(query, one_by_one)
-                    for query in queries
-                ]
-                expected_counters = _counters(table, one_by_one)
+                expected = [table.range_query(query) for query in queries]
+                expected_counters = _counters(table)
                 table.reset_stats()
-                got = table.range_query_batch(queries, batched)
-                where = (shape, size, mode)
-                assert [hit for _rows, hit in got] == [
-                    hit for _rows, hit in expected
+                got = table.range_query_batch(queries)
+                where = (shape, size, repeats)
+                assert [[o.oid for o in rows] for rows in got] == [
+                    [o.oid for o in rows] for rows in expected
                 ], where
-                assert [[o.oid for o in rows] for rows, _hit in got] == [
-                    [o.oid for o in rows] for rows, _hit in expected
-                ], where
-                assert _counters(table, batched) == expected_counters, where
+                assert _counters(table) == expected_counters, where
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES, ids=CAPACITY_IDS)
 def test_batch_really_shares_one_traversal(capacity):
-    """The equalities above are not vacuous: the misses of a batch
-    reach ``RTree.search_batch`` together, in one call."""
+    """The equalities above are not vacuous: every satisfiable query of
+    a batch reaches ``RTree.search_batch`` together, in one call, and a
+    repeated query is read again.  (The spy counts the satisfiable
+    queries of each call; the walk passes the others over.)"""
     table = _table(capacity, delta=False)
     rng = random.Random(2)
     queries = [_query("overlap1", rng, i) for i in range(40)]
+    unsatisfiable = _query("unsatisfiable", rng, 0)
     calls = []
     tree = table._rtree
     real_batch = tree.search_batch
-    tree.search_batch = lambda qs: calls.append(len(qs)) or real_batch(qs)
+
+    def spy(qs):
+        calls.append(sum(not q.is_unsatisfiable() for q in qs))
+        return real_batch(qs)
+
+    tree.search_batch = spy
     table.range_query_batch(queries)
-    cache = ProbeCache()
-    table.range_query_batch(queries[:10] + queries[:10], cache)
-    table.range_query_batch(queries[:12], cache)
+    table.range_query_batch(queries[:10] + queries[:10])
+    table.range_query_batch(queries[:2] + [unsatisfiable])
     table.range_query(queries[39])
-    table.range_query_batch(queries[:12], cache)  # all held: no traversal
-    assert calls == [40, 10, 2, 1]
+    reads = tree.stats.node_reads
+    table.range_query_batch([unsatisfiable])  # nothing to read
+    assert tree.stats.node_reads == reads
+    assert calls == [40, 20, 2, 1, 0]
 
 
 def _assert_batch_equals_scalar_searches(tree, queries):
@@ -238,34 +226,6 @@ def test_wide_windows_on_a_large_table_split_the_frontier():
     assert tree.stats.entry_tests > 2 * rtree_module._FRONTIER_SLOTS
 
 
-def test_entry_stored_between_peek_and_lookup_is_a_billed_hit():
-    """Two threads sharing a cache, replayed deterministically: another
-    reader stores each of the batch's queries right after the peek that
-    chose it for the traversal.  Same rows, reported as hits, and the
-    reads the traversal made stay billed."""
-    table = _table(4, delta=True)
-    rng = random.Random(4)
-    queries = [_query("overlap1", rng, i) for i in range(9)]
-    expected = [table.range_query(query) for query in queries]
-    bases = {query: table._base_range_rows(query) for query in queries}
-
-    class Raced(ProbeCache):
-        def holds(self, racing_table, query):
-            held = super().holds(racing_table, query)
-            self.store(racing_table, query, bases[query])
-            return held
-
-    table.reset_stats()
-    got = table.range_query_batch(queries, Raced())
-    assert [[o.oid for o in rows] for rows, _hit in got] == [
-        [o.oid for o in rows] for rows in expected
-    ]
-    assert all(hit for _rows, hit in got)
-    assert table.probes == 0 and table.delta_probes == len(queries)
-    assert table._rtree.stats.node_reads >= len(queries)
-    assert table.vectorized_batches == len(queries)
-
-
 # -- operator level -------------------------------------------------------------
 def _plans(query, order=None):
     """The same physical plan twice: as built, and probing per binding."""
@@ -287,40 +247,12 @@ def _prefix_lengths(n):
     return sorted(k for k in set(range(1, 41)) | edges | {n} if 1 <= k <= n)
 
 
-def _cache_blind(stats):
-    """The counters that do not depend on which cache entries survive."""
-    out = {k: v for k, v in stats.items() if k != "steps"}
-    out["steps"] = [
-        {
-            "variable": step["variable"],
-            "candidates": step["candidates"],
-            "survivors": step["survivors"],
-            "index_probes": step["index_probes"],
-            "lookups": step["cache_hits"] + step["cache_misses"],
-            "delta_probes": step["delta_probes"],
-        }
-        for step in stats["steps"]
-    ]
-    return out
-
-
-def _assert_grouped_probe_matches_oracle(query, order=None, cache_size=None):
+def _assert_grouped_probe_matches_oracle(query, order=None):
     grouped, oracle = _plans(query, order)
-    caches = [None if cache_size is None else ProbeCache(cache_size) for _ in range(2)]
-    expected = _oids(oracle.execute_iter(cache=caches[1]))
+    expected = _oids(oracle.execute_iter())
     expected_stats = oracle.stats().to_dict()
-    assert _oids(grouped.execute_iter(cache=caches[0])) == expected
-    if cache_size is None or len(caches[1]) < cache_size:
-        assert grouped.stats().to_dict() == expected_stats
-        assert caches[0] is None or (
-            (caches[0].hits, caches[0].misses) == (caches[1].hits, caches[1].misses)
-        )
-    else:
-        # One cache serves every step: once it evicts, reading ahead
-        # changes which entries survive *between* operators, so hits
-        # (and the reads they save) are no longer comparable.  A single
-        # operator's batch stays exact even then (the table-level test).
-        assert _cache_blind(grouped.stats().to_dict()) == _cache_blind(expected_stats)
+    assert _oids(grouped.execute_iter()) == expected
+    assert grouped.stats().to_dict() == expected_stats
     for k in _prefix_lengths(len(expected)):
         assert _oids(grouped.execute_iter(limit=k)) == expected[:k], k
     # The ramp's guard: at the first answer every probe has read at most
@@ -356,20 +288,19 @@ def _one_probe_per_binding(query, order, i):
     constraint_systems(),
     st.integers(0, 10_000),
     st.sampled_from([(2, 5), (2, 40)]),
-    st.sampled_from([None, 2, 4096]),
 )
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-def test_conftest_workloads_match_per_binding_probing(backend, system, seed, sizes, cache_size):
+def test_conftest_workloads_match_per_binding_probing(backend, system, seed, sizes):
     tables, bindings = make_workload(seed, system=system, sizes=sizes)
     if not tables:
         return
     query = SpatialQuery(system=system, tables=tables, bindings=bindings)
     try:
-        _assert_grouped_probe_matches_oracle(query, cache_size=cache_size)
+        _assert_grouped_probe_matches_oracle(query)
     except UnsatisfiableError:
         return  # decided at compile time: no plan to compare
 

@@ -25,7 +25,6 @@ from repro.engine.executor import (
 from repro.engine.stats import ExecutionStats
 from repro.spatial.table import SpatialTable
 from repro.spatial.rtree import RTreeStats
-from repro.spatial.table import ProbeCache
 
 
 @pytest.fixture()
@@ -319,39 +318,6 @@ def test_rtree_stats_round_trip(workload):
     restored = RTreeStats.from_dict(json.loads(json.dumps(stats.to_dict())))
     assert restored == stats
     assert restored.node_reads == stats.node_reads
-
-
-# -- ProbeCache.purge_table (the swap hook) ------------------------------------
-def test_purge_table_drops_only_that_table(workload):
-    query, _map = workload
-    cache = ProbeCache(maxsize=64)
-    q = BoxQuery(overlap=(Box((0, 0), (32, 32)),))
-    for table in query.tables.values():
-        cache.store(table, q, list(table))
-    assert len(cache) == len(query.tables)
-    victim = query.tables["T"]
-    cache.purge_table(victim)
-    assert len(cache) == len(query.tables) - 1
-    assert cache.lookup(victim, q) is None
-    for var, table in query.tables.items():
-        if table is not victim:
-            assert cache.lookup(table, q) is not None, var
-
-
-def test_purge_table_unknown_table_is_noop():
-    cache = ProbeCache(maxsize=4)
-    t = SpatialTable("t", 2, index="scan")
-    cache.purge_table(t)  # never seen: no error, no effect
-    assert len(cache) == 0
-
-
-def test_session_probe_cache_hits(workload):
-    query, _map = workload
-    session = Session(probe_cache=128)
-    first = session.run(query)
-    second = session.run(query)
-    assert second.oid_tuples() == first.oid_tuples()
-    assert session.cache.hits > 0
 
 
 # -- smugglers text round trip (the service's wire format) ---------------------

@@ -327,7 +327,7 @@ def first_reads(table: SpatialTable, forms) -> None:
     before = len(forms)
     window = BoxQuery(overlap=(Box((2.0, 2.0), (9.0, 9.0)),))
     assert table.nearest((5.0, 5.0), 3)
-    assert table.range_query_batch([window, window])[0][0]
+    assert table.range_query_batch([window, window])[0]
     assert list(table._rtree.search(window))
     assert table.count_range(BoxQuery(inside=Box((0.0, 0.0), (30.0, 30.0))))
     tree = table._rtree
@@ -421,7 +421,7 @@ def test_staged_clone_reads_build_no_tree(monkeypatch):
 
     monkeypatch.setattr(RTree, "__init__", spy)
     rows = [clone.range_query(q) for q in queries]
-    batch = [found for found, _hit in clone.range_query_batch(queries)]
+    batch = clone.range_query_batch(queries)
     counts = [clone.count_range(q) for q in queries]
     assert made == [] and batch == rows
     assert counts == [len(found) for found in rows]

@@ -1,4 +1,4 @@
-"""Tests for the physical operator engine, EXPLAIN, and the probe cache."""
+"""Tests for the physical operator engine and EXPLAIN."""
 
 import pytest
 
@@ -17,7 +17,6 @@ from repro.engine.physical import (
     build_physical_plan,
 )
 from repro.engine.query import SpatialQuery
-from repro.spatial.table import ProbeCache
 from repro.errors import UnknownModeError
 from repro.spatial.table import SpatialTable
 
@@ -159,108 +158,6 @@ class TestStatsMapping:
         assert 0 < pplan.stats().index_probes <= full_probes
 
 
-class TestProbeCache:
-    def test_repeated_execution_hits(self, plan):
-        cache = ProbeCache(maxsize=512)
-        answers1, stats1 = execute(plan, "boxplan", cache=cache)
-        answers2, stats2 = execute(plan, "boxplan", cache=cache)
-        assert answers_as_oid_tuples(answers2, ["T", "R", "B"]) == (
-            answers_as_oid_tuples(answers1, ["T", "R", "B"])
-        )
-        assert stats1.cache_misses > 0
-        assert stats2.cache_misses == 0
-        assert stats2.cache_hits == stats1.cache_hits + stats1.cache_misses
-        assert stats2.cache_hit_rate == 1.0
-        assert stats2.node_reads == 0
-        assert cache.hit_rate > 0.0
-
-    def test_uncached_execution_reports_no_cache_traffic(self, plan):
-        _answers, stats = execute(plan, "boxplan")
-        assert stats.cache_hits == 0 and stats.cache_misses == 0
-
-    def test_lru_bound(self):
-        universe = Box((0.0, 0.0), (10.0, 10.0))
-        t = SpatialTable("t", 2, universe=universe)
-        t.insert(0, Region.from_box(Box((1, 1), (2, 2))))
-        cache = ProbeCache(maxsize=3)
-        for i in range(10):
-            q = BoxQuery(overlap=(Box((0, 0), (i + 1, i + 1)),))
-            t.range_query_cached(q, cache)
-        assert len(cache) <= 3
-
-    def test_mutation_invalidates(self):
-        universe = Box((0.0, 0.0), (10.0, 10.0))
-        t = SpatialTable("t", 2, universe=universe)
-        t.insert(0, Region.from_box(Box((1, 1), (2, 2))))
-        cache = ProbeCache()
-        query = BoxQuery(overlap=(Box((0, 0), (10, 10)),))
-        rows, hit = t.range_query_cached(query, cache)
-        assert not hit and len(rows) == 1
-        t.insert(1, Region.from_box(Box((3, 3), (4, 4))))
-        rows, hit = t.range_query_cached(query, cache)
-        assert hit and len(rows) == 2  # the base entry, the delta overlaid
-        t.repack()
-        rows, hit = t.range_query_cached(query, cache)
-        assert not hit  # version changed → stale entry unreachable
-        assert len(rows) == 2
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            ProbeCache(maxsize=0)
-
-    def test_dropped_table_is_garbage_collected(self):
-        """The cache holds no strong reference: a dropped table (and its
-        rows) must be collectable, and its entries purged."""
-        import gc
-        import weakref
-
-        universe = Box((0.0, 0.0), (10.0, 10.0))
-        cache = ProbeCache()
-        t = SpatialTable("ephemeral", 2, universe=universe)
-        t.insert(0, Region.from_box(Box((1, 1), (2, 2))))
-        rows, _hit = t.range_query_cached(
-            BoxQuery(overlap=(Box((0, 0), (5, 5)),)), cache
-        )
-        assert len(cache) == 1
-        ref = weakref.ref(t)
-        del t, rows
-        gc.collect()
-        assert ref() is None, "ProbeCache pinned the table"
-        assert len(cache) == 0, "dead table's entries were not purged"
-
-    def test_superseded_version_entries_dropped_proactively(self):
-        """Repacking a table drops its stale entries the next time the
-        cache sees it — not merely once LRU churn reaches them."""
-        universe = Box((0.0, 0.0), (10.0, 10.0))
-        t = SpatialTable("t", 2, universe=universe)
-        t.insert(0, Region.from_box(Box((1, 1), (2, 2))))
-        cache = ProbeCache()
-        q1 = BoxQuery(overlap=(Box((0, 0), (5, 5)),))
-        q2 = BoxQuery(overlap=(Box((0, 0), (9, 9)),))
-        t.range_query_cached(q1, cache)
-        t.range_query_cached(q2, cache)
-        assert len(cache) == 2
-        t.insert(1, Region.from_box(Box((3, 3), (4, 4))))
-        t.repack()
-        t.range_query_cached(q1, cache)
-        # Both old-version entries are gone; only the fresh one remains.
-        assert len(cache) == 1
-
-    def test_two_tables_do_not_collide(self):
-        universe = Box((0.0, 0.0), (10.0, 10.0))
-        a = SpatialTable("same", 2, universe=universe)
-        b = SpatialTable("same", 2, universe=universe)
-        a.insert(0, Region.from_box(Box((1, 1), (2, 2))))
-        b.insert(0, Region.from_box(Box((6, 6), (7, 7))))
-        cache = ProbeCache()
-        q = BoxQuery(overlap=(Box((0, 0), (10, 10)),))
-        rows_a, _ = a.range_query_cached(q, cache)
-        rows_b, hit = b.range_query_cached(q, cache)
-        assert not hit  # same name+query, different table → distinct key
-        assert rows_a is not rows_b
-        assert len(cache) == 2
-
-
 class TestBatchProbes:
     def _table(self):
         universe = Box((0.0, 0.0), (10.0, 10.0))
@@ -276,20 +173,13 @@ class TestBatchProbes:
         q2 = BoxQuery(overlap=(Box((4, 4), (9, 9)),))
         batch = [q1, q2, q1, q1]
         t.reset_stats()
-        expected = [t.range_query_cached(q) for q in batch]
+        expected = [t.range_query(q) for q in batch]
         single = (t.probes, t.candidates_returned, t.index_read_count())
         t.reset_stats()
-        # Without a cache nothing is shared: four probes, billed as four.
+        # Every probe reads the index, duplicates too: four, billed as four.
         assert t.range_query_batch(batch) == expected
         assert (t.probes, t.candidates_returned, t.index_read_count()) == single
-        assert t.probes == 4 and expected[0][0] and expected[1][0]
-        # With one, the duplicates hit what their first occurrence stored.
-        t.reset_stats()
-        cache = ProbeCache()
-        results = t.range_query_batch(batch, cache)
-        assert [hit for _rows, hit in results] == [False, False, True, True]
-        assert [rows for rows, _hit in results] == [r for r, _h in expected]
-        assert (t.probes, cache.hits, cache.misses) == (2, 2, 2)
+        assert t.probes == 4 and expected[0] and expected[1]
 
     def test_rtree_search_batch(self):
         t = self._table()

@@ -6,7 +6,10 @@ that ``repro bench --json`` printed for them before ``bench`` folded
 into ``explain --analyze``.  The two ``*-limit-1`` entries were recorded
 from ``explain --analyze --json`` before the step filter walked whole
 candidate lists: with them a walk that stops partway through a list is
-pinned on a two-step and a three-step query.  The report must bill
+pinned on a two-step and a three-step query.
+``smugglers-24-limit-3-cache`` was recorded through a 64-entry probe
+cache, which is gone; it keeps its name and holds the counters the same
+query printed without the cache.  The report must bill
 every query exactly as before: its ``stats`` block, flattened the same
 way, is byte-equal to the recorded counters.
 """

@@ -294,7 +294,7 @@ def test_billing_flags_unbilled_batched_probe():
 class SilentBatchProbe(ExtendStep):
     def _group_rows(self, ctx, group):
         queries = [self.template.instantiate(b) for b in group]
-        return self.table.range_query_batch(queries, ctx.cache)
+        return self.table.range_query_batch(queries)
 """,
         ),
     )
@@ -313,15 +313,13 @@ class BilledBatchProbe(ExtendStep):
     def _group_rows(self, ctx, group):
         queries = [self.template.instantiate(b) for b in group]
         self.stats.probes += len(group)
-        return self.table.range_query_batch(queries, ctx.cache)
+        return self.table.range_query_batch(queries)
 
 class BilledTreeWalk(ExtendStep):
     def _rows(self, ctx, binding):
         self.stats.probes += 1
         self.stats.node_reads += 1
-        return self.tree.search_batch([binding])[0] + self.table.range_query_cached(
-            binding
-        )[0]
+        return self.tree.search_batch([binding])[0] + self.table.range_query(binding)
 """,
         ),
     )

@@ -109,8 +109,6 @@ STEP_FIELDS = (
     "variable",
     "candidates",
     "survivors",
-    "cache_hits",
-    "cache_misses",
 )
 TOP_FIELDS = (
     "tuples_emitted",

@@ -1,11 +1,10 @@
 """The resident query service (tentpole): snapshot isolation, the
-atomic swap, proactive probe-cache purge, and the HTTP front end.
+atomic swap, and the HTTP front end.
 
 The concurrency tests pin readers to the *old* snapshot while a rebuild
 swaps in a new one — their answers must stay bit-identical to a serial
-baseline on that snapshot — and the stale-probe regression warms the
-cache, mutates, and asserts the post-swap answer reflects the mutation
-with the superseded table's entries gone from the cache.  The wire
+baseline on that snapshot — and the stale-probe regression queries,
+mutates, and asserts the post-swap answer reflects the mutation.  The wire
 tests pin the kept-alive client and its retry rule, the framing bounds
 in both directions (the client's against a scripted raw-socket stub),
 plain-HTTP/1.1 interop, and the server's shutdown.
@@ -27,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.boxes.bconstraints import BoxQuery
 from repro.database import Database, Session
 from repro.algebra.regions import Region
 from repro.boolean.parser import MAX_DEPTH
@@ -42,10 +40,10 @@ from repro.service import server as server_module
 from repro.service import wire as wire_module
 
 
-def _make_service(seed=2, cache_size=1024):
+def _make_service(seed=2):
     query, _map = smugglers_query(seed=seed)
     db = Database(tables=query.tables, bindings=query.bindings)
-    return QueryService(db, cache_size=cache_size), str(query.system)
+    return QueryService(db), str(query.system)
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +60,10 @@ def served():
 _ORDER = ("T", "R", "B")
 
 
-def _local_tuples(db, system, cache=None):
+def _local_tuples(db, system):
     """The answer set as oid tuples in a fixed projection (a set: the
     post-mutation snapshots mix int and str oids, which don't sort)."""
-    result = Session(db=db, cache=cache).run(system)
+    result = Session(db=db).run(system)
     return {
         tuple(a[v].oid for v in _ORDER) for a in result.answers
     }, result
@@ -95,38 +93,18 @@ def test_insert_unknown_table_is_service_error():
         )
 
 
-def test_swap_purges_only_superseded_tables():
-    service, _system = _make_service(seed=7)
-    db, _v = service.store.current()
-    q = BoxQuery(overlap=(Box((0, 0), (32, 32)),))
-    for table in db.tables.values():
-        service.cache.store(table, q, list(table))
-    assert len(service.cache) == len(db.tables)
-    old_t = db.table("T")
-    service.apply_insert(
-        "T", [("extra", Region.from_box(Box((1, 1), (2, 2))))]
-    )
-    # Only T was rebuilt: its old entries are gone, R's and B's remain.
-    assert service.cache.lookup(old_t, q) is None
-    assert len(service.cache) == len(db.tables) - 1
-    for key in db.tables:
-        if key != "T":
-            assert service.cache.lookup(db.table(key), q) is not None
-
-
 def test_stale_probe_regression_post_swap_query_sees_mutation():
     """A query after the swap must never be served a stale probe."""
     service, system = _make_service(seed=2)
     db_old, _v = service.store.current()
-    baseline, _res = _local_tuples(db_old, system, cache=service.cache)
-    assert service.cache.misses > 0  # the warm-up populated the cache
+    baseline, _res = _local_tuples(db_old, system)
 
     # Insert a town with the exact region of an answering town: the new
-    # oid must join the answer set — a stale cached probe would hide it.
+    # oid must join the answer set — a stale probe would hide it.
     answer_town = Session(db=db_old).run(system).answers[0]["T"]
     service.apply_insert("T", [("stale-check", answer_town.region)])
     db_new, _v = service.store.current()
-    after, _res = _local_tuples(db_new, system, cache=service.cache)
+    after, _res = _local_tuples(db_new, system)
     assert after != baseline
     assert any("stale-check" in t for t in after)
 
@@ -150,7 +128,7 @@ def test_rebuild_preserves_index_configuration():
 def test_concurrent_queries_during_rebuild_bit_identical():
     service, system = _make_service(seed=3)
     db_old, _v = service.store.current()
-    baseline, _res = _local_tuples(db_old, system, cache=service.cache)
+    baseline, _res = _local_tuples(db_old, system)
 
     errors, results = [], []
     start = threading.Barrier(5)
@@ -162,7 +140,7 @@ def test_concurrent_queries_during_rebuild_bit_identical():
                 # Pinned to the captured snapshot, exactly as a request
                 # in flight across the swap would be.
                 results.append(
-                    _local_tuples(db_old, system, cache=service.cache)[0]
+                    _local_tuples(db_old, system)[0]
                 )
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
@@ -198,7 +176,7 @@ def test_health_and_stats(served):
     stats = client.stats()
     assert set(stats["tables"]) == {"T", "R", "B"}
     assert stats["bindings"] == ["A", "C"]
-    assert "cache" in stats
+    assert stats["cache"] == {"hit_rate": 0.0}
 
 
 def test_run_over_the_wire_matches_local(served):
@@ -252,7 +230,7 @@ def test_analyzed_explain_honours_limit_over_the_wire():
     """``/explain`` accepted ``{"analyze": true, "limit": 1}`` and then
     drained every answer."""
     query = overlay_query(60, 60, seed=0)
-    handle = serve_in_thread(QueryService(Database.from_query(query), cache_size=0))
+    handle = serve_in_thread(QueryService(Database.from_query(query)))
     try:
         with ServiceClient(*handle.address) as client:
             options = {"order": ["x", "y"], "limit": 1}
@@ -454,6 +432,32 @@ def test_malformed_session_option_is_a_400(served, options):
         status, reply = _raw_post(client, path, body)
         assert status == "HTTP/1.1 400 Bad Request", path
         assert reply["error"].startswith("OptionError: "), path
+
+
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ({"knn": {}}, "'knn'"),
+        ({"knn": {"variable": "x", "k": "x"}}, "'k'"),
+        ({"knn": 7}, "'knn'"),
+        ({"aggregate": {}}, "'aggregates'"),
+        ({"aggregate": {"aggregates": [[1]]}}, "'aggregates'"),
+        ({"bindings": 7}, "'bindings'"),
+        ({"system": None}, "'system'"),
+    ],
+    ids=["knn-empty", "knn-k-string", "knn-number", "aggregate-empty",
+         "aggregate-short-pair", "bindings-number", "system-null"],
+)
+def test_malformed_query_field_is_a_400(served, fields, named):
+    """Each used to escape the decoders as a bare ``KeyError``,
+    ``ValueError``, ``TypeError`` or ``AttributeError``: a 500.  The
+    field is checked where it is decoded, and the 400 names it."""
+    _service, client, system = served
+    for path in ("/run", "/explain"):
+        body = json.dumps({"system": system, **fields}).encode()
+        status, reply = _raw_post(client, path, body)
+        assert status == "HTTP/1.1 400 Bad Request", path
+        assert named in reply["error"], path
 
 
 @pytest.mark.parametrize(
@@ -668,7 +672,7 @@ def test_readers_pinned_across_background_repack_stay_bit_identical():
             "T", [(f"pin-{i}", Region.from_box(Box((1, 1), (2, 2))))]
         )
     db_old, _v = service.store.current()
-    baseline, _res = _local_tuples(db_old, system, cache=service.cache)
+    baseline, _res = _local_tuples(db_old, system)
     # The fifth insert crosses the threshold and kicks the repack; a
     # sixth lands while it may still be running (the replay path).
     for i in range(4, 6):
@@ -677,7 +681,7 @@ def test_readers_pinned_across_background_repack_stay_bit_identical():
         )
     for _ in range(3):
         assert (
-            _local_tuples(db_old, system, cache=service.cache)[0]
+            _local_tuples(db_old, system)[0]
             == baseline
         )
     service.drain_repacks()
@@ -686,7 +690,7 @@ def test_readers_pinned_across_background_repack_stay_bit_identical():
     t = db_new.table("T")
     assert {f"pin-{i}" for i in range(6)} <= {o.oid for o in t}
     # And the pinned snapshot still answers bit-identically afterwards.
-    assert _local_tuples(db_old, system, cache=service.cache)[0] == baseline
+    assert _local_tuples(db_old, system)[0] == baseline
 
 
 def test_delete_over_the_wire(served):

@@ -11,6 +11,7 @@ node arrays are not that tree, raise ``SnapshotError``.
 import base64
 import json
 import os
+import re
 import struct
 import threading
 
@@ -274,6 +275,36 @@ def test_malformed_table_entry_raises_snapshot_error(tmp_path, case):
         read_snapshot(path)
     if case == "grid":
         assert "'grid'" in str(err.value)
+
+
+#: Version-2 payload edits that once escaped ``read_snapshot`` as bare
+#: ``AttributeError``/``TypeError``/``KeyError``/``ValueError``s, each
+#: with the text its ``SnapshotError`` must name.
+MALFORMED_ENTRIES = {
+    "tables-list": (lambda payload: payload.update(tables=[]), "'tables'"),
+    "entry-7": (lambda payload: payload["tables"].update(T=7), "table 'T'"),
+    "no-dim": (lambda payload: payload["tables"]["T"].pop("dim"), "table 'towns'"),
+    "dim-x": (lambda payload: payload["tables"]["T"].update(dim="x"), "table 'towns'"),
+    "bindings-list": (lambda payload: payload.update(bindings=[]), "'bindings'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ENTRIES)
+def test_malformed_version_2_entry_raises_snapshot_error(tmp_path, case, monkeypatch):
+    """Each is refused before a single row is made."""
+    query, _map = smugglers_query(seed=3)
+    path = str(tmp_path / "db.json")
+    write_snapshot(path, query.tables, query.bindings)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["version"] == 2 and payload["tables"]["T"]["name"] == "towns"
+    edit, named = MALFORMED_ENTRIES[case]
+    edit(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    monkeypatch.setattr(SpatialTable, "__init__", lambda *a, **k: pytest.fail("a table was made"))
+    with pytest.raises(SnapshotError, match=re.escape(named)):
+        read_snapshot(path)
 
 
 def test_database_open_matches_save(tmp_path):

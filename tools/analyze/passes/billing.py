@@ -71,7 +71,6 @@ PROBE_APIS = {
     "match_positions",
     "matches",
     "range_query",
-    "range_query_cached",
     "range_query_batch",
     "knn",
     "knn_browse",

@@ -1,7 +1,7 @@
 """Pass 3 — lock discipline on shared-state classes (REPRO301).
 
-Classes whose instances are shared across threads (``ProbeCache``,
-``SnapshotStore``, ``QueryService``, ...) declare which lock guards
+Classes whose instances are shared across threads (``SnapshotStore``,
+``QueryService``, ``ServiceClient``, ...) declare which lock guards
 which attribute with a structured comment on the attribute's
 ``__init__`` assignment::
 
