@@ -29,7 +29,7 @@ Worked example (paper Examples 2/3): ``f = x∧y ∨ ¬x∧(y ∨ z∧w)`` has
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..boolean.blake import blake_canonical_form
 from ..boolean.syntax import Formula
@@ -37,15 +37,17 @@ from ..boolean.terms import Term
 from .functions import BOT, TOP, BoxFunc, BoxVar, bjoin, bmeet
 
 
-def lower_approximation(f: Formula) -> BoxFunc:
+def lower_approximation(f: Formula, bcf: Optional[List[Term]] = None) -> BoxFunc:
     """``L_f`` — the best lower bounding-box approximation (Theorem 15).
 
     The join of ``⌈x⌉`` over the atoms ``x ≤ f``; by Theorem 18 these are
     the single-literal positive terms of ``BCF(f)``.  Negative
     single-literal terms (``¬x ≤ f``) contribute nothing: no bounding-box
-    function of ``⌈x⌉`` can bound ``⌈¬x⌉`` from below.
+    function of ``⌈x⌉`` can bound ``⌈¬x⌉`` from below.  ``bcf`` is
+    ``BCF(f)`` when the caller has it already.
     """
-    bcf = blake_canonical_form(f)
+    if bcf is None:
+        bcf = blake_canonical_form(f)
     parts: List[BoxFunc] = []
     for t in bcf:
         if t.is_true():
@@ -71,16 +73,18 @@ def term_upper(t: Term) -> BoxFunc:
     return bmeet(*positives)
 
 
-def upper_approximation(f: Formula) -> BoxFunc:
+def upper_approximation(f: Formula, bcf: Optional[List[Term]] = None) -> BoxFunc:
     """``U_f`` — the best upper bounding-box approximation (Theorem 17).
 
     ``⊔`` over the BCF terms of the ``⊓`` of each term's positive atoms,
     then lattice-level simplification (absorption happens inside
     :func:`bjoin`/:func:`bmeet`).  Using the *Blake* canonical form makes
     the result representation-independent; Lemma 13 (``U_{f∨g} = U_f ⊔
-    U_g``) justifies the term-by-term treatment.
+    U_g``) justifies the term-by-term treatment.  ``bcf`` is ``BCF(f)``
+    when the caller has it already.
     """
-    bcf = blake_canonical_form(f)
+    if bcf is None:
+        bcf = blake_canonical_form(f)
     if not bcf:
         return BOT  # f == 0
     parts = [term_upper(t) for t in bcf]

@@ -25,13 +25,28 @@ Conversion of a solved constraint ``C_i`` (paper §4):
   (``U_q = ∅`` certifies ``q = 0``; ``U_p ⊒ ⌈p⌉`` keeps overlap
   necessary).  The ``q``-test happens at *evaluation* time, since ``U_q``
   depends on the already-retrieved objects.
+
+Where the approximations are exact the range query *decides* a conjunct
+of ``C_i`` for a one-box object (:attr:`StepTemplate.decided`):
+
+* ``s ⊆ x`` when every BCF term of ``s`` is one positive atom (or
+  ``s ∈ {0, 1}``): a box holds a union iff it holds the union's bounding
+  box, whatever the atoms' shapes;
+* ``x ⊆ t`` when ``BCF(t)`` is one all-positive term (``t = 1``
+  included) and its atoms are one box each: a meet of boxes is a box;
+* ``r_j`` when ``q_j = 0`` and ``BCF(p_j)`` is one all-positive term
+  over one-box atoms: the overlap with ``U_p`` is then the exact test.
+
+A complement, a union in ``t`` or ``p_j``, or ``q_j ≠ 0`` stays checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from ..boolean.blake import blake_canonical_form
+from ..boolean.terms import Term
 from .approximation import lower_approximation, upper_approximation
 from .box import Box
 from .functions import TOP, BoxFunc, evaluate_boxfunc, render_boxfunc
@@ -127,6 +142,11 @@ class StepTemplate:
     lower: BoxFunc  # L_s — approximates the range's lower bound from below
     upper: BoxFunc  # U_t — approximates the range's upper bound from above
     overlaps: Tuple[OverlapTemplate, ...] = ()
+    #: Per conjunct of ``C_i`` (``s ⊆ x``, ``x ⊆ t``, then each ``r_j``):
+    #: the atoms that must each be one box for a one-box object that
+    #: matches the range query to satisfy the conjunct, or ``None`` where
+    #: the box test does not decide it (see the module docstring).
+    decided: Tuple[Optional[FrozenSet[str]], ...] = ()
 
     def instantiate(
         self, env: Mapping[str, Box], universe: Optional[Box] = None
@@ -175,15 +195,48 @@ def compile_solved_constraint(solved) -> StepTemplate:
 
     if not isinstance(solved, SolvedConstraint):
         raise TypeError(f"expected SolvedConstraint, got {solved!r}")
-    lower = lower_approximation(solved.lower)
-    upper = upper_approximation(solved.upper)
-    overlaps = tuple(
-        OverlapTemplate(
-            p_upper=upper_approximation(r.p),
-            q_upper=upper_approximation(r.q),
+    s_bcf = blake_canonical_form(solved.lower)
+    t_bcf = blake_canonical_form(solved.upper)
+    decided = [_lower_mark(s_bcf), _term_mark(t_bcf)]
+    overlaps = []
+    for r in solved.disequations:
+        p_bcf, q_bcf = blake_canonical_form(r.p), blake_canonical_form(r.q)
+        overlaps.append(
+            OverlapTemplate(
+                p_upper=upper_approximation(r.p, p_bcf),
+                q_upper=upper_approximation(r.q, q_bcf),
+            )
         )
-        for r in solved.disequations
-    )
+        decided.append(None if q_bcf else _term_mark(p_bcf))
     return StepTemplate(
-        variable=solved.variable, lower=lower, upper=upper, overlaps=overlaps
+        variable=solved.variable,
+        lower=lower_approximation(solved.lower, s_bcf),
+        upper=upper_approximation(solved.upper, t_bcf),
+        overlaps=tuple(overlaps),
+        decided=tuple(decided),
     )
+
+
+def _lower_mark(bcf: Sequence[Term]) -> Optional[FrozenSet[str]]:
+    """``frozenset()`` when ``⌈s⌉ ⊑ ⌈x⌉`` decides ``s ⊆ x`` for a one-box
+    ``x``: every term of ``BCF(s)`` one positive atom (``s = 0``
+    included), or ``s = 1``; else ``None``."""
+    if len(bcf) == 1 and bcf[0].is_true():
+        return frozenset()
+    for term in bcf:
+        if len(term) != 1 or not next(iter(term))[1]:
+            return None
+    return frozenset()
+
+
+def _term_mark(bcf: Sequence[Term]) -> Optional[FrozenSet[str]]:
+    """The atoms of ``BCF(f)``'s one term when it has no negative literal
+    (``f = 1``: no atom), else ``None``."""
+    if len(bcf) != 1:
+        return None
+    names = []
+    for name, positive in bcf[0]:
+        if not positive:
+            return None
+        names.append(name)
+    return frozenset(names)

@@ -24,7 +24,9 @@ which prints ``s``, ``t`` and each ``p_j``, ``q_j`` under the care set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    AbstractSet, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..algebra.regions import RegionAlgebra
 from ..boolean.printer import to_str
@@ -99,15 +101,20 @@ class SolvedConstraint:
         return self.lower == FALSE and self.upper == TRUE
 
     def bind(
-        self, algebra, env: Mapping[str, object], accept_unbound: bool = False
+        self,
+        algebra,
+        env: Mapping[str, object],
+        accept_unbound: bool = False,
+        box_decided: Sequence[Optional[AbstractSet[str]]] = (),
     ) -> "BoundConstraint":
         """``C_i`` with the earlier variables fixed to ``env``.
 
         ``env`` must bind every earlier variable (and any constants) and
         must not change while the bound constraint is in use; see
-        :class:`BoundConstraint` for ``accept_unbound``.
+        :class:`BoundConstraint` for ``accept_unbound`` and
+        ``box_decided``.
         """
-        return BoundConstraint(self, algebra, env, accept_unbound)
+        return BoundConstraint(self, algebra, env, accept_unbound, box_decided)
 
     def holds(self, algebra, value, env: Mapping[str, object]) -> bool:
         """Check ``C_i`` exactly with ``value`` for the solved variable."""
@@ -139,16 +146,41 @@ class BoundConstraint:
     each value that needs it; with ``accept_unbound=True`` (the
     planner's sampling, where a variable may have no representative)
     such slots are found up front and pass each value that needs them.
+
+    ``box_decided`` holds, per conjunct (``s ⊆ x``, ``x ⊆ t``, then each
+    ``r_j``), the atoms that must be one box each for the step's range
+    query to have decided it (:attr:`StepTemplate.decided
+    <repro.boxes.bconstraints.StepTemplate.decided>`), or ``None``.  Give
+    it only when every value :meth:`select` sees has passed that query:
+    over the region algebra a one-box value then skips each conjunct
+    whose atoms are one-box regions in ``env``.
     """
 
-    __slots__ = ("_solved", "_algebra", "_env", "_values")
+    __slots__ = ("_solved", "_algebra", "_env", "_values", "_skips", "decides_one_box")
 
-    def __init__(self, solved: SolvedConstraint, algebra, env, accept_unbound: bool = False):
+    def __init__(
+        self,
+        solved: SolvedConstraint,
+        algebra,
+        env,
+        accept_unbound: bool = False,
+        box_decided: Sequence[Optional[AbstractSet[str]]] = (),
+    ):
         self._solved = solved
         self._algebra = algebra
         self._env = env
         # s, t, then p_j, q_j per disequation.
         self._values = [_PENDING] * (2 + 2 * len(solved.disequations))
+        # s, t, then r_j: does a one-box value skip the conjunct?
+        self._skips: Sequence[bool] = (False,) * (2 + len(solved.disequations))
+        if box_decided and isinstance(algebra, RegionAlgebra):
+            self._skips = [
+                atoms is not None
+                and all(name in env and len(env[name].boxes) == 1 for name in atoms)
+                for atoms in box_decided
+            ]
+        #: Does a one-box value skip every conjunct (pass without a check)?
+        self.decides_one_box = all(self._skips)
         if accept_unbound:
             pairs = [(r.p, r.q) for r in solved.disequations]
             formulas = [solved.lower, solved.upper, *(f for pair in pairs for f in pair)]
@@ -175,34 +207,42 @@ class BoundConstraint:
         """Yield, lazily and in order, the position of each of ``values``
         that satisfies the constraint, checked with the algebra's ``le``/
         ``meets``/``complement`` — over the region algebra a single-box
-        value with their one-box forms (``RegionAlgebra.covers_box``, ...).
+        value with their one-box forms (``RegionAlgebra.covers_box``, ...),
+        and not at all for a conjunct its range query decided.
         """
-        algebra, solved, slots = self._algebra, self._solved, self._values
+        algebra, solved, slots, skips = self._algebra, self._solved, self._values, self._skips
         flat = isinstance(algebra, RegionAlgebra)
-        disequations = [(2 * j, 2 * j + 1, r) for j, r in enumerate(solved.disequations, 1)]
+        disequations = [
+            (2 * j, 2 * j + 1, r, skips[j + 1]) for j, r in enumerate(solved.disequations, 1)
+        ]
         s, t = slots[0], slots[1]
+        skip_s, skip_t = skips[0], skips[1]
         for i, value in enumerate(values):
             box = value.boxes[0] if flat and len(value.boxes) == 1 else None
             # s ⊆ value
-            if s is _PENDING:
-                s = self._value(0, solved.lower)
-            if s is _ACCEPT:
-                yield i
-                continue
-            if not (algebra.le(s, value) if box is None else algebra.covers_box(s, box)):
-                continue
+            if box is None or not skip_s:
+                if s is _PENDING:
+                    s = self._value(0, solved.lower)
+                if s is _ACCEPT:
+                    yield i
+                    continue
+                if not (algebra.le(s, value) if box is None else algebra.covers_box(s, box)):
+                    continue
             # value ⊆ t
-            if t is _PENDING:
-                t = self._value(1, solved.upper)
-            if t is _ACCEPT:
-                yield i
-                continue
-            if not (algebra.le(value, t) if box is None else algebra.box_le(box, t)):
-                continue
+            if box is None or not skip_t:
+                if t is _PENDING:
+                    t = self._value(1, solved.upper)
+                if t is _ACCEPT:
+                    yield i
+                    continue
+                if not (algebra.le(value, t) if box is None else algebra.box_le(box, t)):
+                    continue
             # each r_j: value ∧ p_j ≠ 0, or else ¬value ∧ q_j ≠ 0
             outside = None  # taken only when some q_j ≠ 0
             passes = True
-            for at_p, at_q, r in disequations:
+            for at_p, at_q, r, skip in disequations:
+                if skip and box is not None:
+                    continue
                 p = slots[at_p]
                 if p is _PENDING:
                     p = self._value(at_p, r.p)

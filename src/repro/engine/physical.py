@@ -22,7 +22,10 @@ strategies* over one operator set rather than separate executors:
     join pruned with the exact solved constraints, no box layer.
 ``boxplan``
     ``Once → (IndexProbe → ExactFilter(C_i))*`` — the full optimization:
-    ONE compiled range query per step, exact checks on the survivors.
+    ONE compiled range query per step, exact checks on the survivors,
+    less the conjuncts of ``C_i`` that query decided for a one-box row
+    (:attr:`StepTemplate.decided <repro.boxes.bconstraints.StepTemplate.
+    decided>`; see :class:`ExactFilter`).
     Tables without an index (``"scan"`` backend) get a
     :class:`VectorizedScanProbe`: the same range query, answered by one
     columnar kernel call over the table's rows.
@@ -65,8 +68,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
+from ..boolean.syntax import FALSE, TRUE
 from ..boxes.box import Box, enclose_all
 from ..constraints.solved import BoundConstraint, SolvedConstraint
 from ..constraints.system import ConstraintSystem
@@ -892,6 +896,16 @@ class ExactFilter(PhysicalOperator):
     for ``variable`` (``boxplan``/``exact``); a *final* filter checks
     the whole original system on complete tuples (``naive``/
     ``boxonly``).
+
+    In ``boxplan`` every candidate has passed the step's range query,
+    and ``box_decided`` is the step template's
+    :attr:`~repro.boxes.bconstraints.StepTemplate.decided`: a one-box
+    candidate skips each conjunct that query decided, where the atoms
+    it reads are one box too (:class:`~repro.constraints.solved.
+    BoundConstraint`), and ``region_ops`` bills only the checks run.
+    EXPLAIN shows how many of the non-trivial conjuncts (``s ≠ 0``,
+    ``t ≠ 1``, every ``r_j``) are so marked: ``ExactFilter(C_y;
+    box-decided 1/1)``.
     """
 
     kind = "ExactFilter"
@@ -902,6 +916,7 @@ class ExactFilter(PhysicalOperator):
         variable: Optional[str] = None,
         solved: Optional[SolvedConstraint] = None,
         system: Optional[ConstraintSystem] = None,
+        box_decided: Tuple[Optional[FrozenSet[str]], ...] = (),
     ) -> None:
         if (solved is None) == (system is None):
             raise ValueError(
@@ -911,11 +926,18 @@ class ExactFilter(PhysicalOperator):
         self.variable = variable
         self.solved = solved
         self.system = system
+        self.box_decided = box_decided
 
     def describe(self) -> str:
-        if self.solved is not None:
-            return f"{self.kind}(C_{self.variable})"
-        return f"{self.kind}(system)"
+        solved = self.solved
+        if solved is None:
+            return f"{self.kind}(system)"
+        live = [solved.lower != FALSE, solved.upper != TRUE]
+        live += [True] * len(solved.disequations)
+        if self.box_decided and any(live):
+            decided = sum(n and a is not None for a, n in zip(self.box_decided, live))
+            return f"{self.kind}(C_{self.variable}; box-decided {decided}/{sum(live)})"
+        return f"{self.kind}(C_{self.variable})"
 
     def iterate(self, ctx: ExecutionContext) -> Iterator[Binding]:
         self.stats.executed = True
@@ -937,6 +959,7 @@ class ExactFilter(PhysicalOperator):
         # the rows it reads, for the whole execution (worked out at the
         # second binding, off the path to the first answer).
         ops, variable, extend, solved = algebra.ops, self.variable, self.child, self.solved
+        decided = self.box_decided
         bound_to: Optional[Binding] = None
         reads: List[str] = []
         bound_by_rows: Optional[Dict[Tuple[int, ...], BoundConstraint]] = None  # {}: per binding
@@ -950,11 +973,36 @@ class ExactFilter(PhysicalOperator):
                 if bound_by_rows:
                     key = _read_rows(binding, reads)
                     if key not in bound_by_rows:
-                        bound_by_rows[key] = solved.bind(algebra, ctx.region_env(binding))
+                        bound_by_rows[key] = solved.bind(
+                            algebra, ctx.region_env(binding), box_decided=decided
+                        )
                     bound = bound_by_rows[key]
                 else:
-                    bound = solved.bind(algebra, ctx.region_env(binding))
-            taken, before = 0, ops.total
+                    bound = solved.bind(algebra, ctx.region_env(binding), box_decided=decided)
+            taken = 0
+            if bound.decides_one_box:
+                # The range query decided every conjunct for a one-box row,
+                # so only a row of another shape is checked (and billed): a
+                # one-box row costs the length test alone.
+                for i, obj in enumerate(rows):
+                    region = obj.region
+                    if len(region.boxes) != 1:
+                        before = ops.total
+                        passes = bound.holds(region)
+                        self.stats.region_ops += ops.total - before
+                        if not passes:
+                            continue
+                    self.stats.rows_in += i + 1 - taken
+                    extend.stats.rows_out += i + 1 - taken
+                    taken = i + 1
+                    extended = dict(binding)
+                    extended[variable] = obj
+                    self.stats.rows_out += 1
+                    yield extended
+                self.stats.rows_in += len(rows) - taken
+                extend.stats.rows_out += len(rows) - taken
+                continue
+            before = ops.total
             for i in bound.select(map(_region, rows)):
                 self.stats.region_ops += ops.total - before
                 self.stats.rows_in += i + 1 - taken
@@ -1393,8 +1441,12 @@ def build_physical_plan(
                 node = extend
             exact_filter: Optional[ExactFilter] = None
             if exact_steps:
+                # Box-mode candidates have all passed the step's range query.
                 exact_filter = ExactFilter(
-                    node, variable=sp.variable, solved=sp.exact
+                    node,
+                    variable=sp.variable,
+                    solved=sp.exact,
+                    box_decided=sp.template.decided if use_boxes else (),
                 )
                 node = exact_filter
             step_ops.append(

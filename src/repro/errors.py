@@ -40,6 +40,11 @@ class AnchorError(ReproError, ValueError):
     or is NaN or (in a point) infinite."""
 
 
+class DuplicateOidError(ReproError, ValueError):
+    """Raised when a row is inserted under an oid that a live row of the
+    table, or an earlier row of the same batch, already has."""
+
+
 class UniverseMismatchError(ReproError):
     """Raised when algebra elements from different universes are combined."""
 

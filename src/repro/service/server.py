@@ -35,7 +35,7 @@ by EOF → dropped unanswered, no handler runs); a peer silent for 30 s
 in one socket read or write is dropped; past 64 connections served at
 once → ``503`` and close.
 
-Handler errors (``400``/``404``/``500``) keep the connection open; a
+Handler errors (``400``/``404``/``409``/``500``) keep the connection open; a
 response after which the server closes says ``Connection: close``.
 """
 
@@ -54,7 +54,7 @@ from ..algebra.regions import Region
 from ..boxes.box import box_from_jsonable
 from ..database import SESSION_OPTIONS, Database, Session
 from ..engine.query import AggregateSpec, KNNStep, SpatialQuery
-from ..errors import ReproError, ServiceError
+from ..errors import DuplicateOidError, ReproError, ServiceError
 from ..spatial.snapshot import (
     _decode_oid,
     _encode_oid,
@@ -346,20 +346,21 @@ class QueryService:
         ``rows`` is a list of ``{"oid": ..., "boxes": [[lo, hi], ...]}``
         objects appended to ``table``.  Served tables are never mutated:
         an O(delta) shared-base clone with the rows staged is swapped in
-        (see :meth:`apply_insert`).
+        (see :meth:`apply_insert`).  An oid a live row already has, or
+        one repeated in ``rows``, is a ``409`` and inserts nothing.
         """
         try:
             key = str(payload["table"])
             rows = [
                 (
-                    _decode_oid(row["oid"]),
+                    _row_oid(row["oid"]),
                     Region.from_boxes(
                         box_from_jsonable(b) for b in row["boxes"]
                     ),
                 )
                 for row in payload["rows"]
             ]
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ServiceError(f"malformed insert payload: {exc}") from exc
         version = self.apply_insert(key, rows)
         return {"snapshot": version, "inserted": len(rows)}
@@ -373,7 +374,7 @@ class QueryService:
         """
         try:
             key = str(payload["table"])
-            oids = [_decode_oid(o) for o in payload["oids"]]
+            oids = [_row_oid(o) for o in payload["oids"]]
         except (KeyError, TypeError) as exc:
             raise ServiceError(f"malformed delete payload: {exc}") from exc
         version, deleted = self.apply_delete(key, oids)
@@ -435,7 +436,10 @@ class QueryService:
             applied = len(live)
             if not inserts and not live:
                 return self.store.version, 0
-            new_table = old.with_staged(inserts=inserts, deletes=live)
+            try:
+                new_table = old.with_staged(inserts=inserts, deletes=live)
+            except DuplicateOidError as exc:
+                raise ServiceError(str(exc), status=409) from exc
             new_table.statistics()  # warm delta-adjusted catalog
             self.rebuilds += 1
             version = self.store.swap(self._republish(db, key, new_table))
@@ -673,6 +677,14 @@ class ServiceServer:
         except Exception as exc:  # pragma: no cover - defensive
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
         return 200, result
+
+
+def _row_oid(data: object) -> object:
+    """A wire oid decoded; ``TypeError`` for one no row can have (a JSON
+    list, or a tuple holding one: row ids are hashed)."""
+    oid = _decode_oid(data)
+    hash(oid)
+    return oid
 
 
 def serve_in_thread(

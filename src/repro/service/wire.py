@@ -20,8 +20,9 @@ from ..errors import ServiceError
 
 __all__ = ["read_request", "read_response", "write_request", "write_response"]
 
-_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Payload Too Large",
-                500: "Internal Server Error", 503: "Service Unavailable"}
+_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict",
+                413: "Payload Too Large", 500: "Internal Server Error",
+                503: "Service Unavailable"}
 
 #: The bounds of the module docstring (constants, not options).
 _MAX_LINE_BYTES = 8192

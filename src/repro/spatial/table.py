@@ -35,7 +35,7 @@ import numpy as np
 from ..algebra.regions import Region
 from ..boxes.bconstraints import BoxQuery
 from ..boxes.box import Box
-from ..errors import AnchorError, DimensionMismatchError, OptionError
+from ..errors import AnchorError, DimensionMismatchError, DuplicateOidError, OptionError
 from . import columnar
 from .columnar import ColumnStore
 from .delta import TableDelta
@@ -205,7 +205,7 @@ class SpatialTable:
         if oid in d.inserts or (
             oid in self._objects and oid not in d.tombstones
         ):
-            raise ValueError(f"duplicate oid {oid!r} in table {self.name!r}")
+            raise DuplicateOidError(f"duplicate oid {oid!r} in table {self.name!r}")
         return SpatialObject(oid=oid, region=region, box=region.bounding_box())
 
     def stage_insert(self, oid, region: Region) -> SpatialObject:

@@ -1,12 +1,17 @@
 """Tests for BoxQuery / StepTemplate and the solved-form conversion."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algebra.regions import Region
+from repro.boolean.syntax import FALSE, TRUE, Var
 from repro.boxes.bconstraints import BoxQuery, StepTemplate, compile_solved_constraint
 from repro.boxes.box import EMPTY_BOX, Box
 from repro.boxes.functions import BOT, TOP, BoxVar, bjoin
 from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
+from repro.constraints.solved import Disequation, SolvedConstraint
 from repro.constraints.triangular import triangular_form
 from tests.strategies import PLANE, boxes, nonempty_boxes
 
@@ -92,6 +97,93 @@ class TestStepTemplate:
     def test_compile_rejects_non_solved(self):
         with pytest.raises(TypeError):
             compile_solved_constraint("nope")
+
+
+A, B = Var("A"), Var("B")
+
+#: One case per conjunct shape: the constraint on ``x``, the slot of the
+#: conjunct under test (``s ⊆ x``, ``x ⊆ t``, then each ``r_j``) and its
+#: mark — the atoms that must be one box, or ``None`` for "checked".
+MARK_CASES = {
+    "s-join-of-atoms": (SolvedConstraint("x", A | B, TRUE), 0, frozenset()),
+    "s-one": (SolvedConstraint("x", TRUE, TRUE), 0, frozenset()),
+    "s-mixed-sign-term": (SolvedConstraint("x", A & ~B, TRUE), 0, None),
+    "s-complement": (SolvedConstraint("x", ~A, TRUE), 0, None),
+    "t-one-term": (SolvedConstraint("x", FALSE, A & B), 1, frozenset("AB")),
+    "t-one": (SolvedConstraint("x", FALSE, TRUE), 1, frozenset()),
+    "t-union": (SolvedConstraint("x", FALSE, A | B), 1, None),
+    "t-complement": (SolvedConstraint("x", FALSE, ~A), 1, None),
+    "p-one-term": (SolvedConstraint("x", FALSE, TRUE, (Disequation(A & B, FALSE),)), 2,
+                   frozenset("AB")),
+    "p-one": (SolvedConstraint("x", FALSE, TRUE, (Disequation(TRUE, FALSE),)), 2, frozenset()),
+    "p-union": (SolvedConstraint("x", FALSE, TRUE, (Disequation(A | B, FALSE),)), 2, None),
+    "p-complement": (SolvedConstraint("x", FALSE, TRUE, (Disequation(A & ~B, FALSE),)), 2,
+                     None),
+    "q-nonzero": (SolvedConstraint("x", FALSE, TRUE, (Disequation(A, B),)), 2, None),
+}
+
+
+def _grid_region(rng, n_boxes):
+    """``n_boxes`` boxes on a half-unit grid of the plane: shared edges
+    are common, and overlapping boxes make a region of several."""
+    boxes = []
+    for _ in range(n_boxes):
+        lo = (rng.randrange(0, 28) / 2, rng.randrange(0, 28) / 2)
+        size = (rng.randrange(1, 14) / 2, rng.randrange(1, 14) / 2)
+        boxes.append(Box(lo, (lo[0] + size[0], lo[1] + size[1])).meet(UNIVERSE))
+    return Region.from_boxes(boxes)
+
+
+class TestBoxDecided:
+    """The conjuncts a step's range query decides (``StepTemplate.decided``)
+    and the step filter that skips them: over values that matched the
+    range query, the survivors are the unmarked filter's."""
+
+    @pytest.mark.parametrize("case", sorted(MARK_CASES))
+    def test_mark_and_survivors(self, case):
+        solved, slot, mark = MARK_CASES[case]
+        template = compile_solved_constraint(solved)
+        assert len(template.decided) == 2 + len(solved.disequations)
+        assert template.decided[slot] == mark
+        # The conjunct under test marked alone, then every mark.
+        alone = tuple(m if k == slot else None for k, m in enumerate(template.decided))
+        rng = random.Random(case)
+        saved = 0
+        for trial in range(24):
+            # One-box and multi-box atoms (both one box every 4th trial);
+            # one-box, multi-box, empty and universe-wide candidates.
+            env = {name: _grid_region(rng, 1 + (trial >> k) % 2) for k, name in enumerate("AB")}
+            query = template.instantiate(
+                {name: r.bounding_box() for name, r in env.items()}, UNIVERSE
+            )
+            values = [_grid_region(rng, rng.choice((0, 1, 1, 1, 2))) for _ in range(40)]
+            # and the query's own boxes, which pass it more often, each alone
+            # and joined with the value before it
+            for box in (UNIVERSE, query.inside, query.covers, *query.overlap):
+                if box is not None:
+                    values.append(Region.from_box(box))
+                    values.append(Region.from_boxes([box, values[-2].bounding_box()]))
+            values = [v for v in values if query.matches(v.bounding_box())]
+            before = PLANE.ops.total
+            want = list(solved.bind(PLANE, env).select(values))
+            checked = PLANE.ops.total - before
+            got = list(solved.bind(PLANE, env, box_decided=alone).select(values))
+            saved += checked - (PLANE.ops.total - before - checked)
+            assert got == want, trial
+            assert list(solved.bind(PLANE, env, box_decided=template.decided).select(values)) == want
+        # A marked conjunct goes unchecked somewhere; an unmarked one never.
+        assert (saved > 0) == (mark is not None)
+
+    def test_no_marks_without_box_decided(self):
+        """``exact`` mode and the planner's sampling bind with no marks:
+        nothing is skipped."""
+        solved, _slot, _mark = MARK_CASES["p-one-term"]
+        env = {"A": Region.from_box(Box((0, 0), (4, 4))), "B": Region.from_box(Box((2, 2), (6, 6)))}
+        assert not solved.bind(PLANE, env).decides_one_box
+        template = compile_solved_constraint(solved)
+        assert solved.bind(PLANE, env, box_decided=template.decided).decides_one_box
+        env["B"] = Region.from_boxes([Box((2, 2), (6, 6)), Box((8, 8), (9, 9))])
+        assert not solved.bind(PLANE, env, box_decided=template.decided).decides_one_box
 
 
 class TestSmugglersConversion:

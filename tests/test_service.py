@@ -460,6 +460,41 @@ def test_malformed_query_field_is_a_400(served, fields, named):
         assert named in reply["error"], path
 
 
+def _insert_rows(*oids):
+    return {"rows": [{"oid": oid, "boxes": [[[1.0, 1.0], [2.0, 2.0]]]} for oid in oids]}
+
+
+@pytest.mark.parametrize(
+    "path, body, status",
+    [
+        ("/insert", lambda live: _insert_rows(live), "409 Conflict"),
+        ("/insert", lambda live: _insert_rows("new", "new"), "409 Conflict"),
+        ("/delete", lambda live: {"oids": [[1]]}, "400 Bad Request"),
+        ("/insert", lambda live: {"rows": [{"oid": "new", "boxes": [[["a", 1.0], [2.0, 2.0]]]}]},
+         "400 Bad Request"),
+    ],
+    ids=["insert-live-oid", "insert-oid-twice", "delete-list-oid", "insert-string-coordinate"],
+)
+def test_bad_write_is_typed_not_a_500(path, body, status):
+    """Each used to escape the write handlers as a bare ``ValueError``
+    (``duplicate oid``, ``could not convert string to float``) or
+    ``TypeError`` (``unhashable type``): a 500.  A duplicate oid is a
+    conflict with the table's rows, the rest are malformed requests;
+    neither publishes a snapshot."""
+    service, _system = _make_service()
+    live = next(iter(service.store.current()[0].table("T"))).oid
+    handle = serve_in_thread(service)
+    try:
+        host, port = handle.address
+        client = ServiceClient(host, port, timeout=30.0)
+        got, reply = _raw_post(client, path, json.dumps({"table": "T", **body(live)}).encode())
+        client.close()
+    finally:
+        handle.stop()
+    assert got == f"HTTP/1.1 {status}", reply
+    assert service.store.version == 1
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"k": "abc"}, {"k": None}, {"k": [1]}, {"k": 2.5}, {"k": True}, {"access": "bogus"}],
