@@ -37,7 +37,7 @@ from ..boolean.terms import Term
 from .functions import BOT, TOP, BoxFunc, BoxVar, bjoin, bmeet
 
 
-def lower_approximation(f: Formula, bcf: Optional[List[Term]] = None) -> BoxFunc:
+def lower_approximation(f: Formula, bcf: Optional[Sequence[Term]] = None) -> BoxFunc:
     """``L_f`` — the best lower bounding-box approximation (Theorem 15).
 
     The join of ``⌈x⌉`` over the atoms ``x ≤ f``; by Theorem 18 these are
@@ -73,7 +73,7 @@ def term_upper(t: Term) -> BoxFunc:
     return bmeet(*positives)
 
 
-def upper_approximation(f: Formula, bcf: Optional[List[Term]] = None) -> BoxFunc:
+def upper_approximation(f: Formula, bcf: Optional[Sequence[Term]] = None) -> BoxFunc:
     """``U_f`` — the best upper bounding-box approximation (Theorem 17).
 
     ``⊔`` over the BCF terms of the ``⊓`` of each term's positive atoms,

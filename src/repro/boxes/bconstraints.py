@@ -27,7 +27,7 @@ Conversion of a solved constraint ``C_i`` (paper §4):
   depends on the already-retrieved objects.
 
 Where the approximations are exact the range query *decides* a conjunct
-of ``C_i`` for a one-box object (:attr:`StepTemplate.decided`):
+of ``C_i`` for a one-box object (:func:`box_decided`):
 
 * ``s ⊆ x`` when every BCF term of ``s`` is one positive atom (or
   ``s ∈ {0, 1}``): a box holds a union iff it holds the union's bounding
@@ -43,6 +43,7 @@ A complement, a union in ``t`` or ``p_j``, or ``q_j ≠ 0`` stays checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..boolean.blake import blake_canonical_form
@@ -142,11 +143,6 @@ class StepTemplate:
     lower: BoxFunc  # L_s — approximates the range's lower bound from below
     upper: BoxFunc  # U_t — approximates the range's upper bound from above
     overlaps: Tuple[OverlapTemplate, ...] = ()
-    #: Per conjunct of ``C_i`` (``s ⊆ x``, ``x ⊆ t``, then each ``r_j``):
-    #: the atoms that must each be one box for a one-box object that
-    #: matches the range query to satisfy the conjunct, or ``None`` where
-    #: the box test does not decide it (see the module docstring).
-    decided: Tuple[Optional[FrozenSet[str]], ...] = ()
 
     def instantiate(
         self, env: Mapping[str, Box], universe: Optional[Box] = None
@@ -195,26 +191,45 @@ def compile_solved_constraint(solved) -> StepTemplate:
 
     if not isinstance(solved, SolvedConstraint):
         raise TypeError(f"expected SolvedConstraint, got {solved!r}")
-    s_bcf = blake_canonical_form(solved.lower)
-    t_bcf = blake_canonical_form(solved.upper)
-    decided = [_lower_mark(s_bcf), _term_mark(t_bcf)]
-    overlaps = []
-    for r in solved.disequations:
-        p_bcf, q_bcf = blake_canonical_form(r.p), blake_canonical_form(r.q)
-        overlaps.append(
-            OverlapTemplate(
-                p_upper=upper_approximation(r.p, p_bcf),
-                q_upper=upper_approximation(r.q, q_bcf),
-            )
+    s_bcf, t_bcf, pq_bcfs = _bcfs(solved)
+    overlaps = tuple(
+        OverlapTemplate(
+            p_upper=upper_approximation(r.p, p_bcf),
+            q_upper=upper_approximation(r.q, q_bcf),
         )
-        decided.append(None if q_bcf else _term_mark(p_bcf))
+        for r, (p_bcf, q_bcf) in zip(solved.disequations, pq_bcfs)
+    )
     return StepTemplate(
         variable=solved.variable,
         lower=lower_approximation(solved.lower, s_bcf),
         upper=upper_approximation(solved.upper, t_bcf),
-        overlaps=tuple(overlaps),
-        decided=tuple(decided),
+        overlaps=overlaps,
     )
+
+
+def box_decided(solved) -> Tuple[Optional[FrozenSet[str]], ...]:
+    """Per conjunct of ``solved`` (``s ⊆ x``, ``x ⊆ t``, then each
+    ``r_j``): the atoms that must each be one box for a one-box object
+    that matches the step's range query to satisfy the conjunct, or
+    ``None`` where the box test does not decide it (see the module
+    docstring)."""
+    s_bcf, t_bcf, pq_bcfs = _bcfs(solved)
+    marks = [_lower_mark(s_bcf), _term_mark(t_bcf)]
+    marks += [None if q_bcf else _term_mark(p_bcf) for p_bcf, q_bcf in pq_bcfs]
+    return tuple(marks)
+
+
+@lru_cache(maxsize=256)
+def _bcfs(solved):
+    """``BCF(s)``, ``BCF(t)`` and each ``(BCF(p_j), BCF(q_j))``, computed
+    once per constraint for both the template and the marks."""
+    pairs = tuple(
+        (tuple(blake_canonical_form(r.p)), tuple(blake_canonical_form(r.q)))
+        for r in solved.disequations
+    )
+    s_bcf = tuple(blake_canonical_form(solved.lower))
+    t_bcf = tuple(blake_canonical_form(solved.upper))
+    return s_bcf, t_bcf, pairs
 
 
 def _lower_mark(bcf: Sequence[Term]) -> Optional[FrozenSet[str]]:

@@ -149,11 +149,11 @@ class BoundConstraint:
 
     ``box_decided`` holds, per conjunct (``s ⊆ x``, ``x ⊆ t``, then each
     ``r_j``), the atoms that must be one box each for the step's range
-    query to have decided it (:attr:`StepTemplate.decided
-    <repro.boxes.bconstraints.StepTemplate.decided>`), or ``None``.  Give
-    it only when every value :meth:`select` sees has passed that query:
-    over the region algebra a one-box value then skips each conjunct
-    whose atoms are one-box regions in ``env``.
+    query to have decided it, or ``None``: this constraint's
+    :func:`~repro.boxes.bconstraints.box_decided`.  Give it only when
+    every value :meth:`select` sees has passed that query: over the
+    region algebra a one-box value then skips each conjunct whose atoms
+    are one-box regions in ``env``.
     """
 
     __slots__ = ("_solved", "_algebra", "_env", "_values", "_skips", "decides_one_box")

@@ -24,8 +24,8 @@ strategies* over one operator set rather than separate executors:
     ``Once → (IndexProbe → ExactFilter(C_i))*`` — the full optimization:
     ONE compiled range query per step, exact checks on the survivors,
     less the conjuncts of ``C_i`` that query decided for a one-box row
-    (:attr:`StepTemplate.decided <repro.boxes.bconstraints.StepTemplate.
-    decided>`; see :class:`ExactFilter`).
+    (:func:`~repro.boxes.bconstraints.box_decided`; see
+    :class:`ExactFilter`).
     Tables without an index (``"scan"`` backend) get a
     :class:`VectorizedScanProbe`: the same range query, answered by one
     columnar kernel call over the table's rows.
@@ -71,6 +71,7 @@ from operator import attrgetter
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..boolean.syntax import FALSE, TRUE
+from ..boxes.bconstraints import box_decided
 from ..boxes.box import Box, enclose_all
 from ..constraints.solved import BoundConstraint, SolvedConstraint
 from ..constraints.system import ConstraintSystem
@@ -897,12 +898,16 @@ class ExactFilter(PhysicalOperator):
     the whole original system on complete tuples (``naive``/
     ``boxonly``).
 
-    In ``boxplan`` every candidate has passed the step's range query,
-    and ``box_decided`` is the step template's
-    :attr:`~repro.boxes.bconstraints.StepTemplate.decided`: a one-box
-    candidate skips each conjunct that query decided, where the atoms
-    it reads are one box too (:class:`~repro.constraints.solved.
-    BoundConstraint`), and ``region_ops`` bills only the checks run.
+    With ``after_box_query`` (``boxplan``) every candidate has passed
+    the step's range query, so :attr:`box_decided` holds the marks
+    :func:`~repro.boxes.bconstraints.box_decided` derives from
+    ``solved``: a one-box candidate skips each conjunct that query
+    decided, where the atoms it reads are one box too
+    (:class:`~repro.constraints.solved.BoundConstraint`), and
+    ``region_ops`` bills only the checks run.  Where every mark holds,
+    a one-box candidate passes on its length test alone, outside
+    ``select``: that generator step and the counter reads around it
+    took about a fifth of the overlay join's query time.
     EXPLAIN shows how many of the non-trivial conjuncts (``s ≠ 0``,
     ``t ≠ 1``, every ``r_j``) are so marked: ``ExactFilter(C_y;
     box-decided 1/1)``.
@@ -916,7 +921,7 @@ class ExactFilter(PhysicalOperator):
         variable: Optional[str] = None,
         solved: Optional[SolvedConstraint] = None,
         system: Optional[ConstraintSystem] = None,
-        box_decided: Tuple[Optional[FrozenSet[str]], ...] = (),
+        after_box_query: bool = False,
     ) -> None:
         if (solved is None) == (system is None):
             raise ValueError(
@@ -926,7 +931,9 @@ class ExactFilter(PhysicalOperator):
         self.variable = variable
         self.solved = solved
         self.system = system
-        self.box_decided = box_decided
+        self.box_decided: Tuple[Optional[FrozenSet[str]], ...] = ()
+        if after_box_query and solved is not None:
+            self.box_decided = box_decided(solved)
 
     def describe(self) -> str:
         solved = self.solved
@@ -983,7 +990,8 @@ class ExactFilter(PhysicalOperator):
             if bound.decides_one_box:
                 # The range query decided every conjunct for a one-box row,
                 # so only a row of another shape is checked (and billed): a
-                # one-box row costs the length test alone.
+                # one-box row costs the length test alone, with no generator
+                # step and no read of the operation counter.
                 for i, obj in enumerate(rows):
                     region = obj.region
                     if len(region.boxes) != 1:
@@ -1441,12 +1449,8 @@ def build_physical_plan(
                 node = extend
             exact_filter: Optional[ExactFilter] = None
             if exact_steps:
-                # Box-mode candidates have all passed the step's range query.
                 exact_filter = ExactFilter(
-                    node,
-                    variable=sp.variable,
-                    solved=sp.exact,
-                    box_decided=sp.template.decided if use_boxes else (),
+                    node, variable=sp.variable, solved=sp.exact, after_box_query=use_boxes
                 )
                 node = exact_filter
             step_ops.append(

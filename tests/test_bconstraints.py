@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.regions import Region
 from repro.boolean.syntax import FALSE, TRUE, Var
-from repro.boxes.bconstraints import BoxQuery, StepTemplate, compile_solved_constraint
+from repro.boxes.bconstraints import (
+    BoxQuery, StepTemplate, box_decided, compile_solved_constraint,
+)
 from repro.boxes.box import EMPTY_BOX, Box
 from repro.boxes.functions import BOT, TOP, BoxVar, bjoin
 from repro.constraints.examples import SMUGGLERS_ORDER, smugglers_system
@@ -135,7 +137,7 @@ def _grid_region(rng, n_boxes):
 
 
 class TestBoxDecided:
-    """The conjuncts a step's range query decides (``StepTemplate.decided``)
+    """The conjuncts a step's range query decides (:func:`box_decided`)
     and the step filter that skips them: over values that matched the
     range query, the survivors are the unmarked filter's."""
 
@@ -143,10 +145,11 @@ class TestBoxDecided:
     def test_mark_and_survivors(self, case):
         solved, slot, mark = MARK_CASES[case]
         template = compile_solved_constraint(solved)
-        assert len(template.decided) == 2 + len(solved.disequations)
-        assert template.decided[slot] == mark
+        marks = box_decided(solved)
+        assert len(marks) == 2 + len(solved.disequations)
+        assert marks[slot] == mark
         # The conjunct under test marked alone, then every mark.
-        alone = tuple(m if k == slot else None for k, m in enumerate(template.decided))
+        alone = tuple(m if k == slot else None for k, m in enumerate(marks))
         rng = random.Random(case)
         saved = 0
         for trial in range(24):
@@ -170,20 +173,30 @@ class TestBoxDecided:
             got = list(solved.bind(PLANE, env, box_decided=alone).select(values))
             saved += checked - (PLANE.ops.total - before - checked)
             assert got == want, trial
-            assert list(solved.bind(PLANE, env, box_decided=template.decided).select(values)) == want
+            assert list(solved.bind(PLANE, env, box_decided=marks).select(values)) == want
         # A marked conjunct goes unchecked somewhere; an unmarked one never.
         assert (saved > 0) == (mark is not None)
 
     def test_no_marks_without_box_decided(self):
         """``exact`` mode and the planner's sampling bind with no marks:
-        nothing is skipped."""
+        nothing is skipped.  With them a one-box value is checked (and
+        billed) only where an atom a mark names is not one box."""
         solved, _slot, _mark = MARK_CASES["p-one-term"]
         env = {"A": Region.from_box(Box((0, 0), (4, 4))), "B": Region.from_box(Box((2, 2), (6, 6)))}
-        assert not solved.bind(PLANE, env).decides_one_box
-        template = compile_solved_constraint(solved)
-        assert solved.bind(PLANE, env, box_decided=template.decided).decides_one_box
+        values = [Region.from_box(Box((3, 3), (5, 5)))]
+
+        def billed(**marks):
+            bound = solved.bind(PLANE, env, **marks)
+            before = PLANE.ops.total
+            assert list(bound.select(values)) == [0]
+            return PLANE.ops.total - before, bound.decides_one_box
+
+        ops, every = billed()
+        assert ops > 0 and not every
+        assert billed(box_decided=box_decided(solved)) == (0, True)
         env["B"] = Region.from_boxes([Box((2, 2), (6, 6)), Box((8, 8), (9, 9))])
-        assert not solved.bind(PLANE, env, box_decided=template.decided).decides_one_box
+        ops, every = billed(box_decided=box_decided(solved))
+        assert ops > 0 and not every
 
 
 class TestSmugglersConversion:

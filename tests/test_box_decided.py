@@ -2,7 +2,7 @@
 
 In ``boxplan`` a step ``ExactFilter`` does not re-check, for a one-box
 candidate, the conjuncts of ``C_i`` that the step's range query decided
-(``StepTemplate.decided``).  These tests hold its answers to ``naive``
+(``box_decided``).  These tests hold its answers to ``naive``
 and ``exact``, which check every conjunct, over databases built from
 ``tests/conftest.py``'s ``edge_boxes``: shared edges, sides on the
 universe's bounds, degenerate (empty) boxes, and multi-box regions next

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.regions import Region
 from repro.boxes.box import Box
-from repro.boxes.bconstraints import BoxQuery, compile_solved_constraint
+from repro.boxes.bconstraints import BoxQuery
 from repro.constraints.system import ConstraintSystem, overlaps, subset
 from repro.datagen.workloads import smugglers_query
 from repro.engine.compiler import compile_query
@@ -247,11 +247,7 @@ def test_a_step_filter_reading_an_unbound_variable_raises(plan, mode):
 
     last = plan.steps[-1]
     ghost = SolvedConstraint(last.variable, FALSE, Var("ghost"))
-    # The step keeps its box query but takes the ghost constraint's marks.
-    template = replace(last.template, decided=compile_solved_constraint(ghost).decided)
-    broken = replace(
-        plan, steps=plan.steps[:-1] + (replace(last, exact=ghost, template=template),)
-    )
+    broken = replace(plan, steps=plan.steps[:-1] + (replace(last, exact=ghost),))
     with pytest.raises(UnboundVariableError, match="ghost"):
         list(build_physical_plan(broken, mode, estimate=False).execute_iter())
 
