@@ -9,7 +9,6 @@ Usage::
     python -m repro explain  [--workload smugglers] [--size 12]
                              [--order-strategy histogram] [--mode boxplan]
                              [--analyze] [--json] [--limit K]
-                             [--partitions N] [--join auto]
                              [--knn K [--knn-ref T]] [--agg count,min:T]
                              [--group-by B] [--agg-box]
                              [--mutate N] [--delta-threshold N]
@@ -36,11 +35,6 @@ ops, index node reads) and the planning, first-answer and total times.
 returns it.  ``run`` prints the answers themselves (oid tuples) and the
 timings.  With ``--limit K`` both stop after the first ``K`` answers
 without exhausting the search space.
-
-``--join`` picks a per-step join algorithm — ``probe`` (the default),
-``pbsm`` or ``zorder``, or ``auto`` for the cost-based pick — and
-``--partitions N`` sets PBSM's tile target.  Every join algorithm
-returns the same answers.
 
 ``--knn K`` restricts a variable (``--knn-var``, default the first of
 the retrieval order) to its table's K nearest rows — anchored on a
@@ -239,12 +233,7 @@ def _session(args):
     """The :class:`~repro.database.Session` the query flags describe."""
     from .database import Session
 
-    return Session(
-        mode=args.mode,
-        join_strategy=args.join,
-        partitions=args.partitions,
-        limit=args.limit,
-    )
+    return Session(mode=args.mode, limit=args.limit)
 
 
 def _stage_mutations(args, query) -> None:
@@ -434,20 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("paper", "greedy", "histogram"),
             default="histogram",
             help="retrieval-order planner ('paper' keeps the workload's order)",
-        )
-        p.add_argument(
-            "--partitions",
-            type=int,
-            default=0,
-            metavar="N",
-            help="PBSM tile target (0 = the default, 16 tiles)",
-        )
-        p.add_argument(
-            "--join",
-            choices=("auto", "probe", "pbsm", "zorder"),
-            default=None,
-            help="per-step join algorithm (default: probe; 'auto' picks "
-            "cost-based per step)",
         )
         p.add_argument(
             "--limit",

@@ -13,9 +13,8 @@ one front door over all of it:
   (:meth:`Database.save` / :meth:`Database.open`: rows and warm
   statistics are stored, each R-tree is packed again from the rows);
 * a :class:`Session` executes queries with one uniform keyword
-  vocabulary — ``mode=``, ``join_strategy=``, ``partitions=``,
-  ``limit=`` — matching the CLI flags one-for-one, with per-session
-  defaults.
+  vocabulary — ``mode=`` and ``limit=`` — matching the CLI flags
+  one-for-one, with per-session defaults.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .constraints.parser import parse_system
 from .constraints.system import ConstraintSystem
 from .engine.compiler import QueryPlan, compile_query
 from .engine.executor import Answer, answers_as_oid_tuples
-from .engine.physical import PhysicalPlan, check_join_strategy
+from .engine.physical import PhysicalPlan, build_physical_plan
 from .engine.query import AggregateSpec, KNNStep, SpatialQuery
 from .engine.stats import ExecutionStats
 from .errors import OptionError
@@ -42,17 +41,21 @@ __all__ = ["Database", "QueryResult", "Session"]
 _UNSET = object()
 
 #: The uniform execution-option vocabulary (mirrors the CLI flags
-#: ``--mode``/``--join``/``--partitions``/``--limit``).  ``partitions``
-#: is PBSM's tile target and nothing else (``"auto"`` prices PBSM with
-#: it).
-SESSION_OPTIONS = ("mode", "join_strategy", "partitions", "limit")
+#: ``--mode``/``--limit``).
+SESSION_OPTIONS = ("mode", "limit")
 
-_OPTION_DEFAULTS = {
-    "mode": "boxplan",
-    "join_strategy": None,
-    "partitions": 0,
-    "limit": None,
-}
+_OPTION_DEFAULTS = {"mode": "boxplan", "limit": None}
+
+
+def _check_integer(name: str, value: object, optional: bool = False) -> None:
+    """Raise :class:`~repro.errors.OptionError` unless ``value`` is an
+    integer that is not negative (or, ``optional``, ``None``)."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise OptionError(f"{name} must be an integer, not {value!r}")
+    if value < 0:
+        raise OptionError(f"{name} must not be negative, not {value!r}")
 
 
 @dataclass
@@ -201,7 +204,8 @@ class Database:
             system=system,
             tables=tables,
             bindings=bound,
-            order=tuple(order) if order else None,
+            # An empty order, like none, leaves it to the planner.
+            order=(order or None) if isinstance(order, (list, tuple)) else order,
             knn=knn,
             aggregate=aggregate,
         )
@@ -217,9 +221,8 @@ class Session:
     Accepts a :class:`SpatialQuery`, a compiled
     :class:`~repro.engine.compiler.QueryPlan`, or — when constructed
     with a :class:`Database` — raw constraint text.  Keyword options
-    (``mode=``, ``join_strategy=``, ``partitions=``, ``limit=``) match
-    the CLI flags; constructor keywords set session defaults, call
-    keywords override per query.
+    (``mode=``, ``limit=``) match the CLI flags; constructor keywords
+    set session defaults, call keywords override per query.
     """
 
     def __init__(self, db: Optional[Database] = None, **defaults):
@@ -235,25 +238,15 @@ class Session:
 
     # -- option/plan resolution ------------------------------------------------
     def _options(self, **given) -> dict:
-        """All four options for one call, ``given`` over the session
-        defaults, checked before any planning: ``partitions`` and
-        ``limit`` must be integers (``limit`` may be ``None``, not
-        negative) and
-        ``join_strategy`` must suit ``mode``
-        (:func:`~repro.engine.physical.check_join_strategy`).  A bad
-        value raises :class:`~repro.errors.OptionError`, which the
-        service answers with 400."""
+        """Both options for one call, ``given`` over the session
+        defaults, checked before any planning: ``limit`` must be
+        ``None`` or an integer that is not negative (``mode`` is
+        checked where the plan is built).  A bad value raises
+        :class:`~repro.errors.OptionError`, which the service answers
+        with 400."""
         options = dict(self.defaults)
         options.update((k, v) for k, v in given.items() if v is not _UNSET)
-        for name in ("partitions", "limit"):
-            value = options[name]
-            if name == "limit" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise OptionError(f"{name} must be an integer, not {value!r}")
-        if options["limit"] is not None and options["limit"] < 0:
-            raise OptionError(f"limit must not be negative, not {options['limit']!r}")
-        check_join_strategy(options["mode"], options["join_strategy"])
+        _check_integer("limit", options["limit"], optional=True)
         return options
 
     def _spatial_query(
@@ -296,34 +289,41 @@ class Session:
         mode=_UNSET,
         order: Optional[Sequence[str]] = None,
         limit=_UNSET,
-        partitions=_UNSET,
-        join_strategy=_UNSET,
+        join_strategy: str = "probe",
+        partitions: int = 0,
     ) -> QueryResult:
         """Execute and return a :class:`QueryResult`.
 
         Streams internally — ``limit=k`` stops after ``k`` answers
         without exhausting the search space, and the result carries
         time-to-first-answer alongside the total.
+
+        ``join_strategy=``/``partitions=`` force one bulk join on every
+        step (``"pbsm"`` with its tile target, or ``"zorder"``; see
+        :func:`~repro.engine.physical.build_physical_plan`).  They are
+        no session options: they are kept only for the
+        ``physical.join_pbsm``/``join_zorder`` legs of
+        ``benchmarks/e2e/workloads.py``, and go when that harness stops
+        forcing them, like
+        :meth:`~repro.engine.physical.PhysicalPlan.execute_iter`'s
+        ``cache=``.
         """
         called = perf_counter()
-        options = self._options(
-            mode=mode, limit=limit, partitions=partitions, join_strategy=join_strategy
+        options = self._options(mode=mode, limit=limit)
+        _check_integer("partitions", partitions)
+        plan = self._compile(query, order=order)
+        _pplan, result = self._execute(
+            plan, options, called, join_strategy=join_strategy, partitions=partitions
         )
-        _pplan, result = self._execute(self._compile(query, order=order), options, called)
         return result
 
     def _execute(
-        self, plan: QueryPlan, options: dict, called: float, estimate: bool = False
+        self, plan: QueryPlan, options: dict, called: float, estimate: bool = False, **joins
     ) -> Tuple[PhysicalPlan, QueryResult]:
         """Build ``plan``'s operator tree and drain it (honouring
         ``limit``); ``plan_s`` runs from
         ``called`` to the end of the build."""
-        pplan = plan.physical(
-            options["mode"],
-            estimate=estimate,
-            partitions=options["partitions"],
-            join_strategy=options["join_strategy"],
-        )
+        pplan = build_physical_plan(plan, options["mode"], estimate=estimate, **joins)
         start = perf_counter()
         first = None
         answers: List[Answer] = []
@@ -348,8 +348,6 @@ class Session:
         mode=_UNSET,
         order: Optional[Sequence[str]] = None,
         analyze: bool = False,
-        partitions=_UNSET,
-        join_strategy=_UNSET,
     ) -> Union[str, Dict[str, Any]]:
         """The physical operator tree, with catalog cost estimates.
 
@@ -362,16 +360,10 @@ class Session:
         timings ``plan_s``/``time_to_first_s``/``total_s``.
         """
         called = perf_counter()
-        options = self._options(
-            mode=mode, partitions=partitions, join_strategy=join_strategy
-        )
+        options = self._options(mode=mode)
         plan = self._compile(query, order=order)
         if not analyze:
-            return plan.physical(
-                options["mode"],
-                partitions=options["partitions"],
-                join_strategy=options["join_strategy"],
-            ).explain()
+            return plan.physical(options["mode"]).explain()
         pplan, result = self._execute(plan, options, called, estimate=True)
         return {
             "plan": pplan.explain(),

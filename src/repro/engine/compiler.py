@@ -80,26 +80,16 @@ class QueryPlan:
         mode: str = "boxplan",
         catalog: Optional["Catalog"] = None,
         estimate: bool = True,
-        partitions: int = 0,
-        join_strategy: Optional[str] = None,
     ) -> "PhysicalPlan":
         """Lower to a physical operator tree (the third pipeline stage).
 
         ``estimate=False`` skips the EXPLAIN-only catalog cost rollouts
         (they cost far more than executing a small query).
-        ``partitions``/``join_strategy`` choose the join algorithms —
-        see
-        :func:`repro.engine.physical.build_physical_plan`.
         """
         from .physical import build_physical_plan
 
         return build_physical_plan(
-            self,
-            mode=mode,
-            catalog=catalog,
-            estimate=estimate,
-            partitions=partitions,
-            join_strategy=join_strategy,
+            self, mode=mode, catalog=catalog, estimate=estimate
         )
 
     def explain(self, mode: str = "boxplan", analyze: bool = False) -> str:

@@ -58,55 +58,34 @@ __all__ = [
 
 
 def execute(
-    plan: QueryPlan,
-    mode: str = "boxplan",
-    partitions: int = 0,
-    join_strategy: Optional[str] = None,
+    plan: QueryPlan, mode: str = "boxplan"
 ) -> Tuple[List[Answer], ExecutionStats]:
     """Run a compiled plan in the given mode.
 
     Returns ``(answers, stats)``; answers are dictionaries mapping each
-    unknown variable to the chosen :class:`SpatialObject`.
-    ``partitions``/``join_strategy`` choose the join algorithms
-    (see :func:`~repro.engine.physical.build_physical_plan`);
-    the answer set is the same for every setting.  An unknown ``mode``
-    raises :class:`~repro.errors.UnknownModeError` naming the valid
-    modes.
+    unknown variable to the chosen :class:`SpatialObject`.  An unknown
+    ``mode`` raises :class:`~repro.errors.UnknownModeError` naming the
+    valid modes.
     """
     # estimate=False: catalog cost annotations are EXPLAIN-only and the
     # rollouts would otherwise dominate small-query execution time.
-    return build_physical_plan(
-        plan,
-        mode=mode,
-        estimate=False,
-        partitions=partitions,
-        join_strategy=join_strategy,
-    ).run()
+    return build_physical_plan(plan, mode=mode, estimate=False).run()
 
 
 def execute_iter(
-    plan: QueryPlan,
-    mode: str = "boxplan",
-    limit: Optional[int] = None,
-    partitions: int = 0,
-    join_strategy: Optional[str] = None,
+    plan: QueryPlan, mode: str = "boxplan", limit: Optional[int] = None
 ) -> Iterator[Answer]:
     """Streaming execution — answers are yielded as found.
 
     The operator tree is pulled depth-first, so the *first* answers
     arrive after touching only a sliver of the search space (benchmark
     E12 measures first-k latency).  All four modes stream; answer *sets*
-    equal :func:`execute`'s, order may differ between modes (and between
-    join strategies — the bulk joins are blocking operators).  ``limit``
+    equal :func:`execute`'s, order may differ between modes.  ``limit``
     bounds the number of answers with early exit.
     """
-    return build_physical_plan(
-        plan,
-        mode=mode,
-        estimate=False,
-        partitions=partitions,
-        join_strategy=join_strategy,
-    ).execute_iter(limit=limit)
+    return build_physical_plan(plan, mode=mode, estimate=False).execute_iter(
+        limit=limit
+    )
 
 
 def answers_as_oid_tuples(

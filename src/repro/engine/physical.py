@@ -40,10 +40,9 @@ consumers (benchmarks, CI gates) keep working.  :meth:`PhysicalPlan.
 explain` renders the tree with catalog cost estimates and — once the
 plan has run — per-operator actual rows/probes/node reads.
 
-**Bulk joins.**  Beyond the per-tuple probe operators, two bulk extend
-operators implement alternative join algorithms (selected per step by
-``join_strategy=`` — explicitly, or cost-based via
-:func:`repro.engine.planner.choose_join_strategies` with ``"auto"``):
+**Bulk joins.**  Every default plan probes.  Two bulk extend operators
+implement alternative join algorithms, run on every box-mode step when
+``join_strategy=`` forces one (``"pbsm"`` or ``"zorder"``):
 
 ``PartitionedSpatialJoin``
     the PBSM join: materialises the incoming partial tuples, derives a
@@ -60,7 +59,8 @@ operators implement alternative join algorithms (selected per step by
 
 Both emit exactly the rows the per-tuple probes would (property
 tested), so every mode/strategy combination returns the same answer
-set.
+set.  They are slower than the probe on every measured size and stay
+only for the forced legs of ``benchmarks/e2e/workloads.py``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple, TYPE_C
 
 from ..boolean.syntax import FALSE, TRUE
 from ..boxes.bconstraints import box_decided
-from ..boxes.box import Box, enclose_all
+from ..boxes.box import EMPTY_BOX, Box, enclose_all
 from ..constraints.solved import BoundConstraint, SolvedConstraint
 from ..constraints.system import ConstraintSystem
 from ..errors import OptionError, UnknownModeError
@@ -87,7 +87,7 @@ from .compiler import QueryPlan
 from .stats import ExecutionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..boxes.bconstraints import StepTemplate
+    from ..boxes.bconstraints import BoxQuery, StepTemplate
     from .catalog import Catalog
     from .query import AggregateSpec, KNNStep
 
@@ -97,6 +97,13 @@ Binding = Dict[str, SpatialObject]
 CandidateList = Tuple[Binding, List[SpatialObject]]
 
 MODES = ("naive", "exact", "boxplan", "boxonly")
+
+#: Join algorithms :func:`build_physical_plan` can run on every box-mode
+#: step: ``"probe"`` — index-nested-loop (one compiled range query per
+#: partial tuple; one columnar scan kernel per tuple on unindexed
+#: tables), the default; ``"pbsm"`` — partition-based spatial-merge
+#: join; ``"zorder"`` — the PROBE-style z-order merge join.
+JOIN_STRATEGIES = ("probe", "pbsm", "zorder")
 
 _region = attrgetter("region")
 
@@ -657,7 +664,11 @@ class _BulkJoinStep(ExtendStep):
     bindings, instantiates one box query each, joins all probe boxes
     against the table in one pass, and re-emits the extended bindings
     grouped by input binding (then by table row order) — deterministic
-    whatever order the join itself finds the pairs in.  Subclasses
+    whatever order the join itself finds the pairs in.  No join sees a
+    row whose region is empty: after the groups, each binding whose box
+    query an empty box satisfies gets the table's empty rows, as
+    :meth:`~repro.spatial.table.SpatialTable.range_query_batch` adds
+    them to a probe.  Subclasses
     implement :meth:`_candidate_pairs` returning candidate
     ``(binding index, row index)`` pairs whose boxes overlap; the full
     box query is verified here, so each strategy admits exactly the
@@ -689,12 +700,31 @@ class _BulkJoinStep(ExtendStep):
         self.stats.probes += 1
         rows: List[SpatialObject] = []
         row_pos: List[int] = []  # columnar slot of each kept row
+        empty: List[SpatialObject] = []
         for slot, obj in enumerate(self.table.scan()):
-            if not obj.box.is_empty():
+            if obj.box.is_empty():
+                empty.append(obj)
+            else:
                 rows.append(obj)
                 row_pos.append(slot)
-        if not rows:
-            return
+        if rows:
+            yield from self._joined_lists(ctx, bindings, queries, rows, row_pos)
+        if empty:
+            for binding, query in zip(bindings, queries):
+                if query.matches(EMPTY_BOX):
+                    yield binding, empty
+
+    def _joined_lists(
+        self,
+        ctx: ExecutionContext,
+        bindings: List[Binding],
+        queries: List["BoxQuery"],
+        rows: List[SpatialObject],
+        row_pos: List[int],
+    ) -> Iterator[CandidateList]:
+        """The candidate lists of the nonempty ``rows``, grouped by
+        binding: the pairs the join finds, checked against the full box
+        query."""
         extent = enclose_all(obj.box for obj in rows)
         probes: List[Tuple[int, Box]] = []
         for i, query in enumerate(queries):
@@ -879,12 +909,9 @@ class BoxFilter(ExtendStep):
             for obj in rows:
                 extend.stats.rows_out += 1
                 self.stats.rows_in += 1
-                box = obj.box
-                if box.is_empty():
-                    continue
                 query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
                 self.stats.box_evals += 1
-                if query.is_unsatisfiable() or not query.matches(box):
+                if query.is_unsatisfiable() or not query.matches(obj.box):
                     continue
                 yield binding, [obj]
 
@@ -1056,7 +1083,7 @@ class PhysicalPlan:
     step_ops: List[_StepOps] = field(default_factory=list)
     final_filter: Optional[ExactFilter] = None
     partitions: int = 0
-    join_strategies: Tuple[str, ...] = ()
+    join_strategy: str = "probe"
     knn_access: Optional[str] = None
     aggregate_op: Optional[PhysicalOperator] = None
 
@@ -1172,15 +1199,10 @@ class PhysicalPlan:
             f"PhysicalPlan[{self.mode}]"
             f"  order: {', '.join(self.logical.order)}"
         ]
-        if self.partitions or any(
-            s != "probe" for s in self.join_strategies
-        ):
-            joins = ", ".join(
-                f"{v}={s}"
-                for v, s in zip(self.logical.order, self.join_strategies)
-            )
+        if self.join_strategy != "probe":
             lines.append(
-                f"  partitions={self.partitions or 'off'}  joins: {joins}"
+                f"  join={self.join_strategy}"
+                + (f"  partitions={self.partitions}" if self.partitions else "")
             )
         if self.logical.knn is not None:
             lines.append(
@@ -1229,90 +1251,21 @@ class PhysicalPlan:
         return "\n".join(lines)
 
 
-def check_join_strategy(mode: str, join_strategy: Any) -> None:
+def check_join_strategy(mode: str, join_strategy: object) -> None:
     """Raise :class:`~repro.errors.OptionError` unless ``join_strategy``
-    is an option :func:`build_physical_plan` can take in ``mode``.
-
-    Accepted forms: ``None`` (every step probes), ``"auto"`` (cost-based,
-    via :func:`~repro.engine.planner.choose_join_strategies`), one of
-    :data:`~repro.engine.planner.JOIN_STRATEGIES` for every step, a
-    sequence of them aligned with the retrieval order, or a
-    ``variable → strategy`` mapping.  Join strategies only shape
-    box-mode plans — the ``naive``/``exact`` modes have no box layer to
-    join on, so an *explicit* strategy there raises rather than being
-    silently dropped (``"auto"`` degrades quietly: it delegates the
-    choice, and in these modes there is none to make).
-    """
-    from .planner import JOIN_STRATEGIES
-
-    if join_strategy is None or join_strategy == "auto":
-        return
-    if mode not in ("boxplan", "boxonly"):
+    is one of :data:`JOIN_STRATEGIES` that ``mode`` can run: a bulk join
+    needs the box layer of ``boxplan``/``boxonly``."""
+    if not isinstance(join_strategy, str) or join_strategy not in JOIN_STRATEGIES:
+        raise OptionError(
+            f"unknown join strategy {join_strategy!r}; expected one of "
+            + ", ".join(repr(s) for s in JOIN_STRATEGIES)
+        )
+    if join_strategy != "probe" and mode not in ("boxplan", "boxonly"):
         raise OptionError(
             f"join_strategy={join_strategy!r} only applies to the "
             f"box modes ('boxplan', 'boxonly'); mode {mode!r} has "
             f"no box layer to join on"
         )
-    if isinstance(join_strategy, str):
-        names = [join_strategy]
-    elif isinstance(join_strategy, dict):
-        names = list(join_strategy.values())
-    elif isinstance(join_strategy, (list, tuple)):
-        names = list(join_strategy)
-    else:
-        raise OptionError(
-            f"join_strategy must be 'auto', a strategy name, or a list "
-            f"or mapping of them, not {type(join_strategy).__name__}"
-        )
-    for name in names:
-        if not isinstance(name, str) or name not in JOIN_STRATEGIES:
-            raise OptionError(
-                f"unknown join strategy {name!r}; expected one of "
-                + ", ".join(repr(s) for s in JOIN_STRATEGIES)
-                + " (or 'auto')"
-            )
-
-
-def _resolve_join_strategies(
-    plan: QueryPlan,
-    mode: str,
-    catalog: Optional["Catalog"],
-    partitions: int,
-    join_strategy: Any,
-) -> Dict[str, str]:
-    """Normalise the ``join_strategy`` option (checked by
-    :func:`check_join_strategy`) to a per-variable mapping; steps it
-    leaves out probe."""
-    from .planner import choose_join_strategies
-
-    check_join_strategy(mode, join_strategy)
-    if join_strategy is None or mode not in ("boxplan", "boxonly"):
-        return {}
-    if join_strategy == "auto":
-        chosen = choose_join_strategies(
-            plan.query,
-            plan.order,
-            catalog=catalog,
-            partitions=partitions,
-        )
-        return dict(zip(plan.order, chosen))
-    if isinstance(join_strategy, str):
-        return {v: join_strategy for v in plan.order}
-    if isinstance(join_strategy, dict):
-        unknown = set(join_strategy) - set(plan.order)
-        if unknown:
-            raise OptionError(
-                f"join_strategy names unknown variables "
-                f"{sorted(unknown)}; retrieval order is "
-                f"{list(plan.order)}"
-            )
-        return dict(join_strategy)
-    if len(join_strategy) != len(plan.order):
-        raise OptionError(
-            f"join_strategy sequence has {len(join_strategy)} entries for "
-            f"{len(plan.order)} retrieval steps ({list(plan.order)})"
-        )
-    return dict(zip(plan.order, join_strategy))
 
 
 def build_physical_plan(
@@ -1321,7 +1274,7 @@ def build_physical_plan(
     catalog: Optional["Catalog"] = None,
     estimate: bool = True,
     partitions: int = 0,
-    join_strategy: Optional[str] = None,
+    join_strategy: str = "probe",
 ) -> PhysicalPlan:
     """Lower a logical :class:`QueryPlan` to a physical operator tree.
 
@@ -1332,20 +1285,14 @@ def build_physical_plan(
     pass over table statistics).  There is one tree per mode and
     options.
 
-    Join options (box modes only):
-
-    ``partitions``
-        the PBSM tile target (0 means :data:`~repro.spatial.partition.
-        DEFAULT_TILES`);
-    ``join_strategy``
-        per-step join algorithm: ``None`` (every step probes),
-        ``"auto"`` (cost-based), one of
-        :data:`~repro.engine.planner.JOIN_STRATEGIES`, or a
-        sequence/mapping per variable (see :func:`check_join_strategy`;
-        a bad one raises :class:`~repro.errors.OptionError`).
+    ``join_strategy`` is one of :data:`JOIN_STRATEGIES` for every step
+    (a bad one raises :class:`~repro.errors.OptionError`, see
+    :func:`check_join_strategy`); ``partitions`` is the PBSM tile
+    target (0 means :data:`~repro.spatial.partition.DEFAULT_TILES`).
     """
     if mode not in MODES:
         raise UnknownModeError(mode, MODES)
+    check_join_strategy(mode, join_strategy)
 
     from .planner import choose_aggregate_strategy, choose_knn_access
 
@@ -1368,16 +1315,13 @@ def build_physical_plan(
             mode=mode,
             root=count_op,
             step_ops=[_StepOps(variable=sp.variable, extend=count_op)],
-            join_strategies=("pushdown",),
+            join_strategy="pushdown",
             aggregate_op=count_op,
         )
         if estimate:
             _annotate_estimates(pplan, catalog)
         return pplan
 
-    strategies = _resolve_join_strategies(
-        plan, mode, catalog, partitions, join_strategy
-    )
     tiles = partitions if partitions > 0 else DEFAULT_TILES
 
     def knn_extend(
@@ -1406,7 +1350,6 @@ def build_physical_plan(
         use_boxes = mode in ("boxplan", "boxonly")
         exact_steps = mode in ("boxplan", "exact")
         for sp in plan.steps:
-            strategy = strategies.get(sp.variable, "probe")
             box_filter: Optional[BoxFilter] = None
             if knn is not None and sp.variable == knn.variable:
                 # The kNN restriction replaces the step's access path;
@@ -1418,7 +1361,7 @@ def build_physical_plan(
                 if use_boxes:
                     box_filter = BoxFilter(node, sp.variable, sp.template)
                     node = box_filter
-            elif use_boxes and strategy == "pbsm":
+            elif use_boxes and join_strategy == "pbsm":
                 extend: ExtendStep = PartitionedSpatialJoin(
                     node,
                     sp.variable,
@@ -1427,7 +1370,7 @@ def build_physical_plan(
                     partitions=tiles,
                 )
                 node = extend
-            elif use_boxes and strategy == "zorder":
+            elif use_boxes and join_strategy == "zorder":
                 extend = ZOrderJoin(
                     node, sp.variable, sp.table, sp.template
                 )
@@ -1477,9 +1420,7 @@ def build_physical_plan(
         step_ops=step_ops,
         final_filter=final_filter,
         partitions=partitions,
-        join_strategies=tuple(
-            strategies.get(v, "probe") for v in plan.order
-        ),
+        join_strategy=join_strategy,
         knn_access=knn_access,
         aggregate_op=aggregate_op,
     )

@@ -18,10 +18,7 @@ results, exactly like join ordering in relational optimizers.  We provide
   rollouts' expected partial-tuple total);
 * :func:`plan_order` / :func:`best_order_by_estimate` — strategy
   dispatch; the greedy heuristic is the incumbent of a bounded search
-  and the safe fallback (``bench_order_ablation.py`` compares them);
-* :func:`choose_join_strategies` — per-step join-algorithm choice
-  (index-nested-loop probe vs PBSM vs z-order merge), priced on the
-  same rollout estimates.
+  and the safe fallback (``bench_order_ablation.py`` compares them).
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from ..boxes.box import Box
 from ..constraints.solved import SolvedConstraint
 from ..constraints.system import ConstraintSystem
 from ..errors import CompilationError, ReproError
-from ..spatial.partition import DEFAULT_TILES
 from .catalog import Catalog, TableStatistics
 from .query import SpatialQuery
 
@@ -55,26 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Strategies accepted by :func:`plan_order`.
 ORDER_STRATEGIES = ("greedy", "histogram")
-
-#: Per-step join algorithms :func:`choose_join_strategies` picks among
-#: (and :func:`repro.engine.physical.build_physical_plan` accepts):
-#: ``"probe"`` — index-nested-loop (one compiled range query per partial
-#: tuple; one columnar scan kernel per tuple on unindexed tables);
-#: ``"pbsm"`` — partition-based spatial-merge join; ``"zorder"`` — the
-#: PROBE-style z-order merge join.
-JOIN_STRATEGIES = ("probe", "pbsm", "zorder")
-
-#: A PBSM/z-order step must expect at least this many probing partial
-#: tuples before bulk joins can beat per-tuple index probes.
-MIN_BULK_JOIN_OUTER = 4.0
-
-#: ... and the probed table must have at least this many rows.
-MIN_BULK_JOIN_ROWS = 32
-
-#: Entry tests per node on an R-tree descent (~M/2 for capacity 8);
-#: one probe costs about ``log2(n) * branching`` box tests, which
-#: matches the measured ``entry_tests`` of the partitioned-join bench.
-INDEX_PROBE_BRANCHING = 4.0
 
 #: Beyond this many unknowns, exhaustive order enumeration is skipped
 #: and the greedy heuristic is used directly.
@@ -373,8 +349,7 @@ def rollout_step_estimates(
     * representative objects for later steps are drawn from the sample.
 
     Used by :func:`estimate_order_cost_histogram` (the planner's cost
-    model), :func:`choose_join_strategies`, and the physical plan's
-    EXPLAIN annotations.
+    model) and the physical plan's EXPLAIN annotations.
     """
     return _Rollouts(query, catalog).step_estimates(order, rollouts, seed)
 
@@ -531,74 +506,3 @@ def choose_aggregate_strategy(plan: "QueryPlan", mode: str) -> str:
             + "; ".join(problems)
         )
     return "pushdown"
-
-
-def choose_join_strategies(
-    query: SpatialQuery,
-    order: Sequence[str],
-    catalog: Optional[Catalog] = None,
-    partitions: int = 0,
-    rollouts: int = 6,
-    seed: int = 0,
-) -> Tuple[str, ...]:
-    """Pick a join algorithm per retrieval step (cost-based).
-
-    For each step of ``order`` the chooser compares, on the statistics
-    catalog's rollout estimates, the expected work of
-
-    * ``"probe"`` — index-nested-loop: one compiled range query per
-      incoming partial tuple (a full scan per *step* on unindexed
-      tables);
-    * ``"pbsm"`` — the partition-based spatial-merge join: co-partition
-      the incoming tuples' probe boxes and the table, plane-sweep each
-      tile;
-    * ``"zorder"`` — the PROBE-style z-order merge join.
-
-    ``partitions`` is the PBSM tile target the pbsm cost assumes (0:
-    :data:`~repro.spatial.partition.DEFAULT_TILES`).  Bulk joins
-    (pbsm/z-order) pay a per-row build cost, so they only
-    win when many partial tuples probe a large table; the thresholds
-    keep small steps on the classic probe path.  Unusable statistics
-    (:data:`ESTIMATION_ERRORS`) return all-``"probe"`` — the safe
-    default.
-    """
-    order = tuple(order)
-    try:
-        estimates = rollout_step_estimates(
-            query,
-            order,
-            catalog=catalog,
-            rollouts=rollouts,
-            seed=seed,
-        )
-    except ESTIMATION_ERRORS:
-        return tuple("probe" for _ in order)
-    tiles = partitions if partitions > 0 else DEFAULT_TILES
-    out: List[str] = []
-    for est in estimates:
-        table = query.tables[est.variable]
-        n = len(table)
-        outer = est.partials_in
-        indexed = table.index_kind != "scan"
-        if indexed:
-            cost_probe = (
-                outer * math.log2(n + 2.0) * INDEX_PROBE_BRANCHING
-                + est.candidates
-            )
-        else:
-            cost_probe = outer * max(1.0, float(n))
-        costs = {"probe": cost_probe}
-        if outer >= MIN_BULK_JOIN_OUTER and n >= MIN_BULK_JOIN_ROWS:
-            pair_tests = max(
-                est.candidates, outer * n / max(1.0, float(tiles))
-            )
-            costs["pbsm"] = 1.5 * (outer + n) + pair_tests
-            costs["zorder"] = (
-                4.0 * (outer + n) * math.log2(outer + n + 2.0)
-                + 2.0 * est.candidates
-            )
-        best = min(
-            JOIN_STRATEGIES, key=lambda s: costs.get(s, float("inf"))
-        )
-        out.append(best)
-    return tuple(out)

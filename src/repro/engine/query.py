@@ -107,6 +107,10 @@ class AggregateSpec:
                 raise CompilationError(
                     f"unknown aggregate {op!r}; expected one of {AGGREGATE_OPS}"
                 )
+            if target is not None and not isinstance(target, str):
+                raise CompilationError(
+                    f"an aggregate target is a variable name, not {target!r}"
+                )
             if op == "count" and target is not None:
                 raise CompilationError("count takes no target variable")
             if op != "count" and target is None:
@@ -185,11 +189,18 @@ class SpatialQuery:
                 f"variables with no table or binding: {sorted(missing)}"
             )
         if self.order is not None:
-            order = list(self.order)
+            order = self.order
+            if not isinstance(order, (list, tuple)) or not all(
+                isinstance(name, str) for name in order
+            ):
+                raise CompilationError(
+                    f"a retrieval order is a list of variable names, not {order!r}"
+                )
+            self.order = tuple(order)
             if sorted(order) != sorted(self.tables):
                 raise CompilationError(
                     "retrieval order must list exactly the table variables; "
-                    f"got {order}, expected a permutation of "
+                    f"got {list(order)}, expected a permutation of "
                     f"{sorted(self.tables)}"
                 )
         if self.knn is not None:

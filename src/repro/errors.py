@@ -80,11 +80,10 @@ class UnknownModeError(ReproError, ValueError):
 
 
 class OptionError(ReproError, ValueError):
-    """Raised when an execution option — ``mode``, ``join_strategy``,
-    ``partitions`` or ``limit``, or a kNN lookup's ``k`` or ``access`` —
-    has the wrong type or value, or when two of them do not go together
-    (an explicit join strategy in a mode with no box layer).  The message
-    names what was expected."""
+    """Raised when an execution option — ``mode`` or ``limit``, a kNN
+    lookup's ``k`` or ``access``, or the join a plan is forced to run —
+    has the wrong type or value (a bulk join needs a box mode).  The
+    message names what was expected."""
 
 
 class UnboundVariableError(CompilationError):

@@ -116,8 +116,8 @@ class ServiceClient:
 
     def run(self, system: str, bindings: _Bindings = None, **options: Any) -> dict:
         """Execute constraint text; options are the uniform Session
-        keywords (``mode=``, ``join_strategy=``, ``partitions=``,
-        ``limit=``) plus ``order``/``knn``/``aggregate`` payloads."""
+        keywords (``mode=``, ``limit=``) plus ``order``/``knn``/
+        ``aggregate`` payloads."""
         return self._query("/run", system, bindings, options)
 
     def explain(

@@ -325,7 +325,10 @@ class QueryService:
         if "point" in payload:
             anchor = payload["point"]  # checked by SpatialTable.nearest
         elif "box" in payload:
-            anchor = box_from_jsonable(payload["box"])
+            try:
+                anchor = box_from_jsonable(payload["box"])
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                raise ServiceError(f"malformed 'box' {payload['box']!r}: {exc!r}") from exc
         else:
             raise ServiceError("nearest needs a 'point' or a 'box' anchor")
         # k and access are checked by SpatialTable.nearest (OptionError)

@@ -354,12 +354,15 @@ class ColumnStore:
     same number, and a repack builds the next store from this one's
     columns.
 
-    Empty boxes occupy a placeholder slot (zeros, flag 0): they match no
-    box query and are at infinite distance, exactly like the per-object
-    code treats them.
+    Empty boxes occupy a placeholder slot (zeros, flag 0): the kernels
+    pass over them and rank them at infinite distance.  Their rows are
+    also kept apart, in slot order, as :attr:`empty_rows`: a box query
+    with no ``covers`` and no ``overlap`` admits them (see
+    :meth:`SpatialTable.range_query_batch
+    <repro.spatial.table.SpatialTable.range_query_batch>`).
     """
 
-    __slots__ = ("dim", "rows", "_lo", "_hi", "_nonempty")
+    __slots__ = ("dim", "rows", "_lo", "_hi", "_nonempty", "empty_rows")
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
@@ -368,6 +371,8 @@ class ColumnStore:
         self._lo = tuple(array("d") for _ in range(dim))
         self._hi = tuple(array("d") for _ in range(dim))
         self._nonempty = array("B")
+        #: The rows of the empty slots, in slot order.
+        self.empty_rows: List[object] = []
 
     def __len__(self) -> int:
         return len(self._nonempty)
@@ -409,6 +414,10 @@ class ColumnStore:
                 cols[d].extend(flat[d::dim])
         store._nonempty.extend(array("B", live))
         store.rows.extend(rows)
+        if 0 in store._nonempty.tobytes():
+            store.empty_rows = list(
+                compress(store.rows, map(operator.not_, store._nonempty))
+            )
         return store
 
     def nonempty_columns(self) -> Tuple[List[Any], Columns, Columns]:
@@ -416,7 +425,7 @@ class ColumnStore:
         build kernels' input (an R-tree's leaves name these rows by
         position).  The store's own lists and arrays, not copies, when
         no slot is empty: read-only."""
-        if not self._nonempty.count(0):
+        if not self.empty_rows:
             return self.rows, self._lo, self._hi
         live = self._nonempty
         return (

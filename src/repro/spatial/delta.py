@@ -103,14 +103,11 @@ class TableDelta:
     # -- probing -----------------------------------------------------------
 
     def matches(self, query: BoxQuery) -> List["SpatialObject"]:
-        """Staged rows matching ``query``, in insertion order."""
+        """Staged rows matching ``query``, in insertion order (a row
+        whose region is empty where an empty box satisfies ``query``)."""
         if query.is_unsatisfiable():
             return []
-        return [
-            obj
-            for obj in self.inserts.values()
-            if not obj.box.is_empty() and query.matches(obj.box)
-        ]
+        return [obj for obj in self.inserts.values() if query.matches(obj.box)]
 
     def count(self, query: BoxQuery) -> int:
         """Number of staged rows matching ``query``."""

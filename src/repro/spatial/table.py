@@ -34,7 +34,7 @@ import numpy as np
 
 from ..algebra.regions import Region
 from ..boxes.bconstraints import BoxQuery
-from ..boxes.box import Box
+from ..boxes.box import EMPTY_BOX, Box
 from ..errors import AnchorError, DimensionMismatchError, DuplicateOidError, OptionError
 from . import columnar
 from .columnar import ColumnStore
@@ -458,7 +458,9 @@ class SpatialTable:
         one column kernel per query.  Rows, row order and every counter
         (table, R-tree) are those of calling :meth:`range_query` query
         after query; an unsatisfiable query is billed as a probe and
-        reads nothing."""
+        reads nothing.  A row whose region is empty is in no index and
+        no kernel: :meth:`_empty_matches` adds it where an empty box
+        satisfies the query."""
         live = [not query.is_unsatisfiable() for query in queries]
         self.probes += len(queries)
         self.vectorized_batches += sum(live)
@@ -472,6 +474,10 @@ class SpatialTable:
             before = self._rtree.stats.entry_tests
             found = self._rtree.search_batch(queries)
             self.vectorized_candidates += self._rtree.stats.entry_tests - before
+        if self._columns.empty_rows:
+            for i, ok in enumerate(live):
+                if ok:
+                    found[i] = found[i] + self._empty_matches(queries[i])
         d = self._delta
         for i, ok in enumerate(live):
             if ok:
@@ -479,6 +485,14 @@ class SpatialTable:
                     found[i] = self._overlay_rows(found[i], queries[i], d)
                 self.candidates_returned += len(found[i])
         return found
+
+    def _empty_matches(self, query: BoxQuery) -> List[SpatialObject]:
+        """The base rows whose region is empty, in slot order, when an
+        empty box satisfies ``query`` (it has no ``covers`` and no
+        ``overlap``), else none: the rule beside every index and kernel,
+        which hold nonempty boxes only."""
+        empty = self._columns.empty_rows
+        return empty if empty and query.matches(EMPTY_BOX) else []
 
     def _overlay_rows(
         self,
@@ -526,7 +540,8 @@ class SpatialTable:
     ) -> List[Tuple[float, SpatialObject]]:
         """The ``k`` rows nearest to ``anchor`` (a point or a box).
 
-        Distances are bounding-box MINDISTs; rows are returned in
+        Distances are bounding-box MINDISTs (a row whose region is
+        empty has none and is never returned); rows are returned in
         nondecreasing distance with ties at the ``k``-th distance broken
         by ``repr(oid)``, so every access path returns the *same* list
         (property-tested against :meth:`nearest_bruteforce`):
@@ -662,7 +677,7 @@ class SpatialTable:
         d = self._delta
         if self._rtree is not None:
             self.probes += 1
-            total = self._rtree.count(query)
+            total = self._rtree.count(query) + len(self._empty_matches(query))
             if d.pending_ops:
                 # The pushdown counted tombstoned base rows too; back
                 # them out individually (tombstone sets are small) and
@@ -670,11 +685,7 @@ class SpatialTable:
                 self.delta_probes += 1
                 for oid in d.tombstones:
                     obj = self._objects.get(oid)
-                    if (
-                        obj is not None
-                        and not obj.box.is_empty()
-                        and query.matches(obj.box)
-                    ):
+                    if obj is not None and query.matches(obj.box):
                         total -= 1
                 total += d.count(query)
             return total

@@ -12,12 +12,6 @@ through the forced ``pbsm`` and ``zorder`` joins; a kNN step puts a
 ``BoxFilter`` under the step filter.  Against the same physical plan
 with the marks cleared, the answer sequence and every counter but
 ``region_ops`` (which may only drop) are the same.
-
-A row whose region is empty is in no index (range queries, bulk joins
-and ``BoxFilter`` pass over it), so the box modes answer as ``naive``
-does over the other rows; ``exact`` and ``naive`` scan it.  That the
-box modes drop such answers is a known divergence of the box layer,
-older than the marks; the tests hold it as it stands.
 """
 
 import random
@@ -89,14 +83,11 @@ def _run(plan, marks, **layout):
 
 
 def _check_plan(plan):
-    """``exact`` gives ``naive``'s answers; every box layout gives those
-    without an empty-region row, and the same answer sequence and counters
-    as with the marks cleared."""
-    naive = execute(plan, "naive")[0]
-    expected = answers_as_oid_tuples(naive, plan.order)
+    """``exact`` and every box layout give ``naive``'s answers, and each
+    layout the same answer sequence and counters as with the marks
+    cleared."""
+    expected = answers_as_oid_tuples(execute(plan, "naive")[0], plan.order)
     assert answers_as_oid_tuples(execute(plan, "exact")[0], plan.order) == expected
-    indexed = [a for a in naive if all(row.region.boxes for row in a.values())]
-    expected = answers_as_oid_tuples(indexed, plan.order)
     for layout in LAYOUTS:
         answers, stats = _run(plan, True, **layout)
         checked, checked_stats = _run(plan, False, **layout)

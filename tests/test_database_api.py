@@ -23,6 +23,7 @@ from repro.engine.executor import (
     execute,
 )
 from repro.engine.stats import ExecutionStats
+from repro.errors import OptionError
 from repro.spatial.table import SpatialTable
 from repro.spatial.rtree import RTreeStats
 
@@ -163,36 +164,6 @@ def test_session_partitioned_matches_serial(workload):
         assert result.oid_tuples() == expected, kwargs
 
 
-def test_per_call_partitions_reach_the_planner(db, workload):
-    """Regression: a per-call ``partitions=N`` once lost to the session
-    default.  It is PBSM's tile target, which ``"auto"`` prices in
-    ``choose_join_strategies``."""
-    from unittest import mock
-
-    from repro.engine import planner
-
-    query, _map = workload
-    text = str(query.system)
-    per_call = db.session(join_strategy="auto")
-    per_session = db.session(join_strategy="auto", partitions=8)
-    for call, extra in (("run", {}), ("explain", {}), ("explain", {"analyze": True})):
-        with mock.patch.object(
-            planner, "choose_join_strategies", wraps=planner.choose_join_strategies
-        ) as spy:
-            getattr(per_call, call)(text, partitions=8, **extra)
-            getattr(per_session, call)(text, **extra)
-            getattr(per_session, call)(text, partitions=0, **extra)
-        assert [c.kwargs["partitions"] for c in spy.call_args_list] == [
-            8,
-            8,
-            0,
-        ], call
-    assert per_call.explain(text, partitions=8) == per_session.explain(text)
-    assert (
-        per_call.run(text, partitions=8).order == per_session.run(text).order
-    )
-
-
 @pytest.mark.parametrize(
     "query",
     [
@@ -204,17 +175,16 @@ def test_per_call_partitions_reach_the_planner(db, workload):
 def test_partitions_alone_keep_every_step_on_probe(query):
     """``partitions=`` only sizes PBSM's tiles: with no ``join_strategy``
     every step probes, in the order and with the answers of
-    ``partitions=0``."""
+    ``partitions=0``, and EXPLAIN names no join."""
     db = Database.from_query(query)
     text = str(query.system)
-    plain, tiled = db.session().run(text), db.session(partitions=8).run(text)
+    plain, tiled = db.session().run(text), db.session().run(text, partitions=8)
     assert tiled.order == plain.order
     assert [
         {v: row.oid for v, row in answer.items()} for answer in tiled.answers
     ] == [{v: row.oid for v, row in answer.items()} for answer in plain.answers]
     assert tiled.stats.to_dict() == plain.stats.to_dict()
-    probes = ", ".join(f"{v}=probe" for v in plain.order)
-    assert f"partitions=8  joins: {probes}" in db.session(partitions=8).explain(text)
+    assert "join=" not in db.session().explain(text)
 
 
 def test_session_reports_planning_time(db, workload):
@@ -292,11 +262,33 @@ def test_session_nearest_matches_table(db, workload):
 @pytest.mark.parametrize("option", ["vectorize", "shards", "spill"])
 def test_retired_session_options_are_type_errors(option):
     """One execution path per platform: no option picks another."""
-    assert SESSION_OPTIONS == ("mode", "join_strategy", "partitions", "limit")
+    assert SESSION_OPTIONS == ("mode", "limit")
     with pytest.raises(TypeError, match=option):
         Session(**{option: False})
     with pytest.raises(TypeError):
         Session().run(smugglers_query(seed=2)[0], **{option: False})
+
+
+@pytest.mark.parametrize("option", [{"join_strategy": "pbsm"}, {"partitions": 8}])
+def test_retired_join_options_fail_loudly(option, capsys):
+    """Joins are no choice: the index probe runs every default plan.
+    ``join_strategy``/``partitions`` are no session or EXPLAIN option and
+    no CLI flag; ``Session.run`` keeps them only to force one bulk join,
+    by one name."""
+    from repro.__main__ import main
+
+    query = smugglers_query(seed=2)[0]
+    with pytest.raises(TypeError, match=next(iter(option))):
+        Session(**option)
+    with pytest.raises(TypeError):
+        Session().explain(query, **option)
+    flag = {"join_strategy": "--join", "partitions": "--partitions"}[next(iter(option))]
+    with pytest.raises(SystemExit) as exit_:
+        main(["explain", "--workload", "smugglers", "--size", "6", flag, "4"])
+    assert exit_.value.code == 2 and flag in capsys.readouterr().err
+    for strategy in ("auto", ["pbsm"], {"T": "pbsm"}):
+        with pytest.raises(OptionError, match="unknown join strategy"):
+            Session().run(query, join_strategy=strategy)
 
 
 # -- stats JSON round trips ----------------------------------------------------
@@ -327,3 +319,21 @@ def test_system_text_round_trips_through_parser(db):
 
     system = smugglers_system()
     assert str(parse_system(str(system))) == str(system)
+
+
+def test_the_e2e_harness_forced_join_legs_still_run():
+    """``benchmarks/e2e/workloads.py``'s traced ``overlay_join`` pass
+    forces each of ``OverlayJoin.JOIN_STRATEGIES`` through
+    ``Session.run(text, order=..., join_strategy=s, partitions=8)``.
+    The same call over a small overlay gives the probe's answers, so a
+    change that breaks those legs fails here before the benchmark."""
+    from benchmarks.e2e.workloads import OverlayJoin
+
+    session = Database.from_query(overlay_query(60, 60, seed=OverlayJoin.DATA_SEED)).session()
+    probe = session.run(OverlayJoin.TEXT, order=OverlayJoin.ORDER)
+    assert probe.answers
+    for strategy in OverlayJoin.JOIN_STRATEGIES:
+        result = session.run(
+            OverlayJoin.TEXT, order=OverlayJoin.ORDER, join_strategy=strategy, partitions=8
+        )
+        assert result.oid_tuples() == probe.oid_tuples(), strategy

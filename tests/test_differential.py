@@ -30,7 +30,7 @@ from tests.conftest import (
     shifted_seed,
 )
 
-STRATEGIES = (None, "auto", "pbsm", "zorder")
+STRATEGIES = ("probe", "pbsm", "zorder")
 
 
 def _knn_reference_oids(table, anchor, k):

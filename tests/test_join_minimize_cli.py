@@ -169,7 +169,7 @@ class TestCli:
         """PBSM sweeps its tiles serially; --parallel is a usage error."""
         proc = _cli(
             "explain", "--workload", "smugglers", "--size", "8",
-            "--partitions", "4", "--parallel", "2", "--analyze", "--json",
+            "--parallel", "2", "--analyze", "--json",
         )
         assert proc.returncode == 2
         assert "--parallel" in proc.stderr
@@ -183,12 +183,3 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "# 1 answers; planned in " in proc.stdout
         assert "first after " in proc.stdout
-
-    def test_explain_partitioned_join(self):
-        proc = _cli(
-            "explain", "--workload", "smugglers", "--size", "8",
-            "--partitions", "4", "--join", "pbsm", "--analyze",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "PartitionedSpatialJoin" in proc.stdout
-        assert "joins: " in proc.stdout

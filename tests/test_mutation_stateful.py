@@ -120,11 +120,12 @@ class MutationMachine(RuleBasedStateMachine):
     # -- shadow-model reference answers ------------------------------------
 
     def _shadow_matches(self, query: BoxQuery):
+        # A row whose region is empty (the prefill makes some) matches
+        # wherever an empty box does.
         return [
             oid
             for oid, region in self.shadow.items()
-            if not region.bounding_box().is_empty()
-            and query.matches(region.bounding_box())
+            if query.matches(region.bounding_box())
         ]
 
     def _shadow_nearest(self, point, k):

@@ -6,12 +6,15 @@ import pytest
 
 from repro.boxes.bconstraints import BoxQuery
 from repro.boxes.box import Box
-from repro.datagen.workloads import overlay_query, smugglers_query
-from repro.engine.catalog import Catalog
+from repro.datagen.workloads import smugglers_query
 from repro.engine.compiler import compile_query
 from repro.engine.executor import answers_as_oid_tuples, execute
-from repro.engine.physical import PartitionedSpatialJoin, ZOrderJoin, build_physical_plan
-from repro.engine.planner import JOIN_STRATEGIES, choose_join_strategies
+from repro.engine.physical import (
+    JOIN_STRATEGIES,
+    PartitionedSpatialJoin,
+    ZOrderJoin,
+    build_physical_plan,
+)
 from repro.errors import OptionError
 from repro.spatial.partition import JoinStats, TileGrid, pbsm_join, probe_box
 from repro.spatial.rtree import RTree
@@ -242,9 +245,9 @@ class TestPartitionedOperators:
         order = list(plan.order)
         reference = answers_as_oid_tuples(execute(plan, "boxonly")[0], order)
         for strategy in ("pbsm", "zorder", "probe"):
-            answers, _ = execute(
+            answers, _ = build_physical_plan(
                 plan, "boxonly", partitions=4, join_strategy=strategy
-            )
+            ).run()
             assert answers_as_oid_tuples(answers, order) == reference
 
     def test_unknown_strategy_rejected(self):
@@ -265,46 +268,21 @@ class TestPartitionedOperators:
         for mode in ("naive", "exact"):
             with pytest.raises(ValueError, match="box modes"):
                 build_physical_plan(plan, mode, join_strategy="pbsm")
-            # The delegating 'auto' (and None) degrade quietly.
-            build_physical_plan(plan, mode, join_strategy="auto")
-            build_physical_plan(plan, mode, partitions=4)
+            # The probe, whatever the tile target, is every mode's.
+            build_physical_plan(plan, mode, join_strategy="probe", partitions=4)
 
     def test_misshapen_strategy_options_rejected(self):
+        """One name runs every step: a per-variable list or mapping, the
+        cost-based ``"auto"`` and ``None`` are gone."""
         plan = self._plan(size=8)  # three retrieval steps
-        with pytest.raises(ValueError, match="3 retrieval steps"):
-            build_physical_plan(
-                plan, "boxplan", join_strategy=["pbsm", "zorder"]
-            )
-        with pytest.raises(ValueError, match="unknown variables"):
-            build_physical_plan(
-                plan, "boxplan", join_strategy={"NOPE": "pbsm"}
-            )
-        # A partial per-variable mapping is fine: the rest default.
         first = plan.order[0]
-        pplan = build_physical_plan(
-            plan, "boxplan", join_strategy={first: "pbsm"}
-        )
-        assert pplan.join_strategies[0] == "pbsm"
-        assert set(pplan.join_strategies[1:]) == {"probe"}
+        for option in (["pbsm", "zorder", "probe"], {first: "pbsm"}, "auto", None):
+            with pytest.raises(OptionError, match="unknown join strategy"):
+                build_physical_plan(plan, "boxplan", join_strategy=option)
+        pplan = build_physical_plan(plan, "boxplan", join_strategy="pbsm")
+        assert pplan.join_strategy == "pbsm"
+        assert {type(ops.extend) for ops in pplan.step_ops} == {PartitionedSpatialJoin}
 
     def test_operator_classes_exported(self):
         assert PartitionedSpatialJoin.kind == "PartitionedSpatialJoin"
         assert ZOrderJoin.kind == "ZOrderJoin"
-
-
-class TestPlannerIntegration:
-    def test_choose_join_strategies_shape_and_fallback(self):
-        query = overlay_query(n_left=80, n_right=80, seed=3)
-        chosen = choose_join_strategies(
-            query, ["x", "y"], catalog=Catalog(), partitions=16
-        )
-        assert len(chosen) == 2
-        assert all(s in JOIN_STRATEGIES for s in chosen)
-        # Step 1 has a single probing tuple: bulk joins cannot win.
-        assert chosen[0] == "probe"
-
-    def test_bulk_join_picked_for_large_fanout(self):
-        """Many outer tuples probing a large table → a bulk join wins."""
-        query = overlay_query(n_left=400, n_right=400, seed=5)
-        chosen = choose_join_strategies(query, ["x", "y"], partitions=32)
-        assert chosen[1] in ("pbsm", "zorder")

@@ -39,7 +39,7 @@ from repro.database import Database
 from repro.datagen.maps import make_map
 from repro.datagen.workloads import containment_chain_query, overlay_query
 from repro.engine.compiler import compile_query
-from repro.engine.planner import choose_join_strategies, plan_order, rollout_step_estimates
+from repro.engine.planner import plan_order, rollout_step_estimates
 from repro.engine.query import KNNStep, SpatialQuery
 from repro.engine import planner
 from repro.engine.catalog import TableStatistics
@@ -474,34 +474,29 @@ def test_figure1_run_builds_only_the_boxes_it_returns():
 
 
 def test_run_and_explain_triangularise_once(figure1_db):
-    """Planner, compiler, join chooser and EXPLAIN annotations share the
-    query's Algorithm-1 memo: nothing after planning solves again."""
+    """Planner, compiler and EXPLAIN annotations share the query's
+    Algorithm-1 memo: nothing after planning solves again."""
     text = TEXT_FORMS[0].format(A="A2")
-    options = {"partitions": 8, "join_strategy": "auto"}
     with _counted() as planning:
         order = plan_order(figure1_db.query(text), "histogram")
     session = figure1_db.session()
     with _counted() as run:
-        result = session.run(text, **options)
+        result = session.run(text)
     with _counted() as explain:
-        explained = session.explain(text, **options)
+        explained = session.explain(text)
     for calls in (run, explain):
         assert calls["project"].call_count == planning["project"].call_count == 7
         assert calls["solve_for"].call_count == planning["solve_for"].call_count
-        # Compile, the join chooser and the EXPLAIN annotations
-        # build no manager and lift no formula of their own.
+        # Compile and the EXPLAIN annotations build no manager and lift
+        # no formula of their own.
         assert calls["managers"].call_count == planning["managers"].call_count == 1
         assert calls["lifts"].call_count == planning["lifts"].call_count
     assert result.order == order
     # Sharing changes no outcome: stage by stage on query objects of
-    # their own, the strategies and the EXPLAIN text are the same.
+    # their own, the EXPLAIN text is the same.
     plan = compile_query(figure1_db.query(text), order=order)
     assert plan.triangular == triangular_form(plan.query.system, order)
-    pplan = plan.physical("boxplan", **options)
-    assert pplan.join_strategies == choose_join_strategies(
-        figure1_db.query(text), order, partitions=8
-    )
-    assert explained == pplan.explain()
+    assert explained == plan.physical("boxplan").explain()
 
 
 # -- failures are not swallowed ----------------------------------------------
@@ -514,8 +509,6 @@ def test_injected_type_error_propagates(figure1_db):
     ):
         with pytest.raises(TypeError):
             plan_order(query, strategy="histogram")
-        with pytest.raises(TypeError):
-            choose_join_strategies(query, order, partitions=4)
         with pytest.raises(TypeError):
             plan.physical("boxplan")  # EXPLAIN's estimate annotations
 
@@ -570,7 +563,6 @@ def test_unusable_statistics_still_fall_back():
     with pytest.raises(CompilationError):
         rollout_step_estimates(query, ("x", "y"))
     assert plan_order(query, strategy="histogram") == planner.choose_order(query)
-    assert choose_join_strategies(query, ("x", "y")) == ("probe", "probe")
 
 
 # -- bound constraints -------------------------------------------------------

@@ -151,8 +151,9 @@ def test_vectorized_billing_matches_scalar(seed, strategy):
         ]
         return answers, pplan.stats()
 
-    scalar_answers, scalar = run(None, per_binding=True)
-    vec_answers, vec = run(strategy)
+    scalar_answers, scalar = run("probe", per_binding=True)
+    # ``None``: the default plan, which probes (grouped).
+    vec_answers, vec = run(strategy or "probe")
     assert vec_answers == scalar_answers
     top, step = TOP_FIELDS, STEP_FIELDS
     if strategy is None:
