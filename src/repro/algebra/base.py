@@ -98,10 +98,6 @@ class BooleanAlgebra(abc.ABC, Generic[E]):
         """Difference ``a & ~b``."""
         return self.meet(a, self.complement(b))
 
-    def xor(self, a: E, b: E) -> E:
-        """Symmetric difference."""
-        return self.join(self.diff(a, b), self.diff(b, a))
-
     def le(self, a: E, b: E) -> bool:
         """Containment ``a <= b``, i.e. ``a & ~b == 0``."""
         self.ops.comparisons += 1
@@ -163,7 +159,3 @@ class BooleanAlgebra(abc.ABC, Generic[E]):
         raise NotImplementedError(
             f"{type(self).__name__} is not atomless; cannot split"
         )
-
-    def proper_nonempty_subset(self, a: E) -> E:
-        """A proper nonzero subset of nonzero ``a`` (first half of split)."""
-        return self.split(a)[0]

@@ -9,7 +9,6 @@ random evaluations are performed.
 
 from __future__ import annotations
 
-import random
 from typing import Iterator, Tuple
 
 from .base import BooleanAlgebra
@@ -60,10 +59,6 @@ class BitVectorAlgebra(BooleanAlgebra[int]):
     def eq(self, a: int, b: int) -> bool:
         self.ops.comparisons += 1
         return a == b
-
-    def random_element(self, rng: random.Random) -> int:
-        """A uniformly random element."""
-        return rng.getrandbits(self._width) & self._mask
 
     def elements(self) -> Iterator[int]:
         """All elements (guarded for small widths)."""

@@ -10,7 +10,7 @@ identity is valid.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..boolean.bdd import Bdd
 from ..boolean.syntax import Formula
@@ -49,10 +49,6 @@ class FreeBooleanAlgebra(BooleanAlgebra[int]):
         if name not in self._generators:
             raise KeyError(f"unknown generator {name!r}")
         return self._mgr.var(name)
-
-    def generic_env(self) -> Dict[str, int]:
-        """The assignment sending each generator to itself."""
-        return {g: self.generator(g) for g in self._generators}
 
     def from_formula(self, f: Formula) -> int:
         """Interpret a formula over the generators."""

@@ -139,10 +139,6 @@ class Region:
         """Lebesgue measure (sum of disjoint box volumes)."""
         return sum(b.volume() for b in self.boxes)
 
-    def box_count(self) -> int:
-        """Number of boxes in the internal representation."""
-        return len(self.boxes)
-
     def bounding_box(self) -> Box:
         """``⌈self⌉`` — the minimal surrounding bounding box (Section 4)."""
         boxes = self.boxes

@@ -117,11 +117,6 @@ class Bdd:
         level = self.declare(name)
         return self._mk(level, 0, 1)
 
-    def nvar(self, name: str) -> int:
-        """The complemented variable."""
-        level = self.declare(name)
-        return self._mk(level, 1, 0)
-
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: the unique function agreeing with ``g`` on ``f``
         and with ``h`` on ``~f``.  All other connectives reduce to it."""

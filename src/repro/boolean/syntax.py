@@ -118,10 +118,6 @@ class Formula:
             return 1 + max(a.depth() for a in self.args)
         return 1
 
-    def is_constant(self) -> bool:
-        """``True`` iff the formula is syntactically ``0`` or ``1``."""
-        return isinstance(self, Const)
-
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         from .printer import to_str
 

@@ -402,7 +402,6 @@ class Session:
         table: Union[str, SpatialTable],
         anchor,
         k: int,
-        access: str = "auto",
     ) -> List[Tuple[float, SpatialObject]]:
         """The ``k`` rows of a table nearest to a point or box anchor.
 
@@ -417,4 +416,4 @@ class Session:
                     "Session(db=...) or pass the SpatialTable itself"
                 )
             table = self.db.table(table)
-        return table.nearest(anchor, k, access=access)
+        return table.nearest(anchor, k)

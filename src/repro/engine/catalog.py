@@ -15,14 +15,18 @@ rather than raw sizes; the same applies to the paper's retrieval order
   the planner roll out candidate retrieval orders on representative
   objects.
 
-Statistics are cached on the table itself (see
-:meth:`repro.spatial.table.SpatialTable.statistics`) and invalidated by
-its mutation counter, so repeated planning is cheap.
+Each table has one statistics set, made with :data:`DEFAULT_BINS`
+buckets and a :data:`DEFAULT_SAMPLE_SIZE`-row sample: the planner reads
+it through :meth:`repro.spatial.table.SpatialTable.statistics`, which
+caches it per base version and adjusts it for a pending write delta
+(:meth:`TableStatistics.apply_delta`).  :func:`collect_statistics`
+still takes the bucket count, sample size and seed, for the tests that
+hold its kernels to the per-object scan.  The statistics price
+retrieval orders only; no access path is chosen from them.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -41,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..algebra.regions import RegionAlgebra
     from ..constraints.solved import SolvedConstraint
     from ..spatial.table import SpatialObject, SpatialTable
-    from .query import SpatialQuery
 
 DEFAULT_BINS = 16
 DEFAULT_SAMPLE_SIZE = 24
@@ -177,10 +180,7 @@ class TableStatistics:
 
     ``lo_hists[d]`` / ``hi_hists[d]`` are histograms of the stored
     boxes' lower/upper edges in dimension ``d``; ``sample`` is a
-    uniform random sample of the rows themselves.  ``delta_count`` is the number
-    of staged-but-unpacked mutations folded in by :meth:`apply_delta`
-    (0 for statistics over a clean table) — the cost formulas price the
-    per-probe delta overlay with it.
+    uniform random sample of the rows themselves.
     """
 
     name: str
@@ -191,7 +191,6 @@ class TableStatistics:
     hi_hists: Tuple[Histogram, ...]
     avg_sides: Tuple[float, ...]
     sample: Tuple["SpatialObject", ...]
-    delta_count: int = 0
 
     # -- per-constraint selectivity (histogram-based) -------------------------
     def sel_inside(self, a: Box) -> float:
@@ -276,17 +275,11 @@ class TableStatistics:
             matching = self.matching_sample(query)
         return _clamp((hist + len(matching) / len(self.sample)) / 2.0)
 
-    def estimate_cardinality(self, query: BoxQuery) -> float:
-        """Expected number of rows matching ``query``."""
-        return self.count * self.selectivity(query)
-
     # -- incremental maintenance ------------------------------------------------
     def apply_delta(
         self,
         inserted: Tuple["SpatialObject", ...],
         removed: Tuple["SpatialObject", ...],
-        sample_size: int = DEFAULT_SAMPLE_SIZE,
-        bins: int = DEFAULT_BINS,
     ) -> "TableStatistics":
         """Statistics adjusted for staged writes — O(delta), no rescan.
 
@@ -294,11 +287,10 @@ class TableStatistics:
         updated incrementally from the staged rows; the MBR grows to
         enclose inserted boxes but never shrinks on deletes (a sound
         over-approximation: re-tightening it would need a base rescan,
-        which the repack does anyway).  ``delta_count`` records how many
-        staged mutations were folded in, so the planner's node-read
-        formulas can price the per-probe delta overlay.  The histograms
-        keep their bucket count; over an empty base (no buckets yet) the
-        staged rows fill ``bins`` of them.
+        which the repack does anyway).  The histograms keep their bucket
+        count; over an empty base (no buckets yet) the staged rows fill
+        :data:`DEFAULT_BINS` of them; the sample refills from the staged
+        rows up to :data:`DEFAULT_SAMPLE_SIZE`.
         """
         if not inserted and not removed:
             return self
@@ -309,7 +301,7 @@ class TableStatistics:
             mbr = enclose_all(
                 ([mbr] if not mbr.is_empty() else []) + ins_boxes
             )
-        bins = max((len(h.counts) for h in self.lo_hists), default=0) or bins
+        bins = max((len(h.counts) for h in self.lo_hists), default=0) or DEFAULT_BINS
         lo_hists = []
         hi_hists = []
         avg_sides = []
@@ -341,7 +333,7 @@ class TableStatistics:
                 avg_sides.append(0.0)
         dead = {id(o) for o in removed}
         kept = tuple(o for o in self.sample if id(o) not in dead)
-        fill = tuple(inserted)[: max(0, sample_size - len(kept))]
+        fill = tuple(inserted)[: max(0, DEFAULT_SAMPLE_SIZE - len(kept))]
         from dataclasses import replace
 
         return replace(
@@ -352,44 +344,7 @@ class TableStatistics:
             hi_hists=tuple(hi_hists),
             avg_sides=tuple(avg_sides),
             sample=kept + fill,
-            delta_count=len(inserted) + len(removed),
         )
-
-    # -- nearest-neighbor costing ----------------------------------------------
-    def estimate_scan_node_reads(self, node_capacity: int = 8) -> float:
-        """Nodes a full R-tree traversal of this table would read.
-
-        Leaves at near-full fanout plus the geometric series of inner
-        levels — the cost of ranking every row (the kNN scan path).
-        Staged delta rows cost one extra "leaf" per node's worth: they
-        are brute-forced by the overlay merge on every probe.
-        """
-        overlay = self.delta_count / max(2, node_capacity)
-        if self.count == 0:
-            return 1.0 + overlay
-        cap = max(2, node_capacity)
-        leaves = math.ceil(self.count / cap)
-        return leaves * cap / (cap - 1) + overlay
-
-    def estimate_knn_node_reads(
-        self, k: int, node_capacity: int = 8
-    ) -> float:
-        """Expected node reads of a best-first kNN for ``k`` results.
-
-        One root-to-leaf descent plus roughly ``k / M`` additional leaf
-        reads (each read leaf yields up to ``M`` candidates), doubled
-        for the inner nodes the frontier expands.  Deliberately coarse —
-        it only needs to rank best-first against the full scan, which it
-        beats until ``k`` approaches the table size.  A pending delta
-        adds its overlay term (the staged rows are ranked on every
-        probe, whichever access path wins).
-        """
-        overlay = self.delta_count / max(2, node_capacity)
-        if self.count == 0:
-            return 1.0 + overlay
-        cap = max(2, node_capacity)
-        height = 1 + math.ceil(math.log(max(2, self.count), cap))
-        return height + 2.0 * math.ceil(min(k, self.count) / cap) + overlay
 
     def exact_selectivity(
         self,
@@ -433,7 +388,6 @@ class TableStatistics:
             "hi_hists": [h.to_dict() for h in self.hi_hists],
             "avg_sides": list(self.avg_sides),
             "sample": [row_index[id(obj)] for obj in self.sample],
-            "delta_count": self.delta_count,
         }
 
     @classmethod
@@ -454,7 +408,6 @@ class TableStatistics:
             ),
             avg_sides=tuple(float(s) for s in data["avg_sides"]),
             sample=tuple(rows[int(i)] for i in data["sample"]),
-            delta_count=int(data.get("delta_count", 0)),
         )
 
 
@@ -513,37 +466,3 @@ def collect_statistics(
         sample=sample,
     )
 
-
-class Catalog:
-    """A view over per-table statistics for one planning session.
-
-    Thin by design: the cache itself lives on each table (invalidated by
-    the table's mutation counter); the catalog only fixes the histogram
-    resolution and sampling parameters so every table in a query is
-    profiled consistently.
-    """
-
-    def __init__(
-        self,
-        bins: int = DEFAULT_BINS,
-        sample_size: int = DEFAULT_SAMPLE_SIZE,
-        seed: int = 0,
-    ) -> None:
-        self.bins = bins
-        self.sample_size = sample_size
-        self.seed = seed
-
-    def statistics(self, table: "SpatialTable") -> TableStatistics:
-        """Statistics for one table (cached on the table)."""
-        return table.statistics(
-            bins=self.bins,
-            sample_size=self.sample_size,
-            seed=self.seed,
-        )
-
-    def for_query(self, query: "SpatialQuery") -> dict:
-        """``variable -> TableStatistics`` for every unknown of a query."""
-        return {
-            name: self.statistics(table)
-            for name, table in query.tables.items()
-        }

@@ -30,7 +30,6 @@ from ..spatial.table import SpatialTable
 from .query import AggregateSpec, KNNStep, SpatialQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .catalog import Catalog
     from .physical import PhysicalPlan
 
 
@@ -78,7 +77,6 @@ class QueryPlan:
     def physical(
         self,
         mode: str = "boxplan",
-        catalog: Optional["Catalog"] = None,
         estimate: bool = True,
     ) -> "PhysicalPlan":
         """Lower to a physical operator tree (the third pipeline stage).
@@ -88,9 +86,7 @@ class QueryPlan:
         """
         from .physical import build_physical_plan
 
-        return build_physical_plan(
-            self, mode=mode, catalog=catalog, estimate=estimate
-        )
+        return build_physical_plan(self, mode=mode, estimate=estimate)
 
     def explain(self, mode: str = "boxplan", analyze: bool = False) -> str:
         """EXPLAIN: the rendered physical operator tree for ``mode``.

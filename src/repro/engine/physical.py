@@ -37,8 +37,18 @@ Every operator keeps its own :class:`OperatorStats`;
 :meth:`PhysicalPlan.stats` folds them into the classic
 :class:`~repro.engine.stats.ExecutionStats` so all pre-existing counter
 consumers (benchmarks, CI gates) keep working.  :meth:`PhysicalPlan.
-explain` renders the tree with catalog cost estimates and — once the
-plan has run — per-operator actual rows/probes/node reads.
+explain` renders the tree with the statistics' cardinality estimates
+and — once the plan has run — per-operator actual rows/probes/node
+reads.
+
+**kNN.**  A query's kNN restriction replaces its variable's access
+path with one :class:`KNNProbe`, in every mode.  The path of each probe
+is the table's index, not a plan choice: a best-first browse on an
+r-tree table, the columnar distance kernel on a scan table (see
+:meth:`~repro.spatial.table.SpatialTable.nearest`).  The operator keeps
+the ranked rows of every distinct anchor, so a fixed anchor probes once
+per execution and an anchor that is an earlier variable's box
+(EXPLAIN's ``DistanceJoin``) once per distinct box.
 
 **Bulk joins.**  Every default plan probes.  Two bulk extend operators
 implement alternative join algorithms, run on every box-mode step when
@@ -88,7 +98,6 @@ from .stats import ExecutionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..boxes.bconstraints import BoxQuery, StepTemplate
-    from .catalog import Catalog
     from .query import AggregateSpec, KNNStep
 
 #: A partial (or complete) answer: variable name → retrieved object.
@@ -407,14 +416,20 @@ class VectorizedScanProbe(IndexProbe):
 
 
 class KNNProbe(ExtendStep):
-    """Extend with the ``k`` nearest rows to a *fixed* anchor.
+    """Extend with the ``k`` rows nearest to an anchor.
 
     The anchor is the logical :class:`~repro.engine.query.KNNStep`'s
-    point (or a constant binding's bounding box), so the ranked row
-    list is computed once per execution — one best-first distance
-    browse on r-tree tables (:meth:`~repro.spatial.table.SpatialTable.
-    nearest`), a brute-force scan otherwise — and reused for every
-    incoming binding.  Rows extend in nondecreasing distance, so a
+    point, or the bounding box of its ``ref``: a constant binding or an
+    already-retrieved variable.  Each distinct anchor costs one
+    :meth:`~repro.spatial.table.SpatialTable.nearest` probe — a
+    best-first browse on r-tree tables, the columnar distance kernel on
+    scan tables — and its ranked rows are kept for the rest of the
+    execution.  A point or a constant anchor never changes, so it probes
+    once per execution; a variable anchor probes once per distinct box
+    (the index-nested-loop distance join, whose repeated anchors — common
+    when intermediate variables between the anchor and this step fan
+    out — cost nothing).  EXPLAIN labels the per-tuple form
+    ``DistanceJoin``.  Rows extend in nondecreasing distance, so a
     ``limit=k`` stream returns the nearest answers first (distance
     browsing at the query level).
     """
@@ -427,12 +442,13 @@ class KNNProbe(ExtendStep):
         variable: str,
         table: SpatialTable,
         knn: "KNNStep",
-        access: str = "auto",
+        per_tuple: bool = False,
     ) -> None:
         super().__init__(child, variable, table)
         self.knn = knn
-        self.access = access
-        self._ranked: Optional[List[SpatialObject]] = None
+        if per_tuple:
+            self.kind = "DistanceJoin"
+        self._ranked: Dict[Any, List[SpatialObject]] = {}
 
     def describe(self) -> str:
         anchor = (
@@ -442,84 +458,29 @@ class KNNProbe(ExtendStep):
         )
         return (
             f"{self.kind}({self.variable} from {self.table.name}, "
-            f"k={self.knn.k}, {anchor}, access={self.access})"
+            f"k={self.knn.k}, {anchor})"
         )
 
     def reset_stats(self) -> None:
-        self._ranked = None
+        self._ranked = {}
         super().reset_stats()
 
-    def _anchor(self, ctx: ExecutionContext) -> Any:
+    def _rows(
+        self, ctx: ExecutionContext, binding: Binding
+    ) -> List[SpatialObject]:
         if self.knn.point is not None:
-            return self.knn.point
-        return ctx.box_env({})[self.knn.ref]
-
-    def _rows(
-        self, ctx: ExecutionContext, binding: Binding
-    ) -> List[SpatialObject]:
-        if self._ranked is None:
-            self.stats.probes += 1
-            before = self.table.index_read_count()
-            mark = self._vectorized_mark()
-            ranked = self.table.nearest(
-                self._anchor(ctx), self.knn.k, access=self.access
-            )
-            self.stats.node_reads += self.table.index_read_count() - before
-            self._vectorized_absorb(mark)
-            self._ranked = [obj for _dist, obj in ranked]
-        return self._ranked
-
-
-class DistanceJoin(ExtendStep):
-    """Extend with the ``k`` rows nearest to *each* incoming binding.
-
-    The per-tuple form of :class:`KNNProbe`: the anchor is the bounding
-    box of an already-retrieved variable (``knn.ref``), so every
-    incoming partial tuple issues its own bounded nearest-neighbor
-    probe (box-to-box MINDIST) — the index-nested-loop distance join.
-    Repeated anchor boxes (common when intermediate variables between
-    the anchor and this step fan out) are memoized per execution, like
-    :class:`IndexProbe`'s batch path memoizes duplicate box queries.
-    """
-
-    kind = "DistanceJoin"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-        knn: "KNNStep",
-        access: str = "auto",
-    ) -> None:
-        super().__init__(child, variable, table)
-        self.knn = knn
-        self.access = access
-        self._memo: Dict[Box, List[SpatialObject]] = {}
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind}({self.variable} from {self.table.name}, "
-            f"k={self.knn.k}, ref={self.knn.ref}, access={self.access})"
-        )
-
-    def reset_stats(self) -> None:
-        self._memo = {}
-        super().reset_stats()
-
-    def _rows(
-        self, ctx: ExecutionContext, binding: Binding
-    ) -> List[SpatialObject]:
-        anchor = ctx.box_env(binding)[self.knn.ref]
-        rows = self._memo.get(anchor)
+            anchor: Any = self.knn.point
+        else:
+            anchor = ctx.box_env(binding)[self.knn.ref]
+        rows = self._ranked.get(anchor)
         if rows is None:
             self.stats.probes += 1
             before = self.table.index_read_count()
             mark = self._vectorized_mark()
-            ranked = self.table.nearest(anchor, self.knn.k, access=self.access)
+            ranked = self.table.nearest(anchor, self.knn.k)
             self.stats.node_reads += self.table.index_read_count() - before
             self._vectorized_absorb(mark)
-            rows = self._memo[anchor] = [obj for _dist, obj in ranked]
+            rows = self._ranked[anchor] = [obj for _dist, obj in ranked]
         return rows
 
 
@@ -1084,7 +1045,6 @@ class PhysicalPlan:
     final_filter: Optional[ExactFilter] = None
     partitions: int = 0
     join_strategy: str = "probe"
-    knn_access: Optional[str] = None
     aggregate_op: Optional[PhysicalOperator] = None
 
     # -- execution ---------------------------------------------------------------
@@ -1205,9 +1165,7 @@ class PhysicalPlan:
                 + (f"  partitions={self.partitions}" if self.partitions else "")
             )
         if self.logical.knn is not None:
-            lines.append(
-                f"  {self.logical.knn.describe()}  access={self.knn_access}"
-            )
+            lines.append(f"  {self.logical.knn.describe()}")
         if self.logical.aggregate is not None:
             lines.append(f"  {self.logical.aggregate.describe()}")
 
@@ -1271,7 +1229,6 @@ def check_join_strategy(mode: str, join_strategy: object) -> None:
 def build_physical_plan(
     plan: QueryPlan,
     mode: str = "boxplan",
-    catalog: Optional["Catalog"] = None,
     estimate: bool = True,
     partitions: int = 0,
     join_strategy: str = "probe",
@@ -1294,14 +1251,9 @@ def build_physical_plan(
         raise UnknownModeError(mode, MODES)
     check_join_strategy(mode, join_strategy)
 
-    from .planner import choose_aggregate_strategy, choose_knn_access
+    from .planner import choose_aggregate_strategy
 
     knn = plan.knn
-    knn_access: Optional[str] = None
-    if knn is not None:
-        knn_access = choose_knn_access(
-            plan.query.tables[knn.variable], knn.k, catalog=catalog
-        )
     aggregate = plan.aggregate
     if (
         aggregate is not None
@@ -1319,7 +1271,7 @@ def build_physical_plan(
             aggregate_op=count_op,
         )
         if estimate:
-            _annotate_estimates(pplan, catalog)
+            _annotate_estimates(pplan)
         return pplan
 
     tiles = partitions if partitions > 0 else DEFAULT_TILES
@@ -1328,9 +1280,8 @@ def build_physical_plan(
         node: PhysicalOperator, variable: str, table: SpatialTable
     ) -> ExtendStep:
         """The kNN restriction's access operator for one variable."""
-        if knn.ref is not None and knn.ref in plan.query.tables:
-            return DistanceJoin(node, variable, table, knn, knn_access)
-        return KNNProbe(node, variable, table, knn, knn_access)
+        per_tuple = knn.ref is not None and knn.ref in plan.query.tables
+        return KNNProbe(node, variable, table, knn, per_tuple)
 
     node: PhysicalOperator = Once()
     step_ops: List[_StepOps] = []
@@ -1421,17 +1372,14 @@ def build_physical_plan(
         final_filter=final_filter,
         partitions=partitions,
         join_strategy=join_strategy,
-        knn_access=knn_access,
         aggregate_op=aggregate_op,
     )
     if estimate:
-        _annotate_estimates(pplan, catalog)
+        _annotate_estimates(pplan)
     return pplan
 
 
-def _annotate_estimates(
-    pplan: PhysicalPlan, catalog: Optional["Catalog"] = None
-) -> None:
+def _annotate_estimates(pplan: PhysicalPlan) -> None:
     """Attach catalog cardinality estimates to every operator.
 
     Unusable statistics (the planner's ``ESTIMATION_ERRORS``) leave the
@@ -1443,9 +1391,7 @@ def _annotate_estimates(
     try:
         estimates = {
             e.variable: e
-            for e in rollout_step_estimates(
-                plan.query, plan.order, catalog=catalog
-            )
+            for e in rollout_step_estimates(plan.query, plan.order)
         }
     except ESTIMATION_ERRORS:
         return
@@ -1462,7 +1408,7 @@ def _annotate_estimates(
         table_size = max(1, len(plan.query.tables[ops.variable]))
         if isinstance(ops.extend, IndexCountAggregate):
             ops.extend.est_rows = 1.0
-        elif isinstance(ops.extend, (KNNProbe, DistanceJoin)):
+        elif isinstance(ops.extend, KNNProbe):
             # The kNN restriction caps the step's fanout at k.
             fanout = min(knn.k, table_size) if knn is not None else table_size
             if pplan.mode == "naive":

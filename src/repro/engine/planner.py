@@ -31,7 +31,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Optional,
     Sequence,
     Tuple,
     TYPE_CHECKING,
@@ -42,11 +41,11 @@ from ..boxes.box import Box
 from ..constraints.solved import SolvedConstraint
 from ..constraints.system import ConstraintSystem
 from ..errors import CompilationError, ReproError
-from .catalog import Catalog, TableStatistics
+from .catalog import TableStatistics
 from .query import SpatialQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..spatial.table import SpatialObject, SpatialTable
+    from ..spatial.table import SpatialObject
     from .compiler import QueryPlan
 
 #: Strategies accepted by :func:`plan_order`.
@@ -208,8 +207,8 @@ class _Rollouts:
     lives for one call of a public function below — nothing to invalidate.
     """
 
-    def __init__(self, query: SpatialQuery, catalog: Optional[Catalog]) -> None:
-        self.stats = (catalog or Catalog()).for_query(query)
+    def __init__(self, query: SpatialQuery) -> None:
+        self.stats = {name: table.statistics() for name, table in query.tables.items()}
         self.forms = query.triangular_forms()
         self.algebra = query.algebra()
         self.universe = self.algebra.universe_box
@@ -329,7 +328,6 @@ class _Rollouts:
 def rollout_step_estimates(
     query: SpatialQuery,
     order: Sequence[str],
-    catalog: Optional[Catalog] = None,
     rollouts: int = 6,
     seed: int = 0,
 ) -> List[StepEstimate]:
@@ -351,14 +349,13 @@ def rollout_step_estimates(
     Used by :func:`estimate_order_cost_histogram` (the planner's cost
     model) and the physical plan's EXPLAIN annotations.
     """
-    return _Rollouts(query, catalog).step_estimates(order, rollouts, seed)
+    return _Rollouts(query).step_estimates(order, rollouts, seed)
 
 
 # oracle: tests/test_planner_cost.py
 def estimate_order_cost_histogram(
     query: SpatialQuery,
     order: Sequence[str],
-    catalog: Optional[Catalog] = None,
     rollouts: int = 6,
     seed: int = 0,
 ) -> float:
@@ -369,12 +366,10 @@ def estimate_order_cost_histogram(
     number of partial tuples (the executor's ``partial_tuples`` counter)
     plus a small candidate term so index work breaks ties.
     """
-    return _Rollouts(query, catalog).cost(order, math.inf, rollouts, seed)
+    return _Rollouts(query).cost(order, math.inf, rollouts, seed)
 
 
-def best_order_by_estimate(
-    query: SpatialQuery, catalog: Optional[Catalog] = None
-) -> Tuple[str, ...]:
+def best_order_by_estimate(query: SpatialQuery) -> Tuple[str, ...]:
     """The order minimising the statistics-catalog estimate (small n).
 
     Returns what costing every permutation would — the cheapest order
@@ -395,7 +390,7 @@ def best_order_by_estimate(
     if not 1 < len(query.unknowns) <= MAX_ENUMERATED_UNKNOWNS:
         return greedy  # the only order, or too many to enumerate
     try:
-        rollouts = _Rollouts(query, catalog)
+        rollouts = _Rollouts(query)
         limit = HISTOGRAM_CONFIDENCE_MARGIN * rollouts.cost(greedy, math.inf)
         best, bound = greedy, limit
         dead = greedy  # the latest prefix found to cost more than the bound
@@ -418,7 +413,6 @@ def best_order_by_estimate(
 def plan_order(
     query: SpatialQuery,
     strategy: str = "greedy",
-    catalog: Optional[Catalog] = None,
     # Ignored.  Kept only for benchmarks/e2e/workloads.py, whose frozen
     # workloads pass partitions=0; it goes with that file's traced_run.
     partitions: int = 0,
@@ -435,39 +429,10 @@ def plan_order(
     if strategy == "greedy":
         return choose_order(query)
     if strategy == "histogram":
-        return best_order_by_estimate(query, catalog=catalog)
+        return best_order_by_estimate(query)
     raise ValueError(
         f"unknown strategy {strategy!r}; expected one of {ORDER_STRATEGIES}"
     )
-
-
-def choose_knn_access(
-    table: "SpatialTable", k: int, catalog: Optional[Catalog] = None
-) -> str:
-    """Pick the access path of a kNN step (cost-based).
-
-    ``"bestfirst"`` — the R-tree's incremental best-first browse —
-    touches roughly a root-to-leaf slice plus ``k/M`` extra leaves;
-    ``"scan"`` — the brute-force ranking — touches every row.  The
-    chooser compares the two on the statistics catalog's node-read
-    estimates (:meth:`~repro.engine.catalog.TableStatistics.
-    estimate_knn_node_reads`); the scan backend and ``k >= n``
-    always scan (the browse cannot beat reading everything), and
-    unusable statistics (:data:`ESTIMATION_ERRORS`) fall back to
-    best-first, the safe default for indexed tables.
-    """
-    if table.index_kind != "rtree":
-        return "scan"
-    n = len(table)
-    if n == 0 or k >= n:
-        return "scan"
-    try:
-        stats = (catalog or Catalog()).statistics(table)
-        bestfirst = stats.estimate_knn_node_reads(k, table.node_capacity)
-        scan = stats.estimate_scan_node_reads(table.node_capacity)
-        return "bestfirst" if bestfirst <= scan else "scan"
-    except ESTIMATION_ERRORS:
-        return "bestfirst"
 
 
 def choose_aggregate_strategy(plan: "QueryPlan", mode: str) -> str:

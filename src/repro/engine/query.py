@@ -42,14 +42,18 @@ class KNNStep:
     Exactly one anchor form must be given:
 
     ``point``
-        a fixed coordinate tuple — lowered to a
-        :class:`~repro.engine.physical.KNNProbe` (one best-first index
-        browse for the whole execution);
+        a fixed coordinate tuple;
     ``ref``
         the name of a constant binding or an *earlier* unknown — the
         anchor is that variable's bounding box, re-evaluated per partial
-        tuple, lowered to a
-        :class:`~repro.engine.physical.DistanceJoin`.
+        tuple.
+
+    Either form lowers to a :class:`~repro.engine.physical.KNNProbe`,
+    which makes one :meth:`~repro.spatial.table.SpatialTable.nearest`
+    probe per distinct anchor — a best-first browse on an r-tree table,
+    the columnar distance kernel on a scan table — so a fixed anchor
+    probes once per execution.  EXPLAIN labels the per-tuple form (a
+    ``ref`` to an unknown) ``DistanceJoin``.
     """
 
     variable: str

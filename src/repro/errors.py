@@ -81,7 +81,8 @@ class UnknownModeError(ReproError, ValueError):
 
 class OptionError(ReproError, ValueError):
     """Raised when an execution option — ``mode`` or ``limit``, a kNN
-    lookup's ``k`` or ``access``, or the join a plan is forced to run —
+    lookup's ``k`` (or a ``/nearest`` ``access`` other than ``"auto"``),
+    or the join a plan is forced to run —
     has the wrong type or value (a bulk join needs a box mode).  The
     message names what was expected."""
 

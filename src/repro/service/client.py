@@ -133,9 +133,8 @@ class ServiceClient:
         k: int = 1,
         point: Optional[Sequence[float]] = None,
         box: Any = None,
-        access: str = "auto",
     ) -> dict:
-        payload: dict = {"table": table, "k": k, "access": access}
+        payload: dict = {"table": table, "k": k}
         if point is not None:
             payload["point"] = list(point)
         if box is not None:

@@ -48,13 +48,13 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Set, Tuple
 
 from ..algebra.regions import Region
 from ..boxes.box import box_from_jsonable
 from ..database import SESSION_OPTIONS, Database, Session
 from ..engine.query import AggregateSpec, KNNStep, SpatialQuery
-from ..errors import DuplicateOidError, ReproError, ServiceError
+from ..errors import DuplicateOidError, OptionError, ReproError, ServiceError
 from ..spatial.snapshot import (
     _decode_oid,
     _encode_oid,
@@ -68,6 +68,21 @@ __all__ = ["QueryService", "ServiceServer", "SnapshotStore", "serve_in_thread"]
 #: What ``/run`` and ``/explain`` read besides the session options
 #: (:data:`~repro.database.SESSION_OPTIONS`).
 _QUERY_KEYS = frozenset({"system", "bindings", "order", "knn", "aggregate"})
+#: What ``/nearest`` reads.  ``access`` is accepted only as ``"auto"``,
+#: the body older clients send: the table's index picks the kNN path.
+_NEAREST_KEYS = frozenset({"table", "k", "point", "box", "access"})
+_INSERT_KEYS = frozenset({"table", "rows"})
+_DELETE_KEYS = frozenset({"table", "oids"})
+
+
+def _refuse_unknown_keys(payload: Dict[str, Any], known: AbstractSet[str]) -> None:
+    """A payload key an endpoint does not read is a 400 — an option the
+    service cannot honour is refused, not ignored."""
+    unknown = set(payload).difference(known)
+    if unknown:
+        raise ServiceError(
+            f"unknown payload key(s) {sorted(unknown)}; expected {sorted(known)}"
+        )
 
 
 class SnapshotStore:
@@ -219,15 +234,8 @@ class QueryService:
         self, db: Database, payload: Dict[str, Any], *extra: str
     ) -> Session:
         """The query endpoints' session; any payload key that is not a
-        query part, a session option or one of ``extra`` is a 400 — an
-        option the service cannot honour is refused, not ignored."""
-        unknown = set(payload).difference(_QUERY_KEYS, SESSION_OPTIONS, extra)
-        if unknown:
-            raise ServiceError(
-                f"unknown payload key(s) {sorted(unknown)}; expected "
-                f"{sorted(_QUERY_KEYS)}, session options {list(SESSION_OPTIONS)}"
-                + (f" or {list(extra)}" if extra else "")
-            )
+        query part, a session option or one of ``extra`` is a 400."""
+        _refuse_unknown_keys(payload, _QUERY_KEYS.union(SESSION_OPTIONS, extra))
         options = {
             name: payload[name]
             for name in SESSION_OPTIONS
@@ -317,6 +325,12 @@ class QueryService:
         return {"snapshot": version, "plan": session.explain(query)}
 
     def nearest(self, payload: dict) -> dict:
+        _refuse_unknown_keys(payload, _NEAREST_KEYS)
+        if payload.get("access", "auto") != "auto":
+            raise OptionError(
+                f"kNN access {payload['access']!r} is not offered: the "
+                f"table's index picks the path ('auto' is accepted)"
+            )
         db, version = self.store.current()
         try:
             table = db.table(str(payload["table"]))
@@ -331,10 +345,8 @@ class QueryService:
                 raise ServiceError(f"malformed 'box' {payload['box']!r}: {exc!r}") from exc
         else:
             raise ServiceError("nearest needs a 'point' or a 'box' anchor")
-        # k and access are checked by SpatialTable.nearest (OptionError)
-        results = table.nearest(
-            anchor, payload.get("k", 1), access=payload.get("access", "auto")
-        )
+        # k is checked by SpatialTable.nearest (OptionError)
+        results = table.nearest(anchor, payload.get("k", 1))
         return {
             "snapshot": version,
             "results": [
@@ -352,6 +364,7 @@ class QueryService:
         (see :meth:`apply_insert`).  An oid a live row already has, or
         one repeated in ``rows``, is a ``409`` and inserts nothing.
         """
+        _refuse_unknown_keys(payload, _INSERT_KEYS)
         try:
             key = str(payload["table"])
             rows = [
@@ -375,6 +388,7 @@ class QueryService:
         are not live are reported, not errors (deletes are idempotent
         over the wire).
         """
+        _refuse_unknown_keys(payload, _DELETE_KEYS)
         try:
             key = str(payload["table"])
             oids = [_row_oid(o) for o in payload["oids"]]

@@ -95,10 +95,6 @@ class GridFile:
             for d in range(self.dim)
         )
 
-    def _cells(self) -> Iterator[Tuple[int, ...]]:
-        ranges = [range(len(s) + 1) for s in self._scales]
-        return product(*ranges)
-
     # -- updates ----------------------------------------------------------------
     def insert(self, point: Sequence[float], value) -> None:
         """Insert a point with an associated value."""

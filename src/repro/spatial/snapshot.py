@@ -15,10 +15,13 @@ determine — the rows themselves, the table's settings and the
   the packed tree's, so such a file opens as that tree or not at all;
 * an ``index`` other than ``"rtree"`` or ``"scan"`` (the retired
   ``"grid"`` included) is refused;
-* cached statistics name their row sample by index, so the loaded table
-  answers :meth:`statistics` from the snapshot.  Keys this build does
-  not read (optional caches, the STR partitioning and insertion-tree
-  settings of older builds) are ignored.
+* the table's statistics set is stored as one entry keyed
+  :data:`STATISTICS_KEY` that names its row sample by index, so the
+  loaded table answers :meth:`statistics` from the snapshot; the loader
+  holds the entry to the rows (:func:`_checked_statistics`) first.
+  Keys this build does not read (optional caches, statistics entries
+  under other keys, the STR partitioning and insertion-tree settings of
+  older builds) are ignored.
 
 Every refusal — damaged rows, node arrays or statistics, a foreign
 file, a newer :data:`FORMAT_VERSION`, bytes that are not UTF-8 JSON — is
@@ -32,7 +35,7 @@ import base64
 import json
 import os
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +51,11 @@ FORMAT_NAME = "repro-snapshot"
 #: Current format version; bump on incompatible layout changes.  Version
 #: 2 stores no r-tree node arrays (version 1 did).
 FORMAT_VERSION = 2
+
+#: The ``key`` of the statistics entry: the bucket count, sample size
+#: and seed of the one statistics set a table keeps.  Older files key
+#: by ``(bins, sample_size, seed, partitions)``; the first three count.
+STATISTICS_KEY = [16, 24, 0]
 
 
 # -- oid encoding --------------------------------------------------------------
@@ -127,11 +135,10 @@ def table_to_jsonable(table: SpatialTable) -> dict:
             "coords": _pack_floats(coords),
         },
     }
-    if table._stats_version == table._version:
+    if table._stats is not None and table._stats_version == table._version:
         row_index = {id(obj): i for i, obj in enumerate(rows)}
         data["statistics"] = [
-            {"key": list(key), "stats": stats.to_dict(row_index)}
-            for key, stats in table._stats_cache.items()
+            {"key": STATISTICS_KEY, "stats": table._stats.to_dict(row_index)}
         ]
     return data
 
@@ -171,6 +178,55 @@ def _checked_rows(
     if repeated:
         raise damaged("an oid repeats")
     return oids, counts, coords
+
+
+def _checked_statistics(
+    name: str, dim: int, entries: Any, nrows: int, nonempty: int
+) -> Optional[dict]:
+    """The stored statistics set of a table entry: the last entry of its
+    ``statistics`` list keyed :data:`STATISTICS_KEY`, once it agrees
+    with the table — its ``name`` and ``dim`` the table's, ``count`` the
+    ``nrows`` rows, ``dim`` lo and ``dim`` hi histograms whose
+    ``counts`` are non-negative ints summing to ``total``, the
+    ``nonempty`` rows, and a ``sample`` of distinct row indices.
+    ``None`` when no entry has the key.  Checked before any row is made:
+    a short histogram list was an ``IndexError`` at the first query, a
+    wrong count a silent misestimate."""
+
+    def damaged(why: str) -> SnapshotError:
+        return SnapshotError(f"damaged statistics of table {name!r}: {why}")
+
+    found = None
+    try:
+        for entry in entries:
+            if list(entry["key"][:3]) != STATISTICS_KEY:
+                continue
+            data = entry["stats"]
+            if data["name"] != name or data["dim"] != dim:
+                raise damaged(f"it is of {data['name']!r}, {data['dim']!r}-dim")
+            if type(data["count"]) is not int or data["count"] != nrows:
+                raise damaged(f"count {data['count']!r} for {nrows} rows")
+            hists = (data["lo_hists"], data["hi_hists"])
+            if any(len(side) != dim for side in hists):
+                raise damaged(f"not {dim} lo and {dim} hi histograms")
+            for hist in hists[0] + hists[1]:
+                counts, total = hist["counts"], hist["total"]
+                if not all(type(c) is int and c >= 0 for c in counts):
+                    raise damaged("a histogram count is not a non-negative int")
+                if type(total) is not int or sum(counts) != total or total != nonempty:
+                    raise damaged(
+                        f"a histogram counts {sum(counts)} of {total!r} values "
+                        f"for {nonempty} nonempty rows"
+                    )
+            sample = data["sample"]
+            if len(set(sample)) != len(sample) or not all(
+                type(i) is int and 0 <= i < nrows for i in sample
+            ):
+                raise damaged("the sample is not distinct row indices")
+            found = data
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise damaged(repr(exc)) from exc
+    return found
 
 
 def _check_saved_tree(saved: object, table: SpatialTable) -> None:
@@ -228,6 +284,10 @@ def table_from_jsonable(data: dict) -> SpatialTable:
 
     name, index, dim, node_capacity, universe = _checked_settings(data)
     oids, counts, coords = _checked_rows(name, data.get("rows"), dim)
+    # Older files carry per-partition summaries: dropped unread.
+    stats = _checked_statistics(
+        name, dim, data.get("statistics", ()), len(oids), sum(1 for n in counts if n)
+    )
     table = SpatialTable(
         name,
         dim,
@@ -264,20 +324,11 @@ def table_from_jsonable(data: dict) -> SpatialTable:
         table._rtree = table._packed_rtree(table._columns)
         if "rtree" in data:
             _check_saved_tree(data["rtree"], table)
-    if "statistics" in data:
+    if stats is not None:
         try:
-            # Older files key by (bins, sample_size, seed, partitions) and
-            # carry per-partition summaries; both are dropped unread.
-            table._stats_cache = {
-                tuple(entry["key"][:3]): TableStatistics.from_dict(
-                    entry["stats"], rows
-                )
-                for entry in data["statistics"]
-            }
+            table._stats = TableStatistics.from_dict(stats, rows)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise SnapshotError(
-                f"damaged statistics of table {table.name!r}: {exc!r}"
-            ) from exc
+            raise SnapshotError(f"damaged statistics of table {name!r}: {exc!r}") from exc
         table._stats_version = table._version
     return table
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from . import columnar
 from .columnar import ColumnStore
 from .delta import TableDelta
 from .rtree import RTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engine.catalog import TableStatistics
 
 #: Staged mutations past which an (unshared) table repacks itself inline.
 #: The query service repacks off-thread instead (see repro.service).
@@ -119,9 +122,8 @@ class SpatialTable:
         self.repacks = 0
         # Base version; invalidates the cached statistics below.
         self._version = 0
-        # Per-parameter statistics cache for the current version, keyed
-        # on ``(bins, sample_size, seed)``.
-        self._stats_cache: Dict[Tuple, object] = {}
+        # The base rows' statistics and the base version they describe.
+        self._stats: Optional["TableStatistics"] = None
         self._stats_version: Optional[int] = None
         # LSM-style write delta: every write lands here (usually empty).
         self._delta = TableDelta()
@@ -130,8 +132,8 @@ class SpatialTable:
         # shared with the parent, and the clone never self-repacks — the
         # service layer orchestrates its repacks off-thread.
         self._shares_base = False
-        # Merged (base + delta) statistics, keyed by watermark + params.
-        self._delta_stats_cache: Dict[Tuple, object] = {}
+        # Merged (base + delta) statistics and the watermark they are of.
+        self._delta_stats: Optional[Tuple[int, "TableStatistics"]] = None
 
     def __len__(self) -> int:
         d = self._delta
@@ -178,19 +180,6 @@ class SpatialTable:
         table object denote bit-identical query answers.
         """
         return (self._version, self.delta_watermark)
-
-    def delta_stats(self) -> dict:
-        """Delta/MVCC counters for reporting."""
-        d = self._delta
-        return {
-            "pending_inserts": len(d.inserts),
-            "tombstones": len(d.tombstones),
-            "watermark": d.watermark,
-            "base_version": self._version,
-            "threshold": self.delta_threshold,
-            "repacks": self.repacks,
-            "delta_probes": self.delta_probes,
-        }
 
     # -- updates -----------------------------------------------------------------
     def _new_row(self, oid, region: Region) -> SpatialObject:
@@ -301,7 +290,7 @@ class SpatialTable:
         self._objects = new_objects
         self._columns = columns
         self._rtree = rtree
-        self._delta_stats_cache = {}
+        self._delta_stats = None
         self._shares_base = False
         self._version += 1
         self._delta = TableDelta()
@@ -351,9 +340,9 @@ class SpatialTable:
         clone.delta_probes = self.delta_probes
         clone.repacks = self.repacks
         clone._version = self._version
-        clone._stats_cache = dict(self._stats_cache)
+        clone._stats = self._stats
         clone._stats_version = self._stats_version
-        clone._delta_stats_cache = {}
+        clone._delta_stats = None
         clone._delta = self._delta.clone()
         clone._shares_base = True
         for oid, region in inserts:
@@ -535,47 +524,33 @@ class SpatialTable:
             raise AnchorError(f"kNN anchor {anchor!r} has a non-finite coordinate")
         return anchor
 
-    def nearest(
-        self, anchor, k: int, access: str = "auto"
-    ) -> List[Tuple[float, SpatialObject]]:
+    def nearest(self, anchor, k: int) -> List[Tuple[float, SpatialObject]]:
         """The ``k`` rows nearest to ``anchor`` (a point or a box).
 
         Distances are bounding-box MINDISTs (a row whose region is
         empty has none and is never returned); rows are returned in
         nondecreasing distance with ties at the ``k``-th distance broken
-        by ``repr(oid)``, so every access path returns the *same* list
-        (property-tested against :meth:`nearest_bruteforce`):
+        by ``repr(oid)``, so both backends return the *same* list
+        (property-tested against :meth:`nearest_bruteforce`).  The
+        table's index picks the path:
 
-        * ``"bestfirst"`` — the R-tree's incremental best-first browse
-          (r-tree backend only), a scalar walk of the tree's array
-          form.  A pending write delta rides it:
-          staged rows are queued at their distances beside the root,
+        * an r-tree table browses best-first, a scalar walk of the
+          tree's array form.  A pending write delta rides it: staged
+          rows are queued at their distances beside the root,
           tombstoned rows are passed over, and the browse ends at the
           ``k``-th *live* row;
-        * ``"scan"`` — one columnar distance kernel call over the base
-          rows, then a sort of the nearest few and the staged rows;
-        * ``"auto"`` — best-first on the r-tree backend, scan on the
-          scan backend.
+        * a scan table makes one columnar distance kernel call over the
+          base rows, then sorts the nearest few and the staged rows.
 
-        The options and the anchor are checked once, here, for every
-        path: ``k`` an ``int`` (not a ``bool``) and ``access`` one this
-        table can run (:class:`~repro.errors.OptionError`), this table's
-        dimension (:class:`~repro.errors.DimensionMismatchError`) and,
-        a point, finite numbers (:class:`~repro.errors.AnchorError`).
-        Counts one probe, like a range query.
+        ``k`` and the anchor are checked once, here: ``k`` an ``int``
+        (not a ``bool``; :class:`~repro.errors.OptionError`), the anchor
+        of this table's dimension
+        (:class:`~repro.errors.DimensionMismatchError`) and, a point,
+        of finite numbers (:class:`~repro.errors.AnchorError`).  Counts
+        one probe, like a range query.
         """
         if isinstance(k, bool) or not isinstance(k, int):
             raise OptionError(f"k must be an integer, not {k!r}")
-        if access not in ("auto", "bestfirst", "scan"):
-            raise OptionError(
-                f"unknown kNN access {access!r}; expected 'auto', "
-                f"'bestfirst' or 'scan'"
-            )
-        if access == "bestfirst" and self._rtree is None:
-            raise OptionError(
-                f"best-first kNN needs the rtree backend; table "
-                f"{self.name!r} uses {self.index_kind!r}"
-            )
         if k <= 0:
             return []
         anchor = self._checked_anchor(anchor)
@@ -583,7 +558,7 @@ class SpatialTable:
         d = self._delta if self.delta_pending else None
         if d is not None:
             self.delta_probes += 1
-        if self._rtree is not None and access != "scan":
+        if self._rtree is not None:
             seeds = () if d is None else d.distances(anchor)
             dead = d.buries if d is not None and d.tombstones else None
             out = self._rtree.nearest(
@@ -732,66 +707,43 @@ class SpatialTable:
         return {"kind": "scan"}
 
     # -- statistics (cost-based planning) -----------------------------------------
-    def statistics(
-        self,
-        bins: int = 16,
-        sample_size: int = 24,
-        seed: int = 0,
-    ):
-        """Table statistics for the cost-based planner, cached here.
+    def statistics(self) -> "TableStatistics":
+        """The table's statistics for the cost-based planner, cached here.
 
-        Any base rebuild invalidates the cache (it is keyed on the base
-        version); within one version, each distinct parameter set is
-        computed once.  See :mod:`repro.engine.catalog` for the
-        statistics' contents.
+        One set per base version: any base rebuild invalidates it.  See
+        :mod:`repro.engine.catalog` for its contents.
 
         While a write delta is pending the base statistics are *not*
-        resampled: the cached base entry (computed over base rows only,
-        still keyed by the base version) is adjusted incrementally from
-        the staged rows via
+        resampled: the cached base set (computed over base rows only)
+        is adjusted from the staged rows by
         :meth:`~repro.engine.catalog.TableStatistics.apply_delta` —
         count, histograms, average extents and the sample update in
-        O(delta), and the result carries ``delta_count`` so the planner
-        can price the overlay.  Merged statistics cache per watermark.
+        O(delta).  The merged set is cached for the delta's watermark.
         """
-        if self._stats_version != self._version:
-            self._stats_cache = {}
-            self._delta_stats_cache = {}
-            self._stats_version = self._version
         from ..engine.catalog import collect_statistics
 
-        d = self._delta
-        key = (bins, sample_size, seed)
-        if not d.pending_ops:
-            if key not in self._stats_cache:
-                self._stats_cache[key] = collect_statistics(
-                    self, bins=bins, sample_size=sample_size, seed=seed
+        if self._stats is None or self._stats_version != self._version:
+            # Base statistics come from the base rows alone (the live
+            # iterator would leak staged rows into them).
+            if self.delta_pending:
+                self._stats = collect_statistics(
+                    self, rows=self.packed_columns()[0], total=len(self._objects)
                 )
-            return self._stats_cache[key]
-        # Base statistics come from the base rows alone (the live
-        # iterator would leak staged rows into them).
-        if key not in self._stats_cache:
-            self._stats_cache[key] = collect_statistics(
-                self,
-                bins=bins,
-                sample_size=sample_size,
-                seed=seed,
-                rows=self.packed_columns()[0],
-                total=len(self._objects),
-            )
-        base = self._stats_cache[key]
-        dkey = (d.watermark, *key)
-        if dkey not in self._delta_stats_cache:
+            else:
+                self._stats = collect_statistics(self)
+            self._stats_version = self._version
+            self._delta_stats = None
+        d = self._delta
+        if not d.pending_ops:
+            return self._stats
+        if self._delta_stats is None or self._delta_stats[0] != d.watermark:
             removed = [
                 self._objects[oid]
                 for oid in sorted(d.tombstones, key=repr)
                 if oid in self._objects
             ]
-            stats = base.apply_delta(
-                inserted=tuple(d.inserts.values()),
-                removed=tuple(removed),
-                sample_size=sample_size,
-                bins=bins,
+            self._delta_stats = (
+                d.watermark,
+                self._stats.apply_delta(tuple(d.inserts.values()), tuple(removed)),
             )
-            self._delta_stats_cache[dkey] = stats
-        return self._delta_stats_cache[dkey]
+        return self._delta_stats[1]

@@ -150,6 +150,29 @@ def random_table(
     return t
 
 
+def scan_twin(table: SpatialTable) -> SpatialTable:
+    """A scan-backend table over ``table``'s rows: the same base rows
+    (new row objects, same oids and regions) with the same write delta
+    staged on top.  ``nearest`` on it runs the columnar distance kernel
+    (and its delta merge) and must rank exactly as ``table`` does."""
+    twin = SpatialTable(
+        table.name, table.dim, index="scan", universe=table.universe,
+        delta_threshold=10**9,
+    )
+    twin.bulk_insert([(obj.oid, obj.region) for obj in table._objects.values()])
+    for oid in table._delta.tombstones:
+        twin.stage_delete(oid)
+    for oid, obj in table._delta.inserts.items():
+        twin.stage_insert(oid, obj.region)
+    return twin
+
+
+def ranked_oids(ranked):
+    """A kNN answer as ``(distance, oid)`` pairs: comparable across
+    tables whose row objects differ."""
+    return [(dist, obj.oid) for dist, obj in ranked]
+
+
 def random_binding(rng: random.Random) -> Region:
     """A random constant region (a box) for one of CONSTS."""
     lo = (rng.uniform(0, 24), rng.uniform(0, 24))

@@ -179,6 +179,6 @@ def packed_table(
         max_entries=table.node_capacity,
     )
     table._version = 1 if rows else 0
-    table._stats_cache = {(16, 24, 0): collect_statistics(table)}
+    table._stats = collect_statistics(table)
     table._stats_version = table._version
     return table

@@ -19,7 +19,6 @@ from itertools import permutations
 
 from repro.boolean.semantics import evaluate
 from repro.boxes.bconstraints import compile_solved_constraint
-from repro.engine.catalog import Catalog
 from repro.engine.planner import (
     HISTOGRAM_CONFIDENCE_MARGIN,
     MAX_ENUMERATED_UNKNOWNS,
@@ -113,9 +112,8 @@ def reference_exact_selectivity(st, solved, algebra, env, pool=None):
 
 
 # -- engine/planner.py -------------------------------------------------------
-def reference_rollout_step_estimates(query, order, catalog=None, rollouts=6, seed=0):
-    catalog = catalog or Catalog()
-    stats = {name: catalog.statistics(t) for name, t in query.tables.items()}
+def reference_rollout_step_estimates(query, order, rollouts=6, seed=0):
+    stats = {name: t.statistics() for name, t in query.tables.items()}
     tri = reference_triangular_form(query.system, list(order))
     steps = {
         c.variable: (c, compile_solved_constraint(c)) for c in tri.constraints
@@ -186,10 +184,10 @@ def reference_order_cost(estimates):
     return sum(e.survivors for e in estimates) + 1e-3 * index_work
 
 
-def reference_estimates_by_order(query, catalog=None):
+def reference_estimates_by_order(query):
     """Every order's estimates, each rolled out from scratch."""
     return {
-        order: reference_rollout_step_estimates(query, order, catalog=catalog)
+        order: reference_rollout_step_estimates(query, order)
         for order in permutations(query.unknowns)
     }
 

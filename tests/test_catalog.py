@@ -5,7 +5,7 @@ import random
 from repro.algebra.regions import Region
 from repro.boxes.bconstraints import BoxQuery
 from repro.boxes.box import Box
-from repro.engine.catalog import Catalog, Histogram, collect_statistics
+from repro.engine.catalog import Histogram, collect_statistics
 from repro.spatial.table import SpatialTable
 
 UNIVERSE = Box((0.0, 0.0), (100.0, 100.0))
@@ -129,10 +129,3 @@ class TestCaching:
         s1 = t.statistics()
         t.pack()
         assert t.statistics() is not s1
-
-    def test_catalog_view(self):
-        t = _table(_random_boxes(30))
-        cat = Catalog(bins=8, sample_size=5)
-        stats = cat.statistics(t)
-        assert len(stats.sample) == 5
-        assert len(stats.lo_hists[0].counts) <= 8

@@ -27,6 +27,7 @@ from tests.conftest import (
     edge_boxes,
     make_workload,
     random_table,
+    scan_twin,
     shifted_seed,
 )
 
@@ -55,7 +56,9 @@ def _knn_reference_oids(table, anchor, k):
 )
 def test_table_nearest_equals_bruteforce(seed, k, box_anchor):
     """`SpatialTable.nearest` == the sorted-scan reference for every
-    sampled k, anchor (point or box), and dataset — including k > n."""
+    sampled k, anchor (point or box), and dataset — including k > n —
+    on the r-tree table (the best-first browse) and on its scan-backend
+    twin over the same rows (the columnar distance kernel)."""
     rng = random.Random(shifted_seed(seed))
     table = random_table("t", rng, rng.randint(1, 30))
     if box_anchor:
@@ -64,11 +67,11 @@ def test_table_nearest_equals_bruteforce(seed, k, box_anchor):
     else:
         anchor = (rng.uniform(-4, 36), rng.uniform(-4, 36))
     want = table.nearest_bruteforce(anchor, k)
-    for access in ("bestfirst", "auto", "scan"):
-        got = table.nearest(anchor, k, access=access)
+    for backend in (table, scan_twin(table)):
+        got = backend.nearest(anchor, k)
         assert [(round(d, 9), o.oid) for d, o in got] == [
             (round(d, 9), o.oid) for d, o in want
-        ], f"access={access} diverged"
+        ], f"{backend.index_kind} diverged"
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_knn as ref
-from conftest import BACKEND_IDS, SEED_MATRIX, TRACKED_PER_TREE, shifted_seed
+from conftest import (
+    BACKEND_IDS,
+    SEED_MATRIX,
+    TRACKED_PER_TREE,
+    ranked_oids,
+    scan_twin,
+    shifted_seed,
+)
 from repro.database import Database, Session
 from repro.algebra.regions import Region
 from repro.boxes.bconstraints import BoxQuery
@@ -87,13 +94,14 @@ def exact(ranked):
 
 def hold_table_to_oracle(table: SpatialTable, anchors, ks=KS):
     tree = table._rtree
+    twin = scan_twin(table)
     for anchor in anchors:
         for k in ks:
             got, mine = billed(tree, lambda: table.nearest(anchor, k))
             want, theirs = billed(tree, lambda: ref.table_nearest(table, anchor, k))
             assert exact(got) == exact(want), (anchor, k)
             assert exact(got) == exact(table.nearest_bruteforce(anchor, k)), (anchor, k)
-            assert exact(got) == exact(table.nearest(anchor, k, access="scan")), (anchor, k)
+            assert ranked_oids(got) == ranked_oids(twin.nearest(anchor, k)), (anchor, k)
             if table.delta_pending:
                 assert mine[0] <= theirs[0] and mine[1] <= theirs[1], (anchor, k)
             else:
@@ -533,7 +541,7 @@ def test_bad_anchor_fails_alike_on_every_path(index, anchor, error):
         with pytest.raises(error):
             table.nearest(anchor, 3)
         with pytest.raises(error):
-            table.nearest(anchor, 3, access="scan")
+            scan_twin(table).nearest(anchor, 3)
         with pytest.raises(error):
             table.nearest_bruteforce(anchor, 3)
         with pytest.raises(ReproError):

@@ -19,7 +19,7 @@ from repro.boxes.bconstraints import BoxQuery
 from repro.boxes.box import EMPTY_BOX, Box
 from repro.engine.compiler import compile_query
 from repro.engine.physical import build_physical_plan
-from repro.engine.planner import choose_aggregate_strategy, choose_knn_access
+from repro.engine.planner import choose_aggregate_strategy
 from repro.engine.query import AggregateSpec, KNNStep, SpatialQuery
 from repro.errors import CompilationError, DimensionMismatchError
 from repro.constraints.system import ConstraintSystem, nonempty, overlaps
@@ -157,11 +157,17 @@ class TestRTreeNearest:
 
 class TestTableNearest:
     def test_access_validation(self):
-        t = SpatialTable("t", 2, index="scan", universe=UNIVERSE)
-        with pytest.raises(ValueError, match="rtree backend"):
-            t.nearest((0.0, 0.0), 1, access="bestfirst")
-        with pytest.raises(ValueError, match="unknown kNN access"):
-            t.nearest((0.0, 0.0), 1, access="warp")
+        """The table's index picks the kNN path: ``access=`` is no
+        parameter of either backend's ``nearest``, nor of a session's."""
+        for index in SpatialTable.VALID_INDEXES:
+            t = SpatialTable("t", 2, index=index, universe=UNIVERSE)
+            for access in ("auto", "bestfirst", "scan"):
+                with pytest.raises(TypeError, match="access"):
+                    t.nearest((0.0, 0.0), 1, access=access)
+                with pytest.raises(TypeError, match="access"):
+                    Database(tables={"t": t}).session().nearest(
+                        "t", (0.0, 0.0), 1, access=access
+                    )
 
     def test_non_rtree_backends_scan(self):
         rng = random.Random(2)
@@ -212,7 +218,7 @@ class TestReadGate:
             for _ in range(self.PROBES)
         ]
         table.reset_stats()
-        best = [table.nearest(p, k, access="bestfirst") for p in points]
+        best = [table.nearest(p, k) for p in points]
         stats = table._rtree.stats
         assert (stats.node_reads, stats.pruned_subtrees) == (reads, pruned)
         assert reads <= self.READ_GATE * 299 * self.PROBES
@@ -345,16 +351,6 @@ class TestLogicalValidation:
 
 
 class TestStrategyChoice:
-    def test_knn_access_choice(self):
-        rng = random.Random(5)
-        big = random_table("big", rng, 400)
-        assert choose_knn_access(big, 3) == "bestfirst"
-        assert choose_knn_access(big, 400) == "scan"
-        small_scan = random_table("s", rng, 10, index="scan")
-        assert choose_knn_access(small_scan, 2) == "scan"
-        empty = SpatialTable("e", 2, universe=UNIVERSE)
-        assert choose_knn_access(empty, 1) == "scan"
-
     def test_aggregate_strategy_choice_and_errors(self):
         rng = random.Random(6)
         tables = {"u": random_table("u", rng, 6)}
@@ -471,7 +467,7 @@ class TestStrategyChoice:
         """With an unrelated variable between the anchor and the kNN
         step, every anchor box repeats across the fan-out; the join
         must probe once per *distinct* anchor, not per tuple."""
-        from repro.engine.physical import DistanceJoin
+        from repro.engine.physical import KNNProbe
 
         rng = random.Random(13)
         tables = {
@@ -489,8 +485,9 @@ class TestStrategyChoice:
         pplan = build_physical_plan(plan, "boxplan", estimate=False)
         list(pplan.execute_iter())
         join = next(
-            op for op in pplan.operators() if isinstance(op, DistanceJoin)
+            op for op in pplan.operators() if isinstance(op, KNNProbe)
         )
+        assert join.kind == "DistanceJoin"
         assert join.stats.rows_in == len(tables["a"]) * len(tables["m"])
         assert join.stats.probes == len(tables["a"])  # distinct anchors
 

@@ -40,7 +40,7 @@ from repro.boxes.bconstraints import BoxQuery
 from repro.database import Database
 from repro.spatial.table import SpatialTable
 
-from tests.conftest import UNIVERSE, shifted_seed
+from tests.conftest import UNIVERSE, ranked_oids, scan_twin, shifted_seed
 
 #: Step budget per example; kept modest — every step cross-checks the
 #: full answer set against the shadow.
@@ -200,18 +200,17 @@ class MutationMachine(RuleBasedStateMachine):
         expected = len(self._shadow_matches(query))
         assert self.table.count_range(query) == expected
 
-    @rule(
-        x=COORDS,
-        y=COORDS,
-        k=st.integers(1, 5),
-        access=st.sampled_from(("auto", "scan")),
-    )
-    def knn(self, x, y, k, access):
-        if self.INDEX != "rtree" and access == "auto":
-            access = "scan"  # best-first browse needs the r-tree
+    @rule(x=COORDS, y=COORDS, k=st.integers(1, 5))
+    def knn(self, x, y, k):
+        """The table's own path (best-first on the r-tree machine, the
+        columnar kernel on the scan one), the scan-backend twin over the
+        same base rows and staged delta, and brute force all rank as
+        the shadow does."""
         expected = self._shadow_nearest((x, y), k)
-        got = self.table.nearest((x, y), k, access=access)
+        got = self.table.nearest((x, y), k)
         assert [(d, repr(o.oid)) for d, o in got] == expected
+        twin = scan_twin(self.table).nearest((x, y), k)
+        assert ranked_oids(twin) == ranked_oids(got)
         brute = self.table.nearest_bruteforce((x, y), k)
         assert [(d, repr(o.oid)) for d, o in brute] == expected
 

@@ -322,7 +322,7 @@ def test_chain_queries_plan_like_the_reference_for_less(kind, n, partitions):
         system=query.system, tables=query.tables, bindings=query.bindings
     )
     with _counted() as exhaustive:
-        rollouts = _Rollouts(fresh, None)
+        rollouts = _Rollouts(fresh)
         costs = {
             order: rollouts.cost(order, math.inf)
             for order in permutations(fresh.unknowns)
@@ -400,7 +400,7 @@ def test_search_ties_and_margin_edges(costs, expected):
 
 def test_rollout_bound_is_strict_and_names_the_dead_prefix(figure1_db):
     query = _figure1_query(figure1_db, 0, 2)
-    rollouts = _Rollouts(query, None)
+    rollouts = _Rollouts(query)
     order = ("B", "R", "T")
     cost = rollouts.cost(order, math.inf)
     # An order that ties the bound exactly finishes; one ulp over stops.
@@ -412,7 +412,7 @@ def test_rollout_bound_is_strict_and_names_the_dead_prefix(figure1_db):
     # every order with that prefix — and those steps are all it solved.
     fresh = _figure1_query(figure1_db, 0, 2)
     with _counted() as calls, pytest.raises(_Pruned) as early:
-        _Rollouts(fresh, None).cost(order, 0.0)
+        _Rollouts(fresh).cost(order, 0.0)
     assert early.value.prefix == ("B",)
     assert calls["solve_for"].call_count == 1 and calls["exact_selectivity"].call_count == 1
 
@@ -538,7 +538,7 @@ def test_failures_inside_the_search(figure1_db, where, error):
     bug's ``TypeError`` from the same spot propagates."""
     greedy = planner.choose_order(_figure1_query(figure1_db, 0, 2))
     with _counted() as counted:
-        _Rollouts(_figure1_query(figure1_db, 0, 2), None).cost(greedy, math.inf)
+        _Rollouts(_figure1_query(figure1_db, 0, 2)).cost(greedy, math.inf)
         after_greedy = counted["exact_selectivity"].call_count
         assert plan_order(_figure1_query(figure1_db, 0, 2), "histogram") != greedy
         total = counted["exact_selectivity"].call_count - after_greedy

@@ -9,7 +9,11 @@ candidate lists: with them a walk that stops partway through a list is
 pinned on a two-step and a three-step query.
 ``smugglers-24-limit-3-cache`` was recorded through a 64-entry probe
 cache, which is gone; it keeps its name and holds the counters the same
-query printed without the cache.  The report must bill
+query printed without the cache.  ``sandwich-12-knn-2`` was
+re-recorded when kNN steps stopped choosing their access path: its
+12-row r-tree step read 0 nodes and ran the scan kernel over 12 rows,
+and it now browses best-first (2 node reads, the same empty answer).
+The report must bill
 every query exactly as before: its ``stats`` block, flattened the same
 way, is byte-equal to the recorded counters.
 """

@@ -504,13 +504,21 @@ def test_bad_write_is_typed_not_a_500(path, body, status):
 
 @pytest.mark.parametrize(
     "fields",
-    [{"k": "abc"}, {"k": None}, {"k": [1]}, {"k": 2.5}, {"k": True}, {"access": "bogus"}],
-    ids=["k-string", "k-null", "k-list", "k-float", "k-bool", "access-unknown"],
+    [
+        {"k": "abc"}, {"k": None}, {"k": [1]}, {"k": 2.5}, {"k": True}, {"access": "bogus"},
+        {"access": "scan"}, {"access": "bestfirst"},
+    ],
+    ids=[
+        "k-string", "k-null", "k-list", "k-float", "k-bool", "access-unknown",
+        "access-scan", "access-bestfirst",
+    ],
 )
 def test_malformed_nearest_input_is_a_400(served, fields):
     """``int()`` on ``k`` raised a 500 for a string, null or list and
     truncated a float or a bool to a row count; an unknown ``access``
-    was a 500.  ``SpatialTable.nearest`` checks both."""
+    was a 500.  ``SpatialTable.nearest`` checks ``k``; the index picks
+    the kNN path, so ``/nearest`` reads ``access`` only as ``"auto"``
+    and refuses a path it would not take."""
     _service, client, _system = served
     body = json.dumps({"table": "T", "point": [1.0, 1.0], **fields}).encode()
     status, reply = _raw_post(client, "/nearest", body)
@@ -518,24 +526,77 @@ def test_malformed_nearest_input_is_a_400(served, fields):
     assert reply["error"].startswith("OptionError: ")
 
 
+@pytest.mark.parametrize("k", [2.5, True, "3"], ids=["k-float", "k-bool", "k-string"])
+def test_malformed_nearest_options_are_option_errors(k):
+    for index in SpatialTable.VALID_INDEXES:
+        table = SpatialTable("x", 2, index=index)
+        table.bulk_insert(
+            [(i, Region.from_box(Box((i, i), (i + 1.0, i + 1.0)))) for i in range(4)]
+        )
+        with pytest.raises(OptionError):
+            Session().nearest(table, (0.0, 0.0), k)
+
+
 @pytest.mark.parametrize(
-    "k, access, index",
+    "path, body",
     [
-        (2.5, "auto", "rtree"),
-        (True, "auto", "rtree"),
-        ("3", "auto", "rtree"),
-        (3, "bogus", "rtree"),
-        (3, "bestfirst", "scan"),
+        ("/nearest", {"table": "T", "k": 2, "point": [1.0, 1.0], "bogus": 1}),
+        ("/nearest", {"table": "T", "k": 2, "point": [1.0, 1.0], "mode": "exact"}),
+        ("/insert", {"table": "T", "rows": [], "bogus": 1}),
+        ("/delete", {"table": "T", "oids": [], "bogus": 1}),
     ],
-    ids=["k-float", "k-bool", "k-string", "access-unknown", "bestfirst-on-scan"],
+    ids=["nearest", "nearest-session-option", "insert", "delete"],
 )
-def test_malformed_nearest_options_are_option_errors(k, access, index):
-    table = SpatialTable("x", 2, index=index)
+def test_unknown_payload_keys_are_a_400_on_every_route(path, body):
+    """``/nearest``, ``/insert`` and ``/delete`` ignored a key they do
+    not read, as ``/run`` and ``/explain`` no longer do: each refuses
+    it, names it, and changes nothing."""
+    service, _system = _make_service()
+    server = server_module.ServiceServer(service)
+    version = service.store.version
+    try:
+        status, reply = server._dispatch("POST", path, json.dumps(body).encode())
+    finally:
+        server.stop()
+    assert status == 400
+    assert reply["error"].startswith("unknown payload key"), reply
+    assert repr(sorted(set(body) - {"table", "k", "point", "rows", "oids"})) in reply["error"]
+    assert service.store.version == version
+
+
+def test_the_e2e_harness_request_bodies_answer_200():
+    """``benchmarks/e2e/service_workload.py`` posts
+    ``ServiceMixed._payload``'s bodies — ``/nearest`` with ``"access":
+    "auto"``, ``/run`` with and without ``limit``, ``/insert``,
+    ``/delete``; with every route checking its payload keys, each still
+    answers 200."""
+    from benchmarks.e2e.service_workload import ServiceMixed
+
+    universe = Box((0.0, 0.0), (100.0, 100.0))
+    table = SpatialTable("boxes", 2, universe=universe)
     table.bulk_insert(
-        [(i, Region.from_box(Box((i, i), (i + 1.0, i + 1.0)))) for i in range(4)]
+        [(i, Region.from_box(Box((i, i), (i + 3.0, i + 2.0)))) for i in range(40)]
     )
-    with pytest.raises(OptionError):
-        Session().nearest(table, (0.0, 0.0), k, access=access)
+    server = server_module.ServiceServer(QueryService(Database(tables={"x": table})))
+    window = Box((10.0, 10.0), (40.0, 40.0))
+    ops = (
+        ("/nearest", "nearest", (20.0, 30.0)),
+        ("/run", "run", window),
+        ("/run", "first", window),
+        ("/insert", "insert", (1000, window)),
+        ("/delete", "delete", 1000),
+    )
+    try:
+        for path, kind, arg in ops:
+            body = json.dumps(ServiceMixed._payload(kind, arg)).encode()
+            status, reply = server._dispatch("POST", path, body)
+            assert status == 200, (kind, reply)
+            if kind == "nearest":
+                assert len(reply["results"]) == ServiceMixed.K
+            if kind == "delete":
+                assert reply["deleted"] == 1
+    finally:
+        server.stop()
 
 
 def test_a_huge_tile_target_answers_fast(served):
@@ -1169,7 +1230,7 @@ def test_client_speaks_plain_http11_to_a_stdlib_server():
                 assert client.health() == {"path": "/health", "payload": None}
                 assert client.nearest("T", k=i + 1, point=(i, -i)) == {
                     "path": "/nearest",
-                    "payload": {"table": "T", "k": i + 1, "access": "auto", "point": [i, -i]},
+                    "payload": {"table": "T", "k": i + 1, "point": [i, -i]},
                 }
     finally:
         server.shutdown()

@@ -550,6 +550,30 @@ STATISTICS_DAMAGE = {
     "statistics: sample row past the end": lambda t: (
         t["statistics"][0]["stats"]["sample"].__setitem__(0, 10**6)
     ),
+    # Each of these opened, then failed the first query with a bare
+    # IndexError (a histogram short, a wrong dim) or answered it off
+    # statistics that do not describe the rows.
+    "statistics: a lo histogram dropped": lambda t: t["statistics"][0]["stats"]["lo_hists"].pop(),
+    "statistics: dim 5": lambda t: t["statistics"][0]["stats"].__setitem__("dim", 5),
+    "statistics: another table's name": lambda t: t["statistics"][0]["stats"].__setitem__(
+        "name", "left"
+    ),
+    "statistics: sample row -1": lambda t: (
+        t["statistics"][0]["stats"]["sample"].__setitem__(0, -1)
+    ),
+    "statistics: sample row twice": lambda t: (
+        t["statistics"][0]["stats"]["sample"].__setitem__(1, t["statistics"][0]["stats"]["sample"][0])
+    ),
+    "statistics: count 0": lambda t: t["statistics"][0]["stats"].__setitem__("count", 0),
+    "statistics: no histogram counts": lambda t: (
+        t["statistics"][0]["stats"]["lo_hists"][0].__setitem__("counts", [])
+    ),
+    "statistics: histogram total 0": lambda t: (
+        t["statistics"][0]["stats"]["lo_hists"][0].__setitem__("total", 0)
+    ),
+    "statistics: a negative histogram count": lambda t: (
+        t["statistics"][0]["stats"]["hi_hists"][1]["counts"].__setitem__(0, -1)
+    ),
 }
 
 
