@@ -12,6 +12,17 @@ citing [12]):
 layer executes); :class:`StepTemplate` is its compile-time form, with
 bounding-box *functions* in place of the boxes.
 
+The index layer reads a query *packed* (:func:`pack_query`): its shape
+and one tuple of coordinates, what the r-tree's batched traversal, the
+scan kernel and a write delta's overlay test.  During execution a
+template is not interpreted per binding: :meth:`StepTemplate.packer`
+compiles it once into a closure from a binding's boxes to that packed
+form (or ``None``: unsatisfiable), which :class:`~repro.engine.physical.
+IndexProbe` sends to :meth:`~repro.spatial.table.SpatialTable.
+range_query_packed`.  :meth:`StepTemplate.instantiate` stays the scalar
+form for the planner, the COUNT pushdown, the kNN step's box filter and
+the forced bulk joins, and the packer's test oracle.
+
 Conversion of a solved constraint ``C_i`` (paper §4):
 
 * range ``s ⊆ x ⊆ t``:  the best bounding-box necessary condition is
@@ -42,15 +53,18 @@ A complement, a union in ``t`` or ``p_j``, or ``q_j ≠ 0`` stays checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..boolean.blake import blake_canonical_form
 from ..boolean.terms import Term
 from .approximation import lower_approximation, upper_approximation
-from .box import Box
-from .functions import TOP, BoxFunc, evaluate_boxfunc, render_boxfunc
+from .box import EMPTY_BOX, Box
+from .functions import (
+    TOP, BoxConst, BoxFunc, BoxJoin, BoxMeet, BoxVar, evaluate_boxfunc, render_boxfunc,
+)
 
 
 @dataclass(frozen=True)
@@ -80,21 +94,7 @@ class BoxQuery:
 
     def is_unsatisfiable(self) -> bool:
         """Statically unsatisfiable (no box can match)."""
-        if any(c.is_empty() for c in self.overlap):
-            return True
-        if (
-            self.inside is not None
-            and self.covers is not None
-            and not self.covers.le(self.inside)
-        ):
-            return True
-        if self.inside is not None and self.inside.is_empty():
-            # Only the empty box fits inside an empty box, and an empty
-            # object box cannot cover or overlap anything.
-            return bool(self.overlap) or (
-                self.covers is not None and not self.covers.is_empty()
-            )
-        return False
+        return _unsatisfiable(self.inside, self.covers, self.overlap)
 
     def render(self) -> str:
         """Human-readable rendering."""
@@ -106,6 +106,55 @@ class BoxQuery:
         for c in self.overlap:
             parts.append(f"[x] ^ {c!r} != empty")
         return " and ".join(parts) if parts else "true"
+
+
+def _unsatisfiable(inside, covers, overlap) -> bool:
+    """:meth:`BoxQuery.is_unsatisfiable` of the query with these boxes."""
+    if any(c._empty for c in overlap):
+        return True
+    if inside is not None and covers is not None and not covers.le(inside):
+        return True
+    if inside is not None and inside._empty:
+        # Only the empty box fits inside an empty box, and an empty
+        # object box cannot cover or overlap anything.
+        return bool(overlap) or (covers is not None and not covers._empty)
+    return False
+
+
+#: Which constraint boxes a query carries: ``(has inside, has nonempty
+#: covers, number of overlap boxes)``.
+QueryShape = Tuple[bool, bool, int]
+#: A query as the index kernels take it: its shape and the ``lo`` then
+#: ``hi`` coordinates of its inside, covers and overlap boxes.
+PackedQuery = Tuple[QueryShape, Tuple[float, ...]]
+
+
+def pack_query(query: BoxQuery, dim: int) -> PackedQuery:
+    """The query's shape and the ``lo`` then ``hi`` coordinates of its
+    inside, covers and overlap boxes, in that order.  An empty inside or
+    overlap box packs as ``[+inf, -inf)``, which no box fits inside or
+    overlaps."""
+    covers = None if query.covers is None or query.covers._empty else query.covers
+    return _pack(query.inside, covers, query.overlap, dim)
+
+
+def _pack(inside, covers, overlap, dim: int) -> PackedQuery:
+    """:func:`pack_query` of the query with these boxes (``covers``
+    ``None`` or nonempty)."""
+    boxes = [box for box in (inside, covers) if box is not None] + list(overlap)
+    row: Tuple[float, ...] = ()
+    for box in boxes:
+        if box._empty:
+            row += (math.inf,) * dim + (-math.inf,) * dim
+        else:
+            row += box.lo[:dim] + box.hi[:dim]
+    return (inside is not None, covers is not None, len(overlap)), row
+
+
+def matches_empty(shape: QueryShape) -> bool:
+    """``query.matches(EMPTY_BOX)``, read off a packed query's shape: an
+    empty box fits inside any box but covers and overlaps none."""
+    return not (shape[1] or shape[2])
 
 
 @dataclass(frozen=True)
@@ -136,7 +185,9 @@ class StepTemplate:
 
     Evaluating the template on the boxes of the already-retrieved prefix
     yields the single :class:`BoxQuery` for this retrieval step — the
-    paper's headline: *one range query per variable*.
+    paper's headline: *one range query per variable*.  The index probe
+    does not evaluate it per binding: it calls the template's
+    :meth:`packer`, compiled once, which yields that query packed.
     """
 
     variable: str
@@ -164,6 +215,22 @@ class StepTemplate:
             overlap=tuple(overlap),
         )
 
+    def packer(self, universe: Optional[Box], dim: int) -> "Packer":
+        """This step's range query as :class:`~repro.engine.physical.
+        IndexProbe` sends it to the index: ``packer(binding, consts)`` is
+        ``pack_query(q, dim)`` of ``q = self.instantiate(env, universe)``,
+        or ``None`` where ``q.is_unsatisfiable()``; ``env`` is ``consts``
+        (the constant boxes) with each row's ``box`` of ``binding`` over
+        it.  Compiled once per ``(template, universe, dim)`` and cached
+        by value: ``BOT``s dropped, ``TOP`` resolved to the universe, an
+        overlap whose ``U_q`` is constant kept or dropped once.  Where
+        only overlap boxes vary (every ``boxplan`` step of the overlay
+        join) the packer reads each off its row, builds no box, and
+        appends its coordinates to the constant ones; ``⊓``/``⊔`` over
+        varying operands are ``Box.meet``/``Box.enclose``, so every
+        coordinate is the one :meth:`instantiate` computes."""
+        return _compile_packer(self, universe, dim)
+
     def render(self) -> str:
         """Paper-style rendering of the template."""
         x = self.variable
@@ -177,6 +244,119 @@ class StepTemplate:
                 f"   (when {render_boxfunc(t.q_upper)} = empty)"
             )
         return "\n".join(lines)
+
+
+#: A step's compiled range query (:meth:`StepTemplate.packer`).
+Packer = Callable[[Mapping[str, Any], Mapping[str, Box]], Optional[PackedQuery]]
+#: A compiled bounding-box function: a constant box, or its value as a
+#: function of a binding and the constant boxes.
+_Term = Union[Box, Callable[[Mapping[str, Any], Mapping[str, Box]], Box]]
+
+
+@lru_cache(maxsize=256)
+def _compile_packer(template: StepTemplate, universe: Optional[Box], dim: int) -> Packer:
+    covers = _term(template.lower, universe)
+    inside = None if template.upper == TOP and universe is None else _term(template.upper, universe)
+    overlaps: List[Tuple[_Term, Optional[_Term]]] = []  # (U_p, U_q); U_q None: always required
+    for t in template.overlaps:
+        q = _term(t.q_upper, universe)
+        if isinstance(q, Box):
+            if not q._empty:
+                continue  # never required
+            q = None
+        overlaps.append((_term(t.p_upper, universe), q))
+    if isinstance(covers, Box) and not callable(inside) and all(q is None for _p, q in overlaps):
+        covers = None if covers._empty else covers
+        return _static_packer(inside, covers, [p for p, _q in overlaps], dim)
+    get_covers = _getter(covers)
+    get_inside = None if inside is None else _getter(inside)
+    pairs = [(_getter(p), q) for p, q in overlaps]
+
+    def pack(binding, consts):
+        cov = get_covers(binding, consts)
+        ins = None if get_inside is None else get_inside(binding, consts)
+        over = [p(binding, consts) for p, q in pairs if q is None or q(binding, consts)._empty]
+        cov = None if cov._empty else cov
+        return None if _unsatisfiable(ins, cov, over) else _pack(ins, cov, over, dim)
+
+    return pack
+
+
+def _static_packer(
+    inside: Optional[Box], covers: Optional[Box], overlap: List[_Term], dim: int
+) -> Packer:
+    """The packer of a query whose shape is constant (``inside`` and
+    ``covers`` too): a varying overlap box is the only test left."""
+    shape = (inside is not None, covers is not None, len(overlap))
+    prefix = _pack(inside, covers, (), dim)[1]
+    fixed = [p for p in overlap if isinstance(p, Box)]
+    if _unsatisfiable(inside, covers, fixed) or (inside is not None and inside._empty and overlap):
+        return lambda binding, consts: None
+    getters = [_getter(p) for p in overlap]
+
+    def pack(binding, consts):
+        row = prefix
+        for get in getters:
+            box = get(binding, consts)
+            if box._empty:
+                return None
+            row += box.lo[:dim] + box.hi[:dim]
+        return shape, row
+
+    return pack
+
+
+def _term(f: BoxFunc, universe: Optional[Box]) -> _Term:
+    """``f`` compiled: its value when it reads no variable, else a
+    function folding its operands as :func:`evaluate_boxfunc` does."""
+    if isinstance(f, BoxVar):
+        name = f.name
+
+        def var(binding, consts):
+            row = binding.get(name)
+            return consts[name] if row is None else row.box
+
+        return var
+    if isinstance(f, BoxConst):
+        if not f.is_top:
+            return EMPTY_BOX if f.box is None else f.box
+        return _enclose_env if universe is None else universe
+    if isinstance(f, (BoxMeet, BoxJoin)):
+        parts = [_term(a, universe) for a in f.args]
+        if all(isinstance(p, Box) for p in parts):
+            return evaluate_boxfunc(f, {}, universe)
+        getters = [_getter(p) for p in parts]
+        if isinstance(f, BoxJoin):
+
+            def join(binding, consts):
+                out = EMPTY_BOX
+                for get in getters:
+                    out = out.enclose(get(binding, consts))
+                return out
+
+            return join
+        first, rest = getters[0], getters[1:]
+
+        def meet(binding, consts):
+            out = first(binding, consts)
+            for get in rest:
+                out = out.meet(get(binding, consts))
+            return out
+
+        return meet
+    raise TypeError(f"not a bounding-box function: {f!r}")
+
+
+def _getter(term: _Term) -> Callable[[Mapping[str, Any], Mapping[str, Box]], Box]:
+    return (lambda binding, consts: term) if isinstance(term, Box) else term
+
+
+def _enclose_env(binding, consts) -> Box:
+    """``TOP`` with no universe: :func:`evaluate_boxfunc`'s box enclosing
+    every value of the environment (the engine always has a universe)."""
+    env = dict(consts)
+    env.update((name, row.box) for name, row in binding.items())
+    return evaluate_boxfunc(TOP, env)
 
 
 def compile_solved_constraint(solved) -> StepTemplate:

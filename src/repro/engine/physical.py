@@ -42,34 +42,15 @@ and — once the plan has run — per-operator actual rows/probes/node
 reads.
 
 **kNN.**  A query's kNN restriction replaces its variable's access
-path with one :class:`KNNProbe`, in every mode.  The path of each probe
-is the table's index, not a plan choice: a best-first browse on an
-r-tree table, the columnar distance kernel on a scan table (see
-:meth:`~repro.spatial.table.SpatialTable.nearest`).  The operator keeps
-the ranked rows of every distinct anchor, so a fixed anchor probes once
-per execution and an anchor that is an earlier variable's box
-(EXPLAIN's ``DistanceJoin``) once per distinct box.
+path with one :class:`KNNProbe`, in every mode: the table's index picks
+its path (:meth:`~repro.spatial.table.SpatialTable.nearest`), and it
+probes once per distinct anchor (see the class).
 
-**Bulk joins.**  Every default plan probes.  Two bulk extend operators
-implement alternative join algorithms, run on every box-mode step when
-``join_strategy=`` forces one (``"pbsm"`` or ``"zorder"``):
-
-``PartitionedSpatialJoin``
-    the PBSM join: materialises the incoming partial tuples, derives a
-    probe box per tuple, co-partitions probe boxes and table rows on a
-    shared tile grid, plane-sweeps each tile (boundary duplicates are
-    deduplicated by the reference-point rule) and verifies the full box
-    query on the surviving pairs.  The tiles are swept one after
-    another.
-``ZOrderJoin``
-    the PROBE-style alternative: probe boxes and rows are decomposed
-    into z-order intervals and merge-joined
-    (:func:`repro.spatial.zorder.zorder_join`), then verified the same
-    way.
-
-Both emit exactly the rows the per-tuple probes would (property
-tested), so every mode/strategy combination returns the same answer
-set.  They are slower than the probe on every measured size and stay
+**Bulk joins.**  Every default plan probes.  ``join_strategy=`` forces
+one of two bulk extend operators on every box-mode step: the PBSM
+``PartitionedSpatialJoin`` or the z-order ``ZOrderJoin`` (see each
+class).  Both emit exactly the rows the per-tuple probes would (property
+tested); they are slower than the probe on every measured size and stay
 only for the forced legs of ``benchmarks/e2e/workloads.py``.
 """
 
@@ -78,8 +59,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
+from ..algebra.regions import RegionAlgebra
 from ..boolean.syntax import FALSE, TRUE
 from ..boxes.bconstraints import box_decided
 from ..boxes.box import EMPTY_BOX, Box, enclose_all
@@ -108,10 +90,7 @@ CandidateList = Tuple[Binding, List[SpatialObject]]
 MODES = ("naive", "exact", "boxplan", "boxonly")
 
 #: Join algorithms :func:`build_physical_plan` can run on every box-mode
-#: step: ``"probe"`` — index-nested-loop (one compiled range query per
-#: partial tuple; one columnar scan kernel per tuple on unindexed
-#: tables), the default; ``"pbsm"`` — partition-based spatial-merge
-#: join; ``"zorder"`` — the PROBE-style z-order merge join.
+#: step: the index probe (the default), and the two bulk joins.
 JOIN_STRATEGIES = ("probe", "pbsm", "zorder")
 
 _region = attrgetter("region")
@@ -148,7 +127,8 @@ class ExecutionContext:
         self.plan = plan
         self.algebra = plan.algebra
         self.universe: Box = plan.algebra.universe_box
-        self._base_box_env = {
+        #: The constant boxes (what a step's packer reads beside a binding).
+        self.box_consts = {
             name: region.bounding_box()
             for name, region in plan.query.bindings.items()
         }
@@ -156,7 +136,7 @@ class ExecutionContext:
 
     def box_env(self, binding: Binding) -> Dict[str, Box]:
         """Constant boxes plus the boxes of the retrieved prefix."""
-        env = dict(self._base_box_env)
+        env = dict(self.box_consts)
         for name, obj in binding.items():
             env[name] = obj.box
         return env
@@ -313,12 +293,7 @@ class TableScan(ExtendStep):
 
     kind = "TableScan"
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-    ) -> None:
+    def __init__(self, child: PhysicalOperator, variable: str, table: SpatialTable) -> None:
         super().__init__(child, variable, table)
         self._scanned: Optional[List[SpatialObject]] = None
 
@@ -355,8 +330,12 @@ class CrossProduct(TableScan):
 class IndexProbe(ExtendStep):
     """Extend via ONE compiled range query per input binding (§4).
 
-    The step's box template is instantiated on the binding's prefix
-    boxes and sent to the table's index.
+    The step's box template is compiled once into a packer
+    (:meth:`StepTemplate.packer <repro.boxes.bconstraints.StepTemplate.
+    packer>`), which maps each binding's boxes straight to the packed
+    query the table's index reads (:meth:`SpatialTable.range_query_packed
+    <repro.spatial.table.SpatialTable.range_query_packed>`): no
+    ``BoxQuery`` per binding, on a clean table or over a write delta.
 
     Where the table probes set-at-a-time (:meth:`SpatialTable.
     batches_probes <repro.spatial.table.SpatialTable.batches_probes>`)
@@ -369,11 +348,7 @@ class IndexProbe(ExtendStep):
     kind = "IndexProbe"
 
     def __init__(
-        self,
-        child: PhysicalOperator,
-        variable: str,
-        table: SpatialTable,
-        template: "StepTemplate",
+        self, child: PhysicalOperator, variable: str, table: SpatialTable, template: "StepTemplate"
     ) -> None:
         super().__init__(child, variable, table)
         self.template = template
@@ -386,15 +361,13 @@ class IndexProbe(ExtendStep):
     ) -> List[List[SpatialObject]]:
         """The candidate rows of each binding of ``group``, billed as
         that many single probes."""
-        queries = [
-            self.template.instantiate(ctx.box_env(binding), ctx.universe)
-            for binding in group
-        ]
+        pack, consts = self.template.packer(ctx.universe, self.table.dim), ctx.box_consts
+        packed = [pack(binding, consts) for binding in group]
         self.stats.box_evals += len(group)
         self.stats.probes += len(group)
         before = self.table.index_read_count()
         mark = self._vectorized_mark()
-        results = self.table.range_query_batch(queries)
+        results = self.table.range_query_packed(packed)
         self.stats.node_reads += self.table.index_read_count() - before
         self._vectorized_absorb(mark)
         return results
@@ -863,16 +836,21 @@ class BoxFilter(ExtendStep):
     def candidate_lists(self, ctx: ExecutionContext) -> Iterator[CandidateList]:
         """Walk the kNN step's lists and hand on each row that passes
         as a list of its own, so the box test runs only as far as the
-        consumer walks."""
+        consumer walks.  The box query is instantiated once per list
+        (its binding is the list's), and ``box_evals`` billed per row
+        tested, as when it was instantiated per row."""
         self.stats.executed = True
         extend = self.child
         for binding, rows in extend.candidate_lists(ctx):
+            if not rows:
+                continue
+            query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
+            live = not query.is_unsatisfiable()
             for obj in rows:
                 extend.stats.rows_out += 1
                 self.stats.rows_in += 1
-                query = self.template.instantiate(ctx.box_env(binding), ctx.universe)
                 self.stats.box_evals += 1
-                if query.is_unsatisfiable() or not query.matches(obj.box):
+                if not (live and query.matches(obj.box)):
                     continue
                 yield binding, [obj]
 
@@ -892,10 +870,11 @@ class ExactFilter(PhysicalOperator):
     ``solved``: a one-box candidate skips each conjunct that query
     decided, where the atoms it reads are one box too
     (:class:`~repro.constraints.solved.BoundConstraint`), and
-    ``region_ops`` bills only the checks run.  Where every mark holds,
-    a one-box candidate passes on its length test alone, outside
-    ``select``: that generator step and the counter reads around it
-    took about a fifth of the overlay join's query time.
+    ``region_ops`` bills only the checks run.  Where every mark holds
+    (read off the marks and their atoms' box counts) a one-box candidate
+    passes on its length test alone, and ``C_i`` is bound only when a
+    candidate needs ``select``: a multi-box row, or a binding whose
+    marks do not all hold (on the overlay join, never).
     EXPLAIN shows how many of the non-trivial conjuncts (``s ≠ 0``,
     ``t ≠ 1``, every ``r_j``) are so marked: ``ExactFilter(C_y;
     box-decided 1/1)``.
@@ -950,39 +929,38 @@ class ExactFilter(PhysicalOperator):
         # One walk per candidate list, billed (candidates, region ops, the
         # extend step's output) up to each survivor as it is yielded and to
         # the list's end when the walk finishes it.  One bound C_i per input
-        # binding; when C_i skips an earlier row, one per distinct tuple of
-        # the rows it reads, for the whole execution (worked out at the
-        # second binding, off the path to the first answer).
+        # binding that needs one; when C_i skips an earlier row, one per
+        # distinct tuple of the rows it reads (decided at the second binding).
         ops, variable, extend, solved = algebra.ops, self.variable, self.child, self.solved
-        decided = self.box_decided
+        decided, consts, seen = self.box_decided, ctx.plan.query.bindings, 0
+        atoms: Optional[FrozenSet[str]] = None  # of the marks, when every conjunct has one
+        if decided and isinstance(algebra, RegionAlgebra) and None not in decided:
+            atoms = frozenset(name for mark in decided if mark for name in mark)
         bound_to: Optional[Binding] = None
+        bound: Optional[BoundConstraint] = None
         reads: List[str] = []
-        bound_by_rows: Optional[Dict[Tuple[int, ...], BoundConstraint]] = None  # {}: per binding
+        shared: Optional[Dict[Tuple[int, ...], BoundConstraint]] = None
         for binding, rows in extend.candidate_lists(ctx):
             if binding is not bound_to:
-                if bound_by_rows is None and bound_to is not None:
-                    reads = sorted(solved.earlier_variables() - set(ctx.plan.query.bindings))
-                    skips = len(binding) > len(reads)
-                    bound_by_rows = {_read_rows(bound_to, reads): bound} if skips else {}
-                bound_to = binding
-                if bound_by_rows:
-                    key = _read_rows(binding, reads)
-                    if key not in bound_by_rows:
-                        bound_by_rows[key] = solved.bind(
-                            algebra, ctx.region_env(binding), box_decided=decided
-                        )
-                    bound = bound_by_rows[key]
-                else:
-                    bound = solved.bind(algebra, ctx.region_env(binding), box_decided=decided)
+                if seen == 1 and bound_to is not None:
+                    reads = sorted(solved.earlier_variables() - set(consts))
+                    if len(binding) > len(reads):
+                        shared = {} if bound is None else {_read_rows(bound_to, reads): bound}
+                seen += 1
+                bound_to, bound = binding, None
+                one_box = atoms is not None and _one_box(atoms, binding, consts)
+            if not rows:
+                continue
             taken = 0
-            if bound.decides_one_box:
-                # The range query decided every conjunct for a one-box row,
-                # so only a row of another shape is checked (and billed): a
+            if one_box:
+                # Only a row of another shape is checked (and billed): a
                 # one-box row costs the length test alone, with no generator
                 # step and no read of the operation counter.
                 for i, obj in enumerate(rows):
                     region = obj.region
                     if len(region.boxes) != 1:
+                        if bound is None:
+                            bound = self._bind(ctx, solved, binding, reads, shared)
                         before = ops.total
                         passes = bound.holds(region)
                         self.stats.region_ops += ops.total - before
@@ -995,23 +973,48 @@ class ExactFilter(PhysicalOperator):
                     extended[variable] = obj
                     self.stats.rows_out += 1
                     yield extended
-                self.stats.rows_in += len(rows) - taken
-                extend.stats.rows_out += len(rows) - taken
-                continue
-            before = ops.total
-            for i in bound.select(map(_region, rows)):
+            else:
+                if bound is None:
+                    bound = self._bind(ctx, solved, binding, reads, shared)
+                before = ops.total
+                for i in bound.select(map(_region, rows)):
+                    self.stats.region_ops += ops.total - before
+                    self.stats.rows_in += i + 1 - taken
+                    extend.stats.rows_out += i + 1 - taken
+                    taken = i + 1
+                    extended = dict(binding)
+                    extended[variable] = rows[i]
+                    self.stats.rows_out += 1
+                    yield extended
+                    before = ops.total  # the consumer's own work is not ours
                 self.stats.region_ops += ops.total - before
-                self.stats.rows_in += i + 1 - taken
-                extend.stats.rows_out += i + 1 - taken
-                taken = i + 1
-                extended = dict(binding)
-                extended[variable] = rows[i]
-                self.stats.rows_out += 1
-                yield extended
-                before = ops.total  # the consumer's own work is not ours
-            self.stats.region_ops += ops.total - before
             self.stats.rows_in += len(rows) - taken
             extend.stats.rows_out += len(rows) - taken
+
+    def _bind(
+        self, ctx: ExecutionContext, solved: SolvedConstraint, binding: Binding,
+        reads: List[str], shared: Optional[Dict[Tuple[int, ...], BoundConstraint]],
+    ) -> BoundConstraint:
+        """``C_i`` bound to ``binding``; with ``shared``, the one bound to
+        the same rows of ``reads``."""
+        if shared is None:
+            env = ctx.region_env(binding)
+            return solved.bind(ctx.algebra, env, box_decided=self.box_decided)
+        key = _read_rows(binding, reads)
+        if key not in shared:
+            shared[key] = self._bind(ctx, solved, binding, reads, None)
+        return shared[key]
+
+
+def _one_box(atoms: FrozenSet[str], binding: Binding, consts: Mapping[str, Any]) -> bool:
+    """Whether each of ``atoms`` is a one-box region in ``binding`` over
+    the constants (as in ``ctx.region_env(binding)``)."""
+    for name in atoms:
+        obj = binding.get(name)
+        region = consts.get(name) if obj is None else obj.region
+        if region is None or len(region.boxes) != 1:
+            return False
+    return True
 
 
 def _read_rows(binding: Binding, reads: List[str]) -> Tuple[int, ...]:
@@ -1080,15 +1083,9 @@ class PhysicalPlan:
 
     # -- statistics --------------------------------------------------------------
     def stats(self) -> ExecutionStats:
-        """Fold per-operator counters into classic execution stats.
-
-        Counter semantics match the historical per-mode executors', with
-        one deliberate exception: ``exact`` mode's ``index_probes`` is
-        now 1 per step (the :class:`TableScan` scans once and reuses the
-        rows) where the old breadth-first executor re-scanned per
-        partial tuple — an actual work reduction, not a counting change
-        elsewhere.
-        """
+        """Fold per-operator counters into classic execution stats
+        (``exact`` mode's ``index_probes`` is 1 per step: its
+        :class:`TableScan` scans once and reuses the rows)."""
         stats = ExecutionStats(mode=self.mode)
         for ops in self.step_ops:
             step = stats.step(ops.variable)

@@ -52,7 +52,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..boxes.bconstraints import BoxQuery
+from ..boxes.bconstraints import BoxQuery, QueryShape, matches_empty, pack_query
 from ..boxes.box import Box
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
     "grouped_bounds",
     "pack_floats",
     "pack_query",
+    "packed_matches",
     "scalar_mask",
     "side_sum",
     "str_level_order",
@@ -273,28 +274,36 @@ def scalar_mask(
     return [not b for b in bad]
 
 
-#: Which constraint boxes a query carries: ``(has inside, has nonempty
-#: covers, number of overlap boxes)``.
-QueryShape = Tuple[bool, bool, int]
-
-
-def pack_query(query: BoxQuery, dim: int) -> Tuple[QueryShape, Tuple[float, ...]]:
-    """The query's shape and the ``lo`` then ``hi`` coordinates of its
-    inside, covers and overlap boxes, in that order.  An empty inside or
-    overlap box packs as ``[+inf, -inf)``, which no box fits inside or
-    overlaps."""
-    boxes = [] if query.inside is None else [query.inside]
-    covers = query.covers is not None and not query.covers.is_empty()
-    if covers:
-        boxes.append(query.covers)
-    boxes.extend(query.overlap)
-    row: Tuple[float, ...] = ()
-    for box in boxes:
-        if box.is_empty():
-            row += (math.inf,) * dim + (-math.inf,) * dim
-        else:
-            row += box.lo[:dim] + box.hi[:dim]
-    return (query.inside is not None, covers, len(query.overlap)), row
+def packed_matches(shape: QueryShape, coords: Sequence[float], box: Box) -> bool:
+    """``query.matches(box)`` for the satisfiable query packed as
+    ``(shape, coords)``: the comparisons of :func:`scalar_mask` on one
+    slot, and the empty box by :func:`~repro.boxes.bconstraints.
+    matches_empty` (what the delta overlay tests its staged rows with)."""
+    if box.is_empty():
+        return matches_empty(shape)
+    lo, hi = box.lo, box.hi
+    dim = len(lo)
+    has_inside, has_covers, n_overlap = shape
+    at = 0  # of the packed box under test: lo at at + d, hi dim further
+    if has_inside:
+        if any(map(operator.lt, lo, coords[at : at + dim])) or any(
+            map(operator.gt, hi, coords[at + dim : at + 2 * dim])
+        ):
+            return False
+        at += 2 * dim
+    if has_covers:
+        if any(map(operator.gt, lo, coords[at : at + dim])) or any(
+            map(operator.lt, hi, coords[at + dim : at + 2 * dim])
+        ):
+            return False
+        at += 2 * dim
+    for _ in range(n_overlap):
+        if any(map(operator.ge, lo, coords[at + dim : at + 2 * dim])) or any(
+            map(operator.le, hi, coords[at : at + dim])
+        ):
+            return False
+        at += 2 * dim
+    return True
 
 
 def batch_mask(
@@ -475,7 +484,14 @@ class ColumnStore:
 
     def match_rows(self, query: BoxQuery) -> List[object]:
         """The matching rows themselves, in store (= insertion) order."""
-        return [self.rows[i] for i in self.match_positions(query)]
+        return self.match_packed(*pack_query(query, self.dim))
+
+    def match_packed(self, shape: QueryShape, coords: Sequence[float]) -> List[object]:
+        """:meth:`match_rows` of the query packed as ``(shape, coords)``
+        (:func:`pack_query`): the scan table's probe."""
+        lo, hi, flags = self._views()
+        mask = batch_mask(lo, hi, flags != 0, shape, coords, True)
+        return [self.rows[i] for i in np.nonzero(mask)[0].tolist()]
 
     # -- batched kNN distance kernels ----------------------------------------------
     # The whole-store scans (the R-tree's best-first browse computes the
@@ -483,7 +499,10 @@ class ColumnStore:
     # call to pay).  Both return one distance per row (``inf`` at empty
     # rows), accumulating squared per-dimension contributions in
     # dimension order and rooting once — the exact float recipe of the
-    # Box methods, so ranking (ties included) matches the oracle.
+    # Box methods, so ranking (ties included) matches the oracle.  A
+    # square past the largest double is ``inf`` in both, silently: NumPy
+    # is told not to warn of the overflow Python's float multiply does
+    # not report either.
 
     def mindist_point(self, point: Sequence[float]) -> Any:
         """Per-row :meth:`Box.mindist_point
@@ -492,13 +511,14 @@ class ColumnStore:
         acc = np.zeros(len(flags), dtype=np.float64)
         for d in range(self.dim):
             p = float(point[d])
-            below = lo[d] - p
-            above = p - hi[d]
-            acc += np.where(
-                p < lo[d],
-                below * below,
-                np.where(p > hi[d], above * above, 0.0),
-            )
+            with np.errstate(over="ignore"):
+                below = lo[d] - p
+                above = p - hi[d]
+                acc += np.where(
+                    p < lo[d],
+                    below * below,
+                    np.where(p > hi[d], above * above, 0.0),
+                )
         dist = np.sqrt(acc)
         dist[flags == 0] = np.inf
         return dist
@@ -512,13 +532,14 @@ class ColumnStore:
         acc = np.zeros(len(flags), dtype=np.float64)
         for d in range(self.dim):
             c, e = float(anchor.lo[d]), float(anchor.hi[d])
-            below = c - hi[d]
-            above = lo[d] - e
-            acc += np.where(
-                c > hi[d],
-                below * below,
-                np.where(lo[d] > e, above * above, 0.0),
-            )
+            with np.errstate(over="ignore"):
+                below = c - hi[d]
+                above = lo[d] - e
+                acc += np.where(
+                    c > hi[d],
+                    below * below,
+                    np.where(lo[d] > e, above * above, 0.0),
+                )
         dist = np.sqrt(acc)
         dist[flags == 0] = np.inf
         return dist

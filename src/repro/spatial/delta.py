@@ -26,10 +26,11 @@ scanning that many boxes costs less than indexing them would
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
-from ..boxes.bconstraints import BoxQuery
+from ..boxes.bconstraints import QueryShape
 from ..boxes.box import Box
+from .columnar import packed_matches
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .table import SpatialObject
@@ -102,16 +103,12 @@ class TableDelta:
 
     # -- probing -----------------------------------------------------------
 
-    def matches(self, query: BoxQuery) -> List["SpatialObject"]:
-        """Staged rows matching ``query``, in insertion order (a row
-        whose region is empty where an empty box satisfies ``query``)."""
-        if query.is_unsatisfiable():
-            return []
-        return [obj for obj in self.inserts.values() if query.matches(obj.box)]
-
-    def count(self, query: BoxQuery) -> int:
-        """Number of staged rows matching ``query``."""
-        return len(self.matches(query))
+    def matches(self, shape: QueryShape, coords: Sequence[float]) -> List["SpatialObject"]:
+        """Staged rows matching the satisfiable query packed as
+        ``(shape, coords)`` (:func:`~repro.spatial.columnar.pack_query`),
+        in insertion order (a row whose region is empty where an empty
+        box satisfies the query)."""
+        return [obj for obj in self.inserts.values() if packed_matches(shape, coords, obj.box)]
 
     def distances(self, anchor: object) -> List[Tuple[float, "SpatialObject"]]:
         """``(MINDIST, row)`` of each nonempty staged row from

@@ -35,7 +35,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from ..boxes.bconstraints import BoxQuery
+from ..boxes.bconstraints import BoxQuery, PackedQuery
 from ..boxes.box import Box, minmaxdist_edges
 from ..errors import DimensionMismatchError
 from . import columnar
@@ -312,8 +312,21 @@ class RTree:
 
         ``result[i]`` equals ``list(self.search(queries[i]))`` — same
         values, same sequence — and the counters advance by the same
-        totals (nothing is deduplicated).  The walk is level-synchronous:
-        a *frontier* holds the ``(query, node)`` pairs alive at one depth,
+        totals (nothing is deduplicated).  The queries are packed
+        (:func:`~repro.spatial.columnar.pack_query`) and walked by
+        :meth:`search_packed`."""
+        dim = len(self._flat.lo)
+        return self.search_packed(
+            [None if q.is_unsatisfiable() else columnar.pack_query(q, dim) for q in queries]
+        )
+
+    def search_packed(self, packed: Sequence[Optional[PackedQuery]]) -> List[List[object]]:
+        """:meth:`search_batch` of queries already packed, ``None`` for
+        an unsatisfiable one (passed over, its list empty).
+
+        The queries are grouped by shape, ``{shape: (members,
+        coordinates)}``, and each group walks level-synchronously: a
+        *frontier* holds the ``(query, node)`` pairs alive at one depth,
         one :func:`~repro.spatial.columnar.batch_mask` tests all their
         entries, and the surviving ``(query, child)`` pairs are the next
         frontier — a fixed number of NumPy calls per level.  Children are
@@ -331,14 +344,13 @@ class RTree:
         nonempty = np.frombuffer(flat.nonempty, np.uint8).view(bool)
         ints = (flat.ref, flat.offsets, flat.counts)
         ref, node_offsets, node_counts = (np.frombuffer(col, np.int64) for col in ints)
-        out: List[List[object]] = [[] for _ in queries]
+        out: List[List[object]] = [[] for _ in packed]
         by_shape: Dict[columnar.QueryShape, Tuple[List[int], List[tuple]]] = {}
-        for i, query in enumerate(queries):
-            if not query.is_unsatisfiable():
-                shape, row = columnar.pack_query(query, dim)
-                members, rows = by_shape.setdefault(shape, ([], []))
+        for i, packed_query in enumerate(packed):
+            if packed_query is not None:
+                members, rows = by_shape.setdefault(packed_query[0], ([], []))
                 members.append(i)
-                rows.append(row)
+                rows.append(packed_query[1])
         for shape, (members, rows) in by_shape.items():
             # One column of packed coordinates per query of this shape.
             coords = np.array(rows, dtype=np.float64).reshape(len(rows), -1).T

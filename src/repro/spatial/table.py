@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..algebra.regions import Region
-from ..boxes.bconstraints import BoxQuery
+from ..boxes.bconstraints import BoxQuery, PackedQuery, matches_empty
 from ..boxes.box import EMPTY_BOX, Box
 from ..errors import AnchorError, DimensionMismatchError, DuplicateOidError, OptionError
 from . import columnar
@@ -441,52 +441,56 @@ class SpatialTable:
     def range_query_batch(
         self, queries: Sequence[BoxQuery]
     ) -> List[List[SpatialObject]]:
-        """:meth:`range_query` of each query, the index read
-        set-at-a-time: on an r-tree table every satisfiable query shares
-        ONE traversal (:meth:`RTree.search_batch`), a scan table runs
-        one column kernel per query.  Rows, row order and every counter
-        (table, R-tree) are those of calling :meth:`range_query` query
-        after query; an unsatisfiable query is billed as a probe and
-        reads nothing.  A row whose region is empty is in no index and
-        no kernel: :meth:`_empty_matches` adds it where an empty box
-        satisfies the query."""
-        live = [not query.is_unsatisfiable() for query in queries]
-        self.probes += len(queries)
-        self.vectorized_batches += sum(live)
+        """:meth:`range_query` of each query: the queries packed
+        (:func:`~repro.spatial.columnar.pack_query`) and probed as
+        :meth:`range_query_packed` probes, the r-tree reading them
+        through :meth:`RTree.search_batch`."""
+        dim = self.dim
+        packed = [None if q.is_unsatisfiable() else columnar.pack_query(q, dim) for q in queries]
+        return self._probe(packed, lambda: self._rtree.search_batch(queries))
+
+    def range_query_packed(
+        self, packed: Sequence[Optional[PackedQuery]]
+    ) -> List[List[SpatialObject]]:
+        """The rows of each packed query (``None``: unsatisfiable), the
+        index read set-at-a-time: on an r-tree table every satisfiable
+        query shares ONE traversal (:meth:`RTree.search_packed`), a scan
+        table runs one column kernel per query.  Rows, row order and
+        every counter (table, R-tree) are those of calling
+        :meth:`range_query` query after query; an unsatisfiable query is
+        billed as a probe and reads nothing.  A row whose region is empty
+        is in no index and no kernel: it is added where the shape says an
+        empty box matches (:func:`~repro.boxes.bconstraints.
+        matches_empty`), and a pending write delta is overlaid on the
+        packed form too."""
+        return self._probe(packed, lambda: self._rtree.search_packed(packed))
+
+    def _probe(self, packed, search) -> List[List[SpatialObject]]:
+        live = sum(p is not None for p in packed)
+        self.probes += len(packed)
+        self.vectorized_batches += live
         if self._rtree is None:
-            self.vectorized_candidates += sum(live) * len(self._columns)
-            found = [
-                self._columns.match_rows(query) if ok else []
-                for query, ok in zip(queries, live)
-            ]
+            self.vectorized_candidates += live * len(self._columns)
+            found = [[] if p is None else self._columns.match_packed(*p) for p in packed]
         else:
             before = self._rtree.stats.entry_tests
-            found = self._rtree.search_batch(queries)
+            found = search()
             self.vectorized_candidates += self._rtree.stats.entry_tests - before
-        if self._columns.empty_rows:
-            for i, ok in enumerate(live):
-                if ok:
-                    found[i] = found[i] + self._empty_matches(queries[i])
-        d = self._delta
-        for i, ok in enumerate(live):
-            if ok:
-                if d.pending_ops:
-                    found[i] = self._overlay_rows(found[i], queries[i], d)
+        empty, d = self._columns.empty_rows, self._delta
+        pending = d.pending_ops
+        for i, p in enumerate(packed):
+            if p is not None:
+                if empty and matches_empty(p[0]):
+                    found[i] = found[i] + empty
+                if pending:
+                    found[i] = self._overlay_rows(found[i], p, d)
                 self.candidates_returned += len(found[i])
         return found
-
-    def _empty_matches(self, query: BoxQuery) -> List[SpatialObject]:
-        """The base rows whose region is empty, in slot order, when an
-        empty box satisfies ``query`` (it has no ``covers`` and no
-        ``overlap``), else none: the rule beside every index and kernel,
-        which hold nonempty boxes only."""
-        empty = self._columns.empty_rows
-        return empty if empty and query.matches(EMPTY_BOX) else []
 
     def _overlay_rows(
         self,
         base_rows: List[SpatialObject],
-        query: BoxQuery,
+        packed: PackedQuery,
         d: TableDelta,
     ) -> List[SpatialObject]:
         """Merge the write delta into a base probe result, a list of
@@ -496,7 +500,7 @@ class SpatialTable:
         self.delta_probes += 1
         tomb = d.tombstones
         rows = [obj for obj in base_rows if obj.oid not in tomb] if tomb else base_rows
-        rows.extend(d.matches(query))
+        rows.extend(d.matches(*packed))
         return rows
 
     # -- nearest neighbors --------------------------------------------------------
@@ -652,7 +656,8 @@ class SpatialTable:
         d = self._delta
         if self._rtree is not None:
             self.probes += 1
-            total = self._rtree.count(query) + len(self._empty_matches(query))
+            empty = self._columns.empty_rows
+            total = self._rtree.count(query) + (len(empty) if query.matches(EMPTY_BOX) else 0)
             if d.pending_ops:
                 # The pushdown counted tombstoned base rows too; back
                 # them out individually (tombstone sets are small) and
@@ -662,7 +667,7 @@ class SpatialTable:
                     obj = self._objects.get(oid)
                     if obj is not None and query.matches(obj.box):
                         total -= 1
-                total += d.count(query)
+                total += len(d.matches(*columnar.pack_query(query, self.dim)))
             return total
         return len(self.range_query(query))
 

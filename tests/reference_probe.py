@@ -1,18 +1,22 @@
-"""The per-binding index probe and the region-materialising predicates
-and kernels as they were before set-at-a-time probing — frozen.
+"""The per-binding index probe, the eagerly binding step filter and the
+region-materialising predicates and kernels as they were before
+set-at-a-time probing — frozen.
 
 ``IndexProbe`` now pulls its input in groups and sends each group's
-range queries through one R-tree traversal; ``RegionAlgebra.le`` /
-``meets`` / ``meet`` / ``join`` and ``Box.meet`` / ``box_subtract`` /
-``_difference`` decide overlap on the coordinates, build a box only for
-a piece they return, and no longer validate or build what they can
-decide or trust.  Both promise *identical* answers, answer order,
-counters and boxes.  These are copies of the code they replaced: one
-``range_query`` call per binding, no read-ahead; every box
-through the validating ``Box(lo, hi)`` (the intersection of every pair
-tried included), every region through ``Region(boxes)``, containment
-and overlap decided by building the difference / the meet and asking
-whether it is empty.  ``test_batched_probe.py`` and
+range queries, packed by the step's compiled packer, through one R-tree
+traversal; ``ExactFilter`` binds ``C_i`` only when a candidate needs
+it; ``RegionAlgebra.le`` / ``meets`` / ``meet`` / ``join`` and
+``Box.meet`` / ``box_subtract`` / ``_difference`` decide overlap on the
+coordinates, build a box only for a piece they return, and no longer
+validate or build what they can decide or trust.  All promise
+*identical* answers, answer order, counters and boxes.  These are copies
+of the code they replaced: ``template.instantiate`` and one
+``range_query`` call per binding, no read-ahead; ``solved.bind`` at
+every input binding; every box through the validating ``Box(lo, hi)``
+(the intersection of every pair tried included), every region through
+``Region(boxes)``, containment and overlap decided by building the
+difference / the meet and asking whether it is empty.
+``test_batched_probe.py``, ``test_template_packer.py`` and
 ``test_region_predicates.py`` hold the engine to them bit for bit.
 """
 
@@ -20,7 +24,7 @@ from typing import List
 
 from repro.algebra.regions import Region
 from repro.boxes.box import EMPTY_BOX, Box
-from repro.engine.physical import IndexProbe
+from repro.engine.physical import ExactFilter, IndexProbe, _read_rows, _region
 
 
 # -- engine/physical.py --------------------------------------------------------
@@ -50,12 +54,83 @@ class PerBindingIndexProbe(IndexProbe):
                 yield extended
 
 
+class EagerBindExactFilter(ExactFilter):
+    """``ExactFilter`` binding ``C_i`` at every input binding (or once per
+    distinct tuple of the rows it reads), before it knows whether a
+    candidate needs it — the step filter before it bound lazily."""
+
+    def iterate(self, ctx):
+        if self.solved is None:
+            yield from super().iterate(ctx)
+            return
+        self.stats.executed = True
+        algebra = ctx.algebra
+        ops, variable, extend, solved = algebra.ops, self.variable, self.child, self.solved
+        decided = self.box_decided
+        bound_to = None
+        reads = []
+        bound_by_rows = None  # {}: per binding
+        for binding, rows in extend.candidate_lists(ctx):
+            if binding is not bound_to:
+                if bound_by_rows is None and bound_to is not None:
+                    reads = sorted(solved.earlier_variables() - set(ctx.plan.query.bindings))
+                    skips = len(binding) > len(reads)
+                    bound_by_rows = {_read_rows(bound_to, reads): bound} if skips else {}
+                bound_to = binding
+                if bound_by_rows:
+                    key = _read_rows(binding, reads)
+                    if key not in bound_by_rows:
+                        bound_by_rows[key] = solved.bind(
+                            algebra, ctx.region_env(binding), box_decided=decided
+                        )
+                    bound = bound_by_rows[key]
+                else:
+                    bound = solved.bind(algebra, ctx.region_env(binding), box_decided=decided)
+            taken = 0
+            if bound.decides_one_box:
+                for i, obj in enumerate(rows):
+                    region = obj.region
+                    if len(region.boxes) != 1:
+                        before = ops.total
+                        passes = bound.holds(region)
+                        self.stats.region_ops += ops.total - before
+                        if not passes:
+                            continue
+                    self.stats.rows_in += i + 1 - taken
+                    extend.stats.rows_out += i + 1 - taken
+                    taken = i + 1
+                    extended = dict(binding)
+                    extended[variable] = obj
+                    self.stats.rows_out += 1
+                    yield extended
+                self.stats.rows_in += len(rows) - taken
+                extend.stats.rows_out += len(rows) - taken
+                continue
+            before = ops.total
+            for i in bound.select(map(_region, rows)):
+                self.stats.region_ops += ops.total - before
+                self.stats.rows_in += i + 1 - taken
+                extend.stats.rows_out += i + 1 - taken
+                taken = i + 1
+                extended = dict(binding)
+                extended[variable] = rows[i]
+                self.stats.rows_out += 1
+                yield extended
+                before = ops.total
+            self.stats.region_ops += ops.total - before
+            self.stats.rows_in += len(rows) - taken
+            extend.stats.rows_out += len(rows) - taken
+
+
 def probe_per_binding(plan):
     """Turn every ``IndexProbe`` of a built physical plan into the
-    frozen per-binding one (in place); returns the plan."""
+    frozen per-binding one and every ``ExactFilter`` into the frozen
+    eager-binding one (in place); returns the plan."""
     for op in plan.operators():
         if type(op) is IndexProbe:
             op.__class__ = PerBindingIndexProbe
+        elif type(op) is ExactFilter:
+            op.__class__ = EagerBindExactFilter
     return plan
 
 

@@ -1,7 +1,8 @@
 """Differential oracle for set-at-a-time index probes.
 
-``SpatialTable.range_query_batch`` promises the rows, the row order and
-every counter of ``range_query`` called once per query; the grouped
+``SpatialTable.range_query_batch`` and ``range_query_packed`` promise
+the rows, the row order and every counter of ``range_query`` called once
+per query; the grouped
 ``IndexProbe`` promises the answers, the answer order and the
 ``ExecutionStats`` of probing binding by binding
 (``tests/reference_probe.py``), reading at most twice as far ahead
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra.regions import Region
 from repro.boxes.box import Box
-from repro.boxes.bconstraints import BoxQuery
+from repro.boxes.bconstraints import BoxQuery, pack_query
 from repro.boxes.box import EMPTY_BOX
 from repro.datagen.workloads import overlay_query
 from repro.engine.compiler import compile_query
@@ -33,6 +34,7 @@ from tests.conftest import (
     edge_box_queries,
     edge_boxes,
     make_workload,
+    scan_twin,
     shifted_seed,
 )
 from tests.reference_probe import PerBindingIndexProbe, probe_per_binding
@@ -110,44 +112,65 @@ def _query(shape, rng, i):
 
 
 def _counters(table):
-    stats = table._rtree.stats
-    return {
-        "node_reads": stats.node_reads,
-        "entry_tests": stats.entry_tests,
+    out = {
         "probes": table.probes,
         "candidates_returned": table.candidates_returned,
         "vectorized_batches": table.vectorized_batches,
         "vectorized_candidates": table.vectorized_candidates,
         "delta_probes": table.delta_probes,
     }
+    if table._rtree is not None:
+        out["node_reads"] = table._rtree.stats.node_reads
+        out["entry_tests"] = table._rtree.stats.entry_tests
+    return out
+
+
+def _packed_probe(table):
+    """``range_query_batch`` through the packed entry point ``IndexProbe``
+    calls: each query packed (``None`` when unsatisfiable) beforehand."""
+    def probe(queries):
+        return table.range_query_packed(
+            [None if q.is_unsatisfiable() else pack_query(q, table.dim) for q in queries]
+        )
+
+    return probe
 
 
 @pytest.mark.parametrize("backend", BACKEND_IDS)
 @pytest.mark.parametrize("delta", [False, True], ids=["clean", "delta"])
 @pytest.mark.parametrize("capacity", CAPACITIES, ids=CAPACITY_IDS)
-def test_range_query_batch_equals_cached_calls(capacity, delta, backend):
+def test_range_query_batch_equals_single_calls(capacity, delta, backend):
     """A batch answers and bills like ``range_query`` called query
-    after query (the test keeps its id from when that call went through
-    a probe cache)."""
-    table = _table(capacity, delta)
-    rng = random.Random(shifted_seed(1))
-    for shape in SHAPES:
-        for size in BATCH_SIZES:
-            for repeats in REPEATS:
-                queries = [_query(shape, rng, i) for i in range(size)]
-                if repeats == "duplicates":
-                    queries = [queries[i // 3 % len(queries)] for i in range(size)]
-                    rng.shuffle(queries)
-                table.reset_stats()
-                expected = [table.range_query(query) for query in queries]
-                expected_counters = _counters(table)
-                table.reset_stats()
-                got = table.range_query_batch(queries)
-                where = (shape, size, repeats)
-                assert [[o.oid for o in rows] for rows in got] == [
-                    [o.oid for o in rows] for rows in expected
-                ], where
-                assert _counters(table) == expected_counters, where
+    after query, through ``range_query_batch`` and through the packed
+    entry point, on the r-tree table and on its scan-backend twin; and
+    ``range_query`` returns the live rows whose box matches."""
+    indexed = _table(capacity, delta)
+    for table in (indexed, scan_twin(indexed)):
+        live = table.scan()
+        rng = random.Random(shifted_seed(1))
+        for shape in SHAPES:
+            for size in BATCH_SIZES:
+                for repeats in REPEATS:
+                    queries = [_query(shape, rng, i) for i in range(size)]
+                    if repeats == "duplicates":
+                        queries = [queries[i // 3 % len(queries)] for i in range(size)]
+                        rng.shuffle(queries)
+                    table.reset_stats()
+                    expected = [table.range_query(query) for query in queries]
+                    expected_counters = _counters(table)
+                    where = (table.index_kind, shape, size, repeats)
+                    for query, rows in zip(queries[:7], expected):
+                        assert sorted(o.oid for o in rows) == sorted(
+                            o.oid for o in live
+                            if not query.is_unsatisfiable() and query.matches(o.box)
+                        ), where
+                    for probe in (table.range_query_batch, _packed_probe(table)):
+                        table.reset_stats()
+                        got = probe(queries)
+                        assert [[o.oid for o in rows] for rows in got] == [
+                            [o.oid for o in rows] for rows in expected
+                        ], where
+                        assert _counters(table) == expected_counters, where
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES, ids=CAPACITY_IDS)

@@ -15,6 +15,7 @@ seed-matrix job.
 import gc
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -558,6 +559,31 @@ def test_good_anchors_are_normalised_not_rejected():
     unbounded = Box((-INF, 2.0), (INF, 3.0))
     assert exact(table.nearest(unbounded, 5)) == exact(table.nearest_bruteforce(unbounded, 5))
     assert table.nearest(Box((1.0, 1.0), (1.0, 1.0)), 5) == []  # empty: nothing is near
+
+
+HUGE_ANCHORS = [
+    (1e308, 1e308),
+    (-1e308, 5.0),
+    Box((1e308, 0.0), (1.5e308, 1.0)),
+    Box((-1.7e308, 0.0), (-1e308, 2.0)),
+]
+
+
+@pytest.mark.parametrize("anchor", HUGE_ANCHORS)
+def test_huge_anchors_rank_alike_without_a_warning(anchor):
+    """A finite anchor whose squared distances pass the largest double
+    ranks every row at ``inf`` on both backends, clean and over a delta,
+    and the scan kernel's overflow is no warning."""
+    table = SpatialTable("t", 2, universe=Box((0.0, 0.0), (32.0, 32.0)))
+    table.bulk_insert(rows_for(random.Random(shifted_seed(7)), 30, 2))
+    for staged in (False, True):
+        if staged:
+            table.stage_insert("s", Region.from_box(Box((1.0, 1.0), (2.0, 2.0))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ranked_oids(table.nearest(anchor, 4))
+            assert got == ranked_oids(scan_twin(table).nearest(anchor, 4))
+        assert [dist for dist, _oid in got] == [INF] * 4
 
 
 def test_bad_anchor_over_the_wire_is_a_400():

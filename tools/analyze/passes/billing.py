@@ -72,6 +72,7 @@ PROBE_APIS = {
     "matches",
     "range_query",
     "range_query_batch",
+    "range_query_packed",
     "knn",
     "knn_browse",
     "candidates",
@@ -79,6 +80,7 @@ PROBE_APIS = {
     "query",
     "search",
     "search_batch",
+    "search_packed",
     "scan",
 }
 
