@@ -7,7 +7,7 @@ Usage::
     python -m repro minimize [FILE]            # drop entailed constraints
     python -m repro bcf      'x & y | ~x & z'  # Blake canonical form + L/U
     python -m repro explain  [--workload smugglers] [--size 12]
-                             [--order-strategy histogram] [--mode boxplan]
+                             [--order-strategy greedy] [--mode boxplan]
                              [--analyze] [--json] [--limit K]
                              [--knn K [--knn-ref T]] [--agg count,min:T]
                              [--group-by B] [--agg-box]
@@ -24,7 +24,9 @@ Usage::
 or omitted reads stdin.
 
 ``explain`` and ``run`` build a synthetic workload (STR-packed r-trees
-unless ``--index`` says otherwise), pick its retrieval order with ``--order-strategy`` and hand the
+unless ``--index`` says otherwise), pick its retrieval order with
+``--order-strategy`` (greedy, as a :class:`~repro.database.Session`
+picks it, unless it says ``histogram`` or ``paper``) and hand the
 query to a :class:`~repro.database.Session`.  ``explain`` prints the
 physical operator tree with catalog cost estimates; ``--analyze`` also
 executes it and reports the query: each operator's actual
@@ -421,8 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--order-strategy",
             choices=("paper", "greedy", "histogram"),
-            default="histogram",
-            help="retrieval-order planner ('paper' keeps the workload's order)",
+            default="greedy",
+            help="retrieval-order planner: 'greedy' (default, the order "
+            "every Session picks), 'histogram' (opt-in cost-based search "
+            "over the statistics catalog) or 'paper' (the workload's order)",
         )
         p.add_argument(
             "--limit",

@@ -223,6 +223,11 @@ class Session:
     with a :class:`Database` — raw constraint text.  Keyword options
     (``mode=``, ``limit=``) match the CLI flags; constructor keywords
     set session defaults, call keywords override per query.
+
+    A query with no retrieval order (``order=`` or the query's own) is
+    compiled in :func:`~repro.engine.compiler.compile_query`'s default
+    order, the greedy heuristic; a caller that wants the cost-based
+    search passes its order explicitly.
     """
 
     def __init__(self, db: Optional[Database] = None, **defaults):
@@ -269,17 +274,7 @@ class Session:
     ) -> QueryPlan:
         if isinstance(query, QueryPlan):
             return query
-        query = self._spatial_query(query)
-        if order is None and not query.order:
-            # No caller- or query-given order: plan one (the CLI's
-            # default strategy), honoring a kNN step's anchor ordering.
-            from .engine.compiler import repair_knn_order
-            from .engine.planner import plan_order
-
-            order = plan_order(query, strategy="histogram")
-            if query.knn is not None:
-                order = repair_knn_order(order, query.knn, query.tables)
-        return compile_query(query, order=order)
+        return compile_query(self._spatial_query(query), order=order)
 
     # -- execution -------------------------------------------------------------
     def run(

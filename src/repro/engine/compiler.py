@@ -27,7 +27,7 @@ from ..constraints.solved import SolvedConstraint
 from ..constraints.triangular import TriangularForm
 from ..errors import CompilationError, UnsatisfiableError
 from ..spatial.table import SpatialTable
-from .query import AggregateSpec, KNNStep, SpatialQuery
+from .query import AggregateSpec, KNNStep, SpatialQuery, checked_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .physical import PhysicalPlan
@@ -134,7 +134,11 @@ def compile_query(
     """Compile a query into a :class:`QueryPlan`.
 
     ``order`` overrides the query's retrieval order (else the query's,
-    else the planner's choice).  Raises
+    else :func:`~repro.engine.planner.choose_order`'s greedy choice —
+    the one default order of every :class:`~repro.database.Session`
+    call and service route).  An ``order`` that does not list each
+    unknown exactly once raises :class:`~repro.errors.CompilationError`,
+    as it does in a :class:`SpatialQuery`.  Raises
     :class:`~repro.errors.UnsatisfiableError` when the ground residue
     fails for the given bindings.  Algorithm 1 runs through
     :meth:`SpatialQuery.triangular_forms`: an order the planner already
@@ -146,6 +150,8 @@ def compile_query(
     planner-chosen order is silently repaired (the kNN variable moves
     to just after its anchor).
     """
+    if order is not None:
+        order = checked_order(order, query.tables)
     explicit = order is not None or query.order is not None
     if order is None:
         order = query.order

@@ -420,11 +420,15 @@ def plan_order(
     """Pick a retrieval order with the named strategy.
 
     ``"greedy"`` — the connectivity heuristic (default, no statistics
-    needed); ``"histogram"`` — :func:`best_order_by_estimate`'s bounded
-    search over the statistics-catalog estimate, falling back to greedy
-    when statistics are unusable.  Planning triangularises through
-    ``query``'s own memo, so compiling the same query object afterwards
-    does not run Algorithm 1 again.
+    needed; the order :func:`~repro.engine.compiler.compile_query`, and
+    so every ``Session`` call, picks itself); ``"histogram"`` —
+    :func:`best_order_by_estimate`'s bounded search over the
+    statistics-catalog estimate, falling back to greedy when statistics
+    are unusable.  The search is opt-in (the CLI's ``--order-strategy
+    histogram``): its planning time costs more than the partial tuples
+    it saves on the workloads measured so far.  Planning triangularises
+    through ``query``'s own memo, so compiling the same query object
+    afterwards does not run Algorithm 1 again.
     """
     if strategy == "greedy":
         return choose_order(query)

@@ -17,7 +17,7 @@ underlying regions satisfy the constraint system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.regions import Region, RegionAlgebra
 from ..boxes.box import Box
@@ -142,6 +142,25 @@ class AggregateSpec:
         return f"agg({', '.join(self.labels())}{by}{exact})"
 
 
+def checked_order(order: object, unknowns: Iterable[str]) -> Tuple[str, ...]:
+    """``order`` as a tuple, checked to be a retrieval order over
+    ``unknowns``: a list or tuple naming each of them exactly once.
+    Anything else raises :class:`~repro.errors.CompilationError`."""
+    if not isinstance(order, (list, tuple)) or not all(
+        isinstance(name, str) for name in order
+    ):
+        raise CompilationError(
+            f"a retrieval order is a list of variable names, not {order!r}"
+        )
+    if sorted(order) != sorted(unknowns):
+        raise CompilationError(
+            "retrieval order must list exactly the table variables; "
+            f"got {list(order)}, expected a permutation of "
+            f"{sorted(unknowns)}"
+        )
+    return tuple(order)
+
+
 @dataclass
 class SpatialQuery:
     """A multi-variable spatial query (paper Section 1's setting).
@@ -193,20 +212,7 @@ class SpatialQuery:
                 f"variables with no table or binding: {sorted(missing)}"
             )
         if self.order is not None:
-            order = self.order
-            if not isinstance(order, (list, tuple)) or not all(
-                isinstance(name, str) for name in order
-            ):
-                raise CompilationError(
-                    f"a retrieval order is a list of variable names, not {order!r}"
-                )
-            self.order = tuple(order)
-            if sorted(order) != sorted(self.tables):
-                raise CompilationError(
-                    "retrieval order must list exactly the table variables; "
-                    f"got {list(order)}, expected a permutation of "
-                    f"{sorted(self.tables)}"
-                )
+            self.order = checked_order(self.order, self.tables)
         if self.knn is not None:
             self._validate_knn(self.knn)
         if self.aggregate is not None:

@@ -441,13 +441,13 @@ class SpatialTable:
     def range_query_batch(
         self, queries: Sequence[BoxQuery]
     ) -> List[List[SpatialObject]]:
-        """:meth:`range_query` of each query: the queries packed
-        (:func:`~repro.spatial.columnar.pack_query`) and probed as
-        :meth:`range_query_packed` probes, the r-tree reading them
-        through :meth:`RTree.search_batch`."""
+        """:meth:`range_query` of each query: the queries packed once
+        (:func:`~repro.spatial.columnar.pack_query`) and probed by
+        :meth:`range_query_packed`."""
         dim = self.dim
-        packed = [None if q.is_unsatisfiable() else columnar.pack_query(q, dim) for q in queries]
-        return self._probe(packed, lambda: self._rtree.search_batch(queries))
+        return self.range_query_packed(
+            [None if q.is_unsatisfiable() else columnar.pack_query(q, dim) for q in queries]
+        )
 
     def range_query_packed(
         self, packed: Sequence[Optional[PackedQuery]]
@@ -463,9 +463,6 @@ class SpatialTable:
         empty box matches (:func:`~repro.boxes.bconstraints.
         matches_empty`), and a pending write delta is overlaid on the
         packed form too."""
-        return self._probe(packed, lambda: self._rtree.search_packed(packed))
-
-    def _probe(self, packed, search) -> List[List[SpatialObject]]:
         live = sum(p is not None for p in packed)
         self.probes += len(packed)
         self.vectorized_batches += live
@@ -474,7 +471,7 @@ class SpatialTable:
             found = [[] if p is None else self._columns.match_packed(*p) for p in packed]
         else:
             before = self._rtree.stats.entry_tests
-            found = search()
+            found = self._rtree.search_packed(packed)
             self.vectorized_candidates += self._rtree.stats.entry_tests - before
         empty, d = self._columns.empty_rows, self._delta
         pending = d.pending_ops

@@ -176,22 +176,22 @@ def test_range_query_batch_equals_single_calls(capacity, delta, backend):
 @pytest.mark.parametrize("capacity", CAPACITIES, ids=CAPACITY_IDS)
 def test_batch_really_shares_one_traversal(capacity):
     """The equalities above are not vacuous: every satisfiable query of
-    a batch reaches ``RTree.search_batch`` together, in one call, and a
-    repeated query is read again.  (The spy counts the satisfiable
-    queries of each call; the walk passes the others over.)"""
+    a batch reaches ``RTree.search_packed`` together, packed once, in one
+    call, and a repeated query is read again.  (The spy counts the
+    satisfiable queries of each call; the walk passes the others over.)"""
     table = _table(capacity, delta=False)
     rng = random.Random(2)
     queries = [_query("overlap1", rng, i) for i in range(40)]
     unsatisfiable = _query("unsatisfiable", rng, 0)
     calls = []
     tree = table._rtree
-    real_batch = tree.search_batch
+    real_packed = tree.search_packed
 
-    def spy(qs):
-        calls.append(sum(not q.is_unsatisfiable() for q in qs))
-        return real_batch(qs)
+    def spy(packed):
+        calls.append(sum(p is not None for p in packed))
+        return real_packed(packed)
 
-    tree.search_batch = spy
+    tree.search_packed = spy
     table.range_query_batch(queries)
     table.range_query_batch(queries[:10] + queries[:10])
     table.range_query_batch(queries[:2] + [unsatisfiable])

@@ -23,7 +23,7 @@ from repro.engine.executor import (
     execute,
 )
 from repro.engine.stats import ExecutionStats
-from repro.errors import OptionError
+from repro.errors import CompilationError, OptionError
 from repro.spatial.table import SpatialTable
 from repro.spatial.rtree import RTreeStats
 
@@ -223,6 +223,17 @@ def test_analyzed_explain_honours_limit():
     assert limited.stats.partial_tuples == 4
     # rows=1 ends the annotation: the filter bills no region ops here.
     assert "actual: rows=1]" in report["plan"].splitlines()[1]
+
+
+@pytest.mark.parametrize("order", [[], ("x",), ("y", "x", "z"), ("x", "x"), "xy"])
+def test_a_bad_explicit_order_is_a_compilation_error(order):
+    """An ``order=`` that does not list each unknown once is rejected
+    the way ``Database.query(order=...)`` rejects it, by run and by
+    explain alike — not a bare ``KeyError`` from the triangular solve."""
+    session = Database.from_query(overlay_query(20, 20, seed=0)).session()
+    for call in (session.run, session.explain):
+        with pytest.raises(CompilationError, match="retrieval order"):
+            call("x & y !<= 0", order=order)
 
 
 def test_session_bench_payload_round_trips(db, workload):
